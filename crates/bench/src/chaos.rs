@@ -26,297 +26,208 @@
 //! Worker counts ride along exactly as in the other runtime presets: every
 //! worker count must deliver byte-identical streams, faults included.
 
+use crate::runtime::{
+    hex, int, num, run_grid, text, PointResult, PresetReport, RuntimePreset, StreamDigest, Workload,
+};
 use coordl::{FaultPlan, Mode, Session, SessionConfig};
-use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
-use pipeline::json::{write_f64, write_string};
+use dataset::{DataSource, SyntheticItemStore};
+use pipeline::json::Value;
 use std::sync::Arc;
 
-/// CLI name of the runtime preset (`dstool sweep chaos`).
-pub const CHAOS_NAME: &str = "chaos";
+/// Servers in the partitioned cluster.
+const NODES: usize = 3;
 
-/// Configuration of one chaos run.
-#[derive(Debug, Clone)]
-pub struct ChaosConfig {
-    /// Servers in the partitioned cluster.
-    pub nodes: usize,
-    /// Membership events to schedule (kills, leaves, rejoins).
-    pub faults: usize,
-    /// Seed of the fault schedule (`dcache::fault_schedule`).
-    pub fault_seed: u64,
-    /// Worker counts every run is repeated at (bit-equality across them).
-    pub worker_counts: Vec<usize>,
-    /// Items in the synthetic dataset.
-    pub items: u64,
-    /// Average raw item size in bytes.
-    pub avg_item_bytes: u64,
-    /// Samples per minibatch.
-    pub batch_size: usize,
-    /// Epochs per run (epoch 0 is the cold warm-up; faults fire on epoch
-    /// boundaries 1..epochs).
-    pub epochs: u64,
-    /// Per-node cache capacity as percent of the dataset.
-    pub cache_percent: u32,
-    /// Shuffle + augmentation seed shared by both runs.
-    pub seed: u64,
-    /// Recovery gate: the final chaos epoch's cache-served byte fraction
-    /// must be at least this multiple of the fault-free twin's.
-    pub recovery_fraction: f64,
-}
+/// Membership events to schedule (kills, leaves, rejoins).
+const FAULTS: usize = 3;
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            nodes: 3,
-            faults: 3,
-            fault_seed: 0xC0DA,
-            worker_counts: vec![1, 2],
-            items: 600,
-            avg_item_bytes: 600,
-            batch_size: 25,
-            epochs: 6,
-            cache_percent: 65,
-            seed: 0xFA17,
-            recovery_fraction: 0.5,
-        }
-    }
-}
+/// Seed of the fault schedule (`dcache::fault_schedule`).
+const FAULT_SEED: u64 = 0xC0DA;
 
-impl ChaosConfig {
-    /// The default preset with its dataset shrunk by `extra_scale` (pass 1
-    /// for full fidelity; `dstool smoke` passes its CI scale).
-    pub fn scaled(extra_scale: u64) -> Self {
-        let base = ChaosConfig::default();
-        ChaosConfig {
-            items: (base.items / extra_scale.max(1)).max(150),
-            ..base
-        }
-    }
-}
+/// Per-node cache capacity as percent of the dataset.
+const CACHE_PERCENT: u64 = 65;
 
-/// One scheduled membership event, as reported.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosFault {
-    /// Epoch boundary the event fires at.
-    pub at_epoch: u64,
-    /// The server it applies to.
-    pub node: usize,
-    /// `"kill"`, `"leave"` or `"join"`.
-    pub kind: &'static str,
-}
+/// Recovery gate: the final chaos epoch's cache-served byte fraction must be
+/// at least this multiple of the fault-free twin's.
+const RECOVERY_FRACTION: f64 = 0.5;
 
-/// The result of one chaos run (both twins, all worker counts).
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// The configuration that produced it.
-    pub config: ChaosConfig,
-    /// The seeded schedule both engines share, sorted by boundary epoch.
-    pub faults: Vec<ChaosFault>,
-    /// Epochs strictly before the first scheduled fault.
-    pub prefix_epochs: u64,
-    /// Stream digest of the chaos run's healthy prefix.
-    pub chaos_prefix_digest: u64,
-    /// Stream digest of the same epochs in the fault-free twin.
-    pub healthy_prefix_digest: u64,
-    /// Full-run stream digest of the chaos run.
-    pub chaos_digest: u64,
-    /// Full-run stream digest of the fault-free twin.
-    pub healthy_digest: u64,
-    /// Samples delivered per epoch, summed over nodes, chaos run.
-    pub chaos_epoch_samples: Vec<u64>,
-    /// Samples delivered per epoch, summed over nodes, fault-free twin.
-    pub healthy_epoch_samples: Vec<u64>,
-    /// Per-epoch fraction of fetched bytes served by a cache tier (local or
-    /// remote) in the chaos run.
-    pub chaos_epoch_cached_fraction: Vec<f64>,
-    /// The fault-free twin's final-epoch cache-served byte fraction.
-    pub healthy_final_cached_fraction: f64,
-    /// Directory entries owned by a dead server after the run (must be 0).
-    pub dead_owned_entries: usize,
-    /// Directory size after the chaos run.
-    pub directory_entries: usize,
-    /// Cluster membership after the run, per server.
-    pub alive_at_end: Vec<bool>,
-}
-
-impl ChaosReport {
-    /// The digest `dstool` pins in `ci/bench_baseline.json` — the full
-    /// chaos stream, faults included.
-    pub fn digest(&self) -> u64 {
-        self.chaos_digest
-    }
-
-    /// Check the run's four contracts (see the [module docs](self)).
-    pub fn verify(&self) -> Result<(), String> {
-        if self.faults.is_empty() {
-            return Err("chaos run scheduled no faults — nothing was tested".to_string());
-        }
-        if self.chaos_prefix_digest != self.healthy_prefix_digest {
-            return Err(format!(
-                "healthy prefix diverged: chaos {:016x} vs fault-free {:016x} over \
-                 the first {} epoch(s) — an unarmed fault plan changed the stream",
-                self.chaos_prefix_digest, self.healthy_prefix_digest, self.prefix_epochs
-            ));
-        }
-        for (name, samples) in [
-            ("chaos", &self.chaos_epoch_samples),
-            ("fault-free", &self.healthy_epoch_samples),
-        ] {
-            for (e, &s) in samples.iter().enumerate() {
-                if s != self.config.items {
-                    return Err(format!(
-                        "{name} epoch {e}: {s} samples delivered, want exactly {} — \
-                         a fault lost or duplicated samples",
-                        self.config.items
-                    ));
-                }
-            }
-        }
-        if self.dead_owned_entries > 0 {
-            return Err(format!(
-                "{} directory entrie(s) still owned by a dead server — \
-                 rebalancing lost a shard",
-                self.dead_owned_entries
-            ));
-        }
-        let first_fault = self.prefix_epochs as usize;
-        let post = &self.chaos_epoch_cached_fraction
-            [first_fault.min(self.chaos_epoch_cached_fraction.len().saturating_sub(1))..];
-        let worst = post.iter().copied().fold(f64::INFINITY, f64::min);
-        let last = *post.last().expect("at least one post-fault epoch");
-        if last + 1e-9 < worst {
-            return Err(format!(
-                "hit ratio never recovered: final epoch serves {last:.3} of bytes \
-                 from cache, worse than the degraded trough {worst:.3}"
-            ));
-        }
-        let floor = self.config.recovery_fraction * self.healthy_final_cached_fraction;
-        if last < floor {
-            return Err(format!(
-                "post-rebalance recovery too weak: final cached fraction {last:.3} \
-                 below {floor:.3} ({}% of the fault-free twin's {:.3})",
-                (self.config.recovery_fraction * 100.0) as u32,
-                self.healthy_final_cached_fraction
-            ));
-        }
-        Ok(())
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter (digests as hex
-    /// strings, like the other runtime presets).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"preset\":");
-        write_string(&mut out, CHAOS_NAME);
-        out.push_str(",\"nodes\":");
-        out.push_str(&self.config.nodes.to_string());
-        out.push_str(",\"items\":");
-        out.push_str(&self.config.items.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"prefix_epochs\":");
-        out.push_str(&self.prefix_epochs.to_string());
-        out.push_str(",\"stream_digest\":");
-        write_string(&mut out, &format!("{:016x}", self.chaos_digest));
-        out.push_str(",\"healthy_digest\":");
-        write_string(&mut out, &format!("{:016x}", self.healthy_digest));
-        out.push_str(",\"faults\":[");
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"at_epoch\":");
-            out.push_str(&f.at_epoch.to_string());
-            out.push_str(",\"node\":");
-            out.push_str(&f.node.to_string());
-            out.push_str(",\"kind\":");
-            write_string(&mut out, f.kind);
-            out.push('}');
-        }
-        out.push_str("],\"epoch_cached_fraction\":[");
-        for (i, &v) in self.chaos_epoch_cached_fraction.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_f64(&mut out, v);
-        }
-        out.push_str("],\"healthy_final_cached_fraction\":");
-        write_f64(&mut out, self.healthy_final_cached_fraction);
-        out.push_str(",\"directory_entries\":");
-        out.push_str(&self.directory_entries.to_string());
-        out.push_str(",\"alive_at_end\":[");
-        for (i, &a) in self.alive_at_end.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(if a { "true" } else { "false" });
-        }
-        out.push_str("]}");
-        out
-    }
-}
+/// The registry row of `dstool sweep chaos`.  Epoch 0 is the cold warm-up;
+/// faults fire on epoch boundaries `1..epochs`.
+pub static PRESET: RuntimePreset = RuntimePreset {
+    name: "chaos",
+    paper: "§5.2 (partitioned caching under churn)",
+    description: "runtime fault injection: a partitioned cluster under a seeded \
+                  kill/leave/rejoin schedule vs its fault-free twin; healthy prefix, \
+                  exactly-once delivery, shard coverage and recovery gated, streams \
+                  bit-identical across worker counts, faults included",
+    points: 1,
+    workload: Workload {
+        items: 600,
+        min_items: 150,
+        avg_item_bytes: 600,
+        decode_multiplier: 4,
+        batch_size: 25,
+        epochs: 6,
+        seed: 0xFA17,
+        axis: &[1, 2],
+    },
+    axis: "workers",
+    timing: &[],
+    flat: true,
+    takes_os_root: false,
+    run: |w, _| run(w),
+    shape,
+};
 
 /// Run the preset: the chaos run and its fault-free twin at every worker
-/// count, with bit-equality enforced across worker counts.
+/// count, folded into one point per worker count.
 ///
-/// # Panics
-/// Panics when a worker count delivers a different stream — the
-/// single-fetch-thread determinism contract, not a tolerance.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    assert!(cfg.nodes >= 2, "chaos needs at least two nodes");
+/// Recorded per run, beside the emitted fields: `chaos_prefix_digest` /
+/// `healthy_prefix_digest` (stream digests of the epochs before the first
+/// fault), `healthy_digest`, `chaos_epoch_samples` / `healthy_epoch_samples`
+/// (one counter per epoch, summed over nodes) and `dead_owned_entries`
+/// (directory entries owned by a dead server after the run).
+pub fn run(w: &Workload) -> PresetReport {
     assert!(
-        cfg.epochs >= 2,
+        w.epochs >= 2,
         "chaos needs a boundary for faults to fire on"
     );
-    let plan = FaultPlan::seeded(cfg.nodes, cfg.epochs, cfg.faults, cfg.fault_seed, cfg.items);
+    let plan = FaultPlan::seeded(NODES, w.epochs, FAULTS, FAULT_SEED, w.items);
     let prefix_epochs = plan
         .first_fault_step()
-        .map(|s| s / cfg.items)
-        .unwrap_or(cfg.epochs);
+        .map(|s| s / w.items)
+        .unwrap_or(w.epochs);
+    let faults = plan.steps().iter().map(|s| {
+        Value::Object(
+            [
+                ("at_epoch".to_string(), int(s.at_step / w.items)),
+                ("node".to_string(), int(s.node as u64)),
+                ("kind".to_string(), text(s.kind.name())),
+            ]
+            .into(),
+        )
+    });
+    let faults = Value::Array(faults.collect());
 
-    let mut report: Option<ChaosReport> = None;
-    for &workers in &cfg.worker_counts {
-        let chaos = run_once(cfg, Some(plan.clone()), prefix_epochs, workers);
-        let healthy = run_once(cfg, None, prefix_epochs, workers);
-        let faults = plan
-            .steps()
-            .iter()
-            .map(|s| ChaosFault {
-                at_epoch: s.at_step / cfg.items,
-                node: s.node,
-                kind: s.kind.name(),
-            })
-            .collect();
-        let this = ChaosReport {
-            config: cfg.clone(),
-            faults,
-            prefix_epochs,
-            chaos_prefix_digest: chaos.prefix_digest,
-            healthy_prefix_digest: healthy.prefix_digest,
-            chaos_digest: chaos.digest,
-            healthy_digest: healthy.digest,
-            chaos_epoch_samples: chaos.epoch_samples,
-            healthy_epoch_samples: healthy.epoch_samples,
-            chaos_epoch_cached_fraction: chaos.epoch_cached_fraction,
-            healthy_final_cached_fraction: *healthy
-                .epoch_cached_fraction
-                .last()
-                .expect("at least one epoch"),
-            dead_owned_entries: chaos.dead_owned_entries,
-            directory_entries: chaos.directory_entries,
-            alive_at_end: chaos.alive_at_end,
-        };
-        match &report {
-            None => report = Some(this),
-            Some(first) => {
-                assert_eq!(
-                    (this.chaos_digest, this.healthy_digest),
-                    (first.chaos_digest, first.healthy_digest),
-                    "chaos: workers={workers} delivered a different stream"
-                );
+    let runs = run_grid(&[()], w.axis, |_, workers| {
+        let chaos = run_once(w, Some(plan.clone()), prefix_epochs, workers);
+        let healthy = run_once(w, None, prefix_epochs, workers);
+        let mut counters = vec![
+            ("chaos_prefix_digest", chaos.prefix_digest),
+            ("healthy_prefix_digest", healthy.prefix_digest),
+            ("healthy_digest", healthy.digest),
+            ("dead_owned_entries", chaos.dead_owned_entries),
+        ];
+        counters.extend(
+            chaos
+                .epoch_samples
+                .iter()
+                .map(|&n| ("chaos_epoch_samples", n)),
+        );
+        counters.extend(
+            healthy
+                .epoch_samples
+                .iter()
+                .map(|&n| ("healthy_epoch_samples", n)),
+        );
+        let fractions = chaos.epoch_cached_fraction.iter().map(|&f| num(f));
+        let healthy_final = *healthy.epoch_cached_fraction.last().expect("epochs >= 2");
+        PointResult {
+            label: format!("faults={}", plan.steps().len()),
+            axis_value: workers,
+            stream_digest: chaos.digest,
+            counters,
+            fields: vec![
+                ("healthy_digest", hex(healthy.digest)),
+                ("faults", faults.clone()),
+                ("epoch_cached_fraction", Value::Array(fractions.collect())),
+                ("healthy_final_cached_fraction", num(healthy_final)),
+                ("directory_entries", int(chaos.directory_entries)),
+                (
+                    "alive_at_end",
+                    Value::Array(chaos.alive_at_end.iter().map(|&a| Value::Bool(a)).collect()),
+                ),
+            ],
+        }
+    });
+    PresetReport {
+        preset: &PRESET,
+        header: vec![
+            ("nodes", int(NODES as u64)),
+            ("items", int(w.items)),
+            ("epochs", int(w.epochs)),
+            ("prefix_epochs", int(prefix_epochs)),
+        ],
+        runs,
+    }
+}
+
+/// Check the run's four contracts (see the [module docs](self)).
+fn shape(report: &PresetReport) -> Result<(), String> {
+    let run = report.runs.first().expect("bit_identical saw a run");
+    let array = |key: &str| run.field(key).and_then(Value::as_array).unwrap_or_default();
+    let (items, prefix_epochs) = (
+        report.header_num("items") as u64,
+        report.header_num("prefix_epochs") as usize,
+    );
+    if array("faults").is_empty() {
+        return Err("chaos run scheduled no faults — nothing was tested".to_string());
+    }
+    let (chaos_prefix, healthy_prefix) = (
+        run.counter("chaos_prefix_digest"),
+        run.counter("healthy_prefix_digest"),
+    );
+    if chaos_prefix != healthy_prefix {
+        return Err(format!(
+            "healthy prefix diverged: chaos {chaos_prefix:016x} vs fault-free \
+             {healthy_prefix:016x} over the first {prefix_epochs} epoch(s) — an \
+             unarmed fault plan changed the stream"
+        ));
+    }
+    for (name, key) in [
+        ("chaos", "chaos_epoch_samples"),
+        ("fault-free", "healthy_epoch_samples"),
+    ] {
+        for (e, s) in run.counters_named(key).enumerate() {
+            if s != items {
+                return Err(format!(
+                    "{name} epoch {e}: {s} samples delivered, want exactly {items} — \
+                     a fault lost or duplicated samples"
+                ));
             }
         }
     }
-    report.expect("worker_counts must not be empty")
+    if run.counter("dead_owned_entries") > 0 {
+        return Err(format!(
+            "{} directory entrie(s) still owned by a dead server — \
+             rebalancing lost a shard",
+            run.counter("dead_owned_entries")
+        ));
+    }
+    let fractions: Vec<f64> = array("epoch_cached_fraction")
+        .iter()
+        .filter_map(Value::as_f64)
+        .collect();
+    let post = &fractions[prefix_epochs.min(fractions.len().saturating_sub(1))..];
+    let (&last, earlier) = post.split_last().expect("at least one post-fault epoch");
+    // The trough is taken over the post-fault epochs *before* the final one:
+    // with the final epoch included the comparison could never fail.
+    let worst = earlier.iter().copied().fold(f64::INFINITY, f64::min);
+    if !earlier.is_empty() && last + 1e-9 < worst {
+        return Err(format!(
+            "hit ratio never recovered: final epoch serves {last:.3} of bytes \
+             from cache, worse than the degraded trough {worst:.3}"
+        ));
+    }
+    let healthy_final = run.num("healthy_final_cached_fraction");
+    let floor = RECOVERY_FRACTION * healthy_final;
+    if last < floor {
+        return Err(format!(
+            "post-rebalance recovery too weak: final cached fraction {last:.3} \
+             below {floor:.3} ({}% of the fault-free twin's {healthy_final:.3})",
+            (RECOVERY_FRACTION * 100.0) as u32
+        ));
+    }
+    Ok(())
 }
 
 /// Per-run observations shared by the chaos run and its twin.
@@ -325,55 +236,38 @@ struct RunObs {
     prefix_digest: u64,
     epoch_samples: Vec<u64>,
     epoch_cached_fraction: Vec<f64>,
-    dead_owned_entries: usize,
-    directory_entries: usize,
+    dead_owned_entries: u64,
+    directory_entries: u64,
     alive_at_end: Vec<bool>,
 }
 
-fn run_once(
-    cfg: &ChaosConfig,
-    plan: Option<FaultPlan>,
-    prefix_epochs: u64,
-    workers: usize,
-) -> RunObs {
-    let spec = DatasetSpec::new("chaos", cfg.items, cfg.avg_item_bytes, 0.2, 4.0);
-    let total_bytes = spec.total_bytes();
+fn run_once(w: &Workload, plan: Option<FaultPlan>, prefix_epochs: u64, workers: usize) -> RunObs {
+    let spec = w.dataset(PRESET.name);
+    let cache_capacity_bytes = spec.total_bytes() * CACHE_PERCENT / 100;
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 31));
-    let mut builder = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: cfg.batch_size,
-            seed: cfg.seed,
-            num_workers: workers,
-            cache_capacity_bytes: total_bytes * cfg.cache_percent as u64 / 100,
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Partitioned { nodes: cfg.nodes });
+    let config = SessionConfig {
+        cache_capacity_bytes,
+        ..w.session_config(workers)
+    };
+    let mut builder = Session::builder(store, config).mode(Mode::Partitioned { nodes: NODES });
     if let Some(plan) = plan {
         builder = builder.fault_plan(plan);
     }
     let session = builder.build().expect("valid chaos session");
 
-    let mut digest = Fnv::new();
+    let mut digest = StreamDigest::default();
     let mut prefix_digest = 0u64;
-    let mut epoch_samples = Vec::with_capacity(cfg.epochs as usize);
-    for epoch in 0..cfg.epochs {
+    let mut epoch_samples = Vec::with_capacity(w.epochs as usize);
+    for epoch in 0..w.epochs {
         let run = session.epoch(epoch);
         let mut samples = 0u64;
         // One node stream at a time: cluster fetches stay sequential, so the
         // fault plan's step axis is identical for every worker count.
-        for node in 0..cfg.nodes {
+        for node in 0..NODES {
             for batch in run.stream(node) {
                 let mb = batch.expect("chaos epochs never fail a consumer");
                 samples += mb.len() as u64;
-                digest.u64(mb.epoch);
-                digest.u64(mb.index as u64);
-                for s in &mb.samples {
-                    digest.u64(s.item);
-                    digest.u64(s.augmentation_seed);
-                    digest.bytes(&s.data);
-                }
+                digest.absorb(&mb);
             }
         }
         epoch_samples.push(samples);
@@ -403,122 +297,104 @@ fn run_once(
     let dead_owned_entries = snapshot
         .iter()
         .filter(|&&(_, owner)| !cluster.is_alive(owner))
-        .count();
+        .count() as u64;
     RunObs {
         digest: digest.finish(),
         prefix_digest,
         epoch_samples,
         epoch_cached_fraction,
         dead_owned_entries,
-        directory_entries: snapshot.len(),
-        alive_at_end: (0..cfg.nodes).map(|n| cluster.is_alive(n)).collect(),
-    }
-}
-
-/// FNV-1a over 8-byte words (the same digest the other runtime sweeps use).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+        directory_entries: snapshot.len() as u64,
+        alive_at_end: (0..NODES).map(|n| cluster.is_alive(n)).collect(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
 
-    fn tiny() -> ChaosConfig {
-        ChaosConfig {
+    fn tiny() -> Workload {
+        Workload {
             items: 200,
             avg_item_bytes: 256,
             batch_size: 20,
-            worker_counts: vec![1, 2],
-            ..ChaosConfig::default()
+            ..PRESET.workload
         }
     }
 
     #[test]
     fn default_run_passes_all_gates() {
-        let report = run_chaos(&tiny());
-        assert!(!report.faults.is_empty(), "schedule must not be empty");
-        assert!(report.prefix_epochs >= 1, "epoch 0 is always healthy");
-        report.verify().expect("chaos contract");
-        // The faults were not a no-op: the full streams differ even though
-        // the healthy prefixes match.
-        assert_eq!(report.chaos_prefix_digest, report.healthy_prefix_digest);
+        let report = run(&tiny());
+        assert_eq!(report.runs.len(), 2, "one folded point per worker count");
+        assert!(
+            report.header_num("prefix_epochs") >= 1.0,
+            "epoch 0 is always healthy"
+        );
+        report.gate().expect("chaos contract");
+        let run = &report.runs[0];
+        assert_eq!(
+            run.counter("chaos_prefix_digest"),
+            run.counter("healthy_prefix_digest")
+        );
     }
 
     #[test]
-    fn verify_rejects_a_diverged_prefix() {
-        let mut report = run_chaos(&tiny());
-        report.chaos_prefix_digest ^= 1;
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("healthy prefix diverged"), "{err}");
-    }
-
-    #[test]
-    fn verify_rejects_lost_samples_and_lost_shards() {
-        let mut report = run_chaos(&tiny());
-        report.chaos_epoch_samples[1] -= 1;
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("lost or duplicated"), "{err}");
-
-        let mut report = run_chaos(&tiny());
-        report.dead_owned_entries = 2;
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("lost a shard"), "{err}");
-    }
-
-    #[test]
-    fn json_round_trips_with_hex_digest() {
-        let report = run_chaos(&ChaosConfig {
-            worker_counts: vec![1],
+    fn gate_rejects_each_broken_contract() {
+        let report = run(&Workload {
+            axis: &[1],
             ..tiny()
         });
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        let digest = doc.get("stream_digest").and_then(Value::as_str).unwrap();
-        assert_eq!(digest, format!("{:016x}", report.digest()));
-        let faults = doc.get("faults").and_then(Value::as_array).unwrap();
-        assert_eq!(faults.len(), report.faults.len());
-        assert!(doc
-            .get("epoch_cached_fraction")
-            .and_then(Value::as_array)
-            .is_some());
-    }
+        let mut doctored = report.clone();
+        let prefix = report.runs[0].counter("chaos_prefix_digest");
+        doctored.runs[0].set_counter("chaos_prefix_digest", 0, prefix ^ 1);
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("healthy prefix diverged"), "{err}");
 
-    #[test]
-    fn scaled_config_shrinks_items_only() {
-        let scaled = ChaosConfig::scaled(4);
-        assert!(scaled.items < ChaosConfig::default().items);
-        assert!(scaled.items >= 150);
-        assert_eq!(scaled.nodes, ChaosConfig::default().nodes);
+        let mut doctored = report.clone();
+        doctored.runs[0].set_counter("chaos_epoch_samples", 1, 199);
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("chaos epoch 1") && err.contains("lost or duplicated"),
+            "{err}"
+        );
+
+        let mut doctored = report.clone();
+        doctored.runs[0].set_counter("dead_owned_entries", 0, 2);
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("lost a shard"), "{err}");
+
+        let mut doctored = report.clone();
+        doctored.runs[0].set("faults", Value::Array(Vec::new()));
+        assert!(doctored.gate().unwrap_err().contains("scheduled no faults"));
+
+        // Recovery: a final epoch below the post-fault trough, then one that
+        // recovers but stays under half the fault-free twin's fraction.
+        let epochs = report.header_num("epochs") as usize;
+        let mut fractions = vec![num(0.9); epochs];
+        fractions[epochs - 1] = num(0.2);
+        let mut doctored = report.clone();
+        doctored.runs[0].set("epoch_cached_fraction", Value::Array(fractions));
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("hit ratio never recovered"), "{err}");
+        let mut doctored = report.clone();
+        doctored.runs[0].set(
+            "epoch_cached_fraction",
+            Value::Array(vec![num(0.2); epochs]),
+        );
+        doctored.runs[0].set("healthy_final_cached_fraction", num(1.0));
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("post-rebalance recovery too weak"), "{err}");
+
+        // A worker count that delivers another stream is an Err, not a panic.
+        let mut doctored = report.clone();
+        let mut repeat = report.runs[0].clone();
+        repeat.axis_value = 2;
+        repeat.stream_digest ^= 1;
+        doctored.runs.push(repeat);
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("chaos/faults=3: workers=2 delivered a different stream"),
+            "{err}"
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! bottleneck once prep is cheap (small decode multipliers, fast
 //! augmentations).  Every point runs the identical fetch-heavy workload
 //! through `Session::builder(..).fetch_threads(f)` with the cache shard
-//! count **pinned** ([`FetchSweepConfig::fetch_shards`]) so that the
+//! count **pinned** (`FETCH_SHARDS`) so that the
 //! per-shard access subsequences — and therefore every admission/eviction
 //! decision — are the same for every `f`.  Two things come out of a run:
 //!
@@ -20,349 +20,191 @@
 //!   Speedups are machine-dependent and only gated on hosts with enough
 //!   cores (`dstool` skips the gate below 4).
 
-use crate::parallel::Fnv;
+use crate::runtime::{
+    drain_single, gate_speedup, host_cores, int, num, run_scaling, timed_point, PointResult,
+    PresetReport, RuntimePreset, Workload,
+};
 use coordl::{Mode, Session, SessionConfig};
-use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
-use pipeline::json::{write_f64, write_string};
-use prep::{ExecutablePipeline, PrepPipeline};
+use dataset::{DataSource, SyntheticItemStore};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// CLI name of the runtime preset (`dstool sweep fetch-sweep`).
-pub const FETCH_SWEEP_NAME: &str = "fetch-sweep";
+/// Cache shard count pinned across **every** point, including the serial
+/// one.  Digest and counter equality across `fetch_threads` only holds for
+/// equal shard counts (shard count determines the per-shard capacity split
+/// and thus eviction behaviour), so the sweep never relies on the session's
+/// automatic shard resolution.
+const FETCH_SHARDS: usize = 8;
 
-/// Configuration of one fetch sweep.
-#[derive(Debug, Clone)]
-pub struct FetchSweepConfig {
-    /// Fetch-thread counts to measure (1 must be included for speedup
-    /// baselines).
-    pub fetch_thread_counts: Vec<usize>,
-    /// Cache shard count pinned across **every** point, including the
-    /// serial one.  Digest and counter equality across `fetch_threads` only
-    /// holds for equal shard counts (shard count determines the per-shard
-    /// capacity split and thus eviction behaviour), so the sweep never
-    /// relies on the session's automatic shard resolution.
-    pub fetch_shards: usize,
-    /// Prep workers used by every point (kept small: the preset is about
-    /// the fetch stage, prep must not be the bottleneck).
-    pub workers: usize,
-    /// Prefetch depth used by every point.
-    pub prefetch_depth: usize,
-    /// Items in the synthetic dataset.
-    pub items: u64,
-    /// Average raw item size in bytes (large: fetch-stage work per item is
-    /// proportional to raw bytes moved).
-    pub avg_item_bytes: u64,
-    /// Decode expansion factor (1: prep barely touches the data, keeping
-    /// the workload fetch-bound).
-    pub decode_multiplier: usize,
-    /// Samples per minibatch.
-    pub batch_size: usize,
-    /// Epochs per point (epoch 0 warms the cache; later epochs mix hits
-    /// with capacity misses).
-    pub epochs: u64,
-    /// Cache capacity as a fraction of the dataset, so steady-state epochs
-    /// keep a deterministic mix of cache transactions and storage reads.
-    pub cache_fraction: f64,
-    /// Shuffle + augmentation seed shared by every point.
-    pub seed: u64,
-}
+/// Prep workers used by every point (kept small: the preset is about the
+/// fetch stage, prep must not be the bottleneck).
+const PREP_WORKERS: usize = 2;
 
-impl Default for FetchSweepConfig {
-    fn default() -> Self {
-        FetchSweepConfig {
-            fetch_thread_counts: vec![1, 2, 4],
-            fetch_shards: 8,
-            workers: 2,
-            prefetch_depth: 4,
-            items: 1024,
-            avg_item_bytes: 32 * 1024,
-            decode_multiplier: 1,
-            batch_size: 16,
-            epochs: 3,
-            cache_fraction: 0.5,
-            seed: 0xFE7C,
-        }
-    }
-}
+/// Prefetch depth used by every point.
+const PREFETCH_DEPTH: usize = 4;
 
-impl FetchSweepConfig {
-    /// The default preset with its dataset shrunk by `extra_scale` — the
-    /// single scaling rule shared by `dstool sweep fetch-sweep --scale` and
-    /// `dstool smoke` (pass 1 for full bench fidelity).  The floor keeps
-    /// each point moving megabytes through the fetch stage so thread
-    /// startup does not dominate the measurement.
-    pub fn scaled(extra_scale: u64) -> Self {
-        let base = FetchSweepConfig::default();
-        FetchSweepConfig {
-            items: (base.items / extra_scale.max(1)).max(128),
-            ..base
-        }
-    }
-}
+/// Cache capacity as a fraction of the dataset, so steady-state epochs keep
+/// a deterministic mix of cache transactions and storage reads.
+const CACHE_FRACTION: f64 = 0.5;
 
-/// One measured point of the sweep.
-#[derive(Debug, Clone)]
-pub struct FetchSweepPoint {
-    /// Fetch threads in the executor's fetch stage.
-    pub fetch_threads: usize,
-    /// Wall-clock seconds for all epochs of this point.
-    pub wall_seconds: f64,
-    /// Delivered samples per wall-clock second.
-    pub samples_per_sec: f64,
-    /// FNV-1a hash of the delivered stream (epoch, index, items,
-    /// augmentation seeds, prepared bytes) — machine-independent.
-    pub stream_digest: u64,
-    /// The five deterministic `LoaderStats` counters: bytes from storage /
-    /// cache / remote, samples prepared / delivered.
-    pub counters: [u64; 5],
-    /// Cache-tier hits (deterministic for a pinned shard count).
-    pub cache_hits: u64,
-    /// Cache-tier misses (deterministic for a pinned shard count).
-    pub cache_misses: u64,
-    /// Wall seconds the fetch stage spent reading tiers and backends,
-    /// summed across the pool.
-    pub fetch_busy_seconds: f64,
-    /// Wall seconds the fetch stage spent blocked on backpressure or pool
-    /// ordering, summed across the pool.
-    pub fetch_stall_seconds: f64,
-}
+/// Minimum pool-over-serial speedup at the largest fetch-thread count.
+const MIN_FETCH_SPEEDUP: f64 = 1.5;
 
-/// The result of one fetch sweep.
-#[derive(Debug, Clone)]
-pub struct FetchSweepReport {
-    /// The configuration that produced it.
-    pub config: FetchSweepConfig,
-    /// One point per fetch-thread count, in `fetch_thread_counts` order.
-    pub points: Vec<FetchSweepPoint>,
-}
+/// Core floor below which the wall-clock gate is skipped: an undersized host
+/// measures the OS scheduler, not the fetch pool.
+const MIN_FETCH_GATE_CORES: usize = 4;
 
-impl FetchSweepReport {
-    /// The digest shared by every point, if the sweep is bit-identical.
-    pub fn digest(&self) -> Option<u64> {
-        self.points.first().map(|p| p.stream_digest)
-    }
-
-    /// Check the fetch pool's determinism contract: every point must have
-    /// delivered the identical stream and identical counters.
-    pub fn bit_identical(&self) -> Result<(), String> {
-        let Some(first) = self.points.first() else {
-            return Err("fetch sweep produced no points".to_string());
-        };
-        for p in &self.points[1..] {
-            if p.stream_digest != first.stream_digest {
-                return Err(format!(
-                    "fetch_threads={} delivered a different stream than \
-                     fetch_threads={} (digest {:016x} vs {:016x})",
-                    p.fetch_threads, first.fetch_threads, p.stream_digest, first.stream_digest
-                ));
-            }
-            if p.counters != first.counters
-                || p.cache_hits != first.cache_hits
-                || p.cache_misses != first.cache_misses
-            {
-                return Err(format!(
-                    "fetch_threads={} produced different LoaderStats than \
-                     fetch_threads={} ({:?}/{}/{} vs {:?}/{}/{})",
-                    p.fetch_threads,
-                    first.fetch_threads,
-                    p.counters,
-                    p.cache_hits,
-                    p.cache_misses,
-                    first.counters,
-                    first.cache_hits,
-                    first.cache_misses
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Wall-clock speedup of `fetch_threads` relative to the serial point.
-    pub fn speedup(&self, fetch_threads: usize) -> Option<f64> {
-        let base = self.points.iter().find(|p| p.fetch_threads == 1)?;
-        let point = self
-            .points
-            .iter()
-            .find(|p| p.fetch_threads == fetch_threads)?;
-        Some(base.wall_seconds / point.wall_seconds.max(1e-9))
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter.  The digest is
-    /// written as a hex *string* (u64 does not survive a float round-trip).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"preset\":");
-        write_string(&mut out, FETCH_SWEEP_NAME);
-        out.push_str(",\"items\":");
-        out.push_str(&self.config.items.to_string());
-        out.push_str(",\"fetch_shards\":");
-        out.push_str(&self.config.fetch_shards.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"stream_digest\":");
-        let digest = self.digest().unwrap_or(0);
-        write_string(&mut out, &format!("{digest:016x}"));
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"fetch_threads\":");
-            out.push_str(&p.fetch_threads.to_string());
-            out.push_str(",\"wall_seconds\":");
-            write_f64(&mut out, p.wall_seconds);
-            out.push_str(",\"samples_per_sec\":");
-            write_f64(&mut out, p.samples_per_sec);
-            out.push_str(",\"speedup_vs_serial\":");
-            write_f64(&mut out, self.speedup(p.fetch_threads).unwrap_or(1.0));
-            out.push_str(",\"fetch_busy_seconds\":");
-            write_f64(&mut out, p.fetch_busy_seconds);
-            out.push_str(",\"fetch_stall_seconds\":");
-            write_f64(&mut out, p.fetch_stall_seconds);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
+/// The registry row of `dstool sweep fetch-sweep`.  Large raw items and a
+/// decode multiplier of 1 keep the workload fetch-bound; the item floor keeps
+/// each point moving megabytes through the fetch stage so thread startup
+/// does not dominate the measurement.
+pub static PRESET: RuntimePreset = RuntimePreset {
+    name: "fetch-sweep",
+    paper: "§3 (fetch stalls) / §5 (overlap)",
+    description: "runtime parallel fetch: the fetch-bound Session workload over a \
+                  sharded fetch pool, cache shard count pinned; bit-identical \
+                  streams and counters gated across every fetch-thread count, \
+                  wall-clock fetch scaling printed",
+    points: 3,
+    workload: Workload {
+        items: 1024,
+        min_items: 128,
+        avg_item_bytes: 32 * 1024,
+        decode_multiplier: 1,
+        batch_size: 16,
+        epochs: 3,
+        seed: 0xFE7C,
+        // 1 must be included: it is the speedup baseline.
+        axis: &[1, 2, 4],
+    },
+    axis: "fetch_threads",
+    timing: &[
+        "wall_seconds",
+        "samples_per_sec",
+        "speedup_vs_serial",
+        "fetch_busy_seconds",
+        "fetch_stall_seconds",
+    ],
+    flat: false,
+    takes_os_root: false,
+    run: |w, _| run(w),
+    shape: |report| shape_on(report, host_cores()),
+};
 
 /// Run the sweep: one session per fetch-thread count, identical in
 /// everything — dataset, seed, cache capacity, *shard count* — but the size
 /// of the fetch pool.
-pub fn run_fetch_sweep(cfg: &FetchSweepConfig) -> FetchSweepReport {
-    let points = cfg
-        .fetch_thread_counts
-        .iter()
-        .map(|&f| run_point(cfg, f))
-        .collect();
-    FetchSweepReport {
-        config: cfg.clone(),
-        points,
-    }
+pub fn run(w: &Workload) -> PresetReport {
+    let header = vec![
+        ("items", int(w.items)),
+        ("fetch_shards", int(FETCH_SHARDS as u64)),
+        ("epochs", int(w.epochs)),
+    ];
+    run_scaling(&PRESET, header, w.axis, |f| run_once(w, f))
 }
 
-fn run_point(cfg: &FetchSweepConfig, fetch_threads: usize) -> FetchSweepPoint {
-    let spec = DatasetSpec::new(
-        "fetch-sweep",
-        cfg.items,
-        cfg.avg_item_bytes,
-        0.2,
-        cfg.decode_multiplier as f64,
-    );
-    let total_bytes = spec.total_bytes();
+fn run_once(w: &Workload, fetch_threads: usize) -> PointResult {
+    let spec = w.dataset(PRESET.name);
+    let cache_capacity_bytes = (spec.total_bytes() as f64 * CACHE_FRACTION) as u64;
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 13));
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: cfg.batch_size,
-            seed: cfg.seed,
-            cache_capacity_bytes: (total_bytes as f64 * cfg.cache_fraction) as u64,
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Single)
-    .workers(cfg.workers)
-    .prefetch_depth(cfg.prefetch_depth)
-    .fetch_threads(fetch_threads)
-    .fetch_shards(cfg.fetch_shards)
-    .pipeline(ExecutablePipeline::new(
-        PrepPipeline::image_classification(),
-        cfg.decode_multiplier,
-        cfg.seed,
-    ))
-    .build()
-    .expect("valid fetch-sweep session");
+    let config = SessionConfig {
+        cache_capacity_bytes,
+        ..w.session_config(PREP_WORKERS)
+    };
+    let session = Session::builder(store, config)
+        .mode(Mode::Single)
+        .prefetch_depth(PREFETCH_DEPTH)
+        .fetch_threads(fetch_threads)
+        .fetch_shards(FETCH_SHARDS)
+        .pipeline(w.pipeline())
+        .build()
+        .expect("valid fetch-sweep session");
 
-    let start = Instant::now();
-    let mut digest = Fnv::new();
-    // Digesting the full prepared payload is the bit-equality proof, but it
-    // runs on the consumer thread; keep its cost out of the throughput
-    // measurement so the numbers describe the fetch stage, not the checker.
-    let mut digest_seconds = 0.0;
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for batch in run.stream(0) {
-            let mb = batch.expect("fetch-sweep epochs do not fail");
-            let checking = Instant::now();
-            digest.u64(mb.epoch);
-            digest.u64(mb.index as u64);
-            for s in &mb.samples {
-                digest.u64(s.item);
-                digest.u64(s.augmentation_seed);
-                digest.bytes(&s.data);
-            }
-            digest_seconds += checking.elapsed().as_secs_f64();
-        }
-    }
-    let wall_seconds = (start.elapsed().as_secs_f64() - digest_seconds).max(1e-9);
-
-    let stats = session.stats();
-    let tier = session.cache_tier().expect("single-mode tier");
+    let (digest, wall_seconds) = drain_single(&session, w.epochs);
     let report = session.report();
-    let delivered = stats.samples_delivered();
-    FetchSweepPoint {
-        fetch_threads,
-        wall_seconds,
-        samples_per_sec: delivered as f64 / wall_seconds.max(1e-9),
-        stream_digest: digest.finish(),
-        counters: [
-            stats.bytes_from_storage(),
-            stats.bytes_from_cache(),
-            stats.bytes_from_remote(),
-            stats.samples_prepared(),
-            delivered,
-        ],
-        cache_hits: tier.hits(),
-        cache_misses: tier.misses(),
-        fetch_busy_seconds: report.fetch_busy_seconds,
-        fetch_stall_seconds: report.fetch_stall_seconds,
-    }
+    let mut point = timed_point(PRESET.axis, fetch_threads, &session, digest, wall_seconds);
+    point.set("fetch_busy_seconds", num(report.fetch_busy_seconds));
+    point.set("fetch_stall_seconds", num(report.fetch_stall_seconds));
+    point
+}
+
+/// The fetch pool's contract: identical counters at every fetch-thread
+/// count, and — on a host with enough cores — the sharded pool beating the
+/// serial sweep, which is its whole reason to exist.
+fn shape_on(report: &PresetReport, cores: usize) -> Result<(), String> {
+    report.identical_across_points()?;
+    gate_speedup(
+        report,
+        cores,
+        MIN_FETCH_GATE_CORES,
+        |s| s >= MIN_FETCH_SPEEDUP,
+        ">=1.5x",
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
 
-    fn tiny() -> FetchSweepConfig {
-        FetchSweepConfig {
-            fetch_thread_counts: vec![1, 2, 4],
+    fn tiny() -> Workload {
+        Workload {
             items: 96,
             avg_item_bytes: 1024,
             epochs: 2,
-            ..FetchSweepConfig::default()
+            ..PRESET.workload
         }
     }
 
     #[test]
     fn sweep_points_are_bit_identical_across_fetch_thread_counts() {
-        let report = run_fetch_sweep(&tiny());
-        assert_eq!(report.points.len(), 3);
+        let report = run(&tiny());
+        assert_eq!(report.points().count(), 3);
         report
             .bit_identical()
             .expect("fetch pool determinism contract");
+        shape_on(&report, 1).expect("counters identical; speedup skipped on one core");
         // Every epoch delivers the full dataset exactly once.
-        assert_eq!(report.points[0].counters[4], 2 * 96);
+        assert_eq!(report.runs[0].counter("samples_delivered"), 2 * 96);
         // The half-capacity cache forces storage reads in *every* epoch.
-        assert!(report.points[0].cache_misses > 96);
+        assert!(report.runs[0].counter("cache_misses") > 96);
         assert!(report.speedup(4).is_some());
     }
 
     #[test]
+    fn shape_check_rejects_diverged_counters_and_a_lost_speedup() {
+        let mut report = run(&tiny());
+        for r in &mut report.runs {
+            r.set("speedup_vs_serial", num(1.2));
+        }
+        // Skipped below four cores, enforced from there on at >=1.5x.
+        shape_on(&report, 3).expect("undersized host skips the wall-clock gate");
+        let err = shape_on(&report, 4).unwrap_err();
+        assert!(
+            err.contains("fetch-sweep: fetch_threads=4 measured 1.20x") && err.contains(">=1.5x"),
+            "{err}"
+        );
+        report.runs[2].set("speedup_vs_serial", num(1.5));
+        shape_on(&report, 4).expect("1.5x meets the gate");
+        report.runs[2].counters[0].1 += 1;
+        let err = shape_on(&report, 1).unwrap_err();
+        assert!(
+            err.contains("fetch-sweep/fetch_threads=4: counters differ"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn digest_is_sensitive_to_the_seed() {
-        let a = run_fetch_sweep(&FetchSweepConfig {
-            fetch_thread_counts: vec![1],
-            ..tiny()
-        });
-        let b = run_fetch_sweep(&FetchSweepConfig {
-            fetch_thread_counts: vec![1],
-            seed: 0xD00D,
-            ..tiny()
-        });
+        let one = |seed| {
+            run(&Workload {
+                axis: &[1],
+                seed,
+                ..tiny()
+            })
+            .digest()
+        };
         assert_ne!(
-            a.digest(),
-            b.digest(),
+            one(0xFE7C),
+            one(0xD00D),
             "different shuffles, different streams"
         );
     }
@@ -372,45 +214,11 @@ mod tests {
         // The property the baseline digest relies on: with the shard count
         // pinned, even the f=1 point runs the sharded tier, so all three
         // points (not just the pooled ones) hash to one digest.
-        let report = run_fetch_sweep(&FetchSweepConfig {
-            fetch_thread_counts: vec![4, 1],
+        let report = run(&Workload {
+            axis: &[4, 1],
             ..tiny()
         });
-        assert_eq!(
-            report.points[0].stream_digest,
-            report.points[1].stream_digest
-        );
-        assert_eq!(report.points[0].counters, report.points[1].counters);
-    }
-
-    #[test]
-    fn json_round_trips_and_encodes_the_digest_as_a_string() {
-        let report = run_fetch_sweep(&FetchSweepConfig {
-            fetch_thread_counts: vec![1, 2],
-            ..tiny()
-        });
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        let digest = doc.get("stream_digest").and_then(Value::as_str).unwrap();
-        assert_eq!(digest, format!("{:016x}", report.digest().unwrap()));
-        let points = doc.get("points").and_then(Value::as_array).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(
-            points[1].get("fetch_threads").and_then(Value::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(doc.get("fetch_shards").and_then(Value::as_f64), Some(8.0));
-    }
-
-    #[test]
-    fn scaled_config_shrinks_the_item_count_only() {
-        let scaled = FetchSweepConfig::scaled(8);
-        assert!(scaled.items < FetchSweepConfig::default().items);
-        assert!(scaled.items >= 128, "smoke points stay fetch-dominated");
-        assert_eq!(
-            scaled.fetch_shards,
-            FetchSweepConfig::default().fetch_shards,
-            "shard pinning is preserved"
-        );
-        assert_eq!(FetchSweepConfig::scaled(1).items, 1024, "full fidelity");
+        assert_eq!(report.runs[0].stream_digest, report.runs[1].stream_digest);
+        assert_eq!(report.runs[0].counters, report.runs[1].counters);
     }
 }

@@ -25,347 +25,103 @@
 //! Wall-clock `measured_device_seconds` ride along informationally next to
 //! the modelled seconds — never gated, machine-dependent by design.
 
-use coordl::{ByteTierSpec, FetchBackend, FsBackend, Mode, Session, SessionConfig};
-use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
+use crate::runtime::{
+    drain_single, int, loader_counters, num, run_grid, text, PointResult, PresetReport,
+    RuntimePreset, Workload,
+};
+use coordl::{ByteTierSpec, FetchBackend, FsBackend, Mode, Session};
+use dataset::{DataSource, SyntheticItemStore};
 use dcache::PolicyKind;
-use pipeline::json::{write_f64, write_string};
-use prep::{ExecutablePipeline, PrepPipeline};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{MemVfs, OsVfs, Vfs};
 
-/// CLI name of the runtime preset (`dstool sweep fs-sweep`).
-pub const FS_SWEEP_NAME: &str = "fs-sweep";
+/// Readahead windows, in pages, the backend is run at.
+const READAHEAD_PAGES: [u32; 2] = [0, 8];
 
-/// Configuration of one fs sweep.
-#[derive(Debug, Clone)]
-pub struct FsSweepConfig {
-    /// Readahead windows, in pages, the backend is run at.
-    pub readahead_pages: Vec<u32>,
-    /// SSD-level backings: `false` = in-memory, `true` = persisted to the
-    /// VFS through a spill store.
-    pub persistent_ssd: Vec<bool>,
-    /// Worker counts every point is run at (bit-equality across them).
-    pub worker_counts: Vec<usize>,
-    /// Items in the synthetic dataset.
-    pub items: u64,
-    /// Average raw item size in bytes.
-    pub avg_item_bytes: u64,
-    /// Decode expansion factor (kept small: this preset is fetch-shaped).
-    pub decode_multiplier: usize,
-    /// Samples per minibatch.
-    pub batch_size: usize,
-    /// Epochs per point (epoch 0 is the cold warm-up).
-    pub epochs: u64,
-    /// DRAM tier capacity as percent of the dataset.
-    pub dram_percent: u32,
-    /// SSD tier capacity as percent of the dataset.
-    pub ssd_percent: u32,
-    /// Shuffle + augmentation seed shared by every point.
-    pub seed: u64,
-    /// When set, points run on an [`OsVfs`] rooted here (one subdirectory
-    /// per run) instead of the deterministic in-memory [`MemVfs`].
-    pub os_root: Option<PathBuf>,
-}
+/// SSD-level backings: `false` = in-memory, `true` = persisted to the VFS
+/// through a spill store.
+const PERSISTENT_SSD: [bool; 2] = [false, true];
 
-impl Default for FsSweepConfig {
-    fn default() -> Self {
-        FsSweepConfig {
-            readahead_pages: vec![0, 8],
-            persistent_ssd: vec![false, true],
-            worker_counts: vec![1, 2],
-            items: 768,
-            avg_item_bytes: 1024,
-            decode_multiplier: 4,
-            batch_size: 32,
-            epochs: 3,
-            dram_percent: 25,
-            ssd_percent: 35,
-            seed: 0xF5D0,
-            os_root: None,
-        }
-    }
-}
+/// DRAM tier capacity as percent of the dataset.
+const DRAM_PERCENT: u64 = 25;
 
-impl FsSweepConfig {
-    /// The default preset with its dataset shrunk by `extra_scale` (pass 1
-    /// for full fidelity; `dstool smoke` passes its CI scale).
-    pub fn scaled(extra_scale: u64) -> Self {
-        let base = FsSweepConfig::default();
-        FsSweepConfig {
-            items: (base.items / extra_scale.max(1)).max(128),
-            ..base
-        }
-    }
-}
+/// SSD tier capacity as percent of the dataset.
+const SSD_PERCENT: u64 = 35;
 
-/// One measured grid point.
-#[derive(Debug, Clone)]
-pub struct FsSweepPoint {
-    /// Readahead window in pages.
-    pub readahead_pages: u32,
-    /// Whether the SSD level was persisted through a spill store.
-    pub persistent_ssd: bool,
-    /// Steady-state chain hit ratio (all tiers).
-    pub steady_hit_ratio: f64,
-    /// Steady-state SSD-tier hit ratio.
-    pub ssd_hit_ratio: f64,
-    /// Steady-state bytes read from the backend per epoch.
-    pub steady_disk_bytes: f64,
-    /// Backend reads served from the cached readahead span.
-    pub span_hits: u64,
-    /// Backend reads that issued a physical aligned read.
-    pub span_misses: u64,
-    /// Positional reads the VFS saw.
-    pub vfs_reads: u64,
-    /// Positional writes the VFS saw (materialization + spill).
-    pub vfs_writes: u64,
-    /// Whether the SSD level left a spill manifest on the VFS.
-    pub manifest_present: bool,
-    /// Modelled device busy seconds (sata-ssd profile; deterministic).
-    pub modelled_device_seconds: f64,
-    /// Measured wall-clock read seconds (informational, machine-dependent).
-    pub measured_device_seconds: f64,
-    /// FNV-1a hash of the delivered stream (identical for every point: the
-    /// I/O path must never change what is delivered).
-    pub stream_digest: u64,
-    /// The deterministic counters `[storage, cache, lower, prepared,
-    /// delivered]`, identical across worker counts.
-    pub counters: [u64; 5],
-}
-
-impl FsSweepPoint {
-    /// Grid label, e.g. `ra=8p,ssd=vfs`.
-    pub fn label(&self) -> String {
-        format!(
-            "ra={}p,ssd={}",
-            self.readahead_pages,
-            if self.persistent_ssd { "vfs" } else { "mem" }
-        )
-    }
-}
-
-/// The result of one fs sweep.
-#[derive(Debug, Clone)]
-pub struct FsSweepReport {
-    /// The configuration that produced it.
-    pub config: FsSweepConfig,
-    /// One point per (readahead, backing) pair, readahead slowest-varying.
-    pub points: Vec<FsSweepPoint>,
-}
-
-impl FsSweepReport {
-    /// The digest shared by every point, if the sweep is bit-identical.
-    pub fn digest(&self) -> Option<u64> {
-        self.points.first().map(|p| p.stream_digest)
-    }
-
-    /// Check the sweep's three contracts (see the [module docs](self)).
-    pub fn verify(&self) -> Result<(), String> {
-        let Some(first) = self.points.first() else {
-            return Err("fs sweep produced no points".to_string());
-        };
-        for p in &self.points {
-            if p.stream_digest != first.stream_digest {
-                return Err(format!(
-                    "{}: delivered stream differs from {} (digest {:016x} vs {:016x}) — \
-                     the I/O path changed what consumers received",
-                    p.label(),
-                    first.label(),
-                    p.stream_digest,
-                    first.stream_digest
-                ));
-            }
-            if p.manifest_present != p.persistent_ssd {
-                return Err(format!(
-                    "{}: spill manifest {} — persistence must follow the backing",
-                    p.label(),
-                    if p.manifest_present {
-                        "present without a vfs backing"
-                    } else {
-                        "missing"
-                    }
-                ));
-            }
-        }
-        for &ra in &self.config.readahead_pages {
-            let row: Vec<&FsSweepPoint> = self
-                .points
-                .iter()
-                .filter(|p| p.readahead_pages == ra)
-                .collect();
-            for pair in row.windows(2) {
-                if pair[1].span_misses != pair[0].span_misses {
-                    return Err(format!(
-                        "{} vs {}: physical read counts differ ({} vs {}) — the spill \
-                         path changed what the backend reads",
-                        pair[1].label(),
-                        pair[0].label(),
-                        pair[1].span_misses,
-                        pair[0].span_misses
-                    ));
-                }
-            }
-            if let (Some(mem), Some(vfs)) = (
-                row.iter().find(|p| !p.persistent_ssd),
-                row.iter().find(|p| p.persistent_ssd),
-            ) {
-                if vfs.vfs_writes <= mem.vfs_writes {
-                    return Err(format!(
-                        "{}: {} VFS writes, no more than {}'s {} — the durable \
-                         shadow issued no real I/O",
-                        vfs.label(),
-                        vfs.vfs_writes,
-                        mem.label(),
-                        mem.vfs_writes
-                    ));
-                }
-            }
-        }
-        let mut by_ra: Vec<&FsSweepPoint> =
-            self.points.iter().filter(|p| !p.persistent_ssd).collect();
-        by_ra.sort_by_key(|p| p.readahead_pages);
-        for pair in by_ra.windows(2) {
-            if pair[1].span_misses > pair[0].span_misses {
-                return Err(format!(
-                    "{}: {} physical reads, more than {}'s {} — a wider window \
-                     must never read more often",
-                    pair[1].label(),
-                    pair[1].span_misses,
-                    pair[0].label(),
-                    pair[0].span_misses
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter (digest as a
-    /// hex string, like the worker and tier sweeps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"preset\":");
-        write_string(&mut out, FS_SWEEP_NAME);
-        out.push_str(",\"items\":");
-        out.push_str(&self.config.items.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"vfs\":");
-        write_string(
-            &mut out,
-            if self.config.os_root.is_some() {
-                "os"
-            } else {
-                "mem"
-            },
-        );
-        out.push_str(",\"stream_digest\":");
-        let digest = self.digest().unwrap_or(0);
-        write_string(&mut out, &format!("{digest:016x}"));
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            write_string(&mut out, &p.label());
-            out.push_str(",\"steady_hit_ratio\":");
-            write_f64(&mut out, p.steady_hit_ratio);
-            out.push_str(",\"ssd_hit_ratio\":");
-            write_f64(&mut out, p.ssd_hit_ratio);
-            out.push_str(",\"steady_disk_bytes\":");
-            write_f64(&mut out, p.steady_disk_bytes);
-            out.push_str(",\"span_hits\":");
-            out.push_str(&p.span_hits.to_string());
-            out.push_str(",\"span_misses\":");
-            out.push_str(&p.span_misses.to_string());
-            out.push_str(",\"vfs_reads\":");
-            out.push_str(&p.vfs_reads.to_string());
-            out.push_str(",\"vfs_writes\":");
-            out.push_str(&p.vfs_writes.to_string());
-            out.push_str(",\"modelled_device_seconds\":");
-            write_f64(&mut out, p.modelled_device_seconds);
-            out.push_str(",\"measured_device_seconds\":");
-            write_f64(&mut out, p.measured_device_seconds);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
+/// The registry row of `dstool sweep fs-sweep` (a small decode multiplier:
+/// this preset is fetch-shaped).  `dstool smoke` always runs it on the
+/// deterministic in-memory [`MemVfs`], where digests and physical-read
+/// counts are machine-independent; `--os-root` moves the same grid onto an
+/// [`OsVfs`] rooted there (one subdirectory per run).
+pub static PRESET: RuntimePreset = RuntimePreset {
+    name: "fs-sweep",
+    paper: "§3 / Fig 5-7 (fetch stalls are real I/O)",
+    description: "runtime real-bytes I/O: FsBackend Sessions over a VFS, readahead \
+                  x tier-backing grid; every fetch a real page-aligned read, exact \
+                  physical reads and on-disk spill manifests gated, one stream for \
+                  the whole grid",
+    points: READAHEAD_PAGES.len() * PERSISTENT_SSD.len(),
+    workload: Workload {
+        items: 768,
+        min_items: 128,
+        avg_item_bytes: 1024,
+        decode_multiplier: 4,
+        batch_size: 32,
+        epochs: 3,
+        seed: 0xF5D0,
+        axis: &[1, 2],
+    },
+    axis: "workers",
+    timing: &["measured_device_seconds"],
+    flat: false,
+    takes_os_root: true,
+    run,
+    shape,
+};
 
 /// Run the sweep: every (readahead, backing) grid point at every worker
-/// count, with bit-equality enforced across worker counts point by point.
-///
-/// # Panics
-/// Panics when a point's streams, counters or physical read counts differ
-/// across worker counts — the single-fetch-thread determinism contract,
-/// not a tolerance.
-pub fn run_fs_sweep(cfg: &FsSweepConfig) -> FsSweepReport {
-    let mut points = Vec::new();
-    for &ra in &cfg.readahead_pages {
-        for &persistent in &cfg.persistent_ssd {
-            points.push(run_point(cfg, ra, persistent));
-        }
-    }
-    FsSweepReport {
-        config: cfg.clone(),
-        points,
+/// count (readahead slowest-varying), on real files under `os_root` when
+/// given.
+pub fn run(w: &Workload, os_root: Option<&Path>) -> PresetReport {
+    let grid: Vec<(u32, bool)> = READAHEAD_PAGES
+        .iter()
+        .flat_map(|&ra| {
+            PERSISTENT_SSD
+                .iter()
+                .map(move |&persistent| (ra, persistent))
+        })
+        .collect();
+    let vfs = if os_root.is_some() { "os" } else { "mem" };
+    PresetReport {
+        preset: &PRESET,
+        header: vec![
+            ("items", int(w.items)),
+            ("epochs", int(w.epochs)),
+            ("vfs", text(vfs)),
+        ],
+        runs: run_grid(&grid, w.axis, |&(ra, persistent), workers| {
+            run_once(w, os_root, ra, persistent, workers)
+        }),
     }
 }
 
-fn run_point(cfg: &FsSweepConfig, readahead: u32, persistent: bool) -> FsSweepPoint {
-    let mut measured: Option<FsSweepPoint> = None;
-    for &workers in &cfg.worker_counts {
-        let point = run_once(cfg, readahead, persistent, workers);
-        match &mut measured {
-            None => measured = Some(point),
-            Some(first) => {
-                assert_eq!(
-                    point.stream_digest,
-                    first.stream_digest,
-                    "fs-sweep {}: workers={workers} delivered a different stream",
-                    point.label()
-                );
-                assert_eq!(
-                    point.counters,
-                    first.counters,
-                    "fs-sweep {}: workers={workers} produced different counters",
-                    point.label()
-                );
-                assert_eq!(
-                    (point.span_hits, point.span_misses),
-                    (first.span_hits, first.span_misses),
-                    "fs-sweep {}: workers={workers} issued different physical reads",
-                    point.label()
-                );
-                // Wall clock is the one number allowed to vary: keep the
-                // largest observation so the artifact reflects a full run.
-                if point.measured_device_seconds > first.measured_device_seconds {
-                    first.measured_device_seconds = point.measured_device_seconds;
-                }
-            }
-        }
-    }
-    measured.expect("worker_counts must not be empty")
-}
-
-fn run_once(cfg: &FsSweepConfig, readahead: u32, persistent: bool, workers: usize) -> FsSweepPoint {
-    let spec = DatasetSpec::new(
-        "fs-sweep",
-        cfg.items,
-        cfg.avg_item_bytes,
-        0.2,
-        cfg.decode_multiplier as f64,
-    );
+fn run_once(
+    w: &Workload,
+    os_root: Option<&Path>,
+    readahead: u32,
+    persistent: bool,
+    workers: usize,
+) -> PointResult {
+    let spec = w.dataset(PRESET.name);
     let total_bytes = spec.total_bytes();
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 23));
+    let backing = if persistent { "vfs" } else { "mem" };
     // Every run gets a fresh VFS (or a fresh OsVfs subdirectory): the sweep
     // gates cold-start equivalence; warm restarts are pinned elsewhere.
-    let fs: Arc<dyn Vfs> = match &cfg.os_root {
+    let fs: Arc<dyn Vfs> = match os_root {
         Some(root) => {
-            let backing = if persistent { "vfs" } else { "mem" };
             let sub = root.join(format!("ra{readahead}-{backing}-w{workers}"));
             Arc::new(OsVfs::new(sub).expect("fs-sweep OS root must be writable"))
         }
@@ -376,194 +132,184 @@ fn run_once(cfg: &FsSweepConfig, readahead: u32, persistent: bool, workers: usiz
             .expect("fs-sweep materialization must succeed")
             .with_profile(DeviceProfile::sata_ssd(), AccessPattern::Random),
     );
-    let mut ssd = ByteTierSpec::sata_ssd(
-        PolicyKind::MinIo,
-        total_bytes * cfg.ssd_percent as u64 / 100,
-    );
+    let mut ssd = ByteTierSpec::sata_ssd(PolicyKind::MinIo, total_bytes * SSD_PERCENT / 100);
     if persistent {
         ssd = ssd.persistent(Arc::clone(&fs), "ssd");
     }
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: cfg.batch_size,
-            seed: cfg.seed,
-            num_workers: workers,
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Single)
-    .cache_tiers(vec![
-        ByteTierSpec::dram(
-            PolicyKind::MinIo,
-            total_bytes * cfg.dram_percent as u64 / 100,
-        ),
-        ssd,
-    ])
-    .fetch_backend(Arc::clone(&backend) as Arc<dyn FetchBackend>)
-    .pipeline(ExecutablePipeline::new(
-        PrepPipeline::image_classification(),
-        cfg.decode_multiplier,
-        cfg.seed,
-    ))
-    .build()
-    .expect("valid fs-sweep session");
+    let session = Session::builder(store, w.session_config(workers))
+        .mode(Mode::Single)
+        .cache_tiers(vec![
+            ByteTierSpec::dram(PolicyKind::MinIo, total_bytes * DRAM_PERCENT / 100),
+            ssd,
+        ])
+        .fetch_backend(Arc::clone(&backend) as Arc<dyn FetchBackend>)
+        .pipeline(w.pipeline())
+        .build()
+        .expect("valid fs-sweep session");
 
-    let mut digest = Fnv::new();
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for batch in run.stream(0) {
-            let mb = batch.expect("fs-sweep epochs do not fail");
-            digest.u64(mb.epoch);
-            digest.u64(mb.index as u64);
-            for s in &mb.samples {
-                digest.u64(s.item);
-                digest.u64(s.augmentation_seed);
-                digest.bytes(&s.data);
-            }
-        }
-    }
-
-    let stats = session.stats();
+    let (stream_digest, _) = drain_single(&session, w.epochs);
     let report = session.report();
     let vfs_stats = fs.stats();
-    FsSweepPoint {
-        readahead_pages: readahead,
-        persistent_ssd: persistent,
-        steady_hit_ratio: report.steady_hit_ratio(),
-        ssd_hit_ratio: report.steady_lower_tier_hit_ratio(),
-        steady_disk_bytes: report.steady_storage_bytes(),
-        span_hits: backend.span_hits(),
-        span_misses: backend.span_misses(),
-        vfs_reads: vfs_stats.reads,
-        vfs_writes: vfs_stats.writes,
-        manifest_present: fs.exists("ssd/MANIFEST"),
-        modelled_device_seconds: report.device_seconds,
-        measured_device_seconds: report.measured_device_seconds,
-        stream_digest: digest.finish(),
-        counters: [
-            stats.bytes_from_storage(),
-            stats.bytes_from_cache(),
-            stats.bytes_from_lower_tiers(),
-            stats.samples_prepared(),
-            stats.samples_delivered(),
+    let label = format!("ra={readahead}p,ssd={backing}");
+    let mut counters = loader_counters(&session);
+    counters.push(("readahead_pages", readahead as u64));
+    counters.push(("persistent_ssd", persistent as u64));
+    counters.push(("manifest_present", fs.exists("ssd/MANIFEST") as u64));
+    PointResult {
+        fields: vec![
+            ("label", text(&label)),
+            ("steady_hit_ratio", num(report.steady_hit_ratio())),
+            ("ssd_hit_ratio", num(report.steady_lower_tier_hit_ratio())),
+            ("steady_disk_bytes", num(report.steady_storage_bytes())),
+            ("span_hits", int(backend.span_hits())),
+            ("span_misses", int(backend.span_misses())),
+            ("vfs_reads", int(vfs_stats.reads)),
+            ("vfs_writes", int(vfs_stats.writes)),
+            ("modelled_device_seconds", num(report.device_seconds)),
+            (
+                "measured_device_seconds",
+                num(report.measured_device_seconds),
+            ),
         ],
+        label,
+        axis_value: workers,
+        stream_digest,
+        counters,
     }
 }
 
-/// FNV-1a over 8-byte words (the same digest the worker and tier sweeps
-/// use).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
+/// The I/O-shape and persistence contracts (see the [module docs](self)):
+/// the spill manifest follows the backing, backings at one readahead issue
+/// the same physical reads, a vfs-backed point issues strictly more VFS
+/// writes than its memory-backed twin, and a wider readahead window never
+/// reads more often.
+fn shape(report: &PresetReport) -> Result<(), String> {
+    let mut points: Vec<&PointResult> = report.points().collect();
+    points.sort_by_key(|p| (p.counter("readahead_pages"), p.counter("persistent_ssd")));
+    for p in &points {
+        if p.counter("manifest_present") != p.counter("persistent_ssd") {
+            return Err(format!(
+                "{}: spill manifest {} — persistence must follow the backing",
+                p.label,
+                if p.counter("manifest_present") == 1 {
+                    "present without a vfs backing"
+                } else {
+                    "missing"
+                }
+            ));
         }
     }
-
-    fn u64(&mut self, v: u64) {
-        self.word(v);
+    for pair in points.windows(2) {
+        let (a, b) = (pair[0], pair[1]);
+        if a.counter("readahead_pages") == b.counter("readahead_pages") {
+            if b.num("span_misses") != a.num("span_misses") {
+                return Err(format!(
+                    "{} vs {}: physical read counts differ ({} vs {}) — the spill \
+                     path changed what the backend reads",
+                    b.label,
+                    a.label,
+                    b.num("span_misses"),
+                    a.num("span_misses")
+                ));
+            }
+            if b.num("vfs_writes") <= a.num("vfs_writes") {
+                return Err(format!(
+                    "{}: {} VFS writes, no more than {}'s {} — the durable shadow \
+                     issued no real I/O",
+                    b.label,
+                    b.num("vfs_writes"),
+                    a.label,
+                    a.num("vfs_writes")
+                ));
+            }
+        }
     }
-
-    fn finish(&self) -> u64 {
-        self.0
+    points.retain(|p| p.counter("persistent_ssd") == 0);
+    for pair in points.windows(2) {
+        if pair[1].num("span_misses") > pair[0].num("span_misses") {
+            return Err(format!(
+                "{}: {} physical reads, more than {}'s {} — a wider window must \
+                 never read more often",
+                pair[1].label,
+                pair[1].num("span_misses"),
+                pair[0].label,
+                pair[0].num("span_misses")
+            ));
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
 
-    fn tiny() -> FsSweepConfig {
-        FsSweepConfig {
-            readahead_pages: vec![0, 8],
-            persistent_ssd: vec![false, true],
-            worker_counts: vec![1, 2],
+    fn tiny() -> Workload {
+        Workload {
             items: 160,
             avg_item_bytes: 512,
-            epochs: 3,
-            ..FsSweepConfig::default()
+            ..PRESET.workload
         }
     }
 
     #[test]
     fn grid_shares_one_stream_and_spills_are_real_io() {
-        let report = run_fs_sweep(&tiny());
-        assert_eq!(report.points.len(), 4);
-        report.verify().expect("fs sweep contract");
+        let report = run(&tiny(), None);
+        assert_eq!(report.points().count(), 4);
+        assert_eq!(report.runs.len(), 8, "every point at both worker counts");
+        report.gate().expect("fs sweep contract");
         // The cache still works over real bytes: later epochs hit.
-        for p in &report.points {
-            assert!(p.steady_hit_ratio > 0.0, "{p:?}");
-            assert!(p.ssd_hit_ratio > 0.0, "{p:?}");
-            assert!(p.span_misses > 0, "{p:?}");
-            assert!(p.modelled_device_seconds > 0.0, "{p:?}");
+        for p in report.points() {
+            assert!(p.num("steady_hit_ratio") > 0.0, "{p:?}");
+            assert!(p.num("ssd_hit_ratio") > 0.0, "{p:?}");
+            assert!(p.num("span_misses") > 0.0, "{p:?}");
+            assert!(p.num("modelled_device_seconds") > 0.0, "{p:?}");
         }
     }
 
     #[test]
-    fn verify_rejects_a_missing_manifest() {
-        let mut report = run_fs_sweep(&FsSweepConfig {
-            readahead_pages: vec![0],
-            persistent_ssd: vec![true],
-            worker_counts: vec![1],
+    fn gate_rejects_each_broken_io_contract() {
+        let workload = Workload {
+            axis: &[1],
             items: 128,
             ..tiny()
-        });
-        report.points[0].manifest_present = false;
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("manifest missing"), "{err}");
-    }
-
-    #[test]
-    fn json_round_trips_with_hex_digest() {
-        let report = run_fs_sweep(&FsSweepConfig {
-            readahead_pages: vec![4],
-            persistent_ssd: vec![true],
-            worker_counts: vec![1],
-            items: 128,
-            ..tiny()
-        });
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        let digest = doc.get("stream_digest").and_then(Value::as_str).unwrap();
-        assert_eq!(digest, format!("{:016x}", report.digest().unwrap()));
-        let points = doc.get("points").and_then(Value::as_array).unwrap();
-        assert_eq!(points.len(), 1);
-        assert_eq!(
-            points[0].get("label").and_then(Value::as_str),
-            Some("ra=4p,ssd=vfs")
+        };
+        let report = run(&workload, None);
+        // Runs, in grid order: ra=0/mem, ra=0/vfs, ra=8/mem, ra=8/vfs.
+        let mut doctored = report.clone();
+        doctored.runs[1].set_counter("manifest_present", 0, 0);
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("ra=0p,ssd=vfs: spill manifest missing"),
+            "{err}"
         );
-        assert!(points[0]
-            .get("span_misses")
-            .and_then(Value::as_f64)
-            .is_some());
-    }
 
-    #[test]
-    fn scaled_config_shrinks_items_only() {
-        let scaled = FsSweepConfig::scaled(4);
-        assert!(scaled.items < FsSweepConfig::default().items);
-        assert!(scaled.items >= 128);
-        assert_eq!(
-            scaled.readahead_pages,
-            FsSweepConfig::default().readahead_pages
+        let mut doctored = report.clone();
+        doctored.runs[1].set("span_misses", int(1));
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("physical read counts differ"), "{err}");
+
+        let mut doctored = report.clone();
+        doctored.runs[3].set("vfs_writes", int(0));
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("durable shadow issued no real I/O"), "{err}");
+
+        let mut doctored = report.clone();
+        let more = int(report.runs[0].num("span_misses") as u64 + 1);
+        doctored.runs[2].set("span_misses", more.clone());
+        doctored.runs[3].set("span_misses", more);
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("a wider window must never read more often"),
+            "{err}"
+        );
+
+        let mut doctored = report;
+        doctored.runs[3].stream_digest ^= 1;
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("fs-sweep/ra=8p,ssd=vfs: workers=1 delivered a different stream"),
+            "{err}"
         );
     }
 }

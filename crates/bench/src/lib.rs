@@ -12,6 +12,13 @@
 //! The output of `cargo bench` is therefore a textual reproduction of the
 //! paper's evaluation section; `EXPERIMENTS.md` records the paper-reported
 //! value next to the measured one for every row.
+//!
+//! The *runtime* presets (`dstool sweep worker-sweep` and friends) live
+//! beside the figure benches: [`runtime`] is their one harness — digest,
+//! recorded result shape, JSON emitter, table printer, gate runner, baseline
+//! walk and the registry `dstool` iterates — and [`parallel`], [`tiersweep`],
+//! [`multitenant`], [`fssweep`], [`chaos`] and [`fetchsweep`] each hold one
+//! preset's sizes, `run_once` and shape check.
 
 pub mod chaos;
 pub mod fetchsweep;
@@ -21,33 +28,24 @@ pub mod multitenant;
 pub mod parallel;
 pub mod presets;
 pub mod report;
+pub mod runtime;
 pub mod scenarios;
 pub mod tiersweep;
 pub mod validation;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosFault, ChaosReport, CHAOS_NAME};
-pub use fetchsweep::{
-    run_fetch_sweep, FetchSweepConfig, FetchSweepPoint, FetchSweepReport, FETCH_SWEEP_NAME,
-};
-pub use fssweep::{run_fs_sweep, FsSweepConfig, FsSweepPoint, FsSweepReport, FS_SWEEP_NAME};
 pub use mega::{run_mega_sweep, MegaSweepConfig, MegaSweepReport, MEGA_SWEEP_NAME};
-pub use multitenant::{
-    run_multi_tenant, MultiTenantConfig, MultiTenantPoint, MultiTenantReport, MULTI_TENANT_NAME,
-};
-pub use parallel::{
-    run_worker_sweep, WorkerSweepConfig, WorkerSweepPoint, WorkerSweepReport, WORKER_SWEEP_NAME,
-};
 pub use presets::{
     find_suite, scaled, server_hdd, server_ssd, vcpu_effective_cores, SweepSuite,
     CACHE_SWEEP_PERCENTS, HP_WIDTHS, MIXED_CACHE_PERCENTS, SCALABILITY_SERVERS, SCALE,
     SMOKE_EXTRA_SCALE, SUITES, VCPUS_PER_GPU,
 };
 pub use report::{fmt_bytes, fmt_gb, fmt_pct, fmt_speedup, Table};
+pub use runtime::{
+    compare_exact, find_preset, PointResult, PresetReport, RuntimePreset, StreamDigest, Workload,
+    RUNTIME_PRESETS,
+};
 pub use scenarios::{
     distributed_pair, distributed_run, hp_jobs, hp_pair, hp_run, single_pair, single_run, steady,
     SinglePair,
-};
-pub use tiersweep::{
-    run_tier_sweep, TierSweepConfig, TierSweepPoint, TierSweepReport, TIER_SWEEP_NAME,
 };
 pub use validation::{run_validation, GateKind, ValidationConfig, ValidationReport, ValidationRow};

@@ -21,274 +21,95 @@
 //!   never *admit* past the quota in force), and the DRAM tier never
 //!   exceeds its capacity.
 
+use crate::runtime::{
+    int, num, run_grid, text, PointResult, PresetReport, RuntimePreset, StreamDigest, Workload,
+};
 use coordl::{Server, ServerConfig, SessionConfig, TenantHandle, TenantSpec};
-use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
+use dataset::{DataSource, SyntheticItemStore};
 use pipeline::churn_schedule;
-use pipeline::json::{write_f64, write_string};
 use std::sync::Arc;
 
-/// CLI name of the preset (`dstool sweep multi-tenant`).
-pub const MULTI_TENANT_NAME: &str = "multi-tenant";
+/// Tenants in the churn schedule.
+const TENANTS: usize = 4;
 
-/// Configuration of one multi-tenant churn run.
-#[derive(Debug, Clone)]
-pub struct MultiTenantConfig {
-    /// Number of tenants in the churn schedule.
-    pub tenants: usize,
-    /// Shard counts of the shared hierarchy the run is repeated at
-    /// (1 = single lock; all must deliver the same stream).
-    pub shard_counts: Vec<usize>,
-    /// Worker counts every shard count is run at (bit-equality across
-    /// them, including the aggregate hit ratio).
-    pub worker_counts: Vec<usize>,
-    /// Items in each tenant's synthetic dataset.
-    pub items: u64,
-    /// Average raw item size in bytes.
-    pub avg_item_bytes: u64,
-    /// Samples per minibatch.
-    pub batch_size: usize,
-    /// Server epochs (epoch 0 is cold; tenants arrive and depart at epoch
-    /// boundaries per the churn schedule).
-    pub epochs: u64,
-    /// Seed of the churn schedule and the tenants' shuffles.
-    pub seed: u64,
-    /// DRAM capacity as a percent of the summed tenant dataset bytes
-    /// (below 100, so quotas oversubscribe and fair-share scaling binds).
-    pub dram_percent: u32,
-}
+/// Shard counts of the shared hierarchy the run is repeated at (1 = single
+/// lock; all must deliver the same stream).
+const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-impl Default for MultiTenantConfig {
-    fn default() -> Self {
-        MultiTenantConfig {
-            tenants: 4,
-            shard_counts: vec![1, 4],
-            worker_counts: vec![1, 2],
-            items: 256,
-            avg_item_bytes: 512,
-            batch_size: 16,
-            epochs: 4,
-            seed: 0xE1A5,
-            dram_percent: 60,
-        }
-    }
-}
+/// DRAM capacity as a percent of the summed tenant dataset bytes (below 100,
+/// so quotas oversubscribe and fair-share scaling binds).
+const DRAM_PERCENT: u32 = 60;
 
-impl MultiTenantConfig {
-    /// The default preset with each tenant's dataset shrunk by
-    /// `extra_scale` (pass 1 for full fidelity; `dstool smoke` passes its
-    /// CI scale).
-    pub fn scaled(extra_scale: u64) -> Self {
-        let base = MultiTenantConfig::default();
-        MultiTenantConfig {
-            items: (base.items / extra_scale.max(1)).max(64),
-            ..base
-        }
-    }
-
-    fn dataset_spec(&self) -> DatasetSpec {
-        DatasetSpec::new("multi-tenant", self.items, self.avg_item_bytes, 0.2, 2.0)
-    }
-}
-
-/// One measured shard count.
-#[derive(Debug, Clone)]
-pub struct MultiTenantPoint {
-    /// Shard count of the shared hierarchy.
-    pub shards: usize,
-    /// Aggregate hit ratio of the shared hierarchy over the whole run.
-    pub aggregate_hit_ratio: f64,
-    /// FNV-1a hash of the concatenated per-tenant streams (identical for
-    /// every shard and worker count).
-    pub stream_digest: u64,
-    /// Samples delivered to each tenant over its lifetime.
-    pub per_tenant_samples: Vec<u64>,
-    /// Largest observed excess of any tenant's DRAM-resident bytes over the
-    /// highest effective quota it was ever granted (must be 0).  Fair
-    /// shares *shrink* when a later tenant arrives, and MinIO never evicts,
-    /// so resident bytes may linger above the current share — but the
-    /// server must never have *admitted* past the quota in force.
-    pub max_quota_excess: u64,
-    /// Largest observed DRAM-tier occupancy in bytes.
-    pub peak_dram_used: u64,
-    /// DRAM-tier capacity in bytes.
-    pub dram_capacity: u64,
-    /// Bytes left in the hierarchy after the last still-active tenants
-    /// departed at the end of the run (must be 0).
-    pub leftover_bytes: u64,
-}
-
-impl MultiTenantPoint {
-    /// Point label, e.g. `shards=4`.
-    pub fn label(&self) -> String {
-        format!("shards={}", self.shards)
-    }
-}
-
-/// The result of one multi-tenant run.
-#[derive(Debug, Clone)]
-pub struct MultiTenantReport {
-    /// The configuration that produced it.
-    pub config: MultiTenantConfig,
-    /// One point per shard count, in `shard_counts` order.
-    pub points: Vec<MultiTenantPoint>,
-}
-
-impl MultiTenantReport {
-    /// The digest shared by every point, if the run is bit-identical.
-    pub fn digest(&self) -> Option<u64> {
-        self.points.first().map(|p| p.stream_digest)
-    }
-
-    /// Check the server's multi-tenancy contract: one stream for every
-    /// shard count, quotas never exceeded, the DRAM tier never over
-    /// capacity, and departure reclaiming every byte.
-    pub fn verify(&self) -> Result<(), String> {
-        let Some(first) = self.points.first() else {
-            return Err("multi-tenant run produced no points".to_string());
-        };
-        for p in &self.points {
-            if p.stream_digest != first.stream_digest {
-                return Err(format!(
-                    "{}: delivered stream differs from {} (digest {:016x} vs {:016x}) — \
-                     sharding changed what consumers received",
-                    p.label(),
-                    first.label(),
-                    p.stream_digest,
-                    first.stream_digest
-                ));
-            }
-            if p.per_tenant_samples != first.per_tenant_samples {
-                return Err(format!(
-                    "{}: per-tenant sample counts differ from {}",
-                    p.label(),
-                    first.label()
-                ));
-            }
-            if p.max_quota_excess > 0 {
-                return Err(format!(
-                    "{}: a tenant's DRAM bytes exceeded its effective DRAM quota \
-                     by {} bytes",
-                    p.label(),
-                    p.max_quota_excess
-                ));
-            }
-            if p.peak_dram_used > p.dram_capacity {
-                return Err(format!(
-                    "{}: DRAM tier over capacity ({} of {} bytes)",
-                    p.label(),
-                    p.peak_dram_used,
-                    p.dram_capacity
-                ));
-            }
-            if p.leftover_bytes > 0 {
-                return Err(format!(
-                    "{}: {} bytes leaked after every tenant departed",
-                    p.label(),
-                    p.leftover_bytes
-                ));
-            }
-            if p.per_tenant_samples.contains(&0) {
-                return Err(format!(
-                    "{}: a tenant was scheduled but delivered no samples",
-                    p.label()
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter (digest as a
-    /// hex string, like the worker and tier sweeps).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"preset\":");
-        write_string(&mut out, MULTI_TENANT_NAME);
-        out.push_str(",\"tenants\":");
-        out.push_str(&self.config.tenants.to_string());
-        out.push_str(",\"items\":");
-        out.push_str(&self.config.items.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"stream_digest\":");
-        let digest = self.digest().unwrap_or(0);
-        write_string(&mut out, &format!("{digest:016x}"));
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            write_string(&mut out, &p.label());
-            out.push_str(",\"shards\":");
-            out.push_str(&p.shards.to_string());
-            out.push_str(",\"aggregate_hit_ratio\":");
-            write_f64(&mut out, p.aggregate_hit_ratio);
-            out.push_str(",\"peak_dram_used\":");
-            out.push_str(&p.peak_dram_used.to_string());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
+/// The registry row of `dstool sweep multi-tenant`.  `items` is per tenant;
+/// the seed drives both the churn schedule and the tenants' shuffles; epoch
+/// 0 is cold and tenants arrive and depart at epoch boundaries.
+pub static PRESET: RuntimePreset = RuntimePreset {
+    name: "multi-tenant",
+    paper: "§5 / Fig 10 (coordinated HP search)",
+    description: "runtime multi-tenant Server: churning tenants over one shared \
+                  hierarchy; quotas, capacity and departure reclamation gated, one \
+                  stream across every shard and worker count",
+    points: SHARD_COUNTS.len(),
+    workload: Workload {
+        items: 256,
+        min_items: 64,
+        avg_item_bytes: 512,
+        decode_multiplier: 2,
+        batch_size: 16,
+        epochs: 4,
+        seed: 0xE1A5,
+        axis: &[1, 2],
+    },
+    axis: "workers",
+    timing: &[],
+    flat: false,
+    takes_os_root: false,
+    run: |w, _| run(w),
+    shape,
+};
 
 /// Run the preset: the same churn schedule at every shard count × worker
-/// count, with bit-equality enforced across worker counts per shard count.
+/// count.
 ///
-/// # Panics
-/// Panics when a shard count's streams, sample counts or aggregate hit
-/// ratio differ across worker counts — that is the server's determinism
-/// contract, not a tolerance.
-pub fn run_multi_tenant(cfg: &MultiTenantConfig) -> MultiTenantReport {
-    let mut points = Vec::new();
-    for &shards in &cfg.shard_counts {
-        let mut measured: Option<MultiTenantPoint> = None;
-        for &workers in &cfg.worker_counts {
-            let point = run_once(cfg, shards, workers);
-            match &measured {
-                None => measured = Some(point),
-                Some(first) => {
-                    assert_eq!(
-                        point.stream_digest, first.stream_digest,
-                        "multi-tenant shards={shards}: workers={workers} delivered a \
-                         different stream"
-                    );
-                    assert_eq!(
-                        point.aggregate_hit_ratio, first.aggregate_hit_ratio,
-                        "multi-tenant shards={shards}: workers={workers} changed the \
-                         aggregate hit ratio"
-                    );
-                }
-            }
-        }
-        points.push(measured.expect("worker_counts must not be empty"));
-    }
-    MultiTenantReport {
-        config: cfg.clone(),
-        points,
+/// Recorded per run, beside the emitted fields: `tenant_samples` (one
+/// counter per tenant, over its lifetime), `max_quota_excess` (largest
+/// excess of any tenant's DRAM-resident bytes over the highest effective
+/// quota it was ever granted), `dram_capacity`, and `leftover_bytes` (bytes
+/// still in the hierarchy after the last tenants departed).
+pub fn run(w: &Workload) -> PresetReport {
+    PresetReport {
+        preset: &PRESET,
+        header: vec![
+            ("tenants", int(TENANTS as u64)),
+            ("items", int(w.items)),
+            ("epochs", int(w.epochs)),
+        ],
+        runs: run_grid(&SHARD_COUNTS, w.axis, |&shards, workers| {
+            run_once(w, shards, workers)
+        }),
     }
 }
 
-fn run_once(cfg: &MultiTenantConfig, shards: usize, workers: usize) -> MultiTenantPoint {
-    let spec = cfg.dataset_spec();
+fn run_once(w: &Workload, shards: usize, workers: usize) -> PointResult {
+    let spec = w.dataset(PRESET.name);
     let per_tenant_bytes = spec.total_bytes();
-    let dram_capacity = per_tenant_bytes * cfg.tenants as u64 * cfg.dram_percent as u64 / 100;
+    let dram_capacity = per_tenant_bytes * TENANTS as u64 * DRAM_PERCENT as u64 / 100;
     let server =
         Server::new(ServerConfig::minio(dram_capacity, shards)).expect("valid server config");
-    let schedule = churn_schedule(cfg.tenants, cfg.epochs, cfg.seed);
+    let schedule = churn_schedule(TENANTS, w.epochs, w.seed);
 
-    let mut handles: Vec<Option<TenantHandle>> = (0..cfg.tenants).map(|_| None).collect();
-    let mut digest = Fnv::new();
-    let mut per_tenant_samples = vec![0u64; cfg.tenants];
+    let mut handles: Vec<Option<TenantHandle>> = (0..TENANTS).map(|_| None).collect();
+    let mut digest = StreamDigest::default();
+    let mut per_tenant_samples = [0u64; TENANTS];
     // Highest effective quota each tenant has been granted so far: the
     // never-admit-past-the-quota gate is measured against this, because a
     // later arrival shrinks fair shares without evicting what never-evict
     // tiers already hold.
-    let mut quota_ceiling = vec![0u64; cfg.tenants];
+    let mut quota_ceiling = [0u64; TENANTS];
     let mut max_quota_excess = 0u64;
     let mut peak_dram_used = 0u64;
 
-    for epoch in 0..cfg.epochs {
+    for epoch in 0..w.epochs {
         for (j, t) in schedule.iter().enumerate() {
             if t.departure == epoch {
                 if let Some(handle) = handles[j].take() {
@@ -305,14 +126,12 @@ fn run_once(cfg: &MultiTenantConfig, shards: usize, workers: usize) -> MultiTena
                         name: format!("tenant-{j}"),
                         dataset: store,
                         // Every tenant asks for a full dataset's worth of
-                        // DRAM; with dram_percent < 100 the sum
+                        // DRAM; with DRAM_PERCENT < 100 the sum
                         // oversubscribes and fair shares bind.
                         quota_bytes: per_tenant_bytes,
                         session: SessionConfig {
-                            batch_size: cfg.batch_size,
-                            num_workers: workers,
-                            seed: cfg.seed + j as u64,
-                            ..SessionConfig::default()
+                            seed: w.seed + j as u64,
+                            ..w.session_config(workers)
                         },
                         profile: None,
                     })
@@ -329,14 +148,8 @@ fn run_once(cfg: &MultiTenantConfig, shards: usize, workers: usize) -> MultiTena
             let run = handle.session().epoch(local_epoch);
             for batch in run.stream(0) {
                 let mb = batch.expect("multi-tenant epochs do not fail");
-                digest.u64(j as u64);
-                digest.u64(mb.epoch);
-                digest.u64(mb.index as u64);
-                for s in &mb.samples {
-                    digest.u64(s.item);
-                    digest.u64(s.augmentation_seed);
-                    digest.bytes(&s.data);
-                }
+                digest.word(j as u64);
+                digest.absorb(&mb);
                 per_tenant_samples[j] += mb.samples.len() as u64;
             }
             let excess = handle
@@ -349,126 +162,140 @@ fn run_once(cfg: &MultiTenantConfig, shards: usize, workers: usize) -> MultiTena
 
     let aggregate_hit_ratio = server.aggregate_hit_ratio();
     drop(handles);
-    MultiTenantPoint {
-        shards,
-        aggregate_hit_ratio,
+    let label = format!("shards={shards}");
+    let mut counters: Vec<(&'static str, u64)> = per_tenant_samples
+        .into_iter()
+        .map(|n| ("tenant_samples", n))
+        .collect();
+    counters.push(("max_quota_excess", max_quota_excess));
+    counters.push(("dram_capacity", dram_capacity));
+    counters.push(("leftover_bytes", server.used_bytes()));
+    PointResult {
+        fields: vec![
+            ("label", text(&label)),
+            ("shards", int(shards as u64)),
+            ("aggregate_hit_ratio", num(aggregate_hit_ratio)),
+            ("peak_dram_used", int(peak_dram_used)),
+        ],
+        label,
+        axis_value: workers,
         stream_digest: digest.finish(),
-        per_tenant_samples,
-        max_quota_excess,
-        peak_dram_used,
-        dram_capacity,
-        leftover_bytes: server.used_bytes(),
+        counters,
     }
 }
 
-/// FNV-1a over 8-byte words (the same digest the worker and tier sweeps
-/// use).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+/// The server's multi-tenancy contract: identical per-tenant sample counts
+/// at every shard count, quotas never exceeded, the DRAM tier never over
+/// capacity, departure reclaiming every byte, and every scheduled tenant
+/// served.  Fair shares *shrink* when a later tenant arrives and MinIO never
+/// evicts, so resident bytes may linger above the current share — but the
+/// server must never have *admitted* past the quota in force, which is what
+/// `max_quota_excess` measures.
+fn shape(report: &PresetReport) -> Result<(), String> {
+    for p in report.points() {
+        if p.counter("max_quota_excess") > 0 {
+            return Err(format!(
+                "{}: a tenant's DRAM bytes exceeded its effective DRAM quota \
+                 by {} bytes",
+                p.label,
+                p.counter("max_quota_excess")
+            ));
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
+        if p.num("peak_dram_used") > p.counter("dram_capacity") as f64 {
+            return Err(format!(
+                "{}: DRAM tier over capacity ({} of {} bytes)",
+                p.label,
+                p.num("peak_dram_used"),
+                p.counter("dram_capacity")
+            ));
+        }
+        if p.counter("leftover_bytes") > 0 {
+            return Err(format!(
+                "{}: {} bytes leaked after every tenant departed",
+                p.label,
+                p.counter("leftover_bytes")
+            ));
+        }
+        if p.counters_named("tenant_samples").any(|n| n == 0) {
+            return Err(format!(
+                "{}: a tenant was scheduled but delivered no samples",
+                p.label
+            ));
         }
     }
-
-    fn u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    report.identical_across_points()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
 
-    fn tiny() -> MultiTenantConfig {
-        MultiTenantConfig {
-            tenants: 3,
-            shard_counts: vec![1, 2],
-            worker_counts: vec![1, 2],
+    fn tiny() -> Workload {
+        Workload {
             items: 64,
             avg_item_bytes: 128,
             epochs: 3,
-            ..MultiTenantConfig::default()
+            ..PRESET.workload
         }
     }
 
     #[test]
     fn churn_run_is_bit_identical_across_shards_and_workers() {
-        let report = run_multi_tenant(&tiny());
-        assert_eq!(report.points.len(), 2);
-        report.verify().expect("multi-tenancy contract");
-        let (a, b) = (run_multi_tenant(&tiny()), run_multi_tenant(&tiny()));
-        assert_eq!(a.digest(), b.digest(), "runs must be reproducible");
-    }
-
-    #[test]
-    fn verify_rejects_quota_excess_and_divergent_streams() {
-        let mut report = run_multi_tenant(&MultiTenantConfig {
-            shard_counts: vec![1],
-            worker_counts: vec![1],
-            ..tiny()
-        });
-        report.points[0].max_quota_excess = 17;
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("exceeded its effective DRAM quota"), "{err}");
-        report.points[0].max_quota_excess = 0;
-        report.points.push(MultiTenantPoint {
-            stream_digest: report.points[0].stream_digest ^ 1,
-            ..report.points[0].clone()
-        });
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("delivered stream differs"), "{err}");
-    }
-
-    #[test]
-    fn json_round_trips_with_hex_digest() {
-        let report = run_multi_tenant(&MultiTenantConfig {
-            shard_counts: vec![1],
-            worker_counts: vec![1],
-            ..tiny()
-        });
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        let digest = doc.get("stream_digest").and_then(Value::as_str).unwrap();
-        assert_eq!(digest, format!("{:016x}", report.digest().unwrap()));
-        let points = doc.get("points").and_then(Value::as_array).unwrap();
-        assert_eq!(points.len(), 1);
+        let report = run(&tiny());
+        assert_eq!(report.points().count(), 2);
         assert_eq!(
-            points[0].get("label").and_then(Value::as_str),
-            Some("shards=1")
+            report.runs.len(),
+            4,
+            "every shard count at both worker counts"
         );
-        assert!(points[0]
-            .get("aggregate_hit_ratio")
-            .and_then(Value::as_f64)
-            .is_some());
+        report.gate().expect("multi-tenancy contract");
+        assert_eq!(
+            report.runs[0].counters_named("tenant_samples").count(),
+            TENANTS
+        );
+        assert_eq!(
+            run(&tiny()).digest(),
+            report.digest(),
+            "runs must be reproducible"
+        );
     }
 
     #[test]
-    fn scaled_config_shrinks_items_only() {
-        let scaled = MultiTenantConfig::scaled(4);
-        assert!(scaled.items < MultiTenantConfig::default().items);
-        assert!(scaled.items >= 64);
-        assert_eq!(scaled.tenants, MultiTenantConfig::default().tenants);
+    fn gate_rejects_each_broken_invariant() {
+        let report = run(&Workload {
+            axis: &[1],
+            ..tiny()
+        });
+        // Doctor one counter of both shard counts alike, so only the
+        // invariant under test breaks.
+        let doctored = |key: &str, value: u64| {
+            let mut report = report.clone();
+            for run in &mut report.runs {
+                run.set_counter(key, 0, value);
+            }
+            report.gate().unwrap_err()
+        };
+        let err = doctored("max_quota_excess", 17);
+        assert!(err.contains("exceeded its effective DRAM quota"), "{err}");
+        assert!(doctored("dram_capacity", 1).contains("DRAM tier over capacity"));
+        assert!(doctored("leftover_bytes", 9).contains("9 bytes leaked"));
+        assert!(doctored("tenant_samples", 0).contains("delivered no samples"));
+
+        // A shard count that delivers another stream, or other per-tenant
+        // counts, is rejected too.
+        let mut diverged = report.clone();
+        diverged.runs[1].stream_digest ^= 1;
+        let err = diverged.gate().unwrap_err();
+        assert!(
+            err.contains("multi-tenant/shards=4: workers=1 delivered a different stream"),
+            "{err}"
+        );
+        let mut diverged = report.clone();
+        diverged.runs[1].counters[0].1 += 1;
+        let err = diverged.gate().unwrap_err();
+        assert!(
+            err.contains("shards=4: counters differ from shards=1"),
+            "{err}"
+        );
     }
 }

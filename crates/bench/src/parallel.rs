@@ -17,394 +17,164 @@
 //!   numbers are machine-dependent and are only gated relative to the same
 //!   run (and only when the host has enough cores).
 
+use crate::runtime::{
+    drain_single, gate_speedup, host_cores, int, num, run_scaling, timed_point, PointResult,
+    PresetReport, RuntimePreset, Workload,
+};
 use coordl::{Mode, Session, SessionConfig};
-use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
-use pipeline::json::{write_f64, write_string};
-use prep::{ExecutablePipeline, PrepPipeline};
+use dataset::{DataSource, SyntheticItemStore};
 use std::sync::Arc;
-use std::time::Instant;
 
-/// CLI name of the runtime preset (`dstool sweep worker-sweep`).
-pub const WORKER_SWEEP_NAME: &str = "worker-sweep";
+/// Prefetch depth used by every point.
+const PREFETCH_DEPTH: usize = 4;
 
-/// Configuration of one worker sweep.
-#[derive(Debug, Clone)]
-pub struct WorkerSweepConfig {
-    /// Worker counts to measure (1 must be included for speedup baselines).
-    pub worker_counts: Vec<usize>,
-    /// Prefetch depth used by every point.
-    pub prefetch_depth: usize,
-    /// Items in the synthetic dataset.
-    pub items: u64,
-    /// Average raw item size in bytes.
-    pub avg_item_bytes: u64,
-    /// Decode expansion factor — the prep-heaviness knob (prepared items
-    /// are `decode_multiplier`× the raw size, and every transform pass
-    /// walks the expanded buffer).
-    pub decode_multiplier: usize,
-    /// Samples per minibatch.
-    pub batch_size: usize,
-    /// Epochs per point (every epoch re-preps; the cache only dedupes
-    /// fetches).
-    pub epochs: u64,
-    /// Shuffle + augmentation seed shared by every point.
-    pub seed: u64,
-}
-
-impl Default for WorkerSweepConfig {
-    fn default() -> Self {
-        WorkerSweepConfig {
-            worker_counts: vec![1, 2, 4],
-            prefetch_depth: 4,
-            items: 1536,
-            avg_item_bytes: 4096,
-            decode_multiplier: 128,
-            batch_size: 32,
-            epochs: 2,
-            seed: 0xBEEF,
-        }
-    }
-}
-
-impl WorkerSweepConfig {
-    /// The default preset with its dataset shrunk by `extra_scale` — the
-    /// single scaling rule shared by `dstool sweep worker-sweep --scale`
-    /// and `dstool smoke` (pass 1 for full bench fidelity).
-    ///
-    /// The floor keeps even the smoke scale heavy enough that each point
-    /// runs for hundreds of milliseconds of prep work: below that, thread
-    /// startup and channel overhead dominate and the measured "speedup"
-    /// describes the OS scheduler, not the executor.
-    pub fn scaled(extra_scale: u64) -> Self {
-        let base = WorkerSweepConfig::default();
-        WorkerSweepConfig {
-            items: (base.items / extra_scale.max(1)).max(256),
-            ..base
-        }
-    }
-}
-
-/// One measured point of the sweep.
-#[derive(Debug, Clone)]
-pub struct WorkerSweepPoint {
-    /// Prep workers in the executor pool.
-    pub workers: usize,
-    /// Wall-clock seconds for all epochs of this point.
-    pub wall_seconds: f64,
-    /// Delivered samples per wall-clock second.
-    pub samples_per_sec: f64,
-    /// FNV-1a hash of the delivered stream (epoch, index, items,
-    /// augmentation seeds, prepared bytes) — machine-independent.
-    pub stream_digest: u64,
-    /// The five deterministic `LoaderStats` counters: bytes from storage /
-    /// cache / remote, samples prepared / delivered.
-    pub counters: [u64; 5],
-    /// Cache-tier hits and misses (deterministic).
-    pub cache_hits: u64,
-    /// Cache-tier misses (deterministic).
-    pub cache_misses: u64,
-    /// Wall seconds the prep pool spent pre-processing (summed across
-    /// workers).
-    pub prep_busy_seconds: f64,
-    /// Wall seconds the consumer spent waiting for minibatches.
-    pub consumer_wait_seconds: f64,
-}
-
-/// The result of one worker sweep.
-#[derive(Debug, Clone)]
-pub struct WorkerSweepReport {
-    /// The configuration that produced it.
-    pub config: WorkerSweepConfig,
-    /// One point per worker count, in `worker_counts` order.
-    pub points: Vec<WorkerSweepPoint>,
-}
-
-impl WorkerSweepReport {
-    /// The digest shared by every point, if the sweep is bit-identical.
-    pub fn digest(&self) -> Option<u64> {
-        self.points.first().map(|p| p.stream_digest)
-    }
-
-    /// Check the executor's determinism contract: every point must have
-    /// delivered the identical stream and identical counters.
-    pub fn bit_identical(&self) -> Result<(), String> {
-        let Some(first) = self.points.first() else {
-            return Err("worker sweep produced no points".to_string());
-        };
-        for p in &self.points[1..] {
-            if p.stream_digest != first.stream_digest {
-                return Err(format!(
-                    "workers={} delivered a different stream than workers={} \
-                     (digest {:016x} vs {:016x})",
-                    p.workers, first.workers, p.stream_digest, first.stream_digest
-                ));
-            }
-            if p.counters != first.counters
-                || p.cache_hits != first.cache_hits
-                || p.cache_misses != first.cache_misses
-            {
-                return Err(format!(
-                    "workers={} produced different LoaderStats than workers={} \
-                     ({:?}/{}/{} vs {:?}/{}/{})",
-                    p.workers,
-                    first.workers,
-                    p.counters,
-                    p.cache_hits,
-                    p.cache_misses,
-                    first.counters,
-                    first.cache_hits,
-                    first.cache_misses
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Wall-clock speedup of `workers` relative to the workers=1 point.
-    pub fn speedup(&self, workers: usize) -> Option<f64> {
-        let base = self.points.iter().find(|p| p.workers == 1)?;
-        let point = self.points.iter().find(|p| p.workers == workers)?;
-        Some(base.wall_seconds / point.wall_seconds.max(1e-9))
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter.  The digest is
-    /// written as a hex *string* (u64 does not survive a float round-trip).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"preset\":");
-        write_string(&mut out, WORKER_SWEEP_NAME);
-        out.push_str(",\"items\":");
-        out.push_str(&self.config.items.to_string());
-        out.push_str(",\"decode_multiplier\":");
-        out.push_str(&self.config.decode_multiplier.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"stream_digest\":");
-        let digest = self.digest().unwrap_or(0);
-        write_string(&mut out, &format!("{digest:016x}"));
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"workers\":");
-            out.push_str(&p.workers.to_string());
-            out.push_str(",\"wall_seconds\":");
-            write_f64(&mut out, p.wall_seconds);
-            out.push_str(",\"samples_per_sec\":");
-            write_f64(&mut out, p.samples_per_sec);
-            out.push_str(",\"speedup_vs_serial\":");
-            write_f64(&mut out, self.speedup(p.workers).unwrap_or(1.0));
-            out.push_str(",\"prep_busy_seconds\":");
-            write_f64(&mut out, p.prep_busy_seconds);
-            out.push_str(",\"consumer_wait_seconds\":");
-            write_f64(&mut out, p.consumer_wait_seconds);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
+/// The registry row of `dstool sweep worker-sweep`.  The item floor keeps
+/// even the smoke scale heavy enough that each point runs for hundreds of
+/// milliseconds of prep work: below that the measured "speedup" describes
+/// the OS scheduler, not the executor.
+pub static PRESET: RuntimePreset = RuntimePreset {
+    name: "worker-sweep",
+    paper: "§5 (prefetch/overlap)",
+    description: "runtime Session executor: the prep-heavy workload at several \
+                  prep-worker counts; bit-identical streams and counters gated, \
+                  wall-clock scaling printed",
+    points: 3,
+    workload: Workload {
+        items: 1536,
+        min_items: 256,
+        avg_item_bytes: 4096,
+        decode_multiplier: 128,
+        batch_size: 32,
+        epochs: 2,
+        seed: 0xBEEF,
+        // 1 must be included: it is the speedup baseline.
+        axis: &[1, 2, 4],
+    },
+    axis: "workers",
+    timing: &[
+        "wall_seconds",
+        "samples_per_sec",
+        "speedup_vs_serial",
+        "prep_busy_seconds",
+        "consumer_wait_seconds",
+    ],
+    flat: false,
+    takes_os_root: false,
+    run: |w, _| run(w),
+    shape: |report| shape_on(report, host_cores()),
+};
 
 /// Run the sweep: one session per worker count, identical in everything but
 /// the executor shape.
-pub fn run_worker_sweep(cfg: &WorkerSweepConfig) -> WorkerSweepReport {
-    let points = cfg
-        .worker_counts
-        .iter()
-        .map(|&workers| run_point(cfg, workers))
-        .collect();
-    WorkerSweepReport {
-        config: cfg.clone(),
-        points,
-    }
+pub fn run(w: &Workload) -> PresetReport {
+    let header = vec![
+        ("items", int(w.items)),
+        ("decode_multiplier", int(w.decode_multiplier as u64)),
+        ("epochs", int(w.epochs)),
+    ];
+    run_scaling(&PRESET, header, w.axis, |workers| run_once(w, workers))
 }
 
-fn run_point(cfg: &WorkerSweepConfig, workers: usize) -> WorkerSweepPoint {
-    let spec = DatasetSpec::new(
-        "worker-sweep",
-        cfg.items,
-        cfg.avg_item_bytes,
-        0.2,
-        cfg.decode_multiplier as f64,
-    );
-    let total_bytes = spec.total_bytes();
+fn run_once(w: &Workload, workers: usize) -> PointResult {
+    let spec = w.dataset(PRESET.name);
+    // Every epoch re-preps; the oversized cache only dedupes fetches.
+    let cache_capacity_bytes = spec.total_bytes() * 2;
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 11));
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: cfg.batch_size,
-            seed: cfg.seed,
-            cache_capacity_bytes: total_bytes * 2,
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Single)
-    .workers(workers)
-    .prefetch_depth(cfg.prefetch_depth)
-    .pipeline(ExecutablePipeline::new(
-        PrepPipeline::image_classification(),
-        cfg.decode_multiplier,
-        cfg.seed,
-    ))
-    .build()
-    .expect("valid worker-sweep session");
+    let config = SessionConfig {
+        cache_capacity_bytes,
+        ..w.session_config(workers)
+    };
+    let session = Session::builder(store, config)
+        .mode(Mode::Single)
+        .prefetch_depth(PREFETCH_DEPTH)
+        .pipeline(w.pipeline())
+        .build()
+        .expect("valid worker-sweep session");
 
-    let start = Instant::now();
-    let mut digest = Fnv::new();
-    // Digesting the full prepared payload is the bit-equality proof, but it
-    // runs on the consumer thread; keep its cost out of the throughput
-    // measurement so the numbers describe the executor, not the checker.
-    let mut digest_seconds = 0.0;
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for batch in run.stream(0) {
-            let mb = batch.expect("worker-sweep epochs do not fail");
-            let checking = Instant::now();
-            digest.u64(mb.epoch);
-            digest.u64(mb.index as u64);
-            for s in &mb.samples {
-                digest.u64(s.item);
-                digest.u64(s.augmentation_seed);
-                digest.bytes(&s.data);
-            }
-            digest_seconds += checking.elapsed().as_secs_f64();
-        }
-    }
-    let wall_seconds = (start.elapsed().as_secs_f64() - digest_seconds).max(1e-9);
-
-    let stats = session.stats();
-    let tier = session.cache_tier().expect("single-mode tier");
+    let (digest, wall_seconds) = drain_single(&session, w.epochs);
     let report = session.report();
-    let delivered = stats.samples_delivered();
-    WorkerSweepPoint {
-        workers,
-        wall_seconds,
-        samples_per_sec: delivered as f64 / wall_seconds.max(1e-9),
-        stream_digest: digest.finish(),
-        counters: [
-            stats.bytes_from_storage(),
-            stats.bytes_from_cache(),
-            stats.bytes_from_remote(),
-            stats.samples_prepared(),
-            delivered,
-        ],
-        cache_hits: tier.hits(),
-        cache_misses: tier.misses(),
-        prep_busy_seconds: report.prep_busy_seconds,
-        consumer_wait_seconds: report.consumer_wait_seconds,
-    }
+    let mut point = timed_point(PRESET.axis, workers, &session, digest, wall_seconds);
+    point.set("prep_busy_seconds", num(report.prep_busy_seconds));
+    point.set("consumer_wait_seconds", num(report.consumer_wait_seconds));
+    point
 }
 
-/// FNV-1a over 8-byte words, the dependency-free hash used for stream
-/// digests (shared with the fetch sweep in [`fetchsweep`](crate::fetchsweep)).
-/// Word-at-a-time keeps the checker an order of magnitude cheaper than the
-/// prep work it verifies while still covering every payload byte.
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-
-    pub(crate) fn bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            // Length-tag the tail so "ab" and "ab\0" differ.
-            self.word(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
-        }
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
+/// The executor's contract: identical counters at every worker count, and —
+/// on a host with a core per worker — parallel prep beating serial prep.
+fn shape_on(report: &PresetReport, cores: usize) -> Result<(), String> {
+    report.identical_across_points()?;
+    let max_workers = report.runs.iter().map(|r| r.axis_value).max().unwrap_or(1);
+    gate_speedup(report, cores, max_workers, |s| s > 1.0, ">1.0x")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
 
-    fn tiny() -> WorkerSweepConfig {
-        WorkerSweepConfig {
-            worker_counts: vec![1, 3],
+    fn tiny() -> Workload {
+        Workload {
+            axis: &[1, 3],
             items: 96,
             avg_item_bytes: 256,
             decode_multiplier: 4,
-            epochs: 2,
-            ..WorkerSweepConfig::default()
+            ..PRESET.workload
         }
     }
 
     #[test]
     fn sweep_points_are_bit_identical_across_worker_counts() {
-        let report = run_worker_sweep(&tiny());
-        assert_eq!(report.points.len(), 2);
+        let report = run(&tiny());
+        assert_eq!(report.points().count(), 2);
         report
             .bit_identical()
             .expect("executor determinism contract");
+        shape_on(&report, 1).expect("counters identical; speedup skipped on one core");
         // Every epoch preps the full dataset: counters are exact.
-        assert_eq!(report.points[0].counters[4], 2 * 96);
+        assert_eq!(report.runs[0].counter("samples_delivered"), 2 * 96);
         assert!(report.speedup(3).is_some());
     }
 
     #[test]
+    fn shape_check_rejects_diverged_counters_and_a_lost_speedup() {
+        let mut report = run(&tiny());
+        for r in &mut report.runs {
+            r.set("speedup_vs_serial", num(0.9));
+        }
+        // Skipped below a core per worker, enforced from there on.
+        shape_on(&report, 2).expect("undersized host skips the wall-clock gate");
+        let err = shape_on(&report, 3).unwrap_err();
+        assert!(
+            err.contains("worker-sweep: workers=3 measured 0.90x") && err.contains(">1.0x"),
+            "{err}"
+        );
+        report.runs[1].counters[0].1 += 1;
+        let err = shape_on(&report, 1).unwrap_err();
+        assert!(
+            err.contains("worker-sweep/workers=3: counters differ"),
+            "{err}"
+        );
+        report.runs[1].stream_digest ^= 1;
+        let err = report.gate().unwrap_err();
+        assert!(
+            err.contains("workers=3 delivered a different stream"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn digest_is_sensitive_to_the_seed() {
-        let a = run_worker_sweep(&WorkerSweepConfig {
-            worker_counts: vec![1],
-            ..tiny()
-        });
-        let b = run_worker_sweep(&WorkerSweepConfig {
-            worker_counts: vec![1],
-            seed: 0xD00D,
-            ..tiny()
-        });
+        let one = |seed| {
+            run(&Workload {
+                axis: &[1],
+                seed,
+                ..tiny()
+            })
+            .digest()
+        };
         assert_ne!(
-            a.digest(),
-            b.digest(),
+            one(0xBEEF),
+            one(0xD00D),
             "different shuffles, different streams"
         );
-    }
-
-    #[test]
-    fn json_round_trips_and_encodes_the_digest_as_a_string() {
-        let report = run_worker_sweep(&WorkerSweepConfig {
-            worker_counts: vec![1, 2],
-            ..tiny()
-        });
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        let digest = doc.get("stream_digest").and_then(Value::as_str).unwrap();
-        assert_eq!(digest, format!("{:016x}", report.digest().unwrap()));
-        let points = doc.get("points").and_then(Value::as_array).unwrap();
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[1].get("workers").and_then(Value::as_f64), Some(2.0));
-    }
-
-    #[test]
-    fn scaled_config_shrinks_the_item_count_only() {
-        let scaled = WorkerSweepConfig::scaled(8);
-        assert!(scaled.items < WorkerSweepConfig::default().items);
-        assert!(scaled.items >= 256, "smoke points stay prep-dominated");
-        assert_eq!(
-            scaled.decode_multiplier,
-            WorkerSweepConfig::default().decode_multiplier,
-            "prep-heaviness is preserved"
-        );
-        assert_eq!(WorkerSweepConfig::scaled(1).items, 1536, "full fidelity");
     }
 }

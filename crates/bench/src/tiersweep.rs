@@ -17,435 +17,210 @@
 //!   counter arithmetic (no wall clock), so they are compared exactly
 //!   against the baseline.
 
-use coordl::{ByteTierSpec, Mode, Session, SessionConfig};
-use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
+use crate::runtime::{
+    drain_single, int, loader_counters, num, run_grid, text, PointResult, PresetReport,
+    RuntimePreset, Workload,
+};
+use coordl::{ByteTierSpec, Mode, Session};
+use dataset::{DataSource, SyntheticItemStore};
 use dcache::PolicyKind;
-use pipeline::json::{write_f64, write_string};
-use prep::{ExecutablePipeline, PrepPipeline};
 use std::sync::Arc;
 
-/// CLI name of the runtime preset (`dstool sweep tier-sweep`).
-pub const TIER_SWEEP_NAME: &str = "tier-sweep";
+/// DRAM tier capacities as percent of the dataset.
+const DRAM_PERCENTS: [u32; 3] = [15, 35, 55];
 
-/// Configuration of one tier sweep.
-#[derive(Debug, Clone)]
-pub struct TierSweepConfig {
-    /// DRAM tier capacities as percent of the dataset.
-    pub dram_percents: Vec<u32>,
-    /// SSD tier capacities as percent of the dataset (0 = no SSD tier).
-    pub ssd_percents: Vec<u32>,
-    /// Worker counts every point is run at (bit-equality across them).
-    pub worker_counts: Vec<usize>,
-    /// Items in the synthetic dataset.
-    pub items: u64,
-    /// Average raw item size in bytes.
-    pub avg_item_bytes: u64,
-    /// Decode expansion factor (kept small: this preset is fetch-shaped).
-    pub decode_multiplier: usize,
-    /// Samples per minibatch.
-    pub batch_size: usize,
-    /// Epochs per point (epoch 0 is the cold warm-up).
-    pub epochs: u64,
-    /// Shuffle + augmentation seed shared by every point.
-    pub seed: u64,
-}
+/// SSD tier capacities as percent of the dataset (0 = no SSD tier).
+const SSD_PERCENTS: [u32; 3] = [0, 25, 50];
 
-impl Default for TierSweepConfig {
-    fn default() -> Self {
-        TierSweepConfig {
-            dram_percents: vec![15, 35, 55],
-            ssd_percents: vec![0, 25, 50],
-            worker_counts: vec![1, 2],
-            items: 1024,
-            avg_item_bytes: 1024,
-            decode_multiplier: 4,
-            batch_size: 32,
-            epochs: 3,
-            seed: 0x71E5,
-        }
+/// The registry row of `dstool sweep tier-sweep` (a small decode multiplier:
+/// this preset is fetch-shaped).
+pub static PRESET: RuntimePreset = RuntimePreset {
+    name: "tier-sweep",
+    paper: "§4.2 / Table 2 (SSD extends MinIO)",
+    description: "runtime cache hierarchy: DRAM% x SSD% grid of tiered Sessions \
+                  (DRAM MinIO spilling into a SATA-SSD MinIO tier); per-tier hit \
+                  ratios exact, one stream gated for the whole grid and every \
+                  worker count",
+    points: DRAM_PERCENTS.len() * SSD_PERCENTS.len(),
+    workload: Workload {
+        items: 1024,
+        min_items: 128,
+        avg_item_bytes: 1024,
+        decode_multiplier: 4,
+        batch_size: 32,
+        epochs: 3,
+        seed: 0x71E5,
+        axis: &[1, 2],
+    },
+    axis: "workers",
+    timing: &[],
+    flat: false,
+    takes_os_root: false,
+    run: |w, _| run(w),
+    shape,
+};
+
+/// Run the sweep: every (dram, ssd) grid point at every worker count (dram
+/// slowest-varying).
+pub fn run(w: &Workload) -> PresetReport {
+    let grid: Vec<(u32, u32)> = DRAM_PERCENTS
+        .iter()
+        .flat_map(|&dram| SSD_PERCENTS.iter().map(move |&ssd| (dram, ssd)))
+        .collect();
+    PresetReport {
+        preset: &PRESET,
+        header: vec![("items", int(w.items)), ("epochs", int(w.epochs))],
+        runs: run_grid(&grid, w.axis, |&(dram, ssd), workers| {
+            run_once(w, dram, ssd, workers)
+        }),
     }
 }
 
-impl TierSweepConfig {
-    /// The default preset with its dataset shrunk by `extra_scale` (pass 1
-    /// for full fidelity; `dstool smoke` passes its CI scale).
-    pub fn scaled(extra_scale: u64) -> Self {
-        let base = TierSweepConfig::default();
-        TierSweepConfig {
-            items: (base.items / extra_scale.max(1)).max(128),
-            ..base
-        }
-    }
-}
-
-/// One measured grid point.
-#[derive(Debug, Clone)]
-pub struct TierSweepPoint {
-    /// DRAM tier size as percent of the dataset.
-    pub dram_percent: u32,
-    /// SSD tier size as percent of the dataset.
-    pub ssd_percent: u32,
-    /// Steady-state chain hit ratio (all tiers).
-    pub steady_hit_ratio: f64,
-    /// Steady-state DRAM-tier hit ratio.
-    pub dram_hit_ratio: f64,
-    /// Steady-state SSD-tier hit ratio.
-    pub ssd_hit_ratio: f64,
-    /// Steady-state bytes read from the backend per epoch.
-    pub steady_disk_bytes: f64,
-    /// FNV-1a hash of the delivered stream (identical for every point: the
-    /// cache layout must never change what is delivered).
-    pub stream_digest: u64,
-    /// The deterministic counters `[storage, cache, lower, prepared,
-    /// delivered]`, identical across worker counts.
-    pub counters: [u64; 5],
-}
-
-impl TierSweepPoint {
-    /// Grid label, e.g. `dram=35%,ssd=25%`.
-    pub fn label(&self) -> String {
-        format!("dram={}%,ssd={}%", self.dram_percent, self.ssd_percent)
-    }
-}
-
-/// The result of one tier sweep.
-#[derive(Debug, Clone)]
-pub struct TierSweepReport {
-    /// The configuration that produced it.
-    pub config: TierSweepConfig,
-    /// One point per (dram, ssd) pair, dram slowest-varying.
-    pub points: Vec<TierSweepPoint>,
-}
-
-impl TierSweepReport {
-    /// The digest shared by every point, if the sweep is bit-identical.
-    pub fn digest(&self) -> Option<u64> {
-        self.points.first().map(|p| p.stream_digest)
-    }
-
-    /// Check the hierarchy's correctness contract: one stream for the whole
-    /// grid (the cache layout is invisible to consumers), and the "SSD
-    /// extends MinIO reach" shape (at fixed DRAM, more SSD never lowers the
-    /// chain hit ratio, and a non-empty SSD tier strictly raises it).
-    pub fn verify(&self) -> Result<(), String> {
-        let Some(first) = self.points.first() else {
-            return Err("tier sweep produced no points".to_string());
-        };
-        for p in &self.points {
-            if p.stream_digest != first.stream_digest {
-                return Err(format!(
-                    "{}: delivered stream differs from {} (digest {:016x} vs {:016x}) — \
-                     the cache hierarchy changed what consumers received",
-                    p.label(),
-                    first.label(),
-                    p.stream_digest,
-                    first.stream_digest
-                ));
-            }
-        }
-        for dram in &self.config.dram_percents {
-            let mut row: Vec<&TierSweepPoint> = self
-                .points
-                .iter()
-                .filter(|p| p.dram_percent == *dram)
-                .collect();
-            row.sort_by_key(|p| p.ssd_percent);
-            for pair in row.windows(2) {
-                if pair[1].steady_hit_ratio + 1e-9 < pair[0].steady_hit_ratio {
-                    return Err(format!(
-                        "{}: hit ratio {:.4} fell below {}'s {:.4} — more SSD must \
-                         never serve less",
-                        pair[1].label(),
-                        pair[1].steady_hit_ratio,
-                        pair[0].label(),
-                        pair[0].steady_hit_ratio
-                    ));
-                }
-                if pair[1].ssd_percent > 0 && pair[1].ssd_hit_ratio <= 0.0 {
-                    return Err(format!(
-                        "{}: a non-empty SSD tier served no hits",
-                        pair[1].label()
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter (digest as a
-    /// hex string, like the worker sweep).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"preset\":");
-        write_string(&mut out, TIER_SWEEP_NAME);
-        out.push_str(",\"items\":");
-        out.push_str(&self.config.items.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"stream_digest\":");
-        let digest = self.digest().unwrap_or(0);
-        write_string(&mut out, &format!("{digest:016x}"));
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            write_string(&mut out, &p.label());
-            out.push_str(",\"steady_hit_ratio\":");
-            write_f64(&mut out, p.steady_hit_ratio);
-            out.push_str(",\"dram_hit_ratio\":");
-            write_f64(&mut out, p.dram_hit_ratio);
-            out.push_str(",\"ssd_hit_ratio\":");
-            write_f64(&mut out, p.ssd_hit_ratio);
-            out.push_str(",\"steady_disk_bytes\":");
-            write_f64(&mut out, p.steady_disk_bytes);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// Run the sweep: every (dram, ssd) grid point at every worker count, with
-/// bit-equality enforced across worker counts point by point.
-///
-/// # Panics
-/// Panics when a point's streams or counters differ across worker counts —
-/// that is the executor/hierarchy determinism contract, not a tolerance.
-pub fn run_tier_sweep(cfg: &TierSweepConfig) -> TierSweepReport {
-    let mut points = Vec::new();
-    for &dram in &cfg.dram_percents {
-        for &ssd in &cfg.ssd_percents {
-            points.push(run_point(cfg, dram, ssd));
-        }
-    }
-    TierSweepReport {
-        config: cfg.clone(),
-        points,
-    }
-}
-
-fn run_point(cfg: &TierSweepConfig, dram_percent: u32, ssd_percent: u32) -> TierSweepPoint {
-    let mut measured: Option<TierSweepPoint> = None;
-    for &workers in &cfg.worker_counts {
-        let point = run_once(cfg, dram_percent, ssd_percent, workers);
-        match &measured {
-            None => measured = Some(point),
-            Some(first) => {
-                assert_eq!(
-                    point.stream_digest,
-                    first.stream_digest,
-                    "tier-sweep {}: workers={workers} delivered a different stream",
-                    point.label()
-                );
-                assert_eq!(
-                    point.counters,
-                    first.counters,
-                    "tier-sweep {}: workers={workers} produced different counters",
-                    point.label()
-                );
-            }
-        }
-    }
-    measured.expect("worker_counts must not be empty")
-}
-
-fn run_once(
-    cfg: &TierSweepConfig,
-    dram_percent: u32,
-    ssd_percent: u32,
-    workers: usize,
-) -> TierSweepPoint {
-    let spec = DatasetSpec::new(
-        "tier-sweep",
-        cfg.items,
-        cfg.avg_item_bytes,
-        0.2,
-        cfg.decode_multiplier as f64,
-    );
+fn run_once(w: &Workload, dram_percent: u32, ssd_percent: u32, workers: usize) -> PointResult {
+    let spec = w.dataset(PRESET.name);
     let total_bytes = spec.total_bytes();
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 23));
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: cfg.batch_size,
-            seed: cfg.seed,
-            num_workers: workers,
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Single)
-    .cache_tiers(vec![
-        ByteTierSpec::dram(PolicyKind::MinIo, total_bytes * dram_percent as u64 / 100),
-        ByteTierSpec::sata_ssd(PolicyKind::MinIo, total_bytes * ssd_percent as u64 / 100),
-    ])
-    .pipeline(ExecutablePipeline::new(
-        PrepPipeline::image_classification(),
-        cfg.decode_multiplier,
-        cfg.seed,
-    ))
-    .build()
-    .expect("valid tier-sweep session");
+    let session = Session::builder(store, w.session_config(workers))
+        .mode(Mode::Single)
+        .cache_tiers(vec![
+            ByteTierSpec::dram(PolicyKind::MinIo, total_bytes * dram_percent as u64 / 100),
+            ByteTierSpec::sata_ssd(PolicyKind::MinIo, total_bytes * ssd_percent as u64 / 100),
+        ])
+        .pipeline(w.pipeline())
+        .build()
+        .expect("valid tier-sweep session");
 
-    let mut digest = Fnv::new();
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for batch in run.stream(0) {
-            let mb = batch.expect("tier-sweep epochs do not fail");
-            digest.u64(mb.epoch);
-            digest.u64(mb.index as u64);
-            for s in &mb.samples {
-                digest.u64(s.item);
-                digest.u64(s.augmentation_seed);
-                digest.bytes(&s.data);
-            }
-        }
-    }
-
-    let stats = session.stats();
+    let (stream_digest, _) = drain_single(&session, w.epochs);
     let report = session.report();
-    TierSweepPoint {
-        dram_percent,
-        ssd_percent,
-        steady_hit_ratio: report.steady_hit_ratio(),
-        dram_hit_ratio: report.steady_dram_hit_ratio(),
-        ssd_hit_ratio: report.steady_lower_tier_hit_ratio(),
-        steady_disk_bytes: report.steady_storage_bytes(),
-        stream_digest: digest.finish(),
-        counters: [
-            stats.bytes_from_storage(),
-            stats.bytes_from_cache(),
-            stats.bytes_from_lower_tiers(),
-            stats.samples_prepared(),
-            stats.samples_delivered(),
+    let label = format!("dram={dram_percent}%,ssd={ssd_percent}%");
+    let mut counters = loader_counters(&session);
+    counters.push(("dram_percent", dram_percent as u64));
+    counters.push(("ssd_percent", ssd_percent as u64));
+    PointResult {
+        fields: vec![
+            ("label", text(&label)),
+            ("steady_hit_ratio", num(report.steady_hit_ratio())),
+            ("dram_hit_ratio", num(report.steady_dram_hit_ratio())),
+            ("ssd_hit_ratio", num(report.steady_lower_tier_hit_ratio())),
+            ("steady_disk_bytes", num(report.steady_storage_bytes())),
         ],
+        label,
+        axis_value: workers,
+        stream_digest,
+        counters,
     }
 }
 
-/// FNV-1a over 8-byte words (the same digest the worker sweep uses).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        self.0 ^= w;
-        self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-    }
-
-    fn bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+/// The "SSD extends MinIO reach" shape: at fixed DRAM, more SSD never lowers
+/// the chain hit ratio, and a non-empty SSD tier serves hits.  (That the
+/// whole grid shares one stream — the cache layout is invisible to consumers
+/// — is the harness's [`PresetReport::bit_identical`].)
+fn shape(report: &PresetReport) -> Result<(), String> {
+    let mut points: Vec<&PointResult> = report.points().collect();
+    points.sort_by_key(|p| (p.counter("dram_percent"), p.counter("ssd_percent")));
+    for pair in points.windows(2) {
+        let (less, more) = (pair[0], pair[1]);
+        if less.counter("dram_percent") != more.counter("dram_percent") {
+            continue;
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
+        if more.num("steady_hit_ratio") + 1e-9 < less.num("steady_hit_ratio") {
+            return Err(format!(
+                "{}: hit ratio {:.4} fell below {}'s {:.4} — more SSD must never \
+                 serve less",
+                more.label,
+                more.num("steady_hit_ratio"),
+                less.label,
+                less.num("steady_hit_ratio")
+            ));
+        }
+        if more.counter("ssd_percent") > 0 && more.num("ssd_hit_ratio") <= 0.0 {
+            return Err(format!(
+                "{}: a non-empty SSD tier served no hits",
+                more.label
+            ));
         }
     }
-
-    fn u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
 
-    fn tiny() -> TierSweepConfig {
-        TierSweepConfig {
-            dram_percents: vec![20, 40],
-            ssd_percents: vec![0, 30],
-            worker_counts: vec![1, 2],
+    fn tiny() -> Workload {
+        Workload {
             items: 160,
             avg_item_bytes: 256,
-            epochs: 3,
-            ..TierSweepConfig::default()
+            ..PRESET.workload
         }
+    }
+
+    /// The two runs (workers 1 and 2) of the point labelled `label`.
+    fn runs_of<'a>(report: &'a mut PresetReport, label: &str) -> Vec<&'a mut PointResult> {
+        let runs = report.runs.iter_mut().filter(|r| r.label == label);
+        runs.collect()
     }
 
     #[test]
     fn grid_shares_one_stream_and_ssd_extends_reach() {
-        let report = run_tier_sweep(&tiny());
-        assert_eq!(report.points.len(), 4);
-        report.verify().expect("hierarchy contract");
+        let report = run(&tiny());
+        assert_eq!(report.points().count(), 9);
+        assert_eq!(report.runs.len(), 18, "every point at both worker counts");
+        report.gate().expect("hierarchy contract");
+        let point = |label: &str| report.points().find(|p| p.label == label).unwrap();
         // The ssd=0 points behave like flat MinIO: hit ratio ~ dram percent.
-        let flat = report
-            .points
-            .iter()
-            .find(|p| p.dram_percent == 40 && p.ssd_percent == 0)
-            .unwrap();
-        assert!((flat.steady_hit_ratio - 0.40).abs() < 0.06, "{flat:?}");
-        assert_eq!(flat.ssd_hit_ratio, 0.0);
-        // dram=40,ssd=30 reaches ~70 %.
-        let tiered = report
-            .points
-            .iter()
-            .find(|p| p.dram_percent == 40 && p.ssd_percent == 30)
-            .unwrap();
-        assert!((tiered.steady_hit_ratio - 0.70).abs() < 0.06, "{tiered:?}");
-        assert!(tiered.steady_disk_bytes < flat.steady_disk_bytes);
-    }
-
-    #[test]
-    fn verify_rejects_divergent_streams() {
-        let mut report = run_tier_sweep(&TierSweepConfig {
-            dram_percents: vec![20],
-            ssd_percents: vec![0, 30],
-            worker_counts: vec![1],
-            items: 128,
-            avg_item_bytes: 128,
-            ..tiny()
-        });
-        report.points[1].stream_digest ^= 1;
-        let err = report.verify().unwrap_err();
-        assert!(err.contains("delivered stream differs"), "{err}");
-    }
-
-    #[test]
-    fn json_round_trips_with_hex_digest() {
-        let report = run_tier_sweep(&TierSweepConfig {
-            dram_percents: vec![25],
-            ssd_percents: vec![25],
-            worker_counts: vec![1],
-            items: 128,
-            avg_item_bytes: 128,
-            ..tiny()
-        });
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        let digest = doc.get("stream_digest").and_then(Value::as_str).unwrap();
-        assert_eq!(digest, format!("{:016x}", report.digest().unwrap()));
-        let points = doc.get("points").and_then(Value::as_array).unwrap();
-        assert_eq!(points.len(), 1);
-        assert_eq!(
-            points[0].get("label").and_then(Value::as_str),
-            Some("dram=25%,ssd=25%")
+        let flat = point("dram=35%,ssd=0%");
+        assert!(
+            (flat.num("steady_hit_ratio") - 0.35).abs() < 0.06,
+            "{flat:?}"
         );
-        assert!(points[0]
-            .get("dram_hit_ratio")
-            .and_then(Value::as_f64)
-            .is_some());
+        assert_eq!(flat.num("ssd_hit_ratio"), 0.0);
+        // dram=35,ssd=25 reaches ~60 %.
+        let tiered = point("dram=35%,ssd=25%");
+        assert!(
+            (tiered.num("steady_hit_ratio") - 0.60).abs() < 0.06,
+            "{tiered:?}"
+        );
+        assert!(tiered.num("steady_disk_bytes") < flat.num("steady_disk_bytes"));
     }
 
     #[test]
-    fn scaled_config_shrinks_items_only() {
-        let scaled = TierSweepConfig::scaled(4);
-        assert!(scaled.items < TierSweepConfig::default().items);
-        assert!(scaled.items >= 128);
-        assert_eq!(
-            scaled.dram_percents,
-            TierSweepConfig::default().dram_percents
+    fn gate_rejects_divergent_streams_and_a_broken_ssd_shape() {
+        let report = run(&Workload {
+            items: 128,
+            avg_item_bytes: 128,
+            ..tiny()
+        });
+        let mut doctored = report.clone();
+        runs_of(&mut doctored, "dram=35%,ssd=25%")[0].stream_digest ^= 1;
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("tier-sweep/dram=35%,ssd=25%: workers=1 delivered a different stream"),
+            "{err}"
+        );
+        // A worker count that moves a counter is an Err too, not a panic.
+        let mut doctored = report.clone();
+        runs_of(&mut doctored, "dram=35%,ssd=25%")[1].counters[0].1 += 1;
+        let err = doctored.gate().unwrap_err();
+        assert!(err.contains("dram=35%,ssd=25%: workers=2"), "{err}");
+
+        let mut doctored = report.clone();
+        for r in runs_of(&mut doctored, "dram=15%,ssd=50%") {
+            r.set("steady_hit_ratio", num(0.01));
+        }
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.starts_with("dram=15%,ssd=50%") && err.contains("more SSD must never serve less"),
+            "{err}"
+        );
+        let mut doctored = report;
+        for r in runs_of(&mut doctored, "dram=55%,ssd=25%") {
+            r.set("ssd_hit_ratio", num(0.0));
+        }
+        let err = doctored.gate().unwrap_err();
+        assert!(
+            err.contains("dram=55%,ssd=25%: a non-empty SSD tier served no hits"),
+            "{err}"
         );
     }
 }

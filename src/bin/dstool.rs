@@ -27,16 +27,13 @@
 //! trailing newline) so refresh diffs stay minimal.
 
 use benchkit::{
-    find_suite, run_chaos, run_fetch_sweep, run_fs_sweep, run_mega_sweep, run_multi_tenant,
-    run_tier_sweep, run_validation, run_worker_sweep, ChaosConfig, ChaosReport, FetchSweepConfig,
-    FetchSweepReport, FsSweepConfig, FsSweepReport, GateKind, MegaSweepConfig, MegaSweepReport,
-    MultiTenantConfig, MultiTenantReport, SweepSuite, Table, TierSweepConfig, TierSweepReport,
-    ValidationConfig, WorkerSweepConfig, WorkerSweepReport, CHAOS_NAME, FETCH_SWEEP_NAME,
-    FS_SWEEP_NAME, MEGA_SWEEP_NAME, MULTI_TENANT_NAME, SMOKE_EXTRA_SCALE, SUITES, TIER_SWEEP_NAME,
-    WORKER_SWEEP_NAME,
+    compare_exact, find_preset, find_suite, run_mega_sweep, run_validation, GateKind,
+    MegaSweepConfig, MegaSweepReport, PresetReport, RuntimePreset, SweepSuite, Table,
+    ValidationConfig, MEGA_SWEEP_NAME, RUNTIME_PRESETS, SMOKE_EXTRA_SCALE, SUITES,
 };
 use datastalls::pipeline::json::{self, Value};
 use datastalls::pipeline::{SweepReport, SweepRunner};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Default thread count for `smoke`: enough to prove the parallel path even
@@ -54,96 +51,86 @@ const MIN_MEGA_SPEEDUP: f64 = 10.0;
 /// Where `smoke --refresh-baseline` writes when no `--baseline` is given.
 const DEFAULT_BASELINE: &str = "ci/bench_baseline.json";
 
-/// Minimum serial-over-pool speedup `fetch-sweep` must demonstrate at its
-/// largest fetch-thread count — gated only on hosts with at least
-/// [`MIN_FETCH_GATE_CORES`] cores, since an undersized host measures the OS
-/// scheduler, not the fetch pool.
-const MIN_FETCH_SPEEDUP: f64 = 1.5;
-
-/// Core floor below which the fetch-sweep wall-clock gate is skipped.
-const MIN_FETCH_GATE_CORES: usize = 4;
-
-fn usage() -> &'static str {
-    "usage: dstool <command> [options]\n\
-     \n\
-     commands:\n\
-     \u{20} list                         list the preset sweep suites\n\
-     \u{20} sweep <suite|all>            run a simulator suite and print its table\n\
-     \u{20}       [--threads N|--serial] [--scale N] [--out FILE]\n\
-     \u{20} sweep worker-sweep           run the *runtime* worker-count preset:\n\
-     \u{20}       the prep-heavy Session workload at several --workers values,\n\
-     \u{20}       gating bit-identical streams and printing wall-clock scaling\n\
-     \u{20}       [--scale N] [--out FILE]\n\
-     \u{20} sweep tier-sweep             run the *runtime* cache-hierarchy preset:\n\
-     \u{20}       a DRAM% x SSD% grid of tiered Sessions, gating one identical\n\
-     \u{20}       stream for the whole grid and printing per-tier hit ratios\n\
-     \u{20}       [--scale N] [--out FILE]\n\
-     \u{20} sweep fs-sweep               run the *runtime* real-bytes I/O preset:\n\
-     \u{20}       a readahead x tier-backing grid of FsBackend Sessions over a\n\
-     \u{20}       VFS, gating one identical stream, exact physical-read counts\n\
-     \u{20}       and a real on-disk spill manifest for persistent points\n\
-     \u{20}       [--scale N] [--out FILE] [--os-root DIR]\n\
-     \u{20} sweep fetch-sweep            run the *runtime* parallel-fetch preset:\n\
-     \u{20}       the fetch-bound Session workload at several --fetch-threads\n\
-     \u{20}       values with the cache shard count pinned, gating bit-identical\n\
-     \u{20}       streams/counters and printing wall-clock fetch scaling\n\
-     \u{20}       [--scale N] [--out FILE]\n\
-     \u{20} sweep chaos                  run the *runtime* fault-injection preset:\n\
-     \u{20}       a partitioned cluster under a seeded kill/leave/rejoin\n\
-     \u{20}       schedule next to its fault-free twin, gating the healthy\n\
-     \u{20}       prefix, exactly-once delivery, shard coverage and recovery\n\
-     \u{20}       [--scale N] [--out FILE]\n\
-     \u{20} sweep multi-tenant           run the *runtime* multi-tenant preset:\n\
-     \u{20}       churning tenants over one shared Server, gating one identical\n\
-     \u{20}       stream across shard and worker counts plus quota/reclamation\n\
-     \u{20}       invariants\n\
-     \u{20}       [--scale N] [--out FILE]\n\
-     \u{20} sweep mega-sweep             run the 100k-point what-if grid on the\n\
-     \u{20}       vectorized MinIO engine, re-run a strided subsample on the\n\
-     \u{20}       exact engine, and gate bit-identity plus a >=10x speedup\n\
-     \u{20}       [--scale N] [--threads N] [--out FILE]\n\
-     \u{20} smoke                        CI smoke: every suite, parallel vs serial\n\
-     \u{20}       [--threads N] [--scale N] [--out FILE] [--only SUITE]\n\
-     \u{20}       [--baseline FILE] [--tolerance FRAC] [--refresh-baseline]\n\
-     \u{20} validate                     run the same workload through the\n\
-     \u{20}       simulator (Experiment) and the runtime (Session) and gate\n\
-     \u{20}       the predicted-vs-empirical deltas (Table 5 / Figure 16)\n\
-     \u{20}       [--scale N] [--cache-frac F] [--jobs N] [--epochs N]\n\
-     \u{20}       [--tolerance FRAC] [--out FILE]\n\
-     \n\
-     sweep options:\n\
-     \u{20} --threads N    worker threads (default: one per core, min 2)\n\
-     \u{20} --serial       run on the calling thread\n\
-     \u{20} --scale N      extra dataset scale-down on top of the bench scale\n\
-     \u{20}                (default 1 for sweep, 8 for smoke)\n\
-     \u{20} --out FILE     write full sweep trajectories as JSON\n\
-     \n\
-     smoke options:\n\
-     \u{20} --out FILE          summary JSON path (default BENCH_sweep.json)\n\
-     \u{20} --only SUITE        run a single suite or runtime preset (skips the\n\
-     \u{20}                     summary artifact and the baseline gate; mutually\n\
-     \u{20}                     exclusive with --refresh-baseline)\n\
-     \u{20} --baseline FILE     fail on >tolerance throughput regressions\n\
-     \u{20} --tolerance FRAC    regression tolerance (default 0.10)\n\
-     \u{20} --refresh-baseline  instead of gating, rewrite the baseline file\n\
-     \u{20}                     (ci/bench_baseline.json unless --baseline) in\n\
-     \u{20}                     canonical form: sorted keys, trailing newline\n\
-     \n\
-     validate options:\n\
-     \u{20} --scale N         ImageNet-1k scale-down (default 4000)\n\
-     \u{20} --cache-frac F    cache fraction of the dataset (default 0.35)\n\
-     \u{20} --jobs N          coordinated HP-search jobs (default 4)\n\
-     \u{20} --epochs N        epochs incl. warm-up (default 3, min 2)\n\
-     \u{20} --tolerance FRAC  gate tolerance (default 0.05)\n\
-     \u{20} --out FILE        JSON report path (default VALIDATE.json)"
+fn usage() -> String {
+    // One block per registry row: a new runtime preset shows up here (and in
+    // `list`, `sweep`, `smoke`) without an edit to this file.
+    let mut runtime = String::new();
+    for p in RUNTIME_PRESETS {
+        runtime.push_str(&format!(
+            "\u{20} sweep {:<22} run the *runtime* preset for {}:\n\
+             \u{20}       {}\n\
+             \u{20}       [--scale N] [--out FILE]{}\n",
+            p.name,
+            p.paper,
+            p.description,
+            if p.takes_os_root {
+                " [--os-root DIR]"
+            } else {
+                ""
+            }
+        ));
+    }
+    format!(
+        "usage: dstool <command> [options]\n\
+         \n\
+         commands:\n\
+         \u{20} list                         list the preset sweep suites\n\
+         \u{20} sweep <suite|all>            run a simulator suite and print its table\n\
+         \u{20}       [--threads N|--serial] [--scale N] [--out FILE]\n\
+         {runtime}\
+         \u{20} sweep {MEGA_SWEEP_NAME:<22} run the 100k-point what-if grid on the\n\
+         \u{20}       vectorized MinIO engine, re-run a strided subsample on the\n\
+         \u{20}       exact engine, and gate bit-identity plus a >=10x speedup\n\
+         \u{20}       [--scale N] [--threads N] [--out FILE]\n\
+         \u{20} smoke                        CI smoke: every suite, parallel vs serial\n\
+         \u{20}       [--threads N] [--scale N] [--out FILE] [--only SUITE]\n\
+         \u{20}       [--baseline FILE] [--tolerance FRAC] [--refresh-baseline]\n\
+         \u{20} validate                     run the same workload through the\n\
+         \u{20}       simulator (Experiment) and the runtime (Session) and gate\n\
+         \u{20}       the predicted-vs-empirical deltas (Table 5 / Figure 16)\n\
+         \u{20}       [--scale N] [--cache-frac F] [--jobs N] [--epochs N]\n\
+         \u{20}       [--tolerance FRAC] [--out FILE]\n\
+         \n\
+         sweep options:\n\
+         \u{20} --threads N    worker threads (default: one per core, min 2)\n\
+         \u{20} --serial       run on the calling thread\n\
+         \u{20} --scale N      extra dataset scale-down on top of the bench scale\n\
+         \u{20}                (default 1 for sweep, 8 for smoke)\n\
+         \u{20} --out FILE     write full sweep trajectories as JSON\n\
+         \u{20} --os-root DIR  (presets that list it) run on real files under DIR\n\
+         \u{20}                instead of the deterministic in-memory VFS\n\
+         \n\
+         smoke options:\n\
+         \u{20} --out FILE          summary JSON path (default BENCH_sweep.json)\n\
+         \u{20} --only SUITE        run a single suite or runtime preset (skips the\n\
+         \u{20}                     summary artifact and the baseline gate; mutually\n\
+         \u{20}                     exclusive with --refresh-baseline)\n\
+         \u{20} --baseline FILE     fail on >tolerance throughput regressions\n\
+         \u{20} --tolerance FRAC    regression tolerance (default 0.10)\n\
+         \u{20} --refresh-baseline  instead of gating, rewrite the baseline file\n\
+         \u{20}                     (ci/bench_baseline.json unless --baseline) in\n\
+         \u{20}                     canonical form: sorted keys, trailing newline\n\
+         \n\
+         validate options:\n\
+         \u{20} --scale N         ImageNet-1k scale-down (default 4000)\n\
+         \u{20} --cache-frac F    cache fraction of the dataset (default 0.35)\n\
+         \u{20} --jobs N          coordinated HP-search jobs (default 4)\n\
+         \u{20} --epochs N        epochs incl. warm-up (default 3, min 2)\n\
+         \u{20} --tolerance FRAC  gate tolerance (default 0.05)\n\
+         \u{20} --out FILE        JSON report path (default VALIDATE.json)"
+    )
 }
 
-struct SweepCmd {
-    suites: Vec<&'static SweepSuite>,
+/// The flags of every `sweep` flavour (simulator suites, runtime presets,
+/// mega-sweep); [`parse_sweep_flags`] accepts only those a flavour allows.
+struct SweepFlags {
     threads: Option<usize>,
     serial: bool,
     scale: u64,
     out: Option<String>,
+    /// Only for presets whose registry row takes one: run on a real
+    /// filesystem rooted here instead of the deterministic in-memory VFS.
+    os_root: Option<String>,
 }
 
 struct SmokeCmd {
@@ -163,39 +150,20 @@ struct ValidateCmd {
     out: String,
 }
 
-struct RuntimeSweepCmd {
-    scale: u64,
-    out: Option<String>,
-    /// `fs-sweep` only: run on a real filesystem rooted here instead of the
-    /// deterministic in-memory VFS.
-    os_root: Option<String>,
-}
-
-struct MegaSweepCmd {
-    scale: u64,
-    /// Worker threads for both engine phases (0 = one per core).
-    threads: usize,
-    out: Option<String>,
-}
-
 enum Command {
     Help,
     List,
-    Sweep(SweepCmd),
-    WorkerSweep(RuntimeSweepCmd),
-    TierSweep(RuntimeSweepCmd),
-    MultiTenantSweep(RuntimeSweepCmd),
-    FsSweep(RuntimeSweepCmd),
-    ChaosSweep(RuntimeSweepCmd),
-    FetchSweep(RuntimeSweepCmd),
-    MegaSweep(MegaSweepCmd),
+    Sweep(Vec<&'static SweepSuite>, SweepFlags),
+    RuntimeSweep(&'static RuntimePreset, SweepFlags),
+    /// `threads: None` = one per core.
+    MegaSweep(SweepFlags),
     Smoke(SmokeCmd),
     Validate(ValidateCmd),
 }
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
-    let cmd = it.next().ok_or_else(|| usage().to_string())?;
+    let cmd = it.next().ok_or_else(usage)?;
     let rest: Vec<&String> = it.collect();
     match cmd.as_str() {
         "list" => {
@@ -215,6 +183,47 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     }
 }
 
+/// The value following `flag`.
+fn value<'a>(it: &mut std::slice::Iter<'_, &'a String>, flag: &str) -> Result<&'a String, String> {
+    it.next()
+        .copied()
+        .ok_or_else(|| format!("{flag} needs a value"))
+}
+
+fn parse_sweep_flags(
+    it: &mut std::slice::Iter<'_, &String>,
+    who: &str,
+    allowed: &[&str],
+) -> Result<SweepFlags, String> {
+    let mut flags = SweepFlags {
+        threads: None,
+        serial: false,
+        scale: 1,
+        out: None,
+        os_root: None,
+    };
+    while let Some(flag) = it.next() {
+        if !allowed.contains(&flag.as_str()) {
+            return Err(format!(
+                "unknown flag {flag} for {who} (only {} apply)\n\n{}",
+                allowed.join(", "),
+                usage()
+            ));
+        }
+        match flag.as_str() {
+            "--threads" => flags.threads = Some(parse_threads(value(it, flag)?)?),
+            "--serial" => flags.serial = true,
+            "--scale" => flags.scale = parse_scale(value(it, flag)?)?,
+            "--out" => flags.out = Some(value(it, flag)?.clone()),
+            _ => flags.os_root = Some(value(it, flag)?.clone()),
+        }
+    }
+    if flags.serial && flags.threads.is_some() {
+        return Err("--serial and --threads are mutually exclusive".to_string());
+    }
+    Ok(flags)
+}
+
 fn parse_sweep(args: &[&String]) -> Result<Command, String> {
     let mut it = args.iter();
     let which = it
@@ -222,121 +231,43 @@ fn parse_sweep(args: &[&String]) -> Result<Command, String> {
         .ok_or_else(|| format!("sweep needs a suite name or 'all'\n\n{}", usage()))?;
     if which.as_str() == MEGA_SWEEP_NAME {
         // The mega sweep runs its own two-phase (fast, then exact) harness
-        // rather than a plain SweepRunner, so it parses its own flags.
-        let mut cmd = MegaSweepCmd {
-            scale: 1,
-            threads: 0,
-            out: None,
-        };
-        while let Some(flag) = it.next() {
-            let mut value = || -> Result<&String, String> {
-                it.next()
-                    .copied()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--scale" => cmd.scale = parse_scale(value()?)?,
-                "--threads" => cmd.threads = parse_threads(value()?)?,
-                "--out" => cmd.out = Some(value()?.clone()),
-                other => {
-                    return Err(format!(
-                        "unknown flag {other} for {MEGA_SWEEP_NAME} \
-                         (only --scale, --threads and --out apply)"
-                    ))
-                }
-            }
-        }
-        return Ok(Command::MegaSweep(cmd));
+        // rather than a plain SweepRunner.
+        let allowed = ["--scale", "--threads", "--out"];
+        return parse_sweep_flags(&mut it, which, &allowed).map(Command::MegaSweep);
     }
-    if RUNTIME_PRESETS.contains(&which.as_str()) {
+    if let Some(preset) = find_preset(which) {
         // The runtime presets sweep their own axes (worker counts, tier
         // sizes, shard counts), so the simulator-sweep threading flags do
-        // not apply.
-        let name = which.as_str().to_string();
-        let mut cmd = RuntimeSweepCmd {
-            scale: 1,
-            out: None,
-            os_root: None,
+        // not apply; a preset's registry row declares any flag of its own.
+        let allowed: &[&str] = if preset.takes_os_root {
+            &["--scale", "--out", "--os-root"]
+        } else {
+            &["--scale", "--out"]
         };
-        while let Some(flag) = it.next() {
-            let mut value = || -> Result<&String, String> {
-                it.next()
-                    .copied()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--scale" => cmd.scale = parse_scale(value()?)?,
-                "--out" => cmd.out = Some(value()?.clone()),
-                "--os-root" if name == FS_SWEEP_NAME => {
-                    cmd.os_root = Some(value()?.clone());
-                }
-                other => {
-                    return Err(format!(
-                        "unknown flag {other} for {name} (the runtime presets sweep \
-                         their own axes; only --scale and --out apply{})",
-                        if name == FS_SWEEP_NAME {
-                            ", plus --os-root for this preset"
-                        } else {
-                            ""
-                        }
-                    ))
-                }
-            }
-        }
-        return Ok(match name.as_str() {
-            WORKER_SWEEP_NAME => Command::WorkerSweep(cmd),
-            TIER_SWEEP_NAME => Command::TierSweep(cmd),
-            FS_SWEEP_NAME => Command::FsSweep(cmd),
-            CHAOS_NAME => Command::ChaosSweep(cmd),
-            FETCH_SWEEP_NAME => Command::FetchSweep(cmd),
-            _ => Command::MultiTenantSweep(cmd),
-        });
+        let flags = parse_sweep_flags(&mut it, which, allowed)?;
+        return Ok(Command::RuntimeSweep(preset, flags));
     }
     let suites: Vec<&'static SweepSuite> = if which.as_str() == "all" {
         SUITES.iter().collect()
     } else {
         vec![find_suite(which).ok_or_else(|| {
             format!(
-                "unknown suite {which}; available: {}, {}, {}",
-                suite_names().join(", "),
-                MEGA_SWEEP_NAME,
-                RUNTIME_PRESETS.join(", ")
+                "unknown suite {which}; available: {}",
+                sweep_names().join(", ")
             )
         })?]
     };
-    let mut cmd = SweepCmd {
-        suites,
-        threads: None,
-        serial: false,
-        scale: 1,
-        out: None,
-    };
-    while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, String> {
-            it.next()
-                .copied()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--threads" => cmd.threads = Some(parse_threads(value()?)?),
-            "--serial" => cmd.serial = true,
-            "--scale" => cmd.scale = parse_scale(value()?)?,
-            "--out" => cmd.out = Some(value()?.clone()),
-            other => return Err(format!("unknown flag {other}\n\n{}", usage())),
-        }
-    }
-    if cmd.serial && cmd.threads.is_some() {
-        return Err("--serial and --threads are mutually exclusive".to_string());
-    }
-    Ok(Command::Sweep(cmd))
+    let allowed = ["--threads", "--serial", "--scale", "--out"];
+    let flags = parse_sweep_flags(&mut it, "a simulator suite", &allowed)?;
+    Ok(Command::Sweep(suites, flags))
 }
 
-/// Every name `smoke --only` accepts: the simulator suites, the runtime
-/// presets and the vectorized-engine sweep.
-fn smoke_only_names() -> Vec<&'static str> {
-    let mut names = suite_names();
-    names.extend(RUNTIME_PRESETS);
+/// Every name `sweep` and `smoke --only` accept: the simulator suites, the
+/// vectorized-engine sweep and the runtime-preset registry.
+fn sweep_names() -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = SUITES.iter().map(|s| s.name).collect();
     names.push(MEGA_SWEEP_NAME);
+    names.extend(RUNTIME_PRESETS.iter().map(|p| p.name));
     names
 }
 
@@ -352,14 +283,9 @@ fn parse_smoke(args: &[&String]) -> Result<Command, String> {
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, String> {
-            it.next()
-                .copied()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
             "--threads" => {
-                cmd.threads = parse_threads(value()?)?;
+                cmd.threads = parse_threads(value(&mut it, flag)?)?;
                 if cmd.threads < 2 {
                     return Err(
                         "smoke exists to prove the parallel path; --threads must be >= 2"
@@ -367,28 +293,21 @@ fn parse_smoke(args: &[&String]) -> Result<Command, String> {
                     );
                 }
             }
-            "--scale" => cmd.scale = parse_scale(value()?)?,
-            "--out" => cmd.out = value()?.clone(),
-            "--baseline" => cmd.baseline = Some(value()?.clone()),
+            "--scale" => cmd.scale = parse_scale(value(&mut it, flag)?)?,
+            "--out" => cmd.out = value(&mut it, flag)?.clone(),
+            "--baseline" => cmd.baseline = Some(value(&mut it, flag)?.clone()),
             "--refresh-baseline" => cmd.refresh_baseline = true,
             "--only" => {
-                let v = value()?;
-                if !smoke_only_names().contains(&v.as_str()) {
+                let v = value(&mut it, flag)?;
+                if !sweep_names().contains(&v.as_str()) {
                     return Err(format!(
                         "unknown suite {v} for --only; valid: {}",
-                        smoke_only_names().join(", ")
+                        sweep_names().join(", ")
                     ));
                 }
                 cmd.only = Some(v.clone());
             }
-            "--tolerance" => {
-                let v = value()?;
-                cmd.tolerance = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| (0.0..1.0).contains(t))
-                    .ok_or_else(|| format!("tolerance must be in [0,1), got {v}"))?;
-            }
+            "--tolerance" => cmd.tolerance = parse_tolerance(value(&mut it, flag)?)?,
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
     }
@@ -409,81 +328,53 @@ fn parse_validate(args: &[&String]) -> Result<Command, String> {
     };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = || -> Result<&String, String> {
-            it.next()
-                .copied()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
         match flag.as_str() {
-            "--scale" => cmd.config.scale = parse_scale(value()?)?,
+            "--scale" => cmd.config.scale = parse_scale(value(&mut it, flag)?)?,
             "--cache-frac" => {
-                let v = value()?;
-                cmd.config.cache_fraction = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|f| (0.01..=1.0).contains(f))
-                    .ok_or_else(|| format!("cache-frac must be in [0.01,1], got {v}"))?;
+                cmd.config.cache_fraction = parse_in(
+                    value(&mut it, flag)?,
+                    0.01..=1.0,
+                    "cache-frac must be in [0.01,1]",
+                )?;
             }
             "--jobs" => {
-                let v = value()?;
-                cmd.config.jobs = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (1..=64).contains(&n))
-                    .ok_or_else(|| format!("jobs must be 1..=64, got {v}"))?;
+                cmd.config.jobs = parse_in(value(&mut it, flag)?, 1..=64, "jobs must be 1..=64")?;
             }
             "--epochs" => {
-                let v = value()?;
-                cmd.config.epochs = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| (2..=16).contains(&n))
-                    .ok_or_else(|| format!("epochs must be 2..=16, got {v}"))?;
+                cmd.config.epochs =
+                    parse_in(value(&mut it, flag)?, 2..=16, "epochs must be 2..=16")?;
             }
-            "--tolerance" => {
-                let v = value()?;
-                cmd.config.tolerance = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| (0.0..1.0).contains(t))
-                    .ok_or_else(|| format!("tolerance must be in [0,1), got {v}"))?;
-            }
-            "--out" => cmd.out = value()?.clone(),
+            "--tolerance" => cmd.config.tolerance = parse_tolerance(value(&mut it, flag)?)?,
+            "--out" => cmd.out = value(&mut it, flag)?.clone(),
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
     }
     Ok(Command::Validate(cmd))
 }
 
+/// Parse `v` as a number inside `range`, or say what it `must` be.
+fn parse_in<T: std::str::FromStr + PartialOrd>(
+    v: &str,
+    range: impl std::ops::RangeBounds<T>,
+    must: &str,
+) -> Result<T, String> {
+    let parsed = v.parse::<T>().ok().filter(|n| range.contains(n));
+    parsed.ok_or_else(|| format!("{must}, got {v}"))
+}
+
 fn parse_threads(v: &str) -> Result<usize, String> {
-    v.parse::<usize>()
-        .ok()
-        .filter(|&n| (1..=256).contains(&n))
-        .ok_or_else(|| format!("threads must be 1..=256, got {v}"))
+    parse_in(v, 1..=256, "threads must be 1..=256")
 }
 
 fn parse_scale(v: &str) -> Result<u64, String> {
-    v.parse::<u64>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("scale must be >= 1, got {v}"))
+    parse_in(v, 1.., "scale must be >= 1")
 }
 
-/// The runtime presets `sweep` routes past the simulator-suite registry.
-const RUNTIME_PRESETS: [&str; 6] = [
-    WORKER_SWEEP_NAME,
-    TIER_SWEEP_NAME,
-    MULTI_TENANT_NAME,
-    FS_SWEEP_NAME,
-    CHAOS_NAME,
-    FETCH_SWEEP_NAME,
-];
-
-fn suite_names() -> Vec<&'static str> {
-    SUITES.iter().map(|s| s.name).collect()
+fn parse_tolerance(v: &str) -> Result<f64, String> {
+    parse_in(v, 0.0..1.0, "tolerance must be in [0,1)")
 }
 
-fn run_list() {
+fn list_table() -> Table {
     let mut table = Table::new(
         "Preset sweep suites",
         &["name", "points", "paper", "description"],
@@ -504,66 +395,15 @@ fn run_list() {
          x order cross product, exact-engine subsample gated bit-identical"
             .to_string(),
     ]);
-    let worker_defaults = WorkerSweepConfig::default();
-    table.row(&[
-        WORKER_SWEEP_NAME.to_string(),
-        worker_defaults.worker_counts.len().to_string(),
-        "§5 (prefetch/overlap)".to_string(),
-        "runtime Session executor: wall-clock scaling over prep workers, \
-         bit-identical streams gated"
-            .to_string(),
-    ]);
-    let tier_defaults = TierSweepConfig::default();
-    table.row(&[
-        TIER_SWEEP_NAME.to_string(),
-        (tier_defaults.dram_percents.len() * tier_defaults.ssd_percents.len()).to_string(),
-        "§4.2 / Table 2 (SSD extends MinIO)".to_string(),
-        "runtime cache hierarchy: DRAM% x SSD% grid of tiered Sessions, \
-         per-tier hit ratios, one stream gated for the whole grid"
-            .to_string(),
-    ]);
-    let mt_defaults = MultiTenantConfig::default();
-    table.row(&[
-        MULTI_TENANT_NAME.to_string(),
-        mt_defaults.shard_counts.len().to_string(),
-        "§5 / Fig 10 (coordinated HP search)".to_string(),
-        "runtime multi-tenant Server: churning tenants over one shared \
-         hierarchy, quotas and reclamation gated, one stream across shard \
-         and worker counts"
-            .to_string(),
-    ]);
-    let fs_defaults = FsSweepConfig::default();
-    table.row(&[
-        FS_SWEEP_NAME.to_string(),
-        (fs_defaults.readahead_pages.len() * fs_defaults.persistent_ssd.len()).to_string(),
-        "§3 / Fig 5-7 (fetch stalls are real I/O)".to_string(),
-        "runtime real-bytes I/O: FsBackend Sessions over a VFS, readahead x \
-         tier-backing grid, exact physical reads and on-disk spill manifests \
-         gated, one stream for the whole grid"
-            .to_string(),
-    ]);
-    let chaos_defaults = ChaosConfig::default();
-    table.row(&[
-        CHAOS_NAME.to_string(),
-        chaos_defaults.worker_counts.len().to_string(),
-        "§5.2 (partitioned caching under churn)".to_string(),
-        "runtime fault injection: a partitioned cluster under a seeded \
-         kill/leave/rejoin schedule vs its fault-free twin; healthy prefix, \
-         exactly-once delivery, shard coverage and recovery gated"
-            .to_string(),
-    ]);
-    let fetch_defaults = FetchSweepConfig::default();
-    table.row(&[
-        FETCH_SWEEP_NAME.to_string(),
-        fetch_defaults.fetch_thread_counts.len().to_string(),
-        "§3 (fetch stalls) / §5 (overlap)".to_string(),
-        "runtime parallel fetch: the fetch-bound Session workload over a \
-         sharded fetch pool, cache shard count pinned, bit-identical streams \
-         and counters gated across every fetch-thread count"
-            .to_string(),
-    ]);
-    table.print();
-    println!("\nrun one with: dstool sweep <name>   (or 'dstool sweep all')");
+    for preset in RUNTIME_PRESETS {
+        table.row(&[
+            preset.name.to_string(),
+            preset.points.to_string(),
+            preset.paper.to_string(),
+            preset.description.to_string(),
+        ]);
+    }
+    table
 }
 
 /// Print one suite's per-point summary table.
@@ -622,7 +462,7 @@ fn canonical_json(doc: &str) -> String {
     canonical
 }
 
-fn run_sweep(cmd: &SweepCmd) -> Result<(), String> {
+fn run_sweep(suites: &[&SweepSuite], cmd: &SweepFlags) -> Result<(), String> {
     let runner = if cmd.serial {
         SweepRunner::serial()
     } else {
@@ -633,7 +473,7 @@ fn run_sweep(cmd: &SweepCmd) -> Result<(), String> {
     };
     let mut failed = 0usize;
     let mut exports = Vec::new();
-    for suite in &cmd.suites {
+    for suite in suites {
         let spec = suite.spec(cmd.scale);
         let report = runner.run(&spec);
         print_suite_table(suite, &report);
@@ -658,352 +498,23 @@ fn run_sweep(cmd: &SweepCmd) -> Result<(), String> {
     Ok(())
 }
 
-/// Print the runtime worker sweep's per-point table.
-fn print_worker_table(report: &WorkerSweepReport) {
-    let mut table = Table::new(
-        format!("Runtime {} (coordl::Session executor)", WORKER_SWEEP_NAME),
-        &[
-            "workers",
-            "wall s",
-            "samples/s",
-            "speedup",
-            "prep busy s",
-            "consumer wait s",
-        ],
-    )
-    .with_caption(format!(
-        "prep-heavy preset: {} items x{} decode, {} epochs; streams and stats \
-         bit-identical across all points",
-        report.config.items, report.config.decode_multiplier, report.config.epochs
-    ));
-    for p in &report.points {
-        table.row(&[
-            p.workers.to_string(),
-            format!("{:.3}", p.wall_seconds),
-            format!("{:.0}", p.samples_per_sec),
-            format!("{:.2}x", report.speedup(p.workers).unwrap_or(1.0)),
-            format!("{:.3}", p.prep_busy_seconds),
-            format!("{:.3}", p.consumer_wait_seconds),
-        ]);
-    }
-    table.print();
-}
-
-/// Print the runtime tier sweep's per-point table.
-fn print_tier_table(report: &TierSweepReport) {
-    let mut table = Table::new(
-        format!(
-            "Runtime {} (coordl::TieredByteCache hierarchy)",
-            TIER_SWEEP_NAME
-        ),
-        &[
-            "point",
-            "hit ratio",
-            "dram hits",
-            "ssd hits",
-            "disk bytes/epoch",
-        ],
-    )
-    .with_caption(format!(
-        "{} items, {} epochs; DRAM MinIO spilling into a SATA-SSD MinIO tier; \
-         one identical stream across the whole grid and every worker count",
-        report.config.items, report.config.epochs
-    ));
-    for p in &report.points {
-        table.row(&[
-            p.label(),
-            format!("{:.3}", p.steady_hit_ratio),
-            format!("{:.3}", p.dram_hit_ratio),
-            format!("{:.3}", p.ssd_hit_ratio),
-            format!("{:.0}", p.steady_disk_bytes),
-        ]);
-    }
-    table.print();
-}
-
-/// Print the runtime multi-tenant preset's per-point table.
-fn print_multi_tenant_table(report: &MultiTenantReport) {
-    let mut table = Table::new(
-        format!("Runtime {} (coordl::Server)", MULTI_TENANT_NAME),
-        &[
-            "point",
-            "agg hit ratio",
-            "peak dram",
-            "dram cap",
-            "quota excess",
-            "leftover",
-        ],
-    )
-    .with_caption(format!(
-        "{} tenants churning over {} epochs, {} items each; one stream across \
-         every shard and worker count, quotas and departure reclamation gated",
-        report.config.tenants, report.config.epochs, report.config.items
-    ));
-    for p in &report.points {
-        table.row(&[
-            p.label(),
-            format!("{:.3}", p.aggregate_hit_ratio),
-            p.peak_dram_used.to_string(),
-            p.dram_capacity.to_string(),
-            p.max_quota_excess.to_string(),
-            p.leftover_bytes.to_string(),
-        ]);
-    }
-    table.print();
-}
-
-fn run_multi_tenant_cmd(cmd: &RuntimeSweepCmd) -> Result<(), String> {
-    let report = run_multi_tenant(&MultiTenantConfig::scaled(cmd.scale));
-    print_multi_tenant_table(&report);
-    report.verify()?;
-    println!(
-        "multi-tenancy gate passed: {} shard counts, one stream (digest {:016x}), \
-         quotas enforced and every departed byte reclaimed",
-        report.points.len(),
-        report.digest().unwrap_or(0)
-    );
+/// Run one runtime preset at `scale`, print its table, write `out` if asked
+/// and only then gate — a gate failure must not discard the artifact CI
+/// needs for diagnosis.
+fn run_runtime_sweep(preset: &RuntimePreset, cmd: &SweepFlags) -> Result<(), String> {
+    let report = preset.run_scaled(cmd.scale, cmd.os_root.as_deref().map(Path::new));
+    report.print_table();
     if let Some(path) = &cmd.out {
         write_out(path, &report.to_json())?;
         println!("wrote {path}");
     }
-    Ok(())
-}
-
-/// Print the runtime real-bytes I/O preset's per-point table.
-fn print_fs_table(report: &FsSweepReport) {
-    let mut table = Table::new(
-        format!("Runtime {} (coordl::FsBackend over a VFS)", FS_SWEEP_NAME),
-        &[
-            "point",
-            "hit ratio",
-            "span hit/miss",
-            "vfs reads",
-            "vfs writes",
-            "manifest",
-            "measured s",
-        ],
-    )
-    .with_caption(format!(
-        "{} items, {} epochs; every fetch is a real page-aligned read, \
-         persistent points spill the SSD tier to files; one identical stream \
-         across the whole readahead x backing grid",
-        report.config.items, report.config.epochs
-    ));
-    for p in &report.points {
-        table.row(&[
-            p.label(),
-            format!("{:.3}", p.steady_hit_ratio),
-            format!("{}/{}", p.span_hits, p.span_misses),
-            p.vfs_reads.to_string(),
-            p.vfs_writes.to_string(),
-            if p.manifest_present { "yes" } else { "-" }.to_string(),
-            format!("{:.4}", p.measured_device_seconds),
-        ]);
-    }
-    table.print();
-}
-
-fn run_fs_sweep_cmd(cmd: &RuntimeSweepCmd) -> Result<(), String> {
-    let config = FsSweepConfig {
-        os_root: cmd.os_root.as_ref().map(std::path::PathBuf::from),
-        ..FsSweepConfig::scaled(cmd.scale)
-    };
-    let report = run_fs_sweep(&config);
-    print_fs_table(&report);
-    report.verify()?;
+    report.gate()?;
     println!(
-        "real-bytes gate passed: {} grid points on {}, one stream (digest \
-         {:016x}), physical reads exact and spill manifests durable",
-        report.points.len(),
-        if config.os_root.is_some() {
-            "the real filesystem"
-        } else {
-            "the in-memory VFS"
-        },
-        report.digest().unwrap_or(0)
-    );
-    if let Some(path) = &cmd.out {
-        write_out(path, &report.to_json())?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Print the runtime fault-injection preset's per-epoch table.
-fn print_chaos_table(report: &ChaosReport) {
-    let mut table = Table::new(
-        format!("Runtime {CHAOS_NAME} (coordl::PartitionedCacheCluster under faults)"),
-        &["epoch", "fault", "samples", "cached frac", "healthy frac"],
-    )
-    .with_caption(format!(
-        "{} nodes, {} items, {} epochs; healthy prefix = {} epoch(s); streams \
-         bit-identical across worker counts, faults included",
-        report.config.nodes, report.config.items, report.config.epochs, report.prefix_epochs
-    ));
-    for (e, &samples) in report.chaos_epoch_samples.iter().enumerate() {
-        let fault = report
-            .faults
-            .iter()
-            .filter(|f| f.at_epoch == e as u64)
-            .map(|f| format!("{} n{}", f.kind, f.node))
-            .collect::<Vec<_>>()
-            .join(", ");
-        table.row(&[
-            e.to_string(),
-            if fault.is_empty() {
-                "-".to_string()
-            } else {
-                fault
-            },
-            samples.to_string(),
-            format!("{:.3}", report.chaos_epoch_cached_fraction[e]),
-            if e + 1 == report.chaos_epoch_samples.len() {
-                format!("{:.3}", report.healthy_final_cached_fraction)
-            } else {
-                "-".to_string()
-            },
-        ]);
-    }
-    table.print();
-}
-
-fn run_chaos_sweep_cmd(cmd: &RuntimeSweepCmd) -> Result<(), String> {
-    let report = run_chaos(&ChaosConfig::scaled(cmd.scale));
-    print_chaos_table(&report);
-    report.verify()?;
-    println!(
-        "chaos gate passed: {} fault(s) injected, healthy prefix bit-identical \
-         (digest {:016x}), every sample delivered exactly once, no shard lost, \
-         hit ratio recovered",
-        report.faults.len(),
-        report.digest()
-    );
-    if let Some(path) = &cmd.out {
-        write_out(path, &report.to_json())?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_tier_sweep_cmd(cmd: &RuntimeSweepCmd) -> Result<(), String> {
-    let report = run_tier_sweep(&TierSweepConfig::scaled(cmd.scale));
-    print_tier_table(&report);
-    report.verify()?;
-    println!(
-        "hierarchy gate passed: {} grid points, one stream (digest {:016x}), \
-         SSD monotonically extends MinIO reach",
-        report.points.len(),
-        report.digest().unwrap_or(0)
-    );
-    if let Some(path) = &cmd.out {
-        write_out(path, &report.to_json())?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_worker_sweep_cmd(cmd: &RuntimeSweepCmd) -> Result<(), String> {
-    let report = run_worker_sweep(&WorkerSweepConfig::scaled(cmd.scale));
-    print_worker_table(&report);
-    report.bit_identical()?;
-    println!(
-        "bit-equality gate passed: {} worker counts, one stream (digest {:016x})",
-        report.points.len(),
-        report.digest().unwrap_or(0)
-    );
-    if let Some(path) = &cmd.out {
-        write_out(path, &report.to_json())?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-/// Print the runtime fetch sweep's per-point table.
-fn print_fetch_table(report: &FetchSweepReport) {
-    let mut table = Table::new(
-        format!("Runtime {} (coordl::Session fetch pool)", FETCH_SWEEP_NAME),
-        &[
-            "fetch threads",
-            "wall s",
-            "samples/s",
-            "speedup",
-            "fetch busy s",
-            "fetch stall s",
-        ],
-    )
-    .with_caption(format!(
-        "fetch-bound preset: {} items x {} B, {} cache shards (pinned), {} \
-         epochs; streams and stats bit-identical across all points",
-        report.config.items,
-        report.config.avg_item_bytes,
-        report.config.fetch_shards,
-        report.config.epochs
-    ));
-    for p in &report.points {
-        table.row(&[
-            p.fetch_threads.to_string(),
-            format!("{:.3}", p.wall_seconds),
-            format!("{:.0}", p.samples_per_sec),
-            format!("{:.2}x", report.speedup(p.fetch_threads).unwrap_or(1.0)),
-            format!("{:.3}", p.fetch_busy_seconds),
-            format!("{:.3}", p.fetch_stall_seconds),
-        ]);
-    }
-    table.print();
-}
-
-/// Gate the runtime fetch sweep: bit-equality always, wall-clock scaling
-/// only where the host can express it.  Called *after* any results JSON is
-/// on disk so a gate failure still leaves the artifact for diagnosis.
-fn gate_fetch_sweep(report: &FetchSweepReport) -> Result<(), String> {
-    report.bit_identical()?;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_f = report
-        .config
-        .fetch_thread_counts
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(1);
-    let Some(speedup) = report.speedup(max_f) else {
-        return Ok(());
-    };
-    if cores < MIN_FETCH_GATE_CORES {
-        // An undersized host measures the OS scheduler, not the fetch pool;
-        // the bit-equality and baseline digest gates still apply in full.
-        println!(
-            "note: only {cores} core(s) available; fetch-pool speedup gate \
-             skipped (measured {speedup:.2}x at fetch_threads={max_f})"
-        );
-        return Ok(());
-    }
-    if speedup >= MIN_FETCH_SPEEDUP {
-        return Ok(());
-    }
-    // The preset is sized (item floor + large raw items + decode
-    // multiplier 1) so the fetch stage dominates every point: on a host
-    // with enough cores the sharded pool beating the serial sweep is its
-    // whole reason to exist, and a miss is a regression.
-    Err(format!(
-        "fetch-sweep: fetch_threads={max_f} is only {speedup:.2}x over the \
-         serial fetch stage on a {cores}-core host \
-         (gate: >={MIN_FETCH_SPEEDUP:.1}x)"
-    ))
-}
-
-fn run_fetch_sweep_cmd(cmd: &RuntimeSweepCmd) -> Result<(), String> {
-    let report = run_fetch_sweep(&FetchSweepConfig::scaled(cmd.scale));
-    print_fetch_table(&report);
-    if let Some(path) = &cmd.out {
-        write_out(path, &report.to_json())?;
-        println!("wrote {path}");
-    }
-    gate_fetch_sweep(&report)?;
-    println!(
-        "parallel-fetch gate passed: {} fetch-thread counts, one stream \
-         (digest {:016x}), counters identical",
-        report.points.len(),
-        report.digest().unwrap_or(0)
+        "{} gate passed: {} point(s), one stream (digest {:016x}) at every {} value",
+        preset.name,
+        report.points().count(),
+        report.digest(),
+        preset.axis
     );
     Ok(())
 }
@@ -1039,9 +550,23 @@ fn print_mega_table(report: &MegaSweepReport) {
     );
 }
 
-fn run_mega_sweep_cmd(cmd: &MegaSweepCmd) -> Result<(), String> {
+/// The wall-clock half of the mega-sweep gate (`sweep mega-sweep` only: the
+/// smoke run gates the same ratio against the baseline instead).
+fn gate_mega_speedup(report: &MegaSweepReport) -> Result<(), String> {
+    let speedup = report.speedup_vs_exact();
+    if speedup < MIN_MEGA_SPEEDUP {
+        return Err(format!(
+            "mega-sweep: fast engine is only {speedup:.1}x the exact engine \
+             (gate: >={MIN_MEGA_SPEEDUP:.0}x); the vectorized path lost its \
+             advantage — profile pipeline::fast before shipping"
+        ));
+    }
+    Ok(())
+}
+
+fn run_mega_sweep_cmd(cmd: &SweepFlags) -> Result<(), String> {
     let cfg = MegaSweepConfig {
-        threads: cmd.threads,
+        threads: cmd.threads.unwrap_or(0),
         ..MegaSweepConfig::scaled(cmd.scale)
     };
     let report = run_mega_sweep(&cfg);
@@ -1051,67 +576,44 @@ fn run_mega_sweep_cmd(cmd: &MegaSweepCmd) -> Result<(), String> {
         println!("wrote {path}");
     }
     report.bit_identical()?;
-    let speedup = report.speedup_vs_exact();
-    if speedup < MIN_MEGA_SPEEDUP {
-        return Err(format!(
-            "mega-sweep: fast engine is only {speedup:.1}x the exact engine \
-             (gate: >={MIN_MEGA_SPEEDUP:.0}x); the vectorized path lost its \
-             advantage — profile pipeline::fast before shipping"
-        ));
-    }
+    gate_mega_speedup(&report)?;
     println!(
         "mega-sweep gate passed: {} points, {} exact re-runs bit-identical, \
-         {speedup:.1}x over the exact engine",
-        report.points, report.exact_points
+         {:.1}x over the exact engine",
+        report.points,
+        report.exact_points,
+        report.speedup_vs_exact()
     );
     Ok(())
 }
 
-/// Gate the runtime worker sweep: bit-equality always, wall-clock scaling
-/// only where the host can express it.  Called *after* the results JSON is
-/// on disk so a gate failure still leaves the artifact for diagnosis.
-fn gate_worker_sweep(report: &WorkerSweepReport) -> Result<(), String> {
-    report.bit_identical()?;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_workers = report
-        .config
-        .worker_counts
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(1);
-    let Some(speedup) = report.speedup(max_workers) else {
-        return Ok(());
-    };
-    if cores < max_workers {
-        // An undersized host measures the OS scheduler, not the executor;
-        // the bit-equality and baseline digest gates still apply in full.
-        println!(
-            "note: only {cores} core(s) available; wall-clock speedup gate \
-             skipped (measured {speedup:.2}x at workers={max_workers})"
-        );
-        return Ok(());
+/// Run one simulator suite across `threads` workers and again serially; the
+/// two must be bit-identical and no point may fail.
+fn smoke_suite(suite: &SweepSuite, cmd: &SmokeCmd) -> Result<SweepReport, String> {
+    let spec = suite.spec(cmd.scale);
+    let parallel = SweepRunner::with_threads(cmd.threads).run(&spec);
+    let serial = SweepRunner::serial().run(&spec);
+    if parallel != serial {
+        return Err(format!(
+            "suite {}: parallel run is not bit-identical to the serial run",
+            suite.name
+        ));
     }
-    if speedup > 1.0 {
-        return Ok(());
+    if parallel.num_failed() > 0 {
+        let labels: Vec<String> = parallel
+            .points
+            .iter()
+            .filter(|p| p.outcome.is_err())
+            .map(|p| p.label.label())
+            .collect();
+        return Err(format!(
+            "suite {}: {} point(s) failed: {}",
+            suite.name,
+            labels.len(),
+            labels.join(", ")
+        ));
     }
-    // The preset is sized (item floor + decode multiplier) so every point
-    // runs for hundreds of milliseconds of prep work even at smoke scale:
-    // on a host with enough cores, parallel prep beating serial is the
-    // executor's whole point, and a miss here is a regression — not
-    // scheduler jitter to be retried away at a different scale.
-    Err(format!(
-        "worker-sweep: workers={max_workers} did not beat workers=1 \
-         ({speedup:.2}x) on a {cores}-core host"
-    ))
-}
-
-/// Measure the runtime worker preset inside `smoke` (gating happens later,
-/// once the artifact is written).
-fn smoke_worker_sweep(cmd: &SmokeCmd) -> WorkerSweepReport {
-    let report = run_worker_sweep(&WorkerSweepConfig::scaled(cmd.scale));
-    print_worker_table(&report);
-    report
+    Ok(parallel)
 }
 
 /// `smoke --only <name>`: run a single suite / runtime preset with its own
@@ -1123,68 +625,22 @@ fn run_smoke_only(cmd: &SmokeCmd, name: &str) -> Result<(), String> {
         cmd.scale, cmd.threads
     );
     if let Some(suite) = find_suite(name) {
-        let spec = suite.spec(cmd.scale);
-        let parallel = SweepRunner::with_threads(cmd.threads).run(&spec);
-        let serial = SweepRunner::serial().run(&spec);
-        if parallel != serial {
-            return Err(format!(
-                "suite {name}: parallel run is not bit-identical to the serial run"
-            ));
-        }
-        if parallel.num_failed() > 0 {
-            return Err(format!(
-                "suite {name}: {} point(s) failed",
-                parallel.num_failed()
-            ));
-        }
-        print_suite_table(suite, &parallel);
+        let report = smoke_suite(suite, cmd)?;
+        print_suite_table(suite, &report);
         println!(
             "  {name}: parallel == serial, {} points",
-            parallel.points.len()
+            report.points.len()
         );
+    } else if let Some(preset) = find_preset(name) {
+        let report = preset.run_scaled(cmd.scale, None);
+        report.print_table();
+        report.gate()?;
     } else {
-        match name {
-            WORKER_SWEEP_NAME => {
-                let report = run_worker_sweep(&WorkerSweepConfig::scaled(cmd.scale));
-                print_worker_table(&report);
-                gate_worker_sweep(&report)?;
-            }
-            TIER_SWEEP_NAME => {
-                let report = run_tier_sweep(&TierSweepConfig::scaled(cmd.scale));
-                print_tier_table(&report);
-                report.verify()?;
-            }
-            MULTI_TENANT_NAME => {
-                let report = run_multi_tenant(&MultiTenantConfig::scaled(cmd.scale));
-                print_multi_tenant_table(&report);
-                report.verify()?;
-            }
-            FS_SWEEP_NAME => {
-                let report = run_fs_sweep(&FsSweepConfig::scaled(cmd.scale));
-                print_fs_table(&report);
-                report.verify()?;
-            }
-            CHAOS_NAME => {
-                let report = run_chaos(&ChaosConfig::scaled(cmd.scale));
-                print_chaos_table(&report);
-                report.verify()?;
-            }
-            FETCH_SWEEP_NAME => {
-                let report = run_fetch_sweep(&FetchSweepConfig::scaled(cmd.scale));
-                print_fetch_table(&report);
-                gate_fetch_sweep(&report)?;
-            }
-            MEGA_SWEEP_NAME => {
-                let report = run_mega_sweep(&MegaSweepConfig::scaled(cmd.scale));
-                print_mega_table(&report);
-                report.bit_identical()?;
-            }
-            other => {
-                // parse_smoke validated the name; reaching here means the
-                // registry and this dispatch went out of sync.
-                return Err(format!("--only {other} has no runner"));
-            }
-        }
+        // parse_smoke validated the name against `sweep_names`, whose only
+        // other member is the vectorized-engine sweep.
+        let report = run_mega_sweep(&MegaSweepConfig::scaled(cmd.scale));
+        print_mega_table(&report);
+        report.bit_identical()?;
     }
     println!(
         "note: --only {name} ran a single suite; no summary artifact written, \
@@ -1203,65 +659,30 @@ fn run_smoke(cmd: &SmokeCmd) -> Result<(), String> {
         cmd.scale,
         cmd.threads
     );
-    let parallel_runner = SweepRunner::with_threads(cmd.threads);
-    let serial_runner = SweepRunner::serial();
     let mut results: Vec<(&SweepSuite, SweepReport)> = Vec::new();
     for suite in &SUITES {
-        let spec = suite.spec(cmd.scale);
         let start = std::time::Instant::now();
-        let parallel = parallel_runner.run(&spec);
-        let serial = serial_runner.run(&spec);
-        if parallel != serial {
-            return Err(format!(
-                "suite {}: parallel run is not bit-identical to the serial run",
-                suite.name
-            ));
-        }
-        if parallel.num_failed() > 0 {
-            let labels: Vec<String> = parallel
-                .points
-                .iter()
-                .filter(|p| p.outcome.is_err())
-                .map(|p| p.label.label())
-                .collect();
-            return Err(format!(
-                "suite {}: {} point(s) failed: {}",
-                suite.name,
-                labels.len(),
-                labels.join(", ")
-            ));
-        }
+        let report = smoke_suite(suite, cmd)?;
         println!(
             "  {:<14} {:>2} points  parallel == serial  ({:.2?})",
             suite.name,
-            parallel.points.len(),
+            report.points.len(),
             start.elapsed()
         );
-        results.push((suite, parallel));
+        results.push((suite, report));
     }
 
-    // The runtime half: the worker-count and cache-hierarchy presets on the
-    // real executor.  Measure first, write the artifact, then gate — a gate
-    // failure must not discard the results CI needs for diagnosis.
-    let worker_report = smoke_worker_sweep(cmd);
-    let tier_report = run_tier_sweep(&TierSweepConfig::scaled(cmd.scale));
-    print_tier_table(&tier_report);
-    let mt_report = run_multi_tenant(&MultiTenantConfig::scaled(cmd.scale));
-    print_multi_tenant_table(&mt_report);
-    // The real-bytes preset always smokes on the in-memory VFS: its digests
-    // and physical-read counts are machine-independent there, which is what
-    // a cross-machine baseline can gate.  CI exercises the OsVfs leg
-    // separately via `sweep fs-sweep --os-root`.
-    let fs_report = run_fs_sweep(&FsSweepConfig::scaled(cmd.scale));
-    print_fs_table(&fs_report);
-    // The fault-injection preset: the partitioned runtime under a seeded
-    // membership schedule, next to its fault-free twin.
-    let chaos_report = run_chaos(&ChaosConfig::scaled(cmd.scale));
-    print_chaos_table(&chaos_report);
-    // The parallel-fetch preset: the fetch-bound workload over the sharded
-    // fetch pool, digest and counters pinned across fetch-thread counts.
-    let fetch_report = run_fetch_sweep(&FetchSweepConfig::scaled(cmd.scale));
-    print_fetch_table(&fetch_report);
+    // The runtime half: every registry preset on the real executor (the
+    // presets that can take an OS root smoke on the in-memory VFS, where
+    // their exact values are machine-independent).  Measure first, write
+    // the artifact, then gate — a gate failure must not discard the results
+    // CI needs for diagnosis.
+    let mut runtime_reports = Vec::new();
+    for preset in RUNTIME_PRESETS {
+        let report = preset.run_scaled(cmd.scale, None);
+        report.print_table();
+        runtime_reports.push(report);
+    }
     // The vectorized-engine preset runs with one thread per core (not
     // `--threads`, which exists to prove the parallel sweep path even on
     // undersized hosts): the recorded thread count then doubles as the
@@ -1269,26 +690,13 @@ fn run_smoke(cmd: &SmokeCmd) -> Result<(), String> {
     let mega_report = run_mega_sweep(&MegaSweepConfig::scaled(cmd.scale));
     print_mega_table(&mega_report);
 
-    let doc = smoke_json(
-        cmd,
-        &results,
-        &worker_report,
-        &tier_report,
-        &mt_report,
-        &fs_report,
-        &chaos_report,
-        &fetch_report,
-        &mega_report,
-    );
+    let doc = smoke_json(cmd, &results, &runtime_reports, &mega_report);
     write_out(&cmd.out, &doc)?;
     println!("wrote {}", cmd.out);
 
-    gate_worker_sweep(&worker_report)?;
-    tier_report.verify()?;
-    mt_report.verify()?;
-    fs_report.verify()?;
-    chaos_report.verify()?;
-    gate_fetch_sweep(&fetch_report)?;
+    for report in &runtime_reports {
+        report.gate()?;
+    }
     mega_report.bit_identical()?;
 
     if cmd.refresh_baseline {
@@ -1306,20 +714,14 @@ fn run_smoke(cmd: &SmokeCmd) -> Result<(), String> {
 }
 
 /// The `BENCH_sweep.json` / `ci/bench_baseline.json` document: per-preset
-/// simulated steady-state throughput (deterministic across machines) plus
-/// the runtime worker sweep (its stream digest and counters are
-/// deterministic and baseline-gated; its wall-clock numbers are
-/// informational).
-#[allow(clippy::too_many_arguments)]
+/// simulated steady-state throughput (deterministic across machines), one
+/// block per runtime preset under its registry-derived key (exact values
+/// baseline-gated, wall-clock values informational) and the
+/// vectorized-engine measurement.
 fn smoke_json(
     cmd: &SmokeCmd,
     results: &[(&SweepSuite, SweepReport)],
-    worker_report: &WorkerSweepReport,
-    tier_report: &TierSweepReport,
-    mt_report: &MultiTenantReport,
-    fs_report: &FsSweepReport,
-    chaos_report: &ChaosReport,
-    fetch_report: &FetchSweepReport,
+    runtime_reports: &[PresetReport],
     mega_report: &MegaSweepReport,
 ) -> String {
     let mut out = String::with_capacity(4096);
@@ -1351,18 +753,13 @@ fn smoke_json(
         }
         out.push_str("]}");
     }
-    out.push_str("],\"runtime_worker_sweep\":");
-    out.push_str(&worker_report.to_json());
-    out.push_str(",\"runtime_tier_sweep\":");
-    out.push_str(&tier_report.to_json());
-    out.push_str(",\"runtime_multi_tenant\":");
-    out.push_str(&mt_report.to_json());
-    out.push_str(",\"runtime_fs_sweep\":");
-    out.push_str(&fs_report.to_json());
-    out.push_str(",\"runtime_chaos\":");
-    out.push_str(&chaos_report.to_json());
-    out.push_str(",\"runtime_fetch_sweep\":");
-    out.push_str(&fetch_report.to_json());
+    out.push(']');
+    for report in runtime_reports {
+        out.push(',');
+        json::write_string(&mut out, &report.preset.smoke_key());
+        out.push(':');
+        out.push_str(&report.to_json());
+    }
     out.push_str(",\"sim_sweep\":");
     out.push_str(&mega_report.to_json());
     out.push('}');
@@ -1370,9 +767,8 @@ fn smoke_json(
 }
 
 /// Fail if any baseline preset's throughput regressed more than `tolerance`,
-/// or disappeared from the current run.  The runtime worker sweep's stream
-/// digest (a machine-independent hash of everything the executor delivered)
-/// is compared exactly when the baseline records one.
+/// or disappeared from the current run; if any *exact* value of a runtime
+/// preset's block moved at all; or if the vectorized engine lost its edge.
 fn check_baseline(
     path: &str,
     current_doc: &str,
@@ -1424,110 +820,21 @@ fn check_baseline(
         points
     };
 
-    // Behavioural gates on the runtime presets: a digest only changes when
-    // the delivered stream itself changes, which is a correctness event,
-    // not jitter.
-    let digest_of = |doc: &Value, preset: &str| -> Option<String> {
-        doc.get(preset)?
-            .get("stream_digest")
-            .and_then(Value::as_str)
-            .map(str::to_string)
-    };
-    for preset in [
-        "runtime_worker_sweep",
-        "runtime_tier_sweep",
-        "runtime_multi_tenant",
-        "runtime_fs_sweep",
-        "runtime_chaos",
-        "runtime_fetch_sweep",
-    ] {
-        if let Some(expected) = digest_of(&baseline, preset) {
-            let got = digest_of(&current, preset);
-            if got.as_deref() != Some(expected.as_str()) {
-                return Err(format!(
-                    "{preset} stream digest changed: baseline {path} has \
-                     {expected}, this run produced {} — the runtime now delivers \
-                     different bytes; fix the regression or refresh the baseline \
-                     after an intentional change",
-                    got.as_deref().unwrap_or("<missing>"),
-                ));
-            }
-        }
-    }
-
-    // The tier sweep's per-point hit ratios are exact counter arithmetic
-    // (virtual sizes, no wall clock), so they are compared exactly: any
-    // drift means the hierarchy's placement or demotion behaviour changed.
-    let tier_ratios = |doc: &Value| -> Vec<(String, f64, f64, f64)> {
-        let mut out = Vec::new();
-        for p in doc
-            .get("runtime_tier_sweep")
-            .and_then(|t| t.get("points"))
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            if let (Some(label), Some(total), Some(dram), Some(ssd)) = (
-                p.get("label").and_then(Value::as_str),
-                p.get("steady_hit_ratio").and_then(Value::as_f64),
-                p.get("dram_hit_ratio").and_then(Value::as_f64),
-                p.get("ssd_hit_ratio").and_then(Value::as_f64),
-            ) {
-                out.push((label.to_string(), total, dram, ssd));
-            }
-        }
-        out
-    };
-    let current_ratios = tier_ratios(&current);
-    for (label, total, dram, ssd) in tier_ratios(&baseline) {
-        let Some((_, cur_total, cur_dram, cur_ssd)) =
-            current_ratios.iter().find(|(l, ..)| *l == label)
-        else {
-            return Err(format!("runtime_tier_sweep/{label}: missing from this run"));
-        };
-        let same = |a: f64, b: f64| (a - b).abs() <= 1e-9;
-        if !same(total, *cur_total) || !same(dram, *cur_dram) || !same(ssd, *cur_ssd) {
-            return Err(format!(
-                "runtime_tier_sweep/{label}: per-tier hit ratios changed \
-                 (total/dram/ssd {total:.6}/{dram:.6}/{ssd:.6} -> \
-                 {cur_total:.6}/{cur_dram:.6}/{cur_ssd:.6}); the cache \
-                 hierarchy behaves differently — fix it or refresh the baseline"
-            ));
-        }
-    }
-
-    // Like the tier sweep, the multi-tenant preset's aggregate hit ratio is
-    // exact counter arithmetic over a deterministic churn schedule: any
-    // drift means admission, quota scaling or reclamation changed.
-    let mt_ratios = |doc: &Value| -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for p in doc
-            .get("runtime_multi_tenant")
-            .and_then(|t| t.get("points"))
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            if let (Some(label), Some(ratio)) = (
-                p.get("label").and_then(Value::as_str),
-                p.get("aggregate_hit_ratio").and_then(Value::as_f64),
-            ) {
-                out.push((label.to_string(), ratio));
-            }
-        }
-        out
-    };
-    let current_mt = mt_ratios(&current);
-    for (label, ratio) in mt_ratios(&baseline) {
-        let Some((_, cur)) = current_mt.iter().find(|(l, _)| *l == label) else {
-            return Err(format!(
-                "runtime_multi_tenant/{label}: missing from this run"
-            ));
-        };
-        if (ratio - *cur).abs() > 1e-9 {
-            return Err(format!(
-                "runtime_multi_tenant/{label}: aggregate hit ratio changed \
-                 ({ratio:.6} -> {cur:.6}); the shared hierarchy behaves \
-                 differently under churn — fix it or refresh the baseline"
-            ));
+    // Behavioural gates on the runtime presets: every leaf a preset does not
+    // declare as timing is machine-independent (digests, hit ratios,
+    // physical read/write counts, cached fractions), so it only moves when
+    // the runtime itself behaves differently — a correctness event, not
+    // jitter.
+    for preset in RUNTIME_PRESETS {
+        let key = preset.smoke_key();
+        if let Some(expected) = baseline.get(&key) {
+            compare_exact(&key, expected, current.get(&key), preset.timing).map_err(|e| {
+                format!(
+                    "{e} (baseline {path}) — the runtime now behaves differently; \
+                     fix the regression or refresh the baseline after an \
+                     intentional change"
+                )
+            })?;
         }
     }
 
@@ -1692,16 +999,12 @@ fn main() -> ExitCode {
             Ok(())
         }
         Ok(Command::List) => {
-            run_list();
+            list_table().print();
+            println!("\nrun one with: dstool sweep <name>   (or 'dstool sweep all')");
             Ok(())
         }
-        Ok(Command::Sweep(cmd)) => run_sweep(&cmd),
-        Ok(Command::WorkerSweep(cmd)) => run_worker_sweep_cmd(&cmd),
-        Ok(Command::TierSweep(cmd)) => run_tier_sweep_cmd(&cmd),
-        Ok(Command::MultiTenantSweep(cmd)) => run_multi_tenant_cmd(&cmd),
-        Ok(Command::FsSweep(cmd)) => run_fs_sweep_cmd(&cmd),
-        Ok(Command::ChaosSweep(cmd)) => run_chaos_sweep_cmd(&cmd),
-        Ok(Command::FetchSweep(cmd)) => run_fetch_sweep_cmd(&cmd),
+        Ok(Command::Sweep(suites, cmd)) => run_sweep(&suites, &cmd),
+        Ok(Command::RuntimeSweep(preset, cmd)) => run_runtime_sweep(preset, &cmd),
         Ok(Command::MegaSweep(cmd)) => run_mega_sweep_cmd(&cmd),
         Ok(Command::Smoke(cmd)) => run_smoke(&cmd),
         Ok(Command::Validate(cmd)) => run_validate(&cmd),
@@ -1724,6 +1027,28 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Gate `current` against `baseline`, written to a temp file of its own
+    /// (tests run on parallel threads and must not share one).
+    fn gate(baseline: &str, current: &str) -> Result<(), String> {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let file = format!("dstool_gate_{}_{n}.json", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        std::fs::write(&path, baseline).unwrap();
+        let outcome = check_baseline(path.to_str().unwrap(), current, 0.10, 8);
+        let _ = std::fs::remove_file(&path);
+        outcome
+    }
+
+    /// A minimal smoke document carrying `block` under `key`.
+    fn doc_with(key: &str, block: &str) -> String {
+        format!(
+            r#"{{"extra_scale":8,"suites":[
+            {{"suite":"s","points":[{{"label":"a","steady_samples_per_sec":1000}}]}}],
+            "{key}":{block}}}"#
+        )
+    }
+
     #[test]
     fn parses_list_and_rejects_extras() {
         assert!(matches!(parse_args(&args(&["list"])), Ok(Command::List)));
@@ -1738,7 +1063,7 @@ mod tests {
 
     #[test]
     fn parses_sweep_flags() {
-        let Ok(Command::Sweep(cmd)) = parse_args(&args(&[
+        let Ok(Command::Sweep(suites, cmd)) = parse_args(&args(&[
             "sweep",
             "cache-sweep",
             "--threads",
@@ -1750,17 +1075,17 @@ mod tests {
         ])) else {
             panic!("expected sweep command");
         };
-        assert_eq!(cmd.suites.len(), 1);
-        assert_eq!(cmd.suites[0].name, "cache-sweep");
+        assert_eq!(suites.len(), 1);
+        assert_eq!(suites[0].name, "cache-sweep");
         assert_eq!(cmd.threads, Some(3));
         assert_eq!(cmd.scale, 4);
         assert_eq!(cmd.out.as_deref(), Some("x.json"));
 
-        let Ok(Command::Sweep(all)) = parse_args(&args(&["sweep", "all", "--serial"])) else {
+        let Ok(Command::Sweep(all, cmd)) = parse_args(&args(&["sweep", "all", "--serial"])) else {
             panic!("expected sweep command");
         };
-        assert_eq!(all.suites.len(), SUITES.len());
-        assert!(all.serial);
+        assert_eq!(all.len(), SUITES.len());
+        assert!(cmd.serial);
     }
 
     #[test]
@@ -1771,52 +1096,60 @@ mod tests {
         assert!(parse_args(&args(&["sweep", "all", "--threads", "0"])).is_err());
     }
 
-    #[test]
-    fn worker_sweep_is_routed_to_the_runtime_preset() {
-        let Ok(Command::WorkerSweep(cmd)) = parse_args(&args(&[
-            "sweep",
-            WORKER_SWEEP_NAME,
-            "--scale",
-            "4",
-            "--out",
-            "w.json",
-        ])) else {
-            panic!("expected worker-sweep command");
-        };
-        assert_eq!(cmd.scale, 4);
-        assert_eq!(cmd.out.as_deref(), Some("w.json"));
-        // The simulator threading flags do not apply to the runtime preset.
-        assert!(parse_args(&args(&["sweep", WORKER_SWEEP_NAME, "--serial"])).is_err());
-        assert!(parse_args(&args(&["sweep", WORKER_SWEEP_NAME, "--threads", "2"])).is_err());
-    }
-
-    #[test]
-    fn tier_sweep_is_routed_to_the_runtime_preset() {
-        let Ok(Command::TierSweep(cmd)) =
-            parse_args(&args(&["sweep", TIER_SWEEP_NAME, "--scale", "2"]))
+    /// `sweep <preset>` reaches the runtime harness with `--scale`/`--out`
+    /// parsed, rejects the simulator threading flags, and takes `--os-root`
+    /// exactly when the preset's registry row declares it.
+    fn assert_routed(preset: &'static RuntimePreset) {
+        let name = preset.name;
+        let Ok(Command::RuntimeSweep(routed, cmd)) =
+            parse_args(&args(&["sweep", name, "--scale", "4", "--out", "p.json"]))
         else {
-            panic!("expected tier-sweep command");
+            panic!("expected the runtime preset {name}");
         };
-        assert_eq!(cmd.scale, 2);
-        assert!(parse_args(&args(&["sweep", TIER_SWEEP_NAME, "--serial"])).is_err());
+        assert!(
+            std::ptr::eq(routed, preset),
+            "{name} routed to {}",
+            routed.name
+        );
+        assert_eq!(cmd.scale, 4);
+        assert_eq!(cmd.out.as_deref(), Some("p.json"));
+        assert!(
+            cmd.os_root.is_none(),
+            "default: deterministic in-memory VFS"
+        );
+        // Defaults: full fidelity, no artifact.
+        let Ok(Command::RuntimeSweep(_, cmd)) = parse_args(&args(&["sweep", name])) else {
+            panic!("expected the runtime preset {name}");
+        };
+        assert_eq!(cmd.scale, 1);
+        assert!(cmd.out.is_none());
+        // The simulator threading flags do not apply to a runtime preset.
+        assert!(parse_args(&args(&["sweep", name, "--serial"])).is_err());
+        assert!(parse_args(&args(&["sweep", name, "--threads", "2"])).is_err());
+        let with_root = parse_args(&args(&["sweep", name, "--os-root", "/tmp/fsroot"]));
+        if preset.takes_os_root {
+            let Ok(Command::RuntimeSweep(_, cmd)) = with_root else {
+                panic!("{name} declares --os-root");
+            };
+            assert_eq!(cmd.os_root.as_deref(), Some("/tmp/fsroot"));
+        } else {
+            let Err(err) = with_root else {
+                panic!("--os-root only applies to presets that declare it, not {name}");
+            };
+            assert!(err.contains("--os-root") && err.contains(name), "{err}");
+        }
     }
 
     #[test]
-    fn multi_tenant_is_routed_to_the_runtime_preset() {
-        let Ok(Command::MultiTenantSweep(cmd)) = parse_args(&args(&[
-            "sweep",
-            MULTI_TENANT_NAME,
-            "--scale",
-            "2",
-            "--out",
-            "mt.json",
-        ])) else {
-            panic!("expected multi-tenant command");
-        };
-        assert_eq!(cmd.scale, 2);
-        assert_eq!(cmd.out.as_deref(), Some("mt.json"));
-        assert!(parse_args(&args(&["sweep", MULTI_TENANT_NAME, "--serial"])).is_err());
-        assert!(parse_args(&args(&["sweep", MULTI_TENANT_NAME, "--threads", "2"])).is_err());
+    fn every_registered_preset_is_routed_to_the_runtime_harness() {
+        for preset in RUNTIME_PRESETS {
+            assert_routed(preset);
+        }
+        assert_eq!(
+            RUNTIME_PRESETS.iter().filter(|p| p.takes_os_root).count(),
+            1,
+            "--os-root stays the one preset-specific flag"
+        );
     }
 
     #[test]
@@ -1834,15 +1167,41 @@ mod tests {
             panic!("expected mega-sweep command");
         };
         assert_eq!(cmd.scale, 8);
-        assert_eq!(cmd.threads, 2);
+        assert_eq!(cmd.threads, Some(2));
         assert_eq!(cmd.out.as_deref(), Some("mega.json"));
         // Defaults: full grid, one thread per core.
         let Ok(Command::MegaSweep(cmd)) = parse_args(&args(&["sweep", MEGA_SWEEP_NAME])) else {
             panic!("expected mega-sweep command");
         };
         assert_eq!(cmd.scale, 1);
-        assert_eq!(cmd.threads, 0);
+        assert_eq!(cmd.threads, None);
         assert!(parse_args(&args(&["sweep", MEGA_SWEEP_NAME, "--serial"])).is_err());
+    }
+
+    #[test]
+    fn mega_gates_reject_a_doctored_report() {
+        let healthy = MegaSweepReport {
+            points: 2000,
+            threads: 2,
+            fast_seconds: 0.05,
+            exact_points: 2000,
+            exact_seconds: 1.0,
+            mismatches: 0,
+        };
+        healthy.bit_identical().unwrap();
+        gate_mega_speedup(&healthy).expect("20x clears the 10x gate");
+        let slow = MegaSweepReport {
+            fast_seconds: 0.2,
+            ..healthy.clone()
+        };
+        let err = gate_mega_speedup(&slow).unwrap_err();
+        assert!(err.contains("only 5.0x") && err.contains(">=10x"), "{err}");
+        let diverged = MegaSweepReport {
+            mismatches: 3,
+            ..healthy
+        };
+        let err = diverged.bit_identical().unwrap_err();
+        assert!(err.contains("3 of 2000"), "{err}");
     }
 
     #[test]
@@ -1863,42 +1222,45 @@ mod tests {
         let baseline = r#"{"extra_scale":8,"suites":[
             {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
             "sim_sweep":{"points_per_sec":32000,"threads":4,"speedup_vs_exact":20.0}}"#;
-        let dir = std::env::temp_dir().join("dstool_sim_sweep_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
         // Same numbers: passes.
-        check_baseline(path.to_str().unwrap(), baseline, 0.10, 8).unwrap();
+        gate(baseline, baseline).unwrap();
         // Fewer threads at proportional throughput: per-core rate unchanged,
         // still passes — the gate is cores-normalized.
         let fewer = baseline
             .replace("32000", "8000")
             .replace("\"threads\":4", "\"threads\":1");
-        check_baseline(path.to_str().unwrap(), &fewer, 0.10, 8).unwrap();
+        gate(baseline, &fewer).unwrap();
         // Speedup collapsing below half the baseline is a hard failure.
-        let slow = baseline.replace("20.0", "6.0");
-        let err = check_baseline(path.to_str().unwrap(), &slow, 0.10, 8).unwrap_err();
+        let err = gate(baseline, &baseline.replace("20.0", "6.0")).unwrap_err();
         assert!(err.contains("fast-over-exact speedup"), "{err}");
         // Per-core throughput collapsing below a quarter is too.
-        let cold = baseline.replace("32000", "1000");
-        let err = check_baseline(path.to_str().unwrap(), &cold, 0.10, 8).unwrap_err();
+        let err = gate(baseline, &baseline.replace("32000", "1000")).unwrap_err();
         assert!(err.contains("points/sec/core"), "{err}");
         // A baseline that records the preset requires the run to produce it.
         let missing = r#"{"extra_scale":8,"suites":[
             {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}]}"#;
-        let err = check_baseline(path.to_str().unwrap(), missing, 0.10, 8).unwrap_err();
+        let err = gate(baseline, missing).unwrap_err();
         assert!(err.contains("sim_sweep"), "{err}");
     }
 
     #[test]
     fn unknown_names_list_the_valid_ones() {
+        // Every registered name — simulator suite, mega-sweep, runtime
+        // preset — shows up wherever a name is listed or accepted.
         let Err(err) = parse_args(&args(&["sweep", "nope"])) else {
             panic!("expected an unknown-suite error");
         };
-        for name in RUNTIME_PRESETS {
+        let (help, list) = (usage(), list_table().render());
+        for name in sweep_names() {
             assert!(err.contains(name), "suite error lists {name}: {err}");
+            assert!(list.contains(name), "list shows {name}");
+            assert!(help.contains(&format!("sweep {name}")) || find_suite(name).is_some());
         }
-        assert!(err.contains("cache-sweep"), "{err}");
+        for preset in RUNTIME_PRESETS {
+            assert!(sweep_names().contains(&preset.name));
+            assert!(help.contains(preset.description), "{}", preset.name);
+        }
+        assert!(help.contains("[--os-root DIR]"), "declared flags are shown");
         let Err(err) = parse_args(&args(&["bogus"])) else {
             panic!("expected an unknown-command error");
         };
@@ -1907,86 +1269,123 @@ mod tests {
         }
     }
 
-    #[test]
-    fn baseline_gate_compares_multi_tenant_ratios_exactly() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_multi_tenant":{"stream_digest":"00000000deadbeef","points":[
-                {"label":"shards=1","aggregate_hit_ratio":0.5},
-                {"label":"shards=4","aggregate_hit_ratio":0.49}]}}"#;
-        let dir = std::env::temp_dir().join("dstool_mt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        check_baseline(path.to_str().unwrap(), baseline, 0.10, 8).unwrap();
-        // A drifted aggregate hit ratio is a hard failure.
-        let drifted = baseline.replace("0.49}", "0.48}");
-        let err = check_baseline(path.to_str().unwrap(), &drifted, 0.10, 8).unwrap_err();
-        assert!(err.contains("aggregate hit ratio changed"), "{err}");
-        // A changed digest too.
-        let changed = baseline.replace("deadbeef", "0badf00d");
-        let err = check_baseline(path.to_str().unwrap(), &changed, 0.10, 8).unwrap_err();
-        assert!(err.contains("stream digest changed"), "{err}");
-        // A missing point is reported as such.
-        let missing = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_multi_tenant":{"stream_digest":"00000000deadbeef","points":[
-                {"label":"shards=1","aggregate_hit_ratio":0.5}]}}"#;
-        let err = check_baseline(path.to_str().unwrap(), missing, 0.10, 8).unwrap_err();
+    /// The baseline gate compares every exact leaf of the preset's block:
+    /// the stream digest, exact point fields matched by label, and the
+    /// presence of every baseline point — while timing leaves move freely.
+    fn assert_exact_leaves_gated(preset: &RuntimePreset) {
+        let key = preset.smoke_key();
+        let timing = preset
+            .timing
+            .first()
+            .map_or(String::new(), |t| format!(",\"{t}\":1.5"));
+        let point = |label: &str, ratio: &str| {
+            format!(r#"{{"label":"{label}","hit_ratio":{ratio}{timing}}}"#)
+        };
+        let block = |points: &[String]| {
+            let points = points.join(",");
+            doc_with(
+                &key,
+                &format!(r#"{{"stream_digest":"00000000deadbeef","points":[{points}]}}"#),
+            )
+        };
+        let baseline = block(&[point("p=1", "0.5"), point("p=2", "0.49")]);
+        gate(&baseline, &baseline).unwrap();
+        // Wall clock is never gated.
+        gate(&baseline, &baseline.replace(":1.5", ":99.0")).unwrap();
+        // A changed digest means the runtime delivered different bytes.
+        let err = gate(&baseline, &baseline.replace("deadbeef", "0badf00d")).unwrap_err();
         assert!(
-            err.contains("runtime_multi_tenant/shards=4") && err.contains("missing"),
+            err.contains(&format!("{key}/stream_digest changed")) && err.contains("0badf00d"),
+            "{err}"
+        );
+        // A drifted exact field is a hard failure within any tolerance.
+        let err = gate(&baseline, &baseline.replace("0.49", "0.48")).unwrap_err();
+        assert!(
+            err.contains(&format!("{key}/points/p=2/hit_ratio changed")),
+            "{err}"
+        );
+        // A missing point, and a missing block, are reported as such.
+        let err = gate(&baseline, &block(&[point("p=1", "0.5")])).unwrap_err();
+        assert!(
+            err.contains(&format!("{key}/points/p=2: missing from this run")),
+            "{err}"
+        );
+        let err = gate(&baseline, &doc_with("other", "{}")).unwrap_err();
+        assert!(
+            err.contains(&format!("{key}: missing from this run")),
             "{err}"
         );
     }
 
     #[test]
-    fn baseline_gate_compares_tier_sweep_ratios_exactly() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_tier_sweep":{"stream_digest":"00000000deadbeef","points":[
-                {"label":"dram=35%,ssd=25%","steady_hit_ratio":0.6,
-                 "dram_hit_ratio":0.35,"ssd_hit_ratio":0.25}]}}"#;
-        let dir = std::env::temp_dir().join("dstool_tier_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        check_baseline(path.to_str().unwrap(), baseline, 0.10, 8).unwrap();
-        // A drifted ratio is a hard failure even within any throughput
-        // tolerance.
-        let drifted = baseline.replace("0.25}", "0.26}");
-        let err = check_baseline(path.to_str().unwrap(), &drifted, 0.10, 8).unwrap_err();
-        assert!(err.contains("per-tier hit ratios changed"), "{err}");
-        // A missing point is reported as such.
-        let missing = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_tier_sweep":{"stream_digest":"00000000deadbeef","points":[]}}"#;
-        let err = check_baseline(path.to_str().unwrap(), missing, 0.10, 8).unwrap_err();
-        assert!(err.contains("missing from this run"), "{err}");
+    fn baseline_gate_compares_every_exact_leaf_of_every_preset() {
+        for preset in RUNTIME_PRESETS {
+            assert_exact_leaves_gated(preset);
+        }
     }
 
     #[test]
-    fn baseline_gate_compares_the_runtime_stream_digest() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_worker_sweep":{"stream_digest":"00000000deadbeef"}}"#;
-        let dir = std::env::temp_dir().join("dstool_digest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        // Matching digest: passes.
-        let same = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_worker_sweep":{"stream_digest":"00000000deadbeef"}}"#;
-        check_baseline(path.to_str().unwrap(), same, 0.10, 8).unwrap();
-        // Changed digest: behavioural regression, hard failure.
-        let changed = same.replace("deadbeef", "0badf00d");
-        let err = check_baseline(path.to_str().unwrap(), &changed, 0.10, 8).unwrap_err();
-        assert!(err.contains("stream digest changed"), "{err}");
-        // Missing section counts as a change too.
-        let missing = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}]}"#;
-        let err = check_baseline(path.to_str().unwrap(), missing, 0.10, 8).unwrap_err();
-        assert!(err.contains("<missing>"), "{err}");
+    fn smoke_document_exact_projection_matches_the_committed_baseline() {
+        let Ok(Command::Smoke(cmd)) = parse_args(&args(&["smoke"])) else {
+            panic!("expected smoke command");
+        };
+        let results: Vec<(&SweepSuite, SweepReport)> = SUITES
+            .iter()
+            .map(|suite| (suite, smoke_suite(suite, &cmd).expect("suite smokes clean")))
+            .collect();
+        let reports: Vec<PresetReport> = RUNTIME_PRESETS
+            .iter()
+            .map(|p| p.run_scaled(cmd.scale, None))
+            .collect();
+        for report in &reports {
+            report
+                .gate()
+                .expect("every preset gates green at smoke scale");
+        }
+        let mega = run_mega_sweep(&MegaSweepConfig::scaled(cmd.scale));
+        let current = json::parse(&smoke_json(&cmd, &results, &reports, &mega)).unwrap();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/ci/bench_baseline.json");
+        let baseline = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+
+        // The document's key set — its shape with every leaf blanked — is
+        // pinned by the baseline, timing keys included.
+        fn shape(v: &Value) -> Value {
+            match v {
+                Value::Object(map) => {
+                    Value::Object(map.iter().map(|(k, v)| (k.clone(), shape(v))).collect())
+                }
+                Value::Array(items) => Value::Array(items.iter().map(shape).collect()),
+                _ => Value::Null,
+            }
+        }
+        assert_eq!(shape(&current), shape(&baseline));
+        assert_eq!(current.get("schema"), baseline.get("schema"));
+
+        // Exact projection: every top-level block minus its timing leaves,
+        // compared both ways so neither side has an exact leaf the other
+        // lacks.
+        const SIM_SWEEP_TIMING: [&str; 6] = [
+            "threads",
+            "fast_seconds",
+            "points_per_sec",
+            "exact_seconds",
+            "exact_points_per_sec",
+            "speedup_vs_exact",
+        ];
+        let Value::Object(blocks) = &baseline else {
+            panic!("baseline is an object");
+        };
+        for (key, block) in blocks {
+            let preset = RUNTIME_PRESETS.iter().find(|p| p.smoke_key() == *key);
+            let timing: &[&str] = match preset {
+                Some(p) => p.timing,
+                None if key == "sim_sweep" => &SIM_SWEEP_TIMING,
+                None => &[],
+            };
+            let ours = current.get(key);
+            compare_exact(key, block, ours, timing).unwrap();
+            compare_exact(key, ours.unwrap(), Some(block), timing).unwrap();
+        }
     }
 
     #[test]
@@ -2058,98 +1457,8 @@ mod tests {
     }
 
     #[test]
-    fn fs_sweep_is_routed_to_the_runtime_preset() {
-        let Ok(Command::FsSweep(cmd)) = parse_args(&args(&[
-            "sweep",
-            FS_SWEEP_NAME,
-            "--scale",
-            "2",
-            "--out",
-            "fs.json",
-            "--os-root",
-            "/tmp/fsroot",
-        ])) else {
-            panic!("expected fs-sweep command");
-        };
-        assert_eq!(cmd.scale, 2);
-        assert_eq!(cmd.out.as_deref(), Some("fs.json"));
-        assert_eq!(cmd.os_root.as_deref(), Some("/tmp/fsroot"));
-        // Default: deterministic in-memory VFS.
-        let Ok(Command::FsSweep(cmd)) = parse_args(&args(&["sweep", FS_SWEEP_NAME])) else {
-            panic!("expected fs-sweep command");
-        };
-        assert!(cmd.os_root.is_none());
-        assert!(parse_args(&args(&["sweep", FS_SWEEP_NAME, "--serial"])).is_err());
-        // --os-root is fs-sweep-specific: the other runtime presets never
-        // touch a filesystem.
-        let Err(err) = parse_args(&args(&["sweep", TIER_SWEEP_NAME, "--os-root", "/tmp/x"])) else {
-            panic!("--os-root only applies to fs-sweep");
-        };
-        assert!(err.contains("--os-root"), "{err}");
-    }
-
-    #[test]
-    fn chaos_is_routed_to_the_runtime_preset() {
-        let Ok(Command::ChaosSweep(cmd)) = parse_args(&args(&[
-            "sweep",
-            CHAOS_NAME,
-            "--scale",
-            "2",
-            "--out",
-            "chaos.json",
-        ])) else {
-            panic!("expected chaos command");
-        };
-        assert_eq!(cmd.scale, 2);
-        assert_eq!(cmd.out.as_deref(), Some("chaos.json"));
-        assert!(parse_args(&args(&["sweep", CHAOS_NAME, "--serial"])).is_err());
-        assert!(parse_args(&args(&["sweep", CHAOS_NAME, "--threads", "2"])).is_err());
-        assert!(parse_args(&args(&["sweep", CHAOS_NAME, "--os-root", "/tmp/x"])).is_err());
-    }
-
-    #[test]
-    fn baseline_gate_compares_the_chaos_stream_digest() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_chaos":{"stream_digest":"00000000deadbeef"}}"#;
-        let dir = std::env::temp_dir().join("dstool_chaos_digest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        check_baseline(path.to_str().unwrap(), baseline, 0.10, 8).unwrap();
-        // A changed digest means the faulted stream itself changed: the
-        // fault schedule, the rebalance or the retry path regressed.
-        let changed = baseline.replace("deadbeef", "0badf00d");
-        let err = check_baseline(path.to_str().unwrap(), &changed, 0.10, 8).unwrap_err();
-        assert!(
-            err.contains("runtime_chaos") && err.contains("stream digest changed"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn fetch_sweep_is_routed_to_the_runtime_preset() {
-        let Ok(Command::FetchSweep(cmd)) = parse_args(&args(&[
-            "sweep",
-            FETCH_SWEEP_NAME,
-            "--scale",
-            "2",
-            "--out",
-            "fetch.json",
-        ])) else {
-            panic!("expected fetch-sweep command");
-        };
-        assert_eq!(cmd.scale, 2);
-        assert_eq!(cmd.out.as_deref(), Some("fetch.json"));
-        // The simulator threading flags and the fs-sweep root do not apply.
-        assert!(parse_args(&args(&["sweep", FETCH_SWEEP_NAME, "--serial"])).is_err());
-        assert!(parse_args(&args(&["sweep", FETCH_SWEEP_NAME, "--threads", "2"])).is_err());
-        assert!(parse_args(&args(&["sweep", FETCH_SWEEP_NAME, "--os-root", "/tmp/x"])).is_err());
-    }
-
-    #[test]
     fn smoke_only_accepts_every_registered_suite_name() {
-        for name in smoke_only_names() {
+        for name in sweep_names() {
             let Ok(Command::Smoke(cmd)) = parse_args(&args(&["smoke", "--only", name])) else {
                 panic!("--only {name} should parse");
             };
@@ -2167,11 +1476,9 @@ mod tests {
         let Err(err) = parse_args(&args(&["smoke", "--only", "nope"])) else {
             panic!("expected an unknown-suite error");
         };
-        for name in RUNTIME_PRESETS {
+        for name in sweep_names() {
             assert!(err.contains(name), "--only error lists {name}: {err}");
         }
-        assert!(err.contains(MEGA_SWEEP_NAME), "{err}");
-        assert!(err.contains("cache-sweep"), "{err}");
     }
 
     #[test]
@@ -2179,50 +1486,12 @@ mod tests {
         let Err(err) = parse_args(&args(&[
             "smoke",
             "--only",
-            WORKER_SWEEP_NAME,
+            RUNTIME_PRESETS[0].name,
             "--refresh-baseline",
         ])) else {
             panic!("a partial smoke must not refresh the baseline");
         };
         assert!(err.contains("--only"), "{err}");
-    }
-
-    #[test]
-    fn baseline_gate_compares_the_fetch_sweep_stream_digest() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_fetch_sweep":{"stream_digest":"00000000deadbeef"}}"#;
-        let dir = std::env::temp_dir().join("dstool_fetch_digest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        check_baseline(path.to_str().unwrap(), baseline, 0.10, 8).unwrap();
-        // A changed digest means the fetch pool delivered different bytes
-        // (or different counters fed the sweep): a correctness event.
-        let changed = baseline.replace("deadbeef", "0badf00d");
-        let err = check_baseline(path.to_str().unwrap(), &changed, 0.10, 8).unwrap_err();
-        assert!(
-            err.contains("runtime_fetch_sweep") && err.contains("stream digest changed"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn baseline_gate_compares_the_fs_sweep_stream_digest() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "runtime_fs_sweep":{"stream_digest":"00000000deadbeef"}}"#;
-        let dir = std::env::temp_dir().join("dstool_fs_digest_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        check_baseline(path.to_str().unwrap(), baseline, 0.10, 8).unwrap();
-        let changed = baseline.replace("deadbeef", "0badf00d");
-        let err = check_baseline(path.to_str().unwrap(), &changed, 0.10, 8).unwrap_err();
-        assert!(
-            err.contains("runtime_fs_sweep") && err.contains("stream digest changed"),
-            "{err}"
-        );
     }
 
     #[test]
@@ -2280,11 +1549,7 @@ mod tests {
         let current = r#"{"extra_scale":8,"suites":[
             {"suite":"s","points":[
                 {"label":"a","steady_samples_per_sec":850}]}]}"#;
-        let dir = std::env::temp_dir().join("dstool_baseline_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        std::fs::write(&path, baseline).unwrap();
-        let err = check_baseline(path.to_str().unwrap(), current, 0.10, 8).unwrap_err();
+        let err = gate(baseline, current).unwrap_err();
         assert!(err.contains("s/a"), "regression reported: {err}");
         assert!(err.contains("s/gone"), "missing preset reported: {err}");
         // Within tolerance: passes.
@@ -2292,12 +1557,38 @@ mod tests {
             {"suite":"s","points":[
                 {"label":"a","steady_samples_per_sec":950},
                 {"label":"gone","steady_samples_per_sec":480}]}]}"#;
-        check_baseline(path.to_str().unwrap(), ok_current, 0.10, 8).unwrap();
+        gate(baseline, ok_current).unwrap();
         // A scale mismatch is an error, not a spurious regression report.
-        let err = check_baseline(path.to_str().unwrap(), ok_current, 0.10, 2).unwrap_err();
+        let err = gate(&baseline.replace(":8,", ":2,"), ok_current).unwrap_err();
         assert!(
             err.contains("extra_scale"),
             "scale mismatch reported: {err}"
         );
+    }
+
+    // The per-preset tests of earlier PRs, kept under their names (the
+    // tier-1 floor lists them) as instances of the table-driven checks
+    // above, so each still fails alone when its preset regresses.
+    macro_rules! per_preset {
+        ($($test:ident => $check:ident($name:literal);)*) => {$(
+            #[test]
+            fn $test() {
+                $check(find_preset($name).expect("preset left the registry"));
+            }
+        )*};
+    }
+    per_preset! {
+        worker_sweep_is_routed_to_the_runtime_preset => assert_routed("worker-sweep");
+        tier_sweep_is_routed_to_the_runtime_preset => assert_routed("tier-sweep");
+        multi_tenant_is_routed_to_the_runtime_preset => assert_routed("multi-tenant");
+        fs_sweep_is_routed_to_the_runtime_preset => assert_routed("fs-sweep");
+        chaos_is_routed_to_the_runtime_preset => assert_routed("chaos");
+        fetch_sweep_is_routed_to_the_runtime_preset => assert_routed("fetch-sweep");
+        baseline_gate_compares_the_runtime_stream_digest => assert_exact_leaves_gated("worker-sweep");
+        baseline_gate_compares_tier_sweep_ratios_exactly => assert_exact_leaves_gated("tier-sweep");
+        baseline_gate_compares_multi_tenant_ratios_exactly => assert_exact_leaves_gated("multi-tenant");
+        baseline_gate_compares_the_fs_sweep_stream_digest => assert_exact_leaves_gated("fs-sweep");
+        baseline_gate_compares_the_chaos_stream_digest => assert_exact_leaves_gated("chaos");
+        baseline_gate_compares_the_fetch_sweep_stream_digest => assert_exact_leaves_gated("fetch-sweep");
     }
 }

@@ -10,7 +10,7 @@
 //! section additionally drives arbitrary dataset/batch/worker/shard shapes
 //! through the executor and checks the exactly-once sampler invariants.
 
-use benchkit::{run_worker_sweep, WorkerSweepConfig};
+use benchkit::{parallel, Workload};
 use datastalls::cache::PolicyKind;
 use datastalls::coordl::{Mode, Session, SessionConfig};
 use datastalls::dataset::EpochSampler;
@@ -176,14 +176,15 @@ fn prep_heavy_preset_speeds_up_with_workers_where_cores_allow() {
     // The wall-clock half of the contract ("workers(4) beats workers(1)")
     // needs real cores; the bit-equality half holds everywhere and is
     // asserted unconditionally.
-    let cfg = WorkerSweepConfig {
-        worker_counts: vec![1, 4],
+    let workload = Workload {
+        axis: &[1, 4],
         items: 512,
-        ..WorkerSweepConfig::default()
+        ..parallel::PRESET.workload
     };
-    let report = run_worker_sweep(&cfg);
+    let report = parallel::run(&workload);
     report
         .bit_identical()
+        .and_then(|()| report.identical_across_points())
         .expect("workers(4) must deliver the workers(1) stream bit-for-bit");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let speedup = report.speedup(4).expect("both points measured");
