@@ -2,7 +2,7 @@
 //! cache fetches, executable prep, and a full coordinated epoch with
 //! concurrent consumers.
 
-use coordl::{MinIoByteCache, Mode, Session, SessionConfig};
+use coordl::{CacheTier, Mode, Session, SessionConfig, TieredByteCache};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
 use prep::{ExecutablePipeline, PrepPipeline};
@@ -13,16 +13,16 @@ use std::time::Duration;
 fn bench_byte_cache(c: &mut Criterion) {
     let spec = DatasetSpec::new("micro", 4_096, 4_096, 0.0, 4.0);
     let store = SyntheticItemStore::new(spec.clone(), 1);
-    let cache = MinIoByteCache::new(spec.total_bytes());
+    let cache = TieredByteCache::single(dcache::PolicyKind::MinIo, spec.total_bytes());
     for item in 0..spec.num_items {
-        cache.insert(item, Arc::new(store.read(item)));
+        cache.admit(item, Arc::new(store.read(item)));
     }
     let mut group = c.benchmark_group("minio_byte_cache");
     group.throughput(Throughput::Elements(spec.num_items));
     group.bench_function("get_hit", |b| {
         b.iter(|| {
             for item in 0..spec.num_items {
-                black_box(cache.get(item));
+                black_box(cache.lookup(item));
             }
         });
     });

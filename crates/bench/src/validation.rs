@@ -934,7 +934,7 @@ pub fn run_validation(cfg: &ValidationConfig) -> ValidationReport {
     );
 
     // The page-cache baseline: the *same* LRU policy code runs inside the
-    // simulator's StorageNode and inside the runtime's PolicyByteCache.
+    // simulator's StorageNode and inside the runtime's TieredByteCache.
     push_rows(
         &mut rows,
         "single-lru",

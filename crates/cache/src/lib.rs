@@ -34,7 +34,7 @@ pub use hierarchy::{ChainAccess, ChainSource, DemotionStats, TierChain, TierCost
 pub use partitioned::{Location, PartitionedIndex, ServerId};
 pub use policy::{ClockCache, FifoCache, LruCache, MinIoCache, PolicyKind};
 pub use ring::{rendezvous_order, rendezvous_pick, rendezvous_score};
-pub use sharded::{shard_of_key, ShardedChain};
+pub use sharded::{shard_capacity, shard_of_key, ShardedChain};
 pub use stats::{AccessOutcome, CacheStats};
 
 use std::hash::Hash;
@@ -85,8 +85,9 @@ pub trait Cache<K: Hash + Eq + Clone> {
 
     /// Keys evicted since the last call, in eviction order.
     ///
-    /// Byte-holding wrappers (the CoorDL runtime's `PolicyByteCache`) use
-    /// this to drop the payloads of evicted entries.  Returns nothing unless
+    /// [`TierChain`] uses this to demote victims to the next tier and to tell
+    /// byte-holding wrappers (the CoorDL runtime's `TieredByteCache`) which
+    /// payloads to drop.  Returns nothing unless
     /// [`Cache::set_eviction_tracking`] was enabled first.
     fn take_evicted(&mut self) -> Vec<K> {
         Vec::new()

@@ -4,9 +4,10 @@
 //! implementation of the paper's three techniques, unified behind one
 //! [`Session`] builder that mirrors the simulator's `pipeline::Experiment`:
 //!
-//! * the **MinIO cache** ([`MinIoByteCache`]) — a DNN-aware software cache
-//!   that admits raw items until full and never evicts them, so every epoch
-//!   after warm-up performs only capacity misses (§4.1),
+//! * the **MinIO cache** (`PolicyKind::MinIo` in a [`TieredByteCache`]) — a
+//!   DNN-aware software cache that admits raw items until full and never
+//!   evicts them, so every epoch after warm-up performs only capacity misses
+//!   (§4.1),
 //! * **coordinated prep** ([`Mode::Coordinated`], [`StagingArea`]) — when
 //!   several hyper-parameter-search jobs train on the same dataset on one
 //!   server, the dataset is fetched and pre-processed exactly once per epoch
@@ -17,8 +18,8 @@
 //!   cache tier holds a shard of the dataset and local misses are served from
 //!   the remote cache instead of storage (§4.2).
 //!
-//! A session composes a pluggable [`CacheTier`] (MinIO, or any
-//! `coordl-cache` policy via [`PolicyByteCache`]) over a pluggable
+//! A session composes a pluggable [`CacheTier`] (a [`TieredByteCache`] under
+//! MinIO or any other `coordl-cache` policy) over a pluggable
 //! [`FetchBackend`] ([`DirectBackend`], or [`ProfiledBackend`] timed by a
 //! `storage::DeviceProfile`), hands out per-job [`BatchStream`] iterators
 //! from [`Session::epoch`] and produces a [`LoaderReport`] whose JSON is
@@ -40,7 +41,6 @@
 //! fresh per-epoch randomness, sharing, and fault handling.
 
 pub mod backend;
-pub mod cache;
 pub mod coordinator;
 pub mod error;
 pub(crate) mod executor;
@@ -57,7 +57,6 @@ pub mod stats;
 pub mod tier;
 
 pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
-pub use cache::MinIoByteCache;
 pub use coordinator::{EpochSession, JobEpochIterator};
 pub use error::CoordlError;
 pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan, FaultStep};
@@ -73,6 +72,4 @@ pub use session::{
 };
 pub use staging::{PublishOutcome, StagingArea, StagingStats, TakeError};
 pub use stats::LoaderStats;
-pub use tier::{
-    ByteTierSpec, CacheTier, PolicyByteCache, TierBacking, TierSnapshot, TieredByteCache,
-};
+pub use tier::{ByteTierSpec, CacheTier, TierBacking, TierSnapshot, TieredByteCache};

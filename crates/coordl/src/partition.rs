@@ -672,9 +672,9 @@ impl RemotePeerTier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::MinIoByteCache;
-    use crate::DirectBackend;
+    use crate::{DirectBackend, TieredByteCache};
     use dataset::{DataSource, DatasetSpec, EpochSampler, SyntheticItemStore};
+    use dcache::PolicyKind;
 
     fn dataset(n: u64, size: u64) -> Arc<SyntheticItemStore> {
         Arc::new(SyntheticItemStore::new(
@@ -683,15 +683,20 @@ mod tests {
         ))
     }
 
-    /// The historical MinIO-per-server stack, built through the explicit
-    /// constructor the sessions use.
+    /// A MinIO-per-server stack, built through the explicit constructor the
+    /// sessions use.
     fn minio_cluster(
         dataset: Arc<dyn DataSource>,
         num_servers: usize,
         per_server_cache_bytes: u64,
     ) -> PartitionedCacheCluster {
         let tiers = (0..num_servers)
-            .map(|_| Arc::new(MinIoByteCache::new(per_server_cache_bytes)) as Arc<dyn CacheTier>)
+            .map(|_| {
+                Arc::new(TieredByteCache::single(
+                    PolicyKind::MinIo,
+                    per_server_cache_bytes,
+                )) as Arc<dyn CacheTier>
+            })
             .collect();
         PartitionedCacheCluster::with_stack(
             Arc::new(DirectBackend::new(dataset)),
@@ -823,10 +828,7 @@ mod tests {
         let ds = dataset(n, 100);
         let tiers = (0..2)
             .map(|_| {
-                Arc::new(crate::PolicyByteCache::new(
-                    dcache::PolicyKind::Lru,
-                    100 * 100,
-                )) as Arc<dyn CacheTier>
+                Arc::new(TieredByteCache::single(PolicyKind::Lru, 100 * 100)) as Arc<dyn CacheTier>
             })
             .collect();
         let cluster = PartitionedCacheCluster::with_stack(
@@ -867,10 +869,7 @@ mod tests {
         // With an evicting peer policy, `contains` must track the peer's
         // actual residency, not the (stale) directory registration.
         let lru_tiers = (0..2)
-            .map(|_| {
-                Arc::new(crate::PolicyByteCache::new(dcache::PolicyKind::Lru, 300))
-                    as Arc<dyn CacheTier>
-            })
+            .map(|_| Arc::new(TieredByteCache::single(PolicyKind::Lru, 300)) as Arc<dyn CacheTier>)
             .collect();
         let lru_cluster = Arc::new(PartitionedCacheCluster::with_stack(
             Arc::new(DirectBackend::new(dataset(40, 100))),
@@ -916,14 +915,14 @@ mod tests {
     /// A tier that works normally until poisoned, then panics on lookup —
     /// the stand-in for a peer whose cache process died mid-request.
     struct PoisonableTier {
-        inner: MinIoByteCache,
+        inner: TieredByteCache,
         poisoned: AtomicBool,
     }
 
     impl PoisonableTier {
         fn new(capacity: u64) -> Self {
             PoisonableTier {
-                inner: MinIoByteCache::new(capacity),
+                inner: TieredByteCache::single(PolicyKind::MinIo, capacity),
                 poisoned: AtomicBool::new(false),
             }
         }
@@ -970,7 +969,7 @@ mod tests {
         let ds = dataset(n, 64);
         let poisonable = Arc::new(PoisonableTier::new(64 * n));
         let tiers: Vec<Arc<dyn CacheTier>> = vec![
-            Arc::new(MinIoByteCache::new(64 * n)),
+            Arc::new(TieredByteCache::single(PolicyKind::MinIo, 64 * n)),
             Arc::clone(&poisonable) as Arc<dyn CacheTier>,
         ];
         let cluster = PartitionedCacheCluster::with_stack(

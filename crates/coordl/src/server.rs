@@ -3,8 +3,9 @@
 //!
 //! The paper's coordination story (§4.3, §5) assumes a fixed set of jobs;
 //! production serving means jobs arriving and departing continuously against
-//! one DRAM→SSD hierarchy.  A [`Server`] owns a single concurrent
-//! [`ShardedChain`] and admits workloads dynamically:
+//! one DRAM→SSD hierarchy.  A [`Server`] owns a single sharded
+//! [`TieredByteCache`] — the same hierarchy every [`Session`] builds for
+//! itself — and admits workloads dynamically:
 //!
 //! * [`Server::submit`] builds a [`Session`] whose cache tier is a
 //!   [`TenantView`] — a per-tenant window onto the shared hierarchy with a
@@ -27,23 +28,24 @@
 //! bit-identical to a standalone session (pinned by
 //! `tests/server_equivalence.rs`).
 //!
-//! Concurrency: every per-key operation locks the key's payload shard, then
-//! the tenant's counters, then the chain shard (a strict order, so tenants
-//! never deadlock), and all locks recover from poisoning — one tenant's
-//! panicking worker cannot take the server down.
+//! Ownership and concurrency: the cache owns payloads, residency, spill
+//! files and the shared statistics — one shard lock covers all of them —
+//! while a [`TenantView`] owns only its key offset, its quota arithmetic
+//! and its private counters.  Every per-key operation locks the tenant's
+//! counters, then the key's cache shard (a strict order, so tenants never
+//! deadlock).  All of these are `parking_lot` mutexes, which do not poison:
+//! one tenant's panicking worker cannot take the server down.
 
 use crate::error::CoordlError;
 use crate::report::{LoaderReport, TenantReport};
 use crate::session::{Mode, Session, SessionConfig};
-use crate::tier::{intern_label, ByteTierSpec, CacheTier, TierBacking, TierSnapshot};
+use crate::tier::{Admission, ByteTierSpec, CacheTier, TierSnapshot, TieredByteCache};
 use dataset::{DataSource, ItemId};
-use dcache::{ChainSource, PolicyKind, ShardedChain, TierCost};
+use dcache::PolicyKind;
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use storage::{AccessPattern, DeviceProfile};
-use vfs::SpillStore;
+use storage::DeviceProfile;
 
 /// Each tenant's keys live in a private `KEY_STRIDE`-sized window of the
 /// shared `u64` key space, so tenants can never collide on a chain key and a
@@ -57,7 +59,11 @@ pub struct ServerConfig {
     /// level must use [`PolicyKind::MinIo`] (see the [module docs](self)).
     pub tiers: Vec<ByteTierSpec>,
     /// Number of independently locked shards the hierarchy is split into
-    /// (1 = a single lock, bit-identical to the single-owner chain).
+    /// (1 = a single lock, bit-identical to the single-owner chain).  A
+    /// persistent level of a server with `shards > 1` spills into
+    /// `{dir}/shard-{k}`, exactly as a sharded [`Session`] does (1 shard
+    /// keeps the flat layout); the directory is a cache, so a server
+    /// restarted over another layout or shard count simply starts cold.
     pub shards: usize,
 }
 
@@ -89,9 +95,10 @@ pub struct TenantSpec {
 
 /// Per-tenant cache accounting, updated under the tenant's own mutex.
 ///
-/// Per-tenant operations are serial (each session fetches on one thread), so
-/// this lock is uncontended in steady state; it exists so [`Server`]-side
-/// readers (fair-share reports, invariant checks) see consistent numbers.
+/// Per-tenant operations are serial ([`Server::submit`] enforces that each
+/// session fetches on one thread), so this lock is uncontended in steady
+/// state; it exists so [`Server`]-side readers (fair-share reports,
+/// invariant checks) see consistent numbers.
 #[derive(Debug, Default)]
 struct TenantCounters {
     hits: u64,
@@ -128,37 +135,18 @@ struct TenantShared {
     /// read on the fetch path.
     effective_quota: AtomicU64,
     counters: Mutex<TenantCounters>,
-    departed: AtomicBool,
-}
-
-/// The shared hierarchy: the sharded chain plus the payload bytes,
-/// co-sharded so a key's payload and its residency share one lock scope.
-struct ServerCore {
-    chain: ShardedChain,
-    payloads: Vec<Mutex<HashMap<u64, Arc<Vec<u8>>>>>,
-    specs: Vec<ByteTierSpec>,
-    /// Modelled per-hit cost of each profiled level (`None` for DRAM).
-    costs: Vec<Option<TierCost>>,
-    /// Durable shadow of each [`TierBacking::Vfs`] level's resident set
-    /// (`None` for memory-backed levels).  Locked strictly after the
-    /// payload shard, tenant counters and chain shard, so the fetch path's
-    /// lock order is never inverted.
-    spills: Vec<Option<Mutex<SpillStore>>>,
-    /// Hierarchy label, following `TieredByteCache`'s naming exactly so a
-    /// one-tenant server reports the same `cache_policy`.
-    label: &'static str,
 }
 
 struct ServerInner {
-    core: Arc<ServerCore>,
+    cache: Arc<TieredByteCache>,
     registry: Mutex<Vec<Arc<TenantShared>>>,
     next_id: AtomicU64,
 }
 
 /// Recompute every active tenant's effective quota.  Called under the
 /// registry lock on each arrival and departure.
-fn recompute_shares(core: &ServerCore, tenants: &[Arc<TenantShared>]) {
-    let dram_capacity = core.chain.tier_spec(0).capacity_bytes;
+fn recompute_shares(cache: &TieredByteCache, tenants: &[Arc<TenantShared>]) {
+    let dram_capacity = cache.specs()[0].capacity_bytes;
     let total: u128 = tenants.iter().map(|t| t.quota_bytes as u128).sum();
     for t in tenants {
         let effective = if total <= dram_capacity as u128 {
@@ -175,7 +163,7 @@ fn recompute_shares(core: &ServerCore, tenants: &[Arc<TenantShared>]) {
 /// are offset into the tenant's private namespace and whose hit/miss/byte
 /// counters are private, while residency decisions and capacity are shared.
 pub struct TenantView {
-    core: Arc<ServerCore>,
+    cache: Arc<TieredByteCache>,
     tenant: Arc<TenantShared>,
 }
 
@@ -184,44 +172,26 @@ impl TenantView {
         self.tenant.key_base + item
     }
 
-    /// The admission floor for a `size`-byte item: 0 (DRAM allowed) while
-    /// the tenant is within its effective quota, 1 (spill below) otherwise.
+    /// The admission floor for a `size`-byte item given the tenant's
+    /// resident `dram_bytes`: 0 (DRAM allowed) while the tenant is within
+    /// its effective quota, 1 (spill below) otherwise.
     ///
     /// For a lone tenant whose quota is the DRAM capacity this is the same
     /// arithmetic as MinIO's internal `used + size <= capacity` check, and a
     /// floor-1 bypass records the same level-0 statistics as a MinIO
     /// admission refusal — the root of the one-tenant bitwise equivalence.
-    fn admission_floor(&self, counters: &TenantCounters, size: u64) -> usize {
+    fn admission_floor(&self, dram_bytes: u64, size: u64) -> usize {
         let quota = self.tenant.effective_quota.load(Ordering::Acquire);
-        if counters.dram_bytes + size <= quota {
-            0
-        } else {
-            1
-        }
+        usize::from(dram_bytes + size > quota)
     }
+}
 
-    /// Account an admission (first admission or a promotion copy).
-    fn record_admission(&self, counters: &mut TenantCounters, key: u64, size: u64) {
-        if self.core.chain.locate(key) == Some(0) {
-            counters.dram_bytes += size;
-        }
-        counters.total_bytes += size;
+/// Account a new resident copy (first admission or a promotion copy).
+fn record_copy(counters: &mut TenantCounters, level: usize, size: u64) {
+    if level == 0 {
+        counters.dram_bytes += size;
     }
-
-    /// Mirror an admission that landed in a persistent level into that
-    /// level's spill store.  A no-op for memory-backed landings (the common
-    /// DRAM case), so purely in-memory servers never touch a spill lock.
-    fn record_spill(&self, key: u64, bytes: &[u8]) {
-        let Some(level) = self.core.chain.locate(key) else {
-            return;
-        };
-        if let Some(spill) = &self.core.spills[level] {
-            spill
-                .lock()
-                .write(key, bytes)
-                .expect("spill write failed on admission");
-        }
-    }
+    counters.total_bytes += size;
 }
 
 impl CacheTier for TenantView {
@@ -230,65 +200,48 @@ impl CacheTier for TenantView {
     }
 
     fn lookup_traced(&self, item: ItemId) -> Option<(Arc<Vec<u8>>, usize)> {
-        let key = self.key(item);
-        let payload = self.core.payloads[self.core.chain.shard_of(key)].lock();
         let mut counters = self.tenant.counters.lock();
-        let Some(bytes) = payload.get(&key).map(Arc::clone) else {
+        let dram_bytes = counters.dram_bytes;
+        let Some(hit) = self.cache.lookup_with_floor(self.key(item), |size| {
+            self.admission_floor(dram_bytes, size)
+        }) else {
             counters.misses += 1;
             return None;
         };
         counters.hits += 1;
-        let size = bytes.len() as u64;
-        let floor = self.admission_floor(&counters, size);
-        let access = self.core.chain.access_with_floor(key, size, floor);
-        let level = match access.source {
-            ChainSource::Tier(k) => k,
-            ChainSource::Store => unreachable!("payload implies residency"),
-        };
-        debug_assert!(access.dropped.is_empty(), "MinIO tiers never drop keys");
-        if access.admitted {
+        if let Some(level) = hit.landed {
             // A hit below DRAM was promoted: one more resident copy.
-            self.record_admission(&mut counters, key, size);
-            self.record_spill(key, &bytes);
+            record_copy(&mut counters, level, hit.bytes.len() as u64);
         }
-        counters.level_hits[level] += 1;
-        for miss in &mut counters.level_misses[..level] {
+        counters.level_hits[hit.level] += 1;
+        for miss in &mut counters.level_misses[..hit.level] {
             *miss += 1;
         }
-        if let Some(cost) = &self.core.costs[level] {
-            counters.level_seconds[level] += cost.access_seconds(size);
-        }
-        Some((bytes, level))
+        counters.level_seconds[hit.level] += hit.device_seconds;
+        Some((hit.bytes, hit.level))
     }
 
     fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        let key = self.key(item);
-        let mut payload = self.core.payloads[self.core.chain.shard_of(key)].lock();
-        if let Some(existing) = payload.get(&key) {
-            // A concurrent admit won the race; keep the resident copy.
-            return Arc::clone(existing);
-        }
         let mut counters = self.tenant.counters.lock();
         let size = bytes.len() as u64;
-        let floor = self.admission_floor(&counters, size);
-        let access = self.core.chain.access_with_floor(key, size, floor);
-        debug_assert_eq!(access.source, ChainSource::Store, "payload was absent");
-        debug_assert!(access.dropped.is_empty(), "MinIO tiers never drop keys");
+        let floor = self.admission_floor(counters.dram_bytes, size);
+        let (bytes, outcome) = self.cache.admit_with_floor(self.key(item), bytes, floor);
+        if let Admission::Raced = outcome {
+            return bytes;
+        }
         // The chain consulted (and missed) every level.
         for miss in &mut counters.level_misses {
             *miss += 1;
         }
-        if access.admitted {
-            self.record_admission(&mut counters, key, size);
+        if let Admission::Landed(level) = outcome {
+            record_copy(&mut counters, level, size);
             counters.resident_items += 1;
-            payload.insert(key, Arc::clone(&bytes));
-            self.record_spill(key, &bytes);
         }
         bytes
     }
 
     fn contains(&self, item: ItemId) -> bool {
-        self.core.chain.contains(self.key(item))
+        self.cache.contains(self.key(item))
     }
 
     fn used_bytes(&self) -> u64 {
@@ -297,7 +250,7 @@ impl CacheTier for TenantView {
 
     fn capacity_bytes(&self) -> u64 {
         // Capacity is shared: every tenant sees the full hierarchy.
-        self.core.chain.capacity_bytes()
+        self.cache.capacity_bytes()
     }
 
     fn resident_items(&self) -> usize {
@@ -313,36 +266,25 @@ impl CacheTier for TenantView {
     }
 
     fn policy_name(&self) -> &'static str {
-        self.core.label
+        self.cache.policy_name()
     }
 
     fn tier_snapshots(&self) -> Vec<TierSnapshot> {
         let counters = self.tenant.counters.lock();
-        (0..self.core.specs.len())
-            .map(|k| {
-                let spec = &self.core.specs[k];
-                TierSnapshot {
-                    name: spec.name,
-                    policy: spec.policy.name(),
-                    // Capacity and occupancy describe the *shared* level;
-                    // hits, misses and device time are this tenant's own.
-                    capacity_bytes: self.core.chain.tier_spec(k).capacity_bytes,
-                    used_bytes: self.core.chain.tier_used_bytes(k),
-                    resident_items: self.core.chain.tier_len(k),
-                    hits: counters.level_hits[k],
-                    misses: counters.level_misses[k],
-                    evictions: 0,
-                    demoted_in: 0,
-                    demoted_out: 0,
-                    device_seconds: counters.level_seconds[k],
-                }
-            })
-            .collect()
+        // Capacity and occupancy describe the *shared* level; hits, misses
+        // and device time are this tenant's own.
+        let mut snaps = self.cache.tier_snapshots();
+        for (k, snap) in snaps.iter_mut().enumerate() {
+            snap.hits = counters.level_hits[k];
+            snap.misses = counters.level_misses[k];
+            snap.device_seconds = counters.level_seconds[k];
+        }
+        snaps
     }
 }
 
-/// A long-lived multi-tenant runtime: one shared [`ShardedChain`] hierarchy,
-/// dynamically admitted [`Session`]s.  See the [module docs](self).
+/// A long-lived multi-tenant runtime: one shared [`TieredByteCache`]
+/// hierarchy, dynamically admitted [`Session`]s.  See the [module docs](self).
 pub struct Server {
     inner: Arc<ServerInner>,
 }
@@ -371,87 +313,16 @@ impl Server {
                 bad.policy.name()
             )));
         }
-        let chain_specs = config.tiers.iter().map(ByteTierSpec::tier_spec).collect();
-        let chain = ShardedChain::new(chain_specs, config.shards);
-        let payloads: Vec<Mutex<HashMap<u64, Arc<Vec<u8>>>>> = (0..config.shards)
-            .map(|_| Mutex::new(HashMap::new()))
-            .collect();
-        // Open every persistent level's spill store and warm the shared
-        // hierarchy from its manifest: each recorded key is re-offered at
-        // its own level (the floor keeps it out of faster tiers) and its
-        // payload read back into the co-sharded payload map.  Keys carry
-        // their original tenant-window offsets, and tenant ids restart from
-        // zero, so a resubmitted workload lines up with its warmed window.
-        // Warmed bytes are not charged to any tenant's quota until that
-        // tenant touches them (a DRAM promotion is accounted as usual).
-        let mut spills = Vec::with_capacity(config.tiers.len());
-        for (level, tier) in config.tiers.iter().enumerate() {
-            match &tier.backing {
-                TierBacking::Memory => spills.push(None),
-                TierBacking::Vfs { vfs, dir } => {
-                    let mut spill = SpillStore::open(Arc::clone(vfs), dir).map_err(|e| {
-                        CoordlError::InvalidConfig(format!(
-                            "persistent tier {:?} failed to open {dir}: {e}",
-                            tier.name
-                        ))
-                    })?;
-                    for (key, len) in spill.entries().collect::<Vec<_>>() {
-                        let access = chain.access_with_floor(key, len, level);
-                        if access.admitted {
-                            let payload = spill.read(key).map_err(|e| {
-                                CoordlError::InvalidConfig(format!(
-                                    "persistent tier {:?} failed replaying item {key}: {e}",
-                                    tier.name
-                                ))
-                            })?;
-                            payloads[chain.shard_of(key)]
-                                .lock()
-                                .insert(key, Arc::new(payload));
-                        } else {
-                            // The level shrank across the restart: the entry
-                            // no longer fits, so retire its on-disk copy.
-                            let _ = spill.remove(key);
-                        }
-                    }
-                    spills.push(Some(Mutex::new(spill)));
-                }
-            }
-        }
-        // Warm contents, cold statistics.
-        chain.reset_stats();
-        let costs = config
-            .tiers
-            .iter()
-            .map(|t| {
-                t.profile
-                    .as_ref()
-                    .map(|p| p.tier_cost(AccessPattern::Random))
-            })
-            .collect();
-        // Same labeling rules as TieredByteCache, so a one-tenant server's
-        // report carries the same `cache_policy` string.
-        let label = if config.tiers.len() == 1 {
-            config.tiers[0].policy.name()
-        } else {
-            intern_label(
-                config
-                    .tiers
-                    .iter()
-                    .map(|t| format!("{}:{}", t.name, t.policy.name()))
-                    .collect::<Vec<_>>()
-                    .join("+"),
-            )
-        };
+        // Persistent levels warm the shared hierarchy from their manifests.
+        // Keys carry their original tenant-window offsets, and tenant ids
+        // restart from zero, so a resubmitted workload lines up with its
+        // warmed window.  Warmed bytes are not charged to any tenant's quota
+        // until that tenant touches them (a DRAM promotion is accounted as
+        // usual).
+        let cache = TieredByteCache::try_new_sharded(config.tiers, config.shards)?;
         Ok(Server {
             inner: Arc::new(ServerInner {
-                core: Arc::new(ServerCore {
-                    chain,
-                    payloads,
-                    specs: config.tiers,
-                    costs,
-                    spills,
-                    label,
-                }),
+                cache: Arc::new(cache),
                 registry: Mutex::new(Vec::new()),
                 next_id: AtomicU64::new(0),
             }),
@@ -472,6 +343,16 @@ impl Server {
                 spec.dataset.len()
             )));
         }
+        if spec.session.fetch_threads > 1 {
+            // The quota counter is tenant-wide and the session's fetch-pool
+            // ownership map hashes `item`, not `key_base + item`: concurrent
+            // admissions would make residency depend on thread timing.
+            return Err(CoordlError::InvalidConfig(format!(
+                "tenant session.fetch_threads must be 1 (got {}): a tenant's \
+                 quota accounting is serial",
+                spec.session.fetch_threads
+            )));
+        }
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         let key_base = id
             .checked_mul(KEY_STRIDE)
@@ -482,11 +363,10 @@ impl Server {
             key_base,
             quota_bytes: spec.quota_bytes,
             effective_quota: AtomicU64::new(spec.quota_bytes),
-            counters: Mutex::new(TenantCounters::new(self.inner.core.specs.len())),
-            departed: AtomicBool::new(false),
+            counters: Mutex::new(TenantCounters::new(self.inner.cache.specs().len())),
         });
         let view = TenantView {
-            core: Arc::clone(&self.inner.core),
+            cache: Arc::clone(&self.inner.cache),
             tenant: Arc::clone(&tenant),
         };
         // Build the session *before* registering, so a config error leaves
@@ -501,7 +381,7 @@ impl Server {
         {
             let mut registry = self.inner.registry.lock();
             registry.push(Arc::clone(&tenant));
-            recompute_shares(&self.inner.core, &registry);
+            recompute_shares(&self.inner.cache, &registry);
         }
         Ok(TenantHandle {
             session,
@@ -519,8 +399,8 @@ impl Server {
     /// tenant ever issued (departures do not reset it) — the number
     /// `dstool validate`'s churn scenario compares against the simulator.
     pub fn aggregate_hit_ratio(&self) -> f64 {
-        let hits = self.inner.core.chain.hits();
-        let total = hits + self.inner.core.chain.store_misses();
+        let hits = self.inner.cache.hits();
+        let total = hits + self.inner.cache.misses();
         if total == 0 {
             0.0
         } else {
@@ -530,32 +410,32 @@ impl Server {
 
     /// Bytes resident across all tiers and tenants.
     pub fn used_bytes(&self) -> u64 {
-        self.inner.core.chain.used_bytes()
+        self.inner.cache.used_bytes()
     }
 
     /// Bytes resident in the DRAM tier across all tenants.
     pub fn dram_used_bytes(&self) -> u64 {
-        self.inner.core.chain.tier_used_bytes(0)
+        self.inner.cache.tier_snapshots()[0].used_bytes
     }
 
     /// Total capacity of the shared hierarchy.
     pub fn capacity_bytes(&self) -> u64 {
-        self.inner.core.chain.capacity_bytes()
+        self.inner.cache.capacity_bytes()
     }
 
     /// Capacity of the DRAM tier.
     pub fn dram_capacity_bytes(&self) -> u64 {
-        self.inner.core.chain.tier_spec(0).capacity_bytes
+        self.inner.cache.specs()[0].capacity_bytes
     }
 
     /// Distinct items resident across all tiers and tenants.
     pub fn resident_items(&self) -> usize {
-        self.inner.core.chain.resident_items()
+        self.inner.cache.resident_items()
     }
 
     /// Number of lock shards of the shared hierarchy.
     pub fn num_shards(&self) -> usize {
-        self.inner.core.chain.num_shards()
+        self.inner.cache.num_shards()
     }
 }
 
@@ -625,38 +505,18 @@ impl Drop for TenantHandle {
         {
             let mut registry = self.inner.registry.lock();
             registry.retain(|t| t.id != self.tenant.id);
-            recompute_shares(&self.inner.core, &registry);
+            recompute_shares(&self.inner.cache, &registry);
         }
-        // Reclaim shard by shard: the payload lock covers the chain edit,
-        // so no fetch can observe a payload without chain residency.
-        let window = self.tenant.key_base..self.tenant.key_base.saturating_add(KEY_STRIDE);
-        for shard in &self.inner.core.payloads {
-            let mut payload = shard.lock();
-            let keys: Vec<u64> = payload
-                .keys()
-                .copied()
-                .filter(|k| window.contains(k))
-                .collect();
-            for key in keys {
-                payload.remove(&key);
-                self.inner.core.chain.remove(key);
-                // A clean departure retires the tenant's persisted copies
-                // too; only a crash (no drop) leaves the manifest behind
-                // for the next server to warm from.
-                for spill in self.inner.core.spills.iter().flatten() {
-                    let mut spill = spill.lock();
-                    if spill.contains(key) {
-                        let _ = spill.remove(key);
-                    }
-                }
-            }
-        }
+        // Reclaim the tenant's key window.  A clean departure retires the
+        // tenant's persisted copies too; only a crash (no drop) leaves the
+        // manifest behind for the next server to warm from.
+        self.inner
+            .cache
+            .remove_range(self.tenant.key_base..self.tenant.key_base.saturating_add(KEY_STRIDE));
         let mut counters = self.tenant.counters.lock();
         counters.dram_bytes = 0;
         counters.total_bytes = 0;
         counters.resident_items = 0;
-        drop(counters);
-        self.tenant.departed.store(true, Ordering::Release);
     }
 }
 
@@ -841,6 +701,20 @@ mod tests {
         })
         .unwrap();
         assert_eq!(server2.resident_items(), 0, "departure cleared the spill");
+    }
+
+    #[test]
+    fn fetch_pools_are_rejected_before_the_tenant_registers() {
+        let server = Server::new(ServerConfig::minio(1 << 20, 4)).unwrap();
+        let _resident = server.submit(spec("serial", 16, 1 << 20)).unwrap();
+        let mut pooled = spec("pooled", 16, 1 << 20);
+        pooled.session.fetch_threads = 2;
+        let Err(err) = server.submit(pooled) else {
+            panic!("a tenant fetch pool must be rejected");
+        };
+        assert!(matches!(err, CoordlError::InvalidConfig(_)));
+        assert!(err.to_string().contains("fetch_threads"), "{err}");
+        assert_eq!(server.active_tenants(), 1, "nothing was registered");
     }
 
     #[test]

@@ -374,8 +374,7 @@ impl SessionBuilder {
         let stats = Arc::new(LoaderStats::default());
 
         // Every policy-built tier is a TierChain underneath: a single-level
-        // chain is pinned bit-identical to the dedicated MinIO/policy byte
-        // caches, so the hierarchy refactor changes no observable number.
+        // chain is pinned bit-identical to the raw `dcache` policy.
         // The shard count ties the tier to the fetch pool: 1 shard for a
         // serial session (the exact legacy tier), `resolved_fetch_shards()`
         // otherwise, so pool-thread ownership and tier-shard locking agree.
@@ -966,7 +965,6 @@ impl Iterator for BatchStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MinIoByteCache;
     use dataset::{DatasetSpec, SyntheticItemStore};
     use std::collections::HashSet;
 
@@ -1179,75 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn default_chain_tier_matches_dedicated_minio_byte_cache_bitwise() {
-        // The hierarchy refactor's core pin at the session level: the
-        // TierChain-backed default tier delivers the same streams and the
-        // same counters as the dedicated MinIoByteCache it replaced.
-        let spec = DatasetSpec::new("sess", 120, 700, 0.25, 4.0);
-        let ds: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), 9));
-        let cache = spec.total_bytes() / 2; // partial residency
-        let run = |custom: bool| {
-            let mut builder = Session::builder(Arc::clone(&ds), config(16, cache));
-            if custom {
-                builder =
-                    builder.cache_tier(Arc::new(MinIoByteCache::new(cache)) as Arc<dyn CacheTier>);
-            }
-            let session = builder.build().unwrap();
-            let mut samples = Vec::new();
-            for epoch in 0..3u64 {
-                let run = session.epoch(epoch);
-                for mb in run.stream(0) {
-                    samples.extend(mb.unwrap().samples.clone());
-                }
-            }
-            let report = session.report();
-            (samples, report)
-        };
-        let (chain_samples, chain_report) = run(false);
-        let (flat_samples, flat_report) = run(true);
-        assert_eq!(chain_samples, flat_samples, "bit-identical streams");
-        assert_eq!(chain_report.cache_hits, flat_report.cache_hits);
-        assert_eq!(chain_report.cache_misses, flat_report.cache_misses);
-        assert_eq!(
-            chain_report.bytes_from_storage,
-            flat_report.bytes_from_storage
-        );
-        assert_eq!(chain_report.bytes_from_cache, flat_report.bytes_from_cache);
-        assert_eq!(chain_report.cache_used_bytes, flat_report.cache_used_bytes);
-        assert_eq!(
-            chain_report.lower_tier_hits, 0,
-            "flat chain has no levels below DRAM"
-        );
-        // Per-epoch deterministic counters (the *_seconds fields are wall
-        // clock and legitimately differ run to run).
-        let deterministic = |e: &EpochTrajectory| {
-            (
-                e.epoch,
-                e.bytes_from_storage,
-                e.bytes_from_cache,
-                e.bytes_from_lower_tiers,
-                e.cache_hits,
-                e.cache_misses,
-                e.lower_tier_hits,
-                e.samples_prepared,
-                e.samples_delivered,
-            )
-        };
-        assert_eq!(
-            chain_report
-                .epochs
-                .iter()
-                .map(deterministic)
-                .collect::<Vec<_>>(),
-            flat_report
-                .epochs
-                .iter()
-                .map(deterministic)
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn tiered_session_reports_per_level_hit_ratios() {
         // DRAM MinIO holding ~35 % + SSD MinIO holding ~35 %: the chain
         // serves ~70 % of steady-state fetches, split across the levels.
@@ -1318,7 +1247,7 @@ mod tests {
         assert!(matches!(bad, Err(CoordlError::InvalidConfig(_))));
         let bad = Session::builder(Arc::clone(&ds), SessionConfig::default())
             .mode(Mode::Partitioned { nodes: 2 })
-            .cache_tier(Arc::new(MinIoByteCache::new(10)))
+            .cache_tier(Arc::new(TieredByteCache::single(PolicyKind::MinIo, 10)))
             .build();
         assert!(matches!(bad, Err(CoordlError::InvalidConfig(_))));
         // A fault plan only makes sense for a partitioned cluster ...

@@ -1,26 +1,23 @@
 //! Pluggable byte-cache tiers.
 //!
 //! A [`CacheTier`] sits between a [`Session`](crate::Session)'s prep workers
-//! and its [`FetchBackend`](crate::FetchBackend).  Three implementations
-//! ship with the crate:
-//!
-//! * [`TieredByteCache`] — a `dcache::TierChain` of real byte tiers (DRAM
-//!   MinIO/LRU/FIFO/CLOCK spilling into a profiled local-SSD tier, and so
-//!   on), the tier every session builds by default — a single-level chain is
-//!   bit-identical to the dedicated implementations below;
-//! * [`MinIoByteCache`] — CoorDL's own never-evict policy (§4.1) as a
-//!   standalone lock-free-ish cache;
-//! * [`PolicyByteCache`] — any single `coordl-cache` replacement policy
-//!   holding real item bytes, so the runtime can reproduce the page-cache
-//!   thrashing the paper measures with the *same* policy code the
-//!   simulator's [`storage::StorageNode`] uses.
+//! and its [`FetchBackend`](crate::FetchBackend).  One implementation holds
+//! bytes: [`TieredByteCache`], a sharded `dcache::TierChain` of real byte
+//! tiers (DRAM MinIO/LRU/FIFO/CLOCK spilling into a profiled local-SSD tier,
+//! and so on) driven by the *same* policy code the simulator's
+//! [`storage::StorageNode`] uses — CoorDL's never-evict MinIO cache (§4.1) is
+//! `PolicyKind::MinIo` in it, the page-cache thrashing the paper measures is
+//! `PolicyKind::Lru`.  Two adapters sit over it: the multi-tenant server's
+//! [`TenantView`](crate::TenantView) (a key window plus a DRAM quota) and
+//! the partitioned cluster's [`RemotePeerTier`](crate::RemotePeerTier)
+//! (peer caches as an intermediate tier).
 
-use crate::cache::MinIoByteCache;
 use crate::error::CoordlError;
 use dataset::ItemId;
-use dcache::{build_cache, AccessOutcome, Cache, ChainAccess, PolicyKind, TierChain, TierSpec};
+use dcache::{ChainAccess, ChainSource, PolicyKind, TierChain, TierSpec};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{SpillStore, Vfs};
@@ -115,146 +112,6 @@ pub struct TierSnapshot {
     /// Modelled busy time of this level's backing device across all hits,
     /// in seconds (0 for unprofiled DRAM levels).
     pub device_seconds: f64,
-}
-
-impl CacheTier for MinIoByteCache {
-    fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
-        self.get(item)
-    }
-
-    fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        self.insert(item, bytes)
-    }
-
-    fn contains(&self, item: ItemId) -> bool {
-        MinIoByteCache::contains(self, item)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        MinIoByteCache::used_bytes(self)
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        MinIoByteCache::capacity_bytes(self)
-    }
-
-    fn resident_items(&self) -> usize {
-        self.len()
-    }
-
-    fn hits(&self) -> u64 {
-        MinIoByteCache::hits(self)
-    }
-
-    fn misses(&self) -> u64 {
-        MinIoByteCache::misses(self)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        PolicyKind::MinIo.name()
-    }
-}
-
-struct PolicyInner {
-    policy: Box<dyn Cache<u64> + Send>,
-    bytes: HashMap<ItemId, Arc<Vec<u8>>>,
-    // Fetch counters live in the wrapper, not the policy: with concurrent
-    // workers, a lookup miss raced by another worker's admit would otherwise
-    // be lost (the policy sees neither a miss nor a hit for it).  Counting
-    // at lookup time matches MinIoByteCache exactly: one hit or one miss per
-    // fetch, always.
-    hits: u64,
-    misses: u64,
-}
-
-/// A byte-holding cache tier driven by any `coordl-cache` replacement
-/// policy.
-///
-/// The policy decides residency and eviction; this wrapper stores the actual
-/// payloads and drops them as soon as the policy reports their eviction (via
-/// [`Cache::take_evicted`]), so resident bytes always equal what the policy
-/// accounts.
-pub struct PolicyByteCache {
-    inner: Mutex<PolicyInner>,
-    name: &'static str,
-}
-
-impl PolicyByteCache {
-    /// Create a byte cache driven by `kind` with the given byte capacity.
-    pub fn new(kind: PolicyKind, capacity_bytes: u64) -> Self {
-        let mut policy = build_cache(kind, capacity_bytes);
-        // Victim logging is opt-in (plain simulations skip it); this wrapper
-        // needs it to drop payloads alongside their evicted entries.
-        policy.set_eviction_tracking(true);
-        PolicyByteCache {
-            inner: Mutex::new(PolicyInner {
-                policy,
-                bytes: HashMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            name: kind.name(),
-        }
-    }
-}
-
-impl CacheTier for PolicyByteCache {
-    fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        let Some(bytes) = inner.bytes.get(&item).map(Arc::clone) else {
-            inner.misses += 1;
-            return None;
-        };
-        inner.hits += 1;
-        // Touch recency in the policy (LRU promotion, CLOCK bit, ...).
-        let outcome = inner.policy.access(item, bytes.len() as u64);
-        debug_assert_eq!(outcome, AccessOutcome::Hit);
-        Some(bytes)
-    }
-
-    fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        if inner.bytes.contains_key(&item) {
-            // A concurrent worker admitted it first; keep the resident copy.
-            return Arc::clone(&inner.bytes[&item]);
-        }
-        let outcome = inner.policy.access(item, bytes.len() as u64);
-        for victim in inner.policy.take_evicted() {
-            inner.bytes.remove(&victim);
-        }
-        if outcome == AccessOutcome::Inserted {
-            inner.bytes.insert(item, Arc::clone(&bytes));
-        }
-        bytes
-    }
-
-    fn contains(&self, item: ItemId) -> bool {
-        self.inner.lock().policy.contains(&item)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.inner.lock().policy.used_bytes()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.inner.lock().policy.capacity_bytes()
-    }
-
-    fn resident_items(&self) -> usize {
-        self.inner.lock().policy.len()
-    }
-
-    fn hits(&self) -> u64 {
-        self.inner.lock().hits
-    }
-
-    fn misses(&self) -> u64 {
-        self.inner.lock().misses
-    }
-
-    fn policy_name(&self) -> &'static str {
-        self.name
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -380,7 +237,7 @@ impl ByteTierSpec {
 /// Intern a hierarchy label: leak it at most once per distinct string (the
 /// label space is the tiny set of tier-layout names, so the table stays a
 /// handful of entries for the process lifetime).
-pub(crate) fn intern_label(label: String) -> &'static str {
+fn intern_label(label: String) -> &'static str {
     static LABELS: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
     // Interning is idempotent, so a panic between lock and push leaves the
     // table merely shorter, never wrong: recover from poisoning instead of
@@ -400,8 +257,9 @@ struct TieredInner {
     chain: TierChain,
     /// One payload per resident item, shared by every level that holds it.
     bytes: HashMap<ItemId, Arc<Vec<u8>>>,
-    // Fetch counters at the wrapper, exactly like PolicyByteCache: one hit
-    // or one miss per fetch, counted at lookup time.
+    // Fetch counters live in the wrapper, not the chain: with concurrent
+    // workers, a lookup miss raced by another worker's admit would otherwise
+    // be lost.  One hit or one miss per fetch, counted at lookup time.
     hits: u64,
     misses: u64,
     /// Modelled per-level device busy seconds across all hits.
@@ -411,46 +269,77 @@ struct TieredInner {
 }
 
 impl TieredInner {
-    /// Mirror a chain access's demotion landings and drops into the durable
-    /// per-level stores.  A no-op when every level is memory-backed.
-    fn reconcile_spills(&mut self, access: &ChainAccess) {
-        if self.spills.iter().all(Option::is_none) {
-            return;
-        }
+    /// Apply a chain access on `key` to the payload map and the durable
+    /// per-level stores: mirror every new landing (`key`'s own admission or
+    /// promotion copy, then each demoted victim) into the persistent level
+    /// it landed in, retire and drop what fell off the chain.  Returns the
+    /// level a new copy of `key` landed in.
+    fn settle(&mut self, key: u64, access: ChainAccess) -> Option<usize> {
+        let landed = access.admitted.then(|| self.chain.locate(key)).flatten();
         let TieredInner { bytes, spills, .. } = self;
-        for &(key, level) in &access.demoted {
-            if let Some(spill) = &mut spills[level] {
-                let payload = bytes
-                    .get(&key)
-                    .expect("demoted key must have a resident payload");
-                spill
-                    .write(key, payload)
-                    .expect("spill write failed on demotion");
+        // Purely in-memory hierarchies (the hot path) skip the mirroring.
+        if spills.iter().any(Option::is_some) {
+            let own = landed.map(|level| (key, level));
+            for (landing, level) in own.into_iter().chain(access.demoted.iter().copied()) {
+                if let Some(spill) = &mut spills[level] {
+                    let payload = bytes
+                        .get(&landing)
+                        .expect("a landed key must have a resident payload");
+                    spill
+                        .write(landing, payload)
+                        .expect("spill write failed on landing");
+                }
+                // Stale copies at other persistent levels are dropped lazily:
+                // removing here would fight the promotion-keeps-lower-copy rule.
             }
-            // Stale copies at other persistent levels are dropped lazily:
-            // removing here would fight the promotion-keeps-lower-copy rule.
-        }
-        for &key in &access.dropped {
-            for spill in spills.iter_mut().flatten() {
-                spill.remove(key).expect("spill remove failed on drop");
+            for &victim in &access.dropped {
+                for spill in spills.iter_mut().flatten() {
+                    spill.remove(victim).expect("spill remove failed on drop");
+                }
             }
         }
+        for victim in access.dropped {
+            bytes.remove(&victim);
+        }
+        landed
     }
+}
+
+/// A floor-aware lookup hit (see [`TieredByteCache::lookup_with_floor`]).
+pub(crate) struct FloorHit {
+    pub(crate) bytes: Arc<Vec<u8>>,
+    /// The level that served the fetch.
+    pub(crate) level: usize,
+    /// The level a promotion copy landed in, if the hit made one.
+    pub(crate) landed: Option<usize>,
+    /// Modelled device seconds charged for the hit (0 at unprofiled levels).
+    pub(crate) device_seconds: f64,
+}
+
+/// What a floor-aware admission did (see
+/// [`TieredByteCache::admit_with_floor`]).
+pub(crate) enum Admission {
+    /// Already resident (a concurrent admit won); the chain was not consulted.
+    Raced,
+    /// Every level was consulted; none at or below the floor accepted.
+    Bypassed,
+    /// The item was admitted into this level.
+    Landed(usize),
 }
 
 /// A byte-holding cache-tier *hierarchy*: a `dcache::TierChain` decides
 /// residency, demotion and per-level statistics while this wrapper stores
 /// the actual payloads (dropped the moment a key falls off the chain).
 ///
-/// A single-level, single-shard `TieredByteCache` is bit-identical to
-/// [`MinIoByteCache`] / [`PolicyByteCache`] under the sequential fetch order
-/// every serial [`Session`](crate::Session) executor guarantees — which is
-/// why sessions build their tiers through it by default.
+/// A single-level, single-shard `TieredByteCache` makes exactly the raw
+/// `dcache` policy's decisions under the sequential fetch order every serial
+/// [`Session`](crate::Session) executor guarantees (pinned against
+/// `dcache::build_cache` for all four policies) — which is why it is the one
+/// byte cache sessions, partitioned nodes and the multi-tenant server share.
 ///
 /// **Sharding.**  A cache built with `num_shards > 1` splits every level
-/// into `num_shards` independent chains (capacity divided like
-/// `dcache::ShardedChain`: `cap / S` per shard, the first `cap % S` shards
-/// one byte larger) and routes each key to its shard by
+/// into `num_shards` independent chains (capacity divided by
+/// [`dcache::shard_capacity`]) and routes each key to its shard by
 /// [`dcache::shard_of_key`] — the same routing the executor's fetch pool
 /// partitions plan items by.  Because owners are aligned, every shard sees
 /// its keys in plan order no matter how many fetch threads run, so a
@@ -492,8 +381,10 @@ impl TieredByteCache {
     /// Levels with [`TierBacking::Vfs`] open their [`SpillStore`] here and
     /// replay the on-disk manifest: every recorded key is re-offered to the
     /// chain at that level (admission floor pins it below faster tiers) with
-    /// its payload read back from disk, then all statistics are reset — a
-    /// restarted cache starts warm but with clean counters.
+    /// its payload read back from disk — an entry that no longer fits (the
+    /// level shrank across the restart) is retired from disk instead — then
+    /// all statistics are reset: a restarted cache starts warm but with
+    /// clean counters.
     pub fn try_new(specs: Vec<ByteTierSpec>) -> Result<Self, CoordlError> {
         Self::try_new_sharded(specs, 1)
     }
@@ -507,16 +398,13 @@ impl TieredByteCache {
         assert!(num_shards > 0, "need at least one shard");
         let mut shards = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
-            // Per-shard level specs: capacity split exactly like
-            // dcache::ShardedChain, spill directories per shard (but the
-            // legacy layout untouched for the 1-shard cache).
+            // Per-shard level specs: split capacity, spill directories per
+            // shard (but the legacy layout untouched for the 1-shard cache).
             let shard_specs: Vec<ByteTierSpec> = specs
                 .iter()
                 .map(|spec| {
                     let mut s = spec.clone();
-                    let base = s.capacity_bytes / num_shards as u64;
-                    let extra = u64::from((shard as u64) < s.capacity_bytes % num_shards as u64);
-                    s.capacity_bytes = base + extra;
+                    s.capacity_bytes = dcache::shard_capacity(s.capacity_bytes, shard, num_shards);
                     if num_shards > 1 {
                         if let TierBacking::Vfs { vfs, dir } = &s.backing {
                             s.backing = TierBacking::Vfs {
@@ -562,7 +450,7 @@ impl TieredByteCache {
             match &spec.backing {
                 TierBacking::Memory => spills.push(None),
                 TierBacking::Vfs { vfs, dir } => {
-                    let spill = SpillStore::open(Arc::clone(vfs), dir).map_err(|e| {
+                    let mut spill = SpillStore::open(Arc::clone(vfs), dir).map_err(|e| {
                         CoordlError::InvalidConfig(format!(
                             "persistent tier {:?} failed to open {dir}: {e}",
                             spec.name
@@ -581,6 +469,10 @@ impl TieredByteCache {
                                 ))
                             })?;
                             bytes.insert(key, Arc::new(payload));
+                        } else {
+                            // The level shrank across the restart: the entry
+                            // no longer fits, so retire its on-disk copy.
+                            let _ = spill.remove(key);
                         }
                     }
                     spills.push(Some(spill));
@@ -625,6 +517,93 @@ impl TieredByteCache {
     fn shard_for(&self, item: ItemId) -> &Mutex<TieredInner> {
         &self.shards[dcache::shard_of_key(item, self.shards.len())]
     }
+
+    /// The lookup transaction: on a hit, touch recency, promote towards the
+    /// fastest level at or below the admission floor — `floor_for` maps the
+    /// found payload's size to it, 0 meaning anywhere — and demote what
+    /// that displaces.  Counts one hit or one miss per call.
+    pub(crate) fn lookup_with_floor(
+        &self,
+        key: u64,
+        floor_for: impl FnOnce(u64) -> usize,
+    ) -> Option<FloorHit> {
+        let mut inner = self.shard_for(key).lock();
+        let Some(bytes) = inner.bytes.get(&key).map(Arc::clone) else {
+            inner.misses += 1;
+            return None;
+        };
+        inner.hits += 1;
+        let size = bytes.len() as u64;
+        let access = inner.chain.access_with_floor(key, size, floor_for(size));
+        let level = match access.source {
+            ChainSource::Tier(k) => k,
+            ChainSource::Store => unreachable!("payload implies residency"),
+        };
+        // Only profiled levels account modelled device time; DRAM hits (the
+        // hot path) skip the cost math entirely.
+        let mut device_seconds = 0.0;
+        if self.specs[level].profile.is_some() {
+            device_seconds = inner.chain.tier_cost(level).access_seconds(size);
+            inner.level_seconds[level] += device_seconds;
+        }
+        let landed = inner.settle(key, access);
+        Some(FloorHit {
+            bytes,
+            level,
+            landed,
+            device_seconds,
+        })
+    }
+
+    /// The admit transaction: offer `bytes` for `key` after a miss to the
+    /// levels at or below `floor` (levels above still record their miss).
+    /// The caller always gets a usable reference back.
+    pub(crate) fn admit_with_floor(
+        &self,
+        key: u64,
+        bytes: Arc<Vec<u8>>,
+        floor: usize,
+    ) -> (Arc<Vec<u8>>, Admission) {
+        let mut inner = self.shard_for(key).lock();
+        if let Some(existing) = inner.bytes.get(&key) {
+            // A concurrent worker admitted it first; keep the resident copy.
+            return (Arc::clone(existing), Admission::Raced);
+        }
+        let access = inner
+            .chain
+            .access_with_floor(key, bytes.len() as u64, floor);
+        if access.admitted {
+            inner.bytes.insert(key, Arc::clone(&bytes));
+        }
+        let outcome = match inner.settle(key, access) {
+            Some(level) => Admission::Landed(level),
+            None => Admission::Bypassed,
+        };
+        (bytes, outcome)
+    }
+
+    /// Administratively drop every key in `window` from every level, its
+    /// payload and its persisted copies (a departing tenant's key window).
+    /// Like `TierChain::remove`, not an eviction: no statistics change.
+    pub(crate) fn remove_range(&self, window: Range<u64>) {
+        for shard in &self.shards {
+            let mut inner = shard.lock();
+            inner.chain.remove_range(window.clone());
+            inner.bytes.retain(|key, _| !window.contains(key));
+            for spill in inner.spills.iter_mut().flatten() {
+                let doomed: Vec<u64> = spill
+                    .entries()
+                    .map(|(key, _)| key)
+                    .filter(|key| window.contains(key))
+                    .collect();
+                for key in doomed {
+                    // Best effort: a copy left behind is re-offered (and, if
+                    // unclaimed, merely occupies cache space) next restart.
+                    let _ = spill.remove(key);
+                }
+            }
+        }
+    }
 }
 
 impl CacheTier for TieredByteCache {
@@ -633,58 +612,12 @@ impl CacheTier for TieredByteCache {
     }
 
     fn lookup_traced(&self, item: ItemId) -> Option<(Arc<Vec<u8>>, usize)> {
-        let mut inner = self.shard_for(item).lock();
-        let Some(bytes) = inner.bytes.get(&item).map(Arc::clone) else {
-            inner.misses += 1;
-            return None;
-        };
-        inner.hits += 1;
-        // Touch recency, promote towards DRAM, demote what that displaces.
-        let access = inner.chain.access(item, bytes.len() as u64);
-        let level = match access.source {
-            dcache::ChainSource::Tier(k) => k,
-            dcache::ChainSource::Store => unreachable!("payload implies residency"),
-        };
-        // Only profiled levels account modelled device time; DRAM hits (the
-        // hot path) skip the cost math entirely.
-        if self.specs[level].profile.is_some() {
-            let secs = inner
-                .chain
-                .tier_cost(level)
-                .access_seconds(bytes.len() as u64);
-            inner.level_seconds[level] += secs;
-        }
-        inner.reconcile_spills(&access);
-        for victim in access.dropped {
-            inner.bytes.remove(&victim);
-        }
-        Some((bytes, level))
+        self.lookup_with_floor(item, |_| 0)
+            .map(|hit| (hit.bytes, hit.level))
     }
 
     fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        let mut inner = self.shard_for(item).lock();
-        if inner.bytes.contains_key(&item) {
-            // A concurrent worker admitted it first; keep the resident copy.
-            return Arc::clone(&inner.bytes[&item]);
-        }
-        let access = inner.chain.access(item, bytes.len() as u64);
-        if access.admitted {
-            inner.bytes.insert(item, Arc::clone(&bytes));
-            // A direct admission into a persistent level (e.g. DRAM full,
-            // SSD accepts) must hit the durable mirror too.
-            if let Some(level) = inner.chain.locate(item) {
-                if let Some(spill) = &mut inner.spills[level] {
-                    spill
-                        .write(item, &bytes)
-                        .expect("spill write failed on admission");
-                }
-            }
-        }
-        inner.reconcile_spills(&access);
-        for victim in access.dropped {
-            inner.bytes.remove(&victim);
-        }
-        bytes
+        self.admit_with_floor(item, bytes, 0).0
     }
 
     fn contains(&self, item: ItemId) -> bool {
@@ -700,10 +633,7 @@ impl CacheTier for TieredByteCache {
 
     fn capacity_bytes(&self) -> u64 {
         // Per-shard capacities sum back to the aggregate spec capacities.
-        self.shards
-            .iter()
-            .map(|s| s.lock().chain.capacity_bytes())
-            .sum()
+        self.specs.iter().map(|s| s.capacity_bytes).sum()
     }
 
     fn resident_items(&self) -> usize {
@@ -776,7 +706,7 @@ mod tests {
 
     #[test]
     fn lru_tier_evicts_payloads_with_their_entries() {
-        let tier = PolicyByteCache::new(PolicyKind::Lru, 2);
+        let tier = TieredByteCache::single(PolicyKind::Lru, 2);
         for item in 0..4u64 {
             assert!(tier.lookup(item).is_none());
             tier.admit(item, payload(item, 1));
@@ -792,7 +722,7 @@ mod tests {
 
     #[test]
     fn lru_tier_promotes_on_lookup() {
-        let tier = PolicyByteCache::new(PolicyKind::Lru, 2);
+        let tier = TieredByteCache::single(PolicyKind::Lru, 2);
         tier.admit(1, payload(1, 1));
         tier.admit(2, payload(2, 1));
         let _ = tier.lookup(1); // touch 1: 2 becomes the victim
@@ -802,21 +732,23 @@ mod tests {
 
     #[test]
     fn minio_policy_tier_matches_minio_byte_cache_semantics() {
-        let tier = PolicyByteCache::new(PolicyKind::MinIo, 2);
-        let native = MinIoByteCache::new(2);
-        for item in 0..5u64 {
-            if tier.lookup(item).is_none() {
-                tier.admit(item, payload(item, 1));
-            }
-            if CacheTier::lookup(&native, item).is_none() {
-                CacheTier::admit(&native, item, payload(item, 1));
+        // §4.1: admit in arrival order until full, then bypass; never evict.
+        let tier = TieredByteCache::single(PolicyKind::MinIo, 2);
+        for _epoch in 0..2 {
+            for item in 0..5u64 {
+                if tier.lookup(item).is_none() {
+                    let kept = tier.admit(item, payload(item, 1));
+                    assert_eq!(kept.as_slice(), &[item as u8], "caller keeps its bytes");
+                }
             }
         }
-        assert_eq!(tier.resident_items(), native.resident_items());
-        assert_eq!(tier.used_bytes(), CacheTier::used_bytes(&native));
+        assert_eq!(tier.resident_items(), 2);
+        assert_eq!(tier.used_bytes(), 2);
         for item in 0..5u64 {
-            assert_eq!(tier.contains(item), CacheTier::contains(&native, item));
+            assert_eq!(tier.contains(item), item < 2, "first arrivals stay");
         }
+        assert_eq!((tier.hits(), tier.misses()), (2, 3 + 5));
+        assert_eq!(tier.tier_snapshots()[0].evictions, 0);
     }
 
     #[test]
@@ -825,14 +757,16 @@ mod tests {
         // admits it; the loser's admit is a no-op, but both fetches must be
         // accounted (one miss each), matching the bytes they actually read
         // from the backend.
-        let tier = PolicyByteCache::new(PolicyKind::Lru, 1 << 20);
+        let tier = TieredByteCache::single(PolicyKind::Lru, 1 << 20);
         assert!(tier.lookup(7).is_none());
         assert!(tier.lookup(7).is_none()); // second worker, same race window
         tier.admit(7, payload(7, 4));
-        tier.admit(7, payload(7, 4)); // loser's admit: keeps resident copy
+        let loser = tier.admit(7, Arc::new(vec![9; 4])); // keeps resident copy
+        assert_eq!(loser.as_slice(), &[7; 4], "first copy wins");
         assert_eq!(tier.misses(), 2, "both fetches were misses");
         assert_eq!(tier.hits(), 0);
         assert_eq!(tier.resident_items(), 1);
+        assert_eq!(tier.used_bytes(), 4);
         assert_eq!(tier.lookup(7).unwrap().as_slice(), &[7; 4]);
         assert_eq!(tier.hits(), 1);
     }
@@ -850,9 +784,10 @@ mod tests {
 
     #[test]
     fn single_level_tiered_cache_matches_policy_byte_cache_exactly() {
-        // The contract that lets sessions route every tier through the
-        // chain: same hits, misses, residency, used bytes and payloads as
-        // the dedicated single-policy implementation, for every policy.
+        // The simulator-policy ≡ runtime-tier statement `dstool validate`
+        // relies on: a single-level tier makes the raw `dcache` policy's
+        // decisions — same hit/miss per access, same totals, residency and
+        // used bytes — for every policy.
         for kind in [
             PolicyKind::MinIo,
             PolicyKind::Lru,
@@ -860,33 +795,131 @@ mod tests {
             PolicyKind::Clock,
         ] {
             let tiered = TieredByteCache::single(kind, 6);
-            let flat = PolicyByteCache::new(kind, 6);
+            let mut raw = dcache::build_cache(kind, 6);
             let trace: Vec<u64> = vec![1, 2, 3, 4, 1, 2, 5, 6, 7, 1, 3, 5, 7, 2];
             for &item in &trace {
-                fetch_through(&tiered, item, 2);
-                fetch_through(&flat, item, 2);
+                let hit = fetch_through(&tiered, item, 2) == 0;
+                let raw_hit = raw.access(item, 2) == dcache::AccessOutcome::Hit;
+                assert_eq!(hit, raw_hit, "{kind:?} {item}");
             }
-            assert_eq!(tiered.hits(), flat.hits(), "{kind:?}");
-            assert_eq!(tiered.misses(), flat.misses(), "{kind:?}");
-            assert_eq!(
-                tiered.used_bytes(),
-                CacheTier::used_bytes(&flat),
-                "{kind:?}"
-            );
-            assert_eq!(tiered.resident_items(), flat.resident_items(), "{kind:?}");
+            assert_eq!(tiered.hits(), raw.stats().hits, "{kind:?}");
+            assert_eq!(tiered.misses(), raw.stats().misses, "{kind:?}");
+            assert_eq!(tiered.used_bytes(), raw.used_bytes(), "{kind:?}");
+            assert_eq!(tiered.resident_items(), raw.len(), "{kind:?}");
+            assert_eq!(tiered.policy_name(), raw.name(), "{kind:?}");
             for item in 0..8u64 {
                 assert_eq!(
                     tiered.contains(item),
-                    flat.contains(item),
+                    raw.contains(&item),
                     "{kind:?} {item}"
                 );
                 assert_eq!(
                     tiered.lookup(item).is_some(),
-                    flat.lookup(item).is_some(),
-                    "{kind:?} {item}"
+                    raw.contains(&item),
+                    "{kind:?} {item}: a payload for exactly the resident keys"
                 );
             }
         }
+    }
+
+    #[test]
+    fn floor_one_admission_lands_below_dram_and_records_the_dram_miss() {
+        let tier = TieredByteCache::new(vec![
+            ByteTierSpec::dram(PolicyKind::MinIo, 8),
+            ByteTierSpec::sata_ssd(PolicyKind::MinIo, 8),
+        ]);
+        let (kept, outcome) = tier.admit_with_floor(1, payload(1, 2), 1);
+        assert_eq!(kept.as_slice(), &[1, 1]);
+        assert!(matches!(outcome, Admission::Landed(1)), "DRAM had room");
+        let snaps = tier.tier_snapshots();
+        assert_eq!((snaps[0].used_bytes, snaps[1].used_bytes), (0, 2));
+        assert_eq!((snaps[0].misses, snaps[1].misses), (1, 1));
+        // A floor-1 hit is served by the SSD and stays there; floor 0 (the
+        // public lookup) promotes a copy into DRAM.
+        let hit = tier.lookup_with_floor(1, |_| 1).unwrap();
+        assert_eq!((hit.level, hit.landed), (1, None));
+        assert!(hit.device_seconds > 0.0);
+        let hit = tier
+            .lookup_with_floor(1, |size| usize::from(size > 2))
+            .unwrap();
+        assert_eq!((hit.level, hit.landed), (1, Some(0)));
+        assert_eq!(tier.lookup_traced(1).unwrap().1, 0);
+        // Raced and bypassed admissions are told apart.
+        let (kept, outcome) = tier.admit_with_floor(1, Arc::new(vec![9; 2]), 0);
+        assert_eq!(kept.as_slice(), &[1, 1], "resident copy wins");
+        assert!(matches!(outcome, Admission::Raced));
+        let (_, outcome) = tier.admit_with_floor(2, payload(2, 2), 2); // below the chain
+        assert!(matches!(outcome, Admission::Bypassed) && !tier.contains(2));
+    }
+
+    /// The keys a persistent level has on disk under `dir`.
+    fn spilled(vfs: &Arc<dyn Vfs>, dir: &str) -> Vec<u64> {
+        let spill = SpillStore::open(Arc::clone(vfs), dir).unwrap();
+        spill.entries().map(|(key, _)| key).collect()
+    }
+
+    #[test]
+    fn remove_range_frees_exactly_the_window() {
+        let vfs: Arc<dyn Vfs> = Arc::new(vfs::MemVfs::new());
+        let tier = TieredByteCache::new_sharded(
+            vec![
+                ByteTierSpec::dram(PolicyKind::MinIo, 8),
+                ByteTierSpec::sata_ssd(PolicyKind::MinIo, 64).persistent(Arc::clone(&vfs), "rr"),
+            ],
+            2,
+        );
+        // Keys 100..110 are the window; 0..10 belong to someone else.
+        for item in (0..10u64).chain(100..110) {
+            fetch_through(&tier, item, 2);
+        }
+        assert_eq!(tier.used_bytes(), 40);
+        let others: u64 = 2 * (0..10u64).filter(|&k| tier.contains(k)).count() as u64;
+        let counters = (tier.hits(), tier.misses());
+        tier.remove_range(100..110);
+        assert_eq!(tier.used_bytes(), others, "only the window was freed");
+        assert_eq!(tier.resident_items(), 10);
+        assert_eq!((tier.hits(), tier.misses()), counters, "not a fetch");
+        for item in 0..10u64 {
+            assert_eq!(tier.lookup(item).unwrap().as_slice(), &[item as u8; 2]);
+        }
+        assert!((100..110).all(|k| !tier.contains(k) && tier.lookup(k).is_none()));
+        let on_disk = [spilled(&vfs, "rr/shard-0"), spilled(&vfs, "rr/shard-1")].concat();
+        assert!(!on_disk.is_empty() && on_disk.iter().all(|k| *k < 10));
+        // The freed capacity is reusable.
+        assert_eq!(fetch_through(&tier, 100, 2), usize::MAX);
+        assert!(tier.contains(100));
+    }
+
+    #[test]
+    fn shrunk_persistent_level_retires_misfit_spill_entries_on_rebuild() {
+        let vfs: Arc<dyn Vfs> = Arc::new(vfs::MemVfs::new());
+        let build = |ssd: u64| {
+            TieredByteCache::try_new(vec![
+                ByteTierSpec::dram(PolicyKind::MinIo, 0),
+                ByteTierSpec::sata_ssd(PolicyKind::MinIo, ssd)
+                    .persistent(Arc::clone(&vfs), "shrink"),
+            ])
+            .unwrap()
+        };
+        let spilled = || spilled(&vfs, "shrink");
+        let full = build(32);
+        for item in 0..16u64 {
+            fetch_through(&full, item, 2);
+        }
+        assert_eq!(spilled().len(), 16, "level filled");
+        drop(full);
+        // Half the capacity: the misfits are retired from disk, not kept.
+        let half = build(16);
+        assert!(half.used_bytes() <= 16);
+        assert_eq!(half.resident_items(), 8);
+        let on_disk = spilled();
+        assert_eq!(on_disk.len(), 8, "dead files and manifest lines retired");
+        assert!(on_disk.iter().all(|&k| half.contains(k)));
+        drop(half);
+        // A third rebuild replays no misfits.
+        let again = build(16);
+        assert_eq!(again.resident_items(), 8);
+        assert_eq!(spilled(), on_disk);
     }
 
     #[test]
@@ -1022,7 +1055,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters_count_fetches() {
-        let tier = PolicyByteCache::new(PolicyKind::Fifo, 1 << 20);
+        let tier = TieredByteCache::single(PolicyKind::Fifo, 1 << 20);
         for epoch in 0..3 {
             for item in 0..10u64 {
                 match tier.lookup(item) {

@@ -115,8 +115,8 @@ pub mod prelude {
     pub use crate::analyzer::{Bottleneck, DifferentialReport, ProfiledRates, WhatIfAnalysis};
     pub use crate::cache::{Cache, MinIoCache, PolicyKind};
     pub use crate::coordl::{
-        BatchStream, CacheTier, DirectBackend, FetchBackend, LoaderReport, MinIoByteCache, Mode,
-        PartitionedCacheCluster, PolicyByteCache, ProfiledBackend, Session, SessionConfig,
+        BatchStream, CacheTier, DirectBackend, FetchBackend, LoaderReport, Mode,
+        PartitionedCacheCluster, ProfiledBackend, Session, SessionConfig,
     };
     pub use crate::dataset::{DataSource, DatasetSpec, LabeledVectorStore, SyntheticItemStore};
     pub use crate::gpu::{GpuGeneration, ModelKind, ModelProfile};

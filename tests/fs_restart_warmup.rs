@@ -3,15 +3,17 @@
 //! same VFS root), and the warmed SSD tier must (a) repopulate itself from
 //! the on-disk spill manifest and (b) serve byte-identical content — the
 //! aggregate stream digest of the restarted run matches an uninterrupted
-//! run on a fresh hierarchy.
+//! run on a fresh hierarchy.  A restart over a *shrunk* SSD level retires
+//! the entries that no longer fit instead of keeping dead files forever.
 
+use benchkit::runtime::StreamDigest;
 use datastalls::cache::PolicyKind;
 use datastalls::coordl::{
     ByteTierSpec, Server, ServerConfig, SessionConfig, TenantHandle, TenantSpec,
 };
 use datastalls::dataset::{DataSource, DatasetSpec, SyntheticItemStore};
 use std::sync::Arc;
-use vfs::{MemVfs, Vfs};
+use vfs::{MemVfs, SpillStore, Vfs};
 
 const ITEMS: u64 = 96;
 const AVG_ITEM_BYTES: u64 = 1024;
@@ -58,39 +60,14 @@ fn submit(server: &Server) -> TenantHandle {
         .expect("valid tenant spec")
 }
 
-/// FNV-1a over everything the consumer receives, exactly like the bench
-/// presets hash their streams.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-}
-
 /// Stream `epochs` full epochs into the digest; returns delivered samples.
-fn stream_epochs(tenant: &TenantHandle, epochs: u64, digest: &mut Fnv) -> u64 {
+fn stream_epochs(tenant: &TenantHandle, epochs: u64, digest: &mut StreamDigest) -> u64 {
     let mut samples = 0u64;
     for epoch in 0..epochs {
         let run = tenant.session().epoch(epoch);
         for batch in run.stream(0) {
             let mb = batch.expect("restart-warmup epochs do not fail");
-            digest.u64(mb.epoch);
-            digest.u64(mb.index as u64);
-            for s in &mb.samples {
-                digest.u64(s.item);
-                digest.u64(s.augmentation_seed);
-                digest.bytes(&s.data);
-            }
+            digest.absorb(&mb);
             samples += mb.samples.len() as u64;
         }
     }
@@ -103,7 +80,7 @@ fn restarted_server_warms_its_ssd_tier_and_replays_an_identical_stream() {
     let reference_fs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
     let reference_server = server_over(&reference_fs);
     let reference_tenant = submit(&reference_server);
-    let mut reference_digest = Fnv::new();
+    let mut reference_digest = StreamDigest::default();
     let reference_samples = stream_epochs(&reference_tenant, EPOCHS, &mut reference_digest);
     assert!(reference_samples > 0);
 
@@ -112,7 +89,7 @@ fn restarted_server_warms_its_ssd_tier_and_replays_an_identical_stream() {
     let server = server_over(&fs);
     let tenant = submit(&server);
     // One full epoch fills DRAM and spills the overflow to the SSD files...
-    let mut partial = Fnv::new();
+    let mut partial = StreamDigest::default();
     stream_epochs(&tenant, 1, &mut partial);
     // ...then the tenant dies mid-epoch: a few batches into epoch 1 the
     // handle is leaked (no departure cleanup) and the server is dropped.
@@ -123,8 +100,8 @@ fn restarted_server_warms_its_ssd_tier_and_replays_an_identical_stream() {
         }
     }
     assert!(
-        fs.exists("ssd/MANIFEST"),
-        "the persistent tier keeps its manifest on the VFS"
+        fs.exists("ssd/shard-0/MANIFEST") && fs.exists("ssd/shard-1/MANIFEST"),
+        "the persistent tier keeps one manifest per shard on the VFS"
     );
     std::mem::forget(tenant);
     drop(server);
@@ -143,12 +120,13 @@ fn restarted_server_warms_its_ssd_tier_and_replays_an_identical_stream() {
     // Tenant ids restart from zero, so resubmitting the same workload lands
     // in its old key window: the warmed entries are *its* items.
     let tenant = submit(&server);
-    let mut restart_digest = Fnv::new();
+    let mut restart_digest = StreamDigest::default();
     let restart_samples = stream_epochs(&tenant, EPOCHS, &mut restart_digest);
 
     assert_eq!(restart_samples, reference_samples);
     assert_eq!(
-        restart_digest.0, reference_digest.0,
+        restart_digest.finish(),
+        reference_digest.finish(),
         "the warmed tier serves byte-identical content: the restarted run's \
          stream digest must match the uninterrupted run"
     );
@@ -172,4 +150,54 @@ fn restarted_server_warms_its_ssd_tier_and_replays_an_identical_stream() {
         0,
         "departure removed the spilled entries from the manifest"
     );
+}
+
+#[test]
+fn shrunk_ssd_tier_retires_its_misfit_spill_entries_on_restart() {
+    let fs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let total = ITEMS * AVG_ITEM_BYTES;
+    let server = |ssd_bytes: u64| {
+        let mut tiers = tiers(&fs);
+        tiers[1].capacity_bytes = ssd_bytes;
+        Server::new(ServerConfig { tiers, shards: 2 }).expect("valid server config")
+    };
+    let spilled = || -> Vec<u64> {
+        let keys = |dir: &str| {
+            let spill = SpillStore::open(Arc::clone(&fs), dir).expect("spill dir opens");
+            spill.entries().map(|(key, _)| key).collect::<Vec<_>>()
+        };
+        [keys("ssd/shard-0"), keys("ssd/shard-1")].concat()
+    };
+    // DRAM takes a quarter of the dataset, the SSD level the rest; crash.
+    let full = server(total * 2);
+    let tenant = submit(&full);
+    stream_epochs(&tenant, 1, &mut StreamDigest::default());
+    let filled = spilled().len();
+    assert!(filled > 0, "the SSD level spilled to disk");
+    std::mem::forget(tenant);
+    drop(full);
+
+    // Restart over a much smaller SSD level: the misfits are retired from
+    // disk, so the store lists exactly what the level holds.
+    let small = server(total / 4);
+    assert!(small.used_bytes() <= total / 4);
+    let on_disk = spilled();
+    assert!(
+        on_disk.len() < filled,
+        "dead files and manifest lines are gone"
+    );
+    assert_eq!(on_disk.len(), small.resident_items());
+    let tenant = submit(&small);
+    let view = tenant.session().cache_tier().expect("tenant view");
+    assert!(
+        on_disk.iter().all(|&key| view.contains(key)),
+        "tenant 0's keys are its item ids"
+    );
+    std::mem::forget(tenant);
+    drop(small);
+
+    // A third start replays no misfits.
+    let again = server(total / 4);
+    assert_eq!(again.resident_items(), on_disk.len());
+    assert_eq!(spilled(), on_disk);
 }

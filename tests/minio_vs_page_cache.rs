@@ -149,54 +149,65 @@ fn minio_needs_no_bookkeeping_and_never_evicts() {
 
 #[test]
 fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
-    // Satellite invariant: `dcache`'s MinIO policy (used by the simulator's
-    // `storage::StorageNode`) and the runtime's `coordl::MinIoByteCache` are
-    // two implementations of §4.1's one policy.  Driving both with the same
-    // variable-size access trace must produce identical hit/miss counts,
-    // identical residency (byte-for-byte AND item-for-item) and identical
-    // steady-state arithmetic — this is what makes `dstool validate`'s
+    // Satellite invariant: the raw `dcache` policies (used by the
+    // simulator's `storage::StorageNode`) and the runtime's byte tier
+    // (`coordl::TieredByteCache::single`) decide identically.  Driving both
+    // with the same variable-size access trace must produce identical
+    // hit/miss counts and identical residency (byte-for-byte AND
+    // item-for-item) for every policy, and §4.1's steady-state arithmetic
+    // for MinIO — this is what makes `dstool validate`'s
     // predicted-vs-empirical comparison meaningful.
-    use datastalls::coordl::MinIoByteCache;
+    use datastalls::coordl::{CacheTier, TieredByteCache};
     use std::sync::Arc;
 
     let spec = DatasetSpec::new("parity", 500, 2048, 0.4, 4.0);
     let capacity = spec.cache_bytes_for_fraction(0.45);
-    let mut policy = MinIoCache::new(capacity);
-    let byte_cache = MinIoByteCache::new(capacity);
     let sampler = EpochSampler::new(spec.num_items, 123);
-
-    for epoch in 0..3u64 {
-        for item in sampler.permutation(epoch) {
-            let size = spec.item_size(item);
-            policy.access(item, size);
-            if byte_cache.get(item).is_none() {
-                byte_cache.insert(item, Arc::new(vec![0u8; size as usize]));
+    for kind in [
+        PolicyKind::MinIo,
+        PolicyKind::Lru,
+        PolicyKind::Fifo,
+        PolicyKind::Clock,
+    ] {
+        let mut policy = build_cache(kind, capacity);
+        let byte_cache = TieredByteCache::single(kind, capacity);
+        let epoch = |policy: &mut dyn Cache<u64>, epoch: u64| {
+            for item in sampler.permutation(epoch) {
+                let size = spec.item_size(item);
+                policy.access(item, size);
+                if byte_cache.lookup(item).is_none() {
+                    byte_cache.admit(item, Arc::new(vec![0u8; size as usize]));
+                }
             }
+        };
+        for e in 0..3u64 {
+            epoch(policy.as_mut(), e);
         }
-    }
 
-    assert_eq!(policy.stats().hits, byte_cache.hits(), "hit counts");
-    assert_eq!(policy.stats().misses, byte_cache.misses(), "miss counts");
-    assert_eq!(policy.used_bytes(), byte_cache.used_bytes(), "residency");
-    assert_eq!(policy.len(), byte_cache.len(), "resident item counts");
-    for item in 0..spec.num_items {
+        assert_eq!(policy.stats().hits, byte_cache.hits(), "{kind:?} hits");
         assert_eq!(
-            policy.contains(&item),
-            byte_cache.contains(item),
-            "resident sets must be identical (item {item})"
+            policy.stats().misses,
+            byte_cache.misses(),
+            "{kind:?} misses"
         );
-    }
-    // Steady state: both sides deliver exactly `len()` hits per epoch.
-    let resident = policy.len() as u64;
-    policy.reset_stats();
-    let hits_before = byte_cache.hits();
-    for item in sampler.permutation(9) {
-        let size = spec.item_size(item);
-        policy.access(item, size);
-        if byte_cache.get(item).is_none() {
-            byte_cache.insert(item, Arc::new(vec![0u8; size as usize]));
+        assert_eq!(policy.used_bytes(), byte_cache.used_bytes(), "{kind:?}");
+        assert_eq!(policy.len(), byte_cache.resident_items(), "{kind:?}");
+        for item in 0..spec.num_items {
+            assert_eq!(
+                policy.contains(&item),
+                byte_cache.contains(item),
+                "{kind:?}: resident sets must be identical (item {item})"
+            );
+        }
+        // Steady state: both sides deliver the same hits per epoch — for
+        // MinIO exactly `len()` of them.
+        let resident = policy.len() as u64;
+        policy.reset_stats();
+        let hits_before = byte_cache.hits();
+        epoch(policy.as_mut(), 9);
+        assert_eq!(byte_cache.hits() - hits_before, policy.stats().hits);
+        if kind == PolicyKind::MinIo {
+            assert_eq!(policy.stats().hits, resident);
         }
     }
-    assert_eq!(policy.stats().hits, resident);
-    assert_eq!(byte_cache.hits() - hits_before, resident);
 }

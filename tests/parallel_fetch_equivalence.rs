@@ -16,6 +16,7 @@
 //!
 //! Case counts honour `PROPTEST_CASES`, like the chaos suite.
 
+use benchkit::runtime::StreamDigest;
 use datastalls::cache::{shard_of_key, PolicyKind};
 use datastalls::coordl::{FaultPlan, Mode, Session, SessionConfig};
 use datastalls::dataset::EpochSampler;
@@ -50,37 +51,6 @@ fn store(items: u64, avg: u64) -> Arc<dyn DataSource> {
 
 fn pipeline() -> ExecutablePipeline {
     ExecutablePipeline::new(PrepPipeline::image_classification(), 4, 3)
-}
-
-/// FNV-1a over the delivered stream, the same digest the bench presets use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-fn digest_samples(digest: &mut Fnv, mb: &coordl::Minibatch) {
-    digest.u64(mb.epoch);
-    digest.u64(mb.index as u64);
-    for s in &mb.samples {
-        digest.u64(s.item);
-        digest.u64(s.augmentation_seed);
-        digest.bytes(&s.data);
-    }
 }
 
 /// Everything a consumer can observe from a run: the per-job stream
@@ -134,7 +104,7 @@ fn build_session(
 /// `dstool validate` also uses.
 fn run_observed(session: &Session, epochs: u64) -> Observed {
     let jobs = session.num_jobs();
-    let mut digests: Vec<Fnv> = (0..jobs).map(|_| Fnv::new()).collect();
+    let mut digests: Vec<StreamDigest> = (0..jobs).map(|_| StreamDigest::default()).collect();
     for epoch in 0..epochs {
         let run = session.epoch(epoch);
         match session.mode() {
@@ -151,14 +121,14 @@ fn run_observed(session: &Session, epochs: u64) -> Observed {
                     .collect();
                 for (j, h) in handles.into_iter().enumerate() {
                     for mb in h.join().expect("consumer") {
-                        digest_samples(&mut digests[j], &mb);
+                        digests[j].absorb(&mb);
                     }
                 }
             }
             _ => {
                 for (j, digest) in digests.iter_mut().enumerate() {
                     for b in run.stream(j) {
-                        digest_samples(digest, &b.expect("epoch completes"));
+                        digest.absorb(&b.expect("epoch completes"));
                     }
                 }
             }
@@ -176,7 +146,7 @@ fn run_observed(session: &Session, epochs: u64) -> Observed {
         }
     };
     Observed {
-        stream_digests: digests.into_iter().map(|d| d.0).collect(),
+        stream_digests: digests.iter().map(StreamDigest::finish).collect(),
         counters: (
             stats.bytes_from_storage(),
             stats.bytes_from_cache(),
@@ -434,7 +404,8 @@ proptest! {
         let session = build(fetch_threads);
         let sampler = EpochSampler::new(items, stream_seed);
         let cluster = session.partitioned_cluster().expect("partitioned mode");
-        let mut node_digests: Vec<Fnv> = (0..nodes).map(|_| Fnv::new()).collect();
+        let mut node_digests: Vec<StreamDigest> =
+            (0..nodes).map(|_| StreamDigest::default()).collect();
         for epoch in 0..CHAOS_EPOCHS {
             let run = session.epoch(epoch);
             for (node, digest) in node_digests.iter_mut().enumerate() {
@@ -442,7 +413,7 @@ proptest! {
                 for batch in run.stream(node) {
                     let mb = batch.expect("a fault never fails a consumer");
                     delivered.extend(mb.samples.iter().map(|s| s.item));
-                    digest_samples(digest, &mb);
+                    digest.absorb(&mb);
                 }
                 let mut shard = sampler.distributed_shard(epoch, node, nodes);
                 delivered.sort_unstable();
@@ -473,7 +444,10 @@ proptest! {
         let serial = build(1);
         let observed = run_observed(&serial, CHAOS_EPOCHS);
         prop_assert_eq!(
-            node_digests.into_iter().map(|d| d.0).collect::<Vec<_>>(),
+            node_digests
+                .iter()
+                .map(StreamDigest::finish)
+                .collect::<Vec<_>>(),
             observed.stream_digests,
             "pool width {} changed the delivered bytes under fault seed {}",
             fetch_threads, fault_seed

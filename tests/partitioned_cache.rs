@@ -3,8 +3,8 @@
 //! against each other.
 
 use datastalls::coordl::{
-    CacheTier, DirectBackend, FetchOrigin, LoaderStats, MinIoByteCache, Mode,
-    PartitionedCacheCluster, Session, SessionConfig,
+    CacheTier, DirectBackend, FetchOrigin, LoaderStats, Mode, PartitionedCacheCluster, Session,
+    SessionConfig, TieredByteCache,
 };
 use datastalls::dataset::EpochSampler;
 use datastalls::prelude::*;
@@ -226,7 +226,12 @@ fn remote_tier_sits_between_the_local_chain_and_storage() {
     let spec = DatasetSpec::new("remote-order", items, 128, 0.0, 4.0);
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), 5));
     let tiers: Vec<Arc<dyn CacheTier>> = (0..2)
-        .map(|_| Arc::new(MinIoByteCache::new(spec.total_bytes())) as Arc<dyn CacheTier>)
+        .map(|_| {
+            Arc::new(TieredByteCache::single(
+                PolicyKind::MinIo,
+                spec.total_bytes(),
+            )) as Arc<dyn CacheTier>
+        })
         .collect();
     let cluster = Arc::new(PartitionedCacheCluster::with_stack(
         Arc::new(DirectBackend::new(Arc::clone(&store))),

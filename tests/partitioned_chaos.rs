@@ -12,6 +12,7 @@
 //! Case counts honour the `PROPTEST_CASES` environment variable so the CI
 //! chaos leg can run an extended sweep without code changes.
 
+use benchkit::runtime::StreamDigest;
 use datastalls::coordl::{FaultPlan, Mode, Session, SessionConfig};
 use datastalls::dataset::EpochSampler;
 use datastalls::prelude::*;
@@ -27,27 +28,6 @@ fn cases(default: u32) -> u32 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// FNV-1a over the delivered stream, the same digest the bench presets use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x1000_0000_01b3);
-        }
-    }
 }
 
 fn chaos_session(
@@ -81,25 +61,18 @@ fn chaos_session(
 
 /// Drive every epoch one node stream at a time (cluster fetches stay
 /// sequential, so the fault clock ticks in a worker-count-independent
-/// order) and return the FNV digest of the delivered stream.
+/// order) and return the digest of the delivered stream.
 fn drive_and_digest(session: &Session, nodes: usize) -> u64 {
-    let mut digest = Fnv::new();
+    let mut digest = StreamDigest::default();
     for epoch in 0..EPOCHS {
         let run = session.epoch(epoch);
         for node in 0..nodes {
             for batch in run.stream(node) {
-                let mb = batch.expect("a fault never fails a consumer");
-                digest.u64(mb.epoch);
-                digest.u64(mb.index as u64);
-                for s in &mb.samples {
-                    digest.u64(s.item);
-                    digest.u64(s.augmentation_seed);
-                    digest.bytes(&s.data);
-                }
+                digest.absorb(&batch.expect("a fault never fails a consumer"));
             }
         }
     }
-    digest.0
+    digest.finish()
 }
 
 proptest! {

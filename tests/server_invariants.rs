@@ -19,6 +19,15 @@ use datastalls::pipeline::churn_schedule;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Proptest case count: `PROPTEST_CASES` if set (the CI extended leg boosts
+/// it), the default otherwise.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 fn submit(server: &Server, j: usize, items: u64, quota: u64) -> TenantHandle {
     let spec = DatasetSpec::new("inv", items, 256, 0.2, 2.0);
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 5 + j as u64));
@@ -58,7 +67,7 @@ struct Live {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
 
     /// Under an arbitrary interleaving of submits, epochs and departures,
     /// occupancy accounting stays exact, capacity is never exceeded, no

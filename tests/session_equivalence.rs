@@ -1,19 +1,23 @@
-//! Equivalence of the `TierChain`-backed session tiers with the dedicated
-//! single-policy byte caches they replaced.
+//! Equivalence of the `TierChain`-backed session tiers with an independent,
+//! obviously-correct reference cache.
 //!
-//! Every `Session` now routes its cache tier(s) through a
+//! Every `Session` routes its cache tier(s) through a
 //! `coordl::TieredByteCache` (a `dcache::TierChain` holding real payloads).
-//! These tests pin the refactor's contract: a single-level chain produces
-//! *bit-identical* streams and `LoaderStats` counters to the dedicated
-//! `MinIoByteCache` / `PolicyByteCache` implementations, in every session
-//! mode — and a chain whose extra tier has zero capacity degenerates to the
-//! single-tier behaviour exactly.
+//! These tests pin its contract: a single-level chain produces
+//! *bit-identical* streams and `LoaderStats` counters to the naive
+//! [`RefTier`] (a vector and a byte counter, sharing no code with `dcache`),
+//! in every session mode — and a chain whose extra tier has zero capacity
+//! degenerates to the single-tier behaviour exactly.
+
+#[path = "common/ref_tier.rs"]
+mod ref_tier;
 
 use datastalls::coordl::{
-    ByteTierSpec, LoaderStats, MinIoByteCache, Mode, PolicyByteCache, Session, SessionConfig,
+    ByteTierSpec, EpochTrajectory, LoaderStats, Mode, Session, SessionConfig,
 };
 use datastalls::prelude::*;
 use prep::PreparedSample;
+use ref_tier::RefTier;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,7 +82,7 @@ fn chain_backed_minio_tier_matches_the_dedicated_minio_byte_cache() {
         .pipeline(pipeline())
         .build()
         .expect("chain session");
-    let dedicated_tier = Arc::new(MinIoByteCache::new(cache));
+    let dedicated_tier = Arc::new(RefTier::new(cache, false));
     let dedicated = Session::builder(Arc::clone(&source), config(32, cache, 1))
         .pipeline(pipeline())
         .cache_tier(Arc::clone(&dedicated_tier) as Arc<dyn CacheTier>)
@@ -97,10 +101,65 @@ fn chain_backed_minio_tier_matches_the_dedicated_minio_byte_cache() {
     );
     let tier = chain.cache_tier().expect("single mode tier");
     assert_eq!(tier.used_bytes(), dedicated_tier.used_bytes());
-    assert_eq!(tier.resident_items(), dedicated_tier.len());
+    assert_eq!(tier.resident_items(), dedicated_tier.resident_items());
     assert_eq!(tier.hits(), dedicated_tier.hits());
     assert_eq!(tier.misses(), dedicated_tier.misses());
     assert_eq!(tier.policy_name(), "MinIO");
+    for item in 0..source.len() {
+        assert_eq!(tier.contains(item), dedicated_tier.contains(item), "{item}");
+    }
+}
+
+#[test]
+fn default_chain_tier_matches_dedicated_minio_byte_cache_bitwise() {
+    // The session-level pin of the one hierarchy: the default tier delivers
+    // the same streams, the same report counters and the same per-epoch
+    // trajectory as the reference MinIO cache, with two prep workers.
+    let source = store(120, 700);
+    let total_bytes: u64 = (0..source.len()).map(|i| source.item_bytes(i)).sum();
+    let cache = total_bytes / 2; // partial residency
+    let run = |reference: bool| {
+        let mut builder = Session::builder(Arc::clone(&source), config(16, cache, 2));
+        if reference {
+            builder = builder.cache_tier(Arc::new(RefTier::new(cache, false)));
+        }
+        let session = builder.build().unwrap();
+        (drain_single(&session, 3), session.report())
+    };
+    let (chain_samples, chain_report) = run(false);
+    let (flat_samples, flat_report) = run(true);
+    assert_eq!(chain_samples, flat_samples, "bit-identical streams");
+    assert_eq!(chain_report.cache_hits, flat_report.cache_hits);
+    assert_eq!(chain_report.cache_misses, flat_report.cache_misses);
+    assert_eq!(
+        chain_report.bytes_from_storage,
+        flat_report.bytes_from_storage
+    );
+    assert_eq!(chain_report.bytes_from_cache, flat_report.bytes_from_cache);
+    assert_eq!(chain_report.cache_used_bytes, flat_report.cache_used_bytes);
+    assert_eq!(
+        chain_report.lower_tier_hits, 0,
+        "flat chain has no levels below DRAM"
+    );
+    // Per-epoch deterministic counters (the *_seconds fields are wall
+    // clock and legitimately differ run to run).
+    let deterministic = |report: &LoaderReport| -> Vec<[u64; 9]> {
+        let row = |e: &EpochTrajectory| {
+            [
+                e.epoch,
+                e.bytes_from_storage,
+                e.bytes_from_cache,
+                e.bytes_from_lower_tiers,
+                e.cache_hits,
+                e.cache_misses,
+                e.lower_tier_hits,
+                e.samples_prepared,
+                e.samples_delivered,
+            ]
+        };
+        report.epochs.iter().map(row).collect()
+    };
+    assert_eq!(deterministic(&chain_report), deterministic(&flat_report));
 }
 
 #[test]
@@ -116,7 +175,7 @@ fn chain_backed_lru_tier_matches_the_policy_byte_cache_across_workers() {
             .cache_policy(PolicyKind::Lru)
             .build()
             .expect("chain session");
-        let dedicated_tier = Arc::new(PolicyByteCache::new(PolicyKind::Lru, cache));
+        let dedicated_tier = Arc::new(RefTier::new(cache, true));
         let dedicated = Session::builder(Arc::clone(&source), config(25, cache, workers))
             .pipeline(pipeline())
             .cache_tier(Arc::clone(&dedicated_tier) as Arc<dyn CacheTier>)
@@ -134,13 +193,17 @@ fn chain_backed_lru_tier_matches_the_policy_byte_cache_across_workers() {
             "workers={workers}"
         );
         let tier = chain.cache_tier().expect("single mode tier");
-        assert_eq!(tier.hits(), CacheTier::hits(dedicated_tier.as_ref()));
-        assert_eq!(tier.misses(), CacheTier::misses(dedicated_tier.as_ref()));
+        assert_eq!(tier.hits(), dedicated_tier.hits());
+        assert_eq!(tier.misses(), dedicated_tier.misses());
         assert_eq!(
             tier.used_bytes(),
-            CacheTier::used_bytes(dedicated_tier.as_ref()),
+            dedicated_tier.used_bytes(),
             "workers={workers}"
         );
+        assert_eq!(tier.resident_items(), dedicated_tier.resident_items());
+        for item in 0..source.len() {
+            assert_eq!(tier.contains(item), dedicated_tier.contains(item), "{item}");
+        }
     }
 }
 
@@ -196,7 +259,7 @@ fn coordinated_sessions_agree_between_chain_and_dedicated_tiers() {
         .pipeline(pipeline());
         if dedicated {
             builder =
-                builder.cache_tier(Arc::new(MinIoByteCache::new(64 << 20)) as Arc<dyn CacheTier>);
+                builder.cache_tier(Arc::new(RefTier::new(64 << 20, false)) as Arc<dyn CacheTier>);
         }
         let session = builder.build().expect("session");
         let mut per_job: Vec<Vec<PreparedSample>> = Vec::new();

@@ -10,9 +10,7 @@
 //! demotion churn.
 
 use datastalls::cache::{Cache, ClockCache, FifoCache, LruCache, PolicyKind};
-use datastalls::coordl::{
-    ByteTierSpec, CacheTier, MinIoByteCache, PolicyByteCache, TieredByteCache,
-};
+use datastalls::coordl::{ByteTierSpec, CacheTier, TieredByteCache};
 use std::sync::Arc;
 
 fn payload(tag: u64, len: usize) -> Arc<Vec<u8>> {
@@ -139,18 +137,18 @@ fn demotion_preserves_each_policy_victim_order() {
 
 #[test]
 fn minio_byte_cache_replacement_keeps_first_copy_and_capacity() {
-    let cache = MinIoByteCache::new(100);
-    cache.insert(1, payload(1, 60));
+    let cache = TieredByteCache::single(PolicyKind::MinIo, 100);
+    cache.admit(1, payload(1, 60));
     // Re-admitting the same key with different bytes must not change the
     // accounting or the resident copy.
-    let kept = cache.insert(1, payload(9, 80));
+    let kept = cache.admit(1, payload(9, 80));
     assert_eq!(kept.as_slice(), &[1u8; 60], "first copy wins");
     assert_eq!(cache.used_bytes(), 60);
-    cache.insert(2, payload(2, 40));
+    cache.admit(2, payload(2, 40));
     assert_eq!(cache.used_bytes(), 100);
     assert!(cache.used_bytes() <= 100);
     // Over-capacity admissions bypass without corrupting the accounting.
-    cache.insert(3, payload(3, 10));
+    cache.admit(3, payload(3, 10));
     assert_eq!(cache.used_bytes(), 100);
     assert!(!cache.contains(3));
 }
@@ -163,7 +161,7 @@ fn policy_byte_cache_replacement_never_exceeds_capacity() {
         PolicyKind::Clock,
         PolicyKind::MinIo,
     ] {
-        let cache = PolicyByteCache::new(kind, 64);
+        let cache = TieredByteCache::single(kind, 64);
         // Churn with varied sizes, re-admitting keys with *different*
         // payload sizes (the replacement case).
         for round in 0..4u64 {
@@ -173,10 +171,10 @@ fn policy_byte_cache_replacement_never_exceeds_capacity() {
                     cache.admit(k, payload(k, size));
                 }
                 assert!(
-                    CacheTier::used_bytes(&cache) <= CacheTier::capacity_bytes(&cache),
+                    cache.used_bytes() <= cache.capacity_bytes(),
                     "{kind:?}: {} > {}",
-                    CacheTier::used_bytes(&cache),
-                    CacheTier::capacity_bytes(&cache)
+                    cache.used_bytes(),
+                    cache.capacity_bytes()
                 );
             }
         }
