@@ -4,13 +4,13 @@
 //! The engine here ([`EpochSession`], [`JobEpochIterator`]) is what a
 //! [`Session`](crate::Session) in [`Mode::Coordinated`](crate::Mode) runs
 //! on.  All jobs of an epoch share **one prefetching executor** (the
-//! crate's `executor` module): a single fetch thread sweeps the epoch's
-//! batches
-//! in training order (so the shared cache tier sees a deterministic access
-//! sequence) and a pool of prep workers pre-processes them in parallel,
-//! publishing each prepared minibatch into the [`StagingArea`] exactly once
-//! — the cache-once-serve-all invariant.  Every job then consumes the
-//! *entire* epoch — every minibatch exactly once — through its
+//! crate's `executor` module): its fetch stage sweeps the epoch's batches in
+//! training order per cache shard (so the shared cache tier sees a
+//! deterministic access sequence at any `fetch_threads`) and a pool of prep
+//! workers pre-processes them in parallel, publishing each prepared
+//! minibatch into the [`StagingArea`] exactly once — the
+//! cache-once-serve-all invariant.  Every job then consumes the *entire*
+//! epoch — every minibatch exactly once — through its
 //! [`JobEpochIterator`].
 //!
 //! For failure attribution each minibatch still *belongs* to a job: batch
@@ -20,16 +20,15 @@
 //! stop flowing; a consumer that times out waiting identifies the dead
 //! shard and spawns a *recovery producer* that resumes it from the
 //! watermark (mirroring §4.3's "Handling job failures and terminations").
-//!
-//! The session's [`Session::coordinated_epoch`](crate::Session) hands the
-//! raw [`EpochSession`] out for callers that drive epochs manually.
 
 use crate::error::CoordlError;
-use crate::executor::{ExecutorShared, ExecutorSpec, PrefetchExecutor, PreparedSink, SkipFn};
+use crate::executor::{
+    ExecutorConfig, ExecutorShared, ExecutorSpec, PrefetchExecutor, PreparedSink, SkipFn,
+};
 use crate::minibatch::Minibatch;
 use crate::stack::LoaderStack;
 use crate::staging::{PublishOutcome, StagingArea, TakeError};
-use dataset::{minibatches, EpochSampler, ItemId};
+use dataset::ItemId;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,70 +40,46 @@ use std::time::{Duration, Instant};
 /// The coordinated-prep engine: everything needed to run shared epochs.
 pub(crate) struct CoordinatedEngine {
     pub(crate) stack: LoaderStack,
-    pub(crate) dataset_len: u64,
     pub(crate) num_jobs: usize,
-    pub(crate) batch_size: usize,
     pub(crate) staging_window: usize,
-    pub(crate) seed: u64,
     pub(crate) take_timeout: Duration,
-    /// Prep workers in the shared pool (shared by all jobs of the session).
-    pub(crate) num_workers: usize,
-    /// Raw batches buffered between the fetch thread and the prep pool.
-    pub(crate) prefetch_depth: usize,
-    /// Fetch-stage threads (1 = the serial sweep; more = the sharded pool).
-    pub(crate) fetch_threads: usize,
-    /// Cache shards the pool's key-ownership map is computed against.
-    pub(crate) fetch_shards: usize,
+    /// Shape of the one executor shared by all jobs of the session.
+    pub(crate) executor: ExecutorConfig,
 }
 
 impl CoordinatedEngine {
-    /// Start one coordinated epoch.
-    pub(crate) fn run_epoch(&self, epoch: u64) -> EpochSession {
-        let sampler = EpochSampler::new(self.dataset_len, self.seed);
-        let order = sampler.permutation(epoch);
-        let batches: Vec<Vec<ItemId>> = minibatches(&order, self.batch_size);
-        let total = batches.len();
+    /// Start one coordinated epoch over `plan`, the epoch's ordered
+    /// `(batch_index, items)` list.
+    pub(crate) fn run_epoch(&self, epoch: u64, plan: Vec<(usize, Vec<ItemId>)>) -> EpochSession {
         let num_jobs = self.num_jobs;
-
-        let staging = Arc::new(StagingArea::new(num_jobs, self.staging_window));
         // Round-robin shard *ownership* (failure attribution): batch index
         // i belongs to job i % num_jobs.  Recovery producers replay a
         // shard's ordered batch list from its watermark.
-        let shards: Vec<Vec<(usize, Vec<ItemId>)>> = (0..num_jobs)
-            .map(|j| {
-                batches
-                    .iter()
-                    .enumerate()
-                    .skip(j)
-                    .step_by(num_jobs)
-                    .map(|(i, b)| (i, b.clone()))
-                    .collect()
-            })
+        let shards = (0..num_jobs)
+            .map(|j| plan.iter().skip(j).step_by(num_jobs).cloned().collect())
             .collect();
-
-        let state = Arc::new(ProducerState {
+        let state = Arc::new(EpochState {
+            epoch,
+            total: plan.len(),
+            shards,
+            staging: Arc::new(StagingArea::new(num_jobs, self.staging_window)),
+            stack: self.stack.clone(),
+            take_timeout: self.take_timeout,
             handles: Mutex::new(Vec::new()),
             progress: (0..num_jobs)
                 .map(|_| Mutex::new(ShardProgress::default()))
                 .collect(),
-            kill_flags: (0..num_jobs)
-                .map(|_| Arc::new(AtomicBool::new(false)))
-                .collect(),
+            kill_flags: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
             recovered: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
         });
 
-        // One shared executor per epoch: the fetch thread sweeps every batch
+        // One shared executor per epoch: the fetch stage sweeps every batch
         // in training order; the prep pool publishes into the staging area.
         // Batches of a killed job are dropped at dispatch so its work
         // disappears mid-epoch, exactly like a dying producer's would.
-        let plan: Vec<(usize, Vec<ItemId>)> = batches.into_iter().enumerate().collect();
-        let kill_flags = state.kill_flags.clone();
-        let skip: Arc<SkipFn> =
-            Arc::new(move |index: usize| kill_flags[index % num_jobs].load(Ordering::SeqCst));
-        let sink = Arc::new(StagingSink {
-            staging: Arc::clone(&staging),
-            state: Arc::clone(&state),
-            num_jobs,
+        let killed = Arc::clone(&state);
+        let skip: Arc<SkipFn> = Arc::new(move |index: usize| {
+            killed.kill_flags[index % num_jobs].load(Ordering::SeqCst)
         });
         let executor = PrefetchExecutor::spawn(ExecutorSpec {
             epoch,
@@ -113,25 +88,10 @@ impl CoordinatedEngine {
             skip: Some(skip),
             pipeline: Arc::clone(&self.stack.pipeline),
             stats: Arc::clone(&self.stack.stats),
-            sink,
-            workers: self.num_workers,
-            prefetch_depth: self.prefetch_depth,
-            fetch_threads: self.fetch_threads,
-            fetch_shards: self.fetch_shards,
+            sink: Arc::clone(&state) as Arc<dyn PreparedSink>,
+            config: self.executor,
         });
-        let shared = Arc::clone(executor.shared());
-
-        EpochSession {
-            epoch,
-            total,
-            shards: Arc::new(shards),
-            staging,
-            state,
-            stack: self.stack.clone(),
-            take_timeout: self.take_timeout,
-            executor,
-            shared,
-        }
+        EpochSession { state, executor }
     }
 }
 
@@ -146,27 +106,38 @@ struct ShardProgress {
     done: BTreeSet<usize>,
 }
 
-/// Shared state of one epoch's shards, used for failure detection.
-struct ProducerState {
+/// What one coordinated epoch's consumers, executor sink and recovery
+/// producers share: the per-shard plan, the staging area and the
+/// failure-detection bookkeeping.
+struct EpochState {
+    epoch: u64,
+    /// Minibatches per job this epoch.
+    total: usize,
+    /// For each shard (job), the ordered `(batch_index, items)` pairs it is
+    /// responsible for.
+    shards: Vec<Vec<(usize, Vec<ItemId>)>>,
+    staging: Arc<StagingArea>,
+    stack: LoaderStack,
+    take_timeout: Duration,
     /// Recovery producer threads (the main pool belongs to the executor).
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Out-of-order publish tracking per shard; `ShardProgress::next` is
     /// the contiguous published prefix recovery resumes from.
     progress: Vec<Mutex<ShardProgress>>,
-    /// Kill switches used by tests (and by `inject_failure`) to simulate a
-    /// job being terminated mid-epoch.
-    kill_flags: Vec<Arc<AtomicBool>>,
+    /// Kill switches set by `inject_failure` to simulate a job being
+    /// terminated mid-epoch.
+    kill_flags: Vec<AtomicBool>,
     /// Whether a recovery producer has already been launched for a shard.
     recovered: Vec<AtomicBool>,
 }
 
-impl ProducerState {
+impl EpochState {
     /// Record that epoch batch `index` was published (or found already
     /// resident) and advance its shard's contiguous watermark.
-    fn mark_published(&self, index: usize, num_jobs: usize) {
-        let shard = index % num_jobs;
+    fn mark_published(&self, index: usize) {
+        let num_jobs = self.shards.len();
         let pos = index / num_jobs;
-        let mut progress = self.progress[shard].lock();
+        let mut progress = self.progress[index % num_jobs].lock();
         if pos >= progress.next {
             progress.done.insert(pos);
             loop {
@@ -178,90 +149,57 @@ impl ProducerState {
             }
         }
     }
-
-    /// The contiguous prefix of `shard`'s batch list already published.
-    fn watermark(&self, shard: usize) -> usize {
-        self.progress[shard].lock().next
-    }
 }
 
-/// The executor sink for coordinated epochs: publish into the staging area
-/// and keep the per-shard watermarks current.
-struct StagingSink {
-    staging: Arc<StagingArea>,
-    state: Arc<ProducerState>,
-    num_jobs: usize,
-}
-
-impl PreparedSink for StagingSink {
+/// The executor sink for coordinated epochs (and the recovery producers'):
+/// publish into the staging area and keep the per-shard watermarks current.
+impl PreparedSink for EpochState {
     fn publish(&self, mb: Minibatch) -> bool {
         let index = mb.index;
         match self.staging.publish(mb) {
             PublishOutcome::Shutdown => false,
             PublishOutcome::Published | PublishOutcome::Duplicate => {
-                self.state.mark_published(index, self.num_jobs);
+                self.mark_published(index);
                 true
             }
         }
     }
 }
 
-/// The per-shard minibatch plan for one epoch: for each shard, the ordered
-/// `(batch_index, items)` pairs its producer prepares.
-type ShardPlan = Arc<Vec<Vec<(usize, Vec<ItemId>)>>>;
-
 /// One epoch of coordinated prep: the shared prefetching executor running in
 /// the background plus per-job consumers.
-pub struct EpochSession {
-    epoch: u64,
-    total: usize,
-    shards: ShardPlan,
-    staging: Arc<StagingArea>,
-    state: Arc<ProducerState>,
-    stack: LoaderStack,
-    take_timeout: Duration,
+pub(crate) struct EpochSession {
+    state: Arc<EpochState>,
     executor: PrefetchExecutor,
-    shared: Arc<ExecutorShared>,
 }
 
 impl EpochSession {
     /// Total minibatches per job this epoch.
-    pub fn total_batches(&self) -> usize {
-        self.total
+    pub(crate) fn total_batches(&self) -> usize {
+        self.state.total
     }
 
-    /// The staging area (for memory-overhead inspection).
-    pub fn staging(&self) -> &StagingArea {
-        &self.staging
-    }
-
-    /// The shared staging-area handle (survives the session for post-drop
-    /// statistics).
-    pub(crate) fn staging_arc(&self) -> &Arc<StagingArea> {
-        &self.staging
+    /// The staging area (for memory-overhead inspection; the handle
+    /// survives the session for post-drop statistics).
+    pub(crate) fn staging(&self) -> &Arc<StagingArea> {
+        &self.state.staging
     }
 
     /// Simulate the user killing job `job` mid-epoch: its producer stops
     /// publishing new minibatches.  Consumers will detect the failure and the
     /// group will spawn a replacement producer for its shard.
-    pub fn inject_failure(&self, job: usize) {
+    pub(crate) fn inject_failure(&self, job: usize) {
         self.state.kill_flags[job].store(true, Ordering::SeqCst);
     }
 
     /// The consumer-side iterator for `job`.
-    pub fn consumer(&self, job: usize) -> JobEpochIterator {
-        assert!(job < self.shards.len(), "job {job} out of range");
+    pub(crate) fn consumer(&self, job: usize) -> JobEpochIterator {
+        assert!(job < self.state.shards.len(), "job {job} out of range");
         JobEpochIterator {
             job,
             next: 0,
-            total: self.total,
-            staging: Arc::clone(&self.staging),
             state: Arc::clone(&self.state),
-            shards: Arc::clone(&self.shards),
-            stack: self.stack.clone(),
-            epoch: self.epoch,
-            take_timeout: self.take_timeout,
-            shared: Arc::clone(&self.shared),
+            shared: Arc::clone(self.executor.shared()),
         }
     }
 }
@@ -270,8 +208,8 @@ impl Drop for EpochSession {
     fn drop(&mut self) {
         // Order matters for a deadlock-free teardown: shutting the staging
         // area down first wakes any prep worker blocked in `publish`, so the
-        // executor's pool (and then its fetch thread) can drain and join.
-        self.staging.shutdown();
+        // executor's pool (and then its fetch stage) can drain and join.
+        self.state.staging.shutdown();
         self.executor.shutdown_and_join();
         let mut handles = self.state.handles.lock();
         for h in handles.drain(..) {
@@ -280,25 +218,18 @@ impl Drop for EpochSession {
     }
 }
 
-/// A recovery producer: sequentially re-fetch, re-prep and publish one
-/// shard's batches from its watermark after the owning job died.
-#[allow(clippy::too_many_arguments)]
+/// A recovery producer: sequentially re-fetch, re-prep and publish `shard`'s
+/// batches from position `from` (its watermark) after the owning job died.
 fn spawn_recovery_thread(
-    epoch: u64,
+    state: Arc<EpochState>,
+    shared: Arc<ExecutorShared>,
     shard: usize,
     from: usize,
-    shards: ShardPlan,
-    stack: LoaderStack,
-    staging: Arc<StagingArea>,
-    state: Arc<ProducerState>,
-    shared: Arc<ExecutorShared>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let my_batches = &shards[shard];
-            let num_jobs = shards.len();
-            for (index, items) in my_batches.iter().skip(from) {
-                let samples = match stack.prepare(epoch, items) {
+            for (index, items) in state.shards[shard].iter().skip(from) {
+                let samples = match state.stack.prepare(state.epoch, items) {
                     Ok(samples) => samples,
                     Err(err) => {
                         // A typed backend failure during recovery surfaces
@@ -308,15 +239,14 @@ fn spawn_recovery_thread(
                         return;
                     }
                 };
-                let outcome = staging.publish(Minibatch {
-                    epoch,
+                let delivered = state.publish(Minibatch {
+                    epoch: state.epoch,
                     index: *index,
                     samples,
                 });
-                if outcome == PublishOutcome::Shutdown {
+                if !delivered {
                     return;
                 }
-                state.mark_published(*index, num_jobs);
             }
         }));
         if let Err(payload) = outcome {
@@ -330,44 +260,29 @@ fn spawn_recovery_thread(
 /// Yields every minibatch of the epoch exactly once, in training order.  If a
 /// producer dies, the iterator transparently triggers recovery; only if
 /// recovery itself fails does it yield an error.
-pub struct JobEpochIterator {
+pub(crate) struct JobEpochIterator {
     job: usize,
     next: usize,
-    total: usize,
-    staging: Arc<StagingArea>,
-    state: Arc<ProducerState>,
-    shards: ShardPlan,
-    stack: LoaderStack,
-    epoch: u64,
-    take_timeout: Duration,
+    state: Arc<EpochState>,
     shared: Arc<ExecutorShared>,
 }
 
 impl JobEpochIterator {
     /// Handle a take timeout for batch `index`: identify the responsible
-    /// shard, and if it is not yet recovered spawn a recovery producer
-    /// resuming from its watermark.  Returns `true` when a retry is
-    /// worthwhile.
-    fn handle_timeout(&self, index: usize) -> bool {
-        let num_jobs = self.shards.len();
-        let shard = index % num_jobs;
-        // Only recover once per shard.
-        if self.state.recovered[shard].swap(true, Ordering::SeqCst) {
-            return true; // recovery already in flight; retry the take
+    /// shard, and unless it is already being recovered spawn a recovery
+    /// producer resuming from its watermark.
+    fn handle_timeout(&self, index: usize) {
+        let state = &self.state;
+        let shard = index % state.shards.len();
+        // Only recover once per shard; a recovery already in flight just
+        // means the take is worth retrying.
+        if state.recovered[shard].swap(true, Ordering::SeqCst) {
+            return;
         }
-        let from = self.state.watermark(shard);
-        let handle = spawn_recovery_thread(
-            self.epoch,
-            shard,
-            from,
-            Arc::clone(&self.shards),
-            self.stack.clone(),
-            Arc::clone(&self.staging),
-            Arc::clone(&self.state),
-            Arc::clone(&self.shared),
-        );
-        self.state.handles.lock().push(handle);
-        true
+        let from = state.progress[shard].lock().next;
+        let handle =
+            spawn_recovery_thread(Arc::clone(state), Arc::clone(&self.shared), shard, from);
+        state.handles.lock().push(handle);
     }
 }
 
@@ -375,19 +290,20 @@ impl Iterator for JobEpochIterator {
     type Item = Result<Arc<Minibatch>, CoordlError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.next >= self.total {
+        let state = &self.state;
+        if self.next >= state.total {
             return None;
         }
         let index = self.next;
         let mut attempts = 0;
         loop {
             let wait = Instant::now();
-            let taken = self.staging.take(self.job, index, self.take_timeout);
-            self.stack.stats.record_consumer_wait(wait.elapsed());
+            let taken = state.staging.take(self.job, index, state.take_timeout);
+            state.stack.stats.record_consumer_wait(wait.elapsed());
             match taken {
                 Ok(batch) => {
                     self.next += 1;
-                    self.stack.stats.record_delivered(batch.len() as u64);
+                    state.stack.stats.record_delivered(batch.len() as u64);
                     return Some(Ok(batch));
                 }
                 Err(TakeError::Shutdown) => return Some(Err(CoordlError::Shutdown)),
@@ -398,12 +314,13 @@ impl Iterator for JobEpochIterator {
                         return Some(Err(err));
                     }
                     attempts += 1;
-                    if attempts > 3 || !self.handle_timeout(index) {
+                    if attempts > 3 {
                         return Some(Err(CoordlError::ProducerFailed {
-                            job: index % self.shards.len(),
+                            job: index % state.shards.len(),
                             batch: index,
                         }));
                     }
+                    self.handle_timeout(index);
                 }
             }
         }
@@ -413,13 +330,13 @@ impl Iterator for JobEpochIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Mode, Session, SessionConfig};
+    use crate::session::{EpochRun, Mode, Session, SessionConfig};
     use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
     use prep::{ExecutablePipeline, PrepPipeline};
     use std::collections::HashSet;
 
-    /// A coordinated session driven through the raw engine surface
-    /// ([`Session::coordinated_epoch`]), which is what these tests exercise.
+    /// A coordinated session; the tests drive its engine through
+    /// `Session::epoch` and the run's per-job streams.
     fn group(num_jobs: usize, items: u64, batch: usize, cache_bytes: u64) -> Session {
         let spec = DatasetSpec::new("t", items, 128, 0.2, 6.0);
         let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 5));
@@ -443,13 +360,13 @@ mod tests {
 
     /// Drain every job's iterator on its own thread (jobs run concurrently in
     /// HP search) and return the per-job item sequences.
-    fn drain_all(session: &EpochSession, num_jobs: usize) -> Vec<Vec<u64>> {
+    fn drain_all(run: &EpochRun<'_>, num_jobs: usize) -> Vec<Vec<u64>> {
         let mut joins = Vec::new();
         for j in 0..num_jobs {
-            let mut it = session.consumer(j);
+            let stream = run.stream(j);
             joins.push(std::thread::spawn(move || {
                 let mut items = Vec::new();
-                for mb in &mut it {
+                for mb in stream {
                     items.extend(mb.expect("no failure").item_ids());
                 }
                 items
@@ -461,7 +378,7 @@ mod tests {
     #[test]
     fn every_job_sees_the_whole_epoch_exactly_once() {
         let g = group(4, 120, 16, 1 << 20);
-        let session = g.coordinated_epoch(0);
+        let session = g.epoch(0);
         let per_job = drain_all(&session, 4);
         for items in &per_job {
             assert_eq!(items.len(), 120);
@@ -476,7 +393,7 @@ mod tests {
     fn dataset_is_fetched_and_prepared_once_for_all_jobs() {
         let g = group(4, 80, 10, 1 << 20);
         {
-            let session = g.coordinated_epoch(0);
+            let session = g.epoch(0);
             let _ = drain_all(&session, 4);
         }
         // Prep happened once per item, not once per item per job.
@@ -495,12 +412,12 @@ mod tests {
     fn second_epoch_reuses_the_minio_cache() {
         let g = group(2, 60, 10, 1 << 20);
         {
-            let s = g.coordinated_epoch(0);
+            let s = g.epoch(0);
             let _ = drain_all(&s, 2);
         }
         let after_first = g.stats().bytes_from_storage();
         {
-            let s = g.coordinated_epoch(1);
+            let s = g.epoch(1);
             let _ = drain_all(&s, 2);
         }
         assert_eq!(g.stats().bytes_from_storage(), after_first);
@@ -510,11 +427,11 @@ mod tests {
     fn augmentations_are_fresh_each_epoch_but_shared_across_jobs() {
         let g = group(2, 20, 5, 1 << 20);
         let collect = |epoch| {
-            let s = g.coordinated_epoch(epoch);
+            let s = g.epoch(epoch);
             let mut per_job = Vec::new();
             for j in 0..2 {
                 let samples: Vec<_> = s
-                    .consumer(j)
+                    .stream(j)
                     .flat_map(|mb| mb.unwrap().samples.clone())
                     .collect();
                 per_job.push(samples);
@@ -540,9 +457,9 @@ mod tests {
     #[test]
     fn staging_memory_stays_bounded() {
         let g = group(2, 200, 10, 1 << 22);
-        let session = g.coordinated_epoch(0);
+        let session = g.epoch(0);
         let _ = drain_all(&session, 2);
-        let stats = session.staging().stats();
+        let stats = session.staging().expect("coordinated run").stats();
         assert_eq!(stats.published, 20);
         assert_eq!(stats.evicted, 20);
         // The window is 6 batches; peak memory must respect it.
@@ -553,7 +470,7 @@ mod tests {
     #[test]
     fn killed_producer_is_detected_and_its_shard_recovered() {
         let g = group(2, 120, 10, 1 << 22);
-        let session = g.coordinated_epoch(0);
+        let session = g.epoch(0);
         // Kill job 1's producer immediately: its shard (odd batch indices)
         // must be taken over by a recovery producer.
         session.inject_failure(1);
@@ -578,9 +495,9 @@ mod tests {
     #[test]
     fn single_job_group_degenerates_to_a_plain_loader() {
         let g = group(1, 50, 8, 1 << 20);
-        let session = g.coordinated_epoch(0);
+        let session = g.epoch(0);
         let items: Vec<u64> = session
-            .consumer(0)
+            .stream(0)
             .flat_map(|mb| mb.unwrap().item_ids())
             .collect();
         assert_eq!(items.len(), 50);
@@ -592,8 +509,8 @@ mod tests {
         // area down, and in-flight consumers observe CoordlError::Shutdown
         // as a typed outcome instead of hanging or panicking.
         let g = group(2, 400, 10, 1 << 22);
-        let session = g.coordinated_epoch(0);
-        let mut consumer = session.consumer(0);
+        let session = g.epoch(0);
+        let mut consumer = session.stream(0);
         let first = consumer.next().expect("epoch has batches");
         assert!(first.is_ok());
         drop(session); // shutdown + join producers

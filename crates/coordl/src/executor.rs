@@ -8,8 +8,8 @@
 //!
 //! ```text
 //!   plan (ordered batches)
-//!        │ fetch stage: 1 serial thread (default), or a pool of
-//!        │ `fetch_threads` threads partitioned by cache-shard ownership
+//!        │ fetch stage: `fetch_threads` >= 1 threads, each owning the
+//!        │ cache shards `{k : k % fetch_threads == t}`
 //!        ▼
 //!   bounded raw-batch queue (prefetch_depth)
 //!        │ N prep workers, deterministic per-(epoch, item) pipeline
@@ -18,26 +18,22 @@
 //!                  coordinated StagingArea
 //! ```
 //!
-//! **Determinism contract.**  With the default `fetch_threads = 1` every
-//! cache-tier transaction happens on the single fetch thread, in plan
-//! order, so cache hits, misses, byte provenance and eviction decisions are
-//! a pure function of the plan: `workers(1)` and `workers(n)` produce
-//! bit-identical [`LoaderStats`] counters for *any* tier policy, and the
-//! order-preserving sinks make the delivered minibatch streams bit-identical
-//! too (prep is deterministic per `(epoch, item)`).
-//!
-//! With `fetch_threads = f > 1` the fetch stage becomes a **sharded pool**:
-//! items are routed to cache shards by `dcache::shard_of_key` (the same
-//! routing the sharded tiers use), and pool thread `t` owns exactly the
-//! shards `{k : k % f == t}`.  Every pool thread walks *every* plan position
-//! in order, fetching only the items it owns, so all tier transactions for
-//! a given key are still executed by exactly one thread, in plan order for
-//! that key's shard — the per-shard access subsequence is identical to what
-//! a serial sweep over the same `fetch_shards`-way sharded tier performs.
-//! Streams and counters are therefore bit-identical across `fetch_threads`
-//! for a fixed shard count; only the stage-timing counters (fetch
-//! busy/stall per thread, prep busy/stall, consumer wait) move.  The root
-//! `tests/parallel_session_equivalence.rs` and
+//! **Determinism contract.**  The fetch stage is one **sharded pool** of
+//! `fetch_threads = f >= 1` threads: items are routed to cache shards by
+//! `dcache::shard_of_key` (the same routing the sharded tiers use), and pool
+//! thread `t` owns exactly the shards `{k : k % f == t}`.  Every pool thread
+//! walks *every* plan position in order, fetching only the items it owns, so
+//! all tier transactions for a given key are executed by exactly one thread,
+//! in plan order for that key's shard — the per-shard access subsequence is
+//! the same for every `f`, and for `f = 1` it is the whole plan in order on
+//! one thread.  Cache hits, misses, byte provenance and eviction decisions
+//! are therefore a pure function of the plan and the shard count: streams
+//! and [`LoaderStats`] counters are bit-identical across `fetch_threads`,
+//! `workers` and `prefetch_depth` for *any* tier policy (the
+//! order-preserving sinks and the per-`(epoch, item)` deterministic prep
+//! carry that through to the delivered minibatches); only the stage-timing
+//! counters (fetch busy/stall per thread, prep busy/stall, consumer wait)
+//! move.  The root `tests/parallel_session_equivalence.rs` and
 //! `tests/parallel_fetch_equivalence.rs` suites pin this contract.
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
@@ -142,7 +138,7 @@ impl ExecutorShared {
         self.error.lock().take()
     }
 
-    /// Ask the fetch thread to stop at the next batch boundary.
+    /// Ask the fetch stage to stop at the next batch boundary.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
@@ -152,13 +148,29 @@ impl ExecutorShared {
     }
 }
 
+/// Thread counts and queue depth of an epoch executor, derived once per
+/// session from its [`SessionConfig`](crate::SessionConfig).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExecutorConfig {
+    /// Prep worker threads (>= 1 enforced).
+    pub workers: usize,
+    /// Raw batches buffered between fetch and prep (>= 1 enforced).
+    pub prefetch_depth: usize,
+    /// Fetch-stage threads (>= 1 enforced).
+    pub fetch_threads: usize,
+    /// Cache shards the fetch stage's key-ownership map is computed against
+    /// (>= 1 enforced).  Must match the shard count of the session's
+    /// sharded tier for the determinism contract to hold.
+    pub fetch_shards: usize,
+}
+
 /// Everything needed to run one epoch's fetch + prep pipeline.
 pub(crate) struct ExecutorSpec {
     /// Epoch index (seeds the per-(epoch, item) augmentations).
     pub epoch: u64,
     /// The ordered plan: `(batch_index, item_ids)` in training order.
     pub batches: Vec<(usize, Vec<ItemId>)>,
-    /// Raw-byte source, called sequentially in plan order.
+    /// Raw-byte source, called in plan order per cache shard.
     pub fetch: Arc<FetchFn>,
     /// Optional batch filter (coordinated failure injection).
     pub skip: Option<Arc<SkipFn>>,
@@ -168,18 +180,8 @@ pub(crate) struct ExecutorSpec {
     pub stats: Arc<LoaderStats>,
     /// Where prepared minibatches go.
     pub sink: Arc<dyn PreparedSink>,
-    /// Prep worker threads (>= 1 enforced).
-    pub workers: usize,
-    /// Raw batches buffered between fetch and prep (>= 1 enforced).
-    pub prefetch_depth: usize,
-    /// Fetch-stage threads (>= 1 enforced).  1 is the serial default; more
-    /// spawn the sharded fetch pool (see the module docs).
-    pub fetch_threads: usize,
-    /// Cache shards the pool's key-ownership map is computed against
-    /// (>= 1 enforced; ignored when `fetch_threads == 1`).  Must match the
-    /// shard count of the session's sharded tier for the determinism
-    /// contract to hold.
-    pub fetch_shards: usize,
+    /// Thread counts and queue depth.
+    pub config: ExecutorConfig,
 }
 
 /// A running fetch + prep pipeline for one epoch.  Dropping it (after the
@@ -193,44 +195,42 @@ impl PrefetchExecutor {
     /// Spawn the fetch stage and prep pool described by `spec`.
     pub(crate) fn spawn(spec: ExecutorSpec) -> Self {
         let shared = Arc::new(ExecutorShared::default());
-        let workers = spec.workers.max(1);
-        let fetch_threads = spec.fetch_threads.max(1);
-        let depth = spec.prefetch_depth.max(1);
+        let workers = spec.config.workers.max(1);
+        let fetch_threads = spec.config.fetch_threads.max(1);
+        let depth = spec.config.prefetch_depth.max(1);
         let (raw_tx, raw_rx) = bounded::<RawBatch>(depth);
         let mut handles = Vec::with_capacity(workers + fetch_threads);
 
-        if fetch_threads == 1 {
-            // The serial fetch stage, preserved verbatim: the default path
-            // every existing baseline digest was produced with.
-            handles.push(spawn_fetch_thread(
-                spec.batches,
-                spec.fetch,
-                spec.skip,
-                Arc::clone(&spec.stats),
-                Arc::clone(&shared),
-                raw_tx,
-            ));
-        } else {
-            let pool = Arc::new(FetchPool::new(
-                fetch_threads,
-                spec.fetch_shards.max(1),
-                depth,
-            ));
-            let batches = Arc::new(spec.batches);
-            for thread in 0..fetch_threads {
-                handles.push(spawn_pool_fetch_thread(
-                    Arc::clone(&pool),
-                    thread,
-                    Arc::clone(&batches),
-                    Arc::clone(&spec.fetch),
-                    spec.skip.clone(),
-                    Arc::clone(&spec.stats),
-                    Arc::clone(&shared),
-                    raw_tx.clone(),
-                ));
-            }
-            drop(raw_tx);
+        let pool = Arc::new(FetchPool {
+            state: std::sync::Mutex::new(PoolState {
+                done: 0,
+                pending: HashMap::new(),
+                aborted: false,
+            }),
+            cv: Condvar::new(),
+            threads: fetch_threads,
+            shards: spec.config.fetch_shards.max(1),
+            depth,
+            batches: spec.batches,
+            fetch: spec.fetch,
+            skip: spec.skip,
+            stats: Arc::clone(&spec.stats),
+            shared: Arc::clone(&shared),
+        });
+        for thread in 0..fetch_threads {
+            let pool = Arc::clone(&pool);
+            let raw_tx = raw_tx.clone();
+            handles.push(std::thread::spawn(move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| pool.run(thread, &raw_tx)));
+                if let Err(payload) = outcome {
+                    pool.shared.record_panic("fetch", payload);
+                    // Peers parked on the window must not wait for
+                    // contributions that will never come.
+                    pool.abort();
+                }
+            }));
         }
+        drop(raw_tx);
         for _ in 0..workers {
             handles.push(spawn_prep_worker(
                 spec.epoch,
@@ -272,50 +272,6 @@ impl Drop for PrefetchExecutor {
     }
 }
 
-fn spawn_fetch_thread(
-    batches: Vec<(usize, Vec<ItemId>)>,
-    fetch: Arc<FetchFn>,
-    skip: Option<Arc<SkipFn>>,
-    stats: Arc<LoaderStats>,
-    shared: Arc<ExecutorShared>,
-    raw_tx: Sender<RawBatch>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for (index, items) in batches {
-                if shared.is_shutdown() {
-                    break;
-                }
-                if skip.as_ref().is_some_and(|s| s(index)) {
-                    continue;
-                }
-                let busy = Instant::now();
-                let fetched: Result<Vec<Arc<Vec<u8>>>, CoordlError> =
-                    items.iter().map(|&item| fetch(item)).collect();
-                stats.record_fetch_busy_for(0, busy.elapsed());
-                let raw = match fetched {
-                    Ok(raw) => raw,
-                    Err(err) => {
-                        // A typed fetch failure ends the epoch exactly like
-                        // a panic would, but with the real cause attached.
-                        shared.record_error(err);
-                        break;
-                    }
-                };
-                let stall = Instant::now();
-                let sent = raw_tx.send(RawBatch { index, items, raw });
-                stats.record_fetch_stall_for(0, stall.elapsed());
-                if sent.is_err() {
-                    break; // every prep worker is gone
-                }
-            }
-        }));
-        if let Err(payload) = outcome {
-            shared.record_panic("fetch", payload);
-        }
-    })
-}
-
 /// One plan position in the pool's in-flight window: per-item byte slots
 /// filled by their owning threads, and the once-evaluated skip decision.
 struct PendingBatch {
@@ -325,7 +281,7 @@ struct PendingBatch {
     remaining: usize,
 }
 
-/// Mutable state of a `fetch_threads > 1` pool.
+/// Mutable state of the fetch pool.
 ///
 /// `done` counts fully completed positions.  Positions complete strictly in
 /// plan order: a position is complete only once every thread has passed it,
@@ -335,37 +291,31 @@ struct PendingBatch {
 /// deadlocks: if the minimum incomplete position is `p_min`, all positions
 /// below it are complete (`done >= p_min`), so a thread parked at
 /// `p <= p_min` would need `p >= done + depth > p_min >= p` — impossible —
-/// and the thread holding up `p_min` is running, not waiting.
+/// and the thread holding up `p_min` is running, not waiting.  (A pool of
+/// one never parks on the window at all: it completes each position before
+/// visiting the next, so only the bounded raw-batch queue holds it back.)
 struct PoolState {
     done: usize,
     pending: HashMap<usize, PendingBatch>,
     aborted: bool,
 }
 
-/// Shared coordination of the sharded fetch pool (see the module docs).
+/// One epoch's fetch stage: the plan, the fetch path and the coordination
+/// state its `threads` pool threads share (see the module docs).
 struct FetchPool {
     state: std::sync::Mutex<PoolState>,
     cv: Condvar,
     threads: usize,
     shards: usize,
     depth: usize,
+    batches: Vec<(usize, Vec<ItemId>)>,
+    fetch: Arc<FetchFn>,
+    skip: Option<Arc<SkipFn>>,
+    stats: Arc<LoaderStats>,
+    shared: Arc<ExecutorShared>,
 }
 
 impl FetchPool {
-    fn new(threads: usize, shards: usize, depth: usize) -> Self {
-        FetchPool {
-            state: std::sync::Mutex::new(PoolState {
-                done: 0,
-                pending: HashMap::new(),
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            threads,
-            shards,
-            depth,
-        }
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
         // A panicking pool thread records a typed error and aborts the pool;
         // peers must still be able to observe the abort through the lock.
@@ -388,145 +338,109 @@ impl FetchPool {
     fn owner(&self, item: ItemId) -> usize {
         dcache::shard_of_key(item, self.shards) % self.threads
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn spawn_pool_fetch_thread(
-    pool: Arc<FetchPool>,
-    thread: usize,
-    batches: Arc<Vec<(usize, Vec<ItemId>)>>,
-    fetch: Arc<FetchFn>,
-    skip: Option<Arc<SkipFn>>,
-    stats: Arc<LoaderStats>,
-    shared: Arc<ExecutorShared>,
-    raw_tx: Sender<RawBatch>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_pool_fetch_thread(
-                &pool,
-                thread,
-                &batches,
-                &*fetch,
-                skip.as_deref(),
-                &stats,
-                &shared,
-                &raw_tx,
-            );
-        }));
-        if let Err(payload) = outcome {
-            shared.record_panic("fetch", payload);
-            // Peers parked on the window must not wait for contributions
-            // that will never come.
-            pool.abort();
-        }
-    })
-}
+    /// Pool thread `thread`'s sweep over the whole plan.
+    fn run(&self, thread: usize, raw_tx: &Sender<RawBatch>) {
+        let (stats, shared) = (&*self.stats, &*self.shared);
+        for (pos, (index, items)) in self.batches.iter().enumerate() {
+            // Wait for the prefetch window, then claim (or join) this
+            // position's pending entry under the same lock hold.
+            let wait = Instant::now();
+            let mut st = self.lock();
+            while !st.aborted && !shared.is_shutdown() && pos >= st.done + self.depth {
+                // Timed wait: `begin_shutdown` does not know about this
+                // condvar, so a parked thread re-checks the flag on its own
+                // clock.
+                let (guard, _timeout) = self
+                    .cv
+                    .wait_timeout(st, Duration::from_millis(25))
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                st = guard;
+            }
+            if st.aborted || shared.is_shutdown() {
+                return;
+            }
+            let entry = st.pending.entry(pos).or_insert_with(|| PendingBatch {
+                // Evaluated exactly once per position, by whichever thread
+                // arrives first: the filter may read mutable state
+                // (coordinated kill flags), and the pool must agree on one
+                // decision.
+                skipped: self.skip.as_ref().is_some_and(|s| s(*index)),
+                raw: vec![None; items.len()],
+                remaining: self.threads,
+            });
+            let skipped = entry.skipped;
+            drop(st);
+            stats.record_fetch_stall_for(thread, wait.elapsed());
 
-#[allow(clippy::too_many_arguments)]
-fn run_pool_fetch_thread(
-    pool: &FetchPool,
-    thread: usize,
-    batches: &[(usize, Vec<ItemId>)],
-    fetch: &FetchFn,
-    skip: Option<&SkipFn>,
-    stats: &LoaderStats,
-    shared: &ExecutorShared,
-    raw_tx: &Sender<RawBatch>,
-) {
-    for (pos, (index, items)) in batches.iter().enumerate() {
-        // Wait for the prefetch window, then claim (or join) this
-        // position's pending entry under the same lock hold.
-        let wait = Instant::now();
-        let mut st = pool.lock();
-        while !st.aborted && !shared.is_shutdown() && pos >= st.done + pool.depth {
-            // Timed wait: `begin_shutdown` does not know about this condvar,
-            // so a parked thread re-checks the flag on its own clock.
-            let (guard, _timeout) = pool
-                .cv
-                .wait_timeout(st, Duration::from_millis(25))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
-        }
-        if st.aborted || shared.is_shutdown() {
-            return;
-        }
-        let threads = pool.threads;
-        let entry = st.pending.entry(pos).or_insert_with(|| PendingBatch {
-            // Evaluated exactly once per position, by whichever thread
-            // arrives first: the filter may read mutable state (coordinated
-            // kill flags), and the pool must agree on one decision.
-            skipped: skip.is_some_and(|s| s(*index)),
-            raw: vec![None; items.len()],
-            remaining: threads,
-        });
-        let skipped = entry.skipped;
-        drop(st);
-        stats.record_fetch_stall_for(thread, wait.elapsed());
-
-        // Fetch the items this thread owns, outside the lock: owners are
-        // disjoint across threads, so every tier transaction for a given
-        // key happens on one thread, in plan order for that key's shard.
-        let mut mine: Vec<(usize, Arc<Vec<u8>>)> = Vec::new();
-        if !skipped {
-            let busy = Instant::now();
-            for (slot, &item) in items.iter().enumerate() {
-                if pool.owner(item) != thread {
-                    continue;
-                }
-                match fetch(item) {
-                    Ok(bytes) => mine.push((slot, bytes)),
-                    Err(err) => {
-                        stats.record_fetch_busy_for(thread, busy.elapsed());
-                        shared.record_error(err);
-                        pool.abort();
-                        return;
+            // Fetch the items this thread owns, outside the lock: owners are
+            // disjoint across threads, so every tier transaction for a given
+            // key happens on one thread, in plan order for that key's shard.
+            let mut mine: Vec<(usize, Arc<Vec<u8>>)> = Vec::new();
+            if !skipped {
+                let busy = Instant::now();
+                for (slot, &item) in items.iter().enumerate() {
+                    if self.owner(item) != thread {
+                        continue;
+                    }
+                    match (self.fetch)(item) {
+                        Ok(bytes) => mine.push((slot, bytes)),
+                        Err(err) => {
+                            // A typed fetch failure ends the epoch exactly
+                            // like a panic would, but with the real cause
+                            // attached.
+                            stats.record_fetch_busy_for(thread, busy.elapsed());
+                            shared.record_error(err);
+                            self.abort();
+                            return;
+                        }
                     }
                 }
+                stats.record_fetch_busy_for(thread, busy.elapsed());
             }
-            stats.record_fetch_busy_for(thread, busy.elapsed());
-        }
 
-        // Contribute, and as the last thread in, take the completed batch.
-        let ready = {
-            let mut st = pool.lock();
-            let entry = st
-                .pending
-                .get_mut(&pos)
-                .expect("a contributed position stays pending until complete");
-            for (slot, bytes) in mine {
-                entry.raw[slot] = Some(bytes);
-            }
-            entry.remaining -= 1;
-            if entry.remaining == 0 {
-                let entry = st.pending.remove(&pos).expect("entry just updated");
-                st.done += 1;
-                pool.cv.notify_all();
-                (!entry.skipped).then_some(entry)
-            } else {
-                None
-            }
-        };
-        // Dispatch outside the lock; the sink reorders, so out-of-order
-        // sends between racing last-contributors are fine.
-        if let Some(entry) = ready {
-            let raw: Vec<Arc<Vec<u8>>> = entry
-                .raw
-                .into_iter()
-                .map(|slot| slot.expect("every item was fetched by its owner"))
-                .collect();
-            let stall = Instant::now();
-            let sent = raw_tx.send(RawBatch {
-                index: *index,
-                items: items.clone(),
-                raw,
-            });
-            stats.record_fetch_stall_for(thread, stall.elapsed());
-            if sent.is_err() {
-                // Every prep worker is gone; the channel stays disconnected
-                // for all senders, so stop the whole pool.
-                pool.abort();
-                return;
+            // Contribute, and as the last thread in, take the completed
+            // batch.
+            let ready = {
+                let mut st = self.lock();
+                let entry = st
+                    .pending
+                    .get_mut(&pos)
+                    .expect("a contributed position stays pending until complete");
+                for (slot, bytes) in mine {
+                    entry.raw[slot] = Some(bytes);
+                }
+                entry.remaining -= 1;
+                if entry.remaining == 0 {
+                    let entry = st.pending.remove(&pos).expect("entry just updated");
+                    st.done += 1;
+                    self.cv.notify_all();
+                    (!entry.skipped).then_some(entry)
+                } else {
+                    None
+                }
+            };
+            // Dispatch outside the lock; the sink reorders, so out-of-order
+            // sends between racing last-contributors are fine.
+            if let Some(entry) = ready {
+                let raw: Vec<Arc<Vec<u8>>> = entry
+                    .raw
+                    .into_iter()
+                    .map(|slot| slot.expect("every item was fetched by its owner"))
+                    .collect();
+                let stall = Instant::now();
+                let sent = raw_tx.send(RawBatch {
+                    index: *index,
+                    items: items.clone(),
+                    raw,
+                });
+                stats.record_fetch_stall_for(thread, stall.elapsed());
+                if sent.is_err() {
+                    // Every prep worker is gone; the channel stays
+                    // disconnected for all senders, so stop the whole pool.
+                    self.abort();
+                    return;
+                }
             }
         }
     }
@@ -544,7 +458,7 @@ fn spawn_prep_worker(
         let outcome = catch_unwind(AssertUnwindSafe(|| loop {
             let stall = Instant::now();
             let Ok(batch) = raw_rx.recv() else {
-                break; // fetch thread done and queue drained
+                break; // fetch stage done and queue drained
             };
             stats.record_prep_stall(stall.elapsed());
             let busy = Instant::now();
@@ -579,20 +493,16 @@ fn spawn_prep_worker(
 /// Spawn one epoch's executor delivering into an order-preserving stream:
 /// prepared batches flow through a bounded channel into a reorder buffer
 /// that yields them strictly in plan order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_ordered_epoch(
     epoch: u64,
     batches: Vec<(usize, Vec<ItemId>)>,
     fetch: Arc<FetchFn>,
     pipeline: Arc<ExecutablePipeline>,
     stats: Arc<LoaderStats>,
-    workers: usize,
-    prefetch_depth: usize,
-    fetch_threads: usize,
-    fetch_shards: usize,
+    config: ExecutorConfig,
 ) -> OrderedStream {
     let total = batches.len();
-    let (out_tx, out_rx) = bounded::<Minibatch>(prefetch_depth.max(1));
+    let (out_tx, out_rx) = bounded::<Minibatch>(config.prefetch_depth.max(1));
     let executor = PrefetchExecutor::spawn(ExecutorSpec {
         epoch,
         batches,
@@ -601,10 +511,7 @@ pub(crate) fn spawn_ordered_epoch(
         pipeline,
         stats: Arc::clone(&stats),
         sink: Arc::new(out_tx),
-        workers,
-        prefetch_depth,
-        fetch_threads,
-        fetch_shards,
+        config,
     });
     OrderedStream {
         rx: out_rx,
@@ -713,22 +620,31 @@ mod tests {
         ))
     }
 
+    /// An executor shape over 8 cache shards.
+    fn shape(workers: usize, prefetch_depth: usize, fetch_threads: usize) -> ExecutorConfig {
+        ExecutorConfig {
+            workers,
+            prefetch_depth,
+            fetch_threads,
+            fetch_shards: 8,
+        }
+    }
+
+    fn ordered(
+        batches: Vec<(usize, Vec<ItemId>)>,
+        fetch: Arc<FetchFn>,
+        stats: &Arc<LoaderStats>,
+        config: ExecutorConfig,
+    ) -> OrderedStream {
+        spawn_ordered_epoch(0, batches, fetch, pipeline(), Arc::clone(stats), config)
+    }
+
     #[test]
     fn ordered_stream_delivers_in_plan_order_for_any_worker_count() {
         for workers in [1, 2, 8] {
             for depth in [1, 4] {
                 let stats = Arc::new(LoaderStats::default());
-                let stream = spawn_ordered_epoch(
-                    0,
-                    plan(9, 4),
-                    byte_fetch(),
-                    pipeline(),
-                    Arc::clone(&stats),
-                    workers,
-                    depth,
-                    1,
-                    1,
-                );
+                let stream = ordered(plan(9, 4), byte_fetch(), &stats, shape(workers, depth, 1));
                 let indices: Vec<usize> = stream.map(|mb| mb.index).collect();
                 assert_eq!(indices, (0..9).collect::<Vec<_>>(), "w={workers} d={depth}");
                 assert_eq!(stats.samples_prepared(), 36);
@@ -749,18 +665,8 @@ mod tests {
                 seen2.lock().push(item);
                 Ok(Arc::new(vec![0u8; 8]))
             });
-            let stream = spawn_ordered_epoch(
-                0,
-                plan(6, 3),
-                fetch,
-                pipeline(),
-                Arc::new(LoaderStats::default()),
-                workers,
-                2,
-                1,
-                1,
-            );
-            let _ = stream.count();
+            let stats = Arc::new(LoaderStats::default());
+            let _ = ordered(plan(6, 3), fetch, &stats, shape(workers, 2, 1)).count();
             let order = seen.lock().clone();
             order
         };
@@ -771,102 +677,84 @@ mod tests {
 
     #[test]
     fn dropping_the_stream_early_joins_all_threads_without_deadlock() {
-        for _ in 0..8 {
-            let mut stream = spawn_ordered_epoch(
-                0,
-                plan(64, 4),
-                byte_fetch(),
-                pipeline(),
-                Arc::new(LoaderStats::default()),
-                3,
-                1, // smallest window: workers park on full queues constantly
-                1,
-                1,
-            );
-            let _ = stream.next();
-            drop(stream); // must unblock + join, not hang
+        for fetch_threads in [1, 3] {
+            for _ in 0..8 {
+                let stats = Arc::new(LoaderStats::default());
+                // Smallest window: prep workers park on full queues, pool
+                // threads on the prefetch window, constantly.
+                let config = shape(3, 1, fetch_threads);
+                let mut stream = ordered(plan(64, 4), byte_fetch(), &stats, config);
+                let _ = stream.next();
+                drop(stream); // must unblock + join, not hang
+            }
         }
     }
 
     #[test]
     fn panicking_fetch_surfaces_a_typed_error() {
-        let fetch: Arc<FetchFn> = Arc::new(|item| {
-            if item == 7 {
-                panic!("injected fetch failure for item {item}");
+        for fetch_threads in [1, 3] {
+            let fetch: Arc<FetchFn> = Arc::new(|item| {
+                if item == 7 {
+                    panic!("injected fetch failure for item {item}");
+                }
+                Ok(Arc::new(vec![1u8; 8]))
+            });
+            let stats = Arc::new(LoaderStats::default());
+            let mut stream = ordered(plan(5, 2), fetch, &stats, shape(2, 2, fetch_threads));
+            let delivered = stream.by_ref().count();
+            assert!(delivered < 5, "f={fetch_threads}: the epoch must end early");
+            let err = stream.take_failure().expect("panic recorded");
+            match &err {
+                CoordlError::WorkerPanicked { stage, detail } => {
+                    assert_eq!(*stage, "fetch");
+                    assert!(detail.contains("injected fetch failure"));
+                }
+                other => panic!("expected WorkerPanicked, got {other}"),
             }
-            Ok(Arc::new(vec![1u8; 8]))
-        });
-        let mut stream = spawn_ordered_epoch(
-            0,
-            plan(5, 2),
-            fetch,
-            pipeline(),
-            Arc::new(LoaderStats::default()),
-            2,
-            2,
-            1,
-            1,
-        );
-        let delivered = stream.by_ref().count();
-        assert!(delivered < 5, "the epoch must end early");
-        let err = stream.take_failure().expect("panic recorded");
-        match &err {
-            CoordlError::WorkerPanicked { stage, detail } => {
-                assert_eq!(*stage, "fetch");
-                assert!(detail.contains("injected fetch failure"));
-            }
-            other => panic!("expected WorkerPanicked, got {other}"),
+            assert!(stream.take_failure().is_none(), "surfaced exactly once");
         }
-        assert!(stream.take_failure().is_none(), "surfaced exactly once");
     }
 
     #[test]
     fn skip_filter_drops_batches_before_fetch() {
-        let fetched = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&fetched);
-        let fetch: Arc<FetchFn> = Arc::new(move |_| {
-            f2.fetch_add(1, Ordering::SeqCst);
-            Ok(Arc::new(vec![0u8; 4]))
-        });
-        let (out_tx, out_rx) = bounded::<Minibatch>(16);
-        let stats = Arc::new(LoaderStats::default());
-        let mut executor = PrefetchExecutor::spawn(ExecutorSpec {
-            epoch: 0,
-            batches: plan(6, 2),
-            fetch,
-            skip: Some(Arc::new(|index| index % 2 == 1)),
-            pipeline: pipeline(),
-            stats,
-            sink: Arc::new(out_tx),
-            workers: 2,
-            prefetch_depth: 4,
-            fetch_threads: 1,
-            fetch_shards: 1,
-        });
-        let mut indices = Vec::new();
-        while let Ok(mb) = out_rx.recv() {
-            indices.push(mb.index);
+        for fetch_threads in [1, 3] {
+            let fetched = Arc::new(AtomicUsize::new(0));
+            let f2 = Arc::clone(&fetched);
+            let fetch: Arc<FetchFn> = Arc::new(move |_| {
+                f2.fetch_add(1, Ordering::SeqCst);
+                Ok(Arc::new(vec![0u8; 4]))
+            });
+            let (out_tx, out_rx) = bounded::<Minibatch>(16);
+            let mut executor = PrefetchExecutor::spawn(ExecutorSpec {
+                epoch: 0,
+                batches: plan(6, 2),
+                fetch,
+                skip: Some(Arc::new(|index| index % 2 == 1)),
+                pipeline: pipeline(),
+                stats: Arc::new(LoaderStats::default()),
+                sink: Arc::new(out_tx),
+                config: shape(2, 4, fetch_threads),
+            });
+            let mut indices = Vec::new();
+            while let Ok(mb) = out_rx.recv() {
+                indices.push(mb.index);
+            }
+            indices.sort_unstable();
+            assert_eq!(indices, vec![0, 2, 4], "f={fetch_threads}");
+            assert_eq!(fetched.load(Ordering::SeqCst), 6, "3 batches x 2 items");
+            executor.shutdown_and_join();
         }
-        indices.sort_unstable();
-        assert_eq!(indices, vec![0, 2, 4]);
-        assert_eq!(fetched.load(Ordering::SeqCst), 6, "3 batches x 2 items");
-        executor.shutdown_and_join();
     }
 
     #[test]
     fn fetch_pool_delivers_the_serial_stream_for_any_thread_count() {
         let run = |fetch_threads: usize| {
             let stats = Arc::new(LoaderStats::default());
-            let stream = spawn_ordered_epoch(
-                3,
+            let stream = ordered(
                 plan(11, 4),
                 byte_fetch(),
-                pipeline(),
-                Arc::clone(&stats),
-                2,
-                3,
-                fetch_threads,
-                8,
+                &stats,
+                shape(2, 3, fetch_threads),
             );
             let out: Vec<(usize, Vec<Vec<u8>>)> = stream
                 .map(|mb| {
@@ -901,17 +789,8 @@ mod tests {
             seen2.lock().push((item, std::thread::current().id()));
             Ok(Arc::new(vec![item as u8; 8]))
         });
-        let stream = spawn_ordered_epoch(
-            0,
-            plan(10, 5),
-            fetch,
-            pipeline(),
-            Arc::new(LoaderStats::default()),
-            2,
-            4,
-            threads,
-            shards,
-        );
+        let stats = Arc::new(LoaderStats::default());
+        let stream = ordered(plan(10, 5), fetch, &stats, shape(2, 4, threads));
         assert_eq!(stream.count(), 10);
         let log = seen.lock().clone();
         assert_eq!(log.len(), 50, "each item fetched exactly once");
@@ -939,116 +818,26 @@ mod tests {
     }
 
     #[test]
-    fn fetch_pool_panic_surfaces_a_typed_error() {
-        let fetch: Arc<FetchFn> = Arc::new(|item| {
-            if item == 13 {
-                panic!("injected pool fetch failure for item {item}");
-            }
-            Ok(Arc::new(vec![1u8; 8]))
-        });
-        let mut stream = spawn_ordered_epoch(
-            0,
-            plan(8, 3),
-            fetch,
-            pipeline(),
-            Arc::new(LoaderStats::default()),
-            2,
-            2,
-            4,
-            8,
-        );
-        let delivered = stream.by_ref().count();
-        assert!(delivered < 8, "the epoch must end early");
-        let err = stream.take_failure().expect("panic recorded");
-        match &err {
-            CoordlError::WorkerPanicked { stage, detail } => {
-                assert_eq!(*stage, "fetch");
-                assert!(detail.contains("injected pool fetch failure"));
-            }
-            other => panic!("expected WorkerPanicked, got {other}"),
-        }
-    }
-
-    #[test]
     fn fetch_pool_typed_error_ends_the_epoch() {
-        let fetch: Arc<FetchFn> = Arc::new(|item| {
-            if item == 9 {
-                return Err(CoordlError::BackendIo {
-                    backend: "test".into(),
-                    item,
-                    detail: "injected typed failure".into(),
-                });
+        for fetch_threads in [1, 2] {
+            let fetch: Arc<FetchFn> = Arc::new(|item| {
+                if item == 9 {
+                    return Err(CoordlError::BackendIo {
+                        backend: "test".into(),
+                        item,
+                        detail: "injected typed failure".into(),
+                    });
+                }
+                Ok(Arc::new(vec![2u8; 8]))
+            });
+            let stats = Arc::new(LoaderStats::default());
+            let mut stream = ordered(plan(6, 3), fetch, &stats, shape(2, 2, fetch_threads));
+            let delivered = stream.by_ref().count();
+            assert!(delivered < 6, "f={fetch_threads}: the epoch must end early");
+            match stream.take_failure().expect("error recorded") {
+                CoordlError::BackendIo { item, .. } => assert_eq!(item, 9),
+                other => panic!("expected BackendIo, got {other}"),
             }
-            Ok(Arc::new(vec![2u8; 8]))
-        });
-        let mut stream = spawn_ordered_epoch(
-            0,
-            plan(6, 3),
-            fetch,
-            pipeline(),
-            Arc::new(LoaderStats::default()),
-            2,
-            2,
-            2,
-            8,
-        );
-        let delivered = stream.by_ref().count();
-        assert!(delivered < 6, "the epoch must end early");
-        match stream.take_failure().expect("error recorded") {
-            CoordlError::BackendIo { item, .. } => assert_eq!(item, 9),
-            other => panic!("expected BackendIo, got {other}"),
         }
-    }
-
-    #[test]
-    fn dropping_a_pool_stream_early_joins_all_threads_without_deadlock() {
-        for _ in 0..8 {
-            let mut stream = spawn_ordered_epoch(
-                0,
-                plan(64, 4),
-                byte_fetch(),
-                pipeline(),
-                Arc::new(LoaderStats::default()),
-                2,
-                1, // smallest window: pool threads park on it constantly
-                4,
-                8,
-            );
-            let _ = stream.next();
-            drop(stream); // must unblock + join, not hang
-        }
-    }
-
-    #[test]
-    fn skip_filter_drops_batches_before_fetch_with_a_pool() {
-        let fetched = Arc::new(AtomicUsize::new(0));
-        let f2 = Arc::clone(&fetched);
-        let fetch: Arc<FetchFn> = Arc::new(move |_| {
-            f2.fetch_add(1, Ordering::SeqCst);
-            Ok(Arc::new(vec![0u8; 4]))
-        });
-        let (out_tx, out_rx) = bounded::<Minibatch>(16);
-        let stats = Arc::new(LoaderStats::default());
-        let mut executor = PrefetchExecutor::spawn(ExecutorSpec {
-            epoch: 0,
-            batches: plan(6, 2),
-            fetch,
-            skip: Some(Arc::new(|index| index % 2 == 1)),
-            pipeline: pipeline(),
-            stats,
-            sink: Arc::new(out_tx),
-            workers: 2,
-            prefetch_depth: 4,
-            fetch_threads: 3,
-            fetch_shards: 8,
-        });
-        let mut indices = Vec::new();
-        while let Ok(mb) = out_rx.recv() {
-            indices.push(mb.index);
-        }
-        indices.sort_unstable();
-        assert_eq!(indices, vec![0, 2, 4]);
-        assert_eq!(fetched.load(Ordering::SeqCst), 6, "3 batches x 2 items");
-        executor.shutdown_and_join();
     }
 }

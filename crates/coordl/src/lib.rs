@@ -27,21 +27,23 @@
 //! `dstool validate` exploits to diff predicted against empirical behaviour.
 //!
 //! Every mode runs on one **prefetching executor** (the paper's overlap
-//! prescription, §2/§5): a single fetch thread sweeps the epoch plan in
-//! training order — so every cache-tier transaction is sequential and
+//! prescription, §2/§5): one sharded fetch stage of `fetch_threads(f)` >= 1
+//! threads sweeps the epoch plan in training order — each cache shard's
+//! transactions on the one thread that owns it, so they are sequential and
 //! deterministic — while `workers(n)` prep threads pre-process batches in
 //! parallel behind a `prefetch_depth(d)` window.  Parallelism changes *when*
 //! work happens (reported as per-stage busy/stall seconds in the
-//! [`LoaderReport`]), never *what* a job observes: streams and counters are
-//! bit-identical across worker counts, pinned by
-//! `tests/parallel_session_equivalence.rs`.
+//! [`LoaderReport`]), never *what* a job observes: for a fixed shard count,
+//! streams and counters are bit-identical across fetch-thread and worker
+//! counts, pinned by `tests/parallel_session_equivalence.rs` and
+//! `tests/parallel_fetch_equivalence.rs`.
 //!
 //! Device timing is *not* simulated here (that is `coordl-pipeline`'s job);
 //! this crate is about the coordination semantics: exactly-once delivery,
 //! fresh per-epoch randomness, sharing, and fault handling.
 
 pub mod backend;
-pub mod coordinator;
+pub(crate) mod coordinator;
 pub mod error;
 pub(crate) mod executor;
 pub mod fault;
@@ -57,14 +59,11 @@ pub mod stats;
 pub mod tier;
 
 pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
-pub use coordinator::{EpochSession, JobEpochIterator};
 pub use error::CoordlError;
 pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan, FaultStep};
 pub use fsbackend::FsBackend;
 pub use minibatch::Minibatch;
-pub use partition::{
-    FetchOrigin, PartitionStats, PartitionedCacheCluster, RemoteHit, RemotePeerTier,
-};
+pub use partition::{FetchOrigin, PartitionStats, PartitionedCacheCluster, RemoteHit};
 pub use report::{EpochTrajectory, LoaderReport, TenantReport};
 pub use server::{Server, ServerConfig, TenantHandle, TenantSpec, TenantView};
 pub use session::{

@@ -11,9 +11,9 @@
 //!
 //! A [`Session`](crate::Session) in [`Mode::Partitioned`](crate::Mode) builds
 //! one of these with its configured tier per node and fetch backend
-//! ([`PartitionedCacheCluster::with_stack`]); [`RemotePeerTier`] views the
-//! peer caches as one intermediate [`CacheTier`] between a node's local
-//! chain and the durable store.
+//! ([`PartitionedCacheCluster::with_stack`]); the peer caches act as one
+//! intermediate tier between a node's local chain and the durable store —
+//! the second step of [`PartitionedCacheCluster::fetch`].
 //!
 //! # Fault tolerance
 //!
@@ -42,7 +42,7 @@ use dataset::ItemId;
 use dcache::FaultKind;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A successful peer lookup: the served bytes and the owning peer's index,
@@ -481,7 +481,7 @@ impl PartitionedCacheCluster {
         // 2. The remote peer tier: the directory resolves the owner, the
         // peer's cache chain serves the bytes (over the network in the real
         // system — §4.2: 10-40 Gbps beats the local SATA SSD).
-        if let Some((bytes, peer)) = self.remote_lookup(server, item)? {
+        if let Some((bytes, peer)) = self.remote_fetch(server, item)? {
             {
                 let mut servers = self.servers.write();
                 servers[server].stats.remote_hits += 1;
@@ -522,15 +522,14 @@ impl PartitionedCacheCluster {
         servers.iter().map(|s| s.stats.storage_bytes).sum()
     }
 
-    /// Resolve `item` through the directory and read it from the owning
-    /// peer's cache chain (`Ok(None)` when uncached, unowned, owned by
-    /// `server` itself — a racing local eviction — or owned by a dead
-    /// peer).  A peer tier that panics mid-lookup is a typed
-    /// [`CoordlError::PeerFailed`], never a propagated panic.  This is the
-    /// lookup half of the remote tier; [`RemotePeerTier`] wraps it as a
-    /// [`CacheTier`], and [`fetch`](Self::fetch) layers retry-and-kill on
-    /// top.
-    fn remote_lookup(&self, server: usize, item: ItemId) -> Result<RemoteHit, CoordlError> {
+    /// The remote-lookup half of [`fetch`](Self::fetch), without its
+    /// kill-and-retry: resolve `item` through the directory and read it from
+    /// the owning peer's cache chain (`Ok(None)` when uncached, unowned,
+    /// owned by `server` itself — a racing local eviction — or owned by a
+    /// dead peer).  A peer tier that panics mid-lookup is a typed
+    /// [`CoordlError::PeerFailed`] — the error the retry machinery consumes
+    /// — never a propagated panic.
+    pub fn remote_fetch(&self, server: usize, item: ItemId) -> Result<RemoteHit, CoordlError> {
         let Some(peer) = self.directory.read().get(&item).copied() else {
             return Ok(None);
         };
@@ -552,120 +551,6 @@ impl PartitionedCacheCluster {
                 detail: panic_detail(payload),
             }),
         }
-    }
-
-    /// Public probe of the remote-lookup half without the fetch path's
-    /// kill-and-retry: resolves `item` through the directory and reads it
-    /// from the owning peer, surfacing a failing peer as the typed
-    /// [`CoordlError::PeerFailed`] the retry machinery consumes.
-    pub fn remote_fetch(&self, server: usize, item: ItemId) -> Result<RemoteHit, CoordlError> {
-        self.remote_lookup(server, item)
-    }
-
-    /// View the cluster's peer caches as one intermediate cache tier from
-    /// `server`'s perspective: everything the *other* nodes hold, sitting
-    /// between `server`'s local chain and the shared backend.
-    pub fn remote_tier(self: &Arc<Self>, server: usize) -> RemotePeerTier {
-        assert!(server < self.num_servers(), "server {server} out of range");
-        RemotePeerTier {
-            cluster: Arc::clone(self),
-            server,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The partitioned peer index expressed as a [`CacheTier`]: a read-through
-/// view of every *other* server's cache chain, resolved through the item
-/// directory.  Lookups serve peer-resident bytes; `admit` is a no-op (peers
-/// populate their own tiers when they fetch), so the tier is purely an
-/// intermediate level between a node's local chain and the durable store.
-/// Dead peers are invisible: their bytes neither serve lookups nor count
-/// toward the view's capacity.
-pub struct RemotePeerTier {
-    cluster: Arc<PartitionedCacheCluster>,
-    server: usize,
-    // The view carries its own fetch counters: the cluster's per-server
-    // stats count cluster.fetch traffic, not accesses made through this
-    // adapter.
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CacheTier for RemotePeerTier {
-    fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
-        match self.cluster.remote_lookup(self.server, item) {
-            Ok(Some((bytes, _))) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            // A failing peer is a miss from the tier-view's perspective —
-            // the degraded-mode error is the cluster fetch path's to
-            // handle, and a `CacheTier` lookup must not panic.
-            Ok(None) | Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn admit(&self, _item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        bytes
-    }
-
-    fn contains(&self, item: ItemId) -> bool {
-        // The directory alone is not enough: an evicting peer policy can
-        // drop a registered item, and `contains` must imply a successful
-        // lookup.  Dead peers never "contain" anything.
-        match self.cluster.directory.read().get(&item) {
-            Some(&peer) if peer != self.server => {
-                let servers = self.cluster.servers.read();
-                servers
-                    .get(peer)
-                    .is_some_and(|s| s.alive && s.tier.contains(item))
-            }
-            _ => false,
-        }
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.peers().map(|t| t.used_bytes()).sum()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.peers().map(|t| t.capacity_bytes()).sum()
-    }
-
-    fn resident_items(&self) -> usize {
-        self.peers().map(|t| t.resident_items()).sum()
-    }
-
-    fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        "remote-peers"
-    }
-}
-
-impl RemotePeerTier {
-    /// The *alive* peer tiers this view spans.
-    fn peers(&self) -> impl Iterator<Item = Arc<dyn CacheTier>> {
-        let servers = self.cluster.servers.read();
-        let me = self.server;
-        servers
-            .iter()
-            .enumerate()
-            .filter(|&(s, state)| s != me && state.alive)
-            .map(|(_, state)| Arc::clone(&state.tier))
-            .collect::<Vec<_>>()
-            .into_iter()
     }
 }
 
@@ -845,60 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_peer_tier_expresses_the_peer_index_as_an_intermediate_tier() {
-        let n = 40;
-        let ds = dataset(n, 100);
-        let cluster = Arc::new(minio_cluster(ds, 2, 100 * 100));
-        run_epoch(&cluster, n, 0, 2);
-        let remote = cluster.remote_tier(0);
-        assert_eq!(remote.policy_name(), "remote-peers");
-        // Everything node 1 cached is visible to node 0 through the tier;
-        // node 0's own items are not (they are its *local* tier).
-        let mut seen = 0;
-        for item in 0..n {
-            let local = cluster.tier(0).contains(item);
-            let remote_hit = remote.lookup(item).is_some();
-            assert_eq!(remote.contains(item), remote_hit, "item {item}");
-            assert!(local ^ remote_hit, "exactly one tier owns item {item}");
-            seen += remote_hit as usize;
-        }
-        assert!(seen > 0, "peer holds part of the dataset");
-        // The view counts its own accesses, not the cluster's fetch stats.
-        assert_eq!(remote.hits(), seen as u64);
-        assert_eq!(CacheTier::misses(&remote), n - seen as u64);
-        // With an evicting peer policy, `contains` must track the peer's
-        // actual residency, not the (stale) directory registration.
-        let lru_tiers = (0..2)
-            .map(|_| Arc::new(TieredByteCache::single(PolicyKind::Lru, 300)) as Arc<dyn CacheTier>)
-            .collect();
-        let lru_cluster = Arc::new(PartitionedCacheCluster::with_stack(
-            Arc::new(DirectBackend::new(dataset(40, 100))),
-            lru_tiers,
-            Arc::new(LoaderStats::default()),
-        ));
-        for item in 0..20 {
-            let _ = lru_cluster.fetch(1, item); // node 1 caches, then thrashes
-        }
-        let view = lru_cluster.remote_tier(0);
-        for item in 0..20 {
-            assert_eq!(
-                view.contains(item),
-                view.lookup(item).is_some(),
-                "contains must imply lookup for evicted item {item}"
-            );
-        }
-        // The remote tier never admits: it is read-through by design.
-        let before = remote.resident_items();
-        let _ = remote.admit(999_999, Arc::new(vec![1, 2, 3]));
-        assert_eq!(remote.resident_items(), before);
-        assert_eq!(
-            CacheTier::capacity_bytes(&remote),
-            100 * 100,
-            "capacity is the peers' aggregate"
-        );
-    }
-
-    #[test]
     fn out_of_range_server_is_a_typed_error() {
         let ds = dataset(10, 10);
         let cluster = minio_cluster(ds, 2, 1000);
@@ -1000,9 +831,6 @@ mod tests {
         assert_eq!(origin, FetchOrigin::Storage);
         assert!(!cluster.is_alive(1), "failing peer was quarantined");
         assert!(cluster.is_alive(0));
-        // The remote tier view degrades to misses instead of panicking.
-        let view = Arc::new(cluster).remote_tier(0);
-        assert!(view.lookup(victim).is_none());
     }
 
     #[test]

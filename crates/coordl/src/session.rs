@@ -39,12 +39,12 @@
 
 use crate::coordinator::{CoordinatedEngine, EpochSession, JobEpochIterator};
 use crate::error::CoordlError;
-use crate::executor::{spawn_ordered_epoch, FetchFn, OrderedStream};
+use crate::executor::{spawn_ordered_epoch, ExecutorConfig, FetchFn, OrderedStream};
 use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
 use crate::report::{EpochTrajectory, LoaderReport};
-use crate::stack::{spawn_single_epoch, LoaderStack};
+use crate::stack::LoaderStack;
 use crate::staging::{StagingArea, StagingStats};
 use crate::stats::LoaderStats;
 use crate::tier::{ByteTierSpec, CacheTier, TierSnapshot, TieredByteCache};
@@ -121,24 +121,27 @@ pub struct SessionConfig {
     /// How long a coordinated consumer waits before invoking the failure
     /// detector.
     pub take_timeout: Duration,
-    /// Fetch-stage threads per epoch executor (default 1: the serial sweep
-    /// every baseline digest was produced with).  With `f > 1` the fetch
-    /// stage becomes a sharded pool: items are partitioned across the
-    /// threads by cache-shard ownership, so streams and counters stay
-    /// bit-identical across `f` for a fixed [`SessionConfig::fetch_shards`]
-    /// (see [`SessionBuilder::fetch_threads`]).
+    /// Threads of each epoch executor's fetch stage (default 1).  Items are
+    /// partitioned across the threads by cache-shard ownership, so the
+    /// thread count only decides how many shards run concurrently: streams
+    /// and counters are bit-identical across `f` for a fixed
+    /// [`SessionConfig::fetch_shards`] (see
+    /// [`SessionBuilder::fetch_threads`]).
     pub fetch_threads: usize,
     /// Cache shards of the session's tier(s), and therefore of the fetch
-    /// pool's key-ownership map.  `0` (the default) resolves automatically:
-    /// 1 shard when `fetch_threads == 1` (the exact legacy tier), or
-    /// [`DEFAULT_FETCH_SHARDS`] when the pool is on.  Explicit values must
-    /// be `>= fetch_threads` so every pool thread owns at least one shard.
+    /// stage's key-ownership map.  The shard count — not the thread count —
+    /// is what pins a run's eviction decisions and so its digests.  `0`
+    /// (the default) resolves automatically: 1 shard when
+    /// `fetch_threads == 1` (the unsplit tier every baseline digest was
+    /// recorded with), or [`DEFAULT_FETCH_SHARDS`] otherwise.  Explicit
+    /// values must be `>= fetch_threads` so every fetch thread owns at
+    /// least one shard.
     pub fetch_shards: usize,
 }
 
 /// Shard count a `fetch_threads > 1` session resolves `fetch_shards = 0`
 /// to.  Eight shards keep per-shard capacity splits coarse enough for the
-/// small test datasets while giving a 4-thread pool two shards per thread.
+/// small test datasets while giving a 4-thread stage two shards per thread.
 pub const DEFAULT_FETCH_SHARDS: usize = 8;
 
 impl Default for SessionConfig {
@@ -158,10 +161,10 @@ impl Default for SessionConfig {
 }
 
 impl SessionConfig {
-    /// The shard count the session's tiers and fetch pool actually use:
-    /// [`SessionConfig::fetch_shards`], with `0` resolved to 1 shard for a
-    /// serial session (bit-identical to the pre-sharding tier) or
-    /// [`DEFAULT_FETCH_SHARDS`] for a pool.
+    /// The shard count the session's tiers and fetch stage actually use:
+    /// [`SessionConfig::fetch_shards`], with `0` resolved to 1 shard (the
+    /// unsplit tier) for one fetch thread or [`DEFAULT_FETCH_SHARDS`] for
+    /// more.
     pub fn resolved_fetch_shards(&self) -> usize {
         match self.fetch_shards {
             0 if self.fetch_threads <= 1 => 1,
@@ -200,16 +203,17 @@ impl SessionBuilder {
     /// [`SessionConfig::num_workers`]).
     ///
     /// Parallelism is an implementation detail of *when* work happens, never
-    /// of *what* is computed: every cache transaction runs sequentially in
-    /// training order on one fetch thread, so `workers(1)` and `workers(n)`
-    /// yield bit-identical minibatch streams and [`LoaderStats`] counters
-    /// (pinned by `tests/parallel_session_equivalence.rs`).
+    /// of *what* is computed: every cache transaction runs in training
+    /// order on the fetch thread owning its shard, so `workers(1)` and
+    /// `workers(n)` yield bit-identical minibatch streams and
+    /// [`LoaderStats`] counters (pinned by
+    /// `tests/parallel_session_equivalence.rs`).
     pub fn workers(mut self, n: usize) -> Self {
         self.config.num_workers = n;
         self
     }
 
-    /// Set how many raw minibatches the fetch thread runs ahead of the prep
+    /// Set how many raw minibatches the fetch stage runs ahead of the prep
     /// pool (overrides [`SessionConfig::prefetch_depth`]).  Like the worker
     /// count, depth only trades memory for overlap — the delivered streams
     /// and statistics are identical for any value.
@@ -219,25 +223,25 @@ impl SessionBuilder {
     }
 
     /// Size the fetch stage (overrides [`SessionConfig::fetch_threads`];
-    /// default 1, the serial sweep).
+    /// default 1, its narrowest setting).
     ///
-    /// With `f > 1` each epoch's plan is partitioned by cache-shard
-    /// ownership (`dcache::shard_of_key`, the same FNV-style routing the
-    /// sharded tiers use): pool thread `t` fetches exactly the items of
-    /// shards `{k : k % f == t}`, so every tier transaction on a given key
-    /// still happens on one thread, in plan order for that shard.  For a
-    /// fixed [`SessionBuilder::fetch_shards`] count, streams *and* counters
-    /// are bit-identical across any `f` (pinned by
+    /// Each epoch's plan is partitioned by cache-shard ownership
+    /// (`dcache::shard_of_key`, the same FNV-style routing the sharded
+    /// tiers use): fetch thread `t` fetches exactly the items of shards
+    /// `{k : k % f == t}`, so every tier transaction on a given key happens
+    /// on one thread, in plan order for that shard.  For a fixed
+    /// [`SessionBuilder::fetch_shards`] count, streams *and* counters are
+    /// bit-identical across any `f` (pinned by
     /// `tests/parallel_fetch_equivalence.rs`); changing the shard count
     /// changes the per-shard capacity split and may change eviction
-    /// decisions, which is why `fetch_threads(1)` defaults to the 1-shard
-    /// legacy tier.
+    /// decisions, which is why `fetch_threads(1)` defaults to the unsplit
+    /// 1-shard tier.
     pub fn fetch_threads(mut self, f: usize) -> Self {
         self.config.fetch_threads = f;
         self
     }
 
-    /// Pin the cache-shard count the session's tiers (and the fetch pool's
+    /// Pin the cache-shard count the session's tiers (and the fetch stage's
     /// ownership map) use, instead of the automatic resolution described on
     /// [`SessionConfig::fetch_shards`].  Pin this when comparing runs across
     /// different `fetch_threads` values — equal shard counts is what makes
@@ -265,7 +269,8 @@ impl SessionBuilder {
     /// Use a multi-level cache hierarchy (DRAM spilling into a profiled
     /// local-SSD tier, and so on) for the cache tier(s): one
     /// [`TieredByteCache`] shared by single/coordinated sessions, or one per
-    /// node in partitioned mode.  Overrides
+    /// node in partitioned mode — node `n`'s persistent levels spill into
+    /// `{dir}/node-{n}`, so nodes never share a manifest.  Overrides
     /// [`SessionConfig::cache_capacity_bytes`] with the specs' own sizes.
     pub fn cache_tiers(mut self, tiers: Vec<ByteTierSpec>) -> Self {
         self.tier = TierChoice::Tiers(tiers);
@@ -373,53 +378,58 @@ impl SessionBuilder {
         }));
         let stats = Arc::new(LoaderStats::default());
 
-        // Every policy-built tier is a TierChain underneath: a single-level
-        // chain is pinned bit-identical to the raw `dcache` policy.
-        // The shard count ties the tier to the fetch pool: 1 shard for a
-        // serial session (the exact legacy tier), `resolved_fetch_shards()`
-        // otherwise, so pool-thread ownership and tier-shard locking agree.
-        let shards = config.resolved_fetch_shards();
-        let build_tier = |choice: &TierChoice| -> Arc<dyn CacheTier> {
-            match choice {
-                TierChoice::Custom(t) => Arc::clone(t),
-                TierChoice::Policy(kind) => Arc::new(TieredByteCache::single_sharded(
-                    *kind,
-                    config.cache_capacity_bytes,
-                    shards,
-                )),
-                TierChoice::Tiers(specs) => {
-                    Arc::new(TieredByteCache::new_sharded(specs.clone(), shards))
+        let executor = ExecutorConfig {
+            workers: config.num_workers,
+            prefetch_depth: config.prefetch_depth,
+            fetch_threads: config.fetch_threads,
+            fetch_shards: config.resolved_fetch_shards(),
+        };
+        // Every session-built tier is a sharded `TieredByteCache` (a policy
+        // choice is its single-DRAM-level form).  The shard count ties the
+        // tier to the fetch stage, so fetch-thread ownership and tier-shard
+        // locking agree.  Partitioned node `n` keeps its persistent levels
+        // under `node-{n}`: nodes must never share a spill manifest.
+        let build_tier = |node: Option<usize>| -> Result<Arc<dyn CacheTier>, CoordlError> {
+            let specs = match &self.tier {
+                TierChoice::Custom(t) => return Ok(Arc::clone(t)),
+                TierChoice::Policy(kind) => {
+                    vec![ByteTierSpec::dram(*kind, config.cache_capacity_bytes)]
                 }
-            }
+                TierChoice::Tiers(specs) => specs.clone(),
+            };
+            let specs = match node {
+                Some(n) => specs
+                    .into_iter()
+                    .map(|spec| spec.in_subdir(&format!("node-{n}")))
+                    .collect(),
+                None => specs,
+            };
+            let tier = TieredByteCache::try_new_sharded(specs, executor.fetch_shards)?;
+            Ok(Arc::new(tier))
+        };
+        let shared_stack = || -> Result<LoaderStack, CoordlError> {
+            Ok(LoaderStack {
+                tier: build_tier(None)?,
+                backend: Arc::clone(&backend),
+                stats: Arc::clone(&stats),
+                pipeline: Arc::clone(&pipeline),
+            })
         };
 
+        let mut lanes: Vec<Arc<FetchFn>> = Vec::new();
         let kind = match self.mode {
-            Mode::Single => SessionKind::Single {
-                stack: LoaderStack {
-                    tier: build_tier(&self.tier),
-                    backend: Arc::clone(&backend),
-                    stats: Arc::clone(&stats),
-                    pipeline: Arc::clone(&pipeline),
-                },
-            },
+            Mode::Single => {
+                let stack = shared_stack()?;
+                lanes.push(stack.fetch_fn());
+                SessionKind::Single { tier: stack.tier }
+            }
             Mode::Coordinated { jobs } => SessionKind::Coordinated {
                 engine: CoordinatedEngine {
-                    stack: LoaderStack {
-                        tier: build_tier(&self.tier),
-                        backend: Arc::clone(&backend),
-                        stats: Arc::clone(&stats),
-                        pipeline: Arc::clone(&pipeline),
-                    },
-                    dataset_len: self.dataset.len(),
+                    stack: shared_stack()?,
                     num_jobs: jobs,
-                    batch_size: config.batch_size,
                     staging_window: config.staging_window,
-                    seed: config.seed,
                     take_timeout: config.take_timeout,
-                    num_workers: config.num_workers,
-                    prefetch_depth: config.prefetch_depth,
-                    fetch_threads: config.fetch_threads,
-                    fetch_shards: shards,
+                    executor,
                 },
             },
             Mode::Partitioned { nodes } => {
@@ -428,7 +438,9 @@ impl SessionBuilder {
                         "partitioned mode builds one tier per node; use cache_policy".into(),
                     ));
                 }
-                let tiers = (0..nodes).map(|_| build_tier(&self.tier)).collect();
+                let tiers = (0..nodes)
+                    .map(|n| build_tier(Some(n)))
+                    .collect::<Result<_, _>>()?;
                 let cluster = Arc::new(PartitionedCacheCluster::with_stack(
                     Arc::clone(&backend),
                     tiers,
@@ -437,6 +449,14 @@ impl SessionBuilder {
                 if let Some(plan) = self.fault_plan {
                     cluster.set_fault_plan(plan);
                 }
+                // A node's executor fetches through the cluster (local tier
+                // → peers → backend) in shard order, so its fetch sequence
+                // stays deterministic under any executor shape.
+                lanes.extend((0..nodes).map(|node| {
+                    let cluster = Arc::clone(&cluster);
+                    Arc::new(move |item| cluster.fetch(node, item).map(|(bytes, _)| bytes))
+                        as Arc<FetchFn>
+                }));
                 SessionKind::Partitioned { cluster }
             }
         };
@@ -448,6 +468,8 @@ impl SessionBuilder {
             stats,
             backend,
             pipeline,
+            executor,
+            lanes,
             kind,
             trajectories: Mutex::new(Vec::new()),
         })
@@ -456,7 +478,7 @@ impl SessionBuilder {
 
 enum SessionKind {
     Single {
-        stack: LoaderStack,
+        tier: Arc<dyn CacheTier>,
     },
     Coordinated {
         engine: CoordinatedEngine,
@@ -475,12 +497,16 @@ pub struct Session {
     stats: Arc<LoaderStats>,
     backend: Arc<dyn FetchBackend>,
     pipeline: Arc<ExecutablePipeline>,
+    /// Shape of every epoch executor the session spawns.
+    executor: ExecutorConfig,
+    /// The fetch path of each *ordered* lane — a stream with its own
+    /// executor: one over the shared stack in single mode, one
+    /// `cluster.fetch(node, ·)` per partitioned node, none in coordinated
+    /// mode (whose jobs share the engine's one executor).
+    lanes: Vec<Arc<FetchFn>>,
     kind: SessionKind,
     trajectories: Mutex<Vec<EpochTrajectory>>,
 }
-
-/// What [`SessionBuilder::build`] returns (the ISSUE-facing name).
-pub type SessionHandle = Session;
 
 impl Session {
     /// Start describing a session over `dataset`.
@@ -527,7 +553,7 @@ impl Session {
     /// [`Session::node_tier`]).
     pub fn cache_tier(&self) -> Option<Arc<dyn CacheTier>> {
         match &self.kind {
-            SessionKind::Single { stack } => Some(Arc::clone(&stack.tier)),
+            SessionKind::Single { tier } => Some(Arc::clone(tier)),
             SessionKind::Coordinated { engine } => Some(Arc::clone(&engine.stack.tier)),
             SessionKind::Partitioned { .. } => None,
         }
@@ -565,56 +591,36 @@ impl Session {
     /// [`EpochTrajectory`] in the session's report, so consume the streams
     /// within the handle's lifetime.
     pub fn epoch(&self, epoch: u64) -> EpochRun<'_> {
-        let inner = match &self.kind {
-            SessionKind::Single { .. } => RunInner::Single,
-            SessionKind::Coordinated { engine } => RunInner::Coordinated(engine.run_epoch(epoch)),
-            SessionKind::Partitioned { .. } => RunInner::Partitioned,
+        let coordinated = match &self.kind {
+            SessionKind::Coordinated { engine } => {
+                Some(engine.run_epoch(epoch, self.plan(epoch, 0)))
+            }
+            _ => None,
         };
         EpochRun {
             session: self,
             epoch,
             start: self.snapshot(),
-            inner,
+            coordinated,
             single_stream_taken: AtomicBool::new(false),
         }
     }
 
-    /// Run one coordinated epoch on the raw engine, for callers that drive
-    /// [`EpochSession`]s manually.
-    ///
-    /// # Panics
-    /// Panics unless the session is in [`Mode::Coordinated`].
-    pub fn coordinated_epoch(&self, epoch: u64) -> EpochSession {
-        match &self.kind {
-            SessionKind::Coordinated { engine } => engine.run_epoch(epoch),
-            _ => panic!("coordinated_epoch requires Mode::Coordinated"),
-        }
-    }
-
-    /// Spawn one single-mode epoch's prefetching executor (behind
-    /// [`EpochRun::stream`]).
-    ///
-    /// # Panics
-    /// Panics unless the session is in [`Mode::Single`].
-    pub(crate) fn raw_single_epoch(&self, epoch: u64) -> OrderedStream {
-        let SessionKind::Single { stack } = &self.kind else {
-            panic!("raw_single_epoch requires Mode::Single");
+    /// The ordered `(batch_index, items)` plan of `lane` for `epoch`: the
+    /// lane's share of the epoch's permutation, cut into minibatches.
+    /// Partitioned sessions have one lane per node; every other mode has a
+    /// single lane, whose share *is* the whole permutation.
+    fn plan(&self, epoch: u64, lane: usize) -> Vec<(usize, Vec<ItemId>)> {
+        let lanes = match self.mode {
+            Mode::Partitioned { nodes } => nodes,
+            _ => 1,
         };
         let sampler = EpochSampler::new(self.dataset.len(), self.config.seed);
-        let order = sampler.permutation(epoch);
-        let batches: Vec<(usize, Vec<ItemId>)> = minibatches(&order, self.config.batch_size)
+        let order = sampler.distributed_shard(epoch, lane, lanes);
+        minibatches(&order, self.config.batch_size)
             .into_iter()
             .enumerate()
-            .collect();
-        spawn_single_epoch(
-            epoch,
-            batches,
-            stack.clone(),
-            self.config.num_workers,
-            self.config.prefetch_depth,
-            self.config.fetch_threads,
-            self.config.resolved_fetch_shards(),
-        )
+            .collect()
     }
 
     /// Every cache tier of the session: the one shared tier, or one per
@@ -782,20 +788,15 @@ struct CounterSnapshot {
     consumer_wait_seconds: f64,
 }
 
-enum RunInner {
-    Single,
-    Coordinated(EpochSession),
-    Partitioned,
-    Finished,
-}
-
 /// One epoch of a session: hands out per-job [`BatchStream`]s and records
 /// the epoch's trajectory when dropped.
 pub struct EpochRun<'a> {
     session: &'a Session,
     epoch: u64,
     start: CounterSnapshot,
-    inner: RunInner,
+    /// The shared engine epoch of a coordinated session (started eagerly);
+    /// ordered lanes spawn their executor lazily, at [`EpochRun::stream`].
+    coordinated: Option<EpochSession>,
     single_stream_taken: AtomicBool,
 }
 
@@ -823,64 +824,37 @@ impl EpochRun<'_> {
     /// epoch, silently double-counting this run's trajectory.  Call
     /// [`Session::epoch`] again for another pass over the same epoch.
     pub fn stream(&self, job: usize) -> BatchStream {
+        let session = self.session;
         assert!(
-            job < self.session.num_jobs(),
+            job < session.num_jobs(),
             "job {job} out of range for {} mode with {} job(s)",
-            self.session.mode().name(),
-            self.session.num_jobs()
+            session.mode().name(),
+            session.num_jobs()
         );
-        match (&self.inner, &self.session.kind) {
-            (RunInner::Single, SessionKind::Single { .. }) => {
-                assert!(
-                    !self.single_stream_taken.swap(true, Ordering::SeqCst),
-                    "stream(0) already taken for this EpochRun; call \
-                     Session::epoch again for another pass"
-                );
-                let stream = self.session.raw_single_epoch(self.epoch);
-                BatchStream {
-                    total: stream.total_batches(),
-                    inner: StreamInner::Ordered(stream),
-                }
-            }
-            (RunInner::Coordinated(epoch_session), _) => BatchStream {
+        if let Some(epoch_session) = &self.coordinated {
+            return BatchStream {
                 total: epoch_session.total_batches(),
                 inner: StreamInner::Coordinated(epoch_session.consumer(job)),
-            },
-            (RunInner::Partitioned, SessionKind::Partitioned { cluster }) => {
-                let nodes = self.session.num_jobs();
-                let sampler =
-                    EpochSampler::new(self.session.dataset.len(), self.session.config.seed);
-                let shard = sampler.distributed_shard(self.epoch, job, nodes);
-                let batches: Vec<(usize, Vec<ItemId>)> =
-                    minibatches(&shard, self.session.config.batch_size)
-                        .into_iter()
-                        .enumerate()
-                        .collect();
-                // The node's executor fetches through the cluster (local
-                // tier → peers → backend) strictly in shard order, so a
-                // node's fetch sequence stays deterministic under any
-                // worker count.
-                let cluster = Arc::clone(cluster);
-                let node = job;
-                let fetch: Arc<FetchFn> =
-                    Arc::new(move |item| cluster.fetch(node, item).map(|(bytes, _)| bytes));
-                let stream = spawn_ordered_epoch(
-                    self.epoch,
-                    batches,
-                    fetch,
-                    Arc::clone(&self.session.pipeline),
-                    Arc::clone(&self.session.stats),
-                    self.session.config.num_workers,
-                    self.session.config.prefetch_depth,
-                    self.session.config.fetch_threads,
-                    self.session.config.resolved_fetch_shards(),
-                );
-                BatchStream {
-                    total: stream.total_batches(),
-                    inner: StreamInner::Ordered(stream),
-                }
-            }
-            _ => unreachable!("EpochRun inner state matches the session kind"),
+            };
+        }
+        if session.mode == Mode::Single {
+            assert!(
+                !self.single_stream_taken.swap(true, Ordering::SeqCst),
+                "stream(0) already taken for this EpochRun; call \
+                 Session::epoch again for another pass"
+            );
+        }
+        let stream = spawn_ordered_epoch(
+            self.epoch,
+            session.plan(self.epoch, job),
+            Arc::clone(&session.lanes[job]),
+            Arc::clone(&session.pipeline),
+            Arc::clone(&session.stats),
+            session.executor,
+        );
+        BatchStream {
+            total: stream.total_batches(),
+            inner: StreamInner::Ordered(stream),
         }
     }
 
@@ -889,18 +863,15 @@ impl EpochRun<'_> {
     /// # Panics
     /// Panics unless the session is in [`Mode::Coordinated`].
     pub fn inject_failure(&self, job: usize) {
-        match &self.inner {
-            RunInner::Coordinated(s) => s.inject_failure(job),
-            _ => panic!("inject_failure requires Mode::Coordinated"),
+        match &self.coordinated {
+            Some(s) => s.inject_failure(job),
+            None => panic!("inject_failure requires Mode::Coordinated"),
         }
     }
 
     /// The coordinated staging area (`None` in other modes).
     pub fn staging(&self) -> Option<&StagingArea> {
-        match &self.inner {
-            RunInner::Coordinated(s) => Some(s.staging()),
-            _ => None,
-        }
+        self.coordinated.as_ref().map(|s| s.staging().as_ref())
     }
 }
 
@@ -908,14 +879,11 @@ impl Drop for EpochRun<'_> {
     fn drop(&mut self) {
         // Shut a coordinated epoch down (joining its producers) *before*
         // snapshotting, so late producer work is attributed to this epoch.
-        let staging = match std::mem::replace(&mut self.inner, RunInner::Finished) {
-            RunInner::Coordinated(epoch_session) => {
-                let staging = Arc::clone(epoch_session.staging_arc());
-                drop(epoch_session);
-                Some(staging.stats())
-            }
-            _ => None,
-        };
+        let staging = self.coordinated.take().map(|epoch_session| {
+            let staging = Arc::clone(epoch_session.staging());
+            drop(epoch_session);
+            staging.stats()
+        });
         self.session
             .record_trajectory(self.epoch, self.start, staging);
     }
@@ -1266,6 +1234,105 @@ mod tests {
             .fault_plan(plan)
             .build();
         assert!(matches!(bad, Err(CoordlError::InvalidConfig(_))));
+    }
+
+    #[test]
+    fn unbuildable_tier_specs_are_typed_errors_not_panics() {
+        use vfs::{MemVfs, Vfs};
+        let ds = store(10, 64);
+        let empty = Session::builder(Arc::clone(&ds), SessionConfig::default())
+            .cache_tiers(vec![])
+            .build();
+        assert!(matches!(empty, Err(CoordlError::InvalidConfig(_))));
+        // A spill directory the VFS refuses to open.
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        for mode in [Mode::Single, Mode::Partitioned { nodes: 2 }] {
+            let escaping = Session::builder(Arc::clone(&ds), SessionConfig::default())
+                .mode(mode)
+                .cache_tiers(vec![ByteTierSpec::sata_ssd(PolicyKind::MinIo, 1 << 20)
+                    .persistent(Arc::clone(&vfs), "../escape")])
+                .build();
+            match escaping {
+                Err(CoordlError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("../escape"), "{}: {msg}", mode.name())
+                }
+                Err(other) => panic!("{}: expected InvalidConfig, got {other}", mode.name()),
+                Ok(_) => panic!("{}: an un-openable tier must not build", mode.name()),
+            }
+        }
+    }
+
+    #[test]
+    fn partitioned_nodes_spill_into_their_own_directories() {
+        use vfs::{MemVfs, SpillStore, Vfs};
+        let items = 60u64;
+        let spec = DatasetSpec::new("sess", items, 100, 0.0, 4.0);
+        let total = spec.total_bytes();
+        let ds: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 9));
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        let build = || {
+            Session::builder(Arc::clone(&ds), config(10, 0))
+                .mode(Mode::Partitioned { nodes: 2 })
+                .cache_tiers(vec![ByteTierSpec::sata_ssd(PolicyKind::MinIo, total)
+                    .persistent(Arc::clone(&vfs), "spill")])
+                .build()
+                .unwrap()
+        };
+        let drain = |session: &Session, epoch: u64| {
+            let run = session.epoch(epoch);
+            for node in 0..2 {
+                assert_eq!(
+                    run.stream(node).map(|mb| mb.unwrap().len()).sum::<usize>(),
+                    30
+                );
+            }
+        };
+        let first = build();
+        drain(&first, 0);
+        // Each node's manifest lists exactly the keys its own tier holds.
+        let manifest = |node: usize| -> Vec<u64> {
+            let store = SpillStore::open(Arc::clone(&vfs), &format!("spill/node-{node}"))
+                .expect("node directory opens");
+            store.entries().map(|(key, _)| key).collect()
+        };
+        let held: Vec<Vec<u64>> = (0..2).map(manifest).collect();
+        for (node, keys) in held.iter().enumerate() {
+            let tier = first.node_tier(node).unwrap();
+            assert_eq!(keys.len(), 30, "node {node} spilled its whole shard");
+            assert_eq!(keys.len(), tier.resident_items(), "node {node}");
+            assert!(keys.iter().all(|&k| tier.contains(k)), "node {node}");
+        }
+        assert!(held[0].iter().all(|k| !held[1].contains(k)), "disjoint");
+        drop(first);
+        // A rebuilt session warms each node from its own directory: the
+        // same epoch again is served entirely from the nodes' local tiers.
+        let reborn = build();
+        for (node, keys) in held.iter().enumerate() {
+            let tier = reborn.node_tier(node).unwrap();
+            assert_eq!(tier.resident_items(), keys.len(), "node {node} re-warmed");
+            assert!(keys.iter().all(|&k| tier.contains(k)), "node {node}");
+        }
+        drain(&reborn, 0);
+        assert_eq!(reborn.stats().bytes_from_storage(), 0, "zero storage reads");
+        assert_eq!(reborn.stats().bytes_from_remote(), 0, "own shard, own tier");
+    }
+
+    #[test]
+    fn report_has_one_busy_slot_per_fetch_thread() {
+        // The slot layout `dsbench`'s fetch-thread-imbalance metric reads.
+        for fetch_threads in [1, 2] {
+            let session = Session::builder(store(64, 128), config(8, 1 << 20))
+                .fetch_threads(fetch_threads)
+                .build()
+                .unwrap();
+            {
+                let run = session.epoch(0);
+                assert_eq!(run.stream(0).count(), 8);
+            }
+            let report = session.report();
+            assert_eq!(report.fetch_thread_busy_seconds.len(), fetch_threads);
+            assert_eq!(report.fetch_thread_stall_seconds.len(), fetch_threads);
+        }
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! the shared statistics.
 //!
 //! The multi-threaded epoch engine itself lives in
-//! [`executor`](crate::executor); this module provides the stack (what a
-//! fetch *does*) and the single-job entry point `Mode::Single` sessions run
-//! on.
+//! [`executor`](crate::executor); this module provides the stack — what a
+//! fetch *does* in single and coordinated sessions.
 
 use crate::error::CoordlError;
-use crate::executor::{spawn_ordered_epoch, FetchFn, OrderedStream};
+use crate::executor::FetchFn;
 use crate::stats::LoaderStats;
 use crate::{CacheTier, FetchBackend};
 use dataset::ItemId;
@@ -64,28 +63,4 @@ impl LoaderStack {
         let stack = self.clone();
         Arc::new(move |item| stack.fetch(item))
     }
-}
-
-/// Spawn the single-job prefetching executor for one epoch and return the
-/// stream of its minibatches in training order.
-pub(crate) fn spawn_single_epoch(
-    epoch: u64,
-    batches: Vec<(usize, Vec<ItemId>)>,
-    stack: LoaderStack,
-    num_workers: usize,
-    prefetch_depth: usize,
-    fetch_threads: usize,
-    fetch_shards: usize,
-) -> OrderedStream {
-    spawn_ordered_epoch(
-        epoch,
-        batches,
-        stack.fetch_fn(),
-        Arc::clone(&stack.pipeline),
-        Arc::clone(&stack.stats),
-        num_workers,
-        prefetch_depth,
-        fetch_threads,
-        fetch_shards,
-    )
 }

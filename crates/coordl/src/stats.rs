@@ -7,9 +7,9 @@ use std::time::Duration;
 /// performed.  All counters are monotone and thread-safe.
 ///
 /// The byte and sample counters are *deterministic*: the prefetching
-/// executor performs every cache transaction sequentially in plan order, so
-/// they are a pure function of the workload regardless of worker count or
-/// prefetch depth.  The stage-timing counters (`*_seconds`) are wall-clock
+/// executor performs every cache shard's transactions sequentially in plan
+/// order, so they are a pure function of the workload and the shard count
+/// regardless of fetch-thread count, worker count or prefetch depth.  The stage-timing counters (`*_seconds`) are wall-clock
 /// measurements summed across all threads of a stage and naturally vary run
 /// to run — they describe where time went (fetch vs prep vs consumer wait),
 /// not what was computed.
@@ -26,11 +26,11 @@ pub struct LoaderStats {
     prep_busy_nanos: AtomicU64,
     prep_stall_nanos: AtomicU64,
     consumer_wait_nanos: AtomicU64,
-    /// Per-fetch-thread `[busy, stall]` nanos, indexed by pool thread.  A
-    /// serial session records everything under thread 0; a `fetch_threads(f)`
-    /// pool records one row per thread, so reports can show how evenly the
-    /// shard-ownership partition spreads fetch work.  Grown on demand — the
-    /// recording path is per-batch, not per-item, so a mutex is fine.
+    /// Per-fetch-thread `[busy, stall]` nanos, indexed by fetch thread: a
+    /// `fetch_threads(f)` stage records one row per thread (one row for the
+    /// default `f = 1`), so reports can show how evenly the shard-ownership
+    /// partition spreads fetch work.  Grown on demand — the recording path
+    /// is per-batch, not per-item, so a mutex is fine.
     fetch_thread_nanos: std::sync::Mutex<Vec<[u64; 2]>>,
 }
 
@@ -99,18 +99,6 @@ impl LoaderStats {
         self.samples_delivered.load(Ordering::Relaxed)
     }
 
-    /// Record time the fetch stage spent reading tiers and backends.
-    pub fn record_fetch_busy(&self, d: Duration) {
-        self.fetch_busy_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Record time the fetch stage spent blocked on a full prefetch queue.
-    pub fn record_fetch_stall(&self, d: Duration) {
-        self.fetch_stall_nanos
-            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Record time a prep worker spent pre-processing.
     pub fn record_prep_busy(&self, d: Duration) {
         self.prep_busy_nanos
@@ -125,17 +113,21 @@ impl LoaderStats {
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Record fetch-stage busy time attributed to pool thread `thread`
-    /// (also accumulates into the aggregate fetch-busy counter).
+    /// Record time fetch thread `thread` spent reading tiers and backends
+    /// (accumulates into the aggregate fetch-busy counter and the thread's
+    /// own row).
     pub fn record_fetch_busy_for(&self, thread: usize, d: Duration) {
-        self.record_fetch_busy(d);
+        self.fetch_busy_nanos
+            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
         self.fetch_thread_add(thread, 0, d);
     }
 
-    /// Record fetch-stage stall time attributed to pool thread `thread`
-    /// (also accumulates into the aggregate fetch-stall counter).
+    /// Record time fetch thread `thread` spent blocked on a full prefetch
+    /// queue or window (accumulates into the aggregate fetch-stall counter
+    /// and the thread's own row).
     pub fn record_fetch_stall_for(&self, thread: usize, d: Duration) {
-        self.record_fetch_stall(d);
+        self.fetch_stall_nanos
+            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
         self.fetch_thread_add(thread, 1, d);
     }
 
@@ -150,8 +142,8 @@ impl LoaderStats {
         rows[thread][slot] += d.as_nanos() as u64;
     }
 
-    /// Per-fetch-thread busy seconds, indexed by pool thread (one entry for
-    /// serial sessions; empty before the first fetch records).
+    /// Per-fetch-thread busy seconds, indexed by fetch thread (empty before
+    /// the first fetch records).
     pub fn fetch_thread_busy_seconds(&self) -> Vec<f64> {
         self.fetch_thread_seconds(0)
     }
@@ -229,9 +221,9 @@ mod tests {
     #[test]
     fn stage_timings_accumulate_in_seconds() {
         let s = LoaderStats::default();
-        s.record_fetch_busy(Duration::from_millis(500));
-        s.record_fetch_busy(Duration::from_millis(250));
-        s.record_fetch_stall(Duration::from_millis(100));
+        s.record_fetch_busy_for(0, Duration::from_millis(500));
+        s.record_fetch_busy_for(0, Duration::from_millis(250));
+        s.record_fetch_stall_for(0, Duration::from_millis(100));
         s.record_prep_busy(Duration::from_secs(2));
         s.record_prep_stall(Duration::from_millis(40));
         s.record_consumer_wait(Duration::from_millis(10));

@@ -7,10 +7,12 @@
 //! and so on) driven by the *same* policy code the simulator's
 //! [`storage::StorageNode`] uses — CoorDL's never-evict MinIO cache (§4.1) is
 //! `PolicyKind::MinIo` in it, the page-cache thrashing the paper measures is
-//! `PolicyKind::Lru`.  Two adapters sit over it: the multi-tenant server's
-//! [`TenantView`](crate::TenantView) (a key window plus a DRAM quota) and
-//! the partitioned cluster's [`RemotePeerTier`](crate::RemotePeerTier)
-//! (peer caches as an intermediate tier).
+//! `PolicyKind::Lru`.  One adapter sits over it: the multi-tenant server's
+//! [`TenantView`](crate::TenantView) (a key window plus a DRAM quota).  The
+//! partitioned cluster composes whole tiers instead: peers' caches are the
+//! second step of
+//! [`PartitionedCacheCluster::fetch`](crate::PartitionedCacheCluster::fetch),
+//! between a node's own tier and the backend.
 
 use crate::error::CoordlError;
 use dataset::ItemId;
@@ -221,6 +223,16 @@ impl ByteTierSpec {
         self
     }
 
+    /// This level with its persistent directory (if it has one) moved to
+    /// `{dir}/{sub}` — how cache shards and partitioned nodes get disjoint
+    /// spill stores out of one spec.
+    pub(crate) fn in_subdir(mut self, sub: &str) -> Self {
+        if let TierBacking::Vfs { dir, .. } = &mut self.backing {
+            *dir = format!("{dir}/{sub}");
+        }
+        self
+    }
+
     pub(crate) fn tier_spec(&self) -> TierSpec {
         TierSpec {
             name: self.name,
@@ -332,8 +344,8 @@ pub(crate) enum Admission {
 /// the actual payloads (dropped the moment a key falls off the chain).
 ///
 /// A single-level, single-shard `TieredByteCache` makes exactly the raw
-/// `dcache` policy's decisions under the sequential fetch order every serial
-/// [`Session`](crate::Session) executor guarantees (pinned against
+/// `dcache` policy's decisions under the sequential per-shard fetch order
+/// every [`Session`](crate::Session) executor guarantees (pinned against
 /// `dcache::build_cache` for all four policies) — which is why it is the one
 /// byte cache sessions, partitioned nodes and the multi-tenant server share.
 ///
@@ -389,12 +401,18 @@ impl TieredByteCache {
         Self::try_new_sharded(specs, 1)
     }
 
-    /// The fallible form of [`TieredByteCache::new_sharded`].
+    /// The fallible form of [`TieredByteCache::new_sharded`]: an empty
+    /// `specs` list or a failing persistent level is a
+    /// [`CoordlError::InvalidConfig`].
     pub fn try_new_sharded(
         specs: Vec<ByteTierSpec>,
         num_shards: usize,
     ) -> Result<Self, CoordlError> {
-        assert!(!specs.is_empty(), "need at least one tier");
+        if specs.is_empty() {
+            return Err(CoordlError::InvalidConfig(
+                "a cache hierarchy needs at least one tier".into(),
+            ));
+        }
         assert!(num_shards > 0, "need at least one shard");
         let mut shards = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
@@ -406,12 +424,7 @@ impl TieredByteCache {
                     let mut s = spec.clone();
                     s.capacity_bytes = dcache::shard_capacity(s.capacity_bytes, shard, num_shards);
                     if num_shards > 1 {
-                        if let TierBacking::Vfs { vfs, dir } = &s.backing {
-                            s.backing = TierBacking::Vfs {
-                                vfs: Arc::clone(vfs),
-                                dir: format!("{dir}/shard-{shard}"),
-                            };
-                        }
+                        s = s.in_subdir(&format!("shard-{shard}"));
                     }
                     s
                 })
