@@ -162,12 +162,11 @@ impl FetchBackend for FsBackend {
         let offset = self.offsets[item as usize];
         let len = self.sizes[item as usize] as usize;
         let started = Instant::now();
-        let bytes = self
-            .reader
-            .read(offset, len)
-            .map_err(|e| io_error(item, e))?;
+        let read = self.reader.read(offset, len);
+        // A failed read spent device time too: count it before propagating.
         self.measured_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let bytes = read.map_err(|e| io_error(item, e))?;
         if bytes.len() != len {
             return Err(CoordlError::BackendIo {
                 backend: "fs".to_string(),
@@ -302,6 +301,30 @@ mod tests {
             other => panic!("expected truncated-read error, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_reads_still_count_as_measured_device_time() {
+        let src = store(4, 2048);
+        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        // Handles are slots of the VFS's table and a closed slot is reused,
+        // so this copy names the handle the backend is about to open.
+        let handle = vfs.open("ds/DATA", true).unwrap();
+        vfs.close(handle).unwrap();
+        let b = FsBackend::new(Arc::clone(&vfs), "ds", &src, 0).unwrap();
+        assert_eq!(b.read(2).unwrap(), src.read(2));
+        vfs.close(handle).unwrap();
+        let before = b.measured_seconds();
+        for _ in 0..100 {
+            assert!(matches!(
+                b.read(1),
+                Err(CoordlError::BackendIo { item: 1, .. })
+            ));
+        }
+        assert!(
+            b.measured_seconds() > before,
+            "the time a failed read took is device time too"
+        );
     }
 
     #[test]

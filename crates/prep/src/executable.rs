@@ -12,6 +12,8 @@ use crate::transforms::{PrepPipeline, TransformKind};
 use dataset::ItemId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// A fully pre-processed sample ready for "GPU" consumption.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,12 +64,159 @@ impl ExecutablePipeline {
     }
 
     /// Pre-process one raw item.
+    ///
+    /// `raw` is never copied whole: the working buffer starts as the
+    /// borrowed slice and becomes an owned `Vec` at the first transform that
+    /// has to write.  A decode allocates its output, a crop of still-borrowed
+    /// input only narrows the borrow (so just the window it keeps is ever
+    /// copied), and every later transform runs in place on that one `Vec` — so the image, detection and crop-only
+    /// pipelines allocate exactly the bytes they return.
+    ///
+    /// **Fusion rule.**  A `Decode*` immediately followed by
+    /// `RandomResizedCrop` / `SsdCropWithBoxes` generates only the window the
+    /// crop keeps instead of the whole decoded buffer.  The RNG stream is
+    /// the unfused one: decode draws nothing, and the crop draws `keep` and
+    /// `start` against the decoded length `raw.len() × multiplier`, which is
+    /// known without decoding — so every later draw, and every delivered
+    /// byte, is unchanged.
     pub fn prepare(&self, epoch: u64, item: ItemId, raw: &[u8]) -> PreparedSample {
+        let aug_seed = self.augmentation_seed(epoch, item);
+        let mut rng = SmallRng::seed_from_u64(aug_seed);
+        let mut data = Cow::Borrowed(raw);
+        let mut transforms = self.pipeline.transforms.iter().copied().peekable();
+        while let Some(t) = transforms.next() {
+            match t {
+                TransformKind::DecodeImage | TransformKind::DecodeAudio => {
+                    let decoded_len = data.len() * self.decoded_multiplier;
+                    let window = match transforms.next_if(|&next| is_crop(next)) {
+                        Some(_) => crop_window(decoded_len, &mut rng),
+                        None => 0..decoded_len,
+                    };
+                    data = Cow::Owned(decode_window(&data, window));
+                }
+                TransformKind::RandomResizedCrop | TransformKind::SsdCropWithBoxes => {
+                    let window = crop_window(data.len(), &mut rng);
+                    match &mut data {
+                        Cow::Borrowed(input) => *input = &input[window],
+                        Cow::Owned(buf) => {
+                            buf.copy_within(window.clone(), 0);
+                            buf.truncate(window.len());
+                        }
+                    }
+                }
+                TransformKind::RandomFlip => {
+                    if rng.gen_bool(0.5) {
+                        data.to_mut().reverse();
+                    }
+                }
+                TransformKind::ColorJitter | TransformKind::AudioAugment => {
+                    let delta: u8 = rng.gen();
+                    map_bytes(&mut data, |b| b.wrapping_add(delta));
+                }
+                TransformKind::ResampleAudio => {
+                    // Drop every 4th byte (down-sample) — deterministic.
+                    let mut index = 0usize;
+                    data.to_mut().retain(|_| {
+                        let keep = index % 4 != 3;
+                        index += 1;
+                        keep
+                    });
+                }
+                TransformKind::Tokenize => {
+                    // "Tokenise": fold each 4-byte window into one subword id —
+                    // deterministic, like a real tokeniser.  Token `i` is
+                    // written at or before the first byte it was read from.
+                    let buf = data.to_mut();
+                    let tokens = buf.len().div_ceil(4);
+                    for i in 0..tokens {
+                        let end = (4 * i + 4).min(buf.len());
+                        buf[i] = buf[4 * i..end]
+                            .iter()
+                            .fold(0u8, |acc, &b| acc.wrapping_mul(31).wrapping_add(b));
+                    }
+                    buf.truncate(tokens);
+                }
+                TransformKind::MaskTokens => {
+                    // BERT-style MLM masking: replace ~15 % of tokens with a mask
+                    // marker, re-drawn every epoch.
+                    map_bytes(&mut data, |b| if rng.gen_bool(0.15) { 0xFF } else { b });
+                }
+                TransformKind::NormalizeToTensor => {
+                    // Byte-wise "normalisation": subtract the running mean.
+                    if !data.is_empty() {
+                        let sum = data.iter().map(|&b| b as u64).sum::<u64>();
+                        let mean = (sum / data.len() as u64) as u8;
+                        map_bytes(&mut data, |b| b.wrapping_sub(mean));
+                    }
+                }
+            }
+        }
+        PreparedSample {
+            item,
+            epoch,
+            augmentation_seed: aug_seed,
+            data: data.into_owned(),
+        }
+    }
+}
+
+fn is_crop(t: TransformKind) -> bool {
+    matches!(
+        t,
+        TransformKind::RandomResizedCrop | TransformKind::SsdCropWithBoxes
+    )
+}
+
+/// The random contiguous 50–100 % window (never empty) a crop keeps of a
+/// buffer of `len` bytes; an empty buffer stays empty and draws nothing.
+fn crop_window(len: usize, rng: &mut SmallRng) -> Range<usize> {
+    if len == 0 {
+        return 0..0;
+    }
+    let keep = rng.gen_range(len / 2..=len).max(1);
+    let start = rng.gen_range(0..=len - keep);
+    start..start + keep
+}
+
+/// "Decode": byte `i` of the decoded buffer is `input[i % n] + i / n` — the
+/// input repeated once per unit of the decoded multiplier with a cheap
+/// byte-mixing expansion (stand-in for entropy decode).  Generates only
+/// `window` of that buffer, one slice-to-slice loop per repetition it
+/// touches.
+fn decode_window(input: &[u8], window: Range<usize>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(window.len());
+    if window.is_empty() {
+        return out;
+    }
+    let n = input.len();
+    for rep in window.start / n..=(window.end - 1) / n {
+        let lo = window.start.max(rep * n) - rep * n;
+        let hi = window.end.min((rep + 1) * n) - rep * n;
+        out.extend(input[lo..hi].iter().map(|b| b.wrapping_add(rep as u8)));
+    }
+    out
+}
+
+/// Replace every byte by `f(byte)`, front to back: in place when the buffer
+/// is owned, in the one pass that makes it owned when it is still borrowed.
+fn map_bytes(data: &mut Cow<'_, [u8]>, mut f: impl FnMut(u8) -> u8) {
+    match data {
+        Cow::Borrowed(input) => *data = Cow::Owned(input.iter().map(|&b| f(b)).collect()),
+        Cow::Owned(buf) => buf.iter_mut().for_each(|b| *b = f(*b)),
+    }
+}
+
+#[cfg(test)]
+impl ExecutablePipeline {
+    /// The transform chain as it was before `prepare` worked in place: copy
+    /// `raw`, then thread a by-value `Vec` through one arm per transform.
+    /// Kept verbatim as the reference `prepare` is proptested against.
+    fn prepare_reference(&self, epoch: u64, item: ItemId, raw: &[u8]) -> PreparedSample {
         let aug_seed = self.augmentation_seed(epoch, item);
         let mut rng = SmallRng::seed_from_u64(aug_seed);
         let mut data = raw.to_vec();
         for t in &self.pipeline.transforms {
-            data = self.apply(*t, data, &mut rng);
+            data = self.apply_reference(*t, data, &mut rng);
         }
         PreparedSample {
             item,
@@ -77,11 +226,9 @@ impl ExecutablePipeline {
         }
     }
 
-    fn apply(&self, t: TransformKind, input: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
+    fn apply_reference(&self, t: TransformKind, input: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
         match t {
             TransformKind::DecodeImage | TransformKind::DecodeAudio => {
-                // "Decode": expand the buffer by the decoded multiplier with a
-                // cheap byte-mixing expansion (stand-in for entropy decode).
                 let mut out = Vec::with_capacity(input.len() * self.decoded_multiplier);
                 for rep in 0..self.decoded_multiplier {
                     out.extend(input.iter().map(|b| b.wrapping_add(rep as u8)));
@@ -89,7 +236,6 @@ impl ExecutablePipeline {
                 out
             }
             TransformKind::RandomResizedCrop | TransformKind::SsdCropWithBoxes => {
-                // Keep a random contiguous 50–100 % window (never empty).
                 if input.is_empty() {
                     return input;
                 }
@@ -109,36 +255,24 @@ impl ExecutablePipeline {
                 let delta: u8 = rng.gen();
                 input.into_iter().map(|b| b.wrapping_add(delta)).collect()
             }
-            TransformKind::ResampleAudio => {
-                // Drop every 4th byte (down-sample) — deterministic.
-                input
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % 4 != 3)
-                    .map(|(_, b)| b)
-                    .collect()
-            }
-            TransformKind::Tokenize => {
-                // "Tokenise": fold each 4-byte window into one subword id —
-                // deterministic, like a real tokeniser.
-                input
-                    .chunks(4)
-                    .map(|c| {
-                        c.iter()
-                            .fold(0u8, |acc, &b| acc.wrapping_mul(31).wrapping_add(b))
-                    })
-                    .collect()
-            }
-            TransformKind::MaskTokens => {
-                // BERT-style MLM masking: replace ~15 % of tokens with a mask
-                // marker, re-drawn every epoch.
-                input
-                    .into_iter()
-                    .map(|b| if rng.gen_bool(0.15) { 0xFF } else { b })
-                    .collect()
-            }
+            TransformKind::ResampleAudio => input
+                .into_iter()
+                .enumerate()
+                .filter(|(i, _)| i % 4 != 3)
+                .map(|(_, b)| b)
+                .collect(),
+            TransformKind::Tokenize => input
+                .chunks(4)
+                .map(|c| {
+                    c.iter()
+                        .fold(0u8, |acc, &b| acc.wrapping_mul(31).wrapping_add(b))
+                })
+                .collect(),
+            TransformKind::MaskTokens => input
+                .into_iter()
+                .map(|b| if rng.gen_bool(0.15) { 0xFF } else { b })
+                .collect(),
             TransformKind::NormalizeToTensor => {
-                // Byte-wise "normalisation": subtract the running mean.
                 if input.is_empty() {
                     return input;
                 }
@@ -153,6 +287,7 @@ impl ExecutablePipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pipeline() -> ExecutablePipeline {
         ExecutablePipeline::new(PrepPipeline::image_classification(), 6, 42)
@@ -237,5 +372,118 @@ mod tests {
         let b = pipeline();
         let raw: Vec<u8> = (0..64).collect();
         assert_eq!(a.prepare(4, 9, &raw), b.prepare(4, 9, &raw));
+    }
+
+    const ALL_TRANSFORMS: [TransformKind; 11] = [
+        TransformKind::DecodeImage,
+        TransformKind::RandomResizedCrop,
+        TransformKind::RandomFlip,
+        TransformKind::ColorJitter,
+        TransformKind::NormalizeToTensor,
+        TransformKind::DecodeAudio,
+        TransformKind::ResampleAudio,
+        TransformKind::AudioAugment,
+        TransformKind::SsdCropWithBoxes,
+        TransformKind::Tokenize,
+        TransformKind::MaskTokens,
+    ];
+
+    fn crop_only() -> PrepPipeline {
+        PrepPipeline {
+            name: "crop-only".into(),
+            transforms: vec![TransformKind::RandomResizedCrop],
+        }
+    }
+
+    /// Every `PrepPipeline` constructor, the orders the fusion rule must not
+    /// mistake for decode-then-crop, and an arbitrary order drawn from `rng`.
+    fn pipelines_under_test(rng: &mut TestRng) -> Vec<PrepPipeline> {
+        use TransformKind::*;
+        let mut out = vec![
+            PrepPipeline::image_classification(),
+            PrepPipeline::object_detection(),
+            PrepPipeline::audio_classification(),
+            PrepPipeline::language_model(),
+            crop_only(),
+        ];
+        let orders: [&[TransformKind]; 6] = [
+            &[],
+            &[RandomResizedCrop, DecodeImage],
+            &[DecodeImage, RandomResizedCrop, SsdCropWithBoxes],
+            &[RandomFlip, DecodeAudio, SsdCropWithBoxes, DecodeImage],
+            &[DecodeImage, RandomFlip, RandomResizedCrop],
+            &[RandomResizedCrop, RandomResizedCrop, ColorJitter],
+        ];
+        for order in orders {
+            out.push(PrepPipeline {
+                name: "fixed-order".into(),
+                transforms: order.to_vec(),
+            });
+        }
+        let len = (0usize..=6).sample(rng);
+        out.push(PrepPipeline {
+            name: "arbitrary-order".into(),
+            transforms: (0..len)
+                .map(|_| ALL_TRANSFORMS[(0..ALL_TRANSFORMS.len()).sample(rng)])
+                .collect(),
+        });
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn prepare_is_byte_identical_to_the_by_value_reference(
+            multiplier in 1usize..=33,
+            raw_len in 0usize..=4096,
+            tiny_len in 0usize..=3,
+            seed in 0u64..=u64::MAX,
+            epoch in 0u64..=u64::MAX,
+            item in 0u64..=u64::MAX,
+            shape in 0u64..=u64::MAX,
+        ) {
+            let mut rng = TestRng::new(shape);
+            let bytes: Vec<u8> = (0..raw_len).map(|_| rng.next_u64() as u8).collect();
+            let pipelines = pipelines_under_test(&mut rng);
+            let tiny = &bytes[..tiny_len.min(raw_len)];
+            for (pipeline, raw) in pipelines.iter().flat_map(|p| [(p, &bytes[..]), (p, tiny)]) {
+                let exact = matches!(
+                    pipeline.name.as_str(),
+                    "image-classification" | "object-detection" | "crop-only"
+                );
+                let p = ExecutablePipeline::new(pipeline.clone(), multiplier, seed);
+                let got = p.prepare(epoch, item, raw);
+                prop_assert_eq!(
+                    &got,
+                    &p.prepare_reference(epoch, item, raw),
+                    "{:?} x{} on {} raw bytes",
+                    p.pipeline().transforms,
+                    multiplier,
+                    raw.len()
+                );
+                if exact {
+                    prop_assert_eq!(
+                        got.data.capacity(),
+                        got.data.len(),
+                        "{}: one allocation of exactly the delivered bytes",
+                        p.pipeline().name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_decode_generates_any_window_of_the_full_decode() {
+        let input: Vec<u8> = (0..7u8).map(|i| i.wrapping_mul(37)).collect();
+        let full = decode_window(&input, 0..input.len() * 5);
+        assert_eq!(full.len(), 35);
+        for start in 0..full.len() {
+            for end in start..=full.len() {
+                assert_eq!(decode_window(&input, start..end), full[start..end]);
+            }
+        }
+        assert!(decode_window(&[], 0..0).is_empty());
     }
 }

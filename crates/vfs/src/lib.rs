@@ -137,7 +137,7 @@ pub(crate) fn validate_path(path: &str) -> Result<(), VfsError> {
 }
 
 /// One page-aligned span read by [`Vfs::read_aligned`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AlignedSpan {
     /// Absolute file offset of the first byte of `data` (a multiple of
     /// [`PAGE_SIZE`]).
@@ -152,6 +152,34 @@ impl AlignedSpan {
         let rel = offset.checked_sub(self.start)? as usize;
         let end = rel.checked_add(len)?;
         self.data.get(rel..end)
+    }
+
+    /// Overwrite this span with the page-aligned span covering
+    /// `[offset, offset + len)` plus `readahead_pages` further pages, in one
+    /// physical [`Vfs::read_into`] straight into `data`'s existing storage.
+    ///
+    /// This is the one definition of span geometry ([`Vfs::read_aligned`] is
+    /// a `refill` of an empty span).  Only the bytes by which the new span
+    /// is longer than the old one are zeroed before the read, so a recycled
+    /// span of the usual length costs neither an allocation nor a `memset`.
+    /// On error the span's contents are unspecified.
+    pub fn refill<V: Vfs + ?Sized>(
+        &mut self,
+        vfs: &V,
+        file: FileHandle,
+        offset: u64,
+        len: usize,
+        readahead_pages: u32,
+    ) -> Result<(), VfsError> {
+        let start = (offset / PAGE_SIZE) * PAGE_SIZE;
+        let logical_end = offset + len as u64;
+        let span_end =
+            logical_end.div_ceil(PAGE_SIZE) * PAGE_SIZE + u64::from(readahead_pages) * PAGE_SIZE;
+        self.data.resize((span_end - start) as usize, 0);
+        let filled = vfs.read_into(file, start, &mut self.data)?;
+        self.data.truncate(filled);
+        self.start = start;
+        Ok(())
     }
 }
 
@@ -170,6 +198,26 @@ pub trait Vfs: Send + Sync {
     /// Read up to `len` bytes at `offset`.  Returns fewer bytes only when
     /// the read crosses end of file (zero bytes at or past it).
     fn read_at(&self, file: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, VfsError>;
+
+    /// Read up to `buf.len()` bytes at `offset` into the caller's buffer and
+    /// return how many were read: fewer than `buf.len()` only when the read
+    /// crosses end of file (zero at or past it), exactly like
+    /// [`read_at`](Vfs::read_at).  Bytes of `buf` past the returned count
+    /// are left as they were.
+    ///
+    /// This is the read the hot path issues: the caller owns (and reuses)
+    /// the destination, so a read costs no allocation and no zeroing.  It
+    /// counts as one read in [`stats`](Vfs::stats), like `read_at`.  The
+    /// default goes through `read_at` and copies, so an implementation that
+    /// only provides the required methods — a tracing or fault-injecting
+    /// wrapper, say — still serves, and still sees, every read; [`OsVfs`]
+    /// and [`MemVfs`] read straight into `buf`.
+    fn read_into(&self, file: FileHandle, offset: u64, buf: &mut [u8]) -> Result<usize, VfsError> {
+        let bytes = self.read_at(file, offset, buf.len())?;
+        let filled = bytes.len().min(buf.len());
+        buf[..filled].copy_from_slice(&bytes[..filled]);
+        Ok(filled)
+    }
 
     /// Write `data` at `offset`, extending the file (zero-filled) when the
     /// offset is past the current end.
@@ -210,12 +258,9 @@ pub trait Vfs: Send + Sync {
         len: usize,
         readahead_pages: u32,
     ) -> Result<AlignedSpan, VfsError> {
-        let start = (offset / PAGE_SIZE) * PAGE_SIZE;
-        let logical_end = offset + len as u64;
-        let span_end =
-            logical_end.div_ceil(PAGE_SIZE) * PAGE_SIZE + u64::from(readahead_pages) * PAGE_SIZE;
-        let data = self.read_at(file, start, (span_end - start) as usize)?;
-        Ok(AlignedSpan { start, data })
+        let mut span = AlignedSpan::default();
+        span.refill(self, file, offset, len, readahead_pages)?;
+        Ok(span)
     }
 }
 
@@ -224,13 +269,37 @@ pub trait Vfs: Send + Sync {
 /// sequential readers are served from the buffered span instead of touching
 /// the device again — the classic readahead win the `fs-sweep` bench grid
 /// measures.
+///
+/// **Buffers.**  A miss reads into a *recycled* span buffer
+/// ([`AlignedSpan::refill`]): the span it replaces goes back to a small pool
+/// and is the destination of a later miss, so after warm-up (two buffers for
+/// one reading thread, at most one more per concurrent reader) the only
+/// allocation of a [`read`](AlignedReader::read) is the exact-length payload
+/// it returns, and the destination of the physical read is already
+/// initialised and cache-warm.
+///
+/// **Locking.**  The mutex guards the buffered span and the pool, and is
+/// held for the hit check, a hit's copy out of the span, and the pointer
+/// swaps around a miss — never across the [`Vfs`] call.  Misses from several
+/// threads therefore overlap at the device, each into a buffer of its own;
+/// the span that finishes last stays buffered.  From one thread, hit/miss
+/// decisions and physical reads are exactly those of a reader that holds
+/// the lock throughout.
 pub struct AlignedReader {
     vfs: Arc<dyn Vfs>,
     file: FileHandle,
     readahead_pages: u32,
-    span: Mutex<Option<AlignedSpan>>,
+    state: Mutex<ReaderState>,
     span_hits: AtomicU64,
     span_misses: AtomicU64,
+}
+
+#[derive(Default)]
+struct ReaderState {
+    /// The span hits are served from: the last one a miss read successfully.
+    span: Option<AlignedSpan>,
+    /// Replaced spans, kept for their storage.
+    spare: Vec<AlignedSpan>,
 }
 
 impl AlignedReader {
@@ -242,7 +311,7 @@ impl AlignedReader {
             vfs,
             file,
             readahead_pages,
-            span: Mutex::new(None),
+            state: Mutex::new(ReaderState::default()),
             span_hits: AtomicU64::new(0),
             span_misses: AtomicU64::new(0),
         }
@@ -258,28 +327,31 @@ impl AlignedReader {
     ///
     /// Reads that run past end of file are truncated I/O at the device; the
     /// caller sees them as a short result, exactly like [`Vfs::read_at`].
+    /// A failed read leaves the buffered span as it was.
     pub fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, VfsError> {
-        let mut span = self.span.lock();
-        if let Some(cached) = span.as_ref() {
-            if let Some(bytes) = cached.slice(offset, len) {
+        let mut fresh = {
+            let mut state = self.state.lock();
+            if let Some(bytes) = state.span.as_ref().and_then(|s| s.slice(offset, len)) {
                 self.span_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(bytes.to_vec());
             }
-        }
-        self.span_misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = self
-            .vfs
-            .read_aligned(self.file, offset, len, self.readahead_pages)?;
-        let bytes = match fresh.slice(offset, len) {
-            Some(b) => b.to_vec(),
-            // Short span: the request crosses end of file.
-            None => {
-                let rel = (offset - fresh.start) as usize;
-                fresh.data.get(rel..).unwrap_or(&[]).to_vec()
-            }
+            self.span_misses.fetch_add(1, Ordering::Relaxed);
+            state.spare.pop().unwrap_or_default()
         };
-        *span = Some(fresh);
-        Ok(bytes)
+        let read = fresh.refill(&*self.vfs, self.file, offset, len, self.readahead_pages);
+        let bytes = read.map(|()| {
+            // Short when the span is: the request crosses end of file.
+            let rel = (offset - fresh.start) as usize;
+            let end = rel.saturating_add(len).min(fresh.data.len());
+            fresh.data.get(rel..end).unwrap_or(&[]).to_vec()
+        });
+        let mut state = self.state.lock();
+        let replaced = match bytes {
+            Ok(_) => state.span.replace(fresh),
+            Err(_) => Some(fresh),
+        };
+        state.spare.extend(replaced);
+        bytes
     }
 
     /// Reads served from the buffered span without touching the VFS.

@@ -15,7 +15,9 @@ type FileBytes = Arc<Mutex<Vec<u8>>>;
 /// disk I/O would be slow or unwritable.
 pub struct MemVfs {
     files: Mutex<BTreeMap<String, FileBytes>>,
-    handles: Mutex<Vec<Option<(String, FileBytes)>>>,
+    /// Slot table: a handle resolves to its file's shared bytes, so I/O
+    /// clones one pointer out of the table and runs without its lock.
+    handles: Mutex<Vec<Option<FileBytes>>>,
     stats: StatCells,
 }
 
@@ -29,12 +31,29 @@ impl MemVfs {
         }
     }
 
-    fn resolve(&self, file: FileHandle) -> Result<(String, FileBytes), VfsError> {
+    fn resolve(&self, file: FileHandle) -> Result<FileBytes, VfsError> {
         self.handles
             .lock()
             .get(file.0)
             .and_then(|slot| slot.clone())
             .ok_or(VfsError::BadHandle)
+    }
+
+    /// Run `consume` on the bytes a positional read of `len` at `offset`
+    /// covers (clamped at end of file) and count the read.
+    fn read_with<R>(
+        &self,
+        file: FileHandle,
+        offset: u64,
+        len: usize,
+        consume: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, VfsError> {
+        let bytes = self.resolve(file)?;
+        let bytes = bytes.lock();
+        let start = (offset as usize).min(bytes.len());
+        let end = start.saturating_add(len).min(bytes.len());
+        self.stats.record_read((end - start) as u64);
+        Ok(consume(&bytes[start..end]))
     }
 }
 
@@ -59,31 +78,31 @@ impl Vfs for MemVfs {
         };
         drop(files);
         let mut handles = self.handles.lock();
-        let slot = (path.to_string(), bytes);
         match handles.iter_mut().enumerate().find(|(_, s)| s.is_none()) {
             Some((idx, empty)) => {
-                *empty = Some(slot);
+                *empty = Some(bytes);
                 Ok(FileHandle(idx))
             }
             None => {
-                handles.push(Some(slot));
+                handles.push(Some(bytes));
                 Ok(FileHandle(handles.len() - 1))
             }
         }
     }
 
     fn read_at(&self, file: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, VfsError> {
-        let (_, bytes) = self.resolve(file)?;
-        let bytes = bytes.lock();
-        let start = (offset as usize).min(bytes.len());
-        let end = start.saturating_add(len).min(bytes.len());
-        let out = bytes[start..end].to_vec();
-        self.stats.record_read(out.len() as u64);
-        Ok(out)
+        self.read_with(file, offset, len, <[u8]>::to_vec)
+    }
+
+    fn read_into(&self, file: FileHandle, offset: u64, buf: &mut [u8]) -> Result<usize, VfsError> {
+        self.read_with(file, offset, buf.len(), |src| {
+            buf[..src.len()].copy_from_slice(src);
+            src.len()
+        })
     }
 
     fn write_at(&self, file: FileHandle, offset: u64, data: &[u8]) -> Result<(), VfsError> {
-        let (_, bytes) = self.resolve(file)?;
+        let bytes = self.resolve(file)?;
         let mut bytes = bytes.lock();
         let end = offset as usize + data.len();
         if bytes.len() < end {
@@ -101,8 +120,7 @@ impl Vfs for MemVfs {
     }
 
     fn len(&self, file: FileHandle) -> Result<u64, VfsError> {
-        let (_, bytes) = self.resolve(file)?;
-        let len = bytes.lock().len() as u64;
+        let len = self.resolve(file)?.lock().len() as u64;
         Ok(len)
     }
 

@@ -18,14 +18,24 @@ use std::os::unix::fs::FileExt;
 /// directory cannot touch anything outside it.  Bytes written through one
 /// instance are visible to any later instance over the same root — the
 /// property the persistent SSD tier's restart warm-up relies on.
-/// Slot table entry: the VFS path a handle was opened under, plus the open
-/// file (shared so reads need no lock on the table).
-type HandleSlot = Option<(String, Arc<File>)>;
-
 pub struct OsVfs {
     root: PathBuf,
-    handles: Mutex<Vec<HandleSlot>>,
+    handles: Mutex<Vec<Option<Arc<OpenFile>>>>,
     stats: StatCells,
+}
+
+/// Slot table entry, shared so that I/O clones one pointer out of the table
+/// and runs without its lock: the open file plus the VFS path it was opened
+/// under, which only ever reaches an error message.
+struct OpenFile {
+    path: String,
+    file: File,
+}
+
+impl OpenFile {
+    fn io_err(&self, err: io::Error) -> VfsError {
+        io_err(&self.path, err)
+    }
 }
 
 fn io_err(path: &str, err: io::Error) -> VfsError {
@@ -57,7 +67,7 @@ impl OsVfs {
         Ok(self.root.join(path))
     }
 
-    fn resolve(&self, file: FileHandle) -> Result<(String, Arc<File>), VfsError> {
+    fn resolve(&self, file: FileHandle) -> Result<Arc<OpenFile>, VfsError> {
         self.handles
             .lock()
             .get(file.0)
@@ -87,7 +97,10 @@ impl Vfs for OsVfs {
                 }
             })?;
         let mut handles = self.handles.lock();
-        let slot = (path.to_string(), Arc::new(file));
+        let slot = Arc::new(OpenFile {
+            path: path.to_string(),
+            file,
+        });
         match handles.iter_mut().enumerate().find(|(_, s)| s.is_none()) {
             Some((idx, empty)) => {
                 *empty = Some(slot);
@@ -101,40 +114,49 @@ impl Vfs for OsVfs {
     }
 
     fn read_at(&self, file: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, VfsError> {
-        let (path, file) = self.resolve(file)?;
         let mut buf = vec![0u8; len];
-        let mut filled = 0usize;
-        while filled < len {
-            match file.read_at(&mut buf[filled..], offset + filled as u64) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(io_err(&path, e)),
-            }
-        }
+        let filled = self.read_into(file, offset, &mut buf)?;
         buf.truncate(filled);
-        self.stats.record_read(filled as u64);
         Ok(buf)
     }
 
+    fn read_into(&self, file: FileHandle, offset: u64, buf: &mut [u8]) -> Result<usize, VfsError> {
+        let open = self.resolve(file)?;
+        let mut filled = 0usize;
+        while filled < buf.len() {
+            match open
+                .file
+                .read_at(&mut buf[filled..], offset + filled as u64)
+            {
+                Ok(0) => break,
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(open.io_err(e)),
+            }
+        }
+        self.stats.record_read(filled as u64);
+        Ok(filled)
+    }
+
     fn write_at(&self, file: FileHandle, offset: u64, data: &[u8]) -> Result<(), VfsError> {
-        let (path, file) = self.resolve(file)?;
-        file.write_all_at(data, offset)
-            .map_err(|e| io_err(&path, e))?;
+        let open = self.resolve(file)?;
+        open.file
+            .write_all_at(data, offset)
+            .map_err(|e| open.io_err(e))?;
         self.stats.record_write(data.len() as u64);
         Ok(())
     }
 
     fn sync(&self, file: FileHandle) -> Result<(), VfsError> {
-        let (path, file) = self.resolve(file)?;
-        file.sync_data().map_err(|e| io_err(&path, e))?;
+        let open = self.resolve(file)?;
+        open.file.sync_data().map_err(|e| open.io_err(e))?;
         self.stats.record_sync();
         Ok(())
     }
 
     fn len(&self, file: FileHandle) -> Result<u64, VfsError> {
-        let (path, file) = self.resolve(file)?;
-        Ok(file.metadata().map_err(|e| io_err(&path, e))?.len())
+        let open = self.resolve(file)?;
+        Ok(open.file.metadata().map_err(|e| open.io_err(e))?.len())
     }
 
     fn close(&self, file: FileHandle) -> Result<(), VfsError> {
