@@ -71,7 +71,6 @@ pub static PRESET: RuntimePreset = RuntimePreset {
         axis: &[1, 2],
     },
     axis: "workers",
-    timing: &[],
     flat: true,
     takes_os_root: false,
     run: |w, _| run(w),
@@ -147,6 +146,7 @@ pub fn run(w: &Workload) -> PresetReport {
                     Value::Array(chaos.alive_at_end.iter().map(|&a| Value::Bool(a)).collect()),
                 ),
             ],
+            timings: Vec::new(),
         }
     });
     PresetReport {

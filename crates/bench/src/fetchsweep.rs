@@ -10,19 +10,19 @@
 //! through `Session::builder(..).fetch_threads(f)` with the cache shard
 //! count **pinned** (`FETCH_SHARDS`) so that the
 //! per-shard access subsequences — and therefore every admission/eviction
-//! decision — are the same for every `f`.  Two things come out of a run:
+//! decision — are the same for every `f`.  The gate is correctness: the
+//! delivered stream digest and every deterministic `LoaderStats` counter
+//! must be bit-identical across all fetch-thread counts (checked against
+//! `ci/bench_baseline.json`, since the digest is machine-independent).
 //!
-//! * **a correctness gate** — the delivered stream digest and every
-//!   deterministic `LoaderStats` counter must be bit-identical across all
-//!   fetch-thread counts (checked against `ci/bench_baseline.json`, since
-//!   the digest is machine-independent);
-//! * **a scaling measurement** — wall-clock samples/sec per thread count.
-//!   Speedups are machine-dependent and only gated on hosts with enough
-//!   cores (`dstool` skips the gate below 4).
+//! Wall-clock samples/sec per thread count is printed for orientation only.
+//! Whether the pool beats the serial sweep is `dsbench`'s question — its
+//! `fetch_pool_fs` / `fetch_serial_fs` pair over seconds-long windows, with
+//! the recorded answer in `BENCH_<pr>.json` — not one these ~10 ms points
+//! can settle.
 
 use crate::runtime::{
-    drain_single, gate_speedup, host_cores, int, num, run_scaling, timed_point, PointResult,
-    PresetReport, RuntimePreset, Workload,
+    drain_single, int, timed_point, PointResult, PresetReport, RuntimePreset, Workload,
 };
 use coordl::{Mode, Session, SessionConfig};
 use dataset::{DataSource, SyntheticItemStore};
@@ -46,24 +46,16 @@ const PREFETCH_DEPTH: usize = 4;
 /// a deterministic mix of cache transactions and storage reads.
 const CACHE_FRACTION: f64 = 0.5;
 
-/// Minimum pool-over-serial speedup at the largest fetch-thread count.
-const MIN_FETCH_SPEEDUP: f64 = 1.5;
-
-/// Core floor below which the wall-clock gate is skipped: an undersized host
-/// measures the OS scheduler, not the fetch pool.
-const MIN_FETCH_GATE_CORES: usize = 4;
-
 /// The registry row of `dstool sweep fetch-sweep`.  Large raw items and a
 /// decode multiplier of 1 keep the workload fetch-bound; the item floor keeps
-/// each point moving megabytes through the fetch stage so thread startup
-/// does not dominate the measurement.
+/// several minibatches in flight per fetch thread, so the pool's ordering
+/// machinery is exercised at every point.
 pub static PRESET: RuntimePreset = RuntimePreset {
     name: "fetch-sweep",
     paper: "§3 (fetch stalls) / §5 (overlap)",
     description: "runtime parallel fetch: the fetch-bound Session workload over a \
                   sharded fetch pool, cache shard count pinned; bit-identical \
-                  streams and counters gated across every fetch-thread count, \
-                  wall-clock fetch scaling printed",
+                  streams and counters gated across every fetch-thread count",
     points: 3,
     workload: Workload {
         items: 1024,
@@ -73,21 +65,16 @@ pub static PRESET: RuntimePreset = RuntimePreset {
         batch_size: 16,
         epochs: 3,
         seed: 0xFE7C,
-        // 1 must be included: it is the speedup baseline.
+        // 1 must be included: the serial sweep is the stream every pool
+        // size has to reproduce.
         axis: &[1, 2, 4],
     },
     axis: "fetch_threads",
-    timing: &[
-        "wall_seconds",
-        "samples_per_sec",
-        "speedup_vs_serial",
-        "fetch_busy_seconds",
-        "fetch_stall_seconds",
-    ],
     flat: false,
     takes_os_root: false,
     run: |w, _| run(w),
-    shape: |report| shape_on(report, host_cores()),
+    // The fetch pool's contract: identical counters at every thread count.
+    shape: PresetReport::identical_across_points,
 };
 
 /// Run the sweep: one session per fetch-thread count, identical in
@@ -99,7 +86,11 @@ pub fn run(w: &Workload) -> PresetReport {
         ("fetch_shards", int(FETCH_SHARDS as u64)),
         ("epochs", int(w.epochs)),
     ];
-    run_scaling(&PRESET, header, w.axis, |f| run_once(w, f))
+    PresetReport {
+        preset: &PRESET,
+        header,
+        runs: w.axis.iter().map(|&f| run_once(w, f)).collect(),
+    }
 }
 
 fn run_once(w: &Workload, fetch_threads: usize) -> PointResult {
@@ -122,23 +113,11 @@ fn run_once(w: &Workload, fetch_threads: usize) -> PointResult {
     let (digest, wall_seconds) = drain_single(&session, w.epochs);
     let report = session.report();
     let mut point = timed_point(PRESET.axis, fetch_threads, &session, digest, wall_seconds);
-    point.set("fetch_busy_seconds", num(report.fetch_busy_seconds));
-    point.set("fetch_stall_seconds", num(report.fetch_stall_seconds));
+    point.timings.extend([
+        ("fetch_busy_seconds", report.fetch_busy_seconds),
+        ("fetch_stall_seconds", report.fetch_stall_seconds),
+    ]);
     point
-}
-
-/// The fetch pool's contract: identical counters at every fetch-thread
-/// count, and — on a host with enough cores — the sharded pool beating the
-/// serial sweep, which is its whole reason to exist.
-fn shape_on(report: &PresetReport, cores: usize) -> Result<(), String> {
-    report.identical_across_points()?;
-    gate_speedup(
-        report,
-        cores,
-        MIN_FETCH_GATE_CORES,
-        |s| s >= MIN_FETCH_SPEEDUP,
-        ">=1.5x",
-    )
 }
 
 #[cfg(test)]
@@ -159,33 +138,22 @@ mod tests {
         let report = run(&tiny());
         assert_eq!(report.points().count(), 3);
         report
-            .bit_identical()
-            .expect("fetch pool determinism contract");
-        shape_on(&report, 1).expect("counters identical; speedup skipped on one core");
+            .gate()
+            .expect("counters identical at every thread count");
         // Every epoch delivers the full dataset exactly once.
         assert_eq!(report.runs[0].counter("samples_delivered"), 2 * 96);
         // The half-capacity cache forces storage reads in *every* epoch.
         assert!(report.runs[0].counter("cache_misses") > 96);
-        assert!(report.speedup(4).is_some());
+        // Only the axis value is emitted; wall clock stays in the table.
+        assert_eq!(report.runs[2].fields, [("fetch_threads", int(4))]);
+        assert!(!report.runs[2].timings.is_empty());
     }
 
     #[test]
-    fn shape_check_rejects_diverged_counters_and_a_lost_speedup() {
+    fn shape_check_rejects_diverged_counters() {
         let mut report = run(&tiny());
-        for r in &mut report.runs {
-            r.set("speedup_vs_serial", num(1.2));
-        }
-        // Skipped below four cores, enforced from there on at >=1.5x.
-        shape_on(&report, 3).expect("undersized host skips the wall-clock gate");
-        let err = shape_on(&report, 4).unwrap_err();
-        assert!(
-            err.contains("fetch-sweep: fetch_threads=4 measured 1.20x") && err.contains(">=1.5x"),
-            "{err}"
-        );
-        report.runs[2].set("speedup_vs_serial", num(1.5));
-        shape_on(&report, 4).expect("1.5x meets the gate");
         report.runs[2].counters[0].1 += 1;
-        let err = shape_on(&report, 1).unwrap_err();
+        let err = report.gate().unwrap_err();
         assert!(
             err.contains("fetch-sweep/fetch_threads=4: counters differ"),
             "{err}"

@@ -22,8 +22,8 @@
 //!   behind and issue strictly more VFS writes than their memory-backed
 //!   twins (the durable shadow is real I/O, not bookkeeping).
 //!
-//! Wall-clock `measured_device_seconds` ride along informationally next to
-//! the modelled seconds — never gated, machine-dependent by design.
+//! Wall-clock `measured_device_seconds` are printed next to the modelled
+//! seconds and never emitted — machine-dependent by design.
 
 use crate::runtime::{
     drain_single, int, loader_counters, num, run_grid, text, PointResult, PresetReport,
@@ -74,7 +74,6 @@ pub static PRESET: RuntimePreset = RuntimePreset {
         axis: &[1, 2],
     },
     axis: "workers",
-    timing: &["measured_device_seconds"],
     flat: false,
     takes_os_root: true,
     run,
@@ -166,11 +165,8 @@ fn run_once(
             ("vfs_reads", int(vfs_stats.reads)),
             ("vfs_writes", int(vfs_stats.writes)),
             ("modelled_device_seconds", num(report.device_seconds)),
-            (
-                "measured_device_seconds",
-                num(report.measured_device_seconds),
-            ),
         ],
+        timings: vec![("measured_device_seconds", report.measured_device_seconds)],
         label,
         axis_value: workers,
         stream_digest,

@@ -61,7 +61,6 @@ pub static PRESET: RuntimePreset = RuntimePreset {
         axis: &[1, 2],
     },
     axis: "workers",
-    timing: &[],
     flat: false,
     takes_os_root: false,
     run: |w, _| run(w),
@@ -181,6 +180,7 @@ fn run_once(w: &Workload, shards: usize, workers: usize) -> PointResult {
         axis_value: workers,
         stream_digest: digest.finish(),
         counters,
+        timings: Vec::new(),
     }
 }
 

@@ -13,21 +13,21 @@
 //!   ([`PresetReport::gate`]);
 //! * [`RuntimePreset`] / [`RUNTIME_PRESETS`] — the registry `dstool`
 //!   iterates for `list`, `usage`, `sweep`, `smoke` and the baseline gate;
-//! * [`compare_exact`] — the baseline walk driven by each preset's
-//!   exact/timing declaration.
+//! * [`compare_exact`] — the baseline walk: the one comparison behind
+//!   `dstool smoke --baseline`.
 //!
-//! Every emitted value is either **exact** (machine-independent: digests,
-//! counters, hit ratios, physical read/write counts) or **timing** (wall
-//! clock, listed in [`RuntimePreset::timing`]).  Exact values are gated —
-//! across the invariance axis within a run and against
-//! `ci/bench_baseline.json` across runs — and timing values never are.
+//! Every *emitted* value is **exact** (machine-independent: digests,
+//! counters, hit ratios, physical read/write counts) and gated — across the
+//! invariance axis within a run and against `ci/bench_baseline.json` across
+//! runs.  Wall-clock observations live in [`PointResult::timings`], which
+//! only the table printer reads: they never reach a document, so no gate can
+//! depend on them.  Speed claims belong to `dsbench` (`benchmark/`).
 
 use crate::report::Table;
 use coordl::{Minibatch, Session, SessionConfig};
 use dataset::DatasetSpec;
 use pipeline::json::{write_value, Value};
 use prep::{ExecutablePipeline, PrepPipeline};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -155,25 +155,17 @@ impl Workload {
 }
 
 /// Drain `epochs` epochs of a single-stream session into a digest.  Returns
-/// the digest and the wall-clock seconds of the drain *excluding* the time
-/// spent digesting: hashing the full prepared payload is the bit-equality
-/// proof, but it runs on the consumer thread, and throughput numbers must
-/// describe the executor, not the checker.
+/// the digest and the wall-clock seconds of the drain (digesting included).
 pub fn drain_single(session: &Session, epochs: u64) -> (u64, f64) {
     let start = Instant::now();
     let mut digest = StreamDigest::default();
-    let mut digest_seconds = 0.0;
     for epoch in 0..epochs {
         let run = session.epoch(epoch);
         for batch in run.stream(0) {
-            let mb = batch.expect("preset epochs do not fail");
-            let checking = Instant::now();
-            digest.absorb(&mb);
-            digest_seconds += checking.elapsed().as_secs_f64();
+            digest.absorb(&batch.expect("preset epochs do not fail"));
         }
     }
-    let wall = (start.elapsed().as_secs_f64() - digest_seconds).max(1e-9);
-    (digest.finish(), wall)
+    (digest.finish(), start.elapsed().as_secs_f64().max(1e-9))
 }
 
 /// The deterministic `LoaderStats` counters of a finished session, in the
@@ -211,8 +203,14 @@ pub fn hex(v: u64) -> Value {
     text(&format!("{v:016x}"))
 }
 
+/// A JSON object from `(key, value)` pairs.
+pub fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    let entries = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Value::Object(entries.collect())
+}
+
 /// `v` as compact JSON text.
-fn compact(v: &Value) -> String {
+pub fn compact(v: &Value) -> String {
     let mut s = String::new();
     write_value(&mut s, v);
     s
@@ -232,8 +230,11 @@ pub struct PointResult {
     /// (whose key set `ci/bench_baseline.json` pins).  Names may repeat for
     /// vector-valued observations.
     pub counters: Vec<(&'static str, u64)>,
-    /// The emitted fields, in document order.
+    /// The emitted fields, in document order: exact values only.
     pub fields: Vec<(&'static str, Value)>,
+    /// Wall-clock observations (seconds, samples/sec), in table order.
+    /// Printed by [`PresetReport::print_table`] and read by nothing else.
+    pub timings: Vec<(&'static str, f64)>,
 }
 
 impl PointResult {
@@ -278,8 +279,9 @@ impl PointResult {
         named.nth(nth).expect("counter to doctor").1 = value;
     }
 
-    /// Replace (or add) the emitted field `key`.
-    pub fn set(&mut self, key: &'static str, value: Value) {
+    /// Replace (or add) the emitted field `key` (how tests doctor a report).
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, key: &'static str, value: Value) {
         match self.fields.iter_mut().find(|(k, _)| *k == key) {
             Some(slot) => slot.1 = value,
             None => self.fields.push((key, value)),
@@ -287,10 +289,10 @@ impl PointResult {
     }
 }
 
-/// The point of a wall-clock scaling preset (worker-sweep, fetch-sweep): the
-/// axis value is the point, and `wall_seconds` / `samples_per_sec` lead the
-/// emitted fields.  Counters are the loader counters plus the tier's
-/// hits/misses.
+/// The point of an axis-scaling preset (worker-sweep, fetch-sweep): the axis
+/// value is the point and its only emitted field; wall clock and throughput
+/// lead the printed timings.  Counters are the loader counters plus the
+/// tier's hits/misses.
 pub fn timed_point(
     axis: &'static str,
     axis_value: usize,
@@ -308,34 +310,11 @@ pub fn timed_point(
         axis_value,
         stream_digest,
         counters,
-        fields: vec![
-            (axis, int(axis_value as u64)),
-            ("wall_seconds", num(wall_seconds)),
-            ("samples_per_sec", num(delivered as f64 / wall_seconds)),
+        fields: vec![(axis, int(axis_value as u64))],
+        timings: vec![
+            ("wall_seconds", wall_seconds),
+            ("samples_per_sec", delivered as f64 / wall_seconds),
         ],
-    }
-}
-
-/// Run a wall-clock scaling preset: one run per axis value, each a point of
-/// its own, with `speedup_vs_serial` (wall clock relative to the
-/// `axis_value == 1` run) added to every point.
-pub fn run_scaling(
-    preset: &'static RuntimePreset,
-    header: Vec<(&'static str, Value)>,
-    axis_values: &[usize],
-    run_once: impl Fn(usize) -> PointResult,
-) -> PresetReport {
-    let mut runs: Vec<PointResult> = axis_values.iter().map(|&v| run_once(v)).collect();
-    let serial = runs.iter().find(|r| r.axis_value == 1);
-    let serial = serial.map(|r| r.num("wall_seconds"));
-    for r in &mut runs {
-        let speedup = serial.map_or(1.0, |s| s / r.num("wall_seconds").max(1e-9));
-        r.set("speedup_vs_serial", num(speedup));
-    }
-    PresetReport {
-        preset,
-        header,
-        runs,
     }
 }
 
@@ -394,15 +373,9 @@ impl PresetReport {
             .unwrap_or_else(|| panic!("{}: no numeric header field {key}", self.preset.name))
     }
 
-    /// Wall-clock speedup of the run at `axis_value` over the serial run.
-    pub fn speedup(&self, axis_value: usize) -> Option<f64> {
-        let run = self.runs.iter().find(|r| r.axis_value == axis_value)?;
-        run.field("speedup_vs_serial").and_then(Value::as_f64)
-    }
-
     /// The determinism contract every preset shares: one delivered stream
     /// for the whole report, and for each point identical counters and
-    /// exact fields at every value of the invariance axis.  A violation is
+    /// emitted fields at every value of the invariance axis.  A violation is
     /// an `Err` naming preset, point and axis value — never a panic, so the
     /// caller's artifact is already on disk.
     pub fn bit_identical(&self) -> Result<(), String> {
@@ -426,24 +399,17 @@ impl PresetReport {
             let Some(base) = self.runs[..i].iter().find(|b| b.label == r.label) else {
                 continue;
             };
-            let exact = |p: &PointResult| -> Vec<(&'static str, Value)> {
-                let fields = p
-                    .fields
-                    .iter()
-                    .filter(|(k, _)| !self.preset.timing.contains(k));
-                fields.cloned().collect()
-            };
-            if r.counters != base.counters || exact(r) != exact(base) {
+            if r.counters != base.counters || r.fields != base.fields {
                 return Err(format!(
-                    "{name}/{}: {axis}={} produced different counters or exact fields \
+                    "{name}/{}: {axis}={} produced different counters or fields \
                      than {axis}={} ({:?} / {:?} vs {:?} / {:?})",
                     r.label,
                     r.axis_value,
                     base.axis_value,
                     r.counters,
-                    exact(r),
+                    r.fields,
                     base.counters,
-                    exact(base)
+                    base.fields
                 ));
             }
         }
@@ -476,31 +442,31 @@ impl PresetReport {
         (self.preset.shape)(self)
     }
 
-    /// Serialise through the shared `pipeline::json` emitter: `preset`, the
-    /// header, `stream_digest`, then the emitted points' fields — under
-    /// `points`, or at the top level for a [`RuntimePreset::flat`] preset.
-    pub fn to_json(&self) -> String {
-        let object = |fields: &[(&'static str, Value)]| -> BTreeMap<String, Value> {
-            let entries = fields.iter().map(|(k, v)| (k.to_string(), v.clone()));
-            entries.collect()
-        };
-        let mut doc = object(&self.header);
-        doc.insert("preset".to_string(), text(self.preset.name));
-        doc.insert("stream_digest".to_string(), hex(self.digest()));
+    /// The report as a document block: `preset`, the header, `stream_digest`,
+    /// then the emitted points' fields — under `points`, or at the top level
+    /// for a [`RuntimePreset::flat`] preset.
+    pub fn to_value(&self) -> Value {
+        let mut doc = self.header.clone();
+        doc.push(("preset", text(self.preset.name)));
+        doc.push(("stream_digest", hex(self.digest())));
+        let points = self.points().map(|p| p.fields.iter().cloned());
         if self.preset.flat {
-            for p in self.points() {
-                doc.extend(object(&p.fields));
-            }
+            doc.extend(points.flatten());
         } else {
-            let points = self.points().map(|p| Value::Object(object(&p.fields)));
-            doc.insert("points".to_string(), Value::Array(points.collect()));
+            doc.push(("points", Value::Array(points.map(object).collect())));
         }
-        compact(&Value::Object(doc))
+        object(doc)
+    }
+
+    /// [`PresetReport::to_value`] as compact JSON text.
+    pub fn to_json(&self) -> String {
+        compact(&self.to_value())
     }
 
     /// Print the report as a text table: scalar header fields in the
-    /// caption, one row per emitted point, one column per emitted field.
-    /// A flat preset's fields print as `key: value` lines instead.
+    /// caption, one row per emitted point, one column per emitted field and
+    /// then per timing.  A flat preset's fields print as `key: value` lines
+    /// instead.
     pub fn print_table(&self) {
         let cell = |v: &Value| match v {
             Value::Number(n) if n.fract() == 0.0 && n.abs() < 1e15 => format!("{n:.0}"),
@@ -521,7 +487,8 @@ impl PresetReport {
             // The point column already shows the label and the axis value.
             let fields = p.fields.iter();
             let fields = fields.filter(|(k, _)| *k != "label" && *k != self.preset.axis);
-            fields.map(|(k, v)| (*k, cell(v))).collect()
+            let timings = p.timings.iter().map(|(k, v)| (*k, format!("{v:.4}")));
+            fields.map(|(k, v)| (*k, cell(v))).chain(timings).collect()
         };
         let title = format!("Runtime {} ({})", self.preset.name, self.preset.paper);
         if self.preset.flat {
@@ -543,47 +510,6 @@ impl PresetReport {
     }
 }
 
-/// Cores available to this process (1 when the host will not say).
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The wall-clock half of a scaling preset's gate: the run at the largest
-/// axis value must satisfy `passes(speedup over the serial run)` — enforced
-/// only when `cores >= min_cores`, because an undersized host measures the
-/// OS scheduler, not the executor (the bit-equality and baseline gates still
-/// apply in full).  `want` names the threshold in the failure message.
-pub fn gate_speedup(
-    report: &PresetReport,
-    cores: usize,
-    min_cores: usize,
-    passes: impl Fn(f64) -> bool,
-    want: &str,
-) -> Result<(), String> {
-    let (name, axis) = (report.preset.name, report.preset.axis);
-    let max = report.runs.iter().map(|r| r.axis_value).max().unwrap_or(1);
-    let Some(speedup) = report.speedup(max) else {
-        return Ok(());
-    };
-    if cores < min_cores {
-        println!(
-            "note: only {cores} core(s) available; {name} wall-clock speedup gate \
-             skipped (measured {speedup:.2}x at {axis}={max})"
-        );
-        return Ok(());
-    }
-    if passes(speedup) {
-        return Ok(());
-    }
-    // The scaling presets are sized (item floors, decode multipliers) so the
-    // scaled stage dominates every point even at smoke scale: on a host with
-    // enough cores a miss is a regression, not scheduler jitter.
-    Err(format!(
-        "{name}: {axis}={max} measured {speedup:.2}x over {axis}=1 on a \
-         {cores}-core host (gate: {want})"
-    ))
-}
-
 /// One row of the runtime-preset registry: everything `dstool` needs to
 /// list, run, print, emit and gate a preset without naming it.
 #[derive(Debug)]
@@ -599,11 +525,8 @@ pub struct RuntimePreset {
     /// The full-fidelity sizes (`--scale 1`).
     pub workload: Workload,
     /// Name of the invariance axis — the worker / fetch-thread values across
-    /// which digest, counters and exact fields must not move.
+    /// which digest, counters and emitted fields must not move.
     pub axis: &'static str,
-    /// Keys of the emitted fields that are wall clock.  Everything else the
-    /// preset emits is exact and gated against the baseline.
-    pub timing: &'static [&'static str],
     /// Whether the document has no `points` array: the single point's fields
     /// sit at the top level.
     pub flat: bool,
@@ -645,34 +568,31 @@ pub fn find_preset(name: &str) -> Option<&'static RuntimePreset> {
     RUNTIME_PRESETS.iter().copied().find(|p| p.name == name)
 }
 
-/// Compare every exact leaf of `baseline` against `current`: numbers within
-/// 1e-9, everything else by equality; object keys listed in `timing` are
-/// skipped.  Array elements are matched by position and named by their
-/// `label` where they have one.  The first difference is an `Err` naming its
-/// path under `path`.
-pub fn compare_exact(
-    path: &str,
-    baseline: &Value,
-    current: Option<&Value>,
-    timing: &[&str],
-) -> Result<(), String> {
+/// Compare two documents for equality, leaf by leaf: numbers within 1e-9,
+/// everything else exactly.  Array elements are matched by position and
+/// named by their `label` (or `suite`) where they have one.  The first
+/// difference — a changed leaf, or a key or element only one side has — is an
+/// `Err` naming its path under `path`.
+pub fn compare_exact(path: &str, baseline: &Value, current: Option<&Value>) -> Result<(), String> {
     let Some(current) = current else {
         return Err(format!("{path}: missing from this run"));
     };
     match (baseline, current) {
-        (Value::Object(base), Value::Object(_)) => {
+        (Value::Object(base), Value::Object(cur)) => {
             for (key, value) in base {
-                if !timing.contains(&key.as_str()) {
-                    compare_exact(&format!("{path}/{key}"), value, current.get(key), timing)?;
-                }
+                compare_exact(&format!("{path}/{key}"), value, cur.get(key))?;
             }
-            Ok(())
+            match cur.keys().find(|key| !base.contains_key(*key)) {
+                Some(key) => Err(format!("{path}/{key}: not in the baseline")),
+                None => Ok(()),
+            }
         }
         (Value::Array(base), Value::Array(cur)) => {
             for (i, value) in base.iter().enumerate() {
-                let label = value.get("label").and_then(Value::as_str);
-                let name = label.map_or(i.to_string(), str::to_string);
-                compare_exact(&format!("{path}/{name}"), value, cur.get(i), timing)?;
+                let label = value.get("label").or_else(|| value.get("suite"));
+                let name = label.and_then(Value::as_str);
+                let name = name.map_or(i.to_string(), str::to_string);
+                compare_exact(&format!("{path}/{name}"), value, cur.get(i))?;
             }
             if cur.len() > base.len() {
                 return Err(format!(
@@ -713,7 +633,6 @@ mod tests {
             axis: &[1, 2],
         },
         axis: "workers",
-        timing: &["wall_seconds", "speedup_vs_serial"],
         flat: false,
         takes_os_root: false,
         run: |_, _| fake_report(),
@@ -726,11 +645,8 @@ mod tests {
             axis_value,
             stream_digest: 0xD16E57,
             counters: vec![("samples", 96), ("samples", 96)],
-            fields: vec![
-                ("label", text(label)),
-                ("hit_ratio", num(0.25)),
-                ("wall_seconds", num(wall)),
-            ],
+            fields: vec![("label", text(label)), ("hit_ratio", num(0.25))],
+            timings: vec![("wall_seconds", wall)],
         }
     }
 
@@ -789,9 +705,10 @@ mod tests {
         let points = doc.get("points").and_then(Value::as_array).unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[1].get("label").and_then(Value::as_str), Some("b"));
-        assert_eq!(
-            points[1].get("wall_seconds").and_then(Value::as_f64),
-            Some(1.0)
+        assert_eq!(points[1].get("hit_ratio"), Some(&num(0.25)));
+        assert!(
+            !report.to_json().contains("wall_seconds"),
+            "timings are printed, never emitted"
         );
     }
 
@@ -818,7 +735,7 @@ mod tests {
             .unwrap_err()
             .contains("fake-sweep/a: workers=2"));
 
-        // Timing fields are free to move across the axis (they do above:
+        // Timings are free to move across the axis (they do above:
         // wall_seconds differs per repeat), points may not disagree on
         // counters, and an empty report is an error.
         let mut report = fake_report();
@@ -834,37 +751,18 @@ mod tests {
     }
 
     #[test]
-    fn speedup_gate_keeps_its_threshold_and_core_skip() {
-        let mut report = run_scaling(&FAKE, Vec::new(), &[1, 2], |w| fake_run("a", w, w as f64));
-        assert_eq!(report.speedup(2), Some(0.5));
-        let beats_serial = |s: f64| s > 1.0;
-        // Undersized host: skipped whatever was measured.
-        gate_speedup(&report, 1, 2, beats_serial, ">1.0x").unwrap();
-        let err = gate_speedup(&report, 2, 2, beats_serial, ">1.0x").unwrap_err();
-        assert!(
-            err.contains("fake-sweep: workers=2 measured 0.50x") && err.contains(">1.0x"),
-            "{err}"
-        );
-        for r in &mut report.runs {
-            r.set("speedup_vs_serial", num(1.5));
-        }
-        gate_speedup(&report, 2, 2, beats_serial, ">1.0x").unwrap();
-    }
-
-    #[test]
-    fn compare_exact_skips_timing_and_names_the_first_difference() {
+    fn compare_exact_names_the_first_difference_in_either_direction() {
         let base = parse(
             r#"{"stream_digest":"00ff","alive":[true,false],"points":[
-                {"label":"a","hit_ratio":0.25,"wall_seconds":1.0},
-                {"label":"b","hit_ratio":0.5,"wall_seconds":2.0}]}"#,
+                {"label":"a","hit_ratio":0.25},
+                {"label":"b","hit_ratio":0.5}]}"#,
         )
         .unwrap();
-        let check =
-            |cur: &str| compare_exact("blk", &base, Some(&parse(cur).unwrap()), FAKE.timing);
+        let check = |cur: &str| compare_exact("blk", &base, Some(&parse(cur).unwrap()));
         let same = r#"{"stream_digest":"00ff","alive":[true,false],"points":[
-            {"label":"a","hit_ratio":0.2500000000001,"wall_seconds":9.0},
-            {"label":"b","hit_ratio":0.5,"wall_seconds":0.1}]}"#;
-        check(same).expect("timing leaves and sub-1e-9 noise are ignored");
+            {"label":"a","hit_ratio":0.2500000000001},
+            {"label":"b","hit_ratio":0.5}]}"#;
+        check(same).expect("sub-1e-9 noise is ignored");
 
         let err = check(&same.replace("00ff", "00fe")).unwrap_err();
         assert!(err.contains("blk/stream_digest changed"), "{err}");
@@ -884,9 +782,18 @@ mod tests {
         assert_eq!(err, "blk/points/b: missing from this run");
         let err = check(&same.replace("\"alive\":[true,false],", "")).unwrap_err();
         assert_eq!(err, "blk/alive: missing from this run");
+        // What only this run has is a difference too: there is no skip list.
         let err = check(&same.replace("[true,false]", "[true,false,true]")).unwrap_err();
         assert!(err.contains("not in the baseline"), "{err}");
-        let err = compare_exact("blk", &base, None, &[]).unwrap_err();
+        let extra = same.replace(
+            "\"hit_ratio\":0.5",
+            "\"hit_ratio\":0.5,\"wall_seconds\":1.5",
+        );
+        assert_eq!(
+            check(&extra).unwrap_err(),
+            "blk/points/b/wall_seconds: not in the baseline"
+        );
+        let err = compare_exact("blk", &base, None).unwrap_err();
         assert_eq!(err, "blk: missing from this run");
     }
 

@@ -53,7 +53,6 @@ pub static PRESET: RuntimePreset = RuntimePreset {
         axis: &[1, 2],
     },
     axis: "workers",
-    timing: &[],
     flat: false,
     takes_os_root: false,
     run: |w, _| run(w),
@@ -108,6 +107,7 @@ fn run_once(w: &Workload, dram_percent: u32, ssd_percent: u32, workers: usize) -
         axis_value: workers,
         stream_digest,
         counters,
+        timings: Vec::new(),
     }
 }
 

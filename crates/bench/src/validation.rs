@@ -12,12 +12,17 @@
 //! not gated, because the simulator accounts pipelining overlap that a
 //! functional loader cannot observe.
 
-use coordl::{FetchBackend, FsBackend, Mode, Session, SessionConfig, TenantHandle, TenantSpec};
+use crate::runtime::{compact, int, num, object, text};
+use coordl::{
+    ByteTierSpec, FaultPlan, FetchBackend, FsBackend, LoaderReport, Mode, Session, SessionBuilder,
+    SessionConfig, TenantHandle, TenantSpec,
+};
 use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
 use dcache::PolicyKind;
-use pipeline::json::{write_f64, write_string};
+use pipeline::json::Value;
 use pipeline::{
-    churn_schedule, CacheSpec, Experiment, JobSpec, LoaderConfig, Scenario, ServerConfig, SimReport,
+    churn_schedule, CacheSpec, EpochMetrics, Experiment, JobSpec, LoaderConfig, Scenario,
+    ServerConfig, SimReport,
 };
 use prep::PrepBackend;
 use std::sync::Arc;
@@ -39,10 +44,6 @@ const CHURN_TENANTS: usize = 3;
 /// `Scenario::ElasticCluster` and the runtime `coordl::Server` replay.
 const CHURN_SEED: u64 = 0xE1A5;
 
-/// Per-tenant sample-count metric labels of the churn scenario.
-const CHURN_SAMPLE_METRICS: [&str; CHURN_TENANTS] =
-    ["tenant0_samples", "tenant1_samples", "tenant2_samples"];
-
 /// Servers in the partitioned-chaos scenario.
 const CHAOS_SERVERS: usize = 3;
 
@@ -53,6 +54,12 @@ const CHAOS_FAULTS: usize = 2;
 /// `Scenario::PartitionedChaos` and the runtime session's
 /// [`coordl::FaultPlan`].
 const CHAOS_FAULT_SEED: u64 = 0xFA11;
+
+/// Readahead window, in pages, of the fs-real scenario's backend.
+const FS_REAL_READAHEAD: u32 = 4;
+
+/// Fetch threads driven by the parallel-fetch validation scenario.
+const PARALLEL_FETCH_THREADS: usize = 4;
 
 /// Configuration of one validation run.
 #[derive(Debug, Clone)]
@@ -172,69 +179,30 @@ impl ValidationReport {
 
     /// Serialise through the shared `pipeline::json` emitter.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"schema\":\"datastalls-validate/v1\",\"scale\":");
-        out.push_str(&self.config.scale.to_string());
-        out.push_str(",\"cache_fraction\":");
-        write_f64(&mut out, self.config.cache_fraction);
-        out.push_str(",\"jobs\":");
-        out.push_str(&self.config.jobs.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.config.epochs.to_string());
-        out.push_str(",\"tolerance\":");
-        write_f64(&mut out, self.config.tolerance);
-        out.push_str(",\"passed\":");
-        out.push_str(if self.passed() { "true" } else { "false" });
-        out.push_str(",\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"scenario\":");
-            write_string(&mut out, row.scenario);
-            out.push_str(",\"metric\":");
-            write_string(&mut out, row.metric);
-            out.push_str(",\"predicted\":");
-            write_f64(&mut out, row.predicted);
-            out.push_str(",\"empirical\":");
-            write_f64(&mut out, row.empirical);
-            out.push_str(",\"delta\":");
-            write_f64(&mut out, row.delta());
-            out.push_str(",\"relative_delta\":");
-            write_f64(&mut out, row.relative_delta());
-            out.push_str(",\"gated\":");
-            out.push_str(if row.gate == GateKind::Informational {
-                "false"
-            } else {
-                "true"
-            });
-            out.push_str(",\"pass\":");
-            out.push_str(if row.passes(self.config.tolerance) {
-                "true"
-            } else {
-                "false"
-            });
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let tolerance = self.config.tolerance;
+        let rows = self.rows.iter().map(|row| {
+            object([
+                ("scenario", text(row.scenario)),
+                ("metric", text(row.metric)),
+                ("predicted", num(row.predicted)),
+                ("empirical", num(row.empirical)),
+                ("delta", num(row.delta())),
+                ("relative_delta", num(row.relative_delta())),
+                ("gated", Value::Bool(row.gate != GateKind::Informational)),
+                ("pass", Value::Bool(row.passes(tolerance))),
+            ])
+        });
+        compact(&object([
+            ("schema", text("datastalls-validate/v1")),
+            ("scale", int(self.config.scale)),
+            ("cache_fraction", num(self.config.cache_fraction)),
+            ("jobs", int(self.config.jobs as u64)),
+            ("epochs", int(self.config.epochs)),
+            ("tolerance", num(tolerance)),
+            ("passed", Value::Bool(self.passed())),
+            ("rows", Value::Array(rows.collect())),
+        ]))
     }
-}
-
-struct ScenarioOutcome {
-    predicted_hit_ratio: f64,
-    empirical_hit_ratio: f64,
-    predicted_disk_bytes: f64,
-    empirical_disk_bytes: f64,
-    predicted_stall_secs: f64,
-    empirical_device_secs: f64,
-    predicted_data_stall_secs: f64,
-    /// Consumer wait per consuming job (coordinated sessions sum their
-    /// consumers' waits, which would scale with the job count).
-    empirical_consumer_wait_secs: f64,
-    /// Per-tier hit ratios, present for tiered scenarios:
-    /// `(predicted_dram, empirical_dram, predicted_ssd, empirical_ssd)`.
-    tier_ratios: Option<(f64, f64, f64, f64)>,
 }
 
 /// The coordinated consumer-wait tripwire: the prediction is
@@ -248,765 +216,641 @@ pub const CONSUMER_WAIT_GATE: GateKind = GateKind::WallClock {
     slack_seconds: 10.0,
 };
 
-fn push_rows(
-    rows: &mut Vec<ValidationRow>,
-    scenario: &'static str,
-    o: ScenarioOutcome,
-    gate_consumer_wait: bool,
-) {
-    rows.push(ValidationRow {
-        scenario,
-        metric: "steady_hit_ratio",
-        predicted: o.predicted_hit_ratio,
-        empirical: o.empirical_hit_ratio,
-        gate: GateKind::Absolute,
-    });
-    rows.push(ValidationRow {
-        scenario,
-        metric: "steady_disk_bytes",
-        predicted: o.predicted_disk_bytes,
-        empirical: o.empirical_disk_bytes,
-        gate: GateKind::Relative,
-    });
-    if let Some((p_dram, e_dram, p_ssd, e_ssd)) = o.tier_ratios {
-        rows.push(ValidationRow {
-            scenario,
-            metric: "steady_dram_hit_ratio",
-            predicted: p_dram,
-            empirical: e_dram,
-            gate: GateKind::Absolute,
-        });
-        rows.push(ValidationRow {
-            scenario,
-            metric: "steady_ssd_hit_ratio",
-            predicted: p_ssd,
-            empirical: e_ssd,
-            gate: GateKind::Absolute,
-        });
+/// What one side of a scenario observed: the same shape whether it was folded
+/// from the simulator's [`SimReport`] ([`observe_sim`]) or from the runtime's
+/// [`LoaderReport`]s ([`observe_runtime`]).  The four counts and byte totals
+/// cover the *steady state* — every server epoch after the cold warm-up —
+/// folded as the scenario's [`Fold`] says.
+#[derive(Debug, Default)]
+struct Observed {
+    /// Steady fetch-unit cache hits.
+    hits: u64,
+    /// Steady fetch-unit cache misses.
+    misses: u64,
+    /// Steady bytes read from storage.
+    disk_bytes: f64,
+    /// Steady bytes fetched from peer caches.
+    remote_bytes: f64,
+    /// Samples over the *whole* run, one entry per unit (job, tenant, server).
+    samples: Vec<u64>,
+    /// Steady hit ratio of the DRAM level.
+    dram_hit_ratio: f64,
+    /// Steady hit ratio of the levels below DRAM.
+    lower_hit_ratio: f64,
+    /// Seconds per steady epoch attributed to fetching: the simulator's fetch
+    /// stall, the runtime's modelled device time.
+    fetch_seconds: f64,
+    /// Seconds per steady epoch a consumer waited for data: the simulator's
+    /// fetch + prep stall, the runtime's wall-clock consumer wait per job.
+    stall_seconds: f64,
+    /// Runtime only: modelled device seconds of the whole run.
+    run_modelled_seconds: f64,
+    /// Runtime only: wall-clock seconds the backend's reads took.
+    run_measured_seconds: f64,
+    /// Runtime only: wall-clock seconds fetch-pool threads waited their turn.
+    run_pool_stall_seconds: f64,
+}
+
+impl Observed {
+    fn hit_ratio(&self) -> f64 {
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
-    rows.push(ValidationRow {
-        scenario,
-        metric: "steady_fetch_stall_vs_device_seconds",
-        predicted: o.predicted_stall_secs,
-        empirical: o.empirical_device_secs,
-        gate: GateKind::Informational,
-    });
-    // The simulator's fetch+prep stall prediction is on modelled hardware;
-    // the runtime's consumer-wait is wall time on the test host.  The pair
-    // is reported so per-stage trends stay comparable.  For the coordinated
-    // scenario — whose counter rows match the simulator exactly — it is
-    // additionally gated, coarsely (see [`CONSUMER_WAIT_GATE`]), as a
-    // stuck-consumer tripwire.
-    rows.push(ValidationRow {
-        scenario,
-        metric: "steady_data_stall_vs_consumer_wait_seconds",
-        predicted: o.predicted_data_stall_secs,
-        empirical: o.empirical_consumer_wait_secs,
-        gate: if gate_consumer_wait {
-            CONSUMER_WAIT_GATE
-        } else {
-            GateKind::Informational
-        },
-    });
+
+    fn total_samples(&self) -> f64 {
+        self.samples.iter().sum::<u64>() as f64
+    }
 }
 
-fn sim_steady(report: &SimReport) -> (f64, f64, f64, f64) {
-    // Unit 0 carries the byte/hit accounting in coordinated runs.
-    let steady = report.per_job()[0].steady_state();
-    let fetch_stall = steady.breakdown.fetch_stall.as_secs();
-    let prep_stall = steady.breakdown.prep_stall.as_secs();
-    (
-        steady.cache_hits as f64 / (steady.cache_hits + steady.cache_misses).max(1) as f64,
-        steady.bytes_from_disk as f64,
-        fetch_stall,
-        fetch_stall + prep_stall,
-    )
+/// How a scenario folds epochs into its steady state, on both sides alike.
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    /// The per-epoch mean of the first unit over the epochs after the
+    /// warm-up, as the paper reports it (§3.1).  Unit 0 carries the byte and
+    /// hit accounting of a coordinated run.
+    Mean,
+    /// The sum over every unit and every server epoch from 1 on, for
+    /// scenarios whose units come, go and fail mid-run.
+    Sum,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_scenario(
-    cfg: &ValidationConfig,
-    spec: &DatasetSpec,
-    server: &ServerConfig,
+/// The ONE steady-state extractor of the simulator side.
+fn observe_sim(report: &SimReport, fold: Fold) -> Observed {
+    let units = report.per_job();
+    let mean;
+    let steady: Vec<&EpochMetrics> = match fold {
+        Fold::Mean => {
+            mean = units[0].steady_state();
+            vec![&mean]
+        }
+        Fold::Sum => {
+            let epochs = units.iter().flat_map(|u| &u.epochs);
+            epochs.filter(|e| e.epoch >= 1).collect()
+        }
+    };
+    let sum = |f: fn(&EpochMetrics) -> u64| steady.iter().map(|e| f(e)).sum::<u64>();
+    // Per-tier ratios and stall seconds are read by `Fold::Mean` rows only.
+    let first = steady[0];
+    let fetch_stall = first.breakdown.fetch_stall.as_secs();
+    Observed {
+        hits: sum(|e| e.cache_hits),
+        misses: sum(|e| e.cache_misses),
+        disk_bytes: sum(|e| e.bytes_from_disk) as f64,
+        remote_bytes: sum(|e| e.bytes_from_remote) as f64,
+        samples: units
+            .iter()
+            .map(|u| u.epochs.iter().map(|e| e.samples).sum())
+            .collect(),
+        dram_hit_ratio: first.dram_hit_ratio(),
+        lower_hit_ratio: first.lower_tier_hit_ratio(),
+        fetch_seconds: fetch_stall,
+        stall_seconds: fetch_stall + first.breakdown.prep_stall.as_secs(),
+        ..Observed::default()
+    }
+}
+
+/// The ONE steady-state extractor of the runtime side: one report per unit,
+/// each with the server epoch its local epoch 0 ran at.
+fn observe_runtime(reports: &[(u64, LoaderReport)], fold: Fold) -> Observed {
+    let steady = reports.iter().flat_map(|(arrival, report)| {
+        let epochs = report.epochs.iter();
+        epochs.filter(move |e| arrival + e.epoch >= 1)
+    });
+    let steady: Vec<_> = steady.collect();
+    let sum = |f: fn(&coordl::EpochTrajectory) -> u64| steady.iter().map(|e| f(e)).sum::<u64>();
+    // Per-tier ratios and seconds are read by `Fold::Mean` rows only.
+    let first = &reports[0].1;
+    let per_epoch = match fold {
+        Fold::Mean => first.steady_epochs().len() as f64,
+        Fold::Sum => 1.0,
+    };
+    Observed {
+        hits: sum(|e| e.cache_hits),
+        misses: sum(|e| e.cache_misses),
+        disk_bytes: sum(|e| e.bytes_from_storage) as f64 / per_epoch,
+        remote_bytes: sum(|e| e.bytes_from_remote) as f64 / per_epoch,
+        samples: reports
+            .iter()
+            .map(|(_, r)| r.epochs.iter().map(|e| e.samples_delivered).sum())
+            .collect(),
+        dram_hit_ratio: first.steady_dram_hit_ratio(),
+        lower_hit_ratio: first.steady_lower_tier_hit_ratio(),
+        fetch_seconds: first.steady_device_seconds(),
+        // Coordinated sessions sum their consumers' waits, which would scale
+        // with the job count.
+        stall_seconds: first.steady_consumer_wait_seconds() / first.jobs as f64,
+        run_modelled_seconds: first.device_seconds,
+        run_measured_seconds: first.measured_device_seconds,
+        run_pool_stall_seconds: first.fetch_thread_stall_seconds.iter().sum(),
+    }
+}
+
+/// The simulator side of a scenario, as data: [`Ctx::sim`] is the
+/// single-server CoorDL job every scenario starts from.
+struct Sim {
     loader: LoaderConfig,
     scenario: Scenario,
-    mode: Mode,
-    cache_policy: PolicyKind,
-    tiers: Option<(u64, u64)>,
-) -> ScenarioOutcome {
-    // --- Predicted: the simulator. -----------------------------------------
-    let job =
-        JobSpec::new(gpu::ModelKind::ResNet18, spec.clone(), 1, loader).with_seed(VALIDATION_SEED);
-    let sim = Experiment::on(server)
-        .job(job)
-        .scenario(scenario)
-        .cache(match tiers {
-            None => CacheSpec::DramOnly,
-            Some((dram_bytes, ssd_bytes)) => CacheSpec::Tiered {
-                dram_bytes,
-                ssd_bytes,
-            },
-        })
-        .epochs(cfg.epochs)
-        .run();
-    let (predicted_hit_ratio, predicted_disk_bytes, predicted_stall_secs, predicted_data_stall) =
-        sim_steady(&sim);
-    let sim_tier_ratios = tiers.map(|_| {
-        let steady = sim.per_job()[0].steady_state();
-        (steady.dram_hit_ratio(), steady.lower_tier_hit_ratio())
-    });
+    cache: CacheSpec,
+    /// DRAM cache bytes of the simulated server.
+    cache_bytes: u64,
+}
 
-    // --- Empirical: the runtime session on real bytes. ---------------------
-    let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), STORE_SEED));
-    let mut builder = Session::builder(
-        store,
+/// What every scenario of one validation run shares.
+struct Ctx {
+    cfg: ValidationConfig,
+    spec: DatasetSpec,
+    server: ServerConfig,
+}
+
+impl Ctx {
+    /// Exact dataset footprint: `DatasetSpec::total_bytes` is the *average*
+    /// (`num_items × avg_item_bytes`), but the hash-derived per-item sizes sum
+    /// to slightly more or less.  A cache meant to hold the whole dataset
+    /// must cover the exact sum, or the never-evict tail is refused admission
+    /// and re-read from storage every epoch — a steady-state miss stream the
+    /// simulator (sized the same way) never predicts.
+    fn exact_bytes(&self) -> u64 {
+        (0..self.spec.num_items)
+            .map(|i| self.spec.item_size(i))
+            .sum()
+    }
+
+    fn sim(&self) -> Sim {
+        Sim {
+            loader: LoaderConfig::coordl(PrepBackend::DaliCpu),
+            scenario: Scenario::SingleServer,
+            cache: CacheSpec::DramOnly,
+            cache_bytes: self.server.dram_cache_bytes,
+        }
+    }
+
+    /// The ONE simulator-job constructor.
+    fn predict(&self, sim: Sim, fold: Fold) -> Observed {
+        let job = JobSpec::new(gpu::ModelKind::ResNet18, self.spec.clone(), 1, sim.loader)
+            .with_seed(VALIDATION_SEED);
+        let report = Experiment::on(&self.server.with_cache_bytes(sim.cache_bytes))
+            .job(job)
+            .scenario(sim.scenario)
+            .cache(sim.cache)
+            .epochs(self.cfg.epochs)
+            .run();
+        observe_sim(&report, fold)
+    }
+
+    fn store(&self, unit: u64) -> Arc<dyn DataSource> {
+        Arc::new(SyntheticItemStore::new(
+            self.spec.clone(),
+            STORE_SEED + unit,
+        ))
+    }
+
+    /// The ONE runtime session configuration (`unit` offsets the seed of a
+    /// multi-tenant scenario's tenants).
+    fn session_config(&self, unit: u64, cache_bytes: u64) -> SessionConfig {
         SessionConfig {
             batch_size: 64,
             // One worker keeps the cache access order identical to the
             // simulator's sequential sweep, so LRU decisions line up exactly.
             num_workers: 1,
-            seed: VALIDATION_SEED,
-            cache_capacity_bytes: server.dram_cache_bytes,
+            seed: VALIDATION_SEED + unit,
+            cache_capacity_bytes: cache_bytes,
             take_timeout: Duration::from_secs(30),
             ..SessionConfig::default()
-        },
-    )
-    .mode(mode)
-    .device_profile(server.device);
-    builder = match tiers {
-        None => builder.cache_policy(cache_policy),
-        Some((dram_bytes, ssd_bytes)) => builder.cache_tiers(vec![
-            coordl::ByteTierSpec::dram(cache_policy, dram_bytes),
-            coordl::ByteTierSpec::sata_ssd(cache_policy, ssd_bytes),
-        ]),
-    };
-    let session = builder.build().expect("valid validation session");
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        let handles: Vec<_> = (0..session.num_jobs())
-            .map(|j| {
-                let stream = run.stream(j);
-                std::thread::spawn(move || {
-                    for batch in stream {
-                        let _ = batch.expect("validation epoch should complete");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("validation consumer");
         }
     }
-    let report = session.report();
-    let tail = report.steady_epochs();
-    let hits: u64 = tail.iter().map(|e| e.cache_hits).sum();
-    let misses: u64 = tail.iter().map(|e| e.cache_misses).sum();
 
-    ScenarioOutcome {
-        predicted_hit_ratio,
-        empirical_hit_ratio: hits as f64 / (hits + misses).max(1) as f64,
-        predicted_disk_bytes,
-        empirical_disk_bytes: report.steady_storage_bytes(),
-        predicted_stall_secs,
-        empirical_device_secs: report.steady_device_seconds(),
-        predicted_data_stall_secs: predicted_data_stall,
-        empirical_consumer_wait_secs: report.steady_consumer_wait_seconds()
-            / session.num_jobs() as f64,
-        tier_ratios: sim_tier_ratios.map(|(p_dram, p_ssd)| {
-            (
-                p_dram,
-                report.steady_dram_hit_ratio(),
-                p_ssd,
-                report.steady_lower_tier_hit_ratio(),
-            )
-        }),
+    /// Run one session, shaped by `shape`, for the configured epochs.
+    fn session(
+        &self,
+        cache_bytes: u64,
+        shape: impl FnOnce(&Arc<dyn DataSource>, SessionBuilder) -> SessionBuilder,
+    ) -> Vec<(u64, LoaderReport)> {
+        let store = self.store(0);
+        let builder = Session::builder(Arc::clone(&store), self.session_config(0, cache_bytes));
+        let session = shape(&store, builder)
+            .build()
+            .expect("valid validation session");
+        for epoch in 0..self.cfg.epochs {
+            drain_epoch(&session, epoch);
+        }
+        vec![(0, session.report())]
     }
 }
 
-/// Predicted-vs-empirical comparison of the elastic-churn scenario: the
-/// simulator's `Scenario::ElasticCluster` against a multi-tenant
-/// `coordl::Server` replaying the *identical* deterministic churn schedule
-/// (same `churn_schedule(tenants, epochs, seed)` on both sides).
-///
-/// The shared hierarchy is sized to hold one dataset copy per tenant and
-/// every tenant's quota covers its dataset, so the quota mechanism — which
-/// the simulator does not model — never binds; what is compared is the
-/// churn dynamics themselves: arrival cold misses, steady-state hits and
-/// departure-time reclamation.
-fn run_churn_scenario(
-    cfg: &ValidationConfig,
-    spec: &DatasetSpec,
-    server: &ServerConfig,
-) -> Vec<ValidationRow> {
-    let tenants = CHURN_TENANTS;
-    // Exact dataset footprint: `DatasetSpec::total_bytes` is the *average*
-    // (`num_items × avg_item_bytes`), but the hash-derived per-item sizes sum
-    // to slightly more or less.  Quotas and the shared capacity must cover
-    // the exact sum, or the never-evict tail of a tenant's dataset is refused
-    // admission and re-read from storage every epoch — a steady-state miss
-    // stream the simulator (sized the same way) never predicts.
-    let per_tenant: u64 = (0..spec.num_items).map(|i| spec.item_size(i)).sum();
-    let cap = per_tenant * tenants as u64;
-
-    // --- Predicted: the simulator. -----------------------------------------
-    let job = JobSpec::new(
-        gpu::ModelKind::ResNet18,
-        spec.clone(),
-        1,
-        LoaderConfig::coordl(PrepBackend::DaliCpu),
-    )
-    .with_seed(VALIDATION_SEED);
-    let sim = Experiment::on(&server.with_cache_bytes(cap))
-        .job(job)
-        .scenario(Scenario::ElasticCluster {
-            tenants,
-            seed: CHURN_SEED,
-        })
-        .epochs(cfg.epochs)
-        .run();
-    let mut p_hits = 0u64;
-    let mut p_misses = 0u64;
-    let mut p_disk = 0u64;
-    let mut p_samples = vec![0u64; tenants];
-    for (j, unit) in sim.per_job().iter().enumerate() {
-        for e in &unit.epochs {
-            p_samples[j] += e.samples;
-            if e.epoch >= 1 {
-                p_hits += e.cache_hits;
-                p_misses += e.cache_misses;
-                p_disk += e.bytes_from_disk;
-            }
+/// The ONE epoch-drain loop.  Coordinated jobs share one staging area, so
+/// their streams must drain concurrently; every other mode drains its
+/// streams one after another in unit order — the order the simulator sweeps
+/// its shards, so a partitioned directory evolves identically on both sides.
+fn drain_epoch(session: &Session, epoch: u64) {
+    let run = session.epoch(epoch);
+    let drain = |stream: coordl::BatchStream| {
+        for batch in stream {
+            let _ = batch.expect("validation epoch should complete");
         }
+    };
+    let streams = (0..session.num_jobs()).map(|unit| run.stream(unit));
+    if matches!(session.mode(), Mode::Coordinated { .. }) {
+        std::thread::scope(|scope| {
+            for stream in streams {
+                scope.spawn(move || drain(stream));
+            }
+        });
+    } else {
+        streams.for_each(drain);
     }
+}
 
-    // --- Empirical: the multi-tenant server on real bytes. -----------------
-    let schedule = churn_schedule(tenants, cfg.epochs, CHURN_SEED);
+/// The runtime side of `elastic-churn`: a multi-tenant `coordl::Server`
+/// replaying the *identical* deterministic churn schedule the simulator's
+/// `Scenario::ElasticCluster` derives (same `churn_schedule(tenants, epochs,
+/// seed)` on both sides).
+///
+/// The shared hierarchy holds one dataset copy per tenant and every tenant's
+/// quota covers its dataset, so the quota mechanism — which the simulator
+/// does not model — never binds; what is compared is the churn dynamics
+/// themselves: arrival cold misses, steady-state hits and departure-time
+/// reclamation.
+fn replay_churn(c: &Ctx) -> Vec<(u64, LoaderReport)> {
+    let per_tenant = c.exact_bytes();
+    let schedule = churn_schedule(CHURN_TENANTS, c.cfg.epochs, CHURN_SEED);
     // One lock shard: sharding splits the MinIO capacity per shard, and with
     // the cache sized exactly to the active datasets that imbalance causes
     // admission refusals the simulator's single shared cache never predicts.
     // The unsharded server is the bit-exact configuration the model maps to;
     // shard-count behaviour is gated separately by the multi-tenant preset.
-    let rt = coordl::Server::new(coordl::ServerConfig::minio(cap, 1))
+    let cap = per_tenant * CHURN_TENANTS as u64;
+    let server = coordl::Server::new(coordl::ServerConfig::minio(cap, 1))
         .expect("valid churn server config");
-    let mut handles: Vec<Option<TenantHandle>> = (0..tenants).map(|_| None).collect();
-    let mut e_hits = 0u64;
-    let mut e_misses = 0u64;
-    let mut e_disk = 0u64;
-    let mut e_samples = vec![0u64; tenants];
-    // Fold a departing (or run-surviving) tenant's per-epoch trajectory
-    // into the aggregates, mapping its local epochs to server epochs.
-    let mut collect = |j: usize, handle: &TenantHandle| {
-        for e in &handle.report().epochs {
-            e_samples[j] += e.samples_delivered;
-            if schedule[j].arrival + e.epoch >= 1 {
-                e_hits += e.cache_hits;
-                e_misses += e.cache_misses;
-                e_disk += e.bytes_from_storage;
+    let mut handles: Vec<Option<TenantHandle>> = schedule.iter().map(|_| None).collect();
+    let mut reports: Vec<Option<LoaderReport>> = schedule.iter().map(|_| None).collect();
+    // Epoch `epochs` runs nothing: it only departs the run's survivors.
+    for epoch in 0..=c.cfg.epochs {
+        for (j, tenant) in schedule.iter().enumerate() {
+            if tenant.departure == epoch {
+                // The trajectory is read before `depart` reclaims the window.
+                let handle = handles[j].take().expect("departing tenant arrived");
+                reports[j] = Some(handle.report());
+                handle.depart();
+            }
+            if tenant.arrival == epoch {
+                let spec = TenantSpec {
+                    name: format!("tenant-{j}"),
+                    dataset: c.store(j as u64),
+                    quota_bytes: per_tenant,
+                    session: c.session_config(j as u64, cap),
+                    profile: None,
+                };
+                handles[j] = Some(server.submit(spec).expect("valid churn tenant"));
             }
         }
-    };
-    for epoch in 0..cfg.epochs {
-        for j in 0..tenants {
-            if schedule[j].departure == epoch {
-                if let Some(handle) = handles[j].take() {
-                    collect(j, &handle);
-                    handle.depart();
-                }
-            }
-            if schedule[j].arrival == epoch {
-                let store: Arc<dyn DataSource> =
-                    Arc::new(SyntheticItemStore::new(spec.clone(), STORE_SEED + j as u64));
-                let handle = rt
-                    .submit(TenantSpec {
-                        name: format!("tenant-{j}"),
-                        dataset: store,
-                        quota_bytes: per_tenant,
-                        session: SessionConfig {
-                            batch_size: 64,
-                            num_workers: 1,
-                            seed: VALIDATION_SEED + j as u64,
-                            ..SessionConfig::default()
-                        },
-                        profile: None,
-                    })
-                    .expect("valid churn tenant");
-                handles[j] = Some(handle);
-            }
-        }
-        for (j, slot) in handles.iter().enumerate() {
-            let Some(handle) = slot else { continue };
-            let run = handle.session().epoch(epoch - schedule[j].arrival);
-            for batch in run.stream(0) {
-                let _ = batch.expect("churn epoch should complete");
+        for (handle, tenant) in handles.iter().zip(&schedule) {
+            if let Some(handle) = handle {
+                drain_epoch(handle.session(), epoch - tenant.arrival);
             }
         }
     }
-    for (j, slot) in handles.iter().enumerate() {
-        if let Some(handle) = slot {
-            collect(j, handle);
-        }
-    }
-    drop(handles);
-
-    let mut rows = vec![
-        ValidationRow {
-            scenario: "elastic-churn",
-            metric: "aggregate_steady_hit_ratio",
-            predicted: p_hits as f64 / (p_hits + p_misses).max(1) as f64,
-            empirical: e_hits as f64 / (e_hits + e_misses).max(1) as f64,
-            gate: GateKind::Absolute,
-        },
-        ValidationRow {
-            scenario: "elastic-churn",
-            metric: "steady_disk_bytes",
-            predicted: p_disk as f64,
-            empirical: e_disk as f64,
-            gate: GateKind::Relative,
-        },
-    ];
-    for (j, metric) in CHURN_SAMPLE_METRICS.iter().enumerate() {
-        rows.push(ValidationRow {
-            scenario: "elastic-churn",
-            metric,
-            predicted: p_samples[j] as f64,
-            empirical: e_samples[j] as f64,
-            gate: GateKind::Relative,
-        });
-    }
-    rows
+    let reports = reports.into_iter().zip(&schedule);
+    reports
+        .map(|(report, tenant)| (tenant.arrival, report.expect("every tenant departs")))
+        .collect()
 }
 
-/// Readahead window, in pages, of the fs-real scenario's backend.
-const FS_REAL_READAHEAD: u32 = 4;
-
-/// Real-bytes validation: the same single-job MinIO workload as
-/// `single-minio`, but the dataset is materialized as a page-aligned packed
-/// file on a deterministic in-memory VFS and every fetch is a real
-/// positional read through [`FsBackend`].  Three timing columns line up:
-/// the simulator's *predicted* fetch stall, the backend's *modelled* device
-/// seconds (the same profile arithmetic, charged per real read), and the
-/// *measured* wall-clock seconds those reads actually took.  The counter
-/// rows are gated like `single-minio`; the measured row is a one-sided
-/// wall-clock tripwire — real reads on an in-memory VFS must stay far below
-/// the modelled SSD, so only a pathological I/O path (or a stuck reader)
-/// trips it.
-fn run_fs_real_scenario(
-    cfg: &ValidationConfig,
-    spec: &DatasetSpec,
-    server: &ServerConfig,
-) -> Vec<ValidationRow> {
-    // --- Predicted: the simulator (identical to single-minio). -------------
-    let job = JobSpec::new(
-        gpu::ModelKind::ResNet18,
-        spec.clone(),
-        1,
-        LoaderConfig::coordl(PrepBackend::DaliCpu),
-    )
-    .with_seed(VALIDATION_SEED);
-    let sim = Experiment::on(server)
-        .job(job)
-        .scenario(Scenario::SingleServer)
-        .cache(CacheSpec::DramOnly)
-        .epochs(cfg.epochs)
-        .run();
-    let (p_hit, p_disk, p_stall, _) = sim_steady(&sim);
-
-    // --- Empirical: the runtime over real bytes on a VFS. ------------------
-    let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), STORE_SEED));
-    let fs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-    let backend = Arc::new(
-        FsBackend::new(Arc::clone(&fs), "data", store.as_ref(), FS_REAL_READAHEAD)
-            .expect("fs-real materialization must succeed")
-            .with_profile(server.device, AccessPattern::Random),
-    );
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: 64,
-            num_workers: 1,
-            seed: VALIDATION_SEED,
-            cache_capacity_bytes: server.dram_cache_bytes,
-            take_timeout: Duration::from_secs(30),
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Single)
-    .cache_policy(PolicyKind::MinIo)
-    .fetch_backend(backend as Arc<dyn FetchBackend>)
-    .build()
-    .expect("valid fs-real session");
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for batch in run.stream(0) {
-            let _ = batch.expect("fs-real epoch should complete");
-        }
-    }
-    let report = session.report();
-    let tail = report.steady_epochs();
-    let hits: u64 = tail.iter().map(|e| e.cache_hits).sum();
-    let misses: u64 = tail.iter().map(|e| e.cache_misses).sum();
-
-    vec![
-        ValidationRow {
-            scenario: "fs-real",
-            metric: "steady_hit_ratio",
-            predicted: p_hit,
-            empirical: hits as f64 / (hits + misses).max(1) as f64,
-            gate: GateKind::Absolute,
-        },
-        ValidationRow {
-            scenario: "fs-real",
-            metric: "steady_disk_bytes",
-            predicted: p_disk,
-            empirical: report.steady_storage_bytes(),
-            gate: GateKind::Relative,
-        },
-        ValidationRow {
-            scenario: "fs-real",
-            metric: "steady_fetch_stall_vs_device_seconds",
-            predicted: p_stall,
-            empirical: report.steady_device_seconds(),
-            gate: GateKind::Informational,
-        },
-        ValidationRow {
-            scenario: "fs-real",
-            metric: "modelled_vs_measured_device_seconds",
-            predicted: report.device_seconds,
-            empirical: report.measured_device_seconds,
-            gate: CONSUMER_WAIT_GATE,
-        },
-    ]
+/// One `(metric, gate, pick)` row of a scenario: `pick` reads the
+/// `(predicted, empirical)` pair out of the two sides' observations.
+struct Metric {
+    name: &'static str,
+    gate: GateKind,
+    pick: fn(sim: &Observed, runtime: &Observed) -> (f64, f64),
 }
 
-/// Failure-injection validation: the simulator's
-/// `Scenario::PartitionedChaos` against a runtime partitioned [`Session`]
-/// replaying the *identical* membership-fault schedule.  Both sides derive
-/// it from the same `fault_schedule(servers, epochs, faults, seed)` call:
-/// the simulator applies each event at its epoch boundary, and
-/// [`coordl::FaultPlan::seeded`] scales the same boundaries by the dataset
-/// length so the runtime's fetch-step clock fires each event before the
-/// same epoch.  Node streams are consumed sequentially in node order — the
-/// order the simulator sweeps its shards — so the shared directory and the
-/// per-node MinIO caches evolve identically on both sides, kills, leaves
-/// and rejoins included.
-fn run_partitioned_chaos_scenario(
-    cfg: &ValidationConfig,
-    spec: &DatasetSpec,
-    server: &ServerConfig,
-) -> Vec<ValidationRow> {
-    let servers = CHAOS_SERVERS;
-    let schedule = pipeline::fault_schedule(servers, cfg.epochs, CHAOS_FAULTS, CHAOS_FAULT_SEED);
-    assert!(
-        !schedule.is_empty(),
-        "the chaos validation seed must schedule at least one fault"
-    );
+const HIT_RATIO: Metric = Metric {
+    name: "steady_hit_ratio",
+    gate: GateKind::Absolute,
+    pick: |p, e| (p.hit_ratio(), e.hit_ratio()),
+};
+const AGGREGATE_HIT_RATIO: Metric = Metric {
+    name: "aggregate_steady_hit_ratio",
+    ..HIT_RATIO
+};
+const DISK_BYTES: Metric = Metric {
+    name: "steady_disk_bytes",
+    gate: GateKind::Relative,
+    pick: |p, e| (p.disk_bytes, e.disk_bytes),
+};
+const DRAM_HIT_RATIO: Metric = Metric {
+    name: "steady_dram_hit_ratio",
+    gate: GateKind::Absolute,
+    pick: |p, e| (p.dram_hit_ratio, e.dram_hit_ratio),
+};
+const SSD_HIT_RATIO: Metric = Metric {
+    name: "steady_ssd_hit_ratio",
+    gate: GateKind::Absolute,
+    pick: |p, e| (p.lower_hit_ratio, e.lower_hit_ratio),
+};
+/// Reported, not gated: the simulator accounts pipelining overlap that a
+/// functional loader cannot observe.
+const FETCH_SECONDS: Metric = Metric {
+    name: "steady_fetch_stall_vs_device_seconds",
+    gate: GateKind::Informational,
+    pick: |p, e| (p.fetch_seconds, e.fetch_seconds),
+};
+/// The simulator's fetch+prep stall is on modelled hardware, the runtime's
+/// consumer wait is wall time on the test host: reported so per-stage trends
+/// stay comparable, gated (coarsely, see [`CONSUMER_WAIT_GATE`]) only where
+/// the scenario's counter rows match the simulator exactly.
+const STALL_SECONDS: Metric = Metric {
+    name: "steady_data_stall_vs_consumer_wait_seconds",
+    gate: GateKind::Informational,
+    pick: |p, e| (p.stall_seconds, e.stall_seconds),
+};
 
-    // --- Predicted: the simulator under the fault schedule. ----------------
-    let job = JobSpec::new(
-        gpu::ModelKind::ResNet18,
-        spec.clone(),
-        1,
-        LoaderConfig::coordl(PrepBackend::DaliCpu),
-    )
-    .with_seed(VALIDATION_SEED);
-    let sim = Experiment::on(server)
-        .job(job)
-        .scenario(Scenario::PartitionedChaos {
-            servers,
-            faults: CHAOS_FAULTS,
-            seed: CHAOS_FAULT_SEED,
-        })
-        .epochs(cfg.epochs)
-        .run();
-    let mut p_hits = 0u64;
-    let mut p_misses = 0u64;
-    let mut p_disk = 0u64;
-    let mut p_remote = 0u64;
-    let mut p_samples = 0u64;
-    for unit in sim.per_server() {
-        for e in &unit.epochs {
-            p_samples += e.samples;
-            if e.epoch >= 1 {
-                p_hits += e.cache_hits;
-                p_misses += e.cache_misses;
-                p_disk += e.bytes_from_disk;
-                p_remote += e.bytes_from_remote;
-            }
-        }
-    }
+/// The rows of a single-DRAM-level scenario.
+const FLAT: &[Metric] = &[HIT_RATIO, DISK_BYTES, FETCH_SECONDS, STALL_SECONDS];
 
-    // --- Empirical: the partitioned runtime under the same schedule. -------
-    let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), STORE_SEED));
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: 64,
-            num_workers: 1,
-            seed: VALIDATION_SEED,
-            cache_capacity_bytes: server.dram_cache_bytes,
-            take_timeout: Duration::from_secs(30),
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Partitioned { nodes: servers })
-    .cache_policy(PolicyKind::MinIo)
-    .device_profile(server.device)
-    .fault_plan(coordl::FaultPlan::seeded(
-        servers,
-        cfg.epochs,
-        CHAOS_FAULTS,
-        CHAOS_FAULT_SEED,
-        spec.num_items,
-    ))
-    .build()
-    .expect("valid chaos validation session");
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for node in 0..servers {
-            for batch in run.stream(node) {
-                let _ = batch.expect("chaos epoch should complete");
-            }
-        }
-    }
-    let report = session.report();
-    let mut e_hits = 0u64;
-    let mut e_misses = 0u64;
-    let mut e_disk = 0u64;
-    let mut e_remote = 0u64;
-    let mut e_samples = 0u64;
-    for e in &report.epochs {
-        e_samples += e.samples_delivered;
-        if e.epoch >= 1 {
-            e_hits += e.cache_hits;
-            e_misses += e.cache_misses;
-            e_disk += e.bytes_from_storage;
-            e_remote += e.bytes_from_remote;
-        }
-    }
-
-    vec![
-        ValidationRow {
-            scenario: "partitioned-chaos",
-            metric: "aggregate_steady_hit_ratio",
-            predicted: p_hits as f64 / (p_hits + p_misses).max(1) as f64,
-            empirical: e_hits as f64 / (e_hits + e_misses).max(1) as f64,
-            gate: GateKind::Absolute,
-        },
-        ValidationRow {
-            scenario: "partitioned-chaos",
-            metric: "steady_disk_bytes",
-            predicted: p_disk as f64,
-            empirical: e_disk as f64,
-            gate: GateKind::Relative,
-        },
-        ValidationRow {
-            scenario: "partitioned-chaos",
-            metric: "steady_remote_bytes",
-            predicted: p_remote as f64,
-            empirical: e_remote as f64,
-            gate: GateKind::Relative,
-        },
-        // Exactly-once accounting: a fault must never lose or duplicate a
-        // sample, so the run totals agree to the sample on both sides.
-        ValidationRow {
-            scenario: "partitioned-chaos",
-            metric: "samples_delivered",
-            predicted: p_samples as f64,
-            empirical: e_samples as f64,
-            gate: GateKind::Relative,
-        },
-    ]
+/// One row of the scenario registry: how to predict, how to measure, and
+/// which `(metric, gate, pick)` rows compare the two.
+struct ValidateScenario {
+    name: &'static str,
+    fold: Fold,
+    /// The simulator experiment, as a delta on [`Ctx::sim`].
+    predict: fn(&Ctx) -> Sim,
+    /// Drive the runtime; one report per unit with its arrival epoch.
+    measure: fn(&Ctx) -> Vec<(u64, LoaderReport)>,
+    metrics: &'static [Metric],
 }
 
-/// Fetch threads driven by the parallel-fetch validation scenario.
-const PARALLEL_FETCH_THREADS: usize = 4;
-
-/// Parallel-fetch validation: the single-minio workload with a fully
-/// resident cache, fetched by a [`PARALLEL_FETCH_THREADS`]-thread pool.
-/// Full residency makes the steady-state prediction *exact*: after the
-/// cold warm-up epoch every access hits, so the simulator and the runtime
-/// must both report a steady hit ratio of exactly 1.0 — any delta at all
-/// means the fetch pool changed caching behaviour, not just scheduling.
-/// The second row compares the pool's summed condvar-wait seconds (wall
-/// time on the test host) against the modelled device seconds those same
-/// reads were charged; the pair is informational, like every other
-/// wall-vs-model column.
-fn run_parallel_fetch_scenario(
-    cfg: &ValidationConfig,
-    spec: &DatasetSpec,
-    server: &ServerConfig,
-) -> Vec<ValidationRow> {
-    // Full residency with headroom: the sharded tier splits its capacity
-    // across fetch shards, and FNV routing is only statistically uniform,
-    // so 4x the *exact* dataset footprint keeps even the most loaded
-    // shard resident (the same exact-sum sizing the churn scenario uses).
-    let exact_bytes: u64 = (0..spec.num_items).map(|i| spec.item_size(i)).sum();
-    let cap = exact_bytes * 4;
-    let full = server.with_cache_bytes(cap);
-
-    // --- Predicted: the simulator with a fully resident cache. -------------
-    let job = JobSpec::new(
-        gpu::ModelKind::ResNet18,
-        spec.clone(),
-        1,
-        LoaderConfig::coordl(PrepBackend::DaliCpu),
-    )
-    .with_seed(VALIDATION_SEED);
-    let sim = Experiment::on(&full)
-        .job(job)
-        .scenario(Scenario::SingleServer)
-        .cache(CacheSpec::DramOnly)
-        .epochs(cfg.epochs)
-        .run();
-    let (p_hit, _, _, _) = sim_steady(&sim);
-
-    // --- Empirical: the runtime with a 4-thread fetch pool. ----------------
-    let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), STORE_SEED));
-    let session = Session::builder(
-        store,
-        SessionConfig {
-            batch_size: 64,
-            num_workers: 1,
-            seed: VALIDATION_SEED,
-            cache_capacity_bytes: cap,
-            take_timeout: Duration::from_secs(30),
-            ..SessionConfig::default()
+/// The registry, in report order.  Adding a scenario is one row here.
+static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
+    // CoorDL's MinIO cache, one job.
+    ValidateScenario {
+        name: "single-minio",
+        fold: Fold::Mean,
+        predict: Ctx::sim,
+        measure: |c| {
+            c.session(c.server.dram_cache_bytes, |_, b| {
+                b.cache_policy(PolicyKind::MinIo)
+                    .device_profile(c.server.device)
+            })
         },
-    )
-    .mode(Mode::Single)
-    .cache_policy(PolicyKind::MinIo)
-    .device_profile(server.device)
-    .fetch_threads(PARALLEL_FETCH_THREADS)
-    .build()
-    .expect("valid parallel-fetch session");
-    for epoch in 0..cfg.epochs {
-        let run = session.epoch(epoch);
-        for batch in run.stream(0) {
-            let _ = batch.expect("parallel-fetch epoch should complete");
-        }
-    }
-    let report = session.report();
-    let tail = report.steady_epochs();
-    let hits: u64 = tail.iter().map(|e| e.cache_hits).sum();
-    let misses: u64 = tail.iter().map(|e| e.cache_misses).sum();
-
-    vec![
-        ValidationRow {
-            scenario: "parallel-fetch",
-            metric: "steady_hit_ratio",
-            predicted: p_hit,
-            empirical: hits as f64 / (hits + misses).max(1) as f64,
-            gate: GateKind::Absolute,
+        metrics: FLAT,
+    },
+    // The page-cache baseline: the *same* LRU policy code runs inside the
+    // simulator's StorageNode and inside the runtime's TieredByteCache.
+    ValidateScenario {
+        name: "single-lru",
+        fold: Fold::Mean,
+        predict: |c| Sim {
+            loader: LoaderConfig::dali_shuffle(PrepBackend::DaliCpu),
+            ..c.sim()
         },
-        ValidationRow {
-            scenario: "parallel-fetch",
-            metric: "fetch_thread_stall_vs_modelled_device_seconds",
-            predicted: report.device_seconds,
-            empirical: report.fetch_thread_stall_seconds.iter().sum(),
-            gate: GateKind::Informational,
+        measure: |c| {
+            c.session(c.server.dram_cache_bytes, |_, b| {
+                b.cache_policy(PolicyKind::Lru)
+                    .device_profile(c.server.device)
+            })
         },
-    ]
-}
+        metrics: FLAT,
+    },
+    // The tiered hierarchy: a MinIO DRAM tier spilling into a MinIO SSD
+    // tier of the same size — both sides run the identical TierChain code,
+    // so the per-tier hit ratios are predicted exactly (§4.2 / Table 2).
+    ValidateScenario {
+        name: "single-tiered",
+        fold: Fold::Mean,
+        predict: |c| Sim {
+            cache: CacheSpec::Tiered {
+                dram_bytes: c.server.dram_cache_bytes,
+                ssd_bytes: c.server.dram_cache_bytes,
+            },
+            ..c.sim()
+        },
+        measure: |c| {
+            let bytes = c.server.dram_cache_bytes;
+            c.session(bytes, |_, b| {
+                b.device_profile(c.server.device).cache_tiers(vec![
+                    ByteTierSpec::dram(PolicyKind::MinIo, bytes),
+                    ByteTierSpec::sata_ssd(PolicyKind::MinIo, bytes),
+                ])
+            })
+        },
+        metrics: &[
+            HIT_RATIO,
+            DISK_BYTES,
+            DRAM_HIT_RATIO,
+            SSD_HIT_RATIO,
+            FETCH_SECONDS,
+            STALL_SECONDS,
+        ],
+    },
+    // Coordinated prep: one shared sweep for the whole HP-search ensemble.
+    // Its counter rows match the simulator exactly, so its consumer-wait
+    // row graduates from informational to a stuck-consumer tripwire.
+    ValidateScenario {
+        name: "hp-coordinated",
+        fold: Fold::Mean,
+        predict: |c| Sim {
+            scenario: Scenario::HpSearch { jobs: c.cfg.jobs },
+            ..c.sim()
+        },
+        measure: |c| {
+            c.session(c.server.dram_cache_bytes, |_, b| {
+                b.mode(Mode::Coordinated { jobs: c.cfg.jobs })
+                    .cache_policy(PolicyKind::MinIo)
+                    .device_profile(c.server.device)
+            })
+        },
+        metrics: &[
+            HIT_RATIO,
+            DISK_BYTES,
+            FETCH_SECONDS,
+            Metric {
+                gate: CONSUMER_WAIT_GATE,
+                ..STALL_SECONDS
+            },
+        ],
+    },
+    // Elastic churn: tenants arriving and departing over one shared
+    // multi-tenant server, against Scenario::ElasticCluster.
+    ValidateScenario {
+        name: "elastic-churn",
+        fold: Fold::Sum,
+        predict: |c| Sim {
+            scenario: Scenario::ElasticCluster {
+                tenants: CHURN_TENANTS,
+                seed: CHURN_SEED,
+            },
+            cache_bytes: c.exact_bytes() * CHURN_TENANTS as u64,
+            ..c.sim()
+        },
+        measure: replay_churn,
+        metrics: &[
+            AGGREGATE_HIT_RATIO,
+            DISK_BYTES,
+            Metric {
+                name: "tenant0_samples",
+                gate: GateKind::Relative,
+                pick: |p, e| (p.samples[0] as f64, e.samples[0] as f64),
+            },
+            Metric {
+                name: "tenant1_samples",
+                gate: GateKind::Relative,
+                pick: |p, e| (p.samples[1] as f64, e.samples[1] as f64),
+            },
+            Metric {
+                name: "tenant2_samples",
+                gate: GateKind::Relative,
+                pick: |p, e| (p.samples[2] as f64, e.samples[2] as f64),
+            },
+        ],
+    },
+    // Real bytes: the single-minio workload with the dataset materialized as
+    // a page-aligned packed file on a deterministic in-memory VFS and every
+    // fetch a real positional read through `FsBackend`.  Three timing columns
+    // line up: the simulator's *predicted* fetch stall, the backend's
+    // *modelled* device seconds (the same profile arithmetic, charged per
+    // real read), and the *measured* wall-clock seconds those reads took.
+    // The measured row is a one-sided tripwire: real reads on an in-memory
+    // VFS must stay far below the modelled SSD, so only a pathological I/O
+    // path (or a stuck reader) trips it.
+    ValidateScenario {
+        name: "fs-real",
+        fold: Fold::Mean,
+        predict: Ctx::sim,
+        measure: |c| {
+            c.session(c.server.dram_cache_bytes, |store, b| {
+                let fs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+                let backend = FsBackend::new(fs, "data", store.as_ref(), FS_REAL_READAHEAD)
+                    .expect("fs-real materialization must succeed")
+                    .with_profile(c.server.device, AccessPattern::Random);
+                b.cache_policy(PolicyKind::MinIo)
+                    .fetch_backend(Arc::new(backend) as Arc<dyn FetchBackend>)
+            })
+        },
+        metrics: &[
+            HIT_RATIO,
+            DISK_BYTES,
+            FETCH_SECONDS,
+            Metric {
+                name: "modelled_vs_measured_device_seconds",
+                gate: CONSUMER_WAIT_GATE,
+                pick: |_, e| (e.run_modelled_seconds, e.run_measured_seconds),
+            },
+        ],
+    },
+    // Partitioned caching under membership faults.  Both sides derive the
+    // schedule from the same `fault_schedule(servers, epochs, faults, seed)`
+    // call: the simulator applies each event at its epoch boundary, and
+    // `FaultPlan::seeded` scales the same boundaries by the dataset length so
+    // the runtime's fetch-step clock fires each event before the same epoch —
+    // kills, leaves and rejoins included.
+    ValidateScenario {
+        name: "partitioned-chaos",
+        fold: Fold::Sum,
+        predict: |c| Sim {
+            scenario: Scenario::PartitionedChaos {
+                servers: CHAOS_SERVERS,
+                faults: CHAOS_FAULTS,
+                seed: CHAOS_FAULT_SEED,
+            },
+            ..c.sim()
+        },
+        measure: |c| {
+            c.session(c.server.dram_cache_bytes, |_, b| {
+                b.mode(Mode::Partitioned {
+                    nodes: CHAOS_SERVERS,
+                })
+                .cache_policy(PolicyKind::MinIo)
+                .device_profile(c.server.device)
+                .fault_plan(FaultPlan::seeded(
+                    CHAOS_SERVERS,
+                    c.cfg.epochs,
+                    CHAOS_FAULTS,
+                    CHAOS_FAULT_SEED,
+                    c.spec.num_items,
+                ))
+            })
+        },
+        metrics: &[
+            AGGREGATE_HIT_RATIO,
+            DISK_BYTES,
+            Metric {
+                name: "steady_remote_bytes",
+                gate: GateKind::Relative,
+                pick: |p, e| (p.remote_bytes, e.remote_bytes),
+            },
+            // Exactly-once accounting: a fault must never lose or duplicate
+            // a sample, so the run totals agree to the sample on both sides.
+            Metric {
+                name: "samples_delivered",
+                gate: GateKind::Relative,
+                pick: |p, e| (p.total_samples(), e.total_samples()),
+            },
+        ],
+    },
+    // Sharded parallel fetch: the single-minio workload with a fully resident
+    // cache, fetched by a 4-thread pool.  Full residency makes the steady
+    // prediction *exact* — after the warm-up every access hits, so both sides
+    // must report exactly 1.0 and any delta means the pool changed caching
+    // behaviour, not just scheduling.  4x the *exact* footprint: the sharded
+    // tier splits its capacity across fetch shards and FNV routing is only
+    // statistically uniform, so the headroom keeps even the most loaded
+    // shard resident.
+    ValidateScenario {
+        name: "parallel-fetch",
+        fold: Fold::Mean,
+        predict: |c| Sim {
+            cache_bytes: c.exact_bytes() * 4,
+            ..c.sim()
+        },
+        measure: |c| {
+            c.session(c.exact_bytes() * 4, |_, b| {
+                b.cache_policy(PolicyKind::MinIo)
+                    .device_profile(c.server.device)
+                    .fetch_threads(PARALLEL_FETCH_THREADS)
+            })
+        },
+        metrics: &[
+            HIT_RATIO,
+            // Wall time on the test host against the modelled device seconds
+            // the same reads were charged: informational, like every other
+            // wall-vs-model column.
+            Metric {
+                name: "fetch_thread_stall_vs_modelled_device_seconds",
+                gate: GateKind::Informational,
+                pick: |_, e| (e.run_modelled_seconds, e.run_pool_stall_seconds),
+            },
+        ],
+    },
+];
 
-/// Run the full predicted-vs-empirical comparison.
+/// Run the full predicted-vs-empirical comparison: every registry scenario
+/// through the simulator and the runtime, one row per metric.
 pub fn run_validation(cfg: &ValidationConfig) -> ValidationReport {
     assert!(cfg.epochs >= 2, "need a warm-up plus one steady epoch");
     let spec = DatasetSpec::imagenet_1k().scaled(cfg.scale);
     let server =
         ServerConfig::config_ssd_v100().with_cache_fraction(spec.total_bytes(), cfg.cache_fraction);
+    let ctx = Ctx {
+        cfg: cfg.clone(),
+        spec,
+        server,
+    };
     let mut rows = Vec::new();
-
-    // CoorDL's MinIO cache, one job.
-    push_rows(
-        &mut rows,
-        "single-minio",
-        run_scenario(
-            cfg,
-            &spec,
-            &server,
-            LoaderConfig::coordl(PrepBackend::DaliCpu),
-            Scenario::SingleServer,
-            Mode::Single,
-            PolicyKind::MinIo,
-            None,
-        ),
-        false,
-    );
-
-    // The page-cache baseline: the *same* LRU policy code runs inside the
-    // simulator's StorageNode and inside the runtime's TieredByteCache.
-    push_rows(
-        &mut rows,
-        "single-lru",
-        run_scenario(
-            cfg,
-            &spec,
-            &server,
-            LoaderConfig::dali_shuffle(PrepBackend::DaliCpu),
-            Scenario::SingleServer,
-            Mode::Single,
-            PolicyKind::Lru,
-            None,
-        ),
-        false,
-    );
-
-    // The tiered hierarchy: a MinIO DRAM tier spilling into a MinIO SSD
-    // tier of the same size — both sides run the identical TierChain code,
-    // so the per-tier hit ratios are predicted exactly (§4.2 / Table 2).
-    push_rows(
-        &mut rows,
-        "single-tiered",
-        run_scenario(
-            cfg,
-            &spec,
-            &server,
-            LoaderConfig::coordl(PrepBackend::DaliCpu),
-            Scenario::SingleServer,
-            Mode::Single,
-            PolicyKind::MinIo,
-            Some((server.dram_cache_bytes, server.dram_cache_bytes)),
-        ),
-        false,
-    );
-
-    // Coordinated prep: one shared sweep for the whole HP-search ensemble.
-    // Its counter rows match the simulator exactly, so its consumer-wait
-    // row graduates from informational to (coarsely) gated.
-    push_rows(
-        &mut rows,
-        "hp-coordinated",
-        run_scenario(
-            cfg,
-            &spec,
-            &server,
-            LoaderConfig::coordl(PrepBackend::DaliCpu),
-            Scenario::HpSearch { jobs: cfg.jobs },
-            Mode::Coordinated { jobs: cfg.jobs },
-            PolicyKind::MinIo,
-            None,
-        ),
-        true,
-    );
-
-    // Elastic churn: tenants arriving and departing over one shared
-    // multi-tenant server, against Scenario::ElasticCluster.
-    rows.extend(run_churn_scenario(cfg, &spec, &server));
-
-    // Real bytes: the single-minio workload re-run through FsBackend on a
-    // VFS, adding the predicted / modelled / measured timing columns.
-    rows.extend(run_fs_real_scenario(cfg, &spec, &server));
-
-    // Partitioned caching under membership faults: the chaos simulator
-    // against a runtime cluster replaying the identical fault schedule.
-    rows.extend(run_partitioned_chaos_scenario(cfg, &spec, &server));
-
-    // Sharded parallel fetch: a fully resident cache fetched by a
-    // 4-thread pool, where the steady hit-ratio prediction is exact.
-    rows.extend(run_parallel_fetch_scenario(cfg, &spec, &server));
-
+    for scenario in &VALIDATE_SCENARIOS {
+        let predicted = ctx.predict((scenario.predict)(&ctx), scenario.fold);
+        let empirical = observe_runtime(&(scenario.measure)(&ctx), scenario.fold);
+        rows.extend(scenario.metrics.iter().map(|metric| {
+            let (predicted, empirical) = (metric.pick)(&predicted, &empirical);
+            ValidationRow {
+                scenario: scenario.name,
+                metric: metric.name,
+                predicted,
+                empirical,
+                gate: metric.gate,
+            }
+        }));
+    }
     ValidationReport {
-        config: cfg.clone(),
+        config: ctx.cfg,
         rows,
     }
 }
@@ -1029,49 +873,21 @@ mod tests {
     #[test]
     fn predicted_and_empirical_agree_within_tolerance() {
         let report = run_validation(&small_config());
-        assert_eq!(
-            report.rows.len(),
-            33,
-            "4 rows for each flat scenario, 6 for the tiered one, 5 for \
-             churn, 4 for fs-real, 4 for partitioned-chaos, 2 for \
-             parallel-fetch"
-        );
-        let chaos: Vec<_> = report
-            .rows
-            .iter()
-            .filter(|r| r.scenario == "partitioned-chaos")
-            .collect();
-        assert_eq!(chaos.len(), 4);
-        let samples = chaos
-            .iter()
-            .find(|r| r.metric == "samples_delivered")
-            .expect("chaos reports sample accounting");
+        // Which rows exist is pinned by the registry test below.
+        let row = |scenario: &str, metric: &str| {
+            let mut rows = report.rows.iter();
+            rows.find(|r| r.scenario == scenario && r.metric == metric)
+                .unwrap_or_else(|| panic!("no row {scenario}/{metric}"))
+        };
+        let samples = row("partitioned-chaos", "samples_delivered");
         assert_eq!(
             samples.predicted, samples.empirical,
             "exactly-once delivery under faults"
         );
-        let fs_real: Vec<_> = report
-            .rows
-            .iter()
-            .filter(|r| r.scenario == "fs-real")
-            .collect();
-        assert_eq!(fs_real.len(), 4);
-        let measured = fs_real
-            .iter()
-            .find(|r| r.metric == "modelled_vs_measured_device_seconds")
-            .expect("fs-real reports the measured column");
+        let measured = row("fs-real", "modelled_vs_measured_device_seconds");
         assert!(measured.predicted > 0.0, "modelled seconds accumulate");
         assert!(measured.empirical > 0.0, "measured seconds accumulate");
-        let parallel_fetch: Vec<_> = report
-            .rows
-            .iter()
-            .filter(|r| r.scenario == "parallel-fetch")
-            .collect();
-        assert_eq!(parallel_fetch.len(), 2);
-        let pf_hit = parallel_fetch
-            .iter()
-            .find(|r| r.metric == "steady_hit_ratio")
-            .expect("parallel-fetch reports the steady hit ratio");
+        let pf_hit = row("parallel-fetch", "steady_hit_ratio");
         assert_eq!(
             pf_hit.predicted, 1.0,
             "full residency predicts a perfect steady hit ratio"
@@ -1092,13 +908,79 @@ mod tests {
             .collect();
         assert!(report.passed(), "gated deltas exceeded: {failures:?}");
         // The MinIO hit ratio lands near the cache fraction by construction.
-        let minio = &report.rows[0];
-        assert_eq!(minio.metric, "steady_hit_ratio");
+        let minio = row("single-minio", "steady_hit_ratio");
         assert!(
             (minio.empirical - 0.35).abs() < 0.10,
             "MinIO steady hit ratio tracks the cache fraction, got {}",
             minio.empirical
         );
+    }
+
+    #[test]
+    fn registry_yields_the_pinned_rows_in_order() {
+        const FLAT_ROWS: [(&str, &str); 4] = [
+            ("steady_hit_ratio", "abs"),
+            ("steady_disk_bytes", "rel"),
+            ("steady_fetch_stall_vs_device_seconds", "info"),
+            ("steady_data_stall_vs_consumer_wait_seconds", "info"),
+        ];
+        let flat = |scenario: &'static str| FLAT_ROWS.map(|(m, g)| (scenario, m, g)).to_vec();
+        let mut pinned = [flat("single-minio"), flat("single-lru")].concat();
+        pinned.extend([
+            ("single-tiered", "steady_hit_ratio", "abs"),
+            ("single-tiered", "steady_disk_bytes", "rel"),
+            ("single-tiered", "steady_dram_hit_ratio", "abs"),
+            ("single-tiered", "steady_ssd_hit_ratio", "abs"),
+            (
+                "single-tiered",
+                "steady_fetch_stall_vs_device_seconds",
+                "info",
+            ),
+            (
+                "single-tiered",
+                "steady_data_stall_vs_consumer_wait_seconds",
+                "info",
+            ),
+        ]);
+        pinned.extend(flat("hp-coordinated"));
+        pinned.last_mut().unwrap().2 = "wall";
+        pinned.extend([
+            ("elastic-churn", "aggregate_steady_hit_ratio", "abs"),
+            ("elastic-churn", "steady_disk_bytes", "rel"),
+            ("elastic-churn", "tenant0_samples", "rel"),
+            ("elastic-churn", "tenant1_samples", "rel"),
+            ("elastic-churn", "tenant2_samples", "rel"),
+            ("fs-real", "steady_hit_ratio", "abs"),
+            ("fs-real", "steady_disk_bytes", "rel"),
+            ("fs-real", "steady_fetch_stall_vs_device_seconds", "info"),
+            ("fs-real", "modelled_vs_measured_device_seconds", "wall"),
+            ("partitioned-chaos", "aggregate_steady_hit_ratio", "abs"),
+            ("partitioned-chaos", "steady_disk_bytes", "rel"),
+            ("partitioned-chaos", "steady_remote_bytes", "rel"),
+            ("partitioned-chaos", "samples_delivered", "rel"),
+            ("parallel-fetch", "steady_hit_ratio", "abs"),
+            (
+                "parallel-fetch",
+                "fetch_thread_stall_vs_modelled_device_seconds",
+                "info",
+            ),
+        ]);
+        let kind = |gate: GateKind| match gate {
+            GateKind::Absolute => "abs",
+            GateKind::Relative => "rel",
+            GateKind::Informational => "info",
+            // Both tripwires share the one constant: hang detectors.
+            wall => {
+                assert_eq!(wall, CONSUMER_WAIT_GATE);
+                "wall"
+            }
+        };
+        let registry: Vec<_> = VALIDATE_SCENARIOS
+            .iter()
+            .flat_map(|s| s.metrics.iter().map(|m| (s.name, m.name, kind(m.gate))))
+            .collect();
+        assert_eq!(registry.len(), 33);
+        assert_eq!(registry, pinned);
     }
 
     #[test]

@@ -295,16 +295,6 @@ impl Server {
     /// Fails with [`CoordlError::InvalidConfig`] when the tier list is
     /// empty, a level uses a policy other than MinIO, or `shards` is zero.
     pub fn new(config: ServerConfig) -> Result<Self, CoordlError> {
-        if config.tiers.is_empty() {
-            return Err(CoordlError::InvalidConfig(
-                "server needs at least one cache tier".into(),
-            ));
-        }
-        if config.shards == 0 {
-            return Err(CoordlError::InvalidConfig(
-                "server needs at least one shard".into(),
-            ));
-        }
         if let Some(bad) = config.tiers.iter().find(|t| t.policy != PolicyKind::MinIo) {
             return Err(CoordlError::InvalidConfig(format!(
                 "multi-tenant tiers must use MinIO (never-evict) so tenants \
@@ -563,12 +553,16 @@ mod tests {
         };
         assert!(matches!(err, CoordlError::InvalidConfig(_)));
         assert!(err.to_string().contains("MinIO"));
-        assert!(Server::new(ServerConfig::minio(1 << 20, 0)).is_err());
-        assert!(Server::new(ServerConfig {
+        // Zero shards and an empty tier list are the cache constructor's own
+        // typed errors, passed through.
+        let no_tiers = ServerConfig {
             tiers: vec![],
-            shards: 1
-        })
-        .is_err());
+            shards: 1,
+        };
+        for bad in [ServerConfig::minio(1 << 20, 0), no_tiers] {
+            let err = Server::new(bad).err().expect("rejected");
+            assert!(matches!(err, CoordlError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -402,7 +402,7 @@ impl TieredByteCache {
     }
 
     /// The fallible form of [`TieredByteCache::new_sharded`]: an empty
-    /// `specs` list or a failing persistent level is a
+    /// `specs` list, a zero `num_shards` or a failing persistent level is a
     /// [`CoordlError::InvalidConfig`].
     pub fn try_new_sharded(
         specs: Vec<ByteTierSpec>,
@@ -413,7 +413,11 @@ impl TieredByteCache {
                 "a cache hierarchy needs at least one tier".into(),
             ));
         }
-        assert!(num_shards > 0, "need at least one shard");
+        if num_shards == 0 {
+            return Err(CoordlError::InvalidConfig(
+                "a cache hierarchy needs at least one shard".into(),
+            ));
+        }
         let mut shards = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
             // Per-shard level specs: split capacity, spill directories per
@@ -1033,6 +1037,17 @@ mod tests {
         let snaps = tier.tier_snapshots();
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].capacity_bytes, 10, "aggregate, not per-shard");
+    }
+
+    #[test]
+    fn fallible_constructor_rejects_zero_shards_and_empty_specs_without_panicking() {
+        let dram = || vec![ByteTierSpec::dram(PolicyKind::MinIo, 1 << 10)];
+        for (specs, shards) in [(dram(), 0), (Vec::new(), 1)] {
+            let Err(err) = TieredByteCache::try_new_sharded(specs, shards) else {
+                panic!("{shards} shard(s) must be rejected");
+            };
+            assert!(matches!(err, CoordlError::InvalidConfig(_)), "{err}");
+        }
     }
 
     #[test]

@@ -8,13 +8,9 @@
 //! instead of local storage: beyond the first epoch the dataset is read from
 //! storage at most once for the entire job.
 //!
-//! The driver lives in [`crate::Experiment`] with
-//! [`crate::Scenario::Distributed`]; this module holds the scenario's
-//! behavioural tests.  (The legacy `simulate_distributed` shim and its
-//! `DistributedResult` type are gone — use the builder and
-//! [`crate::SimReport`].)
+//! Behavioural tests of [`crate::Experiment`] under
+//! [`crate::Scenario::Distributed`].
 
-#[cfg(test)]
 mod tests {
     use crate::config::ServerConfig;
     use crate::experiment::{Experiment, Scenario, SimReport};

@@ -8,12 +8,9 @@
 //! exactly once per epoch by the ensemble and every prepared minibatch is
 //! consumed by every job through the cross-job staging area.
 //!
-//! The driver lives in [`crate::Experiment`] with
-//! [`crate::Scenario::HpSearch`]; this module holds the scenario's
-//! behavioural tests.  (The legacy `simulate_hp_search` shim and its
-//! `HpSearchResult` type are gone — use the builder and [`crate::SimReport`].)
+//! Behavioural tests of [`crate::Experiment`] under
+//! [`crate::Scenario::HpSearch`].
 
-#[cfg(test)]
 mod tests {
     use crate::config::ServerConfig;
     use crate::experiment::{Experiment, Scenario, SimReport};

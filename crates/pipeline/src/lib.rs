@@ -36,17 +36,23 @@
 
 pub mod churn;
 pub mod config;
-pub mod distributed;
 pub(crate) mod engine;
 pub mod experiment;
 pub(crate) mod fast;
-pub mod hp;
 pub mod job;
 pub mod json;
 pub mod loader;
 pub mod metrics;
-pub mod single;
 pub mod sweep;
+
+// The per-scenario behavioural tests of [`Experiment`]: private and
+// test-only, one module per paper scenario.
+#[cfg(test)]
+mod distributed;
+#[cfg(test)]
+mod hp;
+#[cfg(test)]
+mod single;
 
 pub use churn::{churn_schedule, TenantSchedule};
 pub use config::ServerConfig;

@@ -1,12 +1,9 @@
 //! Single-server, single-job training (the paper's §5.1 scenario and most of
 //! the §3 analysis).
 //!
-//! The driver lives in [`crate::Experiment`] with
-//! [`crate::Scenario::SingleServer`]; this module holds the scenario's
-//! behavioural tests.  (The legacy `simulate_single_server` shim is gone —
-//! use the builder.)
+//! Behavioural tests of [`crate::Experiment`] under
+//! [`crate::Scenario::SingleServer`].
 
-#[cfg(test)]
 mod tests {
     use crate::config::ServerConfig;
     use crate::experiment::{Experiment, Scenario};

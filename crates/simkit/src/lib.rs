@@ -1,35 +1,22 @@
 //! Discrete-event simulation primitives used by the data-stall simulator.
 //!
 //! The input-pipeline simulator in `coordl-pipeline` models DNN training as a
-//! pipelined sequence of *fetch → prep → compute* stages that contend for
-//! shared resources (disk bandwidth, CPU cores, the NIC).  This crate provides
+//! pipelined sequence of *fetch → prep → compute* stages.  This crate provides
 //! the small, well-tested building blocks that simulation is written in terms
 //! of:
 //!
 //! * [`SimTime`] — a virtual-time newtype (seconds as `f64`) with saturating
 //!   arithmetic helpers.
-//! * [`EventQueue`] — a monotonic priority queue of timestamped events.
-//! * [`FairShareResource`] — a fluid processor-sharing resource (e.g. a disk
-//!   whose bandwidth is split evenly among the flows currently reading from
-//!   it).
-//! * [`TokenBucket`] — a rate limiter used to model devices with a peak
-//!   transfer rate.
 //! * [`PipelineRecurrence`] — the three-stage pipelined-latency recurrence
 //!   used to turn per-iteration stage times into epoch time and stall
 //!   attribution.
-//! * [`stats`] — tiny summary-statistics helpers (mean, percentiles) and a
-//!   time-series recorder used for the I/O-pattern figures.
+//! * [`stats`] — a nearest-rank percentile helper and the time-series
+//!   recorder used for the I/O-pattern figures.
 
 pub mod clock;
-pub mod events;
 pub mod pipeline_model;
-pub mod resource;
 pub mod stats;
-pub mod token_bucket;
 
 pub use clock::SimTime;
-pub use events::EventQueue;
 pub use pipeline_model::{PipelineRecurrence, StageSample, StallBreakdown};
-pub use resource::FairShareResource;
-pub use stats::{Summary, TimeSeries};
-pub use token_bucket::TokenBucket;
+pub use stats::TimeSeries;

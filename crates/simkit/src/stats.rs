@@ -1,53 +1,6 @@
-//! Summary statistics and time-series recording.
+//! Percentiles and time-series recording.
 
 use crate::SimTime;
-
-/// Summary statistics over a set of `f64` observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean (0 for an empty set).
-    pub mean: f64,
-    /// Minimum observation (0 for an empty set).
-    pub min: f64,
-    /// Maximum observation (0 for an empty set).
-    pub max: f64,
-    /// Population standard deviation (0 for an empty set).
-    pub std_dev: f64,
-}
-
-impl Summary {
-    /// Compute summary statistics for `values`.
-    pub fn of(values: &[f64]) -> Summary {
-        if values.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                min: 0.0,
-                max: 0.0,
-                std_dev: 0.0,
-            };
-        }
-        let count = values.len();
-        let mean = values.iter().sum::<f64>() / count as f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut var = 0.0;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            var += (v - mean) * (v - mean);
-        }
-        Summary {
-            count,
-            mean,
-            min,
-            max,
-            std_dev: (var / count as f64).sqrt(),
-        }
-    }
-}
 
 /// Percentile of a sample set using nearest-rank interpolation.
 ///
@@ -134,24 +87,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_of_empty_is_zero() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.std_dev, 0.0);
-    }
-
-    #[test]
-    fn summary_basic() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.count, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.std_dev - (1.25f64).sqrt()).abs() < 1e-12);
-    }
 
     #[test]
     fn percentile_basics() {

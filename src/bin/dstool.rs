@@ -15,17 +15,20 @@
 //!
 //! `smoke` is the CI entry point: it runs every suite at a reduced scale
 //! *twice* — once across worker threads, once serially — fails unless the two
-//! are bit-identical, writes the per-point steady-state throughput to a JSON
-//! file, and (with `--baseline`) fails if any preset regressed more than the
-//! tolerance against the checked-in baseline.  Simulated time is virtual, so
-//! these throughput numbers are deterministic across machines: the gate
-//! catches behavioural regressions in the simulator, not CI-runner jitter.
+//! are bit-identical, runs every runtime preset, and writes one JSON document
+//! of *exact* values only: simulated steady-state throughput (virtual time,
+//! deterministic across machines), stream digests, counters and hit ratios.
+//! With `--baseline` it fails unless that document equals the checked-in one
+//! leaf for leaf, so the gate catches behavioural changes, never CI-runner
+//! jitter.  Wall clock is printed in the tables and recorded nowhere: speed
+//! claims live in `dsbench` (`benchmark/`, `BENCH_<pr>.json`).
 //!
 //! Refresh the baseline after an intentional change with
 //! `cargo run --release --bin dstool -- smoke --refresh-baseline`, which
 //! rewrites `ci/bench_baseline.json` in canonical form (sorted keys,
 //! trailing newline) so refresh diffs stay minimal.
 
+use benchkit::runtime::{compact, int, num, object, text};
 use benchkit::{
     compare_exact, find_preset, find_suite, run_mega_sweep, run_validation, GateKind,
     MegaSweepConfig, MegaSweepReport, PresetReport, RuntimePreset, SweepSuite, Table,
@@ -40,12 +43,9 @@ use std::process::ExitCode;
 /// on single-core CI runners.
 const SMOKE_THREADS: usize = 4;
 
-/// Default regression tolerance for the baseline gate (fraction).
-const DEFAULT_TOLERANCE: f64 = 0.10;
-
 /// Minimum fast-over-exact speedup `sweep mega-sweep` must demonstrate.
 /// The ratio compares both engines on the same host and run, so it is
-/// machine-independent in a way raw points/sec is not.
+/// gated on every host and never against a recorded number.
 const MIN_MEGA_SPEEDUP: f64 = 10.0;
 
 /// Where `smoke --refresh-baseline` writes when no `--baseline` is given.
@@ -84,7 +84,7 @@ fn usage() -> String {
          \u{20}       [--scale N] [--threads N] [--out FILE]\n\
          \u{20} smoke                        CI smoke: every suite, parallel vs serial\n\
          \u{20}       [--threads N] [--scale N] [--out FILE] [--only SUITE]\n\
-         \u{20}       [--baseline FILE] [--tolerance FRAC] [--refresh-baseline]\n\
+         \u{20}       [--baseline FILE] [--refresh-baseline]\n\
          \u{20} validate                     run the same workload through the\n\
          \u{20}       simulator (Experiment) and the runtime (Session) and gate\n\
          \u{20}       the predicted-vs-empirical deltas (Table 5 / Figure 16)\n\
@@ -105,8 +105,8 @@ fn usage() -> String {
          \u{20} --only SUITE        run a single suite or runtime preset (skips the\n\
          \u{20}                     summary artifact and the baseline gate; mutually\n\
          \u{20}                     exclusive with --refresh-baseline)\n\
-         \u{20} --baseline FILE     fail on >tolerance throughput regressions\n\
-         \u{20} --tolerance FRAC    regression tolerance (default 0.10)\n\
+         \u{20} --baseline FILE     fail unless the summary equals FILE leaf for leaf\n\
+         \u{20}                     (every value in it is machine-independent)\n\
          \u{20} --refresh-baseline  instead of gating, rewrite the baseline file\n\
          \u{20}                     (ci/bench_baseline.json unless --baseline) in\n\
          \u{20}                     canonical form: sorted keys, trailing newline\n\
@@ -138,7 +138,6 @@ struct SmokeCmd {
     scale: u64,
     out: String,
     baseline: Option<String>,
-    tolerance: f64,
     refresh_baseline: bool,
     /// Run a single suite / runtime preset instead of the full matrix (no
     /// summary artifact, no baseline gate).
@@ -277,7 +276,6 @@ fn parse_smoke(args: &[&String]) -> Result<Command, String> {
         scale: SMOKE_EXTRA_SCALE,
         out: "BENCH_sweep.json".to_string(),
         baseline: None,
-        tolerance: DEFAULT_TOLERANCE,
         refresh_baseline: false,
         only: None,
     };
@@ -307,7 +305,6 @@ fn parse_smoke(args: &[&String]) -> Result<Command, String> {
                 }
                 cmd.only = Some(v.clone());
             }
-            "--tolerance" => cmd.tolerance = parse_tolerance(value(&mut it, flag)?)?,
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
     }
@@ -344,7 +341,13 @@ fn parse_validate(args: &[&String]) -> Result<Command, String> {
                 cmd.config.epochs =
                     parse_in(value(&mut it, flag)?, 2..=16, "epochs must be 2..=16")?;
             }
-            "--tolerance" => cmd.config.tolerance = parse_tolerance(value(&mut it, flag)?)?,
+            "--tolerance" => {
+                cmd.config.tolerance = parse_in(
+                    value(&mut it, flag)?,
+                    0.0..1.0,
+                    "tolerance must be in [0,1)",
+                )?;
+            }
             "--out" => cmd.out = value(&mut it, flag)?.clone(),
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
@@ -368,10 +371,6 @@ fn parse_threads(v: &str) -> Result<usize, String> {
 
 fn parse_scale(v: &str) -> Result<u64, String> {
     parse_in(v, 1.., "scale must be >= 1")
-}
-
-fn parse_tolerance(v: &str) -> Result<f64, String> {
-    parse_in(v, 0.0..1.0, "tolerance must be in [0,1)")
 }
 
 fn list_table() -> Table {
@@ -550,8 +549,10 @@ fn print_mega_table(report: &MegaSweepReport) {
     );
 }
 
-/// The wall-clock half of the mega-sweep gate (`sweep mega-sweep` only: the
-/// smoke run gates the same ratio against the baseline instead).
+/// The wall-clock half of the mega-sweep gate, and the one home of the
+/// fast-engine speed claim: both engines on this host in this run, so no
+/// host skips it and no baseline records it (`sweep mega-sweep` only; smoke
+/// gates the bit-identity half).
 fn gate_mega_speedup(report: &MegaSweepReport) -> Result<(), String> {
     let speedup = report.speedup_vs_exact();
     if speedup < MIN_MEGA_SPEEDUP {
@@ -685,8 +686,7 @@ fn run_smoke(cmd: &SmokeCmd) -> Result<(), String> {
     }
     // The vectorized-engine preset runs with one thread per core (not
     // `--threads`, which exists to prove the parallel sweep path even on
-    // undersized hosts): the recorded thread count then doubles as the
-    // core count the baseline gate normalizes points/sec by.
+    // undersized hosts).
     let mega_report = run_mega_sweep(&MegaSweepConfig::scaled(cmd.scale));
     print_mega_table(&mega_report);
 
@@ -704,220 +704,82 @@ fn run_smoke(cmd: &SmokeCmd) -> Result<(), String> {
         write_out(path, &canonical_json(&doc))?;
         println!("refreshed baseline {path} (canonical: sorted keys, trailing newline)");
     } else if let Some(path) = &cmd.baseline {
-        check_baseline(path, &doc, cmd.tolerance, cmd.scale)?;
-        println!(
-            "baseline gate passed: no preset regressed more than {:.0}% vs {path}",
-            cmd.tolerance * 100.0
-        );
+        check_baseline(path, &doc)?;
+        println!("baseline gate passed: this run equals {path} leaf for leaf");
     }
     Ok(())
 }
 
-/// The `BENCH_sweep.json` / `ci/bench_baseline.json` document: per-preset
-/// simulated steady-state throughput (deterministic across machines), one
-/// block per runtime preset under its registry-derived key (exact values
-/// baseline-gated, wall-clock values informational) and the
-/// vectorized-engine measurement.
+/// The `BENCH_sweep.json` / `ci/bench_baseline.json` document: per-suite
+/// simulated steady-state throughput, one block per runtime preset under its
+/// registry-derived key, and the vectorized-engine block.  Every leaf is
+/// exact — a model output, a digest or a counter — so two runs of one build
+/// write the same bytes on any host, and the baseline gate is plain equality.
 fn smoke_json(
     cmd: &SmokeCmd,
     results: &[(&SweepSuite, SweepReport)],
     runtime_reports: &[PresetReport],
     mega_report: &MegaSweepReport,
 ) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"schema\":\"datastalls-bench-sweep/v1\",\"threads\":");
-    out.push_str(&cmd.threads.to_string());
-    out.push_str(",\"extra_scale\":");
-    out.push_str(&cmd.scale.to_string());
-    out.push_str(",\"suites\":[");
-    for (i, (suite, report)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"suite\":");
-        json::write_string(&mut out, suite.name);
-        out.push_str(",\"paper\":");
-        json::write_string(&mut out, suite.paper);
-        out.push_str(",\"points\":[");
-        for (j, (label, sim)) in report.reports().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            json::write_string(&mut out, &label.label());
-            out.push_str(",\"steady_samples_per_sec\":");
-            json::write_f64(&mut out, sim.steady_samples_per_sec());
-            out.push_str(",\"steady_epoch_seconds\":");
-            json::write_f64(&mut out, sim.steady_epoch_seconds());
-            out.push('}');
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    for report in runtime_reports {
-        out.push(',');
-        json::write_string(&mut out, &report.preset.smoke_key());
-        out.push(':');
-        out.push_str(&report.to_json());
-    }
-    out.push_str(",\"sim_sweep\":");
-    out.push_str(&mega_report.to_json());
-    out.push('}');
-    out
+    let suites = results.iter().map(|(suite, report)| {
+        let points = report.reports().map(|(label, sim)| {
+            object([
+                ("label", text(&label.label())),
+                ("steady_samples_per_sec", num(sim.steady_samples_per_sec())),
+                ("steady_epoch_seconds", num(sim.steady_epoch_seconds())),
+            ])
+        });
+        object([
+            ("suite", text(suite.name)),
+            ("paper", text(suite.paper)),
+            ("points", Value::Array(points.collect())),
+        ])
+    });
+    let keys: Vec<String> = runtime_reports
+        .iter()
+        .map(|r| r.preset.smoke_key())
+        .collect();
+    let blocks = keys.iter().zip(runtime_reports);
+    let mut doc = vec![
+        ("schema", text("datastalls-bench-sweep/v1")),
+        ("extra_scale", int(cmd.scale)),
+        ("suites", Value::Array(suites.collect())),
+        ("sim_sweep", mega_report.to_value()),
+    ];
+    doc.extend(blocks.map(|(key, report)| (key.as_str(), report.to_value())));
+    compact(&object(doc))
 }
 
-/// Fail if any baseline preset's throughput regressed more than `tolerance`,
-/// or disappeared from the current run; if any *exact* value of a runtime
-/// preset's block moved at all; or if the vectorized engine lost its edge.
-fn check_baseline(
-    path: &str,
-    current_doc: &str,
-    tolerance: f64,
-    current_scale: u64,
-) -> Result<(), String> {
+/// The baseline gate: this run's document must equal the baseline's, leaf
+/// for leaf and key for key.  Every leaf is machine-independent, so any
+/// difference — a moved digest, ratio or simulated rate, a block only one
+/// side has — is a behavioural change: fix it, or refresh the baseline after
+/// an intentional one.
+fn check_baseline(path: &str, current_doc: &str) -> Result<(), String> {
     let baseline_text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
     let baseline = json::parse(&baseline_text)
         .map_err(|e| format!("baseline {path} is not valid JSON: {e}"))?;
     let current = json::parse(current_doc).expect("smoke_json emits valid JSON");
 
-    // Throughput depends on the dataset scale: comparing runs recorded at
-    // different --scale values would gate against incomparable numbers.
-    let baseline_scale = baseline.get("extra_scale").and_then(Value::as_f64);
-    if baseline_scale != Some(current_scale as f64) {
+    // Every value depends on the dataset scale: name that mismatch as what
+    // it is rather than as the first leaf it happens to move.
+    let scale = |doc: &Value| doc.get("extra_scale").and_then(Value::as_f64);
+    if scale(&baseline) != scale(&current) {
+        let show = |s: Option<f64>| s.map_or("<missing>".to_string(), |s| format!("{s:.0}"));
         return Err(format!(
-            "baseline {path} was recorded at extra_scale {} but this run used --scale \
-             {current_scale}; re-run with a matching --scale or refresh the baseline",
-            baseline_scale.map_or("<missing>".to_string(), |s| format!("{s:.0}")),
+            "baseline {path} was recorded at extra_scale {} but this run used --scale {}; \
+             re-run with a matching --scale or refresh the baseline",
+            show(scale(&baseline)),
+            show(scale(&current)),
         ));
     }
-
-    let index = |doc: &Value| -> Vec<(String, String, f64)> {
-        let mut points = Vec::new();
-        for suite in doc
-            .get("suites")
-            .and_then(Value::as_array)
-            .unwrap_or_default()
-        {
-            let name = suite
-                .get("suite")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string();
-            for p in suite
-                .get("points")
-                .and_then(Value::as_array)
-                .unwrap_or_default()
-            {
-                if let (Some(label), Some(rate)) = (
-                    p.get("label").and_then(Value::as_str),
-                    p.get("steady_samples_per_sec").and_then(Value::as_f64),
-                ) {
-                    points.push((name.clone(), label.to_string(), rate));
-                }
-            }
-        }
-        points
-    };
-
-    // Behavioural gates on the runtime presets: every leaf a preset does not
-    // declare as timing is machine-independent (digests, hit ratios,
-    // physical read/write counts, cached fractions), so it only moves when
-    // the runtime itself behaves differently — a correctness event, not
-    // jitter.
-    for preset in RUNTIME_PRESETS {
-        let key = preset.smoke_key();
-        if let Some(expected) = baseline.get(&key) {
-            compare_exact(&key, expected, current.get(&key), preset.timing).map_err(|e| {
-                format!(
-                    "{e} (baseline {path}) — the runtime now behaves differently; \
-                     fix the regression or refresh the baseline after an \
-                     intentional change"
-                )
-            })?;
-        }
-    }
-
-    // The vectorized-engine preset: raw points/sec is machine-dependent, so
-    // the gate compares (a) the fast-over-exact speedup, a same-host ratio,
-    // against half the baseline's, and (b) per-core points/sec against a
-    // quarter of the baseline's — loose enough to absorb CI-runner
-    // generation differences, tight enough to catch the fast path silently
-    // degenerating to exact-engine cost.
-    let sim_sweep = |doc: &Value| -> Option<(f64, f64, f64)> {
-        let s = doc.get("sim_sweep")?;
-        Some((
-            s.get("points_per_sec").and_then(Value::as_f64)?,
-            s.get("threads").and_then(Value::as_f64)?.max(1.0),
-            s.get("speedup_vs_exact").and_then(Value::as_f64)?,
-        ))
-    };
-    if let Some((base_pps, base_threads, base_speedup)) = sim_sweep(&baseline) {
-        let Some((cur_pps, cur_threads, cur_speedup)) = sim_sweep(&current) else {
-            return Err(format!(
-                "sim_sweep: baseline {path} records the vectorized-engine \
-                 preset but this run did not produce one"
-            ));
-        };
-        if cur_speedup < base_speedup * 0.5 {
-            return Err(format!(
-                "sim_sweep: fast-over-exact speedup dropped {base_speedup:.1}x \
-                 -> {cur_speedup:.1}x (gate: half the baseline); the \
-                 vectorized engine regressed relative to the exact engine on \
-                 this very host — fix pipeline::fast or refresh the baseline"
-            ));
-        }
-        let base_norm = base_pps / base_threads;
-        let cur_norm = cur_pps / cur_threads;
-        if cur_norm < base_norm * 0.25 {
-            return Err(format!(
-                "sim_sweep: per-core sweep throughput dropped {base_norm:.0} \
-                 -> {cur_norm:.0} points/sec/core (gate: a quarter of the \
-                 baseline); sim_sweep_points_per_sec regressed beyond what \
-                 runner variance explains"
-            ));
-        }
-    }
-
-    let current_points = index(&current);
-    let mut regressions = Vec::new();
-    let mut improvements = 0usize;
-    let baseline_points = index(&baseline);
-    if baseline_points.is_empty() {
-        return Err(format!("baseline {path} contains no comparable points"));
-    }
-    for (suite, label, old) in baseline_points {
-        let Some((_, _, new)) = current_points
-            .iter()
-            .find(|(s, l, _)| *s == suite && *l == label)
-        else {
-            regressions.push(format!("{suite}/{label}: missing from this run"));
-            continue;
-        };
-        if *new < old * (1.0 - tolerance) {
-            regressions.push(format!(
-                "{suite}/{label}: {old:.1} -> {new:.1} samples/s ({:+.1}%)",
-                (new / old - 1.0) * 100.0
-            ));
-        } else if *new > old * (1.0 + tolerance) {
-            improvements += 1;
-        }
-    }
-    if improvements > 0 {
-        println!(
-            "note: {improvements} preset(s) improved more than {:.0}%; consider refreshing {path}",
-            tolerance * 100.0
-        );
-    }
-    if regressions.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "perf regression gate failed ({} preset(s) below baseline {path}):\n  {}",
-            regressions.len(),
-            regressions.join("\n  ")
-        ))
-    }
+    compare_exact(path, &baseline, Some(&current)).map_err(|e| {
+        format!(
+            "{e} — this build behaves differently; fix the regression or \
+             refresh the baseline after an intentional change"
+        )
+    })
 }
 
 fn run_validate(cmd: &ValidateCmd) -> Result<(), String> {
@@ -1035,7 +897,7 @@ mod tests {
         let file = format!("dstool_gate_{}_{n}.json", std::process::id());
         let path = std::env::temp_dir().join(file);
         std::fs::write(&path, baseline).unwrap();
-        let outcome = check_baseline(path.to_str().unwrap(), current, 0.10, 8);
+        let outcome = check_baseline(path.to_str().unwrap(), current);
         let _ = std::fs::remove_file(&path);
         outcome
     }
@@ -1218,32 +1080,6 @@ mod tests {
     }
 
     #[test]
-    fn baseline_gate_normalizes_the_sim_sweep_throughput() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}],
-            "sim_sweep":{"points_per_sec":32000,"threads":4,"speedup_vs_exact":20.0}}"#;
-        // Same numbers: passes.
-        gate(baseline, baseline).unwrap();
-        // Fewer threads at proportional throughput: per-core rate unchanged,
-        // still passes — the gate is cores-normalized.
-        let fewer = baseline
-            .replace("32000", "8000")
-            .replace("\"threads\":4", "\"threads\":1");
-        gate(baseline, &fewer).unwrap();
-        // Speedup collapsing below half the baseline is a hard failure.
-        let err = gate(baseline, &baseline.replace("20.0", "6.0")).unwrap_err();
-        assert!(err.contains("fast-over-exact speedup"), "{err}");
-        // Per-core throughput collapsing below a quarter is too.
-        let err = gate(baseline, &baseline.replace("32000", "1000")).unwrap_err();
-        assert!(err.contains("points/sec/core"), "{err}");
-        // A baseline that records the preset requires the run to produce it.
-        let missing = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[{"label":"a","steady_samples_per_sec":1000}]}]}"#;
-        let err = gate(baseline, missing).unwrap_err();
-        assert!(err.contains("sim_sweep"), "{err}");
-    }
-
-    #[test]
     fn unknown_names_list_the_valid_ones() {
         // Every registered name — simulator suite, mega-sweep, runtime
         // preset — shows up wherever a name is listed or accepted.
@@ -1269,18 +1105,13 @@ mod tests {
         }
     }
 
-    /// The baseline gate compares every exact leaf of the preset's block:
-    /// the stream digest, exact point fields matched by label, and the
-    /// presence of every baseline point — while timing leaves move freely.
+    /// The baseline gate compares every leaf of the preset's block: the
+    /// stream digest, point fields matched by label, and the presence of
+    /// every point and key on both sides.
     fn assert_exact_leaves_gated(preset: &RuntimePreset) {
         let key = preset.smoke_key();
-        let timing = preset
-            .timing
-            .first()
-            .map_or(String::new(), |t| format!(",\"{t}\":1.5"));
-        let point = |label: &str, ratio: &str| {
-            format!(r#"{{"label":"{label}","hit_ratio":{ratio}{timing}}}"#)
-        };
+        let point =
+            |label: &str, ratio: &str| format!(r#"{{"label":"{label}","hit_ratio":{ratio}}}"#);
         let block = |points: &[String]| {
             let points = points.join(",");
             doc_with(
@@ -1290,15 +1121,13 @@ mod tests {
         };
         let baseline = block(&[point("p=1", "0.5"), point("p=2", "0.49")]);
         gate(&baseline, &baseline).unwrap();
-        // Wall clock is never gated.
-        gate(&baseline, &baseline.replace(":1.5", ":99.0")).unwrap();
         // A changed digest means the runtime delivered different bytes.
         let err = gate(&baseline, &baseline.replace("deadbeef", "0badf00d")).unwrap_err();
         assert!(
             err.contains(&format!("{key}/stream_digest changed")) && err.contains("0badf00d"),
             "{err}"
         );
-        // A drifted exact field is a hard failure within any tolerance.
+        // A drifted field is a hard failure: there is no tolerance.
         let err = gate(&baseline, &baseline.replace("0.49", "0.48")).unwrap_err();
         assert!(
             err.contains(&format!("{key}/points/p=2/hit_ratio changed")),
@@ -1315,6 +1144,19 @@ mod tests {
             err.contains(&format!("{key}: missing from this run")),
             "{err}"
         );
+        // So is a leaf only the run has: a wall-clock value that found its
+        // way back into a document cannot hide behind a skip list.
+        let timed = baseline.replace(
+            "\"hit_ratio\":0.49",
+            "\"hit_ratio\":0.49,\"wall_seconds\":1.5",
+        );
+        let err = gate(&baseline, &timed).unwrap_err();
+        assert!(
+            err.contains(&format!(
+                "{key}/points/p=2/wall_seconds: not in the baseline"
+            )),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1326,66 +1168,36 @@ mod tests {
 
     #[test]
     fn smoke_document_exact_projection_matches_the_committed_baseline() {
-        let Ok(Command::Smoke(cmd)) = parse_args(&args(&["smoke"])) else {
-            panic!("expected smoke command");
-        };
-        let results: Vec<(&SweepSuite, SweepReport)> = SUITES
-            .iter()
-            .map(|suite| (suite, smoke_suite(suite, &cmd).expect("suite smokes clean")))
-            .collect();
-        let reports: Vec<PresetReport> = RUNTIME_PRESETS
-            .iter()
-            .map(|p| p.run_scaled(cmd.scale, None))
-            .collect();
-        for report in &reports {
-            report
-                .gate()
-                .expect("every preset gates green at smoke scale");
-        }
-        let mega = run_mega_sweep(&MegaSweepConfig::scaled(cmd.scale));
-        let current = json::parse(&smoke_json(&cmd, &results, &reports, &mega)).unwrap();
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/ci/bench_baseline.json");
-        let baseline = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-
-        // The document's key set — its shape with every leaf blanked — is
-        // pinned by the baseline, timing keys included.
-        fn shape(v: &Value) -> Value {
-            match v {
-                Value::Object(map) => {
-                    Value::Object(map.iter().map(|(k, v)| (k.clone(), shape(v))).collect())
-                }
-                Value::Array(items) => Value::Array(items.iter().map(shape).collect()),
-                _ => Value::Null,
-            }
-        }
-        assert_eq!(shape(&current), shape(&baseline));
-        assert_eq!(current.get("schema"), baseline.get("schema"));
-
-        // Exact projection: every top-level block minus its timing leaves,
-        // compared both ways so neither side has an exact leaf the other
-        // lacks.
-        const SIM_SWEEP_TIMING: [&str; 6] = [
-            "threads",
-            "fast_seconds",
-            "points_per_sec",
-            "exact_seconds",
-            "exact_points_per_sec",
-            "speedup_vs_exact",
-        ];
-        let Value::Object(blocks) = &baseline else {
-            panic!("baseline is an object");
-        };
-        for (key, block) in blocks {
-            let preset = RUNTIME_PRESETS.iter().find(|p| p.smoke_key() == *key);
-            let timing: &[&str] = match preset {
-                Some(p) => p.timing,
-                None if key == "sim_sweep" => &SIM_SWEEP_TIMING,
-                None => &[],
+        // The whole `smoke --baseline`, as CI runs it: every suite and preset
+        // gated, then the document compared with the committed baseline —
+        // every key and every leaf, both ways, no skip list, on every host.
+        let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/ci/bench_baseline.json");
+        let smoke = |run: u32| {
+            let out = format!("dstool_smoke_{}_{run}.json", std::process::id());
+            let out = std::env::temp_dir().join(out);
+            let flags = [
+                "smoke",
+                "--out",
+                out.to_str().unwrap(),
+                "--baseline",
+                baseline,
+            ];
+            let Ok(Command::Smoke(cmd)) = parse_args(&args(&flags)) else {
+                panic!("expected smoke command");
             };
-            let ours = current.get(key);
-            compare_exact(key, block, ours, timing).unwrap();
-            compare_exact(key, ours.unwrap(), Some(block), timing).unwrap();
-        }
+            run_smoke(&cmd).expect("smoke equals the committed baseline");
+            let doc = std::fs::read_to_string(&out).unwrap();
+            let _ = std::fs::remove_file(&out);
+            doc
+        };
+        let first = smoke(0);
+        // No wall-clock leaf is left: a second run writes the same bytes.
+        assert_eq!(first, smoke(1));
+        assert_eq!(
+            canonical_json(&first),
+            std::fs::read_to_string(baseline).unwrap(),
+            "refreshing the baseline would change nothing"
+        );
     }
 
     #[test]
@@ -1397,23 +1209,21 @@ mod tests {
         assert_eq!(cmd.scale, SMOKE_EXTRA_SCALE);
         assert_eq!(cmd.out, "BENCH_sweep.json");
         assert!(cmd.baseline.is_none());
-        assert!((cmd.tolerance - DEFAULT_TOLERANCE).abs() < 1e-12);
 
-        let Ok(Command::Smoke(cmd)) = parse_args(&args(&[
-            "smoke",
-            "--baseline",
-            "ci/bench_baseline.json",
-            "--tolerance",
-            "0.2",
-        ])) else {
+        let Ok(Command::Smoke(cmd)) =
+            parse_args(&args(&["smoke", "--baseline", "ci/bench_baseline.json"]))
+        else {
             panic!("expected smoke command");
         };
         assert_eq!(cmd.baseline.as_deref(), Some("ci/bench_baseline.json"));
-        assert!((cmd.tolerance - 0.2).abs() < 1e-12);
 
         // smoke exists to prove the parallel path.
         assert!(parse_args(&args(&["smoke", "--threads", "1"])).is_err());
-        assert!(parse_args(&args(&["smoke", "--tolerance", "1.5"])).is_err());
+        // The baseline gate is exact: smoke has no tolerance to set.
+        let Err(err) = parse_args(&args(&["smoke", "--tolerance", "0.2"])) else {
+            panic!("smoke --tolerance is gone");
+        };
+        assert!(err.starts_with("unknown flag --tolerance"), "{err}");
     }
 
     #[test]
@@ -1542,26 +1352,44 @@ mod tests {
 
     #[test]
     fn baseline_gate_flags_regressions_and_missing_presets() {
-        let baseline = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[
-                {"label":"a","steady_samples_per_sec":1000},
-                {"label":"gone","steady_samples_per_sec":500}]}]}"#;
-        let current = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[
-                {"label":"a","steady_samples_per_sec":850}]}]}"#;
-        let err = gate(baseline, current).unwrap_err();
-        assert!(err.contains("s/a"), "regression reported: {err}");
-        assert!(err.contains("s/gone"), "missing preset reported: {err}");
-        // Within tolerance: passes.
-        let ok_current = r#"{"extra_scale":8,"suites":[
-            {"suite":"s","points":[
-                {"label":"a","steady_samples_per_sec":950},
-                {"label":"gone","steady_samples_per_sec":480}]}]}"#;
-        gate(baseline, ok_current).unwrap();
-        // A scale mismatch is an error, not a spurious regression report.
-        let err = gate(&baseline.replace(":8,", ":2,"), ok_current).unwrap_err();
+        let baseline = doc_with("runtime_chaos", r#"{"stream_digest":"00ff"}"#);
+        gate(&baseline, &baseline).unwrap();
+        // A simulated rate is a model output: moved by 1e-6 it fails.
+        let err = gate(&baseline, &baseline.replace(":1000}", ":1000.000001}")).unwrap_err();
         assert!(
-            err.contains("extra_scale"),
+            err.contains("/suites/s/points/a/steady_samples_per_sec changed"),
+            "{err}"
+        );
+        // A point that left a suite, and a suite that left the run.
+        let err = gate(
+            &baseline,
+            &baseline.replace(r#"{"label":"a","steady_samples_per_sec":1000}"#, ""),
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("/suites/s/points/a: missing from this run"),
+            "{err}"
+        );
+        // A block the run produced but the baseline never recorded is not
+        // silently skipped ...
+        let grown = baseline.replace(
+            r#""runtime_chaos""#,
+            r#""runtime_new":{"stream_digest":"0a"},"runtime_chaos""#,
+        );
+        let err = gate(&baseline, &grown).unwrap_err();
+        assert!(err.contains("/runtime_new: not in the baseline"), "{err}");
+        // ... nor is a baseline block the run lost, nor a moved digest.
+        let err = gate(&grown, &baseline).unwrap_err();
+        assert!(err.contains("/runtime_new: missing from this run"), "{err}");
+        let err = gate(&baseline, &baseline.replace("00ff", "00fe")).unwrap_err();
+        assert!(
+            err.contains("/runtime_chaos/stream_digest changed") && err.contains("00fe"),
+            "{err}"
+        );
+        // A scale mismatch is named as such, not as the first leaf it moved.
+        let err = gate(&baseline.replace(":8,", ":2,"), &baseline).unwrap_err();
+        assert!(
+            err.contains("extra_scale 2") && err.contains("--scale 8"),
             "scale mismatch reported: {err}"
         );
     }

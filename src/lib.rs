@@ -83,7 +83,7 @@
 //!
 //! | Crate | Re-exported as | Contents |
 //! |---|---|---|
-//! | `coordl-simkit` | [`simkit`] | discrete-event primitives: virtual time, pipelined-latency recurrence, fair-share resources |
+//! | `coordl-simkit` | [`simkit`] | simulation primitives: virtual time, pipelined-latency recurrence, time series |
 //! | `coordl-storage` | [`storage`] | device profiles (HDD/SSD/NVMe), the OS-page-cache stand-in, per-node I/O accounting |
 //! | `coordl-cache` | [`cache`] | cache policies: LRU/FIFO/CLOCK and MinIO, plus the partitioned-cache directory |
 //! | `coordl-dataset` | [`dataset`] | the paper's datasets as synthetic specs, epoch samplers, storage formats, functional stores |

@@ -172,34 +172,17 @@ fn partitioned_mode_is_bit_identical_across_workers_and_depth() {
 }
 
 #[test]
-fn prep_heavy_preset_speeds_up_with_workers_where_cores_allow() {
-    // The wall-clock half of the contract ("workers(4) beats workers(1)")
-    // needs real cores; the bit-equality half holds everywhere and is
-    // asserted unconditionally.
+fn prep_heavy_preset_is_bit_identical_across_worker_counts() {
+    // The preset's own gate at a size between the unit tests' and the
+    // smoke's.  Whether four workers are *faster* is `dsbench`'s question.
     let workload = Workload {
         axis: &[1, 4],
         items: 512,
         ..parallel::PRESET.workload
     };
-    let report = parallel::run(&workload);
-    report
-        .bit_identical()
-        .and_then(|()| report.identical_across_points())
+    parallel::run(&workload)
+        .gate()
         .expect("workers(4) must deliver the workers(1) stream bit-for-bit");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = report.speedup(4).expect("both points measured");
-    if cores >= 4 {
-        assert!(
-            speedup > 1.0,
-            "workers(4) must beat workers(1) wall-clock on a {cores}-core host, \
-             got {speedup:.2}x"
-        );
-    } else {
-        eprintln!(
-            "skipping the wall-clock speedup assertion: only {cores} core(s) \
-             available (measured {speedup:.2}x); bit-equality verified"
-        );
-    }
 }
 
 /// Drive one epoch of `session` and return each job's delivered item ids.
