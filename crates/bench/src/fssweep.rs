@@ -1,26 +1,27 @@
-//! The readahead × tier-backing sweep over the *real-bytes* I/O path
+//! The tier-backing sweep over the *real-bytes* I/O path
 //! (`coordl::FsBackend` over a [`Vfs`]): the preset behind
 //! `dstool sweep fs-sweep` and part of `dstool smoke`.
 //!
 //! Where `tier-sweep` varies how much of the dataset the cache holds, this
 //! sweep varies how the bytes *move*: the dataset is materialized once as a
-//! page-aligned packed file and every fetch is a real positional read, with
-//! a configurable readahead window (§3's I/O pattern discussion), while the
-//! SSD cache level is either memory-backed or persisted through a
+//! page-aligned packed file and every fetch is a real positional read of the
+//! item's exact extent (§3's I/O pattern discussion), while the SSD cache
+//! level is either memory-backed or persisted through a
 //! [`SpillStore`](vfs::SpillStore) on the same VFS.  Three contracts come
 //! out of a run:
 //!
 //! * **a correctness gate** — the delivered stream is a function of the
-//!   workload alone: every (readahead, backing) point at every worker count
-//!   must produce one identical stream (hashed into `stream_digest` and
-//!   checked against `ci/bench_baseline.json`);
-//! * **an I/O-shape gate** — the backend's physical read count is exact
-//!   counter arithmetic: identical across backings at fixed readahead (the
-//!   spill path must never change what the backend reads), and never
-//!   increased by a wider readahead window;
-//! * **a persistence gate** — vfs-backed points must leave a spill manifest
-//!   behind and issue strictly more VFS writes than their memory-backed
-//!   twins (the durable shadow is real I/O, not bookkeeping).
+//!   workload alone: both backings at every worker count must produce one
+//!   identical stream (hashed into `stream_digest` and checked against
+//!   `ci/bench_baseline.json`);
+//! * **an I/O-shape gate** — the read traffic is exactly the cache's misses:
+//!   on both backings the backend issues one physical read per tier miss,
+//!   the VFS sees those reads and no others while the epochs run, and the
+//!   bytes it returns are the session's `bytes_from_storage` (no alignment,
+//!   no readahead, and a spill path that never changes what is read);
+//! * **a persistence gate** — the vfs-backed point must leave a spill
+//!   manifest behind and issue strictly more VFS writes than its
+//!   memory-backed twin (the durable shadow is real I/O, not bookkeeping).
 //!
 //! Wall-clock `measured_device_seconds` are printed next to the modelled
 //! seconds and never emitted — machine-dependent by design.
@@ -37,9 +38,6 @@ use std::sync::Arc;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{MemVfs, OsVfs, Vfs};
 
-/// Readahead windows, in pages, the backend is run at.
-const READAHEAD_PAGES: [u32; 2] = [0, 8];
-
 /// SSD-level backings: `false` = in-memory, `true` = persisted to the VFS
 /// through a spill store.
 const PERSISTENT_SSD: [bool; 2] = [false, true];
@@ -52,17 +50,17 @@ const SSD_PERCENT: u64 = 35;
 
 /// The registry row of `dstool sweep fs-sweep` (a small decode multiplier:
 /// this preset is fetch-shaped).  `dstool smoke` always runs it on the
-/// deterministic in-memory [`MemVfs`], where digests and physical-read
-/// counts are machine-independent; `--os-root` moves the same grid onto an
-/// [`OsVfs`] rooted there (one subdirectory per run).
+/// deterministic in-memory [`MemVfs`]; `--os-root` moves the same two points
+/// onto an [`OsVfs`] rooted there (one subdirectory per run), where every
+/// emitted value must come out the same.
 pub static PRESET: RuntimePreset = RuntimePreset {
     name: "fs-sweep",
     paper: "§3 / Fig 5-7 (fetch stalls are real I/O)",
-    description: "runtime real-bytes I/O: FsBackend Sessions over a VFS, readahead \
-                  x tier-backing grid; every fetch a real page-aligned read, exact \
-                  physical reads and on-disk spill manifests gated, one stream for \
-                  the whole grid",
-    points: READAHEAD_PAGES.len() * PERSISTENT_SSD.len(),
+    description: "runtime real-bytes I/O: FsBackend Sessions over a VFS, memory- vs \
+                  vfs-backed SSD tier; every fetch one exact-extent read, physical \
+                  reads == tier misses and on-disk spill manifests gated, one stream \
+                  for both backings",
+    points: PERSISTENT_SSD.len(),
     workload: Workload {
         items: 768,
         min_items: 128,
@@ -80,18 +78,9 @@ pub static PRESET: RuntimePreset = RuntimePreset {
     shape,
 };
 
-/// Run the sweep: every (readahead, backing) grid point at every worker
-/// count (readahead slowest-varying), on real files under `os_root` when
-/// given.
+/// Run the sweep: both backings at every worker count, on real files under
+/// `os_root` when given.
 pub fn run(w: &Workload, os_root: Option<&Path>) -> PresetReport {
-    let grid: Vec<(u32, bool)> = READAHEAD_PAGES
-        .iter()
-        .flat_map(|&ra| {
-            PERSISTENT_SSD
-                .iter()
-                .map(move |&persistent| (ra, persistent))
-        })
-        .collect();
     let vfs = if os_root.is_some() { "os" } else { "mem" };
     PresetReport {
         preset: &PRESET,
@@ -100,19 +89,13 @@ pub fn run(w: &Workload, os_root: Option<&Path>) -> PresetReport {
             ("epochs", int(w.epochs)),
             ("vfs", text(vfs)),
         ],
-        runs: run_grid(&grid, w.axis, |&(ra, persistent), workers| {
-            run_once(w, os_root, ra, persistent, workers)
+        runs: run_grid(&PERSISTENT_SSD, w.axis, |&persistent, workers| {
+            run_once(w, os_root, persistent, workers)
         }),
     }
 }
 
-fn run_once(
-    w: &Workload,
-    os_root: Option<&Path>,
-    readahead: u32,
-    persistent: bool,
-    workers: usize,
-) -> PointResult {
+fn run_once(w: &Workload, os_root: Option<&Path>, persistent: bool, workers: usize) -> PointResult {
     let spec = w.dataset(PRESET.name);
     let total_bytes = spec.total_bytes();
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 23));
@@ -121,13 +104,13 @@ fn run_once(
     // gates cold-start equivalence; warm restarts are pinned elsewhere.
     let fs: Arc<dyn Vfs> = match os_root {
         Some(root) => {
-            let sub = root.join(format!("ra{readahead}-{backing}-w{workers}"));
+            let sub = root.join(format!("{backing}-w{workers}"));
             Arc::new(OsVfs::new(sub).expect("fs-sweep OS root must be writable"))
         }
         None => Arc::new(MemVfs::new()),
     };
     let backend = Arc::new(
-        FsBackend::new(Arc::clone(&fs), "data", store.as_ref(), readahead)
+        FsBackend::new(Arc::clone(&fs), "data", store.as_ref(), 0)
             .expect("fs-sweep materialization must succeed")
             .with_profile(DeviceProfile::sata_ssd(), AccessPattern::Random),
     );
@@ -146,12 +129,14 @@ fn run_once(
         .build()
         .expect("valid fs-sweep session");
 
+    // What the VFS reads from here on is the epochs' traffic: the dataset is
+    // materialized and the spill manifest replayed.
+    let built = fs.stats();
     let (stream_digest, _) = drain_single(&session, w.epochs);
     let report = session.report();
     let vfs_stats = fs.stats();
-    let label = format!("ra={readahead}p,ssd={backing}");
+    let label = format!("ssd={backing}");
     let mut counters = loader_counters(&session);
-    counters.push(("readahead_pages", readahead as u64));
     counters.push(("persistent_ssd", persistent as u64));
     counters.push(("manifest_present", fs.exists("ssd/MANIFEST") as u64));
     PointResult {
@@ -160,9 +145,13 @@ fn run_once(
             ("steady_hit_ratio", num(report.steady_hit_ratio())),
             ("ssd_hit_ratio", num(report.steady_lower_tier_hit_ratio())),
             ("steady_disk_bytes", num(report.steady_storage_bytes())),
-            ("span_hits", int(backend.span_hits())),
-            ("span_misses", int(backend.span_misses())),
-            ("vfs_reads", int(vfs_stats.reads)),
+            ("cache_misses", int(report.cache_misses)),
+            ("backend_reads", int(backend.span_misses())),
+            ("vfs_reads", int(vfs_stats.reads - built.reads)),
+            (
+                "vfs_bytes_read",
+                int(vfs_stats.bytes_read - built.bytes_read),
+            ),
             ("vfs_writes", int(vfs_stats.writes)),
             ("modelled_device_seconds", num(report.device_seconds)),
         ],
@@ -175,14 +164,31 @@ fn run_once(
 }
 
 /// The I/O-shape and persistence contracts (see the [module docs](self)):
-/// the spill manifest follows the backing, backings at one readahead issue
-/// the same physical reads, a vfs-backed point issues strictly more VFS
-/// writes than its memory-backed twin, and a wider readahead window never
-/// reads more often.
+/// on each backing the backend's and the VFS's reads are exactly the tier's
+/// misses and the VFS's bytes exactly `bytes_from_storage`; the spill
+/// manifest follows the backing; and the vfs-backed point issues strictly
+/// more VFS writes than its memory-backed twin.
 fn shape(report: &PresetReport) -> Result<(), String> {
     let mut points: Vec<&PointResult> = report.points().collect();
-    points.sort_by_key(|p| (p.counter("readahead_pages"), p.counter("persistent_ssd")));
+    points.sort_by_key(|p| p.counter("persistent_ssd"));
     for p in &points {
+        let misses = p.num("cache_misses");
+        let from_storage = p.counter("bytes_from_storage") as f64;
+        if p.num("backend_reads") != misses
+            || p.num("vfs_reads") != misses
+            || p.num("vfs_bytes_read") != from_storage
+        {
+            return Err(format!(
+                "{}: {} tier misses fetching {} bytes, but {} backend reads and {} VFS \
+                 reads of {} bytes — every miss must be one exact-extent read",
+                p.label,
+                misses,
+                from_storage,
+                p.num("backend_reads"),
+                p.num("vfs_reads"),
+                p.num("vfs_bytes_read")
+            ));
+        }
         if p.counter("manifest_present") != p.counter("persistent_ssd") {
             return Err(format!(
                 "{}: spill manifest {} — persistence must follow the backing",
@@ -197,39 +203,14 @@ fn shape(report: &PresetReport) -> Result<(), String> {
     }
     for pair in points.windows(2) {
         let (a, b) = (pair[0], pair[1]);
-        if a.counter("readahead_pages") == b.counter("readahead_pages") {
-            if b.num("span_misses") != a.num("span_misses") {
-                return Err(format!(
-                    "{} vs {}: physical read counts differ ({} vs {}) — the spill \
-                     path changed what the backend reads",
-                    b.label,
-                    a.label,
-                    b.num("span_misses"),
-                    a.num("span_misses")
-                ));
-            }
-            if b.num("vfs_writes") <= a.num("vfs_writes") {
-                return Err(format!(
-                    "{}: {} VFS writes, no more than {}'s {} — the durable shadow \
-                     issued no real I/O",
-                    b.label,
-                    b.num("vfs_writes"),
-                    a.label,
-                    a.num("vfs_writes")
-                ));
-            }
-        }
-    }
-    points.retain(|p| p.counter("persistent_ssd") == 0);
-    for pair in points.windows(2) {
-        if pair[1].num("span_misses") > pair[0].num("span_misses") {
+        if b.num("vfs_writes") <= a.num("vfs_writes") {
             return Err(format!(
-                "{}: {} physical reads, more than {}'s {} — a wider window must \
-                 never read more often",
-                pair[1].label,
-                pair[1].num("span_misses"),
-                pair[0].label,
-                pair[0].num("span_misses")
+                "{}: {} VFS writes, no more than {}'s {} — the durable shadow \
+                 issued no real I/O",
+                b.label,
+                b.num("vfs_writes"),
+                a.label,
+                a.num("vfs_writes")
             ));
         }
     }
@@ -251,14 +232,14 @@ mod tests {
     #[test]
     fn grid_shares_one_stream_and_spills_are_real_io() {
         let report = run(&tiny(), None);
-        assert_eq!(report.points().count(), 4);
-        assert_eq!(report.runs.len(), 8, "every point at both worker counts");
+        assert_eq!(report.points().count(), 2);
+        assert_eq!(report.runs.len(), 4, "every point at both worker counts");
         report.gate().expect("fs sweep contract");
         // The cache still works over real bytes: later epochs hit.
         for p in report.points() {
             assert!(p.num("steady_hit_ratio") > 0.0, "{p:?}");
             assert!(p.num("ssd_hit_ratio") > 0.0, "{p:?}");
-            assert!(p.num("span_misses") > 0.0, "{p:?}");
+            assert!(p.num("backend_reads") > 0.0, "{p:?}");
             assert!(p.num("modelled_device_seconds") > 0.0, "{p:?}");
         }
     }
@@ -271,40 +252,39 @@ mod tests {
             ..tiny()
         };
         let report = run(&workload, None);
-        // Runs, in grid order: ra=0/mem, ra=0/vfs, ra=8/mem, ra=8/vfs.
+        // Runs, in grid order: ssd=mem, ssd=vfs.
         let mut doctored = report.clone();
         doctored.runs[1].set_counter("manifest_present", 0, 0);
         let err = doctored.gate().unwrap_err();
-        assert!(
-            err.contains("ra=0p,ssd=vfs: spill manifest missing"),
-            "{err}"
-        );
+        assert!(err.contains("ssd=vfs: spill manifest missing"), "{err}");
+
+        // One read too many, or one byte, anywhere between tier and device.
+        for (run, field) in [
+            (0, "backend_reads"),
+            (1, "vfs_reads"),
+            (1, "vfs_bytes_read"),
+            (0, "cache_misses"),
+        ] {
+            let mut doctored = report.clone();
+            let more = int(report.runs[run].num(field) as u64 + 1);
+            doctored.runs[run].set(field, more);
+            let err = doctored.gate().unwrap_err();
+            assert!(
+                err.contains("every miss must be one exact-extent read"),
+                "{field}: {err}"
+            );
+        }
 
         let mut doctored = report.clone();
-        doctored.runs[1].set("span_misses", int(1));
-        let err = doctored.gate().unwrap_err();
-        assert!(err.contains("physical read counts differ"), "{err}");
-
-        let mut doctored = report.clone();
-        doctored.runs[3].set("vfs_writes", int(0));
+        doctored.runs[1].set("vfs_writes", int(0));
         let err = doctored.gate().unwrap_err();
         assert!(err.contains("durable shadow issued no real I/O"), "{err}");
 
-        let mut doctored = report.clone();
-        let more = int(report.runs[0].num("span_misses") as u64 + 1);
-        doctored.runs[2].set("span_misses", more.clone());
-        doctored.runs[3].set("span_misses", more);
-        let err = doctored.gate().unwrap_err();
-        assert!(
-            err.contains("a wider window must never read more often"),
-            "{err}"
-        );
-
         let mut doctored = report;
-        doctored.runs[3].stream_digest ^= 1;
+        doctored.runs[1].stream_digest ^= 1;
         let err = doctored.gate().unwrap_err();
         assert!(
-            err.contains("fs-sweep/ra=8p,ssd=vfs: workers=1 delivered a different stream"),
+            err.contains("fs-sweep/ssd=vfs: workers=1 delivered a different stream"),
             "{err}"
         );
     }

@@ -55,9 +55,6 @@ const CHAOS_FAULTS: usize = 2;
 /// [`coordl::FaultPlan`].
 const CHAOS_FAULT_SEED: u64 = 0xFA11;
 
-/// Readahead window, in pages, of the fs-real scenario's backend.
-const FS_REAL_READAHEAD: u32 = 4;
-
 /// Fetch threads driven by the parallel-fetch validation scenario.
 const PARALLEL_FETCH_THREADS: usize = 4;
 
@@ -718,7 +715,7 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
         measure: |c| {
             c.session(c.server.dram_cache_bytes, |store, b| {
                 let fs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-                let backend = FsBackend::new(fs, "data", store.as_ref(), FS_REAL_READAHEAD)
+                let backend = FsBackend::new(fs, "data", store.as_ref(), 0)
                     .expect("fs-real materialization must succeed")
                     .with_profile(c.server.device, AccessPattern::Random);
                 b.cache_policy(PolicyKind::MinIo)

@@ -34,6 +34,14 @@ pub trait FetchBackend: Send + Sync {
     /// truncated reads are [`CoordlError::BackendIo`].
     fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError>;
 
+    /// Take back a payload buffer nobody references any more, for a later
+    /// [`read`](FetchBackend::read) to fill.  The runtime offers every raw
+    /// payload it held the last reference to once prep is done with it (a
+    /// payload a cache tier kept is never offered); its contents are
+    /// garbage to the backend, and it need not have come from this
+    /// backend's `read`.  The default drops it.
+    fn recycle(&self, _buf: Vec<u8>) {}
+
     /// The device profile timing this backend, if any.
     fn profile(&self) -> Option<&DeviceProfile> {
         None
@@ -70,6 +78,15 @@ pub(crate) fn check_item_in_range(
         });
     }
     Ok(())
+}
+
+/// Hand `raw` back to `backend` if this was the last reference to it: a
+/// payload a cache tier admitted, or a peer's cache shares, stays where it
+/// is.
+pub(crate) fn recycle_if_last(backend: &dyn FetchBackend, raw: Arc<Vec<u8>>) {
+    if let Ok(buf) = Arc::try_unwrap(raw) {
+        backend.recycle(buf);
+    }
 }
 
 /// Reads items directly from a [`DataSource`] with no timing model.

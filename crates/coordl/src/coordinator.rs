@@ -85,6 +85,7 @@ impl CoordinatedEngine {
             epoch,
             batches: plan,
             fetch: self.stack.fetch_fn(),
+            backend: Arc::clone(&self.stack.backend),
             skip: Some(skip),
             pipeline: Arc::clone(&self.stack.pipeline),
             stats: Arc::clone(&self.stack.stats),

@@ -45,6 +45,7 @@
 //! area down) *before* joining, which unblocks any worker parked on a full
 //! queue.
 
+use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::CoordlError;
 use crate::minibatch::Minibatch;
 use crate::stats::LoaderStats;
@@ -172,6 +173,9 @@ pub(crate) struct ExecutorSpec {
     pub batches: Vec<(usize, Vec<ItemId>)>,
     /// Raw-byte source, called in plan order per cache shard.
     pub fetch: Arc<FetchFn>,
+    /// The backend under `fetch`: prep workers hand it back every raw
+    /// payload nothing else references.
+    pub backend: Arc<dyn FetchBackend>,
     /// Optional batch filter (coordinated failure injection).
     pub skip: Option<Arc<SkipFn>>,
     /// The deterministic prep pipeline.
@@ -234,6 +238,7 @@ impl PrefetchExecutor {
         for _ in 0..workers {
             handles.push(spawn_prep_worker(
                 spec.epoch,
+                Arc::clone(&spec.backend),
                 Arc::clone(&spec.pipeline),
                 Arc::clone(&spec.stats),
                 Arc::clone(&spec.sink),
@@ -342,6 +347,10 @@ impl FetchPool {
     /// Pool thread `thread`'s sweep over the whole plan.
     fn run(&self, thread: usize, raw_tx: &Sender<RawBatch>) {
         let (stats, shared) = (&*self.stats, &*self.shared);
+        // This thread's fetches of one position; the first batch is the
+        // largest.
+        let batch = self.batches.first().map_or(0, |(_, items)| items.len());
+        let mut mine: Vec<(usize, Arc<Vec<u8>>)> = Vec::with_capacity(batch);
         for (pos, (index, items)) in self.batches.iter().enumerate() {
             // Wait for the prefetch window, then claim (or join) this
             // position's pending entry under the same lock hold.
@@ -376,7 +385,6 @@ impl FetchPool {
             // Fetch the items this thread owns, outside the lock: owners are
             // disjoint across threads, so every tier transaction for a given
             // key happens on one thread, in plan order for that key's shard.
-            let mut mine: Vec<(usize, Arc<Vec<u8>>)> = Vec::new();
             if !skipped {
                 let busy = Instant::now();
                 for (slot, &item) in items.iter().enumerate() {
@@ -407,7 +415,7 @@ impl FetchPool {
                     .pending
                     .get_mut(&pos)
                     .expect("a contributed position stays pending until complete");
-                for (slot, bytes) in mine {
+                for (slot, bytes) in mine.drain(..) {
                     entry.raw[slot] = Some(bytes);
                 }
                 entry.remaining -= 1;
@@ -448,6 +456,7 @@ impl FetchPool {
 
 fn spawn_prep_worker(
     epoch: u64,
+    backend: Arc<dyn FetchBackend>,
     pipeline: Arc<ExecutablePipeline>,
     stats: Arc<LoaderStats>,
     sink: Arc<dyn PreparedSink>,
@@ -465,8 +474,12 @@ fn spawn_prep_worker(
             let samples = batch
                 .items
                 .iter()
-                .zip(&batch.raw)
-                .map(|(&item, raw)| pipeline.prepare(epoch, item, raw))
+                .zip(batch.raw)
+                .map(|(&item, raw)| {
+                    let sample = pipeline.prepare(epoch, item, &raw);
+                    recycle_if_last(&*backend, raw);
+                    sample
+                })
                 .collect::<Vec<_>>();
             stats.record_prepared(samples.len() as u64);
             stats.record_prep_busy(busy.elapsed());
@@ -497,6 +510,7 @@ pub(crate) fn spawn_ordered_epoch(
     epoch: u64,
     batches: Vec<(usize, Vec<ItemId>)>,
     fetch: Arc<FetchFn>,
+    backend: Arc<dyn FetchBackend>,
     pipeline: Arc<ExecutablePipeline>,
     stats: Arc<LoaderStats>,
     config: ExecutorConfig,
@@ -507,6 +521,7 @@ pub(crate) fn spawn_ordered_epoch(
         epoch,
         batches,
         fetch,
+        backend,
         skip: None,
         pipeline,
         stats: Arc::clone(&stats),
@@ -597,6 +612,28 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// A backend that is never read and records what is handed back to it.
+    #[derive(Default)]
+    struct Recycler(Mutex<Vec<Vec<u8>>>);
+
+    impl FetchBackend for Recycler {
+        fn num_items(&self) -> u64 {
+            0
+        }
+        fn item_bytes(&self, _item: ItemId) -> u64 {
+            0
+        }
+        fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
+            unreachable!("item {item}: the tests fetch through their own closures")
+        }
+        fn recycle(&self, buf: Vec<u8>) {
+            self.0.lock().push(buf);
+        }
+        fn name(&self) -> &'static str {
+            "recycler"
+        }
+    }
+
     fn plan(batches: usize, per_batch: usize) -> Vec<(usize, Vec<ItemId>)> {
         (0..batches)
             .map(|i| {
@@ -636,7 +673,16 @@ mod tests {
         stats: &Arc<LoaderStats>,
         config: ExecutorConfig,
     ) -> OrderedStream {
-        spawn_ordered_epoch(0, batches, fetch, pipeline(), Arc::clone(stats), config)
+        let backend = Arc::new(Recycler::default());
+        spawn_ordered_epoch(
+            0,
+            batches,
+            fetch,
+            backend,
+            pipeline(),
+            Arc::clone(stats),
+            config,
+        )
     }
 
     #[test]
@@ -729,6 +775,7 @@ mod tests {
                 epoch: 0,
                 batches: plan(6, 2),
                 fetch,
+                backend: Arc::new(Recycler::default()),
                 skip: Some(Arc::new(|index| index % 2 == 1)),
                 pipeline: pipeline(),
                 stats: Arc::new(LoaderStats::default()),
@@ -815,6 +862,37 @@ mod tests {
         // Distinct pool-thread slots really are distinct OS threads.
         let distinct: std::collections::HashSet<_> = pool_thread_of.values().collect();
         assert_eq!(distinct.len(), pool_thread_of.len());
+    }
+
+    #[test]
+    fn prep_hands_back_exactly_the_payloads_nothing_else_references() {
+        // Even items are fetched as sole references; odd ones stay shared
+        // with a holder, the way a tier keeps what it admitted.
+        let held: Arc<Mutex<Vec<Arc<Vec<u8>>>>> = Arc::default();
+        let holder = Arc::clone(&held);
+        let fetch: Arc<FetchFn> = Arc::new(move |item| {
+            let bytes = Arc::new(vec![item as u8; 16]);
+            if item % 2 == 1 {
+                holder.lock().push(Arc::clone(&bytes));
+            }
+            Ok(bytes)
+        });
+        let backend = Arc::new(Recycler::default());
+        let stream = spawn_ordered_epoch(
+            0,
+            plan(5, 4),
+            fetch,
+            Arc::clone(&backend) as Arc<dyn FetchBackend>,
+            pipeline(),
+            Arc::new(LoaderStats::default()),
+            shape(2, 2, 2),
+        );
+        assert_eq!(stream.count(), 5);
+        let mut returned: Vec<u8> = backend.0.lock().iter().map(|buf| buf[0]).collect();
+        returned.sort_unstable();
+        assert_eq!(returned, (0..20).step_by(2).collect::<Vec<u8>>());
+        assert_eq!(held.lock().len(), 10);
+        assert!(held.lock().iter().all(|b| Arc::strong_count(b) == 1));
     }
 
     #[test]

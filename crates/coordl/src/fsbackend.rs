@@ -4,8 +4,8 @@
 //! [`ProfiledBackend`](crate::ProfiledBackend) only charges modelled
 //! seconds, `FsBackend` materializes the dataset once as a packed,
 //! page-aligned `DATA` file under a [`Vfs`] directory and serves every
-//! fetch with an actual positional read through an
-//! [`AlignedReader`].  Each read's wall-clock time is
+//! fetch with one positional read of the item's exact extent, straight into
+//! the payload buffer it returns.  Each read's wall-clock time is
 //! accumulated as *measured* device seconds next to the optional modelled
 //! ones, which is what turns `dstool validate` into a genuine
 //! predicted-vs-modelled-vs-measured three-way.
@@ -13,11 +13,25 @@
 use crate::backend::{check_item_in_range, FetchBackend};
 use crate::error::CoordlError;
 use dataset::{DataSource, ItemId};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use storage::{AccessPattern, DeviceProfile};
-use vfs::{AlignedReader, Vfs, VfsError, PAGE_SIZE};
+use vfs::{FileHandle, Vfs, VfsError, PAGE_SIZE};
+
+/// Payload buffers the free list holds at most: eight default minibatches,
+/// more than a default executor window ever has between fetch and prep at
+/// once (the raw queue's four batches, the one being fetched, one per prep
+/// worker and, under a two-thread fetch pool, four half-filled positions).
+/// The list only ever holds buffers that were in flight together, so it
+/// keeps resident what that peak already needed; what it buys is a count
+/// that does not depend on timing.  A list smaller than the window (32)
+/// re-allocated anything from one payload in a hundred to two in five,
+/// depending on which stage happened to run ahead (`BENCH_17.json`).  A
+/// window deeper than this overflows the list: those buffers are dropped
+/// and allocated again, nothing worse.
+const FREE_LIST_CAP: usize = 256;
 
 fn io_error(item: ItemId, err: VfsError) -> CoordlError {
     CoordlError::BackendIo {
@@ -35,27 +49,42 @@ fn io_error(item: ItemId, err: VfsError) -> CoordlError {
 /// [`FsBackend::new`] and is skipped when the file already has the expected
 /// length — so a backend rebuilt over the same [`OsVfs`](vfs::OsVfs) root
 /// (a restart) pays no re-write, and CI's `MemVfs` runs stay deterministic.
+///
+/// A [`read`](FetchBackend::read) is one [`Vfs::read_into`] of exactly the
+/// item's bytes: an epoch's plan is a permutation, so nothing read beyond an
+/// item would be used before it is read again.  The destination is a buffer
+/// a consumer handed back through [`recycle`](FetchBackend::recycle) when
+/// there is one, so a steady-state miss allocates nothing; the free list of
+/// those buffers is the only state concurrent readers share, and its lock is
+/// never held across the read.
 pub struct FsBackend {
     vfs: Arc<dyn Vfs>,
-    reader: AlignedReader,
+    file: FileHandle,
     /// Page-aligned start offset of each item, plus the total file length
     /// as a sentinel (`offsets[num_items]`).
     offsets: Vec<u64>,
     sizes: Vec<u64>,
+    /// Recycled payload buffers, at most [`FREE_LIST_CAP`] of them.
+    free: Mutex<Vec<Vec<u8>>>,
     profile: Option<(DeviceProfile, AccessPattern)>,
+    reads: AtomicU64,
     modelled_nanos: AtomicU64,
     measured_nanos: AtomicU64,
 }
 
 impl FsBackend {
-    /// Materialize `source` under `dir` of `vfs` (skipping the write when a
-    /// previous materialization is already present) and serve reads with a
-    /// readahead window of `readahead_pages` pages.
+    /// Materialize `source` under `dir` of `vfs`, skipping the write when a
+    /// previous materialization is already present.
+    ///
+    /// The fourth argument was a readahead window and is ignored: every read
+    /// is one exact extent.  It stays, like [`span_hits`](Self::span_hits)
+    /// and [`span_misses`](Self::span_misses), because the frozen
+    /// `benchmark/` package calls this signature.
     pub fn new(
         vfs: Arc<dyn Vfs>,
         dir: &str,
         source: &dyn DataSource,
-        readahead_pages: u32,
+        _readahead_pages: u32,
     ) -> Result<Self, CoordlError> {
         let num_items = source.len();
         let mut offsets = Vec::with_capacity(num_items as usize + 1);
@@ -70,8 +99,17 @@ impl FsBackend {
         offsets.push(cursor);
 
         let path = format!("{dir}/DATA");
-        let file = vfs.open(&path, true).map_err(|e| io_error(u64::MAX, e))?;
-        let existing = vfs.len(file).map_err(|e| io_error(u64::MAX, e))?;
+        let mut file = vfs.open(&path, true).map_err(|e| io_error(u64::MAX, e))?;
+        let mut existing = vfs.len(file).map_err(|e| io_error(u64::MAX, e))?;
+        if existing > cursor {
+            // Writes only ever extend the file, so the leftover of a larger
+            // dataset would fail the length check below on every restart:
+            // start it over.
+            vfs.close(file).map_err(|e| io_error(u64::MAX, e))?;
+            vfs.remove(&path).map_err(|e| io_error(u64::MAX, e))?;
+            file = vfs.open(&path, true).map_err(|e| io_error(u64::MAX, e))?;
+            existing = 0;
+        }
         if existing != cursor {
             // Write item by item; the file ends page-aligned, so a matching
             // length marks a completed materialization.
@@ -108,13 +146,14 @@ impl FsBackend {
             vfs.sync(file).map_err(|e| io_error(u64::MAX, e))?;
         }
 
-        let reader = AlignedReader::new(Arc::clone(&vfs), file, readahead_pages);
         Ok(FsBackend {
             vfs,
-            reader,
+            file,
             offsets,
             sizes,
+            free: Mutex::new(Vec::new()),
             profile: None,
+            reads: AtomicU64::new(0),
             modelled_nanos: AtomicU64::new(0),
             measured_nanos: AtomicU64::new(0),
         })
@@ -132,19 +171,17 @@ impl FsBackend {
         &self.vfs
     }
 
-    /// The readahead window, in pages.
-    pub fn readahead_pages(&self) -> u32 {
-        self.reader.readahead_pages()
-    }
-
-    /// Reads served from the readahead span without touching the VFS.
+    /// Always 0: there is no span to hit.  Kept for the frozen `benchmark/`
+    /// package (see [`FsBackend::new`]).
     pub fn span_hits(&self) -> u64 {
-        self.reader.span_hits()
+        0
     }
 
-    /// Reads that issued a physical aligned read.
+    /// Physical reads issued, one per in-range [`read`](FetchBackend::read).
+    /// The name is the one the frozen `benchmark/` package calls (see
+    /// [`FsBackend::new`]).
     pub fn span_misses(&self) -> u64 {
-        self.reader.span_misses()
+        self.reads.load(Ordering::Relaxed)
     }
 }
 
@@ -161,25 +198,44 @@ impl FetchBackend for FsBackend {
         check_item_in_range("fs", item, self.num_items())?;
         let offset = self.offsets[item as usize];
         let len = self.sizes[item as usize] as usize;
+        let mut buf = self.free.lock().pop().unwrap_or_default();
+        buf.resize(len, 0);
         let started = Instant::now();
-        let read = self.reader.read(offset, len);
+        let read = self.vfs.read_into(self.file, offset, &mut buf);
         // A failed read spent device time too: count it before propagating.
         self.measured_nanos
             .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let bytes = read.map_err(|e| io_error(item, e))?;
-        if bytes.len() != len {
-            return Err(CoordlError::BackendIo {
-                backend: "fs".to_string(),
-                item,
-                detail: format!("truncated read: expected {len} bytes, got {}", bytes.len()),
-            });
+        self.reads.fetch_add(1, Ordering::Relaxed);
+        // Whatever lies past the bytes this read delivered is what the
+        // buffer's previous owner left there: cut it off before anything
+        // looks at the length.
+        buf.truncate(read.as_ref().map_or(0, |&got| got));
+        let detail = match read {
+            Ok(got) if got == len => {
+                if let Some((profile, pattern)) = &self.profile {
+                    let secs = profile.read_seconds(len as u64, *pattern);
+                    self.modelled_nanos
+                        .fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
+                }
+                return Ok(buf);
+            }
+            Ok(got) => format!("truncated read: expected {len} bytes, got {got}"),
+            Err(err) => err.to_string(),
+        };
+        // The buffer of a failed read is as good as any other.
+        self.recycle(buf);
+        Err(CoordlError::BackendIo {
+            backend: "fs".to_string(),
+            item,
+            detail,
+        })
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        let mut free = self.free.lock();
+        if free.len() < FREE_LIST_CAP {
+            free.push(buf);
         }
-        if let Some((profile, pattern)) = &self.profile {
-            let secs = profile.read_seconds(len as u64, *pattern);
-            self.modelled_nanos
-                .fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
-        }
-        Ok(bytes)
     }
 
     fn profile(&self) -> Option<&DeviceProfile> {
@@ -202,11 +258,37 @@ impl FetchBackend for FsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dataset::{DatasetSpec, SyntheticItemStore};
-    use vfs::MemVfs;
+    use dataset::{DatasetSpec, InMemoryStore, SyntheticItemStore};
+    use std::sync::Condvar;
+    use std::time::Duration;
+    use vfs::{MemVfs, OsVfs, VfsStats};
 
     fn store(n: u64, size: u64) -> SyntheticItemStore {
         SyntheticItemStore::new(DatasetSpec::new("t", n, size, 0.0, 6.0), 3)
+    }
+
+    /// Run `test` on a `MemVfs` and on an `OsVfs` under a scratch directory
+    /// named after the calling test (tests run in parallel and must not
+    /// share one).
+    fn with_both(name: &str, test: impl Fn(Arc<dyn Vfs>)) {
+        let dir = std::env::temp_dir().join(format!("coordl-fsb-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        test(Arc::new(MemVfs::new()));
+        test(Arc::new(OsVfs::new(&dir).unwrap()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `(reads, bytes_read)` issued between two snapshots.
+    fn reads_since(vfs: &dyn Vfs, before: VfsStats) -> (u64, u64) {
+        let now = vfs.stats();
+        (now.reads - before.reads, now.bytes_read - before.bytes_read)
+    }
+
+    /// Fill the free list with buffers full of `item`'s bytes.
+    fn prime(b: &FsBackend, item: ItemId) {
+        let bufs: Vec<_> = (0..FREE_LIST_CAP).map(|_| b.read(item).unwrap()).collect();
+        bufs.into_iter().for_each(|buf| b.recycle(buf));
+        assert_eq!(b.free.lock().len(), FREE_LIST_CAP);
     }
 
     #[test]
@@ -253,22 +335,46 @@ mod tests {
     }
 
     #[test]
-    fn readahead_turns_sequential_item_reads_into_fewer_physical_reads() {
-        let src = store(32, 2048);
-        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let wide = FsBackend::new(Arc::clone(&vfs), "wide", &src, 8).unwrap();
-        let narrow = FsBackend::new(Arc::clone(&vfs), "narrow", &src, 0).unwrap();
-        for item in 0..32 {
-            let _ = wide.read(item).unwrap();
-            let _ = narrow.read(item).unwrap();
-        }
-        assert!(
-            wide.span_misses() < narrow.span_misses(),
-            "readahead {} misses vs none {}",
-            wide.span_misses(),
-            narrow.span_misses()
-        );
-        assert_eq!(narrow.span_misses(), 32, "no readahead: one read per item");
+    fn a_longer_stale_data_file_is_replaced_once_not_on_every_restart() {
+        with_both("stale", |vfs| {
+            let (large, small) = (store(16, 3000), store(8, 3000));
+            drop(FsBackend::new(Arc::clone(&vfs), "ds", &large, 0).unwrap());
+            drop(FsBackend::new(Arc::clone(&vfs), "ds", &small, 0).unwrap());
+            let writes_after_replacing = vfs.stats().writes;
+            let again = FsBackend::new(Arc::clone(&vfs), "ds", &small, 0).unwrap();
+            assert_eq!(
+                vfs.stats().writes,
+                writes_after_replacing,
+                "{}: the replaced DATA file has the small dataset's length",
+                vfs.name()
+            );
+            for item in 0..8 {
+                assert_eq!(again.read(item).unwrap(), small.read(item), "item {item}");
+            }
+        });
+    }
+
+    #[test]
+    fn every_read_is_one_exact_extent() {
+        let sizes = [1usize, 4095, 4096, 5000];
+        let items = sizes.iter().map(|&n| vec![n as u8; n]).collect();
+        let src = InMemoryStore::new(items);
+        with_both("extent", |vfs| {
+            let b = FsBackend::new(Arc::clone(&vfs), "ds", &src, 8).unwrap();
+            // Twice over, the second pass into the first one's buffers: a
+            // recycled buffer of another size changes nothing.
+            for pass in 0..2 {
+                for (item, &size) in sizes.iter().enumerate() {
+                    let before = vfs.stats();
+                    let got = b.read(item as ItemId).unwrap();
+                    assert_eq!(got, src.read(item as ItemId), "pass {pass} item {item}");
+                    assert_eq!(reads_since(&*vfs, before), (1, size as u64));
+                    b.recycle(got);
+                }
+            }
+            assert_eq!(b.span_misses(), 8, "physical reads == reads asked for");
+            assert_eq!(b.span_hits(), 0);
+        });
     }
 
     #[test]
@@ -276,30 +382,39 @@ mod tests {
         let src = store(4, 2048);
         let dir = std::env::temp_dir().join(format!("coordl-fsb-trunc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let vfs: Arc<dyn Vfs> = Arc::new(vfs::OsVfs::new(&dir).unwrap());
+        let vfs: Arc<dyn Vfs> = Arc::new(OsVfs::new(&dir).unwrap());
         let b = FsBackend::new(Arc::clone(&vfs), "ds", &src, 0).unwrap();
         assert_eq!(b.read(3).unwrap(), src.read(3));
-        // Truncate the materialized file behind the backend's back: the
-        // next uncached read comes back short and must be a typed error,
-        // not a panic.  (Item 3's span is still buffered; item 1 is not.)
+        // Every buffer the next reads draw is full of item 3's bytes.
+        prime(&b, 3);
+        // Truncate the materialized file behind the backend's back: item 0
+        // comes back short and item 1 empty.  Both must be the typed error,
+        // never a payload padded out with what the buffer held before, and
+        // never a panic.
         std::fs::OpenOptions::new()
             .write(true)
             .open(dir.join("ds/DATA"))
             .unwrap()
             .set_len(100)
             .unwrap();
-        match b.read(1) {
-            Err(CoordlError::BackendIo {
-                backend,
-                item,
-                detail,
-            }) => {
-                assert_eq!(backend, "fs");
-                assert_eq!(item, 1);
-                assert!(detail.contains("truncated"), "{detail}");
+        for (item, got) in [(0, 100), (1, 0)] {
+            match b.read(item) {
+                Err(CoordlError::BackendIo {
+                    backend,
+                    item: failed,
+                    detail,
+                }) => {
+                    assert_eq!(backend, "fs");
+                    assert_eq!(failed, item);
+                    assert_eq!(
+                        detail,
+                        format!("truncated read: expected 2048 bytes, got {got}")
+                    );
+                }
+                other => panic!("expected truncated-read error, got {other:?}"),
             }
-            other => panic!("expected truncated-read error, got {other:?}"),
         }
+        assert_eq!(b.free.lock().len(), FREE_LIST_CAP, "failed reads pooled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -325,6 +440,25 @@ mod tests {
             b.measured_seconds() > before,
             "the time a failed read took is device time too"
         );
+        // The one buffer those reads drew went back to the list each time,
+        // not to the allocator, and serves the first read that works again.
+        assert_eq!(b.free.lock().len(), 1);
+        assert_eq!(vfs.open("ds/DATA", false).unwrap(), handle);
+        assert_eq!(b.read(1).unwrap(), src.read(1));
+        assert!(b.free.lock().is_empty());
+    }
+
+    #[test]
+    fn recycling_a_useless_or_foreign_buffer_is_harmless() {
+        let src = store(4, 2048);
+        let b = FsBackend::new(Arc::new(MemVfs::new()), "ds", &src, 0).unwrap();
+        b.recycle(Vec::new()); // nothing to reuse
+        b.recycle(vec![0xAA; 1 << 20]); // oversized
+        b.recycle(vec![0xAA; 7]); // too small, and not from `read`
+        b.recycle(Vec::with_capacity(2048)); // empty
+        for item in 0..4 {
+            assert_eq!(b.read(item).unwrap(), src.read(item), "item {item}");
+        }
     }
 
     #[test]
@@ -336,6 +470,220 @@ mod tests {
             b.read(99),
             Err(CoordlError::BackendIo { item: 99, .. })
         ));
+    }
+
+    #[test]
+    fn concurrent_reads_are_exact_extents_and_the_free_list_stays_capped() {
+        let src = store(50, 3000);
+        with_both("threads", |vfs| {
+            let b = FsBackend::new(Arc::clone(&vfs), "ds", &src, 3).unwrap();
+            let before = vfs.stats();
+            let (threads, rounds) = (4u64, 2u64);
+            // A consumer that holds a round's payloads and hands them all
+            // back at once: more than the list may keep, even from one
+            // thread alone.
+            let per_round = FREE_LIST_CAP as u64 + 50;
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let (b, src) = (&b, &src);
+                    s.spawn(move || {
+                        for round in 0..rounds {
+                            let held: Vec<_> = (0..per_round)
+                                .map(|i| {
+                                    let item = (i * 7 + t + round) % 50;
+                                    let got = b.read(item).unwrap();
+                                    assert_eq!(got, src.read(item), "thread {t} item {item}");
+                                    got
+                                })
+                                .collect();
+                            for buf in held {
+                                b.recycle(buf);
+                                assert!(b.free.lock().len() <= FREE_LIST_CAP);
+                            }
+                        }
+                    });
+                }
+            });
+            let reads = threads * rounds * per_round;
+            assert_eq!(reads_since(&*vfs, before), (reads, reads * 3000));
+            assert_eq!(b.span_misses(), reads);
+            assert_eq!(b.free.lock().len(), FREE_LIST_CAP);
+        });
+    }
+
+    /// Every required `Vfs` method except `read_at`, forwarded to
+    /// `self.inner`.
+    macro_rules! delegate_to_inner {
+        () => {
+            fn open(&self, path: &str, create: bool) -> Result<FileHandle, VfsError> {
+                self.inner.open(path, create)
+            }
+            fn write_at(&self, file: FileHandle, offset: u64, data: &[u8]) -> Result<(), VfsError> {
+                self.inner.write_at(file, offset, data)
+            }
+            fn sync(&self, file: FileHandle) -> Result<(), VfsError> {
+                self.inner.sync(file)
+            }
+            fn len(&self, file: FileHandle) -> Result<u64, VfsError> {
+                self.inner.len(file)
+            }
+            fn close(&self, file: FileHandle) -> Result<(), VfsError> {
+                self.inner.close(file)
+            }
+            fn exists(&self, path: &str) -> bool {
+                self.inner.exists(path)
+            }
+            fn remove(&self, path: &str) -> Result<(), VfsError> {
+                self.inner.remove(path)
+            }
+            fn name(&self) -> &'static str {
+                self.inner.name()
+            }
+            fn stats(&self) -> VfsStats {
+                self.inner.stats()
+            }
+        };
+    }
+
+    /// A `Vfs` that provides only the required methods, as a decorator
+    /// outside the `vfs` crate would, and counts the reads it is shown.
+    struct RequiredOnly {
+        inner: Arc<dyn Vfs>,
+        reads_seen: AtomicU64,
+    }
+
+    impl Vfs for RequiredOnly {
+        fn read_at(&self, file: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, VfsError> {
+            self.reads_seen.fetch_add(1, Ordering::Relaxed);
+            self.inner.read_at(file, offset, len)
+        }
+        delegate_to_inner!();
+    }
+
+    #[test]
+    fn required_methods_only_vfs_serves_the_same_bytes_by_default_read_into() {
+        let src = store(6, 5000);
+        with_both("default", |vfs| {
+            let wrapped = Arc::new(RequiredOnly {
+                inner: Arc::clone(&vfs),
+                reads_seen: AtomicU64::new(0),
+            });
+            let b = FsBackend::new(Arc::clone(&wrapped) as Arc<dyn Vfs>, "ds", &src, 3).unwrap();
+            let before = vfs.stats();
+            for item in 0..6 {
+                assert_eq!(b.read(item).unwrap(), src.read(item), "item {item}");
+            }
+            // The wrapper saw every read, and each was one read below it.
+            assert_eq!(wrapped.reads_seen.load(Ordering::Relaxed), 6);
+            assert_eq!(reads_since(&*vfs, before), (6, 6 * 5000));
+            // `read_into` itself, defaulted against native: short at end of
+            // file and past it, the buffer's tail left as it was.
+            let len = vfs.len(b.file).unwrap();
+            for (offset, want) in [(len - 5, 5), (len + 1, 0), (10, 64)] {
+                let (mut native, mut defaulted) = ([0xAAu8; 64], [0xAAu8; 64]);
+                let before = vfs.stats();
+                assert_eq!(vfs.read_into(b.file, offset, &mut native), Ok(want));
+                assert_eq!(reads_since(&*vfs, before), (1, want as u64));
+                assert_eq!(wrapped.read_into(b.file, offset, &mut defaulted), Ok(want));
+                assert_eq!(reads_since(&*vfs, before), (2, 2 * want as u64));
+                assert_eq!(native, defaulted);
+                assert!(native[want..].iter().all(|&byte| byte == 0xAA));
+            }
+        });
+    }
+
+    /// A `Vfs` whose `read_into` does not return until two reads are inside
+    /// it at once (or a timeout passes, so that a backend that serialises
+    /// its reads fails the test instead of hanging it).
+    struct Rendezvous {
+        inner: Arc<dyn Vfs>,
+        inside: std::sync::Mutex<u32>,
+        changed: Condvar,
+        met: AtomicU64,
+    }
+
+    impl Vfs for Rendezvous {
+        fn read_into(
+            &self,
+            file: FileHandle,
+            offset: u64,
+            buf: &mut [u8],
+        ) -> Result<usize, VfsError> {
+            let mut inside = self.inside.lock().unwrap();
+            *inside += 1;
+            self.changed.notify_all();
+            let (inside, timeout) = self
+                .changed
+                .wait_timeout_while(inside, Duration::from_secs(10), |n| *n < 2)
+                .unwrap();
+            if !timeout.timed_out() {
+                self.met.fetch_add(1, Ordering::Relaxed);
+            }
+            drop(inside);
+            self.inner.read_into(file, offset, buf)
+        }
+        fn read_at(&self, file: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, VfsError> {
+            self.inner.read_at(file, offset, len)
+        }
+        delegate_to_inner!();
+    }
+
+    #[test]
+    fn two_reads_are_in_flight_at_once_because_no_lock_is_held_across_io() {
+        let src = store(8, 1000);
+        let vfs = Arc::new(Rendezvous {
+            inner: Arc::new(MemVfs::new()),
+            inside: std::sync::Mutex::new(0),
+            changed: Condvar::new(),
+            met: AtomicU64::new(0),
+        });
+        let b = FsBackend::new(Arc::clone(&vfs) as Arc<dyn Vfs>, "ds", &src, 0).unwrap();
+        std::thread::scope(|s| {
+            for item in [1, 5] {
+                let (b, src) = (&b, &src);
+                s.spawn(move || assert_eq!(b.read(item).unwrap(), src.read(item)));
+            }
+        });
+        assert_eq!(b.span_misses(), 2);
+        assert_eq!(
+            vfs.met.load(Ordering::Relaxed),
+            2,
+            "both physical reads were inside the VFS at the same time"
+        );
+    }
+
+    #[test]
+    fn a_stack_hands_back_what_the_tier_did_not_keep() {
+        use crate::stack::LoaderStack;
+        use crate::{ByteTierSpec, TieredByteCache};
+        use prep::{ExecutablePipeline, PrepPipeline};
+        let src = store(4, 2048);
+        let backend = Arc::new(FsBackend::new(Arc::new(MemVfs::new()), "ds", &src, 0).unwrap());
+        // Room for two items: MinIO admits 0 and 1 and bypasses the rest.
+        let tier = TieredByteCache::try_new_sharded(
+            vec![ByteTierSpec::dram(dcache::PolicyKind::MinIo, 2 * 2048)],
+            1,
+        )
+        .unwrap();
+        let stack = LoaderStack {
+            tier: Arc::new(tier),
+            backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
+            stats: Arc::default(),
+            pipeline: Arc::new(ExecutablePipeline::new(
+                PrepPipeline::image_classification(),
+                2,
+                7,
+            )),
+        };
+        assert_eq!(stack.prepare(0, &[0, 1]).unwrap().len(), 2);
+        assert!(backend.free.lock().is_empty(), "admitted payloads stay put");
+        assert_eq!(stack.prepare(0, &[2, 3]).unwrap().len(), 2);
+        assert_eq!(
+            backend.free.lock().len(),
+            1,
+            "item 3 was read into item 2's"
+        );
+        assert_eq!(backend.span_misses(), 4);
     }
 
     #[test]

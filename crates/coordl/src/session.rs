@@ -848,6 +848,7 @@ impl EpochRun<'_> {
             self.epoch,
             session.plan(self.epoch, job),
             Arc::clone(&session.lanes[job]),
+            Arc::clone(&session.backend),
             Arc::clone(&session.pipeline),
             Arc::clone(&session.stats),
             session.executor,

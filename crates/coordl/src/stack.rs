@@ -6,6 +6,7 @@
 //! [`executor`](crate::executor); this module provides the stack — what a
 //! fetch *does* in single and coordinated sessions.
 
+use crate::backend::recycle_if_last;
 use crate::error::CoordlError;
 use crate::executor::FetchFn;
 use crate::stats::LoaderStats;
@@ -53,7 +54,9 @@ impl LoaderStack {
             .map(|&item| {
                 let raw = self.fetch(item)?;
                 self.stats.record_prepared(1);
-                Ok(self.pipeline.prepare(epoch, item, &raw))
+                let sample = self.pipeline.prepare(epoch, item, &raw);
+                recycle_if_last(&*self.backend, raw);
+                Ok(sample)
             })
             .collect()
     }

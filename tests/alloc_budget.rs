@@ -1,8 +1,9 @@
-//! Allocation budget of the runtime's data path (ISSUE 15): a delivered
-//! sample's bytes are allocated once per stage — the payload a miss reads and
-//! the buffer prep returns — not two to four times.  The gate is an exact
-//! count, so it runs on every host: bytes requested from the allocator per
-//! delivered sample, over steady epochs of two `dsbench`-shaped sessions.
+//! Allocation budget of the runtime's data path (ISSUEs 15 and 17): a
+//! delivered sample's bytes are allocated once — the buffer prep returns; the
+//! payload a miss reads is a recycled one — not two to four times.  The gate
+//! is a count, not a timing, so it runs on every host: bytes requested from
+//! the allocator per delivered sample, over steady epochs of two
+//! `dsbench`-shaped sessions.
 
 use datastalls::cache::PolicyKind;
 use datastalls::coordl::{FsBackend, Session, SessionConfig};
@@ -85,9 +86,14 @@ fn steady_bytes_per_sample(session: &Session) -> u64 {
 #[test]
 fn a_delivered_sample_is_allocated_once_per_stage() {
     // `fetch_serial_fs`: 64 KiB items read from a packed file, 35 % of them
-    // cached, the crop as the only transform.  Per sample: 0.65 miss
-    // payloads and one crop window of half to all of the item — against a
-    // zeroed span, a payload, a copy of the item and the crop before.
+    // cached, the crop as the only transform.  Per sample: one crop window
+    // of half to all of the item (0.75 of it on average); the 0.65 miss
+    // payloads are read into buffers prep handed back.  The backend's free
+    // list grows to the most payloads that were ever between fetch and prep
+    // at once, in whichever epoch a stage first runs that far ahead; with at
+    // most three batches of 8 there, what it can still grow by in the
+    // counted epochs is 0.03 of an item per sample (`dsbench`'s window of
+    // six batches of 32 is most of this 256-item dataset: 0.79 to 0.82 x).
     let (items, item_bytes) = (256u64, 64 * 1024u64);
     let dataset = source(items, item_bytes);
     let backend = FsBackend::new(Arc::new(MemVfs::new()), "data", dataset.as_ref(), 8)
@@ -96,7 +102,12 @@ fn a_delivered_sample_is_allocated_once_per_stage() {
         name: "crop-only".to_string(),
         transforms: vec![TransformKind::RandomResizedCrop],
     };
-    let session = Session::builder(dataset, config(items * item_bytes * 35 / 100))
+    let small_window = SessionConfig {
+        batch_size: 8,
+        prefetch_depth: 1,
+        ..config(items * item_bytes * 35 / 100)
+    };
+    let session = Session::builder(dataset, small_window)
         .cache_policy(PolicyKind::MinIo)
         .fetch_backend(Arc::new(backend))
         .pipeline(ExecutablePipeline::new(crop_only, 1, 3))
@@ -104,7 +115,7 @@ fn a_delivered_sample_is_allocated_once_per_stage() {
         .expect("valid session");
     let per_sample = steady_bytes_per_sample(&session);
     assert!(
-        per_sample <= item_bytes * 16 / 10,
+        per_sample <= item_bytes * 8 / 10,
         "fetch-bound session requests {per_sample} bytes per {item_bytes}-byte sample"
     );
 
