@@ -49,12 +49,6 @@ impl Table {
         self
     }
 
-    /// Append one row of displayable values (convenience over [`Table::row`]).
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows currently in the table.
     pub fn num_rows(&self) -> usize {
         self.rows.len()

@@ -75,13 +75,6 @@ pub enum ChainSource {
     Store,
 }
 
-impl ChainSource {
-    /// True when the access missed every tier.
-    pub fn is_store(self) -> bool {
-        matches!(self, ChainSource::Store)
-    }
-}
-
 /// The outcome of one [`TierChain::access`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainAccess {

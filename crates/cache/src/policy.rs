@@ -491,11 +491,6 @@ impl<K: Hash + Eq + Clone> MinIoCache<K> {
         // compare `used_bytes` with `capacity_bytes` themselves.
         self.used >= self.capacity
     }
-
-    /// Iterate over resident keys (used by the partitioned-cache directory).
-    pub fn resident_keys(&self) -> impl Iterator<Item = &K> {
-        self.resident.iter()
-    }
 }
 
 impl<K: Hash + Eq + Clone> Cache<K> for MinIoCache<K> {

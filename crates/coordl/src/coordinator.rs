@@ -18,83 +18,21 @@
 //! watermarks track the contiguous prefix already published.  When a job is
 //! killed mid-epoch ([`EpochSession::inject_failure`]) its shard's batches
 //! stop flowing; a consumer that times out waiting identifies the dead
-//! shard and spawns a *recovery producer* that resumes it from the
-//! watermark (mirroring §4.3's "Handling job failures and terminations").
+//! shard and spawns a *recovery executor* — one more sweep over the same
+//! plan, through the same lane and sink, that keeps exactly the dead shard's
+//! batches from its watermark on (mirroring §4.3's "Handling job failures
+//! and terminations").
 
 use crate::error::CoordlError;
-use crate::executor::{
-    ExecutorConfig, ExecutorShared, ExecutorSpec, PrefetchExecutor, PreparedSink, SkipFn,
-};
+use crate::executor::{ExecutorShared, Lane, Plan, PrefetchExecutor, PreparedSink, SkipFn};
 use crate::minibatch::Minibatch;
-use crate::stack::LoaderStack;
+use crate::session::SessionConfig;
 use crate::staging::{PublishOutcome, StagingArea, TakeError};
-use dataset::ItemId;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The coordinated-prep engine: everything needed to run shared epochs.
-pub(crate) struct CoordinatedEngine {
-    pub(crate) stack: LoaderStack,
-    pub(crate) num_jobs: usize,
-    pub(crate) staging_window: usize,
-    pub(crate) take_timeout: Duration,
-    /// Shape of the one executor shared by all jobs of the session.
-    pub(crate) executor: ExecutorConfig,
-}
-
-impl CoordinatedEngine {
-    /// Start one coordinated epoch over `plan`, the epoch's ordered
-    /// `(batch_index, items)` list.
-    pub(crate) fn run_epoch(&self, epoch: u64, plan: Vec<(usize, Vec<ItemId>)>) -> EpochSession {
-        let num_jobs = self.num_jobs;
-        // Round-robin shard *ownership* (failure attribution): batch index
-        // i belongs to job i % num_jobs.  Recovery producers replay a
-        // shard's ordered batch list from its watermark.
-        let shards = (0..num_jobs)
-            .map(|j| plan.iter().skip(j).step_by(num_jobs).cloned().collect())
-            .collect();
-        let state = Arc::new(EpochState {
-            epoch,
-            total: plan.len(),
-            shards,
-            staging: Arc::new(StagingArea::new(num_jobs, self.staging_window)),
-            stack: self.stack.clone(),
-            take_timeout: self.take_timeout,
-            handles: Mutex::new(Vec::new()),
-            progress: (0..num_jobs)
-                .map(|_| Mutex::new(ShardProgress::default()))
-                .collect(),
-            kill_flags: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
-            recovered: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
-        });
-
-        // One shared executor per epoch: the fetch stage sweeps every batch
-        // in training order; the prep pool publishes into the staging area.
-        // Batches of a killed job are dropped at dispatch so its work
-        // disappears mid-epoch, exactly like a dying producer's would.
-        let killed = Arc::clone(&state);
-        let skip: Arc<SkipFn> = Arc::new(move |index: usize| {
-            killed.kill_flags[index % num_jobs].load(Ordering::SeqCst)
-        });
-        let executor = PrefetchExecutor::spawn(ExecutorSpec {
-            epoch,
-            batches: plan,
-            fetch: self.stack.fetch_fn(),
-            backend: Arc::clone(&self.stack.backend),
-            skip: Some(skip),
-            pipeline: Arc::clone(&self.stack.pipeline),
-            stats: Arc::clone(&self.stack.stats),
-            sink: Arc::clone(&state) as Arc<dyn PreparedSink>,
-            config: self.executor,
-        });
-        EpochSession { state, executor }
-    }
-}
 
 /// Contiguous-published tracking for one shard: the prep pool publishes a
 /// shard's batches slightly out of order, but recovery must resume from a
@@ -108,35 +46,37 @@ struct ShardProgress {
 }
 
 /// What one coordinated epoch's consumers, executor sink and recovery
-/// producers share: the per-shard plan, the staging area and the
+/// executors share: the plan, the lane, the staging area and the
 /// failure-detection bookkeeping.
 struct EpochState {
     epoch: u64,
-    /// Minibatches per job this epoch.
-    total: usize,
-    /// For each shard (job), the ordered `(batch_index, items)` pairs it is
-    /// responsible for.
-    shards: Vec<Vec<(usize, Vec<ItemId>)>>,
+    /// The epoch's plan; batch `i` belongs to shard (job) `i % num_jobs`.
+    plan: Plan,
+    lane: Lane,
     staging: Arc<StagingArea>,
-    stack: LoaderStack,
     take_timeout: Duration,
-    /// Recovery producer threads (the main pool belongs to the executor).
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Recovery executors (the main one belongs to the [`EpochSession`]);
+    /// `None` once the epoch is torn down, after which none is started.
+    recovery: Mutex<Option<Vec<PrefetchExecutor>>>,
     /// Out-of-order publish tracking per shard; `ShardProgress::next` is
     /// the contiguous published prefix recovery resumes from.
     progress: Vec<Mutex<ShardProgress>>,
     /// Kill switches set by `inject_failure` to simulate a job being
     /// terminated mid-epoch.
     kill_flags: Vec<AtomicBool>,
-    /// Whether a recovery producer has already been launched for a shard.
+    /// Whether a recovery executor has already been launched for a shard.
     recovered: Vec<AtomicBool>,
 }
 
 impl EpochState {
+    fn num_jobs(&self) -> usize {
+        self.progress.len()
+    }
+
     /// Record that epoch batch `index` was published (or found already
     /// resident) and advance its shard's contiguous watermark.
     fn mark_published(&self, index: usize) {
-        let num_jobs = self.shards.len();
+        let num_jobs = self.num_jobs();
         let pos = index / num_jobs;
         let mut progress = self.progress[index % num_jobs].lock();
         if pos >= progress.next {
@@ -152,7 +92,7 @@ impl EpochState {
     }
 }
 
-/// The executor sink for coordinated epochs (and the recovery producers'):
+/// The sink of a coordinated epoch's executors, main and recovery alike:
 /// publish into the staging area and keep the per-shard watermarks current.
 impl PreparedSink for EpochState {
     fn publish(&self, mb: Minibatch) -> bool {
@@ -175,9 +115,46 @@ pub(crate) struct EpochSession {
 }
 
 impl EpochSession {
+    /// Start one coordinated epoch of `num_jobs` jobs on `lane` over `plan`,
+    /// the epoch's ordered `(batch_index, items)` list; `config` sizes the
+    /// staging window and the consumers' take timeout.
+    pub(crate) fn start(
+        lane: &Lane,
+        num_jobs: usize,
+        config: &SessionConfig,
+        epoch: u64,
+        plan: Plan,
+    ) -> Self {
+        let state = Arc::new(EpochState {
+            epoch,
+            plan: Arc::clone(&plan),
+            lane: lane.clone(),
+            staging: Arc::new(StagingArea::new(num_jobs, config.staging_window)),
+            take_timeout: config.take_timeout,
+            recovery: Mutex::new(Some(Vec::new())),
+            progress: (0..num_jobs)
+                .map(|_| Mutex::new(ShardProgress::default()))
+                .collect(),
+            kill_flags: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
+            recovered: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
+        });
+
+        // One shared executor per epoch: the fetch stage sweeps every batch
+        // in training order; the prep pool publishes into the staging area.
+        // Batches of a killed job are dropped at dispatch so its work
+        // disappears mid-epoch, exactly like a dying producer's would.
+        let killed = Arc::clone(&state);
+        let skip: Arc<SkipFn> = Arc::new(move |index: usize| {
+            killed.kill_flags[index % num_jobs].load(Ordering::SeqCst)
+        });
+        let sink = Arc::clone(&state) as Arc<dyn PreparedSink>;
+        let executor = lane.spawn(epoch, plan, Some(skip), sink, Arc::default());
+        EpochSession { state, executor }
+    }
+
     /// Total minibatches per job this epoch.
     pub(crate) fn total_batches(&self) -> usize {
-        self.state.total
+        self.state.plan.len()
     }
 
     /// The staging area (for memory-overhead inspection; the handle
@@ -195,7 +172,7 @@ impl EpochSession {
 
     /// The consumer-side iterator for `job`.
     pub(crate) fn consumer(&self, job: usize) -> JobEpochIterator {
-        assert!(job < self.state.shards.len(), "job {job} out of range");
+        assert!(job < self.state.num_jobs(), "job {job} out of range");
         JobEpochIterator {
             job,
             next: 0,
@@ -209,51 +186,15 @@ impl Drop for EpochSession {
     fn drop(&mut self) {
         // Order matters for a deadlock-free teardown: shutting the staging
         // area down first wakes any prep worker blocked in `publish`, so the
-        // executor's pool (and then its fetch stage) can drain and join.
+        // main executor (whose shutdown flag the recovery executors share)
+        // can drain and join.  The recovery executors are then taken out of
+        // the state and joined here: their threads hold the state as their
+        // sink, so it must never be the state's own drop that joins them.
         self.state.staging.shutdown();
         self.executor.shutdown_and_join();
-        let mut handles = self.state.handles.lock();
-        for h in handles.drain(..) {
-            let _ = h.join();
-        }
+        let recovery = self.state.recovery.lock().take();
+        drop(recovery);
     }
-}
-
-/// A recovery producer: sequentially re-fetch, re-prep and publish `shard`'s
-/// batches from position `from` (its watermark) after the owning job died.
-fn spawn_recovery_thread(
-    state: Arc<EpochState>,
-    shared: Arc<ExecutorShared>,
-    shard: usize,
-    from: usize,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for (index, items) in state.shards[shard].iter().skip(from) {
-                let samples = match state.stack.prepare(state.epoch, items) {
-                    Ok(samples) => samples,
-                    Err(err) => {
-                        // A typed backend failure during recovery surfaces
-                        // like a recovery panic: recorded once, consumers
-                        // see the real cause.
-                        shared.record_error(err);
-                        return;
-                    }
-                };
-                let delivered = state.publish(Minibatch {
-                    epoch: state.epoch,
-                    index: *index,
-                    samples,
-                });
-                if !delivered {
-                    return;
-                }
-            }
-        }));
-        if let Err(payload) = outcome {
-            shared.record_recovery_panic(payload);
-        }
-    })
 }
 
 /// Iterator over one job's view of a coordinated epoch.
@@ -271,19 +212,31 @@ pub(crate) struct JobEpochIterator {
 impl JobEpochIterator {
     /// Handle a take timeout for batch `index`: identify the responsible
     /// shard, and unless it is already being recovered spawn a recovery
-    /// producer resuming from its watermark.
+    /// executor: a sweep over the same plan that keeps only that shard's
+    /// batches from its watermark on.  It shares the main executor's
+    /// failure slot, so a failed recovery reaches every consumer as the
+    /// typed error it was.
     fn handle_timeout(&self, index: usize) {
         let state = &self.state;
-        let shard = index % state.shards.len();
+        let num_jobs = state.num_jobs();
+        let shard = index % num_jobs;
         // Only recover once per shard; a recovery already in flight just
         // means the take is worth retrying.
         if state.recovered[shard].swap(true, Ordering::SeqCst) {
             return;
         }
         let from = state.progress[shard].lock().next;
-        let handle =
-            spawn_recovery_thread(Arc::clone(state), Arc::clone(&self.shared), shard, from);
-        state.handles.lock().push(handle);
+        let skip: Arc<SkipFn> =
+            Arc::new(move |index| index % num_jobs != shard || index / num_jobs < from);
+        if let Some(recovery) = state.recovery.lock().as_mut() {
+            recovery.push(state.lane.spawn(
+                state.epoch,
+                Arc::clone(&state.plan),
+                Some(skip),
+                Arc::clone(state) as Arc<dyn PreparedSink>,
+                Arc::clone(&self.shared),
+            ));
+        }
     }
 }
 
@@ -292,7 +245,8 @@ impl Iterator for JobEpochIterator {
 
     fn next(&mut self) -> Option<Self::Item> {
         let state = &self.state;
-        if self.next >= state.total {
+        let stats = &state.lane.stats;
+        if self.next >= state.plan.len() {
             return None;
         }
         let index = self.next;
@@ -300,16 +254,16 @@ impl Iterator for JobEpochIterator {
         loop {
             let wait = Instant::now();
             let taken = state.staging.take(self.job, index, state.take_timeout);
-            state.stack.stats.record_consumer_wait(wait.elapsed());
+            stats.record_consumer_wait(wait.elapsed());
             match taken {
                 Ok(batch) => {
                     self.next += 1;
-                    state.stack.stats.record_delivered(batch.len() as u64);
+                    stats.record_delivered(batch.len() as u64);
                     return Some(Ok(batch));
                 }
                 Err(TakeError::Shutdown) => return Some(Err(CoordlError::Shutdown)),
                 Err(TakeError::Timeout) => {
-                    // A panicked worker explains the missing batch better
+                    // A failed worker explains the missing batch better
                     // than a producer-failure guess does.
                     if let Some(err) = self.shared.failure() {
                         return Some(Err(err));
@@ -317,7 +271,7 @@ impl Iterator for JobEpochIterator {
                     attempts += 1;
                     if attempts > 3 {
                         return Some(Err(CoordlError::ProducerFailed {
-                            job: index % state.shards.len(),
+                            job: index % state.num_jobs(),
                             batch: index,
                         }));
                     }
@@ -331,19 +285,22 @@ impl Iterator for JobEpochIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{EpochRun, Mode, Session, SessionConfig};
-    use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
+    use crate::session::{EpochRun, Mode, Session, SessionBuilder, SessionConfig};
+    use crate::{DirectBackend, FetchBackend};
+    use dataset::{DataSource, DatasetSpec, ItemId, SyntheticItemStore};
     use prep::{ExecutablePipeline, PrepPipeline};
     use std::collections::HashSet;
+    use std::sync::atomic::AtomicUsize;
 
-    /// A coordinated session; the tests drive its engine through
-    /// `Session::epoch` and the run's per-job streams.
-    fn group(num_jobs: usize, items: u64, batch: usize, cache_bytes: u64) -> Session {
+    fn store(items: u64) -> Arc<dyn DataSource> {
         let spec = DatasetSpec::new("t", items, 128, 0.2, 6.0);
-        let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 5));
+        Arc::new(SyntheticItemStore::new(spec, 5))
+    }
+
+    fn builder(num_jobs: usize, items: u64, batch: usize, cache_bytes: u64) -> SessionBuilder {
         let pipeline = ExecutablePipeline::new(PrepPipeline::image_classification(), 6, 17);
         Session::builder(
-            store,
+            store(items),
             SessionConfig {
                 batch_size: batch,
                 staging_window: 6,
@@ -355,8 +312,14 @@ mod tests {
         )
         .mode(Mode::Coordinated { jobs: num_jobs })
         .pipeline(pipeline)
-        .build()
-        .expect("valid config")
+    }
+
+    /// A coordinated session; the tests drive its engine through
+    /// `Session::epoch` and the run's per-job streams.
+    fn group(num_jobs: usize, items: u64, batch: usize, cache_bytes: u64) -> Session {
+        builder(num_jobs, items, batch, cache_bytes)
+            .build()
+            .expect("valid config")
     }
 
     /// Drain every job's iterator on its own thread (jobs run concurrently in
@@ -470,17 +433,95 @@ mod tests {
 
     #[test]
     fn killed_producer_is_detected_and_its_shard_recovered() {
-        let g = group(2, 120, 10, 1 << 22);
-        let session = g.epoch(0);
-        // Kill job 1's producer immediately: its shard (odd batch indices)
-        // must be taken over by a recovery producer.
-        session.inject_failure(1);
-        let per_job = drain_all(&session, 2);
-        for items in &per_job {
-            assert_eq!(items.len(), 120, "full epoch despite the failure");
-            let set: HashSet<_> = items.iter().collect();
-            assert_eq!(set.len(), 120);
+        for fetch_threads in [1, 2] {
+            let g = builder(2, 120, 10, 1 << 22)
+                .fetch_threads(fetch_threads)
+                .workers(2)
+                .build()
+                .expect("valid config");
+            let session = g.epoch(0);
+            // Kill job 1's producer immediately: its shard (odd batch
+            // indices) must be taken over by a recovery executor.
+            session.inject_failure(1);
+            let per_job = drain_all(&session, 2);
+            for items in &per_job {
+                assert_eq!(items.len(), 120, "full epoch despite the failure");
+                let set: HashSet<_> = items.iter().collect();
+                assert_eq!(set.len(), 120, "f={fetch_threads}: exactly once");
+            }
         }
+    }
+
+    /// A backend whose reads park until it is opened and fail once it is
+    /// armed, counting the successful ones.
+    struct GatedBackend {
+        inner: DirectBackend,
+        open: AtomicBool,
+        armed: AtomicBool,
+        reads: AtomicUsize,
+    }
+
+    impl FetchBackend for GatedBackend {
+        fn num_items(&self) -> u64 {
+            self.inner.num_items()
+        }
+        fn item_bytes(&self, item: ItemId) -> u64 {
+            self.inner.item_bytes(item)
+        }
+        fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
+            while !self.open.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if self.armed.load(Ordering::SeqCst) {
+                return Err(CoordlError::BackendIo {
+                    backend: self.name().into(),
+                    item,
+                    detail: "armed".into(),
+                });
+            }
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.inner.read(item)
+        }
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    #[test]
+    fn a_read_failing_during_recovery_reaches_the_surviving_job_typed() {
+        let backend = Arc::new(GatedBackend {
+            inner: DirectBackend::new(store(60)),
+            open: AtomicBool::new(false),
+            armed: AtomicBool::new(false),
+            reads: AtomicUsize::new(0),
+        });
+        // Six batches fit the staging window of six, so the main sweep can
+        // finish with no consumer running.
+        let g = builder(2, 60, 10, 1 << 22)
+            .fetch_backend(Arc::clone(&backend) as Arc<dyn FetchBackend>)
+            .build()
+            .expect("valid config");
+        let session = g.epoch(0);
+        // The main sweep is parked in its first read: the kill lands before
+        // it decides batch 1, so it reads job 0's three batches and nothing
+        // else.
+        session.inject_failure(1);
+        backend.open.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while backend.reads.load(Ordering::SeqCst) < 30 {
+            assert!(Instant::now() < deadline, "the main sweep stalled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // From here on only the recovery sweep reads, and every read fails.
+        backend.armed.store(true, Ordering::SeqCst);
+        // (A coordinated stream repeats its error; take what is asserted.)
+        let outcomes: Vec<_> = session.stream(0).take(2).collect();
+        assert!(outcomes[0].is_ok(), "batch 0 was published before the kill");
+        match &outcomes[1] {
+            Err(CoordlError::BackendIo { backend, .. }) => assert_eq!(backend, "gated"),
+            other => panic!("expected the recovery sweep's BackendIo, got {other:?}"),
+        }
+        assert_eq!(backend.reads.load(Ordering::SeqCst), 30);
     }
 
     #[test]

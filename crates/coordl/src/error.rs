@@ -17,12 +17,11 @@ pub enum CoordlError {
     },
     /// The staging area was shut down while a consumer was waiting.
     Shutdown,
-    /// A loader worker thread (fetch, prep or recovery) panicked.  The
-    /// session that owned it fails with this error; other sessions are
-    /// unaffected.
+    /// A loader worker thread panicked.  The session that owned it fails
+    /// with this error; other sessions are unaffected.
     WorkerPanicked {
-        /// Which executor stage the thread belonged to (`"fetch"`, `"prep"`
-        /// or `"recovery"`).
+        /// Which executor stage the thread belonged to (`"fetch"` or
+        /// `"prep"`), in a coordinated recovery sweep as in any other.
         stage: &'static str,
         /// The panic payload, when it was a string.
         detail: String,
@@ -81,6 +80,18 @@ impl fmt::Display for CoordlError {
 }
 
 impl std::error::Error for CoordlError {}
+
+/// The printable detail of a caught panic: the payload when it was a string,
+/// as `panic!` payloads are.
+pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,61 +4,78 @@
 //! The paper's fix for data stalls is *overlap*: prefetch raw items ahead of
 //! the consumer and pre-process them on parallel CPU workers so storage and
 //! prep latency hide behind the GPU (§2, §5).  This module implements that
-//! overlap once, for all three session modes:
+//! overlap once, for all three session modes and for coordinated recovery —
+//! three share-nothing stages joined by bounded channels:
 //!
 //! ```text
-//!   plan (ordered batches)
-//!        │ fetch stage: `fetch_threads` >= 1 threads, each owning the
-//!        │ cache shards `{k : k % fetch_threads == t}`
+//!   plan (ordered batches, shared by reference)
+//!        │ fetch stage: `fetch_threads` >= 1 threads; thread `t` walks the
+//!        │ plan in order and fetches the items of the cache shards
+//!        │ `{k : k % fetch_threads == t}`
 //!        ▼
-//!   bounded raw-batch queue (prefetch_depth)
-//!        │ N prep workers, deterministic per-(epoch, item) pipeline
+//!   one bounded thread lane per fetch thread (prefetch_depth positions):
+//!   one partial — the thread's `(slot, bytes)` — per plan position
+//!        │ N prep workers; one at a time assembles the next position from
+//!        │ every thread lane, then all prep in parallel, deterministically
+//!        │ per (epoch, item)
 //!        ▼
 //!   PreparedSink — reorder buffer (single / partitioned) or the
 //!                  coordinated StagingArea
 //! ```
 //!
-//! **Determinism contract.**  The fetch stage is one **sharded pool** of
-//! `fetch_threads = f >= 1` threads: items are routed to cache shards by
-//! `dcache::shard_of_key` (the same routing the sharded tiers use), and pool
-//! thread `t` owns exactly the shards `{k : k % f == t}`.  Every pool thread
-//! walks *every* plan position in order, fetching only the items it owns, so
-//! all tier transactions for a given key are executed by exactly one thread,
-//! in plan order for that key's shard — the per-shard access subsequence is
-//! the same for every `f`, and for `f = 1` it is the whole plan in order on
-//! one thread.  Cache hits, misses, byte provenance and eviction decisions
-//! are therefore a pure function of the plan and the shard count: streams
-//! and [`LoaderStats`] counters are bit-identical across `fetch_threads`,
-//! `workers` and `prefetch_depth` for *any* tier policy (the
-//! order-preserving sinks and the per-`(epoch, item)` deterministic prep
-//! carry that through to the delivered minibatches); only the stage-timing
-//! counters (fetch busy/stall per thread, prep busy/stall, consumer wait)
-//! move.  The root `tests/parallel_session_equivalence.rs` and
-//! `tests/parallel_fetch_equivalence.rs` suites pin this contract.
+//! **Determinism contract.**  Items are routed to cache shards by
+//! `dcache::shard_of_key` (the same routing the sharded tiers use) and fetch
+//! thread `t` of `f` owns exactly the shards `{k : k % f == t}`.  Each
+//! thread walks *every* plan position in order, fetching only the items it
+//! owns, so all tier transactions for a given key are executed by exactly
+//! one thread, in plan order for that key's shard — the per-shard access
+//! subsequence is the same for every `f`, and for `f = 1` it is the whole
+//! plan in order on one thread.  That per-shard *program order* is the whole
+//! contract, and it needs no state shared between fetch threads: a thread
+//! waits only on its own lane.  Cache hits, misses, byte provenance and
+//! eviction decisions are therefore a pure function of the plan and the
+//! shard count: streams and [`LoaderStats`] counters are bit-identical
+//! across `fetch_threads`, `workers` and `prefetch_depth` for *any* tier
+//! policy (the order-preserving sinks and the per-`(epoch, item)`
+//! deterministic prep carry that through to the delivered minibatches); only
+//! the stage-timing counters (fetch busy/stall per thread, prep busy/stall,
+//! consumer wait) move.  The root `tests/parallel_session_equivalence.rs`
+//! and `tests/parallel_fetch_equivalence.rs` suites pin this contract.
+//!
+//! **Window and progress.**  A fetch thread runs at most `prefetch_depth`
+//! positions (plus the one parked in `send`) ahead of the assembler.  The
+//! assembler holds its lock across `recv` on purpose — lanes are FIFO, so
+//! nobody else could make progress on a later position anyway — and it waits
+//! only on a lane whose head is empty; that lane's thread is therefore
+//! fetching, not parked on a full lane, so the wait ends.
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and recorded in the shared
-//! [`ExecutorShared`] slot; the channels disconnect, the remaining threads
-//! drain out, and only the owning session's streams observe the error.
-//! Shutting down mid-epoch (dropping a stream or an epoch run) never
-//! deadlocks: the owner drops the consumer endpoint (or shuts the staging
-//! area down) *before* joining, which unblocks any worker parked on a full
-//! queue.
+//! [`ExecutorShared`] slot; a typed fetch error is recorded as it is.  The
+//! failing fetch thread returns, which drops its lane's sender: the
+//! assembler sees the lane end, the prep workers leave, the last one drops
+//! the lane receivers, and any fetch thread parked on a full lane wakes and
+//! returns.  Only the owning session's streams observe the error.  Shutting
+//! down mid-epoch (dropping a stream or an epoch run) never deadlocks and
+//! never polls a clock: the owner drops the consumer endpoint (or shuts the
+//! staging area down) *before* joining, which unblocks any worker parked in
+//! `publish`, and the fetch threads read the shutdown flag once per
+//! position.
 
 use crate::backend::{recycle_if_last, FetchBackend};
-use crate::error::CoordlError;
+use crate::error::{panic_detail, CoordlError};
 use crate::minibatch::Minibatch;
 use crate::stats::LoaderStats;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dataset::ItemId;
 use parking_lot::Mutex;
 use prep::ExecutablePipeline;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How raw bytes for one item are obtained (tier → backend for single and
 /// coordinated sessions, cluster lookup order for partitioned nodes).
@@ -67,8 +84,17 @@ use std::time::{Duration, Instant};
 pub(crate) type FetchFn = dyn Fn(ItemId) -> Result<Arc<Vec<u8>>, CoordlError> + Send + Sync;
 
 /// Batch-index filter: `true` drops the batch before fetch and prep
-/// (coordinated failure injection).
+/// (coordinated failure injection and recovery).
 pub(crate) type SkipFn = dyn Fn(usize) -> bool + Send + Sync;
+
+/// One epoch's ordered plan, `(batch_index, item_ids)` in training order,
+/// shared by every executor that sweeps it and read by position.
+pub(crate) type Plan = Arc<Vec<(usize, Vec<ItemId>)>>;
+
+/// What a fetch thread sends down its lane per plan position: the position's
+/// skip decision and the `(slot, bytes)` of the items the thread owns there
+/// (none when it owns nothing or the position is skipped).
+type Partial = (bool, Vec<(usize, Arc<Vec<u8>>)>);
 
 /// Where prep workers deliver prepared minibatches.
 pub(crate) trait PreparedSink: Send + Sync + 'static {
@@ -83,15 +109,9 @@ impl PreparedSink for Sender<Minibatch> {
     }
 }
 
-/// One fetched-but-not-yet-prepared minibatch in flight between the stages.
-struct RawBatch {
-    index: usize,
-    items: Vec<ItemId>,
-    raw: Vec<Arc<Vec<u8>>>,
-}
-
-/// State shared between an executor's threads and its owner: the first
-/// worker panic (as a typed error) and the shutdown flag.
+/// State shared between an executor's threads and its owner (and, in a
+/// coordinated epoch, its recovery executors): the first failure as a typed
+/// error, and the shutdown flag.
 #[derive(Default)]
 pub(crate) struct ExecutorShared {
     error: Mutex<Option<CoordlError>>,
@@ -99,37 +119,23 @@ pub(crate) struct ExecutorShared {
 }
 
 impl ExecutorShared {
-    /// Record the first panic; later ones are dropped (the first is the
-    /// cause, the rest are fallout).
+    /// Record a stage thread's panic as a typed error.
     fn record_panic(&self, stage: &'static str, payload: Box<dyn std::any::Any + Send>) {
-        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_string()
-        };
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(CoordlError::WorkerPanicked { stage, detail });
-        }
+        let detail = panic_detail(payload);
+        self.record_error(CoordlError::WorkerPanicked { stage, detail });
     }
 
-    /// Record a recovery-producer panic (coordinated mode's failure path).
-    pub(crate) fn record_recovery_panic(&self, payload: Box<dyn std::any::Any + Send>) {
-        self.record_panic("recovery", payload);
-    }
-
-    /// Record the first typed error (e.g. a failed backend read); later
-    /// ones are dropped, like later panics.
-    pub(crate) fn record_error(&self, err: CoordlError) {
+    /// Record the first failure (a panic, or a typed error such as a failed
+    /// backend read); later ones are dropped — the first is the cause, the
+    /// rest are fallout.
+    fn record_error(&self, err: CoordlError) {
         let mut slot = self.error.lock();
         if slot.is_none() {
             *slot = Some(err);
         }
     }
 
-    /// The recorded failure, if any worker panicked.
+    /// The recorded failure, if any stage thread failed.
     pub(crate) fn failure(&self) -> Option<CoordlError> {
         self.error.lock().clone()
     }
@@ -155,7 +161,9 @@ impl ExecutorShared {
 pub(crate) struct ExecutorConfig {
     /// Prep worker threads (>= 1 enforced).
     pub workers: usize,
-    /// Raw batches buffered between fetch and prep (>= 1 enforced).
+    /// Plan positions each fetch thread's lane buffers ahead of the prep
+    /// pool, and prepared minibatches an ordered stream buffers ahead of its
+    /// consumer (>= 1 enforced).
     pub prefetch_depth: usize,
     /// Fetch-stage threads (>= 1 enforced).
     pub fetch_threads: usize,
@@ -165,27 +173,147 @@ pub(crate) struct ExecutorConfig {
     pub fetch_shards: usize,
 }
 
-/// Everything needed to run one epoch's fetch + prep pipeline.
-pub(crate) struct ExecutorSpec {
-    /// Epoch index (seeds the per-(epoch, item) augmentations).
-    pub epoch: u64,
-    /// The ordered plan: `(batch_index, item_ids)` in training order.
-    pub batches: Vec<(usize, Vec<ItemId>)>,
+/// One fetch → prep lane of a session: everything an epoch executor runs on
+/// except the epoch's plan and sink.  Built once per session (one per
+/// partitioned node) and cloned into the threads it spawns.
+#[derive(Clone)]
+pub(crate) struct Lane {
     /// Raw-byte source, called in plan order per cache shard.
     pub fetch: Arc<FetchFn>,
     /// The backend under `fetch`: prep workers hand it back every raw
     /// payload nothing else references.
     pub backend: Arc<dyn FetchBackend>,
-    /// Optional batch filter (coordinated failure injection).
-    pub skip: Option<Arc<SkipFn>>,
     /// The deterministic prep pipeline.
     pub pipeline: Arc<ExecutablePipeline>,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
-    /// Where prepared minibatches go.
-    pub sink: Arc<dyn PreparedSink>,
     /// Thread counts and queue depth.
     pub config: ExecutorConfig,
+}
+
+impl Lane {
+    /// Spawn the fetch threads and prep workers of one sweep over `plan`,
+    /// dropping the batches `skip` names and delivering the rest into
+    /// `sink`.  `shared` is a fresh slot for an independent sweep, or the
+    /// main executor's for a coordinated recovery sweep, so that its failure
+    /// reaches the same consumers and the same shutdown reaches it.
+    pub(crate) fn spawn(
+        &self,
+        epoch: u64,
+        plan: Plan,
+        skip: Option<Arc<SkipFn>>,
+        sink: Arc<dyn PreparedSink>,
+        shared: Arc<ExecutorShared>,
+    ) -> PrefetchExecutor {
+        let workers = self.config.workers.max(1);
+        let threads = self.config.fetch_threads.max(1);
+        let depth = self.config.prefetch_depth.max(1);
+        let stage = Arc::new(FetchStage {
+            threads,
+            shards: self.config.fetch_shards.max(1),
+            skip: skip.map(|skip| (skip, plan.iter().map(|_| OnceLock::new()).collect())),
+            plan: Arc::clone(&plan),
+            fetch: Arc::clone(&self.fetch),
+            stats: Arc::clone(&self.stats),
+            shared: Arc::clone(&shared),
+        });
+        let mut handles = Vec::with_capacity(threads + workers);
+        let mut lanes = Vec::with_capacity(threads);
+        for thread in 0..threads {
+            let (lane_tx, lane_rx) = bounded::<Partial>(depth);
+            lanes.push(lane_rx);
+            let stage = Arc::clone(&stage);
+            handles.push(std::thread::spawn(move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| stage.run(thread, &lane_tx)));
+                if let Err(payload) = outcome {
+                    stage.shared.record_panic("fetch", payload);
+                }
+            }));
+        }
+        // The lane receivers belong to the prep workers alone: a fetch
+        // thread that held a reference would keep its own lane connected,
+        // and a sender parked on a full lane would never see the last
+        // worker leave.
+        let assembler = Arc::new(Mutex::new(Assembler { lanes, cursor: 0 }));
+        for _ in 0..workers {
+            let (lane, plan, assembler) = (self.clone(), Arc::clone(&plan), Arc::clone(&assembler));
+            let (sink, shared) = (Arc::clone(&sink), Arc::clone(&shared));
+            handles.push(std::thread::spawn(move || {
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    lane.run_prep_worker(epoch, &plan, &assembler, &*sink)
+                }));
+                if let Err(payload) = outcome {
+                    shared.record_panic("prep", payload);
+                }
+            }));
+        }
+        PrefetchExecutor { shared, handles }
+    }
+
+    /// One prep worker: assemble the next position, prep it, publish it.
+    fn run_prep_worker(
+        &self,
+        epoch: u64,
+        plan: &[(usize, Vec<ItemId>)],
+        assembler: &Mutex<Assembler>,
+        sink: &dyn PreparedSink,
+    ) {
+        let stats = &*self.stats;
+        let mut raw = Vec::new();
+        loop {
+            let stall = Instant::now();
+            let next = assembler.lock().next(plan, &mut raw);
+            stats.record_prep_stall(stall.elapsed());
+            let Some(pos) = next else {
+                break; // plan exhausted, or a fetch thread ended early
+            };
+            let (index, items) = &plan[pos];
+            let busy = Instant::now();
+            let samples = items
+                .iter()
+                .zip(raw.drain(..))
+                .map(|(&item, raw)| {
+                    let raw = raw.expect("every item was fetched by its owner");
+                    let sample = self.pipeline.prepare(epoch, item, &raw);
+                    recycle_if_last(&*self.backend, raw);
+                    sample
+                })
+                .collect::<Vec<_>>();
+            stats.record_prepared(samples.len() as u64);
+            stats.record_prep_busy(busy.elapsed());
+            // Publishing blocks on downstream backpressure (a full output
+            // queue or staging window); like the assembly above, that is
+            // time the worker is not pre-processing, so it counts as prep
+            // stall.
+            let publishing = Instant::now();
+            let delivered = sink.publish(Minibatch {
+                epoch,
+                index: *index,
+                samples,
+            });
+            stats.record_prep_stall(publishing.elapsed());
+            if !delivered {
+                break; // consumer gone or epoch shut down
+            }
+        }
+    }
+
+    /// Spawn one epoch's executor delivering into an order-preserving
+    /// stream: prepared batches flow through a bounded channel into a
+    /// reorder buffer that yields them strictly in plan order.
+    pub(crate) fn spawn_ordered(&self, epoch: u64, plan: Plan) -> OrderedStream {
+        let total = plan.len();
+        let (out_tx, out_rx) = bounded::<Minibatch>(self.config.prefetch_depth.max(1));
+        let executor = self.spawn(epoch, plan, None, Arc::new(out_tx), Arc::default());
+        OrderedStream {
+            rx: out_rx,
+            reorder: BTreeMap::new(),
+            next: 0,
+            total,
+            stats: Arc::clone(&self.stats),
+            executor,
+        }
+    }
 }
 
 /// A running fetch + prep pipeline for one epoch.  Dropping it (after the
@@ -196,61 +324,6 @@ pub(crate) struct PrefetchExecutor {
 }
 
 impl PrefetchExecutor {
-    /// Spawn the fetch stage and prep pool described by `spec`.
-    pub(crate) fn spawn(spec: ExecutorSpec) -> Self {
-        let shared = Arc::new(ExecutorShared::default());
-        let workers = spec.config.workers.max(1);
-        let fetch_threads = spec.config.fetch_threads.max(1);
-        let depth = spec.config.prefetch_depth.max(1);
-        let (raw_tx, raw_rx) = bounded::<RawBatch>(depth);
-        let mut handles = Vec::with_capacity(workers + fetch_threads);
-
-        let pool = Arc::new(FetchPool {
-            state: std::sync::Mutex::new(PoolState {
-                done: 0,
-                pending: HashMap::new(),
-                aborted: false,
-            }),
-            cv: Condvar::new(),
-            threads: fetch_threads,
-            shards: spec.config.fetch_shards.max(1),
-            depth,
-            batches: spec.batches,
-            fetch: spec.fetch,
-            skip: spec.skip,
-            stats: Arc::clone(&spec.stats),
-            shared: Arc::clone(&shared),
-        });
-        for thread in 0..fetch_threads {
-            let pool = Arc::clone(&pool);
-            let raw_tx = raw_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| pool.run(thread, &raw_tx)));
-                if let Err(payload) = outcome {
-                    pool.shared.record_panic("fetch", payload);
-                    // Peers parked on the window must not wait for
-                    // contributions that will never come.
-                    pool.abort();
-                }
-            }));
-        }
-        drop(raw_tx);
-        for _ in 0..workers {
-            handles.push(spawn_prep_worker(
-                spec.epoch,
-                Arc::clone(&spec.backend),
-                Arc::clone(&spec.pipeline),
-                Arc::clone(&spec.stats),
-                Arc::clone(&spec.sink),
-                Arc::clone(&shared),
-                raw_rx.clone(),
-            ));
-        }
-        drop(raw_rx);
-
-        PrefetchExecutor { shared, handles }
-    }
-
     /// The error/shutdown state shared with streams and consumers.
     pub(crate) fn shared(&self) -> &Arc<ExecutorShared> {
         &self.shared
@@ -259,8 +332,8 @@ impl PrefetchExecutor {
     /// Stop fetching and join every stage thread.
     ///
     /// The owner must first unblock any worker parked on the sink (drop the
-    /// consumer receiver, or shut the staging area down) — this method only
-    /// unblocks the fetch → prep queue.
+    /// consumer receiver, or shut the staging area down); everything behind
+    /// the workers unblocks by itself once they leave.
     pub(crate) fn shutdown_and_join(&mut self) {
         self.shared.begin_shutdown();
         for h in self.handles.drain(..) {
@@ -277,66 +350,22 @@ impl Drop for PrefetchExecutor {
     }
 }
 
-/// One plan position in the pool's in-flight window: per-item byte slots
-/// filled by their owning threads, and the once-evaluated skip decision.
-struct PendingBatch {
-    skipped: bool,
-    raw: Vec<Option<Arc<Vec<u8>>>>,
-    /// Pool threads that have not yet contributed to this position.
-    remaining: usize,
-}
-
-/// Mutable state of the fetch pool.
-///
-/// `done` counts fully completed positions.  Positions complete strictly in
-/// plan order: a position is complete only once every thread has passed it,
-/// and each thread visits positions in increasing order, so completion of
-/// position `p` implies completion of every earlier one.  The window
-/// invariant threads wait on (`pos < done + depth`) therefore never
-/// deadlocks: if the minimum incomplete position is `p_min`, all positions
-/// below it are complete (`done >= p_min`), so a thread parked at
-/// `p <= p_min` would need `p >= done + depth > p_min >= p` — impossible —
-/// and the thread holding up `p_min` is running, not waiting.  (A pool of
-/// one never parks on the window at all: it completes each position before
-/// visiting the next, so only the bounded raw-batch queue holds it back.)
-struct PoolState {
-    done: usize,
-    pending: HashMap<usize, PendingBatch>,
-    aborted: bool,
-}
-
-/// One epoch's fetch stage: the plan, the fetch path and the coordination
-/// state its `threads` pool threads share (see the module docs).
-struct FetchPool {
-    state: std::sync::Mutex<PoolState>,
-    cv: Condvar,
+/// What one sweep's fetch threads read: the plan, the fetch path and the
+/// per-position skip decisions.  Nothing in it is a wait point — each thread
+/// blocks only on its own lane.
+struct FetchStage {
     threads: usize,
     shards: usize,
-    depth: usize,
-    batches: Vec<(usize, Vec<ItemId>)>,
+    plan: Plan,
+    /// The batch filter with one decision cell per plan position.
+    skip: Option<(Arc<SkipFn>, Vec<OnceLock<bool>>)>,
     fetch: Arc<FetchFn>,
-    skip: Option<Arc<SkipFn>>,
     stats: Arc<LoaderStats>,
     shared: Arc<ExecutorShared>,
 }
 
-impl FetchPool {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        // A panicking pool thread records a typed error and aborts the pool;
-        // peers must still be able to observe the abort through the lock.
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Stop every pool thread at its next window check (error/panic/
-    /// disconnect fallout — never called on a normal completion).
-    fn abort(&self) {
-        self.lock().aborted = true;
-        self.cv.notify_all();
-    }
-
-    /// Which pool thread owns `item`: the thread that executes every cache
+impl FetchStage {
+    /// Which fetch thread owns `item`: the thread that executes every cache
     /// transaction for `item`'s shard.  Routing MUST match the sharded
     /// tier's (`dcache::shard_of_key`) so shard ownership and lock ownership
     /// coincide.
@@ -344,49 +373,29 @@ impl FetchPool {
         dcache::shard_of_key(item, self.shards) % self.threads
     }
 
-    /// Pool thread `thread`'s sweep over the whole plan.
-    fn run(&self, thread: usize, raw_tx: &Sender<RawBatch>) {
+    /// Fetch thread `thread`'s sweep over the whole plan: one partial per
+    /// position down `lane`, until the plan ends, a fetch fails, the epoch
+    /// shuts down or every prep worker is gone.
+    fn run(&self, thread: usize, lane: &Sender<Partial>) {
         let (stats, shared) = (&*self.stats, &*self.shared);
-        // This thread's fetches of one position; the first batch is the
-        // largest.
-        let batch = self.batches.first().map_or(0, |(_, items)| items.len());
-        let mut mine: Vec<(usize, Arc<Vec<u8>>)> = Vec::with_capacity(batch);
-        for (pos, (index, items)) in self.batches.iter().enumerate() {
-            // Wait for the prefetch window, then claim (or join) this
-            // position's pending entry under the same lock hold.
-            let wait = Instant::now();
-            let mut st = self.lock();
-            while !st.aborted && !shared.is_shutdown() && pos >= st.done + self.depth {
-                // Timed wait: `begin_shutdown` does not know about this
-                // condvar, so a parked thread re-checks the flag on its own
-                // clock.
-                let (guard, _timeout) = self
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(25))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                st = guard;
-            }
-            if st.aborted || shared.is_shutdown() {
+        for (pos, (index, items)) in self.plan.iter().enumerate() {
+            if shared.is_shutdown() {
                 return;
             }
-            let entry = st.pending.entry(pos).or_insert_with(|| PendingBatch {
-                // Evaluated exactly once per position, by whichever thread
-                // arrives first: the filter may read mutable state
-                // (coordinated kill flags), and the pool must agree on one
-                // decision.
-                skipped: self.skip.as_ref().is_some_and(|s| s(*index)),
-                raw: vec![None; items.len()],
-                remaining: self.threads,
-            });
-            let skipped = entry.skipped;
-            drop(st);
-            stats.record_fetch_stall_for(thread, wait.elapsed());
-
-            // Fetch the items this thread owns, outside the lock: owners are
-            // disjoint across threads, so every tier transaction for a given
-            // key happens on one thread, in plan order for that key's shard.
+            // Evaluated exactly once per position, by whichever thread
+            // arrives first: the filter may read mutable state (coordinated
+            // kill flags), and every thread must act on the one decision.
+            let skipped = self
+                .skip
+                .as_ref()
+                .is_some_and(|(skip, decided)| *decided[pos].get_or_init(|| skip(*index)));
+            let mut mine = Vec::new();
             if !skipped {
+                // Owners are disjoint across threads, so every tier
+                // transaction for a given key happens on one thread, in
+                // plan order for that key's shard.
                 let busy = Instant::now();
+                mine.reserve_exact(items.len().div_ceil(self.threads));
                 for (slot, &item) in items.iter().enumerate() {
                     if self.owner(item) != thread {
                         continue;
@@ -399,150 +408,69 @@ impl FetchPool {
                             // attached.
                             stats.record_fetch_busy_for(thread, busy.elapsed());
                             shared.record_error(err);
-                            self.abort();
                             return;
                         }
                     }
                 }
                 stats.record_fetch_busy_for(thread, busy.elapsed());
             }
-
-            // Contribute, and as the last thread in, take the completed
-            // batch.
-            let ready = {
-                let mut st = self.lock();
-                let entry = st
-                    .pending
-                    .get_mut(&pos)
-                    .expect("a contributed position stays pending until complete");
-                for (slot, bytes) in mine.drain(..) {
-                    entry.raw[slot] = Some(bytes);
-                }
-                entry.remaining -= 1;
-                if entry.remaining == 0 {
-                    let entry = st.pending.remove(&pos).expect("entry just updated");
-                    st.done += 1;
-                    self.cv.notify_all();
-                    (!entry.skipped).then_some(entry)
-                } else {
-                    None
-                }
-            };
-            // Dispatch outside the lock; the sink reorders, so out-of-order
-            // sends between racing last-contributors are fine.
-            if let Some(entry) = ready {
-                let raw: Vec<Arc<Vec<u8>>> = entry
-                    .raw
-                    .into_iter()
-                    .map(|slot| slot.expect("every item was fetched by its owner"))
-                    .collect();
-                let stall = Instant::now();
-                let sent = raw_tx.send(RawBatch {
-                    index: *index,
-                    items: items.clone(),
-                    raw,
-                });
-                stats.record_fetch_stall_for(thread, stall.elapsed());
-                if sent.is_err() {
-                    // Every prep worker is gone; the channel stays
-                    // disconnected for all senders, so stop the whole pool.
-                    self.abort();
-                    return;
-                }
+            let stall = Instant::now();
+            let sent = lane.send((skipped, mine));
+            stats.record_fetch_stall_for(thread, stall.elapsed());
+            if sent.is_err() {
+                return; // every prep worker is gone
             }
         }
     }
 }
 
-fn spawn_prep_worker(
-    epoch: u64,
-    backend: Arc<dyn FetchBackend>,
-    pipeline: Arc<ExecutablePipeline>,
-    stats: Arc<LoaderStats>,
-    sink: Arc<dyn PreparedSink>,
-    shared: Arc<ExecutorShared>,
-    raw_rx: Receiver<RawBatch>,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        let outcome = catch_unwind(AssertUnwindSafe(|| loop {
-            let stall = Instant::now();
-            let Ok(batch) = raw_rx.recv() else {
-                break; // fetch stage done and queue drained
-            };
-            stats.record_prep_stall(stall.elapsed());
-            let busy = Instant::now();
-            let samples = batch
-                .items
-                .iter()
-                .zip(batch.raw)
-                .map(|(&item, raw)| {
-                    let sample = pipeline.prepare(epoch, item, &raw);
-                    recycle_if_last(&*backend, raw);
-                    sample
-                })
-                .collect::<Vec<_>>();
-            stats.record_prepared(samples.len() as u64);
-            stats.record_prep_busy(busy.elapsed());
-            // Publishing blocks on downstream backpressure (a full output
-            // queue or staging window); like the recv above, that is time
-            // the worker is not pre-processing, so it counts as prep stall.
-            let publishing = Instant::now();
-            let delivered = sink.publish(Minibatch {
-                epoch,
-                index: batch.index,
-                samples,
-            });
-            stats.record_prep_stall(publishing.elapsed());
-            if !delivered {
-                break; // consumer gone or epoch shut down
-            }
-        }));
-        if let Err(payload) = outcome {
-            shared.record_panic("prep", payload);
-        }
-    })
+/// The receiving end of every thread lane and the next plan position to
+/// assemble; one prep worker at a time holds it.
+struct Assembler {
+    lanes: Vec<Receiver<Partial>>,
+    cursor: usize,
 }
 
-/// Spawn one epoch's executor delivering into an order-preserving stream:
-/// prepared batches flow through a bounded channel into a reorder buffer
-/// that yields them strictly in plan order.
-pub(crate) fn spawn_ordered_epoch(
-    epoch: u64,
-    batches: Vec<(usize, Vec<ItemId>)>,
-    fetch: Arc<FetchFn>,
-    backend: Arc<dyn FetchBackend>,
-    pipeline: Arc<ExecutablePipeline>,
-    stats: Arc<LoaderStats>,
-    config: ExecutorConfig,
-) -> OrderedStream {
-    let total = batches.len();
-    let (out_tx, out_rx) = bounded::<Minibatch>(config.prefetch_depth.max(1));
-    let executor = PrefetchExecutor::spawn(ExecutorSpec {
-        epoch,
-        batches,
-        fetch,
-        backend,
-        skip: None,
-        pipeline,
-        stats: Arc::clone(&stats),
-        sink: Arc::new(out_tx),
-        config,
-    });
-    OrderedStream {
-        rx: out_rx,
-        reorder: BTreeMap::new(),
-        next: 0,
-        total,
-        stats,
-        executor,
+impl Assembler {
+    /// Receive the next unskipped position's partial from every lane, in
+    /// thread order, into `raw` (one slot per item) and return the position.
+    /// `None` once the plan is exhausted or a lane ended early (its thread
+    /// failed or saw the shutdown), for this and every later call.
+    fn next(
+        &mut self,
+        plan: &[(usize, Vec<ItemId>)],
+        raw: &mut Vec<Option<Arc<Vec<u8>>>>,
+    ) -> Option<usize> {
+        while self.cursor < plan.len() {
+            let pos = self.cursor;
+            raw.clear();
+            raw.resize(plan[pos].1.len(), None);
+            let mut skipped = false;
+            for lane in &self.lanes {
+                let Ok((skip, mine)) = lane.recv() else {
+                    self.cursor = plan.len();
+                    return None;
+                };
+                skipped = skip;
+                for (slot, bytes) in mine {
+                    raw[slot] = Some(bytes);
+                }
+            }
+            self.cursor += 1;
+            if !skipped {
+                return Some(pos);
+            }
+        }
+        None
     }
 }
 
 /// Iterator over one epoch's minibatches, delivered in training order.
 ///
-/// Owns the epoch's executor: dropping the stream disconnects the output
-/// channel (unblocking any worker mid-`send`) and joins every stage thread,
-/// so no worker outlives the stream.
+/// Owns the epoch's executor.  Fields drop in declaration order, so `rx`
+/// goes first: that disconnects the output channel (unblocking any worker
+/// mid-`send`) before the executor's own drop joins every stage thread, and
+/// no worker outlives the stream.
 pub(crate) struct OrderedStream {
     rx: Receiver<Minibatch>,
     reorder: BTreeMap<usize, Minibatch>,
@@ -595,22 +523,12 @@ impl Iterator for OrderedStream {
     }
 }
 
-impl Drop for OrderedStream {
-    fn drop(&mut self) {
-        // Disconnect the output channel so any worker blocked on `send`
-        // observes the disconnect and exits, then join them all.
-        self.reorder.clear();
-        let (_tx, dummy_rx) = bounded::<Minibatch>(1);
-        let real_rx = std::mem::replace(&mut self.rx, dummy_rx);
-        drop(real_rx);
-        self.executor.shutdown_and_join();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     /// A backend that is never read and records what is handed back to it.
     #[derive(Default)]
@@ -634,15 +552,9 @@ mod tests {
         }
     }
 
-    fn plan(batches: usize, per_batch: usize) -> Vec<(usize, Vec<ItemId>)> {
-        (0..batches)
-            .map(|i| {
-                let items = (0..per_batch)
-                    .map(|j| (i * per_batch + j) as ItemId)
-                    .collect();
-                (i, items)
-            })
-            .collect()
+    fn plan(batches: usize, per_batch: usize) -> Plan {
+        let batch = |i| (0..per_batch).map(move |j| (i * per_batch + j) as ItemId);
+        Arc::new((0..batches).map(|i| (i, batch(i).collect())).collect())
     }
 
     fn byte_fetch() -> Arc<FetchFn> {
@@ -667,22 +579,23 @@ mod tests {
         }
     }
 
+    fn lane(fetch: Arc<FetchFn>, stats: &Arc<LoaderStats>, config: ExecutorConfig) -> Lane {
+        Lane {
+            fetch,
+            backend: Arc::new(Recycler::default()),
+            pipeline: pipeline(),
+            stats: Arc::clone(stats),
+            config,
+        }
+    }
+
     fn ordered(
-        batches: Vec<(usize, Vec<ItemId>)>,
+        plan: Plan,
         fetch: Arc<FetchFn>,
         stats: &Arc<LoaderStats>,
         config: ExecutorConfig,
     ) -> OrderedStream {
-        let backend = Arc::new(Recycler::default());
-        spawn_ordered_epoch(
-            0,
-            batches,
-            fetch,
-            backend,
-            pipeline(),
-            Arc::clone(stats),
-            config,
-        )
+        lane(fetch, stats, config).spawn_ordered(0, plan)
     }
 
     #[test]
@@ -726,8 +639,8 @@ mod tests {
         for fetch_threads in [1, 3] {
             for _ in 0..8 {
                 let stats = Arc::new(LoaderStats::default());
-                // Smallest window: prep workers park on full queues, pool
-                // threads on the prefetch window, constantly.
+                // Smallest window: prep workers park on the full output
+                // queue, fetch threads on their full lanes, constantly.
                 let config = shape(3, 1, fetch_threads);
                 let mut stream = ordered(plan(64, 4), byte_fetch(), &stats, config);
                 let _ = stream.next();
@@ -771,17 +684,13 @@ mod tests {
                 Ok(Arc::new(vec![0u8; 4]))
             });
             let (out_tx, out_rx) = bounded::<Minibatch>(16);
-            let mut executor = PrefetchExecutor::spawn(ExecutorSpec {
-                epoch: 0,
-                batches: plan(6, 2),
-                fetch,
-                backend: Arc::new(Recycler::default()),
-                skip: Some(Arc::new(|index| index % 2 == 1)),
-                pipeline: pipeline(),
-                stats: Arc::new(LoaderStats::default()),
-                sink: Arc::new(out_tx),
-                config: shape(2, 4, fetch_threads),
-            });
+            let mut executor = lane(fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
+                0,
+                plan(6, 2),
+                Some(Arc::new(|index| index % 2 == 1)),
+                Arc::new(out_tx),
+                Arc::default(),
+            );
             let mut indices = Vec::new();
             while let Ok(mb) = out_rx.recv() {
                 indices.push(mb.index);
@@ -878,16 +787,11 @@ mod tests {
             Ok(bytes)
         });
         let backend = Arc::new(Recycler::default());
-        let stream = spawn_ordered_epoch(
-            0,
-            plan(5, 4),
-            fetch,
-            Arc::clone(&backend) as Arc<dyn FetchBackend>,
-            pipeline(),
-            Arc::new(LoaderStats::default()),
-            shape(2, 2, 2),
-        );
-        assert_eq!(stream.count(), 5);
+        let lane = Lane {
+            backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
+            ..lane(fetch, &Arc::default(), shape(2, 2, 2))
+        };
+        assert_eq!(lane.spawn_ordered(0, plan(5, 4)).count(), 5);
         let mut returned: Vec<u8> = backend.0.lock().iter().map(|buf| buf[0]).collect();
         returned.sort_unstable();
         assert_eq!(returned, (0..20).step_by(2).collect::<Vec<u8>>());
@@ -916,6 +820,43 @@ mod tests {
                 CoordlError::BackendIo { item, .. } => assert_eq!(item, 9),
                 other => panic!("expected BackendIo, got {other}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_stalled_consumer_bounds_how_far_the_fetch_stage_runs_ahead() {
+        // The window `FsBackend`'s free list relies on.  With the consumer
+        // stalled after one batch, what has been fetched is: that batch, the
+        // output channel's `depth`, one batch parked in `publish` per
+        // worker, each lane's `depth` positions and the one parked in
+        // `send`.
+        let (depth, workers, per_batch, batches) = (2, 1, 4, 40);
+        for fetch_threads in [1, 3] {
+            let fetched = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&fetched);
+            let fetch: Arc<FetchFn> = Arc::new(move |item| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok(Arc::new(vec![item as u8; 8]))
+            });
+            let stats = Arc::new(LoaderStats::default());
+            let config = shape(workers, depth, fetch_threads);
+            let mut stream = ordered(plan(batches, per_batch), fetch, &stats, config);
+            assert_eq!(stream.next().map(|mb| mb.index), Some(0));
+            // Quiescence: every stage is parked once the count holds still.
+            let mut last = usize::MAX;
+            while last != fetched.load(Ordering::SeqCst) {
+                last = fetched.load(Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(100));
+            }
+            let ahead = last - per_batch;
+            assert!(
+                ahead <= (2 * depth + workers + 1) * per_batch,
+                "f={fetch_threads}: {ahead} items fetched beyond the consumed batch"
+            );
+            // Resuming the consumer still delivers the whole plan in order.
+            let rest: Vec<usize> = stream.map(|mb| mb.index).collect();
+            assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "f={fetch_threads}");
+            assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
         }
     }
 }

@@ -22,8 +22,8 @@ use vfs::{FileHandle, Vfs, VfsError, PAGE_SIZE};
 
 /// Payload buffers the free list holds at most: eight default minibatches,
 /// more than a default executor window ever has between fetch and prep at
-/// once (the raw queue's four batches, the one being fetched, one per prep
-/// worker and, under a two-thread fetch pool, four half-filled positions).
+/// once (each fetch thread's lane of four positions, the one being fetched
+/// and one per prep worker: seven, at any fetch-thread count).
 /// The list only ever holds buffers that were in flight together, so it
 /// keeps resident what that peak already needed; what it buys is a count
 /// that does not depend on timing.  A list smaller than the window (32)
@@ -653,37 +653,33 @@ mod tests {
     }
 
     #[test]
-    fn a_stack_hands_back_what_the_tier_did_not_keep() {
-        use crate::stack::LoaderStack;
-        use crate::{ByteTierSpec, TieredByteCache};
-        use prep::{ExecutablePipeline, PrepPipeline};
-        let src = store(4, 2048);
-        let backend = Arc::new(FsBackend::new(Arc::new(MemVfs::new()), "ds", &src, 0).unwrap());
-        // Room for two items: MinIO admits 0 and 1 and bypasses the rest.
-        let tier = TieredByteCache::try_new_sharded(
-            vec![ByteTierSpec::dram(dcache::PolicyKind::MinIo, 2 * 2048)],
-            1,
-        )
-        .unwrap();
-        let stack = LoaderStack {
-            tier: Arc::new(tier),
-            backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
-            stats: Arc::default(),
-            pipeline: Arc::new(ExecutablePipeline::new(
-                PrepPipeline::image_classification(),
-                2,
-                7,
-            )),
+    fn a_session_hands_back_what_the_tier_did_not_keep() {
+        use crate::{Session, SessionConfig};
+        let src = Arc::new(store(4, 2048));
+        let backend = Arc::new(FsBackend::new(Arc::new(MemVfs::new()), "ds", &*src, 0).unwrap());
+        // One batch of four, room for two: MinIO admits the first two items
+        // of the plan and bypasses the rest.
+        let config = SessionConfig {
+            batch_size: 4,
+            cache_capacity_bytes: 2 * 2048,
+            ..SessionConfig::default()
         };
-        assert_eq!(stack.prepare(0, &[0, 1]).unwrap().len(), 2);
-        assert!(backend.free.lock().is_empty(), "admitted payloads stay put");
-        assert_eq!(stack.prepare(0, &[2, 3]).unwrap().len(), 2);
+        let session = Session::builder(src, config)
+            .fetch_backend(Arc::clone(&backend) as Arc<dyn FetchBackend>)
+            .build()
+            .unwrap();
+        assert_eq!(session.epoch(0).stream(0).count(), 1);
+        assert_eq!(session.cache_tier().unwrap().resident_items(), 2);
+        assert_eq!(backend.span_misses(), 4);
         assert_eq!(
             backend.free.lock().len(),
-            1,
-            "item 3 was read into item 2's"
+            2,
+            "the bypassed payloads came back, the admitted ones stay put"
         );
-        assert_eq!(backend.span_misses(), 4);
+        // The next epoch reads the two bypassed items into those buffers.
+        assert_eq!(session.epoch(1).stream(0).count(), 1);
+        assert_eq!(backend.span_misses(), 6);
+        assert_eq!(backend.free.lock().len(), 2);
     }
 
     #[test]

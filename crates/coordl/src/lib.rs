@@ -27,15 +27,18 @@
 //! `dstool validate` exploits to diff predicted against empirical behaviour.
 //!
 //! Every mode runs on one **prefetching executor** (the paper's overlap
-//! prescription, §2/§5): one sharded fetch stage of `fetch_threads(f)` >= 1
-//! threads sweeps the epoch plan in training order — each cache shard's
-//! transactions on the one thread that owns it, so they are sequential and
-//! deterministic — while `workers(n)` prep threads pre-process batches in
-//! parallel behind a `prefetch_depth(d)` window.  Parallelism changes *when*
-//! work happens (reported as per-stage busy/stall seconds in the
-//! [`LoaderReport`]), never *what* a job observes: for a fixed shard count,
-//! streams and counters are bit-identical across fetch-thread and worker
-//! counts, pinned by `tests/parallel_session_equivalence.rs` and
+//! prescription, §2/§5): `fetch_threads(f)` >= 1 share-nothing fetch threads
+//! sweep the epoch plan in training order — each cache shard's transactions
+//! on the one thread that owns it, so they are sequential and deterministic
+//! — each sending its share of every plan position down its own bounded
+//! lane of `prefetch_depth(d)` positions, while `workers(n)` prep threads
+//! assemble the positions in order and pre-process them in parallel.  A
+//! coordinated session's failure recovery is one more such executor over
+//! the same plan.  Parallelism changes *when* work happens (reported as
+//! per-stage busy/stall seconds in the [`LoaderReport`]), never *what* a job
+//! observes: for a fixed shard count, streams and counters are bit-identical
+//! across fetch-thread and worker counts, pinned by
+//! `tests/parallel_session_equivalence.rs` and
 //! `tests/parallel_fetch_equivalence.rs`.
 //!
 //! Device timing is *not* simulated here (that is `coordl-pipeline`'s job);

@@ -34,7 +34,7 @@
 //! surfaces as a typed [`CoordlError::PeerFailed`]; the fetch path marks
 //! the peer dead and retries with backoff through the surviving cluster.
 
-use crate::error::CoordlError;
+use crate::error::{panic_detail, CoordlError};
 use crate::fault::{FaultClock, FaultPlan, FaultStep};
 use crate::stats::LoaderStats;
 use crate::{CacheTier, FetchBackend};
@@ -91,7 +91,9 @@ impl PartitionStats {
 
 struct ServerState {
     tier: Arc<dyn CacheTier>,
-    stats: PartitionStats,
+    /// Behind its own lock, so a fetch counts under the *read* side of the
+    /// membership lock and two nodes' fetches never serialise on a counter.
+    stats: Mutex<PartitionStats>,
     alive: bool,
 }
 
@@ -108,18 +110,6 @@ struct FaultProgress {
 /// attempt already routes around it; the cap only matters if *every*
 /// attempt hits a distinct failing peer.
 const MAX_FETCH_ATTEMPTS: u32 = 3;
-
-/// Extract a printable panic payload (the same convention the executor uses
-/// for worker panics).
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
 
 /// A job-wide partitioned cache over a set of per-server cache tiers.
 pub struct PartitionedCacheCluster {
@@ -148,7 +138,7 @@ impl PartitionedCacheCluster {
             .into_iter()
             .map(|tier| ServerState {
                 tier,
-                stats: PartitionStats::default(),
+                stats: Mutex::default(),
                 alive: true,
             })
             .collect();
@@ -175,7 +165,7 @@ impl PartitionedCacheCluster {
 
     /// Per-server statistics snapshot.
     pub fn stats(&self, server: usize) -> PartitionStats {
-        self.servers.read()[server].stats
+        *self.servers.read()[server].stats.lock()
     }
 
     /// Cluster-wide aggregate of the per-server statistics.
@@ -183,7 +173,7 @@ impl PartitionedCacheCluster {
         let servers = self.servers.read();
         let mut out = PartitionStats::default();
         for s in servers.iter() {
-            out.merge(&s.stats);
+            out.merge(&s.stats.lock());
         }
         out
     }
@@ -455,17 +445,17 @@ impl PartitionedCacheCluster {
                     "server {server} out of range ({num_servers} servers)"
                 )));
             };
-            if state.alive {
+            let hit = if state.alive {
                 state.tier.lookup_traced(item)
             } else {
                 None
+            };
+            if hit.is_some() {
+                state.stats.lock().local_hits += 1;
             }
+            hit
         };
         if let Some((bytes, level)) = local {
-            {
-                let mut servers = self.servers.write();
-                servers[server].stats.local_hits += 1;
-            }
             self.loader_stats.record_cache_read(bytes.len() as u64);
             if level > 0 {
                 self.loader_stats.record_lower_tier_read(bytes.len() as u64);
@@ -483,10 +473,13 @@ impl PartitionedCacheCluster {
         // system — §4.2: 10-40 Gbps beats the local SATA SSD).
         if let Some((bytes, peer)) = self.remote_fetch(server, item)? {
             {
-                let mut servers = self.servers.write();
-                servers[server].stats.remote_hits += 1;
-                servers[server].stats.remote_bytes_in += bytes.len() as u64;
-                servers[peer].stats.remote_bytes_out += bytes.len() as u64;
+                // One node's counters at a time: no lock order to keep.
+                let servers = self.servers.read();
+                let mut stats = servers[server].stats.lock();
+                stats.remote_hits += 1;
+                stats.remote_bytes_in += bytes.len() as u64;
+                drop(stats);
+                servers[peer].stats.lock().remote_bytes_out += bytes.len() as u64;
             }
             self.loader_stats.record_remote_read(bytes.len() as u64);
             return Ok((bytes, FetchOrigin::RemoteCache(peer)));
@@ -498,19 +491,18 @@ impl PartitionedCacheCluster {
         let mut admitted = false;
         {
             let servers = self.servers.read();
-            if servers[server].alive {
-                let retained = servers[server].tier.admit(item, Arc::clone(&bytes));
-                admitted = servers[server].tier.contains(item);
+            let state = &servers[server];
+            if state.alive {
+                let retained = state.tier.admit(item, Arc::clone(&bytes));
+                admitted = state.tier.contains(item);
                 drop(retained);
             }
+            let mut stats = state.stats.lock();
+            stats.storage_reads += 1;
+            stats.storage_bytes += size;
         }
         if admitted {
             self.directory.write().insert(item, server);
-        }
-        {
-            let mut servers = self.servers.write();
-            servers[server].stats.storage_reads += 1;
-            servers[server].stats.storage_bytes += size;
         }
         self.loader_stats.record_storage_read(size);
         Ok((bytes, FetchOrigin::Storage))
@@ -519,7 +511,7 @@ impl PartitionedCacheCluster {
     /// Total bytes read from storage across the cluster.
     pub fn total_storage_bytes(&self) -> u64 {
         let servers = self.servers.read();
-        servers.iter().map(|s| s.stats.storage_bytes).sum()
+        servers.iter().map(|s| s.stats.lock().storage_bytes).sum()
     }
 
     /// The remote-lookup half of [`fetch`](Self::fetch), without its
@@ -744,10 +736,12 @@ mod tests {
     // -- fault tolerance ---------------------------------------------------
 
     /// A tier that works normally until poisoned, then panics on lookup —
-    /// the stand-in for a peer whose cache process died mid-request.
+    /// the stand-in for a peer whose cache process died mid-request.  With a
+    /// gate installed, its next lookup parks between the gate's two waits.
     struct PoisonableTier {
         inner: TieredByteCache,
         poisoned: AtomicBool,
+        gate: Mutex<Option<Arc<std::sync::Barrier>>>,
     }
 
     impl PoisonableTier {
@@ -755,6 +749,7 @@ mod tests {
             PoisonableTier {
                 inner: TieredByteCache::single(PolicyKind::MinIo, capacity),
                 poisoned: AtomicBool::new(false),
+                gate: Mutex::default(),
             }
         }
 
@@ -766,6 +761,11 @@ mod tests {
     impl CacheTier for PoisonableTier {
         fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
             assert!(!self.poisoned.load(Ordering::Relaxed), "peer tier poisoned");
+            let gate = self.gate.lock().take();
+            if let Some(gate) = gate {
+                gate.wait(); // inside the lookup
+                gate.wait(); // released
+            }
             self.inner.lookup(item)
         }
         fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
@@ -831,6 +831,38 @@ mod tests {
         assert_eq!(origin, FetchOrigin::Storage);
         assert!(!cluster.is_alive(1), "failing peer was quarantined");
         assert!(cluster.is_alive(0));
+    }
+
+    #[test]
+    fn a_fetch_does_not_wait_out_another_nodes_tier_lookup() {
+        // Counting a fetch must not need the membership lock's write side:
+        // node 1's fetch completes while node 0's lookup is still parked
+        // inside its tier, holding the read side.
+        let ds = dataset(8, 64);
+        let gated = Arc::new(PoisonableTier::new(64 * 8));
+        let tiers: Vec<Arc<dyn CacheTier>> = vec![
+            Arc::clone(&gated) as Arc<dyn CacheTier>,
+            Arc::new(TieredByteCache::single(PolicyKind::MinIo, 64 * 8)),
+        ];
+        let cluster = PartitionedCacheCluster::with_stack(
+            Arc::new(DirectBackend::new(ds)),
+            tiers,
+            Arc::new(LoaderStats::default()),
+        );
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        *gated.gate.lock() = Some(Arc::clone(&gate));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| cluster.fetch(0, 0).map(|(_, origin)| origin));
+            gate.wait(); // node 0 is inside its lookup
+            s.spawn(|| done_tx.send(cluster.fetch(1, 1).map(|(_, origin)| origin)));
+            let other = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+            gate.wait(); // release node 0 whatever happened
+            assert_eq!(other, Ok(Ok(FetchOrigin::Storage)), "node 1 was held up");
+        });
+        assert_eq!(cluster.stats(0).storage_reads, 1);
+        assert_eq!(cluster.stats(1).storage_reads, 1);
+        assert_eq!(cluster.aggregate_stats().storage_bytes, 2 * 64);
     }
 
     #[test]

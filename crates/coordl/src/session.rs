@@ -37,19 +37,19 @@
 //! assert_eq!(session.report().epochs.len(), 1);
 //! ```
 
-use crate::coordinator::{CoordinatedEngine, EpochSession, JobEpochIterator};
+use crate::coordinator::{EpochSession, JobEpochIterator};
 use crate::error::CoordlError;
-use crate::executor::{spawn_ordered_epoch, ExecutorConfig, FetchFn, OrderedStream};
+use crate::executor::{ExecutorConfig, FetchFn, Lane, OrderedStream, Plan};
 use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
 use crate::report::{EpochTrajectory, LoaderReport};
-use crate::stack::LoaderStack;
+use crate::stack::tier_over_backend;
 use crate::staging::{StagingArea, StagingStats};
 use crate::stats::LoaderStats;
 use crate::tier::{ByteTierSpec, CacheTier, TierSnapshot, TieredByteCache};
 use crate::{DirectBackend, FetchBackend, ProfiledBackend};
-use dataset::{minibatches, DataSource, EpochSampler, ItemId};
+use dataset::{minibatches, DataSource, EpochSampler};
 use dcache::PolicyKind;
 use parking_lot::Mutex;
 use prep::{ExecutablePipeline, PrepPipeline};
@@ -108,8 +108,10 @@ pub struct SessionConfig {
     /// observes — streams and counter statistics are bit-identical for any
     /// value (see [`SessionBuilder::workers`]).
     pub num_workers: usize,
-    /// Raw minibatches prefetched ahead of the prep pool (and prepared
-    /// minibatches buffered ahead of a single/partitioned consumer).
+    /// Plan positions each fetch thread runs ahead of the prep pool (the
+    /// capacity of its lane; one more is parked in `send` and each prep
+    /// worker holds one), and prepared minibatches buffered ahead of a
+    /// single/partitioned consumer.
     pub prefetch_depth: usize,
     /// Seed for the per-epoch shuffle (shared by all jobs of a session).
     pub seed: u64,
@@ -407,31 +409,22 @@ impl SessionBuilder {
             let tier = TieredByteCache::try_new_sharded(specs, executor.fetch_shards)?;
             Ok(Arc::new(tier))
         };
-        let shared_stack = || -> Result<LoaderStack, CoordlError> {
-            Ok(LoaderStack {
-                tier: build_tier(None)?,
-                backend: Arc::clone(&backend),
-                stats: Arc::clone(&stats),
-                pipeline: Arc::clone(&pipeline),
-            })
+        let lane = |fetch: Arc<FetchFn>| Lane {
+            fetch,
+            backend: Arc::clone(&backend),
+            pipeline: Arc::clone(&pipeline),
+            stats: Arc::clone(&stats),
+            config: executor,
         };
 
-        let mut lanes: Vec<Arc<FetchFn>> = Vec::new();
-        let kind = match self.mode {
-            Mode::Single => {
-                let stack = shared_stack()?;
-                lanes.push(stack.fetch_fn());
-                SessionKind::Single { tier: stack.tier }
+        let (lanes, kind) = match self.mode {
+            // One lane: the shared tier over the backend.
+            Mode::Single | Mode::Coordinated { .. } => {
+                let tier = build_tier(None)?;
+                let fetch =
+                    tier_over_backend(Arc::clone(&tier), Arc::clone(&backend), Arc::clone(&stats));
+                (vec![lane(fetch)], SessionKind::Shared { tier })
             }
-            Mode::Coordinated { jobs } => SessionKind::Coordinated {
-                engine: CoordinatedEngine {
-                    stack: shared_stack()?,
-                    num_jobs: jobs,
-                    staging_window: config.staging_window,
-                    take_timeout: config.take_timeout,
-                    executor,
-                },
-            },
             Mode::Partitioned { nodes } => {
                 if matches!(self.tier, TierChoice::Custom(_)) {
                     return Err(CoordlError::InvalidConfig(
@@ -452,12 +445,15 @@ impl SessionBuilder {
                 // A node's executor fetches through the cluster (local tier
                 // → peers → backend) in shard order, so its fetch sequence
                 // stays deterministic under any executor shape.
-                lanes.extend((0..nodes).map(|node| {
-                    let cluster = Arc::clone(&cluster);
-                    Arc::new(move |item| cluster.fetch(node, item).map(|(bytes, _)| bytes))
-                        as Arc<FetchFn>
-                }));
-                SessionKind::Partitioned { cluster }
+                let lanes = (0..nodes)
+                    .map(|node| {
+                        let cluster = Arc::clone(&cluster);
+                        lane(Arc::new(move |item| {
+                            cluster.fetch(node, item).map(|(bytes, _)| bytes)
+                        }))
+                    })
+                    .collect();
+                (lanes, SessionKind::Partitioned { cluster })
             }
         };
 
@@ -465,10 +461,6 @@ impl SessionBuilder {
             dataset: self.dataset,
             config: self.config,
             mode: self.mode,
-            stats,
-            backend,
-            pipeline,
-            executor,
             lanes,
             kind,
             trajectories: Mutex::new(Vec::new()),
@@ -477,12 +469,8 @@ impl SessionBuilder {
 }
 
 enum SessionKind {
-    Single {
-        tier: Arc<dyn CacheTier>,
-    },
-    Coordinated {
-        engine: CoordinatedEngine,
-    },
+    /// Single and coordinated sessions: one tier shared by every job.
+    Shared { tier: Arc<dyn CacheTier> },
     Partitioned {
         cluster: Arc<PartitionedCacheCluster>,
     },
@@ -494,16 +482,11 @@ pub struct Session {
     dataset: Arc<dyn DataSource>,
     config: SessionConfig,
     mode: Mode,
-    stats: Arc<LoaderStats>,
-    backend: Arc<dyn FetchBackend>,
-    pipeline: Arc<ExecutablePipeline>,
-    /// Shape of every epoch executor the session spawns.
-    executor: ExecutorConfig,
-    /// The fetch path of each *ordered* lane — a stream with its own
-    /// executor: one over the shared stack in single mode, one
-    /// `cluster.fetch(node, ·)` per partitioned node, none in coordinated
-    /// mode (whose jobs share the engine's one executor).
-    lanes: Vec<Arc<FetchFn>>,
+    /// What each epoch executor runs on: one lane over the shared tier in
+    /// single and coordinated mode (whose jobs share the one executor), one
+    /// `cluster.fetch(node, ·)` lane per partitioned node.  They differ only
+    /// in their fetch path.
+    lanes: Vec<Lane>,
     kind: SessionKind,
     trajectories: Mutex<Vec<EpochTrajectory>>,
 }
@@ -540,12 +523,12 @@ impl Session {
 
     /// Shared loader statistics across all epochs run so far.
     pub fn stats(&self) -> &LoaderStats {
-        &self.stats
+        &self.lanes[0].stats
     }
 
     /// The fetch backend.
     pub fn backend(&self) -> &dyn FetchBackend {
-        self.backend.as_ref()
+        self.lanes[0].backend.as_ref()
     }
 
     /// The shared cache tier (single and coordinated modes; `None` for
@@ -553,8 +536,7 @@ impl Session {
     /// [`Session::node_tier`]).
     pub fn cache_tier(&self) -> Option<Arc<dyn CacheTier>> {
         match &self.kind {
-            SessionKind::Single { tier } => Some(Arc::clone(tier)),
-            SessionKind::Coordinated { engine } => Some(Arc::clone(&engine.stack.tier)),
+            SessionKind::Shared { tier } => Some(Arc::clone(tier)),
             SessionKind::Partitioned { .. } => None,
         }
     }
@@ -591,10 +573,14 @@ impl Session {
     /// [`EpochTrajectory`] in the session's report, so consume the streams
     /// within the handle's lifetime.
     pub fn epoch(&self, epoch: u64) -> EpochRun<'_> {
-        let coordinated = match &self.kind {
-            SessionKind::Coordinated { engine } => {
-                Some(engine.run_epoch(epoch, self.plan(epoch, 0)))
-            }
+        let coordinated = match self.mode {
+            Mode::Coordinated { jobs } => Some(EpochSession::start(
+                &self.lanes[0],
+                jobs,
+                &self.config,
+                epoch,
+                self.plan(epoch, 0),
+            )),
             _ => None,
         };
         EpochRun {
@@ -610,17 +596,15 @@ impl Session {
     /// lane's share of the epoch's permutation, cut into minibatches.
     /// Partitioned sessions have one lane per node; every other mode has a
     /// single lane, whose share *is* the whole permutation.
-    fn plan(&self, epoch: u64, lane: usize) -> Vec<(usize, Vec<ItemId>)> {
+    fn plan(&self, epoch: u64, lane: usize) -> Plan {
         let lanes = match self.mode {
             Mode::Partitioned { nodes } => nodes,
             _ => 1,
         };
         let sampler = EpochSampler::new(self.dataset.len(), self.config.seed);
         let order = sampler.distributed_shard(epoch, lane, lanes);
-        minibatches(&order, self.config.batch_size)
-            .into_iter()
-            .enumerate()
-            .collect()
+        let batches = minibatches(&order, self.config.batch_size);
+        Arc::new(batches.into_iter().enumerate().collect())
     }
 
     /// Every cache tier of the session: the one shared tier, or one per
@@ -674,7 +658,7 @@ impl Session {
             mode: self.mode.name(),
             jobs: self.num_jobs(),
             cache_policy: policy,
-            backend: self.backend.name(),
+            backend: self.backend().name(),
             cache_capacity_bytes: capacity,
             cache_used_bytes: used,
             cache_resident_items: resident,
@@ -694,8 +678,8 @@ impl Session {
             prep_busy_seconds: snap.prep_busy_seconds,
             prep_stall_seconds: snap.prep_stall_seconds,
             consumer_wait_seconds: snap.consumer_wait_seconds,
-            fetch_thread_busy_seconds: self.stats.fetch_thread_busy_seconds(),
-            fetch_thread_stall_seconds: self.stats.fetch_thread_stall_seconds(),
+            fetch_thread_busy_seconds: self.stats().fetch_thread_busy_seconds(),
+            fetch_thread_stall_seconds: self.stats().fetch_thread_stall_seconds(),
             epochs: self.trajectories.lock().clone(),
             tenant: None,
         }
@@ -722,22 +706,22 @@ impl Session {
             .map(|level| level.hits)
             .sum();
         CounterSnapshot {
-            bytes_from_storage: self.stats.bytes_from_storage(),
-            bytes_from_cache: self.stats.bytes_from_cache(),
-            bytes_from_lower_tiers: self.stats.bytes_from_lower_tiers(),
-            bytes_from_remote: self.stats.bytes_from_remote(),
+            bytes_from_storage: self.stats().bytes_from_storage(),
+            bytes_from_cache: self.stats().bytes_from_cache(),
+            bytes_from_lower_tiers: self.stats().bytes_from_lower_tiers(),
+            bytes_from_remote: self.stats().bytes_from_remote(),
             lower_tier_hits,
-            samples_prepared: self.stats.samples_prepared(),
-            samples_delivered: self.stats.samples_delivered(),
+            samples_prepared: self.stats().samples_prepared(),
+            samples_delivered: self.stats().samples_delivered(),
             hits,
             misses,
-            device_seconds: self.backend.device_seconds(),
-            measured_device_seconds: self.backend.measured_seconds(),
-            fetch_busy_seconds: self.stats.fetch_busy_seconds(),
-            fetch_stall_seconds: self.stats.fetch_stall_seconds(),
-            prep_busy_seconds: self.stats.prep_busy_seconds(),
-            prep_stall_seconds: self.stats.prep_stall_seconds(),
-            consumer_wait_seconds: self.stats.consumer_wait_seconds(),
+            device_seconds: self.backend().device_seconds(),
+            measured_device_seconds: self.backend().measured_seconds(),
+            fetch_busy_seconds: self.stats().fetch_busy_seconds(),
+            fetch_stall_seconds: self.stats().fetch_stall_seconds(),
+            prep_busy_seconds: self.stats().prep_busy_seconds(),
+            prep_stall_seconds: self.stats().prep_stall_seconds(),
+            consumer_wait_seconds: self.stats().consumer_wait_seconds(),
         }
     }
 
@@ -844,15 +828,7 @@ impl EpochRun<'_> {
                  Session::epoch again for another pass"
             );
         }
-        let stream = spawn_ordered_epoch(
-            self.epoch,
-            session.plan(self.epoch, job),
-            Arc::clone(&session.lanes[job]),
-            Arc::clone(&session.backend),
-            Arc::clone(&session.pipeline),
-            Arc::clone(&session.stats),
-            session.executor,
-        );
+        let stream = session.lanes[job].spawn_ordered(self.epoch, session.plan(self.epoch, job));
         BatchStream {
             total: stream.total_batches(),
             inner: StreamInner::Ordered(stream),

@@ -148,8 +148,8 @@ impl LoaderStats {
         self.fetch_thread_seconds(0)
     }
 
-    /// Per-fetch-thread stall seconds (queue backpressure plus, for a pool
-    /// thread, time parked on the prefetch window).
+    /// Per-fetch-thread stall seconds: time parked on the thread's own full
+    /// lane, i.e. prep backpressure.
     pub fn fetch_thread_stall_seconds(&self) -> Vec<f64> {
         self.fetch_thread_seconds(1)
     }

@@ -143,13 +143,6 @@ pub enum TierBacking {
     },
 }
 
-impl TierBacking {
-    /// Whether this is the in-memory backing.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, TierBacking::Memory)
-    }
-}
-
 impl std::fmt::Debug for TierBacking {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -788,7 +781,7 @@ mod tests {
         assert_eq!(tier.hits(), 1);
     }
 
-    /// Drive a full fetch (lookup, then admit on a miss) like a LoaderStack.
+    /// Drive a full fetch (lookup, then admit on a miss) like a session's.
     fn fetch_through(tier: &dyn CacheTier, item: ItemId, len: usize) -> usize {
         match tier.lookup_traced(item) {
             Some((_, level)) => level,

@@ -84,17 +84,6 @@ impl DatasetSpec {
         DatasetSpec::new("fma", 106_574, 950 * GIB / 106_574, 0.3, 5.0)
     }
 
-    /// All paper datasets, for sweeps.
-    pub fn all_paper_datasets() -> Vec<DatasetSpec> {
-        vec![
-            DatasetSpec::imagenet_1k(),
-            DatasetSpec::imagenet_22k(),
-            DatasetSpec::openimages(),
-            DatasetSpec::openimages_extended(),
-            DatasetSpec::fma(),
-        ]
-    }
-
     /// Total raw size of the dataset in bytes.
     pub fn total_bytes(&self) -> u64 {
         // Per-item sizes average to `avg_item_bytes` by construction.

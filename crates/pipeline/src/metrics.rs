@@ -67,11 +67,6 @@ impl EpochMetrics {
         self.breakdown.prep_stall_fraction()
     }
 
-    /// Total bytes that did not come from the local cache.
-    pub fn bytes_not_cached(&self) -> u64 {
-        self.bytes_from_disk + self.bytes_from_remote
-    }
-
     /// Hit ratio of the DRAM (topmost) cache tier over fetch units.
     pub fn dram_hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;

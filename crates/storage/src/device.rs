@@ -19,7 +19,6 @@ pub struct StorageDevice {
     profile: DeviceProfile,
     bytes_read: u64,
     read_requests: u64,
-    busy: SimTime,
     timeline: TimeSeries,
 }
 
@@ -30,7 +29,6 @@ impl StorageDevice {
             profile,
             bytes_read: 0,
             read_requests: 0,
-            busy: SimTime::ZERO,
             timeline: TimeSeries::new(),
         }
     }
@@ -47,7 +45,6 @@ impl StorageDevice {
         let secs = self.profile.read_seconds(bytes, pattern);
         self.bytes_read += bytes;
         self.read_requests += 1;
-        self.busy += SimTime::from_secs(secs);
         self.timeline.push(at, bytes as f64);
         SimTime::from_secs(secs)
     }
@@ -62,11 +59,6 @@ impl StorageDevice {
         self.read_requests
     }
 
-    /// Total device busy time (sum of isolated read durations).
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
     /// Per-read `(time, bytes)` series, for I/O-pattern plots.
     pub fn timeline(&self) -> &TimeSeries {
         &self.timeline
@@ -76,7 +68,6 @@ impl StorageDevice {
     pub fn reset_counters(&mut self) {
         self.bytes_read = 0;
         self.read_requests = 0;
-        self.busy = SimTime::ZERO;
         self.timeline = TimeSeries::new();
     }
 }

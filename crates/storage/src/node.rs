@@ -159,13 +159,6 @@ impl StorageNode {
         &self.chain
     }
 
-    /// Fetch-path statistics of the topmost cache tier (the chain records
-    /// one hit or miss per fetch there, matching the pre-hierarchy policy
-    /// statistics exactly on single-tier nodes).
-    pub fn cache_stats(&self) -> &dcache::CacheStats {
-        self.chain.tier_stats(0)
-    }
-
     /// Bytes currently resident across the chain's tiers.
     pub fn cache_used_bytes(&self) -> u64 {
         self.chain.used_bytes()

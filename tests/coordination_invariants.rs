@@ -261,43 +261,45 @@ fn failed_job_is_detected_and_its_shard_recovered() {
     // mid-epoch, the others detect the timeout and a replacement producer
     // finishes that shard, so every surviving job still completes the epoch.
     let source = store(512, 1024);
-    let session = Session::builder(
-        Arc::clone(&source),
-        SessionConfig {
-            batch_size: 32,
-            staging_window: 8,
-            seed: 9,
-            cache_capacity_bytes: 64 << 20,
-            take_timeout: Duration::from_millis(200),
-            ..SessionConfig::default()
-        },
-    )
-    .mode(Mode::Coordinated { jobs: 3 })
-    .pipeline(pipeline(5))
-    .build()
-    .expect("valid coordinated config");
+    for fetch_threads in [1, 2] {
+        let session = Session::builder(
+            Arc::clone(&source),
+            SessionConfig {
+                batch_size: 32,
+                staging_window: 8,
+                seed: 9,
+                cache_capacity_bytes: 64 << 20,
+                take_timeout: Duration::from_millis(200),
+                ..SessionConfig::default()
+            },
+        )
+        .mode(Mode::Coordinated { jobs: 3 })
+        .pipeline(pipeline(5))
+        .fetch_threads(fetch_threads)
+        .workers(2)
+        .build()
+        .expect("valid coordinated config");
 
-    let run = session.epoch(0);
-    run.inject_failure(1);
-    let handles: Vec<_> = (0..3)
-        .map(|job| {
-            let stream = run.stream(job);
-            std::thread::spawn(move || {
-                let mut items = 0u64;
-                for batch in stream {
-                    items += batch.expect("recovered epoch should complete").len() as u64;
-                }
-                items
+        let run = session.epoch(0);
+        run.inject_failure(1);
+        let handles: Vec<_> = (0..3)
+            .map(|job| {
+                let stream = run.stream(job);
+                std::thread::spawn(move || {
+                    stream
+                        .map(|batch| batch.expect("recovered epoch should complete").index)
+                        .collect::<Vec<usize>>()
+                })
             })
-        })
-        .collect();
-    for (job, handle) in handles.into_iter().enumerate() {
-        let items = handle.join().expect("consumer thread");
-        assert_eq!(
-            items,
-            source.len(),
-            "job {job} must still see the full epoch"
-        );
+            .collect();
+        for (job, handle) in handles.into_iter().enumerate() {
+            let batches = handle.join().expect("consumer thread");
+            assert_eq!(
+                batches,
+                (0..512 / 32).collect::<Vec<_>>(),
+                "f={fetch_threads}: job {job} must still see every batch exactly once"
+            );
+        }
     }
 }
 
