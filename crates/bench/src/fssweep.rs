@@ -7,7 +7,7 @@
 //! page-aligned packed file and every fetch is a real positional read of the
 //! item's exact extent (§3's I/O pattern discussion), while the SSD cache
 //! level is either memory-backed or persisted through a
-//! [`SpillStore`](vfs::SpillStore) on the same VFS.  Three contracts come
+//! [`SpillStore`] on the same VFS.  Three contracts come
 //! out of a run:
 //!
 //! * **a correctness gate** — the delivered stream is a function of the
@@ -20,7 +20,8 @@
 //!   bytes it returns are the session's `bytes_from_storage` (no alignment,
 //!   no readahead, and a spill path that never changes what is read);
 //! * **a persistence gate** — the vfs-backed point must leave a spill
-//!   manifest behind and issue strictly more VFS writes than its
+//!   directory behind that a reopened [`SpillStore`] lists
+//!   entries from, and issue strictly more VFS writes than its
 //!   memory-backed twin (the durable shadow is real I/O, not bookkeeping).
 //!
 //! Wall-clock `measured_device_seconds` are printed next to the modelled
@@ -36,7 +37,7 @@ use dcache::PolicyKind;
 use std::path::Path;
 use std::sync::Arc;
 use storage::{AccessPattern, DeviceProfile};
-use vfs::{MemVfs, OsVfs, Vfs};
+use vfs::{MemVfs, OsVfs, SpillStore, Vfs};
 
 /// SSD-level backings: `false` = in-memory, `true` = persisted to the VFS
 /// through a spill store.
@@ -138,7 +139,10 @@ fn run_once(w: &Workload, os_root: Option<&Path>, persistent: bool, workers: usi
     let label = format!("ssd={backing}");
     let mut counters = loader_counters(&session);
     counters.push(("persistent_ssd", persistent as u64));
-    counters.push(("manifest_present", fs.exists("ssd/MANIFEST") as u64));
+    // What a restart would find: the epochs' commits, replayed by a second
+    // store (opening one modifies nothing, also where nothing was spilled).
+    let recoverable = SpillStore::open(Arc::clone(&fs), "ssd").is_ok_and(|spill| !spill.is_empty());
+    counters.push(("manifest_present", recoverable as u64));
     PointResult {
         fields: vec![
             ("label", text(&label)),

@@ -49,6 +49,18 @@ pub enum CoordlError {
         /// The failure payload, when it was a string.
         detail: String,
     },
+    /// A persistent cache level failed writing through its spill store
+    /// (disk full, a failed barrier).  The level stopped mirroring to disk at
+    /// that point — the in-memory tier keeps serving, so streams are
+    /// unaffected and what was committed before stays recoverable — and
+    /// [`CacheTier::flush`](crate::CacheTier::flush) reports this from then
+    /// on.
+    SpillIo {
+        /// The spill directory of the level (and shard) that failed.
+        dir: String,
+        /// The VFS error.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CoordlError {
@@ -74,6 +86,9 @@ impl fmt::Display for CoordlError {
             }
             CoordlError::PeerFailed { peer, detail } => {
                 write!(f, "remote peer {peer} failed during lookup: {detail}")
+            }
+            CoordlError::SpillIo { dir, detail } => {
+                write!(f, "persistent tier stopped spilling to {dir}: {detail}")
             }
         }
     }
@@ -125,6 +140,12 @@ mod tests {
         };
         let s = pf.to_string();
         assert!(s.contains("peer 2") && s.contains("tier poisoned"));
+        let spill = CoordlError::SpillIo {
+            dir: "ssd/shard-1".into(),
+            detail: "no space left".into(),
+        };
+        let s = spill.to_string();
+        assert!(s.contains("ssd/shard-1") && s.contains("no space left"));
     }
 
     #[test]

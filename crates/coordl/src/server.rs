@@ -240,6 +240,10 @@ impl CacheTier for TenantView {
         bytes
     }
 
+    fn flush(&self) -> Result<(), CoordlError> {
+        self.cache.flush()
+    }
+
     fn contains(&self, item: ItemId) -> bool {
         self.cache.contains(self.key(item))
     }

@@ -861,6 +861,12 @@ impl Drop for EpochRun<'_> {
             drop(epoch_session);
             staging.stats()
         });
+        // The epoch's commit point: what it admitted to a persistent level
+        // survives a restart from here on.  A drop cannot report; a spill
+        // failure stays with the tier for the next explicit `flush`.
+        for tier in self.session.all_tiers() {
+            let _ = tier.flush();
+        }
         self.session
             .record_trajectory(self.epoch, self.start, staging);
     }

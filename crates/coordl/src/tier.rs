@@ -84,6 +84,15 @@ pub trait CacheTier: Send + Sync {
             device_seconds: 0.0,
         }]
     }
+
+    /// Commit what the tier's persistent levels have queued for disk, so
+    /// that everything admitted so far survives a restart, and report the
+    /// first spill failure since construction (which stays reported: the
+    /// level it hit no longer mirrors to disk).  Sessions call this as each
+    /// epoch ends; tiers that persist nothing have nothing to do.
+    fn flush(&self) -> Result<(), CoordlError> {
+        Ok(())
+    }
 }
 
 /// A point-in-time view of one level of a cache-tier hierarchy, used by
@@ -126,9 +135,18 @@ pub struct TierSnapshot {
 /// map — the behaviour every existing digest was produced with.  `Vfs`
 /// additionally persists the level's resident set through a
 /// [`SpillStore`] under a VFS directory: demoted victims landing at the
-/// level are written to files, and a later cache built over the same VFS
-/// root warms the level back up from the manifest — the persistent-SSD
-/// restart story.
+/// level are written into its segment files, and a later cache built over
+/// the same VFS root warms the level back up from the manifest — the
+/// persistent-SSD restart story.
+///
+/// **What survives.**  The store commits in groups, not per item:
+/// everything admitted in a completed epoch (the session's
+/// [`CacheTier::flush`] at epoch end) and everything before a clean drop
+/// survives a restart exactly; a crash mid-epoch loses at most the open
+/// group (under [`SpillStore::GROUP_BYTES`] per persistent shard) and never
+/// serves a wrong, short or resurrected-after-committed-removal payload.
+/// The directory is a cache: one left by another store format is not
+/// migrated, the level starts cold over it.
 #[derive(Clone)]
 pub enum TierBacking {
     /// Payloads live only in memory (the default; zero behaviour change).
@@ -206,8 +224,9 @@ impl ByteTierSpec {
     }
 
     /// Persist this level through `dir` of `vfs`: spilled victims land in
-    /// files and a rebuilt cache over the same VFS warms the level from the
-    /// on-disk manifest.
+    /// the directory's segment files and a rebuilt cache over the same VFS
+    /// warms the level from its manifest (see [`TierBacking::Vfs`] for what
+    /// a crash can lose).
     pub fn persistent(mut self, vfs: Arc<dyn Vfs>, dir: impl Into<String>) -> Self {
         self.backing = TierBacking::Vfs {
             vfs,
@@ -269,8 +288,30 @@ struct TieredInner {
     misses: u64,
     /// Modelled per-level device busy seconds across all hits.
     level_seconds: Vec<f64>,
-    /// Per-level durable mirror (`Some` only for `TierBacking::Vfs` levels).
+    /// Per-level durable mirror (`Some` only for `TierBacking::Vfs` levels
+    /// whose store has not failed).
     spills: Vec<Option<SpillStore>>,
+    /// The first failure of any level's store (see [`mirror`]).
+    spill_error: Option<CoordlError>,
+}
+
+/// Run `op` on a level's spill store, if it still mirrors.  On the first
+/// error the level stops mirroring — dropping the store commits what it
+/// still can; the in-memory tier serves on — and the error is kept for
+/// [`CacheTier::flush`].
+fn mirror(
+    spill: &mut Option<SpillStore>,
+    error: &mut Option<CoordlError>,
+    op: impl FnOnce(&mut SpillStore) -> Result<(), vfs::VfsError>,
+) {
+    let Some(store) = spill else { return };
+    if let Err(e) = op(store) {
+        error.get_or_insert(CoordlError::SpillIo {
+            dir: store.dir().to_string(),
+            detail: e.to_string(),
+        });
+        *spill = None;
+    }
 }
 
 impl TieredInner {
@@ -281,25 +322,28 @@ impl TieredInner {
     /// level a new copy of `key` landed in.
     fn settle(&mut self, key: u64, access: ChainAccess) -> Option<usize> {
         let landed = access.admitted.then(|| self.chain.locate(key)).flatten();
-        let TieredInner { bytes, spills, .. } = self;
+        let TieredInner {
+            bytes,
+            spills,
+            spill_error,
+            ..
+        } = self;
         // Purely in-memory hierarchies (the hot path) skip the mirroring.
         if spills.iter().any(Option::is_some) {
             let own = landed.map(|level| (key, level));
             for (landing, level) in own.into_iter().chain(access.demoted.iter().copied()) {
-                if let Some(spill) = &mut spills[level] {
+                mirror(&mut spills[level], spill_error, |spill| {
                     let payload = bytes
                         .get(&landing)
                         .expect("a landed key must have a resident payload");
-                    spill
-                        .write(landing, payload)
-                        .expect("spill write failed on landing");
-                }
+                    spill.write(landing, payload)
+                });
                 // Stale copies at other persistent levels are dropped lazily:
                 // removing here would fight the promotion-keeps-lower-copy rule.
             }
             for &victim in &access.dropped {
-                for spill in spills.iter_mut().flatten() {
-                    spill.remove(victim).expect("spill remove failed on drop");
+                for spill in spills.iter_mut() {
+                    mirror(spill, spill_error, |spill| spill.remove(victim));
                 }
             }
         }
@@ -307,6 +351,13 @@ impl TieredInner {
             bytes.remove(&victim);
         }
         landed
+    }
+
+    /// Commit every level's store.
+    fn flush_spills(&mut self) {
+        for spill in &mut self.spills {
+            mirror(spill, &mut self.spill_error, SpillStore::flush);
+        }
     }
 }
 
@@ -469,6 +520,7 @@ impl TieredByteCache {
                     // Warm-up: repopulate this level from the manifest, in
                     // key order (deterministic).  The floor keeps replayed
                     // keys out of the faster levels above.
+                    let mut misfits = Vec::new();
                     for (key, len) in spill.entries().collect::<Vec<_>>() {
                         let access = chain.access_with_floor(key, len, level);
                         if access.admitted {
@@ -480,11 +532,19 @@ impl TieredByteCache {
                             })?;
                             bytes.insert(key, Arc::new(payload));
                         } else {
-                            // The level shrank across the restart: the entry
-                            // no longer fits, so retire its on-disk copy.
-                            let _ = spill.remove(key);
+                            misfits.push(key);
                         }
                     }
+                    // The level shrank across the restart: what no longer
+                    // fits is retired from disk, committed before serving.
+                    misfits
+                        .into_iter()
+                        .try_for_each(|key| spill.remove(key))
+                        .and_then(|()| spill.flush())
+                        .map_err(|e| CoordlError::SpillIo {
+                            dir: dir.clone(),
+                            detail: e.to_string(),
+                        })?;
                     spills.push(Some(spill));
                 }
             }
@@ -499,6 +559,7 @@ impl TieredByteCache {
             misses: 0,
             level_seconds: vec![0.0; levels],
             spills,
+            spill_error: None,
         })
     }
 
@@ -600,17 +661,23 @@ impl TieredByteCache {
             let mut inner = shard.lock();
             inner.chain.remove_range(window.clone());
             inner.bytes.retain(|key, _| !window.contains(key));
-            for spill in inner.spills.iter_mut().flatten() {
-                let doomed: Vec<u64> = spill
-                    .entries()
-                    .map(|(key, _)| key)
-                    .filter(|key| window.contains(key))
-                    .collect();
-                for key in doomed {
-                    // Best effort: a copy left behind is re-offered (and, if
-                    // unclaimed, merely occupies cache space) next restart.
-                    let _ = spill.remove(key);
-                }
+            let TieredInner {
+                spills,
+                spill_error,
+                ..
+            } = &mut *inner;
+            for spill in spills {
+                // Committed at once: a departed tenant's keys must not
+                // reappear after a crash.
+                mirror(spill, spill_error, |spill| {
+                    let doomed: Vec<u64> = spill
+                        .entries()
+                        .map(|(key, _)| key)
+                        .filter(|key| window.contains(key))
+                        .collect();
+                    doomed.into_iter().try_for_each(|key| spill.remove(key))?;
+                    spill.flush()
+                });
             }
         }
     }
@@ -703,6 +770,18 @@ impl CacheTier for TieredByteCache {
             }
         }
         snaps
+    }
+
+    fn flush(&self) -> Result<(), CoordlError> {
+        let mut first = None;
+        for shard in &self.shards {
+            let mut inner = shard.lock();
+            inner.flush_spills();
+            if first.is_none() {
+                first.clone_from(&inner.spill_error);
+            }
+        }
+        first.map_or(Ok(()), Err)
     }
 }
 
@@ -916,6 +995,7 @@ mod tests {
         for item in 0..16u64 {
             fetch_through(&full, item, 2);
         }
+        full.flush().unwrap();
         assert_eq!(spilled().len(), 16, "level filled");
         drop(full);
         // Half the capacity: the misfits are retired from disk, not kept.

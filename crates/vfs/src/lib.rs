@@ -11,9 +11,18 @@
 //! * [`MemVfs`] — a deterministic in-memory implementation with identical
 //!   semantics, for tests and CI hosts without fast (or writable) disks.
 //!
-//! On top of the raw positional API sits [`SpillStore`], a manifest-backed
-//! key→payload store that lets a cache tier persist demoted victims and a
-//! restarted process warm itself back up from disk.
+//! On top of the raw positional API sits [`SpillStore`], a small
+//! log-structured key→payload store that lets a cache tier persist demoted
+//! victims and a restarted process warm itself back up from disk.  Payloads
+//! are appended to fixed-size, recycled segment files (`seg-<n>.dat`); one
+//! checksummed manifest (`MANIFEST` / `MANIFEST.1`, checkpointed from one
+//! slot to the other) records where each key lives.  It commits in *groups*:
+//! one barrier on the segment, one manifest append and one barrier on the
+//! manifest per [`SpillStore::GROUP_BYTES`] of payloads, never a record
+//! before the bytes it names — so a crash loses at most the open group and
+//! never yields a wrong payload, and a landing costs about one write.  A
+//! spill directory is a cache: one in another format is not migrated, the
+//! store starts empty over it.
 
 mod mem;
 mod os;

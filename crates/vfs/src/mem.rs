@@ -105,7 +105,11 @@ impl Vfs for MemVfs {
         let bytes = self.resolve(file)?;
         let mut bytes = bytes.lock();
         let end = offset as usize + data.len();
-        if bytes.len() < end {
+        if bytes.is_empty() {
+            // A fresh file takes its zeroes from the allocator: a segment
+            // created at full length by one small write is not filled twice.
+            *bytes = vec![0; end];
+        } else if bytes.len() < end {
             bytes.resize(end, 0);
         }
         bytes[offset as usize..end].copy_from_slice(data);

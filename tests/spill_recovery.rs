@@ -1,14 +1,34 @@
-//! Crash-recovery properties of the [`vfs::SpillStore`] manifest replay.
+//! Crash-recovery properties of [`vfs::SpillStore`].
 //!
-//! A crash can tear the append-only `MANIFEST` at *any* byte.  Whatever the
-//! cut point, reopening the store must (a) never fail, (b) never serve a
-//! payload that differs from what was written — a torn length field that
-//! still parses must not turn an intact payload into a served prefix — and
-//! (c) retain every entry whose manifest line survived the cut intact.
-//! These are the invariants the persistent SSD tier's warm restart (and the
-//! chaos path's `rejoin_with_tier`) lean on.
+//! The store commits in groups, so a crash can no longer be modelled by
+//! "every payload intact, the manifest cut somewhere": bytes that were never
+//! synced may be gone, in any file.  [`CrashVfs`] keeps, per file, the image
+//! as of its last sync and the writes since, and yields the disk a power cut
+//! would leave — a seeded subset of the unsynced writes, the last one torn.
+//! Over random streams of write / rewrite / remove / flush / reopen, cut
+//! before every single VFS mutation (so inside group commits, checkpoints,
+//! compaction moves and segment reclamation alike) and after every
+//! operation, reopening must
+//!
+//! * (a) never fail;
+//! * (b) serve, for every recovered key, byte for byte a payload that was
+//!   written under it;
+//! * (c) recover the store's state at *some* point of its own history, no
+//!   earlier than the last commit that completed before the cut — nothing
+//!   committed is lost, no committed removal comes back;
+//! * (d) leave a store that takes writes again, and that a second, clean
+//!   reopen finds exactly as it was left.
+//!
+//! These are the invariants the persistent SSD tier's warm restart leans on.
 
+#[path = "common/crash_vfs.rs"]
+mod crash_vfs;
+#[path = "common/spill_model.rs"]
+mod spill_model;
+
+use crash_vfs::{Crash, CrashVfs};
 use proptest::prelude::*;
+use spill_model::{holds, payload, splitmix, Model};
 use std::sync::Arc;
 use vfs::{MemVfs, SpillStore, Vfs};
 
@@ -21,161 +41,214 @@ fn cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+const DIR: &str = "spill";
+const SEG: usize = SpillStore::SEGMENT_BYTES as usize;
 
-/// Deterministic payload for `key`: length and bytes derived from the seed,
-/// so the property can recompute the expected contents without bookkeeping.
-fn payload(seed: u64, key: u64) -> Vec<u8> {
-    let len = 1 + (splitmix(seed ^ key) % 300) as usize;
-    (0..len)
-        .map(|i| splitmix(seed ^ key ^ i as u64) as u8)
-        .collect()
-}
+/// Payload lengths relative to a segment, so that a few dozen writes roll
+/// the head several times, leave segments sparse and now and then need one
+/// of their own; and two that fit anywhere.
+const LENGTHS: [usize; 12] = [
+    SEG / 16,
+    SEG / 16,
+    SEG / 8,
+    SEG / 8,
+    SEG / 5,
+    SEG / 5,
+    SEG / 3,
+    SEG / 3,
+    SEG / 2 + 1,
+    SEG + SEG / 4,
+    100,
+    0,
+];
 
-/// Copy `path` between VFSes; a missing source (a removed payload) is a
-/// no-op, mirroring what a crashed machine's disk would hold.
-fn copy_file(src: &Arc<dyn Vfs>, dst: &Arc<dyn Vfs>, path: &str) {
-    let Ok(from) = src.open(path, false) else {
-        return;
+/// Properties (a) to (d) for one crash image: it must reopen to one of
+/// `candidates`, the store's states from the last completed commit on.
+fn check_crash(crash: Crash, candidates: &[Model], what: &str) {
+    let disk: Arc<dyn Vfs> = Arc::new(crash.disk);
+    let mut store = SpillStore::open(Arc::clone(&disk), DIR)
+        .unwrap_or_else(|e| panic!("{what}: reopening after a crash failed: {e}"));
+    let Some(recovered) = candidates.iter().rev().find(|model| holds(&store, model)) else {
+        panic!(
+            "{what}: recovered {:?}, none of the {} states since the last commit: {:?}",
+            store.entries().collect::<Vec<_>>(),
+            candidates.len(),
+            candidates
+        );
     };
-    let bytes = src
-        .read_at(from, 0, src.len(from).unwrap() as usize)
-        .unwrap();
-    src.close(from).unwrap();
-    let to = dst.open(path, true).unwrap();
-    dst.write_at(to, 0, &bytes).unwrap();
-    dst.close(to).unwrap();
+    // (d) The recovered store is a working store.
+    let mut expected = recovered.clone();
+    if let Some((&doomed, _)) = expected.iter().next() {
+        store.remove(doomed).unwrap();
+        expected.remove(&doomed);
+    }
+    store.write(1000, &payload(1000, 0, SEG / 7)).unwrap();
+    expected.insert(1000, (0, SEG / 7));
+    assert!(holds(&store, &expected), "{what}: after recovery");
+    drop(store);
+    let reopened = SpillStore::open(disk, DIR).unwrap();
+    assert!(holds(&reopened, &expected), "{what}: second, clean reopen");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
 
-    /// Cut the manifest at an arbitrary byte and reopen: replay always
-    /// succeeds, every retained key reads back byte-for-byte what was
-    /// written, and entries whose lines survived the cut are all retained.
     #[test]
-    fn a_manifest_torn_at_any_byte_never_serves_a_corrupt_payload(
-        keys in 2u64..=12,
-        removals in 0u64..=2,
+    fn a_crash_at_any_point_recovers_a_state_no_older_than_the_last_commit(
+        ops in 30usize..=90,
+        keys in 2u64..=6,
         seed in 0u64..u64::MAX,
-        cut_frac in 0.0f64..1.0,
     ) {
-        let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        {
-            let mut store = SpillStore::open(Arc::clone(&vfs), "spill").unwrap();
-            for key in 0..keys {
-                store.write(key, &payload(seed, key)).unwrap();
-            }
-            for r in 0..removals.min(keys) {
-                store.remove(splitmix(seed ^ r) % keys).unwrap();
-            }
-        }
-        let manifest = vfs.open("spill/MANIFEST", false).unwrap();
-        let full = vfs
-            .read_at(manifest, 0, vfs.len(manifest).unwrap() as usize)
-            .unwrap();
-        vfs.close(manifest).unwrap();
-        let cut = (full.len() as f64 * cut_frac) as usize;
-
-        // A crashed machine restarts with the manifest prefix but every
-        // payload file intact (payloads are synced before their line).
-        let torn: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let m = torn.open("spill/MANIFEST", true).unwrap();
-        torn.write_at(m, 0, &full[..cut]).unwrap();
-        torn.close(m).unwrap();
-        for key in 0..keys {
-            copy_file(&vfs, &torn, &format!("spill/{key}.item"));
-        }
-
-        let recovered = SpillStore::open(Arc::clone(&torn), "spill").unwrap();
-        // (b) Whatever survived replay serves exactly the written bytes.
-        for (key, len) in recovered.entries() {
-            let expect = payload(seed, key);
-            prop_assert_eq!(len as usize, expect.len(), "key {} length", key);
-            prop_assert_eq!(
-                recovered.read(key).unwrap(),
-                expect,
-                "key {}: a torn manifest must never change served bytes",
-                key
-            );
-        }
-        // (c) Replaying the *intact* prefix lines yields entries the torn
-        // store must also have: only the one line spanning the cut may be
-        // lost, and dropped keys can only reappear if a later (cut-off)
-        // line had re-added them.
-        let prefix_end = full[..cut]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        let mut expected: std::collections::BTreeMap<u64, usize> = Default::default();
-        for line in std::str::from_utf8(&full[..prefix_end]).unwrap().lines() {
-            let f: Vec<&str> = line.split(' ').collect();
-            match f[0] {
-                "+" => {
-                    expected.insert(f[1].parse().unwrap(), f[2].parse().unwrap());
+        let crashing = Arc::new(CrashVfs::new());
+        crashing.capture_crashes(seed);
+        let vfs: Arc<dyn Vfs> = Arc::clone(&crashing) as Arc<dyn Vfs>;
+        let mut rng = seed;
+        let mut store = SpillStore::open(Arc::clone(&vfs), DIR).unwrap();
+        // `history[i]` is the model before operation `i`.
+        let mut history: Vec<Model> = vec![Model::new()];
+        let mut versions = 0u64;
+        // Every state before `history[floor]` is older than a completed
+        // commit: a manifest sync during operation `i` made everything
+        // before `i` durable.
+        let (mut floor, mut commits) = (0usize, 0u64);
+        for op in 0..ops {
+            let mut model = history[op].clone();
+            let key = splitmix(&mut rng) % keys;
+            let what = match splitmix(&mut rng) % 10 {
+                0..=5 => {
+                    let len = LENGTHS[splitmix(&mut rng) as usize % LENGTHS.len()];
+                    versions += 1;
+                    store.write(key, &payload(key, versions, len)).unwrap();
+                    model.insert(key, (versions, len));
+                    format!("write {key} ({len} bytes)")
+                }
+                6..=7 => {
+                    store.remove(key).unwrap();
+                    model.remove(&key);
+                    format!("remove {key}")
+                }
+                8 => {
+                    store.flush().unwrap();
+                    "flush".to_string()
                 }
                 _ => {
-                    expected.remove(&f[1].parse().unwrap());
+                    drop(store);
+                    store = SpillStore::open(Arc::clone(&vfs), DIR).unwrap();
+                    prop_assert!(holds(&store, &model), "op {}: a clean restart", op);
+                    "reopen".to_string()
                 }
+            };
+            history.push(model);
+            let label = |cut: &str| format!("seed {seed}, op {op} ({what}), cut {cut}");
+            for (nth, crash) in crashing.take_crashes().into_iter().enumerate() {
+                if crash.manifest_syncs > commits {
+                    (commits, floor) = (crash.manifest_syncs, op);
+                }
+                check_crash(crash, &history[floor..], &label(&nth.to_string()));
             }
+            let after = crashing.crash(splitmix(&mut rng));
+            if after.manifest_syncs > commits {
+                (commits, floor) = (after.manifest_syncs, op);
+            }
+            // What returned is known: a flush and a clean restart leave
+            // nothing uncommitted.
+            if what == "flush" || what == "reopen" {
+                floor = op + 1;
+            }
+            check_crash(after, &history[floor..], &label("after"));
         }
-        for (&key, &len) in &expected {
-            // A `-` line past the cut means the payload file was already
-            // gone when the "crash" snapshot was taken; replay rightly
-            // treats the prefix's `+` line as torn then.
-            if torn.open(&format!("spill/{key}.item"), false).is_err() {
-                prop_assert!(!recovered.contains(key));
-                continue;
+        drop(store);
+        let last = history.last().unwrap();
+        prop_assert!(holds(&SpillStore::open(vfs, DIR).unwrap(), last));
+    }
+}
+
+fn read_file(vfs: &Arc<dyn Vfs>, path: &str) -> Vec<u8> {
+    let file = vfs.open(path, false).unwrap();
+    let bytes = vfs
+        .read_at(file, 0, vfs.len(file).unwrap() as usize)
+        .unwrap();
+    vfs.close(file).unwrap();
+    bytes
+}
+
+fn write_file(vfs: &Arc<dyn Vfs>, path: &str, bytes: &[u8]) {
+    let file = vfs.open(path, true).unwrap();
+    vfs.write_at(file, 0, bytes).unwrap();
+    vfs.close(file).unwrap();
+}
+
+/// The crash the per-key-file store's proptest modelled, as one case of the
+/// model above: every segment synced, the manifest append cut — here at
+/// *every* byte, through the checkpoint and through the records after it.
+#[test]
+fn a_manifest_torn_at_any_byte_never_serves_a_corrupt_payload() {
+    let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let mut history: Vec<Model> = vec![Model::new()];
+    {
+        let mut store = SpillStore::open(Arc::clone(&vfs), DIR).unwrap();
+        let mut model = Model::new();
+        for step in 0..24u64 {
+            let key = step % 7;
+            if step % 5 == 4 {
+                store.remove(key).unwrap();
+                model.remove(&key);
+            } else {
+                let len = 1 + (step as usize * 37) % 300;
+                store.write(key, &payload(key, step, len)).unwrap();
+                model.insert(key, (step, len));
             }
-            prop_assert!(
-                recovered.contains(key),
-                "key {} had an intact manifest line before the cut",
-                key
-            );
-            prop_assert_eq!(recovered.read(key).unwrap().len(), len);
+            store.flush().unwrap();
+            history.push(model.clone());
         }
     }
+    let manifest = read_file(&vfs, &format!("{DIR}/MANIFEST"));
+    let segment = read_file(&vfs, &format!("{DIR}/seg-0.dat"));
+    assert!(!vfs.exists(&format!("{DIR}/MANIFEST.1")), "one generation");
+    let mut recovered_up_to = 0;
+    for cut in 0..=manifest.len() {
+        let torn: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+        write_file(&torn, &format!("{DIR}/MANIFEST"), &manifest[..cut]);
+        write_file(&torn, &format!("{DIR}/seg-0.dat"), &segment);
+        let store = SpillStore::open(torn, DIR).expect("replay never fails");
+        // A longer prefix never recovers an older state, and what it
+        // recovers is a state the store was in, byte for byte.
+        let state = (recovered_up_to..history.len())
+            .find(|&state| holds(&store, &history[state]))
+            .unwrap_or_else(|| panic!("cut at {cut}: not a state at or after {recovered_up_to}"));
+        recovered_up_to = state;
+    }
+    assert_eq!(recovered_up_to, history.len() - 1, "the whole manifest");
 }
 
 #[test]
 fn a_rewritten_store_over_a_torn_manifest_is_fully_usable() {
     // Recovery is not read-only: after reopening over a torn manifest the
     // store must accept writes again, and a further clean reopen sees them.
-    let seed = 0xDEAD;
     let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
     {
         let mut store = SpillStore::open(Arc::clone(&vfs), "d").unwrap();
-        store.write(1, &payload(seed, 1)).unwrap();
-        store.write(2, &payload(seed, 2)).unwrap();
+        store.write(1, &payload(1, 0, 200)).unwrap();
+        store.flush().unwrap();
+        store.write(2, &payload(2, 0, 300)).unwrap();
     }
-    // Tear off the last byte of key 2's line ("+ 2 <len>\n" loses "\n").
-    let manifest = vfs.open("d/MANIFEST", false).unwrap();
-    let full = vfs
-        .read_at(manifest, 0, vfs.len(manifest).unwrap() as usize)
-        .unwrap();
-    vfs.close(manifest).unwrap();
-    vfs.remove("d/MANIFEST").unwrap();
-    let m = vfs.open("d/MANIFEST", true).unwrap();
-    vfs.write_at(m, 0, &full[..full.len() - 1]).unwrap();
-    vfs.close(m).unwrap();
+    // Tear off the last byte of key 2's record (the newline).
+    let path = "d/MANIFEST";
+    let full = read_file(&vfs, path);
+    vfs.remove(path).unwrap();
+    write_file(&vfs, path, &full[..full.len() - 1]);
 
     let mut store = SpillStore::open(Arc::clone(&vfs), "d").unwrap();
-    assert_eq!(store.read(1).unwrap(), payload(seed, 1));
-    // A line without its newline still parses whole here (the length digits
-    // are all present), so key 2 must have survived with correct bytes.
-    assert_eq!(store.read(2).unwrap(), payload(seed, 2));
-    store.write(3, &payload(seed, 3)).unwrap();
+    assert_eq!(store.read(1).unwrap(), payload(1, 0, 200));
+    // A record without its newline is still whole (its checksum is all
+    // there), so key 2 survived with the right bytes.
+    assert_eq!(store.read(2).unwrap(), payload(2, 0, 300));
+    store.write(3, &payload(3, 0, 100)).unwrap();
     store.remove(1).unwrap();
     drop(store);
 
     let reopened = SpillStore::open(Arc::clone(&vfs), "d").unwrap();
     assert!(!reopened.contains(1));
-    assert_eq!(reopened.read(2).unwrap(), payload(seed, 2));
-    assert_eq!(reopened.read(3).unwrap(), payload(seed, 3));
+    assert_eq!(reopened.read(2).unwrap(), payload(2, 0, 300));
+    assert_eq!(reopened.read(3).unwrap(), payload(3, 0, 100));
 }
