@@ -49,6 +49,13 @@
 //! only on a lane whose head is empty; that lane's thread is therefore
 //! fetching, not parked on a full lane, so the wait ends.
 //!
+//! **Recycled buffers.**  A prep worker prepares each batch into buffers
+//! popped from the lane's [`Spares`] under one lock — buffers the lane's
+//! streams took back from consumers that let go of a delivered batch (see
+//! [`BatchStream`](crate::BatchStream)) — and hands every raw payload it
+//! held the last reference to back to the backend.  In steady state neither
+//! stage allocates per sample.
+//!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and recorded in the shared
 //! [`ExecutorShared`] slot; a typed fetch error is recorded as it is.  The
@@ -65,6 +72,7 @@
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
 use crate::minibatch::Minibatch;
+use crate::spares::Spares;
 use crate::stats::LoaderStats;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dataset::ItemId;
@@ -185,6 +193,17 @@ pub(crate) struct Lane {
     pub backend: Arc<dyn FetchBackend>,
     /// The deterministic prep pipeline.
     pub pipeline: Arc<ExecutablePipeline>,
+    /// Spare prepared-sample buffers: prep workers prepare into them (one
+    /// lock per batch) and the lane's streams push back the buffers of
+    /// every batch the consumer let go of.  Built with the lane, so it
+    /// outlives the per-epoch executors.  It has no cap, and needs none:
+    /// a buffer is created only when the stack is empty, that is, when
+    /// every buffer that exists is in flight, so the stack never holds more
+    /// than the most samples that were ever in flight together — the
+    /// prepared-side window (`prefetch_depth + workers + 1` minibatches for
+    /// an ordered stream with one worker, `staging_window + workers + 1`
+    /// in a coordinated epoch).
+    pub spares: Arc<Spares>,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
     /// Thread counts and queue depth.
@@ -259,7 +278,7 @@ impl Lane {
         sink: &dyn PreparedSink,
     ) {
         let stats = &*self.stats;
-        let mut raw = Vec::new();
+        let (mut raw, mut bufs) = (Vec::new(), Vec::new());
         loop {
             let stall = Instant::now();
             let next = assembler.lock().next(plan, &mut raw);
@@ -269,12 +288,14 @@ impl Lane {
             };
             let (index, items) = &plan[pos];
             let busy = Instant::now();
+            self.spares.pop_n(items.len(), &mut bufs);
             let samples = items
                 .iter()
                 .zip(raw.drain(..))
-                .map(|(&item, raw)| {
+                .zip(bufs.drain(..))
+                .map(|((&item, raw), buf)| {
                     let raw = raw.expect("every item was fetched by its owner");
-                    let sample = self.pipeline.prepare(epoch, item, &raw);
+                    let sample = self.pipeline.prepare_into(epoch, item, &raw, buf);
                     recycle_if_last(&*self.backend, raw);
                     sample
                 })
@@ -584,6 +605,7 @@ mod tests {
             fetch,
             backend: Arc::new(Recycler::default()),
             pipeline: pipeline(),
+            spares: Arc::default(),
             stats: Arc::clone(stats),
             config,
         }

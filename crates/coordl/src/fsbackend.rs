@@ -12,8 +12,8 @@
 
 use crate::backend::{check_item_in_range, FetchBackend};
 use crate::error::CoordlError;
+use crate::spares::Spares;
 use dataset::{DataSource, ItemId};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -65,7 +65,7 @@ pub struct FsBackend {
     offsets: Vec<u64>,
     sizes: Vec<u64>,
     /// Recycled payload buffers, at most [`FREE_LIST_CAP`] of them.
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Spares,
     profile: Option<(DeviceProfile, AccessPattern)>,
     reads: AtomicU64,
     modelled_nanos: AtomicU64,
@@ -151,7 +151,7 @@ impl FsBackend {
             file,
             offsets,
             sizes,
-            free: Mutex::new(Vec::new()),
+            free: Spares::capped(FREE_LIST_CAP),
             profile: None,
             reads: AtomicU64::new(0),
             modelled_nanos: AtomicU64::new(0),
@@ -198,7 +198,7 @@ impl FetchBackend for FsBackend {
         check_item_in_range("fs", item, self.num_items())?;
         let offset = self.offsets[item as usize];
         let len = self.sizes[item as usize] as usize;
-        let mut buf = self.free.lock().pop().unwrap_or_default();
+        let mut buf = self.free.pop();
         buf.resize(len, 0);
         let started = Instant::now();
         let read = self.vfs.read_into(self.file, offset, &mut buf);
@@ -232,10 +232,7 @@ impl FetchBackend for FsBackend {
     }
 
     fn recycle(&self, buf: Vec<u8>) {
-        let mut free = self.free.lock();
-        if free.len() < FREE_LIST_CAP {
-            free.push(buf);
-        }
+        self.free.push([buf]);
     }
 
     fn profile(&self) -> Option<&DeviceProfile> {
@@ -288,7 +285,7 @@ mod tests {
     fn prime(b: &FsBackend, item: ItemId) {
         let bufs: Vec<_> = (0..FREE_LIST_CAP).map(|_| b.read(item).unwrap()).collect();
         bufs.into_iter().for_each(|buf| b.recycle(buf));
-        assert_eq!(b.free.lock().len(), FREE_LIST_CAP);
+        assert_eq!(b.free.len(), FREE_LIST_CAP);
     }
 
     #[test]
@@ -414,7 +411,7 @@ mod tests {
                 other => panic!("expected truncated-read error, got {other:?}"),
             }
         }
-        assert_eq!(b.free.lock().len(), FREE_LIST_CAP, "failed reads pooled");
+        assert_eq!(b.free.len(), FREE_LIST_CAP, "failed reads pooled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -442,10 +439,10 @@ mod tests {
         );
         // The one buffer those reads drew went back to the list each time,
         // not to the allocator, and serves the first read that works again.
-        assert_eq!(b.free.lock().len(), 1);
+        assert_eq!(b.free.len(), 1);
         assert_eq!(vfs.open("ds/DATA", false).unwrap(), handle);
         assert_eq!(b.read(1).unwrap(), src.read(1));
-        assert!(b.free.lock().is_empty());
+        assert_eq!(b.free.len(), 0);
     }
 
     #[test]
@@ -498,7 +495,7 @@ mod tests {
                                 .collect();
                             for buf in held {
                                 b.recycle(buf);
-                                assert!(b.free.lock().len() <= FREE_LIST_CAP);
+                                assert!(b.free.len() <= FREE_LIST_CAP);
                             }
                         }
                     });
@@ -507,7 +504,7 @@ mod tests {
             let reads = threads * rounds * per_round;
             assert_eq!(reads_since(&*vfs, before), (reads, reads * 3000));
             assert_eq!(b.span_misses(), reads);
-            assert_eq!(b.free.lock().len(), FREE_LIST_CAP);
+            assert_eq!(b.free.len(), FREE_LIST_CAP);
         });
     }
 
@@ -672,14 +669,14 @@ mod tests {
         assert_eq!(session.cache_tier().unwrap().resident_items(), 2);
         assert_eq!(backend.span_misses(), 4);
         assert_eq!(
-            backend.free.lock().len(),
+            backend.free.len(),
             2,
             "the bypassed payloads came back, the admitted ones stay put"
         );
         // The next epoch reads the two bypassed items into those buffers.
         assert_eq!(session.epoch(1).stream(0).count(), 1);
         assert_eq!(backend.span_misses(), 6);
-        assert_eq!(backend.free.lock().len(), 2);
+        assert_eq!(backend.free.len(), 2);
     }
 
     #[test]

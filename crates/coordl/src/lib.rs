@@ -56,6 +56,7 @@ pub mod partition;
 pub mod report;
 pub mod server;
 pub mod session;
+pub(crate) mod spares;
 pub(crate) mod stack;
 pub mod staging;
 pub mod stats;

@@ -44,6 +44,7 @@ use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
 use crate::report::{EpochTrajectory, LoaderReport};
+use crate::spares::Spares;
 use crate::stack::tier_over_backend;
 use crate::staging::{StagingArea, StagingStats};
 use crate::stats::LoaderStats;
@@ -413,6 +414,7 @@ impl SessionBuilder {
             fetch,
             backend: Arc::clone(&backend),
             pipeline: Arc::clone(&pipeline),
+            spares: Arc::default(),
             stats: Arc::clone(&stats),
             config: executor,
         };
@@ -819,6 +821,7 @@ impl EpochRun<'_> {
             return BatchStream {
                 total: epoch_session.total_batches(),
                 inner: StreamInner::Coordinated(epoch_session.consumer(job)),
+                lender: Lender::new(&session.lanes[0]),
             };
         }
         if session.mode == Mode::Single {
@@ -828,10 +831,12 @@ impl EpochRun<'_> {
                  Session::epoch again for another pass"
             );
         }
-        let stream = session.lanes[job].spawn_ordered(self.epoch, session.plan(self.epoch, job));
+        let lane = &session.lanes[job];
+        let stream = lane.spawn_ordered(self.epoch, session.plan(self.epoch, job));
         BatchStream {
             total: stream.total_batches(),
             inner: StreamInner::Ordered(stream),
+            lender: Lender::new(lane),
         }
     }
 
@@ -878,9 +883,22 @@ impl Drop for EpochRun<'_> {
 /// epochs surface producer failure, worker panics and shutdown as typed
 /// errors; single and partitioned epochs surface a panicking worker as one
 /// [`CoordlError::WorkerPanicked`] before ending.
+///
+/// **Lending contract.**  A delivered batch is *lent*: the stream keeps a
+/// reference to the batch it handed out last, and at the next
+/// [`next`](Iterator::next) — or when the stream is dropped — takes it
+/// back if that reference is the only one left, returning its sample
+/// buffers to its lane for prep to fill again.  A batch anyone still holds
+/// (the consumer, or in a coordinated epoch another job or the staging
+/// area) is never touched; it is freed as usual by whoever drops it last.
+/// So holding batches is always safe, and a consumer that drops each batch
+/// before asking for the next makes steady-state prep allocate nothing for
+/// the samples it delivers.
 pub struct BatchStream {
     total: usize,
     inner: StreamInner,
+    /// Dropped after `inner`, whose executor is joined by then.
+    lender: Lender,
 }
 
 enum StreamInner {
@@ -888,6 +906,41 @@ enum StreamInner {
     /// buffer per stream.
     Ordered(OrderedStream),
     Coordinated(JobEpochIterator),
+}
+
+/// The batch a stream lent last, and the lane its buffers go back to.
+struct Lender {
+    spares: Arc<Spares>,
+    lent: Option<Arc<Minibatch>>,
+}
+
+impl Lender {
+    fn new(lane: &Lane) -> Self {
+        Lender {
+            spares: Arc::clone(&lane.spares),
+            lent: None,
+        }
+    }
+
+    fn lend(&mut self, batch: Arc<Minibatch>) -> Arc<Minibatch> {
+        self.lent = Some(Arc::clone(&batch));
+        batch
+    }
+
+    /// Take the lent batch back if nobody else holds it any more: only the
+    /// last holder gets it out of the `Arc`.
+    fn take_back(&mut self) {
+        if let Some(batch) = self.lent.take().and_then(Arc::into_inner) {
+            self.spares
+                .push(batch.samples.into_iter().map(|sample| sample.data));
+        }
+    }
+}
+
+impl Drop for Lender {
+    fn drop(&mut self) {
+        self.take_back();
+    }
 }
 
 impl BatchStream {
@@ -901,7 +954,8 @@ impl Iterator for BatchStream {
     type Item = Result<Arc<Minibatch>, CoordlError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
+        self.lender.take_back();
+        let next = match &mut self.inner {
             StreamInner::Ordered(s) => match s.next() {
                 Some(mb) => Some(Ok(Arc::new(mb))),
                 // An early end with a recorded panic becomes one typed
@@ -909,7 +963,8 @@ impl Iterator for BatchStream {
                 None => s.take_failure().map(Err),
             },
             StreamInner::Coordinated(s) => s.next(),
-        }
+        };
+        next.map(|batch| batch.map(|batch| self.lender.lend(batch)))
     }
 }
 

@@ -13,6 +13,7 @@ use dataset::ItemId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::mem;
 use std::ops::Range;
 
 /// A fully pre-processed sample ready for "GPU" consumption.
@@ -63,14 +64,29 @@ impl ExecutablePipeline {
             ^ item.wrapping_mul(0xE703_7ED1_A0B4_28DB)
     }
 
-    /// Pre-process one raw item.
+    /// Pre-process one raw item into a fresh buffer: the transforms of
+    /// [`prepare_into`](Self::prepare_into) without its reservation, so the
+    /// image, detection and crop-only pipelines allocate exactly the bytes
+    /// they return.
+    pub fn prepare(&self, epoch: u64, item: ItemId, raw: &[u8]) -> PreparedSample {
+        self.transform(epoch, item, raw, Vec::new())
+    }
+
+    /// Pre-process one raw item into `buf`, whose contents are ignored: the
+    /// returned sample's `data` *is* `buf`, so a consumer that hands
+    /// delivered buffers back makes preparing allocate nothing.
     ///
-    /// `raw` is never copied whole: the working buffer starts as the
-    /// borrowed slice and becomes an owned `Vec` at the first transform that
-    /// has to write.  A decode allocates its output, a crop of still-borrowed
-    /// input only narrows the borrow (so just the window it keeps is ever
-    /// copied), and every later transform runs in place on that one `Vec` — so the image, detection and crop-only
-    /// pipelines allocate exactly the bytes they return.
+    /// `buf` is cleared and reserved once to the sample's pre-crop upper
+    /// bound — `raw.len() × multiplier` when the pipeline decodes,
+    /// `raw.len()` otherwise — so on equal-sized items a buffer passed
+    /// around this way is sized at its first use and never grows again,
+    /// whatever the crops keep.  `raw` is never copied whole: the working
+    /// buffer starts as the borrowed slice and becomes `buf` at the first
+    /// transform that has to write.  A decode writes its output into `buf`,
+    /// a crop of still-borrowed input only narrows the borrow (so just the
+    /// window it keeps is ever copied, into `buf`), and every later
+    /// transform runs in place on it.  Only a second decode, which no
+    /// `PrepPipeline` constructor has, needs a buffer of its own.
     ///
     /// **Fusion rule.**  A `Decode*` immediately followed by
     /// `RandomResizedCrop` / `SsdCropWithBoxes` generates only the window the
@@ -79,7 +95,22 @@ impl ExecutablePipeline {
     /// `start` against the decoded length `raw.len() × multiplier`, which is
     /// known without decoding — so every later draw, and every delivered
     /// byte, is unchanged.
-    pub fn prepare(&self, epoch: u64, item: ItemId, raw: &[u8]) -> PreparedSample {
+    pub fn prepare_into(
+        &self,
+        epoch: u64,
+        item: ItemId,
+        raw: &[u8],
+        mut buf: Vec<u8>,
+    ) -> PreparedSample {
+        buf.clear();
+        let decodes = self.pipeline.transforms.iter().any(|&t| is_decode(t));
+        buf.reserve_exact(raw.len() * if decodes { self.decoded_multiplier } else { 1 });
+        self.transform(epoch, item, raw, buf)
+    }
+
+    /// The one transform chain of `prepare` and `prepare_into`, writing into
+    /// the empty `buf`.
+    fn transform(&self, epoch: u64, item: ItemId, raw: &[u8], mut buf: Vec<u8>) -> PreparedSample {
         let aug_seed = self.augmentation_seed(epoch, item);
         let mut rng = SmallRng::seed_from_u64(aug_seed);
         let mut data = Cow::Borrowed(raw);
@@ -92,7 +123,13 @@ impl ExecutablePipeline {
                         Some(_) => crop_window(decoded_len, &mut rng),
                         None => 0..decoded_len,
                     };
-                    data = Cow::Owned(decode_window(&data, window));
+                    // `buf` is untouched while `data` still borrows `raw`.
+                    let mut out = match data {
+                        Cow::Borrowed(_) => mem::take(&mut buf),
+                        Cow::Owned(_) => Vec::new(),
+                    };
+                    decode_window(&data, window, &mut out);
+                    data = Cow::Owned(out);
                 }
                 TransformKind::RandomResizedCrop | TransformKind::SsdCropWithBoxes => {
                     let window = crop_window(data.len(), &mut rng);
@@ -106,17 +143,17 @@ impl ExecutablePipeline {
                 }
                 TransformKind::RandomFlip => {
                     if rng.gen_bool(0.5) {
-                        data.to_mut().reverse();
+                        owned(&mut data, &mut buf).reverse();
                     }
                 }
                 TransformKind::ColorJitter | TransformKind::AudioAugment => {
                     let delta: u8 = rng.gen();
-                    map_bytes(&mut data, |b| b.wrapping_add(delta));
+                    map_bytes(&mut data, &mut buf, |b| b.wrapping_add(delta));
                 }
                 TransformKind::ResampleAudio => {
                     // Drop every 4th byte (down-sample) — deterministic.
                     let mut index = 0usize;
-                    data.to_mut().retain(|_| {
+                    owned(&mut data, &mut buf).retain(|_| {
                         let keep = index % 4 != 3;
                         index += 1;
                         keep
@@ -126,38 +163,52 @@ impl ExecutablePipeline {
                     // "Tokenise": fold each 4-byte window into one subword id —
                     // deterministic, like a real tokeniser.  Token `i` is
                     // written at or before the first byte it was read from.
-                    let buf = data.to_mut();
-                    let tokens = buf.len().div_ceil(4);
+                    let bytes = owned(&mut data, &mut buf);
+                    let tokens = bytes.len().div_ceil(4);
                     for i in 0..tokens {
-                        let end = (4 * i + 4).min(buf.len());
-                        buf[i] = buf[4 * i..end]
+                        let end = (4 * i + 4).min(bytes.len());
+                        bytes[i] = bytes[4 * i..end]
                             .iter()
                             .fold(0u8, |acc, &b| acc.wrapping_mul(31).wrapping_add(b));
                     }
-                    buf.truncate(tokens);
+                    bytes.truncate(tokens);
                 }
                 TransformKind::MaskTokens => {
                     // BERT-style MLM masking: replace ~15 % of tokens with a mask
                     // marker, re-drawn every epoch.
-                    map_bytes(&mut data, |b| if rng.gen_bool(0.15) { 0xFF } else { b });
+                    map_bytes(&mut data, &mut buf, |b| {
+                        if rng.gen_bool(0.15) {
+                            0xFF
+                        } else {
+                            b
+                        }
+                    });
                 }
                 TransformKind::NormalizeToTensor => {
                     // Byte-wise "normalisation": subtract the running mean.
                     if !data.is_empty() {
                         let sum = data.iter().map(|&b| b as u64).sum::<u64>();
                         let mean = (sum / data.len() as u64) as u8;
-                        map_bytes(&mut data, |b| b.wrapping_sub(mean));
+                        map_bytes(&mut data, &mut buf, |b| b.wrapping_sub(mean));
                     }
                 }
             }
         }
+        owned(&mut data, &mut buf);
+        let Cow::Owned(data) = data else {
+            unreachable!("`owned` leaves the working buffer owned")
+        };
         PreparedSample {
             item,
             epoch,
             augmentation_seed: aug_seed,
-            data: data.into_owned(),
+            data,
         }
     }
+}
+
+fn is_decode(t: TransformKind) -> bool {
+    matches!(t, TransformKind::DecodeImage | TransformKind::DecodeAudio)
 }
 
 fn is_crop(t: TransformKind) -> bool {
@@ -181,12 +232,12 @@ fn crop_window(len: usize, rng: &mut SmallRng) -> Range<usize> {
 /// "Decode": byte `i` of the decoded buffer is `input[i % n] + i / n` — the
 /// input repeated once per unit of the decoded multiplier with a cheap
 /// byte-mixing expansion (stand-in for entropy decode).  Generates only
-/// `window` of that buffer, one slice-to-slice loop per repetition it
-/// touches.
-fn decode_window(input: &[u8], window: Range<usize>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(window.len());
+/// `window` of that buffer, appended to the empty `out`, one slice-to-slice
+/// loop per repetition it touches.
+fn decode_window(input: &[u8], window: Range<usize>, out: &mut Vec<u8>) {
+    out.reserve_exact(window.len());
     if window.is_empty() {
-        return out;
+        return;
     }
     let n = input.len();
     for rep in window.start / n..=(window.end - 1) / n {
@@ -194,15 +245,30 @@ fn decode_window(input: &[u8], window: Range<usize>) -> Vec<u8> {
         let hi = window.end.min((rep + 1) * n) - rep * n;
         out.extend(input[lo..hi].iter().map(|b| b.wrapping_add(rep as u8)));
     }
-    out
+}
+
+/// The working buffer as an owned `Vec` to transform in place: still
+/// borrowed input is first copied into the empty `buf`, which becomes it.
+fn owned<'d>(data: &'d mut Cow<'_, [u8]>, buf: &mut Vec<u8>) -> &'d mut Vec<u8> {
+    if let Cow::Borrowed(input) = *data {
+        buf.reserve_exact(input.len());
+        buf.extend_from_slice(input);
+        *data = Cow::Owned(mem::take(buf));
+    }
+    data.to_mut()
 }
 
 /// Replace every byte by `f(byte)`, front to back: in place when the buffer
-/// is owned, in the one pass that makes it owned when it is still borrowed.
-fn map_bytes(data: &mut Cow<'_, [u8]>, mut f: impl FnMut(u8) -> u8) {
+/// is owned, in the one pass that copies it into `buf` when it is still
+/// borrowed.
+fn map_bytes(data: &mut Cow<'_, [u8]>, buf: &mut Vec<u8>, mut f: impl FnMut(u8) -> u8) {
     match data {
-        Cow::Borrowed(input) => *data = Cow::Owned(input.iter().map(|&b| f(b)).collect()),
-        Cow::Owned(buf) => buf.iter_mut().for_each(|b| *b = f(*b)),
+        Cow::Borrowed(input) => {
+            buf.reserve_exact(input.len());
+            buf.extend(input.iter().map(|&b| f(b)));
+            *data = Cow::Owned(mem::take(buf));
+        }
+        Cow::Owned(bytes) => bytes.iter_mut().for_each(|b| *b = f(*b)),
     }
 }
 
@@ -453,14 +519,25 @@ mod tests {
                     "image-classification" | "object-detection" | "crop-only"
                 );
                 let p = ExecutablePipeline::new(pipeline.clone(), multiplier, seed);
+                let reference = p.prepare_reference(epoch, item, raw);
                 let got = p.prepare(epoch, item, raw);
                 prop_assert_eq!(
                     &got,
-                    &p.prepare_reference(epoch, item, raw),
+                    &reference,
                     "{:?} x{} on {} raw bytes",
                     p.pipeline().transforms,
                     multiplier,
                     raw.len()
+                );
+                // A recycled buffer of any size, full of a previous
+                // sample's bytes: none of them may show through.
+                let poisoned = vec![0xA5; (0..=2 * reference.data.len()).sample(&mut rng)];
+                prop_assert_eq!(
+                    &p.prepare_into(epoch, item, raw, poisoned),
+                    &reference,
+                    "{:?} x{} into a poisoned buffer",
+                    p.pipeline().transforms,
+                    multiplier
                 );
                 if exact {
                     prop_assert_eq!(
@@ -476,14 +553,43 @@ mod tests {
 
     #[test]
     fn fused_decode_generates_any_window_of_the_full_decode() {
+        let decode = |input: &[u8], window| {
+            let mut out = Vec::new();
+            decode_window(input, window, &mut out);
+            out
+        };
         let input: Vec<u8> = (0..7u8).map(|i| i.wrapping_mul(37)).collect();
-        let full = decode_window(&input, 0..input.len() * 5);
+        let full = decode(&input, 0..input.len() * 5);
         assert_eq!(full.len(), 35);
         for start in 0..full.len() {
             for end in start..=full.len() {
-                assert_eq!(decode_window(&input, start..end), full[start..end]);
+                assert_eq!(decode(&input, start..end), full[start..end]);
             }
         }
-        assert!(decode_window(&[], 0..0).is_empty());
+        assert!(decode(&[], 0..0).is_empty());
+    }
+
+    #[test]
+    fn a_buffer_passed_around_is_reserved_to_the_pre_crop_bound_once() {
+        let p = pipeline(); // image classification, decode x6
+        let raw: Vec<u8> = (0..100).collect();
+        let mut buf = p.prepare_into(0, 1, &raw, Vec::new()).data;
+        assert_eq!(
+            buf.capacity(),
+            600,
+            "raw x multiplier, whatever the crop kept"
+        );
+        let ptr = buf.as_ptr();
+        for epoch in 1..20 {
+            buf = p.prepare_into(epoch, 1, &raw, buf).data;
+            assert_eq!(
+                (buf.as_ptr(), buf.capacity()),
+                (ptr, 600),
+                "never grows again"
+            );
+        }
+        let crop = ExecutablePipeline::new(crop_only(), 6, 42);
+        let buf = crop.prepare_into(0, 1, &raw, Vec::new()).data;
+        assert_eq!(buf.capacity(), 100, "no decode: the raw length");
     }
 }
