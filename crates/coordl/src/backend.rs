@@ -17,6 +17,7 @@
 //! the batch stream to the consumer that asked for the item.
 
 use crate::error::CoordlError;
+use crate::spares::{Spares, FREE_LIST_CAP};
 use dataset::{DataSource, ItemId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,9 +38,15 @@ pub trait FetchBackend: Send + Sync {
     /// Take back a payload buffer nobody references any more, for a later
     /// [`read`](FetchBackend::read) to fill.  The runtime offers every raw
     /// payload it held the last reference to once prep is done with it (a
-    /// payload a cache tier kept is never offered); its contents are
+    /// payload a cache tier kept is never offered until the tier lets go of
+    /// it: a session's own tier offers each payload it drops, whichever of
+    /// the two lets go last offers it, exactly once); its contents are
     /// garbage to the backend, and it need not have come from this
     /// backend's `read`.  The default drops it.
+    ///
+    /// A tier offers what it drops while it holds a shard lock, so the lock
+    /// order is tier shard → whatever `recycle` locks: an implementation
+    /// must not call into a cache tier.
     fn recycle(&self, _buf: Vec<u8>) {}
 
     /// The device profile timing this backend, if any.
@@ -81,23 +88,60 @@ pub(crate) fn check_item_in_range(
 }
 
 /// Hand `raw` back to `backend` if this was the last reference to it: a
-/// payload a cache tier admitted, or a peer's cache shares, stays where it
-/// is.
+/// payload a cache tier still holds, or a peer's cache shares, stays where
+/// it is, and comes back from whoever lets go of it last.  Prep calls this
+/// for every payload it is done with and a session's tier for every payload
+/// it drops; when both let go of one payload at the same moment,
+/// `Arc::into_inner` hands it to exactly one of them.
 pub(crate) fn recycle_if_last(backend: &dyn FetchBackend, raw: Arc<Vec<u8>>) {
-    if let Ok(buf) = Arc::try_unwrap(raw) {
+    if let Some(buf) = Arc::into_inner(raw) {
         backend.recycle(buf);
     }
 }
 
+/// A backend that is never read and records every buffer handed back to it:
+/// the double that tests count recycling with.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Recycler(pub(crate) parking_lot::Mutex<Vec<Vec<u8>>>);
+
+#[cfg(test)]
+impl FetchBackend for Recycler {
+    fn num_items(&self) -> u64 {
+        0
+    }
+    fn item_bytes(&self, _item: ItemId) -> u64 {
+        0
+    }
+    fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
+        unreachable!("item {item}: the tests fetch through their own closures")
+    }
+    fn recycle(&self, buf: Vec<u8>) {
+        self.0.lock().push(buf);
+    }
+    fn name(&self) -> &'static str {
+        "recycler"
+    }
+}
+
 /// Reads items directly from a [`DataSource`] with no timing model.
+///
+/// Each read fills a payload buffer handed back through
+/// [`recycle`](FetchBackend::recycle) when there is one
+/// ([`DataSource::read_into`]), so a steady-state miss allocates nothing.
 pub struct DirectBackend {
     source: Arc<dyn DataSource>,
+    /// Recycled payload buffers, at most [`FREE_LIST_CAP`] of them.
+    free: Spares,
 }
 
 impl DirectBackend {
     /// Wrap `source`.
     pub fn new(source: Arc<dyn DataSource>) -> Self {
-        DirectBackend { source }
+        DirectBackend {
+            source,
+            free: Spares::capped(FREE_LIST_CAP),
+        }
     }
 }
 
@@ -112,7 +156,13 @@ impl FetchBackend for DirectBackend {
 
     fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
         check_item_in_range(self.name(), item, self.source.len())?;
-        Ok(self.source.read(item))
+        let mut buf = self.free.pop();
+        self.source.read_into(item, &mut buf);
+        Ok(buf)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        self.free.push([buf]);
     }
 
     fn name(&self) -> &'static str {
@@ -127,8 +177,11 @@ impl FetchBackend for DirectBackend {
 /// a simulator); only the *accounting* is profiled.  `device_seconds` then
 /// answers "how long would this epoch's storage traffic have kept an SSD /
 /// HDD busy", which is what the predicted-vs-empirical validation compares.
+/// Reads fill recycled payload buffers, as [`DirectBackend`]'s do.
 pub struct ProfiledBackend {
     source: Arc<dyn DataSource>,
+    /// Recycled payload buffers, at most [`FREE_LIST_CAP`] of them.
+    free: Spares,
     profile: DeviceProfile,
     pattern: AccessPattern,
     busy_nanos: AtomicU64,
@@ -149,6 +202,7 @@ impl ProfiledBackend {
     ) -> Self {
         ProfiledBackend {
             source,
+            free: Spares::capped(FREE_LIST_CAP),
             profile,
             pattern,
             busy_nanos: AtomicU64::new(0),
@@ -172,11 +226,16 @@ impl FetchBackend for ProfiledBackend {
 
     fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
         check_item_in_range(self.name(), item, self.source.len())?;
-        let bytes = self.source.read(item);
-        let secs = self.profile.read_seconds(bytes.len() as u64, self.pattern);
+        let mut buf = self.free.pop();
+        self.source.read_into(item, &mut buf);
+        let secs = self.profile.read_seconds(buf.len() as u64, self.pattern);
         self.busy_nanos
             .fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
-        Ok(bytes)
+        Ok(buf)
+    }
+
+    fn recycle(&self, buf: Vec<u8>) {
+        self.free.push([buf]);
     }
 
     fn profile(&self) -> Option<&DeviceProfile> {
@@ -196,6 +255,7 @@ impl FetchBackend for ProfiledBackend {
 mod tests {
     use super::*;
     use dataset::{DatasetSpec, SyntheticItemStore};
+    use std::sync::Barrier;
 
     fn store(n: u64, size: u64) -> Arc<dyn DataSource> {
         Arc::new(SyntheticItemStore::new(
@@ -214,6 +274,57 @@ mod tests {
         assert_eq!(b.device_seconds(), 0.0);
         assert_eq!(b.measured_seconds(), 0.0);
         assert!(b.profile().is_none());
+    }
+
+    #[test]
+    fn source_backends_read_misses_into_recycled_buffers() {
+        let src = store(10, 64);
+        let direct = DirectBackend::new(Arc::clone(&src));
+        let profiled = ProfiledBackend::new(Arc::clone(&src), DeviceProfile::hdd());
+        let backends: [&dyn FetchBackend; 2] = [&direct, &profiled];
+        for b in backends {
+            let first = b.read(3).unwrap();
+            let addr = first.as_ptr();
+            b.recycle(first);
+            let again = b.read(5).unwrap();
+            assert_eq!(again.as_ptr(), addr, "{}: the recycled buffer", b.name());
+            assert_eq!(again, src.read(5), "{}: nothing left over", b.name());
+        }
+    }
+
+    #[test]
+    fn racing_hand_backs_recycle_each_payload_exactly_once() {
+        // A tier dropping a payload and prep finishing with it at the same
+        // moment: whichever lets go last hands it back, never both, never
+        // neither.
+        const ROUNDS: usize = 10_000;
+        let backend = Recycler::default();
+        let (tier_side, prep_side): (Vec<_>, Vec<_>) = (0..ROUNDS)
+            .map(|round| {
+                let payload = Arc::new(round.to_le_bytes().to_vec());
+                (Arc::clone(&payload), payload)
+            })
+            .unzip();
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            for side in [tier_side, prep_side] {
+                let (backend, barrier) = (&backend, &barrier);
+                s.spawn(move || {
+                    for payload in side {
+                        barrier.wait();
+                        recycle_if_last(backend, payload);
+                    }
+                });
+            }
+        });
+        let mut rounds: Vec<usize> = backend
+            .0
+            .lock()
+            .iter()
+            .map(|buf| usize::from_le_bytes(buf[..].try_into().unwrap()))
+            .collect();
+        rounds.sort_unstable();
+        assert_eq!(rounds, (0..ROUNDS).collect::<Vec<_>>());
     }
 
     #[test]

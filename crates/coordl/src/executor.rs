@@ -52,9 +52,14 @@
 //! **Recycled buffers.**  A prep worker prepares each batch into buffers
 //! popped from the lane's [`Spares`] under one lock — buffers the lane's
 //! streams took back from consumers that let go of a delivered batch (see
-//! [`BatchStream`](crate::BatchStream)) — and hands every raw payload it
-//! held the last reference to back to the backend.  In steady state neither
-//! stage allocates per sample.
+//! [`BatchStream`](crate::BatchStream)); the lane's first batch makes every
+//! buffer the prepared-side window can hold (see `Lane::spares`).  It
+//! hands every raw payload it held the last reference to back to the
+//! backend.  A payload a session's cache tier still holds is not prep's to
+//! hand back: the tier returns it to the same backend when it drops it, and
+//! whichever of the two lets go last returns it, exactly once.  In steady
+//! state neither stage allocates per sample, whether the tier keeps its
+//! misses or evicts on each one.
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and recorded in the shared
@@ -189,20 +194,26 @@ pub(crate) struct Lane {
     /// Raw-byte source, called in plan order per cache shard.
     pub fetch: Arc<FetchFn>,
     /// The backend under `fetch`: prep workers hand it back every raw
-    /// payload nothing else references.
+    /// payload nothing else references (the session's tier, if it still
+    /// holds one, hands it back once it drops it).
     pub backend: Arc<dyn FetchBackend>,
     /// The deterministic prep pipeline.
     pub pipeline: Arc<ExecutablePipeline>,
     /// Spare prepared-sample buffers: prep workers prepare into them (one
     /// lock per batch) and the lane's streams push back the buffers of
     /// every batch the consumer let go of.  Built with the lane, so it
-    /// outlives the per-epoch executors.  It has no cap, and needs none:
-    /// a buffer is created only when the stack is empty, that is, when
-    /// every buffer that exists is in flight, so the stack never holds more
-    /// than the most samples that were ever in flight together — the
-    /// prepared-side window (`prefetch_depth + workers + 1` minibatches for
-    /// an ordered stream with one worker, `staging_window + workers + 1`
-    /// in a coordinated epoch).
+    /// outlives the per-epoch executors.  Its window is the prepared-side
+    /// window — the most samples the lane's streams can hold in flight
+    /// together: `prefetch_depth + workers + 1` minibatches for an ordered
+    /// stream (exact with one worker; more workers add the reorder buffer,
+    /// which timing bounds), `staging_window + workers + 1` in a
+    /// coordinated epoch.  The first batch finds the stack empty, and the
+    /// worker then makes the whole window, sized like that batch's buffers:
+    /// had it made only what was in flight, the count would grow whenever
+    /// a later epoch ran further ahead than any before it, a step of one
+    /// minibatch of buffers that depends on thread timing alone.  Beyond
+    /// that, a buffer is made only when every one that exists is in flight,
+    /// so the stack needs no cap.
     pub spares: Arc<Spares>,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
@@ -288,7 +299,7 @@ impl Lane {
             };
             let (index, items) = &plan[pos];
             let busy = Instant::now();
-            self.spares.pop_n(items.len(), &mut bufs);
+            let made = self.spares.pop_n(items.len(), &mut bufs);
             let samples = items
                 .iter()
                 .zip(raw.drain(..))
@@ -300,6 +311,10 @@ impl Lane {
                     sample
                 })
                 .collect::<Vec<_>>();
+            if made > 0 {
+                let capacity = samples.iter().map(|s| s.data.capacity()).max();
+                self.spares.fill_window(capacity.unwrap_or(0));
+            }
             stats.record_prepared(samples.len() as u64);
             stats.record_prep_busy(busy.elapsed());
             // Publishing blocks on downstream backpressure (a full output
@@ -547,31 +562,10 @@ impl Iterator for OrderedStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Recycler;
     use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
-
-    /// A backend that is never read and records what is handed back to it.
-    #[derive(Default)]
-    struct Recycler(Mutex<Vec<Vec<u8>>>);
-
-    impl FetchBackend for Recycler {
-        fn num_items(&self) -> u64 {
-            0
-        }
-        fn item_bytes(&self, _item: ItemId) -> u64 {
-            0
-        }
-        fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
-            unreachable!("item {item}: the tests fetch through their own closures")
-        }
-        fn recycle(&self, buf: Vec<u8>) {
-            self.0.lock().push(buf);
-        }
-        fn name(&self) -> &'static str {
-            "recycler"
-        }
-    }
 
     fn plan(batches: usize, per_batch: usize) -> Plan {
         let batch = |i| (0..per_batch).map(move |j| (i * per_batch + j) as ItemId);

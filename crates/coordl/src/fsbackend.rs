@@ -12,26 +12,13 @@
 
 use crate::backend::{check_item_in_range, FetchBackend};
 use crate::error::CoordlError;
-use crate::spares::Spares;
+use crate::spares::{Spares, FREE_LIST_CAP};
 use dataset::{DataSource, ItemId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{FileHandle, Vfs, VfsError, PAGE_SIZE};
-
-/// Payload buffers the free list holds at most: eight default minibatches,
-/// more than a default executor window ever has between fetch and prep at
-/// once (each fetch thread's lane of four positions, the one being fetched
-/// and one per prep worker: seven, at any fetch-thread count).
-/// The list only ever holds buffers that were in flight together, so it
-/// keeps resident what that peak already needed; what it buys is a count
-/// that does not depend on timing.  A list smaller than the window (32)
-/// re-allocated anything from one payload in a hundred to two in five,
-/// depending on which stage happened to run ahead (`BENCH_17.json`).  A
-/// window deeper than this overflows the list: those buffers are dropped
-/// and allocated again, nothing worse.
-const FREE_LIST_CAP: usize = 256;
 
 fn io_error(item: ItemId, err: VfsError) -> CoordlError {
     CoordlError::BackendIo {
@@ -53,10 +40,10 @@ fn io_error(item: ItemId, err: VfsError) -> CoordlError {
 /// A [`read`](FetchBackend::read) is one [`Vfs::read_into`] of exactly the
 /// item's bytes: an epoch's plan is a permutation, so nothing read beyond an
 /// item would be used before it is read again.  The destination is a buffer
-/// a consumer handed back through [`recycle`](FetchBackend::recycle) when
-/// there is one, so a steady-state miss allocates nothing; the free list of
-/// those buffers is the only state concurrent readers share, and its lock is
-/// never held across the read.
+/// prep or the session's cache tier handed back through
+/// [`recycle`](FetchBackend::recycle) when there is one, so a steady-state
+/// miss allocates nothing; the free list of those buffers is the only state
+/// concurrent readers share, and its lock is never held across the read.
 pub struct FsBackend {
     vfs: Arc<dyn Vfs>,
     file: FileHandle,

@@ -391,7 +391,9 @@ impl SessionBuilder {
         // choice is its single-DRAM-level form).  The shard count ties the
         // tier to the fetch stage, so fetch-thread ownership and tier-shard
         // locking agree.  Partitioned node `n` keeps its persistent levels
-        // under `node-{n}`: nodes must never share a spill manifest.
+        // under `node-{n}`: nodes must never share a spill manifest.  Each
+        // tier hands the payloads it drops to the session's backend, for the
+        // next miss to read into.
         let build_tier = |node: Option<usize>| -> Result<Arc<dyn CacheTier>, CoordlError> {
             let specs = match &self.tier {
                 TierChoice::Custom(t) => return Ok(Arc::clone(t)),
@@ -408,13 +410,19 @@ impl SessionBuilder {
                 None => specs,
             };
             let tier = TieredByteCache::try_new_sharded(specs, executor.fetch_shards)?;
-            Ok(Arc::new(tier))
+            Ok(Arc::new(tier.recycling_into(Arc::clone(&backend))))
         };
+        // The prepared-side window of every lane (see `Lane::spares`).
+        let queued = match self.mode {
+            Mode::Coordinated { .. } => config.staging_window,
+            Mode::Single | Mode::Partitioned { .. } => config.prefetch_depth,
+        };
+        let window = (queued + config.num_workers + 1) * config.batch_size;
         let lane = |fetch: Arc<FetchFn>| Lane {
             fetch,
             backend: Arc::clone(&backend),
             pipeline: Arc::clone(&pipeline),
-            spares: Arc::default(),
+            spares: Arc::new(Spares::with_window(window)),
             stats: Arc::clone(&stats),
             config: executor,
         };
@@ -1220,6 +1228,33 @@ mod tests {
             "SSD level charges device time"
         );
         assert_eq!(report.cache_policy, "dram:MinIO+ssd:MinIO");
+    }
+
+    #[test]
+    fn a_lane_makes_its_whole_prepared_window_whatever_the_timing() {
+        // A consumer that drops each batch at once keeps few samples in
+        // flight, yet each node's lane ends every epoch holding exactly its
+        // window of buffers: how many exist never depends on how far prep
+        // happened to run ahead.
+        for mode in [Mode::Single, Mode::Partitioned { nodes: 2 }] {
+            let config = SessionConfig {
+                num_workers: 1,
+                ..config(8, 1 << 20)
+            };
+            let session = Session::builder(store(200, 256), config)
+                .mode(mode)
+                .build()
+                .unwrap();
+            for epoch in 0..2 {
+                let run = session.epoch(epoch);
+                for job in 0..session.num_jobs() {
+                    assert!(run.stream(job).all(|mb| mb.is_ok()));
+                }
+            }
+            for lane in &session.lanes {
+                assert_eq!(lane.spares.len(), (4 + 1 + 1) * 8, "{}", mode.name());
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pluggable byte-cache tiers.
 //!
 //! A [`CacheTier`] sits between a [`Session`](crate::Session)'s prep workers
-//! and its [`FetchBackend`](crate::FetchBackend).  One implementation holds
+//! and its [`FetchBackend`].  One implementation holds
 //! bytes: [`TieredByteCache`], a sharded `dcache::TierChain` of real byte
 //! tiers (DRAM MinIO/LRU/FIFO/CLOCK spilling into a profiled local-SSD tier,
 //! and so on) driven by the *same* policy code the simulator's
@@ -14,6 +14,7 @@
 //! [`PartitionedCacheCluster::fetch`](crate::PartitionedCacheCluster::fetch),
 //! between a node's own tier and the backend.
 
+use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::CoordlError;
 use dataset::ItemId;
 use dcache::{ChainAccess, ChainSource, PolicyKind, TierChain, TierSpec};
@@ -318,9 +319,15 @@ impl TieredInner {
     /// Apply a chain access on `key` to the payload map and the durable
     /// per-level stores: mirror every new landing (`key`'s own admission or
     /// promotion copy, then each demoted victim) into the persistent level
-    /// it landed in, retire and drop what fell off the chain.  Returns the
-    /// level a new copy of `key` landed in.
-    fn settle(&mut self, key: u64, access: ChainAccess) -> Option<usize> {
+    /// it landed in, retire and let go of what fell off the chain — handing
+    /// each payload nobody else holds to `recycler`, if there is one.
+    /// Returns the level a new copy of `key` landed in.
+    fn settle(
+        &mut self,
+        key: u64,
+        access: ChainAccess,
+        recycler: Option<&dyn FetchBackend>,
+    ) -> Option<usize> {
         let landed = access.admitted.then(|| self.chain.locate(key)).flatten();
         let TieredInner {
             bytes,
@@ -348,7 +355,10 @@ impl TieredInner {
             }
         }
         for victim in access.dropped {
-            bytes.remove(&victim);
+            let payload = bytes.remove(&victim);
+            if let (Some(backend), Some(payload)) = (recycler, payload) {
+                recycle_if_last(backend, payload);
+            }
         }
         landed
     }
@@ -385,7 +395,7 @@ pub(crate) enum Admission {
 
 /// A byte-holding cache-tier *hierarchy*: a `dcache::TierChain` decides
 /// residency, demotion and per-level statistics while this wrapper stores
-/// the actual payloads (dropped the moment a key falls off the chain).
+/// the actual payloads (let go of the moment a key falls off the chain).
 ///
 /// A single-level, single-shard `TieredByteCache` makes exactly the raw
 /// `dcache` policy's decisions under the sequential per-shard fetch order
@@ -404,12 +414,24 @@ pub(crate) enum Admission {
 /// same spill directory layout); persistent levels of an `S > 1` cache
 /// spill into `{dir}/shard-{k}` subdirectories, so the shard count must be
 /// kept stable across restarts for warm-up to find its files.
+///
+/// **Payloads that come back.**  The tier a [`Session`](crate::Session)
+/// builds for itself hands every payload it lets go of — a key that falls
+/// off the bottom of the chain, the offered copy a raced admission discards
+/// — to the session's backend ([`FetchBackend::recycle`]) when it held the
+/// last reference, so the next miss reads into it.  A payload prep still
+/// holds comes back from prep instead.  The hand-back of dropped keys runs
+/// under the shard lock: the lock order is tier shard → backend free list,
+/// and `recycle` never calls into a tier.  A cache built through the public
+/// constructors frees what it drops.
 pub struct TieredByteCache {
     shards: Vec<Mutex<TieredInner>>,
     /// The *aggregate* level descriptions (full capacities, original spill
     /// directories) the cache was built from.
     specs: Vec<ByteTierSpec>,
     name: &'static str,
+    /// Where payloads the cache lets go of go back to (see the type docs).
+    recycler: Option<Arc<dyn FetchBackend>>,
 }
 
 impl TieredByteCache {
@@ -497,7 +519,15 @@ impl TieredByteCache {
             shards,
             specs,
             name,
+            recycler: None,
         })
+    }
+
+    /// This cache handing every payload it lets go of, when it held the last
+    /// reference, to `backend` (see the type docs).
+    pub(crate) fn recycling_into(mut self, backend: Arc<dyn FetchBackend>) -> Self {
+        self.recycler = Some(backend);
+        self
     }
 
     /// Build one shard's chain + payload map + spill stores from its
@@ -617,7 +647,7 @@ impl TieredByteCache {
             device_seconds = inner.chain.tier_cost(level).access_seconds(size);
             inner.level_seconds[level] += device_seconds;
         }
-        let landed = inner.settle(key, access);
+        let landed = inner.settle(key, access, self.recycler.as_deref());
         Some(FloorHit {
             bytes,
             level,
@@ -636,9 +666,14 @@ impl TieredByteCache {
         floor: usize,
     ) -> (Arc<Vec<u8>>, Admission) {
         let mut inner = self.shard_for(key).lock();
-        if let Some(existing) = inner.bytes.get(&key) {
-            // A concurrent worker admitted it first; keep the resident copy.
-            return (Arc::clone(existing), Admission::Raced);
+        if let Some(existing) = inner.bytes.get(&key).map(Arc::clone) {
+            // A concurrent worker admitted it first; keep the resident copy
+            // and let go of the offered one.
+            drop(inner);
+            if let Some(backend) = &self.recycler {
+                recycle_if_last(&**backend, bytes);
+            }
+            return (existing, Admission::Raced);
         }
         let access = inner
             .chain
@@ -646,7 +681,7 @@ impl TieredByteCache {
         if access.admitted {
             inner.bytes.insert(key, Arc::clone(&bytes));
         }
-        let outcome = match inner.settle(key, access) {
+        let outcome = match inner.settle(key, access, self.recycler.as_deref()) {
             Some(level) => Admission::Landed(level),
             None => Admission::Bypassed,
         };
@@ -788,6 +823,7 @@ impl CacheTier for TieredByteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Recycler;
 
     fn payload(item: ItemId, len: usize) -> Arc<Vec<u8>> {
         Arc::new(vec![item as u8; len])
@@ -1152,6 +1188,70 @@ mod tests {
                 assert_eq!(bytes.as_slice(), &[item as u8; 2], "payload intact");
             }
         }
+    }
+
+    /// The first byte of every buffer `backend` got back (a test payload's
+    /// item id), sorted.
+    fn recycled(backend: &Recycler) -> Vec<u8> {
+        let mut got: Vec<u8> = backend.0.lock().iter().map(|buf| buf[0]).collect();
+        got.sort_unstable();
+        got
+    }
+
+    #[test]
+    fn a_session_tier_hands_back_each_payload_it_lets_go_of_exactly_once() {
+        let vfs: Arc<dyn Vfs> = Arc::new(vfs::MemVfs::new());
+        let mut outcomes = Vec::new();
+        for persistent in [false, true] {
+            let mut ssd = ByteTierSpec::sata_ssd(PolicyKind::Lru, 4);
+            if persistent {
+                ssd = ssd.persistent(Arc::clone(&vfs), "hand-back");
+            }
+            let backend = Arc::new(Recycler::default());
+            let tier = TieredByteCache::new(vec![ByteTierSpec::dram(PolicyKind::Lru, 4), ssd])
+                .recycling_into(Arc::clone(&backend) as Arc<dyn FetchBackend>);
+            // Prep still holds item 0's payload when it falls off the chain.
+            let held = tier.admit(0, payload(0, 1));
+            // 15 items cycled through 8 slots: every fetch misses and, once
+            // the chain is full, drops the least recent payload.
+            for _epoch in 0..3 {
+                for item in 1..16u64 {
+                    assert_eq!(fetch_through(&tier, item, 1), usize::MAX);
+                }
+            }
+            assert!(!tier.contains(0));
+            // A raced admission lets go of the offered copy.
+            let kept = tier.admit(15, payload(200, 1));
+            assert_eq!(kept.as_slice(), &[15]);
+            let mut expected: Vec<u8> = (1..16u8)
+                .flat_map(|item| vec![item; 3 - usize::from(tier.contains(item.into()))])
+                .chain([200])
+                .collect();
+            expected.sort_unstable();
+            assert_eq!(recycled(&backend), expected, "persistent={persistent}");
+            // Prep lets go of item 0 last: it comes back from prep.
+            recycle_if_last(&*backend, held);
+            expected.insert(0, 0);
+            assert_eq!(recycled(&backend), expected, "persistent={persistent}");
+            outcomes.push(expected);
+        }
+        assert_eq!(outcomes[0], outcomes[1], "a persistent level behaves alike");
+
+        // MinIO never drops a resident payload; what it bypasses stays the
+        // caller's.
+        let backend = Arc::new(Recycler::default());
+        let minio = TieredByteCache::new(vec![
+            ByteTierSpec::dram(PolicyKind::MinIo, 4),
+            ByteTierSpec::sata_ssd(PolicyKind::MinIo, 4),
+        ])
+        .recycling_into(Arc::clone(&backend) as Arc<dyn FetchBackend>);
+        for _epoch in 0..3 {
+            for item in 0..16u64 {
+                fetch_through(&minio, item, 1);
+            }
+        }
+        assert_eq!(minio.resident_items(), 8);
+        assert!(backend.0.lock().is_empty());
     }
 
     #[test]

@@ -25,6 +25,14 @@ pub trait DataSource: Send + Sync {
 
     /// Read the raw bytes of item `item`.
     fn read(&self, item: ItemId) -> Vec<u8>;
+
+    /// Read the raw bytes of item `item` into `buf`, replacing what it held:
+    /// a caller that recycles payload buffers passes one in to spare an
+    /// allocation.  The bytes are exactly [`read`](DataSource::read)'s; the
+    /// default is `read` into a fresh buffer.
+    fn read_into(&self, item: ItemId, buf: &mut Vec<u8>) {
+        *buf = self.read(item);
+    }
 }
 
 /// Deterministic pseudo-random item bytes shaped by a [`DatasetSpec`].
@@ -60,21 +68,15 @@ impl SyntheticItemStore {
         b.copy_from_slice(&buf[..8]);
         Some(u64::from_le_bytes(b))
     }
-}
 
-impl DataSource for SyntheticItemStore {
-    fn len(&self) -> u64 {
-        self.spec.num_items
-    }
-
-    fn item_bytes(&self, item: ItemId) -> u64 {
-        self.spec.item_size(item)
-    }
-
-    fn read(&self, item: ItemId) -> Vec<u8> {
+    /// Generate item `item` into `buf`, replacing what it held.  The buffer
+    /// is taken by value: the same loop extending a `Vec` behind `&mut` ran
+    /// 10–20 % slower (32 KiB items on a 2-core x86-64 host).
+    fn generate(&self, item: ItemId, mut buf: Vec<u8>) -> Vec<u8> {
         assert!(item < self.len(), "item {item} out of range");
         let size = self.spec.item_size(item) as usize;
-        let mut buf = Vec::with_capacity(size);
+        buf.clear();
+        buf.reserve_exact(size);
         buf.extend_from_slice(&item.to_le_bytes());
         let mut state = self.seed ^ item.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDEAD_BEEF;
         while buf.len() < size {
@@ -88,6 +90,24 @@ impl DataSource for SyntheticItemStore {
             buf.extend_from_slice(&bytes[..take]);
         }
         buf
+    }
+}
+
+impl DataSource for SyntheticItemStore {
+    fn len(&self) -> u64 {
+        self.spec.num_items
+    }
+
+    fn item_bytes(&self, item: ItemId) -> u64 {
+        self.spec.item_size(item)
+    }
+
+    fn read(&self, item: ItemId) -> Vec<u8> {
+        self.generate(item, Vec::new())
+    }
+
+    fn read_into(&self, item: ItemId, buf: &mut Vec<u8>) {
+        *buf = self.generate(item, std::mem::take(buf));
     }
 }
 
@@ -123,6 +143,11 @@ impl DataSource for InMemoryStore {
 
     fn read(&self, item: ItemId) -> Vec<u8> {
         self.items[item as usize].clone()
+    }
+
+    fn read_into(&self, item: ItemId, buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.extend_from_slice(&self.items[item as usize]);
     }
 }
 
@@ -267,6 +292,24 @@ mod tests {
         for i in 0..20 {
             assert_eq!(mem.read(i), synth.read(i));
             assert_eq!(mem.item_bytes(i), synth.item_bytes(i));
+        }
+    }
+
+    #[test]
+    fn read_into_a_used_buffer_reads_exactly_the_item() {
+        let spec = DatasetSpec::new("t", 20, 256, 0.2, 6.0);
+        let synth = SyntheticItemStore::new(spec, 3);
+        let mem = InMemoryStore::materialize(&synth);
+        let sources: [&dyn DataSource; 2] = [&synth, &mem];
+        for source in sources {
+            // Longer and shorter leftovers both end up replaced.
+            for leftover in [vec![0xAA; 1024], vec![0x55; 3]] {
+                for i in [0u64, 7, 19] {
+                    let mut buf = leftover.clone();
+                    source.read_into(i, &mut buf);
+                    assert_eq!(buf, synth.read(i), "item {i}");
+                }
+            }
         }
     }
 

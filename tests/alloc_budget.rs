@@ -1,13 +1,13 @@
-//! Allocation budget of the runtime's data path (ISSUEs 15, 17 and 22): in
-//! steady state a delivered sample costs the allocator its miss payload at
-//! most.  Prep writes each sample into a buffer the consumer let go of (the
-//! stream takes every batch back once nothing else holds it) and
-//! `FsBackend` reads each miss into a payload prep handed back, so what is
-//! left is the payload a `DirectBackend` miss allocates plus a few bytes of
-//! batch bookkeeping.  The gate is a count, not a timing, so it runs on
-//! every host: bytes requested from the allocator per delivered sample, over
-//! steady epochs of three `dsbench`-shaped sessions, against the storage
-//! bytes read per delivered sample plus 1 KiB.
+//! Allocation budget of the runtime's data path: in steady state a delivered
+//! sample costs the allocator a few bytes of batch bookkeeping and nothing
+//! else.  Prep writes each sample into a buffer the consumer let go of (the
+//! stream takes every batch back once nothing else holds it), and every
+//! backend reads each miss into a payload that came back: from prep, when no
+//! tier kept it, or from the session's cache tier, when the tier drops it —
+//! an LRU tier evicting on nearly every miss included.  The gate is a count,
+//! not a timing, so it runs on every host: bytes requested from the
+//! allocator per delivered sample, over steady epochs of four
+//! `dsbench`-shaped sessions, against a flat 1 KiB.
 
 use datastalls::cache::PolicyKind;
 use datastalls::coordl::{BatchStream, FsBackend, Mode, Session, SessionConfig};
@@ -90,9 +90,10 @@ fn drain(session: &Session, stream: BatchStream, mut stall: Option<u64>) -> u64 
 }
 
 /// Stream one epoch, every job on a thread of its own; returns the samples
-/// delivered.  A `stall`ed epoch fills the prepared-side window once, which
-/// makes every sample buffer the session can ever need: with one prep
-/// worker no later epoch has more samples in flight.
+/// delivered.  A `stall`ed epoch fills the executor's windows once.  The
+/// lane makes every sample buffer at its first batch anyway; the stall is
+/// for the raw payloads, which the backend makes only as many of as were
+/// ever in flight together: with one prep worker no later epoch has more.
 fn run_epoch(session: &Session, epoch: u64, stall: bool) -> u64 {
     let config = session.config();
     let queued = match session.mode() {
@@ -115,26 +116,22 @@ fn run_epoch(session: &Session, epoch: u64, stall: bool) -> u64 {
     })
 }
 
-/// `(allocated, read from storage)` bytes per delivered sample over the
-/// steady epochs that follow one stalled warm epoch.
-fn steady_bytes_per_sample(session: &Session) -> (u64, u64) {
+/// Bytes requested from the allocator per delivered sample over the steady
+/// epochs that follow one stalled warm epoch.
+fn steady_bytes_per_sample(session: &Session) -> u64 {
     run_epoch(session, 0, true);
-    let storage = session.stats().bytes_from_storage();
     let before = REQUESTED.load(Relaxed);
     let delivered: u64 = (1..=STEADY_EPOCHS)
         .map(|e| run_epoch(session, e, false))
         .sum();
-    let allocated = REQUESTED.load(Relaxed) - before;
-    let read = session.stats().bytes_from_storage() - storage;
-    (allocated / delivered, read / delivered)
+    (REQUESTED.load(Relaxed) - before) / delivered
 }
 
 fn assert_within_budget(what: &str, session: &Session) {
-    let (allocated, read) = steady_bytes_per_sample(session);
+    let allocated = steady_bytes_per_sample(session);
     assert!(
-        allocated <= read + 1024,
-        "{what}: {allocated} bytes requested per delivered sample, budget {read} \
-         read from storage + 1024"
+        allocated <= 1024,
+        "{what}: {allocated} bytes requested per delivered sample, budget 1024"
     );
 }
 
@@ -146,29 +143,40 @@ fn a_delivered_sample_costs_at_most_its_miss_payload() {
     // into buffers prep handed back, the crop's window into one the stream
     // took back.
     let (items, item_bytes) = (256u64, 64 * 1024u64);
-    let dataset = source(items, item_bytes);
-    let backend = FsBackend::new(Arc::new(MemVfs::new()), "data", dataset.as_ref(), 8)
-        .expect("materialise on a MemVfs");
-    let crop_only = PrepPipeline {
-        name: "crop-only".to_string(),
-        transforms: vec![TransformKind::RandomResizedCrop],
+    let crop_only = || {
+        let crop = PrepPipeline {
+            name: "crop-only".to_string(),
+            transforms: vec![TransformKind::RandomResizedCrop],
+        };
+        ExecutablePipeline::new(crop, 1, 3)
     };
-    let small_window = SessionConfig {
-        batch_size: 8,
-        prefetch_depth: 1,
-        ..config(items * item_bytes * 35 / 100)
+    let fetch_bound = |policy| {
+        let dataset = source(items, item_bytes);
+        let backend = FsBackend::new(Arc::new(MemVfs::new()), "data", dataset.as_ref(), 8)
+            .expect("materialise on a MemVfs");
+        let small_window = SessionConfig {
+            batch_size: 8,
+            prefetch_depth: 1,
+            ..config(items * item_bytes * 35 / 100)
+        };
+        Session::builder(dataset, small_window)
+            .cache_policy(policy)
+            .fetch_backend(Arc::new(backend))
+            .pipeline(crop_only())
+            .build()
+            .expect("valid session")
     };
-    let session = Session::builder(dataset, small_window)
-        .cache_policy(PolicyKind::MinIo)
-        .fetch_backend(Arc::new(backend))
-        .pipeline(ExecutablePipeline::new(crop_only, 1, 3))
-        .build()
-        .expect("valid session");
-    assert_within_budget("fetch-bound", &session);
+    assert_within_budget("fetch-bound", &fetch_bound(PolicyKind::MinIo));
+
+    // The same session under LRU: a shuffled epoch makes it evict on nearly
+    // every miss (the paper's Fig. 3), and each miss is read into the
+    // payload the tier dropped.
+    assert_within_budget("evicting", &fetch_bound(PolicyKind::Lru));
 
     // `prep_cached`: 8 KiB items, 95 % cached, the image pipeline at decode
     // x16.  Each sample is decoded, cropped and transformed in a buffer of
-    // the decoded item's size that the stream took back.
+    // the decoded item's size that the stream took back; each miss is
+    // generated into a payload prep handed back.
     let (items, item_bytes) = (512u64, 8 * 1024u64);
     let image = || ExecutablePipeline::new(PrepPipeline::image_classification(), 16, 3);
     let session = Session::builder(
