@@ -1,38 +1,40 @@
-//! The fault-injection preset over the *runtime* partitioned cluster
+//! The fault-injection row over the *runtime* partitioned cluster
 //! (`coordl::PartitionedCacheCluster` under a seeded `coordl::FaultPlan`):
-//! the preset behind `dstool sweep chaos` and part of `dstool smoke`.
+//! the `chaos` row of [`FIGURES`](crate::FIGURES).
 //!
 //! A chaos run trains one partitioned session twice: once fault-free and
 //! once under a deterministic membership schedule (kills, graceful leaves,
 //! rejoins) fired on the cluster's shared fetch-step axis.  Four contracts
-//! come out of a run:
+//! make up the claim:
 //!
-//! * **a healthy-prefix gate** — every epoch before the first scheduled
-//!   fault must be bit-identical to the fault-free twin (hashed into
+//! * **a healthy prefix** — every epoch before the first scheduled fault
+//!   must be bit-identical to the fault-free twin (hashed into
 //!   `chaos_prefix_digest` / `healthy_prefix_digest`): fault plumbing that
 //!   is not armed must cost nothing and change nothing;
-//! * **an exactly-once gate** — every epoch of both runs delivers each
-//!   dataset item exactly once across the node shards, faults or not: a
-//!   consumer stream never loses or duplicates a sample;
-//! * **a no-lost-shard gate** — after the run, every directory entry is
-//!   owned by an alive server (dead owners must have been re-homed onto
-//!   survivors in rendezvous order or dropped);
-//! * **a recovery gate** — the final epoch's cache-served byte fraction
-//!   must be no worse than the worst post-fault epoch and stay within a
-//!   configured fraction of the fault-free twin's: rebalancing plus lazy
+//! * **exactly once** — every epoch of both runs delivers each dataset item
+//!   exactly once across the node shards, faults or not: a consumer stream
+//!   never loses or duplicates a sample;
+//! * **no lost shard** — after the run, every directory entry is owned by an
+//!   alive server (dead owners must have been re-homed onto survivors in
+//!   rendezvous order or dropped);
+//! * **recovery** — the final epoch's cache-served byte fraction must be no
+//!   worse than the worst post-fault epoch and stay within a configured
+//!   fraction of the fault-free twin's: rebalancing plus lazy
 //!   re-registration win the hit ratio back (§5.2's partitioned claims
 //!   under churn).
 //!
-//! Worker counts ride along exactly as in the other runtime presets: every
+//! Worker counts ride along exactly as in the other runtime rows: every
 //! worker count must deliver byte-identical streams, faults included.
 
+use crate::figures::FigureTable;
 use crate::runtime::{
-    hex, int, num, run_grid, text, PointResult, PresetReport, RuntimePreset, StreamDigest, Workload,
+    bit_identical, cell, count, counter, hex, run_grid, table, Run, StreamDigest, Workload,
 };
 use coordl::{FaultPlan, Mode, Session, SessionConfig};
 use dataset::{DataSource, SyntheticItemStore};
-use pipeline::json::Value;
+use pipeline::json::{int, num, nums, object, text, Value};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Servers in the partitioned cluster.
 const NODES: usize = 3;
@@ -50,42 +52,32 @@ const CACHE_PERCENT: u64 = 65;
 /// at least this multiple of the fault-free twin's.
 const RECOVERY_FRACTION: f64 = 0.5;
 
-/// The registry row of `dstool sweep chaos`.  Epoch 0 is the cold warm-up;
-/// faults fire on epoch boundaries `1..epochs`.
-pub static PRESET: RuntimePreset = RuntimePreset {
-    name: "chaos",
-    paper: "§5.2 (partitioned caching under churn)",
-    description: "runtime fault injection: a partitioned cluster under a seeded \
-                  kill/leave/rejoin schedule vs its fault-free twin; healthy prefix, \
-                  exactly-once delivery, shard coverage and recovery gated, streams \
-                  bit-identical across worker counts, faults included",
-    points: 1,
-    workload: Workload {
-        items: 600,
-        min_items: 150,
-        avg_item_bytes: 600,
-        decode_multiplier: 4,
-        batch_size: 25,
-        epochs: 6,
-        seed: 0xFA17,
-        axis: &[1, 2],
-    },
-    axis: "workers",
-    flat: true,
-    takes_os_root: false,
-    run: |w, _| run(w),
-    shape,
+/// The row's sizes.  Epoch 0 is the cold warm-up; faults fire on epoch
+/// boundaries `1..epochs`.
+pub const WORKLOAD: Workload = Workload {
+    items: 150,
+    avg_item_bytes: 600,
+    decode_multiplier: 4,
+    batch_size: 25,
+    epochs: 6,
+    seed: 0xFA17,
+    axis: &[1, 2],
 };
 
-/// Run the preset: the chaos run and its fault-free twin at every worker
-/// count, folded into one point per worker count.
+/// The `chaos` row: [`run`] at [`WORKLOAD`].
+pub fn chaos() -> FigureTable {
+    run(&WORKLOAD)
+}
+
+/// Run the row: the chaos run and its fault-free twin at every worker
+/// count, folded into one table row per worker count.
 ///
-/// Recorded per run, beside the emitted fields: `chaos_prefix_digest` /
+/// Counted per run, beside the emitted fields: `chaos_prefix_digest` /
 /// `healthy_prefix_digest` (stream digests of the epochs before the first
-/// fault), `healthy_digest`, `chaos_epoch_samples` / `healthy_epoch_samples`
-/// (one counter per epoch, summed over nodes) and `dead_owned_entries`
-/// (directory entries owned by a dead server after the run).
-pub fn run(w: &Workload) -> PresetReport {
+/// fault), `chaos_epoch_samples` / `healthy_epoch_samples` (one entry per
+/// epoch, summed over nodes) and `dead_owned_entries` (directory entries
+/// owned by a dead server after the run).
+pub fn run(w: &Workload) -> FigureTable {
     assert!(
         w.epochs >= 2,
         "chaos needs a boundary for faults to fire on"
@@ -96,98 +88,81 @@ pub fn run(w: &Workload) -> PresetReport {
         .map(|s| s / w.items)
         .unwrap_or(w.epochs);
     let faults = plan.steps().iter().map(|s| {
-        Value::Object(
-            [
-                ("at_epoch".to_string(), int(s.at_step / w.items)),
-                ("node".to_string(), int(s.node as u64)),
-                ("kind".to_string(), text(s.kind.name())),
-            ]
-            .into(),
-        )
+        object([
+            ("at_epoch", int(s.at_step / w.items)),
+            ("node", int(s.node as u64)),
+            ("kind", text(s.kind.name())),
+        ])
     });
     let faults = Value::Array(faults.collect());
 
     let runs = run_grid(&[()], w.axis, |_, workers| {
+        let started = Instant::now();
         let chaos = run_once(w, Some(plan.clone()), prefix_epochs, workers);
         let healthy = run_once(w, None, prefix_epochs, workers);
-        let mut counters = vec![
-            ("chaos_prefix_digest", chaos.prefix_digest),
-            ("healthy_prefix_digest", healthy.prefix_digest),
-            ("healthy_digest", healthy.digest),
-            ("dead_owned_entries", chaos.dead_owned_entries),
-        ];
-        counters.extend(
-            chaos
-                .epoch_samples
-                .iter()
-                .map(|&n| ("chaos_epoch_samples", n)),
-        );
-        counters.extend(
-            healthy
-                .epoch_samples
-                .iter()
-                .map(|&n| ("healthy_epoch_samples", n)),
-        );
-        let fractions = chaos.epoch_cached_fraction.iter().map(|&f| num(f));
+        let samples = |obs: &RunObs| nums(obs.epoch_samples.iter().map(|&n| n as f64));
         let healthy_final = *healthy.epoch_cached_fraction.last().expect("epochs >= 2");
-        PointResult {
-            label: format!("faults={}", plan.steps().len()),
-            axis_value: workers,
-            stream_digest: chaos.digest,
-            counters,
-            fields: vec![
-                ("healthy_digest", hex(healthy.digest)),
-                ("faults", faults.clone()),
-                ("epoch_cached_fraction", Value::Array(fractions.collect())),
-                ("healthy_final_cached_fraction", num(healthy_final)),
-                ("directory_entries", int(chaos.directory_entries)),
-                (
-                    "alive_at_end",
-                    Value::Array(chaos.alive_at_end.iter().map(|&a| Value::Bool(a)).collect()),
-                ),
-            ],
-            timings: Vec::new(),
-        }
+        let alive = chaos.alive_at_end.iter().map(|&a| Value::Bool(a));
+        let label = format!("faults={}", plan.steps().len());
+        let run = Run::new(&label, "workers", workers, chaos.digest).with([
+            ("healthy_digest", hex(healthy.digest)),
+            ("faults", faults.clone()),
+            (
+                "epoch_cached_fraction",
+                nums(chaos.epoch_cached_fraction.iter().copied()),
+            ),
+            ("healthy_final_cached_fraction", num(healthy_final)),
+            ("directory_entries", int(chaos.directory_entries)),
+            ("alive_at_end", Value::Array(alive.collect())),
+        ]);
+        let counters = vec![
+            ("chaos_prefix_digest", hex(chaos.prefix_digest)),
+            ("healthy_prefix_digest", hex(healthy.prefix_digest)),
+            ("dead_owned_entries", int(chaos.dead_owned_entries)),
+            ("chaos_epoch_samples", samples(&chaos)),
+            ("healthy_epoch_samples", samples(&healthy)),
+        ];
+        run.counted(counters, started.elapsed().as_secs_f64())
     });
-    PresetReport {
-        preset: &PRESET,
-        header: vec![
-            ("nodes", int(NODES as u64)),
-            ("items", int(w.items)),
-            ("epochs", int(w.epochs)),
-            ("prefix_epochs", int(prefix_epochs)),
-        ],
-        runs,
-    }
+    let summary = vec![
+        ("nodes", int(NODES as u64)),
+        ("items", int(w.items)),
+        ("epochs", int(w.epochs)),
+        ("prefix_epochs", int(prefix_epochs)),
+    ];
+    table(summary, runs)
 }
 
-/// Check the run's four contracts (see the [module docs](self)).
-fn shape(report: &PresetReport) -> Result<(), String> {
-    let run = report.runs.first().expect("bit_identical saw a run");
-    let array = |key: &str| run.field(key).and_then(Value::as_array).unwrap_or_default();
+/// One stream at every worker count, then the run's four contracts (see the
+/// [module docs](self)).
+pub fn chaos_claim(t: &FigureTable) -> Result<(), String> {
+    bit_identical(t, &["workers"])?;
+    let array = |key: &str| t.cell(0, key).as_array().unwrap_or_default();
     let (items, prefix_epochs) = (
-        report.header_num("items") as u64,
-        report.header_num("prefix_epochs") as usize,
+        t.summary_num("items"),
+        t.summary_num("prefix_epochs") as usize,
     );
     if array("faults").is_empty() {
         return Err("chaos run scheduled no faults — nothing was tested".to_string());
     }
     let (chaos_prefix, healthy_prefix) = (
-        run.counter("chaos_prefix_digest"),
-        run.counter("healthy_prefix_digest"),
+        counter(t, 0, "chaos_prefix_digest"),
+        counter(t, 0, "healthy_prefix_digest"),
     );
     if chaos_prefix != healthy_prefix {
         return Err(format!(
-            "healthy prefix diverged: chaos {chaos_prefix:016x} vs fault-free \
-             {healthy_prefix:016x} over the first {prefix_epochs} epoch(s) — an \
-             unarmed fault plan changed the stream"
+            "healthy prefix diverged: chaos {} vs fault-free {} over the first \
+             {prefix_epochs} epoch(s) — an unarmed fault plan changed the stream",
+            cell(chaos_prefix),
+            cell(healthy_prefix)
         ));
     }
     for (name, key) in [
         ("chaos", "chaos_epoch_samples"),
         ("fault-free", "healthy_epoch_samples"),
     ] {
-        for (e, s) in run.counters_named(key).enumerate() {
+        let samples = counter(t, 0, key).as_array().unwrap_or_default();
+        for (e, s) in samples.iter().filter_map(Value::as_f64).enumerate() {
             if s != items {
                 return Err(format!(
                     "{name} epoch {e}: {s} samples delivered, want exactly {items} — \
@@ -196,11 +171,11 @@ fn shape(report: &PresetReport) -> Result<(), String> {
             }
         }
     }
-    if run.counter("dead_owned_entries") > 0 {
+    let dead = count(t, 0, "dead_owned_entries");
+    if dead > 0.0 {
         return Err(format!(
-            "{} directory entrie(s) still owned by a dead server — \
-             rebalancing lost a shard",
-            run.counter("dead_owned_entries")
+            "{dead} directory entrie(s) still owned by a dead server — rebalancing lost \
+             a shard"
         ));
     }
     let fractions: Vec<f64> = array("epoch_cached_fraction")
@@ -218,7 +193,7 @@ fn shape(report: &PresetReport) -> Result<(), String> {
              from cache, worse than the degraded trough {worst:.3}"
         ));
     }
-    let healthy_final = run.num("healthy_final_cached_fraction");
+    let healthy_final = t.num(0, "healthy_final_cached_fraction");
     let floor = RECOVERY_FRACTION * healthy_final;
     if last < floor {
         return Err(format!(
@@ -242,7 +217,7 @@ struct RunObs {
 }
 
 fn run_once(w: &Workload, plan: Option<FaultPlan>, prefix_epochs: u64, workers: usize) -> RunObs {
-    let spec = w.dataset(PRESET.name);
+    let spec = w.dataset("chaos");
     let cache_capacity_bytes = spec.total_bytes() * CACHE_PERCENT / 100;
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 31));
     let config = SessionConfig {
@@ -312,88 +287,92 @@ fn run_once(w: &Workload, plan: Option<FaultPlan>, prefix_epochs: u64, workers: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{doctor, doctor_counter};
 
     fn tiny() -> Workload {
         Workload {
             items: 200,
             avg_item_bytes: 256,
             batch_size: 20,
-            ..PRESET.workload
+            ..WORKLOAD
         }
     }
 
     #[test]
     fn default_run_passes_all_gates() {
-        let report = run(&tiny());
-        assert_eq!(report.runs.len(), 2, "one folded point per worker count");
+        let t = run(&tiny());
+        assert_eq!(t.rows.len(), 2, "one folded row per worker count");
         assert!(
-            report.header_num("prefix_epochs") >= 1.0,
+            t.summary_num("prefix_epochs") >= 1.0,
             "epoch 0 is always healthy"
         );
-        report.gate().expect("chaos contract");
-        let run = &report.runs[0];
+        chaos_claim(&t).expect("chaos contract");
         assert_eq!(
-            run.counter("chaos_prefix_digest"),
-            run.counter("healthy_prefix_digest")
+            counter(&t, 0, "chaos_prefix_digest"),
+            counter(&t, 0, "healthy_prefix_digest")
         );
     }
 
     #[test]
     fn gate_rejects_each_broken_contract() {
-        let report = run(&Workload {
+        let t = run(&Workload {
             axis: &[1],
             ..tiny()
         });
-        let mut doctored = report.clone();
-        let prefix = report.runs[0].counter("chaos_prefix_digest");
-        doctored.runs[0].set_counter("chaos_prefix_digest", 0, prefix ^ 1);
-        let err = doctored.gate().unwrap_err();
+        let mut doctored = t.clone();
+        doctor_counter(&mut doctored, 0, "chaos_prefix_digest", hex(1));
+        let err = chaos_claim(&doctored).unwrap_err();
         assert!(err.contains("healthy prefix diverged"), "{err}");
 
-        let mut doctored = report.clone();
-        doctored.runs[0].set_counter("chaos_epoch_samples", 1, 199);
-        let err = doctored.gate().unwrap_err();
+        let mut doctored = t.clone();
+        let mut samples = vec![200.0; tiny().epochs as usize];
+        samples[1] = 199.0;
+        doctor_counter(&mut doctored, 0, "chaos_epoch_samples", nums(samples));
+        let err = chaos_claim(&doctored).unwrap_err();
         assert!(
             err.contains("chaos epoch 1") && err.contains("lost or duplicated"),
             "{err}"
         );
 
-        let mut doctored = report.clone();
-        doctored.runs[0].set_counter("dead_owned_entries", 0, 2);
-        let err = doctored.gate().unwrap_err();
+        let mut doctored = t.clone();
+        doctor_counter(&mut doctored, 0, "dead_owned_entries", int(2));
+        let err = chaos_claim(&doctored).unwrap_err();
         assert!(err.contains("lost a shard"), "{err}");
 
-        let mut doctored = report.clone();
-        doctored.runs[0].set("faults", Value::Array(Vec::new()));
-        assert!(doctored.gate().unwrap_err().contains("scheduled no faults"));
+        let mut doctored = t.clone();
+        doctor(&mut doctored, 0, "faults", Value::Array(Vec::new()));
+        assert!(chaos_claim(&doctored)
+            .unwrap_err()
+            .contains("scheduled no faults"));
 
         // Recovery: a final epoch below the post-fault trough, then one that
         // recovers but stays under half the fault-free twin's fraction.
-        let epochs = report.header_num("epochs") as usize;
-        let mut fractions = vec![num(0.9); epochs];
-        fractions[epochs - 1] = num(0.2);
-        let mut doctored = report.clone();
-        doctored.runs[0].set("epoch_cached_fraction", Value::Array(fractions));
-        let err = doctored.gate().unwrap_err();
+        let epochs = t.summary_num("epochs") as usize;
+        let mut fractions = vec![0.9; epochs];
+        fractions[epochs - 1] = 0.2;
+        let mut doctored = t.clone();
+        doctor(&mut doctored, 0, "epoch_cached_fraction", nums(fractions));
+        let err = chaos_claim(&doctored).unwrap_err();
         assert!(err.contains("hit ratio never recovered"), "{err}");
-        let mut doctored = report.clone();
-        doctored.runs[0].set(
+        let mut doctored = t.clone();
+        doctor(
+            &mut doctored,
+            0,
             "epoch_cached_fraction",
-            Value::Array(vec![num(0.2); epochs]),
+            nums(vec![0.2; epochs]),
         );
-        doctored.runs[0].set("healthy_final_cached_fraction", num(1.0));
-        let err = doctored.gate().unwrap_err();
+        doctor(&mut doctored, 0, "healthy_final_cached_fraction", num(1.0));
+        let err = chaos_claim(&doctored).unwrap_err();
         assert!(err.contains("post-rebalance recovery too weak"), "{err}");
 
         // A worker count that delivers another stream is an Err, not a panic.
-        let mut doctored = report.clone();
-        let mut repeat = report.runs[0].clone();
-        repeat.axis_value = 2;
-        repeat.stream_digest ^= 1;
-        doctored.runs.push(repeat);
-        let err = doctored.gate().unwrap_err();
+        let mut doctored = t.clone();
+        doctored.rows.push(t.rows[0].clone());
+        doctor(&mut doctored, 1, "workers", int(2));
+        doctor(&mut doctored, 1, "stream_digest", hex(1));
+        let err = chaos_claim(&doctored).unwrap_err();
         assert!(
-            err.contains("chaos/faults=3: workers=2 delivered a different stream"),
+            err.contains("faults=3: workers=2 delivered a different stream"),
             "{err}"
         );
     }

@@ -1,31 +1,30 @@
 //! The fetch-thread sweep over the *runtime* (`coordl::Session`): the
-//! fetch-bound preset behind `dstool sweep fetch-sweep` and the parallel
-//! fetch half of `dstool smoke`.
+//! fetch-bound `fetch_sweep` row of [`FIGURES`](crate::FIGURES).
 //!
 //! Where [`parallel`](crate::parallel) scales the *prep* pool and pins the
-//! executor's worker-count determinism contract, this preset scales the
-//! *fetch* stage — the serial cache-transaction sweep that becomes the
-//! bottleneck once prep is cheap (small decode multipliers, fast
-//! augmentations).  Every point runs the identical fetch-heavy workload
-//! through `Session::builder(..).fetch_threads(f)` with the cache shard
-//! count **pinned** (`FETCH_SHARDS`) so that the
-//! per-shard access subsequences — and therefore every admission/eviction
-//! decision — are the same for every `f`.  The gate is correctness: the
-//! delivered stream digest and every deterministic `LoaderStats` counter
-//! must be bit-identical across all fetch-thread counts (checked against
-//! `ci/bench_baseline.json`, since the digest is machine-independent).
+//! executor's worker-count determinism contract, this row scales the *fetch*
+//! stage — the serial cache-transaction sweep that becomes the bottleneck
+//! once prep is cheap (small decode multipliers, fast augmentations).  Every
+//! point runs the identical fetch-heavy workload through
+//! `Session::builder(..).fetch_threads(f)` with the cache shard count
+//! **pinned** (`FETCH_SHARDS`) so that the per-shard access subsequences —
+//! and therefore every admission/eviction decision — are the same for every
+//! `f`.  The claim is correctness: the delivered stream digest and every
+//! deterministic `LoaderStats` counter must be bit-identical across all
+//! fetch-thread counts (and equal `FIGURES.json`'s, since the digest is
+//! machine-independent).
 //!
-//! Wall-clock samples/sec per thread count is printed for orientation only.
-//! Whether the pool beats the serial sweep is `dsbench`'s question — its
+//! Wall clock per thread count is printed for orientation only.  Whether
+//! the pool beats the serial sweep is `dsbench`'s question — its
 //! `fetch_pool_fs` / `fetch_serial_fs` pair over seconds-long windows, with
 //! the recorded answer in `BENCH_<pr>.json` — not one these ~10 ms points
 //! can settle.
 
-use crate::runtime::{
-    drain_single, int, timed_point, PointResult, PresetReport, RuntimePreset, Workload,
-};
+use crate::figures::FigureTable;
+use crate::runtime::{bit_identical, drain_single, same_counters, table, timed_run, Run, Workload};
 use coordl::{Mode, Session, SessionConfig};
 use dataset::{DataSource, SyntheticItemStore};
+use pipeline::json::int;
 use std::sync::Arc;
 
 /// Cache shard count pinned across **every** point, including the serial
@@ -35,8 +34,8 @@ use std::sync::Arc;
 /// automatic shard resolution.
 const FETCH_SHARDS: usize = 8;
 
-/// Prep workers used by every point (kept small: the preset is about the
-/// fetch stage, prep must not be the bottleneck).
+/// Prep workers used by every point (kept small: the row is about the fetch
+/// stage, prep must not be the bottleneck).
 const PREP_WORKERS: usize = 2;
 
 /// Prefetch depth used by every point.
@@ -46,55 +45,47 @@ const PREFETCH_DEPTH: usize = 4;
 /// a deterministic mix of cache transactions and storage reads.
 const CACHE_FRACTION: f64 = 0.5;
 
-/// The registry row of `dstool sweep fetch-sweep`.  Large raw items and a
-/// decode multiplier of 1 keep the workload fetch-bound; the item floor keeps
-/// several minibatches in flight per fetch thread, so the pool's ordering
-/// machinery is exercised at every point.
-pub static PRESET: RuntimePreset = RuntimePreset {
-    name: "fetch-sweep",
-    paper: "§3 (fetch stalls) / §5 (overlap)",
-    description: "runtime parallel fetch: the fetch-bound Session workload over a \
-                  sharded fetch pool, cache shard count pinned; bit-identical \
-                  streams and counters gated across every fetch-thread count",
-    points: 3,
-    workload: Workload {
-        items: 1024,
-        min_items: 128,
-        avg_item_bytes: 32 * 1024,
-        decode_multiplier: 1,
-        batch_size: 16,
-        epochs: 3,
-        seed: 0xFE7C,
-        // 1 must be included: the serial sweep is the stream every pool
-        // size has to reproduce.
-        axis: &[1, 2, 4],
-    },
-    axis: "fetch_threads",
-    flat: false,
-    takes_os_root: false,
-    run: |w, _| run(w),
-    // The fetch pool's contract: identical counters at every thread count.
-    shape: PresetReport::identical_across_points,
+/// The row's sizes.  Large raw items and a decode multiplier of 1 keep the
+/// workload fetch-bound; several minibatches stay in flight per fetch
+/// thread, so the pool's ordering machinery is exercised at every point.
+pub const WORKLOAD: Workload = Workload {
+    items: 128,
+    avg_item_bytes: 32 * 1024,
+    decode_multiplier: 1,
+    batch_size: 16,
+    epochs: 3,
+    seed: 0xFE7C,
+    // 1 must be included: the serial sweep is the stream every pool size
+    // has to reproduce.
+    axis: &[1, 2, 4],
 };
+
+/// The `fetch_sweep` row: [`run`] at [`WORKLOAD`].
+pub fn fetch_sweep() -> FigureTable {
+    run(&WORKLOAD)
+}
+
+/// The fetch pool's contract: one stream and one set of counters at every
+/// thread count.
+pub fn fetch_sweep_claim(t: &FigureTable) -> Result<(), String> {
+    bit_identical(t, &["fetch_threads"])?;
+    same_counters(t)
+}
 
 /// Run the sweep: one session per fetch-thread count, identical in
 /// everything — dataset, seed, cache capacity, *shard count* — but the size
 /// of the fetch pool.
-pub fn run(w: &Workload) -> PresetReport {
-    let header = vec![
+pub fn run(w: &Workload) -> FigureTable {
+    let summary = vec![
         ("items", int(w.items)),
         ("fetch_shards", int(FETCH_SHARDS as u64)),
         ("epochs", int(w.epochs)),
     ];
-    PresetReport {
-        preset: &PRESET,
-        header,
-        runs: w.axis.iter().map(|&f| run_once(w, f)).collect(),
-    }
+    table(summary, w.axis.iter().map(|&f| run_once(w, f)).collect())
 }
 
-fn run_once(w: &Workload, fetch_threads: usize) -> PointResult {
-    let spec = w.dataset(PRESET.name);
+fn run_once(w: &Workload, fetch_threads: usize) -> Run {
+    let spec = w.dataset("fetch-sweep");
     let cache_capacity_bytes = (spec.total_bytes() as f64 * CACHE_FRACTION) as u64;
     let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 13));
     let config = SessionConfig {
@@ -108,67 +99,55 @@ fn run_once(w: &Workload, fetch_threads: usize) -> PointResult {
         .fetch_shards(FETCH_SHARDS)
         .pipeline(w.pipeline())
         .build()
-        .expect("valid fetch-sweep session");
-
-    let (digest, wall_seconds) = drain_single(&session, w.epochs);
-    let report = session.report();
-    let mut point = timed_point(PRESET.axis, fetch_threads, &session, digest, wall_seconds);
-    point.timings.extend([
-        ("fetch_busy_seconds", report.fetch_busy_seconds),
-        ("fetch_stall_seconds", report.fetch_stall_seconds),
-    ]);
-    point
+        .expect("valid fetch_sweep session");
+    let drained = drain_single(&session, w.epochs);
+    timed_run("fetch_threads", fetch_threads, &session, drained)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{count, doctor_counter};
 
     fn tiny() -> Workload {
         Workload {
             items: 96,
             avg_item_bytes: 1024,
             epochs: 2,
-            ..PRESET.workload
+            ..WORKLOAD
         }
     }
 
     #[test]
     fn sweep_points_are_bit_identical_across_fetch_thread_counts() {
-        let report = run(&tiny());
-        assert_eq!(report.points().count(), 3);
-        report
-            .gate()
-            .expect("counters identical at every thread count");
+        let t = run(&tiny());
+        assert_eq!(t.rows.len(), 3);
+        fetch_sweep_claim(&t).expect("counters identical at every thread count");
         // Every epoch delivers the full dataset exactly once.
-        assert_eq!(report.runs[0].counter("samples_delivered"), 2 * 96);
+        assert_eq!(count(&t, 0, "samples_delivered"), (2 * 96) as f64);
         // The half-capacity cache forces storage reads in *every* epoch.
-        assert!(report.runs[0].counter("cache_misses") > 96);
-        // Only the axis value is emitted; wall clock stays in the table.
-        assert_eq!(report.runs[2].fields, [("fetch_threads", int(4))]);
-        assert!(!report.runs[2].timings.is_empty());
+        assert!(count(&t, 0, "cache_misses") > 96.0);
+        assert_eq!(t.num(2, "fetch_threads"), 4.0);
+        assert!(t.observation("wall_s[2]").is_some());
     }
 
     #[test]
     fn shape_check_rejects_diverged_counters() {
-        let mut report = run(&tiny());
-        report.runs[2].counters[0].1 += 1;
-        let err = report.gate().unwrap_err();
-        assert!(
-            err.contains("fetch-sweep/fetch_threads=4: counters differ"),
-            "{err}"
-        );
+        let mut t = run(&tiny());
+        doctor_counter(&mut t, 2, "cache_misses", int(0));
+        let err = fetch_sweep_claim(&t).unwrap_err();
+        assert!(err.contains("fetch_threads=4: counters differ"), "{err}");
     }
 
     #[test]
     fn digest_is_sensitive_to_the_seed() {
         let one = |seed| {
-            run(&Workload {
+            let t = run(&Workload {
                 axis: &[1],
                 seed,
                 ..tiny()
-            })
-            .digest()
+            });
+            t.cell(0, "stream_digest").clone()
         };
         assert_ne!(
             one(0xFE7C),
@@ -179,14 +158,14 @@ mod tests {
 
     #[test]
     fn serial_point_with_pinned_shards_matches_the_pool() {
-        // The property the baseline digest relies on: with the shard count
+        // The property the pinned digest relies on: with the shard count
         // pinned, even the f=1 point runs the sharded tier, so all three
         // points (not just the pooled ones) hash to one digest.
-        let report = run(&Workload {
+        let t = run(&Workload {
             axis: &[4, 1],
             ..tiny()
         });
-        assert_eq!(report.runs[0].stream_digest, report.runs[1].stream_digest);
-        assert_eq!(report.runs[0].counters, report.runs[1].counters);
+        assert_eq!(t.cell(0, "stream_digest"), t.cell(1, "stream_digest"));
+        assert_eq!(t.cell(0, "counters"), t.cell(1, "counters"));
     }
 }

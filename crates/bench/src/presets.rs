@@ -1,10 +1,8 @@
-//! Scaled datasets, server presets and named sweep suites shared by every
-//! figure and by the `dstool` CLI.
+//! Scaled datasets, server presets and grid constants shared by the
+//! simulator rows of [`FIGURES`](crate::FIGURES).
 
 use dataset::DatasetSpec;
-use gpu::ModelKind;
-use pipeline::sweep::{Axis, ExperimentSpec, SweepSpec};
-use pipeline::{JobSpec, LoaderConfig, Scenario, ServerConfig};
+use pipeline::ServerConfig;
 use prep::{PrepBackend, PrepCostModel, PrepPipeline};
 
 /// Dataset scale-down factor used by the figures.
@@ -39,27 +37,19 @@ pub fn server_hdd(dataset: &DatasetSpec, cache_fraction: f64) -> ServerConfig {
     ServerConfig::config_hdd_1080ti().with_cache_fraction(dataset.total_bytes(), cache_fraction)
 }
 
-/// Cache fractions (percent of the dataset) swept by the
-/// [`cache-sweep`](SUITES) suite and Figure 16.
-pub const CACHE_SWEEP_PERCENTS: [u32; 10] = [10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
-
-/// vCPUs per GPU swept by the [`vcpu-sweep`](SUITES) suite and Figure 12.
+/// vCPUs per GPU swept by Figure 12.
 pub const VCPUS_PER_GPU: [usize; 5] = [2, 3, 4, 6, 8];
 
 /// HP-search ensemble widths (number of concurrent jobs; each width uses all
-/// 8 GPUs) swept by the [`hp-width`](SUITES) suite and Figure 9(e).
+/// 8 GPUs) swept by Figure 9(e).
 pub const HP_WIDTHS: [usize; 4] = [8, 4, 2, 1];
 
-/// Server counts swept by the [`scalability`](SUITES) suite and Figure 18.
+/// Server counts swept by Figure 18.
 pub const SCALABILITY_SERVERS: [usize; 4] = [1, 2, 3, 4];
 
 /// Cache fractions (percent of the combined working set) swept by the
-/// [`mixed-cluster`](SUITES) suite.
+/// `mixed_cluster` row.
 pub const MIXED_CACHE_PERCENTS: [u32; 3] = [25, 50, 75];
-
-/// Extra dataset scale-down applied on top of [`SCALE`] by `dstool smoke` so
-/// the whole suite registry runs in seconds in CI.
-pub const SMOKE_EXTRA_SCALE: u64 = 8;
 
 /// Effective physical-core count for `vcpus_per_gpu` hardware threads per
 /// GPU on the Figure 12 server (32 physical cores, 8 GPUs): hyper-threads
@@ -68,210 +58,6 @@ pub fn vcpu_effective_cores(vcpus_per_gpu: usize) -> f64 {
     let cost =
         PrepCostModel::for_pipeline(&PrepPipeline::image_classification(), PrepBackend::DaliCpu);
     cost.effective_cores((vcpus_per_gpu * 8) as f64, 32.0)
-}
-
-/// A named, ready-to-run sweep preset: one paper figure's grid expressed as a
-/// [`SweepSpec`].
-#[derive(Debug, Clone, Copy)]
-pub struct SweepSuite {
-    /// CLI name (`dstool sweep <name>`).
-    pub name: &'static str,
-    /// The paper artifact the sweep reproduces.
-    pub paper: &'static str,
-    /// One-line description.
-    pub description: &'static str,
-    build: fn(u64) -> SweepSpec,
-}
-
-impl SweepSuite {
-    /// Build the suite's [`SweepSpec`], scaling its dataset down by an
-    /// `extra_scale` factor on top of [`SCALE`] (pass 1 for bench fidelity,
-    /// [`SMOKE_EXTRA_SCALE`] for CI smoke runs).
-    pub fn spec(&self, extra_scale: u64) -> SweepSpec {
-        (self.build)(extra_scale.max(1))
-    }
-}
-
-/// The suite registry: every named sweep `dstool` can run.
-pub const SUITES: [SweepSuite; 5] = [
-    SweepSuite {
-        name: "cache-sweep",
-        paper: "Figure 16 / Figure 3",
-        description: "AlexNet steady-state speed vs DRAM cache size (what-if validation axis)",
-        build: build_cache_sweep,
-    },
-    SweepSuite {
-        name: "vcpu-sweep",
-        paper: "Figure 12 (app. B.1)",
-        description: "ResNet18 fully-cached epoch time vs vCPUs per GPU (hyper-thread scaling)",
-        build: build_vcpu_sweep,
-    },
-    SweepSuite {
-        name: "hp-width",
-        paper: "Figure 9(e)",
-        description: "AlexNet HP-search job shapes (8x1 .. 1x8 GPUs), DALI vs CoorDL",
-        build: build_hp_width,
-    },
-    SweepSuite {
-        name: "mixed-cluster",
-        paper: "— (beyond the paper)",
-        description: "heterogeneous ResNet18+AlexNet jobs sharing one server, cache sweep",
-        build: build_mixed_cluster,
-    },
-    SweepSuite {
-        name: "scalability",
-        paper: "Figure 18 (app. D.3)",
-        description: "ResNet50 distributed scaling across 1-4 HDD servers, DALI vs CoorDL",
-        build: build_scalability,
-    },
-];
-
-/// Look up a suite by its CLI name.
-pub fn find_suite(name: &str) -> Option<&'static SweepSuite> {
-    SUITES.iter().find(|s| s.name == name)
-}
-
-/// A `loader` axis swapping every job between its best DALI and best CoorDL
-/// configuration.  Added *after* the axis that builds the job list, so it
-/// rewrites whatever jobs that axis produced.
-fn loader_axis() -> Axis {
-    Axis::new("loader")
-        .value("dali", |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader = LoaderConfig::dali_best(job.model);
-            }
-        })
-        .value("coordl", |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader = LoaderConfig::coordl_best(job.model);
-            }
-        })
-}
-
-fn build_cache_sweep(extra: u64) -> SweepSpec {
-    let model = ModelKind::AlexNet;
-    let dataset = DatasetSpec::imagenet_1k().scaled(SCALE * extra);
-    let bytes = dataset.total_bytes();
-    let job = JobSpec::new(model, dataset, 8, LoaderConfig::coordl_best(model));
-    let mut base = ExperimentSpec::new(ServerConfig::config_ssd_v100(), job);
-    base.epochs = EPOCHS;
-
-    let mut cache = Axis::new("cache");
-    for pct in CACHE_SWEEP_PERCENTS {
-        cache.push_value(format!("{pct}%"), move |spec: &mut ExperimentSpec| {
-            spec.server = spec.server.with_cache_fraction(bytes, pct as f64 / 100.0);
-        });
-    }
-    SweepSpec::new("cache-sweep", base).axis(cache)
-}
-
-fn build_vcpu_sweep(extra: u64) -> SweepSpec {
-    let model = ModelKind::ResNet18;
-    let dataset = DatasetSpec::imagenet_1k().scaled(SCALE * extra);
-    let bytes = dataset.total_bytes();
-    let job = JobSpec::new(
-        model,
-        dataset,
-        8,
-        LoaderConfig::dali_shuffle(PrepBackend::DaliCpu),
-    );
-    let mut base = ExperimentSpec::new(
-        ServerConfig::config_highcpu_v100().with_cache_fraction(bytes, 1.1),
-        job,
-    );
-    base.epochs = EPOCHS;
-
-    let mut vcpus = Axis::new("vcpus");
-    for v in VCPUS_PER_GPU {
-        let cores = vcpu_effective_cores(v).round().max(1.0) as usize;
-        vcpus.push_value(format!("{v}/gpu"), move |spec: &mut ExperimentSpec| {
-            spec.server = spec.server.with_cpu_cores(cores);
-        });
-    }
-    SweepSpec::new("vcpu-sweep", base).axis(vcpus)
-}
-
-fn build_hp_width(extra: u64) -> SweepSpec {
-    let model = ModelKind::AlexNet;
-    let dataset = DatasetSpec::openimages_extended().scaled(SCALE * extra);
-    let server = ServerConfig::config_ssd_v100().with_cache_fraction(dataset.total_bytes(), 0.65);
-    let template = JobSpec::new(model, dataset, 8, LoaderConfig::coordl_best(model));
-    let mut base = ExperimentSpec::new(server, template);
-    base.epochs = EPOCHS;
-
-    let mut width = Axis::new("width");
-    for num_jobs in HP_WIDTHS {
-        let gpus_per_job = 8 / num_jobs;
-        width.push_value(
-            format!("{num_jobs}x{gpus_per_job}"),
-            move |spec: &mut ExperimentSpec| {
-                let mut template = spec.jobs[0].clone();
-                template.num_gpus = gpus_per_job;
-                spec.jobs = (0..num_jobs)
-                    .map(|j| template.with_seed(0xC0DE + j as u64))
-                    .collect();
-                spec.scenario = Scenario::HpSearch { jobs: num_jobs };
-            },
-        );
-    }
-    SweepSpec::new("hp-width", base)
-        .axis(width)
-        .axis(loader_axis())
-}
-
-fn build_mixed_cluster(extra: u64) -> SweepSpec {
-    let ds_image = DatasetSpec::imagenet_1k().scaled(SCALE * extra);
-    let ds_open = DatasetSpec::openimages_extended().scaled(SCALE * extra);
-    let working_set = ds_image.total_bytes() + ds_open.total_bytes();
-    let resnet = JobSpec::new(
-        ModelKind::ResNet18,
-        ds_image,
-        4,
-        LoaderConfig::coordl_best(ModelKind::ResNet18),
-    );
-    let alexnet = JobSpec::new(
-        ModelKind::AlexNet,
-        ds_open,
-        4,
-        LoaderConfig::coordl_best(ModelKind::AlexNet),
-    );
-    let mut base = ExperimentSpec::new(ServerConfig::config_ssd_v100(), resnet);
-    base.jobs.push(alexnet);
-    base.scenario = Scenario::MixedCluster;
-    base.epochs = EPOCHS;
-
-    let mut cache = Axis::new("cache");
-    for pct in MIXED_CACHE_PERCENTS {
-        cache.push_value(format!("{pct}%"), move |spec: &mut ExperimentSpec| {
-            spec.server = spec
-                .server
-                .with_cache_bytes((working_set as f64 * pct as f64 / 100.0) as u64);
-        });
-    }
-    SweepSpec::new("mixed-cluster", base)
-        .axis(cache)
-        .axis(loader_axis())
-}
-
-fn build_scalability(extra: u64) -> SweepSpec {
-    let model = ModelKind::ResNet50;
-    let dataset = DatasetSpec::openimages_extended().scaled(SCALE * extra);
-    let server = ServerConfig::config_hdd_1080ti().with_cache_fraction(dataset.total_bytes(), 0.65);
-    // Keep several iterations per epoch on the scaled dataset even with 4
-    // servers' worth of GPUs.
-    let job = JobSpec::new(model, dataset, 8, LoaderConfig::coordl_best(model)).with_batch(128);
-    let mut base = ExperimentSpec::new(server, job);
-    base.epochs = EPOCHS;
-
-    let mut servers = Axis::new("servers");
-    for n in SCALABILITY_SERVERS {
-        servers.push_value(format!("{n}"), move |spec: &mut ExperimentSpec| {
-            spec.scenario = Scenario::Distributed { servers: n };
-        });
-    }
-    SweepSpec::new("scalability", base)
-        .axis(servers)
-        .axis(loader_axis())
 }
 
 #[cfg(test)]
@@ -294,46 +80,6 @@ mod tests {
         assert!((frac - 0.35).abs() < 0.01, "cache fraction {frac}");
         assert_eq!(s.device.name, "sata-ssd");
         assert_eq!(server_hdd(&ds, 0.5).device.name, "hdd");
-    }
-
-    #[test]
-    fn suite_registry_is_consistent() {
-        let mut names: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), SUITES.len(), "duplicate suite names");
-        assert!(find_suite("cache-sweep").is_some());
-        assert!(find_suite("nonexistent").is_none());
-    }
-
-    #[test]
-    fn suites_build_the_expected_grids() {
-        let expected = [
-            ("cache-sweep", CACHE_SWEEP_PERCENTS.len()),
-            ("vcpu-sweep", VCPUS_PER_GPU.len()),
-            ("hp-width", HP_WIDTHS.len() * 2),
-            ("mixed-cluster", MIXED_CACHE_PERCENTS.len() * 2),
-            ("scalability", SCALABILITY_SERVERS.len() * 2),
-        ];
-        for (name, points) in expected {
-            let spec = find_suite(name).unwrap().spec(SMOKE_EXTRA_SCALE);
-            assert_eq!(spec.num_points(), points, "suite {name}");
-            // Materialising the grid exercises every axis closure.
-            assert_eq!(spec.points().len(), points, "suite {name}");
-        }
-    }
-
-    #[test]
-    fn hp_width_grid_pairs_loaders_within_each_width() {
-        let spec = find_suite("hp-width").unwrap().spec(SMOKE_EXTRA_SCALE);
-        let points = spec.points();
-        // Cartesian order: width slowest, loader fastest.
-        assert_eq!(points[0].0.label(), "width=8x1,loader=dali");
-        assert_eq!(points[1].0.label(), "width=8x1,loader=coordl");
-        assert_eq!(points[0].1.jobs.len(), 8);
-        assert_eq!(points[7].1.jobs.len(), 1);
-        // The loader axis rewrote the width axis's job list.
-        assert!(points[1].1.jobs.iter().all(|j| j.loader.coordinated_prep));
     }
 
     #[test]

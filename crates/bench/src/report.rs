@@ -1,6 +1,6 @@
-//! Plain-text table rendering: the one printer behind `dstool`'s figure,
-//! suite and preset tables.  Each table is fixed-width, so output can be
-//! compared line by line with the paper's figures and diffed run to run.
+//! Plain-text table rendering: the one printer behind `dstool`'s tables.
+//! Each table is fixed-width, so output can be compared line by line with
+//! the paper's figures and diffed run to run.
 
 use std::fmt::Write as _;
 

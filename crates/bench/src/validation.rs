@@ -1,25 +1,29 @@
-//! Predicted-vs-empirical validation: the same workload through the
-//! simulator (`pipeline::Experiment`) and the runtime (`coordl::Session`).
+//! Predicted-vs-empirical validation, the `validate` row of
+//! [`FIGURES`](crate::FIGURES): the same workload through the simulator
+//! (`pipeline::Experiment`) and the runtime (`coordl::Session`).
 //!
 //! This is the paper's Table 5 / Figure 16 methodology applied to the
 //! reproduction itself: the simulator *predicts* cache hit ratios, storage
 //! traffic and stalls from the device/cache model, the functional loader
-//! *measures* them on real bytes, and `dstool validate` reports the deltas.
-//! Both sides share the epoch sampler, the per-item size function and the
-//! cache-policy code, so hit-ratio and storage-byte predictions should land
-//! within a small tolerance; the stall comparison (simulated fetch-stall
-//! seconds vs the runtime's modelled device-busy seconds) is reported but
-//! not gated, because the simulator accounts pipelining overlap that a
-//! functional loader cannot observe.
+//! *measures* them on real bytes, and the row lists both side by side.  Both
+//! sides share the epoch sampler, the per-item size function and the
+//! cache-policy code, so hit-ratio and storage-byte predictions land within
+//! [`TOLERANCE`] — and, being counts, both columns are pinned in
+//! `FIGURES.json`.  The stall comparison (simulated fetch-stall seconds vs
+//! the runtime's modelled device-busy seconds) is reported but not gated,
+//! because the simulator accounts pipelining overlap that a functional
+//! loader cannot observe; where the runtime's side is wall clock it is an
+//! observation, printed and never written.
 
-use crate::runtime::{compact, int, num, object, text};
+use crate::figures::FigureTable;
+use crate::runtime::cell;
 use coordl::{
     ByteTierSpec, FaultPlan, FetchBackend, FsBackend, LoaderReport, Mode, Session, SessionBuilder,
     SessionConfig, TenantHandle, TenantSpec,
 };
 use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
 use dcache::PolicyKind;
-use pipeline::json::Value;
+use pipeline::json::{int, num, text};
 use pipeline::{
     churn_schedule, CacheSpec, EpochMetrics, Experiment, JobSpec, LoaderConfig, Scenario,
     ServerConfig, SimReport,
@@ -58,160 +62,80 @@ const CHAOS_FAULT_SEED: u64 = 0xFA11;
 /// Fetch threads driven by the parallel-fetch validation scenario.
 const PARALLEL_FETCH_THREADS: usize = 4;
 
-/// Configuration of one validation run.
-#[derive(Debug, Clone)]
-pub struct ValidationConfig {
-    /// Dataset scale-down applied to ImageNet-1k (larger = smaller run).
-    pub scale: u64,
-    /// DRAM cache capacity as a fraction of the dataset.
-    pub cache_fraction: f64,
-    /// Concurrent jobs in the coordinated scenario.
-    pub jobs: usize,
-    /// Epochs per run (epoch 0 is the cold-cache warm-up).
-    pub epochs: u64,
-    /// Gate tolerance: absolute for hit ratios, relative for byte counts.
-    pub tolerance: f64,
-}
+/// ImageNet-1k scale-down of the validation dataset (~320 items).
+const DATASET_SCALE: u64 = 4000;
 
-impl Default for ValidationConfig {
-    fn default() -> Self {
-        ValidationConfig {
-            scale: 4000,
-            cache_fraction: 0.35,
-            jobs: 4,
-            epochs: 3,
-            tolerance: 0.05,
-        }
-    }
-}
+/// DRAM cache capacity as a fraction of the dataset.
+const CACHE_FRACTION: f64 = 0.35;
 
-/// How a row's predicted/empirical pair is compared against the tolerance.
+/// Concurrent jobs in the coordinated scenario.
+const JOBS: usize = 4;
+
+/// Epochs per run (epoch 0 is the cold-cache warm-up).
+const EPOCHS: u64 = 3;
+
+/// The claim's tolerance: absolute for hit ratios, relative for byte and
+/// sample counts.
+pub const TOLERANCE: f64 = 0.05;
+
+/// The wall-clock tripwire, [`GateKind::WallClock`]: the prediction is
+/// modelled-hardware seconds while the measurement is wall time on the test
+/// host, so the claim allows this multiple of the prediction plus
+/// [`WALL_SLACK_SECONDS`] of fixed overhead before failing — enough headroom
+/// even for an oversubscribed single-core host, and still an order of
+/// magnitude below what a stuck consumer produces (take-timeout-bound waits
+/// are 30 s+).
+pub const WALL_FACTOR: f64 = 10.0;
+
+/// See [`WALL_FACTOR`].
+pub const WALL_SLACK_SECONDS: f64 = 10.0;
+
+/// How a row's predicted/empirical pair is checked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GateKind {
-    /// `|predicted - empirical| <= tolerance`.
+    /// `|predicted - empirical| <= TOLERANCE`.
     Absolute,
-    /// `|predicted - empirical| / max(predicted, epsilon) <= tolerance`.
+    /// `|predicted - empirical| / max(predicted, epsilon) <= TOLERANCE`.
     Relative,
-    /// A one-sided tripwire for wall-clock measurements compared against
-    /// modelled predictions: fails only when
-    /// `empirical > predicted * factor + slack_seconds`.  Coarse by design —
-    /// it catches stuck consumers and lost wakeups, not scheduler noise.
-    WallClock {
-        /// Multiplicative headroom over the prediction.
-        factor: f64,
-        /// Additive headroom covering fixed thread/startup overhead that
-        /// dominates tiny validation runs.
-        slack_seconds: f64,
-    },
-    /// Reported only, never gated.
+    /// A one-sided tripwire for a wall-clock measurement against a modelled
+    /// prediction: fails only when `empirical > predicted * WALL_FACTOR +
+    /// WALL_SLACK_SECONDS`.  Coarse by design — it catches stuck consumers
+    /// and lost wakeups, not scheduler noise.
+    WallClock,
+    /// Reported only, never checked.
     Informational,
 }
 
-/// One predicted-vs-empirical comparison.
-#[derive(Debug, Clone)]
-pub struct ValidationRow {
-    /// Scenario label (`single-minio`, `single-lru`, `single-tiered`,
-    /// `hp-coordinated`, `elastic-churn`, `fs-real`, `partitioned-chaos`).
-    pub scenario: &'static str,
-    /// Metric label (`steady_hit_ratio`, `steady_disk_bytes`, ...).
-    pub metric: &'static str,
-    /// The simulator's prediction.
-    pub predicted: f64,
-    /// The runtime's measurement.
-    pub empirical: f64,
-    /// How the pair is gated.
-    pub gate: GateKind,
-}
+impl GateKind {
+    const ALL: [GateKind; 4] = [
+        GateKind::Absolute,
+        GateKind::Relative,
+        GateKind::WallClock,
+        GateKind::Informational,
+    ];
 
-impl ValidationRow {
-    /// Absolute delta.
-    pub fn delta(&self) -> f64 {
-        (self.predicted - self.empirical).abs()
+    /// The table's `gate` cell.
+    pub fn name(self) -> &'static str {
+        match self {
+            GateKind::Absolute => "abs",
+            GateKind::Relative => "rel",
+            GateKind::WallClock => "wall",
+            GateKind::Informational => "info",
+        }
     }
 
-    /// Delta relative to the prediction (Table 5's error metric).
-    pub fn relative_delta(&self) -> f64 {
-        self.delta() / self.predicted.abs().max(1e-9)
-    }
-
-    /// Whether the row passes under `tolerance`.
-    pub fn passes(&self, tolerance: f64) -> bool {
-        match self.gate {
-            GateKind::Absolute => self.delta() <= tolerance,
-            GateKind::Relative => {
-                // Two near-zero values agree regardless of their ratio.
-                self.delta() <= 1e-6 || self.relative_delta() <= tolerance
-            }
-            GateKind::WallClock {
-                factor,
-                slack_seconds,
-            } => self.empirical <= self.predicted * factor + slack_seconds,
+    /// Whether the pair passes.
+    pub fn passes(self, predicted: f64, empirical: f64) -> bool {
+        let delta = (predicted - empirical).abs();
+        match self {
+            GateKind::Absolute => delta <= TOLERANCE,
+            // Two near-zero values agree regardless of their ratio.
+            GateKind::Relative => delta <= 1e-6 || delta / predicted.abs().max(1e-9) <= TOLERANCE,
+            GateKind::WallClock => empirical <= predicted * WALL_FACTOR + WALL_SLACK_SECONDS,
             GateKind::Informational => true,
         }
     }
 }
-
-/// The result of one validation run.
-#[derive(Debug, Clone)]
-pub struct ValidationReport {
-    /// The configuration that produced it.
-    pub config: ValidationConfig,
-    /// All comparisons, in scenario order.
-    pub rows: Vec<ValidationRow>,
-}
-
-impl ValidationReport {
-    /// Rows that fail the gate under the configured tolerance.
-    pub fn failures(&self) -> Vec<&ValidationRow> {
-        self.rows
-            .iter()
-            .filter(|r| !r.passes(self.config.tolerance))
-            .collect()
-    }
-
-    /// True when every gated row is within tolerance.
-    pub fn passed(&self) -> bool {
-        self.failures().is_empty()
-    }
-
-    /// Serialise through the shared `pipeline::json` emitter.
-    pub fn to_json(&self) -> String {
-        let tolerance = self.config.tolerance;
-        let rows = self.rows.iter().map(|row| {
-            object([
-                ("scenario", text(row.scenario)),
-                ("metric", text(row.metric)),
-                ("predicted", num(row.predicted)),
-                ("empirical", num(row.empirical)),
-                ("delta", num(row.delta())),
-                ("relative_delta", num(row.relative_delta())),
-                ("gated", Value::Bool(row.gate != GateKind::Informational)),
-                ("pass", Value::Bool(row.passes(tolerance))),
-            ])
-        });
-        compact(&object([
-            ("schema", text("datastalls-validate/v1")),
-            ("scale", int(self.config.scale)),
-            ("cache_fraction", num(self.config.cache_fraction)),
-            ("jobs", int(self.config.jobs as u64)),
-            ("epochs", int(self.config.epochs)),
-            ("tolerance", num(tolerance)),
-            ("passed", Value::Bool(self.passed())),
-            ("rows", Value::Array(rows.collect())),
-        ]))
-    }
-}
-
-/// The coordinated consumer-wait tripwire: the prediction is
-/// modelled-hardware seconds while the measurement is wall time on the test
-/// host, so the gate allows 10x the prediction plus ten seconds of fixed
-/// overhead before failing — enough headroom even for an oversubscribed
-/// single-core host running sibling tests, and still an order of magnitude
-/// below what a stuck consumer produces (take-timeout-bound waits are 30s+).
-pub const CONSUMER_WAIT_GATE: GateKind = GateKind::WallClock {
-    factor: 10.0,
-    slack_seconds: 10.0,
-};
 
 /// What one side of a scenario observed: the same shape whether it was folded
 /// from the simulator's [`SimReport`] ([`observe_sim`]) or from the runtime's
@@ -353,8 +277,9 @@ struct Sim {
 
 /// What every scenario of one validation run shares.
 struct Ctx {
-    cfg: ValidationConfig,
     spec: DatasetSpec,
+    jobs: usize,
+    epochs: u64,
     server: ServerConfig,
 }
 
@@ -388,7 +313,7 @@ impl Ctx {
             .job(job)
             .scenario(sim.scenario)
             .cache(sim.cache)
-            .epochs(self.cfg.epochs)
+            .epochs(self.epochs)
             .run();
         observe_sim(&report, fold)
     }
@@ -426,7 +351,7 @@ impl Ctx {
         let session = shape(&store, builder)
             .build()
             .expect("valid validation session");
-        for epoch in 0..self.cfg.epochs {
+        for epoch in 0..self.epochs {
             drain_epoch(&session, epoch);
         }
         vec![(0, session.report())]
@@ -468,7 +393,7 @@ fn drain_epoch(session: &Session, epoch: u64) {
 /// reclamation.
 fn replay_churn(c: &Ctx) -> Vec<(u64, LoaderReport)> {
     let per_tenant = c.exact_bytes();
-    let schedule = churn_schedule(CHURN_TENANTS, c.cfg.epochs, CHURN_SEED);
+    let schedule = churn_schedule(CHURN_TENANTS, c.epochs, CHURN_SEED);
     // One lock shard: sharding splits the MinIO capacity per shard, and with
     // the cache sized exactly to the active datasets that imbalance causes
     // admission refusals the simulator's single shared cache never predicts.
@@ -480,7 +405,7 @@ fn replay_churn(c: &Ctx) -> Vec<(u64, LoaderReport)> {
     let mut handles: Vec<Option<TenantHandle>> = schedule.iter().map(|_| None).collect();
     let mut reports: Vec<Option<LoaderReport>> = schedule.iter().map(|_| None).collect();
     // Epoch `epochs` runs nothing: it only departs the run's survivors.
-    for epoch in 0..=c.cfg.epochs {
+    for epoch in 0..=c.epochs {
         for (j, tenant) in schedule.iter().enumerate() {
             if tenant.departure == epoch {
                 // The trajectory is read before `depart` reclaims the window.
@@ -512,16 +437,20 @@ fn replay_churn(c: &Ctx) -> Vec<(u64, LoaderReport)> {
 }
 
 /// One `(metric, gate, pick)` row of a scenario: `pick` reads the
-/// `(predicted, empirical)` pair out of the two sides' observations.
+/// `(predicted, empirical)` pair out of the two sides' observations;
+/// `wall_clock` marks an empirical side measured in wall time, which is
+/// observed rather than written.
 struct Metric {
     name: &'static str,
     gate: GateKind,
+    wall_clock: bool,
     pick: fn(sim: &Observed, runtime: &Observed) -> (f64, f64),
 }
 
 const HIT_RATIO: Metric = Metric {
     name: "steady_hit_ratio",
     gate: GateKind::Absolute,
+    wall_clock: false,
     pick: |p, e| (p.hit_ratio(), e.hit_ratio()),
 };
 const AGGREGATE_HIT_RATIO: Metric = Metric {
@@ -532,31 +461,34 @@ const DISK_BYTES: Metric = Metric {
     name: "steady_disk_bytes",
     gate: GateKind::Relative,
     pick: |p, e| (p.disk_bytes, e.disk_bytes),
+    ..HIT_RATIO
 };
 const DRAM_HIT_RATIO: Metric = Metric {
     name: "steady_dram_hit_ratio",
-    gate: GateKind::Absolute,
     pick: |p, e| (p.dram_hit_ratio, e.dram_hit_ratio),
+    ..HIT_RATIO
 };
 const SSD_HIT_RATIO: Metric = Metric {
     name: "steady_ssd_hit_ratio",
-    gate: GateKind::Absolute,
     pick: |p, e| (p.lower_hit_ratio, e.lower_hit_ratio),
+    ..HIT_RATIO
 };
 /// Reported, not gated: the simulator accounts pipelining overlap that a
 /// functional loader cannot observe.
 const FETCH_SECONDS: Metric = Metric {
     name: "steady_fetch_stall_vs_device_seconds",
     gate: GateKind::Informational,
+    wall_clock: false,
     pick: |p, e| (p.fetch_seconds, e.fetch_seconds),
 };
 /// The simulator's fetch+prep stall is on modelled hardware, the runtime's
 /// consumer wait is wall time on the test host: reported so per-stage trends
-/// stay comparable, gated (coarsely, see [`CONSUMER_WAIT_GATE`]) only where
-/// the scenario's counter rows match the simulator exactly.
+/// stay comparable, checked (coarsely, see [`GateKind::WallClock`]) only
+/// where the scenario's counter rows match the simulator exactly.
 const STALL_SECONDS: Metric = Metric {
     name: "steady_data_stall_vs_consumer_wait_seconds",
     gate: GateKind::Informational,
+    wall_clock: true,
     pick: |p, e| (p.stall_seconds, e.stall_seconds),
 };
 
@@ -645,12 +577,12 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
         name: "hp-coordinated",
         fold: Fold::Mean,
         predict: |c| Sim {
-            scenario: Scenario::HpSearch { jobs: c.cfg.jobs },
+            scenario: Scenario::HpSearch { jobs: c.jobs },
             ..c.sim()
         },
         measure: |c| {
             c.session(c.server.dram_cache_bytes, |_, b| {
-                b.mode(Mode::Coordinated { jobs: c.cfg.jobs })
+                b.mode(Mode::Coordinated { jobs: c.jobs })
                     .cache_policy(PolicyKind::MinIo)
                     .device_profile(c.server.device)
             })
@@ -660,7 +592,7 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
             DISK_BYTES,
             FETCH_SECONDS,
             Metric {
-                gate: CONSUMER_WAIT_GATE,
+                gate: GateKind::WallClock,
                 ..STALL_SECONDS
             },
         ],
@@ -684,18 +616,18 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
             DISK_BYTES,
             Metric {
                 name: "tenant0_samples",
-                gate: GateKind::Relative,
                 pick: |p, e| (p.samples[0] as f64, e.samples[0] as f64),
+                ..DISK_BYTES
             },
             Metric {
                 name: "tenant1_samples",
-                gate: GateKind::Relative,
                 pick: |p, e| (p.samples[1] as f64, e.samples[1] as f64),
+                ..DISK_BYTES
             },
             Metric {
                 name: "tenant2_samples",
-                gate: GateKind::Relative,
                 pick: |p, e| (p.samples[2] as f64, e.samples[2] as f64),
+                ..DISK_BYTES
             },
         ],
     },
@@ -728,7 +660,8 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
             FETCH_SECONDS,
             Metric {
                 name: "modelled_vs_measured_device_seconds",
-                gate: CONSUMER_WAIT_GATE,
+                gate: GateKind::WallClock,
+                wall_clock: true,
                 pick: |_, e| (e.run_modelled_seconds, e.run_measured_seconds),
             },
         ],
@@ -759,7 +692,7 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
                 .device_profile(c.server.device)
                 .fault_plan(FaultPlan::seeded(
                     CHAOS_SERVERS,
-                    c.cfg.epochs,
+                    c.epochs,
                     CHAOS_FAULTS,
                     CHAOS_FAULT_SEED,
                     c.spec.num_items,
@@ -771,15 +704,15 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
             DISK_BYTES,
             Metric {
                 name: "steady_remote_bytes",
-                gate: GateKind::Relative,
                 pick: |p, e| (p.remote_bytes, e.remote_bytes),
+                ..DISK_BYTES
             },
             // Exactly-once accounting: a fault must never lose or duplicate
             // a sample, so the run totals agree to the sample on both sides.
             Metric {
                 name: "samples_delivered",
-                gate: GateKind::Relative,
                 pick: |p, e| (p.total_samples(), e.total_samples()),
+                ..DISK_BYTES
             },
         ],
     },
@@ -812,104 +745,156 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
             // wall-vs-model column.
             Metric {
                 name: "fetch_thread_stall_vs_modelled_device_seconds",
-                gate: GateKind::Informational,
                 pick: |_, e| (e.run_modelled_seconds, e.run_pool_stall_seconds),
+                ..STALL_SECONDS
             },
         ],
     },
 ];
 
-/// Run the full predicted-vs-empirical comparison: every registry scenario
-/// through the simulator and the runtime, one row per metric.
-pub fn run_validation(cfg: &ValidationConfig) -> ValidationReport {
-    assert!(cfg.epochs >= 2, "need a warm-up plus one steady epoch");
-    let spec = DatasetSpec::imagenet_1k().scaled(cfg.scale);
+/// The `validate` row: every registry scenario through the simulator and
+/// the runtime, one table row per metric.
+pub fn validate() -> FigureTable {
+    compare(DATASET_SCALE, JOBS, EPOCHS)
+}
+
+/// [`validate`] on ImageNet-1k scaled down by `dataset_scale`, with `jobs`
+/// coordinated jobs and `epochs` epochs (tests run it smaller).
+fn compare(dataset_scale: u64, jobs: usize, epochs: u64) -> FigureTable {
+    let spec = DatasetSpec::imagenet_1k().scaled(dataset_scale);
     let server =
-        ServerConfig::config_ssd_v100().with_cache_fraction(spec.total_bytes(), cfg.cache_fraction);
+        ServerConfig::config_ssd_v100().with_cache_fraction(spec.total_bytes(), CACHE_FRACTION);
+    let mut t = FigureTable::new("scenario metric gate predicted empirical");
+    t.summary = vec![
+        ("items".into(), int(spec.num_items)),
+        ("cache_frac".into(), num(CACHE_FRACTION)),
+        ("jobs".into(), int(jobs as u64)),
+        ("epochs".into(), int(epochs)),
+        ("tolerance".into(), num(TOLERANCE)),
+    ];
     let ctx = Ctx {
-        cfg: cfg.clone(),
         spec,
+        jobs,
+        epochs,
         server,
     };
-    let mut rows = Vec::new();
     for scenario in &VALIDATE_SCENARIOS {
         let predicted = ctx.predict((scenario.predict)(&ctx), scenario.fold);
         let empirical = observe_runtime(&(scenario.measure)(&ctx), scenario.fold);
-        rows.extend(scenario.metrics.iter().map(|metric| {
-            let (predicted, empirical) = (metric.pick)(&predicted, &empirical);
-            ValidationRow {
-                scenario: scenario.name,
-                metric: metric.name,
-                predicted,
-                empirical,
-                gate: metric.gate,
-            }
-        }));
+        for metric in scenario.metrics {
+            let pair = (metric.pick)(&predicted, &empirical);
+            push_row(&mut t, scenario.name, metric, pair);
+        }
     }
-    ValidationReport {
-        config: ctx.cfg,
-        rows,
+    t
+}
+
+/// Append one comparison.  A wall-clock empirical side is observed under
+/// `scenario/metric` and its cell reads `observed`.
+fn push_row(t: &mut FigureTable, scenario: &str, metric: &Metric, pair: (f64, f64)) {
+    let (predicted, empirical) = pair;
+    let measured = if metric.wall_clock {
+        let key = format!("{scenario}/{}", metric.name);
+        t.observed.push((key, empirical));
+        text("observed")
+    } else {
+        num(empirical)
+    };
+    t.rows.push(vec![
+        text(scenario),
+        text(metric.name),
+        text(metric.gate.name()),
+        num(predicted),
+        measured,
+    ]);
+}
+
+/// Every row passes its gate: hit ratios within [`TOLERANCE`] absolutely,
+/// byte and sample counts relatively, wall-clock waits under the tripwire.
+pub fn validate_claim(t: &FigureTable) -> Result<(), String> {
+    let mut failed = Vec::new();
+    for r in 0..t.rows.len() {
+        let name = format!(
+            "{}/{}",
+            cell(t.cell(r, "scenario")),
+            cell(t.cell(r, "metric"))
+        );
+        let gate = t.cell(r, "gate").as_str();
+        let Some(gate) = GateKind::ALL.into_iter().find(|g| Some(g.name()) == gate) else {
+            return Err(format!("{name}: unknown gate {gate:?}"));
+        };
+        let predicted = t.num(r, "predicted");
+        let empirical = t.cell(r, "empirical").as_f64();
+        match empirical.or_else(|| t.observation(&name)) {
+            Some(e) if !gate.passes(predicted, e) => {
+                failed.push(format!(
+                    "{name}: predicted {predicted:.4} vs empirical {e:.4}"
+                ));
+            }
+            None if gate != GateKind::Informational => {
+                failed.push(format!("{name}: no empirical value"));
+            }
+            _ => {}
+        }
+    }
+    if failed.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} row(s) off: {}",
+            failed.len(),
+            failed.join("; ")
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipeline::json::{parse, Value};
+    use pipeline::json::{compact, parse, Value};
 
-    fn small_config() -> ValidationConfig {
-        ValidationConfig {
-            scale: 16_000, // ~80 items: fast enough for debug test runs
-            cache_fraction: 0.35,
-            jobs: 2,
-            epochs: 2,
-            tolerance: 0.05,
-        }
+    /// The row of `scenario`/`metric`.
+    fn row(t: &FigureTable, scenario: &str, metric: &str) -> usize {
+        let is = |r: usize, column: &str, value: &str| t.cell(r, column).as_str() == Some(value);
+        let mut rows = 0..t.rows.len();
+        let found = rows.find(|&r| is(r, "scenario", scenario) && is(r, "metric", metric));
+        found.unwrap_or_else(|| panic!("no row {scenario}/{metric}"))
     }
 
     #[test]
     fn predicted_and_empirical_agree_within_tolerance() {
-        let report = run_validation(&small_config());
+        // ~80 items, 2 jobs, 2 epochs: the committed block is the full size,
+        // which `cargo test` in a debug build runs too slowly.
+        let t = compare(16_000, 2, 2);
         // Which rows exist is pinned by the registry test below.
-        let row = |scenario: &str, metric: &str| {
-            let mut rows = report.rows.iter();
-            rows.find(|r| r.scenario == scenario && r.metric == metric)
-                .unwrap_or_else(|| panic!("no row {scenario}/{metric}"))
-        };
-        let samples = row("partitioned-chaos", "samples_delivered");
+        let samples = row(&t, "partitioned-chaos", "samples_delivered");
         assert_eq!(
-            samples.predicted, samples.empirical,
+            t.num(samples, "predicted"),
+            t.num(samples, "empirical"),
             "exactly-once delivery under faults"
         );
-        let measured = row("fs-real", "modelled_vs_measured_device_seconds");
-        assert!(measured.predicted > 0.0, "modelled seconds accumulate");
-        assert!(measured.empirical > 0.0, "measured seconds accumulate");
-        let pf_hit = row("parallel-fetch", "steady_hit_ratio");
-        assert_eq!(
-            pf_hit.predicted, 1.0,
-            "full residency predicts a perfect steady hit ratio"
-        );
-        assert_eq!(
-            pf_hit.predicted, pf_hit.empirical,
-            "the parallel-fetch hit-ratio prediction is exact (delta 0.0)"
-        );
-        let failures: Vec<String> = report
-            .failures()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{}/{}: predicted {:.4} vs empirical {:.4}",
-                    r.scenario, r.metric, r.predicted, r.empirical
-                )
-            })
-            .collect();
-        assert!(report.passed(), "gated deltas exceeded: {failures:?}");
-        // The MinIO hit ratio lands near the cache fraction by construction.
-        let minio = row("single-minio", "steady_hit_ratio");
+        let measured = row(&t, "fs-real", "modelled_vs_measured_device_seconds");
         assert!(
-            (minio.empirical - 0.35).abs() < 0.10,
-            "MinIO steady hit ratio tracks the cache fraction, got {}",
-            minio.empirical
+            t.num(measured, "predicted") > 0.0,
+            "modelled seconds accumulate"
+        );
+        let key = "fs-real/modelled_vs_measured_device_seconds";
+        assert!(
+            t.observation(key).unwrap() > 0.0,
+            "measured seconds accumulate"
+        );
+        let pf_hit = row(&t, "parallel-fetch", "steady_hit_ratio");
+        assert_eq!(
+            (t.num(pf_hit, "predicted"), t.num(pf_hit, "empirical")),
+            (1.0, 1.0),
+            "full residency predicts a perfect steady hit ratio, exactly"
+        );
+        validate_claim(&t).expect("every gated delta within tolerance");
+        // The MinIO hit ratio lands near the cache fraction by construction.
+        let minio = t.num(row(&t, "single-minio", "steady_hit_ratio"), "empirical");
+        assert!(
+            (minio - CACHE_FRACTION).abs() < 0.10,
+            "MinIO steady hit ratio tracks the cache fraction, got {minio}"
         );
     }
 
@@ -962,99 +947,61 @@ mod tests {
                 "info",
             ),
         ]);
-        let kind = |gate: GateKind| match gate {
-            GateKind::Absolute => "abs",
-            GateKind::Relative => "rel",
-            GateKind::Informational => "info",
-            // Both tripwires share the one constant: hang detectors.
-            wall => {
-                assert_eq!(wall, CONSUMER_WAIT_GATE);
-                "wall"
-            }
-        };
         let registry: Vec<_> = VALIDATE_SCENARIOS
             .iter()
-            .flat_map(|s| s.metrics.iter().map(|m| (s.name, m.name, kind(m.gate))))
+            .flat_map(|s| s.metrics.iter().map(|m| (s.name, m.name, m.gate.name())))
             .collect();
         assert_eq!(registry.len(), 33);
         assert_eq!(registry, pinned);
+        // Every tripwire measures wall clock, and wall clock is never written.
+        let metrics = VALIDATE_SCENARIOS.iter().flat_map(|s| s.metrics);
+        assert!(metrics
+            .filter(|m| m.gate == GateKind::WallClock)
+            .all(|m| m.wall_clock));
     }
 
     #[test]
     fn json_reports_every_row_and_round_trips() {
-        let report = ValidationReport {
-            config: small_config(),
-            rows: vec![
-                ValidationRow {
-                    scenario: "single-minio",
-                    metric: "steady_hit_ratio",
-                    predicted: 0.35,
-                    empirical: 0.34,
-                    gate: GateKind::Absolute,
-                },
-                ValidationRow {
-                    scenario: "single-minio",
-                    metric: "steady_fetch_stall_vs_device_seconds",
-                    predicted: 1.0,
-                    empirical: 1.4,
-                    gate: GateKind::Informational,
-                },
-            ],
-        };
-        let doc = parse(&report.to_json()).expect("valid JSON");
-        assert_eq!(
-            doc.get("rows").and_then(Value::as_array).map(<[_]>::len),
-            Some(2)
-        );
-        assert_eq!(doc.get("passed"), Some(&Value::Bool(true)));
+        let mut t = FigureTable::new("scenario metric gate predicted empirical");
+        push_row(&mut t, "single-minio", &HIT_RATIO, (0.35, 0.34));
+        push_row(&mut t, "single-minio", &STALL_SECONDS, (1.0, 1.4));
+        validate_claim(&t).expect("0.01 apart, and an informational wait");
+        let doc = parse(&compact(&t.to_value("Table 5"))).expect("valid JSON");
         let rows = doc.get("rows").and_then(Value::as_array).unwrap();
+        assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("predicted").and_then(Value::as_f64), Some(0.35));
-        assert_eq!(rows[0].get("gated"), Some(&Value::Bool(true)));
-        assert_eq!(rows[1].get("gated"), Some(&Value::Bool(false)));
-        assert_eq!(rows[1].get("pass"), Some(&Value::Bool(true)));
+        assert_eq!(rows[0].get("gate").and_then(Value::as_str), Some("abs"));
+        assert_eq!(rows[1].get("gate").and_then(Value::as_str), Some("info"));
+        // The wall-clock wait is observed, never written.
+        assert_eq!(
+            rows[1].get("empirical").and_then(Value::as_str),
+            Some("observed")
+        );
+        let key = "single-minio/steady_data_stall_vs_consumer_wait_seconds";
+        assert_eq!(t.observation(key), Some(1.4));
+        // A row outside its gate fails the claim, naming it.
+        push_row(&mut t, "single-lru", &HIT_RATIO, (0.35, 0.45));
+        let err = validate_claim(&t).unwrap_err();
+        assert!(
+            err.contains("single-lru/steady_hit_ratio: predicted 0.3500"),
+            "{err}"
+        );
     }
 
     #[test]
     fn gates_behave_per_kind() {
-        let abs = ValidationRow {
-            scenario: "s",
-            metric: "m",
-            predicted: 0.50,
-            empirical: 0.53,
-            gate: GateKind::Absolute,
-        };
-        assert!(abs.passes(0.05) && !abs.passes(0.01));
-        let rel = ValidationRow {
-            predicted: 100.0,
-            empirical: 109.0,
-            gate: GateKind::Relative,
-            ..abs.clone()
-        };
-        assert!(rel.passes(0.10) && !rel.passes(0.05));
-        let zero = ValidationRow {
-            predicted: 0.0,
-            empirical: 0.0,
-            gate: GateKind::Relative,
-            ..abs.clone()
-        };
-        assert!(zero.passes(0.01), "two zeros agree");
-        let info = ValidationRow {
-            predicted: 1.0,
-            empirical: 100.0,
-            gate: GateKind::Informational,
-            ..abs.clone()
-        };
-        assert!(info.passes(0.0), "informational rows never gate");
+        use GateKind::*;
+        assert!(Absolute.passes(0.50, 0.53) && !Absolute.passes(0.50, 0.56));
+        assert!(Relative.passes(100.0, 104.0) && !Relative.passes(100.0, 109.0));
+        assert!(Relative.passes(0.0, 0.0), "two zeros agree");
+        assert!(
+            Informational.passes(1.0, 100.0),
+            "informational rows never gate"
+        );
         // The wall-clock tripwire: one-sided, affine headroom.
-        let wall = |predicted: f64, empirical: f64| ValidationRow {
-            predicted,
-            empirical,
-            gate: CONSUMER_WAIT_GATE,
-            ..abs.clone()
-        };
-        assert!(wall(0.1, 0.5).passes(0.05), "within 10x + 10s");
-        assert!(wall(0.1, 10.9).passes(0.05), "slack covers tiny runs");
-        assert!(!wall(0.1, 11.1).passes(0.05), "a stuck consumer trips it");
-        assert!(wall(10.0, 0.01).passes(0.05), "one-sided: faster is fine");
+        assert!(WallClock.passes(0.1, 0.5), "within 10x + 10s");
+        assert!(WallClock.passes(0.1, 10.9), "slack covers tiny runs");
+        assert!(!WallClock.passes(0.1, 11.1), "a stuck consumer trips it");
+        assert!(WallClock.passes(10.0, 0.01), "one-sided: faster is fine");
     }
 }

@@ -4,7 +4,7 @@
 //! leaves and rejoins — positioned on an abstract unit grid (the simulator
 //! interprets units as epoch boundaries; the runtime scales them to fetch
 //! steps).  Schedules are pure functions of `(nodes, horizon, faults, seed)`
-//! so the simulator, the runtime chaos bench and `dstool validate` can
+//! so the simulator, the runtime chaos bench and the `validate` figure row can
 //! replay the *same* failure pattern and compare outcomes, exactly like
 //! `churn_schedule` does for elastic tenants.
 

@@ -7,7 +7,8 @@
 //! source in a [`storage::DeviceProfile`] and accounts the *modelled* device
 //! busy time of every read, so a runtime session can report how long its
 //! storage traffic would have taken on a SATA SSD or a hard drive — the
-//! number `dstool validate` compares against the simulator's predictions.
+//! number the `validate` figure row compares against the simulator's
+//! predictions.
 //! [`FsBackend`](crate::FsBackend) goes one step further and serves fetches
 //! from real files, recording *measured* wall-clock device seconds next to
 //! the modelled ones.

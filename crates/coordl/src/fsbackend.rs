@@ -7,7 +7,7 @@
 //! fetch with one positional read of the item's exact extent, straight into
 //! the payload buffer it returns.  Each read's wall-clock time is
 //! accumulated as *measured* device seconds next to the optional modelled
-//! ones, which is what turns `dstool validate` into a genuine
+//! ones, which is what turns the `validate` figure row into a genuine
 //! predicted-vs-modelled-vs-measured three-way.
 
 use crate::backend::{check_item_in_range, FetchBackend};

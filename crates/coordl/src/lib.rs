@@ -24,7 +24,8 @@
 //! `storage::DeviceProfile`), hands out per-job [`BatchStream`] iterators
 //! from [`Session::epoch`] and produces a [`LoaderReport`] whose JSON is
 //! structurally comparable to the simulator's reports — the contract
-//! `dstool validate` exploits to diff predicted against empirical behaviour.
+//! the `validate` figure row exploits to diff predicted against empirical
+//! behaviour.
 //!
 //! Every mode runs on one **prefetching executor** (the paper's overlap
 //! prescription, §2/§5): `fetch_threads(f)` >= 1 share-nothing fetch threads

@@ -4,10 +4,11 @@
 //! `pipeline::SimReport`: cache hits and misses, byte provenance, modelled
 //! device time, staging occupancy and per-epoch trajectories, serialised
 //! through the *same* `pipeline::json` emitter so the two documents are
-//! structurally comparable — which is what lets `dstool validate` diff
-//! predicted against empirical behaviour (Table 5 / Figure 16 methodology).
+//! structurally comparable — which is what lets the `validate` figure row
+//! diff predicted against empirical behaviour (Table 5 / Figure 16
+//! methodology).
 
-use pipeline::json::{write_f64, write_string, write_u64_array};
+use pipeline::json::{compact, int, num, nums, object, text, Value};
 
 /// Counter deltas observed over one epoch of a session.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -263,7 +264,7 @@ impl LoaderReport {
 
     /// Average steady-state consumer-wait seconds per epoch (the runtime's
     /// measured data-stall analogue, compared informationally against the
-    /// simulator's stall predictions by `dstool validate`).
+    /// simulator's stall predictions by the `validate` figure row).
     pub fn steady_consumer_wait_seconds(&self) -> f64 {
         let tail = self.steady_epochs();
         if tail.is_empty() {
@@ -277,137 +278,87 @@ impl LoaderReport {
     /// (`disk_bytes_per_epoch`, `remote_bytes_per_epoch`, per-epoch records)
     /// so simulator and runtime documents diff cleanly.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\"kind\":\"loader-report\",\"mode\":");
-        write_string(&mut out, self.mode);
-        out.push_str(",\"unit_kind\":\"job\",\"jobs\":");
-        out.push_str(&self.jobs.to_string());
-        out.push_str(",\"cache_policy\":");
-        write_string(&mut out, self.cache_policy);
-        out.push_str(",\"backend\":");
-        write_string(&mut out, self.backend);
-        out.push_str(",\"cache_capacity_bytes\":");
-        out.push_str(&self.cache_capacity_bytes.to_string());
-        out.push_str(",\"cache_used_bytes\":");
-        out.push_str(&self.cache_used_bytes.to_string());
-        out.push_str(",\"cache_resident_items\":");
-        out.push_str(&self.cache_resident_items.to_string());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.epochs.len().to_string());
-        out.push_str(",\"disk_bytes_per_epoch\":");
-        let disk: Vec<u64> = self.epochs.iter().map(|e| e.bytes_from_storage).collect();
-        write_u64_array(&mut out, &disk);
-        out.push_str(",\"remote_bytes_per_epoch\":");
-        let remote: Vec<u64> = self.epochs.iter().map(|e| e.bytes_from_remote).collect();
-        write_u64_array(&mut out, &remote);
-        out.push_str(",\"hit_ratio\":");
-        write_f64(&mut out, self.hit_ratio());
-        out.push_str(",\"cache_hits\":");
-        out.push_str(&self.cache_hits.to_string());
-        out.push_str(",\"cache_misses\":");
-        out.push_str(&self.cache_misses.to_string());
-        out.push_str(",\"bytes_from_lower_tiers\":");
-        out.push_str(&self.bytes_from_lower_tiers.to_string());
-        out.push_str(",\"lower_tier_hits\":");
-        out.push_str(&self.lower_tier_hits.to_string());
-        out.push_str(",\"samples_prepared\":");
-        out.push_str(&self.samples_prepared.to_string());
-        out.push_str(",\"samples_delivered\":");
-        out.push_str(&self.samples_delivered.to_string());
-        out.push_str(",\"device_seconds\":");
-        write_f64(&mut out, self.device_seconds);
-        out.push_str(",\"measured_device_seconds\":");
-        write_f64(&mut out, self.measured_device_seconds);
-        out.push_str(",\"fetch_busy_seconds\":");
-        write_f64(&mut out, self.fetch_busy_seconds);
-        out.push_str(",\"fetch_stall_seconds\":");
-        write_f64(&mut out, self.fetch_stall_seconds);
-        out.push_str(",\"prep_busy_seconds\":");
-        write_f64(&mut out, self.prep_busy_seconds);
-        out.push_str(",\"prep_stall_seconds\":");
-        write_f64(&mut out, self.prep_stall_seconds);
-        out.push_str(",\"consumer_wait_seconds\":");
-        write_f64(&mut out, self.consumer_wait_seconds);
-        out.push_str(",\"fetch_thread_busy_seconds\":");
-        write_f64_array(&mut out, &self.fetch_thread_busy_seconds);
-        out.push_str(",\"fetch_thread_stall_seconds\":");
-        write_f64_array(&mut out, &self.fetch_thread_stall_seconds);
+        let per_epoch =
+            |f: fn(&EpochTrajectory) -> u64| nums(self.epochs.iter().map(|e| f(e) as f64));
+        let mut doc = vec![
+            ("kind", text("loader-report")),
+            ("mode", text(self.mode)),
+            ("unit_kind", text("job")),
+            ("jobs", int(self.jobs as u64)),
+            ("cache_policy", text(self.cache_policy)),
+            ("backend", text(self.backend)),
+            ("cache_capacity_bytes", int(self.cache_capacity_bytes)),
+            ("cache_used_bytes", int(self.cache_used_bytes)),
+            (
+                "cache_resident_items",
+                int(self.cache_resident_items as u64),
+            ),
+            ("epochs", int(self.epochs.len() as u64)),
+            ("disk_bytes_per_epoch", per_epoch(|e| e.bytes_from_storage)),
+            ("remote_bytes_per_epoch", per_epoch(|e| e.bytes_from_remote)),
+            ("hit_ratio", num(self.hit_ratio())),
+            ("cache_hits", int(self.cache_hits)),
+            ("cache_misses", int(self.cache_misses)),
+            ("bytes_from_lower_tiers", int(self.bytes_from_lower_tiers)),
+            ("lower_tier_hits", int(self.lower_tier_hits)),
+            ("samples_prepared", int(self.samples_prepared)),
+            ("samples_delivered", int(self.samples_delivered)),
+            ("device_seconds", num(self.device_seconds)),
+            ("measured_device_seconds", num(self.measured_device_seconds)),
+            ("fetch_busy_seconds", num(self.fetch_busy_seconds)),
+            ("fetch_stall_seconds", num(self.fetch_stall_seconds)),
+            ("prep_busy_seconds", num(self.prep_busy_seconds)),
+            ("prep_stall_seconds", num(self.prep_stall_seconds)),
+            ("consumer_wait_seconds", num(self.consumer_wait_seconds)),
+            (
+                "fetch_thread_busy_seconds",
+                nums(self.fetch_thread_busy_seconds.iter().copied()),
+            ),
+            (
+                "fetch_thread_stall_seconds",
+                nums(self.fetch_thread_stall_seconds.iter().copied()),
+            ),
+            (
+                "trajectories",
+                Value::Array(self.epochs.iter().map(trajectory_value).collect()),
+            ),
+        ];
         if let Some(tenant) = &self.tenant {
-            out.push_str(",\"tenant\":{\"name\":");
-            write_string(&mut out, &tenant.name);
-            out.push_str(",\"quota_bytes\":");
-            out.push_str(&tenant.quota_bytes.to_string());
-            out.push_str(",\"effective_quota_bytes\":");
-            out.push_str(&tenant.effective_quota_bytes.to_string());
-            out.push_str(",\"dram_resident_bytes\":");
-            out.push_str(&tenant.dram_resident_bytes.to_string());
-            out.push_str(",\"resident_bytes\":");
-            out.push_str(&tenant.resident_bytes.to_string());
-            out.push('}');
+            let block = object([
+                ("name", text(&tenant.name)),
+                ("quota_bytes", int(tenant.quota_bytes)),
+                ("effective_quota_bytes", int(tenant.effective_quota_bytes)),
+                ("dram_resident_bytes", int(tenant.dram_resident_bytes)),
+                ("resident_bytes", int(tenant.resident_bytes)),
+            ]);
+            doc.push(("tenant", block));
         }
-        out.push_str(",\"trajectories\":[");
-        for (i, e) in self.epochs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            epoch_trajectory_json(&mut out, e);
-        }
-        out.push_str("]}");
-        out
+        compact(&object(doc))
     }
 }
 
-fn write_f64_array(out: &mut String, values: &[f64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_f64(out, *v);
-    }
-    out.push(']');
-}
-
-fn epoch_trajectory_json(out: &mut String, e: &EpochTrajectory) {
-    out.push_str("{\"epoch\":");
-    out.push_str(&e.epoch.to_string());
-    out.push_str(",\"bytes_from_cache\":");
-    out.push_str(&e.bytes_from_cache.to_string());
-    out.push_str(",\"bytes_from_disk\":");
-    out.push_str(&e.bytes_from_storage.to_string());
-    out.push_str(",\"bytes_from_remote\":");
-    out.push_str(&e.bytes_from_remote.to_string());
-    out.push_str(",\"cache_hits\":");
-    out.push_str(&e.cache_hits.to_string());
-    out.push_str(",\"cache_misses\":");
-    out.push_str(&e.cache_misses.to_string());
-    out.push_str(",\"bytes_from_lower_tiers\":");
-    out.push_str(&e.bytes_from_lower_tiers.to_string());
-    out.push_str(",\"lower_tier_hits\":");
-    out.push_str(&e.lower_tier_hits.to_string());
-    out.push_str(",\"hit_ratio\":");
-    write_f64(out, e.hit_ratio());
-    out.push_str(",\"samples\":");
-    out.push_str(&e.samples_delivered.to_string());
-    out.push_str(",\"device_seconds\":");
-    write_f64(out, e.device_seconds);
-    out.push_str(",\"staging_peak_bytes\":");
-    out.push_str(&e.staging_peak_bytes.to_string());
-    out.push_str(",\"staging_published\":");
-    out.push_str(&e.staging_published.to_string());
-    out.push_str(",\"staging_evicted\":");
-    out.push_str(&e.staging_evicted.to_string());
-    out.push_str(",\"fetch_busy_seconds\":");
-    write_f64(out, e.fetch_busy_seconds);
-    out.push_str(",\"fetch_stall_seconds\":");
-    write_f64(out, e.fetch_stall_seconds);
-    out.push_str(",\"prep_busy_seconds\":");
-    write_f64(out, e.prep_busy_seconds);
-    out.push_str(",\"prep_stall_seconds\":");
-    write_f64(out, e.prep_stall_seconds);
-    out.push_str(",\"consumer_wait_seconds\":");
-    write_f64(out, e.consumer_wait_seconds);
-    out.push('}');
+fn trajectory_value(e: &EpochTrajectory) -> Value {
+    object([
+        ("epoch", int(e.epoch)),
+        ("bytes_from_cache", int(e.bytes_from_cache)),
+        ("bytes_from_disk", int(e.bytes_from_storage)),
+        ("bytes_from_remote", int(e.bytes_from_remote)),
+        ("cache_hits", int(e.cache_hits)),
+        ("cache_misses", int(e.cache_misses)),
+        ("bytes_from_lower_tiers", int(e.bytes_from_lower_tiers)),
+        ("lower_tier_hits", int(e.lower_tier_hits)),
+        ("hit_ratio", num(e.hit_ratio())),
+        ("samples", int(e.samples_delivered)),
+        ("device_seconds", num(e.device_seconds)),
+        ("staging_peak_bytes", int(e.staging_peak_bytes)),
+        ("staging_published", int(e.staging_published)),
+        ("staging_evicted", int(e.staging_evicted)),
+        ("fetch_busy_seconds", num(e.fetch_busy_seconds)),
+        ("fetch_stall_seconds", num(e.fetch_stall_seconds)),
+        ("prep_busy_seconds", num(e.prep_busy_seconds)),
+        ("prep_stall_seconds", num(e.prep_stall_seconds)),
+        ("consumer_wait_seconds", num(e.consumer_wait_seconds)),
+    ])
 }
 
 #[cfg(test)]

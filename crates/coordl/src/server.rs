@@ -390,8 +390,9 @@ impl Server {
     }
 
     /// Aggregate hit ratio of the shared hierarchy over every fetch any
-    /// tenant ever issued (departures do not reset it) — the number
-    /// `dstool validate`'s churn scenario compares against the simulator.
+    /// tenant ever issued (departures do not reset it) — the number the
+    /// `validate` figure row's churn scenario compares against the
+    /// simulator.
     pub fn aggregate_hit_ratio(&self) -> f64 {
         let hits = self.inner.cache.hits();
         let total = hits + self.inner.cache.misses();

@@ -13,8 +13,8 @@
 //!
 //! Every mode hands out per-job [`BatchStream`] iterators from
 //! [`Session::epoch`] and records per-epoch [`EpochTrajectory`] deltas, so
-//! one [`LoaderReport`] describes any run — which is what `dstool validate`
-//! diffs against the simulator's predictions.
+//! one [`LoaderReport`] describes any run — which is what the `validate`
+//! figure row diffs against the simulator's predictions.
 //!
 //! ```
 //! use coordl::{Mode, Session, SessionConfig};
@@ -598,7 +598,9 @@ impl Session {
             epoch,
             start: self.snapshot(),
             coordinated,
-            single_stream_taken: AtomicBool::new(false),
+            taken: (0..self.num_jobs())
+                .map(|_| AtomicBool::new(false))
+                .collect(),
         }
     }
 
@@ -629,8 +631,8 @@ impl Session {
     }
 
     /// Per-level statistics of every cache tier of the session, aggregated
-    /// across partitioned nodes by level index (`dstool validate` uses this
-    /// for its per-tier hit-ratio rows).
+    /// across partitioned nodes by level index (the `validate` figure row
+    /// uses this for its per-tier hit-ratio rows).
     pub fn tier_levels(&self) -> Vec<TierSnapshot> {
         let mut levels: Vec<TierSnapshot> = Vec::new();
         for tier in self.all_tiers() {
@@ -791,7 +793,8 @@ pub struct EpochRun<'a> {
     /// The shared engine epoch of a coordinated session (started eagerly);
     /// ordered lanes spawn their executor lazily, at [`EpochRun::stream`].
     coordinated: Option<EpochSession>,
-    single_stream_taken: AtomicBool,
+    /// One flag per stream index: set by the first [`EpochRun::stream`].
+    taken: Box<[AtomicBool]>,
 }
 
 impl EpochRun<'_> {
@@ -813,10 +816,13 @@ impl EpochRun<'_> {
     /// drain (dropping it shuts a coordinated epoch down).
     ///
     /// # Panics
-    /// In single mode, a second `stream(0)` call on the same run panics:
-    /// each call would spawn a fresh worker pool and re-fetch the whole
-    /// epoch, silently double-counting this run's trajectory.  Call
-    /// [`Session::epoch`] again for another pass over the same epoch.
+    /// Panics when `job` is out of range, and on a second `stream(job)` call
+    /// for the same `job` on the same run, in every mode: in single and
+    /// partitioned mode it would spawn a fresh worker pool and re-fetch the
+    /// job's share of the epoch, double-counting this run's trajectory; in
+    /// coordinated mode a second consumer for one job would wait on batches
+    /// the first one already took.  Call [`Session::epoch`] again for another
+    /// pass over the same epoch.
     pub fn stream(&self, job: usize) -> BatchStream {
         let session = self.session;
         assert!(
@@ -825,19 +831,17 @@ impl EpochRun<'_> {
             session.mode().name(),
             session.num_jobs()
         );
+        assert!(
+            !self.taken[job].swap(true, Ordering::SeqCst),
+            "stream({job}) already taken for this EpochRun; call \
+             Session::epoch again for another pass"
+        );
         if let Some(epoch_session) = &self.coordinated {
             return BatchStream {
                 total: epoch_session.total_batches(),
                 inner: StreamInner::Coordinated(epoch_session.consumer(job)),
                 lender: Lender::new(&session.lanes[0]),
             };
-        }
-        if session.mode == Mode::Single {
-            assert!(
-                !self.single_stream_taken.swap(true, Ordering::SeqCst),
-                "stream(0) already taken for this EpochRun; call \
-                 Session::epoch again for another pass"
-            );
         }
         let lane = &session.lanes[job];
         let stream = lane.spawn_ordered(self.epoch, session.plan(self.epoch, job));
@@ -981,6 +985,7 @@ mod tests {
     use super::*;
     use dataset::{DatasetSpec, SyntheticItemStore};
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn store(items: u64, avg: u64) -> Arc<dyn DataSource> {
         Arc::new(SyntheticItemStore::new(
@@ -1258,15 +1263,37 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already taken")]
+    #[should_panic(expected = "stream(0) already taken")]
     fn second_single_mode_stream_on_one_run_is_refused() {
-        // Silently re-running the epoch would double-count the trajectory.
+        // Silently re-running a stream would re-fetch its share and
+        // double-count the trajectory (single, partitioned), or wait on
+        // batches the first consumer already took (coordinated).
+        for mode in [
+            Mode::Partitioned { nodes: 2 },
+            Mode::Coordinated { jobs: 2 },
+        ] {
+            let session = Session::builder(store(40, 128), config(8, 1 << 20))
+                .mode(mode)
+                .build()
+                .unwrap();
+            let run = session.epoch(0);
+            let job = session.num_jobs() - 1;
+            let _first = run.stream(job);
+            let second = catch_unwind(AssertUnwindSafe(|| run.stream(job)));
+            let err = second
+                .err()
+                .unwrap_or_else(|| panic!("{}: served twice", mode.name()));
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            let expected = format!("stream({job}) already taken");
+            assert!(msg.contains(&expected), "{}: {msg}", mode.name());
+        }
+        // Single mode: the second stream panics even after the first is
+        // dropped.
         let session = Session::builder(store(40, 128), config(8, 1 << 20))
             .build()
             .unwrap();
         let run = session.epoch(0);
-        let first = run.stream(0);
-        drop(first);
+        drop(run.stream(0));
         let _second = run.stream(0);
     }
 

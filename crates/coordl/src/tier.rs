@@ -97,7 +97,7 @@ pub trait CacheTier: Send + Sync {
 }
 
 /// A point-in-time view of one level of a cache-tier hierarchy, used by
-/// reports and `dstool validate`'s per-tier hit-ratio rows.
+/// reports and the `validate` figure row's per-tier hit-ratio rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TierSnapshot {
     /// Level name (`"dram"`, `"ssd"`, ...).
@@ -909,8 +909,8 @@ mod tests {
 
     #[test]
     fn single_level_tiered_cache_matches_policy_byte_cache_exactly() {
-        // The simulator-policy ≡ runtime-tier statement `dstool validate`
-        // relies on: a single-level tier makes the raw `dcache` policy's
+        // The simulator-policy ≡ runtime-tier statement the `validate` figure
+        // row relies on: a single-level tier makes the raw `dcache` policy's
         // decisions — same hit/miss per access, same totals, residency and
         // used bytes — for every policy.
         for kind in [

@@ -4,7 +4,7 @@
 //! the tenant trains during `[arrival, departure)` and its cached keys are
 //! reclaimed when it departs.  Schedules are pure functions of
 //! `(tenants, epochs, seed)` so the simulator, the runtime benches and
-//! `dstool validate` can replay the *same* churn pattern and compare
+//! the `validate` figure row can replay the *same* churn pattern and compare
 //! outcomes.
 //!
 //! [`Scenario::ElasticCluster`]: crate::Scenario::ElasticCluster

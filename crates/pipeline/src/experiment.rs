@@ -43,7 +43,7 @@ use crate::engine::{
 };
 use crate::fast;
 use crate::job::JobSpec;
-use crate::json::{write_f64 as json_f64, write_string as json_string, write_u64_array};
+use crate::json::{compact, int, num, nums, object, text, Value};
 use crate::metrics::{EpochMetrics, RunResult};
 
 /// The cache hierarchy every storage node of the experiment runs
@@ -764,37 +764,29 @@ impl SimReport {
     /// I/O timeline — as a JSON object, for bench trajectory dumps and
     /// external plotting.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"scenario\":");
-        json_string(&mut out, self.scenario.name());
-        out.push_str(",\"unit_kind\":");
-        json_string(&mut out, self.scenario.unit_label());
-        out.push_str(",\"epochs\":");
-        out.push_str(&self.num_epochs().to_string());
-        out.push_str(",\"disk_bytes_per_epoch\":");
-        write_u64_array(&mut out, &self.disk_bytes_per_epoch);
-        out.push_str(",\"remote_bytes_per_epoch\":");
-        write_u64_array(&mut out, &self.remote_bytes_per_epoch);
-        out.push_str(",\"steady_epoch_seconds\":");
-        json_f64(&mut out, self.steady_epoch_seconds());
-        out.push_str(",\"steady_samples_per_sec\":");
-        json_f64(&mut out, self.steady_samples_per_sec());
-        out.push_str(",\"units\":[");
-        for (i, unit) in self.units.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"epochs\":[");
-            for (j, e) in unit.epochs.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                epoch_metrics_json(&mut out, e);
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        compact(&self.to_value())
+    }
+
+    /// [`SimReport::to_json`]'s document as a [`Value`].
+    pub(crate) fn to_value(&self) -> Value {
+        let bytes = |per_epoch: &[u64]| nums(per_epoch.iter().map(|&b| b as f64));
+        let units = self.units.iter().map(|unit| {
+            let epochs = unit.epochs.iter().map(epoch_metrics_value);
+            object([("epochs", Value::Array(epochs.collect()))])
+        });
+        object([
+            ("scenario", text(self.scenario.name())),
+            ("unit_kind", text(self.scenario.unit_label())),
+            ("epochs", int(self.num_epochs() as u64)),
+            ("disk_bytes_per_epoch", bytes(&self.disk_bytes_per_epoch)),
+            (
+                "remote_bytes_per_epoch",
+                bytes(&self.remote_bytes_per_epoch),
+            ),
+            ("steady_epoch_seconds", num(self.steady_epoch_seconds())),
+            ("steady_samples_per_sec", num(self.steady_samples_per_sec())),
+            ("units", Value::Array(units.collect())),
+        ])
     }
 }
 
@@ -816,47 +808,28 @@ fn idle_epoch(epoch: u64) -> EpochMetrics {
     }
 }
 
-fn epoch_metrics_json(out: &mut String, e: &EpochMetrics) {
-    out.push_str("{\"epoch\":");
-    out.push_str(&e.epoch.to_string());
-    out.push_str(",\"epoch_seconds\":");
-    json_f64(out, e.epoch_seconds());
-    out.push_str(",\"compute_seconds\":");
-    json_f64(out, e.breakdown.compute_time.as_secs());
-    out.push_str(",\"fetch_stall_seconds\":");
-    json_f64(out, e.breakdown.fetch_stall.as_secs());
-    out.push_str(",\"prep_stall_seconds\":");
-    json_f64(out, e.breakdown.prep_stall.as_secs());
-    out.push_str(",\"samples\":");
-    out.push_str(&e.samples.to_string());
-    out.push_str(",\"samples_per_sec\":");
-    json_f64(out, e.samples_per_sec());
-    out.push_str(",\"bytes_from_cache\":");
-    out.push_str(&e.bytes_from_cache.to_string());
-    out.push_str(",\"bytes_from_disk\":");
-    out.push_str(&e.bytes_from_disk.to_string());
-    out.push_str(",\"bytes_from_remote\":");
-    out.push_str(&e.bytes_from_remote.to_string());
-    out.push_str(",\"cache_hits\":");
-    out.push_str(&e.cache_hits.to_string());
-    out.push_str(",\"cache_misses\":");
-    out.push_str(&e.cache_misses.to_string());
-    out.push_str(",\"bytes_from_lower_tiers\":");
-    out.push_str(&e.bytes_from_lower_tiers.to_string());
-    out.push_str(",\"lower_tier_hits\":");
-    out.push_str(&e.lower_tier_hits.to_string());
-    out.push_str(",\"io_timeline\":[");
-    for (i, (t, v)) in e.io_timeline.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        json_f64(out, *t);
-        out.push(',');
-        json_f64(out, *v);
-        out.push(']');
-    }
-    out.push_str("]}");
+fn epoch_metrics_value(e: &EpochMetrics) -> Value {
+    let timeline = e.io_timeline.iter().map(|&(t, v)| nums([t, v]));
+    object([
+        ("epoch", int(e.epoch)),
+        ("epoch_seconds", num(e.epoch_seconds())),
+        ("compute_seconds", num(e.breakdown.compute_time.as_secs())),
+        (
+            "fetch_stall_seconds",
+            num(e.breakdown.fetch_stall.as_secs()),
+        ),
+        ("prep_stall_seconds", num(e.breakdown.prep_stall.as_secs())),
+        ("samples", int(e.samples)),
+        ("samples_per_sec", num(e.samples_per_sec())),
+        ("bytes_from_cache", int(e.bytes_from_cache)),
+        ("bytes_from_disk", int(e.bytes_from_disk)),
+        ("bytes_from_remote", int(e.bytes_from_remote)),
+        ("cache_hits", int(e.cache_hits)),
+        ("cache_misses", int(e.cache_misses)),
+        ("bytes_from_lower_tiers", int(e.bytes_from_lower_tiers)),
+        ("lower_tier_hits", int(e.lower_tier_hits)),
+        ("io_timeline", Value::Array(timeline.collect())),
+    ])
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Hand-rolled JSON emission and parsing shared by every report exporter.
 //!
-//! The workspace builds offline (no `serde`), so
+//! The workspace builds offline (no `serde`), so every report —
 //! [`SimReport::to_json`](crate::SimReport::to_json),
-//! [`SweepReport::to_json`](crate::sweep::SweepReport::to_json) and the
-//! `dstool` CLI all emit JSON by hand.  This module centralises the
-//! two things that are easy to get subtly wrong when several emitters each
-//! roll their own:
+//! [`SweepReport::to_json`](crate::sweep::SweepReport::to_json),
+//! `coordl::LoaderReport::to_json` and the `dstool figures` document — builds
+//! a [`Value`] tree with [`object`] / [`num`] / [`int`] / [`text`] and writes
+//! it through the one emitter, [`write_value`].  That emitter owns the two
+//! things that are easy to get subtly wrong when several emitters each roll
+//! their own:
 //!
 //! * **escaping** — [`escape`] / [`write_string`] guarantee that scenario and
 //!   sweep-point labels containing quotes, backslashes or control characters
@@ -13,10 +15,12 @@
 //! * **numbers** — [`write_f64`] maps the non-finite values JSON cannot
 //!   represent to `null` instead of emitting bare `NaN`/`inf` tokens.
 //!
-//! A minimal recursive-descent [`parse`] (returning a [`Value`] tree) is also
-//! provided so tests and the CI perf gate can *read* these documents back
-//! without external dependencies.  It supports the full JSON grammar except
-//! `\u` surrogate pairs, which none of our emitters produce.
+//! Object keys come out sorted (a [`Value::Object`] is a [`BTreeMap`]), so
+//! every document is in one canonical form.  A minimal recursive-descent
+//! [`parse`] (returning a [`Value`] tree) is also provided so tests and the
+//! CI gates can *read* these documents back without external dependencies.
+//! It supports the full JSON grammar except `\u` surrogate pairs, which none
+//! of our emitters produce.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -63,24 +67,11 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Append `values` to `out` as a JSON array of integers.
-pub fn write_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
 /// Append `value` to `out` in canonical form: object keys sorted (the
 /// [`BTreeMap`] guarantees this), no whitespace, numbers in Rust's shortest
 /// round-trip formatting.  Re-serialising a [`parse`]d document through this
-/// writer normalises it — `dstool smoke --refresh-baseline` relies on that to
-/// keep `ci/bench_baseline.json` in one canonical shape regardless of which
-/// emitter produced the run.
+/// writer normalises it, so a committed document (`FIGURES.json`) diffs only
+/// where a value moved.
 pub fn write_value(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
@@ -110,6 +101,40 @@ pub fn write_value(out: &mut String, value: &Value) {
             out.push('}');
         }
     }
+}
+
+/// `value` as compact JSON text (see [`write_value`]).
+pub fn compact(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value);
+    out
+}
+
+/// A JSON number.
+pub fn num(v: f64) -> Value {
+    Value::Number(v)
+}
+
+/// A JSON integer: every count a report emits is far below 2^53, where
+/// `f64` stops being exact.
+pub fn int(v: u64) -> Value {
+    Value::Number(v as f64)
+}
+
+/// A JSON string.
+pub fn text(v: &str) -> Value {
+    Value::String(v.to_string())
+}
+
+/// A JSON object from `(key, value)` pairs (a repeated key keeps the last).
+pub fn object<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+    let entries = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    Value::Object(entries.collect())
+}
+
+/// A JSON array of numbers.
+pub fn nums(values: impl IntoIterator<Item = f64>) -> Value {
+    Value::Array(values.into_iter().map(num).collect())
 }
 
 /// A parsed JSON document.
@@ -431,13 +456,17 @@ mod tests {
 
     #[test]
     fn u64_arrays_and_strings_compose() {
-        let mut out = String::new();
-        out.push_str("{\"xs\":");
-        write_u64_array(&mut out, &[1, 2, 30]);
-        out.push('}');
+        let doc = object([
+            ("xs", nums([1.0, 2.0, 30.0])),
+            ("name", text("a\"b")),
+            ("n", int(7)),
+        ]);
+        let out = compact(&doc);
+        assert_eq!(out, r#"{"n":7,"name":"a\"b","xs":[1,2,30]}"#);
         let v = parse(&out).unwrap();
         let xs = v.get("xs").and_then(Value::as_array).unwrap();
         assert_eq!(xs.len(), 3);
         assert_eq!(xs[2].as_f64(), Some(30.0));
+        assert_eq!(v, doc, "the builders emit what the parser reads back");
     }
 }

@@ -395,41 +395,24 @@ impl SweepReport {
     /// Serialise the sweep — every point's label, coordinates and full
     /// [`SimReport`] (or its panic message) — as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"sweep\":");
-        json::write_string(&mut out, &self.name);
-        out.push_str(",\"points\":[");
-        for (i, p) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"label\":");
-            json::write_string(&mut out, &p.label.label());
-            out.push_str(",\"coords\":{");
-            for (j, (axis, value)) in p.label.coords.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json::write_string(&mut out, axis);
-                out.push(':');
-                json::write_string(&mut out, value);
-            }
-            out.push_str("},\"ok\":");
-            out.push_str(if p.outcome.is_ok() { "true" } else { "false" });
-            match &p.outcome {
-                Ok(report) => {
-                    out.push_str(",\"report\":");
-                    out.push_str(&report.to_json());
-                }
-                Err(msg) => {
-                    out.push_str(",\"error\":");
-                    json::write_string(&mut out, msg);
-                }
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let points = self.points.iter().map(|p| {
+            let coords = p.label.coords.iter();
+            let coords = coords.map(|(axis, value)| (axis.as_str(), json::text(value)));
+            let outcome = match &p.outcome {
+                Ok(report) => ("report", report.to_value()),
+                Err(msg) => ("error", json::text(msg)),
+            };
+            json::object([
+                ("label", json::text(&p.label.label())),
+                ("coords", json::object(coords)),
+                ("ok", json::Value::Bool(p.outcome.is_ok())),
+                outcome,
+            ])
+        });
+        json::compact(&json::object([
+            ("sweep", json::text(&self.name)),
+            ("points", json::Value::Array(points.collect())),
+        ]))
     }
 }
 

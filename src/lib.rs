@@ -18,8 +18,8 @@
 //!   really moves bytes — exactly-once delivery, per-epoch randomness and
 //!   failure handling are enforced by the types and verified by tests — and
 //!   every run yields a [`coordl::LoaderReport`] whose JSON is structurally
-//!   comparable to the simulator's, which `dstool validate` diffs for the
-//!   paper's predicted-vs-empirical check (Table 5 / Figure 16).
+//!   comparable to the simulator's, which the `validate` figure row diffs
+//!   for the paper's predicted-vs-empirical check (Table 5 / Figure 16).
 //! * **The analysis** ([`pipeline`]) — a calibrated input-pipeline simulator
 //!   that reproduces every figure and table of the paper's evaluation on a
 //!   laptop, with the paper's server SKUs ([`pipeline::ServerConfig`]),

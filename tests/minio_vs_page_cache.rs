@@ -155,7 +155,7 @@ fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
     // with the same variable-size access trace must produce identical
     // hit/miss counts and identical residency (byte-for-byte AND
     // item-for-item) for every policy, and §4.1's steady-state arithmetic
-    // for MinIO — this is what makes `dstool validate`'s
+    // for MinIO — this is what makes the `validate` figure row's
     // predicted-vs-empirical comparison meaningful.
     use datastalls::coordl::{CacheTier, TieredByteCache};
     use std::sync::Arc;

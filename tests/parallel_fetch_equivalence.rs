@@ -101,7 +101,7 @@ fn build_session(
 /// Drive every epoch and return what the consumers observed.  Coordinated
 /// jobs consume concurrently (as in production); single and partitioned
 /// streams are drained in job/node order, the deterministic drive
-/// `dstool validate` also uses.
+/// the `validate` figure row also uses.
 fn run_observed(session: &Session, epochs: u64) -> Observed {
     let jobs = session.num_jobs();
     let mut digests: Vec<StreamDigest> = (0..jobs).map(|_| StreamDigest::default()).collect();

@@ -168,7 +168,7 @@ fn run_session(
                 .collect()
         } else {
             // Single job, or partitioned nodes drained in node order
-            // (the deterministic drive `dstool validate` also uses).
+            // (the deterministic drive the `validate` figure row also uses).
             (0..jobs)
                 .map(|j| drain(run.stream(j), hold(j, epoch)))
                 .collect()
@@ -237,15 +237,14 @@ fn partitioned_mode_is_bit_identical_across_workers_and_depth() {
 
 #[test]
 fn prep_heavy_preset_is_bit_identical_across_worker_counts() {
-    // The preset's own gate at a size between the unit tests' and the
-    // smoke's.  Whether four workers are *faster* is `dsbench`'s question.
+    // The `worker_sweep` row's own claim at twice its size.  Whether four
+    // workers are *faster* is `dsbench`'s question.
     let workload = Workload {
         axis: &[1, 4],
         items: 512,
-        ..parallel::PRESET.workload
+        ..parallel::WORKLOAD
     };
-    parallel::run(&workload)
-        .gate()
+    parallel::worker_sweep_claim(&parallel::run(&workload))
         .expect("workers(4) must deliver the workers(1) stream bit-for-bit");
 }
 
