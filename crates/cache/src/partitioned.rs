@@ -28,13 +28,13 @@ pub enum Location {
     Storage,
 }
 
-/// Directory mapping items to the server whose MinIO cache shard owns them.
+/// Directory mapping items to the server whose MinIO cache holds them.
 ///
-/// Sharding is static per job: item `i` is *assigned* to server
-/// `i % num_servers` (round-robin keeps shards balanced irrespective of the
-/// item-id distribution).  Whether the item is actually *resident* is
-/// registered dynamically as caches fill, because a server's cache may be too
-/// small to hold its entire shard.
+/// The directory assigns nothing: which server sweeps (and so caches) an
+/// item is the engine's per-epoch sharding (`dataset::EpochSampler::
+/// distributed_shard` in both the simulator and the runtime).  Residency is
+/// registered here dynamically as caches fill, because a server's cache may
+/// be too small to hold its entire shard.
 #[derive(Debug, Clone)]
 pub struct PartitionedIndex {
     num_servers: usize,
@@ -57,18 +57,6 @@ impl PartitionedIndex {
     /// Number of servers in the job.
     pub fn num_servers(&self) -> usize {
         self.num_servers
-    }
-
-    /// The server statically assigned to own item `item` (round-robin).
-    pub fn owner_of(&self, item: u64) -> ServerId {
-        ServerId((item % self.num_servers as u64) as usize)
-    }
-
-    /// All items in `0..num_items` assigned to `server`.
-    pub fn shard_of(&self, server: ServerId, num_items: u64) -> Vec<u64> {
-        (0..num_items)
-            .filter(|&i| self.owner_of(i) == server)
-            .collect()
     }
 
     /// Record that `item` is now resident in `server`'s cache.
@@ -117,44 +105,11 @@ impl PartitionedIndex {
             None => Location::Storage,
         }
     }
-
-    /// Number of items resident at each server.
-    pub fn residency_by_server(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_servers];
-        for &s in self.resident.values() {
-            counts[s.0] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_assignment_is_balanced() {
-        let idx = PartitionedIndex::new(4);
-        let mut counts = [0usize; 4];
-        for i in 0..1000u64 {
-            counts[idx.owner_of(i).0] += 1;
-        }
-        assert_eq!(counts, [250, 250, 250, 250]);
-    }
-
-    #[test]
-    fn shards_are_disjoint_and_cover_dataset() {
-        let idx = PartitionedIndex::new(3);
-        let n = 100u64;
-        let mut seen = std::collections::HashSet::new();
-        for s in 0..3 {
-            for item in idx.shard_of(ServerId(s), n) {
-                assert!(seen.insert(item), "item {item} appears in two shards");
-                assert_eq!(idx.owner_of(item), ServerId(s));
-            }
-        }
-        assert_eq!(seen.len() as u64, n);
-    }
 
     #[test]
     fn locate_distinguishes_local_remote_storage() {
@@ -168,21 +123,12 @@ mod tests {
     }
 
     #[test]
-    fn residency_by_server_counts() {
-        let mut idx = PartitionedIndex::new(2);
-        for i in 0..10u64 {
-            idx.register(i, idx.owner_of(i));
-        }
-        assert_eq!(idx.residency_by_server(), vec![5, 5]);
-        assert_eq!(idx.resident_items(), 10);
-    }
-
-    #[test]
     fn unregister_server_returns_orphans_in_order() {
         let mut idx = PartitionedIndex::new(3);
         for i in 0..12u64 {
-            idx.register(i, idx.owner_of(i));
+            idx.register(i, ServerId(i as usize % 3));
         }
+        assert_eq!(idx.resident_items(), 12);
         let orphans = idx.unregister_server(ServerId(1));
         assert_eq!(orphans, vec![1, 4, 7, 10]);
         assert_eq!(idx.resident_items(), 8);

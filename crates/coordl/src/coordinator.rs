@@ -1,17 +1,26 @@
 //! Coordinated prep: one fetch + prep sweep per epoch shared by all
-//! concurrent hyper-parameter-search jobs (§4.3).
+//! concurrent hyper-parameter-search jobs (§4.3) — and the delivery path of
+//! every session stream.
 //!
-//! The engine here ([`EpochSession`], [`JobEpochIterator`]) is what a
-//! [`Session`](crate::Session) in [`Mode::Coordinated`](crate::Mode) runs
-//! on.  All jobs of an epoch share **one prefetching executor** (the
-//! crate's `executor` module): its fetch stage sweeps the epoch's batches in
-//! training order per cache shard (so the shared cache tier sees a
-//! deterministic access sequence at any `fetch_threads`) and a pool of prep
-//! workers pre-processes them in parallel, publishing each prepared
-//! minibatch into the [`StagingArea`] exactly once — the
-//! cache-once-serve-all invariant.  Every job then consumes the *entire*
-//! epoch — every minibatch exactly once — through its
-//! [`JobEpochIterator`].
+//! The engine here ([`EpochSession`], [`JobEpochIterator`]) is what every
+//! [`Session`](crate::Session) stream runs on.  In
+//! [`Mode::Coordinated`](crate::Mode) all jobs of an epoch share **one
+//! prefetching executor** (the crate's `executor` module): its fetch stage
+//! sweeps the epoch's batches in training order per cache shard (so the
+//! shared cache tier sees a deterministic access sequence at any
+//! `fetch_threads`) and a pool of prep workers pre-processes them in
+//! parallel, publishing each prepared minibatch into the [`StagingArea`]
+//! exactly once — the cache-once-serve-all invariant.  Every job then
+//! consumes the *entire* epoch — every minibatch exactly once — through its
+//! [`JobEpochIterator`].  A single-mode stream, and each partitioned node's
+//! stream, is the same engine with one consumer: a staging window of
+//! `prefetch_depth`, no kill switches, no failure detector, and the stream
+//! owns its epoch.
+//!
+//! **Failures.**  A stage thread's failure, in the main sweep or a recovery
+//! sweep, is recorded on the epoch and shuts its staging area down, which
+//! wakes every consumer blocked in `take`.  Each consumer takes what is
+//! already staged for it, then returns that typed error once, then `None`.
 //!
 //! For failure attribution each minibatch still *belongs* to a job: batch
 //! `i` is job `i % num_jobs`'s responsibility (its "shard"), and per-shard
@@ -24,14 +33,13 @@
 //! and terminations").
 
 use crate::error::CoordlError;
-use crate::executor::{ExecutorShared, Lane, Plan, PrefetchExecutor, PreparedSink, SkipFn};
+use crate::executor::{Lane, Plan, PrefetchExecutor, PreparedSink, SkipFn};
 use crate::minibatch::Minibatch;
-use crate::session::SessionConfig;
 use crate::staging::{PublishOutcome, StagingArea, TakeError};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Contiguous-published tracking for one shard: the prep pool publishes a
@@ -45,8 +53,8 @@ struct ShardProgress {
     done: BTreeSet<usize>,
 }
 
-/// What one coordinated epoch's consumers, executor sink and recovery
-/// executors share: the plan, the lane, the staging area and the
+/// What one epoch's consumers and executors, main and recovery, share: the
+/// plan, the lane, the staging area, the first failure and the
 /// failure-detection bookkeeping.
 struct EpochState {
     epoch: u64,
@@ -54,10 +62,16 @@ struct EpochState {
     plan: Plan,
     lane: Lane,
     staging: Arc<StagingArea>,
-    take_timeout: Duration,
-    /// Recovery executors (the main one belongs to the [`EpochSession`]);
-    /// `None` once the epoch is torn down, after which none is started.
-    recovery: Mutex<Option<Vec<PrefetchExecutor>>>,
+    /// How long a consumer waits before suspecting a dead producer.  `None`
+    /// for a one-consumer stream, which has no peers to recover it: its
+    /// `take` waits until the batch is published, the epoch fails or it
+    /// shuts down, so a slow stream never starts a recovery sweep.
+    take_timeout: Option<Duration>,
+    /// The first failure any stage thread of the epoch recorded.
+    failure: OnceLock<CoordlError>,
+    /// The main sweep, then any recovery sweeps; `None` once the epoch is
+    /// torn down, after which none is started.
+    sweeps: Mutex<Option<Vec<PrefetchExecutor>>>,
     /// Out-of-order publish tracking per shard; `ShardProgress::next` is
     /// the contiguous published prefix recovery resumes from.
     progress: Vec<Mutex<ShardProgress>>,
@@ -78,22 +92,33 @@ impl EpochState {
     fn mark_published(&self, index: usize) {
         let num_jobs = self.num_jobs();
         let pos = index / num_jobs;
-        let mut progress = self.progress[index % num_jobs].lock();
-        if pos >= progress.next {
+        let progress = &mut *self.progress[index % num_jobs].lock();
+        if pos > progress.next {
             progress.done.insert(pos);
-            loop {
-                let next = progress.next;
-                if !progress.done.remove(&next) {
-                    break;
-                }
+        } else if pos == progress.next {
+            progress.next += 1;
+            while progress.done.remove(&progress.next) {
                 progress.next += 1;
             }
         }
     }
+
+    /// Start one more sweep over the plan delivering into this epoch — the
+    /// main one, or a recovery sweep keeping only what `skip` lets through —
+    /// unless the epoch is torn down.
+    fn sweep(self: &Arc<Self>, skip: Option<Arc<SkipFn>>) {
+        if let Some(sweeps) = self.sweeps.lock().as_mut() {
+            let sink = Arc::clone(self) as Arc<dyn PreparedSink>;
+            sweeps.push(
+                self.lane
+                    .spawn(self.epoch, Arc::clone(&self.plan), skip, sink),
+            );
+        }
+    }
 }
 
-/// The sink of a coordinated epoch's executors, main and recovery alike:
-/// publish into the staging area and keep the per-shard watermarks current.
+/// The sink of an epoch's executors, main and recovery alike: publish into
+/// the staging area and keep the per-shard watermarks current.
 impl PreparedSink for EpochState {
     fn publish(&self, mb: Minibatch) -> bool {
         let index = mb.index;
@@ -105,56 +130,63 @@ impl PreparedSink for EpochState {
             }
         }
     }
+
+    fn fail(&self, err: CoordlError) {
+        // The first failure is the cause; later ones are fallout.
+        let _ = self.failure.set(err);
+        self.staging.shutdown();
+    }
+
+    fn is_live(&self) -> bool {
+        !self.staging.is_shutdown()
+    }
 }
 
-/// One epoch of coordinated prep: the shared prefetching executor running in
-/// the background plus per-job consumers.
+/// One epoch: the shared prefetching executor running in the background
+/// plus per-job consumers.
 pub(crate) struct EpochSession {
     state: Arc<EpochState>,
-    executor: PrefetchExecutor,
 }
 
 impl EpochSession {
-    /// Start one coordinated epoch of `num_jobs` jobs on `lane` over `plan`,
-    /// the epoch's ordered `(batch_index, items)` list; `config` sizes the
-    /// staging window and the consumers' take timeout.
+    /// Start one epoch of `num_jobs` consumers on `lane` over `plan`, the
+    /// epoch's ordered `(batch_index, items)` list, staging at most `window`
+    /// batches.  With a `take_timeout` it is a coordinated epoch, with kill
+    /// switches and a failure detector; without, a one-consumer stream.
     pub(crate) fn start(
         lane: &Lane,
         num_jobs: usize,
-        config: &SessionConfig,
+        window: usize,
+        take_timeout: Option<Duration>,
         epoch: u64,
         plan: Plan,
     ) -> Self {
         let state = Arc::new(EpochState {
             epoch,
-            plan: Arc::clone(&plan),
+            plan,
             lane: lane.clone(),
-            staging: Arc::new(StagingArea::new(num_jobs, config.staging_window)),
-            take_timeout: config.take_timeout,
-            recovery: Mutex::new(Some(Vec::new())),
+            staging: Arc::new(StagingArea::new(num_jobs, window)),
+            take_timeout,
+            failure: OnceLock::new(),
+            sweeps: Mutex::new(Some(Vec::new())),
             progress: (0..num_jobs)
                 .map(|_| Mutex::new(ShardProgress::default()))
                 .collect(),
             kill_flags: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
             recovered: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
         });
-
         // One shared executor per epoch: the fetch stage sweeps every batch
         // in training order; the prep pool publishes into the staging area.
         // Batches of a killed job are dropped at dispatch so its work
-        // disappears mid-epoch, exactly like a dying producer's would.
-        let killed = Arc::clone(&state);
-        let skip: Arc<SkipFn> = Arc::new(move |index: usize| {
-            killed.kill_flags[index % num_jobs].load(Ordering::SeqCst)
+        // disappears mid-epoch, exactly like a dying producer's would; only
+        // an epoch with a failure detector can recover from that.
+        let skip = take_timeout.map(|_| {
+            let killed = Arc::clone(&state);
+            Arc::new(move |index: usize| killed.kill_flags[index % num_jobs].load(Ordering::SeqCst))
+                as Arc<SkipFn>
         });
-        let sink = Arc::clone(&state) as Arc<dyn PreparedSink>;
-        let executor = lane.spawn(epoch, plan, Some(skip), sink, Arc::default());
-        EpochSession { state, executor }
-    }
-
-    /// Total minibatches per job this epoch.
-    pub(crate) fn total_batches(&self) -> usize {
-        self.state.plan.len()
+        state.sweep(skip);
+        EpochSession { state }
     }
 
     /// The staging area (for memory-overhead inspection; the handle
@@ -177,45 +209,58 @@ impl EpochSession {
             job,
             next: 0,
             state: Arc::clone(&self.state),
-            shared: Arc::clone(self.executor.shared()),
+            epoch: None,
         }
+    }
+
+    /// The one consumer of a one-consumer epoch, owning the epoch.
+    pub(crate) fn into_consumer(self) -> JobEpochIterator {
+        let mut consumer = self.consumer(0);
+        consumer.epoch = Some(self);
+        consumer
     }
 }
 
 impl Drop for EpochSession {
     fn drop(&mut self) {
-        // Order matters for a deadlock-free teardown: shutting the staging
-        // area down first wakes any prep worker blocked in `publish`, so the
-        // main executor (whose shutdown flag the recovery executors share)
-        // can drain and join.  The recovery executors are then taken out of
-        // the state and joined here: their threads hold the state as their
-        // sink, so it must never be the state's own drop that joins them.
+        // Shutting the staging area down first wakes any prep worker blocked
+        // in `publish` and stops every fetch thread at its next position, so
+        // each sweep can drain and join.  The sweeps are taken out of the
+        // state and joined here: their threads hold the state as their sink,
+        // so it must never be the state's own drop that joins them.
         self.state.staging.shutdown();
-        self.executor.shutdown_and_join();
-        let recovery = self.state.recovery.lock().take();
-        drop(recovery);
+        let sweeps = self.state.sweeps.lock().take();
+        drop(sweeps);
     }
 }
 
-/// Iterator over one job's view of a coordinated epoch.
+/// Iterator over one job's view of an epoch.
 ///
 /// Yields every minibatch of the epoch exactly once, in training order.  If a
-/// producer dies, the iterator transparently triggers recovery; only if
-/// recovery itself fails does it yield an error.
+/// producer dies, the iterator transparently triggers recovery.  The first
+/// error (a failed stage thread, a shutdown, a recovery that did not
+/// deliver) ends the stream: it is yielded once, then `None`.
 pub(crate) struct JobEpochIterator {
     job: usize,
     next: usize,
     state: Arc<EpochState>,
-    shared: Arc<ExecutorShared>,
+    /// The epoch itself when this is its one consumer (a single-mode or
+    /// partitioned-node stream): dropping the iterator shuts it down and
+    /// joins its threads.
+    epoch: Option<EpochSession>,
 }
 
 impl JobEpochIterator {
+    /// Minibatches this consumer is to take.
+    pub(crate) fn total_batches(&self) -> usize {
+        self.state.plan.len()
+    }
+
     /// Handle a take timeout for batch `index`: identify the responsible
     /// shard, and unless it is already being recovered spawn a recovery
-    /// executor: a sweep over the same plan that keeps only that shard's
-    /// batches from its watermark on.  It shares the main executor's
-    /// failure slot, so a failed recovery reaches every consumer as the
-    /// typed error it was.
+    /// executor: a sweep over the same plan, into the same epoch, that keeps
+    /// only that shard's batches from its watermark on.  A failed recovery
+    /// thus reaches every consumer as the typed error it was.
     fn handle_timeout(&self, index: usize) {
         let state = &self.state;
         let num_jobs = state.num_jobs();
@@ -228,15 +273,7 @@ impl JobEpochIterator {
         let from = state.progress[shard].lock().next;
         let skip: Arc<SkipFn> =
             Arc::new(move |index| index % num_jobs != shard || index / num_jobs < from);
-        if let Some(recovery) = state.recovery.lock().as_mut() {
-            recovery.push(state.lane.spawn(
-                state.epoch,
-                Arc::clone(&state.plan),
-                Some(skip),
-                Arc::clone(state) as Arc<dyn PreparedSink>,
-                Arc::clone(&self.shared),
-            ));
-        }
+        state.sweep(Some(skip));
     }
 }
 
@@ -246,14 +283,15 @@ impl Iterator for JobEpochIterator {
     fn next(&mut self) -> Option<Self::Item> {
         let state = &self.state;
         let stats = &state.lane.stats;
-        if self.next >= state.plan.len() {
+        let index = self.next;
+        if index >= state.plan.len() {
             return None;
         }
-        let index = self.next;
-        let mut attempts = 0;
-        loop {
+        let timeout = state.take_timeout.unwrap_or(Duration::MAX);
+        let mut timeouts = 0;
+        let err = loop {
             let wait = Instant::now();
-            let taken = state.staging.take(self.job, index, state.take_timeout);
+            let taken = state.staging.take(self.job, index, timeout);
             stats.record_consumer_wait(wait.elapsed());
             match taken {
                 Ok(batch) => {
@@ -261,24 +299,28 @@ impl Iterator for JobEpochIterator {
                     stats.record_delivered(batch.len() as u64);
                     return Some(Ok(batch));
                 }
-                Err(TakeError::Shutdown) => return Some(Err(CoordlError::Shutdown)),
+                // A failed epoch shut its staging area down: say why.
+                Err(TakeError::Shutdown) => {
+                    break state
+                        .failure
+                        .get()
+                        .cloned()
+                        .unwrap_or(CoordlError::Shutdown)
+                }
+                Err(TakeError::Timeout) if timeouts == 3 => {
+                    break CoordlError::ProducerFailed {
+                        job: index % state.num_jobs(),
+                        batch: index,
+                    }
+                }
                 Err(TakeError::Timeout) => {
-                    // A failed worker explains the missing batch better
-                    // than a producer-failure guess does.
-                    if let Some(err) = self.shared.failure() {
-                        return Some(Err(err));
-                    }
-                    attempts += 1;
-                    if attempts > 3 {
-                        return Some(Err(CoordlError::ProducerFailed {
-                            job: index % state.num_jobs(),
-                            batch: index,
-                        }));
-                    }
+                    timeouts += 1;
                     self.handle_timeout(index);
                 }
             }
-        }
+        };
+        self.next = state.plan.len();
+        Some(Err(err))
     }
 }
 
@@ -514,8 +556,8 @@ mod tests {
         }
         // From here on only the recovery sweep reads, and every read fails.
         backend.armed.store(true, Ordering::SeqCst);
-        // (A coordinated stream repeats its error; take what is asserted.)
-        let outcomes: Vec<_> = session.stream(0).take(2).collect();
+        let outcomes: Vec<_> = session.stream(0).collect();
+        assert_eq!(outcomes.len(), 2, "batch 0, the error, then None");
         assert!(outcomes[0].is_ok(), "batch 0 was published before the kill");
         match &outcomes[1] {
             Err(CoordlError::BackendIo { backend, .. }) => assert_eq!(backend, "gated"),

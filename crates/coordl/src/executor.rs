@@ -19,8 +19,8 @@
 //!        │ every thread lane, then all prep in parallel, deterministically
 //!        │ per (epoch, item)
 //!        ▼
-//!   PreparedSink — reorder buffer (single / partitioned) or the
-//!                  coordinated StagingArea
+//!   PreparedSink — the epoch's StagingArea: one consumer for a single /
+//!                  partitioned stream, every job in a coordinated epoch
 //! ```
 //!
 //! **Determinism contract.**  Items are routed to cache shards by
@@ -36,7 +36,7 @@
 //! eviction decisions are therefore a pure function of the plan and the
 //! shard count: streams and [`LoaderStats`] counters are bit-identical
 //! across `fetch_threads`, `workers` and `prefetch_depth` for *any* tier
-//! policy (the order-preserving sinks and the per-`(epoch, item)`
+//! policy (the index-ordered staging area and the per-`(epoch, item)`
 //! deterministic prep carry that through to the delivered minibatches); only
 //! the stage-timing counters (fetch busy/stall per thread, prep busy/stall,
 //! consumer wait) move.  The root `tests/parallel_session_equivalence.rs`
@@ -62,17 +62,17 @@
 //! misses or evicts on each one.
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
-//! a descriptive [`CoordlError::WorkerPanicked`] and recorded in the shared
-//! [`ExecutorShared`] slot; a typed fetch error is recorded as it is.  The
-//! failing fetch thread returns, which drops its lane's sender: the
-//! assembler sees the lane end, the prep workers leave, the last one drops
-//! the lane receivers, and any fetch thread parked on a full lane wakes and
-//! returns.  Only the owning session's streams observe the error.  Shutting
-//! down mid-epoch (dropping a stream or an epoch run) never deadlocks and
-//! never polls a clock: the owner drops the consumer endpoint (or shuts the
-//! staging area down) *before* joining, which unblocks any worker parked in
-//! `publish`, and the fetch threads read the shutdown flag once per
-//! position.
+//! a descriptive [`CoordlError::WorkerPanicked`] and handed to the sink's
+//! [`fail`](PreparedSink::fail); a typed fetch error is handed over as it
+//! is.  The sink ends the epoch, which wakes its consumers.  The failing
+//! fetch thread returns, which drops its lane's sender: the assembler sees
+//! the lane end, the prep workers leave, the last one drops the lane
+//! receivers, and any fetch thread parked on a full lane wakes and returns.
+//! Only the owning session's streams observe the error.  Shutting down
+//! mid-epoch (dropping a stream or an epoch run) never deadlocks and never
+//! polls a clock: the owner shuts the sink down *before* joining, which
+//! unblocks any worker parked in `publish`, and the fetch threads read the
+//! sink's liveness once per position.
 
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
@@ -83,9 +83,8 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use dataset::ItemId;
 use parking_lot::Mutex;
 use prep::ExecutablePipeline;
-use std::collections::BTreeMap;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -109,62 +108,26 @@ pub(crate) type Plan = Arc<Vec<(usize, Vec<ItemId>)>>;
 /// (none when it owns nothing or the position is skipped).
 type Partial = (bool, Vec<(usize, Arc<Vec<u8>>)>);
 
-/// Where prep workers deliver prepared minibatches.
+/// Where an executor's threads deliver prepared minibatches and report
+/// failures: the epoch they sweep for.
 pub(crate) trait PreparedSink: Send + Sync + 'static {
     /// Deliver one prepared minibatch.  Returning `false` tells the worker
-    /// to stop (the consumer is gone or the epoch was shut down).
+    /// to stop (the epoch was shut down).
     fn publish(&self, mb: Minibatch) -> bool;
+
+    /// A stage thread failed: end the epoch with `err` (the first failure
+    /// is the one its consumers see).
+    fn fail(&self, err: CoordlError);
+
+    /// Whether the epoch still runs; fetch threads stop once it does not.
+    fn is_live(&self) -> bool;
 }
 
-impl PreparedSink for Sender<Minibatch> {
-    fn publish(&self, mb: Minibatch) -> bool {
-        self.send(mb).is_ok()
-    }
-}
-
-/// State shared between an executor's threads and its owner (and, in a
-/// coordinated epoch, its recovery executors): the first failure as a typed
-/// error, and the shutdown flag.
-#[derive(Default)]
-pub(crate) struct ExecutorShared {
-    error: Mutex<Option<CoordlError>>,
-    shutdown: AtomicBool,
-}
-
-impl ExecutorShared {
-    /// Record a stage thread's panic as a typed error.
-    fn record_panic(&self, stage: &'static str, payload: Box<dyn std::any::Any + Send>) {
-        let detail = panic_detail(payload);
-        self.record_error(CoordlError::WorkerPanicked { stage, detail });
-    }
-
-    /// Record the first failure (a panic, or a typed error such as a failed
-    /// backend read); later ones are dropped — the first is the cause, the
-    /// rest are fallout.
-    fn record_error(&self, err: CoordlError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-    }
-
-    /// The recorded failure, if any stage thread failed.
-    pub(crate) fn failure(&self) -> Option<CoordlError> {
-        self.error.lock().clone()
-    }
-
-    /// Take the recorded failure, so a stream surfaces it exactly once.
-    pub(crate) fn take_failure(&self) -> Option<CoordlError> {
-        self.error.lock().take()
-    }
-
-    /// Ask the fetch stage to stop at the next batch boundary.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+/// A caught stage-thread panic as the typed error consumers see.
+fn panicked(stage: &'static str, payload: Box<dyn Any + Send>) -> CoordlError {
+    CoordlError::WorkerPanicked {
+        stage,
+        detail: panic_detail(payload),
     }
 }
 
@@ -175,8 +138,7 @@ pub(crate) struct ExecutorConfig {
     /// Prep worker threads (>= 1 enforced).
     pub workers: usize,
     /// Plan positions each fetch thread's lane buffers ahead of the prep
-    /// pool, and prepared minibatches an ordered stream buffers ahead of its
-    /// consumer (>= 1 enforced).
+    /// pool (>= 1 enforced).
     pub prefetch_depth: usize,
     /// Fetch-stage threads (>= 1 enforced).
     pub fetch_threads: usize,
@@ -204,11 +166,12 @@ pub(crate) struct Lane {
     /// every batch the consumer let go of.  Built with the lane, so it
     /// outlives the per-epoch executors.  Its window is the prepared-side
     /// window — the most samples the lane's streams can hold in flight
-    /// together: `prefetch_depth + workers + 1` minibatches for an ordered
-    /// stream (exact with one worker; more workers add the reorder buffer,
-    /// which timing bounds), `staging_window + workers + 1` in a
-    /// coordinated epoch.  The first batch finds the stack empty, and the
-    /// worker then makes the whole window, sized like that batch's buffers:
+    /// together: the staging window, one batch per prep worker and the
+    /// batch lent to the consumer, i.e. `prefetch_depth + workers + 1`
+    /// minibatches for a single or partitioned stream and `staging_window +
+    /// workers + 1` in a coordinated epoch, exact at any worker count.  The
+    /// first batch finds the stack empty, and the worker then makes the
+    /// whole window, sized like that batch's buffers:
     /// had it made only what was in flight, the count would grow whenever
     /// a later epoch ran further ahead than any before it, a step of one
     /// minibatch of buffers that depends on thread timing alone.  Beyond
@@ -224,16 +187,13 @@ pub(crate) struct Lane {
 impl Lane {
     /// Spawn the fetch threads and prep workers of one sweep over `plan`,
     /// dropping the batches `skip` names and delivering the rest into
-    /// `sink`.  `shared` is a fresh slot for an independent sweep, or the
-    /// main executor's for a coordinated recovery sweep, so that its failure
-    /// reaches the same consumers and the same shutdown reaches it.
+    /// `sink`, the epoch every sweep over `plan` (main or recovery) shares.
     pub(crate) fn spawn(
         &self,
         epoch: u64,
         plan: Plan,
         skip: Option<Arc<SkipFn>>,
         sink: Arc<dyn PreparedSink>,
-        shared: Arc<ExecutorShared>,
     ) -> PrefetchExecutor {
         let workers = self.config.workers.max(1);
         let threads = self.config.fetch_threads.max(1);
@@ -245,7 +205,7 @@ impl Lane {
             plan: Arc::clone(&plan),
             fetch: Arc::clone(&self.fetch),
             stats: Arc::clone(&self.stats),
-            shared: Arc::clone(&shared),
+            sink: Arc::clone(&sink),
         });
         let mut handles = Vec::with_capacity(threads + workers);
         let mut lanes = Vec::with_capacity(threads);
@@ -256,7 +216,7 @@ impl Lane {
             handles.push(std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| stage.run(thread, &lane_tx)));
                 if let Err(payload) = outcome {
-                    stage.shared.record_panic("fetch", payload);
+                    stage.sink.fail(panicked("fetch", payload));
                 }
             }));
         }
@@ -267,17 +227,17 @@ impl Lane {
         let assembler = Arc::new(Mutex::new(Assembler { lanes, cursor: 0 }));
         for _ in 0..workers {
             let (lane, plan, assembler) = (self.clone(), Arc::clone(&plan), Arc::clone(&assembler));
-            let (sink, shared) = (Arc::clone(&sink), Arc::clone(&shared));
+            let sink = Arc::clone(&sink);
             handles.push(std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     lane.run_prep_worker(epoch, &plan, &assembler, &*sink)
                 }));
                 if let Err(payload) = outcome {
-                    shared.record_panic("prep", payload);
+                    sink.fail(panicked("prep", payload));
                 }
             }));
         }
-        PrefetchExecutor { shared, handles }
+        PrefetchExecutor { handles }
     }
 
     /// One prep worker: assemble the next position, prep it, publish it.
@@ -317,8 +277,8 @@ impl Lane {
             }
             stats.record_prepared(samples.len() as u64);
             stats.record_prep_busy(busy.elapsed());
-            // Publishing blocks on downstream backpressure (a full output
-            // queue or staging window); like the assembly above, that is
+            // Publishing blocks on downstream backpressure (a full staging
+            // window); like the assembly above, that is
             // time the worker is not pre-processing, so it counts as prep
             // stall.
             let publishing = Instant::now();
@@ -329,60 +289,27 @@ impl Lane {
             });
             stats.record_prep_stall(publishing.elapsed());
             if !delivered {
-                break; // consumer gone or epoch shut down
+                break; // epoch shut down
             }
         }
     }
-
-    /// Spawn one epoch's executor delivering into an order-preserving
-    /// stream: prepared batches flow through a bounded channel into a
-    /// reorder buffer that yields them strictly in plan order.
-    pub(crate) fn spawn_ordered(&self, epoch: u64, plan: Plan) -> OrderedStream {
-        let total = plan.len();
-        let (out_tx, out_rx) = bounded::<Minibatch>(self.config.prefetch_depth.max(1));
-        let executor = self.spawn(epoch, plan, None, Arc::new(out_tx), Arc::default());
-        OrderedStream {
-            rx: out_rx,
-            reorder: BTreeMap::new(),
-            next: 0,
-            total,
-            stats: Arc::clone(&self.stats),
-            executor,
-        }
-    }
 }
 
-/// A running fetch + prep pipeline for one epoch.  Dropping it (after the
-/// owner has disconnected the sink's consumer side) joins every thread.
+/// A running fetch + prep pipeline for one sweep.  Dropping it joins every
+/// thread, so its owner shuts the sink down first: that stops the fetch
+/// threads and unblocks any worker parked in `publish`, and everything
+/// behind the workers unblocks by itself once they leave.
 pub(crate) struct PrefetchExecutor {
-    shared: Arc<ExecutorShared>,
     handles: Vec<JoinHandle<()>>,
-}
-
-impl PrefetchExecutor {
-    /// The error/shutdown state shared with streams and consumers.
-    pub(crate) fn shared(&self) -> &Arc<ExecutorShared> {
-        &self.shared
-    }
-
-    /// Stop fetching and join every stage thread.
-    ///
-    /// The owner must first unblock any worker parked on the sink (drop the
-    /// consumer receiver, or shut the staging area down); everything behind
-    /// the workers unblocks by itself once they leave.
-    pub(crate) fn shutdown_and_join(&mut self) {
-        self.shared.begin_shutdown();
-        for h in self.handles.drain(..) {
-            // A panicked worker already recorded its error; the Err here is
-            // just the resume payload.
-            let _ = h.join();
-        }
-    }
 }
 
 impl Drop for PrefetchExecutor {
     fn drop(&mut self) {
-        self.shutdown_and_join();
+        for h in self.handles.drain(..) {
+            // A panicked worker already reported its error; the Err here is
+            // just the resume payload.
+            let _ = h.join();
+        }
     }
 }
 
@@ -397,7 +324,7 @@ struct FetchStage {
     skip: Option<(Arc<SkipFn>, Vec<OnceLock<bool>>)>,
     fetch: Arc<FetchFn>,
     stats: Arc<LoaderStats>,
-    shared: Arc<ExecutorShared>,
+    sink: Arc<dyn PreparedSink>,
 }
 
 impl FetchStage {
@@ -413,9 +340,9 @@ impl FetchStage {
     /// position down `lane`, until the plan ends, a fetch fails, the epoch
     /// shuts down or every prep worker is gone.
     fn run(&self, thread: usize, lane: &Sender<Partial>) {
-        let (stats, shared) = (&*self.stats, &*self.shared);
+        let (stats, sink) = (&*self.stats, &*self.sink);
         for (pos, (index, items)) in self.plan.iter().enumerate() {
-            if shared.is_shutdown() {
+            if !sink.is_live() {
                 return;
             }
             // Evaluated exactly once per position, by whichever thread
@@ -443,7 +370,7 @@ impl FetchStage {
                             // like a panic would, but with the real cause
                             // attached.
                             stats.record_fetch_busy_for(thread, busy.elapsed());
-                            shared.record_error(err);
+                            sink.fail(err);
                             return;
                         }
                     }
@@ -501,70 +428,13 @@ impl Assembler {
     }
 }
 
-/// Iterator over one epoch's minibatches, delivered in training order.
-///
-/// Owns the epoch's executor.  Fields drop in declaration order, so `rx`
-/// goes first: that disconnects the output channel (unblocking any worker
-/// mid-`send`) before the executor's own drop joins every stage thread, and
-/// no worker outlives the stream.
-pub(crate) struct OrderedStream {
-    rx: Receiver<Minibatch>,
-    reorder: BTreeMap<usize, Minibatch>,
-    next: usize,
-    total: usize,
-    stats: Arc<LoaderStats>,
-    executor: PrefetchExecutor,
-}
-
-impl OrderedStream {
-    /// Number of minibatches this epoch will deliver.
-    pub(crate) fn total_batches(&self) -> usize {
-        self.total
-    }
-
-    /// The worker failure that ended this stream early, surfaced at most
-    /// once (used by `Session` streams to turn an early end into a typed
-    /// error).
-    pub(crate) fn take_failure(&mut self) -> Option<CoordlError> {
-        if self.next >= self.total {
-            return None; // the epoch completed; any panic came after
-        }
-        self.executor.shared().take_failure()
-    }
-}
-
-impl Iterator for OrderedStream {
-    type Item = Minibatch;
-
-    fn next(&mut self) -> Option<Minibatch> {
-        if self.next >= self.total {
-            return None;
-        }
-        loop {
-            if let Some(mb) = self.reorder.remove(&self.next) {
-                self.next += 1;
-                self.stats.record_delivered(mb.len() as u64);
-                return Some(mb);
-            }
-            let wait = Instant::now();
-            let received = self.rx.recv();
-            self.stats.record_consumer_wait(wait.elapsed());
-            match received {
-                Ok(mb) => {
-                    self.reorder.insert(mb.index, mb);
-                }
-                Err(_) => return None, // workers gone; epoch incomplete
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::Recycler;
+    use crate::coordinator::{EpochSession, JobEpochIterator};
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     fn plan(batches: usize, per_batch: usize) -> Plan {
@@ -605,13 +475,32 @@ mod tests {
         }
     }
 
+    /// A one-consumer stream over `plan`: the delivery path of a single-mode
+    /// session, with a staging window of `prefetch_depth`.
     fn ordered(
         plan: Plan,
         fetch: Arc<FetchFn>,
         stats: &Arc<LoaderStats>,
         config: ExecutorConfig,
-    ) -> OrderedStream {
-        lane(fetch, stats, config).spawn_ordered(0, plan)
+    ) -> JobEpochIterator {
+        let lane = lane(fetch, stats, config);
+        EpochSession::start(&lane, 1, config.prefetch_depth, None, 0, plan).into_consumer()
+    }
+
+    /// A sink that hands every batch to a channel, for a sweep with a filter
+    /// of its own.
+    impl PreparedSink for Sender<Minibatch> {
+        fn publish(&self, mb: Minibatch) -> bool {
+            self.send(mb).is_ok()
+        }
+
+        fn fail(&self, err: CoordlError) {
+            unreachable!("no stage thread fails here: {err}");
+        }
+
+        fn is_live(&self) -> bool {
+            true
+        }
     }
 
     #[test]
@@ -620,7 +509,7 @@ mod tests {
             for depth in [1, 4] {
                 let stats = Arc::new(LoaderStats::default());
                 let stream = ordered(plan(9, 4), byte_fetch(), &stats, shape(workers, depth, 1));
-                let indices: Vec<usize> = stream.map(|mb| mb.index).collect();
+                let indices: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
                 assert_eq!(indices, (0..9).collect::<Vec<_>>(), "w={workers} d={depth}");
                 assert_eq!(stats.samples_prepared(), 36);
                 assert_eq!(stats.samples_delivered(), 36);
@@ -675,18 +564,21 @@ mod tests {
                 Ok(Arc::new(vec![1u8; 8]))
             });
             let stats = Arc::new(LoaderStats::default());
-            let mut stream = ordered(plan(5, 2), fetch, &stats, shape(2, 2, fetch_threads));
-            let delivered = stream.by_ref().count();
-            assert!(delivered < 5, "f={fetch_threads}: the epoch must end early");
-            let err = stream.take_failure().expect("panic recorded");
-            match &err {
-                CoordlError::WorkerPanicked { stage, detail } => {
+            let stream = ordered(plan(5, 2), fetch, &stats, shape(2, 2, fetch_threads));
+            let outcomes: Vec<_> = stream.collect();
+            let (last, delivered) = outcomes.split_last().expect("the failure is yielded");
+            assert!(
+                delivered.len() < 5,
+                "f={fetch_threads}: the epoch must end early"
+            );
+            assert!(delivered.iter().all(Result::is_ok), "surfaced exactly once");
+            match last {
+                Err(CoordlError::WorkerPanicked { stage, detail }) => {
                     assert_eq!(*stage, "fetch");
                     assert!(detail.contains("injected fetch failure"));
                 }
-                other => panic!("expected WorkerPanicked, got {other}"),
+                other => panic!("expected WorkerPanicked, got {:?}", other.as_ref().err()),
             }
-            assert!(stream.take_failure().is_none(), "surfaced exactly once");
         }
     }
 
@@ -700,12 +592,11 @@ mod tests {
                 Ok(Arc::new(vec![0u8; 4]))
             });
             let (out_tx, out_rx) = bounded::<Minibatch>(16);
-            let mut executor = lane(fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
+            let executor = lane(fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
                 0,
                 plan(6, 2),
                 Some(Arc::new(|index| index % 2 == 1)),
                 Arc::new(out_tx),
-                Arc::default(),
             );
             let mut indices = Vec::new();
             while let Ok(mb) = out_rx.recv() {
@@ -714,7 +605,7 @@ mod tests {
             indices.sort_unstable();
             assert_eq!(indices, vec![0, 2, 4], "f={fetch_threads}");
             assert_eq!(fetched.load(Ordering::SeqCst), 6, "3 batches x 2 items");
-            executor.shutdown_and_join();
+            drop(executor);
         }
     }
 
@@ -730,6 +621,7 @@ mod tests {
             );
             let out: Vec<(usize, Vec<Vec<u8>>)> = stream
                 .map(|mb| {
+                    let mb = mb.unwrap();
                     (
                         mb.index,
                         mb.samples.iter().map(|s| s.data.clone()).collect(),
@@ -807,7 +699,8 @@ mod tests {
             backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
             ..lane(fetch, &Arc::default(), shape(2, 2, 2))
         };
-        assert_eq!(lane.spawn_ordered(0, plan(5, 4)).count(), 5);
+        let stream = EpochSession::start(&lane, 1, 2, None, 0, plan(5, 4)).into_consumer();
+        assert_eq!(stream.count(), 5);
         let mut returned: Vec<u8> = backend.0.lock().iter().map(|buf| buf[0]).collect();
         returned.sort_unstable();
         assert_eq!(returned, (0..20).step_by(2).collect::<Vec<u8>>());
@@ -829,10 +722,15 @@ mod tests {
                 Ok(Arc::new(vec![2u8; 8]))
             });
             let stats = Arc::new(LoaderStats::default());
-            let mut stream = ordered(plan(6, 3), fetch, &stats, shape(2, 2, fetch_threads));
-            let delivered = stream.by_ref().count();
-            assert!(delivered < 6, "f={fetch_threads}: the epoch must end early");
-            match stream.take_failure().expect("error recorded") {
+            let stream = ordered(plan(6, 3), fetch, &stats, shape(2, 2, fetch_threads));
+            let mut outcomes: Vec<_> = stream.collect();
+            let last = outcomes.pop().expect("the failure is yielded");
+            assert!(
+                outcomes.len() < 6,
+                "f={fetch_threads}: the epoch must end early"
+            );
+            assert!(outcomes.iter().all(Result::is_ok), "f={fetch_threads}");
+            match last.expect_err("error recorded") {
                 CoordlError::BackendIo { item, .. } => assert_eq!(item, 9),
                 other => panic!("expected BackendIo, got {other}"),
             }
@@ -843,7 +741,7 @@ mod tests {
     fn a_stalled_consumer_bounds_how_far_the_fetch_stage_runs_ahead() {
         // The window `FsBackend`'s free list relies on.  With the consumer
         // stalled after one batch, what has been fetched is: that batch, the
-        // output channel's `depth`, one batch parked in `publish` per
+        // staging window's `depth`, one batch parked in `publish` per
         // worker, each lane's `depth` positions and the one parked in
         // `send`.
         let (depth, workers, per_batch, batches) = (2, 1, 4, 40);
@@ -857,7 +755,7 @@ mod tests {
             let stats = Arc::new(LoaderStats::default());
             let config = shape(workers, depth, fetch_threads);
             let mut stream = ordered(plan(batches, per_batch), fetch, &stats, config);
-            assert_eq!(stream.next().map(|mb| mb.index), Some(0));
+            assert_eq!(stream.next().map(|mb| mb.unwrap().index), Some(0));
             // Quiescence: every stage is parked once the count holds still.
             let mut last = usize::MAX;
             while last != fetched.load(Ordering::SeqCst) {
@@ -870,7 +768,7 @@ mod tests {
                 "f={fetch_threads}: {ahead} items fetched beyond the consumed batch"
             );
             // Resuming the consumer still delivers the whole plan in order.
-            let rest: Vec<usize> = stream.map(|mb| mb.index).collect();
+            let rest: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
             assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "f={fetch_threads}");
             assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
         }

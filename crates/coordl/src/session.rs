@@ -39,7 +39,7 @@
 
 use crate::coordinator::{EpochSession, JobEpochIterator};
 use crate::error::CoordlError;
-use crate::executor::{ExecutorConfig, FetchFn, Lane, OrderedStream, Plan};
+use crate::executor::{ExecutorConfig, FetchFn, Lane, Plan};
 use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
@@ -111,8 +111,9 @@ pub struct SessionConfig {
     pub num_workers: usize,
     /// Plan positions each fetch thread runs ahead of the prep pool (the
     /// capacity of its lane; one more is parked in `send` and each prep
-    /// worker holds one), and prepared minibatches buffered ahead of a
-    /// single/partitioned consumer.
+    /// worker holds one), and the staging window of a single-mode or
+    /// partitioned-node stream: prepared minibatches staged ahead of its
+    /// one consumer.
     pub prefetch_depth: usize,
     /// Seed for the per-epoch shuffle (shared by all jobs of a session).
     pub seed: u64,
@@ -121,8 +122,11 @@ pub struct SessionConfig {
     pub cache_capacity_bytes: u64,
     /// Maximum minibatches resident in the coordinated staging area.
     pub staging_window: usize,
-    /// How long a coordinated consumer waits before invoking the failure
-    /// detector.
+    /// How long a coordinated consumer waits for a batch before invoking the
+    /// failure detector.  Single-mode and partitioned streams have no peers
+    /// to recover them and ignore it: they wait until the batch is
+    /// published, the epoch fails or it is shut down.  A failed epoch wakes
+    /// every consumer at once, in any mode.
     pub take_timeout: Duration,
     /// Threads of each epoch executor's fetch stage (default 1).  Items are
     /// partitioned across the threads by cache-shard ownership, so the
@@ -587,7 +591,8 @@ impl Session {
             Mode::Coordinated { jobs } => Some(EpochSession::start(
                 &self.lanes[0],
                 jobs,
-                &self.config,
+                self.config.staging_window,
+                Some(self.config.take_timeout),
                 epoch,
                 self.plan(epoch, 0),
             )),
@@ -791,7 +796,8 @@ pub struct EpochRun<'a> {
     epoch: u64,
     start: CounterSnapshot,
     /// The shared engine epoch of a coordinated session (started eagerly);
-    /// ordered lanes spawn their executor lazily, at [`EpochRun::stream`].
+    /// a single-mode or partitioned stream starts its own one-consumer
+    /// epoch lazily, at [`EpochRun::stream`].
     coordinated: Option<EpochSession>,
     /// One flag per stream index: set by the first [`EpochRun::stream`].
     taken: Box<[AtomicBool]>,
@@ -811,9 +817,14 @@ impl EpochRun<'_> {
     /// The batch stream of `job` (a node index in partitioned mode; must be
     /// 0 in single mode).
     ///
-    /// Streams own their worker threads and statistics handles, so they can
-    /// be moved to consumer threads; keep the `EpochRun` alive while they
-    /// drain (dropping it shuts a coordinated epoch down).
+    /// Every stream takes its batches from a staging area.  A single-mode or
+    /// partitioned-node stream is the one consumer of an epoch of its own
+    /// (staging window `prefetch_depth`), which it owns: dropping the
+    /// stream shuts that epoch down and joins its threads.  A coordinated
+    /// stream is one of the jobs of the run's shared epoch (staging window
+    /// `staging_window`).  Streams can be moved to consumer threads; keep
+    /// the `EpochRun` alive while they drain (dropping it shuts a
+    /// coordinated epoch down).
     ///
     /// # Panics
     /// Panics when `job` is out of range, and on a second `stream(job)` call
@@ -836,18 +847,18 @@ impl EpochRun<'_> {
             "stream({job}) already taken for this EpochRun; call \
              Session::epoch again for another pass"
         );
-        if let Some(epoch_session) = &self.coordinated {
-            return BatchStream {
-                total: epoch_session.total_batches(),
-                inner: StreamInner::Coordinated(epoch_session.consumer(job)),
-                lender: Lender::new(&session.lanes[0]),
-            };
-        }
-        let lane = &session.lanes[job];
-        let stream = lane.spawn_ordered(self.epoch, session.plan(self.epoch, job));
+        let (consumer, lane) = match &self.coordinated {
+            Some(epoch_session) => (epoch_session.consumer(job), &session.lanes[0]),
+            None => {
+                let lane = &session.lanes[job];
+                let plan = session.plan(self.epoch, job);
+                let depth = session.config.prefetch_depth;
+                let epoch = EpochSession::start(lane, 1, depth, None, self.epoch, plan);
+                (epoch.into_consumer(), lane)
+            }
+        };
         BatchStream {
-            total: stream.total_batches(),
-            inner: StreamInner::Ordered(stream),
+            consumer,
             lender: Lender::new(lane),
         }
     }
@@ -891,10 +902,12 @@ impl Drop for EpochRun<'_> {
 
 /// One job's minibatch stream for one epoch, in training order.
 ///
-/// All modes yield `Result<Arc<Minibatch>, CoordlError>`: coordinated
-/// epochs surface producer failure, worker panics and shutdown as typed
-/// errors; single and partitioned epochs surface a panicking worker as one
-/// [`CoordlError::WorkerPanicked`] before ending.
+/// All modes yield `Result<Arc<Minibatch>, CoordlError>`: a failed fetch or
+/// prep thread surfaces as its typed error (e.g. [`CoordlError::BackendIo`],
+/// [`CoordlError::WorkerPanicked`]) right after the batches already staged,
+/// and a coordinated stream also surfaces shutdown and unrecovered producer
+/// failure.  The first error ends the stream: it is yielded once, then
+/// `None`.
 ///
 /// **Lending contract.**  A delivered batch is *lent*: the stream keeps a
 /// reference to the batch it handed out last, and at the next
@@ -907,17 +920,10 @@ impl Drop for EpochRun<'_> {
 /// before asking for the next makes steady-state prep allocate nothing for
 /// the samples it delivers.
 pub struct BatchStream {
-    total: usize,
-    inner: StreamInner,
-    /// Dropped after `inner`, whose executor is joined by then.
+    consumer: JobEpochIterator,
+    /// Dropped after `consumer`, whose own epoch (if it owns one) is joined
+    /// by then.
     lender: Lender,
-}
-
-enum StreamInner {
-    /// Single-mode and partitioned-node streams: one executor + reorder
-    /// buffer per stream.
-    Ordered(OrderedStream),
-    Coordinated(JobEpochIterator),
 }
 
 /// The batch a stream lent last, and the lane its buffers go back to.
@@ -958,7 +964,7 @@ impl Drop for Lender {
 impl BatchStream {
     /// Number of minibatches this stream will deliver.
     pub fn total_batches(&self) -> usize {
-        self.total
+        self.consumer.total_batches()
     }
 }
 
@@ -967,15 +973,7 @@ impl Iterator for BatchStream {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.lender.take_back();
-        let next = match &mut self.inner {
-            StreamInner::Ordered(s) => match s.next() {
-                Some(mb) => Some(Ok(Arc::new(mb))),
-                // An early end with a recorded panic becomes one typed
-                // error; a clean end (or a repeat call) stays None.
-                None => s.take_failure().map(Err),
-            },
-            StreamInner::Coordinated(s) => s.next(),
-        };
+        let next = self.consumer.next();
         next.map(|batch| batch.map(|batch| self.lender.lend(batch)))
     }
 }
@@ -986,6 +984,7 @@ mod tests {
     use dataset::{DatasetSpec, SyntheticItemStore};
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Instant;
 
     fn store(items: u64, avg: u64) -> Arc<dyn DataSource> {
         Arc::new(SyntheticItemStore::new(
@@ -1441,64 +1440,158 @@ mod tests {
         use storage::DeviceProfile;
         use vfs::{MemVfs, Vfs};
         // A dataset of 32 items served by backends that only materialized
-        // 24: the epoch's tail items are missing, and each of the three
-        // backends must surface one typed BackendIo through the stream
-        // instead of panicking a worker thread.
+        // 24: the epoch's tail items are missing.  In every mode, each of
+        // the three backends must surface one typed BackendIo through every
+        // stream instead of panicking a worker thread, then end the stream —
+        // at once, not after a coordinated consumer's 60 s take timeout.
         let dataset = store(32, 256);
         let small = store(24, 256);
-        let fs_vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-        let backends: Vec<(Arc<dyn FetchBackend>, &str)> = vec![
-            (Arc::new(DirectBackend::new(Arc::clone(&small))), "direct"),
-            (
-                Arc::new(ProfiledBackend::new(
-                    Arc::clone(&small),
-                    DeviceProfile::sata_ssd(),
-                )),
-                "profiled",
-            ),
-            (
-                Arc::new(
-                    FsBackend::new(fs_vfs, "data", small.as_ref(), 2)
-                        .expect("materialization succeeds"),
+        let backends = || -> Vec<(Arc<dyn FetchBackend>, &str)> {
+            let fs_vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+            vec![
+                (Arc::new(DirectBackend::new(Arc::clone(&small))), "direct"),
+                (
+                    Arc::new(ProfiledBackend::new(
+                        Arc::clone(&small),
+                        DeviceProfile::sata_ssd(),
+                    )),
+                    "profiled",
                 ),
-                "fs",
-            ),
+                (
+                    Arc::new(
+                        FsBackend::new(fs_vfs, "data", small.as_ref(), 2)
+                            .expect("materialization succeeds"),
+                    ),
+                    "fs",
+                ),
+            ]
+        };
+        let modes = [
+            Mode::Single,
+            Mode::Coordinated { jobs: 2 },
+            Mode::Partitioned { nodes: 2 },
         ];
-        for (backend, name) in backends {
-            let reported = backend.name();
-            let session = Session::builder(Arc::clone(&dataset), config(8, 1 << 22))
-                .fetch_backend(backend)
+        for mode in modes {
+            for (backend, name) in backends() {
+                let name = format!("{}/{name}", mode.name());
+                let reported = backend.name();
+                let config = SessionConfig {
+                    take_timeout: Duration::from_secs(60),
+                    ..config(8, 1 << 22)
+                };
+                let session = Session::builder(Arc::clone(&dataset), config)
+                    .mode(mode)
+                    .fetch_backend(backend)
+                    .build()
+                    .unwrap();
+                let run = session.epoch(0);
+                let drains: Vec<_> = (0..session.num_jobs())
+                    .map(|job| {
+                        let stream = run.stream(job);
+                        std::thread::spawn(move || {
+                            stream.map(|mb| mb.map(|mb| mb.len())).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !drains.iter().all(|drain| drain.is_finished()) {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{name}: a stream hung on the failure"
+                    );
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                for drain in drains {
+                    let outcomes = drain.join().unwrap();
+                    let (last, before) = outcomes.split_last().expect("the failure is yielded");
+                    assert!(
+                        before.iter().all(Result::is_ok),
+                        "{name}: one error, then None"
+                    );
+                    match last {
+                        Err(CoordlError::BackendIo {
+                            backend: b,
+                            item,
+                            detail,
+                        }) => {
+                            assert_eq!(b, reported, "{name}: error names the backend that failed");
+                            assert!(
+                                *item >= 24,
+                                "{name}: item {item} is one of the missing ones"
+                            );
+                            assert!(detail.contains("out of range"), "{name}: {detail}");
+                        }
+                        other => {
+                            panic!("{name}: expected BackendIo, got {:?}", other.as_ref().err())
+                        }
+                    }
+                    let delivered: usize = before.iter().flatten().sum();
+                    assert!(
+                        delivered < run.total_batches() * 8,
+                        "{name}: the epoch must not claim full delivery"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A backend that takes 5 ms over every read.
+    struct SlowBackend(DirectBackend);
+
+    impl FetchBackend for SlowBackend {
+        fn num_items(&self) -> u64 {
+            self.0.num_items()
+        }
+        fn item_bytes(&self, item: dataset::ItemId) -> u64 {
+            self.0.item_bytes(item)
+        }
+        fn read(&self, item: dataset::ItemId) -> Result<Vec<u8>, CoordlError> {
+            std::thread::sleep(Duration::from_millis(5));
+            self.0.read(item)
+        }
+        fn name(&self) -> &'static str {
+            "slow"
+        }
+    }
+
+    #[test]
+    fn a_one_consumer_stream_never_times_out() {
+        // Under 5 ms reads a 1 ms take timeout would fire the coordinated
+        // failure detector on every batch.  A single-mode stream has no
+        // peers to recover it, so it waits, and delivers exactly what a
+        // patient stream delivers.
+        let counters = |take_timeout: Duration| {
+            let dataset = store(24, 256);
+            let backend = SlowBackend(DirectBackend::new(Arc::clone(&dataset)));
+            let config = SessionConfig {
+                take_timeout,
+                ..config(8, 1 << 20)
+            };
+            let session = Session::builder(dataset, config)
+                .fetch_backend(Arc::new(backend))
                 .build()
                 .unwrap();
             let run = session.epoch(0);
-            let mut delivered = 0usize;
-            let mut failure = None;
-            for batch in run.stream(0) {
-                match batch {
-                    Ok(mb) => delivered += mb.len(),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failure {
-                Some(CoordlError::BackendIo {
-                    backend: b,
-                    item,
-                    detail,
-                }) => {
-                    assert_eq!(b, reported, "{name}: error names the backend that failed");
-                    assert!(item >= 24, "{name}: item {item} is one of the missing ones");
-                    assert!(detail.contains("out of range"), "{name}: {detail}");
-                }
-                other => panic!("{name}: expected BackendIo through the stream, got {other:?}"),
-            }
-            assert!(
-                delivered < 32,
-                "{name}: the epoch must not claim full delivery"
-            );
-        }
+            let delivered: usize = run
+                .stream(0)
+                .map(|mb| mb.expect("a slow stream is not a dead one").len())
+                .sum();
+            assert_eq!(delivered, 24);
+            drop(run);
+            let stats = session.stats();
+            [
+                stats.bytes_from_storage(),
+                stats.bytes_from_cache(),
+                stats.bytes_from_lower_tiers(),
+                stats.bytes_from_remote(),
+                stats.samples_prepared(),
+                stats.samples_delivered(),
+            ]
+        };
+        assert_eq!(
+            counters(Duration::from_millis(1)),
+            counters(Duration::from_secs(60))
+        );
     }
 
     #[test]

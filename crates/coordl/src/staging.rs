@@ -7,10 +7,16 @@
 //! batches (the paper measures ~5 GB of extra process memory for 8 AlexNet
 //! jobs).  Consumers that wait too long for a batch receive a timeout so the
 //! job group's failure detector can identify and replace a dead producer.
+//!
+//! Every session stream takes from one: a single-mode or partitioned-node
+//! stream is a staging area with one consumer.  Publishing and taking
+//! allocate nothing beyond the batch's own `Arc`: a batch's slot is fixed by
+//! its index, each slot counts the takes it still owes, and each job keeps
+//! one cursor, so no per-batch set of takers is ever built.
 
 use crate::minibatch::Minibatch;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,26 +71,36 @@ pub struct StagingStats {
 #[derive(Debug)]
 struct Slot {
     batch: Arc<Minibatch>,
-    consumed_by: HashSet<usize>,
+    /// Consumers that have not taken the batch yet.
+    remaining: usize,
 }
 
 #[derive(Debug)]
 struct Inner {
-    slots: HashMap<usize, Slot>,
+    /// Batch `i` sits in slot `i % window` while resident: resident indices
+    /// all lie in `evicted..evicted + window`, so no two share a slot.
+    slots: Vec<Option<Slot>>,
+    /// Per job, the lowest index it has not taken yet.
+    cursors: Vec<usize>,
     resident_bytes: u64,
     peak_bytes: u64,
     published: u64,
     evicted: u64,
-    shutdown: bool,
 }
 
 /// A bounded, shared buffer of prepared minibatches with per-batch use
 /// counters.
+///
+/// Each job takes batches in index order, so batches are evicted in index
+/// order too and `evicted` is the lowest index still resident or to come.
 #[derive(Debug)]
 pub struct StagingArea {
     inner: Mutex<Inner>,
     available: Condvar,
     space: Condvar,
+    /// Set under `inner`'s lock, so no waiter misses it; read without it by
+    /// [`StagingArea::is_shutdown`].
+    shutdown: AtomicBool,
     num_consumers: usize,
     window: usize,
 }
@@ -97,15 +113,16 @@ impl StagingArea {
         assert!(window > 0, "window must be positive");
         StagingArea {
             inner: Mutex::new(Inner {
-                slots: HashMap::new(),
+                slots: (0..window).map(|_| None).collect(),
+                cursors: vec![0; num_consumers],
                 resident_bytes: 0,
                 peak_bytes: 0,
                 published: 0,
                 evicted: 0,
-                shutdown: false,
             }),
             available: Condvar::new(),
             space: Condvar::new(),
+            shutdown: AtomicBool::new(false),
             num_consumers,
             window,
         }
@@ -132,38 +149,39 @@ impl StagingArea {
     /// failure recovery) is a harmless no-op reported as
     /// [`PublishOutcome::Duplicate`].
     pub fn publish(&self, batch: Minibatch) -> PublishOutcome {
-        let mut inner = self.inner.lock();
-        while batch.index >= inner.evicted as usize + self.window && !inner.shutdown {
-            self.space.wait(&mut inner);
+        let mut guard = self.inner.lock();
+        while batch.index >= guard.evicted as usize + self.window && !self.is_shutdown() {
+            self.space.wait(&mut guard);
         }
-        if inner.shutdown {
+        if self.is_shutdown() {
             return PublishOutcome::Shutdown;
         }
-        if batch.index < inner.evicted as usize || inner.slots.contains_key(&batch.index) {
+        let inner = &mut *guard;
+        let slot = &mut inner.slots[batch.index % self.window];
+        if batch.index < inner.evicted as usize || slot.is_some() {
             // Already delivered (or in flight): recovery double-publish.
             return PublishOutcome::Duplicate;
         }
-        let bytes = batch.payload_bytes();
-        inner.resident_bytes += bytes;
+        inner.resident_bytes += batch.payload_bytes();
         inner.peak_bytes = inner.peak_bytes.max(inner.resident_bytes);
         inner.published += 1;
-        inner.slots.insert(
-            batch.index,
-            Slot {
-                batch: Arc::new(batch),
-                consumed_by: HashSet::new(),
-            },
-        );
+        *slot = Some(Slot {
+            batch: Arc::new(batch),
+            remaining: self.num_consumers,
+        });
         self.available.notify_all();
         PublishOutcome::Published
     }
 
     /// Take minibatch `index` on behalf of consumer `job`, waiting up to
-    /// `timeout` for it to be published.
+    /// `timeout` for it to be published (`Duration::MAX` waits until it is
+    /// published or the area shuts down).
     ///
-    /// Each `(job, index)` pair receives the batch exactly once; asking again
-    /// after the batch was evicted times out (that is a caller bug — batches
-    /// are never reused across epochs).
+    /// Each job takes its batches in index order, each exactly once: asking
+    /// for an index below one the job already took is refused at once as a
+    /// [`TakeError::Timeout`] (a caller bug — batches are never reused across
+    /// epochs).  A batch already resident is handed out even after
+    /// [`shutdown`](Self::shutdown); only a missing one reports it.
     pub fn take(
         &self,
         job: usize,
@@ -171,51 +189,53 @@ impl StagingArea {
         timeout: Duration,
     ) -> Result<Arc<Minibatch>, TakeError> {
         assert!(job < self.num_consumers, "job {job} out of range");
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        if index < guard.cursors[job] {
+            return Err(TakeError::Timeout);
+        }
         loop {
-            if inner.shutdown {
-                return Err(TakeError::Shutdown);
-            }
-            if let Some(slot) = inner.slots.get_mut(&index) {
-                if slot.consumed_by.contains(&job) {
-                    // Exactly-once: a repeat take behaves like a missing batch.
-                    return Err(TakeError::Timeout);
-                }
-                slot.consumed_by.insert(job);
+            let inner = &mut *guard;
+            let at = index % self.window;
+            if let Some(slot) = inner.slots[at].as_mut().filter(|s| s.batch.index == index) {
+                slot.remaining -= 1;
                 let batch = Arc::clone(&slot.batch);
-                if slot.consumed_by.len() == self.num_consumers {
-                    let bytes = slot.batch.payload_bytes();
-                    inner.slots.remove(&index);
-                    inner.resident_bytes -= bytes;
+                if slot.remaining == 0 {
+                    inner.slots[at] = None;
+                    inner.resident_bytes -= batch.payload_bytes();
                     inner.evicted += 1;
                     self.space.notify_all();
                 }
+                inner.cursors[job] = index + 1;
                 return Ok(batch);
             }
-            if self.available.wait_for(&mut inner, timeout).timed_out() {
+            if self.is_shutdown() {
+                return Err(TakeError::Shutdown);
+            }
+            if self.available.wait_for(&mut guard, timeout).timed_out() {
                 return Err(TakeError::Timeout);
             }
         }
     }
 
-    /// Shut the staging area down, waking every waiter with an error.
+    /// Shut the staging area down, waking every waiter: producers stop and
+    /// consumers get [`TakeError::Shutdown`] for any batch not yet resident.
     pub fn shutdown(&self) {
-        let mut inner = self.inner.lock();
-        inner.shutdown = true;
+        let _guard = self.inner.lock();
+        self.shutdown.store(true, Ordering::SeqCst);
         self.available.notify_all();
         self.space.notify_all();
     }
 
     /// Whether the staging area has been shut down.
     pub fn is_shutdown(&self) -> bool {
-        self.inner.lock().shutdown
+        self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Current statistics.
     pub fn stats(&self) -> StagingStats {
         let inner = self.inner.lock();
         StagingStats {
-            resident_batches: inner.slots.len(),
+            resident_batches: inner.slots.iter().flatten().count(),
             resident_bytes: inner.resident_bytes,
             peak_bytes: inner.peak_bytes,
             published: inner.published,

@@ -440,17 +440,7 @@ impl TieredByteCache {
     /// # Panics
     /// Panics when `specs` is empty or a persistent level's VFS fails.
     pub fn new(specs: Vec<ByteTierSpec>) -> Self {
-        Self::new_sharded(specs, 1)
-    }
-
-    /// Like [`TieredByteCache::new`] with the hierarchy split into
-    /// `num_shards` independent key-routed shards (see the type docs).
-    ///
-    /// # Panics
-    /// Panics when `specs` is empty, `num_shards` is zero, or a persistent
-    /// level's VFS fails.
-    pub fn new_sharded(specs: Vec<ByteTierSpec>, num_shards: usize) -> Self {
-        Self::try_new_sharded(specs, num_shards).expect("tier construction failed")
+        Self::try_new_sharded(specs, 1).expect("tier construction failed")
     }
 
     /// Like [`TieredByteCache::new`], surfacing persistent-level VFS
@@ -467,9 +457,10 @@ impl TieredByteCache {
         Self::try_new_sharded(specs, 1)
     }
 
-    /// The fallible form of [`TieredByteCache::new_sharded`]: an empty
-    /// `specs` list, a zero `num_shards` or a failing persistent level is a
-    /// [`CoordlError::InvalidConfig`].
+    /// Like [`TieredByteCache::try_new`] with the hierarchy split into
+    /// `num_shards` independent key-routed shards (see the type docs): an
+    /// empty `specs` list, a zero `num_shards` or a failing persistent level
+    /// is a [`CoordlError::InvalidConfig`].
     pub fn try_new_sharded(
         specs: Vec<ByteTierSpec>,
         num_shards: usize,
@@ -595,13 +586,8 @@ impl TieredByteCache {
 
     /// A single DRAM level under `policy` — the default session tier.
     pub fn single(policy: PolicyKind, capacity_bytes: u64) -> Self {
-        Self::single_sharded(policy, capacity_bytes, 1)
-    }
-
-    /// A single DRAM level under `policy`, split into `num_shards` shards
-    /// (what sessions with a fetch pool build).
-    pub fn single_sharded(policy: PolicyKind, capacity_bytes: u64, num_shards: usize) -> Self {
-        Self::new_sharded(vec![ByteTierSpec::dram(policy, capacity_bytes)], num_shards)
+        Self::try_new_sharded(vec![ByteTierSpec::dram(policy, capacity_bytes)], 1)
+            .expect("a DRAM level always builds")
     }
 
     /// The aggregate level descriptions this hierarchy was built from.
@@ -986,13 +972,14 @@ mod tests {
     #[test]
     fn remove_range_frees_exactly_the_window() {
         let vfs: Arc<dyn Vfs> = Arc::new(vfs::MemVfs::new());
-        let tier = TieredByteCache::new_sharded(
+        let tier = TieredByteCache::try_new_sharded(
             vec![
                 ByteTierSpec::dram(PolicyKind::MinIo, 8),
                 ByteTierSpec::sata_ssd(PolicyKind::MinIo, 64).persistent(Arc::clone(&vfs), "rr"),
             ],
             2,
-        );
+        )
+        .unwrap();
         // Keys 100..110 are the window; 0..10 belong to someone else.
         for item in (0..10u64).chain(100..110) {
             fetch_through(&tier, item, 2);
@@ -1112,7 +1099,13 @@ mod tests {
         // subsequence separately produce identical counters and residency.
         let shards = 4;
         let trace: Vec<u64> = (0..40u64).chain(0..40).collect();
-        let build = || TieredByteCache::single_sharded(PolicyKind::Lru, 20 * 2, shards);
+        let build = || {
+            TieredByteCache::try_new_sharded(
+                vec![ByteTierSpec::dram(PolicyKind::Lru, 20 * 2)],
+                shards,
+            )
+            .unwrap()
+        };
         let in_plan_order = build();
         for &item in &trace {
             fetch_through(&in_plan_order, item, 2);
@@ -1140,7 +1133,9 @@ mod tests {
     #[test]
     fn shard_capacities_sum_to_the_aggregate_spec() {
         // 10 bytes across 4 shards: 3+3+2+2, never silently rounded away.
-        let tier = TieredByteCache::single_sharded(PolicyKind::MinIo, 10, 4);
+        let tier =
+            TieredByteCache::try_new_sharded(vec![ByteTierSpec::dram(PolicyKind::MinIo, 10)], 4)
+                .unwrap();
         assert_eq!(tier.num_shards(), 4);
         assert_eq!(CacheTier::capacity_bytes(&tier), 10);
         let snaps = tier.tier_snapshots();
@@ -1171,7 +1166,7 @@ mod tests {
         };
         let shards = 2;
         {
-            let tier = TieredByteCache::new_sharded(specs(), shards);
+            let tier = TieredByteCache::try_new_sharded(specs(), shards).unwrap();
             for item in 0..12u64 {
                 fetch_through(&tier, item, 2);
             }
@@ -1179,7 +1174,7 @@ mod tests {
         }
         // A rebuilt cache over the same VFS and the same shard count warms
         // each shard from its own spill-{k} directory.
-        let reborn = TieredByteCache::new_sharded(specs(), shards);
+        let reborn = TieredByteCache::try_new_sharded(specs(), shards).unwrap();
         assert!(reborn.resident_items() > 0, "warm restart");
         assert_eq!(reborn.hits(), 0, "warm contents, cold statistics");
         for item in 0..12u64 {

@@ -250,9 +250,9 @@ fn prep_heavy_preset_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn a_stalled_consumer_bounds_the_recycled_buffers_by_the_prepared_side_window() {
-    // The window of an ordered stream with one prep worker: the batch lent
-    // to the consumer, the `depth` queued for it, and the one the worker
-    // has prepared and is parked on.  On equal-sized items every buffer is
+    // The window of a single-mode stream with one prep worker: the batch
+    // lent to the consumer, the `depth` staged for it, and the one the
+    // worker has prepared and is parked on.  On equal-sized items every buffer is
     // reserved to the same pre-crop size at its first use and never
     // reallocated: each keeps one address for the whole session, and the
     // distinct addresses delivered count the buffers that exist.

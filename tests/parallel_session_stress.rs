@@ -381,7 +381,7 @@ fn repeated_sessions_join_all_worker_threads_and_leak_none() {
 #[test]
 fn saturated_pipelines_still_deliver_exact_streams_under_churn() {
     // Tiny queues + many workers + concurrent coordinated consumers: the
-    // adversarial shape for the reorder/staging machinery.  Everything must
+    // adversarial shape for the staging machinery.  Everything must
     // still arrive exactly once, in order.
     let counter = Arc::new(AtomicU64::new(0));
     with_deadline(Duration::from_secs(60), "churn loop", {
