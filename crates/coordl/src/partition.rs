@@ -158,11 +158,6 @@ impl PartitionedCacheCluster {
         self.servers.read().len()
     }
 
-    /// Aggregate loader statistics across the cluster.
-    pub fn loader_stats(&self) -> &LoaderStats {
-        &self.loader_stats
-    }
-
     /// Per-server statistics snapshot.
     pub fn stats(&self, server: usize) -> PartitionStats {
         *self.servers.read()[server].stats.lock()
@@ -199,11 +194,6 @@ impl PartitionedCacheCluster {
             .collect();
         entries.sort_unstable();
         entries
-    }
-
-    /// The shared fetch-step clock faults are scheduled against.
-    pub fn fault_clock(&self) -> &FaultClock {
-        &self.clock
     }
 
     /// Install (or replace) the cluster's fault plan.  Events fire as the
@@ -508,12 +498,6 @@ impl PartitionedCacheCluster {
         Ok((bytes, FetchOrigin::Storage))
     }
 
-    /// Total bytes read from storage across the cluster.
-    pub fn total_storage_bytes(&self) -> u64 {
-        let servers = self.servers.read();
-        servers.iter().map(|s| s.stats.lock().storage_bytes).sum()
-    }
-
     /// The remote-lookup half of [`fetch`](Self::fetch), without its
     /// kill-and-retry: resolve `item` through the directory and read it from
     /// the owning peer's cache chain (`Ok(None)` when uncached, unowned,
@@ -599,7 +583,7 @@ mod tests {
         let ds = dataset(n, 100);
         let cluster = minio_cluster(ds, 2, 100 * 100);
         run_epoch(&cluster, n, 0, 2);
-        assert_eq!(cluster.total_storage_bytes(), n * 100);
+        assert_eq!(cluster.aggregate_stats().storage_bytes, n * 100);
         assert_eq!(cluster.directory_len(), n as usize);
     }
 
@@ -610,12 +594,12 @@ mod tests {
         // Each server caches 65 % of the dataset; together they cover it.
         let cluster = minio_cluster(ds, 2, 65 * 100);
         run_epoch(&cluster, n, 0, 2);
-        let after_warmup = cluster.total_storage_bytes();
+        let after_warmup = cluster.aggregate_stats().storage_bytes;
         for epoch in 1..4 {
             run_epoch(&cluster, n, epoch, 2);
         }
         assert_eq!(
-            cluster.total_storage_bytes(),
+            cluster.aggregate_stats().storage_bytes,
             after_warmup,
             "no storage I/O beyond the first epoch"
         );
@@ -651,7 +635,7 @@ mod tests {
             run_epoch(&cluster, n, epoch, 2);
         }
         // Storage is still needed every epoch for the uncached remainder.
-        assert!(cluster.total_storage_bytes() > n * 100);
+        assert!(cluster.aggregate_stats().storage_bytes > n * 100);
         // But at least the cached fraction is served from DRAM.
         let hits: u64 = (0..2)
             .map(|s| cluster.stats(s).local_hits + cluster.stats(s).remote_hits)
@@ -670,7 +654,7 @@ mod tests {
         let total_in: u64 = (0..4).map(|s| cluster.stats(s).remote_bytes_in).sum();
         let total_out: u64 = (0..4).map(|s| cluster.stats(s).remote_bytes_out).sum();
         assert_eq!(total_in, total_out);
-        assert_eq!(cluster.loader_stats().bytes_from_remote(), total_in);
+        assert_eq!(cluster.loader_stats.bytes_from_remote(), total_in);
     }
 
     #[test]
@@ -716,7 +700,11 @@ mod tests {
         for epoch in 0..2 {
             run_epoch(&cluster, n, epoch, 2);
         }
-        assert_eq!(cluster.total_storage_bytes(), n * 100, "fits: read once");
+        assert_eq!(
+            cluster.aggregate_stats().storage_bytes,
+            n * 100,
+            "fits: read once"
+        );
         assert!(cluster.stats(0).local_hits + cluster.stats(0).remote_hits > 0);
         assert_eq!(cluster.tier(0).policy_name(), "LRU");
     }
@@ -886,7 +874,7 @@ mod tests {
             let (bytes, _) = cluster.fetch(1, item).unwrap();
             drop(cluster.tier(0).admit(item, bytes));
         }
-        let storage_before = cluster.total_storage_bytes();
+        let storage_before = cluster.aggregate_stats().storage_bytes;
         cluster.kill_node(1);
         assert!(!cluster.is_alive(1));
         assert_eq!(cluster.alive_servers(), vec![0]);
@@ -901,7 +889,7 @@ mod tests {
             let (_, origin) = cluster.fetch(0, item).unwrap();
             assert_eq!(origin, FetchOrigin::LocalCache, "item {item}");
         }
-        assert_eq!(cluster.total_storage_bytes(), storage_before);
+        assert_eq!(cluster.aggregate_stats().storage_bytes, storage_before);
         // Double-kill is a no-op.
         cluster.kill_node(1);
         assert_eq!(cluster.directory_len(), n as usize);
@@ -954,7 +942,7 @@ mod tests {
         // leaver shard.
         let cluster = minio_cluster(ds, 2, 2 * 64 * n);
         run_epoch(&cluster, n, 0, 2);
-        let storage_before = cluster.total_storage_bytes();
+        let storage_before = cluster.aggregate_stats().storage_bytes;
         cluster.leave_node(1);
         assert!(!cluster.is_alive(1));
         // No lost shard: every item is still directory-resident on node 0.
@@ -965,7 +953,7 @@ mod tests {
             .all(|&(_, owner)| owner == 0));
         run_epoch(&cluster, n, 1, 2);
         assert_eq!(
-            cluster.total_storage_bytes(),
+            cluster.aggregate_stats().storage_bytes,
             storage_before,
             "migration made the leave storage-free"
         );
@@ -985,13 +973,13 @@ mod tests {
         // The rejoined node still holds its (immutable, thus valid) bytes:
         // fetching as node 1 is pure local hits, and each hit re-advertises
         // the item so the directory heals without storage traffic.
-        let storage_before = cluster.total_storage_bytes();
+        let storage_before = cluster.aggregate_stats().storage_bytes;
         let sampler = EpochSampler::new(n, 42);
         for item in sampler.distributed_shard(0, 1, 2) {
             let (_, origin) = cluster.fetch(1, item).unwrap();
             assert_eq!(origin, FetchOrigin::LocalCache);
         }
-        assert_eq!(cluster.total_storage_bytes(), storage_before);
+        assert_eq!(cluster.aggregate_stats().storage_bytes, storage_before);
         assert_eq!(cluster.directory_len(), n as usize, "directory healed");
     }
 
@@ -1011,7 +999,7 @@ mod tests {
             cluster.is_alive(1),
             "epoch 0 is the guaranteed-healthy prefix"
         );
-        assert_eq!(cluster.fault_clock().now(), n);
+        assert_eq!(cluster.clock.now(), n);
         run_epoch(&cluster, n, 1, 2);
         assert!(!cluster.is_alive(1), "the plan killed node 1 in epoch 1");
         // Exactly-once accounting holds across the fault: every fetch was

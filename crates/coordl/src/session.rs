@@ -650,6 +650,7 @@ impl Session {
                         agg.resident_items += snap.resident_items;
                         agg.hits += snap.hits;
                         agg.misses += snap.misses;
+                        agg.evictions += snap.evictions;
                         agg.demoted_in += snap.demoted_in;
                         agg.demoted_out += snap.demoted_out;
                         agg.device_seconds += snap.device_seconds;
@@ -1232,6 +1233,52 @@ mod tests {
             "SSD level charges device time"
         );
         assert_eq!(report.cache_policy, "dram:MinIO+ssd:MinIO");
+    }
+
+    #[test]
+    fn partitioned_tier_levels_sum_every_nodes_counters() {
+        // Two LRU nodes caching 30 % each both evict every epoch; the
+        // session's per-level view must be the sum of the node tiers'.
+        let spec = DatasetSpec::new("sess", 100, 100, 0.0, 4.0);
+        let total = spec.total_bytes();
+        let ds: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 9));
+        let session = Session::builder(ds, config(10, total * 30 / 100))
+            .mode(Mode::Partitioned { nodes: 2 })
+            .cache_policy(PolicyKind::Lru)
+            .build()
+            .unwrap();
+        for epoch in 0..3u64 {
+            let run = session.epoch(epoch);
+            for node in 0..2 {
+                for mb in run.stream(node) {
+                    let _ = mb.unwrap();
+                }
+            }
+        }
+        let nodes: Vec<TierSnapshot> = (0..2)
+            .map(|n| session.node_tier(n).unwrap().tier_snapshots()[0].clone())
+            .collect();
+        assert!(nodes.iter().all(|s| s.evictions > 0), "{nodes:?}");
+        // capacity, used, resident, hits, misses, evictions, demoted in/out
+        let counters = |s: &TierSnapshot| {
+            [
+                s.capacity_bytes,
+                s.used_bytes,
+                s.resident_items as u64,
+                s.hits,
+                s.misses,
+                s.evictions,
+                s.demoted_in,
+                s.demoted_out,
+            ]
+        };
+        let mut sum = [0u64; 8];
+        for node in &nodes {
+            for (total, v) in sum.iter_mut().zip(counters(node)) {
+                *total += v;
+            }
+        }
+        assert_eq!(counters(&session.tier_levels()[0]), sum, "{nodes:?}");
     }
 
     #[test]

@@ -114,8 +114,9 @@ pub struct TierSnapshot {
     pub hits: u64,
     /// Fetches that consulted this level and fell through.
     pub misses: u64,
-    /// Entries this level's policy evicted on the fetch path (0 for flat
-    /// tiers, which do not track evictions at the wrapper level).
+    /// Entries this level's policy evicted on the fetch path.  Every policy
+    /// records its evictions (MinIO never evicts, so it reports 0); a custom
+    /// tier that keeps the default [`CacheTier::tier_snapshots`] reports 0.
     pub evictions: u64,
     /// Victims accepted from the level above (demotion).
     pub demoted_in: u64,

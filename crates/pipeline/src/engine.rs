@@ -1,19 +1,28 @@
-//! Shared epoch-simulation machinery used by every scenario.
+//! The exact epoch engine: every scenario except the single-job MinIO fast
+//! path (`crate::fast`) runs here.
 //!
 //! This module owns the per-minibatch cost model (fetch/prep/compute), the
-//! epoch accumulator and the three epoch drivers — single-job, shared-server
-//! (HP search and mixed clusters) and distributed — that
-//! [`crate::Experiment`] composes into whole simulations.  The legacy
-//! `simulate_*` entry points delegate to the same drivers, so the two APIs
-//! are bit-identical by construction.
+//! epoch accumulator and one epoch driver per resource shape, which
+//! [`crate::Experiment`] steps epoch by epoch:
+//!
+//! * `SharedNodeSim` — jobs sharing one server's cache, CPU cores and disk
+//!   (single job, HP search, mixed and elastic clusters).  Each epoch is a
+//!   set of *producer* sweeps, each fetching and preparing one epoch order
+//!   and feeding its *consumer* jobs' GPUs: one producer per job when jobs
+//!   are uncoordinated, one producer for the whole ensemble under CoorDL's
+//!   coordinated prep.  A single job is the one-producer, one-consumer case.
+//! * `DistributedSim` — one data-parallel job over identical servers, with
+//!   CoorDL's partitioned cache and an optional membership-fault schedule.
 
+use crate::churn::{churn_schedule, TenantSchedule};
 use crate::config::ServerConfig;
-use crate::experiment::CacheSpec;
+use crate::experiment::{CacheSpec, Scenario};
 use crate::job::JobSpec;
 use crate::loader::FetchOrder;
 use crate::metrics::EpochMetrics;
-use dataset::{minibatches, DatasetSpec, EpochSampler, ItemId, StorageFormat};
-use dcache::{Location, PartitionedIndex, PolicyKind, ServerId, TierSpec};
+use crate::sweep::ExperimentSpec;
+use dataset::{DatasetSpec, EpochSampler, ItemId, StorageFormat};
+use dcache::{FaultEvent, Location, PartitionedIndex, PolicyKind, ServerId, TierSpec};
 use gpu::{aggregate_samples_per_sec, GpuGeneration};
 use netsim::Fabric;
 use prep::{PrepBackend, PrepCostModel};
@@ -77,25 +86,44 @@ pub(crate) struct BatchFetch {
     pub fetch_secs: f64,
 }
 
-/// Fetch `items` through `node`, with `disk_share` of the device bandwidth
-/// available to this job (1.0 when it has the device to itself).
+impl BatchFetch {
+    /// Tally one fetch unit of `bytes` that `source` served in `t`, returning
+    /// the seconds it spent in a cache tier below DRAM (0 for any other
+    /// source).
+    fn record(&mut self, source: FetchSource, bytes: u64, t: SimTime) -> f64 {
+        if source == FetchSource::Disk {
+            self.disk_bytes += bytes;
+            self.misses += 1;
+            return 0.0;
+        }
+        self.cache_bytes += bytes;
+        self.hits += 1;
+        let FetchSource::LowerTier(_) = source else {
+            return 0.0;
+        };
+        self.lower_bytes += bytes;
+        self.lower_hits += 1;
+        t.as_secs()
+    }
+}
+
+/// Fetch `items` of `job` through `node`, with `disk_share` of the device
+/// bandwidth available to the sweep (1.0 when it has the device to itself).
 ///
-/// `key_base` namespaces this job's items within the shared cache; it is 0
-/// everywhere except mixed-cluster scenarios, where jobs training *different*
-/// datasets share one cache and their item ids would otherwise collide.
-#[allow(clippy::too_many_arguments)]
+/// `key_base` namespaces the job's fetch units within the shared cache; it
+/// is 0 except where jobs training *different* datasets, or elastic tenants,
+/// share one cache and their keys would otherwise collide.
 pub(crate) fn fetch_batch_local(
     node: &mut StorageNode,
     at: SimTime,
     items: &[ItemId],
-    spec: &DatasetSpec,
-    format: StorageFormat,
-    pattern: AccessPattern,
+    job: &JobSpec,
     disk_share: f64,
     key_base: u64,
 ) -> BatchFetch {
     assert!(disk_share > 0.0 && disk_share <= 1.0);
     let mut out = BatchFetch::default();
+    let pattern = access_pattern(job);
     let latency = node.device().profile().request_latency_s;
     let bandwidth = node.device().profile().bandwidth(pattern);
     // Seconds spent reading from cache tiers below DRAM, charged at each
@@ -103,25 +131,9 @@ pub(crate) fn fetch_batch_local(
     // jobs exactly like the durable store, so `disk_share` applies).
     let mut lower_secs = 0.0;
     for &item in items {
-        let unit = format.unit_of(item, spec);
+        let unit = job.loader.format.unit_of(item, &job.dataset);
         let (t, source) = node.fetch(at, key_base + unit.key, unit.bytes, pattern);
-        match source {
-            FetchSource::Cache => {
-                out.cache_bytes += unit.bytes;
-                out.hits += 1;
-            }
-            FetchSource::LowerTier(_) => {
-                out.cache_bytes += unit.bytes;
-                out.hits += 1;
-                out.lower_bytes += unit.bytes;
-                out.lower_hits += 1;
-                lower_secs += t.as_secs();
-            }
-            FetchSource::Disk => {
-                out.disk_bytes += unit.bytes;
-                out.misses += 1;
-            }
-        }
+        lower_secs += out.record(source, unit.bytes, t);
     }
     out.fetch_secs = local_fetch_secs(&out, lower_secs, latency, bandwidth, disk_share);
     out
@@ -183,16 +195,9 @@ pub(crate) fn access_pattern(job: &JobSpec) -> AccessPattern {
     }
 }
 
-/// The order in which raw items are read off storage during one epoch, which
-/// differs from the (always shuffled) training order for sequential readers.
-pub(crate) fn fetch_stream(job: &JobSpec, consume_order: &[ItemId]) -> Vec<ItemId> {
-    let mut ids = Vec::new();
-    fetch_stream_into(job, consume_order, &mut ids);
-    ids
-}
-
-/// Allocation-reusing [`fetch_stream`]: writes the storage read order into
-/// `out`.
+/// Write the order in which raw items are read off storage during one epoch
+/// into `out`; it differs from the (always shuffled) training order for
+/// sequential readers.
 pub(crate) fn fetch_stream_into(job: &JobSpec, consume_order: &[ItemId], out: &mut Vec<ItemId>) {
     out.clear();
     out.extend_from_slice(consume_order);
@@ -213,10 +218,10 @@ pub(crate) fn fetch_stream_into(job: &JobSpec, consume_order: &[ItemId], out: &m
 /// a scratch-reusing run is bit-identical to a fresh-allocation run.
 #[derive(Default)]
 pub struct EngineScratch {
-    /// The epoch's consume-order permutation (`EpochSampler::permutation`).
-    pub(crate) consume_order: Vec<ItemId>,
-    /// The epoch's storage read order (`fetch_stream`).
-    pub(crate) fetch_order: Vec<ItemId>,
+    /// Per producer sweep, the epoch's consume and storage read orders.
+    pub(crate) sweeps: Vec<SweepOrder>,
+    /// Per job, the epoch's metrics accumulator.
+    pub(crate) accs: Vec<EpochAccumulator>,
     /// Fast engine: per-item fetch-unit key/size and raw size, packed into
     /// one array so the chunked-format replay touches one cache line per
     /// item.
@@ -242,8 +247,6 @@ pub struct EngineScratch {
     /// the same `(num_items, seed)` job at every grid point, so the shuffles
     /// are identical across points and are computed once per epoch index.
     pub(crate) perms: Vec<Vec<ItemId>>,
-    /// The per-epoch metrics accumulator (recurrence + I/O time series).
-    pub(crate) acc: EpochAccumulator,
 }
 
 impl EngineScratch {
@@ -251,6 +254,23 @@ impl EngineScratch {
     pub fn new() -> Self {
         EngineScratch::default()
     }
+
+    /// Grow to at least `sweeps` sweep orders and `jobs` accumulators.
+    pub(crate) fn reserve(&mut self, sweeps: usize, jobs: usize) {
+        let n = self.sweeps.len().max(sweeps);
+        self.sweeps.resize_with(n, SweepOrder::default);
+        let n = self.accs.len().max(jobs);
+        self.accs.resize_with(n, EpochAccumulator::default);
+    }
+}
+
+/// One producer's epoch orders.
+#[derive(Default)]
+pub(crate) struct SweepOrder {
+    /// The consume-order permutation (`EpochSampler::permutation_into`).
+    pub(crate) consume: Vec<ItemId>,
+    /// The storage read order (`fetch_stream_into`).
+    pub(crate) fetch: Vec<ItemId>,
 }
 
 /// Incrementally builds one epoch's metrics from per-batch stage samples.
@@ -379,205 +399,196 @@ impl EpochAccumulator {
 // Epoch drivers
 // ---------------------------------------------------------------------------
 
-/// Simulate one epoch of a single job against an existing storage node
-/// (shared with other epochs so the cache stays warm).
-///
-/// All per-epoch working memory lives in `scratch`, so a sweep re-running
-/// this driver across epochs and grid points performs no per-epoch
-/// allocations beyond buffer growth on the first, largest use.
-pub(crate) fn single_epoch(
-    server: &ServerConfig,
-    job: &JobSpec,
-    node: &mut StorageNode,
-    epoch: u64,
-    scratch: &mut EngineScratch,
-) -> EpochMetrics {
-    let sampler = EpochSampler::new(job.dataset.num_items, job.seed);
-    sampler.permutation_into(epoch, &mut scratch.consume_order);
-    fetch_stream_into(job, &scratch.consume_order, &mut scratch.fetch_order);
-    let pattern = access_pattern(job);
-    let global_batch = job.global_batch();
-
-    let cost = PrepCostModel::for_pipeline(&job.pipeline, job.loader.prep_backend);
-    let cores = cost.effective_cores(server.cpu_cores as f64, server.cpu_cores as f64);
-
-    scratch.acc.reset(epoch, job.loader.prefetch_depth);
-    let acc = &mut scratch.acc;
-    let num_items = scratch.consume_order.len();
-    for (i, batch) in scratch.consume_order.chunks(global_batch).enumerate() {
-        let start = i * global_batch;
-        let end = (start + batch.len()).min(num_items);
-        let fetch_items = &scratch.fetch_order[start..end];
-        let now = acc.now();
-        let bf = fetch_batch_local(
-            node,
-            now,
-            fetch_items,
-            &job.dataset,
-            job.loader.format,
-            pattern,
-            1.0,
-            0,
-        );
-        let raw_bytes: u64 = batch.iter().map(|&it| job.dataset.item_size(it)).sum();
-        let prep = prep_secs_for_batch(job, raw_bytes, cores);
-        let compute = compute_secs_for_batch(job, server.gpu, batch.len());
-        acc.push_batch(&bf, prep, compute, batch.len() as u64);
-    }
-    scratch.acc.finish(IO_BINS)
+/// Cross-epoch state of jobs sharing one server: its storage node (warm
+/// across epochs), each job's cache-key window and lifetime, and whether one
+/// coordinated producer feeds the whole ensemble.
+pub(crate) struct SharedNodeSim {
+    node: StorageNode,
+    /// Per job, the base its fetch-unit keys are offset by in the cache.
+    key_bases: Vec<u64>,
+    /// Per job, the epochs it trains in: the whole run, except for an
+    /// elastic cluster's tenants, whose key windows are reclaimed when they
+    /// depart.
+    lifetimes: Vec<TenantSchedule>,
+    /// CoorDL's coordinated prep: the lead job's sweep feeds every job.
+    coordinated: bool,
 }
 
-/// One epoch of several jobs sharing one server without coordination: every
-/// job sweeps its dataset independently (the HP-search baseline and the
-/// mixed-cluster scenario).
-///
-/// Jobs are interleaved minibatch by minibatch so their accesses mix in the
-/// shared page cache exactly as concurrent processes' would; each job gets an
-/// even share of the CPU cores and of the device bandwidth.  `key_bases`
-/// namespaces each job's cache keys (all zeros when jobs share a dataset).
-pub(crate) fn shared_uncoordinated_epoch(
-    server: &ServerConfig,
-    jobs: &[JobSpec],
-    node: &mut StorageNode,
-    epoch: u64,
-    key_bases: &[u64],
-) -> Vec<EpochMetrics> {
-    let num_jobs = jobs.len();
-    let disk_share = 1.0 / num_jobs as f64;
-
-    struct JobState {
-        batches: Vec<Vec<u64>>,
-        fetch_order: Vec<u64>,
-        acc: EpochAccumulator,
-        cores: f64,
+impl SharedNodeSim {
+    /// The shared node of a validated single-server, HP-search, mixed or
+    /// elastic `spec`.
+    pub(crate) fn new(spec: &ExperimentSpec) -> Self {
+        let jobs = &spec.jobs;
+        let elastic = matches!(spec.scenario, Scenario::ElasticCluster { .. });
+        // Jobs sharing a dataset *and* on-storage format (HP search) share
+        // key space, preserving the cache-sharing behaviour the paper
+        // measures.  Any other job gets a window of its own: different
+        // datasets' item ids would collide, and different formats address
+        // different fetch units (items vs record chunks).  Elastic tenants
+        // are isolated even on one dataset (the runtime server's per-tenant
+        // key windows).
+        let mut key_bases = Vec::with_capacity(jobs.len());
+        let mut next_base = 0u64;
+        for job in jobs {
+            let prior = jobs[..key_bases.len()].iter().position(|j| {
+                !elastic && j.dataset == job.dataset && j.loader.format == job.loader.format
+            });
+            match prior {
+                Some(i) => key_bases.push(key_bases[i]),
+                None => {
+                    key_bases.push(next_base);
+                    next_base += job.dataset.num_items;
+                }
+            }
+        }
+        let whole_run = TenantSchedule {
+            arrival: 0,
+            departure: spec.epochs,
+        };
+        let lifetimes = match spec.scenario {
+            Scenario::ElasticCluster { tenants, seed } => {
+                churn_schedule(tenants, spec.epochs, seed)
+            }
+            _ => vec![whole_run; jobs.len()],
+        };
+        let lead = &jobs[0].loader;
+        SharedNodeSim {
+            node: build_node(&spec.server, lead.cache_policy, spec.cache),
+            key_bases,
+            lifetimes,
+            coordinated: lead.coordinated_prep
+                && matches!(spec.scenario, Scenario::HpSearch { .. }),
+        }
     }
 
-    let mut states: Vec<JobState> = jobs
-        .iter()
-        .map(|job| {
+    /// Simulate one epoch of every job; a job outside its lifetime reports
+    /// an idle epoch.
+    ///
+    /// The epoch is a set of producer sweeps, each fetching and preparing
+    /// one job's epoch order and feeding its consumers' GPUs.  Uncoordinated,
+    /// every active job is its own producer and gets an even share of the
+    /// device bandwidth and the CPU cores; coordinated, the lead job's sweep
+    /// uses the whole server and feeds every job, which sees each prepared
+    /// minibatch exactly once.  Producers are interleaved minibatch by
+    /// minibatch so their accesses mix in the shared cache exactly as
+    /// concurrent processes' would.  A single job is the one-producer,
+    /// one-consumer case.  All per-epoch working memory lives in `scratch`.
+    pub(crate) fn epoch(
+        &mut self,
+        server: &ServerConfig,
+        jobs: &[JobSpec],
+        epoch: u64,
+        scratch: &mut EngineScratch,
+    ) -> Vec<EpochMetrics> {
+        // Reclaim the key windows of tenants departing at this boundary
+        // before anyone trains, mirroring the runtime's
+        // `TenantHandle::depart`.
+        for (j, life) in self.lifetimes.iter().enumerate() {
+            if life.departure == epoch {
+                let base = self.key_bases[j];
+                self.node
+                    .evict_keyspace(base, base + jobs[j].dataset.num_items);
+            }
+        }
+        self.node.reset_epoch_stats();
+        let active: Vec<usize> = (0..jobs.len())
+            .filter(|&j| self.lifetimes[j].is_active(epoch))
+            .collect();
+        let producers = if self.coordinated {
+            &active[..1]
+        } else {
+            &active[..]
+        };
+        let disk_share = 1.0 / producers.len() as f64;
+        let producer_cores = server.cpu_cores as f64 / producers.len() as f64;
+
+        scratch.reserve(producers.len(), jobs.len());
+        let EngineScratch { sweeps, accs, .. } = scratch;
+        let mut cores = Vec::with_capacity(producers.len());
+        for (sweep, &j) in sweeps.iter_mut().zip(producers) {
+            let job = &jobs[j];
             let sampler = EpochSampler::new(job.dataset.num_items, job.seed);
-            let consume = sampler.permutation(epoch);
-            let fetch_order = fetch_stream(job, &consume);
+            sampler.permutation_into(epoch, &mut sweep.consume);
+            fetch_stream_into(job, &sweep.consume, &mut sweep.fetch);
             let cost = PrepCostModel::for_pipeline(&job.pipeline, job.loader.prep_backend);
-            let per_job_cores = server.cpu_cores as f64 / num_jobs as f64;
-            JobState {
-                batches: minibatches(&consume, job.global_batch()),
-                fetch_order,
-                acc: EpochAccumulator::new(epoch, job.loader.prefetch_depth),
-                cores: cost.effective_cores(per_job_cores, per_job_cores),
-            }
-        })
-        .collect();
-
-    let max_batches = states.iter().map(|s| s.batches.len()).max().unwrap_or(0);
-    for b in 0..max_batches {
-        for (job_idx, (job, state)) in jobs.iter().zip(states.iter_mut()).enumerate() {
-            if b >= state.batches.len() {
-                continue;
-            }
-            // Concurrent jobs are never in lockstep: each starts its sweep at
-            // a different position in its own epoch order (TensorFlow shards
-            // record files across jobs, PyTorch workers drift apart within a
-            // few iterations).  Offsetting each job's batch index models that
-            // drift; without it, sequential readers would all touch the same
-            // chunk at the same instant and the shared cache would hide the
-            // read amplification the paper measures (§3.3.1, Table 3).
-            let offset = job_idx * state.batches.len() / num_jobs;
-            let b = (b + offset) % state.batches.len();
-            let batch = &state.batches[b];
-            let global = job.global_batch();
-            let start = b * global;
-            let end = (start + batch.len()).min(state.fetch_order.len());
-            let fetch_items = state.fetch_order[start..end].to_vec();
-            let now = state.acc.now();
-            let bf = fetch_batch_local(
-                node,
-                now,
-                &fetch_items,
-                &job.dataset,
-                job.loader.format,
-                access_pattern(job),
-                disk_share,
-                key_bases[job_idx],
-            );
-            let raw_bytes: u64 = batch.iter().map(|&it| job.dataset.item_size(it)).sum();
-            let prep = prep_secs_for_batch(job, raw_bytes, state.cores);
-            let compute = compute_secs_for_batch(job, server.gpu, batch.len());
-            state.acc.push_batch(&bf, prep, compute, batch.len() as u64);
+            cores.push(cost.effective_cores(producer_cores, producer_cores));
         }
-    }
-
-    states.into_iter().map(|s| s.acc.finish(IO_BINS)).collect()
-}
-
-/// One epoch of CoorDL's coordinated prep: one sweep over the shared dataset,
-/// fetched and pre-processed once for the whole ensemble, with every prepared
-/// minibatch consumed by every job through the staging area.
-///
-/// The producing side uses *all* CPU cores and the full device bandwidth (the
-/// jobs collectively are the producer — each prepares its static shard).  The
-/// consuming side is each job's own GPUs, which see every prepared minibatch
-/// exactly once.
-pub(crate) fn shared_coordinated_epoch(
-    server: &ServerConfig,
-    jobs: &[JobSpec],
-    node: &mut StorageNode,
-    epoch: u64,
-) -> Vec<EpochMetrics> {
-    let lead = &jobs[0];
-    let sampler = EpochSampler::new(lead.dataset.num_items, lead.seed);
-    let consume = sampler.permutation(epoch);
-    let fetch_order = fetch_stream(lead, &consume);
-    let batches = minibatches(&consume, lead.global_batch());
-    let cost = PrepCostModel::for_pipeline(&lead.pipeline, lead.loader.prep_backend);
-    let cores = cost.effective_cores(server.cpu_cores as f64, server.cpu_cores as f64);
-
-    let mut accs: Vec<EpochAccumulator> = jobs
-        .iter()
-        .map(|j| EpochAccumulator::new(epoch, j.loader.prefetch_depth))
-        .collect();
-
-    for (b, batch) in batches.iter().enumerate() {
-        let global = lead.global_batch();
-        let start = b * global;
-        let end = (start + batch.len()).min(fetch_order.len());
-        let fetch_items = &fetch_order[start..end];
-        let now = accs[0].now();
-        // Fetch + prep happen once for the whole ensemble.
-        let bf = fetch_batch_local(
-            node,
-            now,
-            fetch_items,
-            &lead.dataset,
-            lead.loader.format,
-            access_pattern(lead),
-            1.0,
-            0,
-        );
-        let raw_bytes: u64 = batch.iter().map(|&it| lead.dataset.item_size(it)).sum();
-        let prep = prep_secs_for_batch(lead, raw_bytes, cores);
-        for (job, acc) in jobs.iter().zip(accs.iter_mut()) {
-            let compute = compute_secs_for_batch(job, server.gpu, batch.len());
-            acc.push_batch(&bf, prep, compute, batch.len() as u64);
+        for &j in &active {
+            accs[j].reset(epoch, jobs[j].loader.prefetch_depth);
         }
-    }
 
-    // The fetch/prep work is shared: every accumulator saw the same per-batch
-    // fetch (so its stall timing is right), but the bytes must be attributed
-    // once to the ensemble, not once per job.  Keep them on the first job and
-    // zero the rest so the caller's per-epoch disk totals are not inflated.
-    let mut metrics: Vec<EpochMetrics> = accs.into_iter().map(|a| a.finish(IO_BINS)).collect();
-    for m in metrics.iter_mut().skip(1) {
-        m.bytes_from_disk = 0;
-        m.bytes_from_cache = 0;
-        m.bytes_from_remote = 0;
-        m.cache_hits = 0;
-        m.cache_misses = 0;
-        m.bytes_from_lower_tiers = 0;
-        m.lower_tier_hits = 0;
-        m.io_timeline.clear();
+        let num_batches = |p: usize| {
+            sweeps[p]
+                .consume
+                .len()
+                .div_ceil(jobs[producers[p]].global_batch())
+        };
+        let max_batches = (0..producers.len()).map(num_batches).max().unwrap_or(0);
+        for b in 0..max_batches {
+            for (p, &j) in producers.iter().enumerate() {
+                let (job, sweep, n) = (&jobs[j], &sweeps[p], num_batches(p));
+                if b >= n {
+                    continue;
+                }
+                // Concurrent jobs are never in lockstep: each starts its
+                // sweep at a different position in its own epoch order
+                // (TensorFlow shards record files across jobs, PyTorch
+                // workers drift apart within a few iterations).  Offsetting
+                // each producer's batch index models that drift; without it,
+                // sequential readers would all touch the same chunk at the
+                // same instant and the shared cache would hide the read
+                // amplification the paper measures (§3.3.1, Table 3).
+                let b = (b + p * n / producers.len()) % n;
+                let start = b * job.global_batch();
+                let end = (start + job.global_batch()).min(sweep.consume.len());
+                let batch = &sweep.consume[start..end];
+                let fetch_items = &sweep.fetch[start..end];
+                let now = accs[j].now();
+                let key_base = self.key_bases[j];
+                let bf =
+                    fetch_batch_local(&mut self.node, now, fetch_items, job, disk_share, key_base);
+                let raw_bytes: u64 = batch.iter().map(|&it| job.dataset.item_size(it)).sum();
+                let prep = prep_secs_for_batch(job, raw_bytes, cores[p]);
+                let consumers = if self.coordinated {
+                    &active[..]
+                } else {
+                    std::slice::from_ref(&producers[p])
+                };
+                for &c in consumers {
+                    let compute = compute_secs_for_batch(&jobs[c], server.gpu, batch.len());
+                    accs[c].push_batch(&bf, prep, compute, batch.len() as u64);
+                }
+            }
+        }
+
+        let mut metrics: Vec<EpochMetrics> = (0..jobs.len())
+            .map(|j| {
+                if self.lifetimes[j].is_active(epoch) {
+                    accs[j].finish(IO_BINS)
+                } else {
+                    EpochMetrics {
+                        epoch,
+                        ..Default::default()
+                    }
+                }
+            })
+            .collect();
+        if self.coordinated {
+            // Every consumer saw the same per-batch fetch (so its stall
+            // timing is right), but the shared sweep's bytes must be
+            // attributed once to the ensemble, not once per job: keep them
+            // on the lead job so per-epoch disk totals are not inflated.
+            for m in &mut metrics[1..] {
+                *m = EpochMetrics {
+                    epoch,
+                    breakdown: m.breakdown,
+                    samples: m.samples,
+                    ..Default::default()
+                };
+            }
+        }
+        metrics
     }
-    metrics
 }
 
 /// Cross-epoch state of a distributed simulation: one storage node per
@@ -593,17 +604,23 @@ pub(crate) struct DistributedSim {
     /// consumer is unaffected, exactly as in the runtime cluster) but its
     /// cache drops out of the partitioned directory.
     alive: Vec<bool>,
-    /// Seeded membership events, sorted by boundary epoch (`FaultEvent::at`).
-    faults: Vec<dcache::FaultEvent>,
+    /// Seeded membership events, sorted by boundary epoch (`FaultEvent::at`);
+    /// a non-empty schedule relaxes the healthy cluster's directory
+    /// invariants in the fetch path.
+    faults: Vec<FaultEvent>,
     next_fault: usize,
 }
 
 impl DistributedSim {
+    /// A cluster of `num_servers` cold nodes under the membership events
+    /// `faults`: empty for a healthy cluster, the seeded schedule shared
+    /// with the runtime ([`dcache::fault_schedule`]) under chaos.
     pub(crate) fn new(
         server: &ServerConfig,
         job: &JobSpec,
         num_servers: usize,
         cache: CacheSpec,
+        faults: Vec<FaultEvent>,
     ) -> Self {
         DistributedSim {
             nodes: (0..num_servers)
@@ -613,32 +630,9 @@ impl DistributedSim {
             fabric: Fabric::new(server.link, num_servers),
             num_servers,
             alive: vec![true; num_servers],
-            faults: Vec::new(),
+            faults,
             next_fault: 0,
         }
-    }
-
-    /// A distributed simulation under the seeded fault schedule shared with
-    /// the runtime ([`dcache::fault_schedule`]): `faults` membership events
-    /// over `epochs` epoch boundaries.
-    pub(crate) fn with_faults(
-        server: &ServerConfig,
-        job: &JobSpec,
-        num_servers: usize,
-        cache: CacheSpec,
-        epochs: u64,
-        faults: usize,
-        seed: u64,
-    ) -> Self {
-        let mut sim = DistributedSim::new(server, job, num_servers, cache);
-        sim.faults = dcache::fault_schedule(num_servers, epochs, faults, seed);
-        sim
-    }
-
-    /// Whether this simulation runs a fault schedule (relaxes the healthy
-    /// engine's directory invariants in the fetch path).
-    fn chaos(&self) -> bool {
-        !self.faults.is_empty()
     }
 
     /// Apply every membership event due at the boundary before `epoch`
@@ -700,165 +694,108 @@ impl DistributedSim {
         job: &JobSpec,
         epoch: u64,
     ) -> Vec<EpochMetrics> {
-        let partitioned = job.loader.partitioned_cache;
         let sampler = EpochSampler::new(job.dataset.num_items, job.seed);
         let cost = PrepCostModel::for_pipeline(&job.pipeline, job.loader.prep_backend);
         let cores = cost.effective_cores(server.cpu_cores as f64, server.cpu_cores as f64);
-        let pattern = access_pattern(job);
         self.apply_due_faults(epoch, &job.dataset);
-        let chaos = self.chaos();
-
         for node in self.nodes.iter_mut() {
             node.reset_epoch_stats();
         }
         self.fabric.reset();
-        let mut epoch_metrics: Vec<EpochMetrics> = Vec::with_capacity(self.num_servers);
 
-        // Per-server shards for this epoch (random, disjoint, epoch-varying).
-        let shards: Vec<Vec<ItemId>> = (0..self.num_servers)
-            .map(|s| sampler.distributed_shard(epoch, s, self.num_servers))
-            .collect();
-
-        for (s, shard) in shards.iter().enumerate() {
-            let me = ServerId(s);
-            let batches = minibatches(shard, job.global_batch());
-            let mut acc = EpochAccumulator::new(epoch, job.loader.prefetch_depth);
-
-            for batch in &batches {
-                let now = acc.now();
-                let bf = if partitioned {
-                    fetch_batch_partitioned(
-                        &mut self.nodes,
-                        &mut self.directory,
-                        &mut self.fabric,
-                        me,
-                        now,
-                        batch,
-                        job,
-                        self.num_servers,
-                        &self.alive,
-                        chaos,
-                    )
-                } else {
-                    let node = &mut self.nodes[s];
-                    // Uncoordinated: every miss goes to local storage.
-                    fetch_batch_local(
-                        node,
-                        now,
-                        batch,
-                        &job.dataset,
-                        job.loader.format,
-                        pattern,
-                        1.0,
-                        0,
-                    )
-                };
-                let raw_bytes: u64 = batch.iter().map(|&it| job.dataset.item_size(it)).sum();
-                let prep = prep_secs_for_batch(job, raw_bytes, cores);
-                let compute = compute_secs_for_batch(job, server.gpu, batch.len());
-                acc.push_batch(&bf, prep, compute, batch.len() as u64);
-            }
-            epoch_metrics.push(acc.finish(IO_BINS));
-        }
-        epoch_metrics
+        (0..self.num_servers)
+            .map(|s| {
+                // This server's shard of the epoch: random, disjoint,
+                // epoch-varying.
+                let shard = sampler.distributed_shard(epoch, s, self.num_servers);
+                let mut acc = EpochAccumulator::new(epoch, job.loader.prefetch_depth);
+                for batch in shard.chunks(job.global_batch()) {
+                    let now = acc.now();
+                    let bf = if job.loader.partitioned_cache {
+                        self.fetch_partitioned(ServerId(s), now, batch, job)
+                    } else {
+                        // Uncoordinated: every miss goes to local storage.
+                        fetch_batch_local(&mut self.nodes[s], now, batch, job, 1.0, 0)
+                    };
+                    let raw_bytes: u64 = batch.iter().map(|&it| job.dataset.item_size(it)).sum();
+                    let prep = prep_secs_for_batch(job, raw_bytes, cores);
+                    let compute = compute_secs_for_batch(job, server.gpu, batch.len());
+                    acc.push_batch(&bf, prep, compute, batch.len() as u64);
+                }
+                acc.finish(IO_BINS)
+            })
+            .collect()
     }
-}
 
-/// Fetch one minibatch with CoorDL's partitioned cache: local MinIO cache
-/// first, then a peer's cache over the network, then local storage.
-///
-/// Under chaos (`chaos` set) a dead server (`!alive[me]`) keeps consuming —
-/// peers still serve its remote hits — but bypasses its own cache: storage
-/// reads are charged without admitting or registering, mirroring the runtime
-/// cluster's degraded mode.  A rejoined server's stale-but-warm local hits
-/// land in the `Location::Storage` arm (their directory entries were dropped
-/// at kill time) and lazily re-register.
-#[allow(clippy::too_many_arguments)]
-fn fetch_batch_partitioned(
-    nodes: &mut [StorageNode],
-    directory: &mut PartitionedIndex,
-    fabric: &mut Fabric,
-    me: ServerId,
-    at: SimTime,
-    items: &[ItemId],
-    job: &JobSpec,
-    num_servers: usize,
-    alive: &[bool],
-    chaos: bool,
-) -> BatchFetch {
-    let mut out = BatchFetch::default();
-    let spec = &job.dataset;
-    let device = *nodes[me.0].device().profile();
-    let pattern = access_pattern(job);
-    let alive_me = alive[me.0];
-    let mut remote_requests = 0u64;
-    let mut lower_secs = 0.0;
+    /// Fetch one minibatch with CoorDL's partitioned cache: local MinIO cache
+    /// first, then a peer's cache over the network, then local storage.
+    ///
+    /// Under chaos a dead server (`!alive[me]`) keeps consuming — peers
+    /// still serve its remote hits — but bypasses its own cache: storage
+    /// reads are charged without admitting or registering, mirroring the
+    /// runtime cluster's degraded mode.  A rejoined server's stale-but-warm
+    /// local hits land in the `Location::Storage` arm (their directory
+    /// entries were dropped at kill time) and lazily re-register.
+    fn fetch_partitioned(
+        &mut self,
+        me: ServerId,
+        at: SimTime,
+        items: &[ItemId],
+        job: &JobSpec,
+    ) -> BatchFetch {
+        let mut out = BatchFetch::default();
+        let device = *self.nodes[me.0].device().profile();
+        let pattern = access_pattern(job);
+        let peers = self.num_servers.saturating_sub(1).max(1);
+        let mut remote_requests = 0u64;
+        let mut lower_secs = 0.0;
 
-    for &item in items {
-        let bytes = spec.item_size(item);
-        let node = &mut nodes[me.0];
-        match directory.locate(item, me) {
-            Location::Local => {
-                // Resident in some tier of the local cache chain.
-                let (t, src) = node.fetch(at, item, bytes, pattern);
-                debug_assert_ne!(src, FetchSource::Disk);
-                out.cache_bytes += bytes;
-                out.hits += 1;
-                if let FetchSource::LowerTier(_) = src {
-                    out.lower_bytes += bytes;
-                    out.lower_hits += 1;
-                    lower_secs += t.as_secs();
+        for &item in items {
+            let bytes = job.dataset.item_size(item);
+            let node = &mut self.nodes[me.0];
+            match self.directory.locate(item, me) {
+                Location::Local => {
+                    // Resident in some tier of the local cache chain.
+                    let (t, src) = node.fetch(at, item, bytes, pattern);
+                    debug_assert_ne!(src, FetchSource::Disk);
+                    lower_secs += out.record(src, bytes, t);
                 }
-            }
-            Location::Remote(peer) if alive[peer.0] => {
-                fabric.remote_fetch(peer.0, me.0, bytes, num_servers.saturating_sub(1).max(1));
-                out.remote_bytes += bytes;
-                out.hits += 1;
-                remote_requests += 1;
-            }
-            // Storage, or a directory entry pointing at a dead peer (only
-            // reachable transiently; rebalancing drops such entries).
-            _ if !alive_me => {
-                // A dead server's consumer still trains: the read is charged
-                // at device cost, but nothing is admitted or advertised.
-                out.disk_bytes += bytes;
-                out.misses += 1;
-            }
-            _ => {
-                // Not cached anywhere yet: read from local storage and, if the
-                // local MinIO cache admits it, publish it in the directory.
-                let (t, src) = node.fetch(at, item, bytes, pattern);
-                debug_assert!(chaos || src == FetchSource::Disk);
-                match src {
-                    FetchSource::Disk => {
-                        out.disk_bytes += bytes;
-                        out.misses += 1;
-                    }
-                    // Chaos only: a rejoined server's stale warm entry.
-                    src => {
-                        out.cache_bytes += bytes;
-                        out.hits += 1;
-                        if let FetchSource::LowerTier(_) = src {
-                            out.lower_bytes += bytes;
-                            out.lower_hits += 1;
-                            lower_secs += t.as_secs();
-                        }
-                    }
+                Location::Remote(peer) if self.alive[peer.0] => {
+                    self.fabric.remote_fetch(peer.0, me.0, bytes, peers);
+                    out.remote_bytes += bytes;
+                    out.hits += 1;
+                    remote_requests += 1;
                 }
-                if node.is_cached(&item) {
-                    directory.register(item, me);
+                // Storage, or a directory entry pointing at a dead peer (only
+                // reachable transiently; rebalancing drops such entries).
+                _ if !self.alive[me.0] => {
+                    // A dead server's consumer still trains: the read is
+                    // charged at device cost, but nothing is admitted or
+                    // advertised.
+                    out.record(FetchSource::Disk, bytes, SimTime::ZERO);
+                }
+                _ => {
+                    // Not cached anywhere yet: read from local storage and,
+                    // if the local MinIO cache admits it, publish it in the
+                    // directory.  Only under chaos can this hit: a rejoined
+                    // server's stale warm entry.
+                    let (t, src) = node.fetch(at, item, bytes, pattern);
+                    debug_assert!(!self.faults.is_empty() || src == FetchSource::Disk);
+                    lower_secs += out.record(src, bytes, t);
+                    if node.is_cached(&item) {
+                        self.directory.register(item, me);
+                    }
                 }
             }
         }
-    }
 
-    let link = fabric.link();
-    let per_flow = link.per_flow_bandwidth(num_servers.saturating_sub(1).max(1));
-    out.fetch_secs = out.disk_bytes as f64 / device.bandwidth(pattern)
-        + out.misses as f64 * device.request_latency_s
-        + (out.cache_bytes - out.lower_bytes) as f64 / DRAM_BANDWIDTH_BYTES_PER_SEC
-        + lower_secs
-        + out.remote_bytes as f64 / per_flow
-        + if remote_requests > 0 { link.rtt_s } else { 0.0 };
-    out
+        let link = self.fabric.link();
+        out.fetch_secs = out.disk_bytes as f64 / device.bandwidth(pattern)
+            + out.misses as f64 * device.request_latency_s
+            + (out.cache_bytes - out.lower_bytes) as f64 / DRAM_BANDWIDTH_BYTES_PER_SEC
+            + lower_secs
+            + out.remote_bytes as f64 / link.per_flow_bandwidth(peers)
+            + if remote_requests > 0 { link.rtt_s } else { 0.0 };
+        out
+    }
 }

@@ -33,18 +33,22 @@
 //! distributed (§5.2) scenarios the paper evaluates, plus a
 //! [`Scenario::MixedCluster`] of *heterogeneous* jobs — different models,
 //! datasets and loaders — contending for one server's cache, CPU and disk,
-//! which the legacy one-function-per-scenario API could not express.
+//! an elastic cluster of arriving and departing tenants, and a distributed
+//! job under membership faults.
+//!
+//! [`Experiment::run`] validates the job list against the scenario once,
+//! then steps one engine per resource shape epoch by epoch: the vectorized
+//! MinIO engine for a lone MinIO job, the shared-node driver — producer
+//! sweeps feeding consumer jobs — for every other one-server scenario, and
+//! the cluster driver for the distributed ones.
 
-use crate::churn::churn_schedule;
 use crate::config::ServerConfig;
-use crate::engine::{
-    build_node, shared_coordinated_epoch, shared_uncoordinated_epoch, single_epoch, DistributedSim,
-    EngineScratch,
-};
+use crate::engine::{DistributedSim, EngineScratch, SharedNodeSim};
 use crate::fast;
 use crate::job::JobSpec;
 use crate::json::{compact, int, num, nums, object, text, Value};
 use crate::metrics::{EpochMetrics, RunResult};
+use crate::sweep::ExperimentSpec;
 
 /// The cache hierarchy every storage node of the experiment runs
 /// (`dcache::TierChain` under the hood).
@@ -111,7 +115,7 @@ pub enum Scenario {
     /// `tenants` jobs arriving and departing over the run on one shared
     /// server — the elastic counterpart of the multi-tenant `coordl::Server`
     /// (§5 HP-search lineage with job churn).  A deterministic
-    /// [`churn_schedule`] seeded by `seed`
+    /// [`churn_schedule`](crate::churn_schedule) seeded by `seed`
     /// decides each tenant's `[arrival, departure)` window; a departing
     /// tenant's cached keys are reclaimed from the shared chain at the
     /// departure-epoch boundary.  Each tenant gets its own cache-key window
@@ -186,11 +190,7 @@ type Observer<'obs> = Box<dyn FnMut(&EpochUpdate<'_>) + 'obs>;
 /// [`job`](Experiment::job) / [`jobs`](Experiment::jobs) and
 /// [`scenario`](Experiment::scenario), then [`run`](Experiment::run).
 pub struct Experiment<'obs> {
-    server: ServerConfig,
-    jobs: Vec<JobSpec>,
-    scenario: Scenario,
-    cache: CacheSpec,
-    epochs: u64,
+    spec: ExperimentSpec,
     observer: Option<Observer<'obs>>,
     scratch: Option<&'obs mut EngineScratch>,
     exact_engine: bool,
@@ -201,12 +201,13 @@ impl<'obs> Experiment<'obs> {
     /// [`Scenario::SingleServer`], 3 epochs (one warm-up plus two measured,
     /// the paper's methodology), no observer.
     pub fn on(server: &ServerConfig) -> Self {
+        Experiment::with_spec(ExperimentSpec::on(server.clone()))
+    }
+
+    /// The builder over an already described experiment.
+    pub(crate) fn with_spec(spec: ExperimentSpec) -> Self {
         Experiment {
-            server: server.clone(),
-            jobs: Vec::new(),
-            scenario: Scenario::SingleServer,
-            cache: CacheSpec::DramOnly,
-            epochs: 3,
+            spec,
             observer: None,
             scratch: None,
             exact_engine: false,
@@ -215,20 +216,20 @@ impl<'obs> Experiment<'obs> {
 
     /// Add one job.  May be called repeatedly; jobs accumulate.
     pub fn job(mut self, job: JobSpec) -> Self {
-        self.jobs.push(job);
+        self.spec.jobs.push(job);
         self
     }
 
     /// Replace the job list wholesale (explicit HP-search ensembles with
     /// custom seeds, mixed clusters).
     pub fn jobs(mut self, jobs: impl IntoIterator<Item = JobSpec>) -> Self {
-        self.jobs = jobs.into_iter().collect();
+        self.spec.jobs = jobs.into_iter().collect();
         self
     }
 
     /// Select the scenario shape.
     pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
+        self.spec.scenario = scenario;
         self
     }
 
@@ -236,13 +237,13 @@ impl<'obs> Experiment<'obs> {
     /// [`CacheSpec::DramOnly`], the single-tier behaviour).  In distributed
     /// scenarios each server gets its own chain of this shape.
     pub fn cache(mut self, cache: CacheSpec) -> Self {
-        self.cache = cache;
+        self.spec.cache = cache;
         self
     }
 
     /// Number of epochs to simulate (epoch 0 starts with a cold cache).
     pub fn epochs(mut self, epochs: u64) -> Self {
-        self.epochs = epochs;
+        self.spec.epochs = epochs;
         self
     }
 
@@ -276,303 +277,141 @@ impl<'obs> Experiment<'obs> {
     /// Panics on invalid configurations: no jobs, zero epochs, more GPUs
     /// requested than the server has, HP-search jobs with different datasets,
     /// or a job count that contradicts `Scenario::HpSearch { jobs }`.
-    pub fn run(self) -> SimReport {
-        assert!(self.epochs > 0, "need at least one epoch");
-        assert!(!self.jobs.is_empty(), "need at least one job");
-
-        let scenario = self.scenario;
-        let mut report = match scenario {
-            Scenario::SingleServer => self.run_single(),
-            Scenario::HpSearch { jobs } => self.run_shared(Some(jobs)),
-            Scenario::MixedCluster => self.run_shared(None),
-            Scenario::ElasticCluster { tenants, seed } => self.run_elastic(tenants, seed),
-            Scenario::Distributed { servers } => self.run_distributed(servers),
-            Scenario::PartitionedChaos {
-                servers,
-                faults,
-                seed,
-            } => self.run_partitioned_chaos(servers, faults, seed),
-        };
-        report.scenario = scenario;
-        report
-    }
-
-    fn notify(
-        observer: &mut Option<Observer<'obs>>,
-        scenario: Scenario,
-        epoch: u64,
-        units: &[EpochMetrics],
-    ) {
-        if let Some(f) = observer.as_mut() {
-            f(&EpochUpdate {
-                epoch,
-                scenario,
-                units,
-            });
-        }
-    }
-
-    fn run_single(mut self) -> SimReport {
-        assert_eq!(
-            self.jobs.len(),
-            1,
-            "Scenario::SingleServer takes exactly one job, got {}",
-            self.jobs.len()
-        );
-        let job = self.jobs.remove(0);
-        assert!(
-            job.num_gpus <= self.server.num_gpus,
-            "job wants {} GPUs but the server has {}",
-            job.num_gpus,
-            self.server.num_gpus
-        );
+    pub fn run(mut self) -> SimReport {
+        let units = validate(&mut self.spec);
+        let spec = &self.spec;
         let mut local_scratch = EngineScratch::default();
         let scratch = match self.scratch.take() {
             Some(s) => s,
             None => &mut local_scratch,
         };
-        let mut report = SimReport::empty(Scenario::SingleServer, 1);
-        // MinIO single-server runs take the vectorized flat-array engine
-        // (`crate::fast`), bit-identical to the chain but 10–100× cheaper per
-        // sweep point; every other configuration runs the exact chain.
-        if !self.exact_engine && job.loader.cache_policy == dcache::PolicyKind::MinIo {
-            let plan = fast::TierPlan::new(&self.server, self.cache);
-            fast::init_run(&job, &plan, scratch);
-            for epoch in 0..self.epochs {
-                let m = fast::single_epoch_fast(&self.server, &job, &plan, epoch, scratch);
-                Self::notify(
-                    &mut self.observer,
-                    Scenario::SingleServer,
-                    epoch,
-                    std::slice::from_ref(&m),
-                );
-                report.push_epoch(vec![m]);
+        let (server, job) = (&spec.server, &spec.jobs[0]);
+        // One engine per resource shape, stepped epoch by epoch.
+        let mut step: Box<dyn FnMut(u64) -> Vec<EpochMetrics> + '_> = match spec.scenario {
+            Scenario::Distributed { servers } | Scenario::PartitionedChaos { servers, .. } => {
+                let faults = match spec.scenario {
+                    Scenario::PartitionedChaos { faults, seed, .. } => {
+                        dcache::fault_schedule(servers, spec.epochs, faults, seed)
+                    }
+                    _ => Vec::new(),
+                };
+                let mut sim = DistributedSim::new(server, job, servers, spec.cache, faults);
+                Box::new(move |epoch| sim.epoch(server, job, epoch))
             }
-        } else {
-            let mut node = build_node(&self.server, job.loader.cache_policy, self.cache);
-            for epoch in 0..self.epochs {
-                node.reset_epoch_stats();
-                let m = single_epoch(&self.server, &job, &mut node, epoch, scratch);
-                Self::notify(
-                    &mut self.observer,
-                    Scenario::SingleServer,
-                    epoch,
-                    std::slice::from_ref(&m),
-                );
-                report.push_epoch(vec![m]);
+            // MinIO single-server runs take the vectorized flat-array engine
+            // (`crate::fast`), bit-identical to the chain but 10–100× cheaper
+            // per sweep point; every other configuration runs the exact chain.
+            Scenario::SingleServer
+                if !self.exact_engine && job.loader.cache_policy == dcache::PolicyKind::MinIo =>
+            {
+                let plan = fast::TierPlan::new(server, spec.cache);
+                fast::init_run(job, &plan, scratch);
+                Box::new(move |e| vec![fast::single_epoch_fast(server, job, &plan, e, scratch)])
             }
+            _ => {
+                let mut node = SharedNodeSim::new(spec);
+                Box::new(move |epoch| node.epoch(server, &spec.jobs, epoch, scratch))
+            }
+        };
+        let mut report = SimReport::empty(spec.scenario, units);
+        for epoch in 0..spec.epochs {
+            let units = step(epoch);
+            if let Some(f) = self.observer.as_mut() {
+                f(&EpochUpdate {
+                    epoch,
+                    scenario: spec.scenario,
+                    units: &units,
+                });
+            }
+            report.push_epoch(units);
         }
         report
     }
+}
 
-    /// Shared-server scenarios: symmetric HP search (`expected_jobs` given)
-    /// or a heterogeneous mixed cluster (`None`).
-    fn run_shared(mut self, expected_jobs: Option<usize>) -> SimReport {
-        let scenario = self.scenario;
-        if let Some(n) = expected_jobs {
-            assert!(n > 0, "need at least one HP-search job");
-            if self.jobs.len() == 1 && n > 1 {
-                // Clone the template job with derived seeds, as the paper's
-                // HP-search ensembles differ only in hyper-parameters/seed.
-                let template = self.jobs[0].clone();
-                self.jobs = (0..n)
-                    .map(|j| template.with_seed(template.seed + j as u64))
-                    .collect();
-            }
+/// Check `spec`'s job list against its scenario, first cloning a lone
+/// template job into a symmetric ensemble with derived seeds (the paper's
+/// HP-search ensembles differ only in hyper-parameters/seed), and return the
+/// number of report units.
+fn validate(spec: &mut ExperimentSpec) -> usize {
+    assert!(spec.epochs > 0, "need at least one epoch");
+    assert!(!spec.jobs.is_empty(), "need at least one job");
+    let ensemble = match spec.scenario {
+        Scenario::HpSearch { jobs } => {
+            assert!(jobs > 0, "need at least one HP-search job");
+            jobs
+        }
+        Scenario::ElasticCluster { tenants, .. } => {
+            assert!(tenants > 0, "need at least one tenant");
+            tenants
+        }
+        _ => 1,
+    };
+    if spec.jobs.len() == 1 && ensemble > 1 {
+        let template = spec.jobs[0].clone();
+        spec.jobs = (0..ensemble)
+            .map(|j| template.with_seed(template.seed + j as u64))
+            .collect();
+    }
+    let (jobs, have) = (&spec.jobs, spec.server.num_gpus);
+    let (got, gpus) = (jobs.len(), jobs.iter().map(|j| j.num_gpus).sum::<usize>());
+    match spec.scenario {
+        Scenario::SingleServer => {
             assert_eq!(
-                self.jobs.len(),
-                n,
-                "Scenario::HpSearch {{ jobs: {n} }} got {} jobs",
-                self.jobs.len()
+                got, 1,
+                "Scenario::SingleServer takes exactly one job, got {got}"
             );
-            for j in &self.jobs {
+        }
+        Scenario::HpSearch { jobs: n } => {
+            assert_eq!(got, n, "Scenario::HpSearch {{ jobs: {n} }} got {got} jobs");
+            for j in jobs {
                 assert_eq!(
-                    j.dataset, self.jobs[0].dataset,
+                    j.dataset, jobs[0].dataset,
                     "HP-search jobs must share a dataset; use Scenario::MixedCluster \
                      for heterogeneous jobs"
                 );
             }
         }
-        let total_gpus: usize = self.jobs.iter().map(|j| j.num_gpus).sum();
-        assert!(
-            total_gpus <= self.server.num_gpus,
-            "jobs use {total_gpus} GPUs but the server has {}",
-            self.server.num_gpus
-        );
-
-        // Heterogeneous jobs may train different datasets: namespace each
-        // job's cache keys so item ids do not collide in the shared cache.
-        // Jobs sharing a dataset *and* on-storage format (HP search) share
-        // key space, preserving the cache-sharing behaviour the paper
-        // measures; different formats address different fetch units (items
-        // vs record chunks), so they must not alias either.
-        let mut key_bases = Vec::with_capacity(self.jobs.len());
-        let mut next_base = 0u64;
-        for job in &self.jobs {
-            let prior = self.jobs[..key_bases.len()]
-                .iter()
-                .position(|j| j.dataset == job.dataset && j.loader.format == job.loader.format);
-            match prior {
-                Some(i) => key_bases.push(key_bases[i]),
-                None => {
-                    key_bases.push(next_base);
-                    next_base += job.dataset.num_items;
-                }
-            }
-        }
-
-        let coordinated = self.jobs[0].loader.coordinated_prep && expected_jobs.is_some();
-        let mut node = build_node(&self.server, self.jobs[0].loader.cache_policy, self.cache);
-        let mut report = SimReport::empty(scenario, self.jobs.len());
-        for epoch in 0..self.epochs {
-            node.reset_epoch_stats();
-            let per_epoch = if coordinated {
-                shared_coordinated_epoch(&self.server, &self.jobs, &mut node, epoch)
-            } else {
-                shared_uncoordinated_epoch(&self.server, &self.jobs, &mut node, epoch, &key_bases)
-            };
-            Self::notify(&mut self.observer, scenario, epoch, &per_epoch);
-            report.push_epoch(per_epoch);
-        }
-        report
-    }
-
-    /// Elastic multi-tenant scenario: the shared-server driver over the
-    /// subset of tenants active each epoch, with per-tenant cache-key
-    /// windows and departure-time reclamation.
-    fn run_elastic(mut self, tenants: usize, seed: u64) -> SimReport {
-        assert!(tenants > 0, "need at least one tenant");
-        if self.jobs.len() == 1 && tenants > 1 {
-            let template = self.jobs[0].clone();
-            self.jobs = (0..tenants)
-                .map(|j| template.with_seed(template.seed + j as u64))
-                .collect();
-        }
-        assert_eq!(
-            self.jobs.len(),
-            tenants,
-            "Scenario::ElasticCluster {{ tenants: {tenants} }} got {} jobs",
-            self.jobs.len()
-        );
-        let total_gpus: usize = self.jobs.iter().map(|j| j.num_gpus).sum();
-        assert!(
-            total_gpus <= self.server.num_gpus,
-            "jobs use {total_gpus} GPUs but the server has {}",
-            self.server.num_gpus
-        );
-
-        // Unlike HP search, tenants are namespace-isolated even on the same
-        // dataset (the runtime server's per-tenant key windows): every job
-        // gets a distinct key base.
-        let mut key_bases = Vec::with_capacity(self.jobs.len());
-        let mut next_base = 0u64;
-        for job in &self.jobs {
-            key_bases.push(next_base);
-            next_base += job.dataset.num_items;
-        }
-
-        let schedule = churn_schedule(tenants, self.epochs, seed);
-        let scenario = self.scenario;
-        let mut node = build_node(&self.server, self.jobs[0].loader.cache_policy, self.cache);
-        let mut report = SimReport::empty(scenario, tenants);
-        for epoch in 0..self.epochs {
-            // Reclaim the key windows of tenants departing at this boundary
-            // before anyone trains, mirroring the runtime's
-            // `TenantHandle::depart`.
-            for (j, t) in schedule.iter().enumerate() {
-                if t.departure == epoch {
-                    node.evict_keyspace(
-                        key_bases[j],
-                        key_bases[j] + self.jobs[j].dataset.num_items,
-                    );
-                }
-            }
-            node.reset_epoch_stats();
-            let active: Vec<usize> = (0..tenants)
-                .filter(|&j| schedule[j].is_active(epoch))
-                .collect();
-            let active_jobs: Vec<JobSpec> = active.iter().map(|&j| self.jobs[j].clone()).collect();
-            let active_bases: Vec<u64> = active.iter().map(|&j| key_bases[j]).collect();
-            let results = shared_uncoordinated_epoch(
-                &self.server,
-                &active_jobs,
-                &mut node,
-                epoch,
-                &active_bases,
+        Scenario::MixedCluster => {}
+        Scenario::ElasticCluster { tenants, .. } => {
+            assert_eq!(
+                got, tenants,
+                "Scenario::ElasticCluster {{ tenants: {tenants} }} got {got} jobs"
             );
-            let mut per_epoch: Vec<EpochMetrics> =
-                (0..tenants).map(|_| idle_epoch(epoch)).collect();
-            for (&slot, m) in active.iter().zip(results) {
-                per_epoch[slot] = m;
-            }
-            Self::notify(&mut self.observer, scenario, epoch, &per_epoch);
-            report.push_epoch(per_epoch);
         }
-        report
-    }
-
-    fn run_distributed(mut self, num_servers: usize) -> SimReport {
-        assert!(num_servers >= 1, "need at least one server");
-        assert_eq!(
-            self.jobs.len(),
-            1,
-            "Scenario::Distributed takes exactly one data-parallel job, got {}",
-            self.jobs.len()
-        );
-        let job = self.jobs.remove(0);
-        assert!(
-            job.num_gpus <= self.server.num_gpus,
-            "job wants {} GPUs per server but servers have {}",
-            job.num_gpus,
-            self.server.num_gpus
-        );
-        let scenario = self.scenario;
-        let mut sim = DistributedSim::new(&self.server, &job, num_servers, self.cache);
-        let mut report = SimReport::empty(scenario, num_servers);
-        for epoch in 0..self.epochs {
-            let per_epoch = sim.epoch(&self.server, &job, epoch);
-            Self::notify(&mut self.observer, scenario, epoch, &per_epoch);
-            report.push_epoch(per_epoch);
+        Scenario::Distributed { servers } | Scenario::PartitionedChaos { servers, .. } => {
+            let chaos = matches!(spec.scenario, Scenario::PartitionedChaos { .. });
+            assert!(!chaos || servers >= 2, "chaos needs at least two servers");
+            assert!(servers >= 1, "need at least one server");
+            let name = if chaos {
+                "PartitionedChaos"
+            } else {
+                "Distributed"
+            };
+            assert_eq!(
+                got, 1,
+                "Scenario::{name} takes exactly one data-parallel job, got {got}"
+            );
+            assert!(
+                gpus <= have,
+                "job wants {gpus} GPUs per server but servers have {have}"
+            );
+            return servers;
         }
-        report
     }
-
-    /// Distributed scenario under a seeded membership-fault schedule; the
-    /// fault-free prefix is bit-identical to [`Scenario::Distributed`] by
-    /// construction (same engine, same shards, same directory).
-    fn run_partitioned_chaos(mut self, num_servers: usize, faults: usize, seed: u64) -> SimReport {
-        assert!(num_servers >= 2, "chaos needs at least two servers");
-        assert_eq!(
-            self.jobs.len(),
-            1,
-            "Scenario::PartitionedChaos takes exactly one data-parallel job, got {}",
-            self.jobs.len()
-        );
-        let job = self.jobs.remove(0);
-        assert!(
-            job.num_gpus <= self.server.num_gpus,
-            "job wants {} GPUs per server but servers have {}",
-            job.num_gpus,
-            self.server.num_gpus
-        );
-        let scenario = self.scenario;
-        let mut sim = DistributedSim::with_faults(
-            &self.server,
-            &job,
-            num_servers,
-            self.cache,
-            self.epochs,
-            faults,
-            seed,
-        );
-        let mut report = SimReport::empty(scenario, num_servers);
-        for epoch in 0..self.epochs {
-            let per_epoch = sim.epoch(&self.server, &job, epoch);
-            Self::notify(&mut self.observer, scenario, epoch, &per_epoch);
-            report.push_epoch(per_epoch);
+    match spec.scenario {
+        Scenario::SingleServer => {
+            assert!(
+                gpus <= have,
+                "job wants {gpus} GPUs but the server has {have}"
+            );
         }
-        report
+        _ => assert!(
+            gpus <= have,
+            "jobs use {gpus} GPUs but the server has {have}"
+        ),
     }
+    got
 }
 
 /// The unified result of any [`Experiment`]: per-unit epoch metrics plus
@@ -787,24 +626,6 @@ impl SimReport {
             ("steady_samples_per_sec", num(self.steady_samples_per_sec())),
             ("units", Value::Array(units.collect())),
         ])
-    }
-}
-
-/// A zeroed [`EpochMetrics`] for an epoch a tenant sat out of an elastic
-/// cluster (not yet arrived or already departed).
-fn idle_epoch(epoch: u64) -> EpochMetrics {
-    EpochMetrics {
-        epoch,
-        breakdown: Default::default(),
-        samples: 0,
-        bytes_from_cache: 0,
-        bytes_from_disk: 0,
-        bytes_from_remote: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        bytes_from_lower_tiers: 0,
-        lower_tier_hits: 0,
-        io_timeline: Vec::new(),
     }
 }
 

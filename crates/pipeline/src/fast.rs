@@ -13,7 +13,8 @@
 //! The contract is **bit-identity**: for a [`Scenario::SingleServer`] run
 //! whose loader uses [`PolicyKind::MinIo`](dcache::PolicyKind), the
 //! [`EpochMetrics`] produced here equal the exact engine's
-//! ([`crate::engine::single_epoch`]) in every field, warm-up epochs included.
+//! (`crate::engine::SharedNodeSim` with one job) in every field, warm-up
+//! epochs included.
 //! `tests/fast_engine_equivalence.rs` cross-checks the two engines over
 //! random configurations; [`Experiment`](crate::Experiment) selects this path
 //! automatically and falls back to the exact engine everywhere else.
@@ -21,7 +22,7 @@
 use crate::config::ServerConfig;
 use crate::engine::{
     access_pattern, compute_secs_for_batch, local_fetch_secs, prep_secs_for_batch, BatchFetch,
-    EngineScratch, IO_BINS,
+    EngineScratch, SweepOrder, IO_BINS,
 };
 use crate::experiment::CacheSpec;
 use crate::job::JobSpec;
@@ -116,8 +117,8 @@ pub(crate) fn init_run(job: &JobSpec, plan: &TierPlan, scratch: &mut EngineScrat
 }
 
 /// One epoch of the fast engine: identical batch structure and cost formulas
-/// to [`crate::engine::single_epoch`], with the cache chain replayed over the
-/// flat arrays in `scratch`.
+/// to the exact engine's one-job epoch, with the cache chain replayed over
+/// the flat arrays in `scratch`.
 pub(crate) fn single_epoch_fast(
     server: &ServerConfig,
     job: &JobSpec,
@@ -137,6 +138,11 @@ pub(crate) fn single_epoch_fast(
         scratch.perm_seed = job.seed;
     }
     let sampler = EpochSampler::new(num_items_u64, job.seed);
+    scratch.reserve(1, 1);
+    let SweepOrder {
+        consume: consume_buf,
+        fetch: fetch_buf,
+    } = &mut scratch.sweeps[0];
     let e = epoch as usize;
     let memoized = e < PERM_MEMO_EPOCHS;
     if memoized {
@@ -149,20 +155,20 @@ pub(crate) fn single_epoch_fast(
             scratch.perms[e] = perm;
         }
     } else {
-        sampler.permutation_into(epoch, &mut scratch.consume_order);
+        sampler.permutation_into(epoch, consume_buf);
     }
     let consume: &[ItemId] = if memoized {
         &scratch.perms[e]
     } else {
-        &scratch.consume_order
+        consume_buf
     };
     // The storage read order: a *sorted full permutation* is the identity,
     // so the sequential stream is 0..n with no sort; the shuffled stream is
     // the consume order itself (`fetch_stream_into` produces exactly these).
     let fetch: &[ItemId] = if job.loader.fetch_order == FetchOrder::Sequential {
-        scratch.fetch_order.clear();
-        scratch.fetch_order.extend(0..num_items_u64);
-        &scratch.fetch_order
+        fetch_buf.clear();
+        fetch_buf.extend(0..num_items_u64);
+        fetch_buf
     } else {
         consume
     };
@@ -183,9 +189,10 @@ pub(crate) fn single_epoch_fast(
         item_sizes,
         unit_tier,
         tier_used,
-        acc,
+        accs,
         ..
     } = scratch;
+    let acc = &mut accs[0];
     acc.reset(epoch, job.loader.prefetch_depth);
     let num_tiers = tier_used.len() as u32;
     let num_items = consume.len();

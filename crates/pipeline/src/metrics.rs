@@ -3,7 +3,7 @@
 use simkit::{SimTime, StallBreakdown};
 
 /// Everything measured for one epoch of one job.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochMetrics {
     /// Epoch index (0 = warm-up epoch with a cold cache).
     pub epoch: u64,

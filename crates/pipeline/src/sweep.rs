@@ -83,8 +83,16 @@ impl ExperimentSpec {
     /// [`Scenario::SingleServer`], [`CacheSpec::DramOnly`], 3 epochs.
     pub fn new(server: ServerConfig, job: JobSpec) -> Self {
         ExperimentSpec {
-            server,
             jobs: vec![job],
+            ..ExperimentSpec::on(server)
+        }
+    }
+
+    /// The defaults with no job yet ([`Experiment::on`]'s starting point).
+    pub(crate) fn on(server: ServerConfig) -> Self {
+        ExperimentSpec {
+            server,
+            jobs: Vec::new(),
             scenario: Scenario::SingleServer,
             cache: CacheSpec::DramOnly,
             epochs: 3,
@@ -105,11 +113,7 @@ impl ExperimentSpec {
     /// cache-chain engine where the vectorized MinIO fast path would apply.
     /// Bit-identical to [`ExperimentSpec::run`] in both dimensions.
     pub fn run_with(&self, scratch: &mut EngineScratch, exact_engine: bool) -> SimReport {
-        Experiment::on(&self.server)
-            .jobs(self.jobs.iter().cloned())
-            .scenario(self.scenario)
-            .cache(self.cache)
-            .epochs(self.epochs)
+        Experiment::with_spec(self.clone())
             .scratch(scratch)
             .exact_engine(exact_engine)
             .run()

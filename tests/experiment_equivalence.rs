@@ -96,6 +96,100 @@ fn distributed_chain_is_bit_identical_to_the_flat_cache() {
     }
 }
 
+/// Same units and same per-epoch storage and network totals: the parts of a
+/// report that do not name its scenario.
+fn assert_same_run(a: &SimReport, b: &SimReport) {
+    assert_eq!(a.units, b.units);
+    assert_eq!(a.disk_bytes_per_epoch, b.disk_bytes_per_epoch);
+    assert_eq!(a.remote_bytes_per_epoch, b.remote_bytes_per_epoch);
+}
+
+/// One job alone on a shared node is a single-server run whichever scenario
+/// names it: the same disk share, cores, drift offset and key window, so the
+/// same floats — for coordinated and uncoordinated loaders, sequential and
+/// shuffled readers, record and file formats, over both cache hierarchies.
+#[test]
+fn one_job_on_a_shared_node_is_a_single_server_run() {
+    let dataset = DatasetSpec::imagenet_1k().scaled(1000);
+    let server = ServerConfig::config_ssd_v100().with_cache_fraction(dataset.total_bytes(), 0.35);
+    let model = ModelKind::ResNet18;
+    let prep = LoaderConfig::best_prep_for(model);
+    let caches = [
+        CacheSpec::DramOnly,
+        CacheSpec::Tiered {
+            dram_bytes: server.dram_cache_bytes,
+            ssd_bytes: server.dram_cache_bytes,
+        },
+    ];
+    for loader in [
+        LoaderConfig::coordl(prep),
+        LoaderConfig::dali_shuffle(prep),
+        LoaderConfig::dali_seq(prep),
+        LoaderConfig::tfrecord(),
+        LoaderConfig::pytorch_dl(),
+    ] {
+        let job = JobSpec::new(model, dataset.clone(), 8, loader).with_batch(64);
+        for cache in caches {
+            let run = |scenario: Scenario| {
+                Experiment::on(&server)
+                    .job(job.clone())
+                    .scenario(scenario)
+                    .cache(cache)
+                    .epochs(EPOCHS)
+                    .exact_engine(true)
+                    .run()
+            };
+            let single = run(Scenario::SingleServer);
+            for scenario in [
+                Scenario::HpSearch { jobs: 1 },
+                Scenario::MixedCluster,
+                Scenario::ElasticCluster {
+                    tenants: 1,
+                    seed: 7,
+                },
+            ] {
+                assert_same_run(&single, &run(scenario));
+            }
+        }
+    }
+}
+
+/// A chaos cluster with no faults scheduled is a healthy distributed run.
+#[test]
+fn fault_free_chaos_is_a_healthy_distributed_run() {
+    let dataset = DatasetSpec::openimages_extended().scaled(512);
+    let server = ServerConfig::config_hdd_1080ti().with_cache_fraction(dataset.total_bytes(), 0.35);
+    let model = ModelKind::AlexNet;
+    for loader in [
+        LoaderConfig::dali_best(model),
+        LoaderConfig::coordl_best(model),
+    ] {
+        let job = JobSpec::new(model, dataset.clone(), 8, loader);
+        for cache in [
+            CacheSpec::DramOnly,
+            CacheSpec::Tiered {
+                dram_bytes: server.dram_cache_bytes,
+                ssd_bytes: server.dram_cache_bytes,
+            },
+        ] {
+            let run = |scenario: Scenario| {
+                Experiment::on(&server)
+                    .job(job.clone())
+                    .scenario(scenario)
+                    .cache(cache)
+                    .epochs(EPOCHS)
+                    .run()
+            };
+            let chaos = Scenario::PartitionedChaos {
+                servers: 2,
+                faults: 0,
+                seed: 11,
+            };
+            assert_same_run(&run(Scenario::Distributed { servers: 2 }), &run(chaos));
+        }
+    }
+}
+
 /// A real two-tier hierarchy in the distributed scenario: per-node DRAM+SSD
 /// chains compose with partitioned caching, and the SSD tier absorbs reads
 /// the flat configuration sent to the HDD.
