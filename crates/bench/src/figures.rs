@@ -42,7 +42,7 @@ use crate::tiersweep::{tier_sweep, tier_sweep_claim};
 use crate::validation::{validate, validate_claim};
 use coordl::{Mode, Session, SessionConfig};
 use dataset::{DataSource, DatasetSpec, EpochSampler, LabeledVectorStore, SyntheticItemStore};
-use dcache::{build_cache, Cache, LruCache, MinIoCache, PolicyKind};
+use dcache::{PolicyCache, PolicyKind};
 use dnn::{train_through_coordinated_group, train_through_loader, TrainConfig};
 use dsanalyzer::{Bottleneck, ProfiledRates, WhatIfAnalysis};
 use gpu::{aggregate_samples_per_sec, GpuGeneration, ModelKind};
@@ -639,34 +639,30 @@ fn fig06() -> FigureTable {
 /// then the same comparison over ImageNet-1k/32 at a 50 % cache.
 fn fig08() -> FigureTable {
     let mut t = FigureTable::new("trace policy misses miss_frac");
-    let mut row = |trace: &str, policy: PolicyKind, cache: &dyn Cache<u64>| {
+    let mut row = |trace: &str, cache: &PolicyCache| {
         let stats = cache.stats();
         t.row(
-            &[trace, format!("{policy:?}").as_str()],
+            &[trace, format!("{:?}", cache.kind()).as_str()],
             &[stats.misses as f64, stats.miss_ratio()],
         );
     };
-    let mut lru = LruCache::new(2);
-    let mut minio = MinIoCache::new(2);
+    let mut example = [PolicyKind::Lru, PolicyKind::MinIo].map(|kind| PolicyCache::new(kind, 2));
     for item in [3u64, 1] {
-        lru.access(item, 1);
-        minio.access(item, 1);
+        for cache in &mut example {
+            cache.access(item, 1);
+        }
     }
     for epoch in [[2u64, 1, 0, 3], [0, 3, 2, 1]] {
         let order: Vec<&str> = epoch
             .iter()
             .map(|&i| ["A", "B", "C", "D"][i as usize])
             .collect();
-        let caches = [
-            (PolicyKind::Lru, &mut lru as &mut dyn Cache<u64>),
-            (PolicyKind::MinIo, &mut minio),
-        ];
-        for (policy, cache) in caches {
+        for cache in &mut example {
             cache.reset_stats();
             for item in epoch {
                 cache.access(item, 1);
             }
-            row(&order.join(" "), policy, cache);
+            row(&order.join(" "), cache);
         }
     }
     let spec = DatasetSpec::imagenet_1k().scaled(32);
@@ -678,14 +674,14 @@ fn fig08() -> FigureTable {
         PolicyKind::Clock,
         PolicyKind::MinIo,
     ] {
-        let mut cache = build_cache(policy, spec.cache_bytes_for_fraction(0.5));
+        let mut cache = PolicyCache::new(policy, spec.cache_bytes_for_fraction(0.5));
         for epoch in 0..3u64 {
             cache.reset_stats();
             for item in sampler.permutation(epoch) {
                 cache.access(item, spec.item_size(item));
             }
         }
-        row(&trace, policy, cache.as_ref());
+        row(&trace, &cache);
     }
     t
 }

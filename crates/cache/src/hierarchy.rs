@@ -7,8 +7,8 @@
 //! [`TierChain`] expresses that as one ordered list of capacity-bounded
 //! policy caches, each tagged with an access cost, with
 //! **demotion-on-eviction**: victims of tier *k* are offered to tier *k+1*
-//! (via the policies' [`Cache::set_eviction_tracking`] /
-//! [`Cache::take_evicted`] victim logs) before falling off the chain.
+//! (via the [`PolicyCache::set_eviction_tracking`] /
+//! [`PolicyCache::take_evicted`] victim logs) before falling off the chain.
 //!
 //! Placement is *exclusive on admission*: one fetch admits its item into at
 //! most one tier — the topmost tier that accepts it — so a never-evicting
@@ -26,7 +26,7 @@
 //! *everything* through the chain without changing any existing number.
 
 use crate::stats::{AccessOutcome, CacheStats};
-use crate::{build_cache, Cache, PolicyKind};
+use crate::{PolicyCache, PolicyKind};
 use std::collections::HashMap;
 
 /// The modelled cost of serving bytes from one tier: a fixed per-access
@@ -108,7 +108,7 @@ pub struct DemotionStats {
 
 struct Level {
     spec: TierSpec,
-    cache: Box<dyn Cache<u64> + Send>,
+    cache: PolicyCache,
     /// Fetch-path accounting for this tier: a hit is recorded when the fetch
     /// was served here, a miss when the fetch consulted this tier and fell
     /// through.  Demotion traffic is *not* counted here (it is not a fetch);
@@ -139,7 +139,7 @@ impl TierChain {
         let levels = tiers
             .into_iter()
             .map(|spec| {
-                let mut cache = build_cache(spec.policy, spec.capacity_bytes);
+                let mut cache = PolicyCache::new(spec.policy, spec.capacity_bytes);
                 // The chain needs every tier's victims: to demote them to the
                 // next tier, and (from the last tier) to tell byte-holding
                 // wrappers which payloads to drop.
@@ -229,11 +229,9 @@ impl TierChain {
 
     /// Fetch-path accesses that missed every tier (reads from the store).
     pub fn store_misses(&self) -> u64 {
-        // Every fetch that reaches the store records a miss at the *last*
-        // consulted tier; tiers above double-count the same fetch, so the
-        // store total is the last tier's misses... except a fetch served at
-        // tier k records misses at 0..k too.  Count store misses directly:
-        // accesses that were not a hit anywhere = tier-0 accesses - hits.
+        // Every fetch is recorded at tier 0 (a hit or a miss) and is a hit
+        // at no more than one tier, so the fetches no tier served are the
+        // tier-0 accesses less the hits across all tiers.
         self.levels[0].stats.accesses() - self.hits()
     }
 
@@ -325,7 +323,7 @@ impl TierChain {
     /// Administratively remove `key` from every tier holding it, returning
     /// the total bytes freed across levels (a promoted key occupies two).
     ///
-    /// Like [`Cache::remove`], this is a lifecycle operation — a departing
+    /// Like [`PolicyCache::remove`], this is a lifecycle operation — a departing
     /// tenant's keys being reclaimed — not an eviction: no statistics are
     /// recorded, nothing demotes, and byte-holding wrappers must drop the
     /// payload themselves.
@@ -436,7 +434,6 @@ pub fn single_tier(name: &'static str, policy: PolicyKind, capacity_bytes: u64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::LruCache;
 
     fn spec(name: &'static str, policy: PolicyKind, cap: u64) -> TierSpec {
         TierSpec {
@@ -455,7 +452,7 @@ mod tests {
         // Same accesses, same outcomes, same stats, same victims: the chain
         // adds nothing when it has one tier.
         let mut chain = single_tier("dram", PolicyKind::Lru, 3);
-        let mut raw = LruCache::new(3);
+        let mut raw = PolicyCache::new(PolicyKind::Lru, 3);
         raw.set_eviction_tracking(true);
         let trace: Vec<u64> = vec![1, 2, 3, 1, 4, 5, 2, 1, 6, 6, 3];
         for &k in &trace {

@@ -97,6 +97,14 @@ impl PartitionedIndex {
         items
     }
 
+    /// Every `(item, server)` registration, in ascending item order.
+    pub fn entries(&self) -> Vec<(u64, ServerId)> {
+        let mut entries: Vec<(u64, ServerId)> =
+            self.resident.iter().map(|(&item, &s)| (item, s)).collect();
+        entries.sort_unstable();
+        entries
+    }
+
     /// Look up `item` from the point of view of `local` server.
     pub fn locate(&self, item: u64, local: ServerId) -> Location {
         match self.resident.get(&item) {
@@ -141,6 +149,17 @@ mod tests {
         // Single-item unregister round-trips.
         assert_eq!(idx.unregister(0), Some(ServerId(0)));
         assert_eq!(idx.unregister(0), None);
+    }
+
+    #[test]
+    fn entries_list_every_registration_in_item_order() {
+        let mut idx = PartitionedIndex::new(2);
+        for item in [9u64, 3, 7] {
+            idx.register(item, ServerId(item as usize % 2));
+        }
+        idx.register(7, ServerId(0)); // re-registration moves the item
+        let expected = vec![(3, ServerId(1)), (7, ServerId(0)), (9, ServerId(1))];
+        assert_eq!(idx.entries(), expected);
     }
 
     #[test]

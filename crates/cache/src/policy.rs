@@ -1,18 +1,22 @@
-//! Cache replacement policies.
+//! Cache replacement policies: one byte-capacity [`PolicyCache`] whose
+//! policies differ only in the order they pick victims in.
 //!
-//! * [`LruCache`] — least-recently-used, the stand-in for the Linux page
-//!   cache used by PyTorch/TensorFlow/DALI (§3.3.1 of the paper).
-//! * [`FifoCache`] — first-in-first-out, a simpler page-cache variant.
-//! * [`ClockCache`] — the CLOCK approximation of LRU (one reference bit).
-//! * [`MinIoCache`] — CoorDL's DNN-aware policy (§4.1): admit until full,
-//!   never evict.  Every epoch after the first gets exactly as many hits as
-//!   there are resident items, which is the minimum possible per-epoch disk
-//!   I/O for a uniform-random access pattern.
+//! * [`PolicyKind::Lru`] — least-recently-used, the stand-in for the Linux
+//!   page cache used by PyTorch/TensorFlow/DALI (§3.3.1 of the paper).
+//! * [`PolicyKind::Fifo`] — first-in-first-out, a simpler page-cache variant.
+//! * [`PolicyKind::Clock`] — the CLOCK approximation of LRU (one reference
+//!   bit).
+//! * [`PolicyKind::MinIo`] — CoorDL's DNN-aware policy (§4.1): admit until
+//!   full, never evict.  Because every item in a DNN epoch has the same
+//!   access probability, which items are resident does not matter — what
+//!   matters is that resident items are never replaced before they are
+//!   used, so every epoch after the warm-up epoch gets exactly `len()` hits
+//!   and `dataset - len()` capacity misses, the minimum possible per-epoch
+//!   disk I/O for a uniform-random access pattern.  No recency or frequency
+//!   bookkeeping is required.
 
 use crate::stats::{AccessOutcome, CacheStats};
-use crate::Cache;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::hash::Hash;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Which cache replacement policy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,513 +43,303 @@ impl PolicyKind {
     }
 }
 
-// ---------------------------------------------------------------------------
-// LRU
-// ---------------------------------------------------------------------------
-
-/// A byte-capacity LRU cache.
+/// A byte-capacity cache of items keyed by `u64` ids, under one
+/// [`PolicyKind`].
 ///
-/// Recency is tracked with a monotonically increasing tick; eviction removes
-/// the entry with the smallest tick. This is `O(log n)` per access and keeps
-/// the implementation dependency-free.
+/// [`PolicyCache::access`] is a combined lookup-and-admit: on a miss, the
+/// policy decides whether to insert the item (possibly evicting others).
+/// This mirrors how both the OS page cache and the MinIO cache behave during
+/// training: every item read from storage is offered to the cache.  An item
+/// larger than the capacity is never admitted; MinIO also refuses any item
+/// that does not fit in the free bytes, and never evicts.
+///
+/// The byte accounting, the key map, the statistics and the victim log are
+/// the same for every policy; only the victim order differs.
 #[derive(Debug, Clone)]
-pub struct LruCache<K: Hash + Eq + Clone> {
+pub struct PolicyCache {
+    kind: PolicyKind,
     capacity: u64,
     used: u64,
-    entries: HashMap<K, LruEntry>,
-    order: BTreeMap<u64, K>,
-    tick: u64,
+    entries: HashMap<u64, Entry>,
+    order: Order,
     stats: CacheStats,
-    evicted_keys: Vec<K>,
+    evicted_keys: Vec<u64>,
     track_evictions: bool,
 }
 
-#[derive(Debug, Clone)]
-struct LruEntry {
+/// One resident item.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     size: u64,
-    tick: u64,
+    /// Its place in the [`Order`]: the recency tick under LRU, the ring
+    /// position under CLOCK, unused otherwise.
+    slot: u64,
 }
 
-impl<K: Hash + Eq + Clone> LruCache<K> {
-    /// Create an LRU cache with the given byte capacity.
-    pub fn new(capacity_bytes: u64) -> Self {
-        LruCache {
+/// The only per-policy state: what orders the victims.
+#[derive(Debug, Clone)]
+enum Order {
+    /// Keys by recency tick, oldest first: `O(log n)` per access.
+    Lru {
+        by_tick: BTreeMap<u64, u64>,
+        tick: u64,
+    },
+    /// Keys in insertion order; hits do not promote.
+    Fifo(VecDeque<u64>),
+    /// `(key, referenced)` slots swept by `hand`: a hit sets the bit, and
+    /// eviction clears bits until it finds an unreferenced victim, which it
+    /// swap-removes.  The textbook approximation real page caches use.
+    Clock { ring: Vec<(u64, bool)>, hand: usize },
+    /// Nothing: MinIO never evicts.
+    MinIo,
+}
+
+impl Order {
+    fn new(kind: PolicyKind) -> Self {
+        match kind {
+            PolicyKind::Lru => Order::Lru {
+                by_tick: BTreeMap::new(),
+                tick: 0,
+            },
+            PolicyKind::Fifo => Order::Fifo(VecDeque::new()),
+            PolicyKind::Clock => Order::Clock {
+                ring: Vec::new(),
+                hand: 0,
+            },
+            PolicyKind::MinIo => Order::MinIo,
+        }
+    }
+
+    /// Record a hit on resident `key`.
+    fn touch(&mut self, key: u64, entry: &mut Entry) {
+        match self {
+            Order::Lru { by_tick, tick } => {
+                *tick += 1;
+                by_tick.remove(&entry.slot);
+                entry.slot = *tick;
+                by_tick.insert(*tick, key);
+            }
+            Order::Clock { ring, .. } => ring[entry.slot as usize].1 = true,
+            Order::Fifo(_) | Order::MinIo => {}
+        }
+    }
+
+    /// Append newly admitted `key`, returning its slot.
+    fn push(&mut self, key: u64) -> u64 {
+        match self {
+            Order::Lru { by_tick, tick } => {
+                *tick += 1;
+                by_tick.insert(*tick, key);
+                *tick
+            }
+            Order::Fifo(queue) => {
+                queue.push_back(key);
+                0
+            }
+            Order::Clock { ring, .. } => {
+                ring.push((key, false));
+                ring.len() as u64 - 1
+            }
+            Order::MinIo => 0,
+        }
+    }
+
+    /// Take the next victim out of the order; its entry is the caller's to
+    /// remove.
+    fn pop_victim(&mut self, entries: &mut HashMap<u64, Entry>) -> Option<u64> {
+        match self {
+            Order::Lru { by_tick, .. } => by_tick.pop_first().map(|(_, key)| key),
+            Order::Fifo(queue) => queue.pop_front(),
+            Order::Clock { ring, hand } => {
+                if ring.is_empty() {
+                    return None;
+                }
+                loop {
+                    if *hand >= ring.len() {
+                        *hand = 0;
+                    }
+                    if !ring[*hand].1 {
+                        return Some(swap_remove(ring, *hand, entries));
+                    }
+                    ring[*hand].1 = false;
+                    *hand += 1;
+                }
+            }
+            Order::MinIo => None,
+        }
+    }
+
+    /// Take removed `key`, which sat at `entry`, out of the order.
+    fn unlink(&mut self, key: u64, entry: Entry, entries: &mut HashMap<u64, Entry>) {
+        match self {
+            Order::Lru { by_tick, .. } => {
+                by_tick.remove(&entry.slot);
+            }
+            // Removals are rare lifecycle events, so the O(n) queue purge
+            // beats leaving a stale key that would mis-order a later
+            // re-insertion.
+            Order::Fifo(queue) => queue.retain(|&queued| queued != key),
+            Order::Clock { ring, .. } => {
+                swap_remove(ring, entry.slot as usize, entries);
+            }
+            Order::MinIo => {}
+        }
+    }
+}
+
+/// Swap-remove ring slot `pos`, re-pointing the entry of the slot that moved
+/// into it; returns the removed key.
+fn swap_remove(ring: &mut Vec<(u64, bool)>, pos: usize, entries: &mut HashMap<u64, Entry>) -> u64 {
+    let (key, _) = ring.swap_remove(pos);
+    if let Some(&(moved, _)) = ring.get(pos) {
+        entries
+            .get_mut(&moved)
+            .expect("ring keys are resident")
+            .slot = pos as u64;
+    }
+    key
+}
+
+impl PolicyCache {
+    /// An empty cache of `capacity_bytes` under `kind`, victim logging off.
+    pub fn new(kind: PolicyKind, capacity_bytes: u64) -> Self {
+        PolicyCache {
+            kind,
             capacity: capacity_bytes,
             used: 0,
             entries: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
+            order: Order::new(kind),
             stats: CacheStats::default(),
             evicted_keys: Vec::new(),
             track_evictions: false,
         }
     }
 
-    fn touch(&mut self, key: &K) {
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(key) {
-            self.order.remove(&e.tick);
-            e.tick = self.tick;
-            self.order.insert(self.tick, key.clone());
-        }
-    }
-
-    fn evict_until_fits(&mut self, incoming: u64) -> u64 {
-        let mut evicted = 0;
-        while self.used + incoming > self.capacity {
-            let Some((&oldest_tick, _)) = self.order.iter().next() else {
-                break;
-            };
-            let key = self.order.remove(&oldest_tick).expect("tick present");
-            if let Some(e) = self.entries.remove(&key) {
-                self.used -= e.size;
-                evicted += 1;
-                if self.track_evictions {
-                    self.evicted_keys.push(key);
-                }
-            }
-        }
-        evicted
-    }
-}
-
-impl<K: Hash + Eq + Clone> Cache<K> for LruCache<K> {
-    fn access(&mut self, key: K, size: u64) -> AccessOutcome {
-        if self.entries.contains_key(&key) {
-            self.touch(&key);
+    /// Look up `key` (an item of `size` bytes). Records statistics and admits
+    /// the item on a miss according to the policy.
+    pub fn access(&mut self, key: u64, size: u64) -> AccessOutcome {
+        if let Some(entry) = self.entries.get_mut(&key) {
+            self.order.touch(key, entry);
             self.stats.record_hit(size);
             return AccessOutcome::Hit;
         }
-        if size > self.capacity {
+        let admit = match self.kind {
+            PolicyKind::MinIo => self.used + size <= self.capacity,
+            _ => size <= self.capacity,
+        };
+        if !admit {
             self.stats.record_miss(size, false);
             return AccessOutcome::Bypassed;
         }
-        let evicted = self.evict_until_fits(size);
+        let mut evicted = 0;
+        while self.used + size > self.capacity {
+            let Some(victim) = self.order.pop_victim(&mut self.entries) else {
+                break;
+            };
+            self.used -= self
+                .entries
+                .remove(&victim)
+                .expect("victims are resident")
+                .size;
+            evicted += 1;
+            if self.track_evictions {
+                self.evicted_keys.push(victim);
+            }
+        }
         self.stats.record_evictions(evicted);
-        self.tick += 1;
-        self.entries.insert(
-            key.clone(),
-            LruEntry {
-                size,
-                tick: self.tick,
-            },
-        );
-        self.order.insert(self.tick, key);
+        let slot = self.order.push(key);
+        self.entries.insert(key, Entry { size, slot });
         self.used += size;
         self.stats.record_miss(size, true);
         AccessOutcome::Inserted
     }
 
-    fn contains(&self, key: &K) -> bool {
+    /// Whether `key` is currently resident.
+    pub fn contains(&self, key: &u64) -> bool {
         self.entries.contains_key(key)
     }
 
-    fn used_bytes(&self) -> u64 {
+    /// Bytes currently resident.
+    pub fn used_bytes(&self) -> u64 {
         self.used
     }
 
-    fn capacity_bytes(&self) -> u64 {
+    /// Capacity in bytes.
+    pub fn capacity_bytes(&self) -> u64 {
         self.capacity
     }
 
-    fn len(&self) -> usize {
+    /// Whether the resident bytes have reached the capacity
+    /// (`used_bytes() >= capacity_bytes()`).  A MinIO cache can stop
+    /// admitting earlier: it refuses any item larger than the free bytes.
+    pub fn is_full(&self) -> bool {
+        self.used >= self.capacity
+    }
+
+    /// Number of resident items.
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn stats(&self) -> &CacheStats {
+    /// True when no items are resident.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Cumulative statistics since the last [`PolicyCache::reset_stats`].
+    pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
-    fn reset_stats(&mut self) {
+    /// Reset statistics (e.g. at an epoch boundary) without touching contents.
+    pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
     }
 
-    fn name(&self) -> &'static str {
-        PolicyKind::Lru.name()
+    /// The replacement policy.
+    pub fn kind(&self) -> PolicyKind {
+        self.kind
     }
 
-    fn remove(&mut self, key: &K) -> Option<u64> {
+    /// Human-readable policy name.
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
+    }
+
+    /// Administratively remove `key`, returning its resident size.
+    ///
+    /// Removal is not an eviction: it records no statistics and does not
+    /// appear in the [`PolicyCache::take_evicted`] victim log.  It exists for
+    /// external lifecycle events — a multi-tenant server reclaiming a
+    /// departed tenant's bytes — rather than for the policy's own decisions.
+    pub fn remove(&mut self, key: &u64) -> Option<u64> {
         let entry = self.entries.remove(key)?;
-        self.order.remove(&entry.tick);
+        self.order.unlink(*key, entry, &mut self.entries);
         self.used -= entry.size;
         Some(entry.size)
     }
 
-    fn set_eviction_tracking(&mut self, enabled: bool) {
+    /// Enable or disable victim logging for [`PolicyCache::take_evicted`].
+    ///
+    /// Off by default so plain simulations pay no memory for evictions they
+    /// never inspect; [`TierChain`](crate::TierChain) turns it on for every
+    /// level.  Disabling drops any pending log.
+    pub fn set_eviction_tracking(&mut self, enabled: bool) {
         self.track_evictions = enabled;
         if !enabled {
             self.evicted_keys.clear();
         }
     }
 
-    fn take_evicted(&mut self) -> Vec<K> {
+    /// Keys evicted since the last call, in eviction order.
+    ///
+    /// [`TierChain`](crate::TierChain) uses this to demote victims to the
+    /// next tier and to tell byte-holding wrappers (the CoorDL runtime's
+    /// `TieredByteCache`) which payloads to drop.  Returns nothing unless
+    /// [`PolicyCache::set_eviction_tracking`] was enabled first, and never
+    /// anything under MinIO.
+    pub fn take_evicted(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.evicted_keys)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FIFO
-// ---------------------------------------------------------------------------
-
-/// A byte-capacity FIFO cache: evicts in insertion order, hits do not promote.
-#[derive(Debug, Clone)]
-pub struct FifoCache<K: Hash + Eq + Clone> {
-    capacity: u64,
-    used: u64,
-    sizes: HashMap<K, u64>,
-    queue: VecDeque<K>,
-    stats: CacheStats,
-    evicted_keys: Vec<K>,
-    track_evictions: bool,
-}
-
-impl<K: Hash + Eq + Clone> FifoCache<K> {
-    /// Create a FIFO cache with the given byte capacity.
-    pub fn new(capacity_bytes: u64) -> Self {
-        FifoCache {
-            capacity: capacity_bytes,
-            used: 0,
-            sizes: HashMap::new(),
-            queue: VecDeque::new(),
-            stats: CacheStats::default(),
-            evicted_keys: Vec::new(),
-            track_evictions: false,
-        }
-    }
-}
-
-impl<K: Hash + Eq + Clone> Cache<K> for FifoCache<K> {
-    fn access(&mut self, key: K, size: u64) -> AccessOutcome {
-        if self.sizes.contains_key(&key) {
-            self.stats.record_hit(size);
-            return AccessOutcome::Hit;
-        }
-        if size > self.capacity {
-            self.stats.record_miss(size, false);
-            return AccessOutcome::Bypassed;
-        }
-        let mut evicted = 0;
-        while self.used + size > self.capacity {
-            let Some(victim) = self.queue.pop_front() else {
-                break;
-            };
-            if let Some(s) = self.sizes.remove(&victim) {
-                self.used -= s;
-                evicted += 1;
-                if self.track_evictions {
-                    self.evicted_keys.push(victim);
-                }
-            }
-        }
-        self.stats.record_evictions(evicted);
-        self.sizes.insert(key.clone(), size);
-        self.queue.push_back(key);
-        self.used += size;
-        self.stats.record_miss(size, true);
-        AccessOutcome::Inserted
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.sizes.contains_key(key)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.sizes.len()
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    fn name(&self) -> &'static str {
-        PolicyKind::Fifo.name()
-    }
-
-    fn remove(&mut self, key: &K) -> Option<u64> {
-        let size = self.sizes.remove(key)?;
-        // Removals are rare lifecycle events, so the O(n) queue purge beats
-        // leaving a stale key that would mis-order a later re-insertion.
-        self.queue.retain(|queued| queued != key);
-        self.used -= size;
-        Some(size)
-    }
-
-    fn set_eviction_tracking(&mut self, enabled: bool) {
-        self.track_evictions = enabled;
-        if !enabled {
-            self.evicted_keys.clear();
-        }
-    }
-
-    fn take_evicted(&mut self) -> Vec<K> {
-        std::mem::take(&mut self.evicted_keys)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CLOCK
-// ---------------------------------------------------------------------------
-
-/// A byte-capacity CLOCK (second-chance) cache.
-///
-/// Entries sit on a circular list with one reference bit; a hit sets the bit,
-/// eviction sweeps the hand, clearing bits until it finds an unreferenced
-/// victim.  This is the textbook approximation used by real page caches.
-#[derive(Debug, Clone)]
-pub struct ClockCache<K: Hash + Eq + Clone> {
-    capacity: u64,
-    used: u64,
-    ring: Vec<ClockSlot<K>>,
-    index: HashMap<K, usize>,
-    hand: usize,
-    stats: CacheStats,
-    evicted_keys: Vec<K>,
-    track_evictions: bool,
-}
-
-#[derive(Debug, Clone)]
-struct ClockSlot<K> {
-    key: K,
-    size: u64,
-    referenced: bool,
-}
-
-impl<K: Hash + Eq + Clone> ClockCache<K> {
-    /// Create a CLOCK cache with the given byte capacity.
-    pub fn new(capacity_bytes: u64) -> Self {
-        ClockCache {
-            capacity: capacity_bytes,
-            used: 0,
-            ring: Vec::new(),
-            index: HashMap::new(),
-            hand: 0,
-            stats: CacheStats::default(),
-            evicted_keys: Vec::new(),
-            track_evictions: false,
-        }
-    }
-
-    fn evict_one(&mut self) -> bool {
-        if self.ring.is_empty() {
-            return false;
-        }
-        loop {
-            if self.hand >= self.ring.len() {
-                self.hand = 0;
-            }
-            if self.ring[self.hand].referenced {
-                self.ring[self.hand].referenced = false;
-                self.hand += 1;
-            } else {
-                let slot = self.ring.swap_remove(self.hand);
-                self.index.remove(&slot.key);
-                // The element swapped into `hand` needs its index fixed.
-                if self.hand < self.ring.len() {
-                    let moved_key = self.ring[self.hand].key.clone();
-                    self.index.insert(moved_key, self.hand);
-                }
-                self.used -= slot.size;
-                if self.track_evictions {
-                    self.evicted_keys.push(slot.key);
-                }
-                return true;
-            }
-        }
-    }
-}
-
-impl<K: Hash + Eq + Clone> Cache<K> for ClockCache<K> {
-    fn access(&mut self, key: K, size: u64) -> AccessOutcome {
-        if let Some(&pos) = self.index.get(&key) {
-            self.ring[pos].referenced = true;
-            self.stats.record_hit(size);
-            return AccessOutcome::Hit;
-        }
-        if size > self.capacity {
-            self.stats.record_miss(size, false);
-            return AccessOutcome::Bypassed;
-        }
-        let mut evicted = 0;
-        while self.used + size > self.capacity {
-            if self.evict_one() {
-                evicted += 1;
-            } else {
-                break;
-            }
-        }
-        self.stats.record_evictions(evicted);
-        self.ring.push(ClockSlot {
-            key: key.clone(),
-            size,
-            referenced: false,
-        });
-        self.index.insert(key, self.ring.len() - 1);
-        self.used += size;
-        self.stats.record_miss(size, true);
-        AccessOutcome::Inserted
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    fn name(&self) -> &'static str {
-        PolicyKind::Clock.name()
-    }
-
-    fn remove(&mut self, key: &K) -> Option<u64> {
-        let pos = self.index.remove(key)?;
-        let slot = self.ring.swap_remove(pos);
-        // The element swapped into `pos` needs its index fixed.
-        if pos < self.ring.len() {
-            let moved_key = self.ring[pos].key.clone();
-            self.index.insert(moved_key, pos);
-        }
-        self.used -= slot.size;
-        Some(slot.size)
-    }
-
-    fn set_eviction_tracking(&mut self, enabled: bool) {
-        self.track_evictions = enabled;
-        if !enabled {
-            self.evicted_keys.clear();
-        }
-    }
-
-    fn take_evicted(&mut self) -> Vec<K> {
-        std::mem::take(&mut self.evicted_keys)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// MinIO
-// ---------------------------------------------------------------------------
-
-/// CoorDL's MinIO cache (§4.1 of the paper).
-///
-/// Items are admitted in arrival order until the byte capacity is reached;
-/// afterwards, misses are *not* admitted and resident items are *never*
-/// evicted.  Because every item in a DNN epoch has the same access
-/// probability, which items are resident does not matter — what matters is
-/// that resident items are never replaced before they are used, so every
-/// epoch after the warm-up epoch experiences exactly `len()` hits and
-/// `dataset - len()` capacity misses.  No recency or frequency bookkeeping is
-/// required.
-#[derive(Debug, Clone)]
-pub struct MinIoCache<K: Hash + Eq + Clone> {
-    capacity: u64,
-    used: u64,
-    resident: HashSet<K>,
-    sizes: HashMap<K, u64>,
-    stats: CacheStats,
-}
-
-impl<K: Hash + Eq + Clone> MinIoCache<K> {
-    /// Create a MinIO cache with the given byte capacity.
-    pub fn new(capacity_bytes: u64) -> Self {
-        MinIoCache {
-            capacity: capacity_bytes,
-            used: 0,
-            resident: HashSet::new(),
-            sizes: HashMap::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// True once the cache has stopped admitting new items.
-    pub fn is_full(&self) -> bool {
-        // Heuristic: the cache is considered full once less than an average
-        // item of slack remains; callers that need an exact answer should
-        // compare `used_bytes` with `capacity_bytes` themselves.
-        self.used >= self.capacity
-    }
-}
-
-impl<K: Hash + Eq + Clone> Cache<K> for MinIoCache<K> {
-    fn access(&mut self, key: K, size: u64) -> AccessOutcome {
-        if self.resident.contains(&key) {
-            self.stats.record_hit(size);
-            return AccessOutcome::Hit;
-        }
-        if self.used + size <= self.capacity {
-            self.resident.insert(key.clone());
-            self.sizes.insert(key, size);
-            self.used += size;
-            self.stats.record_miss(size, true);
-            AccessOutcome::Inserted
-        } else {
-            self.stats.record_miss(size, false);
-            AccessOutcome::Bypassed
-        }
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.resident.contains(key)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-
-    fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    fn name(&self) -> &'static str {
-        PolicyKind::MinIo.name()
-    }
-
-    fn remove(&mut self, key: &K) -> Option<u64> {
-        if !self.resident.remove(key) {
-            return None;
-        }
-        let size = self.sizes.remove(key).unwrap_or(0);
-        self.used -= size;
-        Some(size)
     }
 }
 
@@ -553,7 +347,7 @@ impl<K: Hash + Eq + Clone> Cache<K> for MinIoCache<K> {
 mod tests {
     use super::*;
 
-    fn drive<C: Cache<u64>>(cache: &mut C, accesses: &[u64], size: u64) -> (u64, u64) {
+    fn drive(cache: &mut PolicyCache, accesses: &[u64], size: u64) -> (u64, u64) {
         for &k in accesses {
             cache.access(k, size);
         }
@@ -564,7 +358,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = LruCache::new(2);
+        let mut c = PolicyCache::new(PolicyKind::Lru, 2);
         c.access(1u64, 1);
         c.access(2, 1);
         c.access(1, 1); // touch 1, making 2 the LRU victim
@@ -579,7 +373,7 @@ mod tests {
     fn lru_sequential_scan_larger_than_cache_never_hits() {
         // The pathological case called out in §3.3.3: a sequential scan over a
         // dataset larger than the cache gets zero hits under LRU.
-        let mut c = LruCache::new(50);
+        let mut c = PolicyCache::new(PolicyKind::Lru, 50);
         for _epoch in 0..3 {
             for k in 0..100u64 {
                 c.access(k, 1);
@@ -591,7 +385,7 @@ mod tests {
 
     #[test]
     fn lru_respects_byte_sizes() {
-        let mut c = LruCache::new(100);
+        let mut c = PolicyCache::new(PolicyKind::Lru, 100);
         c.access(1u64, 60);
         c.access(2, 60); // must evict 1
         assert!(!c.contains(&1));
@@ -601,7 +395,7 @@ mod tests {
 
     #[test]
     fn lru_item_larger_than_capacity_is_bypassed() {
-        let mut c = LruCache::new(10);
+        let mut c = PolicyCache::new(PolicyKind::Lru, 10);
         assert_eq!(c.access(1u64, 20), AccessOutcome::Bypassed);
         assert!(c.is_empty());
     }
@@ -610,7 +404,7 @@ mod tests {
 
     #[test]
     fn fifo_evicts_in_insertion_order_even_if_recently_hit() {
-        let mut c = FifoCache::new(2);
+        let mut c = PolicyCache::new(PolicyKind::Fifo, 2);
         c.access(1u64, 1);
         c.access(2, 1);
         c.access(1, 1); // hit, but does not promote
@@ -624,7 +418,7 @@ mod tests {
 
     #[test]
     fn clock_gives_second_chance_to_referenced_entries() {
-        let mut c = ClockCache::new(2);
+        let mut c = PolicyCache::new(PolicyKind::Clock, 2);
         c.access(1u64, 1);
         c.access(2, 1);
         c.access(1, 1); // sets reference bit on 1
@@ -636,7 +430,7 @@ mod tests {
 
     #[test]
     fn clock_used_bytes_tracks_evictions() {
-        let mut c = ClockCache::new(10);
+        let mut c = PolicyCache::new(PolicyKind::Clock, 10);
         for k in 0..20u64 {
             c.access(k, 3);
         }
@@ -648,7 +442,7 @@ mod tests {
 
     #[test]
     fn minio_never_evicts() {
-        let mut c = MinIoCache::new(3);
+        let mut c = PolicyCache::new(PolicyKind::MinIo, 3);
         drive(&mut c, &[1, 2, 3, 4, 5, 6], 1);
         assert_eq!(c.len(), 3);
         assert!(c.contains(&1) && c.contains(&2) && c.contains(&3));
@@ -662,7 +456,7 @@ mod tests {
         // `len()` hits regardless of the access order.
         let n_items = 100u64;
         let cache_items = 35u64;
-        let mut c = MinIoCache::new(cache_items);
+        let mut c = PolicyCache::new(PolicyKind::MinIo, cache_items);
         // Warm-up epoch in one order.
         for k in 0..n_items {
             c.access(k, 1);
@@ -686,8 +480,8 @@ mod tests {
         let epoch2 = [1u64, 2, 0, 3];
         let epoch3 = [2u64, 1, 3, 0];
 
-        let mut minio = MinIoCache::new(2);
-        let mut lru = LruCache::new(2);
+        let mut minio = PolicyCache::new(PolicyKind::MinIo, 2);
+        let mut lru = PolicyCache::new(PolicyKind::Lru, 2);
         for &k in &epoch1 {
             minio.access(k, 1);
             lru.access(k, 1);
@@ -706,7 +500,7 @@ mod tests {
 
     #[test]
     fn minio_byte_capacity_respected_with_variable_sizes() {
-        let mut c = MinIoCache::new(100);
+        let mut c = PolicyCache::new(PolicyKind::MinIo, 100);
         c.access(1u64, 60);
         c.access(2, 50); // does not fit -> bypassed
         assert_eq!(c.len(), 1);
@@ -718,7 +512,7 @@ mod tests {
 
     #[test]
     fn stats_reset_does_not_change_contents() {
-        let mut c = MinIoCache::new(10);
+        let mut c = PolicyCache::new(PolicyKind::MinIo, 10);
         c.access(1u64, 5);
         c.access(2, 5);
         c.reset_stats();
@@ -731,10 +525,10 @@ mod tests {
 
     #[test]
     fn evicting_policies_report_their_victims_and_minio_reports_none() {
-        let mut lru = LruCache::new(2);
-        let mut fifo = FifoCache::new(2);
-        let mut clock = ClockCache::new(2);
-        let mut minio = MinIoCache::new(2);
+        let mut lru = PolicyCache::new(PolicyKind::Lru, 2);
+        let mut fifo = PolicyCache::new(PolicyKind::Fifo, 2);
+        let mut clock = PolicyCache::new(PolicyKind::Clock, 2);
+        let mut minio = PolicyCache::new(PolicyKind::MinIo, 2);
         lru.set_eviction_tracking(true);
         fifo.set_eviction_tracking(true);
         clock.set_eviction_tracking(true);
@@ -760,7 +554,7 @@ mod tests {
         // The simulator's StorageNode drives these policies for millions of
         // evictions without ever draining the log; untracked caches must not
         // accumulate victim keys.
-        let mut lru = LruCache::new(2);
+        let mut lru = PolicyCache::new(PolicyKind::Lru, 2);
         for k in 0..1000u64 {
             lru.access(k, 1);
         }
@@ -777,11 +571,11 @@ mod tests {
 
     #[test]
     fn remove_frees_bytes_without_recording_statistics() {
-        let caches: Vec<Box<dyn Cache<u64> + Send>> = vec![
-            Box::new(LruCache::new(100)),
-            Box::new(FifoCache::new(100)),
-            Box::new(ClockCache::new(100)),
-            Box::new(MinIoCache::new(100)),
+        let caches: Vec<PolicyCache> = vec![
+            PolicyCache::new(PolicyKind::Lru, 100),
+            PolicyCache::new(PolicyKind::Fifo, 100),
+            PolicyCache::new(PolicyKind::Clock, 100),
+            PolicyCache::new(PolicyKind::MinIo, 100),
         ];
         for mut c in caches {
             c.set_eviction_tracking(true);
@@ -805,7 +599,7 @@ mod tests {
 
     #[test]
     fn fifo_remove_purges_the_queue_so_reinsertion_keeps_its_order() {
-        let mut c = FifoCache::new(3);
+        let mut c = PolicyCache::new(PolicyKind::Fifo, 3);
         for k in 0..3u64 {
             c.access(k, 1);
         }
@@ -817,7 +611,7 @@ mod tests {
 
     #[test]
     fn clock_remove_keeps_the_ring_index_coherent() {
-        let mut c = ClockCache::new(10);
+        let mut c = PolicyCache::new(PolicyKind::Clock, 10);
         for k in 0..10u64 {
             c.access(k, 1);
         }
@@ -843,8 +637,8 @@ mod tests {
         // miss minimum while LRU thrashes and misses more.
         let n = 1000u64;
         let cap = 350u64;
-        let mut minio = MinIoCache::new(cap);
-        let mut lru = LruCache::new(cap);
+        let mut minio = PolicyCache::new(PolicyKind::MinIo, cap);
+        let mut lru = PolicyCache::new(PolicyKind::Lru, cap);
 
         let permute = |epoch: u64| -> Vec<u64> {
             // A simple multiplicative permutation with an epoch-dependent

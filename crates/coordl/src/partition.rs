@@ -39,9 +39,8 @@ use crate::fault::{FaultClock, FaultPlan, FaultStep};
 use crate::stats::LoaderStats;
 use crate::{CacheTier, FetchBackend};
 use dataset::ItemId;
-use dcache::FaultKind;
+use dcache::{FaultKind, Location, PartitionedIndex, ServerId};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -115,7 +114,7 @@ const MAX_FETCH_ATTEMPTS: u32 = 3;
 pub struct PartitionedCacheCluster {
     backend: Arc<dyn FetchBackend>,
     servers: RwLock<Vec<ServerState>>,
-    directory: RwLock<HashMap<ItemId, usize>>,
+    directory: RwLock<PartitionedIndex>,
     loader_stats: Arc<LoaderStats>,
     clock: FaultClock,
     faults: Mutex<FaultProgress>,
@@ -134,6 +133,7 @@ impl PartitionedCacheCluster {
         loader_stats: Arc<LoaderStats>,
     ) -> Self {
         assert!(!tiers.is_empty(), "need at least one server");
+        let directory = PartitionedIndex::new(tiers.len());
         let servers = tiers
             .into_iter()
             .map(|tier| ServerState {
@@ -145,7 +145,7 @@ impl PartitionedCacheCluster {
         PartitionedCacheCluster {
             backend,
             servers: RwLock::new(servers),
-            directory: RwLock::new(HashMap::new()),
+            directory: RwLock::new(directory),
             loader_stats,
             clock: FaultClock::new(),
             faults: Mutex::new(FaultProgress::default()),
@@ -180,20 +180,18 @@ impl PartitionedCacheCluster {
 
     /// Number of distinct items currently registered in the directory.
     pub fn directory_len(&self) -> usize {
-        self.directory.read().len()
+        self.directory.read().resident_items()
     }
 
     /// Sorted `(item, owner)` snapshot of the directory, for invariant
     /// checks (every owner must be alive and actually hold the item).
     pub fn directory_snapshot(&self) -> Vec<(ItemId, usize)> {
-        let mut entries: Vec<(ItemId, usize)> = self
-            .directory
+        self.directory
             .read()
-            .iter()
-            .map(|(&item, &server)| (item, server))
-            .collect();
-        entries.sort_unstable();
-        entries
+            .entries()
+            .into_iter()
+            .map(|(item, ServerId(server))| (item, server))
+            .collect()
     }
 
     /// Install (or replace) the cluster's fault plan.  Events fire as the
@@ -319,13 +317,7 @@ impl PartitionedCacheCluster {
     ) {
         let num_servers = alive_tiers.len();
         let mut directory = self.directory.write();
-        let mut orphans: Vec<ItemId> = directory
-            .iter()
-            .filter(|&(_, &owner)| owner == server)
-            .map(|(&item, _)| item)
-            .collect();
-        orphans.sort_unstable();
-        for item in orphans {
+        for item in directory.unregister_server(ServerId(server)) {
             let mut new_owner = None;
             for candidate in dcache::rendezvous_order(item, num_servers) {
                 let Some(tier) = &alive_tiers[candidate] else {
@@ -349,13 +341,8 @@ impl PartitionedCacheCluster {
                     }
                 }
             }
-            match new_owner {
-                Some(owner) => {
-                    directory.insert(item, owner);
-                }
-                None => {
-                    directory.remove(&item);
-                }
+            if let Some(owner) = new_owner {
+                directory.register(item, ServerId(owner));
             }
         }
     }
@@ -453,8 +440,15 @@ impl PartitionedCacheCluster {
             // Under chaos a rejoined node holds items the rebalance dropped
             // from the directory; re-advertise them as they are touched so
             // peers regain remote hits (the post-rebalance recovery path).
-            if self.chaos.load(Ordering::Relaxed) && !self.directory.read().contains_key(&item) {
-                self.directory.write().entry(item).or_insert(server);
+            let me = ServerId(server);
+            if self.chaos.load(Ordering::Relaxed)
+                && self.directory.read().locate(item, me) == Location::Storage
+            {
+                let mut directory = self.directory.write();
+                // First registrant wins: a racing fetch may have claimed it.
+                if directory.locate(item, me) == Location::Storage {
+                    directory.register(item, me);
+                }
             }
             return Ok((bytes, FetchOrigin::LocalCache));
         }
@@ -492,7 +486,7 @@ impl PartitionedCacheCluster {
             stats.storage_bytes += size;
         }
         if admitted {
-            self.directory.write().insert(item, server);
+            self.directory.write().register(item, ServerId(server));
         }
         self.loader_stats.record_storage_read(size);
         Ok((bytes, FetchOrigin::Storage))
@@ -506,12 +500,10 @@ impl PartitionedCacheCluster {
     /// [`CoordlError::PeerFailed`] — the error the retry machinery consumes
     /// — never a propagated panic.
     pub fn remote_fetch(&self, server: usize, item: ItemId) -> Result<RemoteHit, CoordlError> {
-        let Some(peer) = self.directory.read().get(&item).copied() else {
+        let Location::Remote(ServerId(peer)) = self.directory.read().locate(item, ServerId(server))
+        else {
             return Ok(None);
         };
-        if peer == server {
-            return Ok(None);
-        }
         let tier = {
             let servers = self.servers.read();
             match servers.get(peer) {

@@ -401,7 +401,7 @@ pub(crate) enum Admission {
 /// A single-level, single-shard `TieredByteCache` makes exactly the raw
 /// `dcache` policy's decisions under the sequential per-shard fetch order
 /// every [`Session`](crate::Session) executor guarantees (pinned against
-/// `dcache::build_cache` for all four policies) — which is why it is the one
+/// `dcache::PolicyCache` for all four policies) — which is why it is the one
 /// byte cache sessions, partitioned nodes and the multi-tenant server share.
 ///
 /// **Sharding.**  A cache built with `num_shards > 1` splits every level
@@ -451,9 +451,10 @@ impl TieredByteCache {
     /// replay the on-disk manifest: every recorded key is re-offered to the
     /// chain at that level (admission floor pins it below faster tiers) with
     /// its payload read back from disk — an entry that no longer fits (the
-    /// level shrank across the restart) is retired from disk instead — then
-    /// all statistics are reset: a restarted cache starts warm but with
-    /// clean counters.
+    /// level shrank across the restart), whether refused or evicted by a
+    /// later entry's replay, is retired from disk instead — then all
+    /// statistics are reset: a restarted cache starts warm but with clean
+    /// counters.
     pub fn try_new(specs: Vec<ByteTierSpec>) -> Result<Self, CoordlError> {
         Self::try_new_sharded(specs, 1)
     }
@@ -555,6 +556,16 @@ impl TieredByteCache {
                             bytes.insert(key, Arc::new(payload));
                         } else {
                             misfits.push(key);
+                        }
+                        // A shrunk evicting level evicts earlier replayed
+                        // keys to make room.  They are misfits too: one
+                        // demoted below has no file there, so it leaves the
+                        // chain as well.
+                        let victims = access.demoted.iter().map(|&(key, _)| key);
+                        for victim in access.dropped.into_iter().chain(victims) {
+                            chain.remove(victim);
+                            bytes.remove(&victim);
+                            misfits.push(victim);
                         }
                     }
                     // The level shrank across the restart: what no longer
@@ -907,7 +918,7 @@ mod tests {
             PolicyKind::Clock,
         ] {
             let tiered = TieredByteCache::single(kind, 6);
-            let mut raw = dcache::build_cache(kind, 6);
+            let mut raw = dcache::PolicyCache::new(kind, 6);
             let trace: Vec<u64> = vec![1, 2, 3, 4, 1, 2, 5, 6, 7, 1, 3, 5, 7, 2];
             for &item in &trace {
                 let hit = fetch_through(&tiered, item, 2) == 0;

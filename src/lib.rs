@@ -115,7 +115,7 @@ pub use storage;
 /// Everything needed to run the common experiments, in one import.
 pub mod prelude {
     pub use crate::analyzer::{Bottleneck, DifferentialReport, ProfiledRates, WhatIfAnalysis};
-    pub use crate::cache::{Cache, MinIoCache, PolicyKind};
+    pub use crate::cache::{PolicyCache, PolicyKind};
     pub use crate::coordl::{
         BatchStream, CacheTier, DirectBackend, FetchBackend, LoaderReport, Mode,
         PartitionedCacheCluster, ProfiledBackend, Session, SessionConfig,

@@ -4,12 +4,15 @@
 //! the on-disk spill manifest and (b) serve byte-identical content — the
 //! aggregate stream digest of the restarted run matches an uninterrupted
 //! run on a fresh hierarchy.  A restart over a *shrunk* SSD level retires
-//! the entries that no longer fit instead of keeping dead files forever.
+//! the entries that no longer fit instead of keeping dead files forever —
+//! including, under an evicting policy, the entries the replay itself
+//! evicts.
 
 use benchkit::runtime::StreamDigest;
 use datastalls::cache::PolicyKind;
 use datastalls::coordl::{
-    ByteTierSpec, Server, ServerConfig, SessionConfig, TenantHandle, TenantSpec,
+    ByteTierSpec, CacheTier, Server, ServerConfig, SessionConfig, TenantHandle, TenantSpec,
+    TieredByteCache,
 };
 use datastalls::dataset::{DataSource, DatasetSpec, SyntheticItemStore};
 use std::sync::Arc;
@@ -200,4 +203,64 @@ fn shrunk_ssd_tier_retires_its_misfit_spill_entries_on_restart() {
     let again = server(total / 4);
     assert_eq!(again.resident_items(), on_disk.len());
     assert_eq!(spilled(), on_disk);
+}
+
+#[test]
+fn shrunk_evicting_ssd_tier_retires_its_replay_victims_on_restart() {
+    // DRAM LRU 2 B over a persistent SSD LRU level; ten 1-byte items leave
+    // 8 and 9 in DRAM and demote 0..=7 onto the SSD files.
+    let fs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+    let cache = |ssd_bytes: u64| {
+        TieredByteCache::new(vec![
+            ByteTierSpec::dram(PolicyKind::Lru, 2),
+            ByteTierSpec::sata_ssd(PolicyKind::Lru, ssd_bytes).persistent(Arc::clone(&fs), "ssd"),
+        ])
+    };
+    let original = |item: u64| vec![item as u8 ^ 0xA5];
+    let spilled = || -> Vec<u64> {
+        let spill = SpillStore::open(Arc::clone(&fs), "ssd").expect("spill dir opens");
+        spill.entries().map(|(key, _)| key).collect()
+    };
+    let full = cache(8);
+    for item in 0..10u64 {
+        full.admit(item, Arc::new(original(item)));
+    }
+    full.flush().expect("the spill store commits");
+    drop(full);
+    assert_eq!(spilled(), (0..8).collect::<Vec<_>>());
+
+    // Restart over a 3-byte SSD level: replaying eight entries in key order
+    // through LRU evicts the first five.  Those victims lose their payload
+    // and their files before the cache serves anything.
+    let small = cache(3);
+    let resident = small.resident_items();
+    let mut hits = Vec::new();
+    for item in 0..10u64 {
+        let held = small.contains(item);
+        match small.lookup(item) {
+            Some(bytes) => {
+                assert_eq!(*bytes, original(item), "item {item} served its own bytes");
+                hits.push(item);
+            }
+            None => assert!(!held, "item {item}: resident without a payload"),
+        }
+    }
+    assert_eq!(hits.len(), resident, "a payload for every resident key");
+    let on_disk = spilled();
+    assert_eq!(
+        on_disk, hits,
+        "the store lists exactly the served survivors"
+    );
+    drop(small);
+
+    // A second restart replays only the survivors.
+    let again = cache(3);
+    assert_eq!(again.resident_items(), resident);
+    assert_eq!(spilled(), on_disk);
+    for &item in &on_disk {
+        assert_eq!(
+            *again.lookup(item).expect("survivor replayed"),
+            original(item)
+        );
+    }
 }

@@ -4,7 +4,7 @@
 //! access pattern comes from the epoch sampler, flows through a storage node
 //! with a given cache policy, and is measured the way the evaluation does.
 
-use datastalls::cache::{build_cache, Cache, MinIoCache, PolicyKind};
+use datastalls::cache::{PolicyCache, PolicyKind};
 use datastalls::dataset::{DatasetSpec, EpochSampler};
 use datastalls::prelude::*;
 
@@ -17,7 +17,7 @@ fn final_epoch_misses(
     cache_fraction: f64,
     epochs: u64,
 ) -> u64 {
-    let mut cache = build_cache(policy, spec.cache_bytes_for_fraction(cache_fraction));
+    let mut cache = PolicyCache::new(policy, spec.cache_bytes_for_fraction(cache_fraction));
     let sampler = EpochSampler::new(spec.num_items, 7);
     let mut last = 0;
     for epoch in 0..epochs {
@@ -82,7 +82,7 @@ fn every_page_cache_stand_in_is_worse_than_or_equal_to_minio() {
 fn figure8_example_minio_two_capacity_misses_per_epoch() {
     // Figure 8: dataset {A,B,C,D}, cache of 2, warmed with D and B.  MinIO
     // incurs exactly 2 (capacity) misses per epoch; the page cache 2–4.
-    let mut minio = MinIoCache::new(2);
+    let mut minio = PolicyCache::new(PolicyKind::MinIo, 2);
     // Warm-up epoch: D and B get cached, C and A are capacity misses.
     for item in [3u64, 1, 2, 0] {
         minio.access(item, 1);
@@ -136,7 +136,7 @@ fn single_server_simulation_matches_table6_ordering() {
 #[test]
 fn minio_needs_no_bookkeeping_and_never_evicts() {
     // §4.1: items, once cached, are never replaced; eviction count stays zero.
-    let mut cache = MinIoCache::new(1_000);
+    let mut cache = PolicyCache::new(PolicyKind::MinIo, 1_000);
     for item in 0..10_000u64 {
         cache.access(item, 100);
     }
@@ -169,9 +169,9 @@ fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
         PolicyKind::Fifo,
         PolicyKind::Clock,
     ] {
-        let mut policy = build_cache(kind, capacity);
+        let mut policy = PolicyCache::new(kind, capacity);
         let byte_cache = TieredByteCache::single(kind, capacity);
-        let epoch = |policy: &mut dyn Cache<u64>, epoch: u64| {
+        let epoch = |policy: &mut PolicyCache, epoch: u64| {
             for item in sampler.permutation(epoch) {
                 let size = spec.item_size(item);
                 policy.access(item, size);
@@ -181,7 +181,7 @@ fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
             }
         };
         for e in 0..3u64 {
-            epoch(policy.as_mut(), e);
+            epoch(&mut policy, e);
         }
 
         assert_eq!(policy.stats().hits, byte_cache.hits(), "{kind:?} hits");
@@ -204,7 +204,7 @@ fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
         let resident = policy.len() as u64;
         policy.reset_stats();
         let hits_before = byte_cache.hits();
-        epoch(policy.as_mut(), 9);
+        epoch(&mut policy, 9);
         assert_eq!(byte_cache.hits() - hits_before, policy.stats().hits);
         if kind == PolicyKind::MinIo {
             assert_eq!(policy.stats().hits, resident);

@@ -6,7 +6,7 @@
 //! configurations — because the figures and sweeps vary those axes freely.
 
 use datastalls::analyzer::{ProfiledRates, WhatIfAnalysis};
-use datastalls::cache::{build_cache, PolicyKind};
+use datastalls::cache::{PolicyCache, PolicyKind};
 use datastalls::dataset::{minibatches, DatasetSpec, EpochSampler};
 use datastalls::prelude::*;
 use proptest::prelude::*;
@@ -25,7 +25,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let spec = DatasetSpec::new("prop", items, item_bytes, 0.0, 4.0);
-        let mut cache = build_cache(PolicyKind::MinIo, spec.cache_bytes_for_fraction(cache_frac));
+        let mut cache = PolicyCache::new(PolicyKind::MinIo, spec.cache_bytes_for_fraction(cache_frac));
         let sampler = EpochSampler::new(items, seed);
         // Warm-up epoch.
         for item in sampler.permutation(0) {
@@ -54,7 +54,7 @@ proptest! {
         let spec = DatasetSpec::new("prop", items, 1_000, 0.0, 4.0);
         let capacity = spec.cache_bytes_for_fraction(cache_frac);
         let run = |kind: PolicyKind| {
-            let mut cache = build_cache(kind, capacity);
+            let mut cache = PolicyCache::new(kind, capacity);
             let sampler = EpochSampler::new(items, seed);
             for epoch in 0..3u64 {
                 cache.reset_stats();

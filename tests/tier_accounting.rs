@@ -7,10 +7,13 @@
 //! evicting policies, including CLOCK's second-chance rotation.  And the
 //! byte-holding caches must never let resident bytes exceed capacity, under
 //! key replacement (re-admitting an existing key with different bytes) or
-//! demotion churn.
+//! demotion churn.  Finally, all four policies are checked operation by
+//! operation against an obviously-correct vector-scan model on seeded
+//! random access/remove streams (`PROPTEST_CASES` sets how many).
 
-use datastalls::cache::{Cache, ClockCache, FifoCache, LruCache, PolicyKind};
+use datastalls::cache::{AccessOutcome, CacheStats, PolicyCache, PolicyKind};
 use datastalls::coordl::{ByteTierSpec, CacheTier, TieredByteCache};
+use proptest::prelude::*;
 use std::sync::Arc;
 
 fn payload(tag: u64, len: usize) -> Arc<Vec<u8>> {
@@ -23,7 +26,7 @@ fn payload(tag: u64, len: usize) -> Arc<Vec<u8>> {
 
 #[test]
 fn lru_victim_log_is_exact_recency_order() {
-    let mut c = LruCache::new(3);
+    let mut c = PolicyCache::new(PolicyKind::Lru, 3);
     c.set_eviction_tracking(true);
     for k in [1u64, 2, 3] {
         c.access(k, 1);
@@ -38,7 +41,7 @@ fn lru_victim_log_is_exact_recency_order() {
 
 #[test]
 fn fifo_victim_log_is_exact_insertion_order() {
-    let mut c = FifoCache::new(2);
+    let mut c = PolicyCache::new(PolicyKind::Fifo, 2);
     c.set_eviction_tracking(true);
     for k in [7u64, 8] {
         c.access(k, 1);
@@ -58,7 +61,7 @@ fn clock_victim_log_follows_second_chance_order_exactly() {
     //   hit 3                   ref(3)
     //   insert 5: hand clears 3, clears 2, lands on 4 (unref) -> evict 4
     //   insert 6: hand at slot of 5 (unref, no second chance yet) -> evict 5
-    let mut c = ClockCache::new(3);
+    let mut c = PolicyCache::new(PolicyKind::Clock, 3);
     c.set_eviction_tracking(true);
     for k in [1u64, 2, 3] {
         c.access(k, 1);
@@ -81,7 +84,7 @@ fn demotion_preserves_each_policy_victim_order() {
     // eventual FIFO eviction order replays the upper tier's victim log.
     for kind in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Clock] {
         // Reference run: the raw policy with tracking on.
-        let mut reference = datastalls::cache::build_cache(kind, 3);
+        let mut reference = PolicyCache::new(kind, 3);
         reference.set_eviction_tracking(true);
         let trace: Vec<u64> = vec![1, 2, 3, 2, 4, 3, 5, 6, 1, 7];
         for &k in &trace {
@@ -242,4 +245,138 @@ fn lookup_probe_does_not_change_residency() {
     }
     let after: Vec<bool> = (0..8).map(|k| tier.contains(k)).collect();
     assert_eq!(before, after);
+}
+
+// ---------------------------------------------------------------------------
+// Reference model of the policy layer
+// ---------------------------------------------------------------------------
+
+/// Proptest case count: `PROPTEST_CASES` if set (the CI extended leg boosts
+/// it), the default otherwise.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// An obviously-correct byte-capacity cache: one vector of resident
+/// `(key, size, referenced)` entries, scanned linearly.  LRU keeps it in
+/// recency order (least recent first), FIFO and MinIO in arrival order,
+/// CLOCK as a ring walked by `hand` whose evictions and removals
+/// swap-remove.  It logs every victim and counts its own statistics.
+struct PolicyModel {
+    kind: PolicyKind,
+    cap: u64,
+    items: Vec<(u64, u64, bool)>,
+    hand: usize,
+    victims: Vec<u64>,
+    stats: CacheStats,
+}
+
+impl PolicyModel {
+    fn used(&self) -> u64 {
+        self.items.iter().map(|&(_, size, _)| size).sum()
+    }
+
+    fn take(&mut self, pos: usize) -> (u64, u64, bool) {
+        match self.kind {
+            PolicyKind::Clock => self.items.swap_remove(pos),
+            _ => self.items.remove(pos),
+        }
+    }
+
+    /// Where the next victim sits.  LRU, FIFO: the front.  CLOCK: the first
+    /// unreferenced entry from the hand on, clearing the bits it passes.
+    fn victim(&mut self) -> usize {
+        while self.kind == PolicyKind::Clock {
+            if self.hand >= self.items.len() {
+                self.hand = 0;
+            }
+            if !std::mem::take(&mut self.items[self.hand].2) {
+                return self.hand;
+            }
+            self.hand += 1;
+        }
+        0
+    }
+
+    fn access(&mut self, key: u64, size: u64) -> AccessOutcome {
+        if let Some(pos) = self.items.iter().position(|&(k, _, _)| k == key) {
+            match self.kind {
+                PolicyKind::Lru => self.items[pos..].rotate_left(1), // to the back
+                PolicyKind::Clock => self.items[pos].2 = true,
+                PolicyKind::Fifo | PolicyKind::MinIo => {}
+            }
+            self.stats.hits += 1;
+            self.stats.bytes_hit += size;
+            return AccessOutcome::Hit;
+        }
+        self.stats.misses += 1;
+        self.stats.bytes_missed += size;
+        let minio = self.kind == PolicyKind::MinIo;
+        if size > self.cap || (minio && self.used() + size > self.cap) {
+            return AccessOutcome::Bypassed;
+        }
+        while self.used() + size > self.cap {
+            let pos = self.victim();
+            let (victim, _, _) = self.take(pos);
+            self.victims.push(victim);
+            self.stats.evictions += 1;
+        }
+        self.items.push((key, size, false));
+        self.stats.insertions += 1;
+        AccessOutcome::Inserted
+    }
+
+    fn remove(&mut self, key: u64) -> Option<u64> {
+        let pos = self.items.iter().position(|&(k, _, _)| k == key)?;
+        Some(self.take(pos).1)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
+
+    /// Every policy makes the model's decisions on a random stream of
+    /// accesses (sizes up to one byte over the capacity) and removals: the
+    /// same outcome, victims, resident bytes and items and statistics after
+    /// every operation.
+    #[test]
+    fn every_policy_matches_the_vector_scan_model_op_by_op(
+        ops_seed in 0u64..u64::MAX,
+        cap in 1u64..=12,
+        keys in 2u64..24,
+        num_ops in 1usize..300,
+    ) {
+        for kind in [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Clock, PolicyKind::MinIo] {
+            let mut cache = PolicyCache::new(kind, cap);
+            cache.set_eviction_tracking(true);
+            let mut model = PolicyModel {
+                kind,
+                cap,
+                items: Vec::new(),
+                hand: 0,
+                victims: Vec::new(),
+                stats: CacheStats::default(),
+            };
+            let mut rng = TestRng::new(ops_seed);
+            for step in 0..num_ops {
+                let (op, key) = (rng.next_u64(), rng.next_u64() % keys);
+                let what = if op % 8 == 0 {
+                    prop_assert_eq!(cache.remove(&key), model.remove(key), "{kind:?} step {step}: remove {key}");
+                    format!("remove {key}")
+                } else {
+                    let size = 1 + (op >> 8) % (cap + 1);
+                    prop_assert_eq!(cache.access(key, size), model.access(key, size), "{kind:?} step {step}: access {key}");
+                    format!("access {key} ({size} B)")
+                };
+                let victims = std::mem::take(&mut model.victims);
+                prop_assert_eq!(cache.take_evicted(), victims, "{kind:?} step {step}: {what}");
+                prop_assert_eq!(cache.used_bytes(), model.used(), "{kind:?} step {step}: {what}");
+                prop_assert_eq!(cache.len(), model.items.len(), "{kind:?} step {step}: {what}");
+                prop_assert_eq!(*cache.stats(), model.stats, "{kind:?} step {step}: {what}");
+            }
+        }
+    }
 }
