@@ -89,7 +89,7 @@ pub fn run(w: &Workload) -> FigureTable {
         .unwrap_or(w.epochs);
     let faults = plan.steps().iter().map(|s| {
         object([
-            ("at_epoch", int(s.at_step / w.items)),
+            ("at_epoch", int(s.at / w.items)),
             ("node", int(s.node as u64)),
             ("kind", text(s.kind.name())),
         ])

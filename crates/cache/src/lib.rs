@@ -18,7 +18,11 @@
 //! * [`TierChain`] — an ordered hierarchy of policy caches with spill-down
 //!   admission and demotion-on-eviction,
 //! * [`PartitionedIndex`] — the shard directory used by CoorDL's partitioned
-//!   cache for distributed training,
+//!   cache for distributed training, with the cluster's membership and its
+//!   one rule set (local first; a kill re-homes orphans to live holders; a
+//!   leave re-homes, then migrates the rest; a join re-advertises lazily on
+//!   local hits; dead nodes never register), shared by the simulator and
+//!   the runtime,
 //! * fault machinery for chaos testing that directory: deterministic
 //!   membership schedules ([`fault_schedule`]) and rendezvous hashing
 //!   ([`rendezvous_order`]) for rebalancing when a node dies.

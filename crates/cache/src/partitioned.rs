@@ -7,10 +7,31 @@
 //! says which server caches which item — and served from the remote server's
 //! DRAM over commodity TCP rather than from local storage.
 //!
-//! [`PartitionedIndex`] is that directory.  It is deliberately independent of
-//! the cache *contents*: the simulator and the functional loader both register
-//! residency here and query it on a local miss.
+//! [`PartitionedIndex`] is that directory, and it owns the cluster's cache
+//! *membership* as well: which servers are alive, the fault schedule and what
+//! a kill, a graceful leave and a rejoin do to the entries.  It is
+//! deliberately independent of the cache *contents* — a membership change
+//! asks the caller whether a node holds an item — so the simulator and the
+//! functional loader run the same rules over their own caches.
+//!
+//! # The membership rules
+//!
+//! * A fetch is served by the local cache if the node is alive, else by a
+//!   live remote owner ([`remote_owner`](PartitionedIndex::remote_owner)),
+//!   else by storage; only a live node admits and registers what storage
+//!   served ([`register`](PartitionedIndex::register) refuses a dead one).
+//! * **Kill**: the node's entries are re-homed, each to the first live node
+//!   in the item's rendezvous order that already holds it; the rest are
+//!   dropped, so their next fetch reads storage.
+//! * **Leave** = kill's re-home, then each remaining orphan migrates to the
+//!   first live rendezvous candidate that keeps the leaver's copy.
+//! * **Join**: the node is alive again with whatever its cache still holds;
+//!   its local hits re-advertise those items lazily
+//!   ([`advertise`](PartitionedIndex::advertise)) when nobody owns them.
+//! * No entry ever names a dead node.
 
+use crate::fault::{FaultEvent, FaultKind};
+use crate::ring::rendezvous_order;
 use std::collections::HashMap;
 
 /// Identifier of a server participating in a distributed training job.
@@ -28,7 +49,8 @@ pub enum Location {
     Storage,
 }
 
-/// Directory mapping items to the server whose MinIO cache holds them.
+/// Directory mapping items to the server whose MinIO cache holds them, plus
+/// the cluster's cache membership.
 ///
 /// The directory assigns nothing: which server sweeps (and so caches) an
 /// item is the engine's per-epoch sharding (`dataset::EpochSampler::
@@ -37,36 +59,61 @@ pub enum Location {
 /// be too small to hold its entire shard.
 #[derive(Debug, Clone)]
 pub struct PartitionedIndex {
-    num_servers: usize,
     resident: HashMap<u64, ServerId>,
+    alive: Vec<bool>,
+    /// Membership events sorted by `at`; those before `fired` have fired.
+    schedule: Vec<FaultEvent>,
+    fired: usize,
 }
 
 impl PartitionedIndex {
-    /// Create a directory for `num_servers` servers.
+    /// Create a directory for `num_servers` live servers and no schedule.
     ///
     /// # Panics
     /// Panics if `num_servers` is zero.
     pub fn new(num_servers: usize) -> Self {
         assert!(num_servers > 0, "need at least one server");
         PartitionedIndex {
-            num_servers,
             resident: HashMap::new(),
+            alive: vec![true; num_servers],
+            schedule: Vec::new(),
+            fired: 0,
         }
     }
 
     /// Number of servers in the job.
     pub fn num_servers(&self) -> usize {
-        self.num_servers
+        self.alive.len()
     }
 
-    /// Record that `item` is now resident in `server`'s cache.
+    /// Whether `server`'s cache is a live member (`false` out of range).
+    pub fn is_alive(&self, server: ServerId) -> bool {
+        self.alive.get(server.0).copied().unwrap_or(false)
+    }
+
+    /// Record that `item` is now resident in `server`'s cache.  A dead
+    /// server's cache registers nothing.
+    ///
+    /// # Panics
+    /// Panics if `server` is out of range.
     pub fn register(&mut self, item: u64, server: ServerId) {
         assert!(
-            server.0 < self.num_servers,
+            server.0 < self.num_servers(),
             "server {server:?} out of range (num_servers = {})",
-            self.num_servers
+            self.num_servers()
         );
-        self.resident.insert(item, server);
+        if self.alive[server.0] {
+            self.resident.insert(item, server);
+        }
+    }
+
+    /// The lazy re-advertise of a local hit: register `item` to `server`
+    /// when nobody owns it — a rejoined node's warm copy of an entry its
+    /// kill dropped.  An owned item keeps its owner.
+    pub fn advertise(&mut self, item: u64, server: ServerId) {
+        if !self.resident.contains_key(&item) {
+            self.register(item, server);
+        }
     }
 
     /// Number of items registered as resident anywhere.
@@ -74,16 +121,9 @@ impl PartitionedIndex {
         self.resident.len()
     }
 
-    /// Forget `item`'s residency (no-op when unregistered), returning the
-    /// server it was registered to.
-    pub fn unregister(&mut self, item: u64) -> Option<ServerId> {
-        self.resident.remove(&item)
-    }
-
-    /// Drop every entry registered to `server` — the directory's view of
-    /// that node dying — returning the orphaned items in ascending order so
-    /// callers can re-home them deterministically.
-    pub fn unregister_server(&mut self, server: ServerId) -> Vec<u64> {
+    /// Drop every entry registered to `server`, returning the orphaned items
+    /// in ascending order so they are re-homed deterministically.
+    fn unregister_server(&mut self, server: ServerId) -> Vec<u64> {
         let mut items: Vec<u64> = self
             .resident
             .iter()
@@ -111,6 +151,75 @@ impl PartitionedIndex {
             Some(&s) if s == local => Location::Local,
             Some(&s) => Location::Remote(s),
             None => Location::Storage,
+        }
+    }
+
+    /// The live server other than `local` that owns `item`, if any — where
+    /// a local miss is served from before storage.
+    pub fn remote_owner(&self, item: u64, local: ServerId) -> Option<ServerId> {
+        match self.locate(item, local) {
+            Location::Remote(owner) if self.is_alive(owner) => Some(owner),
+            _ => None,
+        }
+    }
+
+    /// Install (or replace) the membership schedule; events are stably
+    /// sorted by `at` and none has fired yet.
+    pub fn set_schedule(&mut self, mut events: Vec<FaultEvent>) {
+        events.sort_by_key(|e| e.at);
+        self.schedule = events;
+        self.fired = 0;
+    }
+
+    /// The next scheduled event with `at <= completed` that has not fired
+    /// yet, marking it fired.  `completed` counts the units done so far
+    /// (epochs in the simulator, fetches in the runtime), so an event at `k`
+    /// fires before unit `k` (0-based) is served.
+    pub fn next_due(&mut self, completed: u64) -> Option<FaultEvent> {
+        let event = *self.schedule.get(self.fired)?;
+        if event.at > completed {
+            return None;
+        }
+        self.fired += 1;
+        Some(event)
+    }
+
+    /// Apply one membership change to `node` (a no-op for a kill or leave of
+    /// a dead node and for a join of a live one).
+    ///
+    /// `holds(item, candidate, offered)` reports whether `candidate`'s cache
+    /// holds `item`; with `offered` set (a leave's migration) the caller
+    /// first offers the leaver's copy to `candidate`.  It is only asked about
+    /// live candidates, in the item's rendezvous order.
+    pub fn apply(
+        &mut self,
+        kind: FaultKind,
+        node: ServerId,
+        mut holds: impl FnMut(u64, ServerId, bool) -> bool,
+    ) {
+        if kind == FaultKind::Join {
+            if let Some(alive) = self.alive.get_mut(node.0) {
+                *alive = true;
+            }
+            return;
+        }
+        if !self.is_alive(node) {
+            return;
+        }
+        self.alive[node.0] = false;
+        for item in self.unregister_server(node) {
+            let live: Vec<ServerId> = rendezvous_order(item, self.num_servers())
+                .into_iter()
+                .map(ServerId)
+                .filter(|&n| self.alive[n.0])
+                .collect();
+            let mut owner = live.iter().copied().find(|&n| holds(item, n, false));
+            if owner.is_none() && kind == FaultKind::Leave {
+                owner = live.into_iter().find(|&n| holds(item, n, true));
+            }
+            if let Some(owner) = owner {
+                self.resident.insert(item, owner);
+            }
         }
     }
 }
@@ -146,9 +255,6 @@ mod tests {
         // Other servers' registrations are untouched.
         assert_eq!(idx.locate(0, ServerId(0)), Location::Local);
         assert_eq!(idx.unregister_server(ServerId(1)), Vec::<u64>::new());
-        // Single-item unregister round-trips.
-        assert_eq!(idx.unregister(0), Some(ServerId(0)));
-        assert_eq!(idx.unregister(0), None);
     }
 
     #[test]

@@ -1,73 +1,33 @@
 //! Fault injection for partitioned clusters: a deterministic [`FaultPlan`]
-//! driven by a shared [`FaultClock`].
+//! of membership events on the cluster's fetch-step axis.
 //!
-//! The clock counts cluster fetches; the plan is a sorted schedule of
-//! membership events (kill / graceful leave / rejoin) positioned on that
-//! step axis.  [`PartitionedCacheCluster`](crate::PartitionedCacheCluster)
-//! ticks the clock once per fetch and applies every event that has come due
-//! before serving, so a plan replays bit-identically whenever fetches are
-//! driven in the same order — which is exactly how the chaos bench compares
-//! a faulty run's healthy prefix against a fault-free twin.
+//! Each event is a [`FaultEvent`] (kill / graceful leave / rejoin) whose
+//! `at` counts cluster fetches: it fires once `at` fetches have completed,
+//! before the next one is served.  [`PartitionedCacheCluster`](crate::PartitionedCacheCluster)
+//! counts its fetches and hands the plan to its [`dcache::PartitionedIndex`],
+//! which fires and applies the events, so a plan replays bit-identically
+//! whenever fetches are driven in the same order — which is exactly how the
+//! chaos bench compares a faulty run's healthy prefix against a fault-free
+//! twin.
 //!
 //! Schedules come from the same seeded generator the simulator uses
 //! ([`dcache::fault_schedule`]); [`FaultPlan::seeded`] scales its
 //! epoch-boundary units to fetch steps, so predicted (simulator) and
 //! empirical (runtime) degraded behaviour line up event for event.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 pub use dcache::{FaultEvent, FaultKind};
-
-/// A monotonically increasing fetch-step counter shared by every node of a
-/// cluster.  Step 0 is "before the first fetch"; the n-th fetch observes
-/// step n.
-#[derive(Debug, Default)]
-pub struct FaultClock {
-    step: AtomicU64,
-}
-
-impl FaultClock {
-    /// A clock at step 0.
-    pub fn new() -> Self {
-        FaultClock::default()
-    }
-
-    /// Advance by one fetch and return the new step.
-    pub fn tick(&self) -> u64 {
-        self.step.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The current step without advancing.
-    pub fn now(&self) -> u64 {
-        self.step.load(Ordering::Relaxed)
-    }
-}
-
-/// One scheduled membership event on the fetch-step axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStep {
-    /// The event fires once `at_step` fetches have completed: the first
-    /// fetch to tick the [`FaultClock`] *past* `at_step` observes the new
-    /// membership before it is served.  With `at_step = epoch × dataset_len`
-    /// the event lands exactly on an epoch boundary.
-    pub at_step: u64,
-    /// The node the event applies to.
-    pub node: usize,
-    /// What happens to it.
-    pub kind: FaultKind,
-}
 
 /// A deterministic, sorted schedule of membership faults for one cluster.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    steps: Vec<FaultStep>,
+    steps: Vec<FaultEvent>,
 }
 
 impl FaultPlan {
-    /// Build a plan from explicit events; they are stably sorted by
-    /// `at_step`, so same-step events keep their given order.
-    pub fn new(mut steps: Vec<FaultStep>) -> Self {
-        steps.sort_by_key(|s| s.at_step);
+    /// Build a plan from explicit events, `at` counting fetch steps; they
+    /// are stably sorted by `at`, so same-step events keep their given order.
+    pub fn new(mut steps: Vec<FaultEvent>) -> Self {
+        steps.sort_by_key(|s| s.at);
         FaultPlan { steps }
     }
 
@@ -87,17 +47,16 @@ impl FaultPlan {
         FaultPlan::new(
             events
                 .into_iter()
-                .map(|e| FaultStep {
-                    at_step: e.at * steps_per_epoch,
-                    node: e.node,
-                    kind: e.kind,
+                .map(|e| FaultEvent {
+                    at: e.at * steps_per_epoch,
+                    ..e
                 })
                 .collect(),
         )
     }
 
-    /// The scheduled events, sorted by `at_step`.
-    pub fn steps(&self) -> &[FaultStep] {
+    /// The scheduled events, sorted by `at`.
+    pub fn steps(&self) -> &[FaultEvent] {
         &self.steps
     }
 
@@ -114,7 +73,7 @@ impl FaultPlan {
     /// The step of the earliest event — the end of the guaranteed-healthy
     /// prefix.
     pub fn first_fault_step(&self) -> Option<u64> {
-        self.steps.first().map(|s| s.at_step)
+        self.steps.first().map(|s| s.at)
     }
 
     /// The largest node index any event touches.
@@ -128,34 +87,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clock_ticks_monotonically() {
-        let clock = FaultClock::new();
-        assert_eq!(clock.now(), 0);
-        assert_eq!(clock.tick(), 1);
-        assert_eq!(clock.tick(), 2);
-        assert_eq!(clock.now(), 2);
-    }
-
-    #[test]
     fn plan_sorts_events_stably() {
         let plan = FaultPlan::new(vec![
-            FaultStep {
-                at_step: 20,
+            FaultEvent {
+                at: 20,
                 node: 1,
                 kind: FaultKind::Kill,
             },
-            FaultStep {
-                at_step: 10,
+            FaultEvent {
+                at: 10,
                 node: 2,
                 kind: FaultKind::Leave,
             },
-            FaultStep {
-                at_step: 10,
+            FaultEvent {
+                at: 10,
                 node: 3,
                 kind: FaultKind::Kill,
             },
         ]);
-        let at: Vec<(u64, usize)> = plan.steps().iter().map(|s| (s.at_step, s.node)).collect();
+        let at: Vec<(u64, usize)> = plan.steps().iter().map(|s| (s.at, s.node)).collect();
         assert_eq!(at, vec![(10, 2), (10, 3), (20, 1)]);
         assert_eq!(plan.first_fault_step(), Some(10));
         assert_eq!(plan.max_node(), Some(3));
@@ -169,10 +119,10 @@ mod tests {
         let raw = dcache::fault_schedule(4, 6, 5, 77);
         assert_eq!(plan.len(), raw.len());
         for (step, event) in plan.steps().iter().zip(raw.iter()) {
-            assert_eq!(step.at_step, event.at * 1000);
+            assert_eq!(step.at, event.at * 1000);
             assert_eq!(step.node, event.node);
             assert_eq!(step.kind, event.kind);
-            assert_eq!(step.at_step % 1000, 0, "events land on epoch boundaries");
+            assert_eq!(step.at % 1000, 0, "events land on epoch boundaries");
         }
         assert!(plan.first_fault_step().unwrap() >= 1000, "epoch 0 healthy");
     }

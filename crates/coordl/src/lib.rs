@@ -65,7 +65,7 @@ pub mod tier;
 
 pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
 pub use error::CoordlError;
-pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan, FaultStep};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fsbackend::FsBackend;
 pub use minibatch::Minibatch;
 pub use partition::{FetchOrigin, PartitionStats, PartitionedCacheCluster, RemoteHit};

@@ -22,26 +22,36 @@
 //! calls to [`kill_node`](PartitionedCacheCluster::kill_node) /
 //! [`leave_node`](PartitionedCacheCluster::leave_node) /
 //! [`join_node`](PartitionedCacheCluster::join_node)) changes cache
-//! *membership*, never consumers: a dead node's tier stops serving and
-//! admitting, but fetches issued on its behalf still succeed through peers
-//! and the backend, so a consumer stream never loses or duplicates a
-//! sample.  On a kill, the directory entries the dead node owned are
-//! re-homed by rendezvous order to surviving nodes that already hold the
-//! bytes (their tier chains span any persistent spill levels, so a survivor
-//! "warms" from its local SSD tier before the item falls back to the
-//! durable store); a graceful leave additionally migrates the leaver's
-//! bytes into surviving tiers first.  A peer tier that fails mid-lookup
-//! surfaces as a typed [`CoordlError::PeerFailed`]; the fetch path marks
-//! the peer dead and retries with backoff through the surviving cluster.
+//! *membership*, never consumers: fetches issued on a dead node's behalf
+//! still succeed through peers and the backend, so a consumer stream never
+//! loses or duplicates a sample.  Membership and its rules live in the
+//! directory, [`dcache::PartitionedIndex`], which the simulator's
+//! partitioned engine shares, so prediction and measurement agree exactly:
+//!
+//! * a fetch is served by the local tier if the node is alive, then by a
+//!   live remote owner, then by the backend — and only a live node admits
+//!   and registers what the backend served (a dead node never registers);
+//! * a kill re-homes each of the dead node's entries to the first live node
+//!   in the item's rendezvous order that already holds it (in any level of
+//!   its chain, so a survivor "warms" from its local SSD tier) and drops the
+//!   rest, whose next fetch reads the durable store;
+//! * a leave is a kill's re-home followed by migrating each remaining orphan
+//!   into the first live rendezvous candidate that keeps the leaver's copy;
+//! * a joined node serves its stale-but-valid tier again and re-advertises
+//!   each item lazily, on a local hit, if nobody owns it.
+//!
+//! A peer tier that fails mid-lookup surfaces as a typed
+//! [`CoordlError::PeerFailed`]; the fetch path kills the peer and retries
+//! with backoff through the surviving cluster.
 
 use crate::error::{panic_detail, CoordlError};
-use crate::fault::{FaultClock, FaultPlan, FaultStep};
+use crate::fault::FaultPlan;
 use crate::stats::LoaderStats;
 use crate::{CacheTier, FetchBackend};
 use dataset::ItemId;
-use dcache::{FaultKind, Location, PartitionedIndex, ServerId};
+use dcache::{FaultKind, PartitionedIndex, ServerId};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A successful peer lookup: the served bytes and the owning peer's index,
@@ -91,36 +101,32 @@ impl PartitionStats {
 struct ServerState {
     tier: Arc<dyn CacheTier>,
     /// Behind its own lock, so a fetch counts under the *read* side of the
-    /// membership lock and two nodes' fetches never serialise on a counter.
+    /// server lock and two nodes' fetches never serialise on a counter.
     stats: Mutex<PartitionStats>,
-    alive: bool,
-}
-
-/// Cursor over an installed [`FaultPlan`]: events before `next` have been
-/// applied.
-#[derive(Default)]
-struct FaultProgress {
-    steps: Vec<FaultStep>,
-    next: usize,
 }
 
 /// How often a fetch retries after a peer failure before surfacing the
-/// typed error.  Each retry first marks the failed peer dead, so the second
+/// typed error.  Each retry first kills the failed peer, so the second
 /// attempt already routes around it; the cap only matters if *every*
 /// attempt hits a distinct failing peer.
 const MAX_FETCH_ATTEMPTS: u32 = 3;
 
 /// A job-wide partitioned cache over a set of per-server cache tiers.
+///
+/// Lock rule: `servers` and `directory` are never held together — tier
+/// handles are taken out of `servers` before the directory is locked.
 pub struct PartitionedCacheCluster {
     backend: Arc<dyn FetchBackend>,
     servers: RwLock<Vec<ServerState>>,
+    /// The shard directory, membership and fault schedule.
     directory: RwLock<PartitionedIndex>,
     loader_stats: Arc<LoaderStats>,
-    clock: FaultClock,
-    faults: Mutex<FaultProgress>,
+    /// Cluster fetches started so far: the fault plan's step axis.
+    steps: AtomicU64,
     /// Set once fault machinery is in play (a plan installed or a membership
-    /// call made); the healthy fast path checks one relaxed atomic and
-    /// otherwise behaves bit-identically to a fault-free cluster.
+    /// call made); the healthy fast path checks one relaxed atomic, takes no
+    /// directory lock on a local hit and otherwise behaves bit-identically
+    /// to a fault-free cluster.
     chaos: AtomicBool,
 }
 
@@ -139,7 +145,6 @@ impl PartitionedCacheCluster {
             .map(|tier| ServerState {
                 tier,
                 stats: Mutex::default(),
-                alive: true,
             })
             .collect();
         PartitionedCacheCluster {
@@ -147,8 +152,7 @@ impl PartitionedCacheCluster {
             servers: RwLock::new(servers),
             directory: RwLock::new(directory),
             loader_stats,
-            clock: FaultClock::new(),
-            faults: Mutex::new(FaultProgress::default()),
+            steps: AtomicU64::new(0),
             chaos: AtomicBool::new(false),
         }
     }
@@ -194,29 +198,23 @@ impl PartitionedCacheCluster {
             .collect()
     }
 
-    /// Install (or replace) the cluster's fault plan.  Events fire as the
-    /// fetch path ticks the [`FaultClock`] past their `at_step`.
+    /// Install (or replace) the cluster's fault plan.  An event at `at`
+    /// fires once `at` cluster fetches have completed.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut faults = self.faults.lock();
-        faults.steps = plan.steps().to_vec();
-        faults.next = 0;
-        drop(faults);
+        self.directory.write().set_schedule(plan.steps().to_vec());
         self.chaos.store(true, Ordering::Relaxed);
     }
 
     /// Whether `server`'s cache membership is currently alive.
     pub fn is_alive(&self, server: usize) -> bool {
-        self.servers.read().get(server).is_some_and(|s| s.alive)
+        self.directory.read().is_alive(ServerId(server))
     }
 
     /// Indices of the currently alive servers, ascending.
     pub fn alive_servers(&self) -> Vec<usize> {
-        self.servers
-            .read()
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, _)| i)
+        let directory = self.directory.read();
+        (0..directory.num_servers())
+            .filter(|&s| directory.is_alive(ServerId(s)))
             .collect()
     }
 
@@ -230,31 +228,15 @@ impl PartitionedCacheCluster {
     /// fetching *as* the dead node keep succeeding through peers and the
     /// backend.
     pub fn kill_node(&self, server: usize) {
-        self.chaos.store(true, Ordering::Relaxed);
-        let Some(alive_tiers) = self.mark_dead(server) else {
-            return;
-        };
-        self.rehome_entries_of(server, &alive_tiers, None);
+        self.change_membership(FaultKind::Kill, server);
     }
 
-    /// Gracefully decommission `server` (no-op when already dead): like
-    /// [`kill_node`](Self::kill_node), but the leaver first migrates the
-    /// bytes of every directory entry it owns into the first surviving
-    /// rendezvous preference that will retain them, so ample-capacity
-    /// clusters lose no shard coverage.
+    /// Gracefully decommission `server` (no-op when already dead): a kill's
+    /// re-homing, after which each entry no survivor holds is migrated into
+    /// the first surviving rendezvous preference that will retain the
+    /// leaver's bytes, so ample-capacity clusters lose no shard coverage.
     pub fn leave_node(&self, server: usize) {
-        self.chaos.store(true, Ordering::Relaxed);
-        let leaver = {
-            let servers = self.servers.read();
-            match servers.get(server) {
-                Some(s) if s.alive => Arc::clone(&s.tier),
-                _ => return,
-            }
-        };
-        let Some(alive_tiers) = self.mark_dead(server) else {
-            return;
-        };
-        self.rehome_entries_of(server, &alive_tiers, Some(&leaver));
+        self.change_membership(FaultKind::Leave, server);
     }
 
     /// Mark a previously dead `server` alive again (no-op when alive or out
@@ -264,11 +246,7 @@ impl PartitionedCacheCluster {
     /// store).  Rejoined contents are re-advertised in the directory lazily,
     /// as local hits touch them.
     pub fn join_node(&self, server: usize) {
-        self.chaos.store(true, Ordering::Relaxed);
-        let mut servers = self.servers.write();
-        if let Some(state) = servers.get_mut(server) {
-            state.alive = true;
-        }
+        self.change_membership(FaultKind::Join, server);
     }
 
     /// Rejoin `server` with a replacement tier — the restarted-process case,
@@ -276,101 +254,48 @@ impl PartitionedCacheCluster {
     /// [`SpillStore`](vfs::SpillStore) tier rather than inherited in
     /// memory.
     pub fn rejoin_with_tier(&self, server: usize, tier: Arc<dyn CacheTier>) {
-        self.chaos.store(true, Ordering::Relaxed);
-        let mut servers = self.servers.write();
-        if let Some(state) = servers.get_mut(server) {
+        if let Some(state) = self.servers.write().get_mut(server) {
             state.tier = tier;
-            state.alive = true;
         }
+        self.join_node(server);
     }
 
-    /// Flip `server` dead, returning a tier handle per *surviving* slot
-    /// (`None` for dead ones) — or `None` if the server was already dead or
-    /// out of range.
-    fn mark_dead(&self, server: usize) -> Option<Vec<Option<Arc<dyn CacheTier>>>> {
-        let mut servers = self.servers.write();
-        match servers.get(server) {
-            Some(s) if s.alive => {}
-            _ => return None,
-        }
-        servers[server].alive = false;
-        Some(
-            servers
-                .iter()
-                .map(|s| s.alive.then(|| Arc::clone(&s.tier)))
-                .collect(),
-        )
-    }
-
-    /// Re-home every directory entry owned by the (now dead) `server`:
-    /// surviving candidates are tried in rendezvous order, first one already
-    /// holding the item wins; with `migrate_from` (a graceful leave) the
-    /// leaver's bytes are offered to each candidate until one retains them.
-    /// Items no survivor ends up holding are dropped from the directory —
-    /// their next fetch is a storage read, never a lost sample.  Orphans are
-    /// processed in ascending item order so rebalancing is deterministic.
-    fn rehome_entries_of(
-        &self,
-        server: usize,
-        alive_tiers: &[Option<Arc<dyn CacheTier>>],
-        migrate_from: Option<&Arc<dyn CacheTier>>,
-    ) {
-        let num_servers = alive_tiers.len();
-        let mut directory = self.directory.write();
-        for item in directory.unregister_server(ServerId(server)) {
-            let mut new_owner = None;
-            for candidate in dcache::rendezvous_order(item, num_servers) {
-                let Some(tier) = &alive_tiers[candidate] else {
-                    continue;
-                };
-                // A survivor may already hold the item in any level of its
-                // chain — including a persistent SSD spill tier, which is
-                // exactly the "warm from local SSD before hitting the
-                // durable store" path.
-                if tier.contains(item) {
-                    new_owner = Some(candidate);
-                    break;
-                }
-                if let Some(from) = migrate_from {
-                    if let Some(bytes) = from.lookup(item) {
-                        drop(tier.admit(item, bytes));
-                        if tier.contains(item) {
-                            new_owner = Some(candidate);
-                            break;
-                        }
-                    }
+    /// Apply one membership change through the directory's rules, asking
+    /// the tiers whether they hold (or, offered the leaver's bytes, retain)
+    /// an orphaned item.
+    fn change_membership(&self, kind: FaultKind, server: usize) {
+        self.chaos.store(true, Ordering::Relaxed);
+        let tiers: Vec<Arc<dyn CacheTier>> = self
+            .servers
+            .read()
+            .iter()
+            .map(|s| Arc::clone(&s.tier))
+            .collect();
+        let holds = |item, ServerId(n), offered| {
+            if offered {
+                if let Some(bytes) = tiers[server].lookup(item) {
+                    drop(tiers[n].admit(item, bytes));
                 }
             }
-            if let Some(owner) = new_owner {
-                directory.register(item, ServerId(owner));
-            }
-        }
+            tiers[n].contains(item)
+        };
+        self.directory.write().apply(kind, ServerId(server), holds);
     }
 
-    /// Tick the fault clock and apply every event that has come due.  The
-    /// healthy path (no plan, no membership calls) is one relaxed load.
+    /// Count this fetch on the fault plan's step axis and apply every event
+    /// that has come due.  The healthy path (no plan, no membership calls)
+    /// is one relaxed load.
     fn apply_due_faults(&self) {
         if !self.chaos.load(Ordering::Relaxed) {
             return;
         }
-        let step = self.clock.tick();
-        loop {
-            let due = {
-                let mut faults = self.faults.lock();
-                match faults.steps.get(faults.next).copied() {
-                    Some(s) if s.at_step < step => {
-                        faults.next += 1;
-                        Some(s)
-                    }
-                    _ => None,
-                }
-            };
-            let Some(event) = due else { break };
-            match event.kind {
-                FaultKind::Kill => self.kill_node(event.node),
-                FaultKind::Leave => self.leave_node(event.node),
-                FaultKind::Join => self.join_node(event.node),
-            }
+        let completed = self.steps.fetch_add(1, Ordering::Relaxed);
+        let due: Vec<_> = {
+            let mut directory = self.directory.write();
+            std::iter::from_fn(|| directory.next_due(completed)).collect()
+        };
+        for event in due {
+            self.change_membership(event.kind, event.node);
         }
     }
 
@@ -378,9 +303,9 @@ impl PartitionedCacheCluster {
     /// local cache tier → remote peer tier (via the directory) → backend.
     /// A failed backend read is a typed [`CoordlError::BackendIo`]; an
     /// out-of-range `server` a typed [`CoordlError::InvalidConfig`].  A peer
-    /// tier failing mid-lookup ([`CoordlError::PeerFailed`]) marks that peer
-    /// dead and retries with backoff, so the sample is still served (from
-    /// the surviving cluster or storage) unless every retry hits a freshly
+    /// tier failing mid-lookup ([`CoordlError::PeerFailed`]) kills that peer
+    /// and retries with backoff, so the sample is still served (from the
+    /// surviving cluster or storage) unless every retry hits a freshly
     /// failing peer.
     pub fn fetch(
         &self,
@@ -411,9 +336,12 @@ impl PartitionedCacheCluster {
         server: usize,
         item: ItemId,
     ) -> Result<(Arc<Vec<u8>>, FetchOrigin), CoordlError> {
-        // 1. Local cache chain — unless this node's cache membership is
-        // dead (its consumer keeps fetching; the bytes just can't come from
-        // the lost cache).
+        let me = ServerId(server);
+        // A dead node's consumer keeps fetching; the bytes just can't come
+        // from (or go into) its lost cache.
+        let chaos = self.chaos.load(Ordering::Relaxed);
+        let alive = !chaos || self.directory.read().is_alive(me);
+        // 1. Local cache chain.
         let local = {
             let servers = self.servers.read();
             let num_servers = servers.len();
@@ -422,7 +350,7 @@ impl PartitionedCacheCluster {
                     "server {server} out of range ({num_servers} servers)"
                 )));
             };
-            let hit = if state.alive {
+            let hit = if alive {
                 state.tier.lookup_traced(item)
             } else {
                 None
@@ -437,18 +365,9 @@ impl PartitionedCacheCluster {
             if level > 0 {
                 self.loader_stats.record_lower_tier_read(bytes.len() as u64);
             }
-            // Under chaos a rejoined node holds items the rebalance dropped
-            // from the directory; re-advertise them as they are touched so
-            // peers regain remote hits (the post-rebalance recovery path).
-            let me = ServerId(server);
-            if self.chaos.load(Ordering::Relaxed)
-                && self.directory.read().locate(item, me) == Location::Storage
-            {
-                let mut directory = self.directory.write();
-                // First registrant wins: a racing fetch may have claimed it.
-                if directory.locate(item, me) == Location::Storage {
-                    directory.register(item, me);
-                }
+            // Only a membership change can leave a held item unowned.
+            if chaos {
+                self.directory.write().advertise(item, me);
             }
             return Ok((bytes, FetchOrigin::LocalCache));
         }
@@ -468,15 +387,14 @@ impl PartitionedCacheCluster {
             self.loader_stats.record_remote_read(bytes.len() as u64);
             return Ok((bytes, FetchOrigin::RemoteCache(peer)));
         }
-        // 3. Backend: read locally, admit into the local tier and register
-        // (a dead node's cache neither admits nor registers).
+        // 3. Backend: read locally, admit into the local tier and register.
         let bytes = Arc::new(self.backend.read(item)?);
         let size = bytes.len() as u64;
         let mut admitted = false;
         {
             let servers = self.servers.read();
             let state = &servers[server];
-            if state.alive {
+            if alive {
                 let retained = state.tier.admit(item, Arc::clone(&bytes));
                 admitted = state.tier.contains(item);
                 drop(retained);
@@ -486,31 +404,25 @@ impl PartitionedCacheCluster {
             stats.storage_bytes += size;
         }
         if admitted {
-            self.directory.write().register(item, ServerId(server));
+            self.directory.write().register(item, me);
         }
         self.loader_stats.record_storage_read(size);
         Ok((bytes, FetchOrigin::Storage))
     }
 
     /// The remote-lookup half of [`fetch`](Self::fetch), without its
-    /// kill-and-retry: resolve `item` through the directory and read it from
-    /// the owning peer's cache chain (`Ok(None)` when uncached, unowned,
-    /// owned by `server` itself — a racing local eviction — or owned by a
-    /// dead peer).  A peer tier that panics mid-lookup is a typed
-    /// [`CoordlError::PeerFailed`] — the error the retry machinery consumes
-    /// — never a propagated panic.
+    /// kill-and-retry: resolve `item` to a live remote owner through the
+    /// directory and read it from that peer's cache chain (`Ok(None)` when
+    /// uncached, unowned, owned by `server` itself — a racing local
+    /// eviction — or evicted by the owner).  A peer tier that panics
+    /// mid-lookup is a typed [`CoordlError::PeerFailed`] — the error the
+    /// retry machinery consumes — never a propagated panic.
     pub fn remote_fetch(&self, server: usize, item: ItemId) -> Result<RemoteHit, CoordlError> {
-        let Location::Remote(ServerId(peer)) = self.directory.read().locate(item, ServerId(server))
+        let Some(ServerId(peer)) = self.directory.read().remote_owner(item, ServerId(server))
         else {
             return Ok(None);
         };
-        let tier = {
-            let servers = self.servers.read();
-            match servers.get(peer) {
-                Some(state) if state.alive => Arc::clone(&state.tier),
-                _ => return Ok(None),
-            }
-        };
+        let tier = Arc::clone(&self.servers.read()[peer].tier);
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tier.lookup(item))) {
             Ok(Some(bytes)) => Ok(Some((bytes, peer))),
             Ok(None) => Ok(None),
@@ -525,7 +437,7 @@ impl PartitionedCacheCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DirectBackend, TieredByteCache};
+    use crate::{DirectBackend, FaultEvent, TieredByteCache};
     use dataset::{DataSource, DatasetSpec, EpochSampler, SyntheticItemStore};
     use dcache::PolicyKind;
 
@@ -981,8 +893,8 @@ mod tests {
         let ds = dataset(n, 64);
         let cluster = minio_cluster(ds, 2, 64 * n);
         // Kill node 1 after one full epoch's worth of fetches.
-        cluster.set_fault_plan(FaultPlan::new(vec![FaultStep {
-            at_step: n,
+        cluster.set_fault_plan(FaultPlan::new(vec![FaultEvent {
+            at: n,
             node: 1,
             kind: FaultKind::Kill,
         }]));
@@ -991,7 +903,7 @@ mod tests {
             cluster.is_alive(1),
             "epoch 0 is the guaranteed-healthy prefix"
         );
-        assert_eq!(cluster.clock.now(), n);
+        assert_eq!(cluster.steps.load(Ordering::Relaxed), n);
         run_epoch(&cluster, n, 1, 2);
         assert!(!cluster.is_alive(1), "the plan killed node 1 in epoch 1");
         // Exactly-once accounting holds across the fault: every fetch was

@@ -1101,13 +1101,13 @@ mod tests {
         // Kill node 1 once epoch 0's `items` fetches have completed; it
         // rejoins (tier still warm with its stale epoch-0 shard) for epoch 2.
         let plan = FaultPlan::new(vec![
-            crate::FaultStep {
-                at_step: items,
+            crate::FaultEvent {
+                at: items,
                 node: 1,
                 kind: crate::FaultKind::Kill,
             },
-            crate::FaultStep {
-                at_step: 2 * items,
+            crate::FaultEvent {
+                at: 2 * items,
                 node: 1,
                 kind: crate::FaultKind::Join,
             },
@@ -1365,8 +1365,8 @@ mod tests {
             .build();
         assert!(matches!(bad, Err(CoordlError::InvalidConfig(_))));
         // A fault plan only makes sense for a partitioned cluster ...
-        let plan = FaultPlan::new(vec![crate::FaultStep {
-            at_step: 5,
+        let plan = FaultPlan::new(vec![crate::FaultEvent {
+            at: 5,
             node: 1,
             kind: crate::FaultKind::Kill,
         }]);

@@ -21,8 +21,8 @@ use crate::job::JobSpec;
 use crate::loader::FetchOrder;
 use crate::metrics::EpochMetrics;
 use crate::sweep::ExperimentSpec;
-use dataset::{DatasetSpec, EpochSampler, ItemId, StorageFormat};
-use dcache::{FaultEvent, Location, PartitionedIndex, PolicyKind, ServerId, TierSpec};
+use dataset::{EpochSampler, ItemId, StorageFormat};
+use dcache::{FaultEvent, PartitionedIndex, PolicyKind, ServerId, TierSpec};
 use gpu::{aggregate_samples_per_sec, GpuGeneration};
 use netsim::Fabric;
 use prep::{PrepBackend, PrepCostModel};
@@ -592,29 +592,31 @@ impl SharedNodeSim {
 }
 
 /// Cross-epoch state of a distributed simulation: one storage node per
-/// server, the partitioned-cache directory, the network fabric and (under
-/// chaos) the membership schedule mirroring the runtime's
-/// `coordl::FaultPlan`.
+/// server, the partitioned-cache directory and the network fabric.
+///
+/// The directory ([`PartitionedIndex`]) also holds the cache membership and
+/// the fault schedule, and its rules are the runtime cluster's
+/// (`coordl::PartitionedCacheCluster`): a fetch is served by the local cache
+/// if the server is alive, then by a live remote owner, then by storage,
+/// admitted and registered only by a live server; a kill re-homes each
+/// orphan to the first live rendezvous candidate already holding it and
+/// drops the rest; a leave is a kill's re-home followed by migrating the
+/// remaining orphans into the first live candidate that keeps them; a
+/// rejoined server's stale-but-valid cache re-advertises lazily on local
+/// hits.  A dead server keeps *training* — its consumer is unaffected.
 pub(crate) struct DistributedSim {
     nodes: Vec<StorageNode>,
     directory: PartitionedIndex,
     fabric: Fabric,
     num_servers: usize,
-    /// Cache membership per server: a dead server keeps *training* (its
-    /// consumer is unaffected, exactly as in the runtime cluster) but its
-    /// cache drops out of the partitioned directory.
-    alive: Vec<bool>,
-    /// Seeded membership events, sorted by boundary epoch (`FaultEvent::at`);
-    /// a non-empty schedule relaxes the healthy cluster's directory
-    /// invariants in the fetch path.
-    faults: Vec<FaultEvent>,
-    next_fault: usize,
 }
 
 impl DistributedSim {
     /// A cluster of `num_servers` cold nodes under the membership events
     /// `faults`: empty for a healthy cluster, the seeded schedule shared
-    /// with the runtime ([`dcache::fault_schedule`]) under chaos.
+    /// with the runtime ([`dcache::fault_schedule`]) under chaos.  An event
+    /// at `k` fires after `k` full epochs, as the runtime plan's event at
+    /// `k × dataset_len` fetches.
     pub(crate) fn new(
         server: &ServerConfig,
         job: &JobSpec,
@@ -622,66 +624,15 @@ impl DistributedSim {
         cache: CacheSpec,
         faults: Vec<FaultEvent>,
     ) -> Self {
+        let mut directory = PartitionedIndex::new(num_servers);
+        directory.set_schedule(faults);
         DistributedSim {
             nodes: (0..num_servers)
                 .map(|_| build_node(server, job.loader.cache_policy, cache))
                 .collect(),
-            directory: PartitionedIndex::new(num_servers),
+            directory,
             fabric: Fabric::new(server.link, num_servers),
             num_servers,
-            alive: vec![true; num_servers],
-            faults,
-            next_fault: 0,
-        }
-    }
-
-    /// Apply every membership event due at the boundary before `epoch`
-    /// (an event with `at == k` fires after `k` full epochs, mirroring the
-    /// runtime plan's `at_step = k × dataset_len`).
-    fn apply_due_faults(&mut self, epoch: u64, spec: &DatasetSpec) {
-        while let Some(e) = self.faults.get(self.next_fault).copied() {
-            if e.at > epoch {
-                break;
-            }
-            self.next_fault += 1;
-            match e.kind {
-                dcache::FaultKind::Kill => self.fail_node(e.node, None),
-                dcache::FaultKind::Leave => self.fail_node(e.node, Some(spec)),
-                // A rejoining server keeps its stale-but-valid cache
-                // contents; the directory heals lazily as its local hits
-                // re-register (same as the runtime cluster).
-                dcache::FaultKind::Join => self.alive[e.node] = true,
-            }
-        }
-    }
-
-    /// Take `server` out of the cache membership and re-home its directory
-    /// entries onto survivors in rendezvous order.  A kill (`migrate` is
-    /// `None`) only keeps entries some survivor already holds; a graceful
-    /// leave ships each orphan's bytes to the first alive candidate that
-    /// will retain them.
-    fn fail_node(&mut self, server: usize, migrate: Option<&DatasetSpec>) {
-        if !self.alive[server] {
-            return;
-        }
-        self.alive[server] = false;
-        for item in self.directory.unregister_server(ServerId(server)) {
-            let prefs = dcache::rendezvous_order(item, self.num_servers);
-            let holder = prefs
-                .iter()
-                .copied()
-                .find(|&n| self.alive[n] && self.nodes[n].is_cached(&item));
-            if let Some(n) = holder {
-                self.directory.register(item, ServerId(n));
-            } else if let Some(spec) = migrate {
-                for n in prefs.into_iter().filter(|&n| self.alive[n]) {
-                    self.nodes[n].preload(item, spec.item_size(item));
-                    if self.nodes[n].is_cached(&item) {
-                        self.directory.register(item, ServerId(n));
-                        break;
-                    }
-                }
-            }
         }
     }
 
@@ -697,7 +648,16 @@ impl DistributedSim {
         let sampler = EpochSampler::new(job.dataset.num_items, job.seed);
         let cost = PrepCostModel::for_pipeline(&job.pipeline, job.loader.prep_backend);
         let cores = cost.effective_cores(server.cpu_cores as f64, server.cpu_cores as f64);
-        self.apply_due_faults(epoch, &job.dataset);
+        let nodes = &mut self.nodes;
+        while let Some(e) = self.directory.next_due(epoch) {
+            let holds = |item, ServerId(n), offered| {
+                if offered {
+                    nodes[n].preload(item, job.dataset.item_size(item));
+                }
+                nodes[n].is_cached(&item)
+            };
+            self.directory.apply(e.kind, ServerId(e.node), holds);
+        }
         for node in self.nodes.iter_mut() {
             node.reset_epoch_stats();
         }
@@ -730,12 +690,9 @@ impl DistributedSim {
     /// Fetch one minibatch with CoorDL's partitioned cache: local MinIO cache
     /// first, then a peer's cache over the network, then local storage.
     ///
-    /// Under chaos a dead server (`!alive[me]`) keeps consuming — peers
-    /// still serve its remote hits — but bypasses its own cache: storage
-    /// reads are charged without admitting or registering, mirroring the
-    /// runtime cluster's degraded mode.  A rejoined server's stale-but-warm
-    /// local hits land in the `Location::Storage` arm (their directory
-    /// entries were dropped at kill time) and lazily re-register.
+    /// A dead server (under chaos) keeps consuming — peers still serve its
+    /// remote hits — but bypasses its own cache: storage reads are charged
+    /// without admitting or registering.
     fn fetch_partitioned(
         &mut self,
         me: ServerId,
@@ -747,45 +704,33 @@ impl DistributedSim {
         let device = *self.nodes[me.0].device().profile();
         let pattern = access_pattern(job);
         let peers = self.num_servers.saturating_sub(1).max(1);
+        let alive = self.directory.is_alive(me);
         let mut remote_requests = 0u64;
         let mut lower_secs = 0.0;
 
         for &item in items {
             let bytes = job.dataset.item_size(item);
             let node = &mut self.nodes[me.0];
-            match self.directory.locate(item, me) {
-                Location::Local => {
-                    // Resident in some tier of the local cache chain.
-                    let (t, src) = node.fetch(at, item, bytes, pattern);
-                    debug_assert_ne!(src, FetchSource::Disk);
-                    lower_secs += out.record(src, bytes, t);
+            if alive && node.is_cached(&item) {
+                // Resident in some tier of the local cache chain.
+                let (t, src) = node.fetch(at, item, bytes, pattern);
+                lower_secs += out.record(src, bytes, t);
+                self.directory.advertise(item, me);
+            } else if let Some(peer) = self.directory.remote_owner(item, me) {
+                self.fabric.remote_fetch(peer.0, me.0, bytes, peers);
+                out.remote_bytes += bytes;
+                out.hits += 1;
+                remote_requests += 1;
+            } else if alive {
+                // Cached nowhere: read from local storage and, if the local
+                // cache admits it, publish it in the directory.
+                let (t, src) = node.fetch(at, item, bytes, pattern);
+                lower_secs += out.record(src, bytes, t);
+                if node.is_cached(&item) {
+                    self.directory.register(item, me);
                 }
-                Location::Remote(peer) if self.alive[peer.0] => {
-                    self.fabric.remote_fetch(peer.0, me.0, bytes, peers);
-                    out.remote_bytes += bytes;
-                    out.hits += 1;
-                    remote_requests += 1;
-                }
-                // Storage, or a directory entry pointing at a dead peer (only
-                // reachable transiently; rebalancing drops such entries).
-                _ if !self.alive[me.0] => {
-                    // A dead server's consumer still trains: the read is
-                    // charged at device cost, but nothing is admitted or
-                    // advertised.
-                    out.record(FetchSource::Disk, bytes, SimTime::ZERO);
-                }
-                _ => {
-                    // Not cached anywhere yet: read from local storage and,
-                    // if the local MinIO cache admits it, publish it in the
-                    // directory.  Only under chaos can this hit: a rejoined
-                    // server's stale warm entry.
-                    let (t, src) = node.fetch(at, item, bytes, pattern);
-                    debug_assert!(!self.faults.is_empty() || src == FetchSource::Disk);
-                    lower_secs += out.record(src, bytes, t);
-                    if node.is_cached(&item) {
-                        self.directory.register(item, me);
-                    }
-                }
+            } else {
+                out.record(FetchSource::Disk, bytes, SimTime::ZERO);
             }
         }
 

@@ -13,7 +13,8 @@
 //! chaos leg can run an extended sweep without code changes.
 
 use benchkit::runtime::StreamDigest;
-use datastalls::coordl::{FaultPlan, Mode, Session, SessionConfig};
+use datastalls::cache::{rendezvous_order, PartitionedIndex, ServerId};
+use datastalls::coordl::{FaultEvent, FaultKind, FaultPlan, Mode, Session, SessionConfig};
 use datastalls::dataset::EpochSampler;
 use datastalls::prelude::*;
 use proptest::prelude::*;
@@ -234,4 +235,342 @@ fn rejoining_with_a_warm_tier_restores_the_storage_free_steady_state() {
         4 * items,
         "no sample lost or duplicated across kill and warm rejoin"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Prediction equals measurement
+// ---------------------------------------------------------------------------
+
+/// What one side of a partitioned-chaos run saw, summed over every server
+/// epoch from 1 on (the `validate` row's `Fold::Sum`).
+#[derive(Debug, Default, PartialEq, Eq)]
+struct ChaosTotals {
+    hits: u64,
+    misses: u64,
+    disk_bytes: u64,
+    remote_bytes: u64,
+    samples: u64,
+}
+
+/// Epochs of a prediction-vs-measurement run.
+const AGREE_EPOCHS: u64 = 6;
+
+/// Run one fault schedule through the simulator and through a partitioned
+/// session, set up like the `validate` row's partitioned-chaos scenario —
+/// ImageNet-1k scaled down 4000× (320 items, its ±60 % size spread), MinIO
+/// caches holding `cache_frac` of the dataset per node, batch 64, one prep
+/// worker, the simulated server's device profile, node streams drained one
+/// after another — but with 1 KiB average items, so a debug build runs it
+/// in seconds.
+fn predicted_and_measured(
+    servers: usize,
+    faults: usize,
+    seed: u64,
+    cache_frac: f64,
+) -> (ChaosTotals, ChaosTotals) {
+    let spec = DatasetSpec::new("chaos-agree", 320, 1024, 0.6, 6.0);
+    let server =
+        ServerConfig::config_ssd_v100().with_cache_fraction(spec.total_bytes(), cache_frac);
+    let job = JobSpec::new(
+        ModelKind::ResNet18,
+        spec.clone(),
+        1,
+        LoaderConfig::coordl(PrepBackend::DaliCpu),
+    )
+    .with_seed(0xC0DA);
+    let report = Experiment::on(&server)
+        .job(job)
+        .scenario(Scenario::PartitionedChaos {
+            servers,
+            faults,
+            seed,
+        })
+        .epochs(AGREE_EPOCHS)
+        .run();
+    let mut predicted = ChaosTotals::default();
+    for unit in report.per_server() {
+        for e in unit.epochs.iter().filter(|e| e.epoch >= 1) {
+            predicted.hits += e.cache_hits;
+            predicted.misses += e.cache_misses;
+            predicted.disk_bytes += e.bytes_from_disk;
+            predicted.remote_bytes += e.bytes_from_remote;
+            predicted.samples += e.samples;
+        }
+    }
+
+    let store: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), 7));
+    let session = Session::builder(
+        store,
+        SessionConfig {
+            batch_size: 64,
+            num_workers: 1,
+            seed: 0xC0DA,
+            cache_capacity_bytes: server.dram_cache_bytes,
+            ..SessionConfig::default()
+        },
+    )
+    .mode(Mode::Partitioned { nodes: servers })
+    .cache_policy(PolicyKind::MinIo)
+    .device_profile(server.device)
+    .fault_plan(FaultPlan::seeded(
+        servers,
+        AGREE_EPOCHS,
+        faults,
+        seed,
+        spec.num_items,
+    ))
+    .build()
+    .expect("valid chaos session");
+    for epoch in 0..AGREE_EPOCHS {
+        let run = session.epoch(epoch);
+        for node in 0..servers {
+            for batch in run.stream(node) {
+                batch.expect("a fault never fails a consumer");
+            }
+        }
+    }
+    let mut measured = ChaosTotals::default();
+    for e in session.report().epochs.iter().filter(|e| e.epoch >= 1) {
+        measured.hits += e.cache_hits;
+        measured.misses += e.cache_misses;
+        measured.disk_bytes += e.bytes_from_storage;
+        measured.remote_bytes += e.bytes_from_remote;
+        measured.samples += e.samples_delivered;
+    }
+    (predicted, measured)
+}
+
+/// Assert the simulator predicts the runtime exactly under one schedule.
+fn assert_prediction_is_exact(servers: usize, faults: usize, seed: u64, cache_frac: f64) {
+    let (predicted, measured) = predicted_and_measured(servers, faults, seed, cache_frac);
+    let schedule = datastalls::cache::fault_schedule(servers, AGREE_EPOCHS, faults, seed);
+    assert_eq!(
+        predicted, measured,
+        "{servers} servers, cache {cache_frac}, schedule {schedule:?}"
+    );
+}
+
+#[test]
+fn a_rejoined_node_serves_its_stale_copy_on_both_sides() {
+    // [Kill 2@1, Join 2@3, Kill 2@5]: after the join, node 2 holds items a
+    // survivor re-registered meanwhile; both sides serve them locally.
+    assert_prediction_is_exact(4, 3, 1, 0.5);
+}
+
+#[test]
+fn a_leave_after_a_join_rehomes_before_it_migrates_on_both_sides() {
+    // A leave whose orphan a later rendezvous candidate already holds:
+    // both sides re-home it there instead of migrating into the first.
+    assert_prediction_is_exact(4, 6, 8, 0.5);
+}
+
+/// The 144-schedule sweep — {3, 4} servers × {3, 4, 6} faults × seeds
+/// 0..12 × caches of 35 % and 50 % of the dataset — of which tier-1 runs the
+/// first `cases(4)`; `PROPTEST_CASES=144` (or more) runs all of it.
+#[test]
+fn the_simulator_predicts_every_swept_schedule_exactly() {
+    let mut grid = Vec::new();
+    for servers in [3usize, 4] {
+        for faults in [3usize, 4, 6] {
+            for seed in 0u64..12 {
+                for cache_frac in [0.35, 0.5] {
+                    grid.push((servers, faults, seed, cache_frac));
+                }
+            }
+        }
+    }
+    for (servers, faults, seed, cache_frac) in grid.into_iter().take(cases(4) as usize) {
+        assert_prediction_is_exact(servers, faults, seed, cache_frac);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reference model of the directory layer
+// ---------------------------------------------------------------------------
+
+/// The caches a membership change asks about: which `(node, item)` copies
+/// exist, and how many more copies each node would keep if offered one.
+#[derive(Debug, Clone, PartialEq)]
+struct Caches {
+    held: Vec<(usize, u64)>,
+    room: Vec<u64>,
+}
+
+impl Caches {
+    fn holds(&self, node: usize, item: u64) -> bool {
+        self.held.contains(&(node, item))
+    }
+
+    /// The `holds` argument of `PartitionedIndex::apply`.
+    fn answer(&mut self, item: u64, node: usize, offered: bool) -> bool {
+        if offered && !self.holds(node, item) && self.room[node] > 0 {
+            self.room[node] -= 1;
+            self.held.push((node, item));
+        }
+        self.holds(node, item)
+    }
+}
+
+/// An obviously-correct directory: `(item, owner)` entries, an alive flag per
+/// node and the schedule with the count of fired events, scanned linearly.
+struct DirectoryModel {
+    entries: Vec<(u64, usize)>,
+    alive: Vec<bool>,
+    schedule: Vec<FaultEvent>,
+    fired: usize,
+}
+
+impl DirectoryModel {
+    fn owner(&self, item: u64) -> Option<usize> {
+        self.entries.iter().find(|e| e.0 == item).map(|e| e.1)
+    }
+
+    fn register(&mut self, item: u64, node: usize) {
+        if self.alive[node] {
+            self.entries.retain(|e| e.0 != item);
+            self.entries.push((item, node));
+        }
+    }
+
+    fn remote_owner(&self, item: u64, local: usize) -> Option<usize> {
+        self.owner(item).filter(|&o| o != local && self.alive[o])
+    }
+
+    fn next_due(&mut self, completed: u64) -> Option<FaultEvent> {
+        let event = *self.schedule.get(self.fired)?;
+        (event.at <= completed).then(|| {
+            self.fired += 1;
+            event
+        })
+    }
+
+    fn apply(&mut self, kind: FaultKind, node: usize, caches: &mut Caches) {
+        if kind == FaultKind::Join {
+            self.alive[node] = true;
+            return;
+        }
+        if !self.alive[node] {
+            return;
+        }
+        self.alive[node] = false;
+        let mut orphans: Vec<u64> = self
+            .entries
+            .iter()
+            .filter(|e| e.1 == node)
+            .map(|e| e.0)
+            .collect();
+        orphans.sort_unstable();
+        self.entries.retain(|e| e.1 != node);
+        for item in orphans {
+            let order = rendezvous_order(item, self.alive.len());
+            let live: Vec<usize> = order.into_iter().filter(|&n| self.alive[n]).collect();
+            let mut owner = live.iter().copied().find(|&n| caches.holds(n, item));
+            if owner.is_none() && kind == FaultKind::Leave {
+                owner = live.iter().copied().find(|&n| caches.answer(item, n, true));
+            }
+            if let Some(n) = owner {
+                self.entries.push((item, n));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    /// `PartitionedIndex` makes the model's decisions on a seeded stream of
+    /// register / advertise / cache-fill / kill / leave / join / next_due
+    /// operations; after every one no entry names a dead node, every entry
+    /// a membership change re-homed names a node holding the item, the
+    /// entries (and so the orphan set) equal the model's, and every fired
+    /// event is the schedule's next, each exactly once.
+    #[test]
+    fn the_directory_matches_the_vector_scan_model_op_by_op(
+        ops_seed in 0u64..u64::MAX,
+        servers in 1usize..=5,
+        items in 1u64..16,
+        events in 0usize..8,
+        num_ops in 1usize..200,
+    ) {
+        const KINDS: [FaultKind; 3] = [FaultKind::Kill, FaultKind::Leave, FaultKind::Join];
+        let mut rng = TestRng::new(ops_seed);
+        let mut schedule: Vec<FaultEvent> = (0..events)
+            .map(|_| FaultEvent {
+                at: rng.next_u64() % 12,
+                node: (rng.next_u64() % servers as u64) as usize,
+                kind: KINDS[(rng.next_u64() % 3) as usize],
+            })
+            .collect();
+        let mut index = PartitionedIndex::new(servers);
+        index.set_schedule(schedule.clone());
+        schedule.sort_by_key(|e| e.at);
+        let mut model = DirectoryModel {
+            entries: Vec::new(),
+            alive: vec![true; servers],
+            schedule,
+            fired: 0,
+        };
+        let room = (0..servers).map(|_| rng.next_u64() % 8).collect();
+        let mut caches = Caches { held: Vec::new(), room };
+        let (mut completed, mut fired) = (0u64, Vec::new());
+        for step in 0..num_ops {
+            let (op, item) = (rng.next_u64() % 12, rng.next_u64() % items);
+            let node = (rng.next_u64() % servers as u64) as usize;
+            let before = index.entries();
+            let mut changes: Vec<(FaultKind, usize)> = Vec::new();
+            match op {
+                0..=2 => {
+                    index.register(item, ServerId(node));
+                    model.register(item, node);
+                    if model.alive[node] {
+                        caches.held.push((node, item));
+                    }
+                }
+                3 => {
+                    index.advertise(item, ServerId(node));
+                    if model.owner(item).is_none() {
+                        model.register(item, node);
+                    }
+                }
+                4 | 5 => caches.held.push((node, item)),
+                6 => changes.push((FaultKind::Kill, node)),
+                7 | 8 => changes.push((FaultKind::Leave, node)),
+                9 => changes.push((FaultKind::Join, node)),
+                _ => {
+                    completed += rng.next_u64() % 3;
+                    while let Some(e) = index.next_due(completed) {
+                        prop_assert_eq!(Some(e), model.next_due(completed), "step {}: fired", step);
+                        fired.push(e);
+                        changes.push((e.kind, e.node));
+                    }
+                    prop_assert_eq!(model.next_due(completed), None, "step {}: not fired", step);
+                }
+            }
+            let mut sut_caches = caches.clone();
+            for &(kind, n) in &changes {
+                let holds = |i, ServerId(c), offered| sut_caches.answer(i, c, offered);
+                index.apply(kind, ServerId(n), holds);
+                model.apply(kind, n, &mut caches);
+            }
+            prop_assert_eq!(&sut_caches, &caches, "step {}: migrations", step);
+            let what = format!("step {step}: op {op} item {item} node {node}");
+            let mut expected: Vec<(u64, ServerId)> =
+                model.entries.iter().map(|&(i, o)| (i, ServerId(o))).collect();
+            expected.sort_unstable();
+            let after = index.entries();
+            prop_assert_eq!(&after, &expected, "{}", what);
+            for &(i, ServerId(owner)) in &after {
+                prop_assert!(index.is_alive(ServerId(owner)), "{}: {} names dead {}", what, i, owner);
+                if !changes.is_empty() && !before.contains(&(i, ServerId(owner))) {
+                    prop_assert!(caches.holds(owner, i), "{}: {} re-homed to {} uncopied", what, i, owner);
+                }
+            }
+            for n in 0..servers {
+                prop_assert_eq!(index.is_alive(ServerId(n)), model.alive[n], "{}", what);
+                let remote = index.remote_owner(item, ServerId(n)).map(|s| s.0);
+                prop_assert_eq!(remote, model.remote_owner(item, n), "{}", what);
+            }
+        }
+        prop_assert_eq!(&fired[..], &model.schedule[..model.fired], "events fire once, in order");
+    }
 }
