@@ -14,8 +14,8 @@
 //! row's numbers change only in a commit that also changes `FIGURES.json`.
 //!
 //! Simulator rows list their grid points as [`ExperimentSpec`]s and run
-//! them as one sweep through the one [`SweepRunner`] (parallel == serial, bit
-//! for bit, as `tests/sweep_determinism.rs` pins).  `fig01`, `fig08`,
+//! them through the one parallel map, [`sweep::run`] (parallel == serial,
+//! bit for bit, as `tests/sweep_determinism.rs` pins).  `fig01`, `fig08`,
 //! `fig10`, `fig16`, `tab05` and `fig19` are plain functions returning the
 //! same table type.
 //!
@@ -48,8 +48,8 @@ use dsanalyzer::{Bottleneck, ProfiledRates, WhatIfAnalysis};
 use gpu::{aggregate_samples_per_sec, GpuGeneration, ModelKind};
 use pipeline::json::{int, num, object, text, Value};
 use pipeline::{
-    Axis, CacheSpec, ExperimentSpec, JobSpec, LoaderConfig, LoaderKind, Scenario, ServerConfig,
-    SimReport, SweepReport, SweepRunner, SweepSpec,
+    sweep, CacheSpec, ExperimentSpec, JobSpec, LoaderConfig, LoaderKind, Scenario, ServerConfig,
+    SimReport,
 };
 use prep::{ExecutablePipeline, PrepBackend, PrepCostModel, PrepPipeline};
 use std::collections::BTreeMap;
@@ -300,29 +300,12 @@ fn distributed(spec: ExperimentSpec, servers: usize) -> ExperimentSpec {
     }
 }
 
-/// Simulate `points` as one sweep through the one [`SweepRunner`]: each
-/// point's report beside its key, in order.
+/// Simulate `points` as one [`sweep::run`]: each point's report beside its
+/// key, in order.
 fn simulate<K>(points: Vec<(K, ExperimentSpec)>) -> Vec<(K, SimReport)> {
-    let mut axis = Axis::new("point");
-    for (i, (_, spec)) in points.iter().enumerate() {
-        let spec = spec.clone();
-        axis.push_value(i.to_string(), move |point: &mut ExperimentSpec| {
-            *point = spec.clone()
-        });
-    }
-    let grid = SweepSpec::new("figure", points[0].1.clone()).axis(axis);
-    let reports = completed(SweepRunner::new().run(&grid));
-    points.into_iter().map(|(k, _)| k).zip(reports).collect()
-}
-
-/// Every point's report; a failed point is a bug in the figure.
-fn completed(report: SweepReport) -> Vec<SimReport> {
-    let SweepReport { name, points } = report;
-    let reports = points.into_iter().map(|p| {
-        let label = p.label.label();
-        p.outcome.unwrap_or_else(|e| panic!("{name}/{label}: {e}"))
-    });
-    reports.collect()
+    let (keys, specs): (Vec<K>, Vec<ExperimentSpec>) = points.into_iter().unzip();
+    let reports = sweep::run(&specs, false, |_| true).into_iter();
+    keys.into_iter().zip(reports.map(|(_, r)| r)).collect()
 }
 
 /// The §5 workload of `model` (bench scale) and its cacheable fraction:
@@ -1131,7 +1114,7 @@ fn fig16() -> FigureTable {
         .collect();
     let mut t =
         FigureTable::new("bottleneck cache_frac predicted_samples_per_s empirical_samples_per_s");
-    for p in whatif.validate_speed_curve(&server, &job, &fractions, EPOCHS, &SweepRunner::new()) {
+    for p in whatif.validate_speed_curve(&server, &job, &fractions, EPOCHS) {
         let bottleneck = match p.bottleneck {
             Bottleneck::Io => "I/O",
             Bottleneck::Cpu => "CPU",
@@ -1592,7 +1575,7 @@ fn tab05() -> FigureTable {
     let mut t =
         FigureTable::new("cache_frac predicted_samples_per_s empirical_samples_per_s error_frac");
     let fractions = [0.25, 0.35, 0.5];
-    for p in whatif.validate_speed_curve(&server, &job, &fractions, EPOCHS, &SweepRunner::new()) {
+    for p in whatif.validate_speed_curve(&server, &job, &fractions, EPOCHS) {
         let error = (p.predicted - p.empirical).abs() / p.empirical;
         t.row(&[], &[p.cache_fraction, p.predicted, p.empirical, error]);
     }

@@ -8,8 +8,8 @@
 //! dozen points; this row sweeps the full cross product — cache fraction ×
 //! vCPUs × batch size × prefetch depth × fetch order — at 100 000 points,
 //! which is only tractable because single-server MinIO points run on the
-//! flat-array fast path (`pipeline::fast`) with one reused `EngineScratch`
-//! per worker thread.
+//! flat-array fast path (`pipeline::fast`), run through `pipeline::sweep::run`
+//! with one reused `EngineScratch` per worker thread.
 //!
 //! A run measures **both** engines on the same host: every point through the
 //! fast path, and a strided subsample re-run on the exact
@@ -27,10 +27,8 @@ use crate::figures::FigureTable;
 use dataset::DatasetSpec;
 use gpu::ModelKind;
 use pipeline::json::{int, text};
-use pipeline::sweep::{Axis, ExperimentSpec, SweepSpec};
-use pipeline::{EngineScratch, FetchOrder, JobSpec, LoaderConfig, ServerConfig, SimReport};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use pipeline::sweep::{self, ExperimentSpec};
+use pipeline::{FetchOrder, JobSpec, LoaderConfig, ServerConfig};
 use std::thread;
 use std::time::Instant;
 
@@ -68,12 +66,13 @@ pub fn mega_sweep_claim(t: &FigureTable) -> Result<(), String> {
     Ok(())
 }
 
-/// The grid: a single-server MinIO job under five crossed axes.  `full`
-/// selects the 100 000-point grid; otherwise a 2 000-point subsample of the
-/// same ranges at matching means, for tests.  The dataset itself is never
-/// shrunk — per-point cost is what the speedup measurement is *about*, and
-/// a toy dataset would flatter the exact engine's fixed overheads.
-pub fn mega_grid(full: bool) -> SweepSpec {
+/// The grid: a single-server MinIO job under five crossed axes, in
+/// cartesian order (cache slowest, fetch order fastest).  `full` selects the
+/// 100 000-point grid; otherwise a 2 000-point subsample of the same ranges
+/// at matching means, for tests.  The dataset itself is never shrunk —
+/// per-point cost is what the speedup measurement is *about*, and a toy
+/// dataset would flatter the exact engine's fixed overheads.
+pub fn mega_grid(full: bool) -> Vec<ExperimentSpec> {
     let model = ModelKind::ResNet18;
     let dataset = DatasetSpec::new("mega-sweep", 2048, 96 * 1024, 0.4, 6.0);
     let bytes = dataset.total_bytes();
@@ -109,52 +108,27 @@ pub fn mega_grid(full: bool) -> SweepSpec {
         (1..=5).collect()
     };
 
-    let mut cache = Axis::new("cache");
-    for pct in cache_pcts {
-        cache.push_value(format!("{pct}%"), move |spec: &mut ExperimentSpec| {
-            spec.server = spec.server.with_cache_fraction(bytes, pct as f64 / 100.0);
-        });
-    }
-    let mut vcpus = Axis::new("vcpus");
-    for cores in core_counts {
-        vcpus.push_value(format!("{cores}"), move |spec: &mut ExperimentSpec| {
-            spec.server = spec.server.with_cpu_cores(cores);
-        });
-    }
-    let mut batch = Axis::new("batch");
-    for b in batch_sizes {
-        batch.push_value(format!("{b}"), move |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.batch_per_gpu = b;
+    let mut points = Vec::new();
+    for &pct in &cache_pcts {
+        for &cores in &core_counts {
+            for &batch in &batch_sizes {
+                for &depth in &prefetch_depths {
+                    for order in [FetchOrder::Shuffled, FetchOrder::Sequential] {
+                        let mut spec = base.clone();
+                        spec.server = (spec.server)
+                            .with_cache_fraction(bytes, pct as f64 / 100.0)
+                            .with_cpu_cores(cores);
+                        let job = &mut spec.jobs[0];
+                        job.batch_per_gpu = batch;
+                        job.loader.prefetch_depth = depth;
+                        job.loader.fetch_order = order;
+                        points.push(spec);
+                    }
+                }
             }
-        });
+        }
     }
-    let mut prefetch = Axis::new("prefetch");
-    for d in prefetch_depths {
-        prefetch.push_value(format!("{d}"), move |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader.prefetch_depth = d;
-            }
-        });
-    }
-    let order = Axis::new("order")
-        .value("shuffled", |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader.fetch_order = FetchOrder::Shuffled;
-            }
-        })
-        .value("sequential", |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader.fetch_order = FetchOrder::Sequential;
-            }
-        });
-
-    SweepSpec::new("mega-sweep", base)
-        .axis(cache)
-        .axis(vcpus)
-        .axis(batch)
-        .axis(prefetch)
-        .axis(order)
+    points
 }
 
 /// The result of one mega sweep: both engines' timings plus the
@@ -217,79 +191,38 @@ impl MegaSweepReport {
 /// then a strided subsample of ~2 000 points on the exact engine, comparing
 /// reports bit for bit.
 pub fn run_mega_sweep(full: bool) -> MegaSweepReport {
-    let spec = mega_grid(full);
-    // Materialise the grid once, outside both timed phases — the points are
+    // Build the grid once, outside both timed phases — the points are
     // identical inputs to both engines, so grid-construction cost would only
     // dilute the comparison.
-    let points: Vec<ExperimentSpec> = spec.points().into_iter().map(|(_, s)| s).collect();
+    let points = mega_grid(full);
     let threads = thread::available_parallelism().map_or(1, |n| n.get());
     let stride = (points.len() / 2048).max(1);
 
-    // Phase 1 — every point through the fast path, each worker thread
-    // reusing one scratch across all the points it claims.  Reports at the
-    // strided indices are kept for the phase-2 comparison; the rest are
-    // dropped as soon as they are produced so the sweep runs in O(threads)
-    // memory, not O(points).
+    // Phase 1 — every point through the fast path.  Only the reports at the
+    // strided indices are kept for the phase-2 comparison.
     let started = Instant::now();
-    let fast_sample = fan_out(&points, threads, false, |i| i % stride == 0);
+    let fast_sample = sweep::run(&points, false, |i| i % stride == 0);
     let fast_seconds = started.elapsed().as_secs_f64();
 
     // Phase 2 — the subsample through the exact engine.
-    let exact_indices: Vec<usize> = (0..points.len()).step_by(stride).collect();
-    let exact_specs: Vec<ExperimentSpec> =
-        exact_indices.iter().map(|&i| points[i].clone()).collect();
+    let exact_specs: Vec<ExperimentSpec> = points.iter().step_by(stride).cloned().collect();
     let started = Instant::now();
-    let exact_sample = fan_out(&exact_specs, threads, true, |_| true);
+    let exact_sample = sweep::run(&exact_specs, true, |_| true);
     let exact_seconds = started.elapsed().as_secs_f64();
 
-    let mismatches = exact_indices
+    let mismatches = fast_sample
         .iter()
-        .enumerate()
-        .filter(|&(k, &i)| fast_sample.get(&i) != exact_sample.get(&k))
+        .zip(&exact_sample)
+        .filter(|((_, fast), (_, exact))| fast != exact)
         .count();
     MegaSweepReport {
         points: points.len(),
         threads,
         fast_seconds,
-        exact_points: exact_indices.len(),
+        exact_points: exact_specs.len(),
         exact_seconds,
         mismatches,
     }
-}
-
-/// Run every spec in `points` across `threads` scoped workers (atomic-cursor
-/// work stealing, one reused `EngineScratch` per worker), returning the
-/// reports whose index passes `keep`.
-fn fan_out(
-    points: &[ExperimentSpec],
-    threads: usize,
-    exact_engine: bool,
-    keep: impl Fn(usize) -> bool + Sync,
-) -> std::collections::HashMap<usize, SimReport> {
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, SimReport)>();
-    thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let keep = &keep;
-            scope.spawn(move || {
-                let mut scratch = EngineScratch::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let report = points[i].run_with(&mut scratch, exact_engine);
-                    if keep(i) {
-                        tx.send((i, report)).expect("collector outlives workers");
-                    }
-                }
-            });
-        }
-        drop(tx);
-    });
-    rx.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -299,8 +232,18 @@ mod tests {
 
     #[test]
     fn full_grid_reaches_a_hundred_thousand_points() {
-        assert_eq!(mega_grid(true).num_points(), 100_000);
-        assert_eq!(mega_grid(false).num_points(), 2_000);
+        assert_eq!(mega_grid(true).len(), 100_000);
+        let grid = mega_grid(false);
+        assert_eq!(grid.len(), 2_000);
+        // Cartesian order: fetch order fastest, cache fraction slowest.
+        let order = |i: usize| grid[i].jobs[0].loader.fetch_order;
+        assert_eq!(
+            (order(0), order(1)),
+            (FetchOrder::Shuffled, FetchOrder::Sequential)
+        );
+        let cache = |i: usize| grid[i].server.dram_cache_bytes;
+        assert_eq!(cache(0), cache(199));
+        assert!(cache(200) > cache(199));
     }
 
     #[test]

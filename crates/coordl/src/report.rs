@@ -206,71 +206,47 @@ impl LoaderReport {
         }
     }
 
-    /// Average steady-state hit ratio (the paper averages epochs after the
-    /// first, §3.1).
-    pub fn steady_hit_ratio(&self) -> f64 {
+    /// The mean of `f` over the steady-state epochs (zero with none).
+    fn steady_mean(&self, f: impl Fn(&EpochTrajectory) -> f64) -> f64 {
         let tail = self.steady_epochs();
         if tail.is_empty() {
             return 0.0;
         }
-        tail.iter().map(EpochTrajectory::hit_ratio).sum::<f64>() / tail.len() as f64
+        tail.iter().map(f).sum::<f64>() / tail.len() as f64
+    }
+
+    /// Average steady-state hit ratio (the paper averages epochs after the
+    /// first, §3.1).
+    pub fn steady_hit_ratio(&self) -> f64 {
+        self.steady_mean(EpochTrajectory::hit_ratio)
     }
 
     /// Average steady-state hit ratio of the DRAM (topmost) cache level.
     pub fn steady_dram_hit_ratio(&self) -> f64 {
-        let tail = self.steady_epochs();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter()
-            .map(EpochTrajectory::dram_hit_ratio)
-            .sum::<f64>()
-            / tail.len() as f64
+        self.steady_mean(EpochTrajectory::dram_hit_ratio)
     }
 
     /// Average steady-state hit ratio of the cache levels below DRAM (zero
     /// for flat tiers).
     pub fn steady_lower_tier_hit_ratio(&self) -> f64 {
-        let tail = self.steady_epochs();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter()
-            .map(EpochTrajectory::lower_tier_hit_ratio)
-            .sum::<f64>()
-            / tail.len() as f64
+        self.steady_mean(EpochTrajectory::lower_tier_hit_ratio)
     }
 
     /// Average steady-state bytes read from storage per epoch.
     pub fn steady_storage_bytes(&self) -> f64 {
-        let tail = self.steady_epochs();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter()
-            .map(|e| e.bytes_from_storage as f64)
-            .sum::<f64>()
-            / tail.len() as f64
+        self.steady_mean(|e| e.bytes_from_storage as f64)
     }
 
     /// Average steady-state modelled device seconds per epoch.
     pub fn steady_device_seconds(&self) -> f64 {
-        let tail = self.steady_epochs();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter().map(|e| e.device_seconds).sum::<f64>() / tail.len() as f64
+        self.steady_mean(|e| e.device_seconds)
     }
 
     /// Average steady-state consumer-wait seconds per epoch (the runtime's
     /// measured data-stall analogue, compared informationally against the
     /// simulator's stall predictions by the `validate` figure row).
     pub fn steady_consumer_wait_seconds(&self) -> f64 {
-        let tail = self.steady_epochs();
-        if tail.is_empty() {
-            return 0.0;
-        }
-        tail.iter().map(|e| e.consumer_wait_seconds).sum::<f64>() / tail.len() as f64
+        self.steady_mean(|e| e.consumer_wait_seconds)
     }
 
     /// Serialise the report as a JSON object through the shared

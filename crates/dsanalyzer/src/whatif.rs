@@ -1,7 +1,7 @@
 //! Predictive what-if analysis (§3.4, Appendix C).
 
 use crate::profile::ProfiledRates;
-use pipeline::sweep::{Axis, ExperimentSpec, SweepRunner, SweepSpec};
+use pipeline::sweep::{self, ExperimentSpec};
 use pipeline::{JobSpec, ServerConfig};
 
 /// Which pipeline stage limits training throughput.
@@ -125,15 +125,14 @@ impl WhatIfAnalysis {
     /// fractions — the methodology behind Figure 16 and Table 5 ("predictions
     /// within 4 % of empirical").
     ///
-    /// All non-zero fractions run as one cache-axis sweep fanned out through
-    /// `runner`; `job` should use a MinIO-backed loader, matching the model's
-    /// "a cache of size x items has at least x hits per epoch" assumption
-    /// (Appendix C).  A zero fraction is not constructible in the simulator,
-    /// so its empirical value is the measured storage rate — the model's own
-    /// floor.
+    /// All non-zero fractions run as one [`sweep::run`]; `job` should use a
+    /// MinIO-backed loader, matching the model's "a cache of size x items
+    /// has at least x hits per epoch" assumption (Appendix C).  A zero
+    /// fraction is not constructible in the simulator, so its empirical
+    /// value is the measured storage rate — the model's own floor.
     ///
     /// # Panics
-    /// Panics if any simulated grid point panics (the inputs come from this
+    /// Panics if any simulated point panics (the inputs come from this
     /// analysis, so a failure here is a configuration bug).
     pub fn validate_speed_curve(
         &self,
@@ -141,40 +140,24 @@ impl WhatIfAnalysis {
         job: &JobSpec,
         fractions: &[f64],
         epochs: u64,
-        runner: &SweepRunner,
     ) -> Vec<SpeedValidationPoint> {
         let bytes = job.dataset.total_bytes();
-        let mut base = ExperimentSpec::new(server.clone(), job.clone());
-        base.epochs = epochs;
-
-        let mut axis = Axis::new("cache");
-        let sim_fractions: Vec<f64> = fractions.iter().copied().filter(|&f| f > 0.0).collect();
-        for &f in &sim_fractions {
-            axis.push_value(
-                format!("{:.0}%", f * 100.0),
-                move |spec: &mut ExperimentSpec| {
-                    spec.server = spec.server.with_cache_fraction(bytes, f);
-                },
-            );
-        }
-        let mut simulated = if sim_fractions.is_empty() {
-            Vec::new()
-        } else {
-            runner
-                .run(&SweepSpec::new("whatif-cache-validation", base).axis(axis))
-                .points
-        }
-        .into_iter();
+        let points: Vec<ExperimentSpec> = fractions
+            .iter()
+            .filter(|&&f| f > 0.0)
+            .map(|&f| ExperimentSpec {
+                epochs,
+                ..ExperimentSpec::new(server.with_cache_fraction(bytes, f), job.clone())
+            })
+            .collect();
+        let mut simulated = sweep::run(&points, false, |_| true).into_iter();
 
         fractions
             .iter()
             .map(|&f| {
                 let empirical = if f > 0.0 {
-                    let point = simulated.next().expect("one grid point per fraction");
-                    point
-                        .outcome
-                        .unwrap_or_else(|e| panic!("cache sweep point {} failed: {e}", f))
-                        .steady_samples_per_sec()
+                    let (_, report) = simulated.next().expect("one point per fraction");
+                    report.steady_samples_per_sec()
                 } else {
                     self.rates.storage_rate
                 };
@@ -333,13 +316,7 @@ mod tests {
         let job = probe.with_loader(LoaderConfig::coordl_best(model));
 
         let fractions = [0.0, 0.25, 0.5, 1.0];
-        let parallel = whatif.validate_speed_curve(
-            &server,
-            &job,
-            &fractions,
-            3,
-            &SweepRunner::with_threads(3),
-        );
+        let parallel = whatif.validate_speed_curve(&server, &job, &fractions, 3);
         assert_eq!(parallel.len(), fractions.len());
         // Fraction 0 reports the model's storage-rate floor.
         assert!((parallel[0].empirical - whatif.rates().storage_rate).abs() < 1e-9);
@@ -361,12 +338,16 @@ mod tests {
                 p.cache_fraction * 100.0
             );
         }
-        // The parallel sweep is bit-identical to a serial one.
-        let serial =
-            whatif.validate_speed_curve(&server, &job, &fractions, 3, &SweepRunner::serial());
-        for (a, b) in parallel.iter().zip(&serial) {
-            assert_eq!(a.empirical.to_bits(), b.empirical.to_bits());
-            assert_eq!(a.predicted.to_bits(), b.predicted.to_bits());
+        // The parallel sweep is bit-identical to a serial loop of the same
+        // points.
+        for p in &parallel[1..] {
+            let mut spec = ExperimentSpec::new(
+                server.with_cache_fraction(job.dataset.total_bytes(), p.cache_fraction),
+                job.clone(),
+            );
+            spec.epochs = 3;
+            let serial = spec.run().steady_samples_per_sec();
+            assert_eq!(p.empirical.to_bits(), serial.to_bits());
         }
     }
 }

@@ -210,12 +210,13 @@ pub(crate) fn fetch_stream_into(job: &JobSpec, consume_order: &[ItemId], out: &m
 /// sweep worker allocates once and simulates hundreds of thousands of grid
 /// points (ROADMAP item 3: a what-if sweep point must be cheap).
 ///
-/// [`crate::SweepRunner`] owns one per worker thread and threads it through
-/// every grid point; [`Experiment`](crate::Experiment) callers can pass their
-/// own via [`Experiment::scratch`](crate::Experiment::scratch).  Every field
-/// is (re-)initialised before use, so reuse across arbitrary experiments —
-/// including after a panicking grid point — never leaks state between runs:
-/// a scratch-reusing run is bit-identical to a fresh-allocation run.
+/// [`sweep::run`](crate::sweep::run) owns one per worker thread and threads
+/// it through every point it claims; [`Experiment`](crate::Experiment)
+/// callers can pass their own via
+/// [`Experiment::scratch`](crate::Experiment::scratch).  Every field is
+/// (re-)initialised before use, so reuse across arbitrary experiments never
+/// leaks state between runs: a scratch-reusing run is bit-identical to a
+/// fresh-allocation run.
 #[derive(Default)]
 pub struct EngineScratch {
     /// Per producer sweep, the epoch's consume and storage read orders.

@@ -2,16 +2,15 @@
 //!
 //! The workspace builds offline (no `serde`), so every report —
 //! [`SimReport::to_json`](crate::SimReport::to_json),
-//! [`SweepReport::to_json`](crate::sweep::SweepReport::to_json),
 //! `coordl::LoaderReport::to_json` and the `dstool figures` document — builds
 //! a [`Value`] tree with [`object`] / [`num`] / [`int`] / [`text`] and writes
 //! it through the one emitter, [`write_value`].  That emitter owns the two
 //! things that are easy to get subtly wrong when several emitters each roll
 //! their own:
 //!
-//! * **escaping** — [`escape`] / [`write_string`] guarantee that scenario and
-//!   sweep-point labels containing quotes, backslashes or control characters
-//!   serialise to *valid* JSON strings, and
+//! * **escaping** — [`escape`] / [`write_string`] guarantee that scenario
+//!   names and figure labels containing quotes, backslashes or control
+//!   characters serialise to *valid* JSON strings, and
 //! * **numbers** — [`write_f64`] maps the non-finite values JSON cannot
 //!   represent to `null` instead of emitting bare `NaN`/`inf` tokens.
 //!

@@ -26,10 +26,9 @@
 //! Every run returns one [`SimReport`]; register an
 //! [`observer`](Experiment::observer) for per-epoch live telemetry and use
 //! [`SimReport::to_json`] to export trajectories.  Grids of configurations —
-//! cache sizes, vCPU counts, loaders, server counts — run through the
-//! [`sweep`] module: a [`SweepSpec`] names the axes and a [`SweepRunner`]
-//! fans the grid out across OS threads with deterministic, panic-isolated
-//! results.  Every storage node runs a [`CacheSpec`] cache hierarchy
+//! cache sizes, vCPU counts, loaders, server counts — are plain lists of
+//! [`ExperimentSpec`]s, and [`sweep::run`] simulates one across every core
+//! with results bit-identical to a serial loop.  Every storage node runs a [`CacheSpec`] cache hierarchy
 //! (`dcache::TierChain`): the classic single DRAM tier by default, or a
 //! DRAM tier spilling into a profiled local-SSD tier with
 //! [`CacheSpec::Tiered`].
@@ -62,6 +61,4 @@ pub use experiment::{CacheSpec, EpochUpdate, Experiment, Scenario, SimReport};
 pub use job::JobSpec;
 pub use loader::{FetchOrder, LoaderConfig, LoaderKind};
 pub use metrics::{EpochMetrics, RunResult};
-pub use sweep::{
-    Axis, ExperimentSpec, GridMode, PointLabel, SweepPoint, SweepReport, SweepRunner, SweepSpec,
-};
+pub use sweep::ExperimentSpec;

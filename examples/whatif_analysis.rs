@@ -102,13 +102,7 @@ fn main() {
     let big = DatasetSpec::imagenet_1k().scaled(16);
     let srv = ServerConfig::config_ssd_v100().with_cache_fraction(big.total_bytes(), 0.35);
     let minio_job = JobSpec::new(model, big, 8, LoaderConfig::coordl_best(model));
-    let curve = whatif.validate_speed_curve(
-        &srv,
-        &minio_job,
-        &[0.25, 0.35, 0.50],
-        3,
-        &SweepRunner::new(),
-    );
+    let curve = whatif.validate_speed_curve(&srv, &minio_job, &[0.25, 0.35, 0.50], 3);
     for point in curve {
         println!(
             "{:>7.0}%  {:>12.0}  {:>12.0}  {:>6.1}%",

@@ -80,7 +80,15 @@ fn usage() -> &'static str {
      \u{20}          seconds (ratios are unaffected); default 64"
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+/// What the command line asks for.
+enum Command {
+    /// Print the usage (`--help` / `-h`): stdout, exit 0.
+    Help,
+    /// Profile the job `Options` describes.
+    Analyze(Box<Options>),
+}
+
+fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -124,11 +132,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .filter(|&n| n >= 1)
                     .ok_or_else(|| format!("scale must be >= 1, got {v}"))?;
             }
-            "--help" | "-h" => return Err(usage().to_string()),
+            "--help" | "-h" => return Ok(Command::Help),
             other => return Err(format!("unknown flag {other}\n\n{}", usage())),
         }
     }
-    Ok(opts)
+    Ok(Command::Analyze(Box::new(opts)))
 }
 
 fn run(opts: &Options) {
@@ -234,7 +242,11 @@ fn run(opts: &Options) {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args) {
-        Ok(opts) => {
+        Ok(Command::Help) => {
+            println!("{}", usage());
+            ExitCode::SUCCESS
+        }
+        Ok(Command::Analyze(opts)) => {
             run(&opts);
             ExitCode::SUCCESS
         }
@@ -253,9 +265,17 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The options `list` parses to; asking for help is an error here.
+    fn options(list: &[&str]) -> Result<Options, String> {
+        match parse_args(&args(list))? {
+            Command::Analyze(opts) => Ok(*opts),
+            Command::Help => Err("asked for help".to_string()),
+        }
+    }
+
     #[test]
     fn defaults_match_figure_one_setting() {
-        let opts = parse_args(&[]).unwrap();
+        let opts = options(&[]).unwrap();
         assert_eq!(opts.model, ModelKind::ResNet18);
         assert_eq!(opts.dataset.name, "imagenet-1k");
         assert!((opts.cache_fraction - 0.35).abs() < 1e-12);
@@ -263,7 +283,7 @@ mod tests {
 
     #[test]
     fn parses_every_flag() {
-        let opts = parse_args(&args(&[
+        let opts = options(&[
             "--model",
             "resnet50",
             "--dataset",
@@ -276,7 +296,7 @@ mod tests {
             "4",
             "--scale",
             "128",
-        ]))
+        ])
         .unwrap();
         assert_eq!(opts.model, ModelKind::ResNet50);
         assert_eq!(opts.dataset.name, "openimages-ext");
@@ -299,5 +319,15 @@ mod tests {
         assert!(parse_args(&args(&["--gpus", "0"])).is_err());
         assert!(parse_args(&args(&["--model"])).is_err());
         assert!(parse_args(&args(&["--bogus"])).is_err());
+    }
+
+    #[test]
+    fn help_flags_ask_for_usage_not_an_error() {
+        for help in [&["--help"][..], &["-h"], &["--model", "alexnet", "--help"]] {
+            assert!(
+                matches!(parse_args(&args(help)), Ok(Command::Help)),
+                "{help:?}"
+            );
+        }
     }
 }

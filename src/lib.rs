@@ -123,9 +123,8 @@ pub mod prelude {
     pub use crate::dataset::{DataSource, DatasetSpec, LabeledVectorStore, SyntheticItemStore};
     pub use crate::gpu::{GpuGeneration, ModelKind, ModelProfile};
     pub use crate::pipeline::{
-        Axis, EpochMetrics, EpochUpdate, Experiment, ExperimentSpec, JobSpec, LoaderConfig,
-        LoaderKind, RunResult, Scenario, ServerConfig, SimReport, SweepReport, SweepRunner,
-        SweepSpec,
+        sweep, EpochMetrics, EpochUpdate, Experiment, ExperimentSpec, JobSpec, LoaderConfig,
+        LoaderKind, RunResult, Scenario, ServerConfig, SimReport,
     };
     pub use crate::prep::{ExecutablePipeline, PrepBackend, PrepPipeline};
     pub use crate::storage::DeviceProfile;

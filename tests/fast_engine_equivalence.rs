@@ -10,7 +10,7 @@
 //!   cache fractions, dataset sizes, epoch counts and tier splits,
 //! * reusing one `EngineScratch` across many differing runs changes no bit
 //!   versus a fresh scratch per run,
-//! * a `SweepRunner` forced onto the exact engine matches the default
+//! * a `sweep::run` forced onto the exact engine matches the default
 //!   fast-path sweep point for point.
 
 use datastalls::dataset::StorageFormat;
@@ -122,40 +122,28 @@ fn scratch_reuse_across_points_changes_no_bit() {
 }
 
 /// A sweep forced onto the exact engine reproduces the default fast-path
-/// sweep point for point — serial and threaded.
+/// sweep point for point, and both match a serial loop.
 #[test]
 fn forced_exact_sweep_matches_fast_sweep() {
     let base = minio_spec(160, 0.5, 0.0, 2, 32, false);
     let total = base.jobs[0].dataset.total_bytes();
-    let mut cache = Axis::new("cache");
+    let mut points = Vec::new();
     for pct in [10u32, 50, 100] {
-        cache = cache.value(format!("{pct}%"), move |spec| {
-            spec.server = spec.server.with_cache_fraction(total, pct as f64 / 100.0);
-        });
+        for cores in [8usize, 24] {
+            let mut spec = base.clone();
+            spec.server = (spec.server)
+                .with_cache_fraction(total, pct as f64 / 100.0)
+                .with_cpu_cores(cores);
+            points.push(spec);
+        }
     }
-    let mut vcpus = Axis::new("vcpus");
-    for cores in [8usize, 24] {
-        vcpus = vcpus.value(format!("{cores}"), move |spec| {
-            spec.server = spec.server.with_cpu_cores(cores);
-        });
-    }
-    let sweep = SweepSpec::new("fast-vs-exact", base)
-        .axis(cache)
-        .axis(vcpus);
 
-    let fast = SweepRunner::serial().run(&sweep);
-    let exact_serial = SweepRunner::serial().force_exact(true).run(&sweep);
-    let exact_threaded = SweepRunner::with_threads(4).force_exact(true).run(&sweep);
-
-    assert_eq!(fast.points.len(), 6);
-    for ((lf, rf), ((ls, rs), (lt, rt))) in fast
-        .reports()
-        .zip(exact_serial.reports().zip(exact_threaded.reports()))
-    {
-        assert_eq!(lf, ls);
-        assert_eq!(lf, lt);
-        assert_eq!(rf, rs);
-        assert_eq!(rf, rt);
+    let fast = sweep::run(&points, false, |_| true);
+    let exact = sweep::run(&points, true, |_| true);
+    assert_eq!(fast.len(), 6);
+    assert_eq!(fast, exact);
+    for (i, report) in &fast {
+        assert_eq!(report, &points[*i].run(), "point {i}");
     }
 }
 

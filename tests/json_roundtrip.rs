@@ -1,6 +1,6 @@
 //! Property-style round-trip tests for `pipeline::json` — the hand-rolled
 //! emitter/parser every report in the workspace (simulator `SimReport`,
-//! sweep `SweepReport`, runtime `LoaderReport`, the CI gates) goes through.
+//! runtime `LoaderReport`, the `dstool figures` document) goes through.
 //!
 //! The invariant: anything [`write_string`]/[`write_f64`] emit must parse
 //! back to the same value — for strings stuffed with quotes, backslashes,

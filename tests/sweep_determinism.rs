@@ -1,8 +1,11 @@
-//! The `SweepRunner` contract: a multi-threaded sweep is bit-identical to a
-//! serial run of the same grid (same reports, same order), and a panicking
-//! grid point fails that point only, never the sweep.
+//! The `sweep::run` contract: a parallel sweep returns exactly what a plain
+//! serial loop of `ExperimentSpec::run` returns (same reports, index order),
+//! `keep` selects which reports come back, and a panicking point panics the
+//! run with a message naming that point's index.
 
+use datastalls::pipeline::CacheSpec;
 use datastalls::prelude::*;
+use std::panic::{self, AssertUnwindSafe};
 
 fn base_spec() -> ExperimentSpec {
     let dataset = DatasetSpec::imagenet_1k().scaled(1000);
@@ -16,54 +19,69 @@ fn base_spec() -> ExperimentSpec {
     ExperimentSpec::new(server, job)
 }
 
-fn cache_axis() -> Axis {
-    let mut axis = Axis::new("cache");
-    for pct in [20u32, 40, 60, 80] {
-        axis.push_value(format!("{pct}%"), move |spec: &mut ExperimentSpec| {
-            let bytes = spec.jobs[0].dataset.total_bytes();
-            spec.server = spec.server.with_cache_fraction(bytes, pct as f64 / 100.0);
-        });
-    }
-    axis
+/// `base_spec` at each cache fraction in `pcts`.
+fn cache_points(pcts: &[u32]) -> Vec<ExperimentSpec> {
+    let base = base_spec();
+    let bytes = base.jobs[0].dataset.total_bytes();
+    pcts.iter()
+        .map(|&pct| ExperimentSpec {
+            server: base.server.with_cache_fraction(bytes, pct as f64 / 100.0),
+            ..base.clone()
+        })
+        .collect()
 }
 
-fn loader_axis() -> Axis {
-    Axis::new("loader")
-        .value("dali", |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader = LoaderConfig::dali_best(job.model);
-            }
-        })
-        .value("coordl", |spec: &mut ExperimentSpec| {
-            for job in &mut spec.jobs {
-                job.loader = LoaderConfig::coordl_best(job.model);
-            }
-        })
+/// `spec` as `n` concurrent HP-search jobs, one GPU and one seed each.
+fn hp_search(spec: &ExperimentSpec, n: usize) -> ExperimentSpec {
+    let mut template = spec.jobs[0].clone();
+    template.num_gpus = 1;
+    ExperimentSpec {
+        jobs: (0..n)
+            .map(|j| template.with_seed(template.seed + j as u64))
+            .collect(),
+        scenario: Scenario::HpSearch { jobs: n },
+        epochs: 2,
+        ..spec.clone()
+    }
+}
+
+fn serial(points: &[ExperimentSpec]) -> Vec<(usize, SimReport)> {
+    points.iter().map(ExperimentSpec::run).enumerate().collect()
 }
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let spec = SweepSpec::new("determinism", base_spec())
-        .axis(cache_axis())
-        .axis(loader_axis());
-    assert_eq!(spec.num_points(), 8);
+    // One point per engine shape: fast-path MinIO, an LRU loader (always
+    // the exact engine), an HP search, a distributed job and a DRAM+SSD
+    // hierarchy.
+    let base = base_spec();
+    let bytes = base.jobs[0].dataset.total_bytes();
+    let mut lru = base.clone();
+    lru.jobs[0].loader = LoaderConfig::pytorch_dl();
+    let points = vec![
+        base.clone(),
+        lru,
+        hp_search(&base, 3),
+        ExperimentSpec {
+            scenario: Scenario::Distributed { servers: 2 },
+            ..base.clone()
+        },
+        ExperimentSpec {
+            cache: CacheSpec::Tiered {
+                dram_bytes: bytes / 4,
+                ssd_bytes: bytes / 2,
+            },
+            ..base
+        },
+    ];
 
-    let serial = SweepRunner::serial().run(&spec);
-    for threads in [2, 3, 8] {
-        let parallel = SweepRunner::with_threads(threads).run(&spec);
-        // Same labels in the same deterministic grid order.
-        let serial_labels: Vec<String> = serial.points.iter().map(|p| p.label.label()).collect();
-        let parallel_labels: Vec<String> =
-            parallel.points.iter().map(|p| p.label.label()).collect();
-        assert_eq!(serial_labels, parallel_labels, "{threads} threads");
-        // Bit-identical reports: SimReport is all plain data, so structural
-        // equality plus byte-identical JSON pins every float.
-        assert_eq!(serial, parallel, "{threads} threads");
-        assert_eq!(
-            serial.to_json(),
-            parallel.to_json(),
-            "{threads} threads: JSON must match byte for byte"
-        );
+    let parallel = sweep::run(&points, false, |_| true);
+    let serial = serial(&points);
+    // SimReport is all plain data, so structural equality plus
+    // byte-identical JSON pins every float.
+    assert_eq!(parallel, serial);
+    for ((i, a), (_, b)) in parallel.iter().zip(&serial) {
+        assert_eq!(a.to_json(), b.to_json(), "point {i}: JSON byte for byte");
     }
 }
 
@@ -71,75 +89,47 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 fn hp_search_sweep_is_deterministic_across_threads() {
     // The HP-search engine exercises the coordinated-prep path, whose shared
     // state is the most likely place for nondeterminism to creep in.
-    let mut base = base_spec();
-    base.jobs[0].num_gpus = 1;
-    base.epochs = 2;
-    let mut width = Axis::new("jobs");
-    for n in [2usize, 4, 8] {
-        width.push_value(format!("{n}"), move |spec: &mut ExperimentSpec| {
-            spec.scenario = Scenario::HpSearch { jobs: n };
-            let template = spec.jobs[0].clone();
-            spec.jobs = (0..n)
-                .map(|j| template.with_seed(template.seed + j as u64))
-                .collect();
-        });
+    let base = base_spec();
+    let points: Vec<ExperimentSpec> = [2, 4, 8].map(|n| hp_search(&base, n)).into();
+    assert_eq!(sweep::run(&points, false, |_| true), serial(&points));
+}
+
+#[test]
+fn keep_returns_exactly_the_kept_indices_in_order() {
+    let points = cache_points(&[10, 20, 30, 40, 50, 60, 70]);
+    let kept = sweep::run(&points, false, |i| i % 3 != 1);
+    let indices: Vec<usize> = kept.iter().map(|&(i, _)| i).collect();
+    assert_eq!(indices, [0, 2, 3, 5, 6]);
+    let serial = serial(&points);
+    for (i, report) in &kept {
+        assert_eq!(report, &serial[*i].1, "point {i}");
     }
-    let spec = SweepSpec::new("hp-determinism", base).axis(width);
-    let serial = SweepRunner::serial().run(&spec);
-    let parallel = SweepRunner::with_threads(4).run(&spec);
-    assert_eq!(serial, parallel);
+    assert!(sweep::run(&points, false, |_| false).is_empty());
 }
 
 #[test]
 fn a_poisoned_grid_point_fails_alone() {
     // Silence the default panic hook for the intentional panic below; no
     // other test in this binary panics on purpose.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    let prev_hook = panic::take_hook();
+    panic::set_hook(Box::new(|_| {}));
+    let mut points = cache_points(&[20, 40, 60, 80]);
+    let mut poisoned = base_spec();
+    poisoned.epochs = 0; // Experiment::run asserts "need at least one epoch".
+    points.insert(2, poisoned);
+    let payload = panic::catch_unwind(AssertUnwindSafe(|| sweep::run(&points, false, |_| true)))
+        .expect_err("a panicking point panics the run");
+    panic::set_hook(prev_hook);
 
-    let mut axis = cache_axis();
-    axis.push_value("poisoned", |spec: &mut ExperimentSpec| {
-        spec.epochs = 0; // Experiment::run asserts "need at least one epoch".
-    });
-    let spec = SweepSpec::new("isolation", base_spec()).axis(axis);
-    let report = SweepRunner::with_threads(3).run(&spec);
-    std::panic::set_hook(prev_hook);
-
-    assert_eq!(report.points.len(), 5);
-    assert_eq!(report.num_failed(), 1);
-    let failed = &report.points[4];
-    assert_eq!(failed.label.label(), "cache=poisoned");
-    let err = failed.outcome.as_ref().unwrap_err();
+    // The run's panic blames the poisoned point, by index, with its reason.
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("the run panics with a formatted message");
     assert!(
-        err.contains("at least one epoch"),
-        "panic message surfaced: {err}"
+        msg.starts_with("sweep point 2 panicked:") && msg.contains("at least one epoch"),
+        "{msg}"
     );
-    // Every healthy point still ran.
-    for point in &report.points[..4] {
-        assert!(point.report().is_some(), "{} must succeed", point.label);
-    }
-    // The failure is visible in the JSON export, which stays valid.
-    let json = report.to_json();
-    assert!(json.contains("\"ok\":false"));
-    assert!(datastalls::pipeline::json::parse(&json).is_ok());
-}
-
-#[test]
-fn zipped_sweeps_run_axes_in_lockstep() {
-    let spec = SweepSpec::new("zip", base_spec())
-        .axis(cache_axis())
-        .axis(
-            Axis::new("epochs")
-                .value("2", |s: &mut ExperimentSpec| s.epochs = 2)
-                .value("3", |s: &mut ExperimentSpec| s.epochs = 3)
-                .value("4", |s: &mut ExperimentSpec| s.epochs = 4)
-                .value("5", |s: &mut ExperimentSpec| s.epochs = 5),
-        )
-        .zipped();
-    assert_eq!(spec.num_points(), 4);
-    let report = SweepRunner::with_threads(2).run(&spec);
-    for (i, (label, sim)) in report.reports().enumerate() {
-        assert_eq!(label.index, i);
-        assert_eq!(sim.num_epochs(), i + 2, "{label}");
-    }
+    // Without it, the healthy points run.
+    points.remove(2);
+    assert_eq!(sweep::run(&points, false, |_| true).len(), 4);
 }
