@@ -21,7 +21,9 @@ pub enum CoordlError {
     /// with this error; other sessions are unaffected.
     WorkerPanicked {
         /// Which executor stage the thread belonged to (`"fetch"` or
-        /// `"prep"`), in a coordinated recovery sweep as in any other.
+        /// `"prep"`), in a coordinated recovery sweep as in any other, or
+        /// `"spill"` for a persistent cache tier's writer thread (reported
+        /// by [`CacheTier::flush`](crate::CacheTier::flush)).
         stage: &'static str,
         /// The panic payload, when it was a string.
         detail: String,

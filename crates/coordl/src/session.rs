@@ -413,8 +413,9 @@ impl SessionBuilder {
                     .collect(),
                 None => specs,
             };
-            let tier = TieredByteCache::try_new_sharded(specs, executor.fetch_shards)?;
-            Ok(Arc::new(tier.recycling_into(Arc::clone(&backend))))
+            let tier =
+                TieredByteCache::build(specs, executor.fetch_shards, Some(Arc::clone(&backend)))?;
+            Ok(Arc::new(tier))
         };
         // The prepared-side window of every lane (see `Lane::spares`).
         let queued = match self.mode {
@@ -792,6 +793,12 @@ struct CounterSnapshot {
 
 /// One epoch of a session: hands out per-job [`BatchStream`]s and records
 /// the epoch's trajectory when dropped.
+///
+/// Dropping it is the epoch's commit point: it calls [`CacheTier::flush`]
+/// on every tier of the session, which for a persistent hierarchy waits
+/// until its spill writer has applied and committed every op the epoch
+/// issued.  So what the epoch admitted survives a restart once the drop
+/// returns, and I/O counters read after it count the whole epoch.
 pub struct EpochRun<'a> {
     session: &'a Session,
     epoch: u64,
@@ -890,8 +897,9 @@ impl Drop for EpochRun<'_> {
             drop(epoch_session);
             staging.stats()
         });
-        // The epoch's commit point: what it admitted to a persistent level
-        // survives a restart from here on.  A drop cannot report; a spill
+        // The epoch's commit point: `flush` returns once the spill writer
+        // has committed what the epoch admitted to a persistent level, so
+        // it survives a restart from here on.  A drop cannot report; a spill
         // failure stays with the tier for the next explicit `flush`.
         for tier in self.session.all_tiers() {
             let _ = tier.flush();

@@ -15,13 +15,15 @@
 //! between a node's own tier and the backend.
 
 use crate::backend::{recycle_if_last, FetchBackend};
-use crate::error::CoordlError;
+use crate::error::{panic_detail, CoordlError};
 use dataset::ItemId;
 use dcache::{ChainAccess, ChainSource, PolicyKind, TierChain, TierSpec};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use parking_lot::{Condvar, Mutex};
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{SpillStore, Vfs};
 
@@ -89,8 +91,13 @@ pub trait CacheTier: Send + Sync {
     /// Commit what the tier's persistent levels have queued for disk, so
     /// that everything admitted so far survives a restart, and report the
     /// first spill failure since construction (which stays reported: the
-    /// level it hit no longer mirrors to disk).  Sessions call this as each
-    /// epoch ends; tiers that persist nothing have nothing to do.
+    /// level it hit no longer mirrors to disk).  A [`TieredByteCache`]
+    /// ships every shard's open batch of spill ops to its write-behind
+    /// writer and returns once the writer has applied and committed them —
+    /// by then every payload the writer held is handed back too — or with
+    /// [`CoordlError::WorkerPanicked`] (stage `"spill"`) if the writer
+    /// died.  Sessions call this as each epoch ends; tiers that persist
+    /// nothing have nothing to do.
     fn flush(&self) -> Result<(), CoordlError> {
         Ok(())
     }
@@ -145,8 +152,10 @@ pub struct TierSnapshot {
 /// everything admitted in a completed epoch (the session's
 /// [`CacheTier::flush`] at epoch end) and everything before a clean drop
 /// survives a restart exactly; a crash mid-epoch loses at most the open
-/// group (under [`SpillStore::GROUP_BYTES`] per persistent shard) and never
-/// serves a wrong, short or resurrected-after-committed-removal payload.
+/// group (under [`SpillStore::GROUP_BYTES`] per persistent shard) plus the
+/// spill ops still queued for the cache's writer (see
+/// [`TieredByteCache`]'s write-behind bound), and never serves a wrong,
+/// short or resurrected-after-committed-removal payload.
 /// The directory is a cache: one left by another store format is not
 /// migrated, the level starts cold over it.
 #[derive(Clone)]
@@ -290,39 +299,19 @@ struct TieredInner {
     misses: u64,
     /// Modelled per-level device busy seconds across all hits.
     level_seconds: Vec<f64>,
-    /// Per-level durable mirror (`Some` only for `TierBacking::Vfs` levels
-    /// whose store has not failed).
-    spills: Vec<Option<SpillStore>>,
-    /// The first failure of any level's store (see [`mirror`]).
-    spill_error: Option<CoordlError>,
-}
-
-/// Run `op` on a level's spill store, if it still mirrors.  On the first
-/// error the level stops mirroring — dropping the store commits what it
-/// still can; the in-memory tier serves on — and the error is kept for
-/// [`CacheTier::flush`].
-fn mirror(
-    spill: &mut Option<SpillStore>,
-    error: &mut Option<CoordlError>,
-    op: impl FnOnce(&mut SpillStore) -> Result<(), vfs::VfsError>,
-) {
-    let Some(store) = spill else { return };
-    if let Err(e) = op(store) {
-        error.get_or_insert(CoordlError::SpillIo {
-            dir: store.dir().to_string(),
-            detail: e.to_string(),
-        });
-        *spill = None;
-    }
+    /// This shard's feed of the spill writer (`Some` only when some level
+    /// is [`TierBacking::Vfs`]).
+    spill: Option<SpillLane>,
 }
 
 impl TieredInner {
-    /// Apply a chain access on `key` to the payload map and the durable
-    /// per-level stores: mirror every new landing (`key`'s own admission or
-    /// promotion copy, then each demoted victim) into the persistent level
-    /// it landed in, retire and let go of what fell off the chain — handing
-    /// each payload nobody else holds to `recycler`, if there is one.
-    /// Returns the level a new copy of `key` landed in.
+    /// Apply a chain access on `key` to the payload map and queue its
+    /// mirroring: every new landing (`key`'s own admission or promotion
+    /// copy, then each demoted victim) is written into the persistent level
+    /// it landed in, and what fell off the chain is removed from every
+    /// persistent level.  Retire and let go of the payloads that fell off,
+    /// handing each payload nobody else holds to `recycler`, if there is
+    /// one.  Returns the level a new copy of `key` landed in.
     fn settle(
         &mut self,
         key: u64,
@@ -330,29 +319,22 @@ impl TieredInner {
         recycler: Option<&dyn FetchBackend>,
     ) -> Option<usize> {
         let landed = access.admitted.then(|| self.chain.locate(key)).flatten();
-        let TieredInner {
-            bytes,
-            spills,
-            spill_error,
-            ..
-        } = self;
+        let TieredInner { bytes, spill, .. } = self;
         // Purely in-memory hierarchies (the hot path) skip the mirroring.
-        if spills.iter().any(Option::is_some) {
+        if let Some(lane) = spill {
             let own = landed.map(|level| (key, level));
             for (landing, level) in own.into_iter().chain(access.demoted.iter().copied()) {
-                mirror(&mut spills[level], spill_error, |spill| {
+                if lane.persistent[level] {
                     let payload = bytes
                         .get(&landing)
                         .expect("a landed key must have a resident payload");
-                    spill.write(landing, payload)
-                });
+                    lane.push(level, SpillOp::Write(landing, Arc::clone(payload)));
+                }
                 // Stale copies at other persistent levels are dropped lazily:
                 // removing here would fight the promotion-keeps-lower-copy rule.
             }
             for &victim in &access.dropped {
-                for spill in spills.iter_mut() {
-                    mirror(spill, spill_error, |spill| spill.remove(victim));
-                }
+                lane.push_each(|| SpillOp::Remove(victim));
             }
         }
         for victim in access.dropped {
@@ -363,12 +345,311 @@ impl TieredInner {
         }
         landed
     }
+}
 
-    /// Commit every level's store.
-    fn flush_spills(&mut self) {
-        for spill in &mut self.spills {
-            mirror(spill, &mut self.spill_error, SpillStore::flush);
+// ---------------------------------------------------------------------------
+// Write-behind spill writer
+// ---------------------------------------------------------------------------
+
+/// Spill ops a shard collects before shipping them to the writer in one
+/// hand-off: the writer wakes once per batch, not once per op.
+const BATCH_OPS: usize = 32;
+
+/// Shipped batches the writer's queue holds; a shard shipping into a full
+/// queue waits for room.  With the batch being written and each shard's
+/// open batch, the writer is behind by at most `(QUEUE_BATCHES + 1 +
+/// shards) × BATCH_OPS` ops: the payloads of that many writes are what a
+/// cache holds beyond its resident set (18 MiB of 32 KiB items for one
+/// shard), and what a crash loses beyond each store's open group.
+const QUEUE_BATCHES: usize = 16;
+
+/// One operation on one level's [`SpillStore`], applied by the writer in
+/// the order the shard issued it.
+enum SpillOp {
+    /// Store the payload under the key: a landing or a demotion.
+    Write(u64, Arc<Vec<u8>>),
+    /// Drop the key: it fell off the chain.
+    Remove(u64),
+    /// Commit the store's open group ([`CacheTier::flush`]).
+    Commit,
+    /// Drop every stored key in the window, then commit (a departing
+    /// tenant's keys).
+    RemoveRange(Range<u64>),
+}
+
+/// `(level, op)` pairs of one shard, in issue order.
+type Ops = Vec<(usize, SpillOp)>;
+
+enum Message {
+    Batch {
+        shard: usize,
+        ops: Ops,
+    },
+    /// Answer with the first store failure, in shard order, once every
+    /// message before this one is applied.
+    Sync(mpsc::Sender<Result<(), CoordlError>>),
+}
+
+struct Queue {
+    messages: VecDeque<Message>,
+    /// `Batch` messages among them.
+    batches: usize,
+    /// Emptied op vectors, for shipping shards to fill again.
+    spare: Vec<Ops>,
+    /// No message follows: the writer drains the queue and exits.
+    closed: bool,
+    /// The writer's panic, once it has died.
+    panicked: Option<String>,
+}
+
+/// The queue between a cache's shards and its spill writer.
+struct WriterQueue {
+    queue: Mutex<Queue>,
+    /// Wakes the writer: a message arrived or the queue closed.
+    ready: Condvar,
+    /// Wakes shards waiting for room in a full queue.
+    room: Condvar,
+}
+
+impl WriterQueue {
+    /// An empty queue with every vector it needs made up front: a full
+    /// queue, the batch being written and one to hand the shipping shard
+    /// leave a spare, so the count of vectors made does not depend on how
+    /// far the writer ever fell behind.
+    fn new() -> Self {
+        let spare = (0..=QUEUE_BATCHES)
+            .map(|_| Vec::with_capacity(BATCH_OPS))
+            .collect();
+        WriterQueue {
+            queue: Mutex::new(Queue {
+                messages: VecDeque::with_capacity(QUEUE_BATCHES + 1),
+                batches: 0,
+                spare,
+                closed: false,
+                panicked: None,
+            }),
+            ready: Condvar::new(),
+            room: Condvar::new(),
         }
+    }
+
+    /// Queue a shard's batch, waiting while the queue is full, and return an
+    /// empty vector for its next one.  A dead writer's batch is freed.
+    fn ship(&self, shard: usize, mut ops: Ops) -> Ops {
+        let mut queue = self.queue.lock();
+        while queue.batches >= QUEUE_BATCHES && queue.panicked.is_none() {
+            self.room.wait(&mut queue);
+        }
+        if queue.panicked.is_some() {
+            drop(queue);
+            ops.clear();
+            return ops;
+        }
+        queue.messages.push_back(Message::Batch { shard, ops });
+        queue.batches += 1;
+        let spare = queue.spare.pop();
+        drop(queue);
+        self.ready.notify_one();
+        spare.unwrap_or_else(|| Vec::with_capacity(BATCH_OPS))
+    }
+
+    /// Wait until the writer has applied everything queued so far, and
+    /// return the first store failure.  A writer that panicked — before or
+    /// while this waits — drops the reply channel, which ends the wait.
+    fn sync(&self) -> Result<(), CoordlError> {
+        let panicked = |detail: &Option<String>| CoordlError::WorkerPanicked {
+            stage: "spill",
+            detail: detail.clone().unwrap_or_default(),
+        };
+        let (reply, answer) = mpsc::channel();
+        {
+            let mut queue = self.queue.lock();
+            if queue.panicked.is_some() {
+                return Err(panicked(&queue.panicked));
+            }
+            queue.messages.push_back(Message::Sync(reply));
+        }
+        self.ready.notify_one();
+        answer
+            .recv()
+            .unwrap_or_else(|_| Err(panicked(&self.queue.lock().panicked)))
+    }
+
+    /// The writer's side: hand back the vector of the batch it finished and
+    /// take the next message, or `None` once the queue is closed and drained.
+    fn next(&self, spent: Option<Ops>) -> Option<Message> {
+        let mut queue = self.queue.lock();
+        queue.spare.extend(spent);
+        loop {
+            if let Some(message) = queue.messages.pop_front() {
+                if let Message::Batch { .. } = message {
+                    queue.batches -= 1;
+                    self.room.notify_one();
+                }
+                return Some(message);
+            }
+            if queue.closed {
+                return None;
+            }
+            self.ready.wait(&mut queue);
+        }
+    }
+
+    fn close(&self) {
+        self.queue.lock().closed = true;
+        self.ready.notify_one();
+    }
+
+    /// The writer panicked: record why, free what it will never write, and
+    /// close every waiting reply channel.
+    fn die(&self, detail: String) {
+        let dropped = {
+            let mut queue = self.queue.lock();
+            queue.panicked = Some(detail);
+            queue.batches = 0;
+            std::mem::take(&mut queue.messages)
+        };
+        self.room.notify_all();
+        drop(dropped);
+    }
+}
+
+/// A shard's side of the spill writer: the ops its fetches issued since it
+/// last shipped, in issue order.
+struct SpillLane {
+    shard: usize,
+    /// Which levels mirror into a spill store.
+    persistent: Vec<bool>,
+    pending: Ops,
+    queue: Arc<WriterQueue>,
+}
+
+impl SpillLane {
+    fn push(&mut self, level: usize, op: SpillOp) {
+        self.pending.push((level, op));
+        if self.pending.len() >= BATCH_OPS {
+            self.ship();
+        }
+    }
+
+    /// Push `op()` for every persistent level.
+    fn push_each(&mut self, op: impl Fn() -> SpillOp) {
+        for level in 0..self.persistent.len() {
+            if self.persistent[level] {
+                self.push(level, op());
+            }
+        }
+    }
+
+    fn ship(&mut self) {
+        if !self.pending.is_empty() {
+            let ops = std::mem::take(&mut self.pending);
+            self.pending = self.queue.ship(self.shard, ops);
+        }
+    }
+}
+
+/// The thread that owns every shard's spill stores and applies the ops
+/// the shards ship to it.
+struct SpillWriter {
+    queue: Arc<WriterQueue>,
+    thread: JoinHandle<()>,
+}
+
+impl SpillWriter {
+    /// Start the writer over `stores` (indexed by shard, then level).  A
+    /// thread that cannot be started is a [`CoordlError::InvalidConfig`].
+    fn spawn(
+        mut stores: Vec<Vec<Option<SpillStore>>>,
+        recycler: Option<Arc<dyn FetchBackend>>,
+    ) -> Result<Self, CoordlError> {
+        let queue = Arc::new(WriterQueue::new());
+        let writer_queue = Arc::clone(&queue);
+        let thread = std::thread::Builder::new()
+            .name("coordl-spill".into())
+            .spawn(move || {
+                let queue = writer_queue;
+                let wrote = panic::catch_unwind(AssertUnwindSafe(|| {
+                    write_behind(&queue, &mut stores, recycler.as_deref());
+                }));
+                if let Err(payload) = wrote {
+                    queue.die(panic_detail(payload));
+                }
+                // Each store commits its open group as it drops.
+                drop(stores);
+            })
+            .map_err(|e| {
+                CoordlError::InvalidConfig(format!("cannot start the spill writer: {e}"))
+            })?;
+        Ok(SpillWriter { queue, thread })
+    }
+}
+
+/// The writer's loop: apply each shipped batch to its shard's stores in
+/// order, and answer each sync with the first failure in shard order.
+fn write_behind(
+    queue: &WriterQueue,
+    stores: &mut [Vec<Option<SpillStore>>],
+    recycler: Option<&dyn FetchBackend>,
+) {
+    let mut errors: Vec<Option<CoordlError>> = vec![None; stores.len()];
+    let mut spent = None;
+    while let Some(message) = queue.next(spent.take()) {
+        match message {
+            Message::Batch { shard, mut ops } => {
+                for (level, op) in ops.drain(..) {
+                    apply(&mut stores[shard][level], &mut errors[shard], op, recycler);
+                }
+                spent = Some(ops);
+            }
+            Message::Sync(reply) => {
+                let first = errors.iter().flatten().next().cloned();
+                // `send` fails only when the asker is gone: nobody to tell.
+                let _ = reply.send(first.map_or(Ok(()), Err));
+            }
+        }
+    }
+}
+
+/// Apply `op` to a level's store, if it still mirrors, then let go of the
+/// payload it carried (to `recycler` when this was the last reference).  On
+/// the first error the level stops mirroring — dropping the store commits
+/// what it still can; the in-memory tier serves on, and the level's later
+/// ops only hand their payloads back — and the error is kept for
+/// [`CacheTier::flush`].
+fn apply(
+    store: &mut Option<SpillStore>,
+    error: &mut Option<CoordlError>,
+    op: SpillOp,
+    recycler: Option<&dyn FetchBackend>,
+) {
+    if let Some(spill) = store {
+        let outcome = match &op {
+            SpillOp::Write(key, payload) => spill.write(*key, payload),
+            SpillOp::Remove(key) => spill.remove(*key),
+            SpillOp::Commit => spill.flush(),
+            SpillOp::RemoveRange(window) => {
+                let doomed: Vec<u64> = spill
+                    .entries()
+                    .map(|(key, _)| key)
+                    .filter(|key| window.contains(key))
+                    .collect();
+                doomed
+                    .into_iter()
+                    .try_for_each(|key| spill.remove(key))
+                    .and_then(|()| spill.flush())
+            }
+        };
+        if let Err(e) = outcome {
+            error.get_or_insert(CoordlError::SpillIo {
+                dir: spill.dir().to_string(),
+                detail: e.to_string(),
+            });
+            *store = None;
+        }
+    }
+    if let (SpillOp::Write(_, payload), Some(backend)) = (op, recycler) {
+        recycle_if_last(backend, payload);
     }
 }
 
@@ -416,14 +697,36 @@ pub(crate) enum Admission {
 /// spill into `{dir}/shard-{k}` subdirectories, so the shard count must be
 /// kept stable across restarts for warm-up to find its files.
 ///
+/// **Write-behind.**  Persistent levels are mirrored off the fetch path.
+/// A fetch only appends its spill ops — a write per landing or demotion
+/// into a persistent level, a remove per key that fell off the chain — to
+/// its shard's open batch, under the shard lock it already holds, and ships
+/// the batch in one hand-off every 32 ops.  One writer thread per cache
+/// owns every shard's [`SpillStore`]s and applies each store's ops in
+/// exactly the order they were issued (a store belongs to one shard, whose
+/// batches queue in order).  The queue holds 16 batches; a shard shipping
+/// into a full one waits.  So the writer is behind by at most `(16 + 1 +
+/// shards) × 32` ops, and the payloads of that many writes are what the
+/// cache holds beyond its resident set.  [`CacheTier::flush`] ships every
+/// open batch and waits for the writer's commit, and a drop ships, lets
+/// the writer drain the queue and joins it: the epoch-end commit point,
+/// restart warm-up and every VFS operation are those of applying the ops
+/// in place.  A store's first error ends its mirroring (its later ops are
+/// discarded) and is reported by every `flush` after it; a writer that
+/// panics makes `flush` return [`CoordlError::WorkerPanicked`].  Purely
+/// in-memory hierarchies start no writer.
+///
 /// **Payloads that come back.**  The tier a [`Session`](crate::Session)
 /// builds for itself hands every payload it lets go of — a key that falls
 /// off the bottom of the chain, the offered copy a raced admission discards
 /// — to the session's backend ([`FetchBackend::recycle`]) when it held the
-/// last reference, so the next miss reads into it.  A payload prep still
-/// holds comes back from prep instead.  The hand-back of dropped keys runs
-/// under the shard lock: the lock order is tier shard → backend free list,
-/// and `recycle` never calls into a tier.  A cache built through the public
+/// last reference, so the next miss reads into it.  A payload prep or the
+/// spill writer still holds comes back from whichever lets go of it last,
+/// exactly once, and by the time `flush` returns.  The hand-back of dropped
+/// keys runs under the shard lock.  The lock order is tier shard → writer
+/// queue → backend free list: a shard ships under its lock, the writer
+/// takes no shard lock and hands back payloads holding no lock, and
+/// `recycle` never calls into a tier.  A cache built through the public
 /// constructors frees what it drops.
 pub struct TieredByteCache {
     shards: Vec<Mutex<TieredInner>>,
@@ -433,6 +736,9 @@ pub struct TieredByteCache {
     name: &'static str,
     /// Where payloads the cache lets go of go back to (see the type docs).
     recycler: Option<Arc<dyn FetchBackend>>,
+    /// The write-behind writer of the persistent levels (`None` when every
+    /// level is in memory).
+    writer: Option<SpillWriter>,
 }
 
 impl TieredByteCache {
@@ -467,6 +773,17 @@ impl TieredByteCache {
         specs: Vec<ByteTierSpec>,
         num_shards: usize,
     ) -> Result<Self, CoordlError> {
+        Self::build(specs, num_shards, None)
+    }
+
+    /// [`TieredByteCache::try_new_sharded`], handing every payload the
+    /// cache lets go of, when it held the last reference, to `recycler`
+    /// (see the type docs).
+    pub(crate) fn build(
+        specs: Vec<ByteTierSpec>,
+        num_shards: usize,
+        recycler: Option<Arc<dyn FetchBackend>>,
+    ) -> Result<Self, CoordlError> {
         if specs.is_empty() {
             return Err(CoordlError::InvalidConfig(
                 "a cache hierarchy needs at least one tier".into(),
@@ -478,6 +795,7 @@ impl TieredByteCache {
             ));
         }
         let mut shards = Vec::with_capacity(num_shards);
+        let mut stores = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
             // Per-shard level specs: split capacity, spill directories per
             // shard (but the legacy layout untouched for the 1-shard cache).
@@ -492,7 +810,26 @@ impl TieredByteCache {
                     s
                 })
                 .collect();
-            shards.push(Mutex::new(Self::build_shard(&shard_specs)?));
+            let (inner, spills) = Self::build_shard(&shard_specs)?;
+            shards.push(inner);
+            stores.push(spills);
+        }
+        let persistent: Vec<bool> = specs
+            .iter()
+            .map(|spec| matches!(spec.backing, TierBacking::Vfs { .. }))
+            .collect();
+        let mut writer = None;
+        if persistent.contains(&true) {
+            let spawned = SpillWriter::spawn(stores, recycler.clone())?;
+            for (shard, inner) in shards.iter_mut().enumerate() {
+                inner.spill = Some(SpillLane {
+                    shard,
+                    persistent: persistent.clone(),
+                    pending: Vec::with_capacity(BATCH_OPS),
+                    queue: Arc::clone(&spawned.queue),
+                });
+            }
+            writer = Some(spawned);
         }
         // Single-level hierarchies report the plain policy name so existing
         // reports are unchanged; deeper chains get a composite label,
@@ -509,24 +846,20 @@ impl TieredByteCache {
             intern_label(label)
         };
         Ok(TieredByteCache {
-            shards,
+            shards: shards.into_iter().map(Mutex::new).collect(),
             specs,
             name,
-            recycler: None,
+            recycler,
+            writer,
         })
     }
 
-    /// This cache handing every payload it lets go of, when it held the last
-    /// reference, to `backend` (see the type docs).
-    pub(crate) fn recycling_into(mut self, backend: Arc<dyn FetchBackend>) -> Self {
-        self.recycler = Some(backend);
-        self
-    }
-
-    /// Build one shard's chain + payload map + spill stores from its
-    /// (already capacity-split) level specs, warm-replaying persistent
-    /// levels.
-    fn build_shard(specs: &[ByteTierSpec]) -> Result<TieredInner, CoordlError> {
+    /// Build one shard's chain + payload map, and its per-level spill stores
+    /// (`Some` at persistent levels), from its (already capacity-split)
+    /// level specs, warm-replaying persistent levels.
+    fn build_shard(
+        specs: &[ByteTierSpec],
+    ) -> Result<(TieredInner, Vec<Option<SpillStore>>), CoordlError> {
         let mut chain = TierChain::new(specs.iter().map(ByteTierSpec::tier_spec).collect());
         let mut bytes = HashMap::new();
         let mut spills = Vec::with_capacity(specs.len());
@@ -585,15 +918,15 @@ impl TieredByteCache {
         // Warm contents, cold statistics.
         chain.reset_stats();
         let levels = specs.len();
-        Ok(TieredInner {
+        let inner = TieredInner {
             chain,
             bytes,
             hits: 0,
             misses: 0,
             level_seconds: vec![0.0; levels],
-            spills,
-            spill_error: None,
-        })
+            spill: None,
+        };
+        Ok((inner, spills))
     }
 
     /// A single DRAM level under `policy` — the default session tier.
@@ -610,6 +943,19 @@ impl TieredByteCache {
     /// How many key-routed shards the cache is split into.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
+    }
+
+    /// The keys resident at `level`, in key order across shards (a key
+    /// promoted from a lower level is resident at both).
+    pub fn resident_keys(&self, level: usize) -> Vec<ItemId> {
+        let mut keys: Vec<ItemId> = Vec::new();
+        for shard in &self.shards {
+            let inner = shard.lock();
+            let at_level = inner.bytes.keys().copied();
+            keys.extend(at_level.filter(|&key| inner.chain.tier_contains(level, key)));
+        }
+        keys.sort_unstable();
+        keys
     }
 
     /// The shard owning `item` under [`dcache::shard_of_key`] routing.
@@ -694,24 +1040,15 @@ impl TieredByteCache {
             let mut inner = shard.lock();
             inner.chain.remove_range(window.clone());
             inner.bytes.retain(|key, _| !window.contains(key));
-            let TieredInner {
-                spills,
-                spill_error,
-                ..
-            } = &mut *inner;
-            for spill in spills {
-                // Committed at once: a departed tenant's keys must not
-                // reappear after a crash.
-                mirror(spill, spill_error, |spill| {
-                    let doomed: Vec<u64> = spill
-                        .entries()
-                        .map(|(key, _)| key)
-                        .filter(|key| window.contains(key))
-                        .collect();
-                    doomed.into_iter().try_for_each(|key| spill.remove(key))?;
-                    spill.flush()
-                });
+            if let Some(lane) = &mut inner.spill {
+                lane.push_each(|| SpillOp::RemoveRange(window.clone()));
+                lane.ship();
             }
+        }
+        // Committed before this returns: a departed tenant's keys must not
+        // reappear after a crash.  A failure stays for the next `flush`.
+        if let Some(writer) = &self.writer {
+            let _ = writer.queue.sync();
         }
     }
 }
@@ -806,15 +1143,34 @@ impl CacheTier for TieredByteCache {
     }
 
     fn flush(&self) -> Result<(), CoordlError> {
-        let mut first = None;
+        let Some(writer) = &self.writer else {
+            return Ok(());
+        };
         for shard in &self.shards {
-            let mut inner = shard.lock();
-            inner.flush_spills();
-            if first.is_none() {
-                first.clone_from(&inner.spill_error);
+            if let Some(lane) = &mut shard.lock().spill {
+                lane.push_each(|| SpillOp::Commit);
+                lane.ship();
             }
         }
-        first.map_or(Ok(()), Err)
+        writer.queue.sync()
+    }
+}
+
+impl Drop for TieredByteCache {
+    /// Ship every shard's open batch, then let the writer drain the queue,
+    /// drop the stores (each commits its open group) and exit.
+    fn drop(&mut self) {
+        let Some(writer) = self.writer.take() else {
+            return;
+        };
+        for shard in &self.shards {
+            if let Some(lane) = &mut shard.lock().spill {
+                lane.ship();
+            }
+        }
+        writer.queue.close();
+        // A writer that panicked has already said so to `flush`.
+        let _ = writer.thread.join();
     }
 }
 
@@ -1215,8 +1571,12 @@ mod tests {
                 ssd = ssd.persistent(Arc::clone(&vfs), "hand-back");
             }
             let backend = Arc::new(Recycler::default());
-            let tier = TieredByteCache::new(vec![ByteTierSpec::dram(PolicyKind::Lru, 4), ssd])
-                .recycling_into(Arc::clone(&backend) as Arc<dyn FetchBackend>);
+            let tier = TieredByteCache::build(
+                vec![ByteTierSpec::dram(PolicyKind::Lru, 4), ssd],
+                1,
+                Some(Arc::clone(&backend) as Arc<dyn FetchBackend>),
+            )
+            .unwrap();
             // Prep still holds item 0's payload when it falls off the chain.
             let held = tier.admit(0, payload(0, 1));
             // 15 items cycled through 8 slots: every fetch misses and, once
@@ -1235,10 +1595,14 @@ mod tests {
                 .chain([200])
                 .collect();
             expected.sort_unstable();
+            // A persistent level's writer holds what it has yet to write:
+            // each payload is back by the time `flush` returns.
+            tier.flush().unwrap();
             assert_eq!(recycled(&backend), expected, "persistent={persistent}");
             // Prep lets go of item 0 last: it comes back from prep.
             recycle_if_last(&*backend, held);
             expected.insert(0, 0);
+            tier.flush().unwrap();
             assert_eq!(recycled(&backend), expected, "persistent={persistent}");
             outcomes.push(expected);
         }
@@ -1247,11 +1611,15 @@ mod tests {
         // MinIO never drops a resident payload; what it bypasses stays the
         // caller's.
         let backend = Arc::new(Recycler::default());
-        let minio = TieredByteCache::new(vec![
-            ByteTierSpec::dram(PolicyKind::MinIo, 4),
-            ByteTierSpec::sata_ssd(PolicyKind::MinIo, 4),
-        ])
-        .recycling_into(Arc::clone(&backend) as Arc<dyn FetchBackend>);
+        let minio = TieredByteCache::build(
+            vec![
+                ByteTierSpec::dram(PolicyKind::MinIo, 4),
+                ByteTierSpec::sata_ssd(PolicyKind::MinIo, 4),
+            ],
+            1,
+            Some(Arc::clone(&backend) as Arc<dyn FetchBackend>),
+        )
+        .unwrap();
         for _epoch in 0..3 {
             for item in 0..16u64 {
                 fetch_through(&minio, item, 1);
@@ -1259,6 +1627,180 @@ mod tests {
         }
         assert_eq!(minio.resident_items(), 8);
         assert!(backend.0.lock().is_empty());
+    }
+
+    #[test]
+    fn racing_hand_backs_with_the_spill_writer_recycle_each_payload_exactly_once() {
+        // Prep finishing with a payload, the tier dropping its key and the
+        // spill writer finishing its write, all at the same moment:
+        // whichever lets go last hands it back, never twice, never not.
+        const ROUNDS: usize = 10_000;
+        let backend = Recycler::default();
+        let vfs: Arc<dyn Vfs> = Arc::new(vfs::MemVfs::new());
+        let mut store = Some(SpillStore::open(vfs, "race").unwrap());
+        let mut error = None;
+        let payloads: Vec<Arc<Vec<u8>>> = (0..ROUNDS)
+            .map(|round| Arc::new(round.to_le_bytes().to_vec()))
+            .collect();
+        let prep_side: Vec<_> = payloads.iter().map(Arc::clone).collect();
+        let tier_side: Vec<_> = payloads.iter().map(Arc::clone).collect();
+        let barrier = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for side in [prep_side, tier_side] {
+                let (backend, barrier) = (&backend, &barrier);
+                s.spawn(move || {
+                    for payload in side {
+                        barrier.wait();
+                        recycle_if_last(backend, payload);
+                    }
+                });
+            }
+            let (backend, barrier) = (&backend, &barrier);
+            let (store, error) = (&mut store, &mut error);
+            s.spawn(move || {
+                for (round, payload) in payloads.into_iter().enumerate() {
+                    barrier.wait();
+                    let op = SpillOp::Write(round as u64 % 64, payload);
+                    apply(store, error, op, Some(backend));
+                }
+            });
+        });
+        assert_eq!(error, None);
+        assert_eq!(store.map(|store| store.len()), Some(64));
+        let mut rounds: Vec<usize> = backend
+            .0
+            .lock()
+            .iter()
+            .map(|buf| usize::from_le_bytes(buf[..].try_into().unwrap()))
+            .collect();
+        rounds.sort_unstable();
+        assert_eq!(rounds, (0..ROUNDS).collect::<Vec<_>>());
+    }
+
+    /// A `MemVfs` that calls `on_write` before every write.
+    struct HookedVfs<F> {
+        inner: vfs::MemVfs,
+        on_write: F,
+    }
+
+    impl<F: Fn() + Send + Sync> Vfs for HookedVfs<F> {
+        fn open(&self, path: &str, create: bool) -> Result<vfs::FileHandle, vfs::VfsError> {
+            self.inner.open(path, create)
+        }
+        fn read_at(
+            &self,
+            file: vfs::FileHandle,
+            offset: u64,
+            len: usize,
+        ) -> Result<Vec<u8>, vfs::VfsError> {
+            self.inner.read_at(file, offset, len)
+        }
+        fn write_at(
+            &self,
+            file: vfs::FileHandle,
+            offset: u64,
+            data: &[u8],
+        ) -> Result<(), vfs::VfsError> {
+            (self.on_write)();
+            self.inner.write_at(file, offset, data)
+        }
+        fn sync(&self, file: vfs::FileHandle) -> Result<(), vfs::VfsError> {
+            self.inner.sync(file)
+        }
+        fn len(&self, file: vfs::FileHandle) -> Result<u64, vfs::VfsError> {
+            self.inner.len(file)
+        }
+        fn close(&self, file: vfs::FileHandle) -> Result<(), vfs::VfsError> {
+            self.inner.close(file)
+        }
+        fn exists(&self, path: &str) -> bool {
+            self.inner.exists(path)
+        }
+        fn remove(&self, path: &str) -> Result<(), vfs::VfsError> {
+            self.inner.remove(path)
+        }
+        fn name(&self) -> &'static str {
+            "hooked"
+        }
+        fn stats(&self) -> vfs::VfsStats {
+            self.inner.stats()
+        }
+    }
+
+    fn lru_over_persistent_lru(vfs: &Arc<dyn Vfs>, dir: &str) -> TieredByteCache {
+        TieredByteCache::new(vec![
+            ByteTierSpec::dram(PolicyKind::Lru, 4),
+            ByteTierSpec::sata_ssd(PolicyKind::Lru, 64).persistent(Arc::clone(vfs), dir),
+        ])
+    }
+
+    #[test]
+    fn a_panicking_spill_writer_fails_flush_instead_of_hanging() {
+        let armed = std::sync::atomic::AtomicBool::new(true);
+        let vfs: Arc<dyn Vfs> = Arc::new(HookedVfs {
+            inner: vfs::MemVfs::new(),
+            on_write: move || {
+                if armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                    panic!("the disk caught fire");
+                }
+            },
+        });
+        let tier = lru_over_persistent_lru(&vfs, "fire");
+        // Thousands of ops, far past the queue's bound: shipping to a dead
+        // writer never blocks.
+        for item in 0..2_000u64 {
+            fetch_through(&tier, item, 1);
+        }
+        for _ in 0..2 {
+            match tier.flush() {
+                Err(CoordlError::WorkerPanicked { stage, detail }) => {
+                    assert_eq!(stage, "spill");
+                    assert!(detail.contains("the disk caught fire"), "{detail}");
+                }
+                other => panic!("expected the writer's panic, got {other:?}"),
+            }
+        }
+        // The in-memory tier serves on.
+        assert_eq!(tier.lookup(1_999).unwrap().as_slice(), &[1_999u64 as u8]);
+        drop(tier);
+    }
+
+    #[test]
+    fn dropping_a_cache_with_queued_spill_ops_commits_them_all() {
+        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let writes_wait_for = Arc::clone(&gate);
+        let vfs: Arc<dyn Vfs> = Arc::new(HookedVfs {
+            inner: vfs::MemVfs::new(),
+            on_write: move || {
+                let (open, opened) = &*writes_wait_for;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = opened.wait(open).unwrap();
+                }
+            },
+        });
+        let tier = lru_over_persistent_lru(&vfs, "queued");
+        // 86 demotions and 22 drops: three batches shipped, 12 ops open.
+        for item in 0..90u64 {
+            fetch_through(&tier, item, 1);
+        }
+        let expected = tier.resident_keys(1);
+        assert_eq!(expected.len(), 64);
+        let queue = Arc::clone(&tier.writer.as_ref().unwrap().queue);
+        let dropper = std::thread::spawn(move || drop(tier));
+        {
+            // The drop has shipped the open batch and closed the queue while
+            // the writer is still stuck in its first write.
+            let mut waiting = queue.queue.lock();
+            while !waiting.closed {
+                queue.ready.wait(&mut waiting);
+            }
+            assert!(!waiting.messages.is_empty(), "the writer is behind");
+        }
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        dropper.join().unwrap();
+        assert_eq!(spilled(&vfs, "queued"), expected);
     }
 
     #[test]

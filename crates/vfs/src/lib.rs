@@ -20,7 +20,10 @@
 //! one barrier on the segment, one manifest append and one barrier on the
 //! manifest per [`SpillStore::GROUP_BYTES`] of payloads, never a record
 //! before the bytes it names — so a crash loses at most the open group and
-//! never yields a wrong payload, and a landing costs about one write.  A
+//! never yields a wrong payload, and a landing costs about one write.  The
+//! store is single-threaded; a cache tier hands its ops to one write-behind
+//! thread that owns its stores, so a crash there also loses what was still
+//! queued for that thread, under the byte bound the tier documents.  A
 //! spill directory is a cache: one in another format is not migrated, the
 //! store starts empty over it.
 

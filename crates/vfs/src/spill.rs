@@ -46,6 +46,11 @@
 //! [`SpillStore::GROUP_BYTES`] of payload — and recovers the store as it was
 //! at some point of its own history no earlier than that commit: never a
 //! wrong or short payload, never a key whose removal had been committed.
+//! A cache tier that issues its ops from a write-behind thread (as
+//! `coordl::TieredByteCache` does) loses, on top of that, the ops still
+//! queued for its writer — up to the byte bound the tier states (the
+//! payloads of `(16 + 1 + shards) × 32` ops) — and its `flush` waits for
+//! the writer, so a commit it returned from is as durable as one made here.
 //! `open` does not fail on torn state: it skips every record whose checksum
 //! does not verify (anywhere, not only at the tail) and every `+` naming a
 //! missing segment or a range past its end — so a filesystem that loses a

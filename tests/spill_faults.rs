@@ -161,9 +161,21 @@ fn a_failed_checkpoint_never_shadows_later_commits() {
 const ITEMS: u64 = 64;
 const ITEM_BYTES: u64 = 48 * 1024;
 
+/// The spill directories of the session `run_epoch` builds: one per cache
+/// shard, and a session with two fetch threads splits its cache into eight.
+fn spill_dirs(fetch_threads: usize) -> Vec<String> {
+    match fetch_threads {
+        1 => vec!["ssd".to_string()],
+        _ => (0..8).map(|shard| format!("ssd/shard-{shard}")).collect(),
+    }
+}
+
 /// One epoch of a `tier_spill_churn`-shaped session over `vfs`: the stream
 /// digest, what `flush` says afterwards, and the dataset for comparison.
-fn run_epoch(vfs: &Arc<dyn Vfs>) -> (u64, Result<(), CoordlError>, Arc<dyn DataSource>) {
+fn run_epoch(
+    vfs: &Arc<dyn Vfs>,
+    fetch_threads: usize,
+) -> (u64, Result<(), CoordlError>, Arc<dyn DataSource>) {
     let spec = DatasetSpec::new("spill-faults", ITEMS, ITEM_BYTES, 0.0, 1.0);
     let total = spec.total_bytes();
     let dataset: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 3));
@@ -173,6 +185,7 @@ fn run_epoch(vfs: &Arc<dyn Vfs>) -> (u64, Result<(), CoordlError>, Arc<dyn DataS
             batch_size: 8,
             num_workers: 1,
             seed: 17,
+            fetch_threads,
             ..SessionConfig::default()
         },
     )
@@ -207,36 +220,47 @@ fn run_epoch(vfs: &Arc<dyn Vfs>) -> (u64, Result<(), CoordlError>, Arc<dyn DataS
     (digest.finish(), flushed, dataset)
 }
 
+/// Every fault position, with one fetch thread (one shard, one store) and
+/// with two (eight shards, whose stores one writer thread serves in the
+/// order their batches arrive).
 #[test]
 fn a_failed_spill_op_never_panics_hangs_or_changes_the_stream() {
-    let counting = Arc::new(CrashVfs::new());
-    let (clean_digest, flushed, _) = run_epoch(&(Arc::clone(&counting) as Arc<dyn Vfs>));
-    assert_eq!(flushed, Ok(()));
-    let mutations = counting.mutations();
-    assert!(mutations > 40, "the epoch spills: {mutations} mutations");
+    for fetch_threads in [1, 2] {
+        let dirs = spill_dirs(fetch_threads);
+        let counting = Arc::new(CrashVfs::new());
+        let (clean_digest, flushed, _) =
+            run_epoch(&(Arc::clone(&counting) as Arc<dyn Vfs>), fetch_threads);
+        assert_eq!(flushed, Ok(()));
+        let mutations = counting.mutations();
+        assert!(mutations > 40, "the epoch spills: {mutations} mutations");
 
-    for nth in 0..mutations {
-        for fault in [Fault::From(nth), Fault::Only(nth)] {
-            let failing = Arc::new(CrashVfs::failing(fault));
-            let (digest, flushed, dataset) = run_epoch(&(Arc::clone(&failing) as Arc<dyn Vfs>));
-            assert_eq!(digest, clean_digest, "{fault:?}: the stream is unaffected");
-            match flushed {
-                Err(CoordlError::SpillIo { dir, detail }) => {
-                    assert_eq!(dir, "ssd", "{fault:?}");
-                    assert!(detail.contains("injected fault"), "{fault:?}: {detail}");
+        for nth in 0..mutations {
+            for fault in [Fault::From(nth), Fault::Only(nth)] {
+                let failing = Arc::new(CrashVfs::failing(fault));
+                let (digest, flushed, dataset) =
+                    run_epoch(&(Arc::clone(&failing) as Arc<dyn Vfs>), fetch_threads);
+                let case = format!("{fetch_threads} fetch thread(s), {fault:?}");
+                assert_eq!(digest, clean_digest, "{case}: the stream is unaffected");
+                match flushed {
+                    Err(CoordlError::SpillIo { dir, detail }) => {
+                        assert!(dirs.contains(&dir), "{case}: {dir}");
+                        assert!(detail.contains("injected fault"), "{case}: {detail}");
+                    }
+                    other => panic!("{case}: flush must report the spill failure, got {other:?}"),
                 }
-                other => panic!("{fault:?}: flush must report the spill failure, got {other:?}"),
-            }
-            // What is on disk is a cache of the dataset and nothing else.
-            let store = SpillStore::open(failing.live(), "ssd")
-                .unwrap_or_else(|e| panic!("{fault:?}: reopen failed: {e}"));
-            for (key, len) in store.entries() {
-                assert_eq!(len, ITEM_BYTES, "{fault:?}: item {key}");
-                assert_eq!(
-                    store.read(key).unwrap(),
-                    dataset.read(key),
-                    "{fault:?}: item {key}"
-                );
+                // What is on disk is a cache of the dataset and nothing else.
+                for dir in &dirs {
+                    let store = SpillStore::open(failing.live(), dir)
+                        .unwrap_or_else(|e| panic!("{case}: reopen of {dir} failed: {e}"));
+                    for (key, len) in store.entries() {
+                        assert_eq!(len, ITEM_BYTES, "{case}: item {key}");
+                        assert_eq!(
+                            store.read(key).unwrap(),
+                            dataset.read(key),
+                            "{case}: item {key}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -2,7 +2,9 @@
 //! miss costs *beside* its read.  The gates are counts, not timings, so they
 //! run on every host (in the spirit of `alloc_budget.rs`): VFS operations
 //! per landing, VFS reads against cache misses, and the bytes the spill
-//! directory holds after many epochs of churn.
+//! directory holds after many epochs of churn.  The churn session's I/O over
+//! three warm epochs is pinned exactly, and after every epoch the reopened
+//! store must hold exactly the SSD level's keys.
 //!
 //! The session has `dsbench`'s `tier_spill_churn` shape — LRU DRAM (15 %)
 //! over a persistent LRU SSD level (35 %), 32 KiB items in batches of 32,
@@ -43,13 +45,22 @@ fn manifest_bytes(vfs: &Arc<dyn Vfs>, dir: &str) -> u64 {
     file_len(vfs, &format!("{dir}/MANIFEST")) + file_len(vfs, &format!("{dir}/MANIFEST.1"))
 }
 
-fn churn_session(vfs: &Arc<dyn Vfs>) -> (Session, u64) {
+/// The session, its tier (held here to read the SSD level's keys) and the
+/// SSD level's capacity.
+fn churn_session(vfs: &Arc<dyn Vfs>) -> (Session, Arc<TieredByteCache>, u64) {
     let spec = DatasetSpec::new("spill-io-budget", ITEMS, ITEM_BYTES, 0.0, 1.0);
     let total = spec.total_bytes();
     let dataset: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec, 11));
     let backend = FsBackend::new(Arc::clone(vfs), "data", dataset.as_ref(), 0)
         .expect("materialise on a MemVfs");
     let ssd_bytes = total * 35 / 100;
+    let tier = Arc::new(
+        TieredByteCache::try_new(vec![
+            ByteTierSpec::dram(PolicyKind::Lru, total * 15 / 100),
+            ByteTierSpec::sata_ssd(PolicyKind::Lru, ssd_bytes).persistent(Arc::clone(vfs), "ssd"),
+        ])
+        .expect("opening a spill directory modifies nothing"),
+    );
     let session = Session::builder(
         dataset,
         SessionConfig {
@@ -60,10 +71,7 @@ fn churn_session(vfs: &Arc<dyn Vfs>) -> (Session, u64) {
             ..SessionConfig::default()
         },
     )
-    .cache_tiers(vec![
-        ByteTierSpec::dram(PolicyKind::Lru, total * 15 / 100),
-        ByteTierSpec::sata_ssd(PolicyKind::Lru, ssd_bytes).persistent(Arc::clone(vfs), "ssd"),
-    ])
+    .cache_tier(Arc::clone(&tier) as Arc<dyn CacheTier>)
     .fetch_backend(Arc::new(backend))
     .pipeline(ExecutablePipeline::new(
         PrepPipeline {
@@ -75,7 +83,7 @@ fn churn_session(vfs: &Arc<dyn Vfs>) -> (Session, u64) {
     ))
     .build()
     .expect("valid session");
-    (session, ssd_bytes)
+    (session, tier, ssd_bytes)
 }
 
 fn run_epoch(session: &Session, epoch: u64) {
@@ -93,26 +101,56 @@ fn misses_and_landings(session: &Session) -> (u64, u64) {
     (report.cache_misses, session.tier_levels()[1].demoted_in)
 }
 
-fn since(now: VfsStats, before: VfsStats) -> (u64, u64, u64) {
-    (
+/// `(reads, writes, bytes written, syncs)` from `before` to `now`.
+fn since(now: VfsStats, before: VfsStats) -> [u64; 4] {
+    [
         now.reads - before.reads,
         now.writes - before.writes,
+        now.bytes_written - before.bytes_written,
         now.syncs - before.syncs,
-    )
+    ]
+}
+
+/// Run `epoch`, then check that the SSD level's store, reopened, holds
+/// exactly the keys the level holds: every spill op the epoch issued was
+/// applied, once and in order, by the time its end committed them.  Returns
+/// the epoch's own VFS I/O (the reopen's reads not counted).
+fn run_checked_epoch(
+    session: &Session,
+    tier: &TieredByteCache,
+    vfs: &Arc<dyn Vfs>,
+    epoch: u64,
+) -> [u64; 4] {
+    let before = vfs.stats();
+    run_epoch(session, epoch);
+    let io = since(vfs.stats(), before);
+    let store = SpillStore::open(Arc::clone(vfs), "ssd").unwrap();
+    let on_disk: Vec<u64> = store.entries().map(|(key, _)| key).collect();
+    assert_eq!(on_disk, tier.resident_keys(1), "epoch {epoch}");
+    io
 }
 
 #[test]
 fn a_landing_costs_about_one_write_and_the_directory_stays_bounded() {
     let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
-    let (session, ssd_bytes) = churn_session(&vfs);
-    run_epoch(&session, 0);
+    let (session, tier, ssd_bytes) = churn_session(&vfs);
+    run_checked_epoch(&session, &tier, &vfs, 0);
 
     // Three warm epochs, as `dsbench` counts them.
-    let (before, counted) = (vfs.stats(), misses_and_landings(&session));
+    let counted = misses_and_landings(&session);
+    let mut io = [0; 4];
     for epoch in 1..=3 {
-        run_epoch(&session, epoch);
+        let epoch_io = run_checked_epoch(&session, &tier, &vfs, epoch);
+        io = std::array::from_fn(|i| io[i] + epoch_io[i]);
     }
-    let (reads, writes, syncs) = since(vfs.stats(), before);
+    // The exact I/O of the three epochs: the spill ops their accesses
+    // issue, each applied once and in order, whichever thread applies them.
+    assert_eq!(
+        io,
+        [1_341, 1_392, 44_072_065, 90],
+        "(reads, writes, bytes, syncs)"
+    );
+    let [reads, writes, _, syncs] = io;
     let (misses, landings) = misses_and_landings(&session);
     let (misses, landings) = (misses - counted.0, landings - counted.1);
     assert!(landings > 3 * ITEMS / 2, "the SSD level churns: {landings}");
@@ -132,7 +170,7 @@ fn a_landing_costs_about_one_write_and_the_directory_stays_bounded() {
 
     // Nine more epochs: the manifest is checkpointed, dead segments reused.
     for epoch in 4..=12 {
-        run_epoch(&session, epoch);
+        run_checked_epoch(&session, &tier, &vfs, epoch);
     }
     let resident = session.tier_levels()[1].resident_items as u64;
     let manifest = manifest_bytes(&vfs, "ssd");
