@@ -314,6 +314,18 @@ impl TierChain {
         }
     }
 
+    /// Whether a store miss of `size` bytes — a key no level holds — would
+    /// be admitted at some level `>= floor`: the admission test
+    /// [`TierChain::access_with_floor`] runs for such a key, without running
+    /// the access.  When it is `false`, that access records a bypassed miss
+    /// at every level and changes nothing else, whatever the key.
+    pub fn would_admit(&self, size: u64, floor: usize) -> bool {
+        self.levels
+            .iter()
+            .skip(floor)
+            .any(|l| l.cache.accepts(size))
+    }
+
     /// The topmost tier currently holding `key` (its provenance), without
     /// touching recency state or statistics.
     pub fn locate(&self, key: u64) -> Option<usize> {
@@ -599,6 +611,37 @@ mod tests {
         assert!(!chain.contains(1));
         assert_eq!(chain.tier_stats(0).misses, 1);
         assert_eq!(chain.tier_stats(1).misses, 1);
+    }
+
+    #[test]
+    fn would_admit_predicts_admission_of_every_store_miss() {
+        // MinIO over MinIO fills and then bypasses; LRU over MinIO never
+        // bypasses an item that fits its DRAM level.  At each floor, a miss
+        // is admitted exactly when `would_admit` said so, and a predicted
+        // bypass records nothing but the misses.
+        for (top, floor) in [
+            (PolicyKind::MinIo, 0),
+            (PolicyKind::MinIo, 1),
+            (PolicyKind::Lru, 0),
+        ] {
+            let mut chain = TierChain::new(vec![
+                spec("dram", top, 40),
+                spec("ssd", PolicyKind::MinIo, 60),
+            ]);
+            for key in 0..30u64 {
+                let size = 5 + key % 9;
+                let predicted = chain.would_admit(size, floor);
+                let used = chain.used_bytes();
+                let out = chain.access_with_floor(key, size, floor);
+                assert_eq!(out.source, ChainSource::Store);
+                assert_eq!(out.admitted, predicted, "{top:?} floor {floor} key {key}");
+                if !predicted {
+                    assert_eq!(chain.used_bytes(), used);
+                    assert!(out.dropped.is_empty() && out.demoted.is_empty());
+                }
+            }
+            assert_eq!(chain.tier_stats(0).misses, 30);
+        }
     }
 
     #[test]

@@ -223,11 +223,7 @@ impl PolicyCache {
             self.stats.record_hit(size);
             return AccessOutcome::Hit;
         }
-        let admit = match self.kind {
-            PolicyKind::MinIo => self.used + size <= self.capacity,
-            _ => size <= self.capacity,
-        };
-        if !admit {
+        if !self.accepts(size) {
             self.stats.record_miss(size, false);
             return AccessOutcome::Bypassed;
         }
@@ -252,6 +248,17 @@ impl PolicyCache {
         self.used += size;
         self.stats.record_miss(size, true);
         AccessOutcome::Inserted
+    }
+
+    /// Whether a miss of `size` bytes would be admitted: the test
+    /// [`PolicyCache::access`] runs on a miss, which reads only the size and
+    /// the cache's state.  MinIO admits what fits in the free bytes, every
+    /// other policy what fits in the capacity (evicting to make room).
+    pub fn accepts(&self, size: u64) -> bool {
+        match self.kind {
+            PolicyKind::MinIo => self.used + size <= self.capacity,
+            _ => size <= self.capacity,
+        }
     }
 
     /// Whether `key` is currently resident.
@@ -508,6 +515,30 @@ mod tests {
         c.access(3, 40); // fits exactly
         assert_eq!(c.used_bytes(), 100);
         assert!(c.is_full());
+    }
+
+    #[test]
+    fn accepts_is_the_admission_test_access_runs() {
+        // Over a mixed-size stream, every miss is admitted exactly when
+        // `accepts` said it would be, for every policy.
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::Fifo,
+            PolicyKind::Clock,
+            PolicyKind::MinIo,
+        ] {
+            let mut c = PolicyCache::new(kind, 100);
+            for step in 0..400u64 {
+                let (key, size) = (step * 7 % 23, 10 + step * 13 % 97);
+                let resident = c.contains(&key);
+                let accepts = c.accepts(size);
+                let outcome = c.access(key, size);
+                if !resident {
+                    let admitted = outcome == AccessOutcome::Inserted;
+                    assert_eq!(admitted, accepts, "{kind:?} step {step}");
+                }
+            }
+        }
     }
 
     #[test]

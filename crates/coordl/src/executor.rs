@@ -10,14 +10,19 @@
 //! ```text
 //!   plan (ordered batches, shared by reference)
 //!        │ fetch stage: `fetch_threads` >= 1 threads; thread `t` walks the
-//!        │ plan in order and fetches the items of the cache shards
-//!        │ `{k : k % fetch_threads == t}`
+//!        │ plan in order and runs the tier transactions of the items of the
+//!        │ cache shards `{k : k % fetch_threads == t}`
 //!        ▼
 //!   one bounded thread lane per fetch thread (prefetch_depth positions):
-//!   one partial — the thread's `(slot, bytes)` — per plan position
+//!   one partial per plan position — a cell per item the thread owns there,
+//!   holding its bytes or a *hole*: a bypassed miss not read yet.  While
+//!   its lane is full, the thread reads the holes of the positions queued
+//!   in it, oldest first, instead of blocking
 //!        │ N prep workers; one at a time assembles the next position from
 //!        │ every thread lane, then all prep in parallel, deterministically
-//!        │ per (epoch, item)
+//!        │ per (epoch, item): first the cells that hold bytes, then the
+//!        │ holes nobody claimed (read by the worker), last the holes a
+//!        │ fetch thread is still reading
 //!        ▼
 //!   PreparedSink — the epoch's StagingArea: one consumer for a single /
 //!                  partitioned stream, every job in a coordinated epoch
@@ -26,28 +31,51 @@
 //! **Determinism contract.**  Items are routed to cache shards by
 //! `dcache::shard_of_key` (the same routing the sharded tiers use) and fetch
 //! thread `t` of `f` owns exactly the shards `{k : k % f == t}`.  Each
-//! thread walks *every* plan position in order, fetching only the items it
-//! owns, so all tier transactions for a given key are executed by exactly
-//! one thread, in plan order for that key's shard — the per-shard access
-//! subsequence is the same for every `f`, and for `f = 1` it is the whole
-//! plan in order on one thread.  That per-shard *program order* is the whole
-//! contract, and it needs no state shared between fetch threads: a thread
-//! waits only on its own lane.  Cache hits, misses, byte provenance and
-//! eviction decisions are therefore a pure function of the plan and the
-//! shard count: streams and [`LoaderStats`] counters are bit-identical
-//! across `fetch_threads`, `workers` and `prefetch_depth` for *any* tier
-//! policy (the index-ordered staging area and the per-`(epoch, item)`
-//! deterministic prep carry that through to the delivered minibatches); only
-//! the stage-timing counters (fetch busy/stall per thread, prep busy/stall,
-//! consumer wait) move.  The root `tests/parallel_session_equivalence.rs`
-//! and `tests/parallel_fetch_equivalence.rs` suites pin this contract.
+//! thread walks *every* plan position in order, running the tier
+//! transactions of only the items it owns, so all tier transactions for a
+//! given key are executed by exactly one thread, in plan order for that
+//! key's shard — the per-shard access subsequence is the same for every
+//! `f`, and for `f = 1` it is the whole plan in order on one thread.  That
+//! per-shard *program order* is the whole contract, and it needs no state
+//! shared between fetch threads: a thread waits only on its own lane.
+//! Cache hits, misses, byte provenance and eviction decisions are therefore
+//! a pure function of the plan and the shard count: streams and
+//! [`LoaderStats`] counters are bit-identical across `fetch_threads`,
+//! `workers` and `prefetch_depth` for *any* tier policy (the index-ordered
+//! staging area and the per-`(epoch, item)` deterministic prep carry that
+//! through to the delivered minibatches); only the stage-timing counters
+//! (fetch busy/stall per thread, prep busy/stall, consumer wait) and the
+//! split of hole reads between threads move.  The root
+//! `tests/parallel_session_equivalence.rs`,
+//! `tests/parallel_fetch_equivalence.rs` and `tests/deferred_reads.rs`
+//! suites pin this contract.
+//!
+//! **Transactions are ordered, hole reads are not.**  A miss the tier will
+//! not keep needs only its size for the admit transaction (see
+//! [`CacheTier::try_bypass`](crate::CacheTier::try_bypass)), so its backend
+//! read leaves the ordered path: the fetch function returns
+//! [`Fetched::Hole`] and the read happens later, exactly once, on whichever
+//! stage thread claims the hole first with one compare-and-swap — the fetch
+//! thread while its lane is full (and after the plan ends), for positions
+//! still queued in its lane, or the prep worker that assembled the
+//! position, for the holes left when it did.  The same items are read,
+//! each once and with the same bytes; only the thread and the moment
+//! change.  A hole read is counted in `bytes_from_storage` when it
+//! succeeds.  A prep worker waiting for a hole a fetch thread was already
+//! reading parks on the position's condvar, and the reader signals it only
+//! when someone waits.
 //!
 //! **Window and progress.**  A fetch thread runs at most `prefetch_depth`
-//! positions (plus the one parked in `send`) ahead of the assembler.  The
+//! positions (plus the one it is handing over) ahead of the assembler.  The
 //! assembler holds its lock across `recv` on purpose — lanes are FIFO, so
 //! nobody else could make progress on a later position anyway — and it waits
 //! only on a lane whose head is empty; that lane's thread is therefore
-//! fetching, not parked on a full lane, so the wait ends.
+//! fetching, not parked on a full lane, so the wait ends.  A prep worker
+//! waits only on a hole being read, which the reader settles without
+//! waiting on anything.  Each fetch thread's partials live in a ring the
+//! lane keeps across positions and epochs: `prefetch_depth + workers + 1` of
+//! them, one more than its lane and the prep workers can hold at once, so a
+//! free one is always there and neither stage allocates per position.
 //!
 //! **Recycled buffers.**  A prep worker prepares each batch into buffers
 //! popped from the lane's [`Spares`] under one lock — buffers the lane's
@@ -63,8 +91,9 @@
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and handed to the sink's
-//! [`fail`](PreparedSink::fail); a typed fetch error is handed over as it
-//! is.  The sink ends the epoch, which wakes its consumers.  The failing
+//! [`fail`](PreparedSink::fail); a typed fetch error, or a failed hole read
+//! on any thread, is handed over as it is, once, by the thread that saw it.
+//! The sink ends the epoch, which wakes its consumers.  The failing
 //! fetch thread returns, which drops its lane's sender: the assembler sees
 //! the lane end, the prep workers leave, the last one drops the lane
 //! receivers, and any fetch thread parked on a full lane wakes and returns.
@@ -72,28 +101,40 @@
 //! mid-epoch (dropping a stream or an epoch run) never deadlocks and never
 //! polls a clock: the owner shuts the sink down *before* joining, which
 //! unblocks any worker parked in `publish`, and the fetch threads read the
-//! sink's liveness once per position.
+//! sink's liveness once per position and once per hole.  Once every thread
+//! is joined, each payload still in a partial goes back to the backend.
 
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
 use crate::minibatch::Minibatch;
 use crate::spares::Spares;
+use crate::stack::read_hole;
 use crate::stats::LoaderStats;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dataset::ItemId;
-use parking_lot::Mutex;
-use prep::ExecutablePipeline;
+use parking_lot::{Condvar, Mutex};
+use prep::{ExecutablePipeline, PreparedSample};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// What the fetch path gives back for one item.
+pub(crate) enum Fetched {
+    /// The item's bytes: a hit, or a miss read inline.
+    Bytes(Arc<Vec<u8>>),
+    /// A miss of this many bytes that the tier bypassed without reading
+    /// it: a hole for a stage thread to read (see [`crate::stack`]).
+    Hole(u64),
+}
 
 /// How raw bytes for one item are obtained (tier → backend for single and
 /// coordinated sessions, cluster lookup order for partitioned nodes).
 /// A typed `Err` (a failed backend read) ends the epoch early and surfaces
 /// through the stream, unlike a panic, which is caught and wrapped.
-pub(crate) type FetchFn = dyn Fn(ItemId) -> Result<Arc<Vec<u8>>, CoordlError> + Send + Sync;
+pub(crate) type FetchFn = dyn Fn(ItemId) -> Result<Fetched, CoordlError> + Send + Sync;
 
 /// Batch-index filter: `true` drops the batch before fetch and prep
 /// (coordinated failure injection and recovery).
@@ -102,11 +143,6 @@ pub(crate) type SkipFn = dyn Fn(usize) -> bool + Send + Sync;
 /// One epoch's ordered plan, `(batch_index, item_ids)` in training order,
 /// shared by every executor that sweeps it and read by position.
 pub(crate) type Plan = Arc<Vec<(usize, Vec<ItemId>)>>;
-
-/// What a fetch thread sends down its lane per plan position: the position's
-/// skip decision and the `(slot, bytes)` of the items the thread owns there
-/// (none when it owns nothing or the position is skipped).
-type Partial = (bool, Vec<(usize, Arc<Vec<u8>>)>);
 
 /// Where an executor's threads deliver prepared minibatches and report
 /// failures: the epoch they sweep for.
@@ -148,6 +184,10 @@ pub(crate) struct ExecutorConfig {
     pub fetch_shards: usize,
 }
 
+/// Spare partial rings, one per fetch thread per set: a sweep takes a set
+/// and gives it back once its threads are joined.
+type Rings = Mutex<Vec<Vec<Ring>>>;
+
 /// One fetch → prep lane of a session: everything an epoch executor runs on
 /// except the epoch's plan and sink.  Built once per session (one per
 /// partitioned node) and cloned into the threads it spawns.
@@ -155,9 +195,10 @@ pub(crate) struct ExecutorConfig {
 pub(crate) struct Lane {
     /// Raw-byte source, called in plan order per cache shard.
     pub fetch: Arc<FetchFn>,
-    /// The backend under `fetch`: prep workers hand it back every raw
-    /// payload nothing else references (the session's tier, if it still
-    /// holds one, hands it back once it drops it).
+    /// The backend under `fetch`: stage threads read the holes `fetch`
+    /// leaves from it, and prep workers hand it back every raw payload
+    /// nothing else references (the session's tier, if it still holds one,
+    /// hands it back once it drops it).
     pub backend: Arc<dyn FetchBackend>,
     /// The deterministic prep pipeline.
     pub pipeline: Arc<ExecutablePipeline>,
@@ -178,6 +219,10 @@ pub(crate) struct Lane {
     /// that, a buffer is made only when every one that exists is in flight,
     /// so the stack needs no cap.
     pub spares: Arc<Spares>,
+    /// The fetch threads' partials, kept across epochs: a sweep takes one
+    /// set (a sweep running beside it, such as a coordinated recovery,
+    /// finds none and makes its own) and returns it emptied.
+    pub rings: Arc<Rings>,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
     /// Thread counts and queue depth.
@@ -204,20 +249,30 @@ impl Lane {
             skip: skip.map(|skip| (skip, plan.iter().map(|_| OnceLock::new()).collect())),
             plan: Arc::clone(&plan),
             fetch: Arc::clone(&self.fetch),
+            backend: Arc::clone(&self.backend),
             stats: Arc::clone(&self.stats),
             sink: Arc::clone(&sink),
         });
-        let mut handles = Vec::with_capacity(threads + workers);
+        // Every partial a lane and the prep workers can hold at once, plus
+        // the one being filled; each with a cell for every item of the
+        // largest batch.
+        let cells = plan.iter().map(|(_, items)| items.len()).max().unwrap_or(0);
+        let mut rings = self.rings.lock().pop().unwrap_or_default();
+        rings.resize_with(threads, Ring::default);
+        let mut fetchers = Vec::with_capacity(threads);
         let mut lanes = Vec::with_capacity(threads);
-        for thread in 0..threads {
-            let (lane_tx, lane_rx) = bounded::<Partial>(depth);
+        for (thread, mut ring) in rings.into_iter().enumerate() {
+            ring.fit(depth + workers + 1, cells);
+            let (lane_tx, lane_rx) = bounded::<Arc<Partial>>(depth);
             lanes.push(lane_rx);
             let stage = Arc::clone(&stage);
-            handles.push(std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| stage.run(thread, &lane_tx)));
+            fetchers.push(std::thread::spawn(move || {
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| stage.run(thread, &lane_tx, &mut ring)));
                 if let Err(payload) = outcome {
                     stage.sink.fail(panicked("fetch", payload));
                 }
+                ring
             }));
         }
         // The lane receivers belong to the prep workers alone: a fetch
@@ -225,6 +280,7 @@ impl Lane {
         // and a sender parked on a full lane would never see the last
         // worker leave.
         let assembler = Arc::new(Mutex::new(Assembler { lanes, cursor: 0 }));
+        let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let (lane, plan, assembler) = (self.clone(), Arc::clone(&plan), Arc::clone(&assembler));
             let sink = Arc::clone(&sink);
@@ -237,7 +293,12 @@ impl Lane {
                 }
             }));
         }
-        PrefetchExecutor { handles }
+        PrefetchExecutor {
+            fetchers,
+            workers: handles,
+            backend: Arc::clone(&self.backend),
+            rings: Arc::clone(&self.rings),
+        }
     }
 
     /// One prep worker: assemble the next position, prep it, publish it.
@@ -249,45 +310,42 @@ impl Lane {
         sink: &dyn PreparedSink,
     ) {
         let stats = &*self.stats;
-        let (mut raw, mut bufs) = (Vec::new(), Vec::new());
+        let mut parts = Vec::with_capacity(self.config.fetch_threads.max(1));
+        let cells = plan.iter().map(|(_, items)| items.len()).max();
+        let mut worker = PrepWorker::new(self, epoch, cells.unwrap_or(0));
         loop {
             let stall = Instant::now();
-            let next = assembler.lock().next(plan, &mut raw);
+            let next = assembler.lock().next(plan, &mut parts);
             stats.record_prep_stall(stall.elapsed());
             let Some(pos) = next else {
                 break; // plan exhausted, or a fetch thread ended early
             };
             let (index, items) = &plan[pos];
             let busy = Instant::now();
-            let made = self.spares.pop_n(items.len(), &mut bufs);
-            let samples = items
-                .iter()
-                .zip(raw.drain(..))
-                .zip(bufs.drain(..))
-                .map(|((&item, raw), buf)| {
-                    let raw = raw.expect("every item was fetched by its owner");
-                    let sample = self.pipeline.prepare_into(epoch, item, &raw, buf);
-                    recycle_if_last(&*self.backend, raw);
-                    sample
-                })
-                .collect::<Vec<_>>();
+            let made = self.spares.pop_n(items.len(), &mut worker.batch.bufs);
+            let samples = worker.position(items.len(), &parts, sink);
+            // Let go of the partials before publishing: their fetch thread
+            // reuses each once nobody else holds it.
+            parts.clear();
+            let Some(samples) = samples else {
+                return; // a hole read failed the epoch
+            };
             if made > 0 {
                 let capacity = samples.iter().map(|s| s.data.capacity()).max();
                 self.spares.fill_window(capacity.unwrap_or(0));
             }
             stats.record_prepared(samples.len() as u64);
-            stats.record_prep_busy(busy.elapsed());
-            // Publishing blocks on downstream backpressure (a full staging
-            // window); like the assembly above, that is
-            // time the worker is not pre-processing, so it counts as prep
-            // stall.
+            stats.record_prep_busy(busy.elapsed().saturating_sub(worker.waited));
+            // Waiting for a hole another thread reads, and publishing into
+            // a backed-up staging window, are time the worker is not
+            // pre-processing: both count as prep stall.
             let publishing = Instant::now();
             let delivered = sink.publish(Minibatch {
                 epoch,
                 index: *index,
                 samples,
             });
-            stats.record_prep_stall(publishing.elapsed());
+            stats.record_prep_stall(worker.waited + publishing.elapsed());
             if !delivered {
                 break; // epoch shut down
             }
@@ -295,20 +353,355 @@ impl Lane {
     }
 }
 
+/// One prep worker's scratch, reused across positions.
+struct PrepWorker<'a> {
+    lane: &'a Lane,
+    batch: Batch,
+    /// `(slot, item, payload)` of the cells that hold bytes.
+    ready: Vec<(usize, ItemId, Arc<Vec<u8>>)>,
+    /// `(part, cell)` of the other cells, then of the holes another thread
+    /// claimed.
+    holes: Vec<(usize, usize)>,
+    claimed: Vec<(usize, usize)>,
+    /// How long the last position waited for holes another thread read.
+    waited: Duration,
+}
+
+/// The samples of one position: each lands in its slot whatever order its
+/// bytes arrive in.
+struct Batch {
+    epoch: u64,
+    slots: Vec<Option<PreparedSample>>,
+    /// Sample buffers popped for the position.
+    bufs: Vec<Vec<u8>>,
+}
+
+impl Batch {
+    /// Prepare `item` from `raw` into `slot`, then hand `raw` back to the
+    /// lane's backend if this was its last reference.
+    fn prep(&mut self, lane: &Lane, slot: usize, item: ItemId, raw: Arc<Vec<u8>>) {
+        let buf = self.bufs.pop().unwrap_or_default();
+        let sample = lane.pipeline.prepare_into(self.epoch, item, &raw, buf);
+        self.slots[slot] = Some(sample);
+        recycle_if_last(&*lane.backend, raw);
+    }
+}
+
+impl<'a> PrepWorker<'a> {
+    /// A worker whose scratch fits positions of up to `cells` items from
+    /// the start: grown as positions came, its size would depend on how
+    /// many holes were read before the worker got to them.
+    fn new(lane: &'a Lane, epoch: u64, cells: usize) -> Self {
+        PrepWorker {
+            lane,
+            batch: Batch {
+                epoch,
+                slots: Vec::with_capacity(cells),
+                bufs: Vec::with_capacity(cells),
+            },
+            ready: Vec::with_capacity(cells),
+            holes: Vec::with_capacity(cells),
+            claimed: Vec::with_capacity(cells),
+            waited: Duration::ZERO,
+        }
+    }
+
+    /// Prep the `len` samples of the position whose partials are `parts`,
+    /// into the buffers in `batch.bufs`: first every cell that holds bytes,
+    /// then every hole nobody claimed — read here — and last every hole
+    /// another thread is reading, waiting for each.  `None` when a hole's
+    /// read failed: whoever read it has failed `sink`.
+    fn position(
+        &mut self,
+        len: usize,
+        parts: &[Arc<Partial>],
+        sink: &dyn PreparedSink,
+    ) -> Option<Vec<PreparedSample>> {
+        let lane = self.lane;
+        let (backend, stats) = (&*lane.backend, &*lane.stats);
+        self.batch.slots.clear();
+        self.batch.slots.resize_with(len, || None);
+        self.waited = Duration::ZERO;
+        self.claimed.clear();
+        for (p, part) in parts.iter().enumerate() {
+            part.take_ready(p, &mut self.ready, &mut self.holes);
+        }
+        for (slot, item, raw) in self.ready.drain(..) {
+            self.batch.prep(lane, slot, item, raw);
+        }
+        for (p, c) in self.holes.drain(..) {
+            let part = &parts[p];
+            if !part.claim(c) {
+                self.claimed.push((p, c));
+                continue;
+            }
+            let Cell {
+                slot, item, size, ..
+            } = part.cells[c];
+            match read_hole(backend, stats, item, size) {
+                Ok(raw) => {
+                    stats.record_deferred_read(true);
+                    self.batch.prep(lane, slot, item, raw);
+                }
+                Err(err) => {
+                    sink.fail(err);
+                    return None;
+                }
+            }
+        }
+        for &(p, c) in &self.claimed {
+            let (part, waiting) = (&parts[p], Instant::now());
+            let collected = part.collect(c);
+            self.waited += waiting.elapsed();
+            // `None`: its reader failed the epoch.
+            let raw = collected?;
+            self.batch
+                .prep(lane, part.cells[c].slot, part.cells[c].item, raw);
+        }
+        let samples: Vec<PreparedSample> = self.batch.slots.drain(..).flatten().collect();
+        assert_eq!(samples.len(), len, "every item was fetched");
+        Some(samples)
+    }
+}
+
 /// A running fetch + prep pipeline for one sweep.  Dropping it joins every
 /// thread, so its owner shuts the sink down first: that stops the fetch
 /// threads and unblocks any worker parked in `publish`, and everything
-/// behind the workers unblocks by itself once they leave.
+/// behind the workers unblocks by itself once they leave.  Then it empties
+/// the fetch threads' partials — each payload still in one goes back to the
+/// backend — and returns them to the lane.
 pub(crate) struct PrefetchExecutor {
-    handles: Vec<JoinHandle<()>>,
+    fetchers: Vec<JoinHandle<Ring>>,
+    workers: Vec<JoinHandle<()>>,
+    backend: Arc<dyn FetchBackend>,
+    rings: Arc<Rings>,
 }
 
 impl Drop for PrefetchExecutor {
     fn drop(&mut self) {
-        for h in self.handles.drain(..) {
-            // A panicked worker already reported its error; the Err here is
-            // just the resume payload.
+        // A panicked thread already reported its error; the Err here is
+        // just the resume payload.
+        let rings: Vec<Ring> = self
+            .fetchers
+            .drain(..)
+            .filter_map(|h| h.join().ok())
+            .collect();
+        for h in self.workers.drain(..) {
             let _ = h.join();
+        }
+        let mut rings = rings;
+        for ring in &mut rings {
+            ring.empty(&*self.backend);
+        }
+        self.rings.lock().push(rings);
+    }
+}
+
+/// A partial cell's payload is in its partial's `payloads`, or prep took it.
+const READY: u8 = 0;
+/// A hole nobody has claimed.
+const OPEN: u8 = 1;
+/// A hole the thread that claimed it is reading.
+const CLAIMED: u8 = 2;
+/// A claimed hole a prep worker waits for.
+const AWAITED: u8 = 3;
+/// A hole whose read failed: its reader has failed the epoch.
+const FAILED: u8 = 4;
+
+/// One item a fetch thread owns at one plan position.
+struct Cell {
+    /// The item's place in its batch.
+    slot: usize,
+    item: ItemId,
+    /// A hole's length, from the backend's `item_bytes` (0 for a cell that
+    /// arrived with its bytes).
+    size: u64,
+    state: AtomicU8,
+}
+
+/// What one fetch thread hands down its lane for one plan position: a cell
+/// per item it owns there, in batch order.  Its fetch thread fills it while
+/// nobody else holds it; from then on only atomics and the payload lock
+/// change, until every other holder let go of it and the thread reuses it.
+#[derive(Default)]
+struct Partial {
+    pos: usize,
+    skipped: bool,
+    cells: Vec<Cell>,
+    /// Holes not claimed yet: the fetch thread skips partials without any.
+    open: AtomicUsize,
+    /// Whether the partial waits in its lane: the fetch thread reads only
+    /// the holes of queued positions and leaves an assembled position's to
+    /// the prep worker that holds it.  The worker then waits only for a
+    /// read claimed before it took the position, not for one behind every
+    /// hole of it — a reader that a third runnable thread can preempt.
+    queued: AtomicBool,
+    /// Each cell's payload until prep takes it.  A hole's reader settles
+    /// the hole under this lock, so a prep worker that checked the hole's
+    /// state under it cannot miss the wake-up.
+    payloads: Mutex<Vec<Option<Arc<Vec<u8>>>>>,
+    /// Signalled when a hole a prep worker awaits settles.
+    settled: Condvar,
+}
+
+impl Partial {
+    /// Drop the previous position, handing each payload left in it (by a
+    /// sweep that ended early) back to `backend`, and describe `pos`.
+    fn reset(&mut self, pos: usize, skipped: bool, backend: &dyn FetchBackend) {
+        self.pos = pos;
+        self.skipped = skipped;
+        self.cells.clear();
+        for payload in self.payloads.get_mut().drain(..).flatten() {
+            recycle_if_last(backend, payload);
+        }
+        *self.open.get_mut() = 0;
+        *self.queued.get_mut() = true;
+    }
+
+    /// Append the cell of `item` at `slot`.
+    fn push(&mut self, slot: usize, item: ItemId, fetched: Fetched) {
+        let (size, state, payload) = match fetched {
+            Fetched::Bytes(bytes) => (0, READY, Some(bytes)),
+            Fetched::Hole(size) => {
+                *self.open.get_mut() += 1;
+                (size, OPEN, None)
+            }
+        };
+        let state = AtomicU8::new(state);
+        self.cells.push(Cell {
+            slot,
+            item,
+            size,
+            state,
+        });
+        self.payloads.get_mut().push(payload);
+    }
+
+    /// Claim hole `cell` for reading: exactly one caller gets `true`.
+    fn claim(&self, cell: usize) -> bool {
+        let state = &self.cells[cell].state;
+        // A plain load first: scanning settled cells writes nothing.
+        let won = state.load(Ordering::Relaxed) == OPEN
+            && state
+                .compare_exchange(OPEN, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok();
+        if won {
+            self.open.fetch_sub(1, Ordering::Relaxed);
+        }
+        won
+    }
+
+    /// Take every payload that is here, as `(slot, item, payload)` into
+    /// `ready`, and list the other cells, as `(part, cell)`, in `holes`.
+    fn take_ready(
+        &self,
+        part: usize,
+        ready: &mut Vec<(usize, ItemId, Arc<Vec<u8>>)>,
+        holes: &mut Vec<(usize, usize)>,
+    ) {
+        let mut payloads = self.payloads.lock();
+        for (c, (cell, payload)) in self.cells.iter().zip(payloads.iter_mut()).enumerate() {
+            match payload.take() {
+                Some(raw) => ready.push((cell.slot, cell.item, raw)),
+                None => holes.push((part, c)),
+            }
+        }
+    }
+
+    /// Settle claimed hole `cell` with its payload, or as failed, and wake
+    /// the prep worker waiting for it, if one is.
+    fn settle(&self, cell: usize, payload: Option<Arc<Vec<u8>>>) {
+        let state = if payload.is_some() { READY } else { FAILED };
+        let awaited = {
+            let mut payloads = self.payloads.lock();
+            payloads[cell] = payload;
+            self.cells[cell].state.swap(state, Ordering::AcqRel) == AWAITED
+        };
+        if awaited {
+            self.settled.notify_all();
+        }
+    }
+
+    /// Wait until hole `cell`, which another thread claimed, settles, and
+    /// take its payload: `None` if its read failed.
+    fn collect(&self, cell: usize) -> Option<Arc<Vec<u8>>> {
+        let state = &self.cells[cell].state;
+        let mut payloads = self.payloads.lock();
+        loop {
+            match state.compare_exchange(CLAIMED, AWAITED, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) | Err(AWAITED) => self.settled.wait(&mut payloads),
+                Err(READY) => return payloads[cell].take(),
+                Err(_) => return None,
+            }
+        }
+    }
+}
+
+/// A hole a fetch thread claimed: dropped unsettled — its read panicked —
+/// it settles as failed, so a prep worker waiting for it wakes.
+struct Claim<'a> {
+    partial: &'a Partial,
+    cell: usize,
+}
+
+impl Claim<'_> {
+    fn settle(self, payload: Option<Arc<Vec<u8>>>) {
+        self.partial.settle(self.cell, payload);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.partial.settle(self.cell, None);
+    }
+}
+
+/// One fetch thread's partials, reused round-robin across positions and
+/// epochs.  Only the ring's thread clones them (into its lane), so one
+/// nobody else holds stays free until the thread hands it over again.
+#[derive(Default)]
+pub(crate) struct Ring {
+    partials: Vec<Arc<Partial>>,
+    next: usize,
+}
+
+impl Ring {
+    /// Grow to at least `len` partials, each with room for `cells` cells.
+    fn fit(&mut self, len: usize, cells: usize) {
+        let len = len.max(self.partials.len());
+        self.partials.resize_with(len, Arc::default);
+        for partial in &mut self.partials {
+            if let Some(partial) = Arc::get_mut(partial) {
+                partial.cells.reserve_exact(cells);
+                partial.payloads.get_mut().reserve_exact(cells);
+            }
+        }
+    }
+
+    /// The index of the next partial nobody else holds.  The ring holds
+    /// one more than its lane and the prep workers can; should it not, it
+    /// grows.
+    fn next_free(&mut self) -> usize {
+        let n = self.partials.len();
+        let free = (0..n)
+            .map(|k| (self.next + k) % n)
+            .find(|&i| Arc::get_mut(&mut self.partials[i]).is_some());
+        let i = free.unwrap_or_else(|| {
+            self.partials.push(Arc::default());
+            n
+        });
+        self.next = (i + 1) % self.partials.len();
+        i
+    }
+
+    /// Empty every partial, handing each payload left in one back to
+    /// `backend` (once every other holder is gone).
+    fn empty(&mut self, backend: &dyn FetchBackend) {
+        for partial in &mut self.partials {
+            if let Some(partial) = Arc::get_mut(partial) {
+                partial.reset(0, false, backend);
+            }
         }
     }
 }
@@ -323,6 +716,8 @@ struct FetchStage {
     /// The batch filter with one decision cell per plan position.
     skip: Option<(Arc<SkipFn>, Vec<OnceLock<bool>>)>,
     fetch: Arc<FetchFn>,
+    /// What holes are read from.
+    backend: Arc<dyn FetchBackend>,
     stats: Arc<LoaderStats>,
     sink: Arc<dyn PreparedSink>,
 }
@@ -338,8 +733,9 @@ impl FetchStage {
 
     /// Fetch thread `thread`'s sweep over the whole plan: one partial per
     /// position down `lane`, until the plan ends, a fetch fails, the epoch
-    /// shuts down or every prep worker is gone.
-    fn run(&self, thread: usize, lane: &Sender<Partial>) {
+    /// shuts down or every prep worker is gone.  Then, while the epoch
+    /// runs, it reads the holes its partials still have.
+    fn run(&self, thread: usize, lane: &Sender<Arc<Partial>>, ring: &mut Ring) {
         let (stats, sink) = (&*self.stats, &*self.sink);
         for (pos, (index, items)) in self.plan.iter().enumerate() {
             if !sink.is_live() {
@@ -352,19 +748,22 @@ impl FetchStage {
                 .skip
                 .as_ref()
                 .is_some_and(|(skip, decided)| *decided[pos].get_or_init(|| skip(*index)));
-            let mut mine = Vec::new();
+            let free = ring.next_free();
+            let Some(partial) = Arc::get_mut(&mut ring.partials[free]) else {
+                unreachable!("only this thread clones its ring's partials");
+            };
+            partial.reset(pos, skipped, &*self.backend);
             if !skipped {
                 // Owners are disjoint across threads, so every tier
                 // transaction for a given key happens on one thread, in
                 // plan order for that key's shard.
                 let busy = Instant::now();
-                mine.reserve_exact(items.len().div_ceil(self.threads));
                 for (slot, &item) in items.iter().enumerate() {
                     if self.owner(item) != thread {
                         continue;
                     }
                     match (self.fetch)(item) {
-                        Ok(bytes) => mine.push((slot, bytes)),
+                        Ok(fetched) => partial.push(slot, item, fetched),
                         Err(err) => {
                             // A typed fetch failure ends the epoch exactly
                             // like a panic would, but with the real cause
@@ -377,12 +776,82 @@ impl FetchStage {
                 }
                 stats.record_fetch_busy_for(thread, busy.elapsed());
             }
-            let stall = Instant::now();
-            let sent = lane.send((skipped, mine));
-            stats.record_fetch_stall_for(thread, stall.elapsed());
-            if sent.is_err() {
-                return; // every prep worker is gone
+            if !self.hand_over(thread, lane, ring, free) {
+                return;
             }
+        }
+        while sink.is_live() && self.read_hole(thread, ring) {}
+    }
+
+    /// Hand partial `free` down `lane`.  While the lane is full, read holes
+    /// instead of waiting; wait only once none is left.  `false` when the
+    /// thread must stop: every prep worker is gone, the epoch shut down or
+    /// a hole read failed it.
+    fn hand_over(
+        &self,
+        thread: usize,
+        lane: &Sender<Arc<Partial>>,
+        ring: &Ring,
+        free: usize,
+    ) -> bool {
+        let mut partial = Arc::clone(&ring.partials[free]);
+        loop {
+            match lane.try_send(partial) {
+                Ok(()) => return true,
+                Err(TrySendError::Disconnected(_)) => return false,
+                Err(TrySendError::Full(unsent)) => partial = unsent,
+            }
+            if !self.sink.is_live() {
+                return false;
+            }
+            if !self.read_hole(thread, ring) {
+                break;
+            }
+        }
+        if !self.sink.is_live() {
+            return false; // a hole read failed the epoch
+        }
+        let stall = Instant::now();
+        let sent = lane.send(partial);
+        self.stats.record_fetch_stall_for(thread, stall.elapsed());
+        sent.is_ok()
+    }
+
+    /// Claim and read one unclaimed hole of `ring`, from the oldest
+    /// position still queued in the lane that has one.  `false` when there
+    /// is none, or when the read failed (the epoch is failed then).
+    fn read_hole(&self, thread: usize, ring: &Ring) -> bool {
+        loop {
+            let open = ring
+                .partials
+                .iter()
+                .filter(|p| p.queued.load(Ordering::Relaxed) && p.open.load(Ordering::Relaxed) > 0);
+            let Some(oldest) = open.min_by_key(|p| p.pos) else {
+                return false;
+            };
+            let Some(cell) = (0..oldest.cells.len()).find(|&c| oldest.claim(c)) else {
+                continue; // prep claimed the rest meanwhile
+            };
+            let busy = Instant::now();
+            let claim = Claim {
+                partial: oldest,
+                cell,
+            };
+            let Cell { item, size, .. } = oldest.cells[cell];
+            let read = read_hole(&*self.backend, &self.stats, item, size);
+            self.stats.record_fetch_busy_for(thread, busy.elapsed());
+            return match read {
+                Ok(raw) => {
+                    self.stats.record_deferred_read(false);
+                    claim.settle(Some(raw));
+                    true
+                }
+                Err(err) => {
+                    drop(claim);
+                    self.sink.fail(err);
+                    false
+                }
+            };
         }
     }
 }
@@ -390,40 +859,39 @@ impl FetchStage {
 /// The receiving end of every thread lane and the next plan position to
 /// assemble; one prep worker at a time holds it.
 struct Assembler {
-    lanes: Vec<Receiver<Partial>>,
+    lanes: Vec<Receiver<Arc<Partial>>>,
     cursor: usize,
 }
 
 impl Assembler {
     /// Receive the next unskipped position's partial from every lane, in
-    /// thread order, into `raw` (one slot per item) and return the position.
-    /// `None` once the plan is exhausted or a lane ended early (its thread
-    /// failed or saw the shutdown), for this and every later call.
+    /// thread order, into `parts` and return the position.  `None` once the
+    /// plan is exhausted or a lane ended early (its thread failed or saw
+    /// the shutdown), for this and every later call.
     fn next(
         &mut self,
         plan: &[(usize, Vec<ItemId>)],
-        raw: &mut Vec<Option<Arc<Vec<u8>>>>,
+        parts: &mut Vec<Arc<Partial>>,
     ) -> Option<usize> {
         while self.cursor < plan.len() {
             let pos = self.cursor;
-            raw.clear();
-            raw.resize(plan[pos].1.len(), None);
-            let mut skipped = false;
+            parts.clear();
             for lane in &self.lanes {
-                let Ok((skip, mine)) = lane.recv() else {
+                let Ok(partial) = lane.recv() else {
                     self.cursor = plan.len();
+                    parts.clear();
                     return None;
                 };
-                skipped = skip;
-                for (slot, bytes) in mine {
-                    raw[slot] = Some(bytes);
-                }
+                debug_assert_eq!(partial.pos, pos, "lanes are FIFO in plan order");
+                partial.queued.store(false, Ordering::Relaxed);
+                parts.push(partial);
             }
             self.cursor += 1;
-            if !skipped {
+            if parts.iter().all(|part| !part.skipped) {
                 return Some(pos);
             }
         }
+        parts.clear();
         None
     }
 }
@@ -434,7 +902,8 @@ mod tests {
     use crate::backend::Recycler;
     use crate::coordinator::{EpochSession, JobEpochIterator};
     use std::collections::HashMap;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
     use std::time::Duration;
 
     fn plan(batches: usize, per_batch: usize) -> Plan {
@@ -443,7 +912,7 @@ mod tests {
     }
 
     fn byte_fetch() -> Arc<FetchFn> {
-        Arc::new(|item: ItemId| Ok(Arc::new(vec![item as u8; 16])))
+        Arc::new(|item: ItemId| Ok(Fetched::Bytes(Arc::new(vec![item as u8; 16]))))
     }
 
     fn pipeline() -> Arc<ExecutablePipeline> {
@@ -470,6 +939,7 @@ mod tests {
             backend: Arc::new(Recycler::default()),
             pipeline: pipeline(),
             spares: Arc::default(),
+            rings: Arc::default(),
             stats: Arc::clone(stats),
             config,
         }
@@ -527,7 +997,7 @@ mod tests {
             let seen2 = Arc::clone(&seen);
             let fetch: Arc<FetchFn> = Arc::new(move |item| {
                 seen2.lock().push(item);
-                Ok(Arc::new(vec![0u8; 8]))
+                Ok(Fetched::Bytes(Arc::new(vec![0u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
             let _ = ordered(plan(6, 3), fetch, &stats, shape(workers, 2, 1)).count();
@@ -561,7 +1031,7 @@ mod tests {
                 if item == 7 {
                     panic!("injected fetch failure for item {item}");
                 }
-                Ok(Arc::new(vec![1u8; 8]))
+                Ok(Fetched::Bytes(Arc::new(vec![1u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
             let stream = ordered(plan(5, 2), fetch, &stats, shape(2, 2, fetch_threads));
@@ -589,7 +1059,7 @@ mod tests {
             let f2 = Arc::clone(&fetched);
             let fetch: Arc<FetchFn> = Arc::new(move |_| {
                 f2.fetch_add(1, Ordering::SeqCst);
-                Ok(Arc::new(vec![0u8; 4]))
+                Ok(Fetched::Bytes(Arc::new(vec![0u8; 4])))
             });
             let (out_tx, out_rx) = bounded::<Minibatch>(16);
             let executor = lane(fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
@@ -651,7 +1121,7 @@ mod tests {
         let seen2 = Arc::clone(&seen);
         let fetch: Arc<FetchFn> = Arc::new(move |item| {
             seen2.lock().push((item, std::thread::current().id()));
-            Ok(Arc::new(vec![item as u8; 8]))
+            Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
         });
         let stats = Arc::new(LoaderStats::default());
         let stream = ordered(plan(10, 5), fetch, &stats, shape(2, 4, threads));
@@ -692,7 +1162,7 @@ mod tests {
             if item % 2 == 1 {
                 holder.lock().push(Arc::clone(&bytes));
             }
-            Ok(bytes)
+            Ok(Fetched::Bytes(bytes))
         });
         let backend = Arc::new(Recycler::default());
         let lane = Lane {
@@ -719,7 +1189,7 @@ mod tests {
                         detail: "injected typed failure".into(),
                     });
                 }
-                Ok(Arc::new(vec![2u8; 8]))
+                Ok(Fetched::Bytes(Arc::new(vec![2u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
             let stream = ordered(plan(6, 3), fetch, &stats, shape(2, 2, fetch_threads));
@@ -750,7 +1220,7 @@ mod tests {
             let counter = Arc::clone(&fetched);
             let fetch: Arc<FetchFn> = Arc::new(move |item| {
                 counter.fetch_add(1, Ordering::SeqCst);
-                Ok(Arc::new(vec![item as u8; 8]))
+                Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
             let config = shape(workers, depth, fetch_threads);
@@ -771,6 +1241,245 @@ mod tests {
             let rest: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
             assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "f={fetch_threads}");
             assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
+        }
+    }
+
+    /// Bytes per item of [`HoleBackend`].
+    const SIZE: u64 = 16;
+
+    /// A backend whose every read returns a fresh buffer filled with the
+    /// read's serial number, and which records the serial of every buffer
+    /// handed back.  Reads of `gated` wait until [`HoleBackend::open`];
+    /// every read takes at least `delay`.
+    #[derive(Default)]
+    struct HoleBackend {
+        reads: AtomicUsize,
+        returned: Mutex<Vec<u64>>,
+        gated: Option<ItemId>,
+        entered: AtomicBool,
+        gate: (Mutex<bool>, Condvar),
+        delay: Duration,
+    }
+
+    impl HoleBackend {
+        fn open(&self) {
+            *self.gate.0.lock() = true;
+            self.gate.1.notify_all();
+        }
+
+        /// Serials handed back, sorted.
+        fn returned(&self) -> Vec<u64> {
+            let mut serials = self.returned.lock().clone();
+            serials.sort_unstable();
+            serials
+        }
+    }
+
+    impl FetchBackend for HoleBackend {
+        fn num_items(&self) -> u64 {
+            u64::MAX
+        }
+        fn item_bytes(&self, _item: ItemId) -> u64 {
+            SIZE
+        }
+        fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
+            let serial = self.reads.fetch_add(1, Ordering::SeqCst) as u64;
+            if self.gated == Some(item) {
+                self.entered.store(true, Ordering::SeqCst);
+                let mut open = self.gate.0.lock();
+                while !*open {
+                    self.gate.1.wait(&mut open);
+                }
+            }
+            std::thread::sleep(self.delay);
+            Ok(serial.to_le_bytes().repeat(SIZE as usize / 8))
+        }
+        fn recycle(&self, buf: Vec<u8>) {
+            let serial = u64::from_le_bytes(buf[..8].try_into().unwrap());
+            self.returned.lock().push(serial);
+        }
+        fn name(&self) -> &'static str {
+            "holes"
+        }
+    }
+
+    /// The fetch path a tier that bypasses the items `hole` picks would
+    /// give: those are holes, the rest are read inline.
+    fn hole_fetch(backend: &Arc<HoleBackend>, hole: fn(ItemId) -> bool) -> Arc<FetchFn> {
+        let backend = Arc::clone(backend);
+        Arc::new(move |item| match hole(item) {
+            true => Ok(Fetched::Hole(SIZE)),
+            false => Ok(Fetched::Bytes(Arc::new(backend.read(item)?))),
+        })
+    }
+
+    /// A fetch stage of one thread over `plan`, reading holes from
+    /// `backend`.
+    fn stage(plan: Plan, backend: &Arc<HoleBackend>, sink: Arc<dyn PreparedSink>) -> FetchStage {
+        FetchStage {
+            threads: 1,
+            shards: 1,
+            plan,
+            skip: None,
+            fetch: hole_fetch(backend, |_| true),
+            backend: Arc::clone(backend) as Arc<dyn FetchBackend>,
+            stats: Arc::default(),
+            sink,
+        }
+    }
+
+    /// A ring of one partial filled with `items` at slots 0.., the items
+    /// `hole` picks as holes, the rest read inline from `backend`.
+    fn filled(backend: &Arc<HoleBackend>, items: &[ItemId], hole: fn(ItemId) -> bool) -> Ring {
+        let mut ring = Ring::default();
+        ring.fit(1, items.len());
+        let fetch = hole_fetch(backend, hole);
+        let partial = Arc::get_mut(&mut ring.partials[0]).unwrap();
+        partial.reset(0, false, &**backend);
+        for (slot, &item) in items.iter().enumerate() {
+            partial.push(slot, item, fetch(item).unwrap());
+        }
+        ring
+    }
+
+    #[test]
+    fn holes_deliver_the_stream_of_inline_reads() {
+        // Every other item a hole: the delivered stream is the one a fetch
+        // path that reads everything inline delivers, at any shape, and
+        // each item is read exactly once.
+        let run = |hole: fn(ItemId) -> bool, workers: usize, fetch_threads: usize| {
+            let backend = Arc::new(HoleBackend::default());
+            let stats = Arc::new(LoaderStats::default());
+            let lane = Lane {
+                backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
+                ..lane(
+                    hole_fetch(&backend, hole),
+                    &stats,
+                    shape(workers, 2, fetch_threads),
+                )
+            };
+            let stream = EpochSession::start(&lane, 1, 2, None, 3, plan(12, 5)).into_consumer();
+            let items: Vec<Vec<ItemId>> = stream
+                .map(|mb| mb.unwrap().samples.iter().map(|s| s.item).collect())
+                .collect();
+            assert_eq!(backend.reads.load(Ordering::SeqCst), 60);
+            assert_eq!(backend.returned(), (0..60).collect::<Vec<u64>>());
+            (items, stats.deferred_reads())
+        };
+        let (inline, none) = run(|_| false, 1, 1);
+        assert_eq!(none, 0);
+        for workers in [1, 3] {
+            for fetch_threads in [1, 3] {
+                let (deferred, holes) = run(|item| item % 2 == 0, workers, fetch_threads);
+                assert_eq!(deferred, inline, "w={workers} f={fetch_threads}");
+                assert_eq!(holes, 30, "w={workers} f={fetch_threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn fetch_and_prep_racing_for_one_hole_read_it_exactly_once() {
+        let backend = Arc::new(HoleBackend::default());
+        let (sink, _) = bounded::<Minibatch>(1);
+        let stage = stage(plan(1, 1), &backend, Arc::new(sink));
+        let barrier = Barrier::new(2);
+        let (mut by_fetch, mut by_prep) = (0, 0);
+        let mut ring = Ring::default();
+        for round in 0..10_000u64 {
+            ring = filled(&backend, &[round], |_| true);
+            let part = Arc::clone(&ring.partials[0]);
+            let (fetched, raw) = std::thread::scope(|s| {
+                let fetch = s.spawn(|| {
+                    barrier.wait();
+                    stage.read_hole(0, &ring)
+                });
+                barrier.wait();
+                let mine = part.claim(0);
+                let raw = match mine {
+                    true => read_hole(&*backend, &LoaderStats::default(), round, SIZE).unwrap(),
+                    false => part.collect(0).expect("the fetch thread read it"),
+                };
+                let fetched = fetch.join().unwrap();
+                assert!(fetched != mine, "round {round}: exactly one reader");
+                (fetched, raw)
+            });
+            assert_eq!(raw.len() as u64, SIZE);
+            by_fetch += usize::from(fetched);
+            by_prep += usize::from(!fetched);
+        }
+        drop(ring);
+        assert_eq!(backend.reads.load(Ordering::SeqCst), 10_000);
+        assert_eq!(by_fetch + by_prep, 10_000);
+        assert_eq!(stage.stats.deferred_reads(), by_fetch as u64);
+    }
+
+    #[test]
+    fn prep_preps_the_rest_while_the_fetch_thread_reads_a_hole() {
+        // The fetch thread is held inside the read of item 2's hole; the
+        // prep worker that assembled the position preps items 0, 1 and 3,
+        // hands their payloads back, and only then waits for item 2.
+        let backend = Arc::new(HoleBackend {
+            gated: Some(2),
+            ..HoleBackend::default()
+        });
+        let ring = filled(&backend, &[0, 1, 2, 3], |item| item == 2);
+        let (sink, _) = bounded::<Minibatch>(1);
+        let sink: Arc<dyn PreparedSink> = Arc::new(sink);
+        let stage = stage(plan(1, 4), &backend, Arc::clone(&sink));
+        let lane = Lane {
+            backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
+            ..lane(byte_fetch(), &Arc::default(), shape(1, 1, 1))
+        };
+        let part = Arc::clone(&ring.partials[0]);
+        let parts = [Arc::clone(&part)];
+        std::thread::scope(|s| {
+            let fetch = s.spawn(|| stage.read_hole(0, &ring));
+            while !backend.entered.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let prep = s.spawn(|| PrepWorker::new(&lane, 0, 4).position(4, &parts, &*sink));
+            while part.cells[2].state.load(Ordering::SeqCst) != AWAITED {
+                std::thread::yield_now();
+            }
+            assert_eq!(backend.returned().len(), 3, "the rest was prepped first");
+            assert!(!prep.is_finished(), "prep waits for the hole");
+            backend.open();
+            assert!(fetch.join().unwrap());
+            let samples = prep.join().unwrap().expect("no read failed");
+            let items: Vec<ItemId> = samples.iter().map(|s| s.item).collect();
+            assert_eq!(items, vec![0, 1, 2, 3]);
+        });
+        assert_eq!(backend.returned(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn dropping_a_stream_with_open_and_in_flight_holes_hands_every_payload_back_once() {
+        for (workers, fetch_threads) in [(1, 1), (3, 1), (1, 3), (3, 3)] {
+            for _ in 0..4 {
+                let backend = Arc::new(HoleBackend {
+                    delay: Duration::from_micros(200),
+                    ..HoleBackend::default()
+                });
+                let lane = Lane {
+                    backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
+                    ..lane(
+                        hole_fetch(&backend, |item| item % 3 != 0),
+                        &Arc::default(),
+                        shape(workers, 1, fetch_threads),
+                    )
+                };
+                let mut stream =
+                    EpochSession::start(&lane, 1, 1, None, 0, plan(64, 4)).into_consumer();
+                assert!(stream.next().unwrap().is_ok());
+                drop(stream); // must join, not hang
+                let reads = backend.reads.load(Ordering::SeqCst) as u64;
+                assert!(reads < 256, "w={workers} f={fetch_threads}: stopped early");
+                assert_eq!(
+                    backend.returned(),
+                    (0..reads).collect::<Vec<u64>>(),
+                    "w={workers} f={fetch_threads}: each payload back exactly once"
+                );
+            }
         }
     }
 }

@@ -655,15 +655,24 @@ mod tests {
         assert_eq!(session.epoch(0).stream(0).count(), 1);
         assert_eq!(session.cache_tier().unwrap().resident_items(), 2);
         assert_eq!(backend.span_misses(), 4);
+        // The bypassed items are holes, read by whichever stage thread gets
+        // there first: the second may be read into the buffer the first
+        // came back in, so epoch 0 makes three or four buffers.
+        let made = backend.free.made();
+        assert!((3..=4).contains(&made), "made {made}");
         assert_eq!(
             backend.free.len(),
-            2,
+            made - 2,
             "the bypassed payloads came back, the admitted ones stay put"
         );
         // The next epoch reads the two bypassed items into those buffers.
         assert_eq!(session.epoch(1).stream(0).count(), 1);
         assert_eq!(backend.span_misses(), 6);
-        assert_eq!(backend.free.len(), 2);
+        assert!(
+            backend.free.made() <= 4,
+            "no more than epoch 0 had in flight"
+        );
+        assert_eq!(backend.free.len(), backend.free.made() - 2);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 
 use crate::coordinator::{EpochSession, JobEpochIterator};
 use crate::error::CoordlError;
-use crate::executor::{ExecutorConfig, FetchFn, Lane, Plan};
+use crate::executor::{ExecutorConfig, FetchFn, Fetched, Lane, Plan};
 use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
@@ -428,6 +428,7 @@ impl SessionBuilder {
             backend: Arc::clone(&backend),
             pipeline: Arc::clone(&pipeline),
             spares: Arc::new(Spares::with_window(window)),
+            rings: Arc::default(),
             stats: Arc::clone(&stats),
             config: executor,
         };
@@ -464,7 +465,9 @@ impl SessionBuilder {
                     .map(|node| {
                         let cluster = Arc::clone(&cluster);
                         lane(Arc::new(move |item| {
-                            cluster.fetch(node, item).map(|(bytes, _)| bytes)
+                            cluster
+                                .fetch(node, item)
+                                .map(|(bytes, _)| Fetched::Bytes(bytes))
                         }))
                     })
                     .collect();
@@ -588,6 +591,9 @@ impl Session {
     /// [`EpochTrajectory`] in the session's report, so consume the streams
     /// within the handle's lifetime.
     pub fn epoch(&self, epoch: u64) -> EpochRun<'_> {
+        // Before the coordinated sweep starts: its first fetches belong to
+        // this epoch's trajectory.
+        let start = self.snapshot();
         let coordinated = match self.mode {
             Mode::Coordinated { jobs } => Some(EpochSession::start(
                 &self.lanes[0],
@@ -602,7 +608,7 @@ impl Session {
         EpochRun {
             session: self,
             epoch,
-            start: self.snapshot(),
+            start,
             coordinated,
             taken: (0..self.num_jobs())
                 .map(|_| AtomicBool::new(false))

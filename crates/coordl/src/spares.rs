@@ -42,7 +42,7 @@ pub(crate) struct Spares {
 
 struct Stack {
     bufs: Vec<Vec<u8>>,
-    /// Buffers made so far: handed out new by `pop_n`, or made by
+    /// Buffers made so far: handed out new by `pop` or `pop_n`, or made by
     /// `fill_window`.
     made: usize,
 }
@@ -82,7 +82,11 @@ impl Spares {
 
     /// One spare buffer, or a new empty one when there is none.
     pub(crate) fn pop(&self) -> Vec<u8> {
-        self.stack.lock().bufs.pop().unwrap_or_default()
+        let mut stack = self.stack.lock();
+        stack.bufs.pop().unwrap_or_else(|| {
+            stack.made += 1;
+            Vec::new()
+        })
     }
 
     /// Append `n` buffers to `out` under one lock: spares while there are
@@ -133,6 +137,12 @@ impl Spares {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.stack.lock().bufs.len()
+    }
+
+    /// Buffers made so far.
+    #[cfg(test)]
+    pub(crate) fn made(&self) -> usize {
+        self.stack.lock().made
     }
 }
 

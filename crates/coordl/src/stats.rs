@@ -26,6 +26,8 @@ pub struct LoaderStats {
     prep_busy_nanos: AtomicU64,
     prep_stall_nanos: AtomicU64,
     consumer_wait_nanos: AtomicU64,
+    deferred_reads: AtomicU64,
+    deferred_reads_by_prep: AtomicU64,
     /// Per-fetch-thread `[busy, stall]` nanos, indexed by fetch thread: a
     /// `fetch_threads(f)` stage records one row per thread (one row for the
     /// default `f = 1`), so reports can show how evenly the shard-ownership
@@ -97,6 +99,30 @@ impl LoaderStats {
     /// Samples delivered to consumers so far.
     pub fn samples_delivered(&self) -> u64 {
         self.samples_delivered.load(Ordering::Relaxed)
+    }
+
+    /// Record one hole read: the backend read of a miss the tier bypassed,
+    /// done by a prep worker or (`by_prep == false`) a fetch thread.
+    pub fn record_deferred_read(&self, by_prep: bool) {
+        self.deferred_reads.fetch_add(1, Ordering::Relaxed);
+        if by_prep {
+            self.deferred_reads_by_prep.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Hole reads so far: misses the tier bypassed before reading them,
+    /// read off the ordered fetch path by whichever stage thread reached
+    /// them first.  Like the stage timings, these depend on timing (a
+    /// stream dropped mid-epoch leaves holes unread), so no report's
+    /// deterministic fields carry them.
+    pub fn deferred_reads(&self) -> u64 {
+        self.deferred_reads.load(Ordering::Relaxed)
+    }
+
+    /// Of [`LoaderStats::deferred_reads`], the ones a prep worker read; the
+    /// rest were read by a fetch thread whose lane was full.
+    pub fn deferred_reads_by_prep(&self) -> u64 {
+        self.deferred_reads_by_prep.load(Ordering::Relaxed)
     }
 
     /// Record time a prep worker spent pre-processing.
@@ -216,6 +242,15 @@ mod tests {
         assert_eq!(s.bytes_from_remote(), 3);
         assert_eq!(s.samples_prepared(), 2);
         assert_eq!(s.samples_delivered(), 4);
+    }
+
+    #[test]
+    fn deferred_reads_split_by_the_thread_that_read_them() {
+        let s = LoaderStats::default();
+        s.record_deferred_read(false);
+        s.record_deferred_read(true);
+        s.record_deferred_read(true);
+        assert_eq!((s.deferred_reads(), s.deferred_reads_by_prep()), (3, 2));
     }
 
     #[test]

@@ -43,6 +43,24 @@ pub trait CacheTier: Send + Sync {
     /// reference.
     fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>>;
 
+    /// The admit transaction of a miss on `item` whose payload is `size`
+    /// bytes, run before the payload is read — when the tier will not keep
+    /// it.  Returns `true` once the tier has recorded the bypassed miss,
+    /// exactly what [`admit`](CacheTier::admit) of a `size`-byte payload
+    /// that it refuses would have recorded; the caller then reads the item
+    /// whenever it likes and never offers it.  Returns `false`, changing
+    /// nothing, when the tier would keep the item or cannot tell: the
+    /// caller reads the item and calls `admit` as usual.
+    ///
+    /// The decision may read only `size` and the tier's state, never the
+    /// bytes, and `size` must be the length the read will return: the
+    /// fetch path takes it from [`FetchBackend::item_bytes`] and fails a
+    /// read of any other length as [`CoordlError::BackendIo`].  The default
+    /// cannot tell.
+    fn try_bypass(&self, _item: ItemId, _size: u64) -> bool {
+        false
+    }
+
     /// Whether `item` is currently resident.
     fn contains(&self, item: ItemId) -> bool;
 
@@ -1067,6 +1085,19 @@ impl CacheTier for TieredByteCache {
         self.admit_with_floor(item, bytes, 0).0
     }
 
+    /// Under the shard lock, a miss no level would admit runs its chain
+    /// access without a payload.  A refused access lands, demotes and drops
+    /// nothing, so there is nothing to settle.
+    fn try_bypass(&self, item: ItemId, size: u64) -> bool {
+        let mut inner = self.shard_for(item).lock();
+        if inner.bytes.contains_key(&item) || inner.chain.would_admit(size, 0) {
+            return false;
+        }
+        let access = inner.chain.access(item, size);
+        debug_assert!(!access.admitted, "a predicted bypass admitted {item}");
+        true
+    }
+
     fn contains(&self, item: ItemId) -> bool {
         self.shard_for(item).lock().chain.contains(item)
     }
@@ -1228,6 +1259,45 @@ mod tests {
         }
         assert_eq!((tier.hits(), tier.misses()), (2, 3 + 5));
         assert_eq!(tier.tier_snapshots()[0].evictions, 0);
+    }
+
+    #[test]
+    fn try_bypass_records_exactly_what_a_refused_admit_records() {
+        // Two MinIO-over-MinIO hierarchies see the same misses: one offers
+        // every payload, the other first asks to bypass without it.  Every
+        // level's snapshot agrees after each miss, and the bypass is taken
+        // exactly when the payload would have been refused.
+        let specs = || {
+            vec![
+                ByteTierSpec::dram(PolicyKind::MinIo, 6),
+                ByteTierSpec::sata_ssd(PolicyKind::MinIo, 4),
+            ]
+        };
+        let (offered, asked) = (TieredByteCache::new(specs()), TieredByteCache::new(specs()));
+        for item in 0..16u64 {
+            let size = 1 + item % 3;
+            assert!(offered.lookup(item).is_none() && asked.lookup(item).is_none());
+            offered.admit(item, payload(item, size as usize));
+            let bypassed = asked.try_bypass(item, size);
+            if !bypassed {
+                asked.admit(item, payload(item, size as usize));
+            }
+            assert_eq!(bypassed, !offered.contains(item), "item {item}");
+            assert_eq!(
+                asked.tier_snapshots(),
+                offered.tier_snapshots(),
+                "item {item}"
+            );
+        }
+        assert!(!asked.try_bypass(0, 1), "a resident item is never bypassed");
+        // LRU evicts to make room: it never bypasses an item that fits.
+        let lru = TieredByteCache::single(PolicyKind::Lru, 4);
+        assert!((0..8).all(|item| !lru.try_bypass(item, 2)));
+        assert_eq!(
+            lru.tier_snapshots()[0].misses,
+            0,
+            "a refusal changes nothing"
+        );
     }
 
     #[test]

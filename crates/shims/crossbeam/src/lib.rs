@@ -1,7 +1,8 @@
 //! Minimal offline stand-in for `crossbeam`: a bounded MPMC channel.
 //!
-//! Only `channel::bounded` with blocking `send`/`recv`, cloneable endpoints
-//! and disconnect detection is provided — the surface this workspace uses.
+//! Only `channel::bounded` with blocking `send`/`recv`, a non-blocking
+//! `try_send`, cloneable endpoints and disconnect detection is provided —
+//! the surface this workspace uses.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -17,6 +18,25 @@ pub mod channel {
     impl<T> fmt::Display for SendError<T> {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "sending on a disconnected channel")
+        }
+    }
+
+    /// Error returned by `try_send`; carries the unsent message back to the
+    /// caller like crossbeam's.
+    #[derive(Debug, PartialEq, Eq)]
+    pub enum TrySendError<T> {
+        /// The channel holds `capacity` messages.
+        Full(T),
+        /// Every receiver is gone.
+        Disconnected(T),
+    }
+
+    impl<T> fmt::Display for TrySendError<T> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TrySendError::Full(_) => write!(f, "sending on a full channel"),
+                TrySendError::Disconnected(_) => write!(f, "sending on a disconnected channel"),
+            }
         }
     }
 
@@ -88,6 +108,22 @@ pub mod channel {
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
+        }
+
+        /// Enqueue if there is room, without blocking: `Full` when the
+        /// channel is full, `Disconnected` when every receiver is gone.
+        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let shared = &self.shared;
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            if shared.receivers.load(Ordering::SeqCst) == 0 {
+                return Err(TrySendError::Disconnected(value));
+            }
+            if queue.len() >= shared.capacity {
+                return Err(TrySendError::Full(value));
+            }
+            queue.push_back(value);
+            shared.not_empty.notify_one();
+            Ok(())
         }
     }
 
@@ -190,6 +226,17 @@ pub mod channel {
             assert_eq!(rx.recv(), Ok(1));
             assert!(t.join().unwrap());
             assert_eq!(rx.recv(), Ok(2));
+        }
+
+        #[test]
+        fn try_send_reports_full_and_disconnected_with_the_message() {
+            let (tx, rx) = bounded::<u32>(1);
+            assert_eq!(tx.try_send(1), Ok(()));
+            assert_eq!(tx.try_send(2), Err(TrySendError::Full(2)));
+            assert_eq!(rx.recv(), Ok(1));
+            assert_eq!(tx.try_send(3), Ok(()));
+            drop(rx);
+            assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
         }
 
         #[test]

@@ -40,6 +40,10 @@ impl<T> Mutex<T> {
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
     }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl<T> Deref for MutexGuard<'_, T> {
