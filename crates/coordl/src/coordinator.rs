@@ -37,7 +37,6 @@ use crate::executor::{Lane, Plan, PrefetchExecutor, PreparedSink, SkipFn};
 use crate::minibatch::Minibatch;
 use crate::staging::{PublishOutcome, StagingArea, TakeError};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -45,12 +44,14 @@ use std::time::{Duration, Instant};
 /// Contiguous-published tracking for one shard: the prep pool publishes a
 /// shard's batches slightly out of order, but recovery must resume from a
 /// position below which *everything* is durably published.
-#[derive(Default)]
 struct ShardProgress {
     /// Lowest shard position not yet published.
     next: usize,
-    /// Published positions above `next` (gaps still open).
-    done: BTreeSet<usize>,
+    /// Which shard positions were published, one flag per position of the
+    /// plan, made with the epoch: a set of the positions published ahead
+    /// of `next` would allocate whenever prep happened to publish out of
+    /// order, a count that depends on thread timing alone.
+    done: Vec<bool>,
 }
 
 /// What one epoch's consumers and executors, main and recovery, share: the
@@ -93,13 +94,9 @@ impl EpochState {
         let num_jobs = self.num_jobs();
         let pos = index / num_jobs;
         let progress = &mut *self.progress[index % num_jobs].lock();
-        if pos > progress.next {
-            progress.done.insert(pos);
-        } else if pos == progress.next {
+        progress.done[pos] = true;
+        while progress.done.get(progress.next) == Some(&true) {
             progress.next += 1;
-            while progress.done.remove(&progress.next) {
-                progress.next += 1;
-            }
         }
     }
 
@@ -161,6 +158,11 @@ impl EpochSession {
         epoch: u64,
         plan: Plan,
     ) -> Self {
+        let positions = plan.iter().map(|(index, _)| index / num_jobs + 1).max();
+        let progress = || ShardProgress {
+            next: 0,
+            done: vec![false; positions.unwrap_or(0)],
+        };
         let state = Arc::new(EpochState {
             epoch,
             plan,
@@ -169,9 +171,7 @@ impl EpochSession {
             take_timeout,
             failure: OnceLock::new(),
             sweeps: Mutex::new(Some(Vec::new())),
-            progress: (0..num_jobs)
-                .map(|_| Mutex::new(ShardProgress::default()))
-                .collect(),
+            progress: (0..num_jobs).map(|_| Mutex::new(progress())).collect(),
             kill_flags: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
             recovered: (0..num_jobs).map(|_| AtomicBool::new(false)).collect(),
         });

@@ -17,12 +17,14 @@
 //!   one partial per plan position — a cell per item the thread owns there,
 //!   holding its bytes or a *hole*: a bypassed miss not read yet.  While
 //!   its lane is full, the thread reads the holes of the positions queued
-//!   in it, oldest first, instead of blocking
-//!        │ N prep workers; one at a time assembles the next position from
-//!        │ every thread lane, then all prep in parallel, deterministically
-//!        │ per (epoch, item): first the cells that hold bytes, then the
-//!        │ holes nobody claimed (read by the worker), last the holes a
-//!        │ fetch thread is still reading
+//!   in it, oldest first; with none left it *lends* itself to prep — it
+//!   assembles and preps the next position, like a prep worker, while the
+//!   process has a core no prep worker holds — and only then blocks
+//!        │ N prep workers, and the fetch threads they lend; one at a time
+//!        │ assembles the next position from every thread lane, then all
+//!        │ prep in parallel, deterministically per (epoch, item): first
+//!        │ the cells that hold bytes, then the holes nobody claimed (read
+//!        │ by whoever preps), last the holes a fetch thread is still reading
 //!        ▼
 //!   PreparedSink — the epoch's StagingArea: one consumer for a single /
 //!                  partitioned stream, every job in a coordinated epoch
@@ -44,8 +46,11 @@
 //! `workers` and `prefetch_depth` for *any* tier policy (the index-ordered
 //! staging area and the per-`(epoch, item)` deterministic prep carry that
 //! through to the delivered minibatches); only the stage-timing counters
-//! (fetch busy/stall per thread, prep busy/stall, consumer wait) and the
-//! split of hole reads between threads move.  The root
+//! (fetch busy/stall per thread, prep busy/stall, consumer wait), the split
+//! of hole reads between threads and the positions fetch threads prepped
+//! move.  Lending changes nothing else: prep is the same function whichever
+//! thread runs it, and a lending thread's tier transactions still happen
+//! only in its plan-order loop.  The root
 //! `tests/parallel_session_equivalence.rs`,
 //! `tests/parallel_fetch_equivalence.rs` and `tests/deferred_reads.rs`
 //! suites pin this contract.
@@ -57,27 +62,51 @@
 //! [`Fetched::Hole`] and the read happens later, exactly once, on whichever
 //! stage thread claims the hole first with one compare-and-swap — the fetch
 //! thread while its lane is full (and after the plan ends), for positions
-//! still queued in its lane, or the prep worker that assembled the
-//! position, for the holes left when it did.  The same items are read,
-//! each once and with the same bytes; only the thread and the moment
-//! change.  A hole read is counted in `bytes_from_storage` when it
-//! succeeds.  A prep worker waiting for a hole a fetch thread was already
-//! reading parks on the position's condvar, and the reader signals it only
-//! when someone waits.
+//! still queued in its lane, or the thread that assembled the position, for
+//! the holes left when it did.  The same items are read, each once and with
+//! the same bytes; only the thread and the moment change.  A hole read is
+//! counted in `bytes_from_storage` when it succeeds.  A thread prepping a
+//! position that waits for a hole a fetch thread was already reading parks
+//! on the position's condvar, and the reader signals it only when someone
+//! waits.
+//!
+//! **Lending.**  A [`CoreLedger`] counts the process's cores and who holds
+//! them: every prep worker registers a seat when its sweep is spawned,
+//! before any fetch thread starts, and gives it back when it exits; a fetch
+//! thread borrows a free seat with one compare-and-swap per position and
+//! gives it back once the position is prepped.  So a fetch thread preps
+//! only while the prep workers of every session in the process hold fewer
+//! seats than there are cores, and sessions whose workers fill the cores
+//! keep the schedule they had.  A lending thread never blocks to get a
+//! position: it takes the assembler with `try_lock` and reads the lanes
+//! with `try_recv`, and a position it found only partly there stays staged
+//! in the [`Assembler`] for the next caller.  Waiting there could deadlock:
+//! a fetch thread parked on its own lane, which only it fills.  The
+//! position it takes frees its own lane's head, so the partial it had
+//! fetched goes down the lane before it preps: it holds one position's
+//! payloads at a time, and the fetch → prep window of raw payloads stays
+//! `prefetch_depth + 1 + workers` positions with one fetch thread.  Its prep
+//! time counts as prep busy or prep stall, never as fetch time, and
+//! [`LoaderStats::lent_positions`] counts the positions it prepped.
 //!
 //! **Window and progress.**  A fetch thread runs at most `prefetch_depth`
-//! positions (plus the one it is handing over) ahead of the assembler.  The
-//! assembler holds its lock across `recv` on purpose — lanes are FIFO, so
-//! nobody else could make progress on a later position anyway — and it waits
-//! only on a lane whose head is empty; that lane's thread is therefore
-//! fetching, not parked on a full lane, so the wait ends.  A prep worker
-//! waits only on a hole being read, which the reader settles without
-//! waiting on anything.  Each fetch thread's partials live in a ring the
-//! lane keeps across positions and epochs: `prefetch_depth + workers + 1` of
-//! them, one more than its lane and the prep workers can hold at once, so a
-//! free one is always there and neither stage allocates per position.
+//! positions (plus the one it is handing over) ahead of the assembler.  A
+//! prep worker holds the assembler's lock across `recv` on purpose — lanes
+//! are FIFO, so nobody else could make progress on a later position anyway
+//! — and it waits only on a lane whose head is empty; that lane's thread is
+//! therefore fetching or prepping a position it took, not parked on a full
+//! lane, and a position it preps waits on nothing but holes other threads
+//! are reading and on the sink's own window, which positions assembled
+//! before it advance; so the wait ends.  Whoever preps a position waits only
+//! on a hole being read, which the reader settles without waiting on
+//! anything.  Each fetch thread's partials live in a ring the lane keeps
+//! across positions and epochs: `prefetch_depth + workers + fetch_threads +
+//! 1` of them, one more than its lane, the prep workers and the lending
+//! fetch threads can hold at once (a position staged in the assembler is
+//! one no lending thread holds), so a free one is always there and neither
+//! stage allocates per position.
 //!
-//! **Recycled buffers.**  A prep worker prepares each batch into buffers
+//! **Recycled buffers.**  Whoever preps a batch prepares it into buffers
 //! popped from the lane's [`Spares`] under one lock — buffers the lane's
 //! streams took back from consumers that let go of a delivered batch (see
 //! [`BatchStream`](crate::BatchStream)); the lane's first batch makes every
@@ -85,24 +114,29 @@
 //! hands every raw payload it held the last reference to back to the
 //! backend.  A payload a session's cache tier still holds is not prep's to
 //! hand back: the tier returns it to the same backend when it drops it, and
-//! whichever of the two lets go last returns it, exactly once.  In steady
-//! state neither stage allocates per sample, whether the tier keeps its
-//! misses or evicts on each one.
+//! whichever of the two lets go last returns it, exactly once.  The prep
+//! scratch itself is kept too: the prep workers' on the lane, each fetch
+//! thread's in its ring, sized when the ring is fitted, so whether a thread
+//! ever lends changes nothing that is allocated.  In steady state neither
+//! stage allocates per sample, whether the tier keeps its misses or evicts
+//! on each one.
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and handed to the sink's
-//! [`fail`](PreparedSink::fail); a typed fetch error, or a failed hole read
-//! on any thread, is handed over as it is, once, by the thread that saw it.
-//! The sink ends the epoch, which wakes its consumers.  The failing
-//! fetch thread returns, which drops its lane's sender: the assembler sees
-//! the lane end, the prep workers leave, the last one drops the lane
-//! receivers, and any fetch thread parked on a full lane wakes and returns.
-//! Only the owning session's streams observe the error.  Shutting down
-//! mid-epoch (dropping a stream or an epoch run) never deadlocks and never
-//! polls a clock: the owner shuts the sink down *before* joining, which
-//! unblocks any worker parked in `publish`, and the fetch threads read the
-//! sink's liveness once per position and once per hole.  Once every thread
-//! is joined, each payload still in a partial goes back to the backend.
+//! [`fail`](PreparedSink::fail) (a panic in a lent position's prep is a
+//! `"prep"` one); a typed fetch error, or a failed hole read on any thread,
+//! is handed over as it is, once, by the thread that saw it.  The sink ends
+//! the epoch, which wakes its consumers.  The failing fetch thread returns,
+//! which drops its lane's sender: the assembler sees the lane end and drops
+//! every lane receiver, the prep workers leave (the last one drops the
+//! receivers too, whatever ended the sweep), and any fetch thread parked on
+//! a full lane wakes and returns.  Only the owning session's streams observe
+//! the error.  Shutting down mid-epoch (dropping a stream or an epoch run)
+//! never deadlocks and never polls a clock: the owner shuts the sink down
+//! *before* joining, which unblocks any thread parked in `publish`, and the
+//! fetch threads read the sink's liveness once per position and once per
+//! hole.  Once every thread is joined, each payload still in a partial goes
+//! back to the backend.
 
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
@@ -110,7 +144,7 @@ use crate::minibatch::Minibatch;
 use crate::spares::Spares;
 use crate::stack::read_hole;
 use crate::stats::LoaderStats;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use dataset::ItemId;
 use parking_lot::{Condvar, Mutex};
 use prep::{ExecutablePipeline, PreparedSample};
@@ -167,6 +201,101 @@ fn panicked(stage: &'static str, payload: Box<dyn Any + Send>) -> CoordlError {
     }
 }
 
+/// The cores a process's stage threads share, and how many of them prep
+/// holds: one seat per registered prep worker, plus one per fetch thread
+/// lent to prep for a position.  The count gates and publishes nothing
+/// else, so its atomics are relaxed.
+pub(crate) struct CoreLedger {
+    cores: usize,
+    seats: AtomicUsize,
+}
+
+/// A ledger that always has a free seat: every fetch thread lends.
+pub(crate) static LENDS: CoreLedger = CoreLedger::new(usize::MAX);
+
+/// A ledger with no seat to lend: no fetch thread ever preps.
+pub(crate) static NEVER_LENDS: CoreLedger = CoreLedger::new(0);
+
+thread_local! {
+    /// The ledger sessions built on this thread take instead of the
+    /// process's one (see [`with_lending`]).
+    static SESSION_LEDGER: std::cell::Cell<Option<&'static CoreLedger>> =
+        const { std::cell::Cell::new(None) };
+}
+
+impl CoreLedger {
+    const fn new(cores: usize) -> Self {
+        CoreLedger {
+            cores,
+            seats: AtomicUsize::new(0),
+        }
+    }
+
+    /// The ledger the lanes of every session share: as many cores as
+    /// `std::thread::available_parallelism` reports, read once.
+    fn process() -> &'static CoreLedger {
+        static PROCESS: OnceLock<CoreLedger> = OnceLock::new();
+        PROCESS.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            CoreLedger::new(cores)
+        })
+    }
+
+    /// The ledger a session built now takes: the process's, unless
+    /// [`with_lending`] chose one for this thread.
+    pub(crate) fn for_sessions() -> &'static CoreLedger {
+        SESSION_LEDGER
+            .with(std::cell::Cell::get)
+            .unwrap_or_else(CoreLedger::process)
+    }
+
+    /// A prep worker's seat, taken whatever the count: prep workers are
+    /// what the cores are for.
+    fn register(&'static self) -> Seat {
+        self.seats.fetch_add(1, Ordering::Relaxed);
+        Seat(self)
+    }
+
+    /// A free seat for one lent position: one compare-and-swap, `None` when
+    /// every core is held or another thread took the free seat first.
+    fn borrow(&'static self) -> Option<Seat> {
+        let seats = self.seats.load(Ordering::Relaxed);
+        let free = seats < self.cores
+            && self
+                .seats
+                .compare_exchange(seats, seats + 1, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok();
+        free.then(|| Seat(self))
+    }
+}
+
+/// One seat of a [`CoreLedger`], given back when dropped.
+struct Seat(&'static CoreLedger);
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        self.0.seats.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Run `build` with every session it builds on this thread lending its
+/// fetch threads to prep always (`true`) or never (`false`), whatever the
+/// host's cores and the process's other sessions.  For suites that pin
+/// that lending changes no stream or counter; not a tuning knob.
+#[doc(hidden)]
+pub fn with_lending<R>(lend: bool, build: impl FnOnce() -> R) -> R {
+    /// Puts the thread's previous choice back, also on a panic.
+    struct Restore(Option<&'static CoreLedger>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SESSION_LEDGER.with(|ledger| ledger.set(self.0));
+        }
+    }
+    let ledger = if lend { &LENDS } else { &NEVER_LENDS };
+    let _restore = Restore(SESSION_LEDGER.with(|cell| cell.replace(Some(ledger))));
+    build()
+}
+
 /// Thread counts and queue depth of an epoch executor, derived once per
 /// session from its [`SessionConfig`](crate::SessionConfig).
 #[derive(Debug, Clone, Copy)]
@@ -188,6 +317,10 @@ pub(crate) struct ExecutorConfig {
 /// and gives it back once its threads are joined.
 type Rings = Mutex<Vec<Vec<Ring>>>;
 
+/// Spare prep-worker scratch: a sweep's prep workers each take one and
+/// give it back when they exit.
+type Scratch = Mutex<Vec<PrepWorker>>;
+
 /// One fetch → prep lane of a session: everything an epoch executor runs on
 /// except the epoch's plan and sink.  Built once per session (one per
 /// partitioned node) and cloned into the threads it spawns.
@@ -196,33 +329,39 @@ pub(crate) struct Lane {
     /// Raw-byte source, called in plan order per cache shard.
     pub fetch: Arc<FetchFn>,
     /// The backend under `fetch`: stage threads read the holes `fetch`
-    /// leaves from it, and prep workers hand it back every raw payload
+    /// leaves from it, and whoever preps hands it back every raw payload
     /// nothing else references (the session's tier, if it still holds one,
     /// hands it back once it drops it).
     pub backend: Arc<dyn FetchBackend>,
     /// The deterministic prep pipeline.
     pub pipeline: Arc<ExecutablePipeline>,
-    /// Spare prepared-sample buffers: prep workers prepare into them (one
-    /// lock per batch) and the lane's streams push back the buffers of
-    /// every batch the consumer let go of.  Built with the lane, so it
-    /// outlives the per-epoch executors.  Its window is the prepared-side
-    /// window — the most samples the lane's streams can hold in flight
-    /// together: the staging window, one batch per prep worker and the
-    /// batch lent to the consumer, i.e. `prefetch_depth + workers + 1`
+    /// Spare prepared-sample buffers: whoever preps a batch prepares into
+    /// them (one lock per batch) and the lane's streams push back the
+    /// buffers of every batch the consumer let go of.  Built with the lane,
+    /// so it outlives the per-epoch executors.  Its window is the
+    /// prepared-side window — the most samples the lane's streams can hold
+    /// in flight together: the staging window, one batch per prep worker,
+    /// one per fetch thread (lent to prep) and the batch lent to the
+    /// consumer, i.e. `prefetch_depth + workers + fetch_threads + 1`
     /// minibatches for a single or partitioned stream and `staging_window +
-    /// workers + 1` in a coordinated epoch, exact at any worker count.  The
-    /// first batch finds the stack empty, and the worker then makes the
-    /// whole window, sized like that batch's buffers:
-    /// had it made only what was in flight, the count would grow whenever
-    /// a later epoch ran further ahead than any before it, a step of one
-    /// minibatch of buffers that depends on thread timing alone.  Beyond
-    /// that, a buffer is made only when every one that exists is in flight,
-    /// so the stack needs no cap.
+    /// workers + fetch_threads + 1` in a coordinated epoch, exact at any
+    /// thread count.  The first batch finds the stack empty, and its prep
+    /// then makes the whole window, sized like that batch's buffers: had it
+    /// made only what was in flight, the count would grow whenever a later
+    /// epoch ran further ahead than any before it, a step of one minibatch
+    /// of buffers that depends on thread timing alone.  Beyond that, a
+    /// buffer is made only when every one that exists is in flight, so the
+    /// stack needs no cap.
     pub spares: Arc<Spares>,
     /// The fetch threads' partials, kept across epochs: a sweep takes one
     /// set (a sweep running beside it, such as a coordinated recovery,
     /// finds none and makes its own) and returns it emptied.
     pub rings: Arc<Rings>,
+    /// The prep workers' scratch, kept across epochs the same way.
+    pub scratch: Arc<Scratch>,
+    /// Whose cores the lane's prep workers register on and its fetch
+    /// threads borrow from: the process's, for every session.
+    pub ledger: &'static CoreLedger,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
     /// Thread counts and queue depth.
@@ -243,28 +382,35 @@ impl Lane {
         let workers = self.config.workers.max(1);
         let threads = self.config.fetch_threads.max(1);
         let depth = self.config.prefetch_depth.max(1);
+        // The prep workers hold their seats before any fetch thread could
+        // borrow one, and for as long as they run, busy or not.
+        let seats: Vec<Seat> = (0..workers).map(|_| self.ledger.register()).collect();
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..threads).map(|_| bounded::<Arc<Partial>>(depth)).unzip();
+        let assembler = Arc::new(Mutex::new(Assembler {
+            staged: Vec::with_capacity(threads),
+            lanes: receivers,
+            cursor: 0,
+        }));
         let stage = Arc::new(FetchStage {
+            lane: self.clone(),
+            epoch,
             threads,
             shards: self.config.fetch_shards.max(1),
             skip: skip.map(|skip| (skip, plan.iter().map(|_| OnceLock::new()).collect())),
             plan: Arc::clone(&plan),
-            fetch: Arc::clone(&self.fetch),
-            backend: Arc::clone(&self.backend),
-            stats: Arc::clone(&self.stats),
             sink: Arc::clone(&sink),
+            assembler: Arc::clone(&assembler),
         });
-        // Every partial a lane and the prep workers can hold at once, plus
-        // the one being filled; each with a cell for every item of the
-        // largest batch.
+        // Every partial a lane, the prep workers and the lending fetch
+        // threads can hold at once, plus the one being filled; each with a
+        // cell for every item of the largest batch.
         let cells = plan.iter().map(|(_, items)| items.len()).max().unwrap_or(0);
         let mut rings = self.rings.lock().pop().unwrap_or_default();
         rings.resize_with(threads, Ring::default);
         let mut fetchers = Vec::with_capacity(threads);
-        let mut lanes = Vec::with_capacity(threads);
-        for (thread, mut ring) in rings.into_iter().enumerate() {
-            ring.fit(depth + workers + 1, cells);
-            let (lane_tx, lane_rx) = bounded::<Arc<Partial>>(depth);
-            lanes.push(lane_rx);
+        for (thread, (mut ring, lane_tx)) in rings.into_iter().zip(senders).enumerate() {
+            ring.fit(depth + workers + threads + 1, cells, threads);
             let stage = Arc::clone(&stage);
             fetchers.push(std::thread::spawn(move || {
                 let outcome =
@@ -275,22 +421,27 @@ impl Lane {
                 ring
             }));
         }
-        // The lane receivers belong to the prep workers alone: a fetch
-        // thread that held a reference would keep its own lane connected,
-        // and a sender parked on a full lane would never see the last
-        // worker leave.
-        let assembler = Arc::new(Mutex::new(Assembler { lanes, cursor: 0 }));
+        // The fetch threads share the assembler, so it outlives the prep
+        // workers; the last worker to leave drops the lane receivers, or a
+        // sender parked on a full lane would never see them go.
+        let closer = Arc::new(CloseOnLastWorker(Arc::clone(&assembler)));
         let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
+        for seat in seats {
+            let mut prep = self.scratch.lock().pop().unwrap_or_default();
+            prep.fit(cells, threads);
             let (lane, plan, assembler) = (self.clone(), Arc::clone(&plan), Arc::clone(&assembler));
-            let sink = Arc::clone(&sink);
+            let (sink, closer) = (Arc::clone(&sink), Arc::clone(&closer));
             handles.push(std::thread::spawn(move || {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    lane.run_prep_worker(epoch, &plan, &assembler, &*sink)
+                    lane.run_prep_worker(epoch, &plan, &assembler, &mut prep, &*sink)
                 }));
                 if let Err(payload) = outcome {
                     sink.fail(panicked("prep", payload));
                 }
+                prep.parts.clear(); // left behind by a panic
+                lane.scratch.lock().push(prep);
+                // Moved in to be let go of here, once the worker is done.
+                drop((closer, seat));
             }));
         }
         PrefetchExecutor {
@@ -307,55 +458,81 @@ impl Lane {
         epoch: u64,
         plan: &[(usize, Vec<ItemId>)],
         assembler: &Mutex<Assembler>,
+        prep: &mut PrepWorker,
         sink: &dyn PreparedSink,
     ) {
-        let stats = &*self.stats;
-        let mut parts = Vec::with_capacity(self.config.fetch_threads.max(1));
-        let cells = plan.iter().map(|(_, items)| items.len()).max();
-        let mut worker = PrepWorker::new(self, epoch, cells.unwrap_or(0));
         loop {
             let stall = Instant::now();
-            let next = assembler.lock().next(plan, &mut parts);
-            stats.record_prep_stall(stall.elapsed());
+            let next = assembler.lock().next(plan, &mut prep.parts, true);
+            self.stats.record_prep_stall(stall.elapsed());
             let Some(pos) = next else {
                 break; // plan exhausted, or a fetch thread ended early
             };
-            let (index, items) = &plan[pos];
-            let busy = Instant::now();
-            let made = self.spares.pop_n(items.len(), &mut worker.batch.bufs);
-            let samples = worker.position(items.len(), &parts, sink);
-            // Let go of the partials before publishing: their fetch thread
-            // reuses each once nobody else holds it.
-            parts.clear();
-            let Some(samples) = samples else {
-                return; // a hole read failed the epoch
-            };
-            if made > 0 {
-                let capacity = samples.iter().map(|s| s.data.capacity()).max();
-                self.spares.fill_window(capacity.unwrap_or(0));
-            }
-            stats.record_prepared(samples.len() as u64);
-            stats.record_prep_busy(busy.elapsed().saturating_sub(worker.waited));
-            // Waiting for a hole another thread reads, and publishing into
-            // a backed-up staging window, are time the worker is not
-            // pre-processing: both count as prep stall.
-            let publishing = Instant::now();
-            let delivered = sink.publish(Minibatch {
-                epoch,
-                index: *index,
-                samples,
-            });
-            stats.record_prep_stall(worker.waited + publishing.elapsed());
-            if !delivered {
-                break; // epoch shut down
+            if !self.prep_next(epoch, plan, pos, prep, sink) {
+                break;
             }
         }
     }
+
+    /// Prep the assembled position `pos`, whose partials are in
+    /// `prep.parts`, and publish it: the one path of prep workers and lent
+    /// fetch threads alike.  `false` when the sweep is over for the caller:
+    /// the epoch shut down, or a hole read failed it.
+    fn prep_next(
+        &self,
+        epoch: u64,
+        plan: &[(usize, Vec<ItemId>)],
+        pos: usize,
+        prep: &mut PrepWorker,
+        sink: &dyn PreparedSink,
+    ) -> bool {
+        let stats = &*self.stats;
+        let (index, items) = &plan[pos];
+        let busy = Instant::now();
+        let made = self.spares.pop_n(items.len(), &mut prep.batch.bufs);
+        let samples = prep.position(self, epoch, items.len(), sink);
+        // Let go of the partials before publishing: their fetch thread
+        // reuses each once nobody else holds it.
+        prep.parts.clear();
+        let Some(samples) = samples else {
+            return false; // a hole read failed the epoch
+        };
+        if made > 0 {
+            let capacity = samples.iter().map(|s| s.data.capacity()).max();
+            self.spares.fill_window(capacity.unwrap_or(0));
+        }
+        stats.record_prepared(samples.len() as u64);
+        stats.record_prep_busy(busy.elapsed().saturating_sub(prep.waited));
+        // Waiting for a hole another thread reads, and publishing into a
+        // backed-up staging window, are time spent not pre-processing:
+        // both count as prep stall.
+        let publishing = Instant::now();
+        let delivered = sink.publish(Minibatch {
+            epoch,
+            index: *index,
+            samples,
+        });
+        stats.record_prep_stall(prep.waited + publishing.elapsed());
+        delivered
+    }
 }
 
-/// One prep worker's scratch, reused across positions.
-struct PrepWorker<'a> {
-    lane: &'a Lane,
+/// Drops the assembler's lane receivers once the last prep worker holding
+/// it is gone.
+struct CloseOnLastWorker(Arc<Mutex<Assembler>>);
+
+impl Drop for CloseOnLastWorker {
+    fn drop(&mut self) {
+        self.0.lock().close();
+    }
+}
+
+/// The scratch of whoever preps a position, reused across positions and
+/// epochs.
+#[derive(Default)]
+pub(crate) struct PrepWorker {
+    /// The partials of the position being prepped, one per fetch thread.
+    parts: Vec<Arc<Partial>>,
     batch: Batch,
     /// `(slot, item, payload)` of the cells that hold bytes.
     ready: Vec<(usize, ItemId, Arc<Vec<u8>>)>,
@@ -369,8 +546,8 @@ struct PrepWorker<'a> {
 
 /// The samples of one position: each lands in its slot whatever order its
 /// bytes arrive in.
+#[derive(Default)]
 struct Batch {
-    epoch: u64,
     slots: Vec<Option<PreparedSample>>,
     /// Sample buffers popped for the position.
     bufs: Vec<Vec<u8>>,
@@ -379,46 +556,41 @@ struct Batch {
 impl Batch {
     /// Prepare `item` from `raw` into `slot`, then hand `raw` back to the
     /// lane's backend if this was its last reference.
-    fn prep(&mut self, lane: &Lane, slot: usize, item: ItemId, raw: Arc<Vec<u8>>) {
+    fn prep(&mut self, lane: &Lane, epoch: u64, slot: usize, item: ItemId, raw: Arc<Vec<u8>>) {
         let buf = self.bufs.pop().unwrap_or_default();
-        let sample = lane.pipeline.prepare_into(self.epoch, item, &raw, buf);
+        let sample = lane.pipeline.prepare_into(epoch, item, &raw, buf);
         self.slots[slot] = Some(sample);
         recycle_if_last(&*lane.backend, raw);
     }
 }
 
-impl<'a> PrepWorker<'a> {
-    /// A worker whose scratch fits positions of up to `cells` items from
-    /// the start: grown as positions came, its size would depend on how
-    /// many holes were read before the worker got to them.
-    fn new(lane: &'a Lane, epoch: u64, cells: usize) -> Self {
-        PrepWorker {
-            lane,
-            batch: Batch {
-                epoch,
-                slots: Vec::with_capacity(cells),
-                bufs: Vec::with_capacity(cells),
-            },
-            ready: Vec::with_capacity(cells),
-            holes: Vec::with_capacity(cells),
-            claimed: Vec::with_capacity(cells),
-            waited: Duration::ZERO,
-        }
+impl PrepWorker {
+    /// Make room for positions of up to `cells` items from `parts` fetch
+    /// threads, once: grown as positions came, the scratch's size would
+    /// depend on how many holes were read before it got to them.
+    fn fit(&mut self, cells: usize, parts: usize) {
+        self.parts.reserve_exact(parts);
+        self.batch.slots.reserve_exact(cells);
+        self.batch.bufs.reserve_exact(cells);
+        self.ready.reserve_exact(cells);
+        self.holes.reserve_exact(cells);
+        self.claimed.reserve_exact(cells);
     }
 
-    /// Prep the `len` samples of the position whose partials are `parts`,
-    /// into the buffers in `batch.bufs`: first every cell that holds bytes,
-    /// then every hole nobody claimed — read here — and last every hole
-    /// another thread is reading, waiting for each.  `None` when a hole's
-    /// read failed: whoever read it has failed `sink`.
+    /// Prep the `len` samples of the position whose partials are in
+    /// `parts`, into the buffers in `batch.bufs`: first every cell that
+    /// holds bytes, then every hole nobody claimed — read here — and last
+    /// every hole another thread is reading, waiting for each.  `None` when
+    /// a hole's read failed: whoever read it has failed `sink`.
     fn position(
         &mut self,
+        lane: &Lane,
+        epoch: u64,
         len: usize,
-        parts: &[Arc<Partial>],
         sink: &dyn PreparedSink,
     ) -> Option<Vec<PreparedSample>> {
-        let lane = self.lane;
         let (backend, stats) = (&*lane.backend, &*lane.stats);
+        let parts = &self.parts;
         self.batch.slots.clear();
         self.batch.slots.resize_with(len, || None);
         self.waited = Duration::ZERO;
@@ -427,7 +599,7 @@ impl<'a> PrepWorker<'a> {
             part.take_ready(p, &mut self.ready, &mut self.holes);
         }
         for (slot, item, raw) in self.ready.drain(..) {
-            self.batch.prep(lane, slot, item, raw);
+            self.batch.prep(lane, epoch, slot, item, raw);
         }
         for (p, c) in self.holes.drain(..) {
             let part = &parts[p];
@@ -441,7 +613,7 @@ impl<'a> PrepWorker<'a> {
             match read_hole(backend, stats, item, size) {
                 Ok(raw) => {
                     stats.record_deferred_read(true);
-                    self.batch.prep(lane, slot, item, raw);
+                    self.batch.prep(lane, epoch, slot, item, raw);
                 }
                 Err(err) => {
                     sink.fail(err);
@@ -449,14 +621,16 @@ impl<'a> PrepWorker<'a> {
                 }
             }
         }
-        for &(p, c) in &self.claimed {
+        // Drained, like the rest of the scratch: a hole left listed here
+        // would make the next sweep's `fit` grow the list.
+        for (p, c) in self.claimed.drain(..) {
             let (part, waiting) = (&parts[p], Instant::now());
             let collected = part.collect(c);
             self.waited += waiting.elapsed();
             // `None`: its reader failed the epoch.
             let raw = collected?;
-            self.batch
-                .prep(lane, part.cells[c].slot, part.cells[c].item, raw);
+            let Cell { slot, item, .. } = part.cells[c];
+            self.batch.prep(lane, epoch, slot, item, raw);
         }
         let samples: Vec<PreparedSample> = self.batch.slots.drain(..).flatten().collect();
         assert_eq!(samples.len(), len, "every item was fetched");
@@ -466,10 +640,10 @@ impl<'a> PrepWorker<'a> {
 
 /// A running fetch + prep pipeline for one sweep.  Dropping it joins every
 /// thread, so its owner shuts the sink down first: that stops the fetch
-/// threads and unblocks any worker parked in `publish`, and everything
-/// behind the workers unblocks by itself once they leave.  Then it empties
-/// the fetch threads' partials — each payload still in one goes back to the
-/// backend — and returns them to the lane.
+/// threads and unblocks any thread parked in `publish`, and everything
+/// behind them unblocks by itself once the prep workers leave.  Then it
+/// empties the fetch threads' partials — each payload still in one goes
+/// back to the backend — and returns them to the lane.
 pub(crate) struct PrefetchExecutor {
     fetchers: Vec<JoinHandle<Ring>>,
     workers: Vec<JoinHandle<()>>,
@@ -481,7 +655,7 @@ impl Drop for PrefetchExecutor {
     fn drop(&mut self) {
         // A panicked thread already reported its error; the Err here is
         // just the resume payload.
-        let rings: Vec<Ring> = self
+        let mut rings: Vec<Ring> = self
             .fetchers
             .drain(..)
             .filter_map(|h| h.join().ok())
@@ -489,14 +663,12 @@ impl Drop for PrefetchExecutor {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        let mut rings = rings;
         for ring in &mut rings {
             ring.empty(&*self.backend);
         }
         self.rings.lock().push(rings);
     }
 }
-
 /// A partial cell's payload is in its partial's `payloads`, or prep took it.
 const READY: u8 = 0;
 /// A hole nobody has claimed.
@@ -658,17 +830,21 @@ impl Drop for Claim<'_> {
 }
 
 /// One fetch thread's partials, reused round-robin across positions and
-/// epochs.  Only the ring's thread clones them (into its lane), so one
-/// nobody else holds stays free until the thread hands it over again.
+/// epochs, and its prep scratch for the positions it lends itself to.  Only
+/// the ring's thread clones the partials (into its lane), so one nobody
+/// else holds stays free until the thread hands it over again.
 #[derive(Default)]
 pub(crate) struct Ring {
     partials: Vec<Arc<Partial>>,
     next: usize,
+    prep: PrepWorker,
 }
 
 impl Ring {
-    /// Grow to at least `len` partials, each with room for `cells` cells.
-    fn fit(&mut self, len: usize, cells: usize) {
+    /// Grow to at least `len` partials, each with room for `cells` cells,
+    /// and fit the prep scratch to positions of `cells` items from `parts`
+    /// fetch threads.
+    fn fit(&mut self, len: usize, cells: usize, parts: usize) {
         let len = len.max(self.partials.len());
         self.partials.resize_with(len, Arc::default);
         for partial in &mut self.partials {
@@ -677,11 +853,12 @@ impl Ring {
                 partial.payloads.get_mut().reserve_exact(cells);
             }
         }
+        self.prep.fit(cells, parts);
     }
 
     /// The index of the next partial nobody else holds.  The ring holds
-    /// one more than its lane and the prep workers can; should it not, it
-    /// grows.
+    /// one more than its lane, the prep workers and the lending fetch
+    /// threads can; should it not, it grows.
     fn next_free(&mut self) -> usize {
         let n = self.partials.len();
         let free = (0..n)
@@ -706,20 +883,20 @@ impl Ring {
     }
 }
 
-/// What one sweep's fetch threads read: the plan, the fetch path and the
-/// per-position skip decisions.  Nothing in it is a wait point — each thread
-/// blocks only on its own lane.
+/// What one sweep's fetch threads read and where they lend themselves: the
+/// lane, the plan, the per-position skip decisions, the sink and the
+/// assembler.  Nothing in it is a wait point — each thread blocks only on
+/// its own lane, and on the sink while it publishes a position it prepped.
 struct FetchStage {
+    lane: Lane,
+    epoch: u64,
     threads: usize,
     shards: usize,
     plan: Plan,
     /// The batch filter with one decision cell per plan position.
     skip: Option<(Arc<SkipFn>, Vec<OnceLock<bool>>)>,
-    fetch: Arc<FetchFn>,
-    /// What holes are read from.
-    backend: Arc<dyn FetchBackend>,
-    stats: Arc<LoaderStats>,
     sink: Arc<dyn PreparedSink>,
+    assembler: Arc<Mutex<Assembler>>,
 }
 
 impl FetchStage {
@@ -734,9 +911,10 @@ impl FetchStage {
     /// Fetch thread `thread`'s sweep over the whole plan: one partial per
     /// position down `lane`, until the plan ends, a fetch fails, the epoch
     /// shuts down or every prep worker is gone.  Then, while the epoch
-    /// runs, it reads the holes its partials still have.
+    /// runs, it reads the holes its partials still have and lends itself
+    /// to prep, until neither is possible.
     fn run(&self, thread: usize, lane: &Sender<Arc<Partial>>, ring: &mut Ring) {
-        let (stats, sink) = (&*self.stats, &*self.sink);
+        let (stats, sink) = (&*self.lane.stats, &*self.sink);
         for (pos, (index, items)) in self.plan.iter().enumerate() {
             if !sink.is_live() {
                 return;
@@ -752,7 +930,7 @@ impl FetchStage {
             let Some(partial) = Arc::get_mut(&mut ring.partials[free]) else {
                 unreachable!("only this thread clones its ring's partials");
             };
-            partial.reset(pos, skipped, &*self.backend);
+            partial.reset(pos, skipped, &*self.lane.backend);
             if !skipped {
                 // Owners are disjoint across threads, so every tier
                 // transaction for a given key happens on one thread, in
@@ -762,7 +940,7 @@ impl FetchStage {
                     if self.owner(item) != thread {
                         continue;
                     }
-                    match (self.fetch)(item) {
+                    match (self.lane.fetch)(item) {
                         Ok(fetched) => partial.push(slot, item, fetched),
                         Err(err) => {
                             // A typed fetch failure ends the epoch exactly
@@ -780,40 +958,59 @@ impl FetchStage {
                 return;
             }
         }
-        while sink.is_live() && self.read_hole(thread, ring) {}
+        while sink.is_live() && (self.read_hole(thread, ring) || self.lend(&mut ring.prep, || ())) {
+        }
     }
 
-    /// Hand partial `free` down `lane`.  While the lane is full, read holes
-    /// instead of waiting; wait only once none is left.  `false` when the
+    /// Hand partial `free` down `lane`.  While the lane is full, read a
+    /// hole, or else lend this thread to prep for one position, instead of
+    /// waiting; wait only once neither is possible.  `false` when the
     /// thread must stop: every prep worker is gone, the epoch shut down or
     /// a hole read failed it.
     fn hand_over(
         &self,
         thread: usize,
         lane: &Sender<Arc<Partial>>,
-        ring: &Ring,
+        ring: &mut Ring,
         free: usize,
     ) -> bool {
-        let mut partial = Arc::clone(&ring.partials[free]);
-        loop {
+        let mut unsent = Some(Arc::clone(&ring.partials[free]));
+        while let Some(partial) = unsent.take() {
             match lane.try_send(partial) {
                 Ok(()) => return true,
                 Err(TrySendError::Disconnected(_)) => return false,
-                Err(TrySendError::Full(unsent)) => partial = unsent,
+                Err(TrySendError::Full(partial)) => unsent = Some(partial),
             }
             if !self.sink.is_live() {
                 return false;
             }
-            if !self.read_hole(thread, ring) {
+            // The position a lending thread takes frees its own lane's head
+            // (unless an earlier try had staged it): the partial goes down
+            // the lane before the prep starts, so the thread holds one
+            // position's payloads, not two.
+            let send = || {
+                if let Some(Err(
+                    TrySendError::Full(partial) | TrySendError::Disconnected(partial),
+                )) = unsent.take().map(|partial| lane.try_send(partial))
+                {
+                    unsent = Some(partial);
+                }
+            };
+            if !(self.read_hole(thread, ring) || self.lend(&mut ring.prep, send)) {
                 break;
             }
         }
+        let Some(partial) = unsent else {
+            return true; // handed over while lending
+        };
         if !self.sink.is_live() {
-            return false; // a hole read failed the epoch
+            return false; // a hole read or a lent position ended the epoch
         }
         let stall = Instant::now();
         let sent = lane.send(partial);
-        self.stats.record_fetch_stall_for(thread, stall.elapsed());
+        self.lane
+            .stats
+            .record_fetch_stall_for(thread, stall.elapsed());
         sent.is_ok()
     }
 
@@ -821,6 +1018,7 @@ impl FetchStage {
     /// position still queued in the lane that has one.  `false` when there
     /// is none, or when the read failed (the epoch is failed then).
     fn read_hole(&self, thread: usize, ring: &Ring) -> bool {
+        let stats = &*self.lane.stats;
         loop {
             let open = ring
                 .partials
@@ -838,11 +1036,11 @@ impl FetchStage {
                 cell,
             };
             let Cell { item, size, .. } = oldest.cells[cell];
-            let read = read_hole(&*self.backend, &self.stats, item, size);
-            self.stats.record_fetch_busy_for(thread, busy.elapsed());
+            let read = read_hole(&*self.lane.backend, stats, item, size);
+            stats.record_fetch_busy_for(thread, busy.elapsed());
             return match read {
                 Ok(raw) => {
-                    self.stats.record_deferred_read(false);
+                    stats.record_deferred_read(false);
                     claim.settle(Some(raw));
                     true
                 }
@@ -854,12 +1052,48 @@ impl FetchStage {
             };
         }
     }
+
+    /// Prep the next plan position on this thread, with `prep` as scratch,
+    /// if the ledger has a free seat, nobody holds the assembler and every
+    /// lane has the position's partial; `assembled` runs once it has the
+    /// position, before the prep.  Never waits for any of the three: a
+    /// lane it would wait on may be this thread's own.  `false` when it
+    /// prepped nothing, or when the sweep is over (the sink says which).
+    fn lend(&self, prep: &mut PrepWorker, assembled: impl FnOnce()) -> bool {
+        let lane = &self.lane;
+        let Some(_seat) = lane.ledger.borrow() else {
+            return false;
+        };
+        let assembling = Instant::now();
+        let Some(pos) = self
+            .assembler
+            .try_lock()
+            .and_then(|mut assembler| assembler.next(&self.plan, &mut prep.parts, false))
+        else {
+            return false;
+        };
+        lane.stats.record_prep_stall(assembling.elapsed());
+        lane.stats.record_lent_position();
+        assembled();
+        let prepped = catch_unwind(AssertUnwindSafe(|| {
+            lane.prep_next(self.epoch, &self.plan, pos, prep, &*self.sink)
+        }));
+        prepped.unwrap_or_else(|payload| {
+            prep.parts.clear();
+            self.sink.fail(panicked("prep", payload));
+            false
+        })
+    }
 }
 
 /// The receiving end of every thread lane and the next plan position to
-/// assemble; one prep worker at a time holds it.
+/// assemble; one thread at a time holds it.
 struct Assembler {
     lanes: Vec<Receiver<Arc<Partial>>>,
+    /// The partials of position `cursor` received so far, in lane order: a
+    /// position a lending fetch thread found only partly there waits here
+    /// for whoever assembles next.
+    staged: Vec<Arc<Partial>>,
     cursor: usize,
 }
 
@@ -867,35 +1101,51 @@ impl Assembler {
     /// Receive the next unskipped position's partial from every lane, in
     /// thread order, into `parts` and return the position.  `None` once the
     /// plan is exhausted or a lane ended early (its thread failed or saw
-    /// the shutdown), for this and every later call.
+    /// the shutdown), for this and every later call.  Without `wait`, also
+    /// `None` when a lane's next partial is not there yet: what was
+    /// received stays staged for the next call.
     fn next(
         &mut self,
         plan: &[(usize, Vec<ItemId>)],
         parts: &mut Vec<Arc<Partial>>,
+        wait: bool,
     ) -> Option<usize> {
         while self.cursor < plan.len() {
-            let pos = self.cursor;
-            parts.clear();
-            for lane in &self.lanes {
-                let Ok(partial) = lane.recv() else {
-                    self.cursor = plan.len();
-                    parts.clear();
+            while let Some(lane) = self.lanes.get(self.staged.len()) {
+                let received = match wait {
+                    true => lane.recv().ok(),
+                    false => match lane.try_recv() {
+                        Ok(partial) => Some(partial),
+                        Err(TryRecvError::Empty) => return None,
+                        Err(TryRecvError::Disconnected) => None,
+                    },
+                };
+                let Some(partial) = received else {
+                    self.close();
                     return None;
                 };
-                debug_assert_eq!(partial.pos, pos, "lanes are FIFO in plan order");
+                debug_assert_eq!(partial.pos, self.cursor, "lanes are FIFO in plan order");
                 partial.queued.store(false, Ordering::Relaxed);
-                parts.push(partial);
+                self.staged.push(partial);
             }
             self.cursor += 1;
-            if parts.iter().all(|part| !part.skipped) {
-                return Some(pos);
+            if self.staged.iter().all(|part| !part.skipped) {
+                parts.append(&mut self.staged);
+                return Some(self.cursor - 1);
             }
+            self.staged.clear();
         }
-        parts.clear();
         None
     }
-}
 
+    /// End the sweep for every later caller and drop the lane receivers,
+    /// which wakes any fetch thread parked on a full lane.
+    fn close(&mut self) {
+        self.cursor = usize::MAX;
+        self.staged.clear();
+        self.lanes.clear();
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -933,13 +1183,33 @@ mod tests {
         }
     }
 
-    fn lane(fetch: Arc<FetchFn>, stats: &Arc<LoaderStats>, config: ExecutorConfig) -> Lane {
+    /// The two test ledgers: fetch threads never lend, and fetch threads
+    /// lend whenever their lane is full.
+    fn ledgers() -> [&'static CoreLedger; 2] {
+        [&NEVER_LENDS, &LENDS]
+    }
+
+    fn lending(ledger: &CoreLedger) -> &'static str {
+        match std::ptr::eq(ledger, &LENDS) {
+            true => "lending",
+            false => "not lending",
+        }
+    }
+
+    fn lane(
+        ledger: &'static CoreLedger,
+        fetch: Arc<FetchFn>,
+        stats: &Arc<LoaderStats>,
+        config: ExecutorConfig,
+    ) -> Lane {
         Lane {
             fetch,
             backend: Arc::new(Recycler::default()),
             pipeline: pipeline(),
             spares: Arc::default(),
             rings: Arc::default(),
+            scratch: Arc::default(),
+            ledger,
             stats: Arc::clone(stats),
             config,
         }
@@ -948,12 +1218,13 @@ mod tests {
     /// A one-consumer stream over `plan`: the delivery path of a single-mode
     /// session, with a staging window of `prefetch_depth`.
     fn ordered(
+        ledger: &'static CoreLedger,
         plan: Plan,
         fetch: Arc<FetchFn>,
         stats: &Arc<LoaderStats>,
         config: ExecutorConfig,
     ) -> JobEpochIterator {
-        let lane = lane(fetch, stats, config);
+        let lane = lane(ledger, fetch, stats, config);
         EpochSession::start(&lane, 1, config.prefetch_depth, None, 0, plan).into_consumer()
     }
 
@@ -975,14 +1246,18 @@ mod tests {
 
     #[test]
     fn ordered_stream_delivers_in_plan_order_for_any_worker_count() {
-        for workers in [1, 2, 8] {
-            for depth in [1, 4] {
-                let stats = Arc::new(LoaderStats::default());
-                let stream = ordered(plan(9, 4), byte_fetch(), &stats, shape(workers, depth, 1));
-                let indices: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
-                assert_eq!(indices, (0..9).collect::<Vec<_>>(), "w={workers} d={depth}");
-                assert_eq!(stats.samples_prepared(), 36);
-                assert_eq!(stats.samples_delivered(), 36);
+        for ledger in ledgers() {
+            for workers in [1, 2, 8] {
+                for depth in [1, 4] {
+                    let stats = Arc::new(LoaderStats::default());
+                    let config = shape(workers, depth, 1);
+                    let stream = ordered(ledger, plan(9, 4), byte_fetch(), &stats, config);
+                    let indices: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
+                    let what = format!("{}: w={workers} d={depth}", lending(ledger));
+                    assert_eq!(indices, (0..9).collect::<Vec<_>>(), "{what}");
+                    assert_eq!(stats.samples_prepared(), 36, "{what}");
+                    assert_eq!(stats.samples_delivered(), 36, "{what}");
+                }
             }
         }
     }
@@ -1000,7 +1275,7 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![0u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
-            let _ = ordered(plan(6, 3), fetch, &stats, shape(workers, 2, 1)).count();
+            let _ = ordered(&LENDS, plan(6, 3), fetch, &stats, shape(workers, 2, 1)).count();
             let order = seen.lock().clone();
             order
         };
@@ -1011,22 +1286,25 @@ mod tests {
 
     #[test]
     fn dropping_the_stream_early_joins_all_threads_without_deadlock() {
-        for fetch_threads in [1, 3] {
-            for _ in 0..8 {
-                let stats = Arc::new(LoaderStats::default());
-                // Smallest window: prep workers park on the full output
-                // queue, fetch threads on their full lanes, constantly.
-                let config = shape(3, 1, fetch_threads);
-                let mut stream = ordered(plan(64, 4), byte_fetch(), &stats, config);
-                let _ = stream.next();
-                drop(stream); // must unblock + join, not hang
+        for ledger in ledgers() {
+            for fetch_threads in [1, 3] {
+                for _ in 0..8 {
+                    let stats = Arc::new(LoaderStats::default());
+                    // Smallest window: prep workers (and lending fetch
+                    // threads) park on the full output queue, fetch
+                    // threads on their full lanes, constantly.
+                    let config = shape(3, 1, fetch_threads);
+                    let mut stream = ordered(ledger, plan(64, 4), byte_fetch(), &stats, config);
+                    let _ = stream.next();
+                    drop(stream); // must unblock + join, not hang
+                }
             }
         }
     }
 
     #[test]
     fn panicking_fetch_surfaces_a_typed_error() {
-        for fetch_threads in [1, 3] {
+        for (ledger, fetch_threads) in ledgers().into_iter().flat_map(|l| [(l, 1), (l, 3)]) {
             let fetch: Arc<FetchFn> = Arc::new(|item| {
                 if item == 7 {
                     panic!("injected fetch failure for item {item}");
@@ -1034,7 +1312,13 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![1u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
-            let stream = ordered(plan(5, 2), fetch, &stats, shape(2, 2, fetch_threads));
+            let stream = ordered(
+                ledger,
+                plan(5, 2),
+                fetch,
+                &stats,
+                shape(2, 2, fetch_threads),
+            );
             let outcomes: Vec<_> = stream.collect();
             let (last, delivered) = outcomes.split_last().expect("the failure is yielded");
             assert!(
@@ -1054,7 +1338,7 @@ mod tests {
 
     #[test]
     fn skip_filter_drops_batches_before_fetch() {
-        for fetch_threads in [1, 3] {
+        for (ledger, fetch_threads) in ledgers().into_iter().flat_map(|l| [(l, 1), (l, 3)]) {
             let fetched = Arc::new(AtomicUsize::new(0));
             let f2 = Arc::clone(&fetched);
             let fetch: Arc<FetchFn> = Arc::new(move |_| {
@@ -1062,7 +1346,7 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![0u8; 4])))
             });
             let (out_tx, out_rx) = bounded::<Minibatch>(16);
-            let executor = lane(fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
+            let executor = lane(ledger, fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
                 0,
                 plan(6, 2),
                 Some(Arc::new(|index| index % 2 == 1)),
@@ -1084,6 +1368,7 @@ mod tests {
         let run = |fetch_threads: usize| {
             let stats = Arc::new(LoaderStats::default());
             let stream = ordered(
+                &LENDS,
                 plan(11, 4),
                 byte_fetch(),
                 &stats,
@@ -1124,7 +1409,7 @@ mod tests {
             Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
         });
         let stats = Arc::new(LoaderStats::default());
-        let stream = ordered(plan(10, 5), fetch, &stats, shape(2, 4, threads));
+        let stream = ordered(&LENDS, plan(10, 5), fetch, &stats, shape(2, 4, threads));
         assert_eq!(stream.count(), 10);
         let log = seen.lock().clone();
         assert_eq!(log.len(), 50, "each item fetched exactly once");
@@ -1167,7 +1452,7 @@ mod tests {
         let backend = Arc::new(Recycler::default());
         let lane = Lane {
             backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
-            ..lane(fetch, &Arc::default(), shape(2, 2, 2))
+            ..lane(&LENDS, fetch, &Arc::default(), shape(2, 2, 2))
         };
         let stream = EpochSession::start(&lane, 1, 2, None, 0, plan(5, 4)).into_consumer();
         assert_eq!(stream.count(), 5);
@@ -1180,7 +1465,7 @@ mod tests {
 
     #[test]
     fn fetch_pool_typed_error_ends_the_epoch() {
-        for fetch_threads in [1, 2] {
+        for (ledger, fetch_threads) in ledgers().into_iter().flat_map(|l| [(l, 1), (l, 2)]) {
             let fetch: Arc<FetchFn> = Arc::new(|item| {
                 if item == 9 {
                     return Err(CoordlError::BackendIo {
@@ -1192,7 +1477,13 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![2u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
-            let stream = ordered(plan(6, 3), fetch, &stats, shape(2, 2, fetch_threads));
+            let stream = ordered(
+                ledger,
+                plan(6, 3),
+                fetch,
+                &stats,
+                shape(2, 2, fetch_threads),
+            );
             let mut outcomes: Vec<_> = stream.collect();
             let last = outcomes.pop().expect("the failure is yielded");
             assert!(
@@ -1212,35 +1503,41 @@ mod tests {
         // The window `FsBackend`'s free list relies on.  With the consumer
         // stalled after one batch, what has been fetched is: that batch, the
         // staging window's `depth`, one batch parked in `publish` per
-        // worker, each lane's `depth` positions and the one parked in
-        // `send`.
+        // worker and per lending fetch thread, each lane's `depth`
+        // positions and the one parked in `send`.
         let (depth, workers, per_batch, batches) = (2, 1, 4, 40);
-        for fetch_threads in [1, 3] {
-            let fetched = Arc::new(AtomicUsize::new(0));
-            let counter = Arc::clone(&fetched);
-            let fetch: Arc<FetchFn> = Arc::new(move |item| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
-            });
-            let stats = Arc::new(LoaderStats::default());
-            let config = shape(workers, depth, fetch_threads);
-            let mut stream = ordered(plan(batches, per_batch), fetch, &stats, config);
-            assert_eq!(stream.next().map(|mb| mb.unwrap().index), Some(0));
-            // Quiescence: every stage is parked once the count holds still.
-            let mut last = usize::MAX;
-            while last != fetched.load(Ordering::SeqCst) {
-                last = fetched.load(Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(100));
+        for ledger in ledgers() {
+            for fetch_threads in [1, 3] {
+                let what = format!("{}: f={fetch_threads}", lending(ledger));
+                let fetched = Arc::new(AtomicUsize::new(0));
+                let counter = Arc::clone(&fetched);
+                let fetch: Arc<FetchFn> = Arc::new(move |item| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
+                });
+                let stats = Arc::new(LoaderStats::default());
+                let config = shape(workers, depth, fetch_threads);
+                let mut stream = ordered(ledger, plan(batches, per_batch), fetch, &stats, config);
+                assert_eq!(stream.next().map(|mb| mb.unwrap().index), Some(0));
+                // Quiescence: every stage is parked once the count holds still.
+                let mut last = usize::MAX;
+                while last != fetched.load(Ordering::SeqCst) {
+                    last = fetched.load(Ordering::SeqCst);
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                let ahead = last - per_batch;
+                assert!(
+                    ahead <= (2 * depth + workers + fetch_threads + 1) * per_batch,
+                    "{what}: {ahead} items fetched beyond the consumed batch"
+                );
+                // Resuming the consumer still delivers the whole plan in order.
+                let rest: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
+                assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "{what}");
+                assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
+                if std::ptr::eq(ledger, &NEVER_LENDS) {
+                    assert_eq!(stats.lent_positions(), 0, "{what}");
+                }
             }
-            let ahead = last - per_batch;
-            assert!(
-                ahead <= (2 * depth + workers + 1) * per_batch,
-                "f={fetch_threads}: {ahead} items fetched beyond the consumed batch"
-            );
-            // Resuming the consumer still delivers the whole plan in order.
-            let rest: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
-            assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "f={fetch_threads}");
-            assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
         }
     }
 
@@ -1248,14 +1545,17 @@ mod tests {
     const SIZE: u64 = 16;
 
     /// A backend whose every read returns a fresh buffer filled with the
-    /// read's serial number, and which records the serial of every buffer
-    /// handed back.  Reads of `gated` wait until [`HoleBackend::open`];
-    /// every read takes at least `delay`.
+    /// read's serial number (with `by_item`, the item's id), and which
+    /// records the number of every buffer handed back.  Reads of `gated`
+    /// wait until [`HoleBackend::open`]; reads of `failing` fail; every
+    /// read takes at least `delay`.
     #[derive(Default)]
     struct HoleBackend {
         reads: AtomicUsize,
         returned: Mutex<Vec<u64>>,
+        by_item: bool,
         gated: Option<ItemId>,
+        failing: Option<ItemId>,
         entered: AtomicBool,
         gate: (Mutex<bool>, Condvar),
         delay: Duration,
@@ -1267,11 +1567,11 @@ mod tests {
             self.gate.1.notify_all();
         }
 
-        /// Serials handed back, sorted.
+        /// Numbers handed back, sorted.
         fn returned(&self) -> Vec<u64> {
-            let mut serials = self.returned.lock().clone();
-            serials.sort_unstable();
-            serials
+            let mut numbers = self.returned.lock().clone();
+            numbers.sort_unstable();
+            numbers
         }
     }
 
@@ -1284,6 +1584,13 @@ mod tests {
         }
         fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
             let serial = self.reads.fetch_add(1, Ordering::SeqCst) as u64;
+            if self.failing == Some(item) {
+                return Err(CoordlError::BackendIo {
+                    backend: self.name().into(),
+                    item,
+                    detail: "injected read failure".into(),
+                });
+            }
             if self.gated == Some(item) {
                 self.entered.store(true, Ordering::SeqCst);
                 let mut open = self.gate.0.lock();
@@ -1292,11 +1599,12 @@ mod tests {
                 }
             }
             std::thread::sleep(self.delay);
-            Ok(serial.to_le_bytes().repeat(SIZE as usize / 8))
+            let number = if self.by_item { item } else { serial };
+            Ok(number.to_le_bytes().repeat(SIZE as usize / 8))
         }
         fn recycle(&self, buf: Vec<u8>) {
-            let serial = u64::from_le_bytes(buf[..8].try_into().unwrap());
-            self.returned.lock().push(serial);
+            let number = u64::from_le_bytes(buf[..8].try_into().unwrap());
+            self.returned.lock().push(number);
         }
         fn name(&self) -> &'static str {
             "holes"
@@ -1313,18 +1621,43 @@ mod tests {
         })
     }
 
-    /// A fetch stage of one thread over `plan`, reading holes from
-    /// `backend`.
-    fn stage(plan: Plan, backend: &Arc<HoleBackend>, sink: Arc<dyn PreparedSink>) -> FetchStage {
+    /// A lane of shape `config` on `ledger` whose fetch path leaves the
+    /// items `hole` picks as holes in `backend`.
+    fn hole_lane(
+        ledger: &'static CoreLedger,
+        backend: &Arc<HoleBackend>,
+        hole: fn(ItemId) -> bool,
+        stats: &Arc<LoaderStats>,
+        config: ExecutorConfig,
+    ) -> Lane {
+        Lane {
+            backend: Arc::clone(backend) as Arc<dyn FetchBackend>,
+            ..lane(ledger, hole_fetch(backend, hole), stats, config)
+        }
+    }
+
+    /// A fetch stage of one thread over `plan` on `ledger`, reading holes
+    /// from `backend`, whose assembler receives from `lanes`.
+    fn stage(
+        plan: Plan,
+        backend: &Arc<HoleBackend>,
+        ledger: &'static CoreLedger,
+        sink: Arc<dyn PreparedSink>,
+        lanes: Vec<Receiver<Arc<Partial>>>,
+    ) -> FetchStage {
         FetchStage {
+            lane: hole_lane(ledger, backend, |_| true, &Arc::default(), shape(1, 1, 1)),
+            epoch: 0,
             threads: 1,
             shards: 1,
             plan,
             skip: None,
-            fetch: hole_fetch(backend, |_| true),
-            backend: Arc::clone(backend) as Arc<dyn FetchBackend>,
-            stats: Arc::default(),
             sink,
+            assembler: Arc::new(Mutex::new(Assembler {
+                staged: Vec::new(),
+                lanes,
+                cursor: 0,
+            })),
         }
     }
 
@@ -1332,7 +1665,7 @@ mod tests {
     /// `hole` picks as holes, the rest read inline from `backend`.
     fn filled(backend: &Arc<HoleBackend>, items: &[ItemId], hole: fn(ItemId) -> bool) -> Ring {
         let mut ring = Ring::default();
-        ring.fit(1, items.len());
+        ring.fit(1, items.len(), 1);
         let fetch = hole_fetch(backend, hole);
         let partial = Arc::get_mut(&mut ring.partials[0]).unwrap();
         partial.reset(0, false, &**backend);
@@ -1342,22 +1675,38 @@ mod tests {
         ring
     }
 
+    /// A sink that keeps what it is handed: published batches, failures.
+    #[derive(Default)]
+    struct Recording {
+        published: Mutex<Vec<Minibatch>>,
+        failures: Mutex<Vec<CoordlError>>,
+    }
+
+    impl PreparedSink for Recording {
+        fn publish(&self, mb: Minibatch) -> bool {
+            self.published.lock().push(mb);
+            true
+        }
+
+        fn fail(&self, err: CoordlError) {
+            self.failures.lock().push(err);
+        }
+
+        fn is_live(&self) -> bool {
+            self.failures.lock().is_empty()
+        }
+    }
+
     #[test]
     fn holes_deliver_the_stream_of_inline_reads() {
         // Every other item a hole: the delivered stream is the one a fetch
         // path that reads everything inline delivers, at any shape, and
         // each item is read exactly once.
-        let run = |hole: fn(ItemId) -> bool, workers: usize, fetch_threads: usize| {
+        let run = |ledger, hole: fn(ItemId) -> bool, workers: usize, fetch_threads: usize| {
             let backend = Arc::new(HoleBackend::default());
             let stats = Arc::new(LoaderStats::default());
-            let lane = Lane {
-                backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
-                ..lane(
-                    hole_fetch(&backend, hole),
-                    &stats,
-                    shape(workers, 2, fetch_threads),
-                )
-            };
+            let config = shape(workers, 2, fetch_threads);
+            let lane = hole_lane(ledger, &backend, hole, &stats, config);
             let stream = EpochSession::start(&lane, 1, 2, None, 3, plan(12, 5)).into_consumer();
             let items: Vec<Vec<ItemId>> = stream
                 .map(|mb| mb.unwrap().samples.iter().map(|s| s.item).collect())
@@ -1366,13 +1715,157 @@ mod tests {
             assert_eq!(backend.returned(), (0..60).collect::<Vec<u64>>());
             (items, stats.deferred_reads())
         };
-        let (inline, none) = run(|_| false, 1, 1);
+        let (inline, none) = run(&NEVER_LENDS, |_| false, 1, 1);
         assert_eq!(none, 0);
-        for workers in [1, 3] {
+        for ledger in ledgers() {
+            for workers in [1, 3] {
+                for fetch_threads in [1, 3] {
+                    let what = format!("{}: w={workers} f={fetch_threads}", lending(ledger));
+                    let (deferred, holes) =
+                        run(ledger, |item| item % 2 == 0, workers, fetch_threads);
+                    assert_eq!(deferred, inline, "{what}");
+                    assert_eq!(holes, 30, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lending_or_not_delivers_the_same_stream_with_holes() {
+        // Two of every three items holes, the smallest lanes: fetch threads
+        // find them full constantly and, on the lending ledger, prep.  The
+        // delivered bytes, the counters and the items read are the same.
+        let run = |ledger, workers: usize, fetch_threads: usize| {
+            let backend = Arc::new(HoleBackend {
+                by_item: true,
+                ..HoleBackend::default()
+            });
+            let stats = Arc::new(LoaderStats::default());
+            let config = shape(workers, 1, fetch_threads);
+            let lane = hole_lane(ledger, &backend, |item| item % 3 != 0, &stats, config);
+            let stream = EpochSession::start(&lane, 1, 1, None, 5, plan(24, 6)).into_consumer();
+            let delivered: Vec<(usize, Vec<prep::PreparedSample>)> = stream
+                .map(|mb| {
+                    let mb = mb.unwrap();
+                    (mb.index, mb.samples.clone())
+                })
+                .collect();
+            assert_eq!(backend.returned(), (0..144).collect::<Vec<u64>>());
+            let counters = (
+                stats.samples_prepared(),
+                stats.samples_delivered(),
+                stats.bytes_from_storage(),
+                stats.deferred_reads(),
+            );
+            (delivered, counters)
+        };
+        for workers in [1, 2] {
             for fetch_threads in [1, 3] {
-                let (deferred, holes) = run(|item| item % 2 == 0, workers, fetch_threads);
-                assert_eq!(deferred, inline, "w={workers} f={fetch_threads}");
-                assert_eq!(holes, 30, "w={workers} f={fetch_threads}");
+                let never = run(&NEVER_LENDS, workers, fetch_threads);
+                assert_eq!(never.1, (144, 144, 96 * SIZE, 96));
+                let lends = run(&LENDS, workers, fetch_threads);
+                assert!(lends == never, "w={workers} f={fetch_threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_ledger_lends_only_the_seats_its_prep_workers_leave_free() {
+        let ledger: &'static CoreLedger = Box::leak(Box::new(CoreLedger::new(2)));
+        let worker = ledger.register();
+        let lent = ledger.borrow().expect("one core is free");
+        assert!(ledger.borrow().is_none(), "both cores are held");
+        drop(lent);
+        let (second, third) = (ledger.register(), ledger.register());
+        assert!(ledger.borrow().is_none(), "registration ignores the count");
+        drop((worker, second, third));
+        assert_eq!(ledger.seats.load(Ordering::Relaxed), 0);
+        assert!(NEVER_LENDS.borrow().is_none());
+        let seats: Vec<Seat> = (0..64).filter_map(|_| LENDS.borrow()).collect();
+        assert_eq!(seats.len(), 64);
+    }
+
+    #[test]
+    fn a_lending_fetch_thread_leaves_a_position_partly_there_staged() {
+        // Two lanes; only the first has position 0's partial.  A lending
+        // thread stages it and preps nothing, never waiting on the second
+        // lane; once that lane has its partial too, the next one to lend
+        // preps and publishes the position.
+        let backend = Arc::new(HoleBackend::default());
+        let first = filled(&backend, &[0], |_| false);
+        let mut second = Ring::default();
+        second.fit(1, 1, 1);
+        let partial = Arc::get_mut(&mut second.partials[0]).unwrap();
+        partial.reset(0, false, &*backend);
+        partial.push(1, 1, Fetched::Bytes(Arc::new(1u64.to_le_bytes().repeat(2))));
+        let (tx0, rx0) = bounded(1);
+        let (tx1, rx1) = bounded(1);
+        let sink = Arc::new(Recording::default());
+        let stage = stage(plan(1, 2), &backend, &LENDS, sink.clone(), vec![rx0, rx1]);
+        let mut prep = PrepWorker::default();
+        prep.fit(2, 2);
+        assert!(tx0.try_send(Arc::clone(&first.partials[0])).is_ok());
+        assert!(
+            !stage.lend(&mut prep, || ()),
+            "the second partial is not there"
+        );
+        assert_eq!(stage.assembler.lock().staged.len(), 1);
+        assert!(!first.partials[0].queued.load(Ordering::Relaxed));
+        assert!(tx1.try_send(Arc::clone(&second.partials[0])).is_ok());
+        assert!(stage.lend(&mut prep, || ()));
+        let published = sink.published.lock();
+        let items: Vec<ItemId> = published[0].samples.iter().map(|s| s.item).collect();
+        assert_eq!((published.len(), items), (1, vec![0, 1]));
+        assert_eq!(stage.lane.stats.lent_positions(), 1);
+        assert!(prep.parts.is_empty(), "the partials are let go of");
+        // The plan is over: nothing more to lend.
+        assert!(!stage.lend(&mut prep, || ()));
+    }
+
+    #[test]
+    fn a_failed_hole_read_in_a_lent_position_surfaces_once_as_backend_io() {
+        // Direct: the lending thread reads the failing hole itself.
+        let backend = Arc::new(HoleBackend {
+            failing: Some(2),
+            ..HoleBackend::default()
+        });
+        let ring = filled(&backend, &[0, 1, 2, 3], |item| item >= 2);
+        let (tx, rx) = bounded(1);
+        assert!(tx.try_send(Arc::clone(&ring.partials[0])).is_ok());
+        let sink = Arc::new(Recording::default());
+        let stage = stage(plan(1, 4), &backend, &LENDS, sink.clone(), vec![rx]);
+        let mut prep = PrepWorker::default();
+        prep.fit(4, 1);
+        assert!(!stage.lend(&mut prep, || ()), "the sweep is over");
+        assert!(sink.published.lock().is_empty());
+        let failures = sink.failures.lock();
+        assert_eq!(failures.len(), 1, "surfaced exactly once");
+        assert!(matches!(
+            failures[0],
+            CoordlError::BackendIo { item: 2, .. }
+        ));
+        drop(failures);
+        // Through a stream: the error is the last thing it yields, once.
+        for (workers, fetch_threads) in [(1, 1), (2, 3)] {
+            let backend = Arc::new(HoleBackend {
+                failing: Some(37),
+                ..HoleBackend::default()
+            });
+            let config = shape(workers, 1, fetch_threads);
+            let lane = hole_lane(
+                &LENDS,
+                &backend,
+                |item| item % 2 == 1,
+                &Arc::default(),
+                config,
+            );
+            let stream = EpochSession::start(&lane, 1, 1, None, 0, plan(16, 4)).into_consumer();
+            let mut outcomes: Vec<_> = stream.collect();
+            let last = outcomes.pop().expect("the failure is yielded");
+            assert!(outcomes.len() < 16 && outcomes.iter().all(Result::is_ok));
+            match last.expect_err("the read failed") {
+                CoordlError::BackendIo { item, .. } => assert_eq!(item, 37),
+                other => panic!("expected BackendIo, got {other}"),
             }
         }
     }
@@ -1381,7 +1874,13 @@ mod tests {
     fn fetch_and_prep_racing_for_one_hole_read_it_exactly_once() {
         let backend = Arc::new(HoleBackend::default());
         let (sink, _) = bounded::<Minibatch>(1);
-        let stage = stage(plan(1, 1), &backend, Arc::new(sink));
+        let stage = stage(
+            plan(1, 1),
+            &backend,
+            &NEVER_LENDS,
+            Arc::new(sink),
+            Vec::new(),
+        );
         let barrier = Barrier::new(2);
         let (mut by_fetch, mut by_prep) = (0, 0);
         let mut ring = Ring::default();
@@ -1410,7 +1909,7 @@ mod tests {
         drop(ring);
         assert_eq!(backend.reads.load(Ordering::SeqCst), 10_000);
         assert_eq!(by_fetch + by_prep, 10_000);
-        assert_eq!(stage.stats.deferred_reads(), by_fetch as u64);
+        assert_eq!(stage.lane.stats.deferred_reads(), by_fetch as u64);
     }
 
     #[test]
@@ -1425,19 +1924,26 @@ mod tests {
         let ring = filled(&backend, &[0, 1, 2, 3], |item| item == 2);
         let (sink, _) = bounded::<Minibatch>(1);
         let sink: Arc<dyn PreparedSink> = Arc::new(sink);
-        let stage = stage(plan(1, 4), &backend, Arc::clone(&sink));
-        let lane = Lane {
-            backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
-            ..lane(byte_fetch(), &Arc::default(), shape(1, 1, 1))
-        };
+        let stage = stage(
+            plan(1, 4),
+            &backend,
+            &NEVER_LENDS,
+            Arc::clone(&sink),
+            Vec::new(),
+        );
+        let lane = &stage.lane;
         let part = Arc::clone(&ring.partials[0]);
-        let parts = [Arc::clone(&part)];
         std::thread::scope(|s| {
             let fetch = s.spawn(|| stage.read_hole(0, &ring));
             while !backend.entered.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            let prep = s.spawn(|| PrepWorker::new(&lane, 0, 4).position(4, &parts, &*sink));
+            let prep = s.spawn(|| {
+                let mut prep = PrepWorker::default();
+                prep.fit(4, 1);
+                prep.parts.push(Arc::clone(&part));
+                prep.position(lane, 0, 4, &*sink)
+            });
             while part.cells[2].state.load(Ordering::SeqCst) != AWAITED {
                 std::thread::yield_now();
             }
@@ -1454,31 +1960,29 @@ mod tests {
 
     #[test]
     fn dropping_a_stream_with_open_and_in_flight_holes_hands_every_payload_back_once() {
-        for (workers, fetch_threads) in [(1, 1), (3, 1), (1, 3), (3, 3)] {
-            for _ in 0..4 {
-                let backend = Arc::new(HoleBackend {
-                    delay: Duration::from_micros(200),
-                    ..HoleBackend::default()
-                });
-                let lane = Lane {
-                    backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
-                    ..lane(
-                        hole_fetch(&backend, |item| item % 3 != 0),
-                        &Arc::default(),
-                        shape(workers, 1, fetch_threads),
-                    )
-                };
-                let mut stream =
-                    EpochSession::start(&lane, 1, 1, None, 0, plan(64, 4)).into_consumer();
-                assert!(stream.next().unwrap().is_ok());
-                drop(stream); // must join, not hang
-                let reads = backend.reads.load(Ordering::SeqCst) as u64;
-                assert!(reads < 256, "w={workers} f={fetch_threads}: stopped early");
-                assert_eq!(
-                    backend.returned(),
-                    (0..reads).collect::<Vec<u64>>(),
-                    "w={workers} f={fetch_threads}: each payload back exactly once"
-                );
+        for ledger in ledgers() {
+            for (workers, fetch_threads) in [(1, 1), (3, 1), (1, 3), (3, 3)] {
+                let what = format!("{}: w={workers} f={fetch_threads}", lending(ledger));
+                for _ in 0..4 {
+                    let backend = Arc::new(HoleBackend {
+                        delay: Duration::from_micros(200),
+                        ..HoleBackend::default()
+                    });
+                    let config = shape(workers, 1, fetch_threads);
+                    let hole = |item| item % 3 != 0;
+                    let lane = hole_lane(ledger, &backend, hole, &Arc::default(), config);
+                    let mut stream =
+                        EpochSession::start(&lane, 1, 1, None, 0, plan(64, 4)).into_consumer();
+                    assert!(stream.next().unwrap().is_ok());
+                    drop(stream); // must join, not hang
+                    let reads = backend.reads.load(Ordering::SeqCst) as u64;
+                    assert!(reads < 256, "{what}: stopped early");
+                    assert_eq!(
+                        backend.returned(),
+                        (0..reads).collect::<Vec<u64>>(),
+                        "{what}: each payload back exactly once"
+                    );
+                }
             }
         }
     }

@@ -65,6 +65,8 @@ pub mod tier;
 
 pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
 pub use error::CoordlError;
+#[doc(hidden)]
+pub use executor::with_lending;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fsbackend::FsBackend;
 pub use minibatch::Minibatch;

@@ -170,6 +170,9 @@ pub struct LoaderReport {
     pub prep_stall_seconds: f64,
     /// Cumulative wall seconds consumers spent waiting for minibatches.
     pub consumer_wait_seconds: f64,
+    /// Plan positions fetch threads prepped, lent to prep while their lane
+    /// was full (their time is in the prep seconds).  Depends on timing.
+    pub lent_positions: u64,
     /// Per-fetch-thread breakdown of `fetch_busy_seconds`, indexed by pool
     /// slot.  One entry (slot 0) for the default serial fetch stage; one per
     /// thread for a `fetch_threads(f)` session, so skew across the sharded
@@ -286,6 +289,7 @@ impl LoaderReport {
             ("prep_busy_seconds", num(self.prep_busy_seconds)),
             ("prep_stall_seconds", num(self.prep_stall_seconds)),
             ("consumer_wait_seconds", num(self.consumer_wait_seconds)),
+            ("lent_positions", int(self.lent_positions)),
             (
                 "fetch_thread_busy_seconds",
                 nums(self.fetch_thread_busy_seconds.iter().copied()),
@@ -367,6 +371,7 @@ mod tests {
             prep_busy_seconds: 1.5,
             prep_stall_seconds: 0.1,
             consumer_wait_seconds: 0.3,
+            lent_positions: 3,
             fetch_thread_busy_seconds: vec![0.12, 0.08],
             fetch_thread_stall_seconds: vec![0.03, 0.02],
             epochs: vec![
@@ -429,6 +434,7 @@ mod tests {
             traj[0].get("consumer_wait_seconds").and_then(Value::as_f64),
             Some(0.25)
         );
+        assert_eq!(doc.get("lent_positions").and_then(Value::as_f64), Some(3.0));
         // Per-fetch-thread arrays split the aggregate fetch timings.
         let busy = doc
             .get("fetch_thread_busy_seconds")

@@ -39,7 +39,7 @@
 
 use crate::coordinator::{EpochSession, JobEpochIterator};
 use crate::error::CoordlError;
-use crate::executor::{ExecutorConfig, FetchFn, Fetched, Lane, Plan};
+use crate::executor::{CoreLedger, ExecutorConfig, FetchFn, Fetched, Lane, Plan};
 use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
@@ -422,13 +422,16 @@ impl SessionBuilder {
             Mode::Coordinated { .. } => config.staging_window,
             Mode::Single | Mode::Partitioned { .. } => config.prefetch_depth,
         };
-        let window = (queued + config.num_workers + 1) * config.batch_size;
+        let window = (queued + config.num_workers + config.fetch_threads + 1) * config.batch_size;
+        let ledger = CoreLedger::for_sessions();
         let lane = |fetch: Arc<FetchFn>| Lane {
             fetch,
             backend: Arc::clone(&backend),
             pipeline: Arc::clone(&pipeline),
             spares: Arc::new(Spares::with_window(window)),
             rings: Arc::default(),
+            scratch: Arc::default(),
+            ledger,
             stats: Arc::clone(&stats),
             config: executor,
         };
@@ -703,6 +706,7 @@ impl Session {
             prep_busy_seconds: snap.prep_busy_seconds,
             prep_stall_seconds: snap.prep_stall_seconds,
             consumer_wait_seconds: snap.consumer_wait_seconds,
+            lent_positions: self.stats().lent_positions(),
             fetch_thread_busy_seconds: self.stats().fetch_thread_busy_seconds(),
             fetch_thread_stall_seconds: self.stats().fetch_thread_stall_seconds(),
             epochs: self.trajectories.lock().clone(),
@@ -1299,8 +1303,9 @@ mod tests {
     fn a_lane_makes_its_whole_prepared_window_whatever_the_timing() {
         // A consumer that drops each batch at once keeps few samples in
         // flight, yet each node's lane ends every epoch holding exactly its
-        // window of buffers: how many exist never depends on how far prep
-        // happened to run ahead.
+        // window of buffers — depth 4, one worker, one fetch thread that may
+        // prep a position, the lent batch — however far prep happened to
+        // run ahead and whether the fetch thread ever prepped.
         for mode in [Mode::Single, Mode::Partitioned { nodes: 2 }] {
             let config = SessionConfig {
                 num_workers: 1,
@@ -1317,7 +1322,7 @@ mod tests {
                 }
             }
             for lane in &session.lanes {
-                assert_eq!(lane.spares.len(), (4 + 1 + 1) * 8, "{}", mode.name());
+                assert_eq!(lane.spares.len(), (4 + 1 + 1 + 1) * 8, "{}", mode.name());
             }
         }
     }

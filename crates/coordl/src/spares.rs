@@ -16,11 +16,16 @@ use parking_lot::Mutex;
 /// minibatches.  Two sources feed it.  Prep hands back every payload it held
 /// the last reference to — the misses no tier kept — so with a never-evicting
 /// tier the list needs the executor's fetch→prep window: each fetch thread's
-/// lane of four positions, the one being fetched and one per prep worker,
-/// seven default minibatches at any fetch-thread count.  A session's cache
-/// tier hands back every payload it drops (an evicted key, or the copy a
-/// raced admission discarded), at most one per miss in steady state, and
-/// each is taken again by the miss that follows.  The list only ever holds
+/// lane of four positions, the position each fetch thread is fetching — or
+/// preps, while its lane is full and a core is free: it hands the one it
+/// fetched down the lane first — and one per prep worker, seven default
+/// minibatches (one more per further fetch thread).  The prepared side's
+/// window is eight, equal to the cap: the staging window, one batch per
+/// prep worker and per fetch thread, and the one lent to the consumer (see
+/// `Lane::spares`).  A session's cache tier hands back every payload it
+/// drops (an evicted key, or the copy a raced admission discarded), at most
+/// one per miss in steady state, and each is taken again by the miss that
+/// follows.  The list only ever holds
 /// buffers that were in flight together, so it keeps resident what that peak
 /// already needed; what it buys is a count that does not depend on timing.
 /// A list smaller than the window (32) re-allocated anything from one

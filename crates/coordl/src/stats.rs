@@ -28,6 +28,7 @@ pub struct LoaderStats {
     consumer_wait_nanos: AtomicU64,
     deferred_reads: AtomicU64,
     deferred_reads_by_prep: AtomicU64,
+    lent_positions: AtomicU64,
     /// Per-fetch-thread `[busy, stall]` nanos, indexed by fetch thread: a
     /// `fetch_threads(f)` stage records one row per thread (one row for the
     /// default `f = 1`), so reports can show how evenly the shard-ownership
@@ -123,6 +124,21 @@ impl LoaderStats {
     /// rest were read by a fetch thread whose lane was full.
     pub fn deferred_reads_by_prep(&self) -> u64 {
         self.deferred_reads_by_prep.load(Ordering::Relaxed)
+    }
+
+    /// Record one plan position a fetch thread prepped, lent to prep while
+    /// its lane was full.
+    pub fn record_lent_position(&self) {
+        self.lent_positions.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Plan positions fetch threads prepped so far, each lent to prep while
+    /// its lane was full and the process had a core no prep worker held.
+    /// Their prep time is in the prep busy and stall seconds, not in the
+    /// fetch ones.  Like the stage timings, this depends on timing, so no
+    /// report's deterministic fields carry it.
+    pub fn lent_positions(&self) -> u64 {
+        self.lent_positions.load(Ordering::Relaxed)
     }
 
     /// Record time a prep worker spent pre-processing.
@@ -251,6 +267,15 @@ mod tests {
         s.record_deferred_read(true);
         s.record_deferred_read(true);
         assert_eq!((s.deferred_reads(), s.deferred_reads_by_prep()), (3, 2));
+    }
+
+    #[test]
+    fn lent_positions_count_each_record() {
+        let s = LoaderStats::default();
+        assert_eq!(s.lent_positions(), 0);
+        s.record_lent_position();
+        s.record_lent_position();
+        assert_eq!(s.lent_positions(), 2);
     }
 
     #[test]

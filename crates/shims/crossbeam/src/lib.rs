@@ -1,8 +1,8 @@
 //! Minimal offline stand-in for `crossbeam`: a bounded MPMC channel.
 //!
-//! Only `channel::bounded` with blocking `send`/`recv`, a non-blocking
-//! `try_send`, cloneable endpoints and disconnect detection is provided —
-//! the surface this workspace uses.
+//! Only `channel::bounded` with blocking `send`/`recv`, non-blocking
+//! `try_send`/`try_recv`, cloneable endpoints and disconnect detection is
+//! provided — the surface this workspace uses.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -48,6 +48,26 @@ pub mod channel {
     impl fmt::Display for RecvError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             write!(f, "receiving on an empty and disconnected channel")
+        }
+    }
+
+    /// Error returned by `try_recv`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TryRecvError {
+        /// No message is queued, and a sender may still send one.
+        Empty,
+        /// No message is queued and every sender is gone.
+        Disconnected,
+    }
+
+    impl fmt::Display for TryRecvError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TryRecvError::Empty => write!(f, "receiving on an empty channel"),
+                TryRecvError::Disconnected => {
+                    write!(f, "receiving on an empty and disconnected channel")
+                }
+            }
         }
     }
 
@@ -147,6 +167,22 @@ pub mod channel {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
+
+        /// Dequeue a message if one is there, without blocking: `Empty`
+        /// when none is, `Disconnected` when none is and every sender is
+        /// gone.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            let shared = &self.shared;
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(value) = queue.pop_front() {
+                shared.not_full.notify_one();
+                return Ok(value);
+            }
+            if shared.senders.load(Ordering::SeqCst) == 0 {
+                return Err(TryRecvError::Disconnected);
+            }
+            Err(TryRecvError::Empty)
+        }
     }
 
     impl<T> Clone for Sender<T> {
@@ -237,6 +273,19 @@ pub mod channel {
             assert_eq!(tx.try_send(3), Ok(()));
             drop(rx);
             assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
+        }
+
+        #[test]
+        fn try_recv_reports_empty_then_disconnected_once_drained() {
+            let (tx, rx) = bounded::<u32>(1);
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+            tx.send(1).unwrap();
+            // Taking the message frees the slot for a blocked sender.
+            let t = std::thread::spawn(move || tx.send(2).is_ok());
+            assert_eq!(rx.try_recv(), Ok(1));
+            assert!(t.join().unwrap());
+            assert_eq!(rx.try_recv(), Ok(2));
+            assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         }
 
         #[test]

@@ -35,6 +35,17 @@ impl<T> Mutex<T> {
         }
     }
 
+    /// The guard if nobody holds the lock, without waiting: `None` when
+    /// another thread holds it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        let inner = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(sync::TryLockError::WouldBlock) => return None,
+        };
+        Some(MutexGuard { inner: Some(inner) })
+    }
+
     pub fn into_inner(self) -> T {
         self.inner
             .into_inner()
@@ -160,6 +171,18 @@ mod tests {
         assert_eq!(*rw.read(), 10);
         *rw.write() = 11;
         assert_eq!(rw.into_inner(), 11);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_the_lock_is_held() {
+        let m = Arc::new(Mutex::new(1));
+        *m.try_lock().expect("free") += 1;
+        let held = m.lock();
+        let m2 = Arc::clone(&m);
+        let other = std::thread::spawn(move || m2.try_lock().is_none());
+        assert!(other.join().unwrap(), "held by another thread");
+        drop(held);
+        assert_eq!(m.try_lock().map(|g| *g), Some(2));
     }
 
     #[test]

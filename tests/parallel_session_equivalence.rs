@@ -11,14 +11,16 @@
 //! asking for the next (so the stream takes its buffers back for prep to
 //! reuse) or hold a whole epoch (in a coordinated session job 0 holds while
 //! the other jobs drop theirs), whose bytes must still be the delivered
-//! ones once later epochs have recycled buffers.  A stalled consumer pins
-//! how many sample buffers recycling keeps.  A property section
+//! ones once later epochs have recycled buffers — and whether fetch threads
+//! whose lane is full lend themselves to prep, always or never, whatever
+//! the host's cores.  A stalled consumer pins how many sample buffers
+//! recycling keeps.  A property section
 //! additionally drives arbitrary dataset/batch/worker/shard shapes through
 //! the executor and checks the exactly-once sampler invariants.
 
 use benchkit::{parallel, Workload};
 use datastalls::cache::PolicyKind;
-use datastalls::coordl::{Minibatch, Mode, Session, SessionConfig};
+use datastalls::coordl::{with_lending, Minibatch, Mode, Session, SessionConfig, TierSnapshot};
 use datastalls::dataset::EpochSampler;
 use datastalls::prelude::*;
 use proptest::prelude::*;
@@ -65,14 +67,15 @@ fn pipeline() -> ExecutablePipeline {
 }
 
 /// Everything a job can observe from a run: the prepared streams (one per
-/// job, epochs concatenated), the five `LoaderStats` counters and the
-/// cache hit/miss counts.
+/// job, epochs concatenated), the five `LoaderStats` counters, the cache
+/// hit/miss counts and every tier level's snapshot.
 #[derive(Debug, PartialEq)]
 struct Observed {
     streams: Vec<Vec<prep::PreparedSample>>,
     counters: (u64, u64, u64, u64, u64),
     cache_hits: u64,
     cache_misses: u64,
+    levels: Vec<TierSnapshot>,
 }
 
 fn observe(session: &Session) -> ((u64, u64, u64, u64, u64), u64, u64) {
@@ -194,6 +197,7 @@ fn run_session(
         counters,
         cache_hits,
         cache_misses,
+        levels: session.tier_levels(),
     }
 }
 
@@ -236,6 +240,38 @@ fn partitioned_mode_is_bit_identical_across_workers_and_depth() {
 }
 
 #[test]
+fn lending_fetch_threads_to_prep_changes_nothing_a_job_observes_in_any_mode() {
+    // Fetch threads that prep whenever their lane is full, or never: the
+    // streams, counters and tier snapshots are the same, at one worker
+    // (where a lending fetch thread preps the most) and at two.
+    let modes = [
+        Mode::Single,
+        Mode::Coordinated { jobs: 2 },
+        Mode::Partitioned { nodes: 2 },
+    ];
+    for mode in modes {
+        for policy in [PolicyKind::MinIo, PolicyKind::Lru] {
+            for (workers, depth, consumer) in [(1, 1, DropEach), (2, 4, Collect)] {
+                let run = |lend| {
+                    with_lending(lend, || run_session(mode, policy, workers, depth, consumer))
+                };
+                let forbidden = run(false);
+                assert!(
+                    forbidden.counters.4 > 0,
+                    "{mode:?}/{policy:?}: nothing delivered"
+                );
+                assert_eq!(
+                    run(true),
+                    forbidden,
+                    "{mode:?}/{policy:?}: workers={workers} depth={depth} {consumer:?}: \
+                     lending changed what the jobs observed"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn prep_heavy_preset_is_bit_identical_across_worker_counts() {
     // The `worker_sweep` row's own claim at twice its size.  Whether four
     // workers are *faster* is `dsbench`'s question.
@@ -250,32 +286,37 @@ fn prep_heavy_preset_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn a_stalled_consumer_bounds_the_recycled_buffers_by_the_prepared_side_window() {
-    // The window of a single-mode stream with one prep worker: the batch
-    // lent to the consumer, the `depth` staged for it, and the one the
-    // worker has prepared and is parked on.  On equal-sized items every buffer is
-    // reserved to the same pre-crop size at its first use and never
-    // reallocated: each keeps one address for the whole session, and the
-    // distinct addresses delivered count the buffers that exist.
+    // A single-mode stream with one prep worker and a fetch thread that
+    // never lends itself to prep, so nothing but the worker preps: the
+    // batch lent to the consumer, the `depth` staged for it, and the one
+    // the worker has prepared and is parked on.  (The lane also makes a
+    // batch of buffers for the fetch thread's lent position; never
+    // popped here, it stays on the stack.)  On equal-sized items every
+    // buffer is reserved to the same pre-crop size at its first use and
+    // never reallocated: each keeps one address for the whole session, and
+    // the distinct addresses delivered count the buffers in use.
     let (depth, batch, items) = (2, 8, 160u64);
     let window = (depth + 1 + 1) * batch;
     let source: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(
         DatasetSpec::new("lending", items, 256, 0.0, 4.0),
         5,
     ));
-    let session = Session::builder(
-        source,
-        SessionConfig {
-            batch_size: batch,
-            seed: SEED,
-            cache_capacity_bytes: 16 << 20,
-            ..SessionConfig::default()
-        },
-    )
-    .workers(1)
-    .prefetch_depth(depth)
-    .pipeline(pipeline())
-    .build()
-    .expect("valid session");
+    let session = with_lending(false, || {
+        Session::builder(
+            source,
+            SessionConfig {
+                batch_size: batch,
+                seed: SEED,
+                cache_capacity_bytes: 16 << 20,
+                ..SessionConfig::default()
+            },
+        )
+        .workers(1)
+        .prefetch_depth(depth)
+        .pipeline(pipeline())
+        .build()
+        .expect("valid session")
+    });
     let mut buffers = HashSet::new();
     for epoch in 0..2u64 {
         let run = session.epoch(epoch);
