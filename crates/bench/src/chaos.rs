@@ -256,8 +256,8 @@ fn run_once(w: &Workload, plan: Option<FaultPlan>, prefix_epochs: u64, workers: 
         .epochs
         .iter()
         .map(|e| {
-            let cached = e.bytes_from_cache + e.bytes_from_remote;
-            let total = cached + e.bytes_from_storage;
+            let cached = e.counts.bytes_from_cache + e.counts.bytes_from_remote;
+            let total = cached + e.counts.bytes_from_storage;
             if total == 0 {
                 1.0
             } else {

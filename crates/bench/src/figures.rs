@@ -497,7 +497,7 @@ fn fig03() -> FigureTable {
         let stall = ideal.breakdown.fetch_stall.as_secs();
         let extra = (lru.breakdown.fetch_stall.as_secs() - stall).max(0.0);
         let compute = lru.breakdown.compute_time.as_secs();
-        let misses = [lru.miss_ratio(), ideal.miss_ratio()];
+        let misses = [lru.counts.miss_ratio(), ideal.counts.miss_ratio()];
         t.row(
             &[],
             &[
@@ -942,7 +942,7 @@ fn fig11() -> FigureTable {
         t.row(&[], &[i as f64 / SLICES as f64, dali[i], coordl[i]]);
     }
     for (loader, e) in ["dali", "coordl"].into_iter().zip(epochs) {
-        let gib = e.bytes_from_disk as f64 / (1u64 << 30) as f64;
+        let gib = e.counts.bytes_from_storage as f64 / (1u64 << 30) as f64;
         t.summary
             .push((format!("{loader}_epoch_s"), num(e.epoch_seconds())));
         t.summary.push((format!("{loader}_disk_gib"), num(gib)));
@@ -1314,7 +1314,8 @@ fn fig19() -> FigureTable {
     let mut t = FigureTable::new("loader epoch_s prep_work_s cpu_busy_frac fetch_stall_frac");
     for (loader, report) in &reports {
         let e = report.steady_state();
-        let raw = e.bytes_from_cache + e.bytes_from_disk + e.bytes_from_remote;
+        let raw =
+            e.counts.bytes_from_cache + e.counts.bytes_from_storage + e.counts.bytes_from_remote;
         let work = cost.prep_seconds(raw, cores, 8.0) * cores;
         let busy = (work / (e.epoch_seconds() * cores)).min(1.0);
         t.row(
@@ -1549,7 +1550,7 @@ fn tab03() -> FigureTable {
         };
         // TFRecord reads whole ~150 MB chunks: the meaningful miss rate is
         // the share of the dataset read from storage, not per-sample hits.
-        let miss = training.steady_state().bytes_from_disk as f64 / bytes as f64;
+        let miss = training.steady_state().counts.bytes_from_storage as f64 / bytes as f64;
         let disk = search.disk_bytes_per_epoch[1] as f64 / 1e9;
         t.row(
             &[],
@@ -1603,8 +1604,11 @@ fn tab06() -> FigureTable {
         FigureTable::new("loader miss_frac disk_gb_per_epoch paper_miss_frac paper_disk_gb");
     for ((kind, paper), report) in simulate(points.into()) {
         let e = report.steady_state();
-        let disk = (e.bytes_from_disk * SCALE) as f64 / 1e9;
-        t.row(&[kind.name()], &[e.miss_ratio(), disk, paper[0], paper[1]]);
+        let disk = (e.counts.bytes_from_storage * SCALE) as f64 / 1e9;
+        t.row(
+            &[kind.name()],
+            &[e.counts.miss_ratio(), disk, paper[0], paper[1]],
+        );
     }
     t
 }
@@ -1759,8 +1763,8 @@ figures! {
             layout never changes the stream", tier_sweep_claim;
     validate: "Table 5 / Figure 16 on the reproduction: 33 predicted (Experiment) vs \
                empirical (Session) rows"
-        => "DS-Analyzer-style prediction matches measurement: hit ratios within 0.05, \
-            bytes and samples within 5 %", validate_claim;
+        => "DS-Analyzer-style prediction matches measurement: every hit ratio, byte and \
+            sample count exactly", validate_claim;
     worker_sweep: "§5 runtime: the prep-heavy Session at 1, 2 and 4 prep workers"
         => "prefetching overlaps prep across workers without changing what a job sees: \
             one stream and one set of counters at every worker count", worker_sweep_claim;

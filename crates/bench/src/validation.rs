@@ -7,9 +7,11 @@
 //! traffic and stalls from the device/cache model, the functional loader
 //! *measures* them on real bytes, and the row lists both side by side.  Both
 //! sides share the epoch sampler, the per-item size function and the
-//! cache-policy code, so hit-ratio and storage-byte predictions land within
-//! [`TOLERANCE`] — and, being counts, both columns are pinned in
-//! `FIGURES.json`.  The stall comparison (simulated fetch-stall seconds vs
+//! cache-policy code, and both record their epochs as `pipeline::EpochCounts`
+//! that one fold reads, so every count row — hit ratios, storage and remote
+//! bytes, samples — is gated [`GateKind::Exact`]: predicted equals empirical
+//! to the last digit, and both columns are pinned in `FIGURES.json`.  The
+//! stall comparison (simulated fetch-stall seconds vs
 //! the runtime's modelled device-busy seconds) is reported but not gated,
 //! because the simulator accounts pipelining overlap that a functional
 //! loader cannot observe; where the runtime's side is wall clock it is an
@@ -25,7 +27,7 @@ use dataset::{DataSource, DatasetSpec, SyntheticItemStore};
 use dcache::PolicyKind;
 use pipeline::json::{int, num, text};
 use pipeline::{
-    churn_schedule, CacheSpec, EpochMetrics, Experiment, JobSpec, LoaderConfig, Scenario,
+    churn_schedule, CacheSpec, EpochCounts, Experiment, JobSpec, LoaderConfig, Scenario,
     ServerConfig, SimReport,
 };
 use prep::PrepBackend;
@@ -74,10 +76,6 @@ const JOBS: usize = 4;
 /// Epochs per run (epoch 0 is the cold-cache warm-up).
 const EPOCHS: u64 = 3;
 
-/// The claim's tolerance: absolute for hit ratios, relative for byte and
-/// sample counts.
-pub const TOLERANCE: f64 = 0.05;
-
 /// The wall-clock tripwire, [`GateKind::WallClock`]: the prediction is
 /// modelled-hardware seconds while the measurement is wall time on the test
 /// host, so the claim allows this multiple of the prediction plus
@@ -93,10 +91,9 @@ pub const WALL_SLACK_SECONDS: f64 = 10.0;
 /// How a row's predicted/empirical pair is checked.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GateKind {
-    /// `|predicted - empirical| <= TOLERANCE`.
-    Absolute,
-    /// `|predicted - empirical| / max(predicted, epsilon) <= TOLERANCE`.
-    Relative,
+    /// `predicted == empirical`: both sides count the same epochs with the
+    /// same fold, so a count row agrees to the last digit or is wrong.
+    Exact,
     /// A one-sided tripwire for a wall-clock measurement against a modelled
     /// prediction: fails only when `empirical > predicted * WALL_FACTOR +
     /// WALL_SLACK_SECONDS`.  Coarse by design — it catches stuck consumers
@@ -107,9 +104,8 @@ pub enum GateKind {
 }
 
 impl GateKind {
-    const ALL: [GateKind; 4] = [
-        GateKind::Absolute,
-        GateKind::Relative,
+    const ALL: [GateKind; 3] = [
+        GateKind::Exact,
         GateKind::WallClock,
         GateKind::Informational,
     ];
@@ -117,8 +113,7 @@ impl GateKind {
     /// The table's `gate` cell.
     pub fn name(self) -> &'static str {
         match self {
-            GateKind::Absolute => "abs",
-            GateKind::Relative => "rel",
+            GateKind::Exact => "exact",
             GateKind::WallClock => "wall",
             GateKind::Informational => "info",
         }
@@ -126,38 +121,29 @@ impl GateKind {
 
     /// Whether the pair passes.
     pub fn passes(self, predicted: f64, empirical: f64) -> bool {
-        let delta = (predicted - empirical).abs();
         match self {
-            GateKind::Absolute => delta <= TOLERANCE,
-            // Two near-zero values agree regardless of their ratio.
-            GateKind::Relative => delta <= 1e-6 || delta / predicted.abs().max(1e-9) <= TOLERANCE,
+            GateKind::Exact => predicted == empirical,
             GateKind::WallClock => empirical <= predicted * WALL_FACTOR + WALL_SLACK_SECONDS,
             GateKind::Informational => true,
         }
     }
 }
 
-/// What one side of a scenario observed: the same shape whether it was folded
-/// from the simulator's [`SimReport`] ([`observe_sim`]) or from the runtime's
-/// [`LoaderReport`]s ([`observe_runtime`]).  The four counts and byte totals
-/// cover the *steady state* — every server epoch after the cold warm-up —
-/// folded as the scenario's [`Fold`] says.
+/// What one side of a scenario observed: the same shape whether it was
+/// folded from the simulator's [`SimReport`] ([`observe_sim`]) or from the
+/// runtime's [`LoaderReport`]s ([`observe_runtime`]).  The counts are one
+/// fold over both sides' [`EpochCounts`] ([`Observed::fold`]); only the
+/// seconds differ in where they come from.
 #[derive(Debug, Default)]
 struct Observed {
-    /// Steady fetch-unit cache hits.
-    hits: u64,
-    /// Steady fetch-unit cache misses.
-    misses: u64,
-    /// Steady bytes read from storage.
-    disk_bytes: f64,
-    /// Steady bytes fetched from peer caches.
-    remote_bytes: f64,
+    /// The counts of the *steady state* — every server epoch after the cold
+    /// warm-up — summed as the scenario's [`Fold`] says.
+    steady: EpochCounts,
+    /// Steady epochs `steady` sums per epoch: the [`Fold::Mean`] epochs, 1
+    /// for [`Fold::Sum`].
+    epochs: f64,
     /// Samples over the *whole* run, one entry per unit (job, tenant, server).
     samples: Vec<u64>,
-    /// Steady hit ratio of the DRAM level.
-    dram_hit_ratio: f64,
-    /// Steady hit ratio of the levels below DRAM.
-    lower_hit_ratio: f64,
     /// Seconds per steady epoch attributed to fetching: the simulator's fetch
     /// stall, the runtime's modelled device time.
     fetch_seconds: f64,
@@ -173,8 +159,38 @@ struct Observed {
 }
 
 impl Observed {
-    fn hit_ratio(&self) -> f64 {
-        self.hits as f64 / (self.hits + self.misses).max(1) as f64
+    /// The ONE fold of both sides' counts: per unit, the server epoch its
+    /// epoch 0 ran at and its counts per epoch, in order.  A per-epoch mean
+    /// divides in f64 ([`Observed::per_epoch`]), so half a byte survives.
+    fn fold<'a, I>(units: impl IntoIterator<Item = (u64, I)>, fold: Fold) -> Observed
+    where
+        I: IntoIterator<Item = &'a EpochCounts>,
+    {
+        let mut observed = Observed::default();
+        let mut steady_epochs = 0;
+        for (unit, (arrival, epochs)) in units.into_iter().enumerate() {
+            let mut samples = 0;
+            for (epoch, counts) in (arrival..).zip(epochs) {
+                samples += counts.samples;
+                if epoch >= 1 && (unit == 0 || matches!(fold, Fold::Sum)) {
+                    observed.steady += *counts;
+                    steady_epochs += 1;
+                }
+            }
+            observed.samples.push(samples);
+        }
+        observed.epochs = match fold {
+            Fold::Mean => steady_epochs as f64,
+            Fold::Sum => 1.0,
+        };
+        observed
+    }
+
+    /// The `(predicted, empirical)` pair of `count` of the steady counts,
+    /// per steady epoch as the fold says.
+    fn per_epoch(p: &Observed, e: &Observed, count: fn(&EpochCounts) -> u64) -> (f64, f64) {
+        let mean = |o: &Observed| count(&o.steady) as f64 / o.epochs;
+        (mean(p), mean(e))
     }
 
     fn total_samples(&self) -> f64 {
@@ -194,67 +210,31 @@ enum Fold {
     Sum,
 }
 
-/// The ONE steady-state extractor of the simulator side.
+/// The simulator side: every unit starts at epoch 0, and the stall seconds
+/// are the steady-state means of unit 0.
 fn observe_sim(report: &SimReport, fold: Fold) -> Observed {
     let units = report.per_job();
-    let mean;
-    let steady: Vec<&EpochMetrics> = match fold {
-        Fold::Mean => {
-            mean = units[0].steady_state();
-            vec![&mean]
-        }
-        Fold::Sum => {
-            let epochs = units.iter().flat_map(|u| &u.epochs);
-            epochs.filter(|e| e.epoch >= 1).collect()
-        }
-    };
-    let sum = |f: fn(&EpochMetrics) -> u64| steady.iter().map(|e| f(e)).sum::<u64>();
-    // Per-tier ratios and stall seconds are read by `Fold::Mean` rows only.
-    let first = steady[0];
-    let fetch_stall = first.breakdown.fetch_stall.as_secs();
+    let epochs = units
+        .iter()
+        .map(|u| (0, u.epochs.iter().map(|e| &e.counts)));
+    let steady = units[0].steady_state().breakdown;
+    let fetch_stall = steady.fetch_stall.as_secs();
     Observed {
-        hits: sum(|e| e.cache_hits),
-        misses: sum(|e| e.cache_misses),
-        disk_bytes: sum(|e| e.bytes_from_disk) as f64,
-        remote_bytes: sum(|e| e.bytes_from_remote) as f64,
-        samples: units
-            .iter()
-            .map(|u| u.epochs.iter().map(|e| e.samples).sum())
-            .collect(),
-        dram_hit_ratio: first.dram_hit_ratio(),
-        lower_hit_ratio: first.lower_tier_hit_ratio(),
         fetch_seconds: fetch_stall,
-        stall_seconds: fetch_stall + first.breakdown.prep_stall.as_secs(),
-        ..Observed::default()
+        stall_seconds: fetch_stall + steady.prep_stall.as_secs(),
+        ..Observed::fold(epochs, fold)
     }
 }
 
-/// The ONE steady-state extractor of the runtime side: one report per unit,
-/// each with the server epoch its local epoch 0 ran at.
+/// The runtime side: one report per unit, each with the server epoch its
+/// local epoch 0 ran at.
 fn observe_runtime(reports: &[(u64, LoaderReport)], fold: Fold) -> Observed {
-    let steady = reports.iter().flat_map(|(arrival, report)| {
-        let epochs = report.epochs.iter();
-        epochs.filter(move |e| arrival + e.epoch >= 1)
-    });
-    let steady: Vec<_> = steady.collect();
-    let sum = |f: fn(&coordl::EpochTrajectory) -> u64| steady.iter().map(|e| f(e)).sum::<u64>();
-    // Per-tier ratios and seconds are read by `Fold::Mean` rows only.
+    let epochs = reports
+        .iter()
+        .map(|(arrival, r)| (*arrival, r.epochs.iter().map(|e| &e.counts)));
+    // The seconds are read by `Fold::Mean` rows only.
     let first = &reports[0].1;
-    let per_epoch = match fold {
-        Fold::Mean => first.steady_epochs().len() as f64,
-        Fold::Sum => 1.0,
-    };
     Observed {
-        hits: sum(|e| e.cache_hits),
-        misses: sum(|e| e.cache_misses),
-        disk_bytes: sum(|e| e.bytes_from_storage) as f64 / per_epoch,
-        remote_bytes: sum(|e| e.bytes_from_remote) as f64 / per_epoch,
-        samples: reports
-            .iter()
-            .map(|(_, r)| r.epochs.iter().map(|e| e.samples_delivered).sum())
-            .collect(),
-        dram_hit_ratio: first.steady_dram_hit_ratio(),
-        lower_hit_ratio: first.steady_lower_tier_hit_ratio(),
         fetch_seconds: first.steady_device_seconds(),
         // Coordinated sessions sum their consumers' waits, which would scale
         // with the job count.
@@ -262,6 +242,7 @@ fn observe_runtime(reports: &[(u64, LoaderReport)], fold: Fold) -> Observed {
         run_modelled_seconds: first.device_seconds,
         run_measured_seconds: first.measured_device_seconds,
         run_pool_stall_seconds: first.fetch_thread_stall_seconds.iter().sum(),
+        ..Observed::fold(epochs, fold)
     }
 }
 
@@ -449,9 +430,9 @@ struct Metric {
 
 const HIT_RATIO: Metric = Metric {
     name: "steady_hit_ratio",
-    gate: GateKind::Absolute,
+    gate: GateKind::Exact,
     wall_clock: false,
-    pick: |p, e| (p.hit_ratio(), e.hit_ratio()),
+    pick: |p, e| (p.steady.hit_ratio(), e.steady.hit_ratio()),
 };
 const AGGREGATE_HIT_RATIO: Metric = Metric {
     name: "aggregate_steady_hit_ratio",
@@ -459,18 +440,22 @@ const AGGREGATE_HIT_RATIO: Metric = Metric {
 };
 const DISK_BYTES: Metric = Metric {
     name: "steady_disk_bytes",
-    gate: GateKind::Relative,
-    pick: |p, e| (p.disk_bytes, e.disk_bytes),
+    pick: |p, e| Observed::per_epoch(p, e, |c| c.bytes_from_storage),
     ..HIT_RATIO
 };
 const DRAM_HIT_RATIO: Metric = Metric {
     name: "steady_dram_hit_ratio",
-    pick: |p, e| (p.dram_hit_ratio, e.dram_hit_ratio),
+    pick: |p, e| (p.steady.dram_hit_ratio(), e.steady.dram_hit_ratio()),
     ..HIT_RATIO
 };
 const SSD_HIT_RATIO: Metric = Metric {
     name: "steady_ssd_hit_ratio",
-    pick: |p, e| (p.lower_hit_ratio, e.lower_hit_ratio),
+    pick: |p, e| {
+        (
+            p.steady.lower_tier_hit_ratio(),
+            e.steady.lower_tier_hit_ratio(),
+        )
+    },
     ..HIT_RATIO
 };
 /// Reported, not gated: the simulator accounts pipelining overlap that a
@@ -704,7 +689,7 @@ static VALIDATE_SCENARIOS: [ValidateScenario; 8] = [
             DISK_BYTES,
             Metric {
                 name: "steady_remote_bytes",
-                pick: |p, e| (p.remote_bytes, e.remote_bytes),
+                pick: |p, e| Observed::per_epoch(p, e, |c| c.bytes_from_remote),
                 ..DISK_BYTES
             },
             // Exactly-once accounting: a fault must never lose or duplicate
@@ -770,7 +755,6 @@ fn compare(dataset_scale: u64, jobs: usize, epochs: u64) -> FigureTable {
         ("cache_frac".into(), num(CACHE_FRACTION)),
         ("jobs".into(), int(jobs as u64)),
         ("epochs".into(), int(epochs)),
-        ("tolerance".into(), num(TOLERANCE)),
     ];
     let ctx = Ctx {
         spec,
@@ -809,8 +793,8 @@ fn push_row(t: &mut FigureTable, scenario: &str, metric: &Metric, pair: (f64, f6
     ]);
 }
 
-/// Every row passes its gate: hit ratios within [`TOLERANCE`] absolutely,
-/// byte and sample counts relatively, wall-clock waits under the tripwire.
+/// Every row passes its gate: count rows exactly, wall-clock waits under the
+/// tripwire.
 pub fn validate_claim(t: &FigureTable) -> Result<(), String> {
     let mut failed = Vec::new();
     for r in 0..t.rows.len() {
@@ -866,13 +850,9 @@ mod tests {
         // ~80 items, 2 jobs, 2 epochs: the committed block is the full size,
         // which `cargo test` in a debug build runs too slowly.
         let t = compare(16_000, 2, 2);
-        // Which rows exist is pinned by the registry test below.
-        let samples = row(&t, "partitioned-chaos", "samples_delivered");
-        assert_eq!(
-            t.num(samples, "predicted"),
-            t.num(samples, "empirical"),
-            "exactly-once delivery under faults"
-        );
+        // Which rows exist is pinned by the registry test below, and every
+        // count row (exactly-once delivery under faults included) is gated
+        // exactly by `validate_claim`.
         let measured = row(&t, "fs-real", "modelled_vs_measured_device_seconds");
         assert!(
             t.num(measured, "predicted") > 0.0,
@@ -889,7 +869,7 @@ mod tests {
             (1.0, 1.0),
             "full residency predicts a perfect steady hit ratio, exactly"
         );
-        validate_claim(&t).expect("every gated delta within tolerance");
+        validate_claim(&t).expect("every count row exact, every wait under its tripwire");
         // The MinIO hit ratio lands near the cache fraction by construction.
         let minio = t.num(row(&t, "single-minio", "steady_hit_ratio"), "empirical");
         assert!(
@@ -901,18 +881,18 @@ mod tests {
     #[test]
     fn registry_yields_the_pinned_rows_in_order() {
         const FLAT_ROWS: [(&str, &str); 4] = [
-            ("steady_hit_ratio", "abs"),
-            ("steady_disk_bytes", "rel"),
+            ("steady_hit_ratio", "exact"),
+            ("steady_disk_bytes", "exact"),
             ("steady_fetch_stall_vs_device_seconds", "info"),
             ("steady_data_stall_vs_consumer_wait_seconds", "info"),
         ];
         let flat = |scenario: &'static str| FLAT_ROWS.map(|(m, g)| (scenario, m, g)).to_vec();
         let mut pinned = [flat("single-minio"), flat("single-lru")].concat();
         pinned.extend([
-            ("single-tiered", "steady_hit_ratio", "abs"),
-            ("single-tiered", "steady_disk_bytes", "rel"),
-            ("single-tiered", "steady_dram_hit_ratio", "abs"),
-            ("single-tiered", "steady_ssd_hit_ratio", "abs"),
+            ("single-tiered", "steady_hit_ratio", "exact"),
+            ("single-tiered", "steady_disk_bytes", "exact"),
+            ("single-tiered", "steady_dram_hit_ratio", "exact"),
+            ("single-tiered", "steady_ssd_hit_ratio", "exact"),
             (
                 "single-tiered",
                 "steady_fetch_stall_vs_device_seconds",
@@ -927,20 +907,20 @@ mod tests {
         pinned.extend(flat("hp-coordinated"));
         pinned.last_mut().unwrap().2 = "wall";
         pinned.extend([
-            ("elastic-churn", "aggregate_steady_hit_ratio", "abs"),
-            ("elastic-churn", "steady_disk_bytes", "rel"),
-            ("elastic-churn", "tenant0_samples", "rel"),
-            ("elastic-churn", "tenant1_samples", "rel"),
-            ("elastic-churn", "tenant2_samples", "rel"),
-            ("fs-real", "steady_hit_ratio", "abs"),
-            ("fs-real", "steady_disk_bytes", "rel"),
+            ("elastic-churn", "aggregate_steady_hit_ratio", "exact"),
+            ("elastic-churn", "steady_disk_bytes", "exact"),
+            ("elastic-churn", "tenant0_samples", "exact"),
+            ("elastic-churn", "tenant1_samples", "exact"),
+            ("elastic-churn", "tenant2_samples", "exact"),
+            ("fs-real", "steady_hit_ratio", "exact"),
+            ("fs-real", "steady_disk_bytes", "exact"),
             ("fs-real", "steady_fetch_stall_vs_device_seconds", "info"),
             ("fs-real", "modelled_vs_measured_device_seconds", "wall"),
-            ("partitioned-chaos", "aggregate_steady_hit_ratio", "abs"),
-            ("partitioned-chaos", "steady_disk_bytes", "rel"),
-            ("partitioned-chaos", "steady_remote_bytes", "rel"),
-            ("partitioned-chaos", "samples_delivered", "rel"),
-            ("parallel-fetch", "steady_hit_ratio", "abs"),
+            ("partitioned-chaos", "aggregate_steady_hit_ratio", "exact"),
+            ("partitioned-chaos", "steady_disk_bytes", "exact"),
+            ("partitioned-chaos", "steady_remote_bytes", "exact"),
+            ("partitioned-chaos", "samples_delivered", "exact"),
+            ("parallel-fetch", "steady_hit_ratio", "exact"),
             (
                 "parallel-fetch",
                 "fetch_thread_stall_vs_modelled_device_seconds",
@@ -953,6 +933,8 @@ mod tests {
             .collect();
         assert_eq!(registry.len(), 33);
         assert_eq!(registry, pinned);
+        let exact = registry.iter().filter(|(_, _, g)| *g == "exact");
+        assert_eq!(exact.count(), 22, "every count row gates with ==");
         // Every tripwire measures wall clock, and wall clock is never written.
         let metrics = VALIDATE_SCENARIOS.iter().flat_map(|s| s.metrics);
         assert!(metrics
@@ -963,14 +945,14 @@ mod tests {
     #[test]
     fn json_reports_every_row_and_round_trips() {
         let mut t = FigureTable::new("scenario metric gate predicted empirical");
-        push_row(&mut t, "single-minio", &HIT_RATIO, (0.35, 0.34));
+        push_row(&mut t, "single-minio", &HIT_RATIO, (0.35, 0.35));
         push_row(&mut t, "single-minio", &STALL_SECONDS, (1.0, 1.4));
-        validate_claim(&t).expect("0.01 apart, and an informational wait");
+        validate_claim(&t).expect("an exact ratio, and an informational wait");
         let doc = parse(&compact(&t.to_value("Table 5"))).expect("valid JSON");
         let rows = doc.get("rows").and_then(Value::as_array).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("predicted").and_then(Value::as_f64), Some(0.35));
-        assert_eq!(rows[0].get("gate").and_then(Value::as_str), Some("abs"));
+        assert_eq!(rows[0].get("gate").and_then(Value::as_str), Some("exact"));
         assert_eq!(rows[1].get("gate").and_then(Value::as_str), Some("info"));
         // The wall-clock wait is observed, never written.
         assert_eq!(
@@ -989,11 +971,63 @@ mod tests {
     }
 
     #[test]
+    fn both_sides_fold_one_epoch_record_alike() {
+        // The `single-lru` case: two steady epochs whose storage bytes sum to
+        // an odd number.  A truncating mean would predict 37 954 423; both
+        // sides divide in f64 and agree on the half byte.
+        let epoch = |bytes_from_storage, cache_hits| EpochCounts {
+            samples: 320,
+            bytes_from_storage,
+            cache_hits,
+            cache_misses: 320 - cache_hits,
+            ..EpochCounts::default()
+        };
+        let epochs = [
+            epoch(40_000_000, 0),
+            epoch(37_954_423, 19),
+            epoch(37_954_424, 19),
+        ];
+        let sim = Observed::fold([(0, &epochs)], Fold::Mean);
+        let runtime = Observed::fold([(0, epochs.iter())], Fold::Mean);
+        let disk = |o: &Observed| (DISK_BYTES.pick)(o, o).0;
+        assert_eq!(disk(&sim), 37_954_423.5);
+        assert_eq!(disk(&sim), disk(&runtime));
+        assert_eq!(
+            (HIT_RATIO.pick)(&sim, &runtime),
+            (19.0 / 320.0, 19.0 / 320.0)
+        );
+        assert_eq!(sim.samples, vec![960], "samples count the whole run");
+        // Summed, every unit's epochs from server epoch 1 on count, so a unit
+        // that arrived at epoch 1 counts its warm-up too.
+        let sum = Observed::fold([(0, &epochs[..2]), (1, &epochs[1..])], Fold::Sum);
+        assert_eq!(disk(&sum), (37_954_423 * 2 + 37_954_424) as f64);
+        assert_eq!(sum.samples, vec![640, 640]);
+    }
+
+    #[test]
     fn gates_behave_per_kind() {
         use GateKind::*;
-        assert!(Absolute.passes(0.50, 0.53) && !Absolute.passes(0.50, 0.56));
-        assert!(Relative.passes(100.0, 104.0) && !Relative.passes(100.0, 109.0));
-        assert!(Relative.passes(0.0, 0.0), "two zeros agree");
+        assert!(Exact.passes(0.334375, 0.334375) && Exact.passes(0.0, 0.0));
+        assert!(!Exact.passes(37_954_423.0, 37_954_423.5), "half a byte off");
+        assert!(!Exact.passes(0.50, 0.50 + f64::EPSILON));
+        // A count row one byte off fails the claim, which names it.
+        let mut t = FigureTable::new("scenario metric gate predicted empirical");
+        push_row(
+            &mut t,
+            "single-minio",
+            &DISK_BYTES,
+            (26_579_114.0, 26_579_114.0),
+        );
+        validate_claim(&t).expect("equal counts pass");
+        push_row(
+            &mut t,
+            "single-lru",
+            &DISK_BYTES,
+            (37_954_423.0, 37_954_424.0),
+        );
+        let err = validate_claim(&t).unwrap_err();
+        assert!(err.starts_with("1 row(s) off"), "{err}");
+        assert!(err.contains("single-lru/steady_disk_bytes"), "{err}");
         assert!(
             Informational.passes(1.0, 100.0),
             "informational rows never gate"

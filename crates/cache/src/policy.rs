@@ -4,8 +4,8 @@
 //! * [`PolicyKind::Lru`] — least-recently-used, the stand-in for the Linux
 //!   page cache used by PyTorch/TensorFlow/DALI (§3.3.1 of the paper).
 //! * [`PolicyKind::Fifo`] — first-in-first-out, a simpler page-cache variant.
-//! * [`PolicyKind::Clock`] — the CLOCK approximation of LRU (one reference
-//!   bit).
+//! * [`PolicyKind::Clock`] — second-chance CLOCK, the one-reference-bit
+//!   approximation of LRU.
 //! * [`PolicyKind::MinIo`] — CoorDL's DNN-aware policy (§4.1): admit until
 //!   full, never evict.  Because every item in a DNN epoch has the same
 //!   access probability, which items are resident does not matter — what
@@ -71,8 +71,8 @@ pub struct PolicyCache {
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     size: u64,
-    /// Its place in the [`Order`]: the recency tick under LRU, the ring
-    /// position under CLOCK, unused otherwise.
+    /// Its place in the [`Order`]: the recency tick under LRU, the
+    /// reference bit (0 or 1) under CLOCK, unused otherwise.
     slot: u64,
 }
 
@@ -86,10 +86,12 @@ enum Order {
     },
     /// Keys in insertion order; hits do not promote.
     Fifo(VecDeque<u64>),
-    /// `(key, referenced)` slots swept by `hand`: a hit sets the bit, and
-    /// eviction clears bits until it finds an unreferenced victim, which it
-    /// swap-removes.  The textbook approximation real page caches use.
-    Clock { ring: Vec<(u64, bool)>, hand: usize },
+    /// The clock's frames in hand order, the hand at the front: a hit sets
+    /// the key's reference bit, and eviction sends each referenced key
+    /// behind the hand with its bit cleared until an unreferenced one comes
+    /// up as the victim.  A new key goes in just behind the hand, so the
+    /// hand passes every other key before it comes back to it.
+    Clock(VecDeque<u64>),
     /// Nothing: MinIO never evicts.
     MinIo,
 }
@@ -102,10 +104,7 @@ impl Order {
                 tick: 0,
             },
             PolicyKind::Fifo => Order::Fifo(VecDeque::new()),
-            PolicyKind::Clock => Order::Clock {
-                ring: Vec::new(),
-                hand: 0,
-            },
+            PolicyKind::Clock => Order::Clock(VecDeque::new()),
             PolicyKind::MinIo => Order::MinIo,
         }
     }
@@ -119,7 +118,7 @@ impl Order {
                 entry.slot = *tick;
                 by_tick.insert(*tick, key);
             }
-            Order::Clock { ring, .. } => ring[entry.slot as usize].1 = true,
+            Order::Clock(_) => entry.slot = 1,
             Order::Fifo(_) | Order::MinIo => {}
         }
     }
@@ -132,13 +131,9 @@ impl Order {
                 by_tick.insert(*tick, key);
                 *tick
             }
-            Order::Fifo(queue) => {
+            Order::Fifo(queue) | Order::Clock(queue) => {
                 queue.push_back(key);
                 0
-            }
-            Order::Clock { ring, .. } => {
-                ring.push((key, false));
-                ring.len() as u64 - 1
             }
             Order::MinIo => 0,
         }
@@ -150,27 +145,20 @@ impl Order {
         match self {
             Order::Lru { by_tick, .. } => by_tick.pop_first().map(|(_, key)| key),
             Order::Fifo(queue) => queue.pop_front(),
-            Order::Clock { ring, hand } => {
-                if ring.is_empty() {
-                    return None;
+            Order::Clock(queue) => loop {
+                let key = queue.pop_front()?;
+                let entry = entries.get_mut(&key).expect("clock keys are resident");
+                if std::mem::take(&mut entry.slot) == 0 {
+                    return Some(key);
                 }
-                loop {
-                    if *hand >= ring.len() {
-                        *hand = 0;
-                    }
-                    if !ring[*hand].1 {
-                        return Some(swap_remove(ring, *hand, entries));
-                    }
-                    ring[*hand].1 = false;
-                    *hand += 1;
-                }
-            }
+                queue.push_back(key);
+            },
             Order::MinIo => None,
         }
     }
 
     /// Take removed `key`, which sat at `entry`, out of the order.
-    fn unlink(&mut self, key: u64, entry: Entry, entries: &mut HashMap<u64, Entry>) {
+    fn unlink(&mut self, key: u64, entry: Entry) {
         match self {
             Order::Lru { by_tick, .. } => {
                 by_tick.remove(&entry.slot);
@@ -178,26 +166,10 @@ impl Order {
             // Removals are rare lifecycle events, so the O(n) queue purge
             // beats leaving a stale key that would mis-order a later
             // re-insertion.
-            Order::Fifo(queue) => queue.retain(|&queued| queued != key),
-            Order::Clock { ring, .. } => {
-                swap_remove(ring, entry.slot as usize, entries);
-            }
+            Order::Fifo(queue) | Order::Clock(queue) => queue.retain(|&queued| queued != key),
             Order::MinIo => {}
         }
     }
-}
-
-/// Swap-remove ring slot `pos`, re-pointing the entry of the slot that moved
-/// into it; returns the removed key.
-fn swap_remove(ring: &mut Vec<(u64, bool)>, pos: usize, entries: &mut HashMap<u64, Entry>) -> u64 {
-    let (key, _) = ring.swap_remove(pos);
-    if let Some(&(moved, _)) = ring.get(pos) {
-        entries
-            .get_mut(&moved)
-            .expect("ring keys are resident")
-            .slot = pos as u64;
-    }
-    key
 }
 
 impl PolicyCache {
@@ -321,7 +293,7 @@ impl PolicyCache {
     /// departed tenant's bytes — rather than for the policy's own decisions.
     pub fn remove(&mut self, key: &u64) -> Option<u64> {
         let entry = self.entries.remove(key)?;
-        self.order.unlink(*key, entry, &mut self.entries);
+        self.order.unlink(*key, entry);
         self.used -= entry.size;
         Some(entry.size)
     }
@@ -646,7 +618,7 @@ mod tests {
         for k in 0..10u64 {
             c.access(k, 1);
         }
-        // Remove from the middle: swap_remove moves the last slot into place.
+        // Remove from the middle of the clock.
         c.remove(&3);
         for k in 0..10u64 {
             assert_eq!(c.contains(&k), k != 3, "key {k}");

@@ -9,31 +9,18 @@
 //! methodology).
 
 use pipeline::json::{compact, int, num, nums, object, text, Value};
+use pipeline::EpochCounts;
 
 /// Counter deltas observed over one epoch of a session.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochTrajectory {
     /// Epoch index.
     pub epoch: u64,
-    /// Bytes read from the fetch backend (storage).
-    pub bytes_from_storage: u64,
-    /// Bytes served from local cache tiers.
-    pub bytes_from_cache: u64,
-    /// Of `bytes_from_cache`, the bytes served by tiers below DRAM (the
-    /// local-SSD level of a tiered session; zero for flat tiers).
-    pub bytes_from_lower_tiers: u64,
-    /// Bytes served from remote peers (partitioned mode only).
-    pub bytes_from_remote: u64,
+    /// Samples delivered to consumers, bytes by source (storage is the
+    /// fetch backend) and cache-tier hits (local + remote) and misses.
+    pub counts: EpochCounts,
     /// Samples pre-processed.
     pub samples_prepared: u64,
-    /// Samples delivered to consumers.
-    pub samples_delivered: u64,
-    /// Cache-tier hits (local + remote).
-    pub cache_hits: u64,
-    /// Cache-tier misses (reads that fell through to the backend).
-    pub cache_misses: u64,
-    /// Of `cache_hits`, the hits served by tiers below DRAM.
-    pub lower_tier_hits: u64,
     /// Modelled device busy time for this epoch's backend reads, in seconds
     /// (0 with an unprofiled backend).
     pub device_seconds: f64,
@@ -58,39 +45,6 @@ pub struct EpochTrajectory {
     /// across consumer threads) — the runtime analogue of the simulator's
     /// data-stall time.
     pub consumer_wait_seconds: f64,
-}
-
-impl EpochTrajectory {
-    /// Cache hit ratio over fetches this epoch (0 when there were none).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Hit ratio of the DRAM (topmost) cache level over fetches this epoch.
-    pub fn dram_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.cache_hits - self.lower_tier_hits) as f64 / total as f64
-        }
-    }
-
-    /// Hit ratio of the cache levels below DRAM over fetches this epoch
-    /// (zero for flat tiers).
-    pub fn lower_tier_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.lower_tier_hits as f64 / total as f64
-        }
-    }
 }
 
 /// Per-tenant accounting attached to a [`LoaderReport`] when the session ran
@@ -191,12 +145,12 @@ pub struct LoaderReport {
 impl LoaderReport {
     /// Overall cache hit ratio (0 when nothing was fetched).
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+        let totals = EpochCounts {
+            cache_hits: self.cache_hits,
+            cache_misses: self.cache_misses,
+            ..EpochCounts::default()
+        };
+        totals.hit_ratio()
     }
 
     /// The steady-state epochs: everything after the cold-cache warm-up
@@ -221,23 +175,23 @@ impl LoaderReport {
     /// Average steady-state hit ratio (the paper averages epochs after the
     /// first, §3.1).
     pub fn steady_hit_ratio(&self) -> f64 {
-        self.steady_mean(EpochTrajectory::hit_ratio)
+        self.steady_mean(|e| e.counts.hit_ratio())
     }
 
     /// Average steady-state hit ratio of the DRAM (topmost) cache level.
     pub fn steady_dram_hit_ratio(&self) -> f64 {
-        self.steady_mean(EpochTrajectory::dram_hit_ratio)
+        self.steady_mean(|e| e.counts.dram_hit_ratio())
     }
 
     /// Average steady-state hit ratio of the cache levels below DRAM (zero
     /// for flat tiers).
     pub fn steady_lower_tier_hit_ratio(&self) -> f64 {
-        self.steady_mean(EpochTrajectory::lower_tier_hit_ratio)
+        self.steady_mean(|e| e.counts.lower_tier_hit_ratio())
     }
 
     /// Average steady-state bytes read from storage per epoch.
     pub fn steady_storage_bytes(&self) -> f64 {
-        self.steady_mean(|e| e.bytes_from_storage as f64)
+        self.steady_mean(|e| e.counts.bytes_from_storage as f64)
     }
 
     /// Average steady-state modelled device seconds per epoch.
@@ -258,7 +212,7 @@ impl LoaderReport {
     /// so simulator and runtime documents diff cleanly.
     pub fn to_json(&self) -> String {
         let per_epoch =
-            |f: fn(&EpochTrajectory) -> u64| nums(self.epochs.iter().map(|e| f(e) as f64));
+            |f: fn(&EpochCounts) -> u64| nums(self.epochs.iter().map(|e| f(&e.counts) as f64));
         let mut doc = vec![
             ("kind", text("loader-report")),
             ("mode", text(self.mode)),
@@ -318,17 +272,9 @@ impl LoaderReport {
 }
 
 fn trajectory_value(e: &EpochTrajectory) -> Value {
-    object([
+    let fields = [
         ("epoch", int(e.epoch)),
-        ("bytes_from_cache", int(e.bytes_from_cache)),
-        ("bytes_from_disk", int(e.bytes_from_storage)),
-        ("bytes_from_remote", int(e.bytes_from_remote)),
-        ("cache_hits", int(e.cache_hits)),
-        ("cache_misses", int(e.cache_misses)),
-        ("bytes_from_lower_tiers", int(e.bytes_from_lower_tiers)),
-        ("lower_tier_hits", int(e.lower_tier_hits)),
-        ("hit_ratio", num(e.hit_ratio())),
-        ("samples", int(e.samples_delivered)),
+        ("hit_ratio", num(e.counts.hit_ratio())),
         ("device_seconds", num(e.device_seconds)),
         ("staging_peak_bytes", int(e.staging_peak_bytes)),
         ("staging_published", int(e.staging_published)),
@@ -338,7 +284,8 @@ fn trajectory_value(e: &EpochTrajectory) -> Value {
         ("prep_busy_seconds", num(e.prep_busy_seconds)),
         ("prep_stall_seconds", num(e.prep_stall_seconds)),
         ("consumer_wait_seconds", num(e.consumer_wait_seconds)),
-    ])
+    ];
+    object(fields.into_iter().chain(e.counts.json_fields()))
 }
 
 #[cfg(test)]
@@ -377,18 +324,24 @@ mod tests {
             epochs: vec![
                 EpochTrajectory {
                     epoch: 0,
-                    bytes_from_storage: 1000,
-                    cache_misses: 10,
-                    samples_delivered: 60,
+                    counts: EpochCounts {
+                        bytes_from_storage: 1000,
+                        cache_misses: 10,
+                        samples: 60,
+                        ..EpochCounts::default()
+                    },
                     device_seconds: 0.5,
                     consumer_wait_seconds: 0.25,
                     ..EpochTrajectory::default()
                 },
                 EpochTrajectory {
                     epoch: 1,
-                    bytes_from_cache: 2000,
-                    cache_hits: 20,
-                    samples_delivered: 60,
+                    counts: EpochCounts {
+                        bytes_from_cache: 2000,
+                        cache_hits: 20,
+                        samples: 60,
+                        ..EpochCounts::default()
+                    },
                     consumer_wait_seconds: 0.05,
                     ..EpochTrajectory::default()
                 },

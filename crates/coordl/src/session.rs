@@ -53,6 +53,7 @@ use crate::{DirectBackend, FetchBackend, ProfiledBackend};
 use dataset::{minibatches, DataSource, EpochSampler};
 use dcache::PolicyKind;
 use parking_lot::Mutex;
+use pipeline::EpochCounts;
 use prep::{ExecutablePipeline, PrepPipeline};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -690,15 +691,15 @@ impl Session {
             cache_capacity_bytes: capacity,
             cache_used_bytes: used,
             cache_resident_items: resident,
-            bytes_from_storage: snap.bytes_from_storage,
-            bytes_from_cache: snap.bytes_from_cache,
-            bytes_from_lower_tiers: snap.bytes_from_lower_tiers,
-            bytes_from_remote: snap.bytes_from_remote,
+            bytes_from_storage: snap.counts.bytes_from_storage,
+            bytes_from_cache: snap.counts.bytes_from_cache,
+            bytes_from_lower_tiers: snap.counts.bytes_from_lower_tiers,
+            bytes_from_remote: snap.counts.bytes_from_remote,
             samples_prepared: snap.samples_prepared,
-            samples_delivered: snap.samples_delivered,
-            cache_hits: snap.hits,
-            cache_misses: snap.misses,
-            lower_tier_hits: snap.lower_tier_hits,
+            samples_delivered: snap.counts.samples,
+            cache_hits: snap.counts.cache_hits,
+            cache_misses: snap.counts.cache_misses,
+            lower_tier_hits: snap.counts.lower_tier_hits,
             device_seconds: snap.device_seconds,
             measured_device_seconds: snap.measured_device_seconds,
             fetch_busy_seconds: snap.fetch_busy_seconds,
@@ -715,7 +716,7 @@ impl Session {
     }
 
     fn snapshot(&self) -> CounterSnapshot {
-        let (hits, misses) = match &self.kind {
+        let (cache_hits, cache_misses) = match &self.kind {
             // Partitioned hit counts come from the cluster, not the tiers: a
             // remote hit is a *local-tier miss* served by a peer, and must
             // count as a session-level hit.
@@ -735,15 +736,17 @@ impl Session {
             .map(|level| level.hits)
             .sum();
         CounterSnapshot {
-            bytes_from_storage: self.stats().bytes_from_storage(),
-            bytes_from_cache: self.stats().bytes_from_cache(),
-            bytes_from_lower_tiers: self.stats().bytes_from_lower_tiers(),
-            bytes_from_remote: self.stats().bytes_from_remote(),
-            lower_tier_hits,
+            counts: EpochCounts {
+                samples: self.stats().samples_delivered(),
+                bytes_from_cache: self.stats().bytes_from_cache(),
+                bytes_from_storage: self.stats().bytes_from_storage(),
+                bytes_from_remote: self.stats().bytes_from_remote(),
+                bytes_from_lower_tiers: self.stats().bytes_from_lower_tiers(),
+                cache_hits,
+                cache_misses,
+                lower_tier_hits,
+            },
             samples_prepared: self.stats().samples_prepared(),
-            samples_delivered: self.stats().samples_delivered(),
-            hits,
-            misses,
             device_seconds: self.backend().device_seconds(),
             measured_device_seconds: self.backend().measured_seconds(),
             fetch_busy_seconds: self.stats().fetch_busy_seconds(),
@@ -759,15 +762,8 @@ impl Session {
         let staging = staging.unwrap_or_default();
         self.trajectories.lock().push(EpochTrajectory {
             epoch,
-            bytes_from_storage: end.bytes_from_storage - start.bytes_from_storage,
-            bytes_from_cache: end.bytes_from_cache - start.bytes_from_cache,
-            bytes_from_lower_tiers: end.bytes_from_lower_tiers - start.bytes_from_lower_tiers,
-            bytes_from_remote: end.bytes_from_remote - start.bytes_from_remote,
+            counts: end.counts.since(&start.counts),
             samples_prepared: end.samples_prepared - start.samples_prepared,
-            samples_delivered: end.samples_delivered - start.samples_delivered,
-            cache_hits: end.hits - start.hits,
-            cache_misses: end.misses - start.misses,
-            lower_tier_hits: end.lower_tier_hits - start.lower_tier_hits,
             device_seconds: end.device_seconds - start.device_seconds,
             staging_peak_bytes: staging.peak_bytes,
             staging_published: staging.published,
@@ -783,15 +779,8 @@ impl Session {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct CounterSnapshot {
-    bytes_from_storage: u64,
-    bytes_from_cache: u64,
-    bytes_from_lower_tiers: u64,
-    bytes_from_remote: u64,
+    counts: EpochCounts,
     samples_prepared: u64,
-    samples_delivered: u64,
-    hits: u64,
-    misses: u64,
-    lower_tier_hits: u64,
     device_seconds: f64,
     measured_device_seconds: f64,
     fetch_busy_seconds: f64,
@@ -1046,8 +1035,8 @@ mod tests {
         let report = session.report();
         assert_eq!(report.mode, "single");
         assert_eq!(report.epochs.len(), 1);
-        assert_eq!(report.epochs[0].samples_delivered, 100);
-        assert_eq!(report.epochs[0].cache_misses, 100, "cold cache");
+        assert_eq!(report.epochs[0].counts.samples, 100);
+        assert_eq!(report.epochs[0].counts.cache_misses, 100, "cold cache");
     }
 
     #[test]
@@ -1103,7 +1092,7 @@ mod tests {
         assert_eq!(report.epochs.len(), 3);
         // After warm-up the aggregate cache covers the dataset: no storage.
         for e in &report.epochs[1..] {
-            assert_eq!(e.bytes_from_storage, 0, "epoch {}", e.epoch);
+            assert_eq!(e.counts.bytes_from_storage, 0, "epoch {}", e.epoch);
         }
         assert!(report.bytes_from_remote > 0, "peer fetches happened");
         let agg = session.partitioned_cluster().unwrap().aggregate_stats();
@@ -1159,8 +1148,14 @@ mod tests {
         // warm tier rejoins, the directory heals lazily on its local hits and
         // the steady state is storage-free again.
         let report = session.report();
-        assert!(report.epochs[1].bytes_from_storage > 0, "degraded epoch");
-        assert_eq!(report.epochs[3].bytes_from_storage, 0, "recovered epoch");
+        assert!(
+            report.epochs[1].counts.bytes_from_storage > 0,
+            "degraded epoch"
+        );
+        assert_eq!(
+            report.epochs[3].counts.bytes_from_storage, 0,
+            "recovered epoch"
+        );
     }
 
     #[test]
@@ -1201,7 +1196,7 @@ mod tests {
             report
                 .steady_epochs()
                 .iter()
-                .map(|e| e.cache_misses)
+                .map(|e| e.counts.cache_misses)
                 .sum::<u64>()
         };
         let minio_misses = run_with(PolicyKind::MinIo);

@@ -196,7 +196,11 @@ mod tests {
         // Exactly-once accounting: a failed server's consumer keeps training,
         // so every epoch still delivers the whole dataset across the shards.
         for e in 0..5 {
-            let samples: u64 = a.per_server().iter().map(|r| r.epochs[e].samples).sum();
+            let samples: u64 = a
+                .per_server()
+                .iter()
+                .map(|r| r.epochs[e].counts.samples)
+                .sum();
             assert_eq!(samples, ds.num_items, "epoch {e} lost or duplicated");
         }
     }

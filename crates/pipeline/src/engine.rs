@@ -19,7 +19,7 @@ use crate::config::ServerConfig;
 use crate::experiment::{CacheSpec, Scenario};
 use crate::job::JobSpec;
 use crate::loader::FetchOrder;
-use crate::metrics::EpochMetrics;
+use crate::metrics::{EpochCounts, EpochMetrics};
 use crate::sweep::ExperimentSpec;
 use dataset::{EpochSampler, ItemId, StorageFormat};
 use dcache::{FaultEvent, PartitionedIndex, PolicyKind, ServerId, TierSpec};
@@ -73,16 +73,8 @@ pub(crate) const IO_BINS: usize = 40;
 /// Byte and time accounting for fetching one minibatch's raw data.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BatchFetch {
-    pub disk_bytes: u64,
-    pub cache_bytes: u64,
-    pub remote_bytes: u64,
-    pub hits: u64,
-    pub misses: u64,
-    /// Of `cache_bytes`, the bytes served by cache tiers below DRAM (the
-    /// local-SSD spill tier of a `CacheSpec::Tiered` hierarchy).
-    pub lower_bytes: u64,
-    /// Of `hits`, the hits served by cache tiers below DRAM.
-    pub lower_hits: u64,
+    /// The minibatch's samples, bytes by source and cache hits and misses.
+    pub counts: EpochCounts,
     pub fetch_secs: f64,
 }
 
@@ -91,18 +83,19 @@ impl BatchFetch {
     /// the seconds it spent in a cache tier below DRAM (0 for any other
     /// source).
     fn record(&mut self, source: FetchSource, bytes: u64, t: SimTime) -> f64 {
+        let c = &mut self.counts;
         if source == FetchSource::Disk {
-            self.disk_bytes += bytes;
-            self.misses += 1;
+            c.bytes_from_storage += bytes;
+            c.cache_misses += 1;
             return 0.0;
         }
-        self.cache_bytes += bytes;
-        self.hits += 1;
+        c.bytes_from_cache += bytes;
+        c.cache_hits += 1;
         let FetchSource::LowerTier(_) = source else {
             return 0.0;
         };
-        self.lower_bytes += bytes;
-        self.lower_hits += 1;
+        c.bytes_from_lower_tiers += bytes;
+        c.lower_tier_hits += 1;
         t.as_secs()
     }
 }
@@ -135,6 +128,7 @@ pub(crate) fn fetch_batch_local(
         let (t, source) = node.fetch(at, key_base + unit.key, unit.bytes, pattern);
         lower_secs += out.record(source, unit.bytes, t);
     }
+    out.counts.samples = items.len() as u64;
     out.fetch_secs = local_fetch_secs(&out, lower_secs, latency, bandwidth, disk_share);
     out
 }
@@ -152,9 +146,11 @@ pub(crate) fn local_fetch_secs(
     bandwidth: f64,
     disk_share: f64,
 ) -> f64 {
-    out.disk_bytes as f64 / (bandwidth * disk_share)
-        + out.misses as f64 * latency / disk_share
-        + (out.cache_bytes - out.lower_bytes) as f64 / storage::DRAM_BANDWIDTH_BYTES_PER_SEC
+    let c = &out.counts;
+    c.bytes_from_storage as f64 / (bandwidth * disk_share)
+        + c.cache_misses as f64 * latency / disk_share
+        + (c.bytes_from_cache - c.bytes_from_lower_tiers) as f64
+            / storage::DRAM_BANDWIDTH_BYTES_PER_SEC
         + lower_secs / disk_share
 }
 
@@ -277,14 +273,7 @@ pub(crate) struct SweepOrder {
 /// Incrementally builds one epoch's metrics from per-batch stage samples.
 pub(crate) struct EpochAccumulator {
     rec: PipelineRecurrence,
-    samples: u64,
-    disk_bytes: u64,
-    cache_bytes: u64,
-    remote_bytes: u64,
-    hits: u64,
-    misses: u64,
-    lower_bytes: u64,
-    lower_hits: u64,
+    counts: EpochCounts,
     io: TimeSeries,
     epoch: u64,
 }
@@ -299,14 +288,7 @@ impl EpochAccumulator {
     pub(crate) fn new(epoch: u64, prefetch_depth: usize) -> Self {
         EpochAccumulator {
             rec: PipelineRecurrence::new(prefetch_depth),
-            samples: 0,
-            disk_bytes: 0,
-            cache_bytes: 0,
-            remote_bytes: 0,
-            hits: 0,
-            misses: 0,
-            lower_bytes: 0,
-            lower_hits: 0,
+            counts: EpochCounts::default(),
             io: TimeSeries::new(),
             epoch,
         }
@@ -316,14 +298,7 @@ impl EpochAccumulator {
     /// allocations so one accumulator can serve every epoch of a sweep.
     pub(crate) fn reset(&mut self, epoch: u64, prefetch_depth: usize) {
         self.rec.reset(prefetch_depth);
-        self.samples = 0;
-        self.disk_bytes = 0;
-        self.cache_bytes = 0;
-        self.remote_bytes = 0;
-        self.hits = 0;
-        self.misses = 0;
-        self.lower_bytes = 0;
-        self.lower_hits = 0;
+        self.counts = EpochCounts::default();
         self.io.clear();
         self.epoch = epoch;
     }
@@ -338,33 +313,20 @@ impl EpochAccumulator {
     }
 
     /// Record one minibatch.
-    pub(crate) fn push_batch(
-        &mut self,
-        fetch: &BatchFetch,
-        prep_secs: f64,
-        compute_secs: f64,
-        batch_samples: u64,
-    ) {
+    pub(crate) fn push_batch(&mut self, fetch: &BatchFetch, prep_secs: f64, compute_secs: f64) {
         self.rec.push(StageSample::from_secs(
             fetch.fetch_secs,
             prep_secs,
             compute_secs,
         ));
-        self.samples += batch_samples;
-        self.disk_bytes += fetch.disk_bytes;
-        self.cache_bytes += fetch.cache_bytes;
-        self.remote_bytes += fetch.remote_bytes;
-        self.hits += fetch.hits;
-        self.misses += fetch.misses;
-        self.lower_bytes += fetch.lower_bytes;
-        self.lower_hits += fetch.lower_hits;
+        self.counts += fetch.counts;
         let t = self
             .rec
             .fetch_done_times()
             .last()
             .copied()
             .unwrap_or(SimTime::ZERO);
-        self.io.push(t, fetch.disk_bytes as f64);
+        self.io.push(t, fetch.counts.bytes_from_storage as f64);
     }
 
     /// Finish the epoch, producing metrics with the I/O timeline binned into
@@ -383,14 +345,7 @@ impl EpochAccumulator {
         EpochMetrics {
             epoch: self.epoch,
             breakdown,
-            samples: self.samples,
-            bytes_from_cache: self.cache_bytes,
-            bytes_from_disk: self.disk_bytes,
-            bytes_from_remote: self.remote_bytes,
-            cache_hits: self.hits,
-            cache_misses: self.misses,
-            bytes_from_lower_tiers: self.lower_bytes,
-            lower_tier_hits: self.lower_hits,
+            counts: self.counts,
             io_timeline,
         }
     }
@@ -557,7 +512,7 @@ impl SharedNodeSim {
                 };
                 for &c in consumers {
                     let compute = compute_secs_for_batch(&jobs[c], server.gpu, batch.len());
-                    accs[c].push_batch(&bf, prep, compute, batch.len() as u64);
+                    accs[c].push_batch(&bf, prep, compute);
                 }
             }
         }
@@ -583,7 +538,10 @@ impl SharedNodeSim {
                 *m = EpochMetrics {
                     epoch,
                     breakdown: m.breakdown,
-                    samples: m.samples,
+                    counts: EpochCounts {
+                        samples: m.counts.samples,
+                        ..EpochCounts::default()
+                    },
                     ..Default::default()
                 };
             }
@@ -681,7 +639,7 @@ impl DistributedSim {
                     let raw_bytes: u64 = batch.iter().map(|&it| job.dataset.item_size(it)).sum();
                     let prep = prep_secs_for_batch(job, raw_bytes, cores);
                     let compute = compute_secs_for_batch(job, server.gpu, batch.len());
-                    acc.push_batch(&bf, prep, compute, batch.len() as u64);
+                    acc.push_batch(&bf, prep, compute);
                 }
                 acc.finish(IO_BINS)
             })
@@ -719,8 +677,8 @@ impl DistributedSim {
                 self.directory.advertise(item, me);
             } else if let Some(peer) = self.directory.remote_owner(item, me) {
                 self.fabric.remote_fetch(peer.0, me.0, bytes, peers);
-                out.remote_bytes += bytes;
-                out.hits += 1;
+                out.counts.bytes_from_remote += bytes;
+                out.counts.cache_hits += 1;
                 remote_requests += 1;
             } else if alive {
                 // Cached nowhere: read from local storage and, if the local
@@ -736,11 +694,13 @@ impl DistributedSim {
         }
 
         let link = self.fabric.link();
-        out.fetch_secs = out.disk_bytes as f64 / device.bandwidth(pattern)
-            + out.misses as f64 * device.request_latency_s
-            + (out.cache_bytes - out.lower_bytes) as f64 / DRAM_BANDWIDTH_BYTES_PER_SEC
+        let c = &mut out.counts;
+        c.samples = items.len() as u64;
+        out.fetch_secs = c.bytes_from_storage as f64 / device.bandwidth(pattern)
+            + c.cache_misses as f64 * device.request_latency_s
+            + (c.bytes_from_cache - c.bytes_from_lower_tiers) as f64 / DRAM_BANDWIDTH_BYTES_PER_SEC
             + lower_secs
-            + out.remote_bytes as f64 / link.per_flow_bandwidth(peers)
+            + c.bytes_from_remote as f64 / link.per_flow_bandwidth(peers)
             + if remote_requests > 0 { link.rtt_s } else { 0.0 };
         out
     }

@@ -443,9 +443,9 @@ impl SimReport {
     fn push_epoch(&mut self, per_unit: Vec<EpochMetrics>) {
         debug_assert_eq!(per_unit.len(), self.units.len());
         self.disk_bytes_per_epoch
-            .push(per_unit.iter().map(|m| m.bytes_from_disk).sum());
+            .push(per_unit.iter().map(|m| m.counts.bytes_from_storage).sum());
         self.remote_bytes_per_epoch
-            .push(per_unit.iter().map(|m| m.bytes_from_remote).sum());
+            .push(per_unit.iter().map(|m| m.counts.bytes_from_remote).sum());
         for (unit, m) in self.units.iter_mut().zip(per_unit) {
             unit.epochs.push(m);
         }
@@ -511,7 +511,11 @@ impl SimReport {
         if secs == 0.0 {
             return 0.0;
         }
-        let samples: u64 = self.units.iter().map(|r| r.steady_state().samples).sum();
+        let samples: u64 = self
+            .units
+            .iter()
+            .map(|r| r.steady_state().counts.samples)
+            .sum();
         samples as f64 / secs
     }
 
@@ -569,7 +573,7 @@ impl SimReport {
     pub fn disk_bytes_per_server(&self, epoch: usize) -> Vec<u64> {
         self.units
             .iter()
-            .map(|r| r.epochs[epoch].bytes_from_disk)
+            .map(|r| r.epochs[epoch].counts.bytes_from_storage)
             .collect()
     }
 
@@ -587,7 +591,7 @@ impl SimReport {
         let per_server_bytes = self
             .units
             .iter()
-            .map(|r| r.epochs[epoch].bytes_from_remote as f64)
+            .map(|r| r.epochs[epoch].counts.bytes_from_remote as f64)
             .sum::<f64>()
             / self.units.len() as f64;
         per_server_bytes * 8.0 / secs / 1e9
@@ -631,7 +635,7 @@ impl SimReport {
 
 fn epoch_metrics_value(e: &EpochMetrics) -> Value {
     let timeline = e.io_timeline.iter().map(|&(t, v)| nums([t, v]));
-    object([
+    let fields = [
         ("epoch", int(e.epoch)),
         ("epoch_seconds", num(e.epoch_seconds())),
         ("compute_seconds", num(e.breakdown.compute_time.as_secs())),
@@ -640,17 +644,10 @@ fn epoch_metrics_value(e: &EpochMetrics) -> Value {
             num(e.breakdown.fetch_stall.as_secs()),
         ),
         ("prep_stall_seconds", num(e.breakdown.prep_stall.as_secs())),
-        ("samples", int(e.samples)),
         ("samples_per_sec", num(e.samples_per_sec())),
-        ("bytes_from_cache", int(e.bytes_from_cache)),
-        ("bytes_from_disk", int(e.bytes_from_disk)),
-        ("bytes_from_remote", int(e.bytes_from_remote)),
-        ("cache_hits", int(e.cache_hits)),
-        ("cache_misses", int(e.cache_misses)),
-        ("bytes_from_lower_tiers", int(e.bytes_from_lower_tiers)),
-        ("lower_tier_hits", int(e.lower_tier_hits)),
         ("io_timeline", Value::Array(timeline.collect())),
-    ])
+    ];
+    object(fields.into_iter().chain(e.counts.json_fields()))
 }
 
 #[cfg(test)]
@@ -687,7 +684,7 @@ mod tests {
         assert_eq!(report.single().epochs.len(), 2);
         assert_eq!(
             report.disk_bytes_per_epoch[0],
-            report.single().epochs[0].bytes_from_disk
+            report.single().epochs[0].counts.bytes_from_storage
         );
         assert!(report.steady_samples_per_sec() > 0.0);
     }
@@ -712,7 +709,7 @@ mod tests {
         // All jobs processed the full dataset.
         for unit in report.per_job() {
             assert_eq!(unit.epochs.len(), 2);
-            assert!(unit.steady_state().samples > 0);
+            assert!(unit.steady_state().counts.samples > 0);
         }
     }
 
@@ -818,12 +815,12 @@ mod tests {
         let total_a: u64 = report.per_job()[0]
             .epochs
             .iter()
-            .map(|e| e.bytes_from_cache + e.bytes_from_disk)
+            .map(|e| e.counts.bytes_from_cache + e.counts.bytes_from_storage)
             .sum();
         let total_b: u64 = report.per_job()[1]
             .epochs
             .iter()
-            .map(|e| e.bytes_from_cache + e.bytes_from_disk)
+            .map(|e| e.counts.bytes_from_cache + e.counts.bytes_from_storage)
             .sum();
         assert!((total_a as f64 / (2.0 * ds_a.total_bytes() as f64) - 1.0).abs() < 0.05);
         assert!((total_b as f64 / (2.0 * ds_b.total_bytes() as f64) - 1.0).abs() < 0.05);
@@ -853,7 +850,7 @@ mod tests {
             .run();
         for (i, unit) in report.per_job().iter().enumerate() {
             assert_eq!(
-                unit.epochs[0].bytes_from_cache, 0,
+                unit.epochs[0].counts.bytes_from_cache, 0,
                 "job {i} saw phantom warm-up cache hits: formats alias in the shared cache"
             );
         }
@@ -889,16 +886,24 @@ mod tests {
             .run();
         let ss_dram = dram_only.steady_state();
         let ss_tiered = tiered.steady_state();
-        assert_eq!(ss_dram.lower_tier_hits, 0, "single tier has no spill");
-        assert!(ss_tiered.lower_tier_hits > 0, "SSD tier serves spill hits");
-        assert!(
-            ss_tiered.bytes_from_disk < ss_dram.bytes_from_disk * 6 / 10,
-            "SSD tier absorbs misses: {} vs {}",
-            ss_tiered.bytes_from_disk,
-            ss_dram.bytes_from_disk
+        assert_eq!(
+            ss_dram.counts.lower_tier_hits, 0,
+            "single tier has no spill"
         );
         assert!(
-            (ss_tiered.dram_hit_ratio() - ss_dram.miss_ratio().mul_add(-1.0, 1.0)).abs() < 0.02,
+            ss_tiered.counts.lower_tier_hits > 0,
+            "SSD tier serves spill hits"
+        );
+        assert!(
+            ss_tiered.counts.bytes_from_storage < ss_dram.counts.bytes_from_storage * 6 / 10,
+            "SSD tier absorbs misses: {} vs {}",
+            ss_tiered.counts.bytes_from_storage,
+            ss_dram.counts.bytes_from_storage
+        );
+        assert!(
+            (ss_tiered.counts.dram_hit_ratio() - ss_dram.counts.miss_ratio().mul_add(-1.0, 1.0))
+                .abs()
+                < 0.02,
             "DRAM tier behaves like the single tier"
         );
         // The time ordering needs a durable store slower than the SSD tier:
@@ -973,16 +978,16 @@ mod tests {
             for (e, m) in unit.epochs.iter().enumerate() {
                 let active = schedule[j].is_active(e as u64);
                 assert_eq!(
-                    m.samples > 0,
+                    m.counts.samples > 0,
                     active,
                     "tenant {j} epoch {e}: samples={} active={active}",
-                    m.samples
+                    m.counts.samples
                 );
             }
         }
         // Tenant 0 spans the run; with a warm shared cache its later epochs
         // serve bytes from the cache.
-        assert!(a.per_job()[0].epochs[1].bytes_from_cache > 0);
+        assert!(a.per_job()[0].epochs[1].counts.bytes_from_cache > 0);
     }
 
     #[test]
@@ -1020,10 +1025,10 @@ mod tests {
         let contended = &report.per_job()[0].epochs[(schedule[1].departure - 1) as usize];
         let reclaimed = report.per_job()[0].epochs.last().unwrap();
         assert!(
-            reclaimed.cache_hits > contended.cache_hits,
+            reclaimed.counts.cache_hits > contended.counts.cache_hits,
             "reclaimed window raises the survivor's hits: {} vs {}",
-            reclaimed.cache_hits,
-            contended.cache_hits
+            reclaimed.counts.cache_hits,
+            contended.counts.cache_hits
         );
     }
 

@@ -279,6 +279,7 @@ pub(crate) fn single_epoch_fast(
                     .sum();
             }
         }
+        bf.counts.samples = batch.len() as u64;
         bf.fetch_secs = local_fetch_secs(&bf, lower_secs, latency, bandwidth, 1.0);
 
         let prep = prep_secs_for_batch(job, raw_bytes, cores);
@@ -287,7 +288,7 @@ pub(crate) fn single_epoch_fast(
         } else {
             compute_secs_for_batch(job, server.gpu, batch.len())
         };
-        acc.push_batch(&bf, prep, compute, batch.len() as u64);
+        acc.push_batch(&bf, prep, compute);
     }
     acc.finish(IO_BINS)
 }
@@ -308,6 +309,7 @@ fn replay_access(
     lower_secs: &mut f64,
 ) {
     let tier = unit_tier[key];
+    let c = &mut bf.counts;
     if num_tiers == 1 {
         // Single-tier (DramOnly) chain, the common sweep shape: `tier` is 0
         // or `NO_TIER`, no lower tiers exist, and the whole access reduces
@@ -315,10 +317,10 @@ fn replay_access(
         // hit/miss outcome, which the predictor cannot learn.
         let miss = (tier != 0) as u64;
         let hit = 1 - miss;
-        bf.cache_bytes += bytes * hit;
-        bf.hits += hit;
-        bf.disk_bytes += bytes * miss;
-        bf.misses += miss;
+        c.bytes_from_cache += bytes * hit;
+        c.cache_hits += hit;
+        c.bytes_from_storage += bytes * miss;
+        c.cache_misses += miss;
         let admit = miss & (tier_used[0] + bytes <= plan.caps[0]) as u64;
         tier_used[0] += bytes * admit;
         unit_tier[key] = if admit == 1 { 0 } else { tier };
@@ -326,22 +328,22 @@ fn replay_access(
     }
     if tier == 0 {
         // Hit at the top tier: served, nothing to admit.
-        bf.cache_bytes += bytes;
-        bf.hits += 1;
+        c.bytes_from_cache += bytes;
+        c.cache_hits += 1;
         return;
     }
     let probe_until = if tier == NO_TIER {
         // Store miss: every tier may admit.
-        bf.disk_bytes += bytes;
-        bf.misses += 1;
+        c.bytes_from_storage += bytes;
+        c.cache_misses += 1;
         num_tiers
     } else {
         // Lower-tier hit, charged at that tier's cost; the tiers above it
         // may promote.
-        bf.cache_bytes += bytes;
-        bf.hits += 1;
-        bf.lower_bytes += bytes;
-        bf.lower_hits += 1;
+        c.bytes_from_cache += bytes;
+        c.cache_hits += 1;
+        c.bytes_from_lower_tiers += bytes;
+        c.lower_tier_hits += 1;
         *lower_secs += plan.costs[tier as usize].access_seconds(bytes);
         tier
     };

@@ -60,5 +60,5 @@ pub use engine::EngineScratch;
 pub use experiment::{CacheSpec, EpochUpdate, Experiment, Scenario, SimReport};
 pub use job::JobSpec;
 pub use loader::{FetchOrder, LoaderConfig, LoaderKind};
-pub use metrics::{EpochMetrics, RunResult};
+pub use metrics::{EpochCounts, EpochMetrics, RunResult};
 pub use sweep::ExperimentSpec;

@@ -1,6 +1,109 @@
 //! Per-epoch and per-run metrics reported by the simulator.
 
+use crate::json::{int, Value};
 use simkit::{SimTime, StallBreakdown};
+use std::ops::AddAssign;
+
+/// The eight per-epoch counts both engines keep: samples, where their bytes
+/// came from and how the cache answered.  The simulator's [`EpochMetrics`]
+/// and the runtime's `coordl::EpochTrajectory` each embed one, so the
+/// `validate` figure row folds predicted and measured epochs with one piece
+/// of code and compares them with `==`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EpochCounts {
+    /// Samples delivered.
+    pub samples: u64,
+    /// Bytes served from the local cache tiers.
+    pub bytes_from_cache: u64,
+    /// Bytes read from storage.
+    pub bytes_from_storage: u64,
+    /// Bytes fetched from remote caches (partitioned caching only).
+    pub bytes_from_remote: u64,
+    /// Of `bytes_from_cache`, the bytes served by cache tiers below DRAM
+    /// (the local-SSD level of a tiered cache; zero for a single tier).
+    pub bytes_from_lower_tiers: u64,
+    /// Cache hits (fetch units), local and remote, summed across every tier
+    /// of the cache.
+    pub cache_hits: u64,
+    /// Cache misses (fetch units): reads that fell through to storage.
+    pub cache_misses: u64,
+    /// Of `cache_hits`, the hits served by cache tiers below DRAM.
+    pub lower_tier_hits: u64,
+}
+
+impl AddAssign for EpochCounts {
+    fn add_assign(&mut self, other: EpochCounts) {
+        *self = self.zip_with(other, |a, b| a + b);
+    }
+}
+
+impl EpochCounts {
+    /// `f` of each count of `self` and the same count of `other`.
+    fn zip_with(self, other: EpochCounts, f: impl Fn(u64, u64) -> u64) -> EpochCounts {
+        EpochCounts {
+            samples: f(self.samples, other.samples),
+            bytes_from_cache: f(self.bytes_from_cache, other.bytes_from_cache),
+            bytes_from_storage: f(self.bytes_from_storage, other.bytes_from_storage),
+            bytes_from_remote: f(self.bytes_from_remote, other.bytes_from_remote),
+            bytes_from_lower_tiers: f(self.bytes_from_lower_tiers, other.bytes_from_lower_tiers),
+            cache_hits: f(self.cache_hits, other.cache_hits),
+            cache_misses: f(self.cache_misses, other.cache_misses),
+            lower_tier_hits: f(self.lower_tier_hits, other.lower_tier_hits),
+        }
+    }
+
+    /// The epoch delta of cumulative counters: what `self` counted since
+    /// `earlier`, a snapshot of the same counters.
+    pub fn since(&self, earlier: &EpochCounts) -> EpochCounts {
+        self.zip_with(*earlier, |now, then| now - then)
+    }
+
+    /// `count` over the fetch units looked up (0 when there were none).
+    fn per_lookup(&self, count: u64) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            count as f64 / total as f64
+        }
+    }
+
+    /// Cache hit ratio over fetch units.
+    pub fn hit_ratio(&self) -> f64 {
+        self.per_lookup(self.cache_hits)
+    }
+
+    /// Cache miss ratio over fetch units.
+    pub fn miss_ratio(&self) -> f64 {
+        self.per_lookup(self.cache_misses)
+    }
+
+    /// Hit ratio of the DRAM (topmost) cache tier over fetch units.
+    pub fn dram_hit_ratio(&self) -> f64 {
+        self.per_lookup(self.cache_hits - self.lower_tier_hits)
+    }
+
+    /// Hit ratio of the cache tiers below DRAM over fetch units (zero on
+    /// single-tier runs).
+    pub fn lower_tier_hit_ratio(&self) -> f64 {
+        self.per_lookup(self.lower_tier_hits)
+    }
+
+    /// The counts as the per-epoch fields of both engines' JSON documents
+    /// (`SimReport::to_json`, `coordl::LoaderReport::to_json`).
+    pub fn json_fields(&self) -> [(&'static str, Value); 8] {
+        [
+            ("samples", int(self.samples)),
+            ("bytes_from_cache", int(self.bytes_from_cache)),
+            ("bytes_from_disk", int(self.bytes_from_storage)),
+            ("bytes_from_remote", int(self.bytes_from_remote)),
+            ("cache_hits", int(self.cache_hits)),
+            ("cache_misses", int(self.cache_misses)),
+            ("bytes_from_lower_tiers", int(self.bytes_from_lower_tiers)),
+            ("lower_tier_hits", int(self.lower_tier_hits)),
+        ]
+    }
+}
 
 /// Everything measured for one epoch of one job.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -9,25 +112,8 @@ pub struct EpochMetrics {
     pub epoch: u64,
     /// Wall-clock / stall breakdown for the epoch.
     pub breakdown: StallBreakdown,
-    /// Samples processed.
-    pub samples: u64,
-    /// Bytes served from the local software cache.
-    pub bytes_from_cache: u64,
-    /// Bytes read from the local storage device.
-    pub bytes_from_disk: u64,
-    /// Bytes fetched from remote caches (partitioned caching only).
-    pub bytes_from_remote: u64,
-    /// Cache hits (fetch units), summed across every tier of the node's
-    /// cache chain.
-    pub cache_hits: u64,
-    /// Cache misses (fetch units): reads that fell through to the device.
-    pub cache_misses: u64,
-    /// Of `bytes_from_cache`, the bytes served by cache tiers below DRAM
-    /// (the local-SSD spill tier of a `CacheSpec::Tiered` run; zero on
-    /// single-tier runs).
-    pub bytes_from_lower_tiers: u64,
-    /// Of `cache_hits`, the hits served by cache tiers below DRAM.
-    pub lower_tier_hits: u64,
+    /// Samples processed, bytes by source, cache hits and misses.
+    pub counts: EpochCounts,
     /// Disk I/O over time: `(window_start_seconds, bytes_read_in_window)`.
     pub io_timeline: Vec<(f64, f64)>,
 }
@@ -43,17 +129,7 @@ impl EpochMetrics {
         if self.breakdown.epoch_time.is_zero() {
             0.0
         } else {
-            self.samples as f64 / self.epoch_seconds()
-        }
-    }
-
-    /// Cache miss ratio over fetch units.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_misses as f64 / total as f64
+            self.counts.samples as f64 / self.epoch_seconds()
         }
     }
 
@@ -65,27 +141,6 @@ impl EpochMetrics {
     /// Fraction of epoch time spent stalled on prep.
     pub fn prep_stall_fraction(&self) -> f64 {
         self.breakdown.prep_stall_fraction()
-    }
-
-    /// Hit ratio of the DRAM (topmost) cache tier over fetch units.
-    pub fn dram_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.cache_hits - self.lower_tier_hits) as f64 / total as f64
-        }
-    }
-
-    /// Hit ratio of the cache tiers below DRAM over fetch units (zero on
-    /// single-tier runs).
-    pub fn lower_tier_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.lower_tier_hits as f64 / total as f64
-        }
     }
 }
 
@@ -121,14 +176,14 @@ impl RunResult {
             SimTime::from_secs(avg(&|e| e.breakdown.compute_time.as_secs()));
         out.breakdown.fetch_stall = SimTime::from_secs(avg(&|e| e.breakdown.fetch_stall.as_secs()));
         out.breakdown.prep_stall = SimTime::from_secs(avg(&|e| e.breakdown.prep_stall.as_secs()));
-        out.samples = (avg(&|e| e.samples as f64)) as u64;
-        out.bytes_from_cache = avg(&|e| e.bytes_from_cache as f64) as u64;
-        out.bytes_from_disk = avg(&|e| e.bytes_from_disk as f64) as u64;
-        out.bytes_from_remote = avg(&|e| e.bytes_from_remote as f64) as u64;
-        out.cache_hits = avg(&|e| e.cache_hits as f64) as u64;
-        out.cache_misses = avg(&|e| e.cache_misses as f64) as u64;
-        out.bytes_from_lower_tiers = avg(&|e| e.bytes_from_lower_tiers as f64) as u64;
-        out.lower_tier_hits = avg(&|e| e.lower_tier_hits as f64) as u64;
+        let mut total = EpochCounts::default();
+        for e in tail {
+            total += e.counts;
+        }
+        // An integer mean, truncated; the `validate` row folds the exact
+        // per-epoch counts instead.
+        let epochs = tail.len() as u64;
+        out.counts = total.zip_with(total, |sum, _| sum / epochs);
         out
     }
 
@@ -149,7 +204,10 @@ impl RunResult {
 
     /// Total bytes read from disk across all epochs.
     pub fn total_disk_bytes(&self) -> u64 {
-        self.epochs.iter().map(|e| e.bytes_from_disk).sum()
+        self.epochs
+            .iter()
+            .map(|e| e.counts.bytes_from_storage)
+            .sum()
     }
 }
 
@@ -168,14 +226,14 @@ mod tests {
                 prep_stall: SimTime::from_secs(time * 0.1),
                 iterations: 10,
             },
-            samples,
-            bytes_from_cache: 100,
-            bytes_from_disk: disk,
-            bytes_from_remote: 0,
-            cache_hits: 50,
-            cache_misses: 50,
-            bytes_from_lower_tiers: 0,
-            lower_tier_hits: 0,
+            counts: EpochCounts {
+                samples,
+                bytes_from_cache: 100,
+                bytes_from_storage: disk,
+                cache_hits: 50,
+                cache_misses: 50,
+                ..EpochCounts::default()
+            },
             io_timeline: Vec::new(),
         }
     }
@@ -184,7 +242,7 @@ mod tests {
     fn samples_per_sec_and_miss_ratio() {
         let e = epoch(0, 10.0, 1000, 0);
         assert!((e.samples_per_sec() - 100.0).abs() < 1e-9);
-        assert!((e.miss_ratio() - 0.5).abs() < 1e-12);
+        assert!((e.counts.miss_ratio() - 0.5).abs() < 1e-12);
         assert!((e.fetch_stall_fraction() - 0.3).abs() < 1e-9);
     }
 
@@ -194,13 +252,47 @@ mod tests {
             epochs: vec![
                 epoch(0, 100.0, 1000, 999),
                 epoch(1, 10.0, 1000, 5),
-                epoch(2, 12.0, 1000, 7),
+                epoch(2, 12.0, 1000, 8),
             ],
         };
         let ss = run.steady_state();
         assert!((ss.epoch_seconds() - 11.0).abs() < 1e-9);
-        assert_eq!(ss.bytes_from_disk, 6);
-        assert_eq!(run.total_disk_bytes(), 1011);
+        assert_eq!(ss.counts.bytes_from_storage, 6, "a truncated integer mean");
+        assert_eq!(run.total_disk_bytes(), 1012);
+    }
+
+    #[test]
+    fn counts_add_up_and_an_epoch_is_the_delta_of_two_snapshots() {
+        let epoch = EpochCounts {
+            samples: 64,
+            bytes_from_cache: 3_000,
+            bytes_from_storage: 5_000,
+            bytes_from_remote: 700,
+            bytes_from_lower_tiers: 1_000,
+            cache_hits: 40,
+            cache_misses: 24,
+            lower_tier_hits: 10,
+        };
+        let mut cumulative = EpochCounts::default();
+        cumulative += epoch;
+        let start = cumulative;
+        cumulative += epoch;
+        cumulative += epoch;
+        assert_eq!(cumulative.samples, 3 * 64);
+        assert_eq!(cumulative.lower_tier_hits, 3 * 10);
+        let two = cumulative.since(&start);
+        assert_eq!(two.since(&epoch), epoch, "every count moves alike");
+        assert_eq!(two.bytes_from_remote, 1_400);
+        assert_eq!(two.cache_misses, 48);
+        assert_eq!(
+            EpochCounts::default().since(&EpochCounts::default()),
+            EpochCounts::default()
+        );
+        // The ratios are over fetch units looked up, and zero without any.
+        assert!((two.hit_ratio() - 40.0 / 64.0).abs() < 1e-12);
+        assert!((two.dram_hit_ratio() - 30.0 / 64.0).abs() < 1e-12);
+        assert!((two.lower_tier_hit_ratio() - 10.0 / 64.0).abs() < 1e-12);
+        assert_eq!(EpochCounts::default().miss_ratio(), 0.0);
     }
 
     #[test]

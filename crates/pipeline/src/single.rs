@@ -46,7 +46,10 @@ mod tests {
         );
         let run = run_single(&server, &job, 3);
         let ss = run.steady_state();
-        assert_eq!(ss.bytes_from_disk, 0, "everything should be cached");
+        assert_eq!(
+            ss.counts.bytes_from_storage, 0,
+            "everything should be cached"
+        );
         assert!(ss.fetch_stall_fraction() < 0.02);
     }
 
@@ -109,13 +112,13 @@ mod tests {
         // CoorDL's MinIO cache reaches the capacity-miss minimum (~35 % of
         // items), the LRU page cache thrashes and misses more (§5.1).
         assert!(
-            coordl_ss.miss_ratio() < dali_ss.miss_ratio(),
+            coordl_ss.counts.miss_ratio() < dali_ss.counts.miss_ratio(),
             "MinIO miss {} should be below LRU miss {}",
-            coordl_ss.miss_ratio(),
-            dali_ss.miss_ratio()
+            coordl_ss.counts.miss_ratio(),
+            dali_ss.counts.miss_ratio()
         );
-        assert!((coordl_ss.miss_ratio() - 0.35).abs() < 0.05);
-        assert!(coordl_ss.bytes_from_disk < dali_ss.bytes_from_disk);
+        assert!((coordl_ss.counts.miss_ratio() - 0.35).abs() < 0.05);
+        assert!(coordl_ss.counts.bytes_from_storage < dali_ss.counts.bytes_from_storage);
         // And that translates into faster epochs.
         assert!(coordl_run.speedup_over(&dali_run) >= 1.0);
     }
@@ -133,9 +136,9 @@ mod tests {
         let run = run_single(&server, &job, 2);
         let warm = run.warmup();
         // Cold cache: every byte of the first epoch comes from storage.
-        assert_eq!(warm.bytes_from_cache, 0);
+        assert_eq!(warm.counts.bytes_from_cache, 0);
         let expected: u64 = ds.total_bytes();
-        let ratio = warm.bytes_from_disk as f64 / expected as f64;
+        let ratio = warm.counts.bytes_from_storage as f64 / expected as f64;
         assert!((ratio - 1.0).abs() < 0.05, "disk bytes ratio {ratio}");
     }
 
@@ -169,7 +172,7 @@ mod tests {
         let e = &run.epochs[1];
         assert!(!e.io_timeline.is_empty());
         let sum: f64 = e.io_timeline.iter().map(|&(_, v)| v).sum();
-        assert!((sum - e.bytes_from_disk as f64).abs() < 1.0);
+        assert!((sum - e.counts.bytes_from_storage as f64).abs() < 1.0);
     }
 
     #[test]

@@ -102,14 +102,14 @@ fn main() {
         dali.epoch_seconds(),
         dali.samples_per_sec(),
         dali.fetch_stall_fraction() * 100.0,
-        dali.miss_ratio()
+        dali.counts.miss_ratio()
     );
     println!(
         "CoorDL: {:8.2} s/epoch, {:6.0} samples/s, {:5.1}% fetch stall, miss ratio {:.2}",
         coordl.epoch_seconds(),
         coordl.samples_per_sec(),
         coordl.fetch_stall_fraction() * 100.0,
-        coordl.miss_ratio()
+        coordl.counts.miss_ratio()
     );
     println!("speedup: {:.2}x", coordl_run.speedup_over(&dali_run));
 }

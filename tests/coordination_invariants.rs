@@ -202,7 +202,7 @@ fn loader_minio_cache_hits_equal_capacity_after_warmup() {
     // The same invariant is visible in the unified report's trajectories.
     let report = session.report();
     assert_eq!(report.epochs.len(), 2);
-    assert_eq!(report.epochs[1].cache_hits, resident_after_warmup);
+    assert_eq!(report.epochs[1].counts.cache_hits, resident_after_warmup);
 }
 
 #[test]

@@ -187,15 +187,15 @@ fn counted(report: &LoaderReport) -> Vec<String> {
         format!(
             "{} {} {} {} {} {} {} {} {} {} {} {} {}",
             e.epoch,
-            e.bytes_from_storage,
-            e.bytes_from_cache,
-            e.bytes_from_lower_tiers,
-            e.bytes_from_remote,
+            e.counts.bytes_from_storage,
+            e.counts.bytes_from_cache,
+            e.counts.bytes_from_lower_tiers,
+            e.counts.bytes_from_remote,
             e.samples_prepared,
-            e.samples_delivered,
-            e.cache_hits,
-            e.cache_misses,
-            e.lower_tier_hits,
+            e.counts.samples,
+            e.counts.cache_hits,
+            e.counts.cache_misses,
+            e.counts.lower_tier_hits,
             e.device_seconds,
             e.staging_published,
             e.staging_evicted,

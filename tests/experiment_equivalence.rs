@@ -38,8 +38,8 @@ fn assert_degenerate_tier_equivalence(
     assert_eq!(flat, degenerate);
     for unit in flat.per_job() {
         for epoch in &unit.epochs {
-            assert_eq!(epoch.lower_tier_hits, 0);
-            assert_eq!(epoch.bytes_from_lower_tiers, 0);
+            assert_eq!(epoch.counts.lower_tier_hits, 0);
+            assert_eq!(epoch.counts.bytes_from_lower_tiers, 0);
         }
     }
 }
@@ -224,7 +224,7 @@ fn distributed_tiered_nodes_cut_disk_traffic() {
         .per_server()
         .iter()
         .flat_map(|unit| unit.epochs[1..].iter())
-        .map(|e| e.lower_tier_hits)
+        .map(|e| e.counts.lower_tier_hits)
         .sum();
     assert!(lower_hits > 0, "spill hits show up per server");
     assert!(
@@ -321,7 +321,7 @@ fn mixed_cluster_accounts_bytes_per_dataset() {
 
     for (unit, ds) in report.per_job().iter().zip([&ds_a, &ds_b]) {
         for epoch in &unit.epochs {
-            let delivered = epoch.bytes_from_cache + epoch.bytes_from_disk;
+            let delivered = epoch.counts.bytes_from_cache + epoch.counts.bytes_from_storage;
             let ratio = delivered as f64 / ds.total_bytes() as f64;
             assert!(
                 (ratio - 1.0).abs() < 0.05,
@@ -331,6 +331,6 @@ fn mixed_cluster_accounts_bytes_per_dataset() {
         }
         // The shared cache is smaller than the combined working set, so
         // neither job can run fully cached after warm-up.
-        assert!(unit.epochs[1].bytes_from_disk > 0);
+        assert!(unit.epochs[1].counts.bytes_from_storage > 0);
     }
 }

@@ -165,7 +165,7 @@ fn session_streams_match_the_manual_cluster_drive() {
     let report = session.report();
     assert_eq!(report.mode, "partitioned");
     assert_eq!(
-        report.epochs[1].bytes_from_storage, 0,
+        report.epochs[1].counts.bytes_from_storage, 0,
         "aggregate covers it"
     );
     assert!(report.bytes_from_remote > 0);

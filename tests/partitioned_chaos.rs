@@ -16,6 +16,7 @@ use benchkit::runtime::StreamDigest;
 use datastalls::cache::{rendezvous_order, PartitionedIndex, ServerId};
 use datastalls::coordl::{FaultEvent, FaultKind, FaultPlan, Mode, Session, SessionConfig};
 use datastalls::dataset::EpochSampler;
+use datastalls::pipeline::EpochCounts;
 use datastalls::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -219,15 +220,15 @@ fn rejoining_with_a_warm_tier_restores_the_storage_free_steady_state() {
 
     let report = session.report();
     assert!(
-        report.epochs[1].bytes_from_storage > 0,
+        report.epochs[1].counts.bytes_from_storage > 0,
         "the kill must cost storage reads"
     );
     assert_eq!(
-        report.epochs[3].bytes_from_storage, 0,
+        report.epochs[3].counts.bytes_from_storage, 0,
         "after a warm rejoin plus one heal epoch, no fetch reaches storage"
     );
     assert!(
-        report.epochs[3].bytes_from_remote > 0,
+        report.epochs[3].counts.bytes_from_remote > 0,
         "steady state serves the rejoined node's bytes over the fabric"
     );
     assert_eq!(
@@ -241,17 +242,6 @@ fn rejoining_with_a_warm_tier_restores_the_storage_free_steady_state() {
 // Prediction equals measurement
 // ---------------------------------------------------------------------------
 
-/// What one side of a partitioned-chaos run saw, summed over every server
-/// epoch from 1 on (the `validate` row's `Fold::Sum`).
-#[derive(Debug, Default, PartialEq, Eq)]
-struct ChaosTotals {
-    hits: u64,
-    misses: u64,
-    disk_bytes: u64,
-    remote_bytes: u64,
-    samples: u64,
-}
-
 /// Epochs of a prediction-vs-measurement run.
 const AGREE_EPOCHS: u64 = 6;
 
@@ -261,13 +251,14 @@ const AGREE_EPOCHS: u64 = 6;
 /// caches holding `cache_frac` of the dataset per node, batch 64, one prep
 /// worker, the simulated server's device profile, node streams drained one
 /// after another — but with 1 KiB average items, so a debug build runs it
-/// in seconds.
+/// in seconds.  Each side's counts are summed over every server epoch from 1
+/// on (the `validate` row's `Fold::Sum`).
 fn predicted_and_measured(
     servers: usize,
     faults: usize,
     seed: u64,
     cache_frac: f64,
-) -> (ChaosTotals, ChaosTotals) {
+) -> (EpochCounts, EpochCounts) {
     let spec = DatasetSpec::new("chaos-agree", 320, 1024, 0.6, 6.0);
     let server =
         ServerConfig::config_ssd_v100().with_cache_fraction(spec.total_bytes(), cache_frac);
@@ -287,14 +278,10 @@ fn predicted_and_measured(
         })
         .epochs(AGREE_EPOCHS)
         .run();
-    let mut predicted = ChaosTotals::default();
+    let mut predicted = EpochCounts::default();
     for unit in report.per_server() {
         for e in unit.epochs.iter().filter(|e| e.epoch >= 1) {
-            predicted.hits += e.cache_hits;
-            predicted.misses += e.cache_misses;
-            predicted.disk_bytes += e.bytes_from_disk;
-            predicted.remote_bytes += e.bytes_from_remote;
-            predicted.samples += e.samples;
+            predicted += e.counts;
         }
     }
 
@@ -329,13 +316,9 @@ fn predicted_and_measured(
             }
         }
     }
-    let mut measured = ChaosTotals::default();
+    let mut measured = EpochCounts::default();
     for e in session.report().epochs.iter().filter(|e| e.epoch >= 1) {
-        measured.hits += e.cache_hits;
-        measured.misses += e.cache_misses;
-        measured.disk_bytes += e.bytes_from_storage;
-        measured.remote_bytes += e.bytes_from_remote;
-        measured.samples += e.samples_delivered;
+        measured += e.counts;
     }
     (predicted, measured)
 }

@@ -196,11 +196,11 @@ proptest! {
 
         for run in [&small, &big] {
             for epoch in &run.epochs {
-                let accounted = epoch.bytes_from_cache + epoch.bytes_from_disk + epoch.bytes_from_remote;
+                let accounted = epoch.counts.bytes_from_cache + epoch.counts.bytes_from_storage + epoch.counts.bytes_from_remote;
                 // Every fetched byte is attributed to exactly one source and
                 // epochs deliver the whole (scaled) dataset's worth of items.
                 prop_assert!(accounted > 0);
-                prop_assert_eq!(epoch.cache_hits + epoch.cache_misses, dataset.num_items);
+                prop_assert_eq!(epoch.counts.cache_hits + epoch.counts.cache_misses, dataset.num_items);
             }
         }
         prop_assert!(

@@ -139,12 +139,12 @@ fn one_tenant_report_matches_except_for_the_tenant_block() {
             .iter()
             .map(|e| {
                 (
-                    e.bytes_from_storage,
-                    e.bytes_from_cache,
-                    e.cache_hits,
-                    e.cache_misses,
+                    e.counts.bytes_from_storage,
+                    e.counts.bytes_from_cache,
+                    e.counts.cache_hits,
+                    e.counts.cache_misses,
                     e.samples_prepared,
-                    e.samples_delivered,
+                    e.counts.samples,
                 )
             })
             .collect()

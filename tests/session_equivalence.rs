@@ -147,14 +147,14 @@ fn default_chain_tier_matches_dedicated_minio_byte_cache_bitwise() {
         let row = |e: &EpochTrajectory| {
             [
                 e.epoch,
-                e.bytes_from_storage,
-                e.bytes_from_cache,
-                e.bytes_from_lower_tiers,
-                e.cache_hits,
-                e.cache_misses,
-                e.lower_tier_hits,
+                e.counts.bytes_from_storage,
+                e.counts.bytes_from_cache,
+                e.counts.bytes_from_lower_tiers,
+                e.counts.cache_hits,
+                e.counts.cache_misses,
+                e.counts.lower_tier_hits,
                 e.samples_prepared,
-                e.samples_delivered,
+                e.counts.samples,
             ]
         };
         report.epochs.iter().map(row).collect()

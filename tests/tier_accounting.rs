@@ -54,13 +54,15 @@ fn fifo_victim_log_is_exact_insertion_order() {
 
 #[test]
 fn clock_victim_log_follows_second_chance_order_exactly() {
-    // Hand-computed trace against the ring/swap_remove implementation:
-    //   insert 1,2,3            ring [1,2,3], all unreferenced
+    // Hand-computed trace on the textbook clock: a victim's frame takes the
+    // new key and the hand moves past it.
+    //   insert 1,2,3            frames [1,2,3], hand at 1, all unreferenced
     //   hit 2                   ref(2)
-    //   insert 4: hand at 1 (unref) -> evict 1; 3 swaps into slot 0
+    //   insert 4: 1 is unreferenced -> evict 1; frames [4,2,3], hand at 2
     //   hit 3                   ref(3)
-    //   insert 5: hand clears 3, clears 2, lands on 4 (unref) -> evict 4
-    //   insert 6: hand at slot of 5 (unref, no second chance yet) -> evict 5
+    //   insert 5: hand clears 2, clears 3, lands on 4 -> evict 4;
+    //             frames [5,2,3], hand at 2
+    //   insert 6: 2 spent its second chance -> evict 2; hand at 3
     let mut c = PolicyCache::new(PolicyKind::Clock, 3);
     c.set_eviction_tracking(true);
     for k in [1u64, 2, 3] {
@@ -71,9 +73,9 @@ fn clock_victim_log_follows_second_chance_order_exactly() {
     c.access(3, 1);
     c.access(5, 1);
     c.access(6, 1);
-    assert_eq!(c.take_evicted(), vec![1, 4, 5]);
-    // The referenced entries survived their second chance.
-    assert!(c.contains(&2) && c.contains(&3) && c.contains(&6));
+    assert_eq!(c.take_evicted(), vec![1, 4, 2]);
+    // The newest keys stay: the hand reaches them last.
+    assert!(c.contains(&3) && c.contains(&5) && c.contains(&6));
 }
 
 #[test]
@@ -262,9 +264,12 @@ fn cases(default: u32) -> u32 {
 
 /// An obviously-correct byte-capacity cache: one vector of resident
 /// `(key, size, referenced)` entries, scanned linearly.  LRU keeps it in
-/// recency order (least recent first), FIFO and MinIO in arrival order,
-/// CLOCK as a ring walked by `hand` whose evictions and removals
-/// swap-remove.  It logs every victim and counts its own statistics.
+/// recency order (least recent first), FIFO and MinIO in arrival order.
+/// CLOCK is the textbook one: the vector is a circle of frames and `hand`
+/// points at the next frame to inspect; a referenced frame loses its bit and
+/// the hand moves on, an unreferenced one is the victim, the new key takes
+/// the victim's place and the hand moves past it.  It logs every victim and
+/// counts its own statistics.
 struct PolicyModel {
     kind: PolicyKind,
     cap: u64,
@@ -279,10 +284,23 @@ impl PolicyModel {
         self.items.iter().map(|&(_, size, _)| size).sum()
     }
 
+    /// Take the entry at `pos` out; the hand keeps pointing at the frame it
+    /// pointed at, or at the next one if `pos` was the hand's.
     fn take(&mut self, pos: usize) -> (u64, u64, bool) {
-        match self.kind {
-            PolicyKind::Clock => self.items.swap_remove(pos),
-            _ => self.items.remove(pos),
+        if pos < self.hand {
+            self.hand -= 1;
+        }
+        self.items.remove(pos)
+    }
+
+    /// Admit a new, unreferenced key: at the back, or on the clock just
+    /// behind the hand (where the last victim was).
+    fn insert(&mut self, key: u64, size: u64) {
+        if self.kind == PolicyKind::Clock {
+            self.items.insert(self.hand, (key, size, false));
+            self.hand += 1;
+        } else {
+            self.items.push((key, size, false));
         }
     }
 
@@ -324,7 +342,7 @@ impl PolicyModel {
             self.victims.push(victim);
             self.stats.evictions += 1;
         }
-        self.items.push((key, size, false));
+        self.insert(key, size);
         self.stats.insertions += 1;
         AccessOutcome::Inserted
     }
