@@ -8,7 +8,7 @@
 //! prefetching executor** (the crate's `executor` module): its fetch stage
 //! sweeps the epoch's batches in training order per cache shard (so the
 //! shared cache tier sees a deterministic access sequence at any
-//! `fetch_threads`) and a pool of prep workers pre-processes them in
+//! `fetch_threads`) and the process's prep pool pre-processes them in
 //! parallel, publishing each prepared minibatch into the [`StagingArea`]
 //! exactly once — the cache-once-serve-all invariant.  Every job then
 //! consumes the *entire* epoch — every minibatch exactly once — through its
@@ -35,7 +35,8 @@
 use crate::error::CoordlError;
 use crate::executor::{Lane, Plan, PrefetchExecutor, PreparedSink, SkipFn};
 use crate::minibatch::Minibatch;
-use crate::staging::{PublishOutcome, StagingArea, TakeError};
+use crate::pool;
+use crate::staging::{StagingArea, TakeError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -117,14 +118,14 @@ impl EpochState {
 /// The sink of an epoch's executors, main and recovery alike: publish into
 /// the staging area and keep the per-shard watermarks current.
 impl PreparedSink for EpochState {
-    fn publish(&self, mb: Minibatch) -> bool {
+    fn has_room(&self, index: usize) -> bool {
+        self.staging.has_room(index)
+    }
+
+    fn publish(&self, mb: Minibatch) {
         let index = mb.index;
-        match self.staging.publish(mb) {
-            PublishOutcome::Shutdown => false,
-            PublishOutcome::Published | PublishOutcome::Duplicate => {
-                self.mark_published(index);
-                true
-            }
+        if self.staging.publish(mb).is_live() {
+            self.mark_published(index);
         }
     }
 
@@ -223,9 +224,9 @@ impl EpochSession {
 
 impl Drop for EpochSession {
     fn drop(&mut self) {
-        // Shutting the staging area down first wakes any prep worker blocked
-        // in `publish` and stops every fetch thread at its next position, so
-        // each sweep can drain and join.  The sweeps are taken out of the
+        // Shutting the staging area down first stops every fetch thread at
+        // its next position and the prep pool from taking more positions,
+        // so each sweep can drain and join.  The sweeps are taken out of the
         // state and joined here: their threads hold the state as their sink,
         // so it must never be the state's own drop that joins them.
         self.state.staging.shutdown();
@@ -297,6 +298,8 @@ impl Iterator for JobEpochIterator {
                 Ok(batch) => {
                     self.next += 1;
                     stats.record_delivered(batch.len() as u64);
+                    // The take may have made room for a position.
+                    pool::wake();
                     return Some(Ok(batch));
                 }
                 // A failed epoch shut its staging area down: say why.

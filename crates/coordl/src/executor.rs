@@ -5,26 +5,26 @@
 //! the consumer and pre-process them on parallel CPU workers so storage and
 //! prep latency hide behind the GPU (§2, §5).  This module implements that
 //! overlap once, for all three session modes and for coordinated recovery —
-//! three share-nothing stages joined by bounded channels:
+//! a sweep's fetch threads, joined by bounded lanes to the process's one
+//! prep pool ([`crate::pool`]):
 //!
 //! ```text
 //!   plan (ordered batches, shared by reference)
-//!        │ fetch stage: `fetch_threads` >= 1 threads; thread `t` walks the
-//!        │ plan in order and runs the tier transactions of the items of the
-//!        │ cache shards `{k : k % fetch_threads == t}`
+//!        │ fetch stage: `fetch_threads` >= 1 threads per sweep; thread `t`
+//!        │ walks the plan in order and runs the tier transactions of the
+//!        │ items of the cache shards `{k : k % fetch_threads == t}`
 //!        ▼
 //!   one bounded thread lane per fetch thread (prefetch_depth positions):
 //!   one partial per plan position — a cell per item the thread owns there,
 //!   holding its bytes or a *hole*: a bypassed miss not read yet.  While
 //!   its lane is full, the thread reads the holes of the positions queued
-//!   in it, oldest first; with none left it *lends* itself to prep — it
-//!   assembles and preps the next position, like a prep worker, while the
-//!   process has a core no prep worker holds — and only then blocks
-//!        │ N prep workers, and the fetch threads they lend; one at a time
-//!        │ assembles the next position from every thread lane, then all
-//!        │ prep in parallel, deterministically per (epoch, item): first
-//!        │ the cells that hold bytes, then the holes nobody claimed (read
-//!        │ by whoever preps), last the holes a fetch thread is still reading
+//!   in it, oldest first, and only then blocks
+//!        │ the prep pool: `available_parallelism` threads for the whole
+//!        │ process, serving every live sweep in turn.  A pool thread
+//!        │ assembles a sweep's next position from every thread lane and
+//!        │ preps it, deterministically per (epoch, item): first the cells
+//!        │ that hold bytes, then the holes nobody claimed (read by the pool
+//!        │ thread), last the holes a fetch thread is still reading
 //!        ▼
 //!   PreparedSink — the epoch's StagingArea: one consumer for a single /
 //!                  partitioned stream, every job in a coordinated epoch
@@ -38,19 +38,14 @@
 //! given key are executed by exactly one thread, in plan order for that
 //! key's shard — the per-shard access subsequence is the same for every
 //! `f`, and for `f = 1` it is the whole plan in order on one thread.  That
-//! per-shard *program order* is the whole contract, and it needs no state
-//! shared between fetch threads: a thread waits only on its own lane.
-//! Cache hits, misses, byte provenance and eviction decisions are therefore
-//! a pure function of the plan and the shard count: streams and
-//! [`LoaderStats`] counters are bit-identical across `fetch_threads`,
-//! `workers` and `prefetch_depth` for *any* tier policy (the index-ordered
-//! staging area and the per-`(epoch, item)` deterministic prep carry that
-//! through to the delivered minibatches); only the stage-timing counters
-//! (fetch busy/stall per thread, prep busy/stall, consumer wait), the split
-//! of hole reads between threads and the positions fetch threads prepped
-//! move.  Lending changes nothing else: prep is the same function whichever
-//! thread runs it, and a lending thread's tier transactions still happen
-//! only in its plan-order loop.  The root
+//! per-shard *program order* is the whole contract.  Cache hits, misses,
+//! byte provenance and eviction decisions are therefore a pure function of
+//! the plan and the shard count: streams and [`LoaderStats`] counters are
+//! bit-identical across `fetch_threads`, `workers`, `prefetch_depth` and
+//! whatever else the process runs on the pool, for *any* tier policy (the
+//! index-ordered staging area and the per-`(epoch, item)` deterministic
+//! prep carry that through to the delivered minibatches); only the stage
+//! timings and the split of hole reads between threads move.  The root
 //! `tests/parallel_session_equivalence.rs`,
 //! `tests/parallel_fetch_equivalence.rs` and `tests/deferred_reads.rs`
 //! suites pin this contract.
@@ -62,85 +57,54 @@
 //! [`Fetched::Hole`] and the read happens later, exactly once, on whichever
 //! stage thread claims the hole first with one compare-and-swap — the fetch
 //! thread while its lane is full (and after the plan ends), for positions
-//! still queued in its lane, or the thread that assembled the position, for
-//! the holes left when it did.  The same items are read, each once and with
-//! the same bytes; only the thread and the moment change.  A hole read is
-//! counted in `bytes_from_storage` when it succeeds.  A thread prepping a
-//! position that waits for a hole a fetch thread was already reading parks
-//! on the position's condvar, and the reader signals it only when someone
-//! waits.
+//! still queued in its lane, or the pool thread that took the position, for
+//! the holes left when it did.  A hole read is counted in
+//! `bytes_from_storage` when it succeeds.  A pool thread that needs a hole
+//! a fetch thread was already reading parks on the position's condvar, and
+//! the reader signals it only when someone waits.
 //!
-//! **Lending.**  A [`CoreLedger`] counts the process's cores and who holds
-//! them: every prep worker registers a seat when its sweep is spawned,
-//! before any fetch thread starts, and gives it back when it exits; a fetch
-//! thread borrows a free seat with one compare-and-swap per position and
-//! gives it back once the position is prepped.  So a fetch thread preps
-//! only while the prep workers of every session in the process hold fewer
-//! seats than there are cores, and sessions whose workers fill the cores
-//! keep the schedule they had.  A lending thread never blocks to get a
-//! position: it takes the assembler with `try_lock` and reads the lanes
-//! with `try_recv`, and a position it found only partly there stays staged
-//! in the [`Assembler`] for the next caller.  Waiting there could deadlock:
-//! a fetch thread parked on its own lane, which only it fills.  The
-//! position it takes frees its own lane's head, so the partial it had
-//! fetched goes down the lane before it preps: it holds one position's
-//! payloads at a time, and the fetch → prep window of raw payloads stays
-//! `prefetch_depth + 1 + workers` positions with one fetch thread.  Its prep
-//! time counts as prep busy or prep stall, never as fetch time, and
-//! [`LoaderStats::lent_positions`] counts the positions it prepped.
+//! **No pool thread waits on a lane or a sink.**  The pool takes a position
+//! only when every lane already holds its partial (read with `try_recv`; a
+//! position found only partly there stays staged in the [`Assembler`]) and
+//! the sink has room for its batch ([`PreparedSink::has_room`]), so
+//! `publish` returns at once; see [`crate::pool`].  What a pool thread may
+//! wait for is a hole a fetch thread is reading, which the reader settles
+//! without waiting on anything: that wait is all that counts as prep stall.
 //!
-//! **Window and progress.**  A fetch thread runs at most `prefetch_depth`
-//! positions (plus the one it is handing over) ahead of the assembler.  A
-//! prep worker holds the assembler's lock across `recv` on purpose — lanes
-//! are FIFO, so nobody else could make progress on a later position anyway
-//! — and it waits only on a lane whose head is empty; that lane's thread is
-//! therefore fetching or prepping a position it took, not parked on a full
-//! lane, and a position it preps waits on nothing but holes other threads
-//! are reading and on the sink's own window, which positions assembled
-//! before it advance; so the wait ends.  Whoever preps a position waits only
-//! on a hole being read, which the reader settles without waiting on
-//! anything.  Each fetch thread's partials live in a ring the lane keeps
-//! across positions and epochs: `prefetch_depth + workers + fetch_threads +
-//! 1` of them, one more than its lane, the prep workers and the lending
-//! fetch threads can hold at once (a position staged in the assembler is
-//! one no lending thread holds), so a free one is always there and neither
-//! stage allocates per position.
+//! **Windows.**  A fetch thread runs at most `prefetch_depth` positions
+//! (plus the one it is handing over) ahead of the assembler, which holds at
+//! most one complete position waiting for room.  Its partials live in a
+//! ring the lane keeps across positions and epochs: `prefetch_depth +
+//! workers + fetch_threads + 1` of them, one more than its lane and the
+//! positions in prep or staged can hold at once, so neither stage allocates
+//! per position.
 //!
 //! **Recycled buffers.**  Whoever preps a batch prepares it into buffers
-//! popped from the lane's [`Spares`] under one lock — buffers the lane's
-//! streams took back from consumers that let go of a delivered batch (see
-//! [`BatchStream`](crate::BatchStream)); the lane's first batch makes every
-//! buffer the prepared-side window can hold (see `Lane::spares`).  It
-//! hands every raw payload it held the last reference to back to the
-//! backend.  A payload a session's cache tier still holds is not prep's to
-//! hand back: the tier returns it to the same backend when it drops it, and
-//! whichever of the two lets go last returns it, exactly once.  The prep
-//! scratch itself is kept too: the prep workers' on the lane, each fetch
-//! thread's in its ring, sized when the ring is fitted, so whether a thread
-//! ever lends changes nothing that is allocated.  In steady state neither
-//! stage allocates per sample, whether the tier keeps its misses or evicts
-//! on each one.
+//! popped from the lane's [`Spares`] — buffers the lane's streams took back
+//! from consumers that let go of a delivered batch (see
+//! [`BatchStream`](crate::BatchStream)) — and hands every raw payload it
+//! held the last reference to back to the backend.  A payload a session's
+//! cache tier still holds is the tier's to hand back when it drops it:
+//! whichever of the two lets go last returns it, exactly once.  Each pool
+//! thread keeps its prep scratch for the process's life, so in steady state
+//! neither stage allocates per sample.
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and handed to the sink's
-//! [`fail`](PreparedSink::fail) (a panic in a lent position's prep is a
-//! `"prep"` one); a typed fetch error, or a failed hole read on any thread,
-//! is handed over as it is, once, by the thread that saw it.  The sink ends
-//! the epoch, which wakes its consumers.  The failing fetch thread returns,
-//! which drops its lane's sender: the assembler sees the lane end and drops
-//! every lane receiver, the prep workers leave (the last one drops the
-//! receivers too, whatever ended the sweep), and any fetch thread parked on
-//! a full lane wakes and returns.  Only the owning session's streams observe
-//! the error.  Shutting down mid-epoch (dropping a stream or an epoch run)
-//! never deadlocks and never polls a clock: the owner shuts the sink down
-//! *before* joining, which unblocks any thread parked in `publish`, and the
-//! fetch threads read the sink's liveness once per position and once per
-//! hole.  Once every thread is joined, each payload still in a partial goes
-//! back to the backend.
+//! [`fail`](PreparedSink::fail) (a panic in a pool thread's prep is a
+//! `"prep"` one, and the thread goes on serving); a typed fetch error, or a
+//! failed hole read on any thread, is handed over as it is, once, by the
+//! thread that saw it.  The sink ends the epoch, which wakes its consumers;
+//! only the owning session's streams observe the error.  A failing fetch
+//! thread drops its lane's sender: the assembler sees the lane end and
+//! drops every lane receiver, which wakes a fetch thread parked on a full
+//! lane.  Teardown never deadlocks and never polls a clock (see
+//! [`PrefetchExecutor`]).
 
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
 use crate::minibatch::Minibatch;
+use crate::pool;
 use crate::spares::Spares;
 use crate::stack::read_hole;
 use crate::stats::LoaderStats;
@@ -181,15 +145,19 @@ pub(crate) type Plan = Arc<Vec<(usize, Vec<ItemId>)>>;
 /// Where an executor's threads deliver prepared minibatches and report
 /// failures: the epoch they sweep for.
 pub(crate) trait PreparedSink: Send + Sync + 'static {
-    /// Deliver one prepared minibatch.  Returning `false` tells the worker
-    /// to stop (the epoch was shut down).
-    fn publish(&self, mb: Minibatch) -> bool;
+    /// Whether batch `index` can be published without waiting.  Once
+    /// `true`, it stays `true` for that index.
+    fn has_room(&self, index: usize) -> bool;
+
+    /// Deliver one prepared minibatch, for which the sink had room.
+    fn publish(&self, mb: Minibatch);
 
     /// A stage thread failed: end the epoch with `err` (the first failure
     /// is the one its consumers see).
     fn fail(&self, err: CoordlError);
 
-    /// Whether the epoch still runs; fetch threads stop once it does not.
+    /// Whether the epoch still runs; fetch threads stop once it does not,
+    /// and the pool takes none of its positions.
     fn is_live(&self) -> bool;
 }
 
@@ -201,106 +169,12 @@ fn panicked(stage: &'static str, payload: Box<dyn Any + Send>) -> CoordlError {
     }
 }
 
-/// The cores a process's stage threads share, and how many of them prep
-/// holds: one seat per registered prep worker, plus one per fetch thread
-/// lent to prep for a position.  The count gates and publishes nothing
-/// else, so its atomics are relaxed.
-pub(crate) struct CoreLedger {
-    cores: usize,
-    seats: AtomicUsize,
-}
-
-/// A ledger that always has a free seat: every fetch thread lends.
-pub(crate) static LENDS: CoreLedger = CoreLedger::new(usize::MAX);
-
-/// A ledger with no seat to lend: no fetch thread ever preps.
-pub(crate) static NEVER_LENDS: CoreLedger = CoreLedger::new(0);
-
-thread_local! {
-    /// The ledger sessions built on this thread take instead of the
-    /// process's one (see [`with_lending`]).
-    static SESSION_LEDGER: std::cell::Cell<Option<&'static CoreLedger>> =
-        const { std::cell::Cell::new(None) };
-}
-
-impl CoreLedger {
-    const fn new(cores: usize) -> Self {
-        CoreLedger {
-            cores,
-            seats: AtomicUsize::new(0),
-        }
-    }
-
-    /// The ledger the lanes of every session share: as many cores as
-    /// `std::thread::available_parallelism` reports, read once.
-    fn process() -> &'static CoreLedger {
-        static PROCESS: OnceLock<CoreLedger> = OnceLock::new();
-        PROCESS.get_or_init(|| {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            CoreLedger::new(cores)
-        })
-    }
-
-    /// The ledger a session built now takes: the process's, unless
-    /// [`with_lending`] chose one for this thread.
-    pub(crate) fn for_sessions() -> &'static CoreLedger {
-        SESSION_LEDGER
-            .with(std::cell::Cell::get)
-            .unwrap_or_else(CoreLedger::process)
-    }
-
-    /// A prep worker's seat, taken whatever the count: prep workers are
-    /// what the cores are for.
-    fn register(&'static self) -> Seat {
-        self.seats.fetch_add(1, Ordering::Relaxed);
-        Seat(self)
-    }
-
-    /// A free seat for one lent position: one compare-and-swap, `None` when
-    /// every core is held or another thread took the free seat first.
-    fn borrow(&'static self) -> Option<Seat> {
-        let seats = self.seats.load(Ordering::Relaxed);
-        let free = seats < self.cores
-            && self
-                .seats
-                .compare_exchange(seats, seats + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
-        free.then(|| Seat(self))
-    }
-}
-
-/// One seat of a [`CoreLedger`], given back when dropped.
-struct Seat(&'static CoreLedger);
-
-impl Drop for Seat {
-    fn drop(&mut self) {
-        self.0.seats.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Run `build` with every session it builds on this thread lending its
-/// fetch threads to prep always (`true`) or never (`false`), whatever the
-/// host's cores and the process's other sessions.  For suites that pin
-/// that lending changes no stream or counter; not a tuning knob.
-#[doc(hidden)]
-pub fn with_lending<R>(lend: bool, build: impl FnOnce() -> R) -> R {
-    /// Puts the thread's previous choice back, also on a panic.
-    struct Restore(Option<&'static CoreLedger>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SESSION_LEDGER.with(|ledger| ledger.set(self.0));
-        }
-    }
-    let ledger = if lend { &LENDS } else { &NEVER_LENDS };
-    let _restore = Restore(SESSION_LEDGER.with(|cell| cell.replace(Some(ledger))));
-    build()
-}
-
 /// Thread counts and queue depth of an epoch executor, derived once per
 /// session from its [`SessionConfig`](crate::SessionConfig).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecutorConfig {
-    /// Prep worker threads (>= 1 enforced).
+    /// A sweep's share of the prep pool: it has at most `workers +
+    /// fetch_threads` positions in prep at once (>= 1 enforced).
     pub workers: usize,
     /// Plan positions each fetch thread's lane buffers ahead of the prep
     /// pool (>= 1 enforced).
@@ -317,13 +191,9 @@ pub(crate) struct ExecutorConfig {
 /// and gives it back once its threads are joined.
 type Rings = Mutex<Vec<Vec<Ring>>>;
 
-/// Spare prep-worker scratch: a sweep's prep workers each take one and
-/// give it back when they exit.
-type Scratch = Mutex<Vec<PrepWorker>>;
-
 /// One fetch → prep lane of a session: everything an epoch executor runs on
 /// except the epoch's plan and sink.  Built once per session (one per
-/// partitioned node) and cloned into the threads it spawns.
+/// partitioned node) and cloned into every sweep.
 #[derive(Clone)]
 pub(crate) struct Lane {
     /// Raw-byte source, called in plan order per cache shard.
@@ -337,31 +207,20 @@ pub(crate) struct Lane {
     pub pipeline: Arc<ExecutablePipeline>,
     /// Spare prepared-sample buffers: whoever preps a batch prepares into
     /// them (one lock per batch) and the lane's streams push back the
-    /// buffers of every batch the consumer let go of.  Built with the lane,
-    /// so it outlives the per-epoch executors.  Its window is the
-    /// prepared-side window — the most samples the lane's streams can hold
-    /// in flight together: the staging window, one batch per prep worker,
-    /// one per fetch thread (lent to prep) and the batch lent to the
-    /// consumer, i.e. `prefetch_depth + workers + fetch_threads + 1`
-    /// minibatches for a single or partitioned stream and `staging_window +
-    /// workers + fetch_threads + 1` in a coordinated epoch, exact at any
-    /// thread count.  The first batch finds the stack empty, and its prep
-    /// then makes the whole window, sized like that batch's buffers: had it
-    /// made only what was in flight, the count would grow whenever a later
-    /// epoch ran further ahead than any before it, a step of one minibatch
-    /// of buffers that depends on thread timing alone.  Beyond that, a
-    /// buffer is made only when every one that exists is in flight, so the
-    /// stack needs no cap.
+    /// buffers of every batch the consumer let go of.  Its window is the
+    /// most samples the lane's streams can hold in flight together: the
+    /// staging window — whose batch indices bound the positions in prep as
+    /// well as the staged batches — and the batch lent to the consumer,
+    /// i.e. `prefetch_depth + 1` minibatches for a single or partitioned
+    /// stream and `staging_window + 1` in a coordinated epoch, exact at any
+    /// thread count.  The first batch makes the whole window, so how many
+    /// buffers exist never depends on how far prep happened to run ahead;
+    /// beyond it, a buffer is made only when every one is in flight.
     pub spares: Arc<Spares>,
     /// The fetch threads' partials, kept across epochs: a sweep takes one
     /// set (a sweep running beside it, such as a coordinated recovery,
     /// finds none and makes its own) and returns it emptied.
     pub rings: Arc<Rings>,
-    /// The prep workers' scratch, kept across epochs the same way.
-    pub scratch: Arc<Scratch>,
-    /// Whose cores the lane's prep workers register on and its fetch
-    /// threads borrow from: the process's, for every session.
-    pub ledger: &'static CoreLedger,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
     /// Thread counts and queue depth.
@@ -369,9 +228,10 @@ pub(crate) struct Lane {
 }
 
 impl Lane {
-    /// Spawn the fetch threads and prep workers of one sweep over `plan`,
-    /// dropping the batches `skip` names and delivering the rest into
-    /// `sink`, the epoch every sweep over `plan` (main or recovery) shares.
+    /// Start one sweep over `plan`: spawn its fetch threads and register it
+    /// with the prep pool, dropping the batches `skip` names and delivering
+    /// the rest into `sink`, the epoch every sweep over `plan` (main or
+    /// recovery) shares.
     pub(crate) fn spawn(
         &self,
         epoch: u64,
@@ -379,155 +239,53 @@ impl Lane {
         skip: Option<Arc<SkipFn>>,
         sink: Arc<dyn PreparedSink>,
     ) -> PrefetchExecutor {
-        let workers = self.config.workers.max(1);
         let threads = self.config.fetch_threads.max(1);
         let depth = self.config.prefetch_depth.max(1);
-        // The prep workers hold their seats before any fetch thread could
-        // borrow one, and for as long as they run, busy or not.
-        let seats: Vec<Seat> = (0..workers).map(|_| self.ledger.register()).collect();
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..threads).map(|_| bounded::<Arc<Partial>>(depth)).unzip();
-        let assembler = Arc::new(Mutex::new(Assembler {
-            staged: Vec::with_capacity(threads),
-            lanes: receivers,
-            cursor: 0,
-        }));
-        let stage = Arc::new(FetchStage {
+        let (held, gone) = bounded(1);
+        let sweep = Arc::new(Sweep {
             lane: self.clone(),
             epoch,
             threads,
             shards: self.config.fetch_shards.max(1),
+            cap: self.config.workers.max(1) + threads,
+            cells: plan.iter().map(|(_, items)| items.len()).max().unwrap_or(0),
             skip: skip.map(|skip| (skip, plan.iter().map(|_| OnceLock::new()).collect())),
-            plan: Arc::clone(&plan),
-            sink: Arc::clone(&sink),
-            assembler: Arc::clone(&assembler),
+            plan,
+            sink,
+            _held: held,
         });
-        // Every partial a lane, the prep workers and the lending fetch
-        // threads can hold at once, plus the one being filled; each with a
-        // cell for every item of the largest batch.
-        let cells = plan.iter().map(|(_, items)| items.len()).max().unwrap_or(0);
+        // Registered before any fetch thread sends, so every send's wake
+        // finds the sweep.
+        pool::register(Arc::clone(&sweep), Assembler::new(receivers));
         let mut rings = self.rings.lock().pop().unwrap_or_default();
         rings.resize_with(threads, Ring::default);
         let mut fetchers = Vec::with_capacity(threads);
         for (thread, (mut ring, lane_tx)) in rings.into_iter().zip(senders).enumerate() {
-            ring.fit(depth + workers + threads + 1, cells, threads);
-            let stage = Arc::clone(&stage);
+            // Every partial its lane and the positions in prep or staged
+            // can hold at once, plus the one being filled.
+            ring.fit(depth + sweep.cap + 1, sweep.cells);
+            let sweep = Arc::clone(&sweep);
             fetchers.push(std::thread::spawn(move || {
                 let outcome =
-                    catch_unwind(AssertUnwindSafe(|| stage.run(thread, &lane_tx, &mut ring)));
+                    catch_unwind(AssertUnwindSafe(|| sweep.run(thread, &lane_tx, &mut ring)));
                 if let Err(payload) = outcome {
-                    stage.sink.fail(panicked("fetch", payload));
+                    sweep.sink.fail(panicked("fetch", payload));
                 }
                 ring
             }));
         }
-        // The fetch threads share the assembler, so it outlives the prep
-        // workers; the last worker to leave drops the lane receivers, or a
-        // sender parked on a full lane would never see them go.
-        let closer = Arc::new(CloseOnLastWorker(Arc::clone(&assembler)));
-        let mut handles = Vec::with_capacity(workers);
-        for seat in seats {
-            let mut prep = self.scratch.lock().pop().unwrap_or_default();
-            prep.fit(cells, threads);
-            let (lane, plan, assembler) = (self.clone(), Arc::clone(&plan), Arc::clone(&assembler));
-            let (sink, closer) = (Arc::clone(&sink), Arc::clone(&closer));
-            handles.push(std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    lane.run_prep_worker(epoch, &plan, &assembler, &mut prep, &*sink)
-                }));
-                if let Err(payload) = outcome {
-                    sink.fail(panicked("prep", payload));
-                }
-                prep.parts.clear(); // left behind by a panic
-                lane.scratch.lock().push(prep);
-                // Moved in to be let go of here, once the worker is done.
-                drop((closer, seat));
-            }));
-        }
         PrefetchExecutor {
+            sweep: Arc::as_ptr(&sweep) as usize,
+            gone,
             fetchers,
-            workers: handles,
-            backend: Arc::clone(&self.backend),
-            rings: Arc::clone(&self.rings),
+            lane: self.clone(),
         }
-    }
-
-    /// One prep worker: assemble the next position, prep it, publish it.
-    fn run_prep_worker(
-        &self,
-        epoch: u64,
-        plan: &[(usize, Vec<ItemId>)],
-        assembler: &Mutex<Assembler>,
-        prep: &mut PrepWorker,
-        sink: &dyn PreparedSink,
-    ) {
-        loop {
-            let stall = Instant::now();
-            let next = assembler.lock().next(plan, &mut prep.parts, true);
-            self.stats.record_prep_stall(stall.elapsed());
-            let Some(pos) = next else {
-                break; // plan exhausted, or a fetch thread ended early
-            };
-            if !self.prep_next(epoch, plan, pos, prep, sink) {
-                break;
-            }
-        }
-    }
-
-    /// Prep the assembled position `pos`, whose partials are in
-    /// `prep.parts`, and publish it: the one path of prep workers and lent
-    /// fetch threads alike.  `false` when the sweep is over for the caller:
-    /// the epoch shut down, or a hole read failed it.
-    fn prep_next(
-        &self,
-        epoch: u64,
-        plan: &[(usize, Vec<ItemId>)],
-        pos: usize,
-        prep: &mut PrepWorker,
-        sink: &dyn PreparedSink,
-    ) -> bool {
-        let stats = &*self.stats;
-        let (index, items) = &plan[pos];
-        let busy = Instant::now();
-        let made = self.spares.pop_n(items.len(), &mut prep.batch.bufs);
-        let samples = prep.position(self, epoch, items.len(), sink);
-        // Let go of the partials before publishing: their fetch thread
-        // reuses each once nobody else holds it.
-        prep.parts.clear();
-        let Some(samples) = samples else {
-            return false; // a hole read failed the epoch
-        };
-        if made > 0 {
-            let capacity = samples.iter().map(|s| s.data.capacity()).max();
-            self.spares.fill_window(capacity.unwrap_or(0));
-        }
-        stats.record_prepared(samples.len() as u64);
-        stats.record_prep_busy(busy.elapsed().saturating_sub(prep.waited));
-        // Waiting for a hole another thread reads, and publishing into a
-        // backed-up staging window, are time spent not pre-processing:
-        // both count as prep stall.
-        let publishing = Instant::now();
-        let delivered = sink.publish(Minibatch {
-            epoch,
-            index: *index,
-            samples,
-        });
-        stats.record_prep_stall(prep.waited + publishing.elapsed());
-        delivered
     }
 }
 
-/// Drops the assembler's lane receivers once the last prep worker holding
-/// it is gone.
-struct CloseOnLastWorker(Arc<Mutex<Assembler>>);
-
-impl Drop for CloseOnLastWorker {
-    fn drop(&mut self) {
-        self.0.lock().close();
-    }
-}
-
-/// The scratch of whoever preps a position, reused across positions and
+/// A pool thread's prep scratch, reused across positions, sweeps and
 /// epochs.
 #[derive(Default)]
 pub(crate) struct PrepWorker {
@@ -566,8 +324,9 @@ impl Batch {
 
 impl PrepWorker {
     /// Make room for positions of up to `cells` items from `parts` fetch
-    /// threads, once: grown as positions came, the scratch's size would
-    /// depend on how many holes were read before it got to them.
+    /// threads before the position is taken: grown as positions came, the
+    /// scratch's size would depend on how many holes were read before it
+    /// got to them.
     fn fit(&mut self, cells: usize, parts: usize) {
         self.parts.reserve_exact(parts);
         self.batch.slots.reserve_exact(cells);
@@ -622,7 +381,7 @@ impl PrepWorker {
             }
         }
         // Drained, like the rest of the scratch: a hole left listed here
-        // would make the next sweep's `fit` grow the list.
+        // would make the next `fit` grow the list.
         for (p, c) in self.claimed.drain(..) {
             let (part, waiting) = (&parts[p], Instant::now());
             let collected = part.collect(c);
@@ -638,21 +397,28 @@ impl PrepWorker {
     }
 }
 
-/// A running fetch + prep pipeline for one sweep.  Dropping it joins every
-/// thread, so its owner shuts the sink down first: that stops the fetch
-/// threads and unblocks any thread parked in `publish`, and everything
-/// behind them unblocks by itself once the prep workers leave.  Then it
-/// empties the fetch threads' partials — each payload still in one goes
-/// back to the backend — and returns them to the lane.
+/// A running sweep: its fetch threads and its place in the prep pool.
+/// Dropping it joins every thread, so its owner shuts the sink down first:
+/// that stops the fetch threads and the pool's takes.  Then it deregisters
+/// the sweep, waits until nothing holds it, joins the fetch threads and
+/// hands every payload left in their partials back to the backend.
 pub(crate) struct PrefetchExecutor {
+    /// The sweep's address, its name in the pool: this holds no
+    /// reference to it.
+    sweep: usize,
+    /// Disconnects once nothing holds the sweep any more.
+    gone: Receiver<()>,
     fetchers: Vec<JoinHandle<Ring>>,
-    workers: Vec<JoinHandle<()>>,
-    backend: Arc<dyn FetchBackend>,
-    rings: Arc<Rings>,
+    lane: Lane,
 }
 
 impl Drop for PrefetchExecutor {
     fn drop(&mut self) {
+        pool::deregister(self.sweep);
+        // The sweep's last holders are the pool threads inside it and the
+        // fetch threads, which return now that the sink is down and the lane
+        // receivers are gone.  Nothing is ever sent on `gone`.
+        let _ = self.gone.recv();
         // A panicked thread already reported its error; the Err here is
         // just the resume payload.
         let mut rings: Vec<Ring> = self
@@ -660,22 +426,20 @@ impl Drop for PrefetchExecutor {
             .drain(..)
             .filter_map(|h| h.join().ok())
             .collect();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
         for ring in &mut rings {
-            ring.empty(&*self.backend);
+            ring.empty(&*self.lane.backend);
         }
-        self.rings.lock().push(rings);
+        self.lane.rings.lock().push(rings);
     }
 }
+
 /// A partial cell's payload is in its partial's `payloads`, or prep took it.
 const READY: u8 = 0;
 /// A hole nobody has claimed.
 const OPEN: u8 = 1;
 /// A hole the thread that claimed it is reading.
 const CLAIMED: u8 = 2;
-/// A claimed hole a prep worker waits for.
+/// A claimed hole a pool thread waits for.
 const AWAITED: u8 = 3;
 /// A hole whose read failed: its reader has failed the epoch.
 const FAILED: u8 = 4;
@@ -704,15 +468,15 @@ struct Partial {
     open: AtomicUsize,
     /// Whether the partial waits in its lane: the fetch thread reads only
     /// the holes of queued positions and leaves an assembled position's to
-    /// the prep worker that holds it.  The worker then waits only for a
-    /// read claimed before it took the position, not for one behind every
-    /// hole of it — a reader that a third runnable thread can preempt.
+    /// the pool thread that takes it.  That thread then waits only for a
+    /// read claimed before the position was assembled, not for one behind
+    /// every hole of it — a reader that a third runnable thread can preempt.
     queued: AtomicBool,
     /// Each cell's payload until prep takes it.  A hole's reader settles
-    /// the hole under this lock, so a prep worker that checked the hole's
+    /// the hole under this lock, so a pool thread that checked the hole's
     /// state under it cannot miss the wake-up.
     payloads: Mutex<Vec<Option<Arc<Vec<u8>>>>>,
-    /// Signalled when a hole a prep worker awaits settles.
+    /// Signalled when a hole a pool thread awaits settles.
     settled: Condvar,
 }
 
@@ -781,7 +545,7 @@ impl Partial {
     }
 
     /// Settle claimed hole `cell` with its payload, or as failed, and wake
-    /// the prep worker waiting for it, if one is.
+    /// the pool thread waiting for it, if one is.
     fn settle(&self, cell: usize, payload: Option<Arc<Vec<u8>>>) {
         let state = if payload.is_some() { READY } else { FAILED };
         let awaited = {
@@ -810,7 +574,7 @@ impl Partial {
 }
 
 /// A hole a fetch thread claimed: dropped unsettled — its read panicked —
-/// it settles as failed, so a prep worker waiting for it wakes.
+/// it settles as failed, so a pool thread waiting for it wakes.
 struct Claim<'a> {
     partial: &'a Partial,
     cell: usize,
@@ -830,21 +594,17 @@ impl Drop for Claim<'_> {
 }
 
 /// One fetch thread's partials, reused round-robin across positions and
-/// epochs, and its prep scratch for the positions it lends itself to.  Only
-/// the ring's thread clones the partials (into its lane), so one nobody
-/// else holds stays free until the thread hands it over again.
+/// epochs.  Only the ring's thread clones the partials (into its lane), so
+/// one nobody else holds stays free until the thread hands it over again.
 #[derive(Default)]
 pub(crate) struct Ring {
     partials: Vec<Arc<Partial>>,
     next: usize,
-    prep: PrepWorker,
 }
 
 impl Ring {
-    /// Grow to at least `len` partials, each with room for `cells` cells,
-    /// and fit the prep scratch to positions of `cells` items from `parts`
-    /// fetch threads.
-    fn fit(&mut self, len: usize, cells: usize, parts: usize) {
+    /// Grow to at least `len` partials, each with room for `cells` cells.
+    fn fit(&mut self, len: usize, cells: usize) {
         let len = len.max(self.partials.len());
         self.partials.resize_with(len, Arc::default);
         for partial in &mut self.partials {
@@ -853,12 +613,11 @@ impl Ring {
                 partial.payloads.get_mut().reserve_exact(cells);
             }
         }
-        self.prep.fit(cells, parts);
     }
 
     /// The index of the next partial nobody else holds.  The ring holds
-    /// one more than its lane, the prep workers and the lending fetch
-    /// threads can; should it not, it grows.
+    /// one more than its lane and the positions in prep or staged can;
+    /// should it not, it grows.
     fn next_free(&mut self) -> usize {
         let n = self.partials.len();
         let free = (0..n)
@@ -883,23 +642,28 @@ impl Ring {
     }
 }
 
-/// What one sweep's fetch threads read and where they lend themselves: the
-/// lane, the plan, the per-position skip decisions, the sink and the
-/// assembler.  Nothing in it is a wait point — each thread blocks only on
-/// its own lane, and on the sink while it publishes a position it prepped.
-struct FetchStage {
+/// One sweep over a plan: what its fetch threads read, and what the prep
+/// pool takes its positions with.  Nothing in it is a wait point — a fetch
+/// thread blocks only on its own lane.
+pub(crate) struct Sweep {
     lane: Lane,
     epoch: u64,
     threads: usize,
     shards: usize,
+    /// Positions the sweep may have in prep at once: `workers +
+    /// fetch_threads`.
+    pub(crate) cap: usize,
+    /// Items of the plan's largest batch.
+    cells: usize,
     plan: Plan,
     /// The batch filter with one decision cell per plan position.
     skip: Option<(Arc<SkipFn>, Vec<OnceLock<bool>>)>,
     sink: Arc<dyn PreparedSink>,
-    assembler: Arc<Mutex<Assembler>>,
+    /// Dropped with the sweep, which disconnects its executor's `gone`.
+    _held: Sender<()>,
 }
 
-impl FetchStage {
+impl Sweep {
     /// Which fetch thread owns `item`: the thread that executes every cache
     /// transaction for `item`'s shard.  Routing MUST match the sharded
     /// tier's (`dcache::shard_of_key`) so shard ownership and lock ownership
@@ -910,9 +674,8 @@ impl FetchStage {
 
     /// Fetch thread `thread`'s sweep over the whole plan: one partial per
     /// position down `lane`, until the plan ends, a fetch fails, the epoch
-    /// shuts down or every prep worker is gone.  Then, while the epoch
-    /// runs, it reads the holes its partials still have and lends itself
-    /// to prep, until neither is possible.
+    /// shuts down or the sweep is deregistered.  Then, while the epoch
+    /// runs, it reads the holes its partials still have.
     fn run(&self, thread: usize, lane: &Sender<Arc<Partial>>, ring: &mut Ring) {
         let (stats, sink) = (&*self.lane.stats, &*self.sink);
         for (pos, (index, items)) in self.plan.iter().enumerate() {
@@ -958,60 +721,40 @@ impl FetchStage {
                 return;
             }
         }
-        while sink.is_live() && (self.read_hole(thread, ring) || self.lend(&mut ring.prep, || ())) {
-        }
+        while sink.is_live() && self.read_hole(thread, ring) {}
     }
 
-    /// Hand partial `free` down `lane`.  While the lane is full, read a
-    /// hole, or else lend this thread to prep for one position, instead of
-    /// waiting; wait only once neither is possible.  `false` when the
-    /// thread must stop: every prep worker is gone, the epoch shut down or
-    /// a hole read failed it.
+    /// Hand partial `free` down `lane`, reading holes while the lane is
+    /// full and waiting only once there is none, then wake a pool thread
+    /// for it.  `false` when the thread must stop: the sweep was
+    /// deregistered, the epoch shut down or a hole read failed it.
     fn hand_over(
         &self,
         thread: usize,
         lane: &Sender<Arc<Partial>>,
-        ring: &mut Ring,
+        ring: &Ring,
         free: usize,
     ) -> bool {
-        let mut unsent = Some(Arc::clone(&ring.partials[free]));
-        while let Some(partial) = unsent.take() {
-            match lane.try_send(partial) {
-                Ok(()) => return true,
-                Err(TrySendError::Disconnected(_)) => return false,
-                Err(TrySendError::Full(partial)) => unsent = Some(partial),
-            }
-            if !self.sink.is_live() {
-                return false;
-            }
-            // The position a lending thread takes frees its own lane's head
-            // (unless an earlier try had staged it): the partial goes down
-            // the lane before the prep starts, so the thread holds one
-            // position's payloads, not two.
-            let send = || {
-                if let Some(Err(
-                    TrySendError::Full(partial) | TrySendError::Disconnected(partial),
-                )) = unsent.take().map(|partial| lane.try_send(partial))
-                {
-                    unsent = Some(partial);
+        let mut unsent = Arc::clone(&ring.partials[free]);
+        let sent = loop {
+            match lane.try_send(unsent) {
+                Err(TrySendError::Full(partial)) if self.read_hole(thread, ring) => {
+                    unsent = partial
                 }
-            };
-            if !(self.read_hole(thread, ring) || self.lend(&mut ring.prep, send)) {
-                break;
+                Err(TrySendError::Full(partial)) if self.sink.is_live() => {
+                    let stall = Instant::now();
+                    let sent = lane.send(partial).is_ok();
+                    let stats = &self.lane.stats;
+                    stats.record_fetch_stall_for(thread, stall.elapsed());
+                    break sent;
+                }
+                outcome => break outcome.is_ok(),
             }
-        }
-        let Some(partial) = unsent else {
-            return true; // handed over while lending
         };
-        if !self.sink.is_live() {
-            return false; // a hole read or a lent position ended the epoch
+        if sent {
+            pool::wake();
         }
-        let stall = Instant::now();
-        let sent = lane.send(partial);
-        self.lane
-            .stats
-            .record_fetch_stall_for(thread, stall.elapsed());
-        sent.is_ok()
+        sent
     }
 
     /// Claim and read one unclaimed hole of `ring`, from the oldest
@@ -1053,97 +796,114 @@ impl FetchStage {
         }
     }
 
-    /// Prep the next plan position on this thread, with `prep` as scratch,
-    /// if the ledger has a free seat, nobody holds the assembler and every
-    /// lane has the position's partial; `assembled` runs once it has the
-    /// position, before the prep.  Never waits for any of the three: a
-    /// lane it would wait on may be this thread's own.  `false` when it
-    /// prepped nothing, or when the sweep is over (the sink says which).
-    fn lend(&self, prep: &mut PrepWorker, assembled: impl FnOnce()) -> bool {
-        let lane = &self.lane;
-        let Some(_seat) = lane.ledger.borrow() else {
-            return false;
-        };
-        let assembling = Instant::now();
-        let Some(pos) = self
-            .assembler
-            .try_lock()
-            .and_then(|mut assembler| assembler.next(&self.plan, &mut prep.parts, false))
-        else {
-            return false;
-        };
-        lane.stats.record_prep_stall(assembling.elapsed());
-        lane.stats.record_lent_position();
-        assembled();
-        let prepped = catch_unwind(AssertUnwindSafe(|| {
-            lane.prep_next(self.epoch, &self.plan, pos, prep, &*self.sink)
-        }));
-        prepped.unwrap_or_else(|payload| {
+    /// Prep position `pos`, whose partials [`Assembler::next`] put in
+    /// `prep`, and publish it.  A panic fails the epoch as a `"prep"` one.
+    pub(crate) fn prep(&self, pos: usize, prep: &mut PrepWorker) {
+        let prepped = catch_unwind(AssertUnwindSafe(|| self.prep_position(pos, prep)));
+        if let Err(payload) = prepped {
             prep.parts.clear();
             self.sink.fail(panicked("prep", payload));
-            false
-        })
+        }
+        // Buffers popped for a position that failed go back to its lane.
+        if !prep.batch.bufs.is_empty() {
+            self.lane.spares.push(prep.batch.bufs.drain(..));
+        }
+    }
+
+    fn prep_position(&self, pos: usize, prep: &mut PrepWorker) {
+        let (lane, stats) = (&self.lane, &*self.lane.stats);
+        let (index, items) = &self.plan[pos];
+        let busy = Instant::now();
+        let made = lane.spares.pop_n(items.len(), &mut prep.batch.bufs);
+        let samples = prep.position(lane, self.epoch, items.len(), &*self.sink);
+        // Let go of the partials before publishing: their fetch thread
+        // reuses each once nobody else holds it.
+        prep.parts.clear();
+        let Some(samples) = samples else {
+            return; // a hole read failed the epoch
+        };
+        if made > 0 {
+            let capacity = samples.iter().map(|s| s.data.capacity()).max();
+            lane.spares.fill_window(capacity.unwrap_or(0));
+        }
+        stats.record_prepared(samples.len() as u64);
+        stats.record_prep_busy(busy.elapsed().saturating_sub(prep.waited));
+        stats.record_prep_stall(prep.waited);
+        self.sink.publish(Minibatch {
+            epoch: self.epoch,
+            index: *index,
+            samples,
+        });
     }
 }
 
-/// The receiving end of every thread lane and the next plan position to
-/// assemble; one thread at a time holds it.
-struct Assembler {
+/// The receiving end of every thread lane of one sweep and the next plan
+/// position to assemble.  The prep pool keeps it, under its lock; dropping
+/// it drops the lane receivers, which wakes any fetch thread parked on a
+/// full lane.
+pub(crate) struct Assembler {
     lanes: Vec<Receiver<Arc<Partial>>>,
     /// The partials of position `cursor` received so far, in lane order: a
-    /// position a lending fetch thread found only partly there waits here
-    /// for whoever assembles next.
+    /// position found only partly there, or with no room in the sink yet,
+    /// waits here for the next caller.
     staged: Vec<Arc<Partial>>,
     cursor: usize,
 }
 
 impl Assembler {
-    /// Receive the next unskipped position's partial from every lane, in
-    /// thread order, into `parts` and return the position.  `None` once the
-    /// plan is exhausted or a lane ended early (its thread failed or saw
-    /// the shutdown), for this and every later call.  Without `wait`, also
-    /// `None` when a lane's next partial is not there yet: what was
-    /// received stays staged for the next call.
-    fn next(
-        &mut self,
-        plan: &[(usize, Vec<ItemId>)],
-        parts: &mut Vec<Arc<Partial>>,
-        wait: bool,
-    ) -> Option<usize> {
-        while self.cursor < plan.len() {
-            while let Some(lane) = self.lanes.get(self.staged.len()) {
-                let received = match wait {
-                    true => lane.recv().ok(),
-                    false => match lane.try_recv() {
-                        Ok(partial) => Some(partial),
-                        Err(TryRecvError::Empty) => return None,
-                        Err(TryRecvError::Disconnected) => None,
-                    },
-                };
-                let Some(partial) = received else {
-                    self.close();
-                    return None;
-                };
-                debug_assert_eq!(partial.pos, self.cursor, "lanes are FIFO in plan order");
-                partial.queued.store(false, Ordering::Relaxed);
-                self.staged.push(partial);
-            }
-            self.cursor += 1;
-            if self.staged.iter().all(|part| !part.skipped) {
-                parts.append(&mut self.staged);
-                return Some(self.cursor - 1);
-            }
-            self.staged.clear();
+    fn new(lanes: Vec<Receiver<Arc<Partial>>>) -> Self {
+        Assembler {
+            staged: Vec::with_capacity(lanes.len()),
+            lanes,
+            cursor: 0,
         }
-        None
     }
 
-    /// End the sweep for every later caller and drop the lane receivers,
-    /// which wakes any fetch thread parked on a full lane.
-    fn close(&mut self) {
-        self.cursor = usize::MAX;
-        self.staged.clear();
-        self.lanes.clear();
+    /// Receive `sweep`'s next unskipped position's partial from every lane,
+    /// in thread order, into `prep` and return the position — once every
+    /// lane has it and the sink, still live, has room for its batch.  Never
+    /// waits: `None` when a lane's next partial is not there yet or there is
+    /// no room, and what was received stays staged for the next call.
+    /// `None` for good once the plan is exhausted or a lane ended early (its
+    /// thread failed or saw the shutdown).  Called under the pool's lock.
+    pub(crate) fn next(&mut self, sweep: &Sweep, prep: &mut PrepWorker) -> Option<usize> {
+        let (plan, sink) = (&sweep.plan, &*sweep.sink);
+        if !sink.is_live() {
+            return None;
+        }
+        prep.fit(sweep.cells, sweep.threads);
+        while self.cursor < plan.len() {
+            while let Some(lane) = self.lanes.get(self.staged.len()) {
+                match lane.try_recv() {
+                    Ok(partial) => {
+                        debug_assert_eq!(partial.pos, self.cursor, "lanes are FIFO in plan order");
+                        partial.queued.store(false, Ordering::Relaxed);
+                        self.staged.push(partial);
+                    }
+                    Err(TryRecvError::Empty) => return None,
+                    Err(TryRecvError::Disconnected) => {
+                        // Over for every later call; dropping the other
+                        // receivers wakes a fetch thread parked on its lane.
+                        self.cursor = usize::MAX;
+                        self.staged.clear();
+                        self.lanes.clear();
+                        return None;
+                    }
+                }
+            }
+            if self.staged.iter().any(|part| part.skipped) {
+                self.staged.clear();
+                self.cursor += 1;
+                continue;
+            }
+            if !sink.has_room(plan[self.cursor].0) {
+                return None;
+            }
+            self.cursor += 1;
+            prep.parts.append(&mut self.staged);
+            return Some(self.cursor - 1);
+        }
+        None
     }
 }
 #[cfg(test)]
@@ -1183,33 +943,14 @@ mod tests {
         }
     }
 
-    /// The two test ledgers: fetch threads never lend, and fetch threads
-    /// lend whenever their lane is full.
-    fn ledgers() -> [&'static CoreLedger; 2] {
-        [&NEVER_LENDS, &LENDS]
-    }
-
-    fn lending(ledger: &CoreLedger) -> &'static str {
-        match std::ptr::eq(ledger, &LENDS) {
-            true => "lending",
-            false => "not lending",
-        }
-    }
-
-    fn lane(
-        ledger: &'static CoreLedger,
-        fetch: Arc<FetchFn>,
-        stats: &Arc<LoaderStats>,
-        config: ExecutorConfig,
-    ) -> Lane {
+    /// A lane of shape `config` over `fetch`, recording into `stats`.
+    fn lane(fetch: Arc<FetchFn>, stats: &Arc<LoaderStats>, config: ExecutorConfig) -> Lane {
         Lane {
             fetch,
             backend: Arc::new(Recycler::default()),
             pipeline: pipeline(),
             spares: Arc::default(),
             rings: Arc::default(),
-            scratch: Arc::default(),
-            ledger,
             stats: Arc::clone(stats),
             config,
         }
@@ -1218,21 +959,24 @@ mod tests {
     /// A one-consumer stream over `plan`: the delivery path of a single-mode
     /// session, with a staging window of `prefetch_depth`.
     fn ordered(
-        ledger: &'static CoreLedger,
         plan: Plan,
         fetch: Arc<FetchFn>,
         stats: &Arc<LoaderStats>,
         config: ExecutorConfig,
     ) -> JobEpochIterator {
-        let lane = lane(ledger, fetch, stats, config);
+        let lane = lane(fetch, stats, config);
         EpochSession::start(&lane, 1, config.prefetch_depth, None, 0, plan).into_consumer()
     }
 
     /// A sink that hands every batch to a channel, for a sweep with a filter
     /// of its own.
     impl PreparedSink for Sender<Minibatch> {
-        fn publish(&self, mb: Minibatch) -> bool {
-            self.send(mb).is_ok()
+        fn has_room(&self, _index: usize) -> bool {
+            true
+        }
+
+        fn publish(&self, mb: Minibatch) {
+            let _ = self.send(mb);
         }
 
         fn fail(&self, err: CoordlError) {
@@ -1246,22 +990,19 @@ mod tests {
 
     #[test]
     fn ordered_stream_delivers_in_plan_order_for_any_worker_count() {
-        for ledger in ledgers() {
-            for workers in [1, 2, 8] {
-                for depth in [1, 4] {
-                    let stats = Arc::new(LoaderStats::default());
-                    let config = shape(workers, depth, 1);
-                    let stream = ordered(ledger, plan(9, 4), byte_fetch(), &stats, config);
-                    let indices: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
-                    let what = format!("{}: w={workers} d={depth}", lending(ledger));
-                    assert_eq!(indices, (0..9).collect::<Vec<_>>(), "{what}");
-                    assert_eq!(stats.samples_prepared(), 36, "{what}");
-                    assert_eq!(stats.samples_delivered(), 36, "{what}");
-                }
+        for workers in [1, 2, 8] {
+            for depth in [1, 4] {
+                let stats = Arc::new(LoaderStats::default());
+                let config = shape(workers, depth, 1);
+                let stream = ordered(plan(9, 4), byte_fetch(), &stats, config);
+                let indices: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
+                let what = format!("w={workers} d={depth}");
+                assert_eq!(indices, (0..9).collect::<Vec<_>>(), "{what}");
+                assert_eq!(stats.samples_prepared(), 36, "{what}");
+                assert_eq!(stats.samples_delivered(), 36, "{what}");
             }
         }
     }
-
     #[test]
     fn fetch_order_is_sequential_regardless_of_workers() {
         // The determinism contract: fetches happen in plan order on one
@@ -1275,7 +1016,7 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![0u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
-            let _ = ordered(&LENDS, plan(6, 3), fetch, &stats, shape(workers, 2, 1)).count();
+            let _ = ordered(plan(6, 3), fetch, &stats, shape(workers, 2, 1)).count();
             let order = seen.lock().clone();
             order
         };
@@ -1286,25 +1027,22 @@ mod tests {
 
     #[test]
     fn dropping_the_stream_early_joins_all_threads_without_deadlock() {
-        for ledger in ledgers() {
-            for fetch_threads in [1, 3] {
-                for _ in 0..8 {
-                    let stats = Arc::new(LoaderStats::default());
-                    // Smallest window: prep workers (and lending fetch
-                    // threads) park on the full output queue, fetch
-                    // threads on their full lanes, constantly.
-                    let config = shape(3, 1, fetch_threads);
-                    let mut stream = ordered(ledger, plan(64, 4), byte_fetch(), &stats, config);
-                    let _ = stream.next();
-                    drop(stream); // must unblock + join, not hang
-                }
+        for fetch_threads in [1, 3] {
+            for _ in 0..8 {
+                let stats = Arc::new(LoaderStats::default());
+                // Smallest window: the pool soon has no position it may
+                // take, and the fetch threads park on their full lanes.
+                let config = shape(3, 1, fetch_threads);
+                let mut stream = ordered(plan(64, 4), byte_fetch(), &stats, config);
+                let _ = stream.next();
+                drop(stream); // must unblock + join, not hang
             }
         }
     }
 
     #[test]
     fn panicking_fetch_surfaces_a_typed_error() {
-        for (ledger, fetch_threads) in ledgers().into_iter().flat_map(|l| [(l, 1), (l, 3)]) {
+        for fetch_threads in [1, 3] {
             let fetch: Arc<FetchFn> = Arc::new(|item| {
                 if item == 7 {
                     panic!("injected fetch failure for item {item}");
@@ -1312,13 +1050,7 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![1u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
-            let stream = ordered(
-                ledger,
-                plan(5, 2),
-                fetch,
-                &stats,
-                shape(2, 2, fetch_threads),
-            );
+            let stream = ordered(plan(5, 2), fetch, &stats, shape(2, 2, fetch_threads));
             let outcomes: Vec<_> = stream.collect();
             let (last, delivered) = outcomes.split_last().expect("the failure is yielded");
             assert!(
@@ -1338,7 +1070,7 @@ mod tests {
 
     #[test]
     fn skip_filter_drops_batches_before_fetch() {
-        for (ledger, fetch_threads) in ledgers().into_iter().flat_map(|l| [(l, 1), (l, 3)]) {
+        for fetch_threads in [1, 3] {
             let fetched = Arc::new(AtomicUsize::new(0));
             let f2 = Arc::clone(&fetched);
             let fetch: Arc<FetchFn> = Arc::new(move |_| {
@@ -1346,20 +1078,23 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![0u8; 4])))
             });
             let (out_tx, out_rx) = bounded::<Minibatch>(16);
-            let executor = lane(ledger, fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
+            let executor = lane(fetch, &Arc::default(), shape(2, 4, fetch_threads)).spawn(
                 0,
                 plan(6, 2),
                 Some(Arc::new(|index| index % 2 == 1)),
                 Arc::new(out_tx),
             );
-            let mut indices = Vec::new();
-            while let Ok(mb) = out_rx.recv() {
-                indices.push(mb.index);
-            }
+            // The sweep holds the sink until it is dropped: take what the
+            // three kept batches publish, then check nothing else came.
+            let mut indices: Vec<usize> = (0..3).map(|_| out_rx.recv().unwrap().index).collect();
+            drop(executor);
+            assert!(
+                out_rx.try_recv().is_err(),
+                "f={fetch_threads}: one batch too many"
+            );
             indices.sort_unstable();
             assert_eq!(indices, vec![0, 2, 4], "f={fetch_threads}");
             assert_eq!(fetched.load(Ordering::SeqCst), 6, "3 batches x 2 items");
-            drop(executor);
         }
     }
 
@@ -1367,13 +1102,8 @@ mod tests {
     fn fetch_pool_delivers_the_serial_stream_for_any_thread_count() {
         let run = |fetch_threads: usize| {
             let stats = Arc::new(LoaderStats::default());
-            let stream = ordered(
-                &LENDS,
-                plan(11, 4),
-                byte_fetch(),
-                &stats,
-                shape(2, 3, fetch_threads),
-            );
+            let config = shape(2, 3, fetch_threads);
+            let stream = ordered(plan(11, 4), byte_fetch(), &stats, config);
             let out: Vec<(usize, Vec<Vec<u8>>)> = stream
                 .map(|mb| {
                     let mb = mb.unwrap();
@@ -1409,7 +1139,7 @@ mod tests {
             Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
         });
         let stats = Arc::new(LoaderStats::default());
-        let stream = ordered(&LENDS, plan(10, 5), fetch, &stats, shape(2, 4, threads));
+        let stream = ordered(plan(10, 5), fetch, &stats, shape(2, 4, threads));
         assert_eq!(stream.count(), 10);
         let log = seen.lock().clone();
         assert_eq!(log.len(), 50, "each item fetched exactly once");
@@ -1452,7 +1182,7 @@ mod tests {
         let backend = Arc::new(Recycler::default());
         let lane = Lane {
             backend: Arc::clone(&backend) as Arc<dyn FetchBackend>,
-            ..lane(&LENDS, fetch, &Arc::default(), shape(2, 2, 2))
+            ..lane(fetch, &Arc::default(), shape(2, 2, 2))
         };
         let stream = EpochSession::start(&lane, 1, 2, None, 0, plan(5, 4)).into_consumer();
         assert_eq!(stream.count(), 5);
@@ -1465,7 +1195,7 @@ mod tests {
 
     #[test]
     fn fetch_pool_typed_error_ends_the_epoch() {
-        for (ledger, fetch_threads) in ledgers().into_iter().flat_map(|l| [(l, 1), (l, 2)]) {
+        for fetch_threads in [1, 2] {
             let fetch: Arc<FetchFn> = Arc::new(|item| {
                 if item == 9 {
                     return Err(CoordlError::BackendIo {
@@ -1477,13 +1207,7 @@ mod tests {
                 Ok(Fetched::Bytes(Arc::new(vec![2u8; 8])))
             });
             let stats = Arc::new(LoaderStats::default());
-            let stream = ordered(
-                ledger,
-                plan(6, 3),
-                fetch,
-                &stats,
-                shape(2, 2, fetch_threads),
-            );
+            let stream = ordered(plan(6, 3), fetch, &stats, shape(2, 2, fetch_threads));
             let mut outcomes: Vec<_> = stream.collect();
             let last = outcomes.pop().expect("the failure is yielded");
             assert!(
@@ -1502,42 +1226,38 @@ mod tests {
     fn a_stalled_consumer_bounds_how_far_the_fetch_stage_runs_ahead() {
         // The window `FsBackend`'s free list relies on.  With the consumer
         // stalled after one batch, what has been fetched is: that batch, the
-        // staging window's `depth`, one batch parked in `publish` per
-        // worker and per lending fetch thread, each lane's `depth`
-        // positions and the one parked in `send`.
-        let (depth, workers, per_batch, batches) = (2, 1, 4, 40);
-        for ledger in ledgers() {
-            for fetch_threads in [1, 3] {
-                let what = format!("{}: f={fetch_threads}", lending(ledger));
-                let fetched = Arc::new(AtomicUsize::new(0));
-                let counter = Arc::clone(&fetched);
-                let fetch: Arc<FetchFn> = Arc::new(move |item| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
-                });
-                let stats = Arc::new(LoaderStats::default());
-                let config = shape(workers, depth, fetch_threads);
-                let mut stream = ordered(ledger, plan(batches, per_batch), fetch, &stats, config);
-                assert_eq!(stream.next().map(|mb| mb.unwrap().index), Some(0));
-                // Quiescence: every stage is parked once the count holds still.
-                let mut last = usize::MAX;
-                while last != fetched.load(Ordering::SeqCst) {
-                    last = fetched.load(Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-                let ahead = last - per_batch;
-                assert!(
-                    ahead <= (2 * depth + workers + fetch_threads + 1) * per_batch,
-                    "{what}: {ahead} items fetched beyond the consumed batch"
-                );
-                // Resuming the consumer still delivers the whole plan in order.
-                let rest: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
-                assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "{what}");
-                assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
-                if std::ptr::eq(ledger, &NEVER_LENDS) {
-                    assert_eq!(stats.lent_positions(), 0, "{what}");
-                }
+        // staging window's `depth` (prepped or in prep: the pool takes no
+        // position the window has no room for), the one position assembled
+        // and waiting for that room, each lane's `depth` positions and the
+        // one parked in `send` — whatever the worker and fetch-thread counts.
+        let (depth, per_batch, batches) = (2, 4, 40);
+        for (workers, fetch_threads) in [(1, 1), (1, 3), (3, 2)] {
+            let what = format!("w={workers} f={fetch_threads}");
+            let fetched = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&fetched);
+            let fetch: Arc<FetchFn> = Arc::new(move |item| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok(Fetched::Bytes(Arc::new(vec![item as u8; 8])))
+            });
+            let stats = Arc::new(LoaderStats::default());
+            let config = shape(workers, depth, fetch_threads);
+            let mut stream = ordered(plan(batches, per_batch), fetch, &stats, config);
+            assert_eq!(stream.next().map(|mb| mb.unwrap().index), Some(0));
+            // Quiescence: every stage is parked once the count holds still.
+            let mut last = usize::MAX;
+            while last != fetched.load(Ordering::SeqCst) {
+                last = fetched.load(Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(100));
             }
+            let ahead = last - per_batch;
+            assert!(
+                ahead <= (2 * depth + 2) * per_batch,
+                "{what}: {ahead} items fetched beyond the consumed batch"
+            );
+            // Resuming the consumer still delivers the whole plan in order.
+            let rest: Vec<usize> = stream.map(|mb| mb.unwrap().index).collect();
+            assert_eq!(rest, (1..batches).collect::<Vec<_>>(), "{what}");
+            assert_eq!(fetched.load(Ordering::SeqCst), batches * per_batch);
         }
     }
 
@@ -1546,17 +1266,20 @@ mod tests {
 
     /// A backend whose every read returns a fresh buffer filled with the
     /// read's serial number (with `by_item`, the item's id), and which
-    /// records the number of every buffer handed back.  Reads of `gated`
-    /// wait until [`HoleBackend::open`]; reads of `failing` fail; every
-    /// read takes at least `delay`.
+    /// records the number of every buffer handed back.  Reads of the items
+    /// `gated` picks wait until [`HoleBackend::open`], counting the prep
+    /// pool's threads among them; reads of `failing` fail; every read takes
+    /// at least `delay`.
     #[derive(Default)]
     struct HoleBackend {
         reads: AtomicUsize,
         returned: Mutex<Vec<u64>>,
         by_item: bool,
-        gated: Option<ItemId>,
+        gated: Option<fn(ItemId) -> bool>,
         failing: Option<ItemId>,
         entered: AtomicBool,
+        /// Prep pool threads waiting at the gate.
+        pool_readers: AtomicUsize,
         gate: (Mutex<bool>, Condvar),
         delay: Duration,
     }
@@ -1591,9 +1314,13 @@ mod tests {
                     detail: "injected read failure".into(),
                 });
             }
-            if self.gated == Some(item) {
+            if self.gated.is_some_and(|gated| gated(item)) {
                 self.entered.store(true, Ordering::SeqCst);
+                let pool = std::thread::current().name() == Some("coordl-prep");
                 let mut open = self.gate.0.lock();
+                if pool && !*open {
+                    self.pool_readers.fetch_add(1, Ordering::SeqCst);
+                }
                 while !*open {
                     self.gate.1.wait(&mut open);
                 }
@@ -1621,10 +1348,9 @@ mod tests {
         })
     }
 
-    /// A lane of shape `config` on `ledger` whose fetch path leaves the
-    /// items `hole` picks as holes in `backend`.
+    /// A lane of shape `config` whose fetch path leaves the items `hole`
+    /// picks as holes in `backend`.
     fn hole_lane(
-        ledger: &'static CoreLedger,
         backend: &Arc<HoleBackend>,
         hole: fn(ItemId) -> bool,
         stats: &Arc<LoaderStats>,
@@ -1632,32 +1358,25 @@ mod tests {
     ) -> Lane {
         Lane {
             backend: Arc::clone(backend) as Arc<dyn FetchBackend>,
-            ..lane(ledger, hole_fetch(backend, hole), stats, config)
+            ..lane(hole_fetch(backend, hole), stats, config)
         }
     }
 
-    /// A fetch stage of one thread over `plan` on `ledger`, reading holes
-    /// from `backend`, whose assembler receives from `lanes`.
-    fn stage(
-        plan: Plan,
-        backend: &Arc<HoleBackend>,
-        ledger: &'static CoreLedger,
-        sink: Arc<dyn PreparedSink>,
-        lanes: Vec<Receiver<Arc<Partial>>>,
-    ) -> FetchStage {
-        FetchStage {
-            lane: hole_lane(ledger, backend, |_| true, &Arc::default(), shape(1, 1, 1)),
+    /// A sweep of one fetch thread over `plan`, reading holes from
+    /// `backend`, that no pool serves: the tests drive it by hand.
+    fn stage(plan: Plan, backend: &Arc<HoleBackend>, sink: Arc<dyn PreparedSink>) -> Sweep {
+        let cells = plan.iter().map(|(_, items)| items.len()).max().unwrap_or(0);
+        Sweep {
+            lane: hole_lane(backend, |_| true, &Arc::default(), shape(1, 1, 1)),
             epoch: 0,
             threads: 1,
             shards: 1,
+            cap: 2,
+            cells,
             plan,
             skip: None,
             sink,
-            assembler: Arc::new(Mutex::new(Assembler {
-                staged: Vec::new(),
-                lanes,
-                cursor: 0,
-            })),
+            _held: bounded(1).0,
         }
     }
 
@@ -1665,7 +1384,7 @@ mod tests {
     /// `hole` picks as holes, the rest read inline from `backend`.
     fn filled(backend: &Arc<HoleBackend>, items: &[ItemId], hole: fn(ItemId) -> bool) -> Ring {
         let mut ring = Ring::default();
-        ring.fit(1, items.len(), 1);
+        ring.fit(1, items.len());
         let fetch = hole_fetch(backend, hole);
         let partial = Arc::get_mut(&mut ring.partials[0]).unwrap();
         partial.reset(0, false, &**backend);
@@ -1676,16 +1395,21 @@ mod tests {
     }
 
     /// A sink that keeps what it is handed: published batches, failures.
+    /// While `full`, it has room for nothing.
     #[derive(Default)]
     struct Recording {
         published: Mutex<Vec<Minibatch>>,
         failures: Mutex<Vec<CoordlError>>,
+        full: AtomicBool,
     }
 
     impl PreparedSink for Recording {
-        fn publish(&self, mb: Minibatch) -> bool {
+        fn has_room(&self, _index: usize) -> bool {
+            !self.full.load(Ordering::SeqCst)
+        }
+
+        fn publish(&self, mb: Minibatch) {
             self.published.lock().push(mb);
-            true
         }
 
         fn fail(&self, err: CoordlError) {
@@ -1702,11 +1426,11 @@ mod tests {
         // Every other item a hole: the delivered stream is the one a fetch
         // path that reads everything inline delivers, at any shape, and
         // each item is read exactly once.
-        let run = |ledger, hole: fn(ItemId) -> bool, workers: usize, fetch_threads: usize| {
+        let run = |hole: fn(ItemId) -> bool, workers: usize, fetch_threads: usize| {
             let backend = Arc::new(HoleBackend::default());
             let stats = Arc::new(LoaderStats::default());
             let config = shape(workers, 2, fetch_threads);
-            let lane = hole_lane(ledger, &backend, hole, &stats, config);
+            let lane = hole_lane(&backend, hole, &stats, config);
             let stream = EpochSession::start(&lane, 1, 2, None, 3, plan(12, 5)).into_consumer();
             let items: Vec<Vec<ItemId>> = stream
                 .map(|mb| mb.unwrap().samples.iter().map(|s| s.item).collect())
@@ -1715,34 +1439,32 @@ mod tests {
             assert_eq!(backend.returned(), (0..60).collect::<Vec<u64>>());
             (items, stats.deferred_reads())
         };
-        let (inline, none) = run(&NEVER_LENDS, |_| false, 1, 1);
+        let (inline, none) = run(|_| false, 1, 1);
         assert_eq!(none, 0);
-        for ledger in ledgers() {
-            for workers in [1, 3] {
-                for fetch_threads in [1, 3] {
-                    let what = format!("{}: w={workers} f={fetch_threads}", lending(ledger));
-                    let (deferred, holes) =
-                        run(ledger, |item| item % 2 == 0, workers, fetch_threads);
-                    assert_eq!(deferred, inline, "{what}");
-                    assert_eq!(holes, 30, "{what}");
-                }
+        for workers in [1, 3] {
+            for fetch_threads in [1, 3] {
+                let what = format!("w={workers} f={fetch_threads}");
+                let (deferred, holes) = run(|item| item % 2 == 0, workers, fetch_threads);
+                assert_eq!(deferred, inline, "{what}");
+                assert_eq!(holes, 30, "{what}");
             }
         }
     }
 
     #[test]
-    fn lending_or_not_delivers_the_same_stream_with_holes() {
+    fn full_lanes_deliver_the_same_stream_with_holes_at_any_shape() {
         // Two of every three items holes, the smallest lanes: fetch threads
-        // find them full constantly and, on the lending ledger, prep.  The
-        // delivered bytes, the counters and the items read are the same.
-        let run = |ledger, workers: usize, fetch_threads: usize| {
+        // find them full constantly and read holes of queued positions while
+        // the pool reads the rest.  The delivered bytes, the counters and
+        // the items read are the same at every shape.
+        let run = |workers: usize, fetch_threads: usize| {
             let backend = Arc::new(HoleBackend {
                 by_item: true,
                 ..HoleBackend::default()
             });
             let stats = Arc::new(LoaderStats::default());
             let config = shape(workers, 1, fetch_threads);
-            let lane = hole_lane(ledger, &backend, |item| item % 3 != 0, &stats, config);
+            let lane = hole_lane(&backend, |item| item % 3 != 0, &stats, config);
             let stream = EpochSession::start(&lane, 1, 1, None, 5, plan(24, 6)).into_consumer();
             let delivered: Vec<(usize, Vec<prep::PreparedSample>)> = stream
                 .map(|mb| {
@@ -1759,72 +1481,59 @@ mod tests {
             );
             (delivered, counters)
         };
-        for workers in [1, 2] {
-            for fetch_threads in [1, 3] {
-                let never = run(&NEVER_LENDS, workers, fetch_threads);
-                assert_eq!(never.1, (144, 144, 96 * SIZE, 96));
-                let lends = run(&LENDS, workers, fetch_threads);
-                assert!(lends == never, "w={workers} f={fetch_threads}");
-            }
+        let reference = run(1, 1);
+        assert_eq!(reference.1, (144, 144, 96 * SIZE, 96));
+        for (workers, fetch_threads) in [(1, 3), (2, 1), (2, 3)] {
+            let observed = run(workers, fetch_threads);
+            assert!(observed == reference, "w={workers} f={fetch_threads}");
         }
     }
 
     #[test]
-    fn a_ledger_lends_only_the_seats_its_prep_workers_leave_free() {
-        let ledger: &'static CoreLedger = Box::leak(Box::new(CoreLedger::new(2)));
-        let worker = ledger.register();
-        let lent = ledger.borrow().expect("one core is free");
-        assert!(ledger.borrow().is_none(), "both cores are held");
-        drop(lent);
-        let (second, third) = (ledger.register(), ledger.register());
-        assert!(ledger.borrow().is_none(), "registration ignores the count");
-        drop((worker, second, third));
-        assert_eq!(ledger.seats.load(Ordering::Relaxed), 0);
-        assert!(NEVER_LENDS.borrow().is_none());
-        let seats: Vec<Seat> = (0..64).filter_map(|_| LENDS.borrow()).collect();
-        assert_eq!(seats.len(), 64);
-    }
-
-    #[test]
-    fn a_lending_fetch_thread_leaves_a_position_partly_there_staged() {
-        // Two lanes; only the first has position 0's partial.  A lending
-        // thread stages it and preps nothing, never waiting on the second
-        // lane; once that lane has its partial too, the next one to lend
-        // preps and publishes the position.
+    fn the_assembler_holds_a_position_until_its_lanes_and_the_sink_are_ready() {
+        // Two lanes; only the first has position 0's partial.  The
+        // assembler stages it and returns nothing, never waiting on the
+        // second lane; once that lane has its partial too, it still returns
+        // nothing while the sink has no room for batch 0, and the position
+        // once it has.
         let backend = Arc::new(HoleBackend::default());
         let first = filled(&backend, &[0], |_| false);
         let mut second = Ring::default();
-        second.fit(1, 1, 1);
+        second.fit(1, 1);
         let partial = Arc::get_mut(&mut second.partials[0]).unwrap();
         partial.reset(0, false, &*backend);
         partial.push(1, 1, Fetched::Bytes(Arc::new(1u64.to_le_bytes().repeat(2))));
         let (tx0, rx0) = bounded(1);
         let (tx1, rx1) = bounded(1);
         let sink = Arc::new(Recording::default());
-        let stage = stage(plan(1, 2), &backend, &LENDS, sink.clone(), vec![rx0, rx1]);
+        sink.full.store(true, Ordering::SeqCst);
+        let stage = stage(plan(1, 2), &backend, sink.clone());
+        let mut assembler = Assembler::new(vec![rx0, rx1]);
         let mut prep = PrepWorker::default();
-        prep.fit(2, 2);
         assert!(tx0.try_send(Arc::clone(&first.partials[0])).is_ok());
-        assert!(
-            !stage.lend(&mut prep, || ()),
-            "the second partial is not there"
-        );
-        assert_eq!(stage.assembler.lock().staged.len(), 1);
+        let taken = assembler.next(&stage, &mut prep);
+        assert_eq!(taken, None, "the second partial is not there");
+        assert_eq!(assembler.staged.len(), 1);
         assert!(!first.partials[0].queued.load(Ordering::Relaxed));
         assert!(tx1.try_send(Arc::clone(&second.partials[0])).is_ok());
-        assert!(stage.lend(&mut prep, || ()));
+        let taken = assembler.next(&stage, &mut prep);
+        assert_eq!(taken, None, "no room for batch 0");
+        assert_eq!(assembler.staged.len(), 2);
+        sink.full.store(false, Ordering::SeqCst);
+        assert_eq!(assembler.next(&stage, &mut prep), Some(0));
+        stage.prep(0, &mut prep);
         let published = sink.published.lock();
         let items: Vec<ItemId> = published[0].samples.iter().map(|s| s.item).collect();
         assert_eq!((published.len(), items), (1, vec![0, 1]));
-        assert_eq!(stage.lane.stats.lent_positions(), 1);
         assert!(prep.parts.is_empty(), "the partials are let go of");
-        // The plan is over: nothing more to lend.
-        assert!(!stage.lend(&mut prep, || ()));
+        // The plan is over: nothing more to take.
+        assert_eq!(assembler.next(&stage, &mut prep), None);
     }
 
     #[test]
-    fn a_failed_hole_read_in_a_lent_position_surfaces_once_as_backend_io() {
-        // Direct: the lending thread reads the failing hole itself.
+    fn a_failed_hole_read_in_prep_surfaces_once_as_backend_io() {
+        // Direct: the thread that preps the position reads the failing hole
+        // itself.
         let backend = Arc::new(HoleBackend {
             failing: Some(2),
             ..HoleBackend::default()
@@ -1833,10 +1542,11 @@ mod tests {
         let (tx, rx) = bounded(1);
         assert!(tx.try_send(Arc::clone(&ring.partials[0])).is_ok());
         let sink = Arc::new(Recording::default());
-        let stage = stage(plan(1, 4), &backend, &LENDS, sink.clone(), vec![rx]);
+        let stage = stage(plan(1, 4), &backend, sink.clone());
+        let mut assembler = Assembler::new(vec![rx]);
         let mut prep = PrepWorker::default();
-        prep.fit(4, 1);
-        assert!(!stage.lend(&mut prep, || ()), "the sweep is over");
+        assert_eq!(assembler.next(&stage, &mut prep), Some(0));
+        stage.prep(0, &mut prep);
         assert!(sink.published.lock().is_empty());
         let failures = sink.failures.lock();
         assert_eq!(failures.len(), 1, "surfaced exactly once");
@@ -1845,6 +1555,7 @@ mod tests {
             CoordlError::BackendIo { item: 2, .. }
         ));
         drop(failures);
+        assert!(prep.batch.bufs.is_empty(), "its buffers went back");
         // Through a stream: the error is the last thing it yields, once.
         for (workers, fetch_threads) in [(1, 1), (2, 3)] {
             let backend = Arc::new(HoleBackend {
@@ -1852,13 +1563,7 @@ mod tests {
                 ..HoleBackend::default()
             });
             let config = shape(workers, 1, fetch_threads);
-            let lane = hole_lane(
-                &LENDS,
-                &backend,
-                |item| item % 2 == 1,
-                &Arc::default(),
-                config,
-            );
+            let lane = hole_lane(&backend, |item| item % 2 == 1, &Arc::default(), config);
             let stream = EpochSession::start(&lane, 1, 1, None, 0, plan(16, 4)).into_consumer();
             let mut outcomes: Vec<_> = stream.collect();
             let last = outcomes.pop().expect("the failure is yielded");
@@ -1871,16 +1576,44 @@ mod tests {
     }
 
     #[test]
+    fn a_sweep_has_at_most_workers_plus_fetch_threads_positions_in_prep() {
+        // Every item a hole whose read waits at the gate, lanes deeper than
+        // the plan: each position the pool takes parks one pool thread at
+        // the gate, so the pool threads there count the positions in prep.
+        // However long the gate stays shut, they are the sweep's cap or the
+        // pool's size, whichever is smaller — never more.
+        let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (workers, fetch_threads) in [(1, 1), (3, 2)] {
+            let what = format!("w={workers} f={fetch_threads}");
+            let backend = Arc::new(HoleBackend {
+                gated: Some(|_| true),
+                ..HoleBackend::default()
+            });
+            let config = shape(workers, 16, fetch_threads);
+            let lane = hole_lane(&backend, |_| true, &Arc::default(), config);
+            let stream = EpochSession::start(&lane, 1, 16, None, 0, plan(16, 4)).into_consumer();
+            let in_prep = (workers + fetch_threads).min(pool);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while backend.pool_readers.load(Ordering::SeqCst) < in_prep {
+                assert!(Instant::now() < deadline, "{what}: the pool never filled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            let readers = backend.pool_readers.load(Ordering::SeqCst);
+            backend.open();
+            assert_eq!(readers, in_prep, "{what}");
+            assert_eq!(
+                stream.map(|mb| mb.unwrap().len()).sum::<usize>(),
+                64,
+                "{what}"
+            );
+        }
+    }
+    #[test]
     fn fetch_and_prep_racing_for_one_hole_read_it_exactly_once() {
         let backend = Arc::new(HoleBackend::default());
         let (sink, _) = bounded::<Minibatch>(1);
-        let stage = stage(
-            plan(1, 1),
-            &backend,
-            &NEVER_LENDS,
-            Arc::new(sink),
-            Vec::new(),
-        );
+        let stage = stage(plan(1, 1), &backend, Arc::new(sink));
         let barrier = Barrier::new(2);
         let (mut by_fetch, mut by_prep) = (0, 0);
         let mut ring = Ring::default();
@@ -1915,22 +1648,16 @@ mod tests {
     #[test]
     fn prep_preps_the_rest_while_the_fetch_thread_reads_a_hole() {
         // The fetch thread is held inside the read of item 2's hole; the
-        // prep worker that assembled the position preps items 0, 1 and 3,
+        // pool thread that took the position preps items 0, 1 and 3,
         // hands their payloads back, and only then waits for item 2.
         let backend = Arc::new(HoleBackend {
-            gated: Some(2),
+            gated: Some(|item| item == 2),
             ..HoleBackend::default()
         });
         let ring = filled(&backend, &[0, 1, 2, 3], |item| item == 2);
         let (sink, _) = bounded::<Minibatch>(1);
         let sink: Arc<dyn PreparedSink> = Arc::new(sink);
-        let stage = stage(
-            plan(1, 4),
-            &backend,
-            &NEVER_LENDS,
-            Arc::clone(&sink),
-            Vec::new(),
-        );
+        let stage = stage(plan(1, 4), &backend, Arc::clone(&sink));
         let lane = &stage.lane;
         let part = Arc::clone(&ring.partials[0]);
         std::thread::scope(|s| {
@@ -1960,29 +1687,27 @@ mod tests {
 
     #[test]
     fn dropping_a_stream_with_open_and_in_flight_holes_hands_every_payload_back_once() {
-        for ledger in ledgers() {
-            for (workers, fetch_threads) in [(1, 1), (3, 1), (1, 3), (3, 3)] {
-                let what = format!("{}: w={workers} f={fetch_threads}", lending(ledger));
-                for _ in 0..4 {
-                    let backend = Arc::new(HoleBackend {
-                        delay: Duration::from_micros(200),
-                        ..HoleBackend::default()
-                    });
-                    let config = shape(workers, 1, fetch_threads);
-                    let hole = |item| item % 3 != 0;
-                    let lane = hole_lane(ledger, &backend, hole, &Arc::default(), config);
-                    let mut stream =
-                        EpochSession::start(&lane, 1, 1, None, 0, plan(64, 4)).into_consumer();
-                    assert!(stream.next().unwrap().is_ok());
-                    drop(stream); // must join, not hang
-                    let reads = backend.reads.load(Ordering::SeqCst) as u64;
-                    assert!(reads < 256, "{what}: stopped early");
-                    assert_eq!(
-                        backend.returned(),
-                        (0..reads).collect::<Vec<u64>>(),
-                        "{what}: each payload back exactly once"
-                    );
-                }
+        for (workers, fetch_threads) in [(1, 1), (3, 1), (1, 3), (3, 3)] {
+            let what = format!("w={workers} f={fetch_threads}");
+            for _ in 0..4 {
+                let backend = Arc::new(HoleBackend {
+                    delay: Duration::from_micros(200),
+                    ..HoleBackend::default()
+                });
+                let config = shape(workers, 1, fetch_threads);
+                let hole = |item| item % 3 != 0;
+                let lane = hole_lane(&backend, hole, &Arc::default(), config);
+                let mut stream =
+                    EpochSession::start(&lane, 1, 1, None, 0, plan(64, 4)).into_consumer();
+                assert!(stream.next().unwrap().is_ok());
+                drop(stream); // must join, not hang
+                let reads = backend.reads.load(Ordering::SeqCst) as u64;
+                assert!(reads < 256, "{what}: stopped early");
+                assert_eq!(
+                    backend.returned(),
+                    (0..reads).collect::<Vec<u64>>(),
+                    "{what}: each payload back exactly once"
+                );
             }
         }
     }

@@ -32,8 +32,9 @@
 //! sweep the epoch plan in training order — each cache shard's transactions
 //! on the one thread that owns it, so they are sequential and deterministic
 //! — each sending its share of every plan position down its own bounded
-//! lane of `prefetch_depth(d)` positions, while `workers(n)` prep threads
-//! assemble the positions in order and pre-process them in parallel.  A
+//! lane of `prefetch_depth(d)` positions, while the process's one prep pool
+//! assembles the positions in order and pre-processes them in parallel, at
+//! most `n + f` of one sweep at once for `workers(n)`.  A
 //! coordinated session's failure recovery is one more such executor over
 //! the same plan.  Parallelism changes *when* work happens (reported as
 //! per-stage busy/stall seconds in the [`LoaderReport`]), never *what* a job
@@ -54,6 +55,7 @@ pub mod fault;
 pub mod fsbackend;
 pub mod minibatch;
 pub mod partition;
+pub(crate) mod pool;
 pub mod report;
 pub mod server;
 pub mod session;
@@ -65,8 +67,6 @@ pub mod tier;
 
 pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
 pub use error::CoordlError;
-#[doc(hidden)]
-pub use executor::with_lending;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fsbackend::FsBackend;
 pub use minibatch::Minibatch;

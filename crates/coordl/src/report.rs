@@ -34,12 +34,13 @@ pub struct EpochTrajectory {
     pub fetch_busy_seconds: f64,
     /// Wall seconds the fetch thread spent blocked on prep backpressure.
     pub fetch_stall_seconds: f64,
-    /// Wall seconds prep workers spent pre-processing (summed across the
-    /// pool, so this can exceed the epoch's wall time).
+    /// Wall seconds prep pool threads spent pre-processing (summed across
+    /// the pool, so this can exceed the epoch's wall time).
     pub prep_busy_seconds: f64,
-    /// Wall seconds prep workers spent blocked on their queues — starved
-    /// for fetched batches, or publishing into a backed-up consumer /
-    /// staging window (summed across the pool).
+    /// Wall seconds prep pool threads spent waiting for holes a fetch
+    /// thread was reading (summed across the pool).  A pool thread never
+    /// waits for a lane or a staging window: it takes no position it would
+    /// have to wait for.
     pub prep_stall_seconds: f64,
     /// Wall seconds consumers spent waiting for the next minibatch (summed
     /// across consumer threads) — the runtime analogue of the simulator's
@@ -118,15 +119,13 @@ pub struct LoaderReport {
     /// Cumulative wall seconds the fetch stage spent blocked on prep
     /// backpressure.
     pub fetch_stall_seconds: f64,
-    /// Cumulative wall seconds prep workers spent pre-processing.
+    /// Cumulative wall seconds prep pool threads spent pre-processing.
     pub prep_busy_seconds: f64,
-    /// Cumulative wall seconds prep workers spent blocked on their queues.
+    /// Cumulative wall seconds prep pool threads spent waiting for holes a
+    /// fetch thread was reading.
     pub prep_stall_seconds: f64,
     /// Cumulative wall seconds consumers spent waiting for minibatches.
     pub consumer_wait_seconds: f64,
-    /// Plan positions fetch threads prepped, lent to prep while their lane
-    /// was full (their time is in the prep seconds).  Depends on timing.
-    pub lent_positions: u64,
     /// Per-fetch-thread breakdown of `fetch_busy_seconds`, indexed by pool
     /// slot.  One entry (slot 0) for the default serial fetch stage; one per
     /// thread for a `fetch_threads(f)` session, so skew across the sharded
@@ -243,7 +242,6 @@ impl LoaderReport {
             ("prep_busy_seconds", num(self.prep_busy_seconds)),
             ("prep_stall_seconds", num(self.prep_stall_seconds)),
             ("consumer_wait_seconds", num(self.consumer_wait_seconds)),
-            ("lent_positions", int(self.lent_positions)),
             (
                 "fetch_thread_busy_seconds",
                 nums(self.fetch_thread_busy_seconds.iter().copied()),
@@ -318,7 +316,6 @@ mod tests {
             prep_busy_seconds: 1.5,
             prep_stall_seconds: 0.1,
             consumer_wait_seconds: 0.3,
-            lent_positions: 3,
             fetch_thread_busy_seconds: vec![0.12, 0.08],
             fetch_thread_stall_seconds: vec![0.03, 0.02],
             epochs: vec![
@@ -387,7 +384,6 @@ mod tests {
             traj[0].get("consumer_wait_seconds").and_then(Value::as_f64),
             Some(0.25)
         );
-        assert_eq!(doc.get("lent_positions").and_then(Value::as_f64), Some(3.0));
         // Per-fetch-thread arrays split the aggregate fetch timings.
         let busy = doc
             .get("fetch_thread_busy_seconds")

@@ -39,7 +39,7 @@
 
 use crate::coordinator::{EpochSession, JobEpochIterator};
 use crate::error::CoordlError;
-use crate::executor::{CoreLedger, ExecutorConfig, FetchFn, Fetched, Lane, Plan};
+use crate::executor::{ExecutorConfig, FetchFn, Fetched, Lane, Plan};
 use crate::fault::FaultPlan;
 use crate::minibatch::Minibatch;
 use crate::partition::PartitionedCacheCluster;
@@ -104,17 +104,17 @@ impl Mode {
 pub struct SessionConfig {
     /// Samples per minibatch.
     pub batch_size: usize,
-    /// Prep worker threads per epoch executor: the single-mode pool, the
-    /// pool *shared by all jobs* of a coordinated session, or each
-    /// partitioned node's pool.  Worker count never changes what a job
-    /// observes — streams and counter statistics are bit-identical for any
-    /// value (see [`SessionBuilder::workers`]).
+    /// A cap on the process's prep pool, which has a thread per core and
+    /// serves every session: each epoch executor (the single-mode one, the
+    /// one *shared by all jobs* of a coordinated session, or each
+    /// partitioned node's) has at most `num_workers + fetch_threads`
+    /// positions in prep at once.  It starts no thread, and never changes
+    /// what a job observes (see [`SessionBuilder::workers`]).
     pub num_workers: usize,
     /// Plan positions each fetch thread runs ahead of the prep pool (the
-    /// capacity of its lane; one more is parked in `send` and each prep
-    /// worker holds one), and the staging window of a single-mode or
-    /// partitioned-node stream: prepared minibatches staged ahead of its
-    /// one consumer.
+    /// capacity of its lane; one more is parked in `send`), and the staging
+    /// window of a single-mode or partitioned-node stream: prepared
+    /// minibatches staged ahead of its one consumer.
     pub prefetch_depth: usize,
     /// Seed for the per-epoch shuffle (shared by all jobs of a session).
     pub seed: u64,
@@ -207,8 +207,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Size the epoch executor's prep-worker pool (overrides
-    /// [`SessionConfig::num_workers`]).
+    /// Cap each epoch executor's positions in the process's prep pool at
+    /// `n + fetch_threads` at once (overrides
+    /// [`SessionConfig::num_workers`]); it starts no thread.
     ///
     /// Parallelism is an implementation detail of *when* work happens, never
     /// of *what* is computed: every cache transaction runs in training
@@ -423,16 +424,13 @@ impl SessionBuilder {
             Mode::Coordinated { .. } => config.staging_window,
             Mode::Single | Mode::Partitioned { .. } => config.prefetch_depth,
         };
-        let window = (queued + config.num_workers + config.fetch_threads + 1) * config.batch_size;
-        let ledger = CoreLedger::for_sessions();
+        let window = (queued + 1) * config.batch_size;
         let lane = |fetch: Arc<FetchFn>| Lane {
             fetch,
             backend: Arc::clone(&backend),
             pipeline: Arc::clone(&pipeline),
             spares: Arc::new(Spares::with_window(window)),
             rings: Arc::default(),
-            scratch: Arc::default(),
-            ledger,
             stats: Arc::clone(&stats),
             config: executor,
         };
@@ -707,7 +705,6 @@ impl Session {
             prep_busy_seconds: snap.prep_busy_seconds,
             prep_stall_seconds: snap.prep_stall_seconds,
             consumer_wait_seconds: snap.consumer_wait_seconds,
-            lent_positions: self.stats().lent_positions(),
             fetch_thread_busy_seconds: self.stats().fetch_thread_busy_seconds(),
             fetch_thread_stall_seconds: self.stats().fetch_thread_stall_seconds(),
             epochs: self.trajectories.lock().clone(),
@@ -1298,9 +1295,8 @@ mod tests {
     fn a_lane_makes_its_whole_prepared_window_whatever_the_timing() {
         // A consumer that drops each batch at once keeps few samples in
         // flight, yet each node's lane ends every epoch holding exactly its
-        // window of buffers — depth 4, one worker, one fetch thread that may
-        // prep a position, the lent batch — however far prep happened to
-        // run ahead and whether the fetch thread ever prepped.
+        // window of buffers — depth 4 and the lent batch — however far prep
+        // happened to run ahead.
         for mode in [Mode::Single, Mode::Partitioned { nodes: 2 }] {
             let config = SessionConfig {
                 num_workers: 1,
@@ -1317,7 +1313,7 @@ mod tests {
                 }
             }
             for lane in &session.lanes {
-                assert_eq!(lane.spares.len(), (4 + 1 + 1 + 1) * 8, "{}", mode.name());
+                assert_eq!(lane.spares.len(), (4 + 1) * 8, "{}", mode.name());
             }
         }
     }

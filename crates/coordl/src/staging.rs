@@ -173,6 +173,12 @@ impl StagingArea {
         PublishOutcome::Published
     }
 
+    /// Whether batch `index` can be published without waiting (see
+    /// [`publish`](Self::publish)); once `true`, it stays `true`.
+    pub(crate) fn has_room(&self, index: usize) -> bool {
+        index < self.inner.lock().evicted as usize + self.window
+    }
+
     /// Take minibatch `index` on behalf of consumer `job`, waiting up to
     /// `timeout` for it to be published (`Duration::MAX` waits until it is
     /// published or the area shuts down).

@@ -28,7 +28,6 @@ pub struct LoaderStats {
     consumer_wait_nanos: AtomicU64,
     deferred_reads: AtomicU64,
     deferred_reads_by_prep: AtomicU64,
-    lent_positions: AtomicU64,
     /// Per-fetch-thread `[busy, stall]` nanos, indexed by fetch thread: a
     /// `fetch_threads(f)` stage records one row per thread (one row for the
     /// default `f = 1`), so reports can show how evenly the shard-ownership
@@ -103,7 +102,7 @@ impl LoaderStats {
     }
 
     /// Record one hole read: the backend read of a miss the tier bypassed,
-    /// done by a prep worker or (`by_prep == false`) a fetch thread.
+    /// done by a prep pool thread or (`by_prep == false`) a fetch thread.
     pub fn record_deferred_read(&self, by_prep: bool) {
         self.deferred_reads.fetch_add(1, Ordering::Relaxed);
         if by_prep {
@@ -120,36 +119,21 @@ impl LoaderStats {
         self.deferred_reads.load(Ordering::Relaxed)
     }
 
-    /// Of [`LoaderStats::deferred_reads`], the ones a prep worker read; the
-    /// rest were read by a fetch thread whose lane was full.
+    /// Of [`LoaderStats::deferred_reads`], the ones a prep pool thread
+    /// read; the rest were read by a fetch thread whose lane was full.
     pub fn deferred_reads_by_prep(&self) -> u64 {
         self.deferred_reads_by_prep.load(Ordering::Relaxed)
     }
 
-    /// Record one plan position a fetch thread prepped, lent to prep while
-    /// its lane was full.
-    pub fn record_lent_position(&self) {
-        self.lent_positions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Plan positions fetch threads prepped so far, each lent to prep while
-    /// its lane was full and the process had a core no prep worker held.
-    /// Their prep time is in the prep busy and stall seconds, not in the
-    /// fetch ones.  Like the stage timings, this depends on timing, so no
-    /// report's deterministic fields carry it.
-    pub fn lent_positions(&self) -> u64 {
-        self.lent_positions.load(Ordering::Relaxed)
-    }
-
-    /// Record time a prep worker spent pre-processing.
+    /// Record time a prep pool thread spent on a position it took, less
+    /// its prep stall.
     pub fn record_prep_busy(&self, d: Duration) {
         self.prep_busy_nanos
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Record time a prep worker spent blocked on its queues: waiting for
-    /// fetched batches, or publishing into a backed-up consumer/staging
-    /// window.
+    /// Record time a prep pool thread spent waiting, on a position it
+    /// took, for holes a fetch thread was reading.
     pub fn record_prep_stall(&self, d: Duration) {
         self.prep_stall_nanos
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
@@ -221,13 +205,13 @@ impl LoaderStats {
         self.fetch_stall_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
-    /// Seconds prep workers spent pre-processing, summed across workers.
+    /// Seconds prep pool threads spent pre-processing, summed across them.
     pub fn prep_busy_seconds(&self) -> f64 {
         self.prep_busy_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
-    /// Seconds prep workers spent blocked on their queues (starved for
-    /// fetches or backed up downstream), summed across workers.
+    /// Seconds prep pool threads spent waiting for holes a fetch thread was
+    /// reading, summed across them.
     pub fn prep_stall_seconds(&self) -> f64 {
         self.prep_stall_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
@@ -267,15 +251,6 @@ mod tests {
         s.record_deferred_read(true);
         s.record_deferred_read(true);
         assert_eq!((s.deferred_reads(), s.deferred_reads_by_prep()), (3, 2));
-    }
-
-    #[test]
-    fn lent_positions_count_each_record() {
-        let s = LoaderStats::default();
-        assert_eq!(s.lent_positions(), 0);
-        s.record_lent_position();
-        s.record_lent_position();
-        assert_eq!(s.lent_positions(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Pluggable byte-cache tiers.
 //!
-//! A [`CacheTier`] sits between a [`Session`](crate::Session)'s prep workers
+//! A [`CacheTier`] sits between a [`Session`](crate::Session)'s fetch threads
 //! and its [`FetchBackend`].  One implementation holds
 //! bytes: [`TieredByteCache`], a sharded `dcache::TierChain` of real byte
 //! tiers (DRAM MinIO/LRU/FIFO/CLOCK spilling into a profiled local-SSD tier,

@@ -11,16 +11,16 @@
 //! asking for the next (so the stream takes its buffers back for prep to
 //! reuse) or hold a whole epoch (in a coordinated session job 0 holds while
 //! the other jobs drop theirs), whose bytes must still be the delivered
-//! ones once later epochs have recycled buffers — and whether fetch threads
-//! whose lane is full lend themselves to prep, always or never, whatever
-//! the host's cores.  A stalled consumer pins how many sample buffers
+//! ones once later epochs have recycled buffers — and whether the session
+//! has the process's prep pool to itself or shares it with a second session
+//! running at once.  A stalled consumer pins how many sample buffers
 //! recycling keeps.  A property section
 //! additionally drives arbitrary dataset/batch/worker/shard shapes through
 //! the executor and checks the exactly-once sampler invariants.
 
 use benchkit::{parallel, Workload};
 use datastalls::cache::PolicyKind;
-use datastalls::coordl::{with_lending, Minibatch, Mode, Session, SessionConfig, TierSnapshot};
+use datastalls::coordl::{Minibatch, Mode, Session, SessionConfig, TierSnapshot};
 use datastalls::dataset::EpochSampler;
 use datastalls::prelude::*;
 use proptest::prelude::*;
@@ -240,10 +240,11 @@ fn partitioned_mode_is_bit_identical_across_workers_and_depth() {
 }
 
 #[test]
-fn lending_fetch_threads_to_prep_changes_nothing_a_job_observes_in_any_mode() {
-    // Fetch threads that prep whenever their lane is full, or never: the
-    // streams, counters and tier snapshots are the same, at one worker
-    // (where a lending fetch thread preps the most) and at two.
+fn two_sessions_on_one_prep_pool_observe_what_one_observes_alone() {
+    // Every session in the process preps on one pool: two sessions of one
+    // shape, each driven on its own thread at the same time, observe
+    // exactly what one observes alone — streams, counters and tier
+    // snapshots — at one worker (the smallest cap on the pool) and at two.
     let modes = [
         Mode::Single,
         Mode::Coordinated { jobs: 2 },
@@ -252,20 +253,26 @@ fn lending_fetch_threads_to_prep_changes_nothing_a_job_observes_in_any_mode() {
     for mode in modes {
         for policy in [PolicyKind::MinIo, PolicyKind::Lru] {
             for (workers, depth, consumer) in [(1, 1, DropEach), (2, 4, Collect)] {
-                let run = |lend| {
-                    with_lending(lend, || run_session(mode, policy, workers, depth, consumer))
-                };
-                let forbidden = run(false);
+                let run = || run_session(mode, policy, workers, depth, consumer);
+                let alone = run();
                 assert!(
-                    forbidden.counters.4 > 0,
+                    alone.counters.4 > 0,
                     "{mode:?}/{policy:?}: nothing delivered"
                 );
-                assert_eq!(
-                    run(true),
-                    forbidden,
-                    "{mode:?}/{policy:?}: workers={workers} depth={depth} {consumer:?}: \
-                     lending changed what the jobs observed"
-                );
+                let together: Vec<Observed> = std::thread::scope(|s| {
+                    let sessions: Vec<_> = (0..2).map(|_| s.spawn(run)).collect();
+                    sessions
+                        .into_iter()
+                        .map(|h| h.join().expect("session"))
+                        .collect()
+                });
+                for (k, observed) in together.iter().enumerate() {
+                    assert!(
+                        *observed == alone,
+                        "{mode:?}/{policy:?}: workers={workers} depth={depth} {consumer:?}: \
+                         session {k} of two at once diverged from the session alone"
+                    );
+                }
             }
         }
     }
@@ -286,37 +293,33 @@ fn prep_heavy_preset_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn a_stalled_consumer_bounds_the_recycled_buffers_by_the_prepared_side_window() {
-    // A single-mode stream with one prep worker and a fetch thread that
-    // never lends itself to prep, so nothing but the worker preps: the
-    // batch lent to the consumer, the `depth` staged for it, and the one
-    // the worker has prepared and is parked on.  (The lane also makes a
-    // batch of buffers for the fetch thread's lent position; never
-    // popped here, it stays on the stack.)  On equal-sized items every
-    // buffer is reserved to the same pre-crop size at its first use and
-    // never reallocated: each keeps one address for the whole session, and
-    // the distinct addresses delivered count the buffers in use.
+    // A single-mode stream with one worker: the batch lent to the consumer
+    // and the `depth` staged for it.  The pool preps no position the
+    // staging window has no room for, so nothing more is prepared, and the
+    // lane makes exactly that window of buffers.  On equal-sized items
+    // every buffer is reserved to the same pre-crop size at its first use
+    // and never reallocated: each keeps one address for the whole session,
+    // and the distinct addresses delivered count the buffers in use.
     let (depth, batch, items) = (2, 8, 160u64);
-    let window = (depth + 1 + 1) * batch;
+    let window = (depth + 1) * batch;
     let source: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(
         DatasetSpec::new("lending", items, 256, 0.0, 4.0),
         5,
     ));
-    let session = with_lending(false, || {
-        Session::builder(
-            source,
-            SessionConfig {
-                batch_size: batch,
-                seed: SEED,
-                cache_capacity_bytes: 16 << 20,
-                ..SessionConfig::default()
-            },
-        )
-        .workers(1)
-        .prefetch_depth(depth)
-        .pipeline(pipeline())
-        .build()
-        .expect("valid session")
-    });
+    let session = Session::builder(
+        source,
+        SessionConfig {
+            batch_size: batch,
+            seed: SEED,
+            cache_capacity_bytes: 16 << 20,
+            ..SessionConfig::default()
+        },
+    )
+    .workers(1)
+    .prefetch_depth(depth)
+    .pipeline(pipeline())
+    .build()
+    .expect("valid session");
     let mut buffers = HashSet::new();
     for epoch in 0..2u64 {
         let run = session.epoch(epoch);
@@ -327,7 +330,7 @@ fn a_stalled_consumer_bounds_the_recycled_buffers_by_the_prepared_side_window() 
         };
         assert_eq!(take(stream.next().unwrap().unwrap()), 0);
         // Stalled after one batch: prep runs exactly one window ahead and
-        // parks there.
+        // stops there.
         let parked = epoch * items + window as u64;
         let deadline = Instant::now() + Duration::from_secs(60);
         while session.stats().samples_prepared() < parked {

@@ -92,9 +92,10 @@ fn dropping_a_coordinated_run_with_a_full_staging_window_drains_cleanly() {
             let mut stream = run.stream(0);
             let first = stream.next().expect("epoch has batches");
             assert!(first.is_ok());
-            // Job 1 never consumes: the window stays full and every prep
-            // worker ends up blocked inside StagingArea::publish.  Dropping
-            // the run must still shut down and join everything.
+            // Job 1 never consumes: the window stays full, the prep pool
+            // takes no more of the epoch's positions and the fetch threads
+            // park on their full lanes.  Dropping the run must still shut
+            // down and join everything.
             drop(run);
             // The surviving stream observes the typed shutdown.
             for outcome in stream {
