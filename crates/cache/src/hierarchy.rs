@@ -26,8 +26,7 @@
 //! *everything* through the chain without changing any existing number.
 
 use crate::stats::{AccessOutcome, CacheStats};
-use crate::{PolicyCache, PolicyKind};
-use std::collections::HashMap;
+use crate::{KeyMap, PolicyCache, PolicyKind};
 
 /// The modelled cost of serving bytes from one tier: a fixed per-access
 /// latency plus a bandwidth term.
@@ -126,7 +125,7 @@ pub struct TierChain {
     levels: Vec<Level>,
     /// Size of every key resident in at least one tier, needed to demote
     /// victims (the policies' victim logs carry keys, not sizes).
-    sizes: HashMap<u64, u64>,
+    sizes: KeyMap<u64, u64>,
 }
 
 impl TierChain {
@@ -154,7 +153,7 @@ impl TierChain {
             .collect();
         TierChain {
             levels,
-            sizes: HashMap::new(),
+            sizes: KeyMap::default(),
         }
     }
 

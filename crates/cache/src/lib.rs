@@ -38,7 +38,7 @@ pub mod stats;
 pub use fault::{fault_schedule, FaultEvent, FaultKind};
 pub use hierarchy::{ChainAccess, ChainSource, DemotionStats, TierChain, TierCost, TierSpec};
 pub use partitioned::{Location, PartitionedIndex, ServerId};
-pub use policy::{PolicyCache, PolicyKind};
+pub use policy::{KeyMap, PolicyCache, PolicyKind};
 pub use ring::{rendezvous_order, rendezvous_pick, rendezvous_score};
 pub use sharded::{shard_capacity, shard_of_key, ShardedChain};
 pub use stats::{AccessOutcome, CacheStats};

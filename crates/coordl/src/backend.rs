@@ -43,7 +43,10 @@ pub trait FetchBackend: Send + Sync {
     /// it: a session's own tier offers each payload it drops, whichever of
     /// the two lets go last offers it, exactly once); its contents are
     /// garbage to the backend, and it need not have come from this
-    /// backend's `read`.  The default drops it.
+    /// backend's `read`.  A session also offers new empty buffers: when its
+    /// tier first bypasses a miss, room for the misses it holds between
+    /// read and prep, and after that one for each payload the tier still
+    /// keeps.  The default drops it.
     ///
     /// A tier offers what it drops while it holds a shard lock, so the lock
     /// order is tier shard → whatever `recycle` locks: an implementation

@@ -24,7 +24,8 @@
 //!        │ assembles a sweep's next position from every thread lane and
 //!        │ preps it, deterministically per (epoch, item): first the cells
 //!        │ that hold bytes, then the holes nobody claimed (read by the pool
-//!        │ thread), last the holes a fetch thread is still reading
+//!        │ thread), last the holes a fetch thread is still reading.  All
+//!        │ but one pool thread at most are in positions with holes
 //!        ▼
 //!   PreparedSink — the epoch's StagingArea: one consumer for a single /
 //!                  partitioned stream, every job in a coordinated epoch
@@ -57,27 +58,31 @@
 //! [`Fetched::Hole`] and the read happens later, exactly once, on whichever
 //! stage thread claims the hole first with one compare-and-swap — the fetch
 //! thread while its lane is full (and after the plan ends), for positions
-//! still queued in its lane, or the pool thread that took the position, for
-//! the holes left when it did.  A hole read is counted in
-//! `bytes_from_storage` when it succeeds.  A pool thread that needs a hole
-//! a fetch thread was already reading parks on the position's condvar, and
-//! the reader signals it only when someone waits.
+//! still queued in its lane or staged in the assembler, or the pool thread
+//! that took the position, for the holes left when it did.  A hole read is
+//! counted in `bytes_from_storage` when it succeeds.  A pool thread that
+//! needs a hole a fetch thread was already reading waits on the position's
+//! condvar, which the reader signals (one load when nobody waits).
 //!
 //! **No pool thread waits on a lane or a sink.**  The pool takes a position
 //! only when every lane already holds its partial (read with `try_recv`; a
 //! position found only partly there stays staged in the [`Assembler`]) and
 //! the sink has room for its batch ([`PreparedSink::has_room`]), so
 //! `publish` returns at once; see [`crate::pool`].  What a pool thread may
-//! wait for is a hole a fetch thread is reading, which the reader settles
-//! without waiting on anything: that wait is all that counts as prep stall.
+//! wait on is the backend: a hole it reads, or one a fetch thread is
+//! reading, which the reader settles without waiting on anything — that
+//! wait is all that counts as prep stall.  The pool lets at most all but
+//! one of its threads into positions with holes, so a sweep whose backend
+//! hangs cannot hold every pool thread: a position it may not take stays
+//! staged, and its fetch threads read its holes.
 //!
 //! **Windows.**  A fetch thread runs at most `prefetch_depth` positions
 //! (plus the one it is handing over) ahead of the assembler, which holds at
-//! most one complete position waiting for room.  Its partials live in a
-//! ring the lane keeps across positions and epochs: `prefetch_depth +
-//! workers + fetch_threads + 1` of them, one more than its lane and the
-//! positions in prep or staged can hold at once, so neither stage allocates
-//! per position.
+//! most one complete position waiting for room or a reader.  Its partials
+//! live in a ring the lane keeps across positions and epochs, as many as
+//! [`ExecutorConfig::fetch_window`] (`prefetch_depth + 1 + workers +
+//! fetch_threads`): one more than its lane and the positions in prep or
+//! staged can hold at once, so neither stage allocates per position.
 //!
 //! **Recycled buffers.**  Whoever preps a batch prepares it into buffers
 //! popped from the lane's [`Spares`] — buffers the lane's streams took back
@@ -187,6 +192,15 @@ pub(crate) struct ExecutorConfig {
     pub fetch_shards: usize,
 }
 
+impl ExecutorConfig {
+    /// Plan positions a sweep holds between fetch and prep at most: each
+    /// lane's `prefetch_depth`, the one being handed over, and `workers +
+    /// fetch_threads` in prep or staged.
+    pub(crate) fn fetch_window(&self) -> usize {
+        self.prefetch_depth.max(1) + 1 + self.workers.max(1) + self.fetch_threads.max(1)
+    }
+}
+
 /// Spare partial rings, one per fetch thread per set: a sweep takes a set
 /// and gives it back once its threads are joined.
 type Rings = Mutex<Vec<Vec<Ring>>>;
@@ -261,21 +275,20 @@ impl Lane {
         pool::register(Arc::clone(&sweep), Assembler::new(receivers));
         let mut rings = self.rings.lock().pop().unwrap_or_default();
         rings.resize_with(threads, Ring::default);
-        let mut fetchers = Vec::with_capacity(threads);
-        for (thread, (mut ring, lane_tx)) in rings.into_iter().zip(senders).enumerate() {
-            // Every partial its lane and the positions in prep or staged
-            // can hold at once, plus the one being filled.
-            ring.fit(depth + sweep.cap + 1, sweep.cells);
+        let fetchers = rings.into_iter().zip(senders).enumerate();
+        let fetchers = fetchers.map(|(thread, (mut ring, lane_tx))| {
+            ring.fit(self.config.fetch_window(), sweep.cells);
             let sweep = Arc::clone(&sweep);
-            fetchers.push(std::thread::spawn(move || {
+            std::thread::spawn(move || {
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| sweep.run(thread, &lane_tx, &mut ring)));
                 if let Err(payload) = outcome {
                     sweep.sink.fail(panicked("fetch", payload));
                 }
                 ring
-            }));
-        }
+            })
+        });
+        let fetchers = fetchers.collect();
         PrefetchExecutor {
             sweep: Arc::as_ptr(&sweep) as usize,
             gone,
@@ -421,14 +434,8 @@ impl Drop for PrefetchExecutor {
         let _ = self.gone.recv();
         // A panicked thread already reported its error; the Err here is
         // just the resume payload.
-        let mut rings: Vec<Ring> = self
-            .fetchers
-            .drain(..)
-            .filter_map(|h| h.join().ok())
-            .collect();
-        for ring in &mut rings {
-            ring.empty(&*self.lane.backend);
-        }
+        let rings = self.fetchers.drain(..).filter_map(|h| h.join().ok());
+        let rings = rings.map(|ring| ring.empty(&*self.lane.backend)).collect();
         self.lane.rings.lock().push(rings);
     }
 }
@@ -439,10 +446,8 @@ const READY: u8 = 0;
 const OPEN: u8 = 1;
 /// A hole the thread that claimed it is reading.
 const CLAIMED: u8 = 2;
-/// A claimed hole a pool thread waits for.
-const AWAITED: u8 = 3;
 /// A hole whose read failed: its reader has failed the epoch.
-const FAILED: u8 = 4;
+const FAILED: u8 = 3;
 
 /// One item a fetch thread owns at one plan position.
 struct Cell {
@@ -466,11 +471,12 @@ struct Partial {
     cells: Vec<Cell>,
     /// Holes not claimed yet: the fetch thread skips partials without any.
     open: AtomicUsize,
-    /// Whether the partial waits in its lane: the fetch thread reads only
-    /// the holes of queued positions and leaves an assembled position's to
-    /// the pool thread that takes it.  That thread then waits only for a
-    /// read claimed before the position was assembled, not for one behind
-    /// every hole of it — a reader that a third runnable thread can preempt.
+    /// Whether the partial waits in its lane or staged in the assembler:
+    /// the fetch thread reads only the holes of queued positions and leaves
+    /// a taken position's to the pool thread that took it.  That thread
+    /// then waits only for a read claimed before it took the position, not
+    /// for one behind every hole of it — a reader that a third runnable
+    /// thread can preempt.
     queued: AtomicBool,
     /// Each cell's payload until prep takes it.  A hole's reader settles
     /// the hole under this lock, so a pool thread that checked the hole's
@@ -545,17 +551,16 @@ impl Partial {
     }
 
     /// Settle claimed hole `cell` with its payload, or as failed, and wake
-    /// the pool thread waiting for it, if one is.
+    /// the pool thread waiting for it, if one is (a condvar nobody waits on
+    /// is signalled with one load).
     fn settle(&self, cell: usize, payload: Option<Arc<Vec<u8>>>) {
         let state = if payload.is_some() { READY } else { FAILED };
-        let awaited = {
+        {
             let mut payloads = self.payloads.lock();
             payloads[cell] = payload;
-            self.cells[cell].state.swap(state, Ordering::AcqRel) == AWAITED
-        };
-        if awaited {
-            self.settled.notify_all();
+            self.cells[cell].state.store(state, Ordering::Release);
         }
+        self.settled.notify_all();
     }
 
     /// Wait until hole `cell`, which another thread claimed, settles, and
@@ -563,13 +568,10 @@ impl Partial {
     fn collect(&self, cell: usize) -> Option<Arc<Vec<u8>>> {
         let state = &self.cells[cell].state;
         let mut payloads = self.payloads.lock();
-        loop {
-            match state.compare_exchange(CLAIMED, AWAITED, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) | Err(AWAITED) => self.settled.wait(&mut payloads),
-                Err(READY) => return payloads[cell].take(),
-                Err(_) => return None,
-            }
+        while state.load(Ordering::Acquire) == CLAIMED {
+            self.settled.wait(&mut payloads);
         }
+        payloads[cell].take()
     }
 }
 
@@ -633,12 +635,13 @@ impl Ring {
 
     /// Empty every partial, handing each payload left in one back to
     /// `backend` (once every other holder is gone).
-    fn empty(&mut self, backend: &dyn FetchBackend) {
+    fn empty(mut self, backend: &dyn FetchBackend) -> Self {
         for partial in &mut self.partials {
             if let Some(partial) = Arc::get_mut(partial) {
                 partial.reset(0, false, backend);
             }
         }
+        self
     }
 }
 
@@ -785,6 +788,11 @@ impl Sweep {
                 Ok(raw) => {
                     stats.record_deferred_read(false);
                     claim.settle(Some(raw));
+                    // A position the pool left staged for want of a reader
+                    // may be takeable now.
+                    if oldest.open.load(Ordering::Relaxed) == 0 {
+                        pool::wake();
+                    }
                     true
                 }
                 Err(err) => {
@@ -860,13 +868,21 @@ impl Assembler {
     }
 
     /// Receive `sweep`'s next unskipped position's partial from every lane,
-    /// in thread order, into `prep` and return the position — once every
-    /// lane has it and the sink, still live, has room for its batch.  Never
-    /// waits: `None` when a lane's next partial is not there yet or there is
-    /// no room, and what was received stays staged for the next call.
-    /// `None` for good once the plan is exhausted or a lane ended early (its
-    /// thread failed or saw the shutdown).  Called under the pool's lock.
-    pub(crate) fn next(&mut self, sweep: &Sweep, prep: &mut PrepWorker) -> Option<usize> {
+    /// in thread order, into `prep` and return the position and whether it
+    /// has holes to read or wait for — once every lane has it, the sink,
+    /// still live, has room for its batch and, if it has holes, the caller
+    /// `may_read`.  Never waits: `None` when a lane's next partial is not
+    /// there yet, there is no room or the caller may not read, and what was
+    /// received stays staged for the next call, its holes still its fetch
+    /// threads' to read.  `None` for good once the plan is exhausted or a
+    /// lane ended early (its thread failed or saw the shutdown).  Called
+    /// under the pool's lock.
+    pub(crate) fn next(
+        &mut self,
+        sweep: &Sweep,
+        prep: &mut PrepWorker,
+        may_read: bool,
+    ) -> Option<(usize, bool)> {
         let (plan, sink) = (&sweep.plan, &*sweep.sink);
         if !sink.is_live() {
             return None;
@@ -877,7 +893,6 @@ impl Assembler {
                 match lane.try_recv() {
                     Ok(partial) => {
                         debug_assert_eq!(partial.pos, self.cursor, "lanes are FIFO in plan order");
-                        partial.queued.store(false, Ordering::Relaxed);
                         self.staged.push(partial);
                     }
                     Err(TryRecvError::Empty) => return None,
@@ -899,15 +914,23 @@ impl Assembler {
             if !sink.has_room(plan[self.cursor].0) {
                 return None;
             }
+            let mut cells = self.staged.iter().flat_map(|part| &part.cells);
+            let reads = cells.any(|cell| cell.state.load(Ordering::Acquire) != READY);
+            if reads && !may_read {
+                return None;
+            }
+            for part in &self.staged {
+                part.queued.store(false, Ordering::Relaxed);
+            }
             self.cursor += 1;
             prep.parts.append(&mut self.staged);
-            return Some(self.cursor - 1);
+            return Some((self.cursor - 1, reads));
         }
         None
     }
 }
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::Recycler;
     use crate::coordinator::{EpochSession, JobEpochIterator};
@@ -1494,10 +1517,11 @@ mod tests {
         // Two lanes; only the first has position 0's partial.  The
         // assembler stages it and returns nothing, never waiting on the
         // second lane; once that lane has its partial too, it still returns
-        // nothing while the sink has no room for batch 0, and the position
-        // once it has.
+        // nothing while the sink has no room for batch 0, nor while the
+        // caller may not read the hole in it, and the position once both
+        // hold.  Until then the staged partials stay their fetch threads'.
         let backend = Arc::new(HoleBackend::default());
-        let first = filled(&backend, &[0], |_| false);
+        let first = filled(&backend, &[0], |_| true);
         let mut second = Ring::default();
         second.fit(1, 1);
         let partial = Arc::get_mut(&mut second.partials[0]).unwrap();
@@ -1511,23 +1535,26 @@ mod tests {
         let mut assembler = Assembler::new(vec![rx0, rx1]);
         let mut prep = PrepWorker::default();
         assert!(tx0.try_send(Arc::clone(&first.partials[0])).is_ok());
-        let taken = assembler.next(&stage, &mut prep);
+        let taken = assembler.next(&stage, &mut prep, true);
         assert_eq!(taken, None, "the second partial is not there");
         assert_eq!(assembler.staged.len(), 1);
-        assert!(!first.partials[0].queued.load(Ordering::Relaxed));
         assert!(tx1.try_send(Arc::clone(&second.partials[0])).is_ok());
-        let taken = assembler.next(&stage, &mut prep);
+        let taken = assembler.next(&stage, &mut prep, true);
         assert_eq!(taken, None, "no room for batch 0");
         assert_eq!(assembler.staged.len(), 2);
         sink.full.store(false, Ordering::SeqCst);
-        assert_eq!(assembler.next(&stage, &mut prep), Some(0));
+        let taken = assembler.next(&stage, &mut prep, false);
+        assert_eq!(taken, None, "a hole to read, and no reader");
+        assert!(first.partials[0].queued.load(Ordering::Relaxed));
+        assert_eq!(assembler.next(&stage, &mut prep, true), Some((0, true)));
+        assert!(!first.partials[0].queued.load(Ordering::Relaxed));
         stage.prep(0, &mut prep);
         let published = sink.published.lock();
         let items: Vec<ItemId> = published[0].samples.iter().map(|s| s.item).collect();
         assert_eq!((published.len(), items), (1, vec![0, 1]));
         assert!(prep.parts.is_empty(), "the partials are let go of");
         // The plan is over: nothing more to take.
-        assert_eq!(assembler.next(&stage, &mut prep), None);
+        assert_eq!(assembler.next(&stage, &mut prep, true), None);
     }
 
     #[test]
@@ -1545,7 +1572,7 @@ mod tests {
         let stage = stage(plan(1, 4), &backend, sink.clone());
         let mut assembler = Assembler::new(vec![rx]);
         let mut prep = PrepWorker::default();
-        assert_eq!(assembler.next(&stage, &mut prep), Some(0));
+        assert_eq!(assembler.next(&stage, &mut prep, true), Some((0, true)));
         stage.prep(0, &mut prep);
         assert!(sink.published.lock().is_empty());
         let failures = sink.failures.lock();
@@ -1576,12 +1603,13 @@ mod tests {
     }
 
     #[test]
-    fn a_sweep_has_at_most_workers_plus_fetch_threads_positions_in_prep() {
+    fn all_but_one_pool_thread_at_most_wait_on_a_sweeps_backend() {
         // Every item a hole whose read waits at the gate, lanes deeper than
         // the plan: each position the pool takes parks one pool thread at
-        // the gate, so the pool threads there count the positions in prep.
-        // However long the gate stays shut, they are the sweep's cap or the
-        // pool's size, whichever is smaller — never more.
+        // the gate.  However long the gate stays shut, no more than all but
+        // one of the pool's threads get there; the rest of the holes wait
+        // for the sweep's fetch thread, which reads them once the gate
+        // opens.
         let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
         for (workers, fetch_threads) in [(1, 1), (3, 2)] {
             let what = format!("w={workers} f={fetch_threads}");
@@ -1592,16 +1620,16 @@ mod tests {
             let config = shape(workers, 16, fetch_threads);
             let lane = hole_lane(&backend, |_| true, &Arc::default(), config);
             let stream = EpochSession::start(&lane, 1, 16, None, 0, plan(16, 4)).into_consumer();
-            let in_prep = (workers + fetch_threads).min(pool);
+            let readers = (workers + fetch_threads).min(pool - 1);
             let deadline = Instant::now() + Duration::from_secs(30);
-            while backend.pool_readers.load(Ordering::SeqCst) < in_prep {
-                assert!(Instant::now() < deadline, "{what}: the pool never filled");
+            while backend.pool_readers.load(Ordering::SeqCst) < readers {
+                assert!(Instant::now() < deadline, "{what}: the pool never read");
                 std::thread::sleep(Duration::from_millis(1));
             }
             std::thread::sleep(Duration::from_millis(50));
-            let readers = backend.pool_readers.load(Ordering::SeqCst);
+            let at_gate = backend.pool_readers.load(Ordering::SeqCst);
             backend.open();
-            assert_eq!(readers, in_prep, "{what}");
+            assert_eq!(at_gate, readers, "{what}");
             assert_eq!(
                 stream.map(|mb| mb.unwrap().len()).sum::<usize>(),
                 64,
@@ -1609,6 +1637,41 @@ mod tests {
             );
         }
     }
+
+    /// A sweep over `positions` batches of one item each, at most `cap`
+    /// positions in prep, that no pool serves, and an assembler whose lane
+    /// holds every position's partial — a hole where `hole` picks the
+    /// item — with the ring that keeps them: the pool's tests drive its
+    /// takes by hand.
+    pub(crate) fn staged_sweep(
+        positions: usize,
+        cap: usize,
+        hole: fn(ItemId) -> bool,
+    ) -> (Arc<Sweep>, Assembler, Ring) {
+        let backend = Arc::new(HoleBackend::default());
+        let sweep = Sweep {
+            cap,
+            ..stage(plan(positions, 1), &backend, Arc::new(Recording::default()))
+        };
+        let fetch = hole_fetch(&backend, hole);
+        let mut ring = Ring::default();
+        ring.fit(positions, 1);
+        let (tx, rx) = bounded(positions);
+        for (pos, partial) in ring.partials.iter_mut().enumerate() {
+            let part = Arc::get_mut(partial).unwrap();
+            part.reset(pos, false, &*backend);
+            part.push(0, pos as ItemId, fetch(pos as ItemId).unwrap());
+            assert!(tx.try_send(Arc::clone(partial)).is_ok());
+        }
+        (Arc::new(sweep), Assembler::new(vec![rx]), ring)
+    }
+
+    /// What `sweep`'s fetch thread does with its lane full: read one hole
+    /// of `ring` still queued.
+    pub(crate) fn read_one_hole(sweep: &Sweep, ring: &Ring) -> bool {
+        sweep.read_hole(0, ring)
+    }
+
     #[test]
     fn fetch_and_prep_racing_for_one_hole_read_it_exactly_once() {
         let backend = Arc::new(HoleBackend::default());
@@ -1671,9 +1734,11 @@ mod tests {
                 prep.parts.push(Arc::clone(&part));
                 prep.position(lane, 0, 4, &*sink)
             });
-            while part.cells[2].state.load(Ordering::SeqCst) != AWAITED {
+            // The rest is prepped while the hole's read is held at the gate.
+            while backend.returned().len() < 3 {
                 std::thread::yield_now();
             }
+            std::thread::sleep(Duration::from_millis(20));
             assert_eq!(backend.returned().len(), 3, "the rest was prepped first");
             assert!(!prep.is_finished(), "prep waits for the hole");
             backend.open();

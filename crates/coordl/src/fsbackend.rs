@@ -655,24 +655,22 @@ mod tests {
         assert_eq!(session.epoch(0).stream(0).count(), 1);
         assert_eq!(session.cache_tier().unwrap().resident_items(), 2);
         assert_eq!(backend.span_misses(), 4);
-        // The bypassed items are holes, read by whichever stage thread gets
-        // there first: the second may be read into the buffer the first
-        // came back in, so epoch 0 makes three or four buffers.
-        let made = backend.free.made();
-        assert!((3..=4).contains(&made), "made {made}");
+        // The first bypass handed the backend the executor's window of
+        // holes in new buffers — eight positions of four: depth 4, the one
+        // handed over, two workers and one fetch thread — and the bypassed
+        // items were read into those, whichever stage thread got there
+        // first.  So the list made just the two payloads the tier keeps.
+        let window = 8 * 4;
+        assert_eq!(backend.free.made(), 2);
         assert_eq!(
             backend.free.len(),
-            made - 2,
+            window,
             "the bypassed payloads came back, the admitted ones stay put"
         );
         // The next epoch reads the two bypassed items into those buffers.
         assert_eq!(session.epoch(1).stream(0).count(), 1);
         assert_eq!(backend.span_misses(), 6);
-        assert!(
-            backend.free.made() <= 4,
-            "no more than epoch 0 had in flight"
-        );
-        assert_eq!(backend.free.len(), backend.free.made() - 2);
+        assert_eq!((backend.free.made(), backend.free.len()), (2, window));
     }
 
     #[test]

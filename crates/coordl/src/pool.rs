@@ -10,31 +10,40 @@
 //!
 //! A pool thread looks at the live sweeps in turn, starting after the one
 //! it served last, and takes the first position it can prep without
-//! waiting ([`Assembler::next`]); with none, it parks.  It never parks on
-//! one sweep's lane or sink, where it would take a core from every other
-//! session: a consumer that stalls stalls only its own sweep.  Whatever
-//! makes a position takeable is followed by a look: a fetch thread wakes
-//! one parked thread after each send, a consumer after each take, and a
-//! thread whose position is prepped looks again before it parks.  A waker
-//! finds no thread parked with one load and then skips the lock.  A pool
-//! thread's time on a position is prep busy or prep stall; with nothing to
-//! take, it is idle and counts as neither.
+//! waiting on a lane or a sink ([`Assembler::next`]); with none, it waits
+//! on the pool's condvar.  It never waits on one sweep's lane or sink,
+//! where it would take a core from every other session: a consumer that
+//! stalls stalls only its own sweep.  Backend I/O is the one wait a pool
+//! thread may meet — a position with holes to read, or with holes a fetch
+//! thread is reading — and at most all but one of the pool's threads are
+//! in such a position at once, so a backend that hangs holds no more than
+//! that: the last thread preps whatever position of any sweep already has
+//! all its bytes, and each sweep's own fetch threads read the holes of the
+//! positions it leaves (with none, the pool reads no holes at all).
+//!
+//! Whatever makes a position takeable is followed by a wake-up: a fetch
+//! thread signals after each send and after it reads a partial's last hole,
+//! a consumer after each take, and a thread whose position is prepped looks
+//! again before it waits.  A waker that finds no thread idle skips the
+//! lock.  A pool thread's time on a position is prep busy or prep stall;
+//! with nothing to take, it is idle and counts as neither.
 //!
 //! A sweep's owner deregisters it before joining its fetch threads, which
 //! drops its assembler and with it the lane receivers; the pool threads
 //! inside it finish their positions and let go of it.
 
 use crate::executor::{Assembler, PrepWorker, Sweep};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
 
-/// The pool's state under one lock, and how many of its threads are parked.
+/// The pool's state under one lock, and how many of its threads are idle.
 struct Pool {
     state: Mutex<State>,
-    /// `state.parked.len()`, readable without the lock.
+    /// Signalled when a position may have become takeable.
+    work: Condvar,
+    /// Threads that found nothing to take, or are about to look a last
+    /// time before they wait: readable without the lock.
     idle: AtomicUsize,
 }
 
@@ -42,10 +51,10 @@ struct State {
     sweeps: Vec<Entry>,
     /// The sweep the next look starts at.
     next: usize,
-    /// Parked pool threads, the longest parked woken first: every thread
-    /// then takes positions from the first epochs on, and fits its scratch
-    /// there rather than whenever timing first leaves it a position.
-    parked: VecDeque<Thread>,
+    /// Threads in a position with holes to read or wait for.
+    reading: usize,
+    /// At most that many: one fewer than the pool's threads.
+    readers: usize,
 }
 
 /// One live sweep.
@@ -65,8 +74,10 @@ fn pool() -> &'static Pool {
             state: Mutex::new(State {
                 sweeps: Vec::new(),
                 next: 0,
-                parked: VecDeque::with_capacity(threads),
+                reading: 0,
+                readers: threads - 1,
             }),
+            work: Condvar::new(),
             idle: AtomicUsize::new(0),
         }));
         for _ in 0..threads {
@@ -92,43 +103,34 @@ pub(crate) fn register(sweep: Arc<Sweep>, assembler: Assembler) {
 /// Stop serving the sweep at address `sweep`, dropping its assembler; the
 /// pool threads inside it finish their positions.
 pub(crate) fn deregister(sweep: usize) {
-    let entry = {
-        let mut state = pool().state.lock();
-        let at = state
-            .sweeps
-            .iter()
-            .position(|e| Arc::as_ptr(&e.sweep) as usize == sweep);
-        at.map(|at| state.sweeps.remove(at))
-    };
-    drop(entry);
+    let mut state = pool().state.lock();
+    state
+        .sweeps
+        .retain(|e| Arc::as_ptr(&e.sweep) as usize != sweep);
 }
 
-/// Wake one parked pool thread, if one is: the caller may have made a
+/// Wake one idle pool thread, if one is: the caller may have made a
 /// position takeable.
 pub(crate) fn wake() {
     let pool = pool();
     // Pairs with the fence in `serve`: either this load sees the thread
-    // that is about to park, or that thread's last look sees what the
+    // that is about to wait, or that thread's last look sees what the
     // caller did before calling.
     fence(Ordering::SeqCst);
-    if pool.idle.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    let parked = {
-        let mut state = pool.state.lock();
-        let thread = state.parked.pop_front();
-        pool.idle.store(state.parked.len(), Ordering::Relaxed);
-        thread
-    };
-    if let Some(thread) = parked {
-        thread.unpark();
+    if pool.idle.load(Ordering::Relaxed) > 0 {
+        // Under the lock: a thread holds it from its last look until it
+        // waits, so the signal cannot fall in between.
+        let _state = pool.state.lock();
+        pool.work.notify_one();
     }
 }
 
 impl State {
-    /// Take the next position some sweep can prep without waiting, trying
-    /// each sweep once, in turn.
-    fn take(&mut self, prep: &mut PrepWorker) -> Option<(Arc<Sweep>, usize)> {
+    /// Take the next position some sweep can prep without waiting on a
+    /// lane or a sink, trying each sweep once, in turn: the sweep, the
+    /// position and whether it has holes to read or wait for.
+    fn take(&mut self, prep: &mut PrepWorker) -> Option<(Arc<Sweep>, usize, bool)> {
+        let may_read = self.reading < self.readers;
         let n = self.sweeps.len();
         for k in 0..n {
             let at = (self.next + k) % n;
@@ -136,54 +138,53 @@ impl State {
             if entry.in_prep == entry.sweep.cap {
                 continue;
             }
-            if let Some(pos) = entry.assembler.next(&entry.sweep, prep) {
+            if let Some((pos, reads)) = entry.assembler.next(&entry.sweep, prep, may_read) {
                 entry.in_prep += 1;
+                self.reading += usize::from(reads);
                 self.next = at + 1;
-                return Some((Arc::clone(&entry.sweep), pos));
+                return Some((Arc::clone(&entry.sweep), pos, reads));
             }
         }
         None
     }
+
+    /// A position of `sweep` that [`take`](Self::take) handed out is
+    /// prepped (the sweep may have been deregistered meanwhile).
+    fn done(&mut self, sweep: &Arc<Sweep>, reads: bool) {
+        self.reading -= usize::from(reads);
+        let entry = self
+            .sweeps
+            .iter_mut()
+            .find(|e| Arc::ptr_eq(&e.sweep, sweep));
+        if let Some(entry) = entry {
+            entry.in_prep -= 1;
+        }
+    }
 }
 
 impl Pool {
-    /// A pool thread: take a position, prep it, and again; park while
+    /// A pool thread: take a position, prep it, and again; wait while
     /// there is none.
     fn serve(&self) {
-        let me = std::thread::current();
         let mut prep = PrepWorker::default();
         let mut state = self.state.lock();
-        let mut listed = false;
+        let mut idle = false;
         loop {
-            if let Some((sweep, pos)) = state.take(&mut prep) {
-                if listed {
-                    state.parked.retain(|thread| thread.id() != me.id());
-                    self.idle.store(state.parked.len(), Ordering::Relaxed);
-                    listed = false;
-                }
+            if let Some((sweep, pos, reads)) = state.take(&mut prep) {
+                self.idle.fetch_sub(usize::from(idle), Ordering::Relaxed);
+                idle = false;
                 drop(state);
                 sweep.prep(pos, &mut prep);
                 state = self.state.lock();
-                let entry = state
-                    .sweeps
-                    .iter_mut()
-                    .find(|e| Arc::ptr_eq(&e.sweep, &sweep));
-                if let Some(entry) = entry {
-                    entry.in_prep -= 1;
-                }
-            } else if !listed {
-                // Listed before the last look: a waker that comes after it
-                // finds this thread and unparks it.
-                state.parked.push_back(me.clone());
-                self.idle.store(state.parked.len(), Ordering::Relaxed);
+                state.done(&sweep, reads);
+            } else if !idle {
+                // Counted idle before a last look: a waker that comes
+                // after it sees the count and signals.
+                self.idle.fetch_add(1, Ordering::Relaxed);
                 fence(Ordering::SeqCst);
-                listed = true;
+                idle = true;
             } else {
-                drop(state);
-                std::thread::park();
-                state = self.state.lock();
-                // A waker took it off the list; a spurious wake-up did not.
-                listed = state.parked.iter().any(|thread| thread.id() == me.id());
+                self.work.wait(&mut state);
             }
         }
     }
@@ -191,8 +192,12 @@ impl Pool {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Session, SessionConfig};
-    use dataset::{DatasetSpec, SyntheticItemStore};
+    use super::{Entry, State};
+    use crate::executor::tests::{read_one_hole, staged_sweep};
+    use crate::executor::PrepWorker;
+    use crate::{CoordlError, DirectBackend, FetchBackend, Session, SessionConfig};
+    use dataset::{DataSource, DatasetSpec, ItemId, SyntheticItemStore};
+    use parking_lot::{Condvar, Mutex};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -209,16 +214,101 @@ mod tests {
         }
     }
 
+    /// A pool that serves one sweep of `positions` one-item positions,
+    /// holes where `hole` says, with `in_prep` of at most `cap` taken and
+    /// `reading` of its `readers` in positions with holes.
+    fn one_sweep(
+        positions: usize,
+        cap: usize,
+        hole: fn(ItemId) -> bool,
+        (reading, readers): (usize, usize),
+    ) -> (State, crate::executor::Ring) {
+        let (sweep, assembler, ring) = staged_sweep(positions, cap, hole);
+        let entry = Entry {
+            sweep,
+            assembler,
+            in_prep: cap,
+        };
+        let state = State {
+            sweeps: vec![entry],
+            next: 0,
+            reading,
+            readers,
+        };
+        (state, ring)
+    }
+
     #[test]
-    fn a_stalled_session_starves_no_other_session_on_the_prep_pool() {
-        // One session's consumer takes one batch and never asks again; a
-        // second session in the same process still runs two whole epochs.
-        // The pool takes no position the stalled staging window has no
-        // room for, so none of its threads waits on that session.
-        let stalled = Session::builder(store(400), config()).build().unwrap();
-        let run = stalled.epoch(0);
-        let mut held = run.stream(0);
-        assert!(held.next().unwrap().is_ok());
+    fn a_sweep_has_at_most_workers_plus_fetch_threads_positions_in_prep() {
+        // Every position has its bytes and the sink has room: only the
+        // sweep's cap holds the pool back, on any host.
+        let (mut state, _ring) = one_sweep(4, 2, |_| false, (0, 1));
+        let mut prep = PrepWorker::default();
+        assert!(state.take(&mut prep).is_none(), "two in prep, cap two");
+        state.sweeps[0].in_prep = 1;
+        let (sweep, pos, reads) = state.take(&mut prep).expect("room under the cap");
+        assert_eq!((pos, reads, state.sweeps[0].in_prep), (0, false, 2));
+        assert!(state.take(&mut prep).is_none(), "at the cap again");
+        state.done(&sweep, reads);
+        assert_eq!(state.take(&mut prep).map(|(_, pos, _)| pos), Some(1));
+    }
+
+    #[test]
+    fn a_position_with_holes_waits_for_a_reader_or_its_fetch_thread() {
+        // Position 0 is a hole and every reader is taken: the pool leaves
+        // it staged, and its fetch thread may still read the hole.  Once it
+        // has, the position needs no reader; a freed reader takes the next
+        // hole.
+        let (mut state, ring) = one_sweep(2, 4, |_| true, (1, 1));
+        state.sweeps[0].in_prep = 0;
+        let mut prep = PrepWorker::default();
+        assert!(state.take(&mut prep).is_none(), "no reader free");
+        let sweep = Arc::clone(&state.sweeps[0].sweep);
+        assert!(read_one_hole(&sweep, &ring), "still the fetch thread's");
+        let (_, pos, reads) = state.take(&mut prep).expect("no hole left");
+        assert_eq!((pos, reads, state.reading), (0, false, 1));
+        assert!(state.take(&mut prep).is_none(), "position 1 is a hole");
+        state.reading = 0;
+        let (_, pos, reads) = state.take(&mut prep).expect("a reader is free");
+        assert_eq!((pos, reads, state.reading), (1, true, 1));
+    }
+
+    /// A backend whose reads wait until [`Gated::open`].
+    struct Gated {
+        inner: DirectBackend,
+        gate: (Mutex<bool>, Condvar),
+    }
+
+    impl Gated {
+        fn open(&self) {
+            *self.gate.0.lock() = true;
+            self.gate.1.notify_all();
+        }
+    }
+
+    impl FetchBackend for Gated {
+        fn num_items(&self) -> u64 {
+            self.inner.num_items()
+        }
+        fn item_bytes(&self, item: ItemId) -> u64 {
+            self.inner.item_bytes(item)
+        }
+        fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
+            let mut open = self.gate.0.lock();
+            while !*open {
+                self.gate.1.wait(&mut open);
+            }
+            drop(open);
+            self.inner.read(item)
+        }
+        fn name(&self) -> &'static str {
+            "gated"
+        }
+    }
+
+    /// Run two epochs of a session over 200 items on another thread:
+    /// `Ok(400)` if they were delivered within 60 s.
+    fn two_epochs_of_another_session() -> Result<usize, std::sync::mpsc::RecvTimeoutError> {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let other = Session::builder(store(200), config()).build().unwrap();
@@ -231,8 +321,50 @@ mod tests {
                 .sum();
             let _ = done_tx.send(delivered);
         });
-        let delivered = done_rx.recv_timeout(Duration::from_secs(60));
+        done_rx.recv_timeout(Duration::from_secs(60))
+    }
+
+    #[test]
+    fn a_stalled_session_starves_no_other_session_on_the_prep_pool() {
+        // One session's consumer takes one batch and never asks again; a
+        // second session in the same process still runs two whole epochs.
+        // The pool takes no position the stalled staging window has no
+        // room for, so none of its threads waits on that session.
+        let stalled = Session::builder(store(400), config()).build().unwrap();
+        let run = stalled.epoch(0);
+        let mut held = run.stream(0);
+        assert!(held.next().unwrap().is_ok());
+        let delivered = two_epochs_of_another_session();
         assert_eq!(delivered, Ok(400), "two epochs of 200 items within 60 s");
         assert!(held.next().unwrap().is_ok(), "the stalled stream resumes");
+    }
+
+    #[test]
+    fn a_hung_backend_starves_no_other_session_on_the_prep_pool() {
+        // A MinIO tier that keeps nothing makes every miss a hole, and
+        // every backend read waits at a gate: the session's fetch thread
+        // and as many pool threads as may read hang in it.  A second
+        // session in the same process still runs two whole epochs.
+        let source: Arc<dyn DataSource> = store(400);
+        let backend = Arc::new(Gated {
+            inner: DirectBackend::new(Arc::clone(&source)),
+            gate: Default::default(),
+        });
+        let hung = Session::builder(
+            source,
+            SessionConfig {
+                cache_capacity_bytes: 1,
+                ..config()
+            },
+        )
+        .fetch_backend(Arc::clone(&backend) as Arc<dyn FetchBackend>)
+        .build()
+        .unwrap();
+        let run = hung.epoch(0);
+        let mut stream = run.stream(0);
+        let delivered = two_epochs_of_another_session();
+        backend.open();
+        assert_eq!(delivered, Ok(400), "two epochs of 200 items within 60 s");
+        assert!(stream.next().unwrap().is_ok(), "the hung session resumes");
     }
 }

@@ -439,8 +439,13 @@ impl SessionBuilder {
             // One lane: the shared tier over the backend.
             Mode::Single | Mode::Coordinated { .. } => {
                 let tier = build_tier(None)?;
-                let fetch =
-                    tier_over_backend(Arc::clone(&tier), Arc::clone(&backend), Arc::clone(&stats));
+                let holes = executor.fetch_window() * config.batch_size;
+                let fetch = tier_over_backend(
+                    Arc::clone(&tier),
+                    Arc::clone(&backend),
+                    Arc::clone(&stats),
+                    holes,
+                );
                 (vec![lane(fetch)], SessionKind::Shared { tier })
             }
             Mode::Partitioned { nodes } => {

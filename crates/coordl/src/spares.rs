@@ -12,26 +12,28 @@
 
 use parking_lot::Mutex;
 
-/// Payload buffers a backend's free list holds at most: eight default
-/// minibatches.  Two sources feed it.  Prep hands back every payload it held
-/// the last reference to — the misses no tier kept — so with a never-evicting
-/// tier the list needs the executor's fetch→prep window: each fetch thread's
-/// lane of four positions, the position each fetch thread is fetching, and
-/// the positions in prep or assembled and waiting for room in the staging
-/// window — at most `workers + fetch_threads`, three by default — eight
-/// default minibatches (one more per further fetch thread).  The prepared
-/// side's window is five: the staging window and the batch lent to the
-/// consumer (see `Lane::spares`).  A session's cache tier hands back every
-/// payload it drops (an evicted key, or the copy a raced admission
-/// discarded), at most one per miss in steady state, and each is taken
-/// again by the miss that follows.  The list only ever holds buffers that
-/// were in flight together, so it keeps resident what that peak already
-/// needed; what it buys is a count that does not depend on timing.
-/// A list smaller than the window (32) re-allocated anything from one
-/// payload in a hundred to two in five, depending on which stage happened to
-/// run ahead (`BENCH_17.json`).  What arrives beyond the cap is dropped and
-/// allocated again, nothing worse.
-pub(crate) const FREE_LIST_CAP: usize = 256;
+/// Payload buffers a backend's free list holds at most: thirty-two default
+/// minibatches.  Three sources feed it.  Prep hands back every payload it
+/// held the last reference to — the misses no tier kept — so with a
+/// never-evicting tier the list needs the executor's fetch→prep window:
+/// each lane of four positions, the position being handed over, and the
+/// positions in prep or staged — at most `workers + fetch_threads`, three
+/// by default — eight default minibatches.  A session hands the backend
+/// that window of new buffers when its tier first bypasses a miss, and one
+/// more for each payload the tier keeps after that
+/// (`stack::tier_over_backend`), so the list holds the window before any
+/// of it is in flight.  The prepared side's window is five: the staging window and
+/// the batch lent to the consumer (see `Lane::spares`).  A session's cache
+/// tier hands back every payload it drops (an evicted key, or the copy a
+/// raced admission discarded), at most one per miss in steady state, and
+/// each is taken again by the miss that follows.  What it buys is a count
+/// that does not depend on timing.  A list smaller than the window (32)
+/// re-allocated anything from one payload in a hundred to two in five,
+/// depending on which stage happened to run ahead (`BENCH_17.json`); the
+/// cap is four windows so that the spares made before the first bypass fit
+/// beside the window.  What arrives beyond the cap is dropped and allocated
+/// again, nothing worse.
+pub(crate) const FREE_LIST_CAP: usize = 1024;
 
 /// A stack of spare buffers shared between threads.  Its lock is held only
 /// to push, pop or make the window, never while a buffer is filled.

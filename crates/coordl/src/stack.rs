@@ -18,18 +18,27 @@ use crate::executor::{FetchFn, Fetched};
 use crate::stats::LoaderStats;
 use crate::{CacheTier, FetchBackend};
 use dataset::ItemId;
-use std::sync::Arc;
+use std::sync::{Arc, Once};
 
 /// The fetch path of `tier` over `backend`: serve `item` from the tier; on
 /// a miss, record the bypass and leave a hole when the tier will not keep
 /// it, else read it from the backend and offer it for admission.  Byte
 /// provenance goes to `stats` (a hole's storage bytes once it is read).  A
 /// failed backend read surfaces as [`CoordlError::BackendIo`].
+///
+/// The tier's first bypass hands `window` new buffers of the item's size to
+/// the backend's free list — the most holes the executor holds between read
+/// and prep — and each payload the tier still keeps after it one more, so
+/// from then on the list never runs dry (a sharded tier fills shard by
+/// shard), and how many buffers it made does not depend on how far the
+/// stages happened to run ahead of each other.
 pub(crate) fn tier_over_backend(
     tier: Arc<dyn CacheTier>,
     backend: Arc<dyn FetchBackend>,
     stats: Arc<LoaderStats>,
+    window: usize,
 ) -> Arc<FetchFn> {
+    let full = Once::new();
     Arc::new(move |item| {
         if let Some((bytes, level)) = tier.lookup_traced(item) {
             stats.record_cache_read(bytes.len() as u64);
@@ -42,12 +51,21 @@ pub(crate) fn tier_over_backend(
         if item < backend.num_items() {
             let size = backend.item_bytes(item);
             if tier.try_bypass(item, size) {
+                full.call_once(|| {
+                    for _ in 0..window {
+                        backend.recycle(Vec::with_capacity(size as usize));
+                    }
+                });
                 return Ok(Fetched::Hole(size));
             }
         }
         let bytes = Arc::new(backend.read(item)?);
         stats.record_storage_read(bytes.len() as u64);
-        Ok(Fetched::Bytes(tier.admit(item, bytes)))
+        let bytes = tier.admit(item, bytes);
+        if full.is_completed() && Arc::strong_count(&bytes) > 1 {
+            backend.recycle(Vec::with_capacity(bytes.len()));
+        }
+        Ok(Fetched::Bytes(bytes))
     })
 }
 

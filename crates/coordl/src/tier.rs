@@ -17,9 +17,9 @@
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
 use dataset::ItemId;
-use dcache::{ChainAccess, ChainSource, PolicyKind, TierChain, TierSpec};
+use dcache::{ChainAccess, ChainSource, KeyMap, PolicyKind, TierChain, TierSpec};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
@@ -309,7 +309,7 @@ fn intern_label(label: String) -> &'static str {
 struct TieredInner {
     chain: TierChain,
     /// One payload per resident item, shared by every level that holds it.
-    bytes: HashMap<ItemId, Arc<Vec<u8>>>,
+    bytes: KeyMap<ItemId, Arc<Vec<u8>>>,
     // Fetch counters live in the wrapper, not the chain: with concurrent
     // workers, a lookup miss raced by another worker's admit would otherwise
     // be lost.  One hit or one miss per fetch, counted at lookup time.
@@ -879,7 +879,7 @@ impl TieredByteCache {
         specs: &[ByteTierSpec],
     ) -> Result<(TieredInner, Vec<Option<SpillStore>>), CoordlError> {
         let mut chain = TierChain::new(specs.iter().map(ByteTierSpec::tier_spec).collect());
-        let mut bytes = HashMap::new();
+        let mut bytes = KeyMap::default();
         let mut spills = Vec::with_capacity(specs.len());
         for (level, spec) in specs.iter().enumerate() {
             match &spec.backing {

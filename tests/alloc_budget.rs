@@ -54,11 +54,6 @@ static ALLOCATOR: Counting = Counting;
 
 const STEADY_EPOCHS: u64 = 3;
 
-/// Epochs streamed before the counted ones, after the stalled first one:
-/// the raw payloads in flight together peak only while batches flow, with
-/// the prep pool holding up to `workers + fetch_threads` positions.
-const WARM_EPOCHS: u64 = 3;
-
 fn source(items: u64, item_bytes: u64) -> Arc<dyn DataSource> {
     let spec = DatasetSpec::new("alloc-budget", items, item_bytes, 0.0, 1.0);
     Arc::new(SyntheticItemStore::new(spec, 11))
@@ -98,9 +93,10 @@ fn drain(session: &Session, stream: BatchStream, mut stall: Option<u64>) -> u64 
 /// delivered.  A `stall`ed epoch fills the executor's windows once: the
 /// batch lent to the consumer and the staging window, all the prep pool
 /// prepares for a stalled consumer.  The lane makes every sample buffer at
-/// its first batch anyway; the stall and the warm epochs after it are for
-/// the raw payloads, which the backend makes only as many of as were ever
-/// in flight together.
+/// its first batch anyway, and the session hands the backend buffers for
+/// every hole it can hold in flight at its tier's first bypass; the stall
+/// is for the other raw payloads, which the backend makes only as many of
+/// as were ever in flight together.
 fn run_epoch(session: &Session, epoch: u64, stall: bool) -> u64 {
     let config = session.config();
     let queued = match session.mode() {
@@ -124,15 +120,12 @@ fn run_epoch(session: &Session, epoch: u64, stall: bool) -> u64 {
 }
 
 /// Bytes requested from the allocator per delivered sample over the steady
-/// epochs that follow one stalled and `WARM_EPOCHS` streamed warm epochs.
+/// epochs that follow one stalled warm epoch.
 fn steady_bytes_per_sample(session: &Session) -> u64 {
     run_epoch(session, 0, true);
-    for e in 1..=WARM_EPOCHS {
-        run_epoch(session, e, false);
-    }
     let before = REQUESTED.load(Relaxed);
     let delivered: u64 = (1..=STEADY_EPOCHS)
-        .map(|e| run_epoch(session, WARM_EPOCHS + e, false))
+        .map(|e| run_epoch(session, e, false))
         .sum();
     (REQUESTED.load(Relaxed) - before) / delivered
 }
