@@ -17,15 +17,15 @@
 //!   one bounded thread lane per fetch thread (prefetch_depth positions):
 //!   one partial per plan position — a cell per item the thread owns there,
 //!   holding its bytes or a *hole*: a bypassed miss not read yet.  While
-//!   its lane is full, the thread reads the holes of the positions queued
-//!   in it, oldest first, and only then blocks
+//!   its lane is full, the thread reads the holes of its partials, oldest
+//!   position first, and only then blocks
 //!        │ the prep pool: `available_parallelism` threads for the whole
-//!        │ process, serving every live sweep in turn.  A pool thread
-//!        │ assembles a sweep's next position from every thread lane and
-//!        │ preps it, deterministically per (epoch, item): first the cells
-//!        │ that hold bytes, then the holes nobody claimed (read by the pool
-//!        │ thread), last the holes a fetch thread is still reading.  All
-//!        │ but one pool thread at most are in positions with holes
+//!        │ process, serving every live sweep in turn.  The sweep's
+//!        │ assembler stages the positions every lane has handed over; a
+//!        │ pool thread preps any staged position whose cells all hold
+//!        │ bytes, deterministically per (epoch, item), or — all but one
+//!        │ pool thread at most — reads the unclaimed holes of the oldest
+//!        │ staged position that has any
 //!        ▼
 //!   PreparedSink — the epoch's StagingArea: one consumer for a single /
 //!                  partitioned stream, every job in a coordinated epoch
@@ -56,33 +56,33 @@
 //! [`CacheTier::try_bypass`](crate::CacheTier::try_bypass)), so its backend
 //! read leaves the ordered path: the fetch function returns
 //! [`Fetched::Hole`] and the read happens later, exactly once, on whichever
-//! stage thread claims the hole first with one compare-and-swap — the fetch
-//! thread while its lane is full (and after the plan ends), for positions
-//! still queued in its lane or staged in the assembler, or the pool thread
-//! that took the position, for the holes left when it did.  A hole read is
-//! counted in `bytes_from_storage` when it succeeds.  A pool thread that
-//! needs a hole a fetch thread was already reading waits on the position's
-//! condvar, which the reader signals (one load when nobody waits).
+//! thread claims the hole first with one compare-and-swap — its fetch
+//! thread while its lane is full (and after the plan ends), or a pool
+//! thread's read task on a staged position.  A hole read is counted in
+//! `bytes_from_storage` when it succeeds.  Nobody waits for a read another
+//! thread claimed: a position is prepped only once all its holes are read,
+//! and a fetch thread that reads a partial's last one wakes the pool.
 //!
-//! **No pool thread waits on a lane or a sink.**  The pool takes a position
-//! only when every lane already holds its partial (read with `try_recv`; a
-//! position found only partly there stays staged in the [`Assembler`]) and
-//! the sink has room for its batch ([`PreparedSink::has_room`]), so
-//! `publish` returns at once; see [`crate::pool`].  What a pool thread may
-//! wait on is the backend: a hole it reads, or one a fetch thread is
-//! reading, which the reader settles without waiting on anything — that
-//! wait is all that counts as prep stall.  The pool lets at most all but
-//! one of its threads into positions with holes, so a sweep whose backend
-//! hangs cannot hold every pool thread: a position it may not take stays
-//! staged, and its fetch threads read its holes.
+//! **No pool thread waits on a lane, a sink or another thread.**  The
+//! assembler receives a partial from a lane only if it is there
+//! (`try_recv`), and hands out a position for prep only when it is
+//! complete and the sink has room for its batch
+//! ([`PreparedSink::has_room`]), so `publish` returns at once; see
+//! [`crate::pool`].  What a pool thread may wait on is the backend, in a
+//! read task of its own — that time is prep stall.  The pool lets at most
+//! all but one of its threads read holes at once, so a sweep whose backend
+//! hangs cannot hold every pool thread: the positions nobody else reads
+//! wait for their fetch threads.
 //!
 //! **Windows.**  A fetch thread runs at most `prefetch_depth` positions
-//! (plus the one it is handing over) ahead of the assembler, which holds at
-//! most one complete position waiting for room or a reader.  Its partials
-//! live in a ring the lane keeps across positions and epochs, as many as
+//! (plus the one it is handing over) ahead of the assembler.  Its staged
+//! positions and its pool tasks in flight together number at most
+//! `workers + fetch_threads`, and only its last staged position may wait
+//! for room in the sink.  Each fetch thread's partials live in a ring the
+//! lane keeps across positions and epochs, as many as
 //! [`ExecutorConfig::fetch_window`] (`prefetch_depth + 1 + workers +
-//! fetch_threads`): one more than its lane and the positions in prep or
-//! staged can hold at once, so neither stage allocates per position.
+//! fetch_threads`): one more than its lane, the staged positions and the
+//! tasks can hold at once, so neither stage allocates per position.
 //!
 //! **Recycled buffers.**  Whoever preps a batch prepares it into buffers
 //! popped from the lane's [`Spares`] — buffers the lane's streams took back
@@ -96,7 +96,7 @@
 //!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and handed to the sink's
-//! [`fail`](PreparedSink::fail) (a panic in a pool thread's prep is a
+//! [`fail`](PreparedSink::fail) (a panic in a pool thread's task is a
 //! `"prep"` one, and the thread goes on serving); a typed fetch error, or a
 //! failed hole read on any thread, is handed over as it is, once, by the
 //! thread that saw it.  The sink ends the epoch, which wakes its consumers;
@@ -115,14 +115,14 @@ use crate::stack::read_hole;
 use crate::stats::LoaderStats;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use dataset::ItemId;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use prep::{ExecutablePipeline, PreparedSample};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What the fetch path gives back for one item.
 pub(crate) enum Fetched {
@@ -178,8 +178,9 @@ fn panicked(stage: &'static str, payload: Box<dyn Any + Send>) -> CoordlError {
 /// session from its [`SessionConfig`](crate::SessionConfig).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExecutorConfig {
-    /// A sweep's share of the prep pool: it has at most `workers +
-    /// fetch_threads` positions in prep at once (>= 1 enforced).
+    /// A sweep's share of the prep pool: its staged positions and its pool
+    /// tasks in flight number at most `workers + fetch_threads` (>= 1
+    /// enforced).
     pub workers: usize,
     /// Plan positions each fetch thread's lane buffers ahead of the prep
     /// pool (>= 1 enforced).
@@ -195,15 +196,19 @@ pub(crate) struct ExecutorConfig {
 impl ExecutorConfig {
     /// Plan positions a sweep holds between fetch and prep at most: each
     /// lane's `prefetch_depth`, the one being handed over, and `workers +
-    /// fetch_threads` in prep or staged.
+    /// fetch_threads` staged or in a pool task.
     pub(crate) fn fetch_window(&self) -> usize {
         self.prefetch_depth.max(1) + 1 + self.workers.max(1) + self.fetch_threads.max(1)
     }
 }
 
-/// Spare partial rings, one per fetch thread per set: a sweep takes a set
-/// and gives it back once its threads are joined.
-type Rings = Mutex<Vec<Vec<Ring>>>;
+/// What a sweep keeps for the next one over its lane: its fetch threads'
+/// partial rings and its assembler's staged list.
+#[derive(Default)]
+pub(crate) struct Kept {
+    rings: Vec<Ring>,
+    staged: Vec<Arc<Partial>>,
+}
 
 /// One fetch → prep lane of a session: everything an epoch executor runs on
 /// except the epoch's plan and sink.  Built once per session (one per
@@ -231,10 +236,10 @@ pub(crate) struct Lane {
     /// buffers exist never depends on how far prep happened to run ahead;
     /// beyond it, a buffer is made only when every one is in flight.
     pub spares: Arc<Spares>,
-    /// The fetch threads' partials, kept across epochs: a sweep takes one
-    /// set (a sweep running beside it, such as a coordinated recovery,
-    /// finds none and makes its own) and returns it emptied.
-    pub rings: Arc<Rings>,
+    /// What sweeps keep across epochs: a sweep takes one set (a sweep
+    /// running beside it, such as a coordinated recovery, finds none and
+    /// makes its own) and returns it emptied.
+    pub kept: Arc<Mutex<Vec<Kept>>>,
     /// Shared statistics (byte provenance, sample counts, stage timings).
     pub stats: Arc<LoaderStats>,
     /// Thread counts and queue depth.
@@ -270,10 +275,11 @@ impl Lane {
             sink,
             _held: held,
         });
+        let Kept { mut rings, staged } = self.kept.lock().pop().unwrap_or_default();
         // Registered before any fetch thread sends, so every send's wake
         // finds the sweep.
-        pool::register(Arc::clone(&sweep), Assembler::new(receivers));
-        let mut rings = self.rings.lock().pop().unwrap_or_default();
+        let assembler = Assembler::new(receivers, staged, sweep.cap);
+        pool::register(Arc::clone(&sweep), assembler);
         rings.resize_with(threads, Ring::default);
         let fetchers = rings.into_iter().zip(senders).enumerate();
         let fetchers = fetchers.map(|(thread, (mut ring, lane_tx))| {
@@ -298,115 +304,50 @@ impl Lane {
     }
 }
 
-/// A pool thread's prep scratch, reused across positions, sweeps and
-/// epochs.
+/// A pool thread's scratch, reused across tasks, sweeps and epochs.
 #[derive(Default)]
 pub(crate) struct PrepWorker {
-    /// The partials of the position being prepped, one per fetch thread.
+    /// The partials of the position of the task at hand, one per fetch
+    /// thread.
     parts: Vec<Arc<Partial>>,
-    batch: Batch,
-    /// `(slot, item, payload)` of the cells that hold bytes.
-    ready: Vec<(usize, ItemId, Arc<Vec<u8>>)>,
-    /// `(part, cell)` of the other cells, then of the holes another thread
-    /// claimed.
-    holes: Vec<(usize, usize)>,
-    claimed: Vec<(usize, usize)>,
-    /// How long the last position waited for holes another thread read.
-    waited: Duration,
-}
-
-/// The samples of one position: each lands in its slot whatever order its
-/// bytes arrive in.
-#[derive(Default)]
-struct Batch {
+    /// The samples of the position in prep, each in its batch slot.
     slots: Vec<Option<PreparedSample>>,
-    /// Sample buffers popped for the position.
+    /// Sample buffers popped for it.
     bufs: Vec<Vec<u8>>,
-}
-
-impl Batch {
-    /// Prepare `item` from `raw` into `slot`, then hand `raw` back to the
-    /// lane's backend if this was its last reference.
-    fn prep(&mut self, lane: &Lane, epoch: u64, slot: usize, item: ItemId, raw: Arc<Vec<u8>>) {
-        let buf = self.bufs.pop().unwrap_or_default();
-        let sample = lane.pipeline.prepare_into(epoch, item, &raw, buf);
-        self.slots[slot] = Some(sample);
-        recycle_if_last(&*lane.backend, raw);
-    }
 }
 
 impl PrepWorker {
     /// Make room for positions of up to `cells` items from `parts` fetch
-    /// threads before the position is taken: grown as positions came, the
-    /// scratch's size would depend on how many holes were read before it
-    /// got to them.
+    /// threads before a task is taken: grown as positions came, the
+    /// scratch's size would depend on which thread took which task.
     fn fit(&mut self, cells: usize, parts: usize) {
         self.parts.reserve_exact(parts);
-        self.batch.slots.reserve_exact(cells);
-        self.batch.bufs.reserve_exact(cells);
-        self.ready.reserve_exact(cells);
-        self.holes.reserve_exact(cells);
-        self.claimed.reserve_exact(cells);
+        self.slots.reserve_exact(cells);
+        self.bufs.reserve_exact(cells);
     }
 
-    /// Prep the `len` samples of the position whose partials are in
-    /// `parts`, into the buffers in `batch.bufs`: first every cell that
-    /// holds bytes, then every hole nobody claimed — read here — and last
-    /// every hole another thread is reading, waiting for each.  `None` when
-    /// a hole's read failed: whoever read it has failed `sink`.
-    fn position(
-        &mut self,
-        lane: &Lane,
-        epoch: u64,
-        len: usize,
-        sink: &dyn PreparedSink,
-    ) -> Option<Vec<PreparedSample>> {
-        let (backend, stats) = (&*lane.backend, &*lane.stats);
-        let parts = &self.parts;
-        self.batch.slots.clear();
-        self.batch.slots.resize_with(len, || None);
-        self.waited = Duration::ZERO;
-        self.claimed.clear();
-        for (p, part) in parts.iter().enumerate() {
-            part.take_ready(p, &mut self.ready, &mut self.holes);
-        }
-        for (slot, item, raw) in self.ready.drain(..) {
-            self.batch.prep(lane, epoch, slot, item, raw);
-        }
-        for (p, c) in self.holes.drain(..) {
-            let part = &parts[p];
-            if !part.claim(c) {
-                self.claimed.push((p, c));
-                continue;
-            }
-            let Cell {
-                slot, item, size, ..
-            } = part.cells[c];
-            match read_hole(backend, stats, item, size) {
-                Ok(raw) => {
-                    stats.record_deferred_read(true);
-                    self.batch.prep(lane, epoch, slot, item, raw);
-                }
-                Err(err) => {
-                    sink.fail(err);
-                    return None;
-                }
+    /// Prep the `len` samples of the complete position whose partials are
+    /// in `parts`, into the buffers in `bufs`, handing every payload it
+    /// held the last reference to back to the lane's backend.
+    fn position(&mut self, lane: &Lane, epoch: u64, len: usize) -> Vec<PreparedSample> {
+        self.slots.clear();
+        self.slots.resize_with(len, || None);
+        for part in &self.parts {
+            // Nobody else takes this lock now: the position has no holes.
+            let mut payloads = part.payloads.lock();
+            for (cell, payload) in part.cells.iter().zip(payloads.iter_mut()) {
+                let raw = payload
+                    .take()
+                    .expect("a complete position holds every payload");
+                let buf = self.bufs.pop().unwrap_or_default();
+                let sample = lane.pipeline.prepare_into(epoch, cell.item, &raw, buf);
+                self.slots[cell.slot] = Some(sample);
+                recycle_if_last(&*lane.backend, raw);
             }
         }
-        // Drained, like the rest of the scratch: a hole left listed here
-        // would make the next `fit` grow the list.
-        for (p, c) in self.claimed.drain(..) {
-            let (part, waiting) = (&parts[p], Instant::now());
-            let collected = part.collect(c);
-            self.waited += waiting.elapsed();
-            // `None`: its reader failed the epoch.
-            let raw = collected?;
-            let Cell { slot, item, .. } = part.cells[c];
-            self.batch.prep(lane, epoch, slot, item, raw);
-        }
-        let samples: Vec<PreparedSample> = self.batch.slots.drain(..).flatten().collect();
+        let samples: Vec<PreparedSample> = self.slots.drain(..).flatten().collect();
         assert_eq!(samples.len(), len, "every item was fetched");
-        Some(samples)
+        samples
     }
 }
 
@@ -427,7 +368,9 @@ pub(crate) struct PrefetchExecutor {
 
 impl Drop for PrefetchExecutor {
     fn drop(&mut self) {
-        pool::deregister(self.sweep);
+        // Dropping the assembler drops the lane receivers.
+        let assembler = pool::deregister(self.sweep);
+        let staged = assembler.map(Assembler::into_staged).unwrap_or_default();
         // The sweep's last holders are the pool threads inside it and the
         // fetch threads, which return now that the sink is down and the lane
         // receivers are gone.  Nothing is ever sent on `gone`.
@@ -436,7 +379,7 @@ impl Drop for PrefetchExecutor {
         // just the resume payload.
         let rings = self.fetchers.drain(..).filter_map(|h| h.join().ok());
         let rings = rings.map(|ring| ring.empty(&*self.lane.backend)).collect();
-        self.lane.rings.lock().push(rings);
+        self.lane.kept.lock().push(Kept { rings, staged });
     }
 }
 
@@ -444,10 +387,9 @@ impl Drop for PrefetchExecutor {
 const READY: u8 = 0;
 /// A hole nobody has claimed.
 const OPEN: u8 = 1;
-/// A hole the thread that claimed it is reading.
+/// A hole the thread that claimed it is reading (for good, if the read
+/// failed: the epoch is over then).
 const CLAIMED: u8 = 2;
-/// A hole whose read failed: its reader has failed the epoch.
-const FAILED: u8 = 3;
 
 /// One item a fetch thread owns at one plan position.
 struct Cell {
@@ -469,21 +411,11 @@ struct Partial {
     pos: usize,
     skipped: bool,
     cells: Vec<Cell>,
-    /// Holes not claimed yet: the fetch thread skips partials without any.
+    /// Holes not claimed yet: a reader skips partials without any.
     open: AtomicUsize,
-    /// Whether the partial waits in its lane or staged in the assembler:
-    /// the fetch thread reads only the holes of queued positions and leaves
-    /// a taken position's to the pool thread that took it.  That thread
-    /// then waits only for a read claimed before it took the position, not
-    /// for one behind every hole of it — a reader that a third runnable
-    /// thread can preempt.
-    queued: AtomicBool,
-    /// Each cell's payload until prep takes it.  A hole's reader settles
-    /// the hole under this lock, so a pool thread that checked the hole's
-    /// state under it cannot miss the wake-up.
+    /// Each cell's payload until prep takes it; a hole's reader puts its
+    /// payload here.
     payloads: Mutex<Vec<Option<Arc<Vec<u8>>>>>,
-    /// Signalled when a hole a pool thread awaits settles.
-    settled: Condvar,
 }
 
 impl Partial {
@@ -497,7 +429,6 @@ impl Partial {
             recycle_if_last(backend, payload);
         }
         *self.open.get_mut() = 0;
-        *self.queued.get_mut() = true;
     }
 
     /// Append the cell of `item` at `slot`.
@@ -522,7 +453,7 @@ impl Partial {
     /// Claim hole `cell` for reading: exactly one caller gets `true`.
     fn claim(&self, cell: usize) -> bool {
         let state = &self.cells[cell].state;
-        // A plain load first: scanning settled cells writes nothing.
+        // A plain load first: scanning cells that hold bytes writes nothing.
         let won = state.load(Ordering::Relaxed) == OPEN
             && state
                 .compare_exchange(OPEN, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
@@ -533,65 +464,24 @@ impl Partial {
         won
     }
 
-    /// Take every payload that is here, as `(slot, item, payload)` into
-    /// `ready`, and list the other cells, as `(part, cell)`, in `holes`.
-    fn take_ready(
-        &self,
-        part: usize,
-        ready: &mut Vec<(usize, ItemId, Arc<Vec<u8>>)>,
-        holes: &mut Vec<(usize, usize)>,
-    ) {
-        let mut payloads = self.payloads.lock();
-        for (c, (cell, payload)) in self.cells.iter().zip(payloads.iter_mut()).enumerate() {
-            match payload.take() {
-                Some(raw) => ready.push((cell.slot, cell.item, raw)),
-                None => holes.push((part, c)),
-            }
-        }
+    /// Whether every cell holds its bytes.
+    fn complete(&self) -> bool {
+        let mut states = self.cells.iter().map(|cell| &cell.state);
+        states.all(|state| state.load(Ordering::Acquire) == READY)
     }
 
-    /// Settle claimed hole `cell` with its payload, or as failed, and wake
-    /// the pool thread waiting for it, if one is (a condvar nobody waits on
-    /// is signalled with one load).
-    fn settle(&self, cell: usize, payload: Option<Arc<Vec<u8>>>) {
-        let state = if payload.is_some() { READY } else { FAILED };
-        {
+    /// Claim one hole nobody has claimed and read it from `lane`'s backend:
+    /// `None` when there is none left to claim.
+    fn read_one(&self, lane: &Lane) -> Option<Result<(), CoordlError>> {
+        let cell = (0..self.cells.len()).find(|&c| self.claim(c))?;
+        let Cell { item, size, .. } = self.cells[cell];
+        let read = read_hole(&*lane.backend, &lane.stats, item, size);
+        Some(read.map(|raw| {
+            lane.stats.record_deferred_read();
             let mut payloads = self.payloads.lock();
-            payloads[cell] = payload;
-            self.cells[cell].state.store(state, Ordering::Release);
-        }
-        self.settled.notify_all();
-    }
-
-    /// Wait until hole `cell`, which another thread claimed, settles, and
-    /// take its payload: `None` if its read failed.
-    fn collect(&self, cell: usize) -> Option<Arc<Vec<u8>>> {
-        let state = &self.cells[cell].state;
-        let mut payloads = self.payloads.lock();
-        while state.load(Ordering::Acquire) == CLAIMED {
-            self.settled.wait(&mut payloads);
-        }
-        payloads[cell].take()
-    }
-}
-
-/// A hole a fetch thread claimed: dropped unsettled — its read panicked —
-/// it settles as failed, so a pool thread waiting for it wakes.
-struct Claim<'a> {
-    partial: &'a Partial,
-    cell: usize,
-}
-
-impl Claim<'_> {
-    fn settle(self, payload: Option<Arc<Vec<u8>>>) {
-        self.partial.settle(self.cell, payload);
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.partial.settle(self.cell, None);
+            payloads[cell] = Some(raw);
+            self.cells[cell].state.store(READY, Ordering::Release);
+        }))
     }
 }
 
@@ -618,8 +508,8 @@ impl Ring {
     }
 
     /// The index of the next partial nobody else holds.  The ring holds
-    /// one more than its lane and the positions in prep or staged can;
-    /// should it not, it grows.
+    /// one more than its lane, the staged positions and the pool tasks
+    /// can; should it not, it grows.
     fn next_free(&mut self) -> usize {
         let n = self.partials.len();
         let free = (0..n)
@@ -646,15 +536,15 @@ impl Ring {
 }
 
 /// One sweep over a plan: what its fetch threads read, and what the prep
-/// pool takes its positions with.  Nothing in it is a wait point — a fetch
-/// thread blocks only on its own lane.
+/// pool works on.  Nothing in it is a wait point — a fetch thread blocks
+/// only on its own lane.
 pub(crate) struct Sweep {
     lane: Lane,
     epoch: u64,
     threads: usize,
     shards: usize,
-    /// Positions the sweep may have in prep at once: `workers +
-    /// fetch_threads`.
+    /// Staged positions plus pool tasks in flight the sweep may have at
+    /// once: `workers + fetch_threads`.
     pub(crate) cap: usize,
     /// Items of the plan's largest batch.
     cells: usize,
@@ -761,172 +651,212 @@ impl Sweep {
     }
 
     /// Claim and read one unclaimed hole of `ring`, from the oldest
-    /// position still queued in the lane that has one.  `false` when there
-    /// is none, or when the read failed (the epoch is failed then).
+    /// position that has one, wherever it waits.  `false` when there is
+    /// none, or when the read failed (the epoch is failed then).
     fn read_hole(&self, thread: usize, ring: &Ring) -> bool {
-        let stats = &*self.lane.stats;
         loop {
             let open = ring
                 .partials
                 .iter()
-                .filter(|p| p.queued.load(Ordering::Relaxed) && p.open.load(Ordering::Relaxed) > 0);
+                .filter(|p| p.open.load(Ordering::Relaxed) > 0);
             let Some(oldest) = open.min_by_key(|p| p.pos) else {
                 return false;
             };
-            let Some(cell) = (0..oldest.cells.len()).find(|&c| oldest.claim(c)) else {
-                continue; // prep claimed the rest meanwhile
-            };
             let busy = Instant::now();
-            let claim = Claim {
-                partial: oldest,
-                cell,
+            let Some(read) = oldest.read_one(&self.lane) else {
+                continue; // a pool thread claimed the rest meanwhile
             };
-            let Cell { item, size, .. } = oldest.cells[cell];
-            let read = read_hole(&*self.lane.backend, stats, item, size);
-            stats.record_fetch_busy_for(thread, busy.elapsed());
-            return match read {
-                Ok(raw) => {
-                    stats.record_deferred_read(false);
-                    claim.settle(Some(raw));
-                    // A position the pool left staged for want of a reader
-                    // may be takeable now.
-                    if oldest.open.load(Ordering::Relaxed) == 0 {
-                        pool::wake();
-                    }
-                    true
-                }
-                Err(err) => {
-                    drop(claim);
-                    self.sink.fail(err);
-                    false
-                }
-            };
+            self.lane
+                .stats
+                .record_fetch_busy_for(thread, busy.elapsed());
+            if let Err(err) = read {
+                self.sink.fail(err);
+                return false;
+            }
+            // Its position may be complete now.
+            if oldest.open.load(Ordering::Relaxed) == 0 {
+                pool::wake();
+            }
+            return true;
         }
     }
 
-    /// Prep position `pos`, whose partials [`Assembler::next`] put in
-    /// `prep`, and publish it.  A panic fails the epoch as a `"prep"` one.
-    pub(crate) fn prep(&self, pos: usize, prep: &mut PrepWorker) {
-        let prepped = catch_unwind(AssertUnwindSafe(|| self.prep_position(pos, prep)));
-        if let Err(payload) = prepped {
+    /// Run `task`, which [`Assembler::next`] handed out with its partials in
+    /// `prep`.  A panic fails the epoch as a `"prep"` one.
+    pub(crate) fn work(&self, task: Task, prep: &mut PrepWorker) {
+        let worked = catch_unwind(AssertUnwindSafe(|| match task {
+            Task::Prep(pos) => self.prep(pos, prep),
+            Task::Read => self.read_holes(prep),
+        }));
+        if let Err(payload) = worked {
             prep.parts.clear();
             self.sink.fail(panicked("prep", payload));
         }
         // Buffers popped for a position that failed go back to its lane.
-        if !prep.batch.bufs.is_empty() {
-            self.lane.spares.push(prep.batch.bufs.drain(..));
+        if !prep.bufs.is_empty() {
+            self.lane.spares.push(prep.bufs.drain(..));
         }
     }
 
-    fn prep_position(&self, pos: usize, prep: &mut PrepWorker) {
+    /// Prep complete position `pos` and publish it: prep busy time.
+    fn prep(&self, pos: usize, prep: &mut PrepWorker) {
         let (lane, stats) = (&self.lane, &*self.lane.stats);
         let (index, items) = &self.plan[pos];
         let busy = Instant::now();
-        let made = lane.spares.pop_n(items.len(), &mut prep.batch.bufs);
-        let samples = prep.position(lane, self.epoch, items.len(), &*self.sink);
+        let made = lane.spares.pop_n(items.len(), &mut prep.bufs);
+        let samples = prep.position(lane, self.epoch, items.len());
         // Let go of the partials before publishing: their fetch thread
         // reuses each once nobody else holds it.
         prep.parts.clear();
-        let Some(samples) = samples else {
-            return; // a hole read failed the epoch
-        };
         if made > 0 {
             let capacity = samples.iter().map(|s| s.data.capacity()).max();
             lane.spares.fill_window(capacity.unwrap_or(0));
         }
         stats.record_prepared(samples.len() as u64);
-        stats.record_prep_busy(busy.elapsed().saturating_sub(prep.waited));
-        stats.record_prep_stall(prep.waited);
+        stats.record_prep_busy(busy.elapsed());
         self.sink.publish(Minibatch {
             epoch: self.epoch,
             index: *index,
             samples,
         });
     }
+
+    /// Claim and read every hole nobody has claimed in the partials in
+    /// `prep`: prep stall time, the pool fetching instead of prepping.
+    fn read_holes(&self, prep: &mut PrepWorker) {
+        let stall = Instant::now();
+        let reads = prep
+            .parts
+            .iter()
+            .flat_map(|part| std::iter::from_fn(|| part.read_one(&self.lane)));
+        let failed = reads.filter_map(Result::err).next();
+        prep.parts.clear();
+        self.lane.stats.record_prep_stall(stall.elapsed());
+        if let Some(err) = failed {
+            self.sink.fail(err);
+        }
+    }
 }
 
-/// The receiving end of every thread lane of one sweep and the next plan
-/// position to assemble.  The prep pool keeps it, under its lock; dropping
-/// it drops the lane receivers, which wakes any fetch thread parked on a
-/// full lane.
+/// What a pool thread does for a sweep next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Task {
+    /// Prep and publish this plan position, whose cells all hold bytes.
+    Prep(usize),
+    /// Read the unclaimed holes of a staged position.
+    Read,
+}
+
+/// The receiving end of every thread lane of one sweep, and the positions
+/// received and not in prep yet.  The prep pool keeps it, under its lock;
+/// dropping it drops the lane receivers, which wakes any fetch thread
+/// parked on a full lane.
 pub(crate) struct Assembler {
     lanes: Vec<Receiver<Arc<Partial>>>,
-    /// The partials of position `cursor` received so far, in lane order: a
-    /// position found only partly there, or with no room in the sink yet,
-    /// waits here for the next caller.
+    /// The staged positions in plan order, each a run of one partial per
+    /// lane, in lane order; the last run is short while its position is
+    /// still being received.
     staged: Vec<Arc<Partial>>,
+    /// The plan position being received, or the next one to.
     cursor: usize,
 }
 
 impl Assembler {
-    fn new(lanes: Vec<Receiver<Arc<Partial>>>) -> Self {
+    /// An assembler of `lanes` that stages into `staged`, with room for
+    /// `cap` positions.
+    fn new(lanes: Vec<Receiver<Arc<Partial>>>, mut staged: Vec<Arc<Partial>>, cap: usize) -> Self {
+        staged.reserve_exact(cap * lanes.len());
         Assembler {
-            staged: Vec::with_capacity(lanes.len()),
             lanes,
+            staged,
             cursor: 0,
         }
     }
 
-    /// Receive `sweep`'s next unskipped position's partial from every lane,
-    /// in thread order, into `prep` and return the position and whether it
-    /// has holes to read or wait for — once every lane has it, the sink,
-    /// still live, has room for its batch and, if it has holes, the caller
-    /// `may_read`.  Never waits: `None` when a lane's next partial is not
-    /// there yet, there is no room or the caller may not read, and what was
-    /// received stays staged for the next call, its holes still its fetch
-    /// threads' to read.  `None` for good once the plan is exhausted or a
-    /// lane ended early (its thread failed or saw the shutdown).  Called
-    /// under the pool's lock.
+    /// Drop the lane receivers and the staged partials; the staged list,
+    /// empty, is for the lane's next sweep.
+    fn into_staged(self) -> Vec<Arc<Partial>> {
+        let mut staged = self.staged;
+        staged.clear();
+        staged
+    }
+
+    /// The next task for a pool thread in `sweep`, which has `tasks` in
+    /// flight, with its partials put in `prep`: prep the first complete
+    /// staged position if the sink has room for its batch; else — while
+    /// staged positions and tasks are fewer than the sweep's cap — read the
+    /// unclaimed holes of the oldest staged position with any, if the caller
+    /// `may_read`, or else receive the next position from the lanes and
+    /// look again.  Only the last staged position may lack room: no
+    /// position is received after it until it has some.  Never waits:
+    /// `None` when a lane's next partial is not there yet, and for good once
+    /// the plan is exhausted or a lane ended early (its thread failed or saw
+    /// the shutdown).  Called under the pool's lock.
     pub(crate) fn next(
         &mut self,
         sweep: &Sweep,
         prep: &mut PrepWorker,
+        tasks: usize,
         may_read: bool,
-    ) -> Option<(usize, bool)> {
-        let (plan, sink) = (&sweep.plan, &*sweep.sink);
+    ) -> Option<Task> {
+        let (plan, sink, t) = (&sweep.plan, &*sweep.sink, sweep.threads);
         if !sink.is_live() {
             return None;
         }
-        prep.fit(sweep.cells, sweep.threads);
-        while self.cursor < plan.len() {
-            while let Some(lane) = self.lanes.get(self.staged.len()) {
-                match lane.try_recv() {
-                    Ok(partial) => {
-                        debug_assert_eq!(partial.pos, self.cursor, "lanes are FIFO in plan order");
-                        self.staged.push(partial);
-                    }
-                    Err(TryRecvError::Empty) => return None,
-                    Err(TryRecvError::Disconnected) => {
-                        // Over for every later call; dropping the other
-                        // receivers wakes a fetch thread parked on its lane.
-                        self.cursor = usize::MAX;
-                        self.staged.clear();
-                        self.lanes.clear();
-                        return None;
+        prep.fit(sweep.cells, t);
+        let room = |part: &Arc<Partial>| sink.has_room(plan[part.pos].0);
+        loop {
+            // Only the first complete position can have room if any has.
+            let mut positions = self.staged.chunks_exact(t);
+            let complete = positions.position(|parts| parts.iter().all(|p| p.complete()));
+            if let Some(at) = complete.map(|i| i * t).filter(|&at| room(&self.staged[at])) {
+                let pos = self.staged[at].pos;
+                prep.parts.extend(self.staged.drain(at..at + t));
+                return Some(Task::Prep(pos));
+            }
+            if self.staged.len().div_ceil(t) + tasks >= sweep.cap {
+                return None;
+            }
+            let mut positions = self.staged.chunks_exact(t);
+            let open = |part: &Arc<Partial>| part.open.load(Ordering::Relaxed) > 0;
+            if let Some(parts) = positions.find(|parts| may_read && parts.iter().any(open)) {
+                prep.parts.extend(parts.iter().cloned());
+                return Some(Task::Read);
+            }
+            let receiving = !self.staged.len().is_multiple_of(t);
+            let done = || self.cursor == plan.len() || self.staged.last().is_some_and(|p| !room(p));
+            if !receiving && done() || !self.receive(t) {
+                return None;
+            }
+            let received = self.staged.len() - t;
+            if self.staged[received..].iter().any(|part| part.skipped) {
+                self.staged.truncate(received);
+            }
+        }
+    }
+
+    /// Receive the rest of position `cursor` from the `t` lanes, in lane
+    /// order: `false` when a lane has no partial for it yet, or ended —
+    /// then for every later call too, and the other receivers are dropped,
+    /// which wakes a fetch thread parked on its lane.
+    fn receive(&mut self, t: usize) -> bool {
+        while let Some(lane) = self.lanes.get(self.staged.len() % t) {
+            match lane.try_recv() {
+                Ok(partial) => {
+                    debug_assert_eq!(partial.pos, self.cursor, "lanes are FIFO in plan order");
+                    self.staged.push(partial);
+                    if self.staged.len().is_multiple_of(t) {
+                        self.cursor += 1;
+                        return true;
                     }
                 }
+                Err(TryRecvError::Empty) => return false,
+                Err(TryRecvError::Disconnected) => break,
             }
-            if self.staged.iter().any(|part| part.skipped) {
-                self.staged.clear();
-                self.cursor += 1;
-                continue;
-            }
-            if !sink.has_room(plan[self.cursor].0) {
-                return None;
-            }
-            let mut cells = self.staged.iter().flat_map(|part| &part.cells);
-            let reads = cells.any(|cell| cell.state.load(Ordering::Acquire) != READY);
-            if reads && !may_read {
-                return None;
-            }
-            for part in &self.staged {
-                part.queued.store(false, Ordering::Relaxed);
-            }
-            self.cursor += 1;
-            prep.parts.append(&mut self.staged);
-            return Some((self.cursor - 1, reads));
         }
-        None
+        self.staged.clear();
+        self.lanes.clear();
+        false
     }
 }
 #[cfg(test)]
@@ -934,6 +864,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::backend::Recycler;
     use crate::coordinator::{EpochSession, JobEpochIterator};
+    use parking_lot::Condvar;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Barrier;
@@ -973,7 +904,7 @@ pub(crate) mod tests {
             backend: Arc::new(Recycler::default()),
             pipeline: pipeline(),
             spares: Arc::default(),
-            rings: Arc::default(),
+            kept: Arc::default(),
             stats: Arc::clone(stats),
             config,
         }
@@ -1294,7 +1225,7 @@ pub(crate) mod tests {
     /// pool's threads among them; reads of `failing` fail; every read takes
     /// at least `delay`.
     #[derive(Default)]
-    struct HoleBackend {
+    pub(crate) struct HoleBackend {
         reads: AtomicUsize,
         returned: Mutex<Vec<u64>>,
         by_item: bool,
@@ -1418,17 +1349,25 @@ pub(crate) mod tests {
     }
 
     /// A sink that keeps what it is handed: published batches, failures.
-    /// While `full`, it has room for nothing.
-    #[derive(Default)]
-    struct Recording {
+    /// It has room for the batches below `room`.
+    pub(crate) struct Recording {
         published: Mutex<Vec<Minibatch>>,
         failures: Mutex<Vec<CoordlError>>,
-        full: AtomicBool,
+        room: AtomicUsize,
+    }
+
+    /// A [`Recording`] sink with room for the batches below `room`.
+    pub(crate) fn recording(room: usize) -> Arc<Recording> {
+        Arc::new(Recording {
+            published: Mutex::default(),
+            failures: Mutex::default(),
+            room: AtomicUsize::new(room),
+        })
     }
 
     impl PreparedSink for Recording {
-        fn has_room(&self, _index: usize) -> bool {
-            !self.full.load(Ordering::SeqCst)
+        fn has_room(&self, index: usize) -> bool {
+            index < self.room.load(Ordering::SeqCst)
         }
 
         fn publish(&self, mb: Minibatch) {
@@ -1442,6 +1381,11 @@ pub(crate) mod tests {
         fn is_live(&self) -> bool {
             self.failures.lock().is_empty()
         }
+    }
+
+    /// Indices of the batches `sink` was handed, in the order it was.
+    fn published(sink: &Recording) -> Vec<usize> {
+        sink.published.lock().iter().map(|mb| mb.index).collect()
     }
 
     #[test]
@@ -1516,51 +1460,100 @@ pub(crate) mod tests {
     fn the_assembler_holds_a_position_until_its_lanes_and_the_sink_are_ready() {
         // Two lanes; only the first has position 0's partial.  The
         // assembler stages it and returns nothing, never waiting on the
-        // second lane; once that lane has its partial too, it still returns
-        // nothing while the sink has no room for batch 0, nor while the
-        // caller may not read the hole in it, and the position once both
-        // hold.  Until then the staged partials stay their fetch threads'.
+        // second lane.  Once that lane has its partial too, the position's
+        // hole yields a read task only to a caller that may read, and the
+        // complete position is handed out for prep only once the sink has
+        // room for batch 0.  Position 1 is not received while position 0
+        // waits for that room.
         let backend = Arc::new(HoleBackend::default());
         let first = filled(&backend, &[0], |_| true);
         let mut second = Ring::default();
-        second.fit(1, 1);
-        let partial = Arc::get_mut(&mut second.partials[0]).unwrap();
-        partial.reset(0, false, &*backend);
-        partial.push(1, 1, Fetched::Bytes(Arc::new(1u64.to_le_bytes().repeat(2))));
-        let (tx0, rx0) = bounded(1);
-        let (tx1, rx1) = bounded(1);
-        let sink = Arc::new(Recording::default());
-        sink.full.store(true, Ordering::SeqCst);
-        let stage = stage(plan(1, 2), &backend, sink.clone());
-        let mut assembler = Assembler::new(vec![rx0, rx1]);
+        second.fit(2, 1);
+        for (pos, partial) in second.partials.iter_mut().enumerate() {
+            let partial = Arc::get_mut(partial).unwrap();
+            partial.reset(pos, false, &*backend);
+            let item = 2 * pos as ItemId + 1;
+            let bytes = item.to_le_bytes().repeat(2);
+            partial.push(1, item, Fetched::Bytes(Arc::new(bytes)));
+        }
+        let (tx0, rx0) = bounded(2);
+        let (tx1, rx1) = bounded(2);
+        let sink = recording(0);
+        let stage = Sweep {
+            threads: 2,
+            ..stage(plan(2, 2), &backend, sink.clone())
+        };
+        let mut assembler = Assembler::new(vec![rx0, rx1], Vec::new(), stage.cap);
         let mut prep = PrepWorker::default();
         assert!(tx0.try_send(Arc::clone(&first.partials[0])).is_ok());
-        let taken = assembler.next(&stage, &mut prep, true);
+        let taken = assembler.next(&stage, &mut prep, 0, true);
         assert_eq!(taken, None, "the second partial is not there");
         assert_eq!(assembler.staged.len(), 1);
-        assert!(tx1.try_send(Arc::clone(&second.partials[0])).is_ok());
-        let taken = assembler.next(&stage, &mut prep, true);
-        assert_eq!(taken, None, "no room for batch 0");
-        assert_eq!(assembler.staged.len(), 2);
-        sink.full.store(false, Ordering::SeqCst);
-        let taken = assembler.next(&stage, &mut prep, false);
+        for partial in &second.partials {
+            assert!(tx1.try_send(Arc::clone(partial)).is_ok());
+        }
+        let taken = assembler.next(&stage, &mut prep, 0, false);
         assert_eq!(taken, None, "a hole to read, and no reader");
-        assert!(first.partials[0].queued.load(Ordering::Relaxed));
-        assert_eq!(assembler.next(&stage, &mut prep, true), Some((0, true)));
-        assert!(!first.partials[0].queued.load(Ordering::Relaxed));
-        stage.prep(0, &mut prep);
-        let published = sink.published.lock();
-        let items: Vec<ItemId> = published[0].samples.iter().map(|s| s.item).collect();
-        assert_eq!((published.len(), items), (1, vec![0, 1]));
+        assert_eq!(
+            (assembler.staged.len(), assembler.cursor),
+            (2, 1),
+            "position 1 waits"
+        );
+        assert_eq!(assembler.next(&stage, &mut prep, 0, true), Some(Task::Read));
+        assert_eq!(prep.parts.len(), 2, "the read task holds both partials");
+        stage.work(Task::Read, &mut prep);
         assert!(prep.parts.is_empty(), "the partials are let go of");
-        // The plan is over: nothing more to take.
-        assert_eq!(assembler.next(&stage, &mut prep, true), None);
+        let taken = assembler.next(&stage, &mut prep, 0, true);
+        assert_eq!(taken, None, "no room for batch 0");
+        assert_eq!(assembler.cursor, 1, "position 1 still waits");
+        sink.room.store(1, Ordering::SeqCst);
+        assert_eq!(
+            assembler.next(&stage, &mut prep, 0, true),
+            Some(Task::Prep(0))
+        );
+        stage.work(Task::Prep(0), &mut prep);
+        let items: Vec<ItemId> = sink.published.lock()[0]
+            .samples
+            .iter()
+            .map(|s| s.item)
+            .collect();
+        assert_eq!(items, vec![0, 1]);
+        assert!(prep.parts.is_empty(), "the partials are let go of");
+        // Position 1 has only the second lane's partial so far.
+        assert_eq!(assembler.next(&stage, &mut prep, 0, true), None);
+        assert_eq!((assembler.staged.len(), assembler.cursor), (0, 1));
+    }
+
+    #[test]
+    fn at_most_one_staged_position_waits_for_room_in_the_sink() {
+        // Four complete positions and a cap of six: only the sink's room
+        // holds the assembler back.  It stages the first position without
+        // room and receives none after it until that one has room.
+        let sink = recording(0);
+        let (sweep, mut assembler, _ring) = staged_sweep(&Arc::default(), &sink, 4, 6, |_| false);
+        let mut prep = PrepWorker::default();
+        let room = |n| sink.room.store(n, Ordering::SeqCst);
+        assert_eq!(assembler.next(&sweep, &mut prep, 0, true), None);
+        assert_eq!(assembler.staged.len(), 1, "batch 0 waits for room");
+        room(1);
+        assert_eq!(
+            assembler.next(&sweep, &mut prep, 0, true),
+            Some(Task::Prep(0))
+        );
+        assert_eq!(assembler.next(&sweep, &mut prep, 1, true), None);
+        assert_eq!(assembler.staged[0].pos, 1, "batch 1 waits for room");
+        assert_eq!(assembler.staged.len(), 1, "batch 2 is not received");
+        room(4);
+        for pos in 1..4 {
+            prep.parts.clear();
+            let task = assembler.next(&sweep, &mut prep, 0, true);
+            assert_eq!(task, Some(Task::Prep(pos)));
+        }
     }
 
     #[test]
     fn a_failed_hole_read_in_prep_surfaces_once_as_backend_io() {
-        // Direct: the thread that preps the position reads the failing hole
-        // itself.
+        // Direct: a pool thread's read task reads the failing hole.
         let backend = Arc::new(HoleBackend {
             failing: Some(2),
             ..HoleBackend::default()
@@ -1568,12 +1561,12 @@ pub(crate) mod tests {
         let ring = filled(&backend, &[0, 1, 2, 3], |item| item >= 2);
         let (tx, rx) = bounded(1);
         assert!(tx.try_send(Arc::clone(&ring.partials[0])).is_ok());
-        let sink = Arc::new(Recording::default());
+        let sink = recording(usize::MAX);
         let stage = stage(plan(1, 4), &backend, sink.clone());
-        let mut assembler = Assembler::new(vec![rx]);
+        let mut assembler = Assembler::new(vec![rx], Vec::new(), stage.cap);
         let mut prep = PrepWorker::default();
-        assert_eq!(assembler.next(&stage, &mut prep, true), Some((0, true)));
-        stage.prep(0, &mut prep);
+        assert_eq!(assembler.next(&stage, &mut prep, 0, true), Some(Task::Read));
+        stage.work(Task::Read, &mut prep);
         assert!(sink.published.lock().is_empty());
         let failures = sink.failures.lock();
         assert_eq!(failures.len(), 1, "surfaced exactly once");
@@ -1582,7 +1575,12 @@ pub(crate) mod tests {
             CoordlError::BackendIo { item: 2, .. }
         ));
         drop(failures);
-        assert!(prep.batch.bufs.is_empty(), "its buffers went back");
+        assert!(prep.parts.is_empty(), "the partials are let go of");
+        assert_eq!(
+            assembler.next(&stage, &mut prep, 0, true),
+            None,
+            "the epoch is over"
+        );
         // Through a stream: the error is the last thing it yields, once.
         for (workers, fetch_threads) in [(1, 1), (2, 3)] {
             let backend = Arc::new(HoleBackend {
@@ -1605,10 +1603,11 @@ pub(crate) mod tests {
     #[test]
     fn all_but_one_pool_thread_at_most_wait_on_a_sweeps_backend() {
         // Every item a hole whose read waits at the gate, lanes deeper than
-        // the plan: each position the pool takes parks one pool thread at
+        // the plan: each read task the pool takes parks one pool thread at
         // the gate.  However long the gate stays shut, no more than all but
-        // one of the pool's threads get there; the rest of the holes wait
-        // for the sweep's fetch thread, which reads them once the gate
+        // one of the pool's threads get there, nor more than the sweep's
+        // cap less the staged position they read; the rest of the holes
+        // wait for the sweep's fetch threads, which read them once the gate
         // opens.
         let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
         for (workers, fetch_threads) in [(1, 1), (3, 2)] {
@@ -1620,16 +1619,21 @@ pub(crate) mod tests {
             let config = shape(workers, 16, fetch_threads);
             let lane = hole_lane(&backend, |_| true, &Arc::default(), config);
             let stream = EpochSession::start(&lane, 1, 16, None, 0, plan(16, 4)).into_consumer();
-            let readers = (workers + fetch_threads).min(pool - 1);
+            // How the holes split between read tasks decides how many
+            // staged positions they hold, so only the bound is exact.
+            let readers = (workers + fetch_threads - 1).min(pool - 1);
             let deadline = Instant::now() + Duration::from_secs(30);
-            while backend.pool_readers.load(Ordering::SeqCst) < readers {
+            while backend.pool_readers.load(Ordering::SeqCst) < readers.min(1) {
                 assert!(Instant::now() < deadline, "{what}: the pool never read");
                 std::thread::sleep(Duration::from_millis(1));
             }
             std::thread::sleep(Duration::from_millis(50));
             let at_gate = backend.pool_readers.load(Ordering::SeqCst);
             backend.open();
-            assert_eq!(at_gate, readers, "{what}");
+            assert!(
+                at_gate >= readers.min(1) && at_gate <= readers,
+                "{what}: {at_gate}"
+            );
             assert_eq!(
                 stream.map(|mb| mb.unwrap().len()).sum::<usize>(),
                 64,
@@ -1638,116 +1642,118 @@ pub(crate) mod tests {
         }
     }
 
-    /// A sweep over `positions` batches of one item each, at most `cap`
-    /// positions in prep, that no pool serves, and an assembler whose lane
-    /// holds every position's partial — a hole where `hole` picks the
-    /// item — with the ring that keeps them: the pool's tests drive its
-    /// takes by hand.
+    /// A sweep over `positions` batches of one item each into `sink`,
+    /// reading holes from `backend`, at most `cap` positions staged or in
+    /// tasks, that no pool serves, and an assembler whose lane holds every
+    /// position's partial — a hole where `hole` picks the item — with the
+    /// ring that keeps them: tests drive its tasks by hand.
     pub(crate) fn staged_sweep(
+        backend: &Arc<HoleBackend>,
+        sink: &Arc<Recording>,
         positions: usize,
         cap: usize,
         hole: fn(ItemId) -> bool,
     ) -> (Arc<Sweep>, Assembler, Ring) {
-        let backend = Arc::new(HoleBackend::default());
         let sweep = Sweep {
             cap,
-            ..stage(plan(positions, 1), &backend, Arc::new(Recording::default()))
+            ..stage(plan(positions, 1), backend, sink.clone())
         };
-        let fetch = hole_fetch(&backend, hole);
+        let fetch = hole_fetch(backend, hole);
         let mut ring = Ring::default();
         ring.fit(positions, 1);
         let (tx, rx) = bounded(positions);
         for (pos, partial) in ring.partials.iter_mut().enumerate() {
             let part = Arc::get_mut(partial).unwrap();
-            part.reset(pos, false, &*backend);
+            part.reset(pos, false, &**backend);
             part.push(0, pos as ItemId, fetch(pos as ItemId).unwrap());
             assert!(tx.try_send(Arc::clone(partial)).is_ok());
         }
-        (Arc::new(sweep), Assembler::new(vec![rx]), ring)
+        (
+            Arc::new(sweep),
+            Assembler::new(vec![rx], Vec::new(), cap),
+            ring,
+        )
+    }
+
+    /// Partials `assembler` holds staged.
+    pub(crate) fn staged(assembler: &Assembler) -> usize {
+        assembler.staged.len()
     }
 
     /// What `sweep`'s fetch thread does with its lane full: read one hole
-    /// of `ring` still queued.
+    /// of `ring`.
     pub(crate) fn read_one_hole(sweep: &Sweep, ring: &Ring) -> bool {
         sweep.read_hole(0, ring)
     }
 
     #[test]
     fn fetch_and_prep_racing_for_one_hole_read_it_exactly_once() {
+        // A fetch thread and a pool thread's read task race for one hole:
+        // exactly one reads it, and the other neither reads nor waits.
         let backend = Arc::new(HoleBackend::default());
         let (sink, _) = bounded::<Minibatch>(1);
         let stage = stage(plan(1, 1), &backend, Arc::new(sink));
         let barrier = Barrier::new(2);
-        let (mut by_fetch, mut by_prep) = (0, 0);
+        let mut by_fetch = 0;
         let mut ring = Ring::default();
         for round in 0..10_000u64 {
             ring = filled(&backend, &[round], |_| true);
-            let part = Arc::clone(&ring.partials[0]);
-            let (fetched, raw) = std::thread::scope(|s| {
+            let fetched = std::thread::scope(|s| {
                 let fetch = s.spawn(|| {
                     barrier.wait();
                     stage.read_hole(0, &ring)
                 });
+                let mut prep = PrepWorker::default();
+                prep.parts.push(Arc::clone(&ring.partials[0]));
                 barrier.wait();
-                let mine = part.claim(0);
-                let raw = match mine {
-                    true => read_hole(&*backend, &LoaderStats::default(), round, SIZE).unwrap(),
-                    false => part.collect(0).expect("the fetch thread read it"),
-                };
-                let fetched = fetch.join().unwrap();
-                assert!(fetched != mine, "round {round}: exactly one reader");
-                (fetched, raw)
+                stage.work(Task::Read, &mut prep);
+                fetch.join().unwrap()
             });
-            assert_eq!(raw.len() as u64, SIZE);
+            assert!(ring.partials[0].complete(), "round {round}");
             by_fetch += usize::from(fetched);
-            by_prep += usize::from(!fetched);
         }
         drop(ring);
         assert_eq!(backend.reads.load(Ordering::SeqCst), 10_000);
-        assert_eq!(by_fetch + by_prep, 10_000);
-        assert_eq!(stage.lane.stats.deferred_reads(), by_fetch as u64);
+        assert_eq!(stage.lane.stats.deferred_reads(), 10_000);
+        assert!(by_fetch <= 10_000);
     }
 
     #[test]
-    fn prep_preps_the_rest_while_the_fetch_thread_reads_a_hole() {
-        // The fetch thread is held inside the read of item 2's hole; the
-        // pool thread that took the position preps items 0, 1 and 3,
-        // hands their payloads back, and only then waits for item 2.
+    fn a_complete_position_is_prepped_while_an_earlier_ones_hole_is_read() {
+        // The fetch thread is held inside the read of position 0's hole;
+        // a pool thread preps and publishes the complete position 1 behind
+        // it meanwhile, and finds no task in position 0 — nothing to read
+        // there, and nothing to wait for — until the read lands.
         let backend = Arc::new(HoleBackend {
-            gated: Some(|item| item == 2),
+            gated: Some(|item| item == 0),
             ..HoleBackend::default()
         });
-        let ring = filled(&backend, &[0, 1, 2, 3], |item| item == 2);
-        let (sink, _) = bounded::<Minibatch>(1);
-        let sink: Arc<dyn PreparedSink> = Arc::new(sink);
-        let stage = stage(plan(1, 4), &backend, Arc::clone(&sink));
-        let lane = &stage.lane;
-        let part = Arc::clone(&ring.partials[0]);
+        let sink = recording(usize::MAX);
+        let (sweep, mut assembler, ring) = staged_sweep(&backend, &sink, 2, 4, |item| item == 0);
+        let mut prep = PrepWorker::default();
         std::thread::scope(|s| {
-            let fetch = s.spawn(|| stage.read_hole(0, &ring));
+            let fetch = s.spawn(|| read_one_hole(&sweep, &ring));
             while !backend.entered.load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
-            let prep = s.spawn(|| {
-                let mut prep = PrepWorker::default();
-                prep.fit(4, 1);
-                prep.parts.push(Arc::clone(&part));
-                prep.position(lane, 0, 4, &*sink)
-            });
-            // The rest is prepped while the hole's read is held at the gate.
-            while backend.returned().len() < 3 {
-                std::thread::yield_now();
-            }
-            std::thread::sleep(Duration::from_millis(20));
-            assert_eq!(backend.returned().len(), 3, "the rest was prepped first");
-            assert!(!prep.is_finished(), "prep waits for the hole");
+            assert_eq!(
+                assembler.next(&sweep, &mut prep, 0, true),
+                Some(Task::Prep(1))
+            );
+            sweep.work(Task::Prep(1), &mut prep);
+            assert_eq!(published(&sink), [1]);
+            assert_eq!(assembler.next(&sweep, &mut prep, 0, true), None);
+            assert!(!fetch.is_finished(), "the hole's read is still held");
             backend.open();
             assert!(fetch.join().unwrap());
-            let samples = prep.join().unwrap().expect("no read failed");
-            let items: Vec<ItemId> = samples.iter().map(|s| s.item).collect();
-            assert_eq!(items, vec![0, 1, 2, 3]);
         });
-        assert_eq!(backend.returned(), vec![0, 1, 2, 3]);
+        assert_eq!(
+            assembler.next(&sweep, &mut prep, 0, true),
+            Some(Task::Prep(0))
+        );
+        sweep.work(Task::Prep(0), &mut prep);
+        assert_eq!(published(&sink), [1, 0]);
+        assert_eq!(backend.returned(), [0, 1]);
     }
 
     #[test]

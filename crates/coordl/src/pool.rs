@@ -1,38 +1,41 @@
-//! The process's prep pool: one set of threads that assembles and preps
-//! the plan positions of every live sweep (see [`crate::executor`]).
+//! The process's prep pool: one set of threads that preps the plan
+//! positions of every live sweep and reads the holes the sweeps' fetch
+//! threads have not (see [`crate::executor`]).
 //!
 //! It starts with the first sweep, lives as long as the process and has
 //! `std::thread::available_parallelism` threads, read once: the process
-//! never preps more positions at once than the host has cores, however
-//! many sessions it runs.  Each sweep also keeps a cap of its own —
-//! `workers + fetch_threads` positions in prep at once — so its ring and
-//! window sizes do not depend on the host.
+//! never runs more pool tasks at once than the host has cores, however
+//! many sessions it runs.  Each sweep also keeps a cap of its own — its
+//! staged positions and its tasks in flight number at most `workers +
+//! fetch_threads` — so its ring and window sizes do not depend on the host.
 //!
 //! A pool thread looks at the live sweeps in turn, starting after the one
-//! it served last, and takes the first position it can prep without
-//! waiting on a lane or a sink ([`Assembler::next`]); with none, it waits
-//! on the pool's condvar.  It never waits on one sweep's lane or sink,
-//! where it would take a core from every other session: a consumer that
-//! stalls stalls only its own sweep.  Backend I/O is the one wait a pool
-//! thread may meet — a position with holes to read, or with holes a fetch
-//! thread is reading — and at most all but one of the pool's threads are
-//! in such a position at once, so a backend that hangs holds no more than
-//! that: the last thread preps whatever position of any sweep already has
-//! all its bytes, and each sweep's own fetch threads read the holes of the
-//! positions it leaves (with none, the pool reads no holes at all).
+//! it served last, and takes the first task one has ([`Assembler::next`]):
+//! prep a staged position whose cells all hold bytes, or read the holes
+//! nobody has claimed of one that has some; with none, it waits on the
+//! pool's condvar.  It never waits on one sweep's lane or sink, where it
+//! would take a core from every other session, nor for a read another
+//! thread claimed: a consumer that stalls stalls only its own sweep.
+//! Backend I/O, in a read task, is the one wait a pool thread may meet,
+//! and at most all but one of the pool's threads are in read tasks at
+//! once, so a backend that hangs holds no more than that: the last thread
+//! preps whatever position of any sweep already has all its bytes, and
+//! each sweep's own fetch threads read the holes of its positions (with
+//! one thread, the pool reads no holes at all).
 //!
-//! Whatever makes a position takeable is followed by a wake-up: a fetch
-//! thread signals after each send and after it reads a partial's last hole,
-//! a consumer after each take, and a thread whose position is prepped looks
-//! again before it waits.  A waker that finds no thread idle skips the
-//! lock.  A pool thread's time on a position is prep busy or prep stall;
-//! with nothing to take, it is idle and counts as neither.
+//! Whatever makes a task available is followed by a wake-up: a fetch
+//! thread signals after each send and after it reads a partial's last
+//! unclaimed hole, a consumer after each take, and a thread whose task is
+//! done looks again before it waits.  A waker that finds no thread idle
+//! skips the lock.  A pool thread's time in a prep task is prep busy, in a
+//! read task prep stall; with nothing to take, it is idle and counts as
+//! neither.
 //!
 //! A sweep's owner deregisters it before joining its fetch threads, which
-//! drops its assembler and with it the lane receivers; the pool threads
-//! inside it finish their positions and let go of it.
+//! hands back its assembler and with it the lane receivers; the pool
+//! threads inside it finish their tasks and let go of it.
 
-use crate::executor::{Assembler, PrepWorker, Sweep};
+use crate::executor::{Assembler, PrepWorker, Sweep, Task};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -40,7 +43,7 @@ use std::sync::{Arc, OnceLock};
 /// The pool's state under one lock, and how many of its threads are idle.
 struct Pool {
     state: Mutex<State>,
-    /// Signalled when a position may have become takeable.
+    /// Signalled when a task may have become available.
     work: Condvar,
     /// Threads that found nothing to take, or are about to look a last
     /// time before they wait: readable without the lock.
@@ -51,7 +54,7 @@ struct State {
     sweeps: Vec<Entry>,
     /// The sweep the next look starts at.
     next: usize,
-    /// Threads in a position with holes to read or wait for.
+    /// Threads in a read task.
     reading: usize,
     /// At most that many: one fewer than the pool's threads.
     readers: usize,
@@ -61,8 +64,8 @@ struct State {
 struct Entry {
     sweep: Arc<Sweep>,
     assembler: Assembler,
-    /// Its positions in prep.
-    in_prep: usize,
+    /// Its tasks in flight.
+    tasks: usize,
 }
 
 /// The process's pool, started on first use.
@@ -95,22 +98,24 @@ pub(crate) fn register(sweep: Arc<Sweep>, assembler: Assembler) {
     let entry = Entry {
         sweep,
         assembler,
-        in_prep: 0,
+        tasks: 0,
     };
     pool().state.lock().sweeps.push(entry);
 }
 
-/// Stop serving the sweep at address `sweep`, dropping its assembler; the
-/// pool threads inside it finish their positions.
-pub(crate) fn deregister(sweep: usize) {
+/// Stop serving the sweep at address `sweep` and hand back its assembler;
+/// the pool threads inside it finish their tasks.
+pub(crate) fn deregister(sweep: usize) -> Option<Assembler> {
     let mut state = pool().state.lock();
-    state
+    let at = state
         .sweeps
-        .retain(|e| Arc::as_ptr(&e.sweep) as usize != sweep);
+        .iter()
+        .position(|e| Arc::as_ptr(&e.sweep) as usize == sweep)?;
+    Some(state.sweeps.remove(at).assembler)
 }
 
-/// Wake one idle pool thread, if one is: the caller may have made a
-/// position takeable.
+/// Wake one idle pool thread, if one is: the caller may have made a task
+/// available.
 pub(crate) fn wake() {
     let pool = pool();
     // Pairs with the fence in `serve`: either this load sees the thread
@@ -126,57 +131,55 @@ pub(crate) fn wake() {
 }
 
 impl State {
-    /// Take the next position some sweep can prep without waiting on a
-    /// lane or a sink, trying each sweep once, in turn: the sweep, the
-    /// position and whether it has holes to read or wait for.
-    fn take(&mut self, prep: &mut PrepWorker) -> Option<(Arc<Sweep>, usize, bool)> {
+    /// Take the next task of some sweep, trying each sweep once, in turn.
+    fn take(&mut self, prep: &mut PrepWorker) -> Option<(Arc<Sweep>, Task)> {
         let may_read = self.reading < self.readers;
         let n = self.sweeps.len();
         for k in 0..n {
             let at = (self.next + k) % n;
             let entry = &mut self.sweeps[at];
-            if entry.in_prep == entry.sweep.cap {
-                continue;
-            }
-            if let Some((pos, reads)) = entry.assembler.next(&entry.sweep, prep, may_read) {
-                entry.in_prep += 1;
-                self.reading += usize::from(reads);
+            if let Some(task) = entry
+                .assembler
+                .next(&entry.sweep, prep, entry.tasks, may_read)
+            {
+                entry.tasks += 1;
+                self.reading += usize::from(task == Task::Read);
                 self.next = at + 1;
-                return Some((Arc::clone(&entry.sweep), pos, reads));
+                return Some((Arc::clone(&entry.sweep), task));
             }
         }
         None
     }
 
-    /// A position of `sweep` that [`take`](Self::take) handed out is
-    /// prepped (the sweep may have been deregistered meanwhile).
-    fn done(&mut self, sweep: &Arc<Sweep>, reads: bool) {
-        self.reading -= usize::from(reads);
+    /// A task of `sweep` that [`take`](Self::take) handed out is done (the
+    /// sweep may have been deregistered meanwhile).
+    fn done(&mut self, sweep: &Arc<Sweep>, task: Task) {
+        self.reading -= usize::from(task == Task::Read);
         let entry = self
             .sweeps
             .iter_mut()
             .find(|e| Arc::ptr_eq(&e.sweep, sweep));
         if let Some(entry) = entry {
-            entry.in_prep -= 1;
+            entry.tasks -= 1;
         }
     }
 }
 
 impl Pool {
-    /// A pool thread: take a position, prep it, and again; wait while
-    /// there is none.
+    /// A pool thread: take a task, run it, and again; wait while there is
+    /// none.
     fn serve(&self) {
         let mut prep = PrepWorker::default();
         let mut state = self.state.lock();
         let mut idle = false;
         loop {
-            if let Some((sweep, pos, reads)) = state.take(&mut prep) {
+            if let Some((sweep, task)) = state.take(&mut prep) {
                 self.idle.fetch_sub(usize::from(idle), Ordering::Relaxed);
                 idle = false;
                 drop(state);
-                sweep.prep(pos, &mut prep);
+                sweep.work(task, &mut prep);
                 state = self.state.lock();
-                state.done(&sweep, reads);
+                state.done(&sweep, task);
             } else if !idle {
                 // Counted idle before a last look: a waker that comes
                 // after it sees the count and signals.
@@ -193,8 +196,8 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::{Entry, State};
-    use crate::executor::tests::{read_one_hole, staged_sweep};
-    use crate::executor::PrepWorker;
+    use crate::executor::tests::{read_one_hole, recording, staged, staged_sweep};
+    use crate::executor::{PrepWorker, Task};
     use crate::{CoordlError, DirectBackend, FetchBackend, Session, SessionConfig};
     use dataset::{DataSource, DatasetSpec, ItemId, SyntheticItemStore};
     use parking_lot::{Condvar, Mutex};
@@ -215,19 +218,20 @@ mod tests {
     }
 
     /// A pool that serves one sweep of `positions` one-item positions,
-    /// holes where `hole` says, with `in_prep` of at most `cap` taken and
-    /// `reading` of its `readers` in positions with holes.
+    /// holes where `hole` says, with `tasks` in flight of at most `cap`
+    /// and `reading` of its `readers` in read tasks.
     fn one_sweep(
         positions: usize,
-        cap: usize,
+        (tasks, cap): (usize, usize),
         hole: fn(ItemId) -> bool,
         (reading, readers): (usize, usize),
     ) -> (State, crate::executor::Ring) {
-        let (sweep, assembler, ring) = staged_sweep(positions, cap, hole);
+        let sink = recording(usize::MAX);
+        let (sweep, assembler, ring) = staged_sweep(&Arc::default(), &sink, positions, cap, hole);
         let entry = Entry {
             sweep,
             assembler,
-            in_prep: cap,
+            tasks,
         };
         let state = State {
             sweeps: vec![entry],
@@ -238,39 +242,55 @@ mod tests {
         (state, ring)
     }
 
+    /// The task `state` hands out next, its partials let go of.
+    fn take(state: &mut State) -> Option<Task> {
+        let mut prep = PrepWorker::default();
+        state.take(&mut prep).map(|(_, task)| task)
+    }
+
     #[test]
     fn a_sweep_has_at_most_workers_plus_fetch_threads_positions_in_prep() {
         // Every position has its bytes and the sink has room: only the
         // sweep's cap holds the pool back, on any host.
-        let (mut state, _ring) = one_sweep(4, 2, |_| false, (0, 1));
-        let mut prep = PrepWorker::default();
-        assert!(state.take(&mut prep).is_none(), "two in prep, cap two");
-        state.sweeps[0].in_prep = 1;
-        let (sweep, pos, reads) = state.take(&mut prep).expect("room under the cap");
-        assert_eq!((pos, reads, state.sweeps[0].in_prep), (0, false, 2));
-        assert!(state.take(&mut prep).is_none(), "at the cap again");
-        state.done(&sweep, reads);
-        assert_eq!(state.take(&mut prep).map(|(_, pos, _)| pos), Some(1));
+        let (mut state, _ring) = one_sweep(4, (2, 2), |_| false, (0, 1));
+        assert_eq!(take(&mut state), None, "two in prep, cap two");
+        state.sweeps[0].tasks = 1;
+        assert_eq!(take(&mut state), Some(Task::Prep(0)), "room under the cap");
+        assert_eq!(state.sweeps[0].tasks, 2);
+        assert_eq!(take(&mut state), None, "at the cap again");
+        let sweep = Arc::clone(&state.sweeps[0].sweep);
+        state.done(&sweep, Task::Prep(0));
+        assert_eq!(take(&mut state), Some(Task::Prep(1)));
+        // Staged positions count against the cap as well: with no reader
+        // free, two positions with holes fill it, and the rest stay in the
+        // lane.
+        let (mut state, _ring) = one_sweep(4, (0, 2), |_| true, (1, 1));
+        assert_eq!(take(&mut state), None);
+        assert_eq!(staged(&state.sweeps[0].assembler), 2);
     }
 
     #[test]
     fn a_position_with_holes_waits_for_a_reader_or_its_fetch_thread() {
-        // Position 0 is a hole and every reader is taken: the pool leaves
-        // it staged, and its fetch thread may still read the hole.  Once it
-        // has, the position needs no reader; a freed reader takes the next
-        // hole.
-        let (mut state, ring) = one_sweep(2, 4, |_| true, (1, 1));
-        state.sweeps[0].in_prep = 0;
-        let mut prep = PrepWorker::default();
-        assert!(state.take(&mut prep).is_none(), "no reader free");
+        // Both positions are holes and every reader is taken: the pool
+        // stages them and hands out no task, and their fetch thread may
+        // still read a hole.  Once it has, that position is prepped.  A
+        // freed reader takes a read task on the other, whose position is
+        // prepped only once the task is done.
+        let (mut state, ring) = one_sweep(2, (0, 4), |_| true, (1, 1));
+        assert_eq!(take(&mut state), None, "no reader free");
+        assert_eq!(staged(&state.sweeps[0].assembler), 2);
         let sweep = Arc::clone(&state.sweeps[0].sweep);
         assert!(read_one_hole(&sweep, &ring), "still the fetch thread's");
-        let (_, pos, reads) = state.take(&mut prep).expect("no hole left");
-        assert_eq!((pos, reads, state.reading), (0, false, 1));
-        assert!(state.take(&mut prep).is_none(), "position 1 is a hole");
+        assert_eq!(take(&mut state), Some(Task::Prep(0)), "no hole left");
+        assert_eq!(take(&mut state), None, "position 1 is a hole");
         state.reading = 0;
-        let (_, pos, reads) = state.take(&mut prep).expect("a reader is free");
-        assert_eq!((pos, reads, state.reading), (1, true, 1));
+        let mut prep = PrepWorker::default();
+        let (_, task) = state.take(&mut prep).expect("a reader is free");
+        assert_eq!((task, state.reading), (Task::Read, 1));
+        assert_eq!(take(&mut state), None, "nothing to prep, no reader free");
+        sweep.work(task, &mut prep);
+        state.done(&sweep, task);
+        assert_eq!(take(&mut state), Some(Task::Prep(1)));
     }
 
     /// A backend whose reads wait until [`Gated::open`].

@@ -37,10 +37,10 @@ pub struct EpochTrajectory {
     /// Wall seconds prep pool threads spent pre-processing (summed across
     /// the pool, so this can exceed the epoch's wall time).
     pub prep_busy_seconds: f64,
-    /// Wall seconds prep pool threads spent waiting for holes a fetch
-    /// thread was reading (summed across the pool).  A pool thread never
-    /// waits for a lane or a staging window: it takes no position it would
-    /// have to wait for.
+    /// Wall seconds prep pool threads spent reading holes — raw bytes the
+    /// prep stage fetched before it could prep — summed across the pool.  A
+    /// pool thread never waits for a lane, a staging window or another
+    /// thread's read: it takes no task it would have to wait for.
     pub prep_stall_seconds: f64,
     /// Wall seconds consumers spent waiting for the next minibatch (summed
     /// across consumer threads) — the runtime analogue of the simulator's
@@ -121,8 +121,8 @@ pub struct LoaderReport {
     pub fetch_stall_seconds: f64,
     /// Cumulative wall seconds prep pool threads spent pre-processing.
     pub prep_busy_seconds: f64,
-    /// Cumulative wall seconds prep pool threads spent waiting for holes a
-    /// fetch thread was reading.
+    /// Cumulative wall seconds prep pool threads spent reading holes
+    /// instead of prepping.
     pub prep_stall_seconds: f64,
     /// Cumulative wall seconds consumers spent waiting for minibatches.
     pub consumer_wait_seconds: f64,

@@ -108,8 +108,9 @@ pub struct SessionConfig {
     /// serves every session: each epoch executor (the single-mode one, the
     /// one *shared by all jobs* of a coordinated session, or each
     /// partitioned node's) has at most `num_workers + fetch_threads`
-    /// positions in prep at once.  It starts no thread, and never changes
-    /// what a job observes (see [`SessionBuilder::workers`]).
+    /// positions staged or in pool tasks at once.  It starts no thread,
+    /// and never changes what a job observes (see
+    /// [`SessionBuilder::workers`]).
     pub num_workers: usize,
     /// Plan positions each fetch thread runs ahead of the prep pool (the
     /// capacity of its lane; one more is parked in `send`), and the staging
@@ -207,8 +208,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Cap each epoch executor's positions in the process's prep pool at
-    /// `n + fetch_threads` at once (overrides
+    /// Cap each epoch executor's positions staged for or in tasks of the
+    /// process's prep pool at `n + fetch_threads` at once (overrides
     /// [`SessionConfig::num_workers`]); it starts no thread.
     ///
     /// Parallelism is an implementation detail of *when* work happens, never
@@ -430,7 +431,7 @@ impl SessionBuilder {
             backend: Arc::clone(&backend),
             pipeline: Arc::clone(&pipeline),
             spares: Arc::new(Spares::with_window(window)),
-            rings: Arc::default(),
+            kept: Arc::default(),
             stats: Arc::clone(&stats),
             config: executor,
         };

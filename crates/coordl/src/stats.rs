@@ -27,7 +27,6 @@ pub struct LoaderStats {
     prep_stall_nanos: AtomicU64,
     consumer_wait_nanos: AtomicU64,
     deferred_reads: AtomicU64,
-    deferred_reads_by_prep: AtomicU64,
     /// Per-fetch-thread `[busy, stall]` nanos, indexed by fetch thread: a
     /// `fetch_threads(f)` stage records one row per thread (one row for the
     /// default `f = 1`), so reports can show how evenly the shard-ownership
@@ -102,12 +101,9 @@ impl LoaderStats {
     }
 
     /// Record one hole read: the backend read of a miss the tier bypassed,
-    /// done by a prep pool thread or (`by_prep == false`) a fetch thread.
-    pub fn record_deferred_read(&self, by_prep: bool) {
+    /// done by a fetch thread or a prep pool thread.
+    pub fn record_deferred_read(&self) {
         self.deferred_reads.fetch_add(1, Ordering::Relaxed);
-        if by_prep {
-            self.deferred_reads_by_prep.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Hole reads so far: misses the tier bypassed before reading them,
@@ -119,21 +115,14 @@ impl LoaderStats {
         self.deferred_reads.load(Ordering::Relaxed)
     }
 
-    /// Of [`LoaderStats::deferred_reads`], the ones a prep pool thread
-    /// read; the rest were read by a fetch thread whose lane was full.
-    pub fn deferred_reads_by_prep(&self) -> u64 {
-        self.deferred_reads_by_prep.load(Ordering::Relaxed)
-    }
-
-    /// Record time a prep pool thread spent on a position it took, less
-    /// its prep stall.
+    /// Record time a prep pool thread spent prepping a position.
     pub fn record_prep_busy(&self, d: Duration) {
         self.prep_busy_nanos
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Record time a prep pool thread spent waiting, on a position it
-    /// took, for holes a fetch thread was reading.
+    /// Record time a prep pool thread spent reading holes: raw bytes the
+    /// prep stage had to fetch before it could prep.
     pub fn record_prep_stall(&self, d: Duration) {
         self.prep_stall_nanos
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
@@ -210,8 +199,8 @@ impl LoaderStats {
         self.prep_busy_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
-    /// Seconds prep pool threads spent waiting for holes a fetch thread was
-    /// reading, summed across them.
+    /// Seconds prep pool threads spent reading holes instead of prepping,
+    /// summed across them.
     pub fn prep_stall_seconds(&self) -> f64 {
         self.prep_stall_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
@@ -237,20 +226,14 @@ mod tests {
         s.record_remote_read(3);
         s.record_prepared(2);
         s.record_delivered(4);
+        s.record_deferred_read();
+        s.record_deferred_read();
         assert_eq!(s.bytes_from_storage(), 15);
         assert_eq!(s.bytes_from_cache(), 7);
         assert_eq!(s.bytes_from_remote(), 3);
         assert_eq!(s.samples_prepared(), 2);
         assert_eq!(s.samples_delivered(), 4);
-    }
-
-    #[test]
-    fn deferred_reads_split_by_the_thread_that_read_them() {
-        let s = LoaderStats::default();
-        s.record_deferred_read(false);
-        s.record_deferred_read(true);
-        s.record_deferred_read(true);
-        assert_eq!((s.deferred_reads(), s.deferred_reads_by_prep()), (3, 2));
+        assert_eq!(s.deferred_reads(), 2);
     }
 
     #[test]
