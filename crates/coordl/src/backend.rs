@@ -2,10 +2,10 @@
 //! tier misses.
 //!
 //! A [`FetchBackend`] is the bottom of a [`Session`](crate::Session)'s fetch
-//! stack.  [`DirectBackend`] reads straight from a [`DataSource`] with no
-//! timing model (a ramdisk, effectively); [`ProfiledBackend`] wraps the same
-//! source in a [`storage::DeviceProfile`] and accounts the *modelled* device
-//! busy time of every read, so a runtime session can report how long its
+//! stack.  [`DirectBackend`] reads straight from a [`DataSource`] (a
+//! ramdisk, effectively); [`DirectBackend::with_profile`] also accounts the
+//! *modelled* device busy time of every read against a
+//! [`storage::DeviceProfile`], so a runtime session can report how long its
 //! storage traffic would have taken on a SATA SSD or a hard drive — the
 //! number the `validate` figure row compares against the simulator's
 //! predictions.
@@ -128,7 +128,7 @@ impl FetchBackend for Recycler {
     }
 }
 
-/// Reads items directly from a [`DataSource`] with no timing model.
+/// Reads items directly from a [`DataSource`].
 ///
 /// Each read fills a payload buffer handed back through
 /// [`recycle`](FetchBackend::recycle) when there is one
@@ -137,15 +137,32 @@ pub struct DirectBackend {
     source: Arc<dyn DataSource>,
     /// Recycled payload buffers, at most [`FREE_LIST_CAP`] of them.
     free: Spares,
+    profile: Option<(DeviceProfile, AccessPattern)>,
+    modelled_nanos: AtomicU64,
 }
 
 impl DirectBackend {
-    /// Wrap `source`.
+    /// Wrap `source`, with no timing model.
     pub fn new(source: Arc<dyn DataSource>) -> Self {
         DirectBackend {
             source,
             free: Spares::capped(FREE_LIST_CAP),
+            profile: None,
+            modelled_nanos: AtomicU64::new(0),
         }
+    }
+
+    /// Also charge each read's modelled device time against `profile`.
+    ///
+    /// The bytes are still served immediately (this is a functional loader,
+    /// not a simulator); only the *accounting* is profiled.
+    /// `device_seconds` then answers "how long would this epoch's storage
+    /// traffic have kept an SSD / HDD busy", which is what the
+    /// predicted-vs-empirical validation compares.  Reports and
+    /// [`CoordlError::BackendIo`] errors name the backend after the profile.
+    pub fn with_profile(mut self, profile: DeviceProfile, pattern: AccessPattern) -> Self {
+        self.profile = Some((profile, pattern));
+        self
     }
 }
 
@@ -162,79 +179,11 @@ impl FetchBackend for DirectBackend {
         check_item_in_range(self.name(), item, self.source.len())?;
         let mut buf = self.free.pop();
         self.source.read_into(item, &mut buf);
-        Ok(buf)
-    }
-
-    fn recycle(&self, buf: Vec<u8>) {
-        self.free.push([buf]);
-    }
-
-    fn name(&self) -> &'static str {
-        "direct"
-    }
-}
-
-/// Reads items from a [`DataSource`] while accounting the modelled device
-/// time of each read against a [`DeviceProfile`].
-///
-/// The bytes are still served immediately (this is a functional loader, not
-/// a simulator); only the *accounting* is profiled.  `device_seconds` then
-/// answers "how long would this epoch's storage traffic have kept an SSD /
-/// HDD busy", which is what the predicted-vs-empirical validation compares.
-/// Reads fill recycled payload buffers, as [`DirectBackend`]'s do.
-pub struct ProfiledBackend {
-    source: Arc<dyn DataSource>,
-    /// Recycled payload buffers, at most [`FREE_LIST_CAP`] of them.
-    free: Spares,
-    profile: DeviceProfile,
-    pattern: AccessPattern,
-    busy_nanos: AtomicU64,
-}
-
-impl ProfiledBackend {
-    /// Wrap `source` with `profile`, assuming random small-file reads (the
-    /// shuffled access pattern of DNN training).
-    pub fn new(source: Arc<dyn DataSource>, profile: DeviceProfile) -> Self {
-        Self::with_pattern(source, profile, AccessPattern::Random)
-    }
-
-    /// Wrap `source` with `profile` and an explicit access pattern.
-    pub fn with_pattern(
-        source: Arc<dyn DataSource>,
-        profile: DeviceProfile,
-        pattern: AccessPattern,
-    ) -> Self {
-        ProfiledBackend {
-            source,
-            free: Spares::capped(FREE_LIST_CAP),
-            profile,
-            pattern,
-            busy_nanos: AtomicU64::new(0),
+        if let Some((profile, pattern)) = &self.profile {
+            let secs = profile.read_seconds(buf.len() as u64, *pattern);
+            self.modelled_nanos
+                .fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
         }
-    }
-
-    /// The access pattern used for timing.
-    pub fn pattern(&self) -> AccessPattern {
-        self.pattern
-    }
-}
-
-impl FetchBackend for ProfiledBackend {
-    fn num_items(&self) -> u64 {
-        self.source.len()
-    }
-
-    fn item_bytes(&self, item: ItemId) -> u64 {
-        self.source.item_bytes(item)
-    }
-
-    fn read(&self, item: ItemId) -> Result<Vec<u8>, CoordlError> {
-        check_item_in_range(self.name(), item, self.source.len())?;
-        let mut buf = self.free.pop();
-        self.source.read_into(item, &mut buf);
-        let secs = self.profile.read_seconds(buf.len() as u64, self.pattern);
-        self.busy_nanos
-            .fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
         Ok(buf)
     }
 
@@ -243,15 +192,15 @@ impl FetchBackend for ProfiledBackend {
     }
 
     fn profile(&self) -> Option<&DeviceProfile> {
-        Some(&self.profile)
+        self.profile.as_ref().map(|(p, _)| p)
     }
 
     fn device_seconds(&self) -> f64 {
-        self.busy_nanos.load(Ordering::Relaxed) as f64 / 1e9
+        self.modelled_nanos.load(Ordering::Relaxed) as f64 / 1e9
     }
 
     fn name(&self) -> &'static str {
-        self.profile.name
+        self.profile.as_ref().map_or("direct", |(p, _)| p.name)
     }
 }
 
@@ -260,6 +209,7 @@ mod tests {
     use super::*;
     use dataset::{DatasetSpec, SyntheticItemStore};
     use std::sync::Barrier;
+    use storage::AccessPattern::Random;
 
     fn store(n: u64, size: u64) -> Arc<dyn DataSource> {
         Arc::new(SyntheticItemStore::new(
@@ -284,7 +234,8 @@ mod tests {
     fn source_backends_read_misses_into_recycled_buffers() {
         let src = store(10, 64);
         let direct = DirectBackend::new(Arc::clone(&src));
-        let profiled = ProfiledBackend::new(Arc::clone(&src), DeviceProfile::hdd());
+        let profiled =
+            DirectBackend::new(Arc::clone(&src)).with_profile(DeviceProfile::hdd(), Random);
         let backends: [&dyn FetchBackend; 2] = [&direct, &profiled];
         for b in backends {
             let first = b.read(3).unwrap();
@@ -346,7 +297,7 @@ mod tests {
             }
             other => panic!("expected BackendIo, got {other:?}"),
         }
-        let profiled = ProfiledBackend::new(store(10, 64), DeviceProfile::hdd());
+        let profiled = DirectBackend::new(store(10, 64)).with_profile(DeviceProfile::hdd(), Random);
         assert!(matches!(
             profiled.read(u64::MAX),
             Err(CoordlError::BackendIo { .. })
@@ -361,7 +312,7 @@ mod tests {
     #[test]
     fn profiled_backend_accounts_modelled_read_time() {
         let src = store(4, 1_000_000);
-        let b = ProfiledBackend::new(src, DeviceProfile::hdd());
+        let b = DirectBackend::new(src).with_profile(DeviceProfile::hdd(), Random);
         for i in 0..4 {
             let _ = b.read(i).unwrap();
         }
@@ -381,15 +332,16 @@ mod tests {
         // exactly the same total as one thread reading them all — the
         // invariant that keeps `device_seconds` identical across
         // `fetch_threads` values.
-        let serial = ProfiledBackend::new(store(64, 10_000), DeviceProfile::sata_ssd());
+        let serial =
+            DirectBackend::new(store(64, 10_000)).with_profile(DeviceProfile::sata_ssd(), Random);
         for i in 0..64 {
             let _ = serial.read(i).unwrap();
         }
         for threads in [2u64, 4] {
-            let b = Arc::new(ProfiledBackend::new(
-                store(64, 10_000),
-                DeviceProfile::sata_ssd(),
-            ));
+            let b = Arc::new(
+                DirectBackend::new(store(64, 10_000))
+                    .with_profile(DeviceProfile::sata_ssd(), Random),
+            );
             std::thread::scope(|s| {
                 for t in 0..threads {
                     let b = Arc::clone(&b);
@@ -412,8 +364,9 @@ mod tests {
 
     #[test]
     fn hdd_models_more_busy_time_than_ramdisk_for_the_same_bytes() {
-        let hdd = ProfiledBackend::new(store(8, 10_000), DeviceProfile::hdd());
-        let ram = ProfiledBackend::new(store(8, 10_000), DeviceProfile::ramdisk());
+        let hdd = DirectBackend::new(store(8, 10_000)).with_profile(DeviceProfile::hdd(), Random);
+        let ram =
+            DirectBackend::new(store(8, 10_000)).with_profile(DeviceProfile::ramdisk(), Random);
         for i in 0..8 {
             let _ = hdd.read(i).unwrap();
             let _ = ram.read(i).unwrap();

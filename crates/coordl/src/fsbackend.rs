@@ -1,8 +1,7 @@
 //! [`FsBackend`]: a fetch backend that serves real bytes from real files.
 //!
-//! Where [`DirectBackend`](crate::DirectBackend) fabricates payloads and
-//! [`ProfiledBackend`](crate::ProfiledBackend) only charges modelled
-//! seconds, `FsBackend` materializes the dataset once as a packed,
+//! Where [`DirectBackend`](crate::DirectBackend) fabricates payloads and at
+//! most charges modelled seconds, `FsBackend` materializes the dataset once as a packed,
 //! page-aligned `DATA` file under a [`Vfs`] directory and serves every
 //! fetch with one positional read of the item's exact extent, straight into
 //! the payload buffer it returns.  Each read's wall-clock time is

@@ -20,7 +20,7 @@
 //!
 //! A session composes a pluggable [`CacheTier`] (a [`TieredByteCache`] under
 //! MinIO or any other `coordl-cache` policy) over a pluggable
-//! [`FetchBackend`] ([`DirectBackend`], or [`ProfiledBackend`] timed by a
+//! [`FetchBackend`] ([`DirectBackend`], optionally timed by a
 //! `storage::DeviceProfile`), hands out per-job [`BatchStream`] iterators
 //! from [`Session::epoch`] and produces a [`LoaderReport`] whose JSON is
 //! structurally comparable to the simulator's reports — the contract
@@ -65,7 +65,7 @@ pub mod staging;
 pub mod stats;
 pub mod tier;
 
-pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
+pub use backend::{DirectBackend, FetchBackend};
 pub use error::CoordlError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use fsbackend::FsBackend;

@@ -49,7 +49,7 @@ use crate::stack::tier_over_backend;
 use crate::staging::{StagingArea, StagingStats};
 use crate::stats::LoaderStats;
 use crate::tier::{ByteTierSpec, CacheTier, TierSnapshot, TieredByteCache};
-use crate::{DirectBackend, FetchBackend, ProfiledBackend};
+use crate::{DirectBackend, FetchBackend};
 use dataset::{minibatches, DataSource, EpochSampler};
 use dcache::PolicyKind;
 use parking_lot::Mutex;
@@ -301,7 +301,8 @@ impl SessionBuilder {
     }
 
     /// Time backend reads against `profile` (ramdisk / SSD / HDD), so the
-    /// session's report carries modelled device seconds.
+    /// session's report carries modelled device seconds: the session reads
+    /// through [`DirectBackend::with_profile`] under random access.
     pub fn device_profile(mut self, profile: storage::DeviceProfile) -> Self {
         self.profile = Some(profile);
         self
@@ -379,7 +380,10 @@ impl SessionBuilder {
 
         let backend: Arc<dyn FetchBackend> = match (self.backend, self.profile) {
             (Some(b), None) => b,
-            (None, Some(p)) => Arc::new(ProfiledBackend::new(Arc::clone(&self.dataset), p)),
+            (None, Some(p)) => Arc::new(
+                DirectBackend::new(Arc::clone(&self.dataset))
+                    .with_profile(p, storage::AccessPattern::Random),
+            ),
             (None, None) => Arc::new(DirectBackend::new(Arc::clone(&self.dataset))),
             (Some(_), Some(_)) => unreachable!("rejected above"),
         };
@@ -1499,8 +1503,8 @@ mod tests {
 
     #[test]
     fn backend_read_failures_surface_through_the_batch_stream() {
-        use crate::{DirectBackend, FsBackend, ProfiledBackend};
-        use storage::DeviceProfile;
+        use crate::{DirectBackend, FsBackend};
+        use storage::{AccessPattern::Random, DeviceProfile};
         use vfs::{MemVfs, Vfs};
         // A dataset of 32 items served by backends that only materialized
         // 24: the epoch's tail items are missing.  In every mode, each of
@@ -1511,13 +1515,11 @@ mod tests {
         let small = store(24, 256);
         let backends = || -> Vec<(Arc<dyn FetchBackend>, &str)> {
             let fs_vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
+            let ssd = DeviceProfile::sata_ssd();
             vec![
                 (Arc::new(DirectBackend::new(Arc::clone(&small))), "direct"),
                 (
-                    Arc::new(ProfiledBackend::new(
-                        Arc::clone(&small),
-                        DeviceProfile::sata_ssd(),
-                    )),
+                    Arc::new(DirectBackend::new(Arc::clone(&small)).with_profile(ssd, Random)),
                     "profiled",
                 ),
                 (

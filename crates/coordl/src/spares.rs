@@ -2,7 +2,7 @@
 //! read or prep to fill instead of going back to the allocator.
 //!
 //! Two places recycle this way.  Every backend that reads a miss into a
-//! buffer of its own (`FsBackend`, `DirectBackend`, `ProfiledBackend`) keeps
+//! buffer of its own (`FsBackend`, `DirectBackend`) keeps
 //! the raw payloads handed back through `FetchBackend::recycle` — by prep
 //! once it is done with one, and by a session's cache tier once it drops one
 //! — and reads the next misses into them; a session lane keeps the prepared

@@ -16,13 +16,13 @@
 
 use crate::backend::{recycle_if_last, FetchBackend};
 use crate::error::{panic_detail, CoordlError};
+use crossbeam::channel::{self, Receiver, Sender};
 use dataset::ItemId;
 use dcache::{ChainAccess, ChainSource, KeyMap, PolicyKind, TierChain, TierSpec};
-use parking_lot::{Condvar, Mutex};
-use std::collections::VecDeque;
+use parking_lot::Mutex;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{SpillStore, Vfs};
@@ -373,12 +373,13 @@ impl TieredInner {
 /// hand-off: the writer wakes once per batch, not once per op.
 const BATCH_OPS: usize = 32;
 
-/// Shipped batches the writer's queue holds; a shard shipping into a full
-/// queue waits for room.  With the batch being written and each shard's
-/// open batch, the writer is behind by at most `(QUEUE_BATCHES + 1 +
-/// shards) × BATCH_OPS` ops: the payloads of that many writes are what a
-/// cache holds beyond its resident set (18 MiB of 32 KiB items for one
-/// shard), and what a crash loses beyond each store's open group.
+/// Messages the writer's queue holds, shipped batches and flush syncs
+/// alike; a shard shipping into a full queue waits for room.  With the
+/// batch being written and each shard's open batch, the writer is behind
+/// by at most `(QUEUE_BATCHES + 1 + shards) × BATCH_OPS` ops: the payloads
+/// of that many writes are what a cache holds beyond its resident set
+/// (18 MiB of 32 KiB items for one shard), and what a crash loses beyond
+/// each store's open group.
 const QUEUE_BATCHES: usize = 16;
 
 /// One operation on one level's [`SpillStore`], applied by the writer in
@@ -405,131 +406,7 @@ enum Message {
     },
     /// Answer with the first store failure, in shard order, once every
     /// message before this one is applied.
-    Sync(mpsc::Sender<Result<(), CoordlError>>),
-}
-
-struct Queue {
-    messages: VecDeque<Message>,
-    /// `Batch` messages among them.
-    batches: usize,
-    /// Emptied op vectors, for shipping shards to fill again.
-    spare: Vec<Ops>,
-    /// No message follows: the writer drains the queue and exits.
-    closed: bool,
-    /// The writer's panic, once it has died.
-    panicked: Option<String>,
-}
-
-/// The queue between a cache's shards and its spill writer.
-struct WriterQueue {
-    queue: Mutex<Queue>,
-    /// Wakes the writer: a message arrived or the queue closed.
-    ready: Condvar,
-    /// Wakes shards waiting for room in a full queue.
-    room: Condvar,
-}
-
-impl WriterQueue {
-    /// An empty queue with every vector it needs made up front: a full
-    /// queue, the batch being written and one to hand the shipping shard
-    /// leave a spare, so the count of vectors made does not depend on how
-    /// far the writer ever fell behind.
-    fn new() -> Self {
-        let spare = (0..=QUEUE_BATCHES)
-            .map(|_| Vec::with_capacity(BATCH_OPS))
-            .collect();
-        WriterQueue {
-            queue: Mutex::new(Queue {
-                messages: VecDeque::with_capacity(QUEUE_BATCHES + 1),
-                batches: 0,
-                spare,
-                closed: false,
-                panicked: None,
-            }),
-            ready: Condvar::new(),
-            room: Condvar::new(),
-        }
-    }
-
-    /// Queue a shard's batch, waiting while the queue is full, and return an
-    /// empty vector for its next one.  A dead writer's batch is freed.
-    fn ship(&self, shard: usize, mut ops: Ops) -> Ops {
-        let mut queue = self.queue.lock();
-        while queue.batches >= QUEUE_BATCHES && queue.panicked.is_none() {
-            self.room.wait(&mut queue);
-        }
-        if queue.panicked.is_some() {
-            drop(queue);
-            ops.clear();
-            return ops;
-        }
-        queue.messages.push_back(Message::Batch { shard, ops });
-        queue.batches += 1;
-        let spare = queue.spare.pop();
-        drop(queue);
-        self.ready.notify_one();
-        spare.unwrap_or_else(|| Vec::with_capacity(BATCH_OPS))
-    }
-
-    /// Wait until the writer has applied everything queued so far, and
-    /// return the first store failure.  A writer that panicked — before or
-    /// while this waits — drops the reply channel, which ends the wait.
-    fn sync(&self) -> Result<(), CoordlError> {
-        let panicked = |detail: &Option<String>| CoordlError::WorkerPanicked {
-            stage: "spill",
-            detail: detail.clone().unwrap_or_default(),
-        };
-        let (reply, answer) = mpsc::channel();
-        {
-            let mut queue = self.queue.lock();
-            if queue.panicked.is_some() {
-                return Err(panicked(&queue.panicked));
-            }
-            queue.messages.push_back(Message::Sync(reply));
-        }
-        self.ready.notify_one();
-        answer
-            .recv()
-            .unwrap_or_else(|_| Err(panicked(&self.queue.lock().panicked)))
-    }
-
-    /// The writer's side: hand back the vector of the batch it finished and
-    /// take the next message, or `None` once the queue is closed and drained.
-    fn next(&self, spent: Option<Ops>) -> Option<Message> {
-        let mut queue = self.queue.lock();
-        queue.spare.extend(spent);
-        loop {
-            if let Some(message) = queue.messages.pop_front() {
-                if let Message::Batch { .. } = message {
-                    queue.batches -= 1;
-                    self.room.notify_one();
-                }
-                return Some(message);
-            }
-            if queue.closed {
-                return None;
-            }
-            self.ready.wait(&mut queue);
-        }
-    }
-
-    fn close(&self) {
-        self.queue.lock().closed = true;
-        self.ready.notify_one();
-    }
-
-    /// The writer panicked: record why, free what it will never write, and
-    /// close every waiting reply channel.
-    fn die(&self, detail: String) {
-        let dropped = {
-            let mut queue = self.queue.lock();
-            queue.panicked = Some(detail);
-            queue.batches = 0;
-            std::mem::take(&mut queue.messages)
-        };
-        self.room.notify_all();
-        drop(dropped);
-    }
+    Sync(Sender<Result<(), CoordlError>>),
 }
 
 /// A shard's side of the spill writer: the ops its fetches issued since it
@@ -539,7 +416,9 @@ struct SpillLane {
     /// Which levels mirror into a spill store.
     persistent: Vec<bool>,
     pending: Ops,
-    queue: Arc<WriterQueue>,
+    queue: Sender<Message>,
+    /// Emptied op vectors the writer hands back.
+    spares: Receiver<Ops>,
 }
 
 impl SpillLane {
@@ -559,10 +438,16 @@ impl SpillLane {
         }
     }
 
+    /// Queue the open batch, waiting while the queue is full, and take an
+    /// emptied vector for the next one.  A dead writer's batch is freed.
     fn ship(&mut self) {
         if !self.pending.is_empty() {
             let ops = std::mem::take(&mut self.pending);
-            self.pending = self.queue.ship(self.shard, ops);
+            let _ = self.queue.send(Message::Batch {
+                shard: self.shard,
+                ops,
+            });
+            self.pending = self.spares.try_recv().unwrap_or_default();
         }
     }
 }
@@ -570,55 +455,104 @@ impl SpillLane {
 /// The thread that owns every shard's spill stores and applies the ops
 /// the shards ship to it.
 struct SpillWriter {
-    queue: Arc<WriterQueue>,
+    /// The cache's own sender, for syncs.
+    queue: Sender<Message>,
+    /// Why the writer died, set before it drops its end of the queue.
+    panicked: Arc<OnceLock<String>>,
     thread: JoinHandle<()>,
 }
 
 impl SpillWriter {
-    /// Start the writer over `stores` (indexed by shard, then level).  A
-    /// thread that cannot be started is a [`CoordlError::InvalidConfig`].
+    /// Start the writer over `stores` (indexed by shard, then level) and
+    /// return it with one lane per shard.  A thread that cannot be started
+    /// is a [`CoordlError::InvalidConfig`].
+    ///
+    /// Every op vector is made here: each lane's, and one for each message
+    /// the queue holds plus the batch being written, so a shipping shard
+    /// always finds a spare however far the writer falls behind.  The
+    /// writer can hand a batch back before the shard that shipped it takes
+    /// its spare, so the hand-back channel has room for all of them.
     fn spawn(
         mut stores: Vec<Vec<Option<SpillStore>>>,
+        persistent: &[bool],
         recycler: Option<Arc<dyn FetchBackend>>,
-    ) -> Result<Self, CoordlError> {
-        let queue = Arc::new(WriterQueue::new());
-        let writer_queue = Arc::clone(&queue);
+    ) -> Result<(Self, Vec<SpillLane>), CoordlError> {
+        let shards = stores.len();
+        let (queue, messages) = channel::bounded(QUEUE_BATCHES);
+        let (hand_back, spares) = channel::bounded(QUEUE_BATCHES + 1 + shards);
+        for _ in 0..=QUEUE_BATCHES {
+            let _ = hand_back.try_send(Vec::with_capacity(BATCH_OPS));
+        }
+        let lanes = (0..shards)
+            .map(|shard| SpillLane {
+                shard,
+                persistent: persistent.to_vec(),
+                pending: Vec::with_capacity(BATCH_OPS),
+                queue: queue.clone(),
+                spares: spares.clone(),
+            })
+            .collect();
+        let panicked = Arc::new(OnceLock::new());
+        let died = Arc::clone(&panicked);
         let thread = std::thread::Builder::new()
             .name("coordl-spill".into())
             .spawn(move || {
-                let queue = writer_queue;
                 let wrote = panic::catch_unwind(AssertUnwindSafe(|| {
-                    write_behind(&queue, &mut stores, recycler.as_deref());
+                    write_behind(&messages, &hand_back, &mut stores, recycler.as_deref());
                 }));
                 if let Err(payload) = wrote {
-                    queue.die(panic_detail(payload));
+                    let _ = died.set(panic_detail(payload));
                 }
+                // The queue's only receiver: dropping it frees what a dead
+                // writer will never write, closes every waiting sync's
+                // reply channel and fails every shard's send.
+                drop(messages);
                 // Each store commits its open group as it drops.
                 drop(stores);
             })
             .map_err(|e| {
                 CoordlError::InvalidConfig(format!("cannot start the spill writer: {e}"))
             })?;
-        Ok(SpillWriter { queue, thread })
+        let writer = SpillWriter {
+            queue,
+            panicked,
+            thread,
+        };
+        Ok((writer, lanes))
+    }
+
+    /// Wait until the writer has applied everything queued so far, and
+    /// return the first store failure.  A writer that died — before or
+    /// while this waits — has dropped the reply channel, which ends the wait.
+    fn sync(&self) -> Result<(), CoordlError> {
+        let (reply, answer) = channel::bounded(1);
+        let _ = self.queue.send(Message::Sync(reply));
+        answer.recv().unwrap_or_else(|_| {
+            Err(CoordlError::WorkerPanicked {
+                stage: "spill",
+                detail: self.panicked.get().cloned().unwrap_or_default(),
+            })
+        })
     }
 }
 
 /// The writer's loop: apply each shipped batch to its shard's stores in
-/// order, and answer each sync with the first failure in shard order.
+/// order and hand its vector back, and answer each sync with the first
+/// failure in shard order, until every sender is gone.
 fn write_behind(
-    queue: &WriterQueue,
+    messages: &Receiver<Message>,
+    hand_back: &Sender<Ops>,
     stores: &mut [Vec<Option<SpillStore>>],
     recycler: Option<&dyn FetchBackend>,
 ) {
     let mut errors: Vec<Option<CoordlError>> = vec![None; stores.len()];
-    let mut spent = None;
-    while let Some(message) = queue.next(spent.take()) {
+    while let Ok(message) = messages.recv() {
         match message {
             Message::Batch { shard, mut ops } => {
                 for (level, op) in ops.drain(..) {
                     apply(&mut stores[shard][level], &mut errors[shard], op, recycler);
                 }
-                spent = Some(ops);
+                let _ = hand_back.try_send(ops);
             }
             Message::Sync(reply) => {
                 let first = errors.iter().flatten().next().cloned();
@@ -722,17 +656,21 @@ pub(crate) enum Admission {
 /// the batch in one hand-off every 32 ops.  One writer thread per cache
 /// owns every shard's [`SpillStore`]s and applies each store's ops in
 /// exactly the order they were issued (a store belongs to one shard, whose
-/// batches queue in order).  The queue holds 16 batches; a shard shipping
-/// into a full one waits.  So the writer is behind by at most `(16 + 1 +
-/// shards) × 32` ops, and the payloads of that many writes are what the
-/// cache holds beyond its resident set.  [`CacheTier::flush`] ships every
-/// open batch and waits for the writer's commit, and a drop ships, lets
-/// the writer drain the queue and joins it: the epoch-end commit point,
-/// restart warm-up and every VFS operation are those of applying the ops
-/// in place.  A store's first error ends its mirroring (its later ops are
-/// discarded) and is reported by every `flush` after it; a writer that
-/// panics makes `flush` return [`CoordlError::WorkerPanicked`].  Purely
-/// in-memory hierarchies start no writer.
+/// batches queue in order).  The queue is a bounded channel holding 16
+/// messages, batches and flush syncs; a shard shipping into a full one
+/// waits, and a second channel hands emptied batches back.  So the writer
+/// is behind by at most `(16 + 1 + shards) × 32` ops, and the payloads of
+/// that many writes are what the cache holds beyond its resident set.
+/// [`CacheTier::flush`] ships every open batch and waits for the writer's
+/// commit, and a drop ships, drops every sender so the writer drains the
+/// queue, and joins it: the epoch-end commit point, restart warm-up and
+/// every VFS operation are those of applying the ops in place.  A store's
+/// first error ends its mirroring (its later ops are discarded) and is
+/// reported by every `flush` after it.  A writer that panics records why
+/// and drops its end of the queue, which frees what it will never write
+/// and fails every send: a shard shipping goes on, and `flush` returns
+/// [`CoordlError::WorkerPanicked`].  Purely in-memory hierarchies start no
+/// writer.
 ///
 /// **Payloads that come back.**  The tier a [`Session`](crate::Session)
 /// builds for itself hands every payload it lets go of — a key that falls
@@ -838,14 +776,9 @@ impl TieredByteCache {
             .collect();
         let mut writer = None;
         if persistent.contains(&true) {
-            let spawned = SpillWriter::spawn(stores, recycler.clone())?;
-            for (shard, inner) in shards.iter_mut().enumerate() {
-                inner.spill = Some(SpillLane {
-                    shard,
-                    persistent: persistent.clone(),
-                    pending: Vec::with_capacity(BATCH_OPS),
-                    queue: Arc::clone(&spawned.queue),
-                });
+            let (spawned, lanes) = SpillWriter::spawn(stores, &persistent, recycler.clone())?;
+            for (inner, lane) in shards.iter_mut().zip(lanes) {
+                inner.spill = Some(lane);
             }
             writer = Some(spawned);
         }
@@ -1066,7 +999,7 @@ impl TieredByteCache {
         // Committed before this returns: a departed tenant's keys must not
         // reappear after a crash.  A failure stays for the next `flush`.
         if let Some(writer) = &self.writer {
-            let _ = writer.queue.sync();
+            let _ = writer.sync();
         }
     }
 }
@@ -1183,25 +1116,26 @@ impl CacheTier for TieredByteCache {
                 lane.ship();
             }
         }
-        writer.queue.sync()
+        writer.sync()
     }
 }
 
 impl Drop for TieredByteCache {
-    /// Ship every shard's open batch, then let the writer drain the queue,
-    /// drop the stores (each commits its open group) and exit.
+    /// Ship every shard's open batch and drop every sender, so the writer
+    /// drains the queue, drops the stores (each commits its open group)
+    /// and exits.
     fn drop(&mut self) {
-        let Some(writer) = self.writer.take() else {
+        let Some(SpillWriter { queue, thread, .. }) = self.writer.take() else {
             return;
         };
-        for shard in &self.shards {
-            if let Some(lane) = &mut shard.lock().spill {
+        for shard in &mut self.shards {
+            if let Some(mut lane) = shard.get_mut().spill.take() {
                 lane.ship();
             }
         }
-        writer.queue.close();
+        drop(queue);
         // A writer that panicked has already said so to `flush`.
-        let _ = writer.thread.join();
+        let _ = thread.join();
     }
 }
 
@@ -1835,42 +1769,129 @@ mod tests {
         drop(tier);
     }
 
+    /// A gate the spill writer's writes wait at until the test opens it.
+    #[derive(Default)]
+    struct Gate {
+        open: std::sync::Mutex<bool>,
+        opened: std::sync::Condvar,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
     #[test]
     fn dropping_a_cache_with_queued_spill_ops_commits_them_all() {
-        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let gate = Arc::new(Gate::default());
         let writes_wait_for = Arc::clone(&gate);
         let vfs: Arc<dyn Vfs> = Arc::new(HookedVfs {
             inner: vfs::MemVfs::new(),
-            on_write: move || {
-                let (open, opened) = &*writes_wait_for;
-                let mut open = open.lock().unwrap();
-                while !*open {
-                    open = opened.wait(open).unwrap();
-                }
-            },
+            on_write: move || writes_wait_for.wait(),
         });
         let tier = lru_over_persistent_lru(&vfs, "queued");
-        // 86 demotions and 22 drops: three batches shipped, 12 ops open.
+        // 86 demotions and 22 drops: three batches shipped, 12 ops open,
+        // and the writer stuck in its first write.
         for item in 0..90u64 {
             fetch_through(&tier, item, 1);
         }
         let expected = tier.resident_keys(1);
         assert_eq!(expected.len(), 64);
-        let queue = Arc::clone(&tier.writer.as_ref().unwrap().queue);
+        // The open batch reaches the store only if the drop ships it,
+        // whether the writer is still stuck when it does or not.
         let dropper = std::thread::spawn(move || drop(tier));
-        {
-            // The drop has shipped the open batch and closed the queue while
-            // the writer is still stuck in its first write.
-            let mut waiting = queue.queue.lock();
-            while !waiting.closed {
-                queue.ready.wait(&mut waiting);
-            }
-            assert!(!waiting.messages.is_empty(), "the writer is behind");
-        }
-        *gate.0.lock().unwrap() = true;
-        gate.1.notify_all();
+        gate.open();
         dropper.join().unwrap();
         assert_eq!(spilled(&vfs, "queued"), expected);
+    }
+
+    #[test]
+    fn a_spill_writer_dying_behind_a_full_queue_releases_every_waiter() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+        const DEADLINE: std::time::Duration = std::time::Duration::from_secs(20);
+        let gate = Arc::new(Gate::default());
+        let (entered, writer_entered) = std::sync::mpsc::channel();
+        let armed = AtomicBool::new(true);
+        let first_write = Arc::clone(&gate);
+        let vfs: Arc<dyn Vfs> = Arc::new(HookedVfs {
+            inner: vfs::MemVfs::new(),
+            on_write: move || {
+                if armed.swap(false, SeqCst) {
+                    entered.send(()).unwrap();
+                    first_write.wait();
+                    panic!("the disk caught fire");
+                }
+            },
+        });
+        let tier = Arc::new(lru_over_persistent_lru(&vfs, "death"));
+        // Item 4 on demotes one key per fetch, and item 68 on also drops
+        // one: 36 items ship the first batch, which the writer takes and is
+        // held in, and 276 items ship 15 batches, 14 of them queued.
+        for item in 0..276u64 {
+            fetch_through(&*tier, item, 1);
+            if item == 35 {
+                writer_entered
+                    .recv_timeout(DEADLINE)
+                    .expect("writer starts");
+            }
+        }
+        let queue = &tier.writer.as_ref().unwrap().queue;
+        assert!(!queue.is_full());
+        let (done, finished) = std::sync::mpsc::channel();
+        // A flush queues a commit batch and its sync, which fill the queue,
+        // and waits for the answer.
+        let flusher = {
+            let (tier, done) = (Arc::clone(&tier), done.clone());
+            std::thread::spawn(move || done.send(("flush", tier.flush())).unwrap())
+        };
+        let started = std::time::Instant::now();
+        while !queue.is_full() {
+            assert!(started.elapsed() < DEADLINE, "the flush never queued");
+            std::thread::yield_now();
+        }
+        // A fetch thread's 16th fetch ships a batch into the full queue.
+        let fetched = Arc::new(AtomicUsize::new(0));
+        let fetcher = {
+            let (tier, fetched) = (Arc::clone(&tier), Arc::clone(&fetched));
+            std::thread::spawn(move || {
+                for item in 276..292u64 {
+                    fetch_through(&*tier, item, 1);
+                    fetched.fetch_add(1, SeqCst);
+                }
+                done.send(("fetch", Ok(()))).unwrap();
+            })
+        };
+        // It cannot finish that fetch while the writer lives.  Waiting for
+        // room when the writer dies or only getting there after, its send
+        // must fail and let it go on.
+        while fetched.load(SeqCst) < 15 {
+            assert!(started.elapsed() < DEADLINE, "the fetches stalled");
+            std::thread::yield_now();
+        }
+        gate.open();
+        let mut outcomes: Vec<_> = (0..2)
+            .map(|_| finished.recv_timeout(DEADLINE).expect("a waiter hangs"))
+            .collect();
+        outcomes.sort_by_key(|(waiter, _)| *waiter);
+        flusher.join().unwrap();
+        fetcher.join().unwrap();
+        assert!(matches!(outcomes[0], ("fetch", Ok(()))));
+        match &outcomes[1] {
+            ("flush", Err(CoordlError::WorkerPanicked { stage, detail })) => {
+                assert_eq!(*stage, "spill");
+                assert!(detail.contains("the disk caught fire"), "{detail}");
+            }
+            other => panic!("expected the writer's panic, got {other:?}"),
+        }
     }
 
     #[test]

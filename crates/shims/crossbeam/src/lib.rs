@@ -1,8 +1,10 @@
 //! Minimal offline stand-in for `crossbeam`: a bounded MPMC channel.
 //!
 //! Only `channel::bounded` with blocking `send`/`recv`, non-blocking
-//! `try_send`/`try_recv`, cloneable endpoints and disconnect detection is
-//! provided — the surface this workspace uses.
+//! `try_send`/`try_recv`, `Sender::is_full`, cloneable endpoints and disconnect
+//! detection is provided — the surface this workspace uses.  As upstream,
+//! dropping the last receiver frees the queued messages and fails every
+//! send, including one blocked on a full channel.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -78,6 +80,10 @@ pub mod channel {
         not_full: Condvar,
         senders: AtomicUsize,
         receivers: AtomicUsize,
+        /// Times a sender has waited for room, so a test can act while one
+        /// is waiting.
+        #[cfg(test)]
+        waits: AtomicUsize,
     }
 
     /// The sending half; cloneable (multi-producer).
@@ -99,6 +105,8 @@ pub mod channel {
             not_full: Condvar::new(),
             senders: AtomicUsize::new(1),
             receivers: AtomicUsize::new(1),
+            #[cfg(test)]
+            waits: AtomicUsize::new(0),
         });
         (
             Sender {
@@ -123,11 +131,23 @@ pub mod channel {
                     shared.not_empty.notify_one();
                     return Ok(());
                 }
+                #[cfg(test)]
+                shared.waits.fetch_add(1, Ordering::SeqCst);
                 queue = shared
                     .not_full
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
+        }
+
+        /// Whether the channel holds `capacity` messages.
+        pub fn is_full(&self) -> bool {
+            let queue = self
+                .shared
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.len() >= self.shared.capacity
         }
 
         /// Enqueue if there is room, without blocking: `Full` when the
@@ -216,8 +236,19 @@ pub mod channel {
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
             if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-                let _guard = self.shared.queue.lock();
-                self.shared.not_full.notify_all();
+                // Last receiver gone: wake blocked senders so they observe it,
+                // and, like crossbeam's, free what nobody can receive now —
+                // outside the lock, since a message's drop may do anything.
+                let unreceived = {
+                    let mut queue = self
+                        .shared
+                        .queue
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    self.shared.not_full.notify_all();
+                    std::mem::take(&mut *queue)
+                };
+                drop(unreceived);
             }
         }
     }
@@ -251,6 +282,38 @@ pub mod channel {
             let (tx, rx) = bounded::<u32>(2);
             drop(rx);
             assert_eq!(tx.send(1), Err(SendError(1)));
+        }
+
+        #[test]
+        fn dropping_the_last_receiver_frees_what_is_queued() {
+            let held = std::sync::Arc::new(7u32);
+            let (tx, rx) = bounded(1);
+            tx.send(std::sync::Arc::clone(&held)).unwrap();
+            assert!(tx.is_full());
+            let rx2 = rx.clone();
+            drop(rx);
+            assert_eq!(std::sync::Arc::strong_count(&held), 2, "a receiver is left");
+            drop(rx2);
+            assert_eq!(
+                std::sync::Arc::strong_count(&held),
+                1,
+                "freed, sender alive"
+            );
+            assert!(!tx.is_full());
+        }
+
+        #[test]
+        fn a_sender_blocked_on_a_full_channel_fails_when_the_receiver_drops() {
+            let (tx, rx) = bounded::<u32>(1);
+            tx.send(1).unwrap();
+            let shared = std::sync::Arc::clone(&rx.shared);
+            let blocked = std::thread::spawn(move || tx.send(2));
+            while shared.waits.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            // The drop takes the lock the sender gave up only by waiting.
+            drop(rx);
+            assert_eq!(blocked.join().unwrap(), Err(SendError(2)));
         }
 
         #[test]

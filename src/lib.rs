@@ -118,7 +118,7 @@ pub mod prelude {
     pub use crate::cache::{PolicyCache, PolicyKind};
     pub use crate::coordl::{
         BatchStream, CacheTier, DirectBackend, FetchBackend, LoaderReport, Mode,
-        PartitionedCacheCluster, ProfiledBackend, Session, SessionConfig,
+        PartitionedCacheCluster, Session, SessionConfig,
     };
     pub use crate::dataset::{DataSource, DatasetSpec, LabeledVectorStore, SyntheticItemStore};
     pub use crate::gpu::{GpuGeneration, ModelKind, ModelProfile};
